@@ -1195,18 +1195,13 @@ func BenchmarkAblationQuantization(b *testing.B) {
 }
 
 // BenchmarkRecoveryOpen measures snapshot-restart latency — the time from
-// "snapshot directory on disk" to "indexer serving" — across the three
-// on-disk strategies at three lake sizes:
+// "snapshot directory on disk" to "indexer serving" — for the two ways of
+// opening a binfmt snapshot, at three lake sizes:
 //
-//   - legacy-gob: the pre-binfmt encoding/gob snapshot, fully decoded and
-//     re-allocated on open (the old recovery path).
 //   - binary-read: the binfmt columnar snapshot with mmap disabled
 //     (REPRO_BINFMT_NOMMAP=1), i.e. one sequential read + checksum.
 //   - binary-mmap: the binfmt snapshot mapped read-only; column decode is
 //     pointer casting, so open cost is validation, not deserialization.
-//
-// The ratio legacy-gob / binary-mmap at the largest size is the headline
-// startup speedup recorded in bench_baseline.txt.
 func BenchmarkRecoveryOpen(b *testing.B) {
 	for _, tables := range []int{250, 1000, 4000} {
 		corpus := retrievalBenchLake(b, tables, tables/2)
@@ -1215,36 +1210,24 @@ func BenchmarkRecoveryOpen(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		binDir, gobDir := b.TempDir(), b.TempDir()
-		err = corpus.Lake.Quiesce(func(v uint64) error {
-			fz := ix.Freeze()
-			if err := fz.Save(binDir, v); err != nil {
-				return err
-			}
-			return fz.SaveLegacy(gobDir, v)
-		})
-		if err != nil {
+		dir := b.TempDir()
+		if err := corpus.Lake.Quiesce(func(v uint64) error { return ix.SaveSnapshot(dir, v) }); err != nil {
 			b.Fatal(err)
 		}
 		ix.Close()
-		variants := []struct {
-			name   string
-			dir    string
-			noMmap bool
-		}{
-			{"legacy-gob", gobDir, false},
-			{"binary-read", binDir, true},
-			{"binary-mmap", binDir, false},
-		}
-		for _, v := range variants {
-			b.Run(fmt.Sprintf("tables=%d/%s", tables, v.name), func(b *testing.B) {
-				if v.noMmap {
+		for _, noMmap := range []bool{true, false} {
+			name := "binary-mmap"
+			if noMmap {
+				name = "binary-read"
+			}
+			b.Run(fmt.Sprintf("tables=%d/%s", tables, name), func(b *testing.B) {
+				if noMmap {
 					b.Setenv(binfmt.NoMmapEnv, "1")
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					loaded, err := core.BuildIndexerFromSnapshot(corpus.Lake, icfg, v.dir)
+					loaded, err := core.BuildIndexerFromSnapshot(corpus.Lake, icfg, dir)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -11,13 +11,13 @@
 //	    verify (or re-verify with an overridden value) one tuple attribute
 //	verifai demo
 //	    run the paper's Figure 1 and Figure 4 cases on the built-in case lake
-//	verifai serve -lake DIR -addr :8080 [-shards N] [-ingest-queue N]
-//	              [-quantize] [-rerank-multiple N]
+//	verifai serve [-lake DIR] [-data-dir DIR] [-addr :8080] [-seed N] [-exact]
+//	              [-shards N] [-ingest-queue N] [-quantize] [-rerank-multiple N]
 //	              [-verify-concurrency N] [-verify-timeout 30s]
 //	              [-read-timeout 30s] [-read-header-timeout 5s]
-//	              [-idle-timeout 2m]
-//	              [-data-dir DIR] [-fsync always|interval|none]
-//	              [-checkpoint-every 5m] [-debug-addr :6060]
+//	              [-idle-timeout 2m] [-fsync always|interval|none]
+//	              [-wal-format binary|json] [-checkpoint-every 5m]
+//	              [-snapshot-retain N] [-debug-addr :6060]
 //	    serve the verification pipeline as an HTTP JSON API over the live
 //	    lake (reads keep being served while /v1/ingest/* writes arrive);
 //	    ingestion is pipelined — embedding runs outside the lake's write
@@ -26,30 +26,36 @@
 //	    retrieval/applier layout, -ingest-queue bounds the in-flight
 //	    ingest event queue, and -quantize stores flat vector shards
 //	    int8-scalar-quantized (4x smaller, faster scans) with the top
-//	    -rerank-multiple*k candidates re-ranked in exact float math. The verify endpoints are admission-controlled
-//	    (-verify-concurrency; saturated requests answer 429) and
-//	    deadline-bounded (-verify-timeout; expiry aborts the pipeline
-//	    mid-flight and answers 504), repeated identical verifications hit
-//	    the versioned result cache, and the listener enforces
-//	    read/header/idle timeouts so slow or idle clients cannot pin
-//	    connections open. With -data-dir the lake is durable: every
-//	    acknowledged write lands in a write-ahead log before it commits,
-//	    checkpoints snapshot catalog+indexes (periodically with
-//	    -checkpoint-every, on demand via POST /v1/admin/checkpoint, and
-//	    at shutdown) without pausing ingestion — writers wait only for
-//	    the short fork phase while the snapshot writes in the background
-//	    — and a restart recovers everything. The data dir is flock-owned
-//	    by one process (a second server fails fast). -lake seeds an
-//	    empty data dir; SIGINT/SIGTERM drains connections, checkpoints,
-//	    and closes cleanly. Durable deployments also serve the change
-//	    feed: GET /v1/changes streams the WAL (cursor-resumable, for
-//	    followers and CDC consumers) and GET /v1/replica/checkpoint
-//	    ships the latest checkpoint for follower bootstrap. Every serve
-//	    deployment exposes GET /metrics (Prometheus text exposition) on
-//	    the API listener; -debug-addr adds a side listener with
-//	    /debug/pprof/*, /debug/traces (recent per-request stage traces),
-//	    and a second /metrics, kept off the public API port.
-//	verifai follow -leader URL -data-dir DIR [-addr :8081] [...]
+//	    -rerank-multiple*k candidates re-ranked in exact float math. The
+//	    verify endpoints are admission-controlled (-verify-concurrency;
+//	    saturated requests answer 429) and deadline-bounded
+//	    (-verify-timeout; expiry aborts the pipeline mid-flight and
+//	    answers 504), accept ?version=N to read at a retained snapshot
+//	    (-snapshot-retain bounds how many unpinned ones are kept),
+//	    repeated identical verifications hit the versioned result cache,
+//	    and the listener enforces read/header/idle timeouts so slow or
+//	    idle clients cannot pin connections open. Without -data-dir the
+//	    lake in -lake is served from memory. With -data-dir the lake is
+//	    durable: every acknowledged write lands in a write-ahead log
+//	    (-fsync, -wal-format) before it commits, checkpoints snapshot
+//	    catalog+indexes (periodically with -checkpoint-every, on demand
+//	    via POST /v1/admin/checkpoint, and at shutdown) without pausing
+//	    ingestion — writers wait only for the short fork phase while the
+//	    snapshot writes in the background — and a restart recovers
+//	    everything. The data dir is flock-owned by one process (a second
+//	    server fails fast). -lake seeds an empty data dir and is ignored
+//	    by one that already has state; SIGINT/SIGTERM drains
+//	    connections, checkpoints, and closes cleanly. Durable deployments
+//	    also serve the change feed: GET /v1/changes streams the WAL
+//	    (cursor-resumable, for followers and CDC consumers) and
+//	    GET /v1/replica/checkpoint ships the latest checkpoint for
+//	    follower bootstrap. Every serve deployment exposes GET /metrics
+//	    (Prometheus text exposition) on the API listener; -debug-addr
+//	    adds a side listener with /debug/pprof/*, /debug/traces (recent
+//	    per-request stage traces), and a second /metrics, kept off the
+//	    public API port.
+//	verifai follow -leader URL -data-dir DIR [-addr :8081] [serve's flags
+//	              except -lake and -snapshot-retain]
 //	    run a read-only replica of the leader at URL: bootstrap from its
 //	    checkpoint, stream its change feed, serve the same read API
 //	    (verify with ?min_version= for read-your-writes, stats with a
@@ -137,47 +143,23 @@ func commonFlags(fs *flag.FlagSet) (lakeDir *string, seed *uint64, exact *bool) 
 	return
 }
 
-// indexTuning carries the serving-path indexer knobs from flags into
-// buildSystem / openDurable.
-type indexTuning struct {
-	shards         int  // index shards per kind and family (0 = unsharded)
-	quantize       bool // int8 scalar-quantize flat vector shards
-	rerankMultiple int  // quantized re-rank candidate multiple (0 = default)
-	snapshotRetain int  // retained time-travel snapshots (0 = default)
+// baseOptions picks the reasoning profile: exact, or the calibrated error
+// profiles used by the experiments.
+func baseOptions(seed uint64, exact bool) verifai.Options {
+	if exact {
+		return verifai.ExactOptions(seed)
+	}
+	return verifai.DefaultOptions(seed)
 }
 
-func (t indexTuning) apply(opts *verifai.Options) {
-	if t.shards > 0 {
-		opts.Indexer.Shards = t.shards
-	}
-	if t.quantize {
-		opts.Indexer.Quantize = true
-	}
-	if t.rerankMultiple > 0 {
-		opts.Indexer.RerankMultiple = t.rerankMultiple
-	}
-	if t.snapshotRetain > 0 {
-		opts.Pipeline.SnapshotRetain = t.snapshotRetain
-	}
-}
-
-func buildSystem(lakeDir string, seed uint64, exact bool, tune indexTuning, ingestQueue int) (*verifai.System, *verifai.Lake, error) {
+func buildSystem(lakeDir string, opts verifai.Options, lakeOpts ...verifai.LakeOption) (*verifai.System, *verifai.Lake, error) {
 	if lakeDir == "" {
 		return nil, nil, fmt.Errorf("-lake is required")
-	}
-	var lakeOpts []verifai.LakeOption
-	if ingestQueue > 0 {
-		lakeOpts = append(lakeOpts, verifai.WithIngestQueue(ingestQueue))
 	}
 	lake, err := lakeio.Load(lakeDir, lakeOpts...)
 	if err != nil {
 		return nil, nil, err
 	}
-	opts := verifai.DefaultOptions(seed)
-	if exact {
-		opts = verifai.ExactOptions(seed)
-	}
-	tune.apply(&opts)
 	sys, err := verifai.NewSystem(lake, opts)
 	if err != nil {
 		return nil, nil, err
@@ -219,7 +201,7 @@ func runClaim(args []string) error {
 	if *text == "" {
 		return fmt.Errorf("-text is required")
 	}
-	sys, _, err := buildSystem(*lakeDir, *seed, *exact, indexTuning{}, 0)
+	sys, _, err := buildSystem(*lakeDir, baseOptions(*seed, *exact))
 	if err != nil {
 		return err
 	}
@@ -285,7 +267,7 @@ func runTuple(args []string) error {
 	if *tableID == "" || *attr == "" {
 		return fmt.Errorf("-table and -attr are required")
 	}
-	sys, lake, err := buildSystem(*lakeDir, *seed, *exact, indexTuning{}, 0)
+	sys, lake, err := buildSystem(*lakeDir, baseOptions(*seed, *exact))
 	if err != nil {
 		return err
 	}
@@ -363,85 +345,138 @@ func printReport(r verifai.Report) {
 	}
 }
 
+// serveFlags are the flags serve and follow share: how to build the system
+// (reasoning profile, index layout, durability) and how to serve it
+// (listeners, verify limits, timeouts).
+type serveFlags struct {
+	seed              uint64
+	exact             bool
+	addr              string
+	shards            int
+	quantize          bool
+	rerankMultiple    int
+	ingestQueue       int
+	verifyConcurrency int
+	verifyTimeout     time.Duration
+	readTimeout       time.Duration
+	readHeaderTimeout time.Duration
+	idleTimeout       time.Duration
+	dataDir           string
+	fsync             string
+	walFormat         string
+	checkpointEvery   time.Duration
+	debugAddr         string
+}
+
+func registerServeFlags(fs *flag.FlagSet, defaultAddr string) *serveFlags {
+	f := &serveFlags{}
+	fs.Uint64Var(&f.seed, "seed", 1, "deterministic seed")
+	fs.BoolVar(&f.exact, "exact", true, "exact reasoning (no calibrated error injection)")
+	fs.StringVar(&f.addr, "addr", defaultAddr, "listen address")
+	fs.IntVar(&f.shards, "shards", 0, "index shards per kind and family (0 = unsharded)")
+	fs.BoolVar(&f.quantize, "quantize", false, "int8 scalar-quantize flat vector shards; searches re-rank candidates with exact float math")
+	fs.IntVar(&f.rerankMultiple, "rerank-multiple", 0, "quantized search scans rerank-multiple*k candidates before exact re-rank (0 = default 4)")
+	fs.IntVar(&f.ingestQueue, "ingest-queue", 0, "bound on the in-flight ingest event queue (0 = default 256)")
+	fs.IntVar(&f.verifyConcurrency, "verify-concurrency", 0, "max concurrently admitted verify requests; beyond it requests answer 429 (0 = 4x GOMAXPROCS, <0 = unlimited)")
+	fs.DurationVar(&f.verifyTimeout, "verify-timeout", 30*time.Second, "per-request verification deadline; expiry aborts the pipeline and answers 504 (0 = client-bounded only)")
+	fs.DurationVar(&f.readTimeout, "read-timeout", 30*time.Second, "max duration for reading an entire request, body included (0 = unlimited)")
+	fs.DurationVar(&f.readHeaderTimeout, "read-header-timeout", 5*time.Second, "max duration for reading request headers; defeats slowloris clients (0 = falls back to -read-timeout)")
+	fs.DurationVar(&f.idleTimeout, "idle-timeout", 2*time.Minute, "max keep-alive idle time between requests (0 = falls back to -read-timeout)")
+	fs.StringVar(&f.dataDir, "data-dir", "", "durable data directory (WAL + checkpoints); serve: empty serves in-memory, follow: required")
+	fs.StringVar(&f.fsync, "fsync", "interval", "WAL sync policy: always|interval|none (with -data-dir)")
+	fs.StringVar(&f.walFormat, "wal-format", "binary", "WAL record payload encoding for new appends: binary|json (existing logs and the leader's stream are read under either; segments may mix)")
+	fs.DurationVar(&f.checkpointEvery, "checkpoint-every", 0, "periodic checkpoint cadence, e.g. 5m (0 = only on shutdown and POST /v1/admin/checkpoint)")
+	fs.StringVar(&f.debugAddr, "debug-addr", "", "side listener for /debug/pprof/*, /debug/traces, and /metrics (empty = disabled)")
+	return f
+}
+
+// openOptions turns the flags into the options every way of assembling a
+// system takes (buildSystem reads the embedded Options and LakeOptions).
+func (f *serveFlags) openOptions() verifai.OpenOptions {
+	opts := baseOptions(f.seed, f.exact)
+	if f.shards > 0 {
+		opts.Indexer.Shards = f.shards
+	}
+	if f.quantize {
+		opts.Indexer.Quantize = true
+	}
+	if f.rerankMultiple > 0 {
+		opts.Indexer.RerankMultiple = f.rerankMultiple
+	}
+	oo := verifai.OpenOptions{Options: opts, Sync: f.fsync, WALFormat: f.walFormat}
+	if f.ingestQueue > 0 {
+		oo.LakeOptions = append(oo.LakeOptions, verifai.WithIngestQueue(f.ingestQueue))
+	}
+	return oo
+}
+
+// serverOptions are the verify limits plus, on a durable system, the
+// durability surfaces and the change feed: the WAL doubles as the feed, so
+// followers and CDC consumers stream GET /v1/changes (bootstrapping from
+// /v1/replica/checkpoint) — from a leader or, chained, from a follower,
+// whose WAL mirrors its leader's.
+func (f *serveFlags) serverOptions(sys *verifai.System) []server.Option {
+	opts := []server.Option{server.WithVerifyTimeout(f.verifyTimeout)}
+	if f.verifyConcurrency != 0 {
+		opts = append(opts, server.WithVerifyConcurrency(f.verifyConcurrency))
+	}
+	if _, durable := sys.Durability(); !durable {
+		return opts
+	}
+	opts = append(opts, server.WithDurability(
+		func() verifai.DurabilityStats { st, _ := sys.Durability(); return st },
+		sys.Checkpoint,
+	))
+	if wlog, floor, ckpt, format, ok := sys.ChangeFeed(); ok {
+		opts = append(opts, server.WithChangeFeed(server.ChangeFeedConfig{
+			Log: wlog, Floor: floor, CheckpointTar: ckpt, Format: format,
+		}))
+	}
+	return opts
+}
+
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	lakeDir, seed, exact := commonFlags(fs)
-	addr := fs.String("addr", ":8080", "listen address")
-	shards := fs.Int("shards", 0, "index shards per kind and family (0 = unsharded)")
-	quantize := fs.Bool("quantize", false, "int8 scalar-quantize flat vector shards; searches re-rank candidates with exact float math")
-	rerankMultiple := fs.Int("rerank-multiple", 0, "quantized search scans rerank-multiple*k candidates before exact re-rank (0 = default 4)")
-	ingestQueue := fs.Int("ingest-queue", 0, "bound on the in-flight ingest event queue (0 = default 256)")
-	verifyConcurrency := fs.Int("verify-concurrency", 0, "max concurrently admitted verify requests; beyond it requests answer 429 (0 = 4x GOMAXPROCS, <0 = unlimited)")
-	verifyTimeout := fs.Duration("verify-timeout", 30*time.Second, "per-request verification deadline; expiry aborts the pipeline and answers 504 (0 = client-bounded only)")
-	readTimeout := fs.Duration("read-timeout", 30*time.Second, "max duration for reading an entire request, body included (0 = unlimited)")
-	readHeaderTimeout := fs.Duration("read-header-timeout", 5*time.Second, "max duration for reading request headers; defeats slowloris clients (0 = falls back to -read-timeout)")
-	idleTimeout := fs.Duration("idle-timeout", 2*time.Minute, "max keep-alive idle time between requests (0 = falls back to -read-timeout)")
-	dataDir := fs.String("data-dir", "", "durable data directory (WAL + checkpoints); empty serves in-memory")
-	fsync := fs.String("fsync", "interval", "WAL sync policy: always|interval|none (with -data-dir)")
-	walFormat := fs.String("wal-format", "binary", "WAL record payload encoding for new appends: binary|json (existing logs replay under either; segments may mix)")
-	checkpointEvery := fs.Duration("checkpoint-every", 0, "periodic checkpoint cadence, e.g. 5m (0 = only on shutdown and POST /v1/admin/checkpoint)")
+	f := registerServeFlags(fs, ":8080")
+	lakeDir := fs.String("lake", "", "lake directory from cmd/lakegen (required without -data-dir; seeds an empty -data-dir)")
 	snapshotRetain := fs.Int("snapshot-retain", 0, "retained time-travel snapshots beyond explicit pins; older unpinned snapshots are collected (0 = default 8)")
-	debugAddr := fs.String("debug-addr", "", "side listener for /debug/pprof/*, /debug/traces, and /metrics (empty = disabled)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	openOpts := f.openOptions()
+	if *snapshotRetain > 0 {
+		openOpts.Pipeline.SnapshotRetain = *snapshotRetain
+	}
 
 	var sys *verifai.System
-	tune := indexTuning{shards: *shards, quantize: *quantize, rerankMultiple: *rerankMultiple, snapshotRetain: *snapshotRetain}
-	serverOpts := []server.Option{server.WithVerifyTimeout(*verifyTimeout)}
-	if *verifyConcurrency != 0 {
-		serverOpts = append(serverOpts, server.WithVerifyConcurrency(*verifyConcurrency))
-	}
-	if *dataDir != "" {
-		var err error
-		sys, err = openDurable(*dataDir, *lakeDir, *seed, *exact, tune, *ingestQueue, *fsync, *walFormat)
-		if err != nil {
-			return err
-		}
-		serverOpts = append(serverOpts, server.WithDurability(
-			func() verifai.DurabilityStats { st, _ := sys.Durability(); return st },
-			sys.Checkpoint,
-		))
-		// The WAL doubles as the change feed: followers and CDC consumers
-		// stream GET /v1/changes, bootstrapping from /v1/replica/checkpoint.
-		if wlog, floor, ckpt, format, ok := sys.ChangeFeed(); ok {
-			serverOpts = append(serverOpts, server.WithChangeFeed(server.ChangeFeedConfig{
-				Log: wlog, Floor: floor, CheckpointTar: ckpt, Format: format,
-			}))
-		}
+	var err error
+	if f.dataDir != "" {
+		sys, err = openDurable(f.dataDir, *lakeDir, openOpts)
 	} else {
-		var err error
-		sys, _, err = buildSystem(*lakeDir, *seed, *exact, tune, *ingestQueue)
-		if err != nil {
-			return err
-		}
+		sys, _, err = buildSystem(*lakeDir, openOpts.Options, openOpts.LakeOptions...)
+	}
+	if err != nil {
+		return err
 	}
 	// Route POST /v1/snapshots through the system so durable mode persists
 	// pins across restarts (in-memory mode they just live in the registry).
-	serverOpts = append(serverOpts, server.WithSnapshots(sys.PinSnapshot, sys.UnpinSnapshot))
+	serverOpts := append(f.serverOptions(sys), server.WithSnapshots(sys.PinSnapshot, sys.UnpinSnapshot))
 
 	stats := sys.Pipeline().Lake().Stats()
 	logger.Info("serving", "tables", stats.Tables, "texts", stats.Docs,
-		"lake_version", sys.LakeVersion(), "addr", *addr)
-	return serveLoop(sys, *addr, *debugAddr, serverOpts, listenerTimeouts{
-		read: *readTimeout, readHeader: *readHeaderTimeout, idle: *idleTimeout,
-	}, *checkpointEvery, *dataDir != "")
-}
-
-// listenerTimeouts carries the http.Server timeout knobs shared by serve
-// and follow.
-type listenerTimeouts struct {
-	read, readHeader, idle time.Duration
+		"lake_version", sys.LakeVersion(), "addr", f.addr)
+	return serveLoop(sys, f, serverOpts)
 }
 
 // serveLoop runs the HTTP server over an assembled system until
 // SIGINT/SIGTERM, then drains connections, takes a final checkpoint
 // (durable mode), and closes the system — the lifecycle shared by the
 // serve (leader / standalone) and follow (replica) subcommands. A
-// non-empty debugAddr starts a side listener serving /debug/pprof/*,
+// non-empty -debug-addr starts a side listener serving /debug/pprof/*,
 // /debug/traces, and /metrics — a separate port so profiling and
 // introspection never ride the public API surface.
-func serveLoop(sys *verifai.System, addr, debugAddr string, serverOpts []server.Option, lt listenerTimeouts, checkpointEvery time.Duration, durable bool) error {
+func serveLoop(sys *verifai.System, f *serveFlags, serverOpts []server.Option) error {
+	_, durable := sys.Durability()
 	// Graceful shutdown: on SIGINT/SIGTERM stop accepting connections,
 	// drain in-flight requests, take a final checkpoint (durable mode),
 	// and close the system so no accepted write is lost.
@@ -460,19 +495,19 @@ func serveLoop(sys *verifai.System, addr, debugAddr string, serverOpts []server.
 	// of silently snapping the connection under it — and the change feed is
 	// a deliberately long-lived streaming response.
 	srv := &http.Server{
-		Addr:              addr,
+		Addr:              f.addr,
 		Handler:           server.New(sys.Pipeline(), serverOpts...),
-		ReadTimeout:       lt.read,
-		ReadHeaderTimeout: lt.readHeader,
-		IdleTimeout:       lt.idle,
+		ReadTimeout:       f.readTimeout,
+		ReadHeaderTimeout: f.readHeaderTimeout,
+		IdleTimeout:       f.idleTimeout,
 	}
 
-	if debugAddr != "" {
-		dbg := &http.Server{Addr: debugAddr, Handler: obs.DebugHandler(sys.Metrics())}
+	if f.debugAddr != "" {
+		dbg := &http.Server{Addr: f.debugAddr, Handler: obs.DebugHandler(sys.Metrics())}
 		go func() {
-			logger.Info("debug listener up", "addr", debugAddr)
+			logger.Info("debug listener up", "addr", f.debugAddr)
 			if err := dbg.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				logger.Error("debug listener failed", "addr", debugAddr, "err", err)
+				logger.Error("debug listener failed", "addr", f.debugAddr, "err", err)
 			}
 		}()
 		go func() {
@@ -483,9 +518,9 @@ func serveLoop(sys *verifai.System, addr, debugAddr string, serverOpts []server.
 		}()
 	}
 
-	if durable && checkpointEvery > 0 {
+	if durable && f.checkpointEvery > 0 {
 		go func() {
-			t := time.NewTicker(checkpointEvery)
+			t := time.NewTicker(f.checkpointEvery)
 			defer t.Stop()
 			for {
 				select {
@@ -547,69 +582,25 @@ func serveLoop(sys *verifai.System, addr, debugAddr string, serverOpts []server.
 // while ingest endpoints answer 421 pointing at the leader.
 func runFollow(args []string) error {
 	fs := flag.NewFlagSet("follow", flag.ExitOnError)
+	f := registerServeFlags(fs, ":8081")
 	leader := fs.String("leader", "", "leader base URL, e.g. http://leader:8080 (required)")
-	dataDir := fs.String("data-dir", "", "follower data directory (WAL + checkpoints; required)")
-	addr := fs.String("addr", ":8081", "listen address")
-	seed := fs.Uint64("seed", 1, "deterministic seed")
-	exact := fs.Bool("exact", true, "exact reasoning (no calibrated error injection)")
-	shards := fs.Int("shards", 0, "index shards per kind and family (0 = unsharded)")
-	quantize := fs.Bool("quantize", false, "int8 scalar-quantize flat vector shards")
-	rerankMultiple := fs.Int("rerank-multiple", 0, "quantized re-rank candidate multiple (0 = default 4)")
-	ingestQueue := fs.Int("ingest-queue", 0, "bound on the in-flight ingest event queue (0 = default 256)")
-	verifyConcurrency := fs.Int("verify-concurrency", 0, "max concurrently admitted verify requests (0 = 4x GOMAXPROCS, <0 = unlimited)")
-	verifyTimeout := fs.Duration("verify-timeout", 30*time.Second, "per-request verification deadline (0 = client-bounded only)")
-	readTimeout := fs.Duration("read-timeout", 30*time.Second, "max duration for reading an entire request (0 = unlimited)")
-	readHeaderTimeout := fs.Duration("read-header-timeout", 5*time.Second, "max duration for reading request headers (0 = falls back to -read-timeout)")
-	idleTimeout := fs.Duration("idle-timeout", 2*time.Minute, "max keep-alive idle time between requests (0 = falls back to -read-timeout)")
-	fsync := fs.String("fsync", "interval", "WAL sync policy: always|interval|none")
-	walFormat := fs.String("wal-format", "binary", "WAL record payload encoding for new appends: binary|json (the leader's wire encoding is accepted either way)")
-	checkpointEvery := fs.Duration("checkpoint-every", 0, "periodic checkpoint cadence; bounds the follower's own recovery time (0 = only at shutdown)")
-	debugAddr := fs.String("debug-addr", "", "side listener for /debug/pprof/*, /debug/traces, and /metrics (empty = disabled)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *leader == "" || *dataDir == "" {
+	if *leader == "" || f.dataDir == "" {
 		return fmt.Errorf("-leader and -data-dir are required")
 	}
-
-	opts := verifai.DefaultOptions(*seed)
-	if *exact {
-		opts = verifai.ExactOptions(*seed)
-	}
-	indexTuning{shards: *shards, quantize: *quantize, rerankMultiple: *rerankMultiple}.apply(&opts)
-	openOpts := verifai.OpenOptions{Options: opts, Sync: *fsync, WALFormat: *walFormat}
-	if *ingestQueue > 0 {
-		openOpts.LakeOptions = append(openOpts.LakeOptions, verifai.WithIngestQueue(*ingestQueue))
-	}
-	sys, err := verifai.OpenFollower(*dataDir, *leader, openOpts)
+	sys, err := verifai.OpenFollower(f.dataDir, *leader, f.openOptions())
 	if err != nil {
 		return err
 	}
-
-	serverOpts := []server.Option{
-		server.WithVerifyTimeout(*verifyTimeout),
+	serverOpts := append(f.serverOptions(sys),
 		server.WithFollower(*leader),
-		server.WithDurability(
-			func() verifai.DurabilityStats { st, _ := sys.Durability(); return st },
-			sys.Checkpoint,
-		),
 		server.WithReplication(func() any { st, _ := sys.Replication(); return st }),
-	}
-	if *verifyConcurrency != 0 {
-		serverOpts = append(serverOpts, server.WithVerifyConcurrency(*verifyConcurrency))
-	}
-	// A follower re-serves its own change feed (its WAL mirrors the
-	// leader's), so replicas can chain and CDC consumers can read replicas.
-	if wlog, floor, ckpt, format, ok := sys.ChangeFeed(); ok {
-		serverOpts = append(serverOpts, server.WithChangeFeed(server.ChangeFeedConfig{
-			Log: wlog, Floor: floor, CheckpointTar: ckpt, Format: format,
-		}))
-	}
+	)
 
-	logger.Info("following", "leader", *leader, "lake_version", sys.LakeVersion(), "addr", *addr)
-	return serveLoop(sys, *addr, *debugAddr, serverOpts, listenerTimeouts{
-		read: *readTimeout, readHeader: *readHeaderTimeout, idle: *idleTimeout,
-	}, *checkpointEvery, true)
+	logger.Info("following", "leader", *leader, "lake_version", sys.LakeVersion(), "addr", f.addr)
+	return serveLoop(sys, f, serverOpts)
 }
 
 // openDurable opens (or creates) the durable system under dataDir,
@@ -617,16 +608,7 @@ func runFollow(args []string) error {
 // dir through the durable write path (so the seed data is itself logged
 // and checkpointed); a non-empty data dir ignores -lake, since its own
 // recovered state wins.
-func openDurable(dataDir, lakeDir string, seed uint64, exact bool, tune indexTuning, ingestQueue int, fsync, walFormat string) (*verifai.System, error) {
-	opts := verifai.DefaultOptions(seed)
-	if exact {
-		opts = verifai.ExactOptions(seed)
-	}
-	tune.apply(&opts)
-	openOpts := verifai.OpenOptions{Options: opts, Sync: fsync, WALFormat: walFormat}
-	if ingestQueue > 0 {
-		openOpts.LakeOptions = append(openOpts.LakeOptions, verifai.WithIngestQueue(ingestQueue))
-	}
+func openDurable(dataDir, lakeDir string, openOpts verifai.OpenOptions) (*verifai.System, error) {
 	sys, err := verifai.Open(dataDir, openOpts)
 	if err != nil {
 		return nil, err

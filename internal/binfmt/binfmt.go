@@ -36,8 +36,8 @@ import (
 	"unsafe"
 )
 
-// Magic identifies a binfmt container; files not starting with it are
-// assumed to be in the legacy gob encoding by sniffing callers.
+// Magic identifies a binfmt container; a snapshot file not starting with
+// it predates the format and is rebuilt, not read.
 const Magic = "VAIB"
 
 // Version is the container format version written by this package.

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/binfmt"
 	"repro/internal/datalake"
 	"repro/internal/invindex"
 	"repro/internal/vecindex"
@@ -166,56 +167,6 @@ func (fz *FrozenIndexes) Save(dir string, lakeVersion uint64) error {
 	return nil
 }
 
-// SaveLegacy writes the frozen shards in the pre-binfmt encoding/gob
-// format (plus the same pinning metadata), kept for read-compatibility
-// tests and the recovery benchmarks' legacy baseline. Quantized captures
-// have no legacy format and are rejected by vecindex.SaveLegacy.
-func (fz *FrozenIndexes) SaveLegacy(dir string, lakeVersion uint64) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("core: snapshot mkdir: %w", err)
-	}
-	save := func(path string, fn func(f *os.File) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return fmt.Errorf("core: create snapshot file: %w", err)
-		}
-		err = fn(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("core: write %s: %w", filepath.Base(path), err)
-		}
-		return nil
-	}
-	for kind, shards := range fz.bm25 {
-		for si, sh := range shards {
-			if err := save(shardFile(dir, familyBM25, kind, si), func(f *os.File) error { return sh.SaveGob(f) }); err != nil {
-				return err
-			}
-		}
-	}
-	for kind, shards := range fz.vec {
-		for si, sh := range shards {
-			if err := save(shardFile(dir, familyVector, kind, si), func(f *os.File) error { return vecindex.SaveLegacy(sh, f) }); err != nil {
-				return err
-			}
-		}
-	}
-	cc, err := canonicalConfig(fz.cfg)
-	if err != nil {
-		return fmt.Errorf("core: snapshot config: %w", err)
-	}
-	meta, err := json.MarshalIndent(snapshotMeta{Format: snapshotFormat, LakeVersion: lakeVersion, Config: cc}, "", "  ")
-	if err != nil {
-		return fmt.Errorf("core: snapshot meta: %w", err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "meta.json"), meta, 0o644); err != nil {
-		return fmt.Errorf("core: write snapshot meta: %w", err)
-	}
-	return nil
-}
-
 // SaveSnapshot writes every index shard plus the pinning metadata to dir
 // (created if needed): Freeze + FrozenIndexes.Save in one call. Call it
 // only while the lake is quiesced at lakeVersion (e.g. inside
@@ -321,18 +272,28 @@ func checkSnapshotMeta(cfg IndexerConfig, dir string) (snapshotMeta, error) {
 	return meta, nil
 }
 
-// statShard distinguishes "snapshot incomplete" (ErrSnapshotMismatch,
-// rebuild instead) from "shard present but unreadable" (corruption,
-// surfaced loudly by the open that follows).
+// statShard distinguishes "snapshot incomplete or written by a release
+// older than the binfmt container" (ErrSnapshotMismatch, rebuild instead)
+// from "shard present but unreadable" (corruption, surfaced loudly by the
+// open that follows).
 func statShard(path string) error {
-	if _, err := os.Stat(path); err != nil {
+	f, err := os.Open(path)
+	if err != nil {
 		return fmt.Errorf("%w (missing shard file %s)", ErrSnapshotMismatch, filepath.Base(path))
+	}
+	defer f.Close()
+	var head [len(binfmt.Magic)]byte
+	// A file shorter than the magic leaves head zero-padded: stale too.
+	if _, err := io.ReadFull(f, head[:]); err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return fmt.Errorf("core: read %s: %w", filepath.Base(path), err)
+	}
+	if string(head[:]) != binfmt.Magic {
+		return fmt.Errorf("%w (shard file %s is not in the binfmt format)", ErrSnapshotMismatch, filepath.Base(path))
 	}
 	return nil
 }
 
-// openBM25Shard opens one persisted BM25 shard by path (mmap-able binfmt
-// or legacy gob).
+// openBM25Shard opens one persisted BM25 shard by path.
 func openBM25Shard(path string) (*invindex.Index, error) {
 	if err := statShard(path); err != nil {
 		return nil, err

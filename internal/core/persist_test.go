@@ -222,41 +222,6 @@ func TestQuantizeRequiresFlat(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotRecovery proves a gob-format snapshot directory (the
-// pre-binfmt layout) still recovers through the same entry point.
-func TestLegacySnapshotRecovery(t *testing.T) {
-	lake := buildPersistLake(t)
-	cfg := DefaultIndexerConfig(7)
-	cfg.Shards = 2
-	ix, err := BuildIndexer(lake, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-
-	dir := t.TempDir()
-	if err := lake.Quiesce(func(v uint64) error { return ix.Freeze().SaveLegacy(dir, v) }); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := BuildIndexerFromSnapshot(lake, cfg, dir)
-	if err != nil {
-		t.Fatalf("legacy snapshot refused: %v", err)
-	}
-	defer loaded.Close()
-	for _, query := range []string{"season 2 championship", "player1 league"} {
-		_, a := ix.Retrieve(query, 10)
-		_, b := loaded.Retrieve(query, 10)
-		if len(a) != len(b) {
-			t.Fatalf("query %q: candidate counts differ (%d vs %d)", query, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Errorf("query %q candidate %d drifted: %s vs %s", query, i, a[i], b[i])
-			}
-		}
-	}
-}
-
 // TestCorruptShardFailsLoudly distinguishes corruption from staleness: a
 // present-but-mangled shard must surface an error that is NOT
 // ErrSnapshotMismatch, so operators never silently rebuild over bad disks.

@@ -53,7 +53,10 @@ func (l *Lake) addBatch(items []BatchItem, replica bool) ([]BatchItemResult, err
 		return results, nil
 	}
 
-	// Stage 1: validate shape and build candidate events.
+	// Stage 1: validate shape and build candidate events. An ID already in
+	// the catalog is rejected here, before stage 2 pays for its embedding;
+	// staging re-checks under the write lock, which also catches two items
+	// of one section sharing an ID.
 	evs := make([]Event, len(items))
 	for i, it := range items {
 		switch {
@@ -62,10 +65,18 @@ func (l *Lake) addBatch(items []BatchItem, replica bool) ([]BatchItemResult, err
 				results[i].Err = fmt.Errorf("datalake: table with empty ID")
 				continue
 			}
+			if l.hasTable(it.Table.ID) {
+				results[i].Err = fmt.Errorf("datalake: duplicate table id %q: %w", it.Table.ID, ErrDuplicate)
+				continue
+			}
 			evs[i] = Event{Kind: KindTable, Table: it.Table}
 		case it.Doc != nil && it.Table == nil && it.Triple == nil:
 			if it.Doc.ID == "" {
 				results[i].Err = fmt.Errorf("datalake: document with empty ID")
+				continue
+			}
+			if l.hasDoc(it.Doc.ID) {
+				results[i].Err = fmt.Errorf("datalake: duplicate document id %q: %w", it.Doc.ID, ErrDuplicate)
 				continue
 			}
 			evs[i] = Event{Kind: KindText, Doc: it.Doc}
@@ -112,28 +123,48 @@ func (l *Lake) addBatch(items []BatchItem, replica bool) ([]BatchItemResult, err
 		wg.Wait()
 	}
 
-	// Stage 3: one write-lock acquisition commits every valid item and
-	// enqueues its event; versions are contiguous in slice order. Staging
-	// assigns versions without touching the catalog, the durable hook (if
-	// any) persists the whole section with one append+sync, and only then
-	// do the mutations materialize — a hook failure rolls the entire
-	// section back with the staged versions released.
-	commitStart := time.Now()
+	// Stage 3: commit every valid item under one write-lock acquisition.
+	if err := l.commitSection(evs, payloads, results, replica); err != nil {
+		return results, err
+	}
+
+	// Stage 4: await application of every committed item (ascending, so
+	// only the tail wait actually blocks) and claim its application error.
+	for i := range results {
+		if results[i].Version == 0 {
+			continue
+		}
+		if err := l.waitClaimed(results[i].Version); err != nil {
+			results[i].Err = err
+		}
+	}
+	return results, nil
+}
+
+// commitSection is the lake's one commit section: a single write-lock
+// acquisition stages every still-valid item (versions contiguous in slice
+// order, catalog untouched), the durable hook (if any) persists the whole
+// section with one append+sync, and only then do the mutations materialize
+// and enqueue — a hook failure rolls the entire section back with the
+// staged versions released, reported in each staged item's result. The hook
+// runs without mu so readers stay unblocked during an fsync. A committed
+// item's version lands in results[i].Version; the returned error is
+// ErrClosed or ErrReadOnly.
+func (l *Lake) commitSection(evs []Event, payloads []map[int]any, results []BatchItemResult, replica bool) error {
+	defer l.m.commitSec.Since(time.Now())
 	l.writeMu.Lock()
+	defer l.writeMu.Unlock()
 	if l.closed {
-		l.writeMu.Unlock()
-		return results, ErrClosed
+		return ErrClosed
 	}
 	if l.readOnly && !replica {
-		l.writeMu.Unlock()
-		return results, ErrReadOnly
+		return ErrReadOnly
 	}
-	committed := make([]uint64, len(items))
-	staged := make([]int, 0, len(items))
+	staged := make([]int, 0, len(evs))
 	st := newStaging()
 	l.mu.RLock()
 	next := l.version + 1
-	for i := range items {
+	for i := range evs {
 		if results[i].Err != nil {
 			continue
 		}
@@ -154,37 +185,20 @@ func (l *Lake) addBatch(items []BatchItem, replica bool) ([]BatchItemResult, err
 			for _, i := range staged {
 				results[i].Err = err
 			}
-			l.writeMu.Unlock()
-			return results, nil
+			return nil
 		}
 	}
 	l.mu.Lock()
 	for _, i := range staged {
 		l.materializeLocked(&evs[i])
-		committed[i] = evs[i].Version
 		results[i].Version = evs[i].Version
 	}
 	l.mu.Unlock()
 	// Enqueue under writeMu so queue order stays version order; a full
-	// queue applies backpressure here, bounding queued-event memory.
-	for i := range items {
-		if committed[i] == 0 {
-			continue
-		}
+	// queue applies backpressure here (to writers, never readers), bounding
+	// queued-event memory.
+	for _, i := range staged {
 		l.events <- queuedEvent{ev: evs[i], payloads: payloads[i]}
 	}
-	l.writeMu.Unlock()
-	l.m.commitSec.Since(commitStart)
-
-	// Stage 4: await application of every committed item (ascending, so
-	// only the tail wait actually blocks) and claim its application error.
-	for i := range items {
-		if committed[i] == 0 {
-			continue
-		}
-		if err := l.waitClaimed(committed[i]); err != nil {
-			results[i].Err = err
-		}
-	}
-	return results, nil
+	return nil
 }

@@ -143,19 +143,6 @@ func (ev Event) Touches() []Kind {
 	}
 }
 
-// ChangeHook observes committed mutations. Hooks run on the lake's
-// dispatcher goroutine in version order, with no lake locks held. A hook
-// error is reported to the ingest caller whose mutation it rejected; the
-// catalog mutation itself stays committed — the error signals that a
-// downstream consumer (e.g. an incremental indexer) lagged, not that the
-// data was lost.
-//
-// Hooks must not ingest into the lake (AddTable and friends): the
-// dispatcher that runs them is also the consumer that drains the ingest
-// queue, so a reentrant write can deadlock against queue backpressure.
-// Reading the lake (Resolve, Graph, Stats, ...) is allowed.
-type ChangeHook func(Event) error
-
 // PrepareFunc is a subscriber's pre-commit stage. It runs on the ingesting
 // goroutine before the lake's write lock is taken, so expensive derivations
 // (tokenization, embedding) happen outside every lock and concurrent
@@ -179,12 +166,20 @@ type CommitHook func(evs []Event) error
 type SourceHook func(Source) error
 
 // ApplyFunc is a subscriber's asynchronous application stage. It is invoked
-// on the dispatcher goroutine in version order and must call done exactly
-// once — possibly from another goroutine — when the event has been fully
-// applied (e.g. after per-shard index appliers finish). The lake publishes
-// the event's version (Version, Flush, ingest-caller returns) only after
-// every subscriber's done fires. Like ChangeHook, ApplyFunc must not
-// ingest into the lake.
+// on the dispatcher goroutine in version order, with no lake locks held,
+// and must call done exactly once — possibly from another goroutine — when
+// the event has been fully applied (e.g. after per-shard index appliers
+// finish). The lake publishes the event's version (Version, Flush,
+// ingest-caller returns) only after every subscriber's done fires. An error
+// passed to done is reported to the ingest caller whose mutation it
+// rejected; the catalog mutation itself stays committed — the error signals
+// that a downstream consumer (e.g. an incremental indexer) lagged, not that
+// the data was lost.
+//
+// An ApplyFunc must not ingest into the lake (AddTable and friends): the
+// dispatcher that runs it is also the consumer that drains the ingest
+// queue, so a reentrant write can deadlock against queue backpressure.
+// Reading the lake (Resolve, Graph, Stats, ...) is allowed.
 type ApplyFunc func(ev Event, done func(error))
 
 // Subscriber is a two-stage change consumer: Prepare precomputes the
@@ -509,20 +504,11 @@ func (l *Lake) Sources() []Source {
 }
 
 // registeredHook pairs a subscriber with its registration handle so it can
-// be removed again (synchronous ChangeHooks are wrapped into ApplyFuncs at
-// registration).
+// be removed again.
 type registeredHook struct {
 	id      int
 	apply   ApplyFunc
 	prepare PrepareFunc
-}
-
-// OnChange registers a hook observing every subsequent mutation. Typically
-// called once at system assembly (before concurrent ingestion starts) to
-// wire incremental index maintenance. The returned function unsubscribes
-// the hook (idempotent); discard it for a process-lifetime subscription.
-func (l *Lake) OnChange(h ChangeHook) (unsubscribe func()) {
-	return l.Subscribe(Subscriber{Apply: func(ev Event, done func(error)) { done(h(ev)) }})
 }
 
 // Subscribe registers a two-stage subscriber observing every subsequent
@@ -535,7 +521,7 @@ func (l *Lake) Subscribe(s Subscriber) (unsubscribe func()) {
 	return l.subscribeLocked(s)
 }
 
-// OnChangeSync runs init and then registers h, with the lake quiesced: the
+// SubscribeSync runs init and then registers s, with the lake quiesced: the
 // write lock is held and the event queue fully drained across both, so no
 // mutation can commit — and no committed mutation can still be applying —
 // between init's snapshot of the lake and the registration. An incremental
@@ -543,11 +529,6 @@ func (l *Lake) Subscribe(s Subscriber) (unsubscribe func()) {
 // neither bulk-indexed nor delivered as an event. init may read the lake
 // but must not mutate it (that would deadlock); an init error aborts the
 // registration.
-func (l *Lake) OnChangeSync(init func() error, h ChangeHook) (unsubscribe func(), err error) {
-	return l.SubscribeSync(init, Subscriber{Apply: func(ev Event, done func(error)) { done(h(ev)) }})
-}
-
-// SubscribeSync is OnChangeSync for a two-stage Subscriber.
 func (l *Lake) SubscribeSync(init func() error, s Subscriber) (unsubscribe func(), err error) {
 	// Quiesce: every committed event has been applied before init snapshots
 	// the catalog, so nothing is both snapshotted and later delivered.
@@ -905,46 +886,6 @@ func (l *Lake) materializeLocked(ev *Event) {
 	l.waiting[ev.Version]++
 }
 
-// commit runs the commit stage for one event under the write lock: stage
-// (validate + assign version), durable hook, materialize, enqueue. The
-// hook runs without mu so readers stay unblocked during an fsync; writeMu
-// keeps the staged version reserved meanwhile.
-func (l *Lake) commit(payloads map[int]any, ev Event) (uint64, error) {
-	defer l.m.commitSec.Since(time.Now())
-	l.writeMu.Lock()
-	if l.closed {
-		l.writeMu.Unlock()
-		return 0, ErrClosed
-	}
-	if l.readOnly {
-		// Single-item ingest is always a local write: the replication apply
-		// path batches through ReplicateBatch.
-		l.writeMu.Unlock()
-		return 0, ErrReadOnly
-	}
-	l.mu.RLock()
-	err := l.stageLocked(&ev, l.version+1, newStaging())
-	l.mu.RUnlock()
-	if err != nil {
-		l.writeMu.Unlock()
-		return 0, err
-	}
-	if l.commitHook != nil {
-		if err := l.commitHook([]Event{ev}); err != nil {
-			l.writeMu.Unlock()
-			return 0, err
-		}
-	}
-	l.mu.Lock()
-	l.materializeLocked(&ev)
-	l.mu.Unlock()
-	// Enqueue under writeMu so queue order is version order; a full queue
-	// blocks writers here (backpressure), never readers.
-	l.events <- queuedEvent{ev: ev, payloads: payloads}
-	l.writeMu.Unlock()
-	return ev.Version, nil
-}
-
 // AddTable ingests a table. The table's ID must be unique. Safe to call at
 // any time, including while the lake serves queries.
 func (l *Lake) AddTable(t *table.Table) error {
@@ -955,21 +896,7 @@ func (l *Lake) AddTable(t *table.Table) error {
 // AddTableVersioned is AddTable returning the lake version the mutation
 // committed as, for callers correlating ingests with the change feed.
 func (l *Lake) AddTableVersioned(t *table.Table) (uint64, error) {
-	if t.ID == "" {
-		return 0, fmt.Errorf("datalake: table with empty ID")
-	}
-	if l.hasTable(t.ID) { // cheap pre-check: skip prepare for obvious dups
-		return 0, fmt.Errorf("datalake: duplicate table id %q: %w", t.ID, ErrDuplicate)
-	}
-	payloads, err := l.prepare(Event{Kind: KindTable, Table: t})
-	if err != nil {
-		return 0, err
-	}
-	v, err := l.commit(payloads, Event{Kind: KindTable, Table: t})
-	if err != nil {
-		return 0, err
-	}
-	return v, l.waitClaimed(v)
+	return l.addOne(BatchItem{Table: t})
 }
 
 // AddDocument ingests a text document. The document's ID must be unique.
@@ -982,21 +909,7 @@ func (l *Lake) AddDocument(d *doc.Document) error {
 // AddDocumentVersioned is AddDocument returning the lake version the
 // mutation committed as.
 func (l *Lake) AddDocumentVersioned(d *doc.Document) (uint64, error) {
-	if d.ID == "" {
-		return 0, fmt.Errorf("datalake: document with empty ID")
-	}
-	if l.hasDoc(d.ID) {
-		return 0, fmt.Errorf("datalake: duplicate document id %q: %w", d.ID, ErrDuplicate)
-	}
-	payloads, err := l.prepare(Event{Kind: KindText, Doc: d})
-	if err != nil {
-		return 0, err
-	}
-	v, err := l.commit(payloads, Event{Kind: KindText, Doc: d})
-	if err != nil {
-		return 0, err
-	}
-	return v, l.waitClaimed(v)
+	return l.addOne(BatchItem{Doc: d})
 }
 
 // AddTriple ingests a knowledge-graph triple. Safe to call at any time,
@@ -1010,15 +923,18 @@ func (l *Lake) AddTriple(t kg.Triple) error {
 // AddTripleVersioned is AddTriple returning the lake version the mutation
 // committed as.
 func (l *Lake) AddTripleVersioned(t kg.Triple) (uint64, error) {
-	payloads, err := l.prepare(Event{Kind: KindEntity, Triple: &t})
+	return l.addOne(BatchItem{Triple: &t})
+}
+
+// addOne is the single-item ingest: a one-item batch through the shared
+// write path, flattened to (version, error). The version is non-zero
+// whenever the item committed, even if its application then failed.
+func (l *Lake) addOne(it BatchItem) (uint64, error) {
+	res, err := l.addBatch([]BatchItem{it}, false)
 	if err != nil {
 		return 0, err
 	}
-	v, err := l.commit(payloads, Event{Kind: KindEntity, Triple: &t})
-	if err != nil {
-		return 0, err
-	}
-	return v, l.waitClaimed(v)
+	return res[0].Version, res[0].Err
 }
 
 // hasTable / hasDoc are shared-lock duplicate pre-checks.

@@ -159,12 +159,12 @@ func TestAddBatchMixed(t *testing.T) {
 	l := New()
 	var mu sync.Mutex
 	var versions []uint64
-	l.OnChange(func(ev Event) error {
+	l.Subscribe(Subscriber{Apply: func(ev Event, done func(error)) {
 		mu.Lock()
 		versions = append(versions, ev.Version)
 		mu.Unlock()
-		return nil
-	})
+		done(nil)
+	}})
 
 	tbl := table.New("t1", "caption", []string{"a"})
 	tbl.MustAppendRow("x")
@@ -318,5 +318,93 @@ func TestAsyncApplyErrorReported(t *testing.T) {
 	}
 	if v := l.Version(); v != 2 {
 		t.Fatalf("Version() = %d after recovery, want 2", v)
+	}
+}
+
+// TestSingleItemIngestMatchesOneItemBatch pins that AddTable/AddDocument/
+// AddTriple are one-item calls into the batch write path: for every
+// outcome an ingest can have, the single-item entry point and a one-item
+// AddBatch report the same version and the same error.
+func TestSingleItemIngestMatchesOneItemBatch(t *testing.T) {
+	boom := errors.New("wal broken")
+	lagged := errors.New("indexer lagged")
+	modalities := map[string]func(id string) BatchItem{
+		"table": func(id string) BatchItem { return BatchItem{Table: table.New(id, "c", []string{"a"})} },
+		"doc":   func(id string) BatchItem { return BatchItem{Doc: &doc.Document{ID: id, Text: "x"}} },
+		"triple": func(id string) BatchItem {
+			return BatchItem{Triple: &kg.Triple{Subject: id, Predicate: "p", Object: "o"}}
+		},
+	}
+	cases := []struct {
+		name    string
+		id      string
+		setup   func(l *Lake, it BatchItem)
+		keyed   bool // outcome depends on the item's ID: triples have none
+		version uint64
+		wantErr error // matched with errors.Is; nil with failed set means "some error"
+		failed  bool
+	}{
+		{name: "ok", id: "x", setup: func(*Lake, BatchItem) {}, version: 1},
+		{name: "duplicate", id: "x", keyed: true, wantErr: ErrDuplicate, failed: true,
+			setup: func(l *Lake, it BatchItem) {
+				if _, err := l.AddBatch([]BatchItem{it}); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		{name: "empty ID", id: "", keyed: true, failed: true, setup: func(*Lake, BatchItem) {}},
+		{name: "closed", id: "x", wantErr: ErrClosed, failed: true,
+			setup: func(l *Lake, _ BatchItem) { l.Close() }},
+		{name: "read-only", id: "x", wantErr: ErrReadOnly, failed: true,
+			setup: func(l *Lake, _ BatchItem) { l.SetReadOnly(true) }},
+		{name: "hook error", id: "x", wantErr: boom, failed: true,
+			setup: func(l *Lake, _ BatchItem) { l.SetCommitHook(func([]Event) error { return boom }) }},
+		{name: "apply error", id: "x", version: 1, wantErr: lagged, failed: true,
+			setup: func(l *Lake, _ BatchItem) {
+				l.Subscribe(Subscriber{Apply: func(_ Event, done func(error)) { done(lagged) }})
+			}},
+	}
+	single := func(l *Lake, it BatchItem) (uint64, error) {
+		switch {
+		case it.Table != nil:
+			return l.AddTableVersioned(it.Table)
+		case it.Doc != nil:
+			return l.AddDocumentVersioned(it.Doc)
+		default:
+			return l.AddTripleVersioned(*it.Triple)
+		}
+	}
+	batch := func(l *Lake, it BatchItem) (uint64, error) {
+		res, err := l.AddBatch([]BatchItem{it})
+		if err != nil {
+			return 0, err
+		}
+		return res[0].Version, res[0].Err
+	}
+	for modality, mk := range modalities {
+		for _, tc := range cases {
+			if tc.keyed && modality == "triple" {
+				continue
+			}
+			t.Run(modality+"/"+tc.name, func(t *testing.T) {
+				var versions [2]uint64
+				var errs [2]error
+				for n, ingest := range []func(*Lake, BatchItem) (uint64, error){single, batch} {
+					l := New()
+					defer l.Close()
+					tc.setup(l, mk(tc.id))
+					versions[n], errs[n] = ingest(l, mk(tc.id))
+					if versions[n] != tc.version {
+						t.Errorf("path %d: version = %d, want %d", n, versions[n], tc.version)
+					}
+					if (errs[n] != nil) != tc.failed || (tc.wantErr != nil && !errors.Is(errs[n], tc.wantErr)) {
+						t.Errorf("path %d: error = %v, want failed=%v matching %v", n, errs[n], tc.failed, tc.wantErr)
+					}
+				}
+				if versions[0] != versions[1] || fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) {
+					t.Errorf("single-item (%d, %v) and one-item batch (%d, %v) disagree",
+						versions[0], errs[0], versions[1], errs[1])
+				}
+			})
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/doc"
 	"repro/internal/kg"
+	"repro/internal/obs"
 	"repro/internal/table"
 )
 
@@ -64,7 +65,7 @@ func TestCommitHookErrorAborts(t *testing.T) {
 	l := New()
 	defer l.Close()
 	var delivered int
-	l.OnChange(func(Event) error { delivered++; return nil })
+	l.Subscribe(Subscriber{Apply: func(_ Event, done func(error)) { delivered++; done(nil) }})
 
 	boom := errors.New("disk full")
 	fail := true
@@ -108,6 +109,7 @@ func TestCommitHookErrorAborts(t *testing.T) {
 func TestCommitHookBatchAmortized(t *testing.T) {
 	l := New()
 	defer l.Close()
+	l.SetMetrics(obs.NewRegistry())
 	var calls int
 	var sizes []int
 	l.SetCommitHook(func(evs []Event) error {
@@ -150,6 +152,11 @@ func TestCommitHookBatchAmortized(t *testing.T) {
 	}
 	if v, _ := l.Flush(); v != 2 {
 		t.Fatalf("version after aborted batch = %d, want 2", v)
+	}
+	// The commit-latency histogram observes once per section on every exit,
+	// so a WAL that starts rejecting (and stalling) commits stays visible.
+	if n := l.m.commitSec.Count(); n != 2 {
+		t.Fatalf("commit histogram count = %d, want 2 (the hook-rejected section included)", n)
 	}
 }
 

@@ -26,10 +26,10 @@ func TestVersionAndEvents(t *testing.T) {
 		t.Fatalf("fresh lake version = %d, want 0", v)
 	}
 	var events []Event
-	l.OnChange(func(ev Event) error {
+	l.Subscribe(Subscriber{Apply: func(ev Event, done func(error)) {
 		events = append(events, ev)
-		return nil
-	})
+		done(nil)
+	}})
 
 	if err := l.AddTable(liveTable("t1")); err != nil {
 		t.Fatal(err)
@@ -87,12 +87,13 @@ func TestHookErrorPropagates(t *testing.T) {
 	l := New()
 	sentinel := errors.New("indexer lagged")
 	var fail bool
-	l.OnChange(func(Event) error {
+	l.Subscribe(Subscriber{Apply: func(_ Event, done func(error)) {
 		if fail {
-			return sentinel
+			done(sentinel)
+			return
 		}
-		return nil
-	})
+		done(nil)
+	}})
 	fail = true
 	if err := l.AddTable(liveTable("t1")); !errors.Is(err, sentinel) {
 		t.Fatalf("AddTable error = %v, want the hook's error", err)

@@ -1,11 +1,8 @@
 package invindex
 
 import (
-	"bufio"
-	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 
 	"repro/internal/binfmt"
@@ -14,12 +11,9 @@ import (
 // Snapshots are written in the binfmt columnar container (see Save and
 // the column list on staticSeg), which a loader can memory-map and serve
 // directly as an immutable base segment — recovery costs one verification
-// pass instead of a full decode. Snapshots from earlier releases used
-// encoding/gob; Load and OpenFile sniff the format magic and still accept
-// them, decoding eagerly into the mutable tier.
+// pass instead of a full decode.
 
-// snapshot is the in-memory form of a compacted capture (and the gob wire
-// format of legacy snapshots).
+// snapshot is the in-memory form of a compacted capture.
 type snapshot struct {
 	K1, B    float64
 	IDs      []string
@@ -156,15 +150,6 @@ func (z *Frozen) Save(w io.Writer) error {
 	return nil
 }
 
-// SaveGob serializes the frozen capture to w in the legacy encoding/gob
-// format, kept for read-compatibility tests and startup-time comparisons.
-func (z *Frozen) SaveGob(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(&z.snap); err != nil {
-		return fmt.Errorf("invindex: encode snapshot: %w", err)
-	}
-	return nil
-}
-
 // Save writes a compacted snapshot of the index to w (Freeze then
 // Frozen.Save in one call), for callers that do not need the two-phase
 // split. The analyzer is not serialized; the loader supplies it, and the
@@ -173,51 +158,26 @@ func (ix *Index) Save(w io.Writer) error {
 	return ix.Freeze().Save(w)
 }
 
-// Load reads a snapshot produced by Save (binfmt, detected by its format
-// magic) or by a pre-binfmt release (gob). Options (typically
-// WithAnalyzer) apply after the snapshot's BM25 parameters are restored.
-// Binary snapshots read through Load are fully buffered in memory; use
-// OpenFile to serve one from a mapped file instead.
+// Load reads a snapshot produced by Save. Options (typically WithAnalyzer)
+// apply after the snapshot's BM25 parameters are restored. Snapshots read
+// through Load are fully buffered in memory; use OpenFile to serve one
+// from a mapped file instead.
 func Load(r io.Reader, opts ...Option) (*Index, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(binfmt.Magic))
-	if err == nil && string(head) == binfmt.Magic {
-		data, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("invindex: read snapshot: %w", err)
-		}
-		fr, err := binfmt.NewReader(data)
-		if err != nil {
-			return nil, fmt.Errorf("invindex: %w", err)
-		}
-		return fromReader(fr, opts...)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("invindex: read snapshot: %w", err)
 	}
-	return loadGob(br, opts...)
+	return loadBinary(data, opts...)
 }
 
-// OpenFile opens a snapshot file, serving binfmt snapshots as an mmap'd
-// immutable base segment (new writes layer into the mutable delta) and
-// decoding legacy gob snapshots eagerly.
+// OpenFile opens a snapshot file, serving it as an mmap'd immutable base
+// segment (new writes layer into the mutable delta).
 func OpenFile(path string, opts ...Option) (*Index, error) {
-	f, err := os.Open(path)
+	fr, err := binfmt.OpenFile(path)
 	if err != nil {
-		return nil, err
-	}
-	var head [len(binfmt.Magic)]byte
-	_, rerr := io.ReadFull(f, head[:])
-	if rerr == nil && string(head[:]) == binfmt.Magic {
-		f.Close()
-		fr, err := binfmt.OpenFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("invindex: %w", err)
-		}
-		return fromReader(fr, opts...)
-	}
-	defer f.Close()
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("invindex: %w", err)
 	}
-	return loadGob(bufio.NewReader(f), opts...)
+	return fromReader(fr, opts...)
 }
 
 // fromReader wraps a verified binfmt container as an Index with an
@@ -239,49 +199,11 @@ func fromReader(fr *binfmt.Reader, opts ...Option) (*Index, error) {
 	return ix, nil
 }
 
-// loadGob decodes a legacy gob snapshot into the mutable tier.
-func loadGob(r io.Reader, opts ...Option) (*Index, error) {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("invindex: decode snapshot: %w", err)
-	}
-	ix := New()
-	ix.k1, ix.b = snap.K1, snap.B
-	for _, o := range opts {
-		o(ix)
-	}
-	ix.ids = snap.IDs
-	ix.lengths = snap.Lengths
-	ix.deleted = make([]bool, len(snap.IDs))
-	ix.byID = make(map[string]int, len(snap.IDs))
-	for ord, id := range snap.IDs {
-		if _, dup := ix.byID[id]; dup {
-			return nil, fmt.Errorf("invindex: snapshot has duplicate id %q", id)
-		}
-		ix.byID[id] = ord
-		ix.totalLen += int64(snap.Lengths[ord])
-	}
-	ix.liveDocs = len(snap.IDs)
-	ix.postings = make(map[string][]posting, len(snap.Postings))
-	for t, plist := range snap.Postings {
-		out := make([]posting, len(plist))
-		for i, p := range plist {
-			if p.Doc < 0 || int(p.Doc) >= len(snap.IDs) {
-				return nil, fmt.Errorf("invindex: snapshot posting for %q references unknown doc %d", t, p.Doc)
-			}
-			out[i] = posting{doc: p.Doc, freq: p.Freq}
-		}
-		ix.postings[t] = out
-	}
-	return ix, nil
-}
-
-// loadBinary parses data as a binfmt snapshot held in memory (used by
-// fuzzing; production paths go through Load or OpenFile).
+// loadBinary parses data as a binfmt snapshot held in memory.
 func loadBinary(data []byte, opts ...Option) (*Index, error) {
 	fr, err := binfmt.NewReader(data)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("invindex: %w", err)
 	}
 	return fromReader(fr, opts...)
 }

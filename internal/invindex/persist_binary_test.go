@@ -166,32 +166,21 @@ func TestTwoTierMutation(t *testing.T) {
 	}
 }
 
-func TestLegacyGobReadCompat(t *testing.T) {
-	orig := buildSmall(t)
-	var buf bytes.Buffer
-	if err := orig.Freeze().SaveGob(&buf); err != nil {
-		t.Fatalf("SaveGob: %v", err)
+// TestNonBinfmtSnapshotRejected: Load and OpenFile are "binfmt or error" —
+// bytes that do not start with the container magic (e.g. a snapshot from
+// a release older than binfmt) are refused.
+func TestNonBinfmtSnapshotRejected(t *testing.T) {
+	stale := []byte("\x0e\xff\x81\x03\x01\x01\x08snapshot")
+	if _, err := Load(bytes.NewReader(stale)); err == nil {
+		t.Error("Load accepted a snapshot without the binfmt magic")
 	}
-	gobBytes := append([]byte(nil), buf.Bytes()...)
-
-	ix, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("Load(gob): %v", err)
-	}
-	if ix.base != nil {
-		t.Error("gob snapshot should decode into the mutable tier")
-	}
-	sameHits(t, "gob", orig.Search("golf prize", 10), ix.Search("golf prize", 10))
-
-	path := filepath.Join(t.TempDir(), "legacy.idx")
-	if err := os.WriteFile(path, gobBytes, 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "stale.idx")
+	if err := os.WriteFile(path, stale, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ix2, err := OpenFile(path)
-	if err != nil {
-		t.Fatalf("OpenFile(gob): %v", err)
+	if _, err := OpenFile(path); err == nil {
+		t.Error("OpenFile accepted a snapshot without the binfmt magic")
 	}
-	sameHits(t, "gob-file", orig.Search("golf prize", 10), ix2.Search("golf prize", 10))
 }
 
 // TestBinarySnapshotCorruption flips every byte of a snapshot and demands

@@ -510,32 +510,7 @@ func (s *Server) handleVerifyClaim(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err.status, "%v", err)
 		return
 	}
-	asOf, ok := parseVersionParam(w, r)
-	if !ok {
-		return
-	}
-	// Freshness barrier before admission: a waiting request must not hold a
-	// verify slot.
-	if !s.waitMinVersion(w, r) {
-		return
-	}
-	release, ok := s.admit(w)
-	if !ok {
-		return
-	}
-	defer release()
-	ctx, cancel := s.verifyContext(r)
-	defer cancel()
-	report, err2 := s.pipeline.VerifyAsOfCtx(ctx, g, asOf, kinds...)
-	if err2 != nil {
-		if snapshotResolveError(err2) {
-			s.writeSnapshotError(w, asOf, err2)
-			return
-		}
-		writeVerifyError(w, r, err2)
-		return
-	}
-	writeJSON(w, http.StatusOK, toResponse(g.ID, report))
+	s.serveVerify(w, r, g, kinds)
 }
 
 func (s *Server) handleVerifyTuple(w http.ResponseWriter, r *http.Request) {
@@ -552,10 +527,19 @@ func (s *Server) handleVerifyTuple(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err.status, "%v", err)
 		return
 	}
+	s.serveVerify(w, r, g, kinds)
+}
+
+// serveVerify answers a single-object verify request once its body has
+// been validated into g: ?version= parse, ?min_version= barrier, admission,
+// deadline, verification, error mapping.
+func (s *Server) serveVerify(w http.ResponseWriter, r *http.Request, g verify.Generated, kinds []datalake.Kind) {
 	asOf, ok := parseVersionParam(w, r)
 	if !ok {
 		return
 	}
+	// Freshness barrier before admission: a waiting request must not hold a
+	// verify slot.
 	if !s.waitMinVersion(w, r) {
 		return
 	}
@@ -566,16 +550,25 @@ func (s *Server) handleVerifyTuple(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	ctx, cancel := s.verifyContext(r)
 	defer cancel()
-	report, err2 := s.pipeline.VerifyAsOfCtx(ctx, g, asOf, kinds...)
-	if err2 != nil {
-		if snapshotResolveError(err2) {
-			s.writeSnapshotError(w, asOf, err2)
-			return
-		}
-		writeVerifyError(w, r, err2)
-		return
+	resp, err := s.verifyObject(ctx, g, asOf, kinds)
+	switch {
+	case err == nil:
+		writeJSON(w, http.StatusOK, resp)
+	case snapshotResolveError(err):
+		s.writeSnapshotError(w, asOf, err)
+	default:
+		writeVerifyError(w, r, err)
 	}
-	writeJSON(w, http.StatusOK, toResponse(g.ID, report))
+}
+
+// verifyObject is the one pipeline call behind every verify endpoint (the
+// batch handler runs it per item), flattened into the wire format.
+func (s *Server) verifyObject(ctx context.Context, g verify.Generated, asOf uint64, kinds []datalake.Kind) (VerifyResponse, error) {
+	report, err := s.pipeline.VerifyAsOfCtx(ctx, g, asOf, kinds...)
+	if err != nil {
+		return VerifyResponse{}, err
+	}
+	return toResponse(g.ID, report), nil
 }
 
 // reqError pairs a request-validation failure with its response status, so
@@ -765,11 +758,10 @@ func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 	for wkr := 0; wkr < workers; wkr++ {
 		go func() {
 			for i := range jobs {
-				report, err := s.pipeline.VerifyAsOfCtx(ctx, objects[i], asOf, itemKinds[i]...)
+				vr, err := s.verifyObject(ctx, objects[i], asOf, itemKinds[i])
 				if err != nil {
 					resp.Results[i].Error = err.Error()
 				} else {
-					vr := toResponse(objects[i].ID, report)
 					resp.Results[i].Report = &vr
 				}
 			}
@@ -847,48 +839,37 @@ func buildTriple(subject, predicate, object, sourceID string) (*kg.Triple, error
 }
 
 func (s *Server) handleIngestTable(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.rejectFollowerWrite(w) {
-		return
-	}
 	var req IngestTableRequest
-	if !decodeStrict(w, r, maxBodyBytes, &req) {
-		return
-	}
-	t, err := buildTable(req.ID, req.Caption, req.Columns, req.Rows, req.SourceID)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	version, err := s.pipeline.Lake().AddTableVersioned(t)
-	s.ingest(w, version, err)
+	s.ingestOne(w, r, &req, func() (item datalake.BatchItem, err error) {
+		item.Table, err = buildTable(req.ID, req.Caption, req.Columns, req.Rows, req.SourceID)
+		return item, err
+	})
 }
 
 func (s *Server) handleIngestDocument(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.rejectFollowerWrite(w) {
-		return
-	}
 	var req IngestDocumentRequest
-	if !decodeStrict(w, r, maxBodyBytes, &req) {
-		return
-	}
-	d, err := buildDocument(req.ID, req.Title, req.Text, req.SourceID)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	version, err := s.pipeline.Lake().AddDocumentVersioned(d)
-	s.ingest(w, version, err)
+	s.ingestOne(w, r, &req, func() (item datalake.BatchItem, err error) {
+		item.Doc, err = buildDocument(req.ID, req.Title, req.Text, req.SourceID)
+		return item, err
+	})
 }
 
 func (s *Server) handleIngestTriple(w http.ResponseWriter, r *http.Request) {
+	var req IngestTripleRequest
+	s.ingestOne(w, r, &req, func() (item datalake.BatchItem, err error) {
+		item.Triple, err = buildTriple(req.Subject, req.Predicate, req.Object, req.SourceID)
+		return item, err
+	})
+}
+
+// ingestOne serves a single-item ingest endpoint: method and follower
+// gates, a strict decode into req, build (req validated into a lake item;
+// its error answers 400), then the write. The write waits for the
+// mutation's incremental indexing (the pipelined apply stage) before
+// returning, so a 200 response means the instance is already retrievable.
+// A closed lake (the system is shutting down) maps to 503 so load balancers
+// retry elsewhere.
+func (s *Server) ingestOne(w http.ResponseWriter, r *http.Request, req any, build func() (datalake.BatchItem, error)) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
@@ -896,17 +877,30 @@ func (s *Server) handleIngestTriple(w http.ResponseWriter, r *http.Request) {
 	if s.rejectFollowerWrite(w) {
 		return
 	}
-	var req IngestTripleRequest
-	if !decodeStrict(w, r, maxBodyBytes, &req) {
+	if !decodeStrict(w, r, maxBodyBytes, req) {
 		return
 	}
-	tr, err := buildTriple(req.Subject, req.Predicate, req.Object, req.SourceID)
+	item, err := build()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	version, err := s.pipeline.Lake().AddTripleVersioned(*tr)
-	s.ingest(w, version, err)
+	results, err := s.pipeline.Lake().AddBatch([]datalake.BatchItem{item})
+	if err == nil {
+		err = results[0].Err
+	}
+	if err != nil {
+		status := http.StatusInternalServerError
+		switch {
+		case errors.Is(err, datalake.ErrDuplicate):
+			status = http.StatusConflict
+		case errors.Is(err, datalake.ErrClosed):
+			status = http.StatusServiceUnavailable
+		}
+		writeError(w, status, "ingest: %v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, IngestResponse{Status: "ingested", Version: results[0].Version})
 }
 
 func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
@@ -993,26 +987,6 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, code, resp)
-}
-
-// ingest finishes an ingest request: the mutation already ran, version/err
-// are its outcome. The ingest call waits for the mutation's incremental
-// indexing (the pipelined apply stage) before returning, so a 200 response
-// means the instance is already retrievable. A closed lake (the system is
-// shutting down) maps to 503 so load balancers retry elsewhere.
-func (s *Server) ingest(w http.ResponseWriter, version uint64, err error) {
-	if err != nil {
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, datalake.ErrDuplicate):
-			status = http.StatusConflict
-		case errors.Is(err, datalake.ErrClosed):
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, "ingest: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, IngestResponse{Status: "ingested", Version: version})
 }
 
 // CheckpointResponse acknowledges POST /v1/admin/checkpoint.

@@ -107,65 +107,30 @@ func TestOpenVectorFilesServeMapped(t *testing.T) {
 	})
 }
 
-func TestLegacyGobVectorCompat(t *testing.T) {
-	const dim = 8
-	vecs := randomVectors(60, dim, 71)
-	q := randomVectors(1, dim, 72)[0]
-
-	flat := NewFlat(dim, InnerProduct)
-	ivf := NewIVF(dim, InnerProduct, 4, 2, 5)
-	lsh := NewLSH(dim, 8, 2, 5)
-	for i, v := range vecs {
-		id := fmt.Sprintf("v%03d", i)
-		for _, add := range []func(string, embed.Vector) error{flat.Add, ivf.Add, lsh.Add} {
-			if err := add(id, v); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	ivf.Train()
-
-	var buf bytes.Buffer
-	if err := SaveLegacy(flat.Freeze(), &buf); err != nil {
-		t.Fatalf("SaveLegacy(flat): %v", err)
-	}
-	gotFlat, err := LoadFlat(&buf)
-	if err != nil {
-		t.Fatalf("LoadFlat(gob): %v", err)
-	}
-	sameVecHits(t, "flat", flat.Search(q, 5), gotFlat.Search(q, 5))
-
-	buf.Reset()
-	if err := SaveLegacy(ivf.Freeze(), &buf); err != nil {
-		t.Fatalf("SaveLegacy(ivf): %v", err)
-	}
-	gobBytes := append([]byte(nil), buf.Bytes()...)
-	gotIVF, err := LoadIVF(&buf)
-	if err != nil {
-		t.Fatalf("LoadIVF(gob): %v", err)
-	}
-	sameVecHits(t, "ivf", ivf.Search(q, 5), gotIVF.Search(q, 5))
-
-	// The file-open path must sniff gob snapshots too.
-	path := filepath.Join(t.TempDir(), "legacy.idx")
-	if err := os.WriteFile(path, gobBytes, 0o644); err != nil {
+// TestNonBinfmtVectorSnapshotRejected: every loader is "binfmt or error" —
+// bytes that do not start with the container magic (e.g. a snapshot from
+// a release older than binfmt) are refused, from a stream and from a file.
+func TestNonBinfmtVectorSnapshotRejected(t *testing.T) {
+	stale := []byte("\x0e\xff\x81\x03\x01\x01\x0cflatSnapshot")
+	path := filepath.Join(t.TempDir(), "stale.idx")
+	if err := os.WriteFile(path, stale, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	gotIVF2, err := OpenIVFFile(path)
-	if err != nil {
-		t.Fatalf("OpenIVFFile(gob): %v", err)
+	loaders := map[string]func() error{
+		"LoadFlat":     func() error { _, err := LoadFlat(bytes.NewReader(stale)); return err },
+		"LoadIVF":      func() error { _, err := LoadIVF(bytes.NewReader(stale)); return err },
+		"LoadLSH":      func() error { _, err := LoadLSH(bytes.NewReader(stale)); return err },
+		"LoadSQ":       func() error { _, err := LoadSQ(bytes.NewReader(stale)); return err },
+		"OpenFlatFile": func() error { _, err := OpenFlatFile(path); return err },
+		"OpenIVFFile":  func() error { _, err := OpenIVFFile(path); return err },
+		"OpenLSHFile":  func() error { _, err := OpenLSHFile(path); return err },
+		"OpenSQFile":   func() error { _, err := OpenSQFile(path); return err },
 	}
-	sameVecHits(t, "ivf-file", ivf.Search(q, 5), gotIVF2.Search(q, 5))
-
-	buf.Reset()
-	if err := SaveLegacy(lsh.Freeze(), &buf); err != nil {
-		t.Fatalf("SaveLegacy(lsh): %v", err)
+	for name, load := range loaders {
+		if err := load(); err == nil {
+			t.Errorf("%s accepted a snapshot without the binfmt magic", name)
+		}
 	}
-	gotLSH, err := LoadLSH(&buf)
-	if err != nil {
-		t.Fatalf("LoadLSH(gob): %v", err)
-	}
-	sameVecHits(t, "lsh", lsh.Search(q, 5), gotLSH.Search(q, 5))
 }
 
 // TestVectorSnapshotCorruption flips every byte of a binary snapshot and

@@ -1,14 +1,10 @@
 package vecindex
 
 import (
-	"bufio"
-	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/binfmt"
-	"repro/internal/embed"
 )
 
 // Frozen is an immutable capture of one index's live contents, produced
@@ -50,66 +46,30 @@ func (z *frozenSnap) Save(w io.Writer) error {
 	return nil
 }
 
-// SaveLegacy serializes a frozen capture to w in the pre-binfmt
-// encoding/gob format, kept for read-compatibility tests and startup-time
-// comparisons. SQFlat captures have no legacy format.
-func SaveLegacy(z Frozen, w io.Writer) error {
-	fs, ok := z.(*frozenSnap)
-	if !ok {
-		return fmt.Errorf("vecindex: unknown Frozen implementation %T", z)
-	}
-	if _, isSQ := fs.snap.(*sqSnapshot); isSQ {
-		return fmt.Errorf("vecindex: SQFlat snapshots have no legacy gob format")
-	}
-	if err := gob.NewEncoder(w).Encode(fs.snap); err != nil {
-		return fmt.Errorf("vecindex: encode snapshot: %w", err)
-	}
-	return nil
-}
-
-// sniffBinary splits an arbitrary snapshot stream by format magic: binfmt
-// containers come back as a verified reader, anything else as a buffered
-// stream for the legacy gob decoders.
-func sniffBinary(r io.Reader) (*binfmt.Reader, io.Reader, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(binfmt.Magic))
-	if err != nil || string(head) != binfmt.Magic {
-		return nil, br, nil
-	}
-	data, err := io.ReadAll(br)
+// loadSnapshot buffers a snapshot stream, verifies it as a binfmt
+// container, and decodes it.
+func loadSnapshot[T any](r io.Reader, decode func(*binfmt.Reader) (T, error)) (T, error) {
+	var none T
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, nil, fmt.Errorf("vecindex: read snapshot: %w", err)
+		return none, fmt.Errorf("vecindex: read snapshot: %w", err)
 	}
 	fr, err := binfmt.NewReader(data)
 	if err != nil {
-		return nil, nil, fmt.Errorf("vecindex: %w", err)
+		return none, fmt.Errorf("vecindex: %w", err)
 	}
-	return fr, nil, nil
+	return decode(fr)
 }
 
-// openBinaryFile maps path as a binfmt container if its magic matches;
-// otherwise it returns an open file positioned at the start for the gob
-// decoders (the caller closes it).
-func openBinaryFile(path string) (*binfmt.Reader, *os.File, error) {
-	f, err := os.Open(path)
+// openSnapshot memory-maps path, verifies it as a binfmt container, and
+// decodes it; the decoded index serves zero-copy views of the mapping.
+func openSnapshot[T any](path string, decode func(*binfmt.Reader) (T, error)) (T, error) {
+	fr, err := binfmt.OpenFile(path)
 	if err != nil {
-		return nil, nil, err
+		var none T
+		return none, fmt.Errorf("vecindex: %w", err)
 	}
-	var head [len(binfmt.Magic)]byte
-	_, rerr := io.ReadFull(f, head[:])
-	if rerr == nil && string(head[:]) == binfmt.Magic {
-		f.Close()
-		fr, err := binfmt.OpenFile(path)
-		if err != nil {
-			return nil, nil, fmt.Errorf("vecindex: %w", err)
-		}
-		return fr, nil, nil
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("vecindex: %w", err)
-	}
-	return nil, f, nil
+	return decode(fr)
 }
 
 // flatSnapshot is the serialized form of a Flat index (the analogue of
@@ -146,67 +106,13 @@ func (f *Flat) Freeze() Frozen {
 // Frozen.Save in one call).
 func (f *Flat) Save(w io.Writer) error { return f.Freeze().Save(w) }
 
-// LoadFlat reads a snapshot produced by Flat.Save (binfmt, detected by
-// its format magic) or by a pre-binfmt release (gob). Streams read this
-// way are fully buffered; use OpenFlatFile to serve from a mapped file.
-func LoadFlat(r io.Reader) (*Flat, error) {
-	fr, gr, err := sniffBinary(r)
-	if err != nil {
-		return nil, err
-	}
-	if fr != nil {
-		return decodeFlat(fr)
-	}
-	return loadFlatGob(gr)
-}
+// LoadFlat reads a snapshot produced by Flat.Save. Streams read this way
+// are fully buffered; use OpenFlatFile to serve from a mapped file.
+func LoadFlat(r io.Reader) (*Flat, error) { return loadSnapshot(r, decodeFlat) }
 
-// OpenFlatFile opens a snapshot file, memory-mapping binfmt snapshots
-// (vectors are served as zero-copy views of the mapping) and decoding
-// legacy gob snapshots eagerly.
-func OpenFlatFile(path string) (*Flat, error) {
-	fr, f, err := openBinaryFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if fr != nil {
-		return decodeFlat(fr)
-	}
-	defer f.Close()
-	return loadFlatGob(bufio.NewReader(f))
-}
-
-func loadFlatGob(r io.Reader) (*Flat, error) {
-	var snap flatSnapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("vecindex: decode snapshot: %w", err)
-	}
-	if snap.Dim <= 0 {
-		return nil, fmt.Errorf("vecindex: snapshot has invalid dimension %d", snap.Dim)
-	}
-	if err := checkVectors(snap.IDs, snap.Vecs, snap.Dim); err != nil {
-		return nil, err
-	}
-	f := NewFlat(snap.Dim, Metric(snap.Metric))
-	for i, id := range snap.IDs {
-		if err := f.Add(id, embed.Vector(snap.Vecs[i])); err != nil {
-			return nil, err
-		}
-	}
-	return f, nil
-}
-
-// checkVectors validates the shared id/vector section of a snapshot.
-func checkVectors(ids []string, vecs [][]float32, dim int) error {
-	if len(ids) != len(vecs) {
-		return fmt.Errorf("vecindex: snapshot id/vector count mismatch (%d vs %d)", len(ids), len(vecs))
-	}
-	for i, v := range vecs {
-		if len(v) != dim {
-			return fmt.Errorf("vecindex: snapshot vector %d has dim %d, want %d", i, len(v), dim)
-		}
-	}
-	return nil
-}
+// OpenFlatFile opens a snapshot file memory-mapped: vectors are served as
+// zero-copy views of the mapping.
+func OpenFlatFile(path string) (*Flat, error) { return openSnapshot(path, decodeFlat) }
 
 // ivfSnapshot is the serialized form of an IVF index (Faiss write_index
 // for IndexIVFFlat). Cell assignments are stored explicitly rather than
@@ -271,74 +177,12 @@ func (ix *IVF) Freeze() Frozen {
 // Frozen.Save in one call). Cell assignments are preserved exactly.
 func (ix *IVF) Save(w io.Writer) error { return ix.Freeze().Save(w) }
 
-// LoadIVF reads a snapshot produced by IVF.Save (binfmt or legacy gob),
-// restoring the trained centroids and exact cell assignments.
-func LoadIVF(r io.Reader) (*IVF, error) {
-	fr, gr, err := sniffBinary(r)
-	if err != nil {
-		return nil, err
-	}
-	if fr != nil {
-		return decodeIVF(fr)
-	}
-	return loadIVFGob(gr)
-}
+// LoadIVF reads a snapshot produced by IVF.Save, restoring the trained
+// centroids and exact cell assignments.
+func LoadIVF(r io.Reader) (*IVF, error) { return loadSnapshot(r, decodeIVF) }
 
-// OpenIVFFile opens a snapshot file, memory-mapping binfmt snapshots and
-// decoding legacy gob snapshots eagerly.
-func OpenIVFFile(path string) (*IVF, error) {
-	fr, f, err := openBinaryFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if fr != nil {
-		return decodeIVF(fr)
-	}
-	defer f.Close()
-	return loadIVFGob(bufio.NewReader(f))
-}
-
-func loadIVFGob(r io.Reader) (*IVF, error) {
-	var snap ivfSnapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("vecindex: decode snapshot: %w", err)
-	}
-	if snap.Dim <= 0 || snap.NList <= 0 || snap.NProbe <= 0 {
-		return nil, fmt.Errorf("vecindex: IVF snapshot has invalid parameters (dim=%d nlist=%d nprobe=%d)", snap.Dim, snap.NList, snap.NProbe)
-	}
-	if err := checkVectors(snap.IDs, snap.Vecs, snap.Dim); err != nil {
-		return nil, err
-	}
-	ix := NewIVF(snap.Dim, Metric(snap.Metric), snap.NList, snap.NProbe, snap.Seed)
-	if snap.Trained {
-		if len(snap.Cells) != len(snap.IDs) {
-			return nil, fmt.Errorf("vecindex: IVF snapshot cell/vector count mismatch (%d vs %d)", len(snap.Cells), len(snap.IDs))
-		}
-		ix.trained = true
-		ix.centroids = make([]embed.Vector, len(snap.Centroids))
-		for i, c := range snap.Centroids {
-			if len(c) != snap.Dim {
-				return nil, fmt.Errorf("vecindex: IVF snapshot centroid %d has dim %d, want %d", i, len(c), snap.Dim)
-			}
-			ix.centroids[i] = c
-		}
-		ix.cells = make([][]int, len(snap.Centroids))
-	}
-	for i, id := range snap.IDs {
-		ord, err := ix.addLocked(id, embed.Vector(snap.Vecs[i]))
-		if err != nil {
-			return nil, err
-		}
-		if snap.Trained {
-			ci := int(snap.Cells[i])
-			if ci < 0 || ci >= len(ix.cells) {
-				return nil, fmt.Errorf("vecindex: IVF snapshot vector %d references unknown cell %d", i, ci)
-			}
-			ix.cells[ci] = append(ix.cells[ci], ord)
-		}
-	}
-	return ix, nil
-}
+// OpenIVFFile opens a snapshot file memory-mapped.
+func OpenIVFFile(path string) (*IVF, error) { return openSnapshot(path, decodeIVF) }
 
 // lshSnapshot is the serialized form of an LSH index. The hyperplane
 // family is a pure function of (dim, nbits, ntables, seed), so only the
@@ -378,76 +222,16 @@ func (ix *LSH) Freeze() Frozen {
 // Frozen.Save in one call).
 func (ix *LSH) Save(w io.Writer) error { return ix.Freeze().Save(w) }
 
-// LoadLSH reads a snapshot produced by LSH.Save (binfmt or legacy gob).
-func LoadLSH(r io.Reader) (*LSH, error) {
-	fr, gr, err := sniffBinary(r)
-	if err != nil {
-		return nil, err
-	}
-	if fr != nil {
-		return decodeLSH(fr)
-	}
-	return loadLSHGob(gr)
-}
+// LoadLSH reads a snapshot produced by LSH.Save.
+func LoadLSH(r io.Reader) (*LSH, error) { return loadSnapshot(r, decodeLSH) }
 
-// OpenLSHFile opens a snapshot file, memory-mapping binfmt snapshots
-// (vectors are zero-copy views; signatures are re-hashed eagerly) and
-// decoding legacy gob snapshots.
-func OpenLSHFile(path string) (*LSH, error) {
-	fr, f, err := openBinaryFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if fr != nil {
-		return decodeLSH(fr)
-	}
-	defer f.Close()
-	return loadLSHGob(bufio.NewReader(f))
-}
+// OpenLSHFile opens a snapshot file memory-mapped (vectors are zero-copy
+// views; signatures are re-hashed eagerly).
+func OpenLSHFile(path string) (*LSH, error) { return openSnapshot(path, decodeLSH) }
 
-// LoadSQ reads a snapshot produced by SQFlat.Save. There is no legacy
-// format: quantized indexes postdate the binfmt container.
-func LoadSQ(r io.Reader) (*SQFlat, error) {
-	fr, _, err := sniffBinary(r)
-	if err != nil {
-		return nil, err
-	}
-	if fr == nil {
-		return nil, fmt.Errorf("vecindex: not a binfmt snapshot (SQFlat has no legacy format)")
-	}
-	return decodeSQ(fr)
-}
+// LoadSQ reads a snapshot produced by SQFlat.Save.
+func LoadSQ(r io.Reader) (*SQFlat, error) { return loadSnapshot(r, decodeSQ) }
 
 // OpenSQFile opens an SQFlat snapshot file, memory-mapping the container
 // so vectors and code columns are zero-copy views.
-func OpenSQFile(path string) (*SQFlat, error) {
-	fr, f, err := openBinaryFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if fr == nil {
-		f.Close()
-		return nil, fmt.Errorf("vecindex: %s is not a binfmt snapshot (SQFlat has no legacy format)", path)
-	}
-	return decodeSQ(fr)
-}
-
-func loadLSHGob(r io.Reader) (*LSH, error) {
-	var snap lshSnapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("vecindex: decode snapshot: %w", err)
-	}
-	if snap.Dim <= 0 || snap.NBits <= 0 || snap.NBits > 64 || snap.NTables <= 0 {
-		return nil, fmt.Errorf("vecindex: LSH snapshot has invalid parameters (dim=%d nbits=%d ntables=%d)", snap.Dim, snap.NBits, snap.NTables)
-	}
-	if err := checkVectors(snap.IDs, snap.Vecs, snap.Dim); err != nil {
-		return nil, err
-	}
-	ix := NewLSH(snap.Dim, snap.NBits, snap.NTables, snap.Seed)
-	for i, id := range snap.IDs {
-		if err := ix.Add(id, embed.Vector(snap.Vecs[i])); err != nil {
-			return nil, err
-		}
-	}
-	return ix, nil
-}
+func OpenSQFile(path string) (*SQFlat, error) { return openSnapshot(path, decodeSQ) }

@@ -293,13 +293,6 @@ func TestSQFlatFreezeIsolation(t *testing.T) {
 	}
 }
 
-func TestSQFlatNoLegacyFormat(t *testing.T) {
-	sq := NewSQFlat(4, Cosine, 2)
-	if err := SaveLegacy(sq.Freeze(), &bytes.Buffer{}); err == nil {
-		t.Error("SaveLegacy accepted an SQFlat capture")
-	}
-}
-
 func TestDotCodesMatchesReference(t *testing.T) {
 	ref := func(a, b []int8) int32 {
 		n := len(a)

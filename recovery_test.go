@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/workload"
@@ -406,5 +407,96 @@ func TestBinarySnapshotRecoverySmoke(t *testing.T) {
 	got := recovered.Retrieve(q, 5, KindTable)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("recovered retrieval = %v, want %v", got, want)
+	}
+}
+
+// TestStaleFormatSnapshotRebuilds pins the two ways a checkpointed index
+// shard can be unusable. A shard that does not start with the binfmt
+// magic was written by a release older than the container format: indexes
+// are derived data, so recovery re-indexes from the catalog and verdicts
+// match a fresh build. A shard that IS a container but has a flipped byte
+// is corruption, and Open must fail instead of rebuilding over a bad disk.
+func TestStaleFormatSnapshotRebuilds(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "data")
+	sys, err := Open(data, durableOpts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	ingest := func(s *System) {
+		t.Helper()
+		for _, tbl := range []*Table{workload.USOpen1954Table(), workload.USOpen1959Table()} {
+			if err := s.AddTable(tbl); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.AddDocument(workload.MeaganGoodDoc()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingest(sys)
+	if _, err := sys.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh, err := NewSystem(NewLake(), ExactOptions(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	ingest(fresh)
+	want, err := fresh.VerifyClaim("q", workload.GolfClaim())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	overwriteShard := func(tree, family string, mutate func([]byte) []byte) {
+		t.Helper()
+		shards, err := filepath.Glob(filepath.Join(tree, "checkpoint", "indexes", family+"-*.idx"))
+		if err != nil || len(shards) == 0 {
+			t.Fatalf("no checkpointed %s shards: %v", family, err)
+		}
+		raw, err := os.ReadFile(shards[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(shards[0], mutate(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, tc := range []struct {
+		name, family string
+		content      []byte
+	}{
+		{"bm25 shard in an older encoding", "bm25", []byte("\x0e\xff\x81\x03\x01\x01\x08snapshot")},
+		{"vector shard shorter than the magic", "vector", []byte("VA")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stale := filepath.Join(t.TempDir(), "stale")
+			copyTree(t, data, stale)
+			overwriteShard(stale, tc.family, func([]byte) []byte { return tc.content })
+			recovered, err := Open(stale, durableOpts(1))
+			if err != nil {
+				t.Fatalf("stale-format shard was not rebuilt: %v", err)
+			}
+			defer recovered.Close()
+			got, err := recovered.VerifyClaim("q", workload.GolfClaim())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("re-indexed report differs from a fresh build:\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
+
+	corrupt := filepath.Join(dir, "corrupt")
+	copyTree(t, data, corrupt)
+	overwriteShard(corrupt, "bm25", func(raw []byte) []byte { raw[len(raw)/2] ^= 0xff; return raw })
+	if bad, err := Open(corrupt, durableOpts(1)); err == nil {
+		bad.Close()
+		t.Fatal("a corrupt binfmt shard opened without error")
 	}
 }
