@@ -31,6 +31,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/invindex"
 	"repro/internal/obs"
+	"repro/internal/provenance"
 	"repro/internal/server"
 	"repro/internal/table"
 	"repro/internal/textutil"
@@ -1154,6 +1155,37 @@ func BenchmarkEndToEndVerify(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkProvenanceAppend measures what one lineage record costs the
+// provenance store: time and allocations per Append, and bytes/record, the
+// memory each verification adds for as long as the process lives. The
+// records are the ones the bench pipeline appended for 64 real claims
+// (about 200 hits and 150 fused candidates each).
+func BenchmarkProvenanceAppend(b *testing.B) {
+	env := benchEnvironment(b)
+	var recs []provenance.Record
+	for i, ct := range env.ClaimTasks[:64] {
+		rep, err := env.Pipeline.Verify(env.ClaimObject(i, ct), datalake.KindTable)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec, _ := env.Pipeline.Provenance().Get(rep.ProvenanceSeq)
+		recs = append(recs, rec)
+	}
+	// One pass untimed: a serving store has met the lake's instance IDs.
+	store := provenance.NewStore()
+	for _, rec := range recs {
+		store.Append(rec)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		store.Append(recs[i%len(recs)])
+	}
+	b.StopTimer()
+	st := store.Stats()
+	b.ReportMetric(float64(st.Bytes)/float64(st.Records), "bytes/record")
 }
 
 // BenchmarkAblationVectorIndex compares the semantic index families

@@ -50,6 +50,9 @@ var requiredServing = []string{
 	"verifai_result_cache_entries",
 	"verifai_query_cache_hits_total",
 	"verifai_query_cache_misses_total",
+	"verifai_provenance_records",
+	"verifai_provenance_bytes",
+	"verifai_provenance_segments",
 }
 
 // requiredDurable is added for -data-dir deployments (WAL + checkpoints).

@@ -115,8 +115,9 @@ func NewPipeline(lake *datalake.Lake, indexer *Indexer, rr *rerank.Registry, age
 
 // installMetrics registers the pipeline's serving-path metrics with reg:
 // verifier call volume and latency, mirrors of the result- and
-// query-cache counters (the same atomics Stats() snapshots), and the
-// indexer's per-family shard-search histograms.
+// query-cache counters (the same atomics Stats() snapshots), the
+// provenance store's size gauges, and the indexer's per-family
+// shard-search histograms.
 func (p *Pipeline) installMetrics(reg *obs.Registry) {
 	p.obs = reg
 	// Touch the stage family eagerly so an idle system's exposition is
@@ -129,6 +130,9 @@ func (p *Pipeline) installMetrics(reg *obs.Registry) {
 	p.pinnedReads = reg.Counter("verifai_pinned_reads_total",
 		"Verifications served against a retained snapshot (?version= time-travel reads).")
 	p.snapshots.SetMetrics(reg)
+	if p.prov != nil {
+		p.prov.SetMetrics(reg)
+	}
 	if rc := p.rcache; rc != nil {
 		reg.CounterFunc("verifai_result_cache_hits_total",
 			"Verify-result cache hits.", rc.hits.Load)

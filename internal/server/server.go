@@ -1053,6 +1053,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"latest":   s.pipeline.Snapshots().Latest(),
 		},
 	}
+	if store := s.pipeline.Provenance(); store != nil {
+		body["provenance"] = store.Stats()
+	}
 	if s.durStats != nil {
 		body["durability"] = s.durStats()
 	}
@@ -1062,6 +1065,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
+// handleProvenance serves one lineage record (?seq=N) or every record of a
+// generated object, oldest first (?object_id=ID; an unknown object is an
+// empty list). Exactly one of the two must be given.
 func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
@@ -1072,7 +1078,16 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "provenance recording is disabled")
 		return
 	}
-	seqStr := r.URL.Query().Get("seq")
+	q := r.URL.Query()
+	if q.Has("seq") == q.Has("object_id") {
+		writeError(w, http.StatusBadRequest, "exactly one of seq and object_id is required")
+		return
+	}
+	if q.Has("object_id") {
+		writeJSON(w, http.StatusOK, store.ByObject(q.Get("object_id")))
+		return
+	}
+	seqStr := q.Get("seq")
 	seq, err := strconv.Atoi(seqStr)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "seq must be an integer, got %q", seqStr)

@@ -258,3 +258,41 @@ func TestEndpointErrors(t *testing.T) {
 		t.Errorf("missing seq = %d", pr.StatusCode)
 	}
 }
+
+// TestProvenanceByObject: ?object_id= lists an object's lineage oldest
+// first, an unknown object is an empty list, and seq and object_id are
+// mutually exclusive; /v1/stats reports the store's size.
+func TestProvenanceByObject(t *testing.T) {
+	ts := newTestServer(t)
+	claim := "In 1954 u.s. open (golf), the cash prize for tommy bolt, fred haas, and ben hogan was 960 in total."
+	// Different kinds miss the result cache, so the object gets two records.
+	for _, kinds := range [][]string{{"table"}, {"table", "text"}} {
+		if resp, body := postJSON(t, ts.URL+"/v1/verify/claim", ClaimRequest{ID: "a b&c", Text: claim, Kinds: kinds}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("verify = %d (%s)", resp.StatusCode, body)
+		}
+	}
+	var recs []provenance.Record
+	if resp := getJSON(t, ts.URL+"/v1/provenance?object_id=a+b%26c", &recs); resp.StatusCode != http.StatusOK {
+		t.Fatalf("by object = %d", resp.StatusCode)
+	}
+	if len(recs) != 2 || recs[0].Seq != 0 || recs[1].Seq != 1 || recs[1].ObjectID != "a b&c" || len(recs[1].Hits) == 0 {
+		t.Errorf("by object = %+v", recs)
+	}
+	if resp := getJSON(t, ts.URL+"/v1/provenance?object_id=ghost", &recs); resp.StatusCode != http.StatusOK || recs == nil || len(recs) != 0 {
+		t.Errorf("unknown object = %d, %v; want 200 and []", resp.StatusCode, recs)
+	}
+	for _, query := range []string{"", "?seq=0&object_id=a"} {
+		var e map[string]string
+		if resp := getJSON(t, ts.URL+"/v1/provenance"+query, &e); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("GET /v1/provenance%s = %d, want 400", query, resp.StatusCode)
+		}
+	}
+
+	var stats struct {
+		Provenance provenance.Stats `json:"provenance"`
+	}
+	getJSON(t, ts.URL+"/v1/stats", &stats)
+	if p := stats.Provenance; p.Records != 2 || p.Segments != 1 || p.Bytes <= 0 || p.DictionaryEntries == 0 {
+		t.Errorf("stats provenance block = %+v", p)
+	}
+}
