@@ -68,6 +68,7 @@ var requiredDurable = []string{
 	"verifai_checkpoint_write_seconds",
 	"verifai_checkpoints_total",
 	"verifai_checkpoint_version",
+	"verifai_checkpoint_bytes",
 	"verifai_recovery_replayed_records_total",
 }
 

@@ -126,6 +126,27 @@ func (w *Writer) Strings(name string, vals []string) {
 	w.Section(name, buf)
 }
 
+// PackedStrings adds a string column in its compact sequential form:
+// uvarint count, count uvarint lengths, then the concatenated bytes. It
+// costs about one byte of framing per short string where Strings costs
+// four, and has no random access: the reader materializes the whole column
+// (Reader.PackedStrings). For bulk columns that are always read whole.
+func (w *Writer) PackedStrings(name string, vals []string) {
+	size := binary.MaxVarintLen64 * (1 + len(vals))
+	for _, s := range vals {
+		size += len(s)
+	}
+	buf := make([]byte, 0, size)
+	buf = binary.AppendUvarint(buf, uint64(len(vals)))
+	for _, s := range vals {
+		buf = binary.AppendUvarint(buf, uint64(len(s)))
+	}
+	for _, s := range vals {
+		buf = append(buf, s...)
+	}
+	w.Section(name, buf)
+}
+
 // WriteTo serializes the container to out.
 func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 	seen := make(map[string]struct{}, len(w.names))
@@ -404,6 +425,52 @@ func (r *Reader) Strings(name string) (StringCol, error) {
 		return StringCol{}, fmt.Errorf("binfmt: string column %q blob length mismatch (%d offsets vs %d bytes)", name, offs[count], len(blob))
 	}
 	return StringCol{offs: offs, blob: blob}, nil
+}
+
+// PackedStrings materializes a column written by Writer.PackedStrings.
+// The strings share one copy of the column's bytes, so they cost no
+// allocation each but stay alive together. A count or a length the section
+// cannot hold is an error before anything is sized by it.
+func (r *Reader) PackedStrings(name string) ([]string, error) {
+	b, err := r.Bytes(name)
+	if err != nil {
+		return nil, err
+	}
+	count, n := binary.Uvarint(b)
+	if n <= 0 {
+		return nil, fmt.Errorf("binfmt: packed string column %q has no count", name)
+	}
+	lens := b[n:]
+	// Every string spends at least one length byte.
+	if count > uint64(len(lens)) {
+		return nil, fmt.Errorf("binfmt: packed string column %q truncated (count %d, %d bytes)", name, count, len(lens))
+	}
+	// First pass: find where the lengths end and check they add up to
+	// exactly the bytes that follow.
+	pos, total := 0, uint64(0)
+	for i := uint64(0); i < count; i++ {
+		l, n := binary.Uvarint(lens[pos:])
+		if n <= 0 || l > uint64(len(lens)) {
+			return nil, fmt.Errorf("binfmt: packed string column %q has a bad length at %d", name, i)
+		}
+		pos += n
+		total += l
+	}
+	if total != uint64(len(lens)-pos) {
+		return nil, fmt.Errorf("binfmt: packed string column %q blob length mismatch (%d declared vs %d bytes)", name, total, len(lens)-pos)
+	}
+	if count == 0 {
+		return nil, nil
+	}
+	blob := string(lens[pos:])
+	out := make([]string, count)
+	pos = 0
+	for i := range out {
+		l, n := binary.Uvarint(lens[pos:])
+		pos += n
+		out[i], blob = blob[:l], blob[l:]
+	}
+	return out, nil
 }
 
 // Len returns the number of strings in the column.

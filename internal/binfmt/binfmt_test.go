@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -21,6 +22,8 @@ func buildTestContainer(t testing.TB) []byte {
 	w.Float32s("f32", []float32{0.5, -2.25, 1e20})
 	w.Int8s("i8", []int8{-128, 0, 127, 7})
 	w.Strings("strs", []string{"alpha", "", "βγ", "zz"})
+	w.PackedStrings("packed", []string{"alpha", "", "βγ", "\xff\x00", strings.Repeat("long", 64)})
+	w.PackedStrings("packed-none", nil)
 	w.Section("raw", []byte("payload"))
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
@@ -72,6 +75,13 @@ func checkTestContainer(t *testing.T, r *Reader) {
 		if string(strs.Bytes(i)) != s {
 			t.Fatalf("strs.Bytes(%d) = %q, want %q", i, strs.Bytes(i), s)
 		}
+	}
+	packed, err := r.PackedStrings("packed")
+	if err != nil || !reflect.DeepEqual(packed, []string{"alpha", "", "βγ", "\xff\x00", strings.Repeat("long", 64)}) {
+		t.Fatalf("PackedStrings = %q, %v", packed, err)
+	}
+	if none, err := r.PackedStrings("packed-none"); err != nil || len(none) != 0 {
+		t.Fatalf("PackedStrings(empty column) = %q, %v", none, err)
 	}
 	raw, err := r.Bytes("raw")
 	if err != nil || string(raw) != "payload" {
@@ -202,6 +212,34 @@ func TestMisalignedInputIsCopied(t *testing.T) {
 // FuzzDecodeSnapshot mirrors internal/wal's fuzzing posture: arbitrary
 // bytes must never panic the reader; they either parse (and then every
 // accessor must stay in bounds) or fail with an error.
+// TestPackedStringsRejectsBadFraming: a packed column whose count or
+// lengths do not fit its bytes is an error, not a short column — and is
+// never trusted to size an allocation.
+func TestPackedStringsRejectsBadFraming(t *testing.T) {
+	for name, payload := range map[string][]byte{
+		"empty section":         {},
+		"count with no lengths": {3},
+		"count past the bytes":  {0xff, 0xff, 0xff, 0xff, 0x0f, 1, 'a'},
+		"length past the blob":  {1, 5, 'a', 'b'},
+		"blob longer than sum":  {1, 1, 'a', 'b'},
+		"overlong varint":       {1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+	} {
+		w := NewWriter()
+		w.Section("col", payload)
+		var buf bytes.Buffer
+		if _, err := w.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReader(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := r.PackedStrings("col"); err == nil {
+			t.Errorf("%s: PackedStrings = %q, want an error", name, got)
+		}
+	}
+}
+
 func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(Magic))
@@ -215,7 +253,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, name := range []string{"meta", "i32", "u32", "f32", "i8", "strs", "raw"} {
+		for _, name := range []string{"meta", "i32", "u32", "f32", "i8", "strs", "packed", "raw"} {
 			if b, err := r.Bytes(name); err == nil {
 				_ = len(b)
 			}
@@ -224,6 +262,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 					_ = col.At(i)
 				}
 			}
+			_, _ = r.PackedStrings(name)
 			_, _ = r.Int32s(name)
 			_, _ = r.Float32s(name)
 			var v any

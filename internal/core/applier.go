@@ -6,6 +6,7 @@ import (
 	"repro/internal/datalake"
 	"repro/internal/doc"
 	"repro/internal/embed"
+	"repro/internal/textutil"
 )
 
 // The live ingest path is pipelined in three stages (mirroring the lake's
@@ -55,8 +56,12 @@ type preparedEvent struct {
 // name may legitimately be empty — the graph accepts any triple — so the
 // discriminator is ops, not entity.
 type applyTask struct {
-	ops    *shardOps
+	ops *shardOps
+	// entity is the canonical entity name and rev the number of triples
+	// about it when the event was dispatched (kg.Graph.Entity): the page
+	// this event needs indexed.
 	entity string
+	rev    int
 	done   func(error)
 }
 
@@ -83,18 +88,14 @@ func (ix *Indexer) startAppliers() {
 		go func() {
 			defer ix.applierWG.Done()
 			for t := range ch {
-				t.done(ix.execTask(t))
+				if t.ops == nil {
+					t.done(ix.reindexEntity(i, t.entity, t.rev))
+				} else {
+					t.done(ix.applyOps(t.ops.bm25, t.ops.vec))
+				}
 			}
 		}()
 	}
-}
-
-// execTask performs one shard task's index insertions.
-func (ix *Indexer) execTask(t applyTask) error {
-	if t.ops == nil {
-		return ix.reindexEntity(t.entity)
-	}
-	return ix.applyOps(t.ops.bm25, t.ops.vec)
 }
 
 // applyOps inserts precomputed operations into the indexes. It is the
@@ -127,6 +128,8 @@ func (ix *Indexer) prepareHook(ev datalake.Event) (any, error) {
 }
 
 // prepareEvent computes the precomputed payload for a table or text event.
+// Each serialized instance is analyzed once, and the same terms feed its
+// BM25 op and its embedding.
 func (ix *Indexer) prepareEvent(ev datalake.Event) *preparedEvent {
 	pe := &preparedEvent{}
 	switch ev.Kind {
@@ -143,15 +146,21 @@ func (ix *Indexer) prepareEvent(ev datalake.Event) *preparedEvent {
 				ids = append(ids, datalake.TupleInstanceID(t.ID, row))
 				texts = append(texts, tp.SerializeForIndex())
 			}
-			// Batch-embed the tuples: a wide table fans its rows across
-			// the embedder's worker pool.
+			// Batch the tuples: a wide table fans its rows across the
+			// embedder's worker pool.
+			var terms [][]string
 			var vecs []embed.Vector
 			if len(ix.vec[datalake.KindTuple]) > 0 {
-				vecs = ix.emb.EmbedTexts(texts, 0)
+				terms, vecs = ix.emb.AnalyzeTexts(texts, 0)
+			} else {
+				terms = make([][]string, len(texts))
+				for i, text := range texts {
+					terms[i] = textutil.TokenizeFiltered(text)
+				}
 			}
 			for i, id := range ids {
-				if shards := ix.bm25[datalake.KindTuple]; len(shards) > 0 {
-					pe.bm25 = append(pe.bm25, bm25Op{kind: datalake.KindTuple, id: id, terms: shards[0].Analyze(texts[i])})
+				if len(ix.bm25[datalake.KindTuple]) > 0 {
+					pe.bm25 = append(pe.bm25, bm25Op{kind: datalake.KindTuple, id: id, terms: terms[i]})
 				}
 				if vecs != nil {
 					pe.vec = append(pe.vec, vecOp{kind: datalake.KindTuple, id: id, vec: vecs[i]})
@@ -164,38 +173,44 @@ func (ix *Indexer) prepareEvent(ev datalake.Event) *preparedEvent {
 		}
 		d := ev.Doc
 		id := datalake.TextInstanceID(d.ID)
-		if shards := ix.bm25[datalake.KindText]; len(shards) > 0 {
-			pe.bm25 = append(pe.bm25, bm25Op{kind: datalake.KindText, id: id, terms: shards[0].Analyze(d.SerializeForIndex())})
+		if ix.cfg.ChunkTokens <= 0 || len(ix.vec[datalake.KindText]) == 0 {
+			pe.addInstance(ix, datalake.KindText, id, d.SerializeForIndex())
+			return pe
 		}
-		if len(ix.vec[datalake.KindText]) > 0 {
-			if ix.cfg.ChunkTokens <= 0 {
-				pe.vec = append(pe.vec, vecOp{kind: datalake.KindText, id: id, vec: ix.emb.EmbedText(d.SerializeForIndex())})
-			} else {
-				chunks := doc.ChunkDocument(d, ix.cfg.ChunkTokens)
-				texts := make([]string, len(chunks))
-				for i, ch := range chunks {
-					texts[i] = d.Title + " " + ch.Text
-				}
-				for i, vec := range ix.emb.EmbedTexts(texts, 0) {
-					pe.vec = append(pe.vec, vecOp{
-						kind: datalake.KindText,
-						id:   fmt.Sprintf("%s@%d", id, chunks[i].Seq),
-						vec:  vec,
-					})
-				}
-			}
+		// Chunked: the content index takes the document whole, the vector
+		// index one embedding per chunk.
+		if len(ix.bm25[datalake.KindText]) > 0 {
+			pe.bm25 = append(pe.bm25, bm25Op{kind: datalake.KindText, id: id, terms: textutil.TokenizeFiltered(d.SerializeForIndex())})
+		}
+		chunks := doc.ChunkDocument(d, ix.cfg.ChunkTokens)
+		texts := make([]string, len(chunks))
+		for i, ch := range chunks {
+			texts[i] = d.Title + " " + ch.Text
+		}
+		for i, vec := range ix.emb.EmbedTexts(texts, 0) {
+			pe.vec = append(pe.vec, vecOp{
+				kind: datalake.KindText,
+				id:   fmt.Sprintf("%s@%d", id, chunks[i].Seq),
+				vec:  vec,
+			})
 		}
 	}
 	return pe
 }
 
-// addInstance appends one instance's BM25 and vector ops to the payload.
+// addInstance analyzes one serialized instance once and appends its BM25
+// and vector ops to the payload.
 func (pe *preparedEvent) addInstance(ix *Indexer, kind datalake.Kind, id, text string) {
-	if shards := ix.bm25[kind]; len(shards) > 0 {
-		pe.bm25 = append(pe.bm25, bm25Op{kind: kind, id: id, terms: shards[0].Analyze(text)})
+	wantBM25, wantVec := len(ix.bm25[kind]) > 0, len(ix.vec[kind]) > 0
+	if !wantBM25 && !wantVec {
+		return
 	}
-	if len(ix.vec[kind]) > 0 {
-		pe.vec = append(pe.vec, vecOp{kind: kind, id: id, vec: ix.emb.EmbedText(text)})
+	terms := textutil.TokenizeFiltered(text)
+	if wantBM25 {
+		pe.bm25 = append(pe.bm25, bm25Op{kind: kind, id: id, terms: terms})
+	}
+	if wantVec {
+		pe.vec = append(pe.vec, vecOp{kind: kind, id: id, vec: ix.emb.EmbedTerms(terms)})
 	}
 }
 
@@ -206,13 +221,18 @@ func (pe *preparedEvent) addInstance(ix *Indexer, kind datalake.Kind, id, text s
 // events in version order.
 func (ix *Indexer) apply(ev datalake.Event, done func(error)) {
 	if ev.Kind == datalake.KindEntity {
-		subject := ev.Triple.Subject
-		entity := subject
-		if canon, ok := ix.lake.Graph().Canonical(subject); ok {
-			entity = canon
+		if !ix.wantKind(datalake.KindEntity) {
+			done(nil)
+			return
 		}
+		// The triple is committed, so the graph knows its subject. The
+		// instance is keyed by the canonical (first-seen) subject casing —
+		// the same key bulk ingest derives from Graph.Entities() — so a
+		// triple whose subject varies only in case updates the existing
+		// instance instead of forking a new one.
+		entity, rev := ix.lake.Graph().Entity(ev.Triple.Subject)
 		s := ix.shard(datalake.EntityInstanceID(entity))
-		ix.appliers[s] <- applyTask{entity: subject, done: done}
+		ix.appliers[s] <- applyTask{entity: entity, rev: rev, done: done}
 		return
 	}
 

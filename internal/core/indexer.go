@@ -153,6 +153,12 @@ type Indexer struct {
 	appliers  []chan applyTask
 	applierWG sync.WaitGroup
 	closeOnce sync.Once
+	// entityRev[s] maps each entity instance ID on shard s to the number of
+	// triples its indexed page covers. Only shard s's applier (and the
+	// quiesced bulk load) touches it, so it needs no lock. An entity absent
+	// from it — e.g. one loaded from a snapshot — is indexed at an unknown
+	// revision and re-indexed by its next triple.
+	entityRev []map[string]int
 
 	// m holds the per-family shard-search latency handles; the zero value
 	// records nothing. Deliberately NOT part of IndexerConfig: the config
@@ -206,6 +212,10 @@ func newIndexer(lake *datalake.Lake, cfg *IndexerConfig) (*Indexer, error) {
 		vec:     make(map[datalake.Kind][]vectorIndex),
 		qcache:  newQueryCache(cfg.QueryCacheSize),
 		workers: workers,
+	}
+	ix.entityRev = make([]map[string]int, cfg.Shards)
+	for i := range ix.entityRev {
+		ix.entityRev[i] = make(map[string]int)
 	}
 	for _, kind := range cfg.Kinds {
 		if cfg.EnableBM25 {
@@ -368,9 +378,11 @@ func (ix *Indexer) ingest() error {
 		g := ix.lake.Graph()
 		for _, e := range g.Entities() {
 			id := datalake.EntityInstanceID(e)
-			if err := ix.add(datalake.KindEntity, id, g.SerializeEntity(e)); err != nil {
+			text, rev := g.EntityPage(e)
+			if err := ix.add(datalake.KindEntity, id, text); err != nil {
 				return err
 			}
+			ix.entityRev[ix.shard(id)][id] = rev
 		}
 	}
 	return nil
@@ -393,17 +405,9 @@ func (ix *Indexer) indexDocument(d *doc.Document) error {
 
 // add indexes one instance in both families, on the instance's shard.
 func (ix *Indexer) add(kind datalake.Kind, id, text string) error {
-	if shards, ok := ix.bm25[kind]; ok {
-		if err := shards[ix.shard(id)].Add(id, text); err != nil {
-			return fmt.Errorf("core: bm25 add %s: %w", id, err)
-		}
-	}
-	if shards, ok := ix.vec[kind]; ok {
-		if err := shards[ix.shard(id)].Add(id, ix.emb.EmbedText(text)); err != nil {
-			return fmt.Errorf("core: vector add %s: %w", id, err)
-		}
-	}
-	return nil
+	var pe preparedEvent
+	pe.addInstance(ix, kind, id, text)
+	return ix.applyOps(pe.bm25, pe.vec)
 }
 
 // remove drops one instance from both families (no-op for unindexed IDs).
@@ -430,23 +434,26 @@ func (ix *Indexer) remove(kind datalake.Kind, id string) {
 	}
 }
 
-// reindexEntity refreshes an entity's serialized neighborhood after a new
-// triple about it arrived: the stale instance (if any) is tombstoned and the
-// re-serialized neighborhood indexed in its place. The instance is keyed by
-// the graph's canonical (first-seen) subject casing — the same key bulk
-// ingest derives from Graph.Entities() — so a triple whose subject varies
-// only in case updates the existing instance instead of forking a new one.
-func (ix *Indexer) reindexEntity(entity string) error {
-	if !ix.wantKind(datalake.KindEntity) {
+// reindexEntity brings an entity's indexed page up to revision rev (the
+// triple count about it when the triggering event was dispatched). A page
+// already at or past rev — indexed by an earlier event of the same commit
+// section, whose serialization read the post-commit graph — covers this
+// event's triple, so the event completes as a no-op: a batch of triples
+// indexes each entity once, not once per triple. Otherwise the stale
+// instance (if any) is tombstoned and the re-serialized neighborhood
+// indexed in its place. Runs on shard's applier only.
+func (ix *Indexer) reindexEntity(shard int, entity string, rev int) error {
+	id := datalake.EntityInstanceID(entity)
+	if ix.entityRev[shard][id] >= rev {
 		return nil
 	}
-	g := ix.lake.Graph()
-	if canon, ok := g.Canonical(entity); ok {
-		entity = canon
-	}
-	id := datalake.EntityInstanceID(entity)
+	text, rev := ix.lake.Graph().EntityPage(entity)
 	ix.remove(datalake.KindEntity, id)
-	return ix.add(datalake.KindEntity, id, g.SerializeEntity(entity))
+	if err := ix.add(datalake.KindEntity, id, text); err != nil {
+		return err
+	}
+	ix.entityRev[shard][id] = rev
+	return nil
 }
 
 // queryVec embeds a query, consulting the LRU cache first.

@@ -42,6 +42,38 @@ func (l *Lake) AddBatch(items []BatchItem) ([]BatchItemResult, error) {
 	return l.addBatch(items, false)
 }
 
+// Load returns a new lake holding sources and items, ingested as one batch
+// (versions 1..n in item order): what every deserializer of a stored
+// catalog ends with. Any rejected item fails the whole load. The lake runs
+// a dispatcher goroutine; callers that discard it should Close it.
+func Load(sources []Source, items []BatchItem, opts ...Option) (*Lake, error) {
+	l := New(opts...)
+	err := func() error {
+		for _, src := range sources {
+			if err := l.AddSource(src); err != nil {
+				return err
+			}
+		}
+		// One pipelined ingest: a single write-lock acquisition commits
+		// every item, instead of one commit+wait round trip per instance.
+		results, err := l.AddBatch(items)
+		if err != nil {
+			return err
+		}
+		for _, res := range results {
+			if res.Err != nil {
+				return res.Err
+			}
+		}
+		return nil
+	}()
+	if err != nil {
+		_ = l.Close()
+		return nil, err
+	}
+	return l, nil
+}
+
 // addBatch is the shared implementation behind AddBatch (local writes) and
 // ReplicateBatch (the replication apply path, which bypasses the follower's
 // read-only gate but is otherwise the identical pipeline — replicated

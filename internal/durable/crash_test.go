@@ -12,7 +12,6 @@ import (
 	"repro/internal/doc"
 	"repro/internal/faultfs"
 	"repro/internal/kg"
-	"repro/internal/lakeio"
 	"repro/internal/table"
 	"repro/internal/wal"
 )
@@ -346,7 +345,7 @@ func verifyPinCrashRecovery(t *testing.T, dir string, kill int64, ackedPins, dro
 		if p.Trust["src"] != 0.25 {
 			t.Fatalf("kill %d: pin %d recovered trust %v, want src=0.25", kill, v, p.Trust)
 		}
-		pinLake, err := lakeio.Load(p.Dir)
+		pinLake, err := st.LoadCatalog(p.Dir)
 		if err != nil {
 			t.Fatalf("kill %d: pin %d catalog unloadable: %v", kill, v, err)
 		}

@@ -3,10 +3,10 @@
 //
 //	<dir>/LOCK             cross-process flock: one Store per directory
 //	<dir>/wal/             write-ahead log segments (internal/wal)
-//	<dir>/checkpoint/      latest checkpoint: lakeio catalog layout
-//	                       (manifest.json, tables/, texts/), META.json
-//	                       (checkpoint version), and indexes/ (the
-//	                       indexer's persisted shards)
+//	<dir>/checkpoint/      latest checkpoint: catalog.vaib (the whole
+//	                       catalog in one binfmt container, see
+//	                       catalog.go), META.json (checkpoint version),
+//	                       and indexes/ (the indexer's persisted shards)
 //	<dir>/checkpoint.old/  previous checkpoint, kept only mid-swap
 //
 // The commit protocol: every lake mutation is appended to the WAL by the
@@ -23,6 +23,10 @@
 // deletes the sealed WAL segments the checkpoint covers, all while
 // ingestion continues. Ingest stall is bounded by the fork phase alone.
 // At most one checkpoint runs at a time (ErrCheckpointInFlight).
+//
+// A checkpoint is about a dozen files whatever the lake holds, so the
+// fsync pass costs a dozen fsyncs, and a crash at any write of it leaves
+// checkpoint.tmp without a META.json: ignored, then cleared.
 //
 // Recovery (Open) is the reverse: load the latest valid checkpoint, fast-
 // forward the lake's version counter to the checkpoint version, and
@@ -49,7 +53,6 @@ import (
 
 	"repro/internal/datalake"
 	"repro/internal/faultfs"
-	"repro/internal/lakeio"
 	"repro/internal/obs"
 	"repro/internal/wal"
 )
@@ -70,12 +73,10 @@ type Options struct {
 	SegmentBytes int64
 	// LakeOptions configure the recovered lake (e.g. the ingest queue).
 	LakeOptions []datalake.Option
-	// FS is the filesystem the store (and its WAL) writes through; nil
-	// means the real OS. The crash-consistency suite injects a
-	// faultfs.Faulty here. The catalog serializer (lakeio) writes through
-	// the real OS either way: its files only become reachable once the
-	// fs-tracked META write and renames promote them, so a fault there is
-	// indistinguishable from a crash before the META write.
+	// FS is the filesystem the store (and its WAL) writes through — catalog
+	// containers, META, manifests, renames, fsyncs; nil means the real OS.
+	// The crash-consistency suite injects a faultfs.Faulty here. (A
+	// checkpoint's WriteFunc is handed a directory and does its own I/O.)
 	FS faultfs.FS
 }
 
@@ -94,6 +95,10 @@ const metaFile = "META.json"
 // the whole tail.
 const replayBatchSize = 256
 
+// checkpointFormat is the layout this package writes: 2, the catalog in
+// one container. Format 1 kept it as a lakeio tree; LoadCatalog reads both.
+const checkpointFormat = 2
+
 // checkpointMeta is the checkpoint's pinning metadata.
 type checkpointMeta struct {
 	// Format versions the layout.
@@ -109,6 +114,11 @@ type Stats struct {
 	Dir               string `json:"data_dir"`
 	SyncPolicy        string `json:"sync_policy"`
 	CheckpointVersion uint64 `json:"checkpoint_version"`
+	// CheckpointBytes / CheckpointFiles size the current checkpoint
+	// directory (catalog, index shards, META), measured when it was
+	// written or recovered.
+	CheckpointBytes int64 `json:"checkpoint_bytes"`
+	CheckpointFiles int   `json:"checkpoint_files"`
 	// LastCheckpointUnix is 0 until a checkpoint happens in this process.
 	LastCheckpointUnix int64 `json:"last_checkpoint_unix,omitempty"`
 	// LastForkNanos / LastWriteNanos are the last checkpoint's phase
@@ -149,6 +159,7 @@ type Store struct {
 
 	mu             sync.Mutex
 	ckptVersion    uint64
+	ckptSize       treeSize
 	lastCheckpoint time.Time
 	forkDur        time.Duration
 	writeDur       time.Duration
@@ -192,6 +203,12 @@ func (s *Store) SetMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("verifai_checkpoint_version",
 		"Lake version of the current checkpoint.", func() float64 {
 			return float64(s.CheckpointVersion())
+		})
+	reg.GaugeFunc("verifai_checkpoint_bytes",
+		"Size of the current checkpoint directory (catalog, index shards, META).", func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(s.ckptSize.bytes)
 		})
 }
 
@@ -243,12 +260,16 @@ func Open(dir string, opts Options) (_ *Store, err error) {
 		return nil, err
 	}
 	if meta != nil {
-		lake, err := lakeio.Load(s.checkpointDir(), opts.LakeOptions...)
+		lake, err := s.LoadCatalog(s.checkpointDir(), opts.LakeOptions...)
 		if err != nil {
 			return nil, fmt.Errorf("durable: load checkpoint: %w", err)
 		}
 		s.lake = lake
 		s.ckptVersion = meta.Version
+		if s.ckptSize, err = measureTree(s.fs, s.checkpointDir()); err != nil {
+			lake.Close()
+			return nil, fmt.Errorf("durable: measure checkpoint: %w", err)
+		}
 		if err := lake.FastForwardVersion(meta.Version); err != nil {
 			lake.Close()
 			return nil, fmt.Errorf("durable: checkpoint at version %d behind its own catalog: %w", meta.Version, err)
@@ -478,15 +499,15 @@ func (s *Store) Checkpoint(freeze FreezeFunc) (uint64, error) {
 	if err := s.fs.RemoveAll(tmp); err != nil {
 		return 0, fmt.Errorf("durable: clear checkpoint.tmp: %w", err)
 	}
-	if err := lakeio.Save(view, tmp); err != nil {
-		return 0, fmt.Errorf("durable: save catalog: %w", err)
+	if err := s.writeCatalog(view, tmp); err != nil {
+		return 0, err
 	}
 	if write != nil {
 		if err := write(tmp); err != nil {
 			return 0, fmt.Errorf("durable: save indexes: %w", err)
 		}
 	}
-	if err := writeCheckpointMeta(s.fs, tmp, checkpointMeta{Format: 1, Version: version, CreatedUnix: time.Now().Unix()}); err != nil {
+	if err := writeCheckpointMeta(s.fs, tmp, checkpointMeta{Format: checkpointFormat, Version: version, CreatedUnix: time.Now().Unix()}); err != nil {
 		return 0, err
 	}
 	// Durability ordering: the WAL segments this checkpoint covers are
@@ -497,6 +518,10 @@ func (s *Store) Checkpoint(freeze FreezeFunc) (uint64, error) {
 	// (now deleted) WAL held.
 	if err := syncTree(s.fs, tmp); err != nil {
 		return 0, fmt.Errorf("durable: sync checkpoint tree: %w", err)
+	}
+	size, err := measureTree(s.fs, tmp)
+	if err != nil {
+		return 0, fmt.Errorf("durable: measure checkpoint: %w", err)
 	}
 	s.swapMu.Lock()
 	err = s.swapCheckpoint(tmp)
@@ -516,6 +541,7 @@ func (s *Store) Checkpoint(freeze FreezeFunc) (uint64, error) {
 	writeDur := time.Since(writeStart)
 	s.mu.Lock()
 	s.ckptVersion = version
+	s.ckptSize = size
 	s.lastCheckpoint = time.Now()
 	s.forkDur = forkDur
 	s.writeDur = writeDur
@@ -564,6 +590,8 @@ func (s *Store) Stats() Stats {
 		Dir:               s.dir,
 		SyncPolicy:        s.opts.Sync.String(),
 		CheckpointVersion: s.ckptVersion,
+		CheckpointBytes:   s.ckptSize.bytes,
+		CheckpointFiles:   s.ckptSize.files,
 		LastForkNanos:     s.forkDur.Nanoseconds(),
 		LastWriteNanos:    s.writeDur.Nanoseconds(),
 		WALSegments:       ls.Segments,

@@ -69,6 +69,39 @@ func syncTree(fs faultfs.FS, root string) error {
 	return nil
 }
 
+// treeSize is what a directory tree holds.
+type treeSize struct {
+	files int
+	bytes int64
+}
+
+// measureTree counts the regular files under root and their bytes.
+func measureTree(fs faultfs.FS, root string) (treeSize, error) {
+	var size treeSize
+	entries, err := fs.ReadDir(root)
+	if err != nil {
+		return size, err
+	}
+	for _, e := range entries {
+		if e.IsDir() {
+			sub, err := measureTree(fs, filepath.Join(root, e.Name()))
+			if err != nil {
+				return size, err
+			}
+			size.files += sub.files
+			size.bytes += sub.bytes
+			continue
+		}
+		info, err := e.Info()
+		if err != nil {
+			return size, err
+		}
+		size.files++
+		size.bytes += info.Size()
+	}
+	return size, nil
+}
+
 // syncDir fsyncs one file or directory by path. Directory fsync persists
 // the entries (renames, creates) inside it.
 func syncDir(fs faultfs.FS, path string) error {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/datalake"
-	"repro/internal/lakeio"
 )
 
 // Pinned time-travel snapshots survive restarts. Unpinned snapshots are a
@@ -20,7 +19,7 @@ import (
 // the same durability treatment as the checkpoint:
 //
 //	<dir>/snapshots/MANIFEST.json   the validity marker: which pins exist
-//	<dir>/snapshots/<version>/      one pin: lakeio catalog + indexes/
+//	<dir>/snapshots/<version>/      one pin: catalog.vaib + indexes/
 //
 // The ordering makes the manifest the single source of truth. PersistPin
 // writes the pin directory first (via a .tmp rename), fsyncs it, and only
@@ -55,8 +54,8 @@ type PinMeta struct {
 }
 
 // RecoveredPin is one pin resolved from disk at recovery: the caller
-// reloads Dir's catalog, fast-forwards it to Version, and re-registers the
-// fork with the pipeline's snapshot registry.
+// reloads Dir's catalog (Store.LoadCatalog), fast-forwards it to Version,
+// and re-registers the fork with the pipeline's snapshot registry.
 type RecoveredPin struct {
 	Version uint64
 	Dir     string // pin directory (catalog at root, indexes/ beneath)
@@ -172,8 +171,8 @@ func (s *Store) PersistPin(view *datalake.View, writeIndexes WriteFunc, trust ma
 		if err := s.fs.RemoveAll(tmp); err != nil {
 			return fmt.Errorf("durable: clear pin tmp: %w", err)
 		}
-		if err := lakeio.Save(view, tmp); err != nil {
-			return fmt.Errorf("durable: save pin catalog: %w", err)
+		if err := s.writeCatalog(view, tmp); err != nil {
+			return err
 		}
 		if writeIndexes != nil {
 			if err := writeIndexes(tmp); err != nil {

@@ -190,13 +190,20 @@ func (e *Embedder) EmbedTokens(s string) []Vector {
 // length. Damping prevents one repeated token from dominating, mirroring
 // TF-saturation in learned encoders.
 func (e *Embedder) EmbedText(s string) Vector {
-	tokens := textutil.TokenizeFiltered(s)
+	return e.EmbedTerms(textutil.TokenizeFiltered(s))
+}
+
+// EmbedTerms is EmbedText over text already analyzed by
+// textutil.TokenizeFiltered, for callers that need the terms anyway (the
+// indexer feeds one analysis to both index families). terms is not
+// modified or retained.
+func (e *Embedder) EmbedTerms(terms []string) Vector {
 	out := make(Vector, e.dim)
-	if len(tokens) == 0 {
+	if len(terms) == 0 {
 		return out
 	}
-	freq := make(map[string]float64, len(tokens))
-	for _, t := range tokens {
+	freq := make(map[string]float64, len(terms))
+	for _, t := range terms {
 		freq[t]++
 	}
 	// Accumulate in sorted token order: float addition is not associative,
@@ -231,32 +238,49 @@ var embedSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
 // worker slot.
 func (e *Embedder) EmbedTexts(texts []string, workers int) []Vector {
 	out := make([]Vector, len(texts))
-	if len(texts) == 0 {
-		return out
-	}
+	forEach(len(texts), workers, func(i int) { out[i] = e.EmbedText(texts[i]) })
+	return out
+}
+
+// AnalyzeTexts is EmbedTexts that also returns each text's analyzed terms
+// (textutil.TokenizeFiltered): one analysis per text serves the caller's
+// content index and the embedding, and both run on the pool.
+func (e *Embedder) AnalyzeTexts(texts []string, workers int) ([][]string, []Vector) {
+	terms := make([][]string, len(texts))
+	vecs := make([]Vector, len(texts))
+	forEach(len(texts), workers, func(i int) {
+		terms[i] = textutil.TokenizeFiltered(texts[i])
+		vecs[i] = e.EmbedTerms(terms[i])
+	})
+	return terms, vecs
+}
+
+// forEach runs fn(0..n-1) on the caller plus up to workers-1 goroutines
+// taken from embedSlots.
+func forEach(n, workers int, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(texts) {
-		workers = len(texts)
+	if workers > n {
+		workers = n
 	}
-	// Tiny batches embed inline: goroutine setup would outweigh the work,
+	// Tiny batches run inline: goroutine setup would outweigh the work,
 	// and callers already inside a worker pool (batch-ingest prepare) get
 	// their parallelism across items, not within one small item.
-	if workers <= 1 || len(texts) < 4 {
-		for i, s := range texts {
-			out[i] = e.EmbedText(s)
+	if workers <= 1 || n < 4 {
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
-		return out
+		return
 	}
 	var next atomic.Int64
 	work := func() {
 		for {
 			i := int(next.Add(1)) - 1
-			if i >= len(texts) {
+			if i >= n {
 				return
 			}
-			out[i] = e.EmbedText(texts[i])
+			fn(i)
 		}
 	}
 	var wg sync.WaitGroup
@@ -276,7 +300,6 @@ func (e *Embedder) EmbedTexts(texts []string, workers int) []Vector {
 	}
 	work()
 	wg.Wait()
-	return out
 }
 
 // EmbedTuple embeds a serialized tuple: the caption, column names, and cell

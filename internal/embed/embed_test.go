@@ -2,8 +2,12 @@ package embed
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/textutil"
 )
 
 func TestVectorOps(t *testing.T) {
@@ -233,5 +237,85 @@ func TestEmbedTextsMatchesEmbedText(t *testing.T) {
 	}
 	if out := e.EmbedTexts(nil, 4); len(out) != 0 {
 		t.Fatalf("EmbedTexts(nil) = %v, want empty", out)
+	}
+}
+
+// embedTextReference is EmbedText as it stood before EmbedTerms was split
+// out of it: tokenize inside, accumulate in sorted token order.
+func embedTextReference(e *Embedder, s string) Vector {
+	tokens := textutil.TokenizeFiltered(s)
+	out := make(Vector, e.Dim())
+	if len(tokens) == 0 {
+		return out
+	}
+	freq := make(map[string]float64, len(tokens))
+	for _, t := range tokens {
+		freq[t]++
+	}
+	uniq := make([]string, 0, len(freq))
+	for t := range freq {
+		uniq = append(uniq, t)
+	}
+	sort.Strings(uniq)
+	for _, t := range uniq {
+		w := float32(math.Sqrt(freq[t]))
+		tv := e.TokenVector(t)
+		for i := range out {
+			out[i] += w * tv[i]
+		}
+	}
+	Normalize(out)
+	return out
+}
+
+// TestEmbedTermsMatchesEmbedText: embedding pre-analyzed terms — alone or
+// through the batch AnalyzeTexts — gives the bits EmbedText gives for the
+// text, and the terms are the analysis chain's, untouched.
+func TestEmbedTermsMatchesEmbedText(t *testing.T) {
+	e := NewEmbedder(128, 3)
+	texts := []string{
+		"",
+		"the of and", // stopwords only
+		"In 1954 u.s. open (golf), the prize for Tommy Bolt was 570.",
+		"prize prize prize money money golf",
+		"café zürich 42nd running runs ran",
+		"1954 u.s. open (golf) | place: t6 | player: tommy bolt | country: united states | money: 570",
+		"a b c d e f g",
+	}
+	sameBits := func(a, b Vector) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, s := range texts {
+		terms := textutil.TokenizeFiltered(s)
+		before := append([]string(nil), terms...)
+		want := embedTextReference(e, s)
+		if got := e.EmbedTerms(terms); !sameBits(got, want) {
+			t.Errorf("EmbedTerms(TokenizeFiltered(%q)) differs from the reference embedding", s)
+		}
+		if got := e.EmbedText(s); !sameBits(got, want) {
+			t.Errorf("EmbedText(%q) differs from the reference embedding", s)
+		}
+		if !slices.Equal(terms, before) {
+			t.Errorf("EmbedTerms modified its terms: %v -> %v", before, terms)
+		}
+	}
+	for _, workers := range []int{0, 1, 4} {
+		terms, vecs := e.AnalyzeTexts(texts, workers)
+		for i, s := range texts {
+			if !slices.Equal(terms[i], textutil.TokenizeFiltered(s)) {
+				t.Errorf("workers=%d: AnalyzeTexts terms for %q = %v", workers, s, terms[i])
+			}
+			if !sameBits(vecs[i], embedTextReference(e, s)) {
+				t.Errorf("workers=%d: AnalyzeTexts vector for %q differs from the reference embedding", workers, s)
+			}
+		}
 	}
 }

@@ -196,6 +196,19 @@ func (ix *Index) Len() int {
 	return ix.liveDocs + ix.baseLive
 }
 
+// Tombstones returns the number of deleted documents the index still
+// carries postings for (both tiers): what re-indexing churn has left
+// behind and compaction has not yet reclaimed.
+func (ix *Index) Tombstones() int {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	n := len(ix.ids) - ix.liveDocs
+	if ix.base != nil {
+		n += ix.base.n - ix.baseLive
+	}
+	return n
+}
+
 // Contains reports whether id is indexed and live.
 func (ix *Index) Contains(id string) bool {
 	ix.mu.RLock()

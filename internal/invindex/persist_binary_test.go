@@ -285,6 +285,9 @@ func TestStaticValidationRejects(t *testing.T) {
 // TestSearchTermsAllocs enforces the zero-alloc hot loop: once scratch
 // buffers are warm, a delta-tier search costs only the returned hit slice.
 func TestSearchTermsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; the scratch pool cannot stay warm")
+	}
 	ix := New()
 	for i := 0; i < 200; i++ {
 		if err := ix.Add(fmt.Sprintf("doc-%04d", i), fmt.Sprintf(

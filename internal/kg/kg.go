@@ -48,9 +48,10 @@ func (g *Graph) Add(t Triple) {
 	defer g.mu.Unlock()
 	i := len(g.triples)
 	g.triples = append(g.triples, t)
-	g.bySubj[textutil.Fold(t.Subject)] = append(g.bySubj[textutil.Fold(t.Subject)], i)
-	g.byPred[textutil.Fold(t.Predicate)] = append(g.byPred[textutil.Fold(t.Predicate)], i)
-	g.byObj[textutil.Fold(t.Object)] = append(g.byObj[textutil.Fold(t.Object)], i)
+	subj, pred, obj := textutil.Fold(t.Subject), textutil.Fold(t.Predicate), textutil.Fold(t.Object)
+	g.bySubj[subj] = append(g.bySubj[subj], i)
+	g.byPred[pred] = append(g.byPred[pred], i)
+	g.byObj[obj] = append(g.byObj[obj], i)
 }
 
 // Len returns the number of triples.
@@ -84,18 +85,21 @@ func (g *Graph) aboutLocked(entity string) []Triple {
 	return out
 }
 
-// Canonical returns the stored first-seen subject casing for entity
-// (matched under folding), ok=false when the graph has no triples about it.
-// Consumers keying per-entity state (e.g. the indexer's entity instances)
-// use this so later triples with variant casing update the same entity.
-func (g *Graph) Canonical(entity string) (string, bool) {
+// Entity resolves entity (matched under folding) to its canonical name —
+// the first-seen subject casing — and the number of triples about it; zero
+// triples means the graph does not know the entity. Consumers keying
+// per-entity state (e.g. the indexer's entity instances) use the canonical
+// name so later triples with variant casing update the same entity. The
+// graph is append-only, so the count doubles as a revision of the
+// neighborhood: an equal count means unchanged content.
+func (g *Graph) Entity(entity string) (canonical string, triples int) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	idx := g.bySubj[textutil.Fold(entity)]
 	if len(idx) == 0 {
-		return "", false
+		return "", 0
 	}
-	return g.triples[idx[0]].Subject, true
+	return g.triples[idx[0]].Subject, len(idx)
 }
 
 // Mentioning returns every triple where entity appears as subject or object.
@@ -162,11 +166,18 @@ func (g *Graph) Entities() []string {
 // content-based indexing ("subject predicate object. ..."), the KG analogue
 // of table serialization.
 func (g *Graph) SerializeEntity(entity string) string {
+	text, _ := g.EntityPage(entity)
+	return text
+}
+
+// EntityPage is SerializeEntity that also returns how many triples the
+// page covers (see Entity), read under the same lock.
+func (g *Graph) EntityPage(entity string) (text string, triples int) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	ts := g.aboutLocked(entity)
 	if len(ts) == 0 {
-		return ""
+		return "", 0
 	}
 	var b strings.Builder
 	for i, t := range ts {
@@ -180,7 +191,7 @@ func (g *Graph) SerializeEntity(entity string) string {
 		b.WriteString(t.Object)
 		b.WriteByte('.')
 	}
-	return b.String()
+	return b.String(), len(ts)
 }
 
 // FromTuple derives triples from a table tuple: one triple per non-key

@@ -1,6 +1,12 @@
 // Package lakeio persists a multi-modal data lake to a directory and loads
 // it back — the interchange format between cmd/lakegen (which generates
-// synthetic lakes) and cmd/verifai (which verifies against them).
+// synthetic lakes) and cmd/verifai (which verifies against them, and
+// seeds an empty data directory from one with -lake). It is a format for
+// people and tools: a JSON manifest, a CSV per table, a text file per
+// document. It is not the durable checkpoint — internal/durable writes
+// the catalog as one binfmt container — and is read on that path only to
+// open a data directory last checkpointed by a release that used this
+// layout there.
 //
 // Layout:
 //
@@ -45,9 +51,8 @@ type docEntry struct {
 }
 
 // Catalog is the read surface Save serializes: both the live
-// *datalake.Lake and a pinned *datalake.View satisfy it, so a checkpoint
-// can serialize a forked view with no lake locks held while ingestion
-// continues, through exactly the code that writes a live lake.
+// *datalake.Lake and a pinned *datalake.View satisfy it, so a consistent
+// export under concurrent ingestion serializes a forked view.
 type Catalog interface {
 	Sources() []datalake.Source
 	TableIDs() []string
@@ -118,7 +123,7 @@ func Save(lake Catalog, dir string) error {
 // lake (e.g. datalake.WithQueueSize for the ingest queue bound). The lake
 // runs a dispatcher goroutine; processes that discard loaded lakes before
 // exiting should Close them.
-func Load(dir string, opts ...datalake.Option) (_ *datalake.Lake, err error) {
+func Load(dir string, opts ...datalake.Option) (*datalake.Lake, error) {
 	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
 		return nil, fmt.Errorf("lakeio: read manifest: %w", err)
@@ -127,20 +132,6 @@ func Load(dir string, opts ...datalake.Option) (_ *datalake.Lake, err error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("lakeio: parse manifest: %w", err)
 	}
-	lake := datalake.New(opts...)
-	// The lake owns a dispatcher goroutine; shut it down if the load is
-	// abandoned on any error path below.
-	defer func() {
-		if err != nil {
-			_ = lake.Close()
-		}
-	}()
-	for _, s := range m.Sources {
-		lake.AddSource(s)
-	}
-	// Batch the whole manifest through one pipelined ingest: a single
-	// write-lock acquisition commits every item, instead of one
-	// commit+wait round trip per instance.
 	var items []datalake.BatchItem
 	for _, te := range m.Tables {
 		f, err := os.Open(filepath.Join(dir, te.File))
@@ -165,18 +156,12 @@ func Load(dir string, opts ...datalake.Option) (_ *datalake.Lake, err error) {
 		d := &doc.Document{ID: de.ID, Title: de.Title, EntityID: de.EntityID, SourceID: de.SourceID, Text: string(text)}
 		items = append(items, datalake.BatchItem{Doc: d})
 	}
-	for _, tr := range m.Triples {
-		tr := tr
-		items = append(items, datalake.BatchItem{Triple: &tr})
+	for i := range m.Triples {
+		items = append(items, datalake.BatchItem{Triple: &m.Triples[i]})
 	}
-	results, err := lake.AddBatch(items)
+	lake, err := datalake.Load(m.Sources, items, opts...)
 	if err != nil {
-		return nil, fmt.Errorf("lakeio: load batch: %w", err)
-	}
-	for _, res := range results {
-		if res.Err != nil {
-			return nil, fmt.Errorf("lakeio: load: %w", res.Err)
-		}
+		return nil, fmt.Errorf("lakeio: load: %w", err)
 	}
 	return lake, nil
 }

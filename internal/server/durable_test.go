@@ -132,6 +132,11 @@ func TestDurableServerSurfaces(t *testing.T) {
 	if stats.Durability.SyncPolicy != "none" || stats.Durability.CheckpointVersion != 1 {
 		t.Errorf("stats.durability = %+v", stats.Durability)
 	}
+	// catalog.vaib, META.json, and under indexes/ eight shards and meta.json.
+	if stats.Durability.CheckpointFiles != 11 || stats.Durability.CheckpointBytes <= 0 {
+		t.Errorf("stats.durability reports a checkpoint of %d files, %d bytes; want 11 files",
+			stats.Durability.CheckpointFiles, stats.Durability.CheckpointBytes)
+	}
 
 	if resp, _ := postJSON(t, ts.URL+"/v1/admin/checkpoint", struct{}{}); resp.StatusCode != http.StatusOK {
 		t.Errorf("second checkpoint: status = %d", resp.StatusCode)

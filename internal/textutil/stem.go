@@ -1,12 +1,77 @@
 package textutil
 
+import (
+	"strings"
+	"sync"
+)
+
 // Stem applies the Porter stemming algorithm (M.F. Porter, 1980) to a single
 // lowercase token. The implementation follows the original five-step
 // definition. Tokens of length <= 2 are returned unchanged.
+//
+// Results are memoized: a lake's vocabulary is small next to its token
+// count, and every instance is analyzed at ingest and again per candidate
+// at rerank, so most calls repeat a word already stemmed. Safe for
+// concurrent use.
 func Stem(word string) string {
 	if len(word) <= 2 {
 		return word
 	}
+	// Every rule's suffix ends in an ASCII letter, so no step can fire on a
+	// word that ends in anything else (numbers, non-ASCII): such words are
+	// their own stem, and staying out of the memo keeps the unbounded space
+	// of numeric cell values from evicting the vocabulary.
+	if c := word[len(word)-1]; c < 'a' || c > 'z' {
+		return word
+	}
+	sh := &stemMemo[stemShardOf(word)]
+	sh.mu.RLock()
+	s, ok := sh.m[word]
+	sh.mu.RUnlock()
+	if ok {
+		return s
+	}
+	// The memo keeps its own copy: word may be a slice of a much larger
+	// string, which a retained key would pin.
+	word = strings.Clone(word)
+	s = porter(word)
+	sh.mu.Lock()
+	if sh.m == nil || len(sh.m) >= stemMemoEntries/stemMemoShards {
+		// A full shard is dropped whole and refills with the words in use
+		// now: no per-entry bookkeeping on the hit path, and the memo can
+		// never hold more than stemMemoEntries words.
+		sh.m = make(map[string]string)
+	}
+	sh.m[word] = s
+	sh.mu.Unlock()
+	return s
+}
+
+// stemMemoEntries caps the words the memo holds (about 100 bytes each,
+// so under 2 MB); stemMemoShards spreads them over independently locked
+// maps so concurrent ingest and verify goroutines rarely meet.
+const (
+	stemMemoEntries = 1 << 14
+	stemMemoShards  = 16
+)
+
+var stemMemo [stemMemoShards]struct {
+	mu sync.RWMutex
+	m  map[string]string
+}
+
+// stemShardOf hashes word (FNV-1a) to its memo shard.
+func stemShardOf(word string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(word); i++ {
+		h ^= uint32(word[i])
+		h *= 16777619
+	}
+	return h % stemMemoShards
+}
+
+// porter is the unmemoized algorithm.
+func porter(word string) string {
 	w := []byte(word)
 	w = step1a(w)
 	w = step1b(w)
@@ -16,6 +81,9 @@ func Stem(word string) string {
 	w = step4(w)
 	w = step5a(w)
 	w = step5b(w)
+	if string(w) == word {
+		return word // share the caller's string instead of allocating a copy
+	}
 	return string(w)
 }
 

@@ -66,7 +66,6 @@ import (
 	"repro/internal/durable"
 	"repro/internal/genstore"
 	"repro/internal/kg"
-	"repro/internal/lakeio"
 	"repro/internal/obs"
 	"repro/internal/provenance"
 	"repro/internal/rerank"
@@ -353,7 +352,7 @@ func recoverPins(sys *System, st *durable.Store) error {
 		return err
 	}
 	for _, pin := range pins {
-		pinLake, err := lakeio.Load(pin.Dir)
+		pinLake, err := st.LoadCatalog(pin.Dir)
 		if err != nil {
 			return fmt.Errorf("load pin %d catalog: %w", pin.Version, err)
 		}
