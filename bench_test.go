@@ -29,6 +29,7 @@ import (
 	"repro/internal/doc"
 	"repro/internal/embed"
 	"repro/internal/experiments"
+	"repro/internal/faultfs"
 	"repro/internal/invindex"
 	"repro/internal/obs"
 	"repro/internal/provenance"
@@ -1243,7 +1244,7 @@ func BenchmarkRecoveryOpen(b *testing.B) {
 			b.Fatal(err)
 		}
 		dir := b.TempDir()
-		if err := corpus.Lake.Quiesce(func(v uint64) error { return ix.SaveSnapshot(dir, v) }); err != nil {
+		if err := corpus.Lake.Quiesce(func(v uint64) error { return ix.Freeze().Save(faultfs.OS, dir, v) }); err != nil {
 			b.Fatal(err)
 		}
 		ix.Close()

@@ -42,6 +42,9 @@ var requiredServing = []string{
 	"verifai_ingest_queue_depth",
 	"verifai_stage_duration_seconds",
 	"verifai_shard_search_seconds",
+	"verifai_index_segment_bytes",
+	"verifai_index_delta_docs",
+	"verifai_index_adoptions_total",
 	"verifai_verifier_calls_total",
 	"verifai_verifier_call_seconds",
 	"verifai_result_cache_hits_total",

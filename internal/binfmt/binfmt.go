@@ -27,6 +27,7 @@
 package binfmt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -60,6 +61,32 @@ func align8(n int) int { return (n + 7) &^ 7 }
 type Writer struct {
 	names    []string
 	payloads [][]byte
+	id       ID // of the container the last WriteTo produced
+}
+
+// ID identifies a container's contents: its length and the CRC of its TOC,
+// which carries every section's offset, length and CRC. A container
+// NewReader verified, with the ID a writer reported, holds what it wrote.
+type ID struct {
+	Size int64
+	TOC  uint32
+}
+
+// ID returns the identity of the container the last WriteTo produced.
+func (w *Writer) ID() ID { return w.id }
+
+// Build serializes the container into memory (one exactly sized buffer)
+// and opens it: the bytes WriteTo would put in a file, verified like one.
+func (w *Writer) Build() (*Reader, error) {
+	size := headerLen + 8
+	for i, p := range w.payloads {
+		size += 22 + len(w.names[i]) + align8(len(p))
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	if _, err := w.WriteTo(buf); err != nil {
+		return nil, err
+	}
+	return NewReader(buf.Bytes())
 }
 
 // NewWriter returns an empty container writer.
@@ -192,7 +219,8 @@ func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 	binary.NativeEndian.PutUint32(hdr[8:12], orderProbe)
 	le.PutUint32(hdr[12:16], uint32(len(w.names)))
 	le.PutUint32(hdr[16:20], uint32(len(toc)))
-	le.PutUint32(hdr[20:24], crc32.Checksum(toc, castagnoli))
+	tocCRC := crc32.Checksum(toc, castagnoli)
+	le.PutUint32(hdr[20:24], tocCRC)
 
 	var written int64
 	emit := func(b []byte) error {
@@ -224,6 +252,7 @@ func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 			}
 		}
 	}
+	w.id = ID{Size: written, TOC: tocCRC}
 	return written, nil
 }
 
@@ -314,6 +343,17 @@ func NewReader(data []byte) (*Reader, error) {
 		r.secs[name] = section{off: off, n: n}
 	}
 	return r, nil
+}
+
+// ID returns the container's identity (see ID).
+func (r *Reader) ID() ID {
+	return ID{Size: int64(len(r.data)), TOC: binary.LittleEndian.Uint32(r.data[20:24])}
+}
+
+// WriteTo writes the container's bytes verbatim.
+func (r *Reader) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(r.data)
+	return int64(n), err
 }
 
 // Mapped reports whether the reader is backed by an mmap'd file (as

@@ -7,7 +7,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 	"sort"
 	"sync"
@@ -35,16 +34,8 @@ const (
 	VectorLSH
 )
 
-// vectorIndex is the write+search+persist interface all vecindex types
-// satisfy. Freeze captures the index cheaply under its read lock for the
-// checkpoint fork phase; Save is Freeze+serialize in one call.
-type vectorIndex interface {
-	vecindex.Searcher
-	Add(id string, v embed.Vector) error
-	Remove(id string) bool
-	Save(w io.Writer) error
-	Freeze() vecindex.Frozen
-}
+// vectorIndex is one vector shard, of whichever family is configured.
+type vectorIndex = vecindex.Index
 
 // IndexerConfig controls index construction.
 type IndexerConfig struct {
@@ -171,6 +162,9 @@ type Indexer struct {
 type indexerMetrics struct {
 	searchBM25   *obs.Histogram
 	searchVector *obs.Histogram
+	// adopted / skipped count shard files FrozenIndexes.Adopt moved this
+	// process onto, and ones it had to leave on the heap.
+	adopted, skipped *obs.Counter
 }
 
 // SetMetrics registers the indexer's retrieval metrics with reg. Call it
@@ -180,6 +174,60 @@ func (ix *Indexer) SetMetrics(reg *obs.Registry) {
 		"Latency of one shard search, labeled by index family.", "family")
 	ix.m.searchBM25 = vec.With(familyBM25)
 	ix.m.searchVector = vec.With(familyVector)
+	seg := reg.GaugeVec("verifai_index_segment_bytes",
+		"Sealed BM25 segment bytes and live vector-row bytes, by where they sit (heap, or a mapped shard file).", "family", "residency")
+	delta := reg.GaugeVec("verifai_index_delta_docs",
+		"BM25 documents or vector rows written since the shard's last checkpoint, held only on the heap.", "family")
+	for _, family := range []string{familyBM25, familyVector} {
+		family := family
+		seg.Func(func() float64 { return float64(ix.IndexStats().Families[family].HeapBytes) }, family, "heap")
+		seg.Func(func() float64 { return float64(ix.IndexStats().Families[family].MappedBytes) }, family, "mapped")
+		delta.Func(func() float64 { return float64(ix.IndexStats().Families[family].DeltaDocs) }, family)
+	}
+	adoptions := reg.CounterVec("verifai_index_adoptions_total",
+		"Shard files a checkpoint moved the running indexes onto (adopted) or could not (skipped: that shard stays on the heap).", "result")
+	ix.m.adopted, ix.m.skipped = adoptions.With("adopted"), adoptions.With("skipped")
+}
+
+// FamilyResidency says where one index family's bulk sits: sealed BM25
+// segments or live vector rows, by residency, and the BM25 delta documents
+// or heap vector rows written since the last checkpoint.
+type FamilyResidency struct {
+	HeapBytes   int64 `json:"heap_bytes"`
+	MappedBytes int64 `json:"mapped_bytes"`
+	DeltaDocs   int   `json:"delta_docs"`
+}
+
+func (f *FamilyResidency) add(heap, mapped int64, delta int) {
+	f.HeapBytes, f.MappedBytes, f.DeltaDocs = f.HeapBytes+heap, f.MappedBytes+mapped, f.DeltaDocs+delta
+}
+
+// IndexStats is the "indexes" block of /v1/stats: per-family residency
+// summed over kinds and shards, and the shard files checkpoints adopted or
+// had to skip (counted once SetMetrics has run).
+type IndexStats struct {
+	Families map[string]FamilyResidency `json:"families"`
+	Adopted  uint64                     `json:"adopted"`
+	Skipped  uint64                     `json:"skipped"`
+}
+
+// IndexStats reports where index memory sits.
+func (ix *Indexer) IndexStats() IndexStats {
+	var bm25, vec FamilyResidency
+	for _, shards := range ix.bm25 {
+		for _, sh := range shards {
+			bm25.add(sh.Residency())
+		}
+	}
+	for _, shards := range ix.vec {
+		for _, sh := range shards {
+			vec.add(sh.Residency())
+		}
+	}
+	return IndexStats{
+		Families: map[string]FamilyResidency{familyBM25: bm25, familyVector: vec},
+		Adopted:  ix.m.adopted.Value(), Skipped: ix.m.skipped.Value(),
+	}
 }
 
 // newIndexer normalizes cfg and builds the indexer's empty structures —

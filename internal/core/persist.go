@@ -10,16 +10,24 @@ import (
 
 	"repro/internal/binfmt"
 	"repro/internal/datalake"
+	"repro/internal/faultfs"
 	"repro/internal/invindex"
 	"repro/internal/vecindex"
 )
 
 // Index snapshots let a restarted process skip re-tokenizing and
 // re-embedding the whole lake: a checkpoint saves every shard of every
-// (kind, family) index, and recovery loads them back — valid only for the
+// (kind, family) index, and recovery maps them back — valid only for the
 // exact lake version and indexer configuration they were built under, both
 // pinned in meta.json. A snapshot that does not match is simply not used
 // (the caller falls back to a bulk re-index), never partially applied.
+//
+// A checkpoint is also a flush. Freeze seals each BM25 shard into the
+// segment Save writes, and once the directory is promoted Adopt opens each
+// shard file as recovery would and moves the running process onto it (BM25
+// columns and vector rows become views of the mapping, the heap copies are
+// dropped): after any checkpoint the process holds what a restart on the
+// directory would — mapped shard files, a delta of what was written since.
 
 // snapshotFormat versions the snapshot layout itself.
 const snapshotFormat = 1
@@ -84,20 +92,22 @@ func shardFile(dir, family string, kind datalake.Kind, shard int) string {
 // quiesced fork phase. Save then serializes it to disk with no lake or
 // index locks held, so ingestion proceeds for the whole write phase — the
 // capture stays frozen at the fork's lake version no matter how far the
-// live indexes move on.
+// live indexes move on. It holds references only: sealed BM25 segments the
+// live shards keep searching as their base, and vector rows by reference.
 type FrozenIndexes struct {
-	cfg  IndexerConfig
+	ix   *Indexer
 	bm25 map[datalake.Kind][]*invindex.Frozen
 	vec  map[datalake.Kind][]vecindex.Frozen
 }
 
 // Freeze captures every shard of every index family. Call it only while
 // the lake is quiesced (e.g. inside datalake.Fork), or concurrent ingest
-// will tear the shard captures against each other; the capture itself is
-// cheap — compacted in-memory copies, no serialization, no I/O.
+// will tear the shard captures against each other. BM25 shards written
+// since their last seal are compacted into a new segment here (searches on
+// that shard wait); everything else is a reference copy. No I/O.
 func (ix *Indexer) Freeze() *FrozenIndexes {
 	fz := &FrozenIndexes{
-		cfg:  ix.cfg,
+		ix:   ix,
 		bm25: make(map[datalake.Kind][]*invindex.Frozen, len(ix.bm25)),
 		vec:  make(map[datalake.Kind][]vecindex.Frozen, len(ix.vec)),
 	}
@@ -119,18 +129,19 @@ func (ix *Indexer) Freeze() *FrozenIndexes {
 }
 
 // Save writes the frozen shards plus the pinning metadata to dir (created
-// if needed). lakeVersion must be the lake version the capture was frozen
-// at. Safe to call with ingestion running: the capture is immutable.
-func (fz *FrozenIndexes) Save(dir string, lakeVersion uint64) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// if needed) through fs. lakeVersion must be the lake version the capture
+// was frozen at. Safe to call with ingestion running: the capture is
+// immutable.
+func (fz *FrozenIndexes) Save(fs faultfs.FS, dir string, lakeVersion uint64) error {
+	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: snapshot mkdir: %w", err)
 	}
-	save := func(path string, fn func(f *os.File) error) error {
-		f, err := os.Create(path)
+	save := func(path string, sh interface{ Save(io.Writer) error }) error {
+		f, err := fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 		if err != nil {
 			return fmt.Errorf("core: create snapshot file: %w", err)
 		}
-		err = fn(f)
+		err = sh.Save(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -141,19 +152,19 @@ func (fz *FrozenIndexes) Save(dir string, lakeVersion uint64) error {
 	}
 	for kind, shards := range fz.bm25 {
 		for si, sh := range shards {
-			if err := save(shardFile(dir, familyBM25, kind, si), func(f *os.File) error { return sh.Save(f) }); err != nil {
+			if err := save(shardFile(dir, familyBM25, kind, si), sh); err != nil {
 				return err
 			}
 		}
 	}
 	for kind, shards := range fz.vec {
 		for si, sh := range shards {
-			if err := save(shardFile(dir, familyVector, kind, si), func(f *os.File) error { return sh.Save(f) }); err != nil {
+			if err := save(shardFile(dir, familyVector, kind, si), sh); err != nil {
 				return err
 			}
 		}
 	}
-	cc, err := canonicalConfig(fz.cfg)
+	cc, err := canonicalConfig(fz.ix.cfg)
 	if err != nil {
 		return fmt.Errorf("core: snapshot config: %w", err)
 	}
@@ -161,19 +172,36 @@ func (fz *FrozenIndexes) Save(dir string, lakeVersion uint64) error {
 	if err != nil {
 		return fmt.Errorf("core: snapshot meta: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "meta.json"), meta, 0o644); err != nil {
+	if err := fs.WriteFile(filepath.Join(dir, "meta.json"), meta, 0o644); err != nil {
 		return fmt.Errorf("core: write snapshot meta: %w", err)
 	}
 	return nil
 }
 
-// SaveSnapshot writes every index shard plus the pinning metadata to dir
-// (created if needed): Freeze + FrozenIndexes.Save in one call. Call it
-// only while the lake is quiesced at lakeVersion (e.g. inside
-// datalake.Quiesce); checkpoints that must not block ingestion freeze
-// under the quiescence and Save afterwards instead.
-func (ix *Indexer) SaveSnapshot(dir string, lakeVersion uint64) error {
-	return ix.Freeze().Save(dir, lakeVersion)
+// Adopt moves the capture, and the live shards still serving what it
+// captured, onto the shard files Save wrote under dir — call it once dir
+// is where the files will stay (a promoted checkpoint). A file that does
+// not open, or is not the container this capture wrote, is not adopted:
+// that shard keeps its heap copy and counts as skipped, never guessed.
+// Safe with ingestion and searches running.
+func (fz *FrozenIndexes) Adopt(dir string) {
+	count := func(err error) {
+		if err != nil {
+			fz.ix.m.skipped.Inc()
+		} else {
+			fz.ix.m.adopted.Inc()
+		}
+	}
+	for kind, shards := range fz.bm25 {
+		for si, sh := range shards {
+			count(sh.Adopt(shardFile(dir, familyBM25, kind, si)))
+		}
+	}
+	for kind, shards := range fz.vec {
+		for si, sh := range shards {
+			count(fz.ix.vec[kind][si].Adopt(sh, shardFile(dir, familyVector, kind, si)))
+		}
+	}
 }
 
 // ErrSnapshotMismatch reports a snapshot that is missing or was built for
@@ -182,7 +210,7 @@ func (ix *Indexer) SaveSnapshot(dir string, lakeVersion uint64) error {
 var ErrSnapshotMismatch = fmt.Errorf("core: index snapshot missing or stale")
 
 // BuildIndexerFromSnapshot is BuildIndexer loading the index contents from
-// a SaveSnapshot directory instead of re-indexing the lake. The snapshot
+// a FrozenIndexes.Save directory instead of re-indexing the lake. The snapshot
 // must match cfg and the lake's current version exactly (both checked with
 // the lake quiesced); on any mismatch it returns ErrSnapshotMismatch
 // (wrap-checked with errors.Is) and the caller falls back to BuildIndexer.
@@ -203,7 +231,11 @@ func BuildIndexerFromSnapshot(lake *datalake.Lake, cfg IndexerConfig, dir string
 		if v := lake.Version(); v != meta.LakeVersion {
 			return fmt.Errorf("%w (snapshot at lake version %d, lake at %d)", ErrSnapshotMismatch, meta.LakeVersion, v)
 		}
-		return ix.loadSnapshotShards(dir)
+		bm25, vec, err := openShards(ix.cfg, dir)
+		if err == nil {
+			ix.bm25, ix.vec = bm25, vec
+		}
+		return err
 	}, datalake.Subscriber{Prepare: ix.prepareHook, Apply: ix.apply})
 	if err != nil {
 		ix.stopAppliers()
@@ -213,33 +245,34 @@ func BuildIndexerFromSnapshot(lake *datalake.Lake, cfg IndexerConfig, dir string
 	return ix, nil
 }
 
-// loadSnapshotShards replaces the indexer's empty shard structures with
-// the snapshot's contents. Shards are opened by path so binfmt snapshots
-// can be memory-mapped and served lazily: startup pays one verification
-// pass per shard, and vector/posting pages fault in as queries touch
-// them. A missing shard file is an ErrSnapshotMismatch (rebuild instead);
-// a shard that exists but fails to open is surfaced loudly — that is
-// corruption, not staleness.
-func (ix *Indexer) loadSnapshotShards(dir string) error {
-	for kind, shards := range ix.bm25 {
-		for si := range shards {
-			loaded, err := openBM25Shard(shardFile(dir, familyBM25, kind, si))
-			if err != nil {
-				return err
+// openShards opens every shard file of the snapshot directory dir as cfg
+// lays them out, by path so each is memory-mapped and served lazily: one
+// verification pass per shard, vector and posting pages fault in as
+// queries touch them. A missing shard file is an ErrSnapshotMismatch
+// (rebuild instead); one that exists but fails to open is corruption,
+// surfaced loudly.
+func openShards(cfg IndexerConfig, dir string) (map[datalake.Kind][]*invindex.Index, map[datalake.Kind][]vectorIndex, error) {
+	bm25 := make(map[datalake.Kind][]*invindex.Index)
+	vec := make(map[datalake.Kind][]vectorIndex)
+	for _, kind := range cfg.Kinds {
+		for si := 0; si < cfg.Shards; si++ {
+			if cfg.EnableBM25 {
+				sh, err := openBM25Shard(shardFile(dir, familyBM25, kind, si))
+				if err != nil {
+					return nil, nil, err
+				}
+				bm25[kind] = append(bm25[kind], sh)
 			}
-			shards[si] = loaded
+			if cfg.EnableVector {
+				sh, err := openVectorShard(cfg, shardFile(dir, familyVector, kind, si))
+				if err != nil {
+					return nil, nil, err
+				}
+				vec[kind] = append(vec[kind], sh)
+			}
 		}
 	}
-	for kind, shards := range ix.vec {
-		for si := range shards {
-			loaded, err := openVectorShard(ix.cfg, shardFile(dir, familyVector, kind, si))
-			if err != nil {
-				return err
-			}
-			shards[si] = loaded
-		}
-	}
-	return nil
+	return bm25, vec, nil
 }
 
 // checkSnapshotMeta reads and validates a snapshot directory's meta.json
@@ -323,32 +356,6 @@ func openVectorShard(cfg IndexerConfig, path string) (vectorIndex, error) {
 		return vecindex.OpenIVFFile(path)
 	case cfg.Vector == VectorLSH:
 		return vecindex.OpenLSHFile(path)
-	default:
-		return nil, fmt.Errorf("core: unknown vector index kind %d", int(cfg.Vector))
-	}
-}
-
-// loadVectorShard decodes one serialized vector shard from r, dispatching
-// on the configured family — the in-memory counterpart of openVectorShard,
-// used to thaw a frozen capture into a searchable shard without touching
-// disk.
-func loadVectorShard(cfg IndexerConfig, r io.Reader) (vectorIndex, error) {
-	switch {
-	case cfg.Vector == VectorFlat && cfg.Quantize:
-		sq, err := vecindex.LoadSQ(r)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.RerankMultiple > 0 {
-			sq.SetRerank(cfg.RerankMultiple)
-		}
-		return sq, nil
-	case cfg.Vector == VectorFlat:
-		return vecindex.LoadFlat(r)
-	case cfg.Vector == VectorIVF:
-		return vecindex.LoadIVF(r)
-	case cfg.Vector == VectorLSH:
-		return vecindex.LoadLSH(r)
 	default:
 		return nil, fmt.Errorf("core: unknown vector index kind %d", int(cfg.Vector))
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/datalake"
 	"repro/internal/doc"
+	"repro/internal/faultfs"
 	"repro/internal/kg"
 	"repro/internal/table"
 )
@@ -62,7 +63,7 @@ func TestIndexerSnapshotRoundTrip(t *testing.T) {
 			var v uint64
 			if err := lake.Quiesce(func(version uint64) error {
 				v = version
-				return ix.SaveSnapshot(dir, version)
+				return ix.Freeze().Save(faultfs.OS, dir, version)
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +114,7 @@ func TestSnapshotMismatch(t *testing.T) {
 	}
 	defer ix.Close()
 	dir := t.TempDir()
-	if err := lake.Quiesce(func(v uint64) error { return ix.SaveSnapshot(dir, v) }); err != nil {
+	if err := lake.Quiesce(func(v uint64) error { return ix.Freeze().Save(faultfs.OS, dir, v) }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -146,7 +147,7 @@ func TestSnapshotMismatch(t *testing.T) {
 	}
 	defer ix2.Close()
 	dir2 := t.TempDir()
-	if err := lake2.Quiesce(func(v uint64) error { return ix2.SaveSnapshot(dir2, v) }); err != nil {
+	if err := lake2.Quiesce(func(v uint64) error { return ix2.Freeze().Save(faultfs.OS, dir2, v) }); err != nil {
 		t.Fatal(err)
 	}
 	tuned := cfg
@@ -174,7 +175,7 @@ func TestQuantizedSnapshotRoundTrip(t *testing.T) {
 	defer ix.Close()
 
 	dir := t.TempDir()
-	if err := lake.Quiesce(func(v uint64) error { return ix.SaveSnapshot(dir, v) }); err != nil {
+	if err := lake.Quiesce(func(v uint64) error { return ix.Freeze().Save(faultfs.OS, dir, v) }); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := BuildIndexerFromSnapshot(lake, cfg, dir)
@@ -234,7 +235,7 @@ func TestCorruptShardFailsLoudly(t *testing.T) {
 	}
 	defer ix.Close()
 	dir := t.TempDir()
-	if err := lake.Quiesce(func(v uint64) error { return ix.SaveSnapshot(dir, v) }); err != nil {
+	if err := lake.Quiesce(func(v uint64) error { return ix.Freeze().Save(faultfs.OS, dir, v) }); err != nil {
 		t.Fatal(err)
 	}
 	matches, err := filepath.Glob(filepath.Join(dir, "bm25-*.idx"))

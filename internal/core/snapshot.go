@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"path/filepath"
@@ -9,9 +8,11 @@ import (
 	"sync"
 
 	"repro/internal/datalake"
+	"repro/internal/faultfs"
 	"repro/internal/invindex"
 	"repro/internal/kg"
 	"repro/internal/provenance"
+	"repro/internal/vecindex"
 	"repro/internal/verify"
 )
 
@@ -26,9 +27,9 @@ import (
 
 // PinnedSnapshot is the payload the pipeline hangs on a datalake.Snapshot:
 // the frozen index shards, the trust overrides in force at pin time, and —
-// lazily, on first pinned read — searchable shard structures thawed from
-// the frozen capture (or opened from disk for a pin recovered at restart)
-// plus a knowledge graph rebuilt from the view's triples.
+// lazily, on first pinned read — searchable wrappers around the frozen
+// capture (or shards opened from disk for a pin recovered at restart) plus
+// a knowledge graph rebuilt from the view's triples.
 type PinnedSnapshot struct {
 	cfg   IndexerConfig
 	view  *datalake.View
@@ -45,43 +46,17 @@ type PinnedSnapshot struct {
 	priors map[string]float64 // view source trust priors
 }
 
-// LoadPinnedSnapshot builds the payload for a pin recovered from disk:
-// dir holds a FrozenIndexes.Save layout whose meta must match cfg and the
-// view's version exactly (a config change makes the persisted shards
-// unusable — the caller drops the pin rather than serving wrong results).
-// Shards open lazily on first pinned read.
-func LoadPinnedSnapshot(cfg IndexerConfig, view *datalake.View, dir string, trust map[string]float64) (*PinnedSnapshot, error) {
-	norm := cfg
-	if norm.EmbedDim <= 0 {
-		norm.EmbedDim = 64
-	}
-	if norm.Shards <= 0 {
-		norm.Shards = 1
-	}
-	meta, err := checkSnapshotMeta(norm, dir)
-	if err != nil {
-		return nil, err
-	}
-	if meta.LakeVersion != view.Version() {
-		return nil, fmt.Errorf("%w (pinned shards at lake version %d, view at %d)", ErrSnapshotMismatch, meta.LakeVersion, view.Version())
-	}
-	if trust == nil {
-		trust = make(map[string]float64)
-	}
-	return &PinnedSnapshot{cfg: norm, view: view, trust: trust, dir: dir}, nil
-}
-
 // Trust returns the trust overrides captured at pin time (shared map;
 // callers must not mutate) — the durable layer persists it alongside the
 // shards so a recovered pin re-verifies identically.
 func (ps *PinnedSnapshot) Trust() map[string]float64 { return ps.trust }
 
-// materialize thaws the snapshot into searchable form exactly once: BM25
-// and vector shards round-trip through their serialized encodings (memory
-// buffers for a live capture, files for a recovered one) and the view's
-// triple list is rebuilt into a graph for entity resolution. The frozen
-// capture is released afterwards so a retained snapshot does not hold
-// both representations.
+// materialize makes the snapshot searchable exactly once: a live
+// capture's sealed BM25 segments and vector rows are wrapped in place
+// (nothing is copied — they are the bytes the live shards searched at the
+// fork, on the heap or in the checkpoint's mapped files), a recovered
+// pin's shard files are opened, and the view's triple list is rebuilt into
+// a graph for entity resolution.
 func (ps *PinnedSnapshot) materialize() error {
 	ps.once.Do(func() { ps.matErr = ps.doMaterialize() })
 	return ps.matErr
@@ -96,64 +71,28 @@ func (ps *PinnedSnapshot) doMaterialize() error {
 	for _, s := range ps.view.Sources() {
 		ps.priors[s.ID] = s.TrustPrior
 	}
+	if ps.frozen == nil {
+		var err error
+		ps.bm25, ps.vec, err = openShards(ps.cfg, ps.dir)
+		return err
+	}
 	ps.bm25 = make(map[datalake.Kind][]*invindex.Index)
 	ps.vec = make(map[datalake.Kind][]vectorIndex)
-	if ps.frozen != nil {
-		for kind, shards := range ps.frozen.bm25 {
-			out := make([]*invindex.Index, len(shards))
-			for si, sh := range shards {
-				var buf bytes.Buffer
-				if err := sh.Save(&buf); err != nil {
-					return fmt.Errorf("core: thaw bm25 shard %s/%d: %w", kind, si, err)
-				}
-				loaded, err := invindex.Load(&buf)
-				if err != nil {
-					return fmt.Errorf("core: thaw bm25 shard %s/%d: %w", kind, si, err)
-				}
-				out[si] = loaded
-			}
-			ps.bm25[kind] = out
+	for kind, shards := range ps.frozen.bm25 {
+		for _, sh := range shards {
+			ps.bm25[kind] = append(ps.bm25[kind], sh.Index())
 		}
-		for kind, shards := range ps.frozen.vec {
-			out := make([]vectorIndex, len(shards))
-			for si, sh := range shards {
-				var buf bytes.Buffer
-				if err := sh.Save(&buf); err != nil {
-					return fmt.Errorf("core: thaw vector shard %s/%d: %w", kind, si, err)
-				}
-				loaded, err := loadVectorShard(ps.cfg, &buf)
-				if err != nil {
-					return fmt.Errorf("core: thaw vector shard %s/%d: %w", kind, si, err)
-				}
-				out[si] = loaded
-			}
-			ps.vec[kind] = out
-		}
-		ps.frozen = nil
-		return nil
 	}
-	for _, kind := range ps.cfg.Kinds {
-		if ps.cfg.EnableBM25 {
-			out := make([]*invindex.Index, ps.cfg.Shards)
-			for si := range out {
-				loaded, err := openBM25Shard(shardFile(ps.dir, familyBM25, kind, si))
-				if err != nil {
-					return err
-				}
-				out[si] = loaded
+	for kind, shards := range ps.frozen.vec {
+		for si, sh := range shards {
+			thawed, err := sh.Thaw()
+			if err != nil {
+				return fmt.Errorf("core: thaw vector shard %s/%d: %w", kind, si, err)
 			}
-			ps.bm25[kind] = out
-		}
-		if ps.cfg.EnableVector {
-			out := make([]vectorIndex, ps.cfg.Shards)
-			for si := range out {
-				loaded, err := openVectorShard(ps.cfg, shardFile(ps.dir, familyVector, kind, si))
-				if err != nil {
-					return err
-				}
-				out[si] = loaded
+			if sq, ok := thawed.(*vecindex.SQFlat); ok && ps.cfg.RerankMultiple > 0 {
+				sq.SetRerank(ps.cfg.RerankMultiple)
 			}
-			ps.vec[kind] = out
+			ps.vec[kind] = append(ps.vec[kind], thawed)
 		}
 	}
 	return nil
@@ -240,7 +179,7 @@ func (p *Pipeline) TakeSnapshot(pinned bool) (*datalake.Snapshot, error) {
 // persist failure demotes the pin back to the retention window and is
 // returned — an operator asking for a durable pin must not silently get a
 // memory-only one.
-func (p *Pipeline) PinSnapshot(persist func(view *datalake.View, writeIndexes func(dir string) error, trust map[string]float64) error) (*datalake.Snapshot, error) {
+func (p *Pipeline) PinSnapshot(persist func(view *datalake.View, writeIndexes func(fs faultfs.FS, dir string) error, trust map[string]float64) error) (*datalake.Snapshot, error) {
 	var fz *FrozenIndexes
 	view, err := p.lake.Fork(func(*datalake.View) error {
 		fz = p.indexer.Freeze()
@@ -253,8 +192,8 @@ func (p *Pipeline) PinSnapshot(persist func(view *datalake.View, writeIndexes fu
 	ps := &PinnedSnapshot{cfg: p.indexer.cfg, view: view, trust: trust, frozen: fz}
 	snap := p.snapshots.Add(view, ps, true)
 	if persist != nil {
-		writeIndexes := func(dir string) error {
-			return fz.Save(filepath.Join(dir, "indexes"), view.Version())
+		writeIndexes := func(fs faultfs.FS, dir string) error {
+			return fz.Save(fs, filepath.Join(dir, "indexes"), view.Version())
 		}
 		if err := persist(view, writeIndexes, trust); err != nil {
 			_ = p.snapshots.Unpin(view.Version())
@@ -275,14 +214,23 @@ func (p *Pipeline) RegisterSnapshot(view *datalake.View, fz *FrozenIndexes, pinn
 
 // RegisterRecoveredSnapshot re-retains a persisted pin at restart: view
 // was reloaded from the pin's serialized catalog, dir holds its index
-// shards, trust its pin-time overrides. The shards must match the current
-// indexer configuration (ErrSnapshotMismatch otherwise — the caller drops
-// the pin loudly rather than serving wrong pinned verdicts).
+// shards (a FrozenIndexes.Save layout, opened lazily on the first pinned
+// read), trust its pin-time overrides. The shards' meta must match the
+// current indexer configuration and the view's version exactly
+// (ErrSnapshotMismatch otherwise — the caller drops the pin loudly rather
+// than serving wrong pinned verdicts).
 func (p *Pipeline) RegisterRecoveredSnapshot(view *datalake.View, dir string, trust map[string]float64) (*datalake.Snapshot, error) {
-	ps, err := LoadPinnedSnapshot(p.indexer.cfg, view, dir, trust)
+	meta, err := checkSnapshotMeta(p.indexer.cfg, dir)
 	if err != nil {
 		return nil, err
 	}
+	if meta.LakeVersion != view.Version() {
+		return nil, fmt.Errorf("%w (pinned shards at lake version %d, view at %d)", ErrSnapshotMismatch, meta.LakeVersion, view.Version())
+	}
+	if trust == nil {
+		trust = make(map[string]float64)
+	}
+	ps := &PinnedSnapshot{cfg: p.indexer.cfg, view: view, trust: trust, dir: dir}
 	return p.snapshots.Add(view, ps, true), nil
 }
 

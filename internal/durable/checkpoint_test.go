@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/datalake"
 	"repro/internal/doc"
+	"repro/internal/faultfs"
 	"repro/internal/wal"
 )
 
@@ -30,10 +31,10 @@ func TestCheckpointDoesNotBlockIngest(t *testing.T) {
 	go func() {
 		_, err := st.Checkpoint(func(v *datalake.View) (WriteFunc, error) {
 			forkVersion = v.Version()
-			return func(dir string) error {
+			return func(faultfs.FS, string) (AdoptFunc, error) {
 				close(writing) // quiescence released; write phase running
 				<-release
-				return nil
+				return nil, nil
 			}, nil
 		})
 		done <- err
@@ -129,10 +130,10 @@ func TestCloseWaitsForCheckpoint(t *testing.T) {
 	ckptDone := make(chan error, 1)
 	go func() {
 		_, err := st.Checkpoint(func(*datalake.View) (WriteFunc, error) {
-			return func(string) error {
+			return func(faultfs.FS, string) (AdoptFunc, error) {
 				close(writing)
 				<-release
-				return nil
+				return nil, nil
 			}, nil
 		})
 		ckptDone <- err

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strconv"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/datalake"
 	"repro/internal/doc"
 	"repro/internal/faultfs"
@@ -32,11 +34,33 @@ import (
 // The exhaustive sweep kills at operation 1, 2, 3, ... until the workload
 // completes without reaching the kill point, so every fault site the
 // protocol has — WAL appends and fsyncs, segment creates and rotations,
-// checkpoint META writes, tree syncs, the two swap renames, segment
-// truncations — is exercised, with every third point tearing the write at
+// checkpoint catalog and index-shard writes, META writes, tree syncs, the
+// two swap renames, segment truncations — is exercised, with every third point tearing the write at
 // the kill instead of dropping it. The randomized variant throws random
 // kill points (and torn-ness) at a longer mixed-modality workload with
 // two checkpoints.
+
+// crashIndexerConfig sizes the indexer the sweeps checkpoint with: every
+// kind in both families (eight shard files and a meta.json per
+// checkpoint), small vectors.
+var crashIndexerConfig = func() core.IndexerConfig {
+	cfg := core.DefaultIndexerConfig(1)
+	cfg.EmbedDim = 8
+	return cfg
+}()
+
+// indexFreeze is the FreezeFunc verifai.Checkpoint passes, over ix: seal
+// in the fork, write the shards through the store's filesystem, adopt
+// them once promoted.
+func indexFreeze(ix *core.Indexer) FreezeFunc {
+	return func(v *datalake.View) (WriteFunc, error) {
+		fz := ix.Freeze()
+		return func(fs faultfs.FS, dir string) (AdoptFunc, error) {
+			adopt := func(dir string) { fz.Adopt(filepath.Join(dir, "indexes")) }
+			return adopt, fz.Save(fs, filepath.Join(dir, "indexes"), v.Version())
+		}, nil
+	}
+}
 
 // crashMutation is one workload step plus its recovery predicate.
 type crashMutation struct {
@@ -110,7 +134,7 @@ func mixedWorkload(n int) []crashMutation {
 }
 
 // runCrashAttempt executes the workload against dir through ffs,
-// checkpointing (with nil index freeze) after each index in ckptAfter,
+// checkpointing (catalog and index shards) after each index in ckptAfter,
 // and returns how many mutations were acknowledged and whether the source
 // registration was. Any failure after the kill point is expected; a
 // failure with the filesystem healthy is a real bug and fails the test.
@@ -130,6 +154,11 @@ func runCrashAttempt(t *testing.T, dir string, ffs *faultfs.Faulty, muts []crash
 		st.Lake().Close()
 		st.Close()
 	}()
+	ix, err := core.BuildIndexer(st.Lake(), crashIndexerConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
 	if err := st.ReplayTail(); err != nil {
 		bail("ReplayTail", err)
 		return 0, false
@@ -142,7 +171,7 @@ func runCrashAttempt(t *testing.T, dir string, ffs *faultfs.Faulty, muts []crash
 	srcAcked = true
 	for i, m := range muts {
 		if ckptAfter[i] {
-			if _, err := st.Checkpoint(nil); err != nil {
+			if _, err := st.Checkpoint(indexFreeze(ix)); err != nil {
 				bail("Checkpoint", err)
 				// A failed checkpoint loses nothing; keep ingesting (the
 				// attempts fail fast once the log is poisoned).
@@ -169,6 +198,13 @@ func verifyCrashRecovery(t *testing.T, dir string, kill int64, muts []crashMutat
 		st.Lake().Close()
 		st.Close()
 	}()
+	// A promoted checkpoint's shards always open: a kill inside a shard
+	// write leaves it in checkpoint.tmp, which recovery never reads.
+	if ix, err := core.BuildIndexerFromSnapshot(st.Lake(), crashIndexerConfig, st.IndexSnapshotDir()); err == nil {
+		ix.Close()
+	} else if !errors.Is(err, core.ErrSnapshotMismatch) {
+		t.Fatalf("kill %d: checkpointed index shards unreadable: %v", kill, err)
+	}
 	if err := st.ReplayTail(); err != nil {
 		t.Fatalf("kill %d: recovery ReplayTail failed: %v", kill, err)
 	}

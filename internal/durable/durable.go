@@ -21,8 +21,10 @@
 // long part, proportional to snapshot size — then serializes the pinned
 // state to checkpoint.tmp, fsyncs the tree, atomically swaps it in, and
 // deletes the sealed WAL segments the checkpoint covers, all while
-// ingestion continues. Ingest stall is bounded by the fork phase alone.
-// At most one checkpoint runs at a time (ErrCheckpointInFlight).
+// ingestion continues, and last hands the promoted directory back to the
+// index layer (AdoptFunc) to serve the shard files just written. Ingest
+// stall is bounded by the fork phase alone. At most one checkpoint runs at
+// a time (ErrCheckpointInFlight).
 //
 // A checkpoint is about a dozen files whatever the lake holds, so the
 // fsync pass costs a dozen fsyncs, and a crash at any write of it leaves
@@ -74,9 +76,9 @@ type Options struct {
 	// LakeOptions configure the recovered lake (e.g. the ingest queue).
 	LakeOptions []datalake.Option
 	// FS is the filesystem the store (and its WAL) writes through — catalog
-	// containers, META, manifests, renames, fsyncs; nil means the real OS.
-	// The crash-consistency suite injects a faultfs.Faulty here. (A
-	// checkpoint's WriteFunc is handed a directory and does its own I/O.)
+	// containers, index shards (a WriteFunc is handed it), META, manifests,
+	// renames, fsyncs; nil means the real OS. The crash-consistency suite
+	// injects a faultfs.Faulty here.
 	FS faultfs.FS
 }
 
@@ -430,9 +432,16 @@ func (s *Store) Arm() {
 type FreezeFunc func(view *datalake.View) (WriteFunc, error)
 
 // WriteFunc is the write-phase half: it serializes the frozen capture
-// into the checkpoint directory being built, with no lake locks held and
-// ingestion running.
-type WriteFunc func(dir string) error
+// into the checkpoint directory being built, through the store's
+// filesystem, with no lake locks held and ingestion running.
+type WriteFunc func(fs faultfs.FS, dir string) (AdoptFunc, error)
+
+// AdoptFunc (nil for none) is called with the checkpoint directory once it
+// is promoted and durable, still inside the in-flight section — no other
+// checkpoint can rename the directory away — so the running process can
+// switch to serving the files it just wrote. The checkpoint is complete by
+// then and cannot fail on it.
+type AdoptFunc func(dir string)
 
 // Checkpoint captures a durable snapshot without blocking ingestion, in
 // two phases.
@@ -445,7 +454,8 @@ type WriteFunc func(dir string) error
 // Write (unquiesced, long): serialize the pinned view and frozen indexes
 // to checkpoint.tmp, fsync the tree, atomically swap it in as the current
 // checkpoint, then delete the sealed WAL segments the checkpoint covers —
-// all while new writes commit into the live lake and the rotated WAL.
+// all while new writes commit into the live lake and the rotated WAL —
+// and last hand the promoted directory to the write's AdoptFunc.
 //
 // Returns the checkpoint's lake version. Concurrent calls do not queue:
 // the second fails fast with ErrCheckpointInFlight.
@@ -502,8 +512,9 @@ func (s *Store) Checkpoint(freeze FreezeFunc) (uint64, error) {
 	if err := s.writeCatalog(view, tmp); err != nil {
 		return 0, err
 	}
+	var adopt AdoptFunc
 	if write != nil {
-		if err := write(tmp); err != nil {
+		if adopt, err = write(s.fs, tmp); err != nil {
 			return 0, fmt.Errorf("durable: save indexes: %w", err)
 		}
 	}
@@ -537,6 +548,9 @@ func (s *Store) Checkpoint(freeze FreezeFunc) (uint64, error) {
 	// predates.
 	if err := s.log.TruncateThrough(version, sealedSeq); err != nil {
 		return 0, err
+	}
+	if adopt != nil {
+		adopt(s.checkpointDir())
 	}
 	writeDur := time.Since(writeStart)
 	s.mu.Lock()

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/datalake"
+	"repro/internal/faultfs"
 )
 
 // Pinned time-travel snapshots survive restarts. Unpinned snapshots are a
@@ -149,7 +150,7 @@ func (s *Store) writeSnapshotManifest(m *snapshotManifest) error {
 // trust map. The pin directory only becomes meaningful once the manifest
 // lists it, so a crash mid-serialization costs nothing but an orphan
 // directory swept at recovery.
-func (s *Store) PersistPin(view *datalake.View, writeIndexes WriteFunc, trust map[string]float64) error {
+func (s *Store) PersistPin(view *datalake.View, writeIndexes func(fs faultfs.FS, dir string) error, trust map[string]float64) error {
 	s.pinMu.Lock()
 	defer s.pinMu.Unlock()
 	m, err := s.readSnapshotManifest()
@@ -175,7 +176,7 @@ func (s *Store) PersistPin(view *datalake.View, writeIndexes WriteFunc, trust ma
 			return err
 		}
 		if writeIndexes != nil {
-			if err := writeIndexes(tmp); err != nil {
+			if err := writeIndexes(s.fs, tmp); err != nil {
 				return fmt.Errorf("durable: save pin indexes: %w", err)
 			}
 		}

@@ -4,8 +4,19 @@
 // tables, text files) are serialized to strings and indexed; queries are
 // serialized generated data objects.
 //
+// A shard has one immutable form, the sealed segment: a binfmt container
+// (static.go) of the compacted documents and postings as columns. Freeze
+// seals base + delta + tombstones into the next segment and goes on
+// searching it as the base; Frozen.Save writes its bytes; OpenFile maps
+// such a file back; Frozen.Adopt moves a running index from the sealed
+// heap buffer onto the mapping of the file just written; a snapshot
+// retained for time travel searches the same segment through Frozen.Index.
+// What is mutable is small: the delta of documents added since the last
+// seal, and a tombstone bitmap over the base.
+//
 // The index is safe for concurrent use: writes take an exclusive lock,
-// searches take a shared lock.
+// searches a shared one; a segment's bytes move from heap to mapping
+// behind an atomic pointer shared by every index searching it.
 package invindex
 
 import (
@@ -26,19 +37,20 @@ type posting struct {
 }
 
 // Index is a BM25 inverted index over string documents. It has up to two
-// tiers: an optional immutable base segment (a binfmt snapshot, typically
-// mmap'd — see OpenFile) occupying global ordinals [0, base.n), and the
-// mutable delta below whose local ordinals follow at base.n. New documents
-// always land in the delta; deletions of base documents only flip a bit in
-// baseDeleted, so the base columns are never written.
+// tiers: an optional immutable base segment (sealed by Freeze or opened by
+// OpenFile; on the heap until a file holds it, mapped afterwards) occupying
+// global ordinals [0, base.n), and the mutable delta below whose local
+// ordinals follow at base.n. New documents always land in the delta;
+// deletions of base documents only flip a bit in baseDeleted, so the base
+// columns are never written. Freeze folds all three into the next base.
 type Index struct {
 	mu sync.RWMutex
 
 	analyze Analyzer
 	k1, b   float64
 
-	base         *staticSeg
-	baseDeleted  []bool // tombstones for base ordinals
+	base         *Frozen // shared with every capture Freeze handed out
+	baseDeleted  []bool  // tombstones for base ordinals
 	baseLive     int
 	baseTotalLen int64 // sum of lengths of live base documents
 
@@ -62,6 +74,14 @@ func WithAnalyzer(a Analyzer) Option { return func(ix *Index) { ix.analyze = a }
 // Elasticsearch/Lucene defaults).
 func WithBM25(k1, b float64) Option {
 	return func(ix *Index) { ix.k1, ix.b = k1, b }
+}
+
+// baseSeg returns the base tier's current column views, nil without one.
+func (ix *Index) baseSeg() *staticSeg {
+	if ix.base == nil {
+		return nil
+	}
+	return ix.base.cols.Load()
 }
 
 // New returns an empty index.
@@ -96,8 +116,8 @@ func (ix *Index) AddTerms(id string, terms []string) error {
 	if ord, ok := ix.byID[id]; ok && !ix.deleted[ord] {
 		return fmt.Errorf("invindex: duplicate document id %q", id)
 	}
-	if ix.base != nil {
-		if bo := ix.base.findDoc(id); bo >= 0 && !ix.baseDeleted[bo] {
+	if base := ix.baseSeg(); base != nil {
+		if bo := base.findDoc(id); bo >= 0 && !ix.baseDeleted[bo] {
 			return fmt.Errorf("invindex: duplicate document id %q", id)
 		}
 	}
@@ -126,21 +146,21 @@ func (ix *Index) AddTerms(id string, terms []string) error {
 // the live set at amortized O(1) per deletion.
 const compactThreshold = 64
 
-// Delete tombstones a document, compacting the index once tombstones
+// Delete tombstones a document, compacting the delta once tombstones
 // dominate. Deleting an unknown or already-deleted id is a no-op returning
-// false. Base-segment documents are tombstoned in a side bitmap and never
-// compacted: the base columns are immutable (often a read-only mapping),
-// and dead base entries cost one skipped pair per query.
+// false. Base-segment documents are tombstoned in a side bitmap until the
+// next Freeze compacts them: the base columns are immutable (often a
+// read-only mapping), and dead base entries cost one skipped pair per query.
 func (ix *Index) Delete(id string) bool {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ord, ok := ix.byID[id]
 	if !ok || ix.deleted[ord] {
-		if ix.base != nil {
-			if bo := ix.base.findDoc(id); bo >= 0 && !ix.baseDeleted[bo] {
+		if base := ix.baseSeg(); base != nil {
+			if bo := base.findDoc(id); bo >= 0 && !ix.baseDeleted[bo] {
 				ix.baseDeleted[bo] = true
 				ix.baseLive--
-				ix.baseTotalLen -= int64(ix.base.lengths[bo])
+				ix.baseTotalLen -= int64(base.lengths[bo])
 				return true
 			}
 		}
@@ -202,11 +222,20 @@ func (ix *Index) Len() int {
 func (ix *Index) Tombstones() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	n := len(ix.ids) - ix.liveDocs
-	if ix.base != nil {
-		n += ix.base.n - ix.baseLive
+	return len(ix.ids) - ix.liveDocs + ix.baseLen() - ix.baseLive
+}
+
+// Residency reports where the index sits: the sealed base segment's bytes,
+// on the heap or in a mapped file, and the live delta documents.
+func (ix *Index) Residency() (heap, mapped int64, deltaDocs int) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	if base := ix.baseSeg(); base != nil && base.r.Mapped() {
+		mapped = base.r.ID().Size
+	} else if base != nil {
+		heap = base.r.ID().Size
 	}
-	return n
+	return heap, mapped, ix.liveDocs
 }
 
 // Contains reports whether id is indexed and live.
@@ -216,8 +245,8 @@ func (ix *Index) Contains(id string) bool {
 	if ord, ok := ix.byID[id]; ok && !ix.deleted[ord] {
 		return true
 	}
-	if ix.base != nil {
-		if bo := ix.base.findDoc(id); bo >= 0 && !ix.baseDeleted[bo] {
+	if base := ix.baseSeg(); base != nil {
+		if bo := base.findDoc(id); bo >= 0 && !ix.baseDeleted[bo] {
 			return true
 		}
 	}
@@ -228,12 +257,13 @@ func (ix *Index) Contains(id string) bool {
 func (ix *Index) Terms() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if ix.base == nil {
+	base := ix.baseSeg()
+	if base == nil {
 		return len(ix.postings)
 	}
-	n := ix.base.terms.Len()
+	n := base.terms.Len()
 	for t := range ix.postings {
-		if ix.base.findTerm(t) < 0 {
+		if base.findTerm(t) < 0 {
 			n++
 		}
 	}

@@ -182,7 +182,7 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	ix := buildSmall(t)
 	ix.Delete("d5") // tombstones must compact away
 	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	if err := ix.Freeze().Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
 	loaded, err := Load(&buf)
@@ -220,7 +220,7 @@ func TestSaveLoadProperty(t *testing.T) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := ix.Save(&buf); err != nil {
+		if err := ix.Freeze().Save(&buf); err != nil {
 			return false
 		}
 		loaded, err := Load(&buf)

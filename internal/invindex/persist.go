@@ -3,171 +3,204 @@ package invindex
 import (
 	"fmt"
 	"io"
-	"sort"
+	"runtime"
+	"slices"
+	"strings"
+	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/binfmt"
 )
 
-// Snapshots are written in the binfmt columnar container (see Save and
-// the column list on staticSeg), which a loader can memory-map and serve
-// directly as an immutable base segment — recovery costs one verification
-// pass instead of a full decode.
-
-// snapshot is the in-memory form of a compacted capture.
-type snapshot struct {
-	K1, B    float64
-	IDs      []string
-	Lengths  []int32
-	Postings map[string][]postingSnap
-}
-
-type postingSnap struct {
-	Doc  int32
-	Freq int32
-}
-
-// Frozen is an immutable, compacted capture of an index's contents,
-// decoupled from the live structure: Freeze builds it quickly under the
-// read lock (pure memory copies), Save serializes it later with no index
-// locks held — the split that lets a checkpoint's long write phase run
-// while ingestion keeps mutating the live index.
+// Frozen is one sealed segment: an immutable, compacted capture of an
+// index in the binfmt columnar layout (see staticSeg). It is the one form a
+// sealed shard takes: the live index searches it as its base tier, a
+// retained snapshot searches it through Index, Save writes its bytes, and
+// Adopt swaps those bytes for the mapping of the file Save wrote.
 type Frozen struct {
-	snap snapshot
+	// cols views the sealed heap buffer until Adopt, the mapped file after;
+	// both hold the same bytes, so a search may load either.
+	cols atomic.Pointer[staticSeg]
 }
 
-// Freeze captures the index's current live contents across both tiers
-// (base documents first, then delta). Tombstoned documents are compacted
-// away, so a frozen capture never carries dead postings. The analyzer is
-// not captured (functions cannot serialize); the loader supplies it.
+func newFrozen(seg *staticSeg) *Frozen {
+	z := new(Frozen)
+	z.cols.Store(seg)
+	return z
+}
+
+// Freeze seals the index: base, delta and tombstones are compacted into a
+// new segment, which becomes the base under an empty delta and is
+// returned. Searches score the same before and after (BM25 statistics
+// count live documents only; ties break by ID, not ordinal). An index with
+// nothing written since its last seal returns the segment it has. The
+// analyzer is not captured; the loader supplies it.
 func (ix *Index) Freeze() *Frozen {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	base := ix.baseSeg()
+	if base != nil && len(ix.ids) == 0 && ix.baseLive == base.n {
+		return ix.base
+	}
+	seg, err := ix.sealLocked(base)
+	if err != nil {
+		// Built here from a consistent index, yet failing the validation
+		// every loaded snapshot passes: a bug.
+		panic(fmt.Sprintf("invindex: seal: %v", err))
+	}
+	ix.ids, ix.lengths, ix.deleted, ix.totalLen, ix.liveDocs = nil, nil, nil, 0, 0
+	ix.byID, ix.postings = make(map[string]int), make(map[string][]posting)
+	ix.setBase(newFrozen(seg))
+	return ix.base
+}
 
-	var snap snapshot
-	snap.K1, snap.B = ix.k1, ix.b
-	snap.Postings = make(map[string][]postingSnap, len(ix.postings))
+// setBase installs z as the base tier with no tombstones.
+func (ix *Index) setBase(z *Frozen) {
+	seg := z.cols.Load()
+	ix.base, ix.baseDeleted, ix.baseLive, ix.baseTotalLen = z, make([]bool, seg.n), seg.n, seg.totalLen
+}
 
-	// Base tier: remap live base ordinals into the compacted document
-	// space, then walk the sorted term dictionary.
-	var baseRemap []int32
-	if ix.base != nil {
-		baseRemap = make([]int32, ix.base.n)
-		for ord := 0; ord < ix.base.n; ord++ {
-			if ix.baseDeleted[ord] {
-				baseRemap[ord] = -1
-				continue
-			}
-			baseRemap[ord] = int32(len(snap.IDs))
-			snap.IDs = append(snap.IDs, ix.base.ids.At(ord))
-			snap.Lengths = append(snap.Lengths, ix.base.lengths[ord])
-		}
-		for ti := 0; ti < ix.base.terms.Len(); ti++ {
-			pairs := ix.base.pairs(ti)
-			var out []postingSnap
-			for i := 0; i+1 < len(pairs); i += 2 {
-				if no := baseRemap[pairs[i]]; no >= 0 {
-					out = append(out, postingSnap{Doc: no, Freq: pairs[i+1]})
-				}
-			}
-			if len(out) > 0 {
-				snap.Postings[ix.base.terms.At(ti)] = out
-			}
+// sealLocked builds the compacted segment: live base documents in ordinal
+// order, then live delta documents; terms sorted, each term's pairs in
+// document order (base before delta). Caller holds the write lock.
+func (ix *Index) sealLocked(base *staticSeg) (*staticSeg, error) {
+	view := func(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+	ids := make([]string, 0, ix.baseLive+ix.liveDocs)
+	lengths := make([]int32, 0, cap(ids))
+	terms := make([]string, 0, len(ix.postings))
+	baseRemap := make([]int32, len(ix.baseDeleted))
+	for ord := range baseRemap {
+		baseRemap[ord] = -1
+		if !ix.baseDeleted[ord] {
+			baseRemap[ord] = int32(len(ids))
+			ids = append(ids, view(base.ids.Bytes(ord)))
+			lengths = append(lengths, base.lengths[ord])
 		}
 	}
-
-	// Delta tier.
 	remap := make([]int32, len(ix.ids))
 	for ord, id := range ix.ids {
-		if ix.deleted[ord] {
-			remap[ord] = -1
-			continue
+		remap[ord] = -1
+		if !ix.deleted[ord] {
+			remap[ord] = int32(len(ids))
+			ids = append(ids, id)
+			lengths = append(lengths, ix.lengths[ord])
 		}
-		remap[ord] = int32(len(snap.IDs))
-		snap.IDs = append(snap.IDs, id)
-		snap.Lengths = append(snap.Lengths, ix.lengths[ord])
 	}
+	npairs := 0
 	for t, plist := range ix.postings {
-		out := snap.Postings[t]
-		for _, p := range plist {
-			if remap[p.doc] < 0 {
-				continue
-			}
-			out = append(out, postingSnap{Doc: remap[p.doc], Freq: p.freq})
-		}
-		if len(out) > 0 {
-			snap.Postings[t] = out
-		}
+		terms, npairs = append(terms, t), npairs+len(plist)
 	}
-	return &Frozen{snap: snap}
-}
+	for ti := 0; base != nil && ti < base.terms.Len(); ti++ {
+		terms, npairs = append(terms, view(base.terms.Bytes(ti))), npairs+len(base.pairs(ti))/2
+	}
+	slices.Sort(terms)
+	terms = slices.Compact(terms)
 
-// Save serializes the frozen capture to w in the binfmt columnar layout.
-func (z *Frozen) Save(w io.Writer) error {
-	s := &z.snap
-	bw := binfmt.NewWriter()
-	terms := make([]string, 0, len(s.Postings))
-	for t := range s.Postings {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-	pairs := 0
+	live := terms[:0] // terms that keep at least one pair
+	postIdx := make([]uint32, 1, len(terms)+1)
+	posts := make([]int32, 0, 2*npairs)
 	for _, t := range terms {
-		pairs += len(s.Postings[t])
+		if base != nil {
+			if bt := base.findTerm(t); bt >= 0 {
+				for pairs := base.pairs(bt); len(pairs) > 1; pairs = pairs[2:] {
+					if no := baseRemap[pairs[0]]; no >= 0 {
+						posts = append(posts, no, pairs[1])
+					}
+				}
+			}
+		}
+		for _, p := range ix.postings[t] {
+			if no := remap[p.doc]; no >= 0 {
+				posts = append(posts, no, p.freq)
+			}
+		}
+		if np := uint32(len(posts) / 2); np > postIdx[len(postIdx)-1] {
+			live, postIdx = append(live, t), append(postIdx, np)
+		}
 	}
-	var totalLen int64
-	for _, l := range s.Lengths {
-		totalLen += int64(l)
-	}
-	if err := bw.JSON("meta", staticMeta{
-		Family: "bm25", K1: s.K1, B: s.B,
-		Docs: len(s.IDs), Terms: len(terms), Pairs: pairs, TotalLen: totalLen,
-	}); err != nil {
-		return fmt.Errorf("invindex: encode snapshot: %w", err)
-	}
-	bw.Strings("ids", s.IDs)
-	bw.Int32s("lengths", s.Lengths)
-	idsort := make([]uint32, len(s.IDs))
+	idsort := make([]uint32, len(ids))
 	for i := range idsort {
 		idsort[i] = uint32(i)
 	}
-	sort.Slice(idsort, func(a, b int) bool { return s.IDs[idsort[a]] < s.IDs[idsort[b]] })
-	bw.Uint32s("idsort", idsort)
-	bw.Strings("terms", terms)
-	postIdx := make([]uint32, len(terms)+1)
-	posts := make([]int32, 0, 2*pairs)
-	for i, t := range terms {
-		postIdx[i] = uint32(len(posts) / 2)
-		for _, p := range s.Postings[t] {
-			posts = append(posts, p.Doc, p.Freq)
-		}
+	slices.SortFunc(idsort, func(a, b uint32) int { return strings.Compare(ids[a], ids[b]) })
+
+	bw := binfmt.NewWriter()
+	if err := bw.JSON("meta", staticMeta{
+		Family: "bm25", K1: ix.k1, B: ix.b,
+		Docs: len(ids), Terms: len(live), Pairs: len(posts) / 2, TotalLen: ix.baseTotalLen + ix.totalLen,
+	}); err != nil {
+		return nil, err
 	}
-	postIdx[len(terms)] = uint32(len(posts) / 2)
+	bw.Strings("ids", ids)
+	bw.Int32s("lengths", lengths)
+	bw.Uint32s("idsort", idsort)
+	bw.Strings("terms", live)
 	bw.Uint32s("postidx", postIdx)
 	bw.Int32s("postings", posts)
-	if _, err := bw.WriteTo(w); err != nil {
+	fr, err := bw.Build()
+	runtime.KeepAlive(base) // ids and terms viewed its columns until here
+	if err != nil {
+		return nil, err
+	}
+	return loadStatic(fr)
+}
+
+// Save writes the segment's bytes to w: the binfmt container a loader can
+// memory-map and serve as a base segment.
+func (z *Frozen) Save(w io.Writer) error {
+	if _, err := z.cols.Load().r.WriteTo(w); err != nil {
 		return fmt.Errorf("invindex: write snapshot: %w", err)
 	}
 	return nil
 }
 
-// Save writes a compacted snapshot of the index to w (Freeze then
-// Frozen.Save in one call), for callers that do not need the two-phase
-// split. The analyzer is not serialized; the loader supplies it, and the
-// caller is responsible for supplying the same chain that built the index.
-func (ix *Index) Save(w io.Writer) error {
-	return ix.Freeze().Save(w)
+// Adopt moves the segment onto the file at path, which must be the file
+// Save wrote (same container identity): it is opened as OpenFile opens a
+// snapshot and the column views switch to its mapping — same bytes, same
+// ordinals, so every index sharing the segment keeps its tombstones, delta
+// and scores, while the heap copy becomes garbage. On error nothing moves.
+func (z *Frozen) Adopt(path string) error {
+	fr, err := binfmt.OpenFile(path)
+	if err != nil {
+		return fmt.Errorf("invindex: %w", err)
+	}
+	if got, want := fr.ID(), z.cols.Load().r.ID(); got != want {
+		return fmt.Errorf("invindex: %s holds container %+v, segment wrote %+v", path, got, want)
+	}
+	seg, err := loadStatic(fr)
+	if err != nil {
+		return err
+	}
+	z.cols.Store(seg)
+	return nil
 }
 
-// Load reads a snapshot produced by Save. Options (typically WithAnalyzer)
-// apply after the snapshot's BM25 parameters are restored. Snapshots read
-// through Load are fully buffered in memory; use OpenFile to serve one
-// from a mapped file instead.
+// Index wraps the segment as a searchable index of its own (base tier
+// shared, no tombstones, empty delta) for reads pinned to the version it
+// was sealed at. Options apply after the segment's BM25 parameters.
+func (z *Frozen) Index(opts ...Option) *Index {
+	seg := z.cols.Load()
+	ix := New()
+	ix.k1, ix.b = seg.k1, seg.b
+	for _, o := range opts {
+		o(ix)
+	}
+	ix.setBase(z)
+	return ix
+}
+
+// Load reads a snapshot produced by Save. Snapshots read through Load are
+// fully buffered in memory; use OpenFile to serve one from a mapped file.
 func Load(r io.Reader, opts ...Option) (*Index, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("invindex: read snapshot: %w", err)
 	}
-	return loadBinary(data, opts...)
+	fr, err := binfmt.NewReader(data)
+	if err != nil {
+		return nil, fmt.Errorf("invindex: %w", err)
+	}
+	return fromReader(fr, opts...)
 }
 
 // OpenFile opens a snapshot file, serving it as an mmap'd immutable base
@@ -187,23 +220,5 @@ func fromReader(fr *binfmt.Reader, opts ...Option) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := New()
-	ix.k1, ix.b = base.k1, base.b
-	for _, o := range opts {
-		o(ix)
-	}
-	ix.base = base
-	ix.baseDeleted = make([]bool, base.n)
-	ix.baseLive = base.n
-	ix.baseTotalLen = base.totalLen
-	return ix, nil
-}
-
-// loadBinary parses data as a binfmt snapshot held in memory.
-func loadBinary(data []byte, opts ...Option) (*Index, error) {
-	fr, err := binfmt.NewReader(data)
-	if err != nil {
-		return nil, fmt.Errorf("invindex: %w", err)
-	}
-	return fromReader(fr, opts...)
+	return newFrozen(base).Index(opts...), nil
 }

@@ -18,7 +18,7 @@ func saveToFile(t *testing.T, ix *Index) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Save(f); err != nil {
+	if err := ix.Freeze().Save(f); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
 	if err := f.Close(); err != nil {
@@ -151,7 +151,7 @@ func TestTwoTierMutation(t *testing.T) {
 	// Freezing the two-tier index compacts base tombstones away and a
 	// reload reproduces the same rankings.
 	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	if err := ix.Freeze().Save(&buf); err != nil {
 		t.Fatalf("Save two-tier: %v", err)
 	}
 	reloaded, err := Load(&buf)
@@ -189,7 +189,7 @@ func TestNonBinfmtSnapshotRejected(t *testing.T) {
 func TestBinarySnapshotCorruption(t *testing.T) {
 	orig := buildSmall(t)
 	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
+	if err := orig.Freeze().Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -198,7 +198,7 @@ func TestBinarySnapshotCorruption(t *testing.T) {
 	for off := 0; off < len(good); off++ {
 		mut := append([]byte(nil), good...)
 		mut[off] ^= 0x5a
-		ix, err := loadBinary(mut)
+		ix, err := Load(bytes.NewReader(mut))
 		if err != nil {
 			continue
 		}
@@ -206,7 +206,7 @@ func TestBinarySnapshotCorruption(t *testing.T) {
 	}
 
 	for _, cut := range []int{0, 1, len(good) / 2, len(good) - 1} {
-		if _, err := loadBinary(good[:cut]); err == nil {
+		if _, err := Load(bytes.NewReader(good[:cut])); err == nil {
 			t.Errorf("truncation to %d bytes loaded", cut)
 		}
 	}
@@ -254,7 +254,7 @@ func TestStaticValidationRejects(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	if _, err := loadBinary(encode(t, valid())); err != nil {
+	if _, err := Load(bytes.NewReader(encode(t, valid()))); err != nil {
 		t.Fatalf("valid hand-built snapshot rejected: %v", err)
 	}
 
@@ -276,7 +276,7 @@ func TestStaticValidationRejects(t *testing.T) {
 	for name, mutate := range cases {
 		p := valid()
 		mutate(&p)
-		if _, err := loadBinary(encode(t, p)); err == nil {
+		if _, err := Load(bytes.NewReader(encode(t, p))); err == nil {
 			t.Errorf("%s: loaded without error", name)
 		}
 	}
@@ -322,14 +322,14 @@ func FuzzLoadBinarySnapshot(f *testing.F) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	if err := ix.Freeze().Save(&buf); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
 	f.Add([]byte(binfmt.Magic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		loaded, err := loadBinary(data)
+		loaded, err := Load(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -338,7 +338,7 @@ func FuzzLoadBinarySnapshot(f *testing.F) {
 		_ = loaded.Len()
 		_ = loaded.Terms()
 		var out bytes.Buffer
-		if err := loaded.Save(&out); err != nil {
+		if err := loaded.Freeze().Save(&out); err != nil {
 			t.Fatalf("re-save of parsed snapshot failed: %v", err)
 		}
 	})

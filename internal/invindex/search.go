@@ -2,6 +2,7 @@ package invindex
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"unsafe"
@@ -64,10 +65,8 @@ func (ix *Index) SearchTerms(terms []string, k int) []Hit {
 	if nLive == 0 {
 		return nil
 	}
-	baseN := 0
-	if ix.base != nil {
-		baseN = ix.base.n
-	}
+	base := ix.baseSeg()
+	baseN := ix.baseLen()
 	nOrds := baseN + len(ix.ids)
 	avgdl := float64(ix.totalLen+ix.baseTotalLen) / float64(nLive)
 	n := float64(nLive)
@@ -107,9 +106,9 @@ func (ix *Index) SearchTerms(terms []string, k int) []Hit {
 	for ti, t := range sc.terms {
 		qw := sc.qw[ti]
 		var basePairs []int32
-		if ix.base != nil {
-			if bt := ix.base.findTerm(t); bt >= 0 {
-				basePairs = ix.base.pairs(bt)
+		if base != nil {
+			if bt := base.findTerm(t); bt >= 0 {
+				basePairs = base.pairs(bt)
 			}
 		}
 		plist := ix.postings[t]
@@ -139,7 +138,7 @@ func (ix *Index) SearchTerms(terms []string, k int) []Hit {
 				continue
 			}
 			tf := float64(basePairs[i+1])
-			dl := float64(ix.base.lengths[doc])
+			dl := float64(base.lengths[doc])
 			norm := tf * (ix.k1 + 1) / (tf + ix.k1*(1-ix.b+ix.b*dl/avgdl))
 			if scores[doc] == 0 {
 				touched = append(touched, doc)
@@ -163,8 +162,9 @@ func (ix *Index) SearchTerms(terms []string, k int) []Hit {
 
 	var out []Hit
 	if len(touched) > 0 {
-		out = ix.topK(scores, touched, k, sc)
+		out = ix.topK(base, scores, touched, k, sc)
 	}
+	runtime.KeepAlive(base) // ID tie-breaks compared views of its mapping
 
 	// Reset the accumulator via the touched list and recycle the scratch.
 	for _, ord := range touched {
@@ -176,10 +176,12 @@ func (ix *Index) SearchTerms(terms []string, k int) []Hit {
 }
 
 // ordIDBytes returns the external ID of a global ordinal as a zero-copy
-// byte view, for tie-break comparisons without materializing strings.
-func (ix *Index) ordIDBytes(ord int32) []byte {
-	if ix.base != nil && int(ord) < ix.base.n {
-		return ix.base.ids.Bytes(int(ord))
+// byte view, for tie-break comparisons without materializing strings. base
+// is the segment the search loaded: the caller keeps it alive past the last
+// use of the view.
+func (ix *Index) ordIDBytes(base *staticSeg, ord int32) []byte {
+	if int(ord) < ix.baseLen() {
+		return base.ids.Bytes(int(ord))
 	}
 	s := ix.ids[int(ord)-ix.baseLen()]
 	if len(s) == 0 {
@@ -191,28 +193,25 @@ func (ix *Index) ordIDBytes(ord int32) []byte {
 // ordID materializes the external ID of a global ordinal. Delta IDs are
 // returned without copying; base IDs allocate one string (only the k
 // returned hits pay this).
-func (ix *Index) ordID(ord int32) string {
-	if ix.base != nil && int(ord) < ix.base.n {
-		return ix.base.ids.At(int(ord))
+func (ix *Index) ordID(base *staticSeg, ord int32) string {
+	if int(ord) < ix.baseLen() {
+		return base.ids.At(int(ord))
 	}
 	return ix.ids[int(ord)-ix.baseLen()]
 }
 
-func (ix *Index) baseLen() int {
-	if ix.base == nil {
-		return 0
-	}
-	return ix.base.n
-}
+// baseLen is the base tier's document count (its tombstone bitmap covers
+// every base ordinal).
+func (ix *Index) baseLen() int { return len(ix.baseDeleted) }
 
 // worse reports whether hit a ranks strictly below hit b: lower score, or
 // equal score and lexicographically larger ID (so the min-heap keeps the
 // smaller IDs on ties, matching the output order's ascending-ID rule).
-func (ix *Index) worse(a, b scoredDoc) bool {
+func (ix *Index) worse(base *staticSeg, a, b scoredDoc) bool {
 	if a.score != b.score {
 		return a.score < b.score
 	}
-	return bytesGreater(ix.ordIDBytes(a.doc), ix.ordIDBytes(b.doc))
+	return bytesGreater(ix.ordIDBytes(base, a.doc), ix.ordIDBytes(base, b.doc))
 }
 
 func bytesGreater(a, b []byte) bool {
@@ -231,7 +230,7 @@ func bytesGreater(a, b []byte) bool {
 // topK selects the k best touched ordinals with a manually-sifted bounded
 // min-heap (container/heap would box every element) and returns them best
 // first. Caller must hold at least a read lock.
-func (ix *Index) topK(scores []float64, touched []int32, k int, sc *searchScratch) []Hit {
+func (ix *Index) topK(base *staticSeg, scores []float64, touched []int32, k int, sc *searchScratch) []Hit {
 	h := sc.heap[:0]
 	for _, ord := range touched {
 		cand := scoredDoc{doc: ord, score: scores[ord]}
@@ -240,7 +239,7 @@ func (ix *Index) topK(scores []float64, touched []int32, k int, sc *searchScratc
 			// Sift up.
 			for i := len(h) - 1; i > 0; {
 				parent := (i - 1) / 2
-				if !ix.worse(h[i], h[parent]) {
+				if !ix.worse(base, h[i], h[parent]) {
 					break
 				}
 				h[i], h[parent] = h[parent], h[i]
@@ -248,33 +247,33 @@ func (ix *Index) topK(scores []float64, touched []int32, k int, sc *searchScratc
 			}
 			continue
 		}
-		if ix.worse(cand, h[0]) {
+		if ix.worse(base, cand, h[0]) {
 			continue
 		}
 		h[0] = cand
-		ix.siftDown(h, 0)
+		ix.siftDown(base, h, 0)
 	}
 	out := make([]Hit, len(h))
 	// Pop ascending; fill the output back to front for best-first order.
 	for i := len(h) - 1; i >= 0; i-- {
 		top := h[0]
-		out[i] = Hit{ID: ix.ordID(top.doc), Score: top.score}
+		out[i] = Hit{ID: ix.ordID(base, top.doc), Score: top.score}
 		h[0] = h[len(h)-1]
 		h = h[:len(h)-1]
-		ix.siftDown(h, 0)
+		ix.siftDown(base, h, 0)
 	}
 	sc.heap = h[:0]
 	return out
 }
 
-func (ix *Index) siftDown(h []scoredDoc, i int) {
+func (ix *Index) siftDown(base *staticSeg, h []scoredDoc, i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		min := i
-		if l < len(h) && ix.worse(h[l], h[min]) {
+		if l < len(h) && ix.worse(base, h[l], h[min]) {
 			min = l
 		}
-		if r < len(h) && ix.worse(h[r], h[min]) {
+		if r < len(h) && ix.worse(base, h[r], h[min]) {
 			min = r
 		}
 		if min == i {
@@ -298,11 +297,12 @@ func (ix *Index) Explain(query, id string) (map[string]float64, bool) {
 		return nil, false
 	}
 	// Resolve id to a global ordinal across both tiers.
+	base := ix.baseSeg()
 	ord := int32(-1)
 	if o, okID := ix.byID[id]; okID && !ix.deleted[o] {
 		ord = int32(ix.baseLen() + o)
-	} else if ix.base != nil {
-		if bo := ix.base.findDoc(id); bo >= 0 && !ix.baseDeleted[bo] {
+	} else if base != nil {
+		if bo := base.findDoc(id); bo >= 0 && !ix.baseDeleted[bo] {
 			ord = bo
 		}
 	}
@@ -312,7 +312,7 @@ func (ix *Index) Explain(query, id string) (map[string]float64, bool) {
 	baseN := ix.baseLen()
 	var dl float64
 	if int(ord) < baseN {
-		dl = float64(ix.base.lengths[ord])
+		dl = float64(base.lengths[ord])
 	} else {
 		dl = float64(ix.lengths[int(ord)-baseN])
 	}
@@ -326,9 +326,9 @@ func (ix *Index) Explain(query, id string) (map[string]float64, bool) {
 	for t, qw := range qf {
 		df := 0
 		var tf float64
-		if ix.base != nil {
-			if bt := ix.base.findTerm(t); bt >= 0 {
-				pairs := ix.base.pairs(bt)
+		if base != nil {
+			if bt := base.findTerm(t); bt >= 0 {
+				pairs := base.pairs(bt)
 				for i := 0; i+1 < len(pairs); i += 2 {
 					if ix.baseDeleted[pairs[i]] {
 						continue
@@ -356,5 +356,6 @@ func (ix *Index) Explain(query, id string) (map[string]float64, bool) {
 		norm := tf * (ix.k1 + 1) / (tf + ix.k1*(1-ix.b+ix.b*dl/avgdl))
 		out[t] = qw * idf * norm
 	}
+	runtime.KeepAlive(base)
 	return out, true
 }

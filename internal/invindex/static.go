@@ -8,12 +8,13 @@ import (
 	"repro/internal/binfmt"
 )
 
-// staticSeg is the immutable base tier of a two-tier index: a binfmt
-// snapshot served directly from its (typically mmap'd) columns. Documents
-// and postings in the base are never rewritten — deletions are tracked in
-// the owning Index's baseDeleted bitmap, and new documents land in the
-// mutable delta tier. Ordinals [0, n) are base documents; the delta's
-// ordinals follow at n.
+// staticSeg is one set of column views over a sealed segment's container
+// — the heap buffer Freeze built it in, or the mapping of the file that
+// holds it (a Frozen switches from the first to the second, see Adopt).
+// Documents and postings in a segment are never rewritten — deletions are
+// tracked in the owning Index's baseDeleted bitmap, and new documents land
+// in the mutable delta tier. Ordinals [0, n) are base documents; the
+// delta's ordinals follow at n.
 //
 // Column layout (see staticColumns):
 //

@@ -364,6 +364,17 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.getOrCreate(renderLabels(v.f.labelKeys, values)).ctr
 }
 
+// GaugeVec is a gauge family partitioned by labels, each series read from
+// a function at exposition time. A nil vec registers nothing.
+type GaugeVec struct{ f *family }
+
+// Func makes the gauge for the given label values read fn.
+func (v *GaugeVec) Func(fn func() float64, values ...string) {
+	if v != nil {
+		v.f.getOrCreate(renderLabels(v.f.labelKeys, values)).gauge.fn = fn
+	}
+}
+
 // HistogramVec is a histogram family partitioned by labels. A nil vec
 // returns nil children.
 type HistogramVec struct{ f *family }
@@ -549,6 +560,14 @@ func (r *Registry) CounterVec(name, help string, labelKeys ...string) *CounterVe
 		return nil
 	}
 	return &CounterVec{f: r.register(name, help, kindCounter, labelKeys, nil)}
+}
+
+// GaugeVec registers (or returns) a labeled gauge family.
+func (r *Registry) GaugeVec(name, help string, labelKeys ...string) *GaugeVec {
+	if r == nil {
+		return nil
+	}
+	return &GaugeVec{f: r.register(name, help, kindGauge, labelKeys, nil)}
 }
 
 // HistogramVec registers (or returns) a labeled histogram family.

@@ -2,12 +2,15 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	verifai "repro"
+	"repro/internal/core"
 	"repro/internal/workload"
 )
 
@@ -98,7 +101,7 @@ func TestDurableServerSurfaces(t *testing.T) {
 	srv := New(sys.Pipeline(), WithDurability(
 		func() verifai.DurabilityStats { st, _ := sys.Durability(); return st },
 		sys.Checkpoint,
-	))
+	), WithObs(sys.Metrics()))
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
@@ -122,9 +125,30 @@ func TestDurableServerSurfaces(t *testing.T) {
 	var stats struct {
 		Texts      int                     `json:"texts"`
 		Durability verifai.DurabilityStats `json:"durability"`
+		Indexes    core.IndexStats         `json:"indexes"`
 	}
 	if resp := getJSON(t, ts.URL+"/v1/stats", &stats); resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats: status = %d", resp.StatusCode)
+	}
+	// The checkpoint moved all eight shards onto their files: the one
+	// document sits in a mapped segment and a mapped vector row, and
+	// /metrics says the same.
+	bm25, vec := stats.Indexes.Families["bm25"], stats.Indexes.Families["vector"]
+	if stats.Indexes.Adopted != 8 || stats.Indexes.Skipped != 0 || bm25.HeapBytes != 0 || bm25.MappedBytes == 0 ||
+		bm25.DeltaDocs != 0 || vec.HeapBytes != 0 || vec.MappedBytes == 0 {
+		t.Errorf("stats.indexes after a checkpoint = %+v", stats.Indexes)
+	}
+	exposition := scrape(t, ts)
+	for _, want := range []string{
+		fmt.Sprintf(`verifai_index_segment_bytes{family="bm25",residency="mapped"} %d`, bm25.MappedBytes),
+		`verifai_index_segment_bytes{family="vector",residency="heap"} 0`,
+		`verifai_index_delta_docs{family="bm25"} 0`,
+		`verifai_index_adoptions_total{result="adopted"} 8`,
+		`verifai_index_adoptions_total{result="skipped"} 0`,
+	} {
+		if !strings.Contains(exposition, want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
 	}
 	if stats.Texts != 1 {
 		t.Errorf("stats.texts = %d, want 1", stats.Texts)

@@ -27,7 +27,7 @@
 //	GET  /v1/replica/checkpoint  latest checkpoint as a tar for follower
 //	                          bootstrap (404 before the first checkpoint)
 //	GET  /v1/lake/version     current monotonic lake version
-//	GET  /v1/stats            lake statistics (+ durability posture when durable)
+//	GET  /v1/stats            lake statistics, index residency (+ durability posture when durable)
 //	GET  /v1/provenance?seq=N one lineage record
 //	GET  /v1/healthz          liveness
 //
@@ -1052,6 +1052,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"floor":    s.pipeline.Snapshots().Floor(),
 			"latest":   s.pipeline.Snapshots().Latest(),
 		},
+		"indexes": s.pipeline.Indexer().IndexStats(),
 	}
 	if store := s.pipeline.Provenance(); store != nil {
 		body["provenance"] = store.Stats()

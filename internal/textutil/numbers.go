@@ -12,8 +12,14 @@ import (
 // "71.5%" -> 71.5. The second return is false when s contains no number.
 func ParseNumber(s string) (float64, bool) {
 	s = strings.TrimSpace(s)
-	if s == "" {
-		return 0, false
+	// Most cells are words. Without a digit the only numbers are the
+	// spellings ParseFloat knows, so answer those cells before ParseFloat
+	// allocates an error for them.
+	if !strings.ContainsFunc(s, unicode.IsDigit) {
+		t := strings.TrimLeft(s, "+-")
+		if !strings.EqualFold(t, "inf") && !strings.EqualFold(t, "infinity") && !strings.EqualFold(t, "nan") {
+			return 0, false
+		}
 	}
 	// Fast path: plain number.
 	if v, err := strconv.ParseFloat(s, 64); err == nil {

@@ -14,9 +14,10 @@ import (
 // individual vectors out of the blob without copying, so an mmap-backed
 // container serves searches before most vector pages ever fault in.
 // Family-specific columns: IVF adds "centroids" and "cells"; SQFlat adds
-// "codes", "sums", "sqsums", and "norms". Every structure that retains
-// blob views also retains the binfmt.Reader (store.pin), keeping the
-// mapping alive.
+// "codes", "sums", "sqsums", and "norms", loaded as views too (IVF's are
+// copied). Every view an index holds is of one container, store.pin, which
+// it retains to keep the mapping alive; Adopt, which replaces pin, leaves
+// no view of the old one behind.
 
 // binMeta is the JSON "meta" section of a vector snapshot.
 type binMeta struct {
@@ -43,7 +44,7 @@ type binMeta struct {
 }
 
 // flattenVecs packs rows into one contiguous float32 blob.
-func flattenVecs(rows [][]float32, dim int) []float32 {
+func flattenVecs[R ~[]float32](rows []R, dim int) []float32 {
 	blob := make([]float32, 0, len(rows)*dim)
 	for _, r := range rows {
 		blob = append(blob, r...)
@@ -52,7 +53,7 @@ func flattenVecs(rows [][]float32, dim int) []float32 {
 }
 
 // writeCommon adds the meta, ids, and vecs sections.
-func writeCommon(bw *binfmt.Writer, meta binMeta, ids []string, vecs [][]float32) error {
+func writeCommon(bw *binfmt.Writer, meta binMeta, ids []string, vecs []embed.Vector) error {
 	if err := bw.JSON("meta", meta); err != nil {
 		return fmt.Errorf("vecindex: encode snapshot: %w", err)
 	}
@@ -105,24 +106,23 @@ func readCommon(fr *binfmt.Reader, family string) (binMeta, []string, []embed.Ve
 	return meta, ids, vecs, nil
 }
 
-// newLoadedStore builds the mutable store bookkeeping around decoded rows,
-// pinning the container so its mapping outlives every view.
-func newLoadedStore(fr *binfmt.Reader, ids []string, vecs []embed.Vector) store {
-	s := store{
-		ids:     ids,
-		vecs:    vecs,
-		deleted: make([]bool, len(ids)),
-		live:    len(ids),
-		byID:    make(map[string]int, len(ids)),
-		pin:     fr,
+// load fills an empty store with rows of which some or all are views of fr
+// (nil when none is), pinning the container so its mapping outlives every
+// view.
+func (s *store) load(fr *binfmt.Reader, ids []string, vecs []embed.Vector) {
+	s.ids, s.vecs, s.deleted, s.live, s.pin = ids, vecs, make([]bool, len(ids)), len(ids), fr
+	if fr != nil {
+		s.blob, _ = fr.Float32s("vecs") // readCommon already validated it
 	}
 	for i, id := range ids {
 		s.byID[id] = i
+		if s.inBlob(vecs[i]) {
+			s.viewing++
+		}
 	}
-	return s
 }
 
-func encodeFlat(bw *binfmt.Writer, s *flatSnapshot) error {
+func (s *flatSnapshot) encode(bw *binfmt.Writer) error {
 	return writeCommon(bw, binMeta{
 		Family: "flat", Metric: s.Metric, Dim: s.Dim, Count: len(s.IDs),
 	}, s.IDs, s.Vecs)
@@ -134,11 +134,11 @@ func decodeFlat(fr *binfmt.Reader) (*Flat, error) {
 		return nil, err
 	}
 	f := NewFlat(meta.Dim, Metric(meta.Metric))
-	f.store = newLoadedStore(fr, ids, vecs)
+	f.load(fr, ids, vecs)
 	return f, nil
 }
 
-func encodeIVF(bw *binfmt.Writer, s *ivfSnapshot) error {
+func (s *ivfSnapshot) encode(bw *binfmt.Writer) error {
 	meta := binMeta{
 		Family: "ivf", Metric: s.Metric, Dim: s.Dim, Count: len(s.IDs),
 		NList: s.NList, NProbe: s.NProbe, Seed: s.Seed,
@@ -163,7 +163,7 @@ func decodeIVF(fr *binfmt.Reader) (*IVF, error) {
 		return nil, fmt.Errorf("vecindex: IVF snapshot has invalid parameters (nlist=%d nprobe=%d)", meta.NList, meta.NProbe)
 	}
 	ix := NewIVF(meta.Dim, Metric(meta.Metric), meta.NList, meta.NProbe, meta.Seed)
-	ix.store = newLoadedStore(fr, ids, vecs)
+	ix.load(fr, ids, vecs)
 	if meta.Trained {
 		cblob, err := fr.Float32s("centroids")
 		if err != nil {
@@ -182,7 +182,8 @@ func decodeIVF(fr *binfmt.Reader) (*IVF, error) {
 		ix.trained = true
 		ix.centroids = make([]embed.Vector, meta.Centroids)
 		for i := range ix.centroids {
-			ix.centroids[i] = embed.Vector(cblob[i*meta.Dim : (i+1)*meta.Dim : (i+1)*meta.Dim])
+			// Copied: small, and it leaves rows the only views of fr.
+			ix.centroids[i] = embed.Clone(cblob[i*meta.Dim : (i+1)*meta.Dim])
 		}
 		ix.cells = make([][]int, meta.Centroids)
 		for ord, c := range cells {
@@ -195,7 +196,7 @@ func decodeIVF(fr *binfmt.Reader) (*IVF, error) {
 	return ix, nil
 }
 
-func encodeLSH(bw *binfmt.Writer, s *lshSnapshot) error {
+func (s *lshSnapshot) encode(bw *binfmt.Writer) error {
 	return writeCommon(bw, binMeta{
 		Family: "lsh", Metric: int(Cosine), Dim: s.Dim, Count: len(s.IDs),
 		NBits: s.NBits, NTables: s.NTables, Seed: s.Seed,
@@ -211,7 +212,7 @@ func decodeLSH(fr *binfmt.Reader) (*LSH, error) {
 		return nil, fmt.Errorf("vecindex: LSH snapshot has invalid parameters (nbits=%d ntables=%d)", meta.NBits, meta.NTables)
 	}
 	ix := NewLSH(meta.Dim, meta.NBits, meta.NTables, meta.Seed)
-	ix.store = newLoadedStore(fr, ids, vecs)
+	ix.load(fr, ids, vecs)
 	// The hyperplane family is a pure function of the parameters; re-hash
 	// each vector into identical buckets.
 	for ord, v := range ix.vecs {
@@ -223,7 +224,7 @@ func decodeLSH(fr *binfmt.Reader) (*LSH, error) {
 	return ix, nil
 }
 
-func encodeSQ(bw *binfmt.Writer, s *sqSnapshot) error {
+func (s *sqSnapshot) encode(bw *binfmt.Writer) error {
 	meta := binMeta{
 		Family: "sqflat", Metric: s.Metric, Dim: s.Dim, Count: len(s.IDs),
 		Lo: float64(s.Lo), Hi: float64(s.Hi), Rerank: s.Rerank,
@@ -267,12 +268,13 @@ func decodeSQ(fr *binfmt.Reader) (*SQFlat, error) {
 			len(codes), len(sums), len(sqsums), len(norms), meta.Count)
 	}
 	ix := NewSQFlat(meta.Dim, Metric(meta.Metric), meta.Rerank)
-	ix.store = newLoadedStore(fr, ids, vecs)
+	ix.load(fr, ids, vecs)
 	ix.lo, ix.hi = float32(meta.Lo), float32(meta.Hi)
 	ix.ranged = meta.Count > 0
 	ix.codes = codes
 	ix.sums = sums
 	ix.sqsums = sqsums
 	ix.norms = norms
+	ix.viewed = true
 	return ix, nil
 }

@@ -57,7 +57,7 @@ func TestOpenVectorFilesServeMapped(t *testing.T) {
 	ivf.Train()
 
 	t.Run("flat", func(t *testing.T) {
-		path, _ := writeSnapshotFile(t, flat.Save)
+		path, _ := writeSnapshotFile(t, flat.Freeze().Save)
 		got, err := OpenFlatFile(path)
 		if err != nil {
 			t.Fatalf("OpenFlatFile: %v", err)
@@ -74,7 +74,7 @@ func TestOpenVectorFilesServeMapped(t *testing.T) {
 		}
 	})
 	t.Run("ivf", func(t *testing.T) {
-		path, _ := writeSnapshotFile(t, ivf.Save)
+		path, _ := writeSnapshotFile(t, ivf.Freeze().Save)
 		got, err := OpenIVFFile(path)
 		if err != nil {
 			t.Fatalf("OpenIVFFile: %v", err)
@@ -87,7 +87,7 @@ func TestOpenVectorFilesServeMapped(t *testing.T) {
 		}
 	})
 	t.Run("lsh", func(t *testing.T) {
-		path, _ := writeSnapshotFile(t, lsh.Save)
+		path, _ := writeSnapshotFile(t, lsh.Freeze().Save)
 		got, err := OpenLSHFile(path)
 		if err != nil {
 			t.Fatalf("OpenLSHFile: %v", err)
@@ -98,7 +98,7 @@ func TestOpenVectorFilesServeMapped(t *testing.T) {
 	})
 	t.Run("flat-no-mmap", func(t *testing.T) {
 		t.Setenv(binfmt.NoMmapEnv, "1")
-		path, _ := writeSnapshotFile(t, flat.Save)
+		path, _ := writeSnapshotFile(t, flat.Freeze().Save)
 		got, err := OpenFlatFile(path)
 		if err != nil {
 			t.Fatalf("OpenFlatFile (no mmap): %v", err)
@@ -145,7 +145,7 @@ func TestVectorSnapshotCorruption(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := sq.Save(&buf); err != nil {
+	if err := sq.Freeze().Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()

@@ -3,7 +3,6 @@ package vecindex
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/embed"
 )
@@ -20,7 +19,6 @@ import (
 // forces a retrain; retraining remains available to rebalance cells after
 // heavy churn.
 type IVF struct {
-	mu     sync.RWMutex
 	metric Metric
 	dim    int
 	nlist  int

@@ -2,7 +2,6 @@ package vecindex
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/detrand"
 	"repro/internal/embed"
@@ -17,7 +16,6 @@ import (
 // tombstones the vector (its bucket entries are skipped at search time) and
 // the id may be re-added afterwards.
 type LSH struct {
-	mu      sync.RWMutex
 	dim     int
 	nbits   int
 	ntables int

@@ -3,8 +3,11 @@ package vecindex
 import (
 	"fmt"
 	"io"
+	"sync"
+	"unsafe"
 
 	"repro/internal/binfmt"
+	"repro/internal/embed"
 )
 
 // Frozen is an immutable capture of one index's live contents, produced
@@ -16,34 +19,177 @@ import (
 type Frozen interface {
 	// Save serializes the capture to w in the binfmt columnar layout.
 	Save(w io.Writer) error
+	// Thaw returns a searchable index over the capture, for reads pinned
+	// to the version it was frozen at: over the saved file once the capture
+	// is adopted; before that a Flat capture is wrapped in place (its rows
+	// are shared, wherever they live) and the other families are encoded
+	// into memory and opened from there.
+	Thaw() (Index, error)
 }
 
-// frozenSnap is the one Frozen implementation behind all families: snap
-// holds a pointer to the concrete snapshot struct.
-type frozenSnap struct{ snap any }
+// rows is the part of a capture every family shares: the live IDs and
+// their vectors, by reference.
+type rows struct {
+	IDs  []string
+	Vecs []embed.Vector
+}
+
+func (r *rows) live() *rows { return r }
+
+// snapshot is a family's capture struct: rows, embedded, plus its own
+// parameters and columns.
+type snapshot interface {
+	encode(*binfmt.Writer) error
+	live() *rows
+}
+
+// frozenSnap is the one Frozen implementation behind all families. Until
+// Adopt it is snap, sharing rows (and SQFlat's columns) with the live index;
+// afterwards it is the saved file and nothing else.
+type frozenSnap struct {
+	mu    sync.Mutex
+	snap  snapshot       // nil once adopted
+	pin   *binfmt.Reader // container snap's mapped views sit in; once adopted, the capture
+	wrote binfmt.ID      // container the last Save produced
+}
+
+// capture wraps a family's snapshot struct as a Frozen that keeps alive the
+// mapping the index's rows and columns may be views of. Caller holds the
+// read lock.
+func (s *store) capture(snap snapshot) Frozen { return &frozenSnap{snap: snap, pin: s.pin} }
 
 func (z *frozenSnap) Save(w io.Writer) error {
-	bw := binfmt.NewWriter()
-	var err error
-	switch s := z.snap.(type) {
-	case *flatSnapshot:
-		err = encodeFlat(bw, s)
-	case *ivfSnapshot:
-		err = encodeIVF(bw, s)
-	case *lshSnapshot:
-		err = encodeLSH(bw, s)
-	case *sqSnapshot:
-		err = encodeSQ(bw, s)
-	default:
-		err = fmt.Errorf("vecindex: unknown snapshot type %T", z.snap)
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	if z.snap == nil {
+		_, err := z.pin.WriteTo(w)
+		return err
 	}
-	if err != nil {
+	bw := binfmt.NewWriter()
+	if err := z.snap.encode(bw); err != nil {
 		return err
 	}
 	if _, err := bw.WriteTo(w); err != nil {
 		return fmt.Errorf("vecindex: write snapshot: %w", err)
 	}
+	z.wrote = bw.ID()
 	return nil
+}
+
+func (z *frozenSnap) Thaw() (Index, error) {
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	fr := z.pin
+	switch s := z.snap.(type) {
+	case nil:
+	case *flatSnapshot:
+		f := NewFlat(s.Dim, Metric(s.Metric))
+		f.load(z.pin, s.IDs, s.Vecs)
+		return f, nil
+	default:
+		bw := binfmt.NewWriter()
+		err := s.encode(bw)
+		if err == nil {
+			fr, err = bw.Build()
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	var meta binMeta
+	if err := fr.JSON("meta", &meta); err != nil {
+		return nil, err
+	}
+	switch meta.Family {
+	case "flat":
+		return decodeFlat(fr)
+	case "ivf":
+		return decodeIVF(fr)
+	case "lsh":
+		return decodeLSH(fr)
+	default:
+		return decodeSQ(fr)
+	}
+}
+
+// Adopt moves vector rows off the heap onto the file at path, which must
+// be the file z.Save wrote (same container identity; opened as the
+// Open*File loaders open a snapshot): every live row that still is the
+// capture's row — same backing array, so an ID removed and re-added since
+// the freeze keeps its new heap row — becomes a view of the file's row, and
+// the capture becomes the file. Same bytes, same ordinals: searches are
+// unaffected. The container the index viewed until now is let go, so
+// whatever else still views it moves to the heap. On any error nothing moves.
+func (s *store) Adopt(z Frozen, path string) error { return s.adopt(z, path, nil) }
+
+// adopt is Adopt for a family with columns of its own: columns, called with
+// the write lock held, takes them off the container being let go.
+func (s *store) adopt(z Frozen, path string, columns func()) error {
+	zs := z.(*frozenSnap)
+	fr, err := binfmt.OpenFile(path)
+	if err != nil {
+		return fmt.Errorf("vecindex: %w", err)
+	}
+	zs.mu.Lock()
+	defer zs.mu.Unlock()
+	if got := fr.ID(); zs.snap == nil || got != zs.wrote {
+		return fmt.Errorf("vecindex: %s holds container %+v, capture wrote %+v", path, got, zs.wrote)
+	}
+	blob, err := fr.Float32s("vecs")
+	if err != nil {
+		return err
+	}
+	r := zs.snap.live()
+	dim := len(blob) / max(len(r.IDs), 1)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	moved := 0 // live rows only
+	for i, id := range r.IDs {
+		if ord, ok := s.byID[id]; ok && &s.vecs[ord][0] == &r.Vecs[i][0] {
+			s.vecs[ord] = blob[i*dim : (i+1)*dim : (i+1)*dim]
+			if !s.deleted[ord] {
+				moved++
+			}
+		}
+	}
+	// Rows the previous container still backs are tombstones the capture
+	// skipped.
+	for ord, v := range s.vecs {
+		if s.inBlob(v) {
+			s.vecs[ord] = embed.Clone(v)
+		}
+	}
+	if columns != nil {
+		columns()
+	}
+	s.pin, s.blob, s.viewing = fr, blob, moved
+	zs.snap, zs.pin = nil, fr
+	return nil
+}
+
+// inBlob reports whether v is a view of the pinned container's rows.
+func (s *store) inBlob(v embed.Vector) bool {
+	if len(s.blob) == 0 {
+		return false
+	}
+	p, lo := uintptr(unsafe.Pointer(&v[0])), uintptr(unsafe.Pointer(&s.blob[0]))
+	return p >= lo && p < lo+4*uintptr(len(s.blob))
+}
+
+// Residency reports where the index's live vector rows sit: bytes on the
+// heap, bytes in the mapped snapshot file, and how many rows the heap
+// share is. Tombstones awaiting compaction are not counted.
+func (s *store) Residency() (heap, mapped int64, heapRows int) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.live == 0 {
+		return 0, 0, 0
+	}
+	row, views := int64(4*len(s.vecs[0])), 0
+	if s.pin != nil && s.pin.Mapped() {
+		views = s.viewing
+	}
+	return row * int64(s.live-views), row * int64(views), s.live - views
 }
 
 // loadSnapshot buffers a snapshot stream, verifies it as a binfmt
@@ -77,8 +223,7 @@ func openSnapshot[T any](path string, decode func(*binfmt.Reader) (T, error)) (T
 type flatSnapshot struct {
 	Metric int
 	Dim    int
-	IDs    []string
-	Vecs   [][]float32
+	rows
 }
 
 // Freeze captures the index's live vectors. Tombstoned (removed) vectors
@@ -86,27 +231,11 @@ type flatSnapshot struct {
 func (f *Flat) Freeze() Frozen {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	snap := flatSnapshot{
-		Metric: int(f.metric),
-		Dim:    f.dim,
-		IDs:    make([]string, 0, f.live),
-		Vecs:   make([][]float32, 0, f.live),
-	}
-	for i, v := range f.vecs {
-		if f.deleted[i] {
-			continue
-		}
-		snap.IDs = append(snap.IDs, f.ids[i])
-		snap.Vecs = append(snap.Vecs, v)
-	}
-	return &frozenSnap{snap: &snap}
+	snap := flatSnapshot{Metric: int(f.metric), Dim: f.dim, rows: f.liveRows()}
+	return f.capture(&snap)
 }
 
-// Save writes the index to w in the binfmt columnar layout (Freeze +
-// Frozen.Save in one call).
-func (f *Flat) Save(w io.Writer) error { return f.Freeze().Save(w) }
-
-// LoadFlat reads a snapshot produced by Flat.Save. Streams read this way
+// LoadFlat reads a saved Flat capture. Streams read this way
 // are fully buffered; use OpenFlatFile to serve from a mapped file.
 func LoadFlat(r io.Reader) (*Flat, error) { return loadSnapshot(r, decodeFlat) }
 
@@ -128,8 +257,7 @@ type ivfSnapshot struct {
 
 	Trained   bool
 	Centroids [][]float32
-	IDs       []string
-	Vecs      [][]float32
+	rows
 	// Cells[i] is the cell of Vecs[i]; empty when untrained.
 	Cells []int32
 }
@@ -144,8 +272,7 @@ func (ix *IVF) Freeze() Frozen {
 	snap := ivfSnapshot{
 		Metric: int(ix.metric), Dim: ix.dim, NList: ix.nlist, NProbe: ix.nprobe, Seed: ix.seed,
 		Trained: ix.trained,
-		IDs:     make([]string, 0, ix.live),
-		Vecs:    make([][]float32, 0, ix.live),
+		rows:    rows{IDs: make([]string, 0, ix.live), Vecs: make([]embed.Vector, 0, ix.live)},
 	}
 	for _, c := range ix.centroids {
 		snap.Centroids = append(snap.Centroids, c)
@@ -170,14 +297,10 @@ func (ix *IVF) Freeze() Frozen {
 			}
 		}
 	}
-	return &frozenSnap{snap: &snap}
+	return ix.capture(&snap)
 }
 
-// Save writes the index to w in the binfmt columnar layout (Freeze +
-// Frozen.Save in one call). Cell assignments are preserved exactly.
-func (ix *IVF) Save(w io.Writer) error { return ix.Freeze().Save(w) }
-
-// LoadIVF reads a snapshot produced by IVF.Save, restoring the trained
+// LoadIVF reads a saved IVF capture, restoring the trained
 // centroids and exact cell assignments.
 func LoadIVF(r io.Reader) (*IVF, error) { return loadSnapshot(r, decodeIVF) }
 
@@ -193,8 +316,7 @@ type lshSnapshot struct {
 	NBits   int
 	NTables int
 	Seed    uint64
-	IDs     []string
-	Vecs    [][]float32
+	rows
 }
 
 // Freeze captures the index's live vectors. Tombstoned vectors are
@@ -203,33 +325,18 @@ type lshSnapshot struct {
 func (ix *LSH) Freeze() Frozen {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	snap := lshSnapshot{
-		Dim: ix.dim, NBits: ix.nbits, NTables: ix.ntables, Seed: ix.seed,
-		IDs:  make([]string, 0, ix.live),
-		Vecs: make([][]float32, 0, ix.live),
-	}
-	for ord, v := range ix.vecs {
-		if ix.deleted[ord] {
-			continue
-		}
-		snap.IDs = append(snap.IDs, ix.ids[ord])
-		snap.Vecs = append(snap.Vecs, v)
-	}
-	return &frozenSnap{snap: &snap}
+	snap := lshSnapshot{Dim: ix.dim, NBits: ix.nbits, NTables: ix.ntables, Seed: ix.seed, rows: ix.liveRows()}
+	return ix.capture(&snap)
 }
 
-// Save writes the index to w in the binfmt columnar layout (Freeze +
-// Frozen.Save in one call).
-func (ix *LSH) Save(w io.Writer) error { return ix.Freeze().Save(w) }
-
-// LoadLSH reads a snapshot produced by LSH.Save.
+// LoadLSH reads a saved LSH capture.
 func LoadLSH(r io.Reader) (*LSH, error) { return loadSnapshot(r, decodeLSH) }
 
 // OpenLSHFile opens a snapshot file memory-mapped (vectors are zero-copy
 // views; signatures are re-hashed eagerly).
 func OpenLSHFile(path string) (*LSH, error) { return openSnapshot(path, decodeLSH) }
 
-// LoadSQ reads a snapshot produced by SQFlat.Save.
+// LoadSQ reads a saved SQFlat capture.
 func LoadSQ(r io.Reader) (*SQFlat, error) { return loadSnapshot(r, decodeSQ) }
 
 // OpenSQFile opens an SQFlat snapshot file, memory-mapping the container

@@ -18,7 +18,7 @@ func TestFlatSaveLoadRoundtrip(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := f.Save(&buf); err != nil {
+	if err := f.Freeze().Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
 	loaded, err := LoadFlat(&buf)
@@ -52,7 +52,7 @@ func TestFlatSaveLoadProperty(t *testing.T) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := ix.Save(&buf); err != nil {
+		if err := ix.Freeze().Save(&buf); err != nil {
 			return false
 		}
 		loaded, err := LoadFlat(&buf)
@@ -121,7 +121,7 @@ func TestIVFSaveLoadRoundtrip(t *testing.T) {
 				ix.Remove("v005")
 			}
 			var buf bytes.Buffer
-			if err := ix.Save(&buf); err != nil {
+			if err := ix.Freeze().Save(&buf); err != nil {
 				t.Fatalf("Save: %v", err)
 			}
 			loaded, err := LoadIVF(&buf)
@@ -154,7 +154,7 @@ func TestLSHSaveLoadRoundtrip(t *testing.T) {
 	}
 	ix.Remove("v010")
 	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	if err := ix.Freeze().Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
 	loaded, err := LoadLSH(&buf)

@@ -2,8 +2,8 @@ package vecindex
 
 import (
 	"fmt"
-	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/embed"
@@ -34,7 +34,6 @@ const DefaultRerank = 4
 // which needs only the stored per-vector code sums — the hot loop touches
 // nothing but int8 codes. L2 uses code square-sums the same way.
 type SQFlat struct {
-	mu     sync.RWMutex
 	metric Metric
 	dim    int
 	rerank int
@@ -48,6 +47,9 @@ type SQFlat struct {
 	sums   []int32   // per-vector raw code sum
 	sqsums []int32   // per-vector raw code square sum
 	norms  []float32 // per-vector full-precision Euclidean norm
+	// viewed is set while the four columns may still be the views of
+	// store.pin the index was opened with; an Add reallocates all of them.
+	viewed bool
 
 	// requants counts whole-index requantizations (range extensions).
 	requants int
@@ -131,6 +133,7 @@ func (s *SQFlat) Add(id string, v embed.Vector) error {
 	if err != nil {
 		return err
 	}
+	s.viewed = false
 	lo, hi := v[0], v[0]
 	for _, x := range v[1:] {
 		if x < lo {
@@ -187,6 +190,17 @@ func (s *SQFlat) Remove(id string) bool {
 		s.codes, s.sums, s.sqsums, s.norms = codes, sums, sqsums, norms
 	}
 	return removed
+}
+
+// Adopt is store.Adopt; code columns still viewing the container the index
+// was opened from, which the rows leave here, move to the heap.
+func (s *SQFlat) Adopt(z Frozen, path string) error {
+	return s.adopt(z, path, func() {
+		if s.viewed {
+			s.codes, s.sums, s.sqsums, s.norms = slices.Clone(s.codes), slices.Clone(s.sums), slices.Clone(s.sqsums), slices.Clone(s.norms)
+			s.viewed = false
+		}
+	})
 }
 
 // Len returns the number of live indexed vectors.
@@ -366,8 +380,7 @@ type sqSnapshot struct {
 	Dim    int
 	Lo, Hi float32
 	Rerank int
-	IDs    []string
-	Vecs   [][]float32
+	rows
 	Codes  []int8
 	Sums   []int32
 	SqSums []int32
@@ -390,14 +403,11 @@ func (s *SQFlat) Freeze() Frozen {
 		snap.Sums = s.sums[:len(s.sums):len(s.sums)]
 		snap.SqSums = s.sqsums[:len(s.sqsums):len(s.sqsums)]
 		snap.Norms = s.norms[:len(s.norms):len(s.norms)]
-		snap.Vecs = make([][]float32, len(s.vecs))
-		for i, v := range s.vecs {
-			snap.Vecs[i] = v
-		}
-		return &frozenSnap{snap: &snap}
+		snap.Vecs = append([]embed.Vector(nil), s.vecs...)
+		return s.capture(&snap)
 	}
 	snap.IDs = make([]string, 0, s.live)
-	snap.Vecs = make([][]float32, 0, s.live)
+	snap.Vecs = make([]embed.Vector, 0, s.live)
 	snap.Codes = make([]int8, 0, s.live*s.dim)
 	snap.Sums = make([]int32, 0, s.live)
 	snap.SqSums = make([]int32, 0, s.live)
@@ -413,8 +423,5 @@ func (s *SQFlat) Freeze() Frozen {
 		snap.SqSums = append(snap.SqSums, s.sqsums[ord])
 		snap.Norms = append(snap.Norms, s.norms[ord])
 	}
-	return &frozenSnap{snap: &snap}
+	return s.capture(&snap)
 }
-
-// Save writes the index to w (Freeze + Frozen.Save in one call).
-func (s *SQFlat) Save(w io.Writer) error { return s.Freeze().Save(w) }

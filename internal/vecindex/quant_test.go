@@ -195,7 +195,7 @@ func TestSQFlatSaveLoadRoundtrip(t *testing.T) {
 	sq.Remove("v007") // tombstones must compact away in the capture
 
 	var buf bytes.Buffer
-	if err := sq.Save(&buf); err != nil {
+	if err := sq.Freeze().Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
 	data := append([]byte(nil), buf.Bytes()...)

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/binfmt"
 	"repro/internal/embed"
 )
 
@@ -57,6 +58,18 @@ type Searcher interface {
 	Len() int
 }
 
+// Index is the surface every index family offers beyond search: live
+// writes, two-phase persistence (Freeze, then Frozen.Save off-lock), and
+// adoption of the file a capture was saved to. Frozen.Thaw returns one.
+type Index interface {
+	Searcher
+	Add(id string, v embed.Vector) error
+	Remove(id string) bool
+	Freeze() Frozen
+	Adopt(z Frozen, path string) error
+	Residency() (heap, mapped int64, heapRows int)
+}
+
 // compactThreshold is the minimum tombstone count before an index compacts
 // itself. Removal compacts once tombstones both exceed this floor and
 // outnumber live entries, so sustained churn (e.g. entity re-indexing under
@@ -65,17 +78,24 @@ type Searcher interface {
 const compactThreshold = 64
 
 // store is the id/vector bookkeeping shared by all index types: append-only
-// arrays with tombstoned removal and threshold-triggered compaction. The
-// embedding index owns the lock; every method here assumes it is held.
+// arrays with tombstoned removal and threshold-triggered compaction. It
+// holds the lock the embedding index takes; the *Locked methods assume it
+// is held.
 type store struct {
+	mu      sync.RWMutex
 	ids     []string
 	vecs    []embed.Vector
 	deleted []bool
 	live    int
 	byID    map[string]int
-	// pin keeps the binfmt container alive when ids/vecs are zero-copy
-	// views into a memory mapping (see binary.go); nil for built indexes.
-	pin any
+	// pin is the snapshot container rows loaded from it (binary.go) or
+	// re-pointed at it by Adopt are zero-copy views of, blob its vector
+	// section; holding pin keeps the mapping alive. Rows added since are on
+	// the heap. Both nil for an index never saved.
+	pin  *binfmt.Reader
+	blob []float32
+	// viewing counts the live rows that are views of blob.
+	viewing int
 }
 
 func newStore() store { return store{byID: make(map[string]int)} }
@@ -95,6 +115,19 @@ func (s *store) addLocked(id string, v embed.Vector) (int, error) {
 	return ord, nil
 }
 
+// liveRows captures the live IDs and vectors by reference, in ordinal
+// order with tombstones compacted away. Caller holds the read lock.
+func (s *store) liveRows() rows {
+	r := rows{IDs: make([]string, 0, s.live), Vecs: make([]embed.Vector, 0, s.live)}
+	for ord, v := range s.vecs {
+		if !s.deleted[ord] {
+			r.IDs = append(r.IDs, s.ids[ord])
+			r.Vecs = append(r.Vecs, v)
+		}
+	}
+	return r
+}
+
 // removeLocked tombstones id, reporting whether it was live and whether the
 // tombstone count now warrants compaction.
 func (s *store) removeLocked(id string) (removed, compactDue bool) {
@@ -104,6 +137,9 @@ func (s *store) removeLocked(id string) (removed, compactDue bool) {
 	}
 	s.deleted[ord] = true
 	s.live--
+	if s.inBlob(s.vecs[ord]) {
+		s.viewing--
+	}
 	dead := len(s.ids) - s.live
 	return true, dead > s.live && dead >= compactThreshold
 }
@@ -150,7 +186,6 @@ func score(m Metric, q, v embed.Vector) float64 {
 // Search; removal tombstones the vector (skipped by searches) and the id
 // may be re-added afterwards, matching the live-lake ingest pattern.
 type Flat struct {
-	mu     sync.RWMutex
 	metric Metric
 	dim    int
 	store

@@ -176,6 +176,63 @@ func TestDurableCheckpointRecovery(t *testing.T) {
 	}
 }
 
+// TestCheckpointLeavesProcessWhereRestartWould: a checkpoint is a flush.
+// After it the running system holds its indexes the way a system reopened
+// on the same directory does — every shard a mapped file, only the writes
+// since on the heap — and the two answer alike.
+func TestCheckpointLeavesProcessWhereRestartWould(t *testing.T) {
+	data := filepath.Join(t.TempDir(), "data")
+	sys, err := Open(data, durableOpts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Pipeline().Lake().AddSource(Source{ID: "cases", Name: "paper cases", TrustPrior: 0.9}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tb := range []*Table{workload.USOpen1954Table(), workload.USOpen1959Table(), workload.OhioDistrictsTable()} {
+		if err := sys.AddTable(tb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := sys.Pipeline().Indexer().IndexStats()
+	if bm25 := before.Families["bm25"]; bm25.MappedBytes != 0 || bm25.DeltaDocs == 0 {
+		t.Fatalf("before any checkpoint: %+v", before)
+	}
+	if _, err := sys.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AddDocument(workload.MeaganGoodDoc()); err != nil { // the tail a restart replays
+		t.Fatal(err)
+	}
+	after := sys.Pipeline().Indexer().IndexStats()
+	if after.Adopted != 8 || after.Skipped != 0 || after.Families["bm25"].HeapBytes != 0 || after.Families["vector"].HeapBytes == 0 {
+		t.Errorf("after the checkpoint and one write: %+v", after)
+	}
+	want, err := sys.VerifyClaim("golf", workload.GolfClaim())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := Open(data, durableOpts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if got := reopened.Pipeline().Indexer().IndexStats(); !reflect.DeepEqual(got.Families, after.Families) {
+		t.Errorf("residency differs:\n checkpointed %+v\n reopened     %+v", after.Families, got.Families)
+	}
+	got, err := reopened.VerifyClaim("golf", workload.GolfClaim())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("reports differ:\n checkpointed %+v\n reopened     %+v", want, got)
+	}
+}
+
 // TestDurableTornTailRecovery truncates the WAL mid-record (a crash in the
 // middle of an append) and checks recovery drops exactly the torn,
 // unacknowledged record and keeps everything before it.

@@ -64,6 +64,7 @@ import (
 	"repro/internal/datalake"
 	"repro/internal/doc"
 	"repro/internal/durable"
+	"repro/internal/faultfs"
 	"repro/internal/genstore"
 	"repro/internal/kg"
 	"repro/internal/obs"
@@ -379,8 +380,11 @@ func recoverPins(sys *System, st *durable.Store) error {
 // truncates the write-ahead log segments it covers, returning the lake
 // version it captured. Checkpoints are two-phase and do not block
 // ingestion: writers wait only for the short quiesced fork (catalog view
-// pinned, index shards frozen in memory, WAL rotated), while the long
-// serialization and atomic swap overlap normal traffic. A concurrent
+// pinned, index shards sealed in memory, WAL rotated), while the long
+// serialization and atomic swap overlap normal traffic. A checkpoint is
+// also a flush: once its directory is promoted the running indexes are
+// moved onto the shard files it wrote and their heap copies dropped, so
+// the process holds what a restart on the directory would. A concurrent
 // Checkpoint fails fast with ErrCheckpointInFlight (the in-flight one
 // covers it). Only systems opened with Open can checkpoint.
 func (s *System) Checkpoint() (uint64, error) {
@@ -393,8 +397,9 @@ func (s *System) Checkpoint() (uint64, error) {
 		// retain it: every checkpoint doubles as an unpinned snapshot in the
 		// keep-last-N window at zero extra quiescence.
 		s.pipeline.RegisterSnapshot(view, frozen, false)
-		return func(dir string) error {
-			return frozen.Save(filepath.Join(dir, "indexes"), view.Version())
+		return func(fs faultfs.FS, dir string) (durable.AdoptFunc, error) {
+			adopt := func(dir string) { frozen.Adopt(filepath.Join(dir, "indexes")) }
+			return adopt, frozen.Save(fs, filepath.Join(dir, "indexes"), view.Version())
 		}, nil
 	})
 }
@@ -416,11 +421,9 @@ var ErrSnapshotNotFound = datalake.ErrSnapshotNotFound
 // retained automatically — every Checkpoint leaves one in a keep-last-N
 // window (Options.Pipeline.SnapshotRetain) — but only pins are durable.
 func (s *System) PinSnapshot() (uint64, error) {
-	var persist func(view *datalake.View, writeIndexes func(dir string) error, trust map[string]float64) error
+	var persist func(view *datalake.View, writeIndexes func(fs faultfs.FS, dir string) error, trust map[string]float64) error
 	if s.durable != nil {
-		persist = func(view *datalake.View, writeIndexes func(dir string) error, trust map[string]float64) error {
-			return s.durable.PersistPin(view, durable.WriteFunc(writeIndexes), trust)
-		}
+		persist = s.durable.PersistPin
 	}
 	snap, err := s.pipeline.PinSnapshot(persist)
 	if err != nil {
