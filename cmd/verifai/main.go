@@ -12,7 +12,7 @@
 //	verifai demo
 //	    run the paper's Figure 1 and Figure 4 cases on the built-in case lake
 //	verifai serve [-lake DIR] [-data-dir DIR] [-addr :8080] [-seed N] [-exact]
-//	              [-shards N] [-ingest-queue N] [-quantize] [-rerank-multiple N]
+//	              [-shards N] [-ingest-queue N]
 //	              [-verify-concurrency N] [-verify-timeout 30s]
 //	              [-read-timeout 30s] [-read-header-timeout 5s]
 //	              [-idle-timeout 2m] [-fsync always|interval|none]
@@ -23,12 +23,10 @@
 //	    ingestion is pipelined — embedding runs outside the lake's write
 //	    lock and POST /v1/ingest/batch commits mixed batches under one
 //	    lock acquisition; -shards enables the sharded parallel
-//	    retrieval/applier layout, -ingest-queue bounds the in-flight
-//	    ingest event queue, and -quantize stores flat vector shards
-//	    int8-scalar-quantized (4x smaller, faster scans) with the top
-//	    -rerank-multiple*k candidates re-ranked in exact float math. The
-//	    verify endpoints are admission-controlled (-verify-concurrency;
-//	    saturated requests answer 429) and deadline-bounded
+//	    retrieval/applier layout and -ingest-queue bounds the in-flight
+//	    ingest event queue. The verify endpoints are
+//	    admission-controlled (-verify-concurrency; saturated requests
+//	    answer 429) and deadline-bounded
 //	    (-verify-timeout; expiry aborts the pipeline mid-flight and
 //	    answers 504), accept ?version=N to read at a retained snapshot
 //	    (-snapshot-retain bounds how many unpinned ones are kept),
@@ -353,8 +351,6 @@ type serveFlags struct {
 	exact             bool
 	addr              string
 	shards            int
-	quantize          bool
-	rerankMultiple    int
 	ingestQueue       int
 	verifyConcurrency int
 	verifyTimeout     time.Duration
@@ -374,8 +370,6 @@ func registerServeFlags(fs *flag.FlagSet, defaultAddr string) *serveFlags {
 	fs.BoolVar(&f.exact, "exact", true, "exact reasoning (no calibrated error injection)")
 	fs.StringVar(&f.addr, "addr", defaultAddr, "listen address")
 	fs.IntVar(&f.shards, "shards", 0, "index shards per kind and family (0 = unsharded)")
-	fs.BoolVar(&f.quantize, "quantize", false, "int8 scalar-quantize flat vector shards; searches re-rank candidates with exact float math")
-	fs.IntVar(&f.rerankMultiple, "rerank-multiple", 0, "quantized search scans rerank-multiple*k candidates before exact re-rank (0 = default 4)")
 	fs.IntVar(&f.ingestQueue, "ingest-queue", 0, "bound on the in-flight ingest event queue (0 = default 256)")
 	fs.IntVar(&f.verifyConcurrency, "verify-concurrency", 0, "max concurrently admitted verify requests; beyond it requests answer 429 (0 = 4x GOMAXPROCS, <0 = unlimited)")
 	fs.DurationVar(&f.verifyTimeout, "verify-timeout", 30*time.Second, "per-request verification deadline; expiry aborts the pipeline and answers 504 (0 = client-bounded only)")
@@ -396,12 +390,6 @@ func (f *serveFlags) openOptions() verifai.OpenOptions {
 	opts := baseOptions(f.seed, f.exact)
 	if f.shards > 0 {
 		opts.Indexer.Shards = f.shards
-	}
-	if f.quantize {
-		opts.Indexer.Quantize = true
-	}
-	if f.rerankMultiple > 0 {
-		opts.Indexer.RerankMultiple = f.rerankMultiple
 	}
 	oo := verifai.OpenOptions{Options: opts, Sync: f.fsync, WALFormat: f.walFormat}
 	if f.ingestQueue > 0 {

@@ -248,12 +248,26 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	mut := append([]byte(nil), data...)
 	mut[len(mut)/2] ^= 0x40
 	f.Add(mut)
+	// The sections of an int8 vector segment (vecindex), two rows of four.
+	seg := NewWriter()
+	if err := seg.JSON("meta", map[string]any{"family": "flat-int8", "dim": 4, "count": 2}); err != nil {
+		f.Fatal(err)
+	}
+	seg.Strings("ids", []string{"tuple:t1#0", "table:t1"})
+	seg.Uint32s("idsort", []uint32{1, 0})
+	seg.Float32s("norms", []float32{0.0078, 0})
+	seg.Int8s("codes", []int8{127, -127, 3, 0, 0, 0, 0, 0})
+	var segBuf bytes.Buffer
+	if _, err := seg.WriteTo(&segBuf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(segBuf.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(data)
 		if err != nil {
 			return
 		}
-		for _, name := range []string{"meta", "i32", "u32", "f32", "i8", "strs", "packed", "raw"} {
+		for _, name := range []string{"meta", "i32", "u32", "f32", "i8", "strs", "packed", "raw", "ids", "idsort", "norms", "codes"} {
 			if b, err := r.Bytes(name); err == nil {
 				_ = len(b)
 			}
@@ -264,7 +278,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			}
 			_, _ = r.PackedStrings(name)
 			_, _ = r.Int32s(name)
+			_, _ = r.Uint32s(name)
 			_, _ = r.Float32s(name)
+			_, _ = r.Int8s(name)
 			var v any
 			_ = r.JSON(name, &v)
 		}

@@ -423,17 +423,16 @@ func TestSnapshotSaveGoesThroughFS(t *testing.T) {
 
 // TestAdoptAfterReopenEveryFamily is a restart followed by the first
 // checkpoint, under every vector family: an indexer opened from one
-// checkpoint's files (rows, and SQFlat's code columns, views of them) is
+// checkpoint's files (its rows views of them) is
 // sealed, saved into a second directory and moved onto it; the first
 // directory is unlinked and the collector run until its mappings are gone.
 // The indexer must answer as the one that never left the heap does, before
 // and after further writes.
 func TestAdoptAfterReopenEveryFamily(t *testing.T) {
 	families := map[string]func(*IndexerConfig){
-		"flat":   func(*IndexerConfig) {},
-		"sqflat": func(c *IndexerConfig) { c.Quantize, c.RerankMultiple = true, 64 },
-		"ivf":    func(c *IndexerConfig) { c.Vector, c.IVFLists, c.IVFProbes = VectorIVF, 4, 4 },
-		"lsh":    func(c *IndexerConfig) { c.Vector = VectorLSH },
+		"flat": func(*IndexerConfig) {},
+		"ivf":  func(c *IndexerConfig) { c.Vector, c.IVFLists, c.IVFProbes = VectorIVF, 4, 4 },
+		"lsh":  func(c *IndexerConfig) { c.Vector = VectorLSH },
 	}
 	for name, tune := range families {
 		t.Run(name, func(t *testing.T) {

@@ -26,7 +26,8 @@ import (
 type VectorIndexKind int
 
 const (
-	// VectorFlat is exact brute-force search (Faiss IndexFlat).
+	// VectorFlat is an exhaustive scan over int8 rows (Faiss
+	// IndexScalarQuantizer, QT_8bit, flat): vecindex.SQFlat.
 	VectorFlat VectorIndexKind = iota
 	// VectorIVF is inverted-file search over k-means cells (Faiss IVF-Flat).
 	VectorIVF
@@ -56,16 +57,6 @@ type IndexerConfig struct {
 	// LSHBits / LSHTables parameterize VectorLSH.
 	LSHBits   int
 	LSHTables int
-	// Quantize stores VectorFlat shards as int8 scalar-quantized codes
-	// scanned approximately and re-ranked exactly (vecindex.SQFlat) —
-	// a memory-bandwidth optimization for large flat shards. Only valid
-	// with VectorFlat.
-	Quantize bool
-	// RerankMultiple is the quantized scan's candidate multiple: the
-	// approximate pass keeps RerankMultiple×k candidates for exact
-	// re-ranking. <= 0 means vecindex.DefaultRerank. A runtime accuracy
-	// knob: it does not change the snapshot layout.
-	RerankMultiple int
 	// Kinds lists the instance granularities to index. Tables are indexed
 	// whole AND per-tuple when both kinds are present, matching the paper's
 	// lake of tuples, tables, and text.
@@ -175,23 +166,25 @@ func (ix *Indexer) SetMetrics(reg *obs.Registry) {
 	ix.m.searchBM25 = vec.With(familyBM25)
 	ix.m.searchVector = vec.With(familyVector)
 	seg := reg.GaugeVec("verifai_index_segment_bytes",
-		"Sealed BM25 segment bytes and live vector-row bytes, by where they sit (heap, or a mapped shard file).", "family", "residency")
+		"Sealed BM25 segment bytes and vector code and norm bytes, by where they sit (heap, or a mapped shard file).", "family", "residency")
 	delta := reg.GaugeVec("verifai_index_delta_docs",
 		"BM25 documents or vector rows written since the shard's last checkpoint, held only on the heap.", "family")
-	for _, family := range []string{familyBM25, familyVector} {
-		family := family
-		seg.Func(func() float64 { return float64(ix.IndexStats().Families[family].HeapBytes) }, family, "heap")
-		seg.Func(func() float64 { return float64(ix.IndexStats().Families[family].MappedBytes) }, family, "mapped")
-		delta.Func(func() float64 { return float64(ix.IndexStats().Families[family].DeltaDocs) }, family)
-	}
+	// One walk over the shards per exposition feeds all six series.
+	reg.OnCollect(func() {
+		for family, r := range ix.IndexStats().Families {
+			seg.With(family, "heap").Set(float64(r.HeapBytes))
+			seg.With(family, "mapped").Set(float64(r.MappedBytes))
+			delta.With(family).Set(float64(r.DeltaDocs))
+		}
+	})
 	adoptions := reg.CounterVec("verifai_index_adoptions_total",
 		"Shard files a checkpoint moved the running indexes onto (adopted) or could not (skipped: that shard stays on the heap).", "result")
 	ix.m.adopted, ix.m.skipped = adoptions.With("adopted"), adoptions.With("skipped")
 }
 
 // FamilyResidency says where one index family's bulk sits: sealed BM25
-// segments or live vector rows, by residency, and the BM25 delta documents
-// or heap vector rows written since the last checkpoint.
+// segment bytes or vector code and norm bytes, by residency, and the BM25
+// delta documents or vector tail rows written since the last checkpoint.
 type FamilyResidency struct {
 	HeapBytes   int64 `json:"heap_bytes"`
 	MappedBytes int64 `json:"mapped_bytes"`
@@ -244,9 +237,6 @@ func newIndexer(lake *datalake.Lake, cfg *IndexerConfig) (*Indexer, error) {
 	}
 	if !cfg.EnableBM25 && !cfg.EnableVector {
 		return nil, fmt.Errorf("core: indexer needs at least one index family enabled")
-	}
-	if cfg.Quantize && cfg.Vector != VectorFlat {
-		return nil, fmt.Errorf("core: Quantize requires VectorFlat (got kind %d)", int(cfg.Vector))
 	}
 	workers := cfg.RetrieveWorkers
 	if workers <= 0 {
@@ -360,10 +350,7 @@ func (ix *Indexer) Embedder() *embed.Embedder { return ix.emb }
 func (ix *Indexer) newVectorIndex() (vectorIndex, error) {
 	switch ix.cfg.Vector {
 	case VectorFlat:
-		if ix.cfg.Quantize {
-			return vecindex.NewSQFlat(ix.cfg.EmbedDim, vecindex.Cosine, ix.cfg.RerankMultiple), nil
-		}
-		return vecindex.NewFlat(ix.cfg.EmbedDim, vecindex.Cosine), nil
+		return vecindex.NewSQFlat(ix.cfg.EmbedDim), nil
 	case VectorIVF:
 		return vecindex.NewIVF(ix.cfg.EmbedDim, vecindex.Cosine, ix.cfg.IVFLists, ix.cfg.IVFProbes, ix.cfg.Seed), nil
 	case VectorLSH:

@@ -22,12 +22,12 @@ import (
 // pinned in meta.json. A snapshot that does not match is simply not used
 // (the caller falls back to a bulk re-index), never partially applied.
 //
-// A checkpoint is also a flush. Freeze seals each BM25 shard into the
-// segment Save writes, and once the directory is promoted Adopt opens each
-// shard file as recovery would and moves the running process onto it (BM25
-// columns and vector rows become views of the mapping, the heap copies are
-// dropped): after any checkpoint the process holds what a restart on the
-// directory would — mapped shard files, a delta of what was written since.
+// A checkpoint is also a flush. Freeze seals each shard into the segment
+// Save writes, and once the directory is promoted Adopt opens each shard
+// file as recovery would and moves the running process onto it (segment
+// columns become views of the mapping, the heap copies are dropped): after
+// any checkpoint the process holds what a restart on the directory would —
+// mapped shard files, a delta of what was written since.
 
 // snapshotFormat versions the snapshot layout itself.
 const snapshotFormat = 1
@@ -54,10 +54,13 @@ type snapshotConfig struct {
 	IVFProbes    int             `json:"ivf_probes,omitempty"`
 	LSHBits      int             `json:"lsh_bits,omitempty"`
 	LSHTables    int             `json:"lsh_tables,omitempty"`
-	Quantize     bool            `json:"quantize,omitempty"`
-	Kinds        []datalake.Kind `json:"kinds"`
-	ChunkTokens  int             `json:"chunk_tokens"`
-	Shards       int             `json:"shards"`
+	// VectorRows names the row encoding of the VectorFlat family's shard
+	// files, so a directory written with another one (float32 rows, before
+	// the int8 segment) is re-indexed rather than handed to this decoder.
+	VectorRows  string          `json:"vector_rows,omitempty"`
+	Kinds       []datalake.Kind `json:"kinds"`
+	ChunkTokens int             `json:"chunk_tokens"`
+	Shards      int             `json:"shards"`
 }
 
 // canonicalConfig serializes cfg's layout-relevant fields.
@@ -67,13 +70,11 @@ func canonicalConfig(cfg IndexerConfig) ([]byte, error) {
 		EnableBM25: cfg.EnableBM25, EnableVector: cfg.EnableVector, Vector: cfg.Vector,
 		Kinds: cfg.Kinds, ChunkTokens: cfg.ChunkTokens, Shards: cfg.Shards,
 	}
-	// Only the selected family's parameters pin the layout. RerankMultiple
-	// is deliberately excluded: it tunes the quantized scan at query time
-	// without changing what is stored.
+	// Only the selected family's parameters pin the layout.
 	if cfg.EnableVector {
 		switch cfg.Vector {
 		case VectorFlat:
-			sc.Quantize = cfg.Quantize
+			sc.VectorRows = "int8"
 		case VectorIVF:
 			sc.IVFLists, sc.IVFProbes = cfg.IVFLists, cfg.IVFProbes
 		case VectorLSH:
@@ -92,8 +93,8 @@ func shardFile(dir, family string, kind datalake.Kind, shard int) string {
 // quiesced fork phase. Save then serializes it to disk with no lake or
 // index locks held, so ingestion proceeds for the whole write phase — the
 // capture stays frozen at the fork's lake version no matter how far the
-// live indexes move on. It holds references only: sealed BM25 segments the
-// live shards keep searching as their base, and vector rows by reference.
+// live indexes move on. It holds references only: the sealed segments the
+// live shards keep searching as their base (IVF and LSH: rows by reference).
 type FrozenIndexes struct {
 	ix   *Indexer
 	bm25 map[datalake.Kind][]*invindex.Frozen
@@ -102,9 +103,9 @@ type FrozenIndexes struct {
 
 // Freeze captures every shard of every index family. Call it only while
 // the lake is quiesced (e.g. inside datalake.Fork), or concurrent ingest
-// will tear the shard captures against each other. BM25 shards written
-// since their last seal are compacted into a new segment here (searches on
-// that shard wait); everything else is a reference copy. No I/O.
+// will tear the shard captures against each other. Shards written since
+// their last seal are compacted into a new segment here (searches on that
+// shard wait); an unchanged shard hands back the segment it has. No I/O.
 func (ix *Indexer) Freeze() *FrozenIndexes {
 	fz := &FrozenIndexes{
 		ix:   ix,
@@ -199,7 +200,7 @@ func (fz *FrozenIndexes) Adopt(dir string) {
 	}
 	for kind, shards := range fz.vec {
 		for si, sh := range shards {
-			count(fz.ix.vec[kind][si].Adopt(sh, shardFile(dir, familyVector, kind, si)))
+			count(sh.Adopt(shardFile(dir, familyVector, kind, si)))
 		}
 	}
 }
@@ -340,21 +341,12 @@ func openVectorShard(cfg IndexerConfig, path string) (vectorIndex, error) {
 	if err := statShard(path); err != nil {
 		return nil, err
 	}
-	switch {
-	case cfg.Vector == VectorFlat && cfg.Quantize:
-		sq, err := vecindex.OpenSQFile(path)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.RerankMultiple > 0 {
-			sq.SetRerank(cfg.RerankMultiple)
-		}
-		return sq, nil
-	case cfg.Vector == VectorFlat:
-		return vecindex.OpenFlatFile(path)
-	case cfg.Vector == VectorIVF:
+	switch cfg.Vector {
+	case VectorFlat:
+		return vecindex.OpenSQFile(path)
+	case VectorIVF:
 		return vecindex.OpenIVFFile(path)
-	case cfg.Vector == VectorLSH:
+	case VectorLSH:
 		return vecindex.OpenLSHFile(path)
 	default:
 		return nil, fmt.Errorf("core: unknown vector index kind %d", int(cfg.Vector))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -125,6 +126,32 @@ func TestSnapshotMismatch(t *testing.T) {
 		t.Fatalf("config mismatch error = %v, want ErrSnapshotMismatch", err)
 	}
 
+	// The fingerprint of a directory written before flat shards held int8
+	// rows: same configuration, no row format named.
+	metaPath := filepath.Join(dir, "meta.json")
+	meta, err := os.ReadFile(metaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	older := bytes.Replace(meta, []byte(`"vector_rows": "int8",`), nil, 1)
+	if bytes.Equal(older, meta) {
+		t.Fatalf("meta.json names no vector row format: %s", meta)
+	}
+	if err := os.WriteFile(metaPath, older, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BuildIndexerFromSnapshot(lake, cfg, dir); !errors.Is(err, ErrSnapshotMismatch) {
+		t.Fatalf("float-row directory error = %v, want ErrSnapshotMismatch", err)
+	}
+	if err := os.WriteFile(metaPath, meta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if loaded, err := BuildIndexerFromSnapshot(lake, cfg, dir); err != nil {
+		t.Fatalf("restored meta.json refused: %v", err)
+	} else {
+		loaded.Close()
+	}
+
 	// Lake moved past the snapshot.
 	if err := lake.AddDocument(&doc.Document{ID: "extra", Text: "x", SourceID: "s"}); err != nil {
 		t.Fatal(err)
@@ -158,69 +185,6 @@ func TestSnapshotMismatch(t *testing.T) {
 		t.Fatalf("tuning-only change refused the snapshot: %v", err)
 	}
 	loaded.Close()
-}
-
-// TestQuantizedSnapshotRoundTrip exercises the int8-quantized flat family
-// end to end: build, snapshot, recover, retrieve identically, stay live.
-func TestQuantizedSnapshotRoundTrip(t *testing.T) {
-	lake := buildPersistLake(t)
-	cfg := DefaultIndexerConfig(7)
-	cfg.Quantize = true
-	cfg.RerankMultiple = 8
-	cfg.Shards = 2
-	ix, err := BuildIndexer(lake, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-
-	dir := t.TempDir()
-	if err := lake.Quiesce(func(v uint64) error { return ix.Freeze().Save(faultfs.OS, dir, v) }); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := BuildIndexerFromSnapshot(lake, cfg, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer loaded.Close()
-	for _, query := range []string{"season 2 championship", "alice score"} {
-		_, a := ix.Retrieve(query, 10)
-		_, b := loaded.Retrieve(query, 10)
-		if len(a) != len(b) {
-			t.Fatalf("query %q: candidate counts differ (%d vs %d)", query, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Errorf("query %q candidate %d drifted: %s vs %s", query, i, a[i], b[i])
-			}
-		}
-	}
-	// Still live after recovery.
-	if err := lake.AddDocument(&doc.Document{ID: "fresh", Text: "completely fresh zanzibar content", SourceID: "s"}); err != nil {
-		t.Fatal(err)
-	}
-	_, got := loaded.Retrieve("zanzibar", 5, datalake.KindText)
-	if len(got) == 0 || got[0] != "text:fresh" {
-		t.Fatalf("quantized snapshot indexer did not index live ingest: %v", got)
-	}
-
-	// Toggling quantization changes the stored layout: the fingerprint must
-	// refuse the snapshot rather than misread it.
-	plain := cfg
-	plain.Quantize = false
-	if _, err := BuildIndexerFromSnapshot(lake, plain, dir); !errors.Is(err, ErrSnapshotMismatch) {
-		t.Fatalf("quantize toggle error = %v, want ErrSnapshotMismatch", err)
-	}
-}
-
-func TestQuantizeRequiresFlat(t *testing.T) {
-	lake := buildPersistLake(t)
-	cfg := DefaultIndexerConfig(7)
-	cfg.Quantize = true
-	cfg.Vector = VectorIVF
-	if _, err := BuildIndexer(lake, cfg); err == nil {
-		t.Fatal("Quantize with VectorIVF accepted")
-	}
 }
 
 // TestCorruptShardFailsLoudly distinguishes corruption from staleness: a

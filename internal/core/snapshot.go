@@ -12,7 +12,6 @@ import (
 	"repro/internal/invindex"
 	"repro/internal/kg"
 	"repro/internal/provenance"
-	"repro/internal/vecindex"
 	"repro/internal/verify"
 )
 
@@ -88,9 +87,6 @@ func (ps *PinnedSnapshot) doMaterialize() error {
 			thawed, err := sh.Thaw()
 			if err != nil {
 				return fmt.Errorf("core: thaw vector shard %s/%d: %w", kind, si, err)
-			}
-			if sq, ok := thawed.(*vecindex.SQFlat); ok && ps.cfg.RerankMultiple > 0 {
-				sq.SetRerank(ps.cfg.RerankMultiple)
 			}
 			ps.vec[kind] = append(ps.vec[kind], thawed)
 		}

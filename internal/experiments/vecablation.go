@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datalake"
 	"repro/internal/metrics"
+	"repro/internal/vecindex"
 )
 
 // VectorIndexPoint is one ANN index family's quality/latency measurement.
@@ -59,76 +60,91 @@ func (e *Env) AblateVectorIndex() (map[string]VectorIndexPoint, error) {
 	return out, nil
 }
 
-// QuantizationPoint measures int8 scalar quantization with exact re-rank
-// against the exact flat index on identical queries.
+// QuantizationPoint measures the int8 vector index the server runs
+// (vecindex.SQFlat) against the float32 exact scan (vecindex.Flat) on
+// identical vectors and queries.
 type QuantizationPoint struct {
-	// RecallAtK is the mean overlap@k between the quantized index's top-k
-	// and the exact flat index's top-k — recall against the exact results,
-	// not against task ground truth, isolating the quantization error.
-	RecallAtK float64
 	// K is the cutoff measured.
 	K int
-	// QueryMicros / ExactQueryMicros are mean per-query latencies.
+	// TableRecall is the mean overlap@k between the two top-k lists over
+	// the lake's table vectors, queried with the claim tasks; TupleRecall
+	// the same over its tuple vectors, queried with the imputed tuples of
+	// the tuple tasks. Recall against the exact results, not against task
+	// ground truth, isolates the quantization error. No re-rank pass.
+	TableRecall, TupleRecall float64
+	// QueryMicros / ExactQueryMicros are mean per-query scan latencies
+	// over the tuple vectors, the larger set.
 	QueryMicros      float64
 	ExactQueryMicros float64
 }
 
-// AblateQuantization runs claim→table retrieval through an exact flat
-// indexer and an int8-quantized one (rerankMultiple×k candidates re-ranked
-// exactly), reporting how often the quantized top-k agrees with the exact
-// top-k. The acceptance bar for the serving default (rerank multiple 4) is
-// recall@10 >= 0.95.
-func (e *Env) AblateQuantization(k, rerankMultiple int) (QuantizationPoint, error) {
-	base := core.DefaultIndexerConfig(e.Config.Corpus.Seed)
-	base.EnableBM25 = false
-	base.Vector = core.VectorFlat
-	base.Kinds = []datalake.Kind{datalake.KindTable}
-
-	exactCfg := base
-	exact, err := core.BuildIndexer(e.Corpus.Lake, exactCfg)
-	if err != nil {
-		return QuantizationPoint{}, fmt.Errorf("experiments: build exact indexer: %w", err)
-	}
-	defer exact.Close()
-
-	quantCfg := base
-	quantCfg.Quantize = true
-	quantCfg.RerankMultiple = rerankMultiple
-	quant, err := core.BuildIndexer(e.Corpus.Lake, quantCfg)
-	if err != nil {
-		return QuantizationPoint{}, fmt.Errorf("experiments: build quantized indexer: %w", err)
-	}
-	defer quant.Close()
-
-	var overlap, total int
-	var exactElapsed, quantElapsed time.Duration
-	for i, task := range e.ClaimTasks {
-		g := e.ClaimObject(i, task)
-		q := g.Query()
-
-		start := time.Now()
-		_, exactIDs := exact.Retrieve(q, k, datalake.KindTable)
-		exactElapsed += time.Since(start)
-
-		start = time.Now()
-		_, quantIDs := quant.Retrieve(q, k, datalake.KindTable)
-		quantElapsed += time.Since(start)
-
-		want := set(trim(exactIDs, k)...)
-		for _, id := range trim(quantIDs, k) {
-			if _, ok := want[id]; ok {
-				overlap++
+// AblateQuantization embeds the lake's tables and tuples as the indexer
+// does, indexes each set in both forms, and reports how often the int8
+// top-k agrees with the exact top-k. The acceptance bar is recall@10 >=
+// 0.99 on both sets.
+func (e *Env) AblateQuantization(k int) (QuantizationPoint, error) {
+	emb, lake := e.Indexer.Embedder(), e.Corpus.Lake
+	pt := QuantizationPoint{K: k}
+	// recall indexes texts under ids in both forms and queries both; the
+	// latencies it leaves in pt are those of its last call.
+	recall := func(ids, texts, queries []string) (float64, error) {
+		sq, exact := vecindex.NewSQFlat(emb.Dim()), vecindex.NewFlat(emb.Dim(), vecindex.Cosine)
+		for i, v := range emb.EmbedTexts(texts, 0) {
+			if err := sq.Add(ids[i], v); err != nil {
+				return 0, err
+			}
+			if err := exact.Add(ids[i], v); err != nil {
+				return 0, err
 			}
 		}
-		total += len(want)
+		var overlap, total int
+		var exactElapsed, sqElapsed time.Duration
+		for _, query := range queries {
+			q := emb.EmbedText(query)
+			start := time.Now()
+			want := exact.Search(q, k)
+			exactElapsed += time.Since(start)
+			start = time.Now()
+			got := sq.Search(q, k)
+			sqElapsed += time.Since(start)
+			in := make(map[string]bool, len(want))
+			for _, h := range want {
+				in[h.ID] = true
+			}
+			for _, h := range got {
+				if in[h.ID] {
+					overlap++
+				}
+			}
+			total += len(want)
+		}
+		pt.QueryMicros = float64(sqElapsed.Microseconds()) / float64(len(queries))
+		pt.ExactQueryMicros = float64(exactElapsed.Microseconds()) / float64(len(queries))
+		return float64(overlap) / float64(total), nil
 	}
-	pt := QuantizationPoint{K: k}
-	if total > 0 {
-		pt.RecallAtK = float64(overlap) / float64(total)
+
+	var tableIDs, tableTexts, tupleIDs, tupleTexts, claimQueries, tupleQueries []string
+	for _, tid := range lake.TableIDs() {
+		t, _ := lake.Table(tid)
+		tableIDs, tableTexts = append(tableIDs, datalake.TableInstanceID(tid)), append(tableTexts, t.SerializeForIndex())
+		for row := range t.Rows {
+			tp, _ := t.TupleAt(row)
+			tupleIDs, tupleTexts = append(tupleIDs, datalake.TupleInstanceID(tid, row)), append(tupleTexts, tp.SerializeForIndex())
+		}
 	}
-	if n := len(e.ClaimTasks); n > 0 {
-		pt.QueryMicros = float64(quantElapsed.Microseconds()) / float64(n)
-		pt.ExactQueryMicros = float64(exactElapsed.Microseconds()) / float64(n)
+	for i, task := range e.ClaimTasks {
+		claimQueries = append(claimQueries, e.ClaimObject(i, task).Query())
+	}
+	for _, task := range e.TupleTasks {
+		_, imputed := e.Impute(task)
+		tupleQueries = append(tupleQueries, e.TupleObject(task, imputed).Query())
+	}
+	var err error
+	if pt.TableRecall, err = recall(tableIDs, tableTexts, claimQueries); err != nil {
+		return pt, fmt.Errorf("experiments: index tables: %w", err)
+	}
+	if pt.TupleRecall, err = recall(tupleIDs, tupleTexts, tupleQueries); err != nil {
+		return pt, fmt.Errorf("experiments: index tuples: %w", err)
 	}
 	return pt, nil
 }

@@ -185,7 +185,7 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	if err := ix.Freeze().Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := openBytes(t, buf.Bytes())
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -223,7 +223,7 @@ func TestSaveLoadProperty(t *testing.T) {
 		if err := ix.Freeze().Save(&buf); err != nil {
 			return false
 		}
-		loaded, err := Load(&buf)
+		loaded, err := openBytes(t, buf.Bytes())
 		if err != nil {
 			return false
 		}

@@ -189,20 +189,6 @@ func (z *Frozen) Index(opts ...Option) *Index {
 	return ix
 }
 
-// Load reads a snapshot produced by Save. Snapshots read through Load are
-// fully buffered in memory; use OpenFile to serve one from a mapped file.
-func Load(r io.Reader, opts ...Option) (*Index, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("invindex: read snapshot: %w", err)
-	}
-	fr, err := binfmt.NewReader(data)
-	if err != nil {
-		return nil, fmt.Errorf("invindex: %w", err)
-	}
-	return fromReader(fr, opts...)
-}
-
 // OpenFile opens a snapshot file, serving it as an mmap'd immutable base
 // segment (new writes layer into the mutable delta).
 func OpenFile(path string, opts ...Option) (*Index, error) {

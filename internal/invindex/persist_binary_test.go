@@ -27,6 +27,26 @@ func saveToFile(t *testing.T, ix *Index) string {
 	return path
 }
 
+// openBytes puts data in a new file and opens it the way the server opens a
+// shard: OpenFile is the one loader.
+func openBytes(t testing.TB, data []byte, opts ...Option) (*Index, error) {
+	t.Helper()
+	return openBytesIn(t, t.TempDir(), data, opts...)
+}
+
+// openBytesIn is openBytes through a directory the caller made once (a
+// fuzz target runs too often to make one per input); the file is unlinked
+// once open, which a mapping outlives.
+func openBytesIn(t testing.TB, dir string, data []byte, opts ...Option) (*Index, error) {
+	t.Helper()
+	path := filepath.Join(dir, "bm25.idx")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Remove(path)
+	return OpenFile(path, opts...)
+}
+
 // sameHits fails the test unless a and b agree on IDs and (within fp
 // tolerance) scores.
 func sameHits(t *testing.T, label string, a, b []Hit) {
@@ -154,7 +174,7 @@ func TestTwoTierMutation(t *testing.T) {
 	if err := ix.Freeze().Save(&buf); err != nil {
 		t.Fatalf("Save two-tier: %v", err)
 	}
-	reloaded, err := Load(&buf)
+	reloaded, err := openBytes(t, buf.Bytes())
 	if err != nil {
 		t.Fatalf("Load two-tier: %v", err)
 	}
@@ -166,19 +186,11 @@ func TestTwoTierMutation(t *testing.T) {
 	}
 }
 
-// TestNonBinfmtSnapshotRejected: Load and OpenFile are "binfmt or error" —
-// bytes that do not start with the container magic (e.g. a snapshot from
-// a release older than binfmt) are refused.
+// TestNonBinfmtSnapshotRejected: OpenFile is "binfmt or error" — bytes
+// that do not start with the container magic (e.g. a snapshot from a
+// release older than binfmt) are refused.
 func TestNonBinfmtSnapshotRejected(t *testing.T) {
-	stale := []byte("\x0e\xff\x81\x03\x01\x01\x08snapshot")
-	if _, err := Load(bytes.NewReader(stale)); err == nil {
-		t.Error("Load accepted a snapshot without the binfmt magic")
-	}
-	path := filepath.Join(t.TempDir(), "stale.idx")
-	if err := os.WriteFile(path, stale, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenFile(path); err == nil {
+	if _, err := openBytes(t, []byte("\x0e\xff\x81\x03\x01\x01\x08snapshot")); err == nil {
 		t.Error("OpenFile accepted a snapshot without the binfmt magic")
 	}
 }
@@ -198,7 +210,7 @@ func TestBinarySnapshotCorruption(t *testing.T) {
 	for off := 0; off < len(good); off++ {
 		mut := append([]byte(nil), good...)
 		mut[off] ^= 0x5a
-		ix, err := Load(bytes.NewReader(mut))
+		ix, err := openBytes(t, mut)
 		if err != nil {
 			continue
 		}
@@ -206,7 +218,7 @@ func TestBinarySnapshotCorruption(t *testing.T) {
 	}
 
 	for _, cut := range []int{0, 1, len(good) / 2, len(good) - 1} {
-		if _, err := Load(bytes.NewReader(good[:cut])); err == nil {
+		if _, err := openBytes(t, good[:cut]); err == nil {
 			t.Errorf("truncation to %d bytes loaded", cut)
 		}
 	}
@@ -254,7 +266,7 @@ func TestStaticValidationRejects(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	if _, err := Load(bytes.NewReader(encode(t, valid()))); err != nil {
+	if _, err := openBytes(t, encode(t, valid())); err != nil {
 		t.Fatalf("valid hand-built snapshot rejected: %v", err)
 	}
 
@@ -276,7 +288,7 @@ func TestStaticValidationRejects(t *testing.T) {
 	for name, mutate := range cases {
 		p := valid()
 		mutate(&p)
-		if _, err := Load(bytes.NewReader(encode(t, p))); err == nil {
+		if _, err := openBytes(t, encode(t, p)); err == nil {
 			t.Errorf("%s: loaded without error", name)
 		}
 	}
@@ -328,8 +340,9 @@ func FuzzLoadBinarySnapshot(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte(binfmt.Magic))
 	f.Add([]byte{})
+	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		loaded, err := Load(bytes.NewReader(data))
+		loaded, err := openBytesIn(t, dir, data)
 		if err != nil {
 			return
 		}

@@ -364,15 +364,16 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.getOrCreate(renderLabels(v.f.labelKeys, values)).ctr
 }
 
-// GaugeVec is a gauge family partitioned by labels, each series read from
-// a function at exposition time. A nil vec registers nothing.
+// GaugeVec is a gauge family partitioned by labels. A nil vec returns nil
+// children.
 type GaugeVec struct{ f *family }
 
-// Func makes the gauge for the given label values read fn.
-func (v *GaugeVec) Func(fn func() float64, values ...string) {
-	if v != nil {
-		v.f.getOrCreate(renderLabels(v.f.labelKeys, values)).gauge.fn = fn
+// With returns the gauge for the given label values.
+func (v *GaugeVec) With(values ...string) *Gauge {
+	if v == nil {
+		return nil
 	}
+	return v.f.getOrCreate(renderLabels(v.f.labelKeys, values)).gauge
 }
 
 // HistogramVec is a histogram family partitioned by labels. A nil vec
@@ -429,6 +430,8 @@ type Registry struct {
 	mu       sync.Mutex
 	families []*family
 	byName   map[string]*family
+	// collectors run at the start of every exposition (see OnCollect).
+	collectors []func()
 
 	traces *TraceRing
 }
@@ -587,6 +590,18 @@ func (r *Registry) HistogramVecBuckets(name, help string, buckets []float64, lab
 	return &HistogramVec{f: r.register(name, help, kindHistogram, labelKeys, buckets)}
 }
 
+// OnCollect registers fn to run at the start of every exposition, before
+// any series is read: the place to take one snapshot of some state and Set
+// the several gauges derived from it, rather than recomputing it per gauge.
+func (r *Registry) OnCollect(fn func()) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.collectors = append(r.collectors, fn)
+	r.mu.Unlock()
+}
+
 // WritePrometheus renders every family in registration order as
 // Prometheus text exposition format 0.0.4.
 func (r *Registry) WritePrometheus(w io.Writer) error {
@@ -596,7 +611,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	fams := make([]*family, len(r.families))
 	copy(fams, r.families)
+	collectors := r.collectors[:len(r.collectors):len(r.collectors)]
 	r.mu.Unlock()
+	for _, collect := range collectors {
+		collect()
+	}
 	for _, f := range fams {
 		f.mu.Lock()
 		children := make([]*child, len(f.children))

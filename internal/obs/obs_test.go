@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -110,6 +111,8 @@ func TestNilSafety(t *testing.T) {
 	r.HistogramVec("hv_seconds", "hv", "l").With("a").Since(time.Now())
 	r.CounterFunc("cf_total", "cf", func() uint64 { return 1 })
 	r.GaugeFunc("gf", "gf", func() float64 { return 1 })
+	r.GaugeVec("gv", "gv", "l").With("a").Set(1)
+	r.OnCollect(func() { t.Error("a nil registry ran a collector") })
 	done := r.Span(context.Background(), "stage")
 	done()
 	ctx := r.StartTrace(context.Background(), "id")
@@ -144,6 +147,29 @@ verifai_test_http_total{route="/v1/stats",status="200"} 3
 `
 	if b.String() != want {
 		t.Errorf("exposition mismatch:\n got:\n%s\nwant:\n%s", b.String(), want)
+	}
+}
+
+// TestOnCollectRunsOncePerExposition: a collector runs before any series
+// of that exposition is read, once, however many gauges it feeds.
+func TestOnCollectRunsOncePerExposition(t *testing.T) {
+	r := NewRegistry()
+	vec := r.GaugeVec("verifai_test_bytes", "Bytes.", "where")
+	walks := 0
+	r.OnCollect(func() {
+		walks++
+		vec.With("heap").Set(float64(10 * walks))
+		vec.With("mapped").Set(float64(100 * walks))
+	})
+	for scrape := 1; scrape <= 2; scrape++ {
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("verifai_test_bytes{where=\"heap\"} %d\nverifai_test_bytes{where=\"mapped\"} %d\n", 10*scrape, 100*scrape)
+		if walks != scrape || !strings.Contains(b.String(), want) {
+			t.Errorf("scrape %d: %d walks, exposition:\n%s", scrape, walks, b.String())
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	verifai "repro"
+	"repro/internal/binfmt"
 	"repro/internal/core"
 	"repro/internal/workload"
 )
@@ -91,7 +92,8 @@ func TestCheckpointEndpointWithoutDataDir(t *testing.T) {
 // checks POST /v1/admin/checkpoint and the durability section of
 // GET /v1/stats — the wiring cmd/verifai serve uses.
 func TestDurableServerSurfaces(t *testing.T) {
-	sys, err := verifai.Open(filepath.Join(t.TempDir(), "data"), verifai.OpenOptions{
+	data := filepath.Join(t.TempDir(), "data")
+	sys, err := verifai.Open(data, verifai.OpenOptions{
 		Options: verifai.ExactOptions(1), Sync: "none",
 	})
 	if err != nil {
@@ -138,9 +140,33 @@ func TestDurableServerSurfaces(t *testing.T) {
 		bm25.DeltaDocs != 0 || vec.HeapBytes != 0 || vec.MappedBytes == 0 {
 		t.Errorf("stats.indexes after a checkpoint = %+v", stats.Indexes)
 	}
+	// What the vector family reports mapped is what the shard files hold
+	// as rows: their codes and norms sections, one 128-code row here.
+	shards, err := filepath.Glob(filepath.Join(data, "checkpoint", "indexes", "vector-*.idx"))
+	if err != nil || len(shards) != 4 {
+		t.Fatalf("vector shard files: %v (%v)", shards, err)
+	}
+	var rowBytes int64
+	for _, path := range shards {
+		fr, err := binfmt.OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, section := range []string{"codes", "norms"} {
+			b, err := fr.Bytes(section)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rowBytes += int64(len(b))
+		}
+	}
+	if rowBytes != 128+4 {
+		t.Errorf("the shard files hold %d row bytes, want one 132-byte row", rowBytes)
+	}
 	exposition := scrape(t, ts)
 	for _, want := range []string{
 		fmt.Sprintf(`verifai_index_segment_bytes{family="bm25",residency="mapped"} %d`, bm25.MappedBytes),
+		fmt.Sprintf(`verifai_index_segment_bytes{family="vector",residency="mapped"} %d`, rowBytes),
 		`verifai_index_segment_bytes{family="vector",residency="heap"} 0`,
 		`verifai_index_delta_docs{family="bm25"} 0`,
 		`verifai_index_adoptions_total{result="adopted"} 8`,

@@ -15,8 +15,8 @@ import (
 	"repro/internal/embed"
 )
 
-// saveAndAdopt writes z into a new file under dir and has ix adopt it.
-func saveAndAdopt(t *testing.T, ix Index, z Frozen, dir string) string {
+// saveAndAdopt writes z into a new file under dir and adopts it.
+func saveAndAdopt(t *testing.T, z Frozen, dir string) string {
 	t.Helper()
 	f, err := os.CreateTemp(dir, "vec-*.idx")
 	if err != nil {
@@ -28,7 +28,7 @@ func saveAndAdopt(t *testing.T, ix Index, z Frozen, dir string) string {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Adopt(z, f.Name()); err != nil {
+	if err := z.Adopt(f.Name()); err != nil {
 		t.Fatalf("Adopt: %v", err)
 	}
 	return f.Name()
@@ -96,7 +96,7 @@ func sealAdoptDifferential(t *testing.T, build func() Index) {
 		if step%60 == 59 {
 			z := ix.Freeze()
 			if step%120 == 119 { // every other capture is thawed before it is adopted
-				next := saveAndAdopt(t, ix, z, dir)
+				next := saveAndAdopt(t, z, dir)
 				if lastFile != "" {
 					os.Remove(lastFile)
 				}
@@ -116,7 +116,7 @@ func sealAdoptDifferential(t *testing.T, build func() Index) {
 		if ix.Len() != ref.Len() {
 			t.Fatalf("step %d: Len %d vs %d", step, ix.Len(), ref.Len())
 		}
-		if st, views := storeOf(ix), 0; true {
+		if st, views := storeOf(ix), 0; st != nil {
 			for ord, v := range st.vecs {
 				if !st.deleted[ord] && st.inBlob(v) {
 					views++
@@ -140,27 +140,24 @@ func sealAdoptDifferential(t *testing.T, build func() Index) {
 	}
 }
 
+// storeOf returns the row store of a float-row family, nil for SQFlat.
 func storeOf(ix Index) *store {
 	switch ix := ix.(type) {
-	case *Flat:
-		return &ix.store
 	case *IVF:
 		return &ix.store
 	case *LSH:
 		return &ix.store
 	default:
-		return &ix.(*SQFlat).store
+		return nil
 	}
 }
 
-// sealAdoptFamilies is every family, each exact enough at this size that
-// the reference's hits are the only right answer (IVF untrained scans
-// everything; SQFlat re-ranks exactly and requantizes — reading every
-// stored row, tombstones included — whenever a vector extends its range).
+// sealAdoptFamilies are the families whose every search has one right
+// answer, the never-frozen reference's: SQFlat scores the same codes
+// wherever they sit, and an untrained IVF scans every row exactly.
 var sealAdoptFamilies = map[string]func() Index{
-	"flat":   func() Index { return NewFlat(16, Cosine) },
 	"ivf":    func() Index { return NewIVF(16, Cosine, 4, 4, 1) },
-	"sqflat": func() Index { return NewSQFlat(16, Cosine, 64) },
+	"sqflat": func() Index { return NewSQFlat(16) },
 }
 
 func TestSealAdoptDifferential(t *testing.T) {
@@ -177,7 +174,7 @@ func TestSealAdoptUnderGCPressure(t *testing.T) {
 		t.Skip("GC-pressure rerun skipped in -short")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(1))
-	sealAdoptDifferential(t, sealAdoptFamilies["flat"])
+	sealAdoptDifferential(t, sealAdoptFamilies["ivf"])
 	sealAdoptDifferential(t, sealAdoptFamilies["sqflat"])
 }
 
@@ -187,7 +184,7 @@ func TestSealAdoptUnderGCPressure(t *testing.T) {
 func TestAdoptRepointsByIdentity(t *testing.T) {
 	const dim = 8
 	vecs := randomVectors(40, dim, 3)
-	f := NewFlat(dim, Cosine)
+	f := NewIVF(dim, Cosine, 4, 4, 1) // untrained: an exact scan
 	for i, v := range vecs {
 		if err := f.Add(fmt.Sprintf("v%02d", i), v); err != nil {
 			t.Fatal(err)
@@ -204,7 +201,7 @@ func TestAdoptRepointsByIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	other := NewFlat(dim, Cosine)
+	other := NewIVF(dim, Cosine, 4, 4, 1)
 	if err := other.Add("x", vecs[1]); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +213,7 @@ func TestAdoptRepointsByIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, path := range map[string]string{"foreign": foreign, "flipped": flipped} {
-		if err := f.Adopt(z, path); err == nil {
+		if err := z.Adopt(path); err == nil {
 			t.Errorf("%s file adopted", name)
 		}
 		if _, mapped, _ := f.Residency(); mapped != 0 {
@@ -224,7 +221,7 @@ func TestAdoptRepointsByIdentity(t *testing.T) {
 		}
 	}
 	captured := z.(*frozenSnap).snap.live().Vecs[7]
-	if err := f.Adopt(z, own); err != nil {
+	if err := z.Adopt(own); err != nil {
 		t.Fatal(err)
 	}
 	heap, mapped, heapRows := f.Residency()
@@ -258,19 +255,19 @@ func TestAdoptRepointsByIdentity(t *testing.T) {
 // TestAdoptMovesTombstonesOffOldMapping: a row removed after one adopt is
 // a tombstone viewing that file; the next capture skips it, so the next
 // adopt must move it to the heap before the old mapping is released —
-// SQFlat's requantization reads every stored row, tombstones included.
+// compaction reads every stored row, tombstones included.
 func TestAdoptMovesTombstonesOffOldMapping(t *testing.T) {
 	const dim = 8
-	s := NewSQFlat(dim, Cosine, 4)
+	ix := NewIVF(dim, Cosine, 4, 4, 1)
 	for i, v := range randomVectors(30, dim, 5) {
-		if err := s.Add(fmt.Sprintf("v%02d", i), v); err != nil {
+		if err := ix.Add(fmt.Sprintf("v%02d", i), v); err != nil {
 			t.Fatal(err)
 		}
 	}
 	dir := t.TempDir()
-	first := saveAndAdopt(t, s, s.Freeze(), dir)
-	s.Remove("v03")
-	saveAndAdopt(t, s, s.Freeze(), dir)
+	first := saveAndAdopt(t, ix.Freeze(), dir)
+	ix.Remove("v03")
+	saveAndAdopt(t, ix.Freeze(), dir)
 	if err := os.Remove(first); err != nil {
 		t.Fatal(err)
 	}
@@ -278,14 +275,12 @@ func TestAdoptMovesTombstonesOffOldMapping(t *testing.T) {
 		runtime.GC()
 		time.Sleep(5 * time.Millisecond)
 	}
-	wide := make(embed.Vector, dim)
-	wide[0] = 50 // outside the quantization range: every row is re-read
-	before := s.Requants()
-	if err := s.Add("wide", wide); err != nil {
-		t.Fatal(err)
+	ord := ix.byID["v03"]
+	if !ix.deleted[ord] || ix.inBlob(ix.vecs[ord]) {
+		t.Fatal("the tombstone is not a heap row")
 	}
-	if s.Requants() == before {
-		t.Fatal("the add did not requantize; the test reads no tombstone")
+	if got := ix.vecs[ord][0]; got != randomVectors(30, dim, 5)[3][0] {
+		t.Errorf("tombstoned row reads %v after its mapping was released", got)
 	}
 }
 
@@ -296,21 +291,21 @@ func TestAdoptMovesTombstonesOffOldMapping(t *testing.T) {
 func TestCaptureKeepsItsMappingAlive(t *testing.T) {
 	const dim = 8
 	vecs := randomVectors(30, dim, 9)
-	f := NewFlat(dim, Cosine)
+	f := NewIVF(dim, Cosine, 4, 4, 1)
 	for i, v := range vecs {
 		if err := f.Add(fmt.Sprintf("v%02d", i), v); err != nil {
 			t.Fatal(err)
 		}
 	}
 	dir := t.TempDir()
-	first := saveAndAdopt(t, f, f.Freeze(), dir)
+	first := saveAndAdopt(t, f.Freeze(), dir)
 	second := f.Freeze() // its rows are views of the first file
 	thawed, err := second.Thaw()
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := thawed.Search(vecs[3], 5)
-	saveAndAdopt(t, f, second, dir)
+	saveAndAdopt(t, second, dir)
 	if err := os.Remove(first); err != nil {
 		t.Fatal(err)
 	}
@@ -322,14 +317,13 @@ func TestCaptureKeepsItsMappingAlive(t *testing.T) {
 }
 
 // TestAdoptAfterReopen is a restart followed by the first checkpoint, for
-// every family: the index is opened from a file, so its rows and whatever
-// columns the family loads zero-copy (SQFlat's codes, sums and norms, IVF's
-// centroids) are views of that file; it is then frozen, saved and adopted
-// onto a second file, the first is unlinked and the collector run until its
-// mapping is gone. Nothing the live index or a capture thawed afterwards
-// reads may still sit in the first mapping. With removes is the capture
-// that compacts (its columns are fresh copies while the live ones stay
-// views); without, the one that shares the live columns.
+// every family: the index is opened from a file, so its rows (for SQFlat,
+// every column) are views of that file; it is then frozen, saved and
+// adopted onto a second file, the first is unlinked and the collector run
+// until its mapping is gone. Nothing the live index or a capture thawed
+// afterwards reads may still sit in the first mapping. With removes is the
+// capture that compacts into fresh rows; without, the one that shares the
+// opened ones (SQFlat: the very segment it opened, saved verbatim).
 func TestAdoptAfterReopen(t *testing.T) {
 	const dim = 16
 	vecs := randomVectors(120, dim, 21)
@@ -348,10 +342,9 @@ func TestAdoptAfterReopen(t *testing.T) {
 		built Index
 		open  func(path string) (Index, error)
 	}{
-		"flat":   {fill(NewFlat(dim, Cosine)), func(p string) (Index, error) { return OpenFlatFile(p) }},
 		"ivf":    {trained, func(p string) (Index, error) { return OpenIVFFile(p) }},
 		"lsh":    {fill(NewLSH(dim, 8, 4, 1)), func(p string) (Index, error) { return OpenLSHFile(p) }},
-		"sqflat": {fill(NewSQFlat(dim, Cosine, 4)), func(p string) (Index, error) { return OpenSQFile(p) }},
+		"sqflat": {fill(NewSQFlat(dim)), func(p string) (Index, error) { return OpenSQFile(p) }},
 	}
 	for name, fam := range families {
 		for _, removes := range []bool{false, true} {
@@ -373,7 +366,7 @@ func TestAdoptAfterReopen(t *testing.T) {
 					}
 				}
 				z := ix.Freeze()
-				saveAndAdopt(t, ix, z, t.TempDir())
+				saveAndAdopt(t, z, t.TempDir())
 				if err := os.Remove(first); err != nil {
 					t.Fatal(err)
 				}

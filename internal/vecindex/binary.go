@@ -1,23 +1,35 @@
 package vecindex
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
+	"strings"
 
 	"repro/internal/binfmt"
 	"repro/internal/embed"
 )
 
-// Binary snapshot layout shared by all families: a "meta" JSON section
-// naming the family and its parameters, an "ids" string column, and a
-// "vecs" float32 section holding all vectors back to back. Loaders slice
-// individual vectors out of the blob without copying, so an mmap-backed
-// container serves searches before most vector pages ever fault in.
-// Family-specific columns: IVF adds "centroids" and "cells"; SQFlat adds
-// "codes", "sums", "sqsums", and "norms", loaded as views too (IVF's are
-// copied). Every view an index holds is of one container, store.pin, which
-// it retains to keep the mapping alive; Adopt, which replaces pin, leaves
-// no view of the old one behind.
+// Snapshot layouts, each one binfmt container.
+//
+// An SQFlat segment (family "flat-int8") is the rows as columns, all
+// served as views of the container, nothing decoded onto the heap:
+//
+//	meta    JSON: family, dim, row count
+//	ids     string column, ordinal -> external ID
+//	idsort  uint32[n] ordinals sorted by ID, for binary-search lookups
+//	norms   float32[n] inverse Euclidean norm of each row's codes
+//	codes   int8[n*dim] the rows back to back
+//
+// IVF and LSH keep float32 rows: a "meta" JSON section naming the family
+// and its parameters, an "ids" string column, and a "vecs" float32 section
+// holding all vectors back to back, sliced into per-vector views without
+// copying; IVF adds "centroids" and "cells", both copied at load. Every
+// view such an index holds is of one container, store.pin, which it
+// retains to keep the mapping alive; Adopt, which replaces pin, leaves no
+// view of the old one behind.
 
 // binMeta is the JSON "meta" section of a vector snapshot.
 type binMeta struct {
@@ -36,11 +48,6 @@ type binMeta struct {
 	// LSH
 	NBits   int `json:"nbits,omitempty"`
 	NTables int `json:"ntables,omitempty"`
-
-	// SQFlat
-	Lo     float64 `json:"lo,omitempty"`
-	Hi     float64 `json:"hi,omitempty"`
-	Rerank int     `json:"rerank,omitempty"`
 }
 
 // flattenVecs packs rows into one contiguous float32 blob.
@@ -120,22 +127,6 @@ func (s *store) load(fr *binfmt.Reader, ids []string, vecs []embed.Vector) {
 			s.viewing++
 		}
 	}
-}
-
-func (s *flatSnapshot) encode(bw *binfmt.Writer) error {
-	return writeCommon(bw, binMeta{
-		Family: "flat", Metric: s.Metric, Dim: s.Dim, Count: len(s.IDs),
-	}, s.IDs, s.Vecs)
-}
-
-func decodeFlat(fr *binfmt.Reader) (*Flat, error) {
-	meta, ids, vecs, err := readCommon(fr, "flat")
-	if err != nil {
-		return nil, err
-	}
-	f := NewFlat(meta.Dim, Metric(meta.Metric))
-	f.load(fr, ids, vecs)
-	return f, nil
 }
 
 func (s *ivfSnapshot) encode(bw *binfmt.Writer) error {
@@ -224,57 +215,101 @@ func decodeLSH(fr *binfmt.Reader) (*LSH, error) {
 	return ix, nil
 }
 
-func (s *sqSnapshot) encode(bw *binfmt.Writer) error {
-	meta := binMeta{
-		Family: "sqflat", Metric: s.Metric, Dim: s.Dim, Count: len(s.IDs),
-		Lo: float64(s.Lo), Hi: float64(s.Hi), Rerank: s.Rerank,
+// segment is one set of column views over a sealed SQFlat shard's
+// container — the heap buffer Freeze built it in, or the mapping of the
+// file that holds it (a sealedRows switches from the first to the second,
+// see Adopt). Nothing in it is ever rewritten: removals are tracked in the
+// owning index's tombstones, additions land in its tail.
+type segment struct {
+	r *binfmt.Reader // pins the mapping for as long as the segment lives
+
+	dim, n int
+	ids    binfmt.StringCol
+	idsort []uint32
+	norms  []float32
+	codes  []int8
+}
+
+const segmentFamily = "flat-int8"
+
+// encodeSegment adds a segment's sections to bw.
+func encodeSegment(bw *binfmt.Writer, dim int, ids []string, norms []float32, codes []int8) error {
+	if err := bw.JSON("meta", binMeta{Family: segmentFamily, Dim: dim, Count: len(ids)}); err != nil {
+		return fmt.Errorf("vecindex: encode snapshot: %w", err)
 	}
-	if err := writeCommon(bw, meta, s.IDs, s.Vecs); err != nil {
-		return err
+	idsort := make([]uint32, len(ids))
+	for i := range idsort {
+		idsort[i] = uint32(i)
 	}
-	bw.Int8s("codes", s.Codes)
-	bw.Int32s("sums", s.Sums)
-	bw.Int32s("sqsums", s.SqSums)
-	bw.Float32s("norms", s.Norms)
+	slices.SortFunc(idsort, func(a, b uint32) int { return strings.Compare(ids[a], ids[b]) })
+	bw.Strings("ids", ids)
+	bw.Uint32s("idsort", idsort)
+	bw.Float32s("norms", norms)
+	bw.Int8s("codes", codes)
 	return nil
 }
 
-func decodeSQ(fr *binfmt.Reader) (*SQFlat, error) {
-	meta, ids, vecs, err := readCommon(fr, "sqflat")
-	if err != nil {
+// loadSegment validates a binfmt container as an SQFlat segment and wraps
+// it. The container's CRCs guarantee the bytes are what a writer produced;
+// this pass guarantees the columns agree with each other, so a hand-made
+// or foreign file fails at open rather than inside a scan.
+func loadSegment(r *binfmt.Reader) (*segment, error) {
+	var meta binMeta
+	if err := r.JSON("meta", &meta); err != nil {
 		return nil, err
 	}
-	if math.IsNaN(meta.Lo) || math.IsNaN(meta.Hi) || meta.Hi < meta.Lo {
-		return nil, fmt.Errorf("vecindex: SQ snapshot has invalid range [%g, %g]", meta.Lo, meta.Hi)
+	if meta.Family != segmentFamily {
+		return nil, fmt.Errorf("vecindex: snapshot family %q, want %q", meta.Family, segmentFamily)
 	}
-	codes, err := fr.Int8s("codes")
-	if err != nil {
+	if meta.Dim <= 0 || meta.Count < 0 {
+		return nil, fmt.Errorf("vecindex: snapshot has invalid shape (dim=%d count=%d)", meta.Dim, meta.Count)
+	}
+	s := &segment{r: r, dim: meta.Dim, n: meta.Count}
+	var err error
+	if s.ids, err = r.Strings("ids"); err != nil {
 		return nil, err
 	}
-	sums, err := fr.Int32s("sums")
-	if err != nil {
+	if s.idsort, err = r.Uint32s("idsort"); err != nil {
 		return nil, err
 	}
-	sqsums, err := fr.Int32s("sqsums")
-	if err != nil {
+	if s.norms, err = r.Float32s("norms"); err != nil {
 		return nil, err
 	}
-	norms, err := fr.Float32s("norms")
-	if err != nil {
+	if s.codes, err = r.Int8s("codes"); err != nil {
 		return nil, err
 	}
-	if len(codes) != meta.Count*meta.Dim || len(sums) != meta.Count || len(sqsums) != meta.Count || len(norms) != meta.Count {
-		return nil, fmt.Errorf("vecindex: SQ snapshot column lengths disagree (codes=%d sums=%d sqsums=%d norms=%d count=%d)",
-			len(codes), len(sums), len(sqsums), len(norms), meta.Count)
+	if s.ids.Len() != s.n || len(s.idsort) != s.n || len(s.norms) != s.n {
+		return nil, fmt.Errorf("vecindex: snapshot row columns disagree (ids=%d idsort=%d norms=%d count=%d)",
+			s.ids.Len(), len(s.idsort), len(s.norms), s.n)
 	}
-	ix := NewSQFlat(meta.Dim, Metric(meta.Metric), meta.Rerank)
-	ix.load(fr, ids, vecs)
-	ix.lo, ix.hi = float32(meta.Lo), float32(meta.Hi)
-	ix.ranged = meta.Count > 0
-	ix.codes = codes
-	ix.sums = sums
-	ix.sqsums = sqsums
-	ix.norms = norms
-	ix.viewed = true
-	return ix, nil
+	if len(s.codes)%s.dim != 0 || len(s.codes)/s.dim != s.n {
+		return nil, fmt.Errorf("vecindex: snapshot has %d codes, want %d rows of %d", len(s.codes), s.n, s.dim)
+	}
+	// idsort must order ids strictly, which also proves it a permutation
+	// and the IDs distinct.
+	for i, ord := range s.idsort {
+		if int(ord) >= s.n {
+			return nil, fmt.Errorf("vecindex: snapshot idsort[%d]=%d out of range", i, ord)
+		}
+		if i > 0 && bytes.Compare(s.ids.Bytes(int(s.idsort[i-1])), s.ids.Bytes(int(ord))) >= 0 {
+			return nil, fmt.Errorf("vecindex: snapshot has a duplicate id or an unsorted idsort at %d", i)
+		}
+	}
+	for ord, norm := range s.norms {
+		if !(norm >= 0) || math.IsInf(float64(norm), 1) {
+			return nil, fmt.Errorf("vecindex: snapshot row %d has norm %v", ord, norm)
+		}
+	}
+	return s, nil
+}
+
+// find returns the ordinal of id, or -1. Allocation-free.
+func (s *segment) find(id string) int {
+	i, ok := sort.Find(s.n, func(i int) int {
+		return strings.Compare(id, viewString(s.ids.Bytes(int(s.idsort[i]))))
+	})
+	if !ok {
+		return -1
+	}
+	return int(s.idsort[i])
 }

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/binfmt"
@@ -25,17 +25,41 @@ func sameVecHits(t *testing.T, label string, a, b []Hit) {
 	}
 }
 
-func writeSnapshotFile(t *testing.T, save func(w io.Writer) error) (string, []byte) {
+// writeSnapshotFile saves a capture into a new file and returns its path
+// and bytes. Tests reopen captures from such a file, through the Open*File
+// loaders the server uses: there is no other loader.
+func writeSnapshotFile(t testing.TB, save func(w io.Writer) error) (string, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	path := filepath.Join(t.TempDir(), "vec.idx")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	return writeBytesFile(t, buf.Bytes()), buf.Bytes()
+}
+
+// writeBytesFile puts data in a new file, for a loader to open by path as
+// the server opens a shard.
+func writeBytesFile(t testing.TB, data []byte) string {
+	t.Helper()
+	return writeBytesIn(t, t.TempDir(), data)
+}
+
+// writeBytesIn is writeBytesFile into a directory the caller made once (a
+// fuzz target runs too often to make one per input).
+func writeBytesIn(t testing.TB, dir string, data []byte) string {
+	t.Helper()
+	f, err := os.CreateTemp(dir, "vec-*.idx")
+	if err != nil {
 		t.Fatal(err)
 	}
-	return path, buf.Bytes()
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.Name()
 }
 
 func TestOpenVectorFilesServeMapped(t *testing.T) {
@@ -43,12 +67,12 @@ func TestOpenVectorFilesServeMapped(t *testing.T) {
 	vecs := randomVectors(150, dim, 51)
 	queries := randomVectors(6, dim, 52)
 
-	flat := NewFlat(dim, Cosine)
+	sq := NewSQFlat(dim)
 	ivf := NewIVF(dim, Cosine, 8, 3, 99)
 	lsh := NewLSH(dim, 10, 4, 99)
 	for i, v := range vecs {
 		id := fmt.Sprintf("v%03d", i)
-		for _, add := range []func(string, embed.Vector) error{flat.Add, ivf.Add, lsh.Add} {
+		for _, add := range []func(string, embed.Vector) error{sq.Add, ivf.Add, lsh.Add} {
 			if err := add(id, v); err != nil {
 				t.Fatal(err)
 			}
@@ -56,21 +80,31 @@ func TestOpenVectorFilesServeMapped(t *testing.T) {
 	}
 	ivf.Train()
 
-	t.Run("flat", func(t *testing.T) {
-		path, _ := writeSnapshotFile(t, flat.Freeze().Save)
-		got, err := OpenFlatFile(path)
+	t.Run("sqflat", func(t *testing.T) {
+		path, _ := writeSnapshotFile(t, sq.Freeze().Save)
+		got, err := OpenSQFile(path)
 		if err != nil {
-			t.Fatalf("OpenFlatFile: %v", err)
+			t.Fatalf("OpenSQFile: %v", err)
+		}
+		if got.Len() != sq.Len() {
+			t.Fatalf("Len drifted: %d vs %d", got.Len(), sq.Len())
 		}
 		for qi, q := range queries {
-			sameVecHits(t, fmt.Sprintf("query %d", qi), flat.Search(q, 10), got.Search(q, 10))
+			sameVecHits(t, fmt.Sprintf("query %d", qi), sq.Search(q, 10), got.Search(q, 10))
 		}
-		// The loaded index stays mutable: vector views are copy-on-grow.
+		// The opened index stays mutable: writes land in its tail and its
+		// tombstones, never in the mapping.
 		if err := got.Add("extra", queries[0]); err != nil {
 			t.Fatalf("Add after open: %v", err)
 		}
-		if !got.Remove("v000") {
-			t.Error("Remove after open = false")
+		if err := got.Add("v001", queries[0]); err == nil {
+			t.Error("duplicate of a mapped row accepted")
+		}
+		if !got.Remove("v000") || got.Remove("v000") {
+			t.Error("Remove of a mapped row is not once-only")
+		}
+		if hits := got.Search(queries[0], 1); len(hits) != 1 || hits[0].ID != "extra" {
+			t.Errorf("row added after open not found: %+v", hits)
 		}
 	})
 	t.Run("ivf", func(t *testing.T) {
@@ -96,35 +130,26 @@ func TestOpenVectorFilesServeMapped(t *testing.T) {
 			sameVecHits(t, fmt.Sprintf("query %d", qi), lsh.Search(q, 10), got.Search(q, 10))
 		}
 	})
-	t.Run("flat-no-mmap", func(t *testing.T) {
+	t.Run("sqflat-no-mmap", func(t *testing.T) {
 		t.Setenv(binfmt.NoMmapEnv, "1")
-		path, _ := writeSnapshotFile(t, flat.Freeze().Save)
-		got, err := OpenFlatFile(path)
+		path, _ := writeSnapshotFile(t, sq.Freeze().Save)
+		got, err := OpenSQFile(path)
 		if err != nil {
-			t.Fatalf("OpenFlatFile (no mmap): %v", err)
+			t.Fatalf("OpenSQFile (no mmap): %v", err)
 		}
-		sameVecHits(t, "fallback", flat.Search(queries[0], 10), got.Search(queries[0], 10))
+		sameVecHits(t, "fallback", sq.Search(queries[0], 10), got.Search(queries[0], 10))
 	})
 }
 
 // TestNonBinfmtVectorSnapshotRejected: every loader is "binfmt or error" —
 // bytes that do not start with the container magic (e.g. a snapshot from
-// a release older than binfmt) are refused, from a stream and from a file.
+// a release older than binfmt) are refused.
 func TestNonBinfmtVectorSnapshotRejected(t *testing.T) {
-	stale := []byte("\x0e\xff\x81\x03\x01\x01\x0cflatSnapshot")
-	path := filepath.Join(t.TempDir(), "stale.idx")
-	if err := os.WriteFile(path, stale, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := writeBytesFile(t, []byte("\x0e\xff\x81\x03\x01\x01\x0cflatSnapshot"))
 	loaders := map[string]func() error{
-		"LoadFlat":     func() error { _, err := LoadFlat(bytes.NewReader(stale)); return err },
-		"LoadIVF":      func() error { _, err := LoadIVF(bytes.NewReader(stale)); return err },
-		"LoadLSH":      func() error { _, err := LoadLSH(bytes.NewReader(stale)); return err },
-		"LoadSQ":       func() error { _, err := LoadSQ(bytes.NewReader(stale)); return err },
-		"OpenFlatFile": func() error { _, err := OpenFlatFile(path); return err },
-		"OpenIVFFile":  func() error { _, err := OpenIVFFile(path); return err },
-		"OpenLSHFile":  func() error { _, err := OpenLSHFile(path); return err },
-		"OpenSQFile":   func() error { _, err := OpenSQFile(path); return err },
+		"OpenIVFFile": func() error { _, err := OpenIVFFile(path); return err },
+		"OpenLSHFile": func() error { _, err := OpenLSHFile(path); return err },
+		"OpenSQFile":  func() error { _, err := OpenSQFile(path); return err },
 	}
 	for name, load := range loaders {
 		if err := load(); err == nil {
@@ -133,42 +158,167 @@ func TestNonBinfmtVectorSnapshotRejected(t *testing.T) {
 	}
 }
 
-// TestVectorSnapshotCorruption flips every byte of a binary snapshot and
-// demands each flip either fails loudly or (padding bytes) changes nothing.
+// TestVectorSnapshotCorruption flips bytes of a segment file and demands
+// each flip either fails loudly or (padding bytes) changes nothing.
 func TestVectorSnapshotCorruption(t *testing.T) {
 	const dim = 6
-	vecs := randomVectors(20, dim, 81)
-	sq := NewSQFlat(dim, Cosine, 4)
-	for i, v := range vecs {
-		if err := sq.Add(fmt.Sprintf("v%02d", i), v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := sq.Freeze().Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
+	sq, _ := buildSQ(t, randomVectors(20, dim, 81), dim)
+	path, good := writeSnapshotFile(t, sq.Freeze().Save)
 	q := randomVectors(1, dim, 82)[0]
 	want := sq.Search(q, 5)
 
 	for off := 0; off < len(good); off++ {
 		mut := append([]byte(nil), good...)
 		mut[off] ^= 0xa5
-		loaded, err := LoadSQ(bytes.NewReader(mut))
+		if err := os.WriteFile(path, mut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := OpenSQFile(path)
 		if err != nil {
 			continue
 		}
 		sameVecHits(t, fmt.Sprintf("silent flip at %d", off), want, loaded.Search(q, 5))
 	}
 	for _, cut := range []int{0, 3, len(good) / 2, len(good) - 1} {
-		if _, err := LoadSQ(bytes.NewReader(good[:cut])); err == nil {
+		if _, err := OpenSQFile(writeBytesFile(t, good[:cut])); err == nil {
 			t.Errorf("truncation to %d bytes loaded", cut)
 		}
 	}
 
-	// Family confusion must be loud: an SQ snapshot is not a flat one.
-	if _, err := LoadFlat(bytes.NewReader(good)); err == nil {
-		t.Error("LoadFlat accepted an sqflat snapshot")
+	// Family confusion must be loud: a segment is not an IVF snapshot, nor
+	// the other way round.
+	if _, err := OpenIVFFile(writeBytesFile(t, good)); err == nil {
+		t.Error("OpenIVFFile accepted an SQFlat segment")
 	}
+	ivf := NewIVF(dim, Cosine, 4, 2, 1)
+	if err := ivf.Add("x", q); err != nil {
+		t.Fatal(err)
+	}
+	other, _ := writeSnapshotFile(t, ivf.Freeze().Save)
+	if _, err := OpenSQFile(other); err == nil {
+		t.Error("OpenSQFile accepted an IVF snapshot")
+	}
+}
+
+// segmentParts are the sections of a segment file as a test wants to
+// break them.
+type segmentParts struct {
+	meta   binMeta
+	ids    []string
+	idsort []uint32
+	norms  []float32
+	codes  []int8
+}
+
+func (p segmentParts) file(t testing.TB) string {
+	t.Helper()
+	bw := binfmt.NewWriter()
+	if err := bw.JSON("meta", p.meta); err != nil {
+		t.Fatal(err)
+	}
+	bw.Strings("ids", p.ids)
+	bw.Uint32s("idsort", p.idsort)
+	bw.Float32s("norms", p.norms)
+	bw.Int8s("codes", p.codes)
+	var buf bytes.Buffer
+	if _, err := bw.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return writeBytesFile(t, buf.Bytes())
+}
+
+// TestSegmentDecoderBounds: a container whose CRCs hold but whose columns
+// disagree — written by hand, or by something else — is an error at open,
+// never a panic in a scan.
+func TestSegmentDecoderBounds(t *testing.T) {
+	valid := func() segmentParts {
+		return segmentParts{
+			meta:   binMeta{Family: segmentFamily, Dim: 2, Count: 3},
+			ids:    []string{"b", "a", "c"},
+			idsort: []uint32{1, 0, 2},
+			norms:  []float32{0.01, 0, 0.5},
+			codes:  []int8{127, 1, 0, 0, -127, 3},
+		}
+	}
+	ix, err := OpenSQFile(valid().file(t))
+	if err != nil {
+		t.Fatalf("the valid segment does not open: %v", err)
+	}
+	if hits := ix.Search(embed.Vector{1, 0}, 3); len(hits) != 3 || hits[0].ID != "b" {
+		t.Fatalf("the valid segment searches wrong: %+v", hits)
+	}
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for name, breakIt := range map[string]func(*segmentParts){
+		"codes shorter than count x dim": func(p *segmentParts) { p.codes = p.codes[:5] },
+		"codes longer than count x dim":  func(p *segmentParts) { p.codes = append(p.codes, 1, 2) },
+		"codes for another dim":          func(p *segmentParts) { p.meta.Dim = 3 },
+		"norms shorter than count":       func(p *segmentParts) { p.norms = p.norms[:2] },
+		"norms longer than count":        func(p *segmentParts) { p.norms = append(p.norms, 1) },
+		"NaN norm":                       func(p *segmentParts) { p.norms[1] = nan },
+		"+Inf norm":                      func(p *segmentParts) { p.norms[0] = inf },
+		"-Inf norm":                      func(p *segmentParts) { p.norms[0] = -inf },
+		"negative norm":                  func(p *segmentParts) { p.norms[2] = -0.5 },
+		"duplicate id":                   func(p *segmentParts) { p.ids[2] = "a" },
+		"idsort out of range":            func(p *segmentParts) { p.idsort[2] = 3 },
+		"idsort not a permutation":       func(p *segmentParts) { p.idsort[2] = 0 },
+		"idsort unsorted":                func(p *segmentParts) { p.idsort = []uint32{0, 1, 2} },
+		"ids shorter than count":         func(p *segmentParts) { p.ids = p.ids[:2] },
+		"negative count":                 func(p *segmentParts) { p.meta.Count = -1 },
+		"zero dim":                       func(p *segmentParts) { p.meta.Dim = 0 },
+		"huge dim":                       func(p *segmentParts) { p.meta.Dim = math.MaxInt64 },
+		"another family":                 func(p *segmentParts) { p.meta.Family = "flat" },
+	} {
+		p := valid()
+		breakIt(&p)
+		if _, err := OpenSQFile(p.file(t)); err == nil {
+			t.Errorf("%s: opened", name)
+		}
+	}
+	// A section missing altogether, and one cut short inside the file.
+	bw := binfmt.NewWriter()
+	if err := bw.JSON("meta", valid().meta); err != nil {
+		t.Fatal(err)
+	}
+	bw.Strings("ids", valid().ids)
+	var buf bytes.Buffer
+	if _, err := bw.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenSQFile(writeBytesFile(t, buf.Bytes())); err == nil {
+		t.Error("a segment without its row sections opened")
+	}
+	whole, err := os.ReadFile(valid().file(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenSQFile(writeBytesFile(t, whole[:len(whole)-4])); err == nil {
+		t.Error("a segment with a truncated codes section opened")
+	}
+}
+
+// FuzzOpenSQSnapshot: anything that opens must be fully servable.
+func FuzzOpenSQSnapshot(f *testing.F) {
+	sq, _ := buildSQ(f, randomVectors(12, 4, 91), 4)
+	_, good := writeSnapshotFile(f, sq.Freeze().Save)
+	f.Add(good)
+	f.Add([]byte(binfmt.Magic))
+	f.Add([]byte{})
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := writeBytesIn(t, dir, data)
+		loaded, err := OpenSQFile(path)
+		os.Remove(path) // a mapping outlives its name
+		if err != nil {
+			return
+		}
+		_ = loaded.Search(embed.Vector{1, 0, 0, 0}, 5)
+		loaded.Remove("v003")
+		if err := loaded.Add("fresh", embed.Vector{0, 1, 0, 0}); err != nil {
+			return // "fresh" may be an ID the input holds
+		}
+		var out bytes.Buffer
+		if err := loaded.Freeze().Save(&out); err != nil {
+			t.Fatalf("re-save of an opened segment failed: %v", err)
+		}
+	})
 }

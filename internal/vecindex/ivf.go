@@ -149,13 +149,13 @@ func (ix *IVF) Search(q embed.Vector, k int) []Hit {
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	h := newTopK(k)
+	h := ix.newTopK(k)
 	if !ix.trained {
 		for i, v := range ix.vecs {
 			if ix.deleted[i] {
 				continue
 			}
-			h.offer(ix.ids[i], score(ix.metric, q, v))
+			h.offer(int32(i), score(ix.metric, q, v))
 		}
 		return h.results()
 	}
@@ -183,7 +183,7 @@ func (ix *IVF) Search(q embed.Vector, k int) []Hit {
 			if ix.deleted[ord] {
 				continue
 			}
-			h.offer(ix.ids[ord], score(ix.metric, q, ix.vecs[ord]))
+			h.offer(int32(ord), score(ix.metric, q, ix.vecs[ord]))
 		}
 	}
 	return h.results()

@@ -8,7 +8,7 @@ import (
 	"repro/internal/embed"
 )
 
-// liveIndex is the mutate+search surface shared by all three index types.
+// liveIndex is the mutate+search surface shared by all index types.
 type liveIndex interface {
 	Searcher
 	Add(id string, v embed.Vector) error
@@ -28,9 +28,10 @@ func liveIndexes(t *testing.T, pretrain int) map[string]liveIndex {
 	t.Helper()
 	ivf := NewIVF(liveDim, Cosine, 4, 2, 1)
 	out := map[string]liveIndex{
-		"flat": NewFlat(liveDim, Cosine),
-		"ivf":  ivf,
-		"lsh":  NewLSH(liveDim, 8, 4, 1),
+		"flat":   NewFlat(liveDim, Cosine),
+		"sqflat": NewSQFlat(liveDim),
+		"ivf":    ivf,
+		"lsh":    NewLSH(liveDim, 8, 4, 1),
 	}
 	for name, ix := range out {
 		for i := 0; i < pretrain; i++ {

@@ -130,7 +130,7 @@ func (ix *LSH) Search(q embed.Vector, k int) []Hit {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	seen := make(map[int]struct{})
-	h := newTopK(k)
+	h := ix.newTopK(k)
 	for t := 0; t < ix.ntables; t++ {
 		sig := ix.signature(t, q)
 		for _, ord := range ix.tables[t][sig] {
@@ -141,7 +141,7 @@ func (ix *LSH) Search(q embed.Vector, k int) []Hit {
 			if ix.deleted[ord] {
 				continue
 			}
-			h.offer(ix.ids[ord], embed.Cosine(q, ix.vecs[ord]))
+			h.offer(int32(ord), embed.Cosine(q, ix.vecs[ord]))
 		}
 	}
 	return h.results()

@@ -11,21 +11,73 @@ import (
 )
 
 // Frozen is an immutable capture of one index's live contents, produced
-// by the Freeze methods under the index's read lock (cheap: ID and vector
-// *references* are copied, and vectors are never mutated in place after
-// Add) and serialized later by Save with no index locks held. This is the
-// clone-or-COW half of a two-phase checkpoint: the live index keeps
-// absorbing writes while a frozen capture streams to disk.
+// by Freeze under the index's lock and written later by Save with no index
+// locks held — the two phases of a checkpoint: the live index keeps
+// absorbing writes while a capture streams to disk. An SQFlat capture is
+// the sealed segment the index goes on searching (quant.go); an IVF or LSH
+// capture copies ID and vector references (vectors are never mutated in
+// place after Add).
 type Frozen interface {
-	// Save serializes the capture to w in the binfmt columnar layout.
+	// Save serializes the capture to w as one binfmt container.
 	Save(w io.Writer) error
+	// Adopt moves the capture, and the live index still serving what it
+	// captured, onto the file at path, which must be the file Save wrote
+	// (same container identity). Same bytes, same ordinals: searches are
+	// unaffected. On any error nothing moves.
+	Adopt(path string) error
 	// Thaw returns a searchable index over the capture, for reads pinned
-	// to the version it was frozen at: over the saved file once the capture
-	// is adopted; before that a Flat capture is wrapped in place (its rows
-	// are shared, wherever they live) and the other families are encoded
-	// into memory and opened from there.
+	// to the version it was frozen at. An SQFlat segment is wrapped in
+	// place; an IVF or LSH capture is opened from the saved file once
+	// adopted, and encoded into memory and opened from there before that.
 	Thaw() (Index, error)
 }
+
+func (z *sealedRows) Save(w io.Writer) error {
+	if _, err := z.seg.Load().r.WriteTo(w); err != nil {
+		return fmt.Errorf("vecindex: write snapshot: %w", err)
+	}
+	return nil
+}
+
+// Adopt opens path as OpenSQFile opens a snapshot and switches the column
+// views to its mapping: every index sharing the segment keeps its
+// tombstones and tail, while the heap copy becomes garbage.
+func (z *sealedRows) Adopt(path string) error {
+	fr, err := binfmt.OpenFile(path)
+	if err != nil {
+		return fmt.Errorf("vecindex: %w", err)
+	}
+	if got, want := fr.ID(), z.seg.Load().r.ID(); got != want {
+		return fmt.Errorf("vecindex: %s holds container %+v, segment wrote %+v", path, got, want)
+	}
+	seg, err := loadSegment(fr)
+	if err != nil {
+		return err
+	}
+	z.seg.Store(seg)
+	return nil
+}
+
+// Thaw wraps the segment as an index of its own: base shared, a fresh
+// tombstone bitmap, an empty tail.
+func (z *sealedRows) Thaw() (Index, error) { return z.index(), nil }
+
+func (z *sealedRows) index() *SQFlat {
+	s := NewSQFlat(z.seg.Load().dim)
+	s.setBase(z)
+	return s
+}
+
+func decodeSQ(fr *binfmt.Reader) (*SQFlat, error) {
+	seg, err := loadSegment(fr)
+	if err != nil {
+		return nil, err
+	}
+	return newSealedRows(seg).index(), nil
+}
+
+// OpenSQFile opens a segment file memory-mapped as an index over it.
+func OpenSQFile(path string) (*SQFlat, error) { return openSnapshot(path, decodeSQ) }
 
 // rows is the part of a capture every family shares: the live IDs and
 // their vectors, by reference.
@@ -43,10 +95,11 @@ type snapshot interface {
 	live() *rows
 }
 
-// frozenSnap is the one Frozen implementation behind all families. Until
-// Adopt it is snap, sharing rows (and SQFlat's columns) with the live index;
-// afterwards it is the saved file and nothing else.
+// frozenSnap is the Frozen of the float-row families. Until Adopt it is
+// snap, sharing rows with the live index; afterwards it is the saved file
+// and nothing else.
 type frozenSnap struct {
+	owner *store // the live index's rows
 	mu    sync.Mutex
 	snap  snapshot       // nil once adopted
 	pin   *binfmt.Reader // container snap's mapped views sit in; once adopted, the capture
@@ -56,7 +109,9 @@ type frozenSnap struct {
 // capture wraps a family's snapshot struct as a Frozen that keeps alive the
 // mapping the index's rows and columns may be views of. Caller holds the
 // read lock.
-func (s *store) capture(snap snapshot) Frozen { return &frozenSnap{snap: snap, pin: s.pin} }
+func (s *store) capture(snap snapshot) Frozen {
+	return &frozenSnap{owner: s, snap: snap, pin: s.pin}
+}
 
 func (z *frozenSnap) Save(w io.Writer) error {
 	z.mu.Lock()
@@ -80,15 +135,9 @@ func (z *frozenSnap) Thaw() (Index, error) {
 	z.mu.Lock()
 	defer z.mu.Unlock()
 	fr := z.pin
-	switch s := z.snap.(type) {
-	case nil:
-	case *flatSnapshot:
-		f := NewFlat(s.Dim, Metric(s.Metric))
-		f.load(z.pin, s.IDs, s.Vecs)
-		return f, nil
-	default:
+	if z.snap != nil {
 		bw := binfmt.NewWriter()
-		err := s.encode(bw)
+		err := z.snap.encode(bw)
 		if err == nil {
 			fr, err = bw.Build()
 		}
@@ -100,46 +149,34 @@ func (z *frozenSnap) Thaw() (Index, error) {
 	if err := fr.JSON("meta", &meta); err != nil {
 		return nil, err
 	}
-	switch meta.Family {
-	case "flat":
-		return decodeFlat(fr)
-	case "ivf":
+	if meta.Family == "ivf" {
 		return decodeIVF(fr)
-	case "lsh":
-		return decodeLSH(fr)
-	default:
-		return decodeSQ(fr)
 	}
+	return decodeLSH(fr)
 }
 
-// Adopt moves vector rows off the heap onto the file at path, which must
-// be the file z.Save wrote (same container identity; opened as the
-// Open*File loaders open a snapshot): every live row that still is the
-// capture's row — same backing array, so an ID removed and re-added since
-// the freeze keeps its new heap row — becomes a view of the file's row, and
-// the capture becomes the file. Same bytes, same ordinals: searches are
-// unaffected. The container the index viewed until now is let go, so
-// whatever else still views it moves to the heap. On any error nothing moves.
-func (s *store) Adopt(z Frozen, path string) error { return s.adopt(z, path, nil) }
-
-// adopt is Adopt for a family with columns of its own: columns, called with
-// the write lock held, takes them off the container being let go.
-func (s *store) adopt(z Frozen, path string, columns func()) error {
-	zs := z.(*frozenSnap)
+// Adopt moves the live index's vector rows off the heap onto the file at
+// path: every live row that still is the capture's row — same backing
+// array, so an ID removed and re-added since the freeze keeps its new heap
+// row — becomes a view of the file's row, and the capture becomes the
+// file. The container the index viewed until now is let go, so whatever
+// else still views it moves to the heap.
+func (z *frozenSnap) Adopt(path string) error {
+	s := z.owner
 	fr, err := binfmt.OpenFile(path)
 	if err != nil {
 		return fmt.Errorf("vecindex: %w", err)
 	}
-	zs.mu.Lock()
-	defer zs.mu.Unlock()
-	if got := fr.ID(); zs.snap == nil || got != zs.wrote {
-		return fmt.Errorf("vecindex: %s holds container %+v, capture wrote %+v", path, got, zs.wrote)
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	if got := fr.ID(); z.snap == nil || got != z.wrote {
+		return fmt.Errorf("vecindex: %s holds container %+v, capture wrote %+v", path, got, z.wrote)
 	}
 	blob, err := fr.Float32s("vecs")
 	if err != nil {
 		return err
 	}
-	r := zs.snap.live()
+	r := z.snap.live()
 	dim := len(blob) / max(len(r.IDs), 1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -159,11 +196,8 @@ func (s *store) adopt(z Frozen, path string, columns func()) error {
 			s.vecs[ord] = embed.Clone(v)
 		}
 	}
-	if columns != nil {
-		columns()
-	}
 	s.pin, s.blob, s.viewing = fr, blob, moved
-	zs.snap, zs.pin = nil, fr
+	z.snap, z.pin = nil, fr
 	return nil
 }
 
@@ -192,21 +226,6 @@ func (s *store) Residency() (heap, mapped int64, heapRows int) {
 	return row * int64(s.live-views), row * int64(views), s.live - views
 }
 
-// loadSnapshot buffers a snapshot stream, verifies it as a binfmt
-// container, and decodes it.
-func loadSnapshot[T any](r io.Reader, decode func(*binfmt.Reader) (T, error)) (T, error) {
-	var none T
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return none, fmt.Errorf("vecindex: read snapshot: %w", err)
-	}
-	fr, err := binfmt.NewReader(data)
-	if err != nil {
-		return none, fmt.Errorf("vecindex: %w", err)
-	}
-	return decode(fr)
-}
-
 // openSnapshot memory-maps path, verifies it as a binfmt container, and
 // decodes it; the decoded index serves zero-copy views of the mapping.
 func openSnapshot[T any](path string, decode func(*binfmt.Reader) (T, error)) (T, error) {
@@ -217,31 +236,6 @@ func openSnapshot[T any](path string, decode func(*binfmt.Reader) (T, error)) (T
 	}
 	return decode(fr)
 }
-
-// flatSnapshot is the serialized form of a Flat index (the analogue of
-// Faiss's write_index for IndexFlat).
-type flatSnapshot struct {
-	Metric int
-	Dim    int
-	rows
-}
-
-// Freeze captures the index's live vectors. Tombstoned (removed) vectors
-// are compacted away, so a load round-trip yields only live entries.
-func (f *Flat) Freeze() Frozen {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	snap := flatSnapshot{Metric: int(f.metric), Dim: f.dim, rows: f.liveRows()}
-	return f.capture(&snap)
-}
-
-// LoadFlat reads a saved Flat capture. Streams read this way
-// are fully buffered; use OpenFlatFile to serve from a mapped file.
-func LoadFlat(r io.Reader) (*Flat, error) { return loadSnapshot(r, decodeFlat) }
-
-// OpenFlatFile opens a snapshot file memory-mapped: vectors are served as
-// zero-copy views of the mapping.
-func OpenFlatFile(path string) (*Flat, error) { return openSnapshot(path, decodeFlat) }
 
 // ivfSnapshot is the serialized form of an IVF index (Faiss write_index
 // for IndexIVFFlat). Cell assignments are stored explicitly rather than
@@ -300,11 +294,8 @@ func (ix *IVF) Freeze() Frozen {
 	return ix.capture(&snap)
 }
 
-// LoadIVF reads a saved IVF capture, restoring the trained
+// OpenIVFFile opens a snapshot file memory-mapped, restoring the trained
 // centroids and exact cell assignments.
-func LoadIVF(r io.Reader) (*IVF, error) { return loadSnapshot(r, decodeIVF) }
-
-// OpenIVFFile opens a snapshot file memory-mapped.
 func OpenIVFFile(path string) (*IVF, error) { return openSnapshot(path, decodeIVF) }
 
 // lshSnapshot is the serialized form of an LSH index. The hyperplane
@@ -329,16 +320,6 @@ func (ix *LSH) Freeze() Frozen {
 	return ix.capture(&snap)
 }
 
-// LoadLSH reads a saved LSH capture.
-func LoadLSH(r io.Reader) (*LSH, error) { return loadSnapshot(r, decodeLSH) }
-
 // OpenLSHFile opens a snapshot file memory-mapped (vectors are zero-copy
 // views; signatures are re-hashed eagerly).
 func OpenLSHFile(path string) (*LSH, error) { return openSnapshot(path, decodeLSH) }
-
-// LoadSQ reads a saved SQFlat capture.
-func LoadSQ(r io.Reader) (*SQFlat, error) { return loadSnapshot(r, decodeSQ) }
-
-// OpenSQFile opens an SQFlat snapshot file, memory-mapping the container
-// so vectors and code columns are zero-copy views.
-func OpenSQFile(path string) (*SQFlat, error) { return openSnapshot(path, decodeSQ) }

@@ -1,7 +1,6 @@
 package vecindex
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -9,63 +8,30 @@ import (
 	"repro/internal/embed"
 )
 
-func TestFlatSaveLoadRoundtrip(t *testing.T) {
-	vecs := randomVectors(100, 8, 31)
-	f := NewFlat(8, Cosine)
-	for i, v := range vecs {
-		if err := f.Add(fmt.Sprintf("v%03d", i), v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := f.Freeze().Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	loaded, err := LoadFlat(&buf)
-	if err != nil {
-		t.Fatalf("LoadFlat: %v", err)
-	}
-	if loaded.Len() != f.Len() {
-		t.Fatalf("Len drifted: %d vs %d", loaded.Len(), f.Len())
-	}
-	for _, q := range randomVectors(10, 8, 99) {
-		a, b := f.Search(q, 5), loaded.Search(q, 5)
-		if len(a) != len(b) {
-			t.Fatalf("hit counts differ")
-		}
-		for i := range a {
-			if a[i].ID != b[i].ID || a[i].Score != b[i].Score {
-				t.Errorf("hit %d drifted: %+v vs %+v", i, a[i], b[i])
-			}
-		}
-	}
-}
-
-func TestFlatSaveLoadProperty(t *testing.T) {
+// TestSQFlatSaveOpenProperty: whatever rows went in, the file Save wrote
+// opens to an index that answers as the one that wrote it.
+func TestSQFlatSaveOpenProperty(t *testing.T) {
 	f := func(seed uint64, n uint8) bool {
 		count := int(n%40) + 1
 		vecs := randomVectors(count, 4, seed)
-		ix := NewFlat(4, L2)
+		ix := NewSQFlat(4)
 		for i, v := range vecs {
 			if err := ix.Add(fmt.Sprintf("v%d", i), v); err != nil {
 				return false
 			}
 		}
-		var buf bytes.Buffer
-		if err := ix.Freeze().Save(&buf); err != nil {
+		ix.Remove("v0")
+		path, _ := writeSnapshotFile(t, ix.Freeze().Save)
+		loaded, err := OpenSQFile(path)
+		if err != nil || loaded.Len() != count-1 {
 			return false
 		}
-		loaded, err := LoadFlat(&buf)
-		if err != nil {
-			return false
-		}
-		q := vecs[0]
-		a, b := ix.Search(q, 3), loaded.Search(q, 3)
+		a, b := ix.Search(vecs[0], 3), loaded.Search(vecs[0], 3)
 		if len(a) != len(b) {
 			return false
 		}
 		for i := range a {
-			if a[i] != b[i] {
+			if a[i] != b[i] || a[i].ID == "v0" {
 				return false
 			}
 		}
@@ -73,12 +39,6 @@ func TestFlatSaveLoadProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLoadFlatMalformed(t *testing.T) {
-	if _, err := LoadFlat(bytes.NewBufferString("junk")); err == nil {
-		t.Error("junk snapshot accepted")
 	}
 }
 
@@ -120,13 +80,10 @@ func TestIVFSaveLoadRoundtrip(t *testing.T) {
 				}
 				ix.Remove("v005")
 			}
-			var buf bytes.Buffer
-			if err := ix.Freeze().Save(&buf); err != nil {
-				t.Fatalf("Save: %v", err)
-			}
-			loaded, err := LoadIVF(&buf)
+			path, _ := writeSnapshotFile(t, ix.Freeze().Save)
+			loaded, err := OpenIVFFile(path)
 			if err != nil {
-				t.Fatalf("LoadIVF: %v", err)
+				t.Fatalf("OpenIVFFile: %v", err)
 			}
 			if loaded.Len() != ix.Len() {
 				t.Fatalf("Len drifted: %d vs %d", loaded.Len(), ix.Len())
@@ -153,25 +110,13 @@ func TestLSHSaveLoadRoundtrip(t *testing.T) {
 		}
 	}
 	ix.Remove("v010")
-	var buf bytes.Buffer
-	if err := ix.Freeze().Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	loaded, err := LoadLSH(&buf)
+	path, _ := writeSnapshotFile(t, ix.Freeze().Save)
+	loaded, err := OpenLSHFile(path)
 	if err != nil {
-		t.Fatalf("LoadLSH: %v", err)
+		t.Fatalf("OpenLSHFile: %v", err)
 	}
 	if loaded.Len() != ix.Len() {
 		t.Fatalf("Len drifted: %d vs %d", loaded.Len(), ix.Len())
 	}
 	searchesAgree(t, ix, loaded, randomVectors(10, 8, 99), 7)
-}
-
-func TestLoadIVFLSHMalformed(t *testing.T) {
-	if _, err := LoadIVF(bytes.NewBufferString("junk")); err == nil {
-		t.Error("junk IVF snapshot accepted")
-	}
-	if _, err := LoadLSH(bytes.NewBufferString("junk")); err == nil {
-		t.Error("junk LSH snapshot accepted")
-	}
 }

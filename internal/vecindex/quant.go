@@ -3,425 +3,369 @@ package vecindex
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
+	"repro/internal/binfmt"
 	"repro/internal/embed"
 )
 
-// DefaultRerank is the candidate multiple used when SQFlat is constructed
-// with a non-positive rerank factor: the quantized scan keeps
-// DefaultRerank×k candidates for exact re-ranking.
-const DefaultRerank = 4
-
-// SQFlat is an exact-layout flat index scanned through int8 scalar
-// quantization: every vector is encoded as dim int8 codes against a
-// shared per-index [lo, hi] range, the scan ranks all vectors by a
-// quantized score whose inner loop is an allocation-free int32
-// multiply-accumulate over the code bytes (16x smaller than the float32
-// vectors it stands in for, so the scan is memory-bandwidth-cheap), and
-// the top rerank×k survivors are re-scored exactly against the retained
-// full-precision vectors. With a sufficient rerank multiple the final
-// top-k matches Flat almost always (see the recall ablation in
-// internal/experiments).
+// SQFlat is an exhaustive cosine index over int8 rows. A row is dim codes
+// against its own symmetric scale (max|x|/127) and one float32, the
+// inverse Euclidean norm of the codes: the scale cancels out of a cosine,
+// so a row scores as rownorm · Σ q[i]·code[i] / ‖q‖ in one pass, against
+// the float32 query as given. The codes are the only thing ever scored —
+// there is no float copy to re-rank against and no index-wide range to
+// requantize to — so an index that was sealed, saved, adopted or reopened
+// answers bit for bit as one that never left the heap.
 //
-// Scoring identity: with Δ = (hi-lo)/255 and m = lo + 128Δ, a code c
-// reconstructs as m + cΔ, so for raw code sums sa, sb and the code dot
-// product cab the reconstructed inner product is
+// Rows live in two tiers. The base is a sealed segment (binary.go): one
+// contiguous row-major code matrix with the norms and IDs beside it,
+// immutable, in the heap buffer Freeze built it in until a file holds it
+// and in that file's mapping afterwards, behind an atomic pointer shared
+// with every capture of it. Its ordinals are [0, n); rows added since
+// follow at n in the heap tail. Removing a base row only flips its
+// tombstone. Freeze folds base, tail and tombstones into the next base.
 //
-//	d·m² + mΔ·(sa+sb) + Δ²·cab
-//
-// which needs only the stored per-vector code sums — the hot loop touches
-// nothing but int8 codes. L2 uses code square-sums the same way.
+// Safe for concurrent Add, Remove, Freeze and Search.
 type SQFlat struct {
-	metric Metric
-	dim    int
-	rerank int
-	store
+	dim int
+	mu  sync.RWMutex
 
-	// ranged reports whether lo/hi hold a real range yet (false until the
-	// first vector arrives).
-	ranged bool
-	lo, hi float32
-	codes  []int8    // ordinal-parallel, len(ids)*dim, incl. tombstones
-	sums   []int32   // per-vector raw code sum
-	sqsums []int32   // per-vector raw code square sum
-	norms  []float32 // per-vector full-precision Euclidean norm
-	// viewed is set while the four columns may still be the views of
-	// store.pin the index was opened with; an Add reallocates all of them.
-	viewed bool
+	base     *sealedRows // shared with every capture Freeze handed out; nil until the first
+	baseDead []bool      // tombstones over base ordinals
+	baseLive int
 
-	// requants counts whole-index requantizations (range extensions).
-	requants int
+	ids   []string       // tail ordinal -> ID
+	byID  map[string]int // ID -> its latest tail ordinal
+	codes []int8         // tail rows back to back
+	norms []float32      // tail ordinal -> inverse code norm
+	dead  []bool         // tail tombstones
+	live  int            // live tail rows
 }
 
-// NewSQFlat returns an empty int8 scalar-quantized flat index of
-// dimension dim keeping rerank×k candidates for exact re-ranking
-// (DefaultRerank when rerank <= 0).
-func NewSQFlat(dim int, metric Metric, rerank int) *SQFlat {
+// NewSQFlat returns an empty index of dimension dim.
+func NewSQFlat(dim int) *SQFlat {
 	if dim <= 0 {
 		panic("vecindex: non-positive dimension")
 	}
-	if rerank <= 0 {
-		rerank = DefaultRerank
-	}
-	return &SQFlat{metric: metric, dim: dim, rerank: rerank, store: newStore()}
+	return &SQFlat{dim: dim, byID: make(map[string]int)}
 }
 
-// quantScale returns Δ for the current range; a degenerate range (all
-// components equal) quantizes everything to code -128 with Δ=0, which the
-// scoring identity handles (every approximate score collapses to d·lo²,
-// leaving ranking to the exact re-rank).
-func (s *SQFlat) quantScale() float32 {
-	return (s.hi - s.lo) / 255
+// segment returns the base tier's current column views, nil without one.
+func (s *SQFlat) segment() *segment {
+	if s.base == nil {
+		return nil
+	}
+	return s.base.seg.Load()
 }
 
-// quantizeInto appends v's codes to dst using the current range and
-// returns the new slice plus the raw code sum and square sum.
-func (s *SQFlat) quantizeInto(dst []int8, v embed.Vector) ([]int8, int32, int32) {
-	delta := s.quantScale()
-	var inv float32
-	if delta > 0 {
-		inv = 1 / delta
-	}
-	var sum, sq int32
+// quantize writes v's codes into dst (len(v) long) and returns the inverse
+// norm of the codes, 0 for a zero or infinite vector (a NaN component codes
+// as 0). Branch-free per component: it runs once for every row ingested.
+func quantize(dst []int8, v embed.Vector) float32 {
+	var maxAbs float32
 	for _, x := range v {
-		c := int32(-128)
-		if delta > 0 {
-			q := int32(math.Round(float64((x - s.lo) * inv)))
-			if q < 0 {
-				q = 0
-			} else if q > 255 {
-				q = 255
-			}
-			c = q - 128
+		if a := math.Float32frombits(math.Float32bits(x) &^ (1 << 31)); a > maxAbs {
+			maxAbs = a
 		}
-		dst = append(dst, int8(c))
-		sum += c
+	}
+	if maxAbs == 0 || maxAbs > math.MaxFloat32 {
+		clear(dst)
+		return 0
+	}
+	// Adding and subtracting 1.5·2²³ leaves the nearest integer (ties to
+	// even): float32 has no fraction bits left at that magnitude. |x·inv|
+	// is at most 127 before rounding, so the code fits without clamping.
+	const roundMagic = 3 << 22
+	inv := 127 / maxAbs
+	var sq int32
+	for i, x := range v {
+		c := int32((x*inv + roundMagic) - roundMagic)
+		dst[i] = int8(c)
 		sq += c * c
 	}
-	return dst, sum, sq
+	return float32(1 / math.Sqrt(float64(sq)))
 }
 
-// requantizeLocked rebuilds every code against the current range into
-// fresh slices (never in place: frozen captures and loaded snapshot views
-// may alias the old ones).
-func (s *SQFlat) requantizeLocked() {
-	codes := make([]int8, 0, len(s.vecs)*s.dim)
-	sums := make([]int32, len(s.vecs))
-	sqsums := make([]int32, len(s.vecs))
-	for i, v := range s.vecs {
-		codes, sums[i], sqsums[i] = s.quantizeInto(codes, v)
-	}
-	s.codes, s.sums, s.sqsums = codes, sums, sqsums
-	s.requants++
-}
-
-// Add indexes v under id. The vector is copied and quantized; when v
-// falls outside the index's quantization range the range is extended and
-// every stored code is rebuilt (rare once the range has seen
-// representative data — embeddings here are unit-norm, so component
-// magnitudes are bounded). Duplicate live IDs and dimension mismatches
-// are errors; a removed id may be added again.
+// Add quantizes v and indexes it under id. Duplicate live IDs and dimension
+// mismatches are errors; a removed id may be added again.
 func (s *SQFlat) Add(id string, v embed.Vector) error {
 	if len(v) != s.dim {
 		return fmt.Errorf("vecindex: vector dim %d != index dim %d", len(v), s.dim)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, err := s.addLocked(id, v)
-	if err != nil {
-		return err
+	if ord, ok := s.byID[id]; ok && !s.dead[ord] {
+		return fmt.Errorf("vecindex: duplicate id %q", id)
 	}
-	s.viewed = false
-	lo, hi := v[0], v[0]
-	for _, x := range v[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
+	if seg := s.segment(); seg != nil {
+		if ord := seg.find(id); ord >= 0 && !s.baseDead[ord] {
+			return fmt.Errorf("vecindex: duplicate id %q", id)
 		}
 	}
-	s.norms = append(s.norms, float32(embed.Norm(v)))
-	if !s.ranged || lo < s.lo || hi > s.hi {
-		if !s.ranged {
-			s.lo, s.hi, s.ranged = lo, hi, true
-		} else {
-			if lo < s.lo {
-				s.lo = lo
-			}
-			if hi > s.hi {
-				s.hi = hi
-			}
-		}
-		s.requantizeLocked()
-		return nil
-	}
-	var sum, sq int32
-	s.codes, sum, sq = s.quantizeInto(s.codes, v)
-	s.sums = append(s.sums, sum)
-	s.sqsums = append(s.sqsums, sq)
+	off := len(s.codes)
+	s.codes = slices.Grow(s.codes, s.dim)[:off+s.dim]
+	s.norms = append(s.norms, quantize(s.codes[off:], v))
+	s.byID[id] = len(s.ids)
+	s.ids = append(s.ids, id)
+	s.dead = append(s.dead, false)
+	s.live++
 	return nil
 }
 
-// Remove tombstones id's vector, compacting the index (and its code
-// columns) once tombstones dominate. Removing an unknown or
-// already-removed id is a no-op returning false.
+// Remove tombstones id's row, reporting whether it was live. The tail
+// compacts once tombstones dominate it; base tombstones wait for the next
+// Freeze.
 func (s *SQFlat) Remove(id string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	removed, compactDue := s.removeLocked(id)
-	if compactDue {
-		remap := s.compactLocked()
-		codes := make([]int8, 0, s.live*s.dim)
-		sums := make([]int32, 0, s.live)
-		sqsums := make([]int32, 0, s.live)
-		norms := make([]float32, 0, s.live)
-		for old, no := range remap {
-			if no < 0 {
-				continue
-			}
-			codes = append(codes, s.codes[old*s.dim:(old+1)*s.dim]...)
-			sums = append(sums, s.sums[old])
-			sqsums = append(sqsums, s.sqsums[old])
-			norms = append(norms, s.norms[old])
+	if ord, ok := s.byID[id]; ok && !s.dead[ord] {
+		s.dead[ord] = true
+		s.live--
+		if gone := len(s.ids) - s.live; gone > s.live && gone >= compactThreshold {
+			s.compactTailLocked()
 		}
-		s.codes, s.sums, s.sqsums, s.norms = codes, sums, sqsums, norms
+		return true
 	}
-	return removed
-}
-
-// Adopt is store.Adopt; code columns still viewing the container the index
-// was opened from, which the rows leave here, move to the heap.
-func (s *SQFlat) Adopt(z Frozen, path string) error {
-	return s.adopt(z, path, func() {
-		if s.viewed {
-			s.codes, s.sums, s.sqsums, s.norms = slices.Clone(s.codes), slices.Clone(s.sums), slices.Clone(s.sqsums), slices.Clone(s.norms)
-			s.viewed = false
+	if seg := s.segment(); seg != nil {
+		if ord := seg.find(id); ord >= 0 && !s.baseDead[ord] {
+			s.baseDead[ord] = true
+			s.baseLive--
+			return true
 		}
-	})
+	}
+	return false
 }
 
-// Len returns the number of live indexed vectors.
+// compactTailLocked rebuilds the tail without its tombstones.
+func (s *SQFlat) compactTailLocked() {
+	ids := make([]string, 0, s.live)
+	codes := make([]int8, 0, s.live*s.dim)
+	norms := make([]float32, 0, s.live)
+	byID := make(map[string]int, s.live)
+	for ord, id := range s.ids {
+		if s.dead[ord] {
+			continue
+		}
+		byID[id] = len(ids)
+		ids = append(ids, id)
+		codes = append(codes, s.codes[ord*s.dim:(ord+1)*s.dim]...)
+		norms = append(norms, s.norms[ord])
+	}
+	s.ids, s.codes, s.norms, s.byID, s.dead = ids, codes, norms, byID, make([]bool, len(ids))
+}
+
+// Len returns the number of live rows.
 func (s *SQFlat) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.live
+	return s.baseLive + s.live
 }
 
-// SetRerank overrides the candidate multiple (<= 0 resets to
-// DefaultRerank). A runtime accuracy/speed knob: snapshots store the
-// multiple they were built with, and loaders apply the operator's current
-// setting on top.
-func (s *SQFlat) SetRerank(rerank int) {
-	if rerank <= 0 {
-		rerank = DefaultRerank
-	}
-	s.mu.Lock()
-	s.rerank = rerank
-	s.mu.Unlock()
-}
-
-// Requants returns how many whole-index requantizations range extensions
-// have forced (an observability hook for tuning).
-func (s *SQFlat) Requants() int {
+// Residency reports the code and norm bytes the index holds, by where
+// they sit — the tail and a base no file backs yet on the heap, an adopted
+// or opened base in its mapping — and the live rows added since the last
+// seal.
+func (s *SQFlat) Residency() (heap, mapped int64, heapRows int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.requants
+	heap = int64(len(s.codes)) + 4*int64(len(s.norms))
+	if seg := s.segment(); seg != nil {
+		if n := int64(len(seg.codes)) + 4*int64(len(seg.norms)); seg.r.Mapped() {
+			mapped = n
+		} else {
+			heap += n
+		}
+	}
+	return heap, mapped, s.live
 }
 
-// sqScratch pools the per-query buffers: the quantized query and the
-// candidate heap.
+// rowIDs resolves the ordinals of one search: below base a row of the
+// segment the search loaded, from base on the tail.
+type rowIDs struct {
+	seg  *segment
+	base int
+	tail []string
+}
+
+func (v *rowIDs) idView(ord int32) string {
+	if int(ord) < v.base {
+		return viewString(v.seg.ids.Bytes(int(ord)))
+	}
+	return v.tail[int(ord)-v.base]
+}
+
+func (v *rowIDs) id(ord int32) string {
+	if int(ord) < v.base {
+		return v.seg.ids.At(int(ord))
+	}
+	return v.tail[int(ord)-v.base]
+}
+
+func viewString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// sqScratch pools what a search needs beyond its result: the ID resolver
+// the heap holds by pointer, and the heap's array.
 type sqScratch struct {
-	qcodes []int8
-	cands  []scoredOrd
-}
-
-type scoredOrd struct {
-	ord   int32
-	score float64
+	ids rowIDs
+	h   []scored
 }
 
 var sqPool = sync.Pool{New: func() any { return new(sqScratch) }}
 
-// Search implements Searcher: an approximate scan over the int8 codes
-// keeps the best rerank×k candidates, which are then re-scored exactly
-// against the full-precision vectors.
+// Search implements Searcher: one pass over the code matrix, then the
+// tail, keeping the k best ordinals; IDs are resolved for those k only
+// (and to break ties), so a search allocates its result and, for hits in
+// a sealed base, their ID strings.
 func (s *SQFlat) Search(q embed.Vector, k int) []Hit {
-	if k <= 0 {
+	if k <= 0 || len(q) != s.dim {
 		return nil
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.live == 0 || len(q) != s.dim {
+	if s.baseLive+s.live == 0 {
 		return nil
 	}
-	kp := k * s.rerank
-	if kp < k {
-		kp = k
+	var invQ float64
+	if n := embed.Norm(q); n > 0 {
+		invQ = 1 / n
 	}
-
+	seg := s.segment()
 	sc := sqPool.Get().(*sqScratch)
-	var qsum, qsq int32
-	sc.qcodes, qsum, qsq = s.quantizeInto(sc.qcodes[:0], q)
-	qnorm := embed.Norm(q)
-
-	delta := float64(s.quantScale())
-	m := float64(s.lo) + 128*delta
-	d := float64(s.dim)
-	base := d * m * m
-
-	// Approximate pass: bounded min-heap of the kp best quantized scores,
-	// ties broken by ascending ordinal for determinism.
-	h := sc.cands[:0]
-	worse := func(a, b scoredOrd) bool {
-		if a.score != b.score {
-			return a.score < b.score
-		}
-		return a.ord > b.ord
+	sc.ids = rowIDs{seg: seg, base: len(s.baseDead), tail: s.ids}
+	t := topK{k: k, ids: &sc.ids, h: sc.h[:0]}
+	if seg != nil {
+		t.scan(q, invQ, 0, seg.codes, seg.norms, s.baseDead)
 	}
-	var siftDown func(h []scoredOrd, i int)
-	siftDown = func(h []scoredOrd, i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			min := i
-			if l < len(h) && worse(h[l], h[min]) {
-				min = l
-			}
-			if r < len(h) && worse(h[r], h[min]) {
-				min = r
-			}
-			if min == i {
-				return
-			}
-			h[i], h[min] = h[min], h[i]
-			i = min
-		}
-	}
-	for ord := range s.vecs {
-		if s.deleted[ord] {
-			continue
-		}
-		cab := dotCodes(sc.qcodes, s.codes[ord*s.dim:(ord+1)*s.dim])
-		var approx float64
-		switch s.metric {
-		case L2:
-			// Reconstructed squared distance: Δ²·(Σqa² - 2Σqaqb + Σqb²).
-			approx = -delta * delta * float64(qsq-2*cab+s.sqsums[ord])
-		default:
-			dot := base + m*delta*float64(qsum+s.sums[ord]) + delta*delta*float64(cab)
-			if s.metric == Cosine {
-				denom := qnorm * float64(s.norms[ord])
-				if denom == 0 {
-					dot = 0
-				} else {
-					dot /= denom
-				}
-			}
-			approx = dot
-		}
-		cand := scoredOrd{ord: int32(ord), score: approx}
-		if len(h) < kp {
-			h = append(h, cand)
-			for i := len(h) - 1; i > 0; {
-				parent := (i - 1) / 2
-				if !worse(h[i], h[parent]) {
-					break
-				}
-				h[i], h[parent] = h[parent], h[i]
-				i = parent
-			}
-			continue
-		}
-		if worse(cand, h[0]) {
-			continue
-		}
-		h[0] = cand
-		siftDown(h, 0)
-	}
-
-	// Exact re-rank of the survivors.
-	out := newTopK(k)
-	for _, c := range h {
-		out.offer(s.ids[c.ord], score(s.metric, q, s.vecs[c.ord]))
-	}
-	sc.cands = h[:0]
+	t.scan(q, invQ, len(s.baseDead), s.codes, s.norms, s.dead)
+	out := t.results()
+	runtime.KeepAlive(seg) // codes and ID views were of its mapping
+	sc.ids, sc.h = rowIDs{}, t.h[:0]
 	sqPool.Put(sc)
-	return out.results()
+	return out
 }
 
-// dotCodes is the quantized hot loop: an int32 multiply-accumulate over
-// two code rows, 4-wide unrolled with the bounds check hoisted. It
-// allocates nothing.
-func dotCodes(a, b []int8) int32 {
-	if len(a) > len(b) {
-		a = a[:len(b)]
+// scan offers every live row of one tier, whose ordinals start at base.
+func (t *topK) scan(q []float32, invQ float64, base int, codes []int8, norms []float32, dead []bool) {
+	dim := len(q)
+	for ord, gone := range dead {
+		if !gone {
+			score := float64(dotCodes(q, codes[ord*dim:(ord+1)*dim])) * float64(norms[ord]) * invQ
+			t.offer(int32(base+ord), score)
+		}
 	}
-	b = b[:len(a)]
-	var s0, s1, s2, s3 int32
+}
+
+// codeValue[uint8(c)] is float32(c): a load from a 1 KB table the scan
+// keeps in cache costs half what the int-to-float conversion does.
+var codeValue = func() (t [256]float32) {
+	for i := range t {
+		t[i] = float32(int8(i))
+	}
+	return t
+}()
+
+// dotCodes is the scan's hot loop: a float32 multiply-accumulate of the
+// query against one code row, 4-wide unrolled over independent
+// accumulators with the bounds check hoisted. It allocates nothing.
+func dotCodes(q []float32, c []int8) float32 {
+	c = c[:len(q)]
+	var s0, s1, s2, s3 float32
 	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		aa, bb := a[i:i+4:i+4], b[i:i+4:i+4]
-		s0 += int32(aa[0]) * int32(bb[0])
-		s1 += int32(aa[1]) * int32(bb[1])
-		s2 += int32(aa[2]) * int32(bb[2])
-		s3 += int32(aa[3]) * int32(bb[3])
+	for ; i+4 <= len(q); i += 4 {
+		qq, cc := q[i:i+4:i+4], c[i:i+4:i+4]
+		s0 += qq[0] * codeValue[uint8(cc[0])]
+		s1 += qq[1] * codeValue[uint8(cc[1])]
+		s2 += qq[2] * codeValue[uint8(cc[2])]
+		s3 += qq[3] * codeValue[uint8(cc[3])]
 	}
-	for ; i < len(a); i++ {
-		s0 += int32(a[i]) * int32(b[i])
+	for ; i < len(q); i++ {
+		s0 += q[i] * codeValue[uint8(c[i])]
 	}
 	return (s0 + s1) + (s2 + s3)
 }
 
-// sqSnapshot is the serialized form of an SQFlat index.
-type sqSnapshot struct {
-	Metric int
-	Dim    int
-	Lo, Hi float32
-	Rerank int
-	rows
-	Codes  []int8
-	Sums   []int32
-	SqSums []int32
-	Norms  []float32
+// sealedRows is the Frozen of an SQFlat: one sealed segment. The live
+// index searches it as its base, a retained snapshot searches it through
+// Thaw, Save writes its bytes, and Adopt swaps those bytes for the mapping
+// of the file Save wrote.
+type sealedRows struct {
+	// seg views the sealed heap buffer until Adopt, the mapped file after;
+	// both hold the same bytes, so a search may load either.
+	seg atomic.Pointer[segment]
 }
 
-// Freeze captures the index's live vectors and quantization state.
-// Tombstone-free captures share the live slices (requantization replaces
-// the code columns wholesale rather than mutating them, so shared views
-// stay consistent); captures with tombstones compact into fresh slices.
+func newSealedRows(seg *segment) *sealedRows {
+	z := new(sealedRows)
+	z.seg.Store(seg)
+	return z
+}
+
+// Freeze seals the index: live base and tail rows are compacted into a new
+// segment, which becomes the base under an empty tail and is returned.
+// Searches score the same before and after (a row's codes and norm move
+// verbatim; ties break by ID, not ordinal). An index with nothing written
+// since its last seal returns the segment it has.
 func (s *SQFlat) Freeze() Frozen {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	snap := sqSnapshot{
-		Metric: int(s.metric), Dim: s.dim, Lo: s.lo, Hi: s.hi, Rerank: s.rerank,
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	seg := s.segment()
+	if seg != nil && len(s.ids) == 0 && s.baseLive == seg.n {
+		return s.base
 	}
-	if s.live == len(s.ids) {
-		snap.IDs = s.ids[:len(s.ids):len(s.ids)]
-		snap.Codes = s.codes[:len(s.codes):len(s.codes)]
-		snap.Sums = s.sums[:len(s.sums):len(s.sums)]
-		snap.SqSums = s.sqsums[:len(s.sqsums):len(s.sqsums)]
-		snap.Norms = s.norms[:len(s.norms):len(s.norms)]
-		snap.Vecs = append([]embed.Vector(nil), s.vecs...)
-		return s.capture(&snap)
+	next, err := s.sealLocked(seg)
+	if err != nil {
+		// Built here from a consistent index, yet failing the validation
+		// every opened snapshot passes: a bug.
+		panic(fmt.Sprintf("vecindex: seal: %v", err))
 	}
-	snap.IDs = make([]string, 0, s.live)
-	snap.Vecs = make([]embed.Vector, 0, s.live)
-	snap.Codes = make([]int8, 0, s.live*s.dim)
-	snap.Sums = make([]int32, 0, s.live)
-	snap.SqSums = make([]int32, 0, s.live)
-	snap.Norms = make([]float32, 0, s.live)
-	for ord, v := range s.vecs {
-		if s.deleted[ord] {
-			continue
+	s.ids, s.codes, s.norms, s.dead, s.live, s.byID = nil, nil, nil, nil, 0, make(map[string]int)
+	s.setBase(newSealedRows(next))
+	return s.base
+}
+
+// setBase installs z as the base tier with no tombstones.
+func (s *SQFlat) setBase(z *sealedRows) {
+	n := z.seg.Load().n
+	s.base, s.baseDead, s.baseLive = z, make([]bool, n), n
+}
+
+// sealLocked builds the compacted segment: live base rows in ordinal
+// order, then live tail rows. Caller holds the write lock.
+func (s *SQFlat) sealLocked(base *segment) (*segment, error) {
+	ids, norms, codes := s.ids, s.norms, s.codes
+	if s.baseLive > 0 || s.live < len(s.ids) { // else nothing to compact: the tail as it stands
+		n := s.baseLive + s.live
+		ids = make([]string, 0, n)
+		norms = make([]float32, 0, n)
+		codes = make([]int8, 0, n*s.dim)
+		for ord, dead := range s.baseDead {
+			if !dead {
+				ids = append(ids, viewString(base.ids.Bytes(ord)))
+				norms = append(norms, base.norms[ord])
+				codes = append(codes, base.codes[ord*s.dim:(ord+1)*s.dim]...)
+			}
 		}
-		snap.IDs = append(snap.IDs, s.ids[ord])
-		snap.Vecs = append(snap.Vecs, v)
-		snap.Codes = append(snap.Codes, s.codes[ord*s.dim:(ord+1)*s.dim]...)
-		snap.Sums = append(snap.Sums, s.sums[ord])
-		snap.SqSums = append(snap.SqSums, s.sqsums[ord])
-		snap.Norms = append(snap.Norms, s.norms[ord])
+		for ord, dead := range s.dead {
+			if !dead {
+				ids = append(ids, s.ids[ord])
+				norms = append(norms, s.norms[ord])
+				codes = append(codes, s.codes[ord*s.dim:(ord+1)*s.dim]...)
+			}
+		}
 	}
-	return s.capture(&snap)
+	bw := binfmt.NewWriter()
+	if err := encodeSegment(bw, s.dim, ids, norms, codes); err != nil {
+		return nil, err
+	}
+	fr, err := bw.Build()
+	runtime.KeepAlive(base) // ids viewed its column until here
+	if err != nil {
+		return nil, err
+	}
+	return loadSegment(fr)
 }

@@ -1,328 +1,398 @@
 package vecindex
 
 import (
-	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
+	"math"
+	"runtime"
 	"testing"
+	"time"
 
+	"repro/internal/binfmt"
 	"repro/internal/embed"
 )
 
-// buildSQ indexes vecs into a fresh SQFlat.
-func buildSQ(t *testing.T, vecs []embed.Vector, dim int, metric Metric, rerank int) *SQFlat {
+// buildSQ indexes vecs into a fresh SQFlat and, beside it, the float
+// reference.
+func buildSQ(t testing.TB, vecs []embed.Vector, dim int) (*SQFlat, *Flat) {
 	t.Helper()
-	sq := NewSQFlat(dim, metric, rerank)
+	sq, flat := NewSQFlat(dim), NewFlat(dim, Cosine)
 	for i, v := range vecs {
-		if err := sq.Add(fmt.Sprintf("v%03d", i), v); err != nil {
+		id := fmt.Sprintf("v%03d", i)
+		if err := sq.Add(id, v); err != nil {
+			t.Fatal(err)
+		}
+		if err := flat.Add(id, v); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return sq
+	return sq, flat
 }
 
-// TestSQFlatMatchesFlatWhenRerankCoversAll pins the exactness property:
-// once rerank×k reaches the index size, every vector survives to the exact
-// re-rank, so the output must be bit-identical to Flat for every metric.
-func TestSQFlatMatchesFlatWhenRerankCoversAll(t *testing.T) {
-	const dim, n, k = 16, 50, 5
-	vecs := randomVectors(n, dim, 7)
-	queries := randomVectors(8, dim, 8)
-	for _, metric := range []Metric{Cosine, InnerProduct, L2} {
-		flat := NewFlat(dim, metric)
-		for i, v := range vecs {
-			if err := flat.Add(fmt.Sprintf("v%03d", i), v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sq := buildSQ(t, vecs, dim, metric, n/k+1)
-		for qi, q := range queries {
-			a, b := flat.Search(q, k), sq.Search(q, k)
-			if len(a) != len(b) {
-				t.Fatalf("%v query %d: %d vs %d hits", metric, qi, len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Errorf("%v query %d hit %d: %+v vs %+v", metric, qi, i, a[i], b[i])
-				}
-			}
-		}
-	}
-}
-
-// TestSQFlatRecall measures recall@10 of the quantized scan with the
-// default rerank multiple against the exact flat index — the acceptance
-// floor the ablation reports on larger corpora.
-func TestSQFlatRecall(t *testing.T) {
-	const dim, n, k = 32, 500, 10
-	vecs := randomVectors(n, dim, 11)
-	flat := NewFlat(dim, Cosine)
-	for i, v := range vecs {
-		if err := flat.Add(fmt.Sprintf("v%03d", i), v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sq := buildSQ(t, vecs, dim, Cosine, DefaultRerank)
-
-	queries := randomVectors(20, dim, 12)
+// recallAt is the share of ref's top-k IDs that got's top-k holds, over
+// queries.
+func recallAt(k int, got, ref Searcher, queries []embed.Vector) float64 {
 	var hit, total int
 	for _, q := range queries {
 		want := map[string]bool{}
-		for _, h := range flat.Search(q, k) {
+		for _, h := range ref.Search(q, k) {
 			want[h.ID] = true
 		}
-		for _, h := range sq.Search(q, k) {
+		for _, h := range got.Search(q, k) {
 			if want[h.ID] {
 				hit++
 			}
 		}
-		total += k
+		total += len(want)
 	}
-	recall := float64(hit) / float64(total)
-	t.Logf("quantized recall@%d = %.3f over %d queries", k, recall, len(queries))
-	if recall < 0.95 {
+	return float64(hit) / float64(total)
+}
+
+// TestSQFlatTracksFlat: the int8 scan, with no re-rank pass, returns the
+// float scan's neighbours, with scores within quantization error of them.
+func TestSQFlatTracksFlat(t *testing.T) {
+	const dim, n, k = 32, 500, 10
+	sq, flat := buildSQ(t, randomVectors(n, dim, 11), dim)
+	queries := randomVectors(20, dim, 12)
+	if recall := recallAt(k, sq, flat, queries); recall < 0.95 {
 		t.Errorf("recall@%d = %.3f, want >= 0.95", k, recall)
 	}
-}
-
-func TestSQFlatRequantizeOnRangeExtension(t *testing.T) {
-	const dim = 8
-	sq := NewSQFlat(dim, InnerProduct, 8)
-	flat := NewFlat(dim, InnerProduct)
-	// Each batch doubles the component scale, forcing range extensions.
-	var id int
-	for _, scale := range []float32{0.1, 1, 10} {
-		for _, v := range randomVectors(20, dim, uint64(scale*100)) {
-			scaled := make(embed.Vector, dim)
-			for d := range v {
-				scaled[d] = v[d] * scale
-			}
-			name := fmt.Sprintf("v%03d", id)
-			id++
-			if err := sq.Add(name, scaled); err != nil {
-				t.Fatal(err)
-			}
-			if err := flat.Add(name, scaled); err != nil {
-				t.Fatal(err)
-			}
+	for qi, q := range queries {
+		exact := map[string]float64{}
+		for _, h := range flat.Search(q, n) {
+			exact[h.ID] = h.Score
 		}
-	}
-	if sq.Requants() < 2 {
-		t.Errorf("Requants = %d, want >= 2 after range extensions", sq.Requants())
-	}
-	// rerank×k covers the whole index, so results stay exact after every
-	// requantization.
-	for qi, q := range randomVectors(5, dim, 77) {
-		a, b := flat.Search(q, 8), sq.Search(q, 8)
-		if len(a) != len(b) {
-			t.Fatalf("query %d: %d vs %d hits", qi, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Errorf("query %d hit %d: %+v vs %+v", qi, i, a[i], b[i])
+		hits := sq.Search(q, k)
+		for i, h := range hits {
+			if d := math.Abs(h.Score - exact[h.ID]); d > 0.01 {
+				t.Errorf("query %d: %s scores %v, exact %v", qi, h.ID, h.Score, exact[h.ID])
+			}
+			if i > 0 && (h.Score > hits[i-1].Score || h.Score == hits[i-1].Score && h.ID < hits[i-1].ID) {
+				t.Errorf("query %d: hit %d out of order: %+v after %+v", qi, i, h, hits[i-1])
 			}
 		}
 	}
 }
 
-func TestSQFlatRemoveAndCompact(t *testing.T) {
-	const dim = 8
-	vecs := randomVectors(200, dim, 21)
-	sq := buildSQ(t, vecs, dim, Cosine, 100)
-	for i := 0; i < 150; i++ {
-		if !sq.Remove(fmt.Sprintf("v%03d", i)) {
-			t.Fatalf("Remove(v%03d) = false", i)
-		}
+// TestSQFlatEdgeRows: a zero vector, a one-row shard and a row whose
+// largest component is negative index, rank deterministically and come
+// back from a file as they went in.
+func TestSQFlatEdgeRows(t *testing.T) {
+	const dim = 4
+	one := NewSQFlat(dim)
+	if err := one.Add("only", embed.Vector{0.5, -0.5, 0.5, -0.5}); err != nil {
+		t.Fatal(err)
 	}
-	if sq.Remove("v000") {
-		t.Error("double Remove = true")
+	if hits := one.Search(embed.Vector{1, -1, 1, -1}, 3); len(hits) != 1 || hits[0].ID != "only" || math.Abs(hits[0].Score-1) > 1e-6 {
+		t.Errorf("one-row shard: %+v", hits)
 	}
-	if sq.Len() != 50 {
-		t.Errorf("Len after removals = %d", sq.Len())
+
+	s := NewSQFlat(dim)
+	rows := map[string]embed.Vector{
+		"zero-b": {0, 0, 0, 0},
+		"zero-a": {0, 0, 0, 0},
+		"neg":    {0.1, -0.9, 0.2, 0.1},   // largest component negative: code -127
+		"pos":    {-0.1, 0.9, -0.2, -0.1}, // its mirror image
 	}
-	// Compaction must have rebuilt the code columns consistently: results
-	// still match an exact index over the survivors.
-	flat := NewFlat(dim, Cosine)
-	for i := 150; i < 200; i++ {
-		if err := flat.Add(fmt.Sprintf("v%03d", i), vecs[i]); err != nil {
+	for id, v := range rows {
+		if err := s.Add(id, v); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, q := range randomVectors(5, dim, 22) {
-		a, b := flat.Search(q, 10), sq.Search(q, 10)
-		if len(a) != len(b) {
-			t.Fatalf("hit counts differ: %d vs %d", len(a), len(b))
+	if c := s.codes[s.byID["neg"]*dim+1]; c != -127 {
+		t.Errorf("largest-magnitude component coded %d, want -127", c)
+	}
+	q := embed.Vector{0, -1, 0, 0}
+	want := []string{"neg", "zero-a", "zero-b", "pos"} // zero rows tie at 0, by ID
+	check := func(label string, ix Searcher) {
+		t.Helper()
+		hits := ix.Search(q, 4)
+		if len(hits) != len(want) {
+			t.Fatalf("%s: %+v", label, hits)
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Errorf("hit %d: %+v vs %+v", i, a[i], b[i])
+		for i, h := range hits {
+			if h.ID != want[i] {
+				t.Errorf("%s: hit %d = %s, want %s (%+v)", label, i, h.ID, want[i], hits)
 			}
 		}
+		if hits[0].Score <= 0.9 || hits[1].Score != 0 || hits[2].Score != 0 || hits[3].Score != -hits[0].Score {
+			t.Errorf("%s: scores %+v", label, hits)
+		}
 	}
-	// Removed IDs can be re-added.
-	if err := sq.Add("v000", vecs[0]); err != nil {
-		t.Errorf("re-Add after Remove: %v", err)
+	check("tail", s)
+	path, _ := writeSnapshotFile(t, s.Freeze().Save)
+	check("sealed", s)
+	reopened, err := OpenSQFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("reopened", reopened)
+	sameVecHits(t, "reopened vs sealed", reopened.Search(q, 4), s.Search(q, 4))
+	// A zero query scores every row 0: pure ID order.
+	if hits := s.Search(embed.Vector{0, 0, 0, 0}, 2); len(hits) != 2 || hits[0].ID != "neg" || hits[1].ID != "pos" {
+		t.Errorf("zero query: %+v", hits)
+	}
+}
+
+// TestSQFlatRemoveAndReadd walks an ID through both tiers: removed from
+// the tail, re-added, sealed, removed from the base, re-added into the
+// tail, sealed again.
+func TestSQFlatRemoveAndReadd(t *testing.T) {
+	const dim = 8
+	vecs := randomVectors(4, dim, 5)
+	s := NewSQFlat(dim)
+	add := func(id string, v embed.Vector) {
+		t.Helper()
+		if err := s.Add(id, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	top := func(q embed.Vector) string { return s.Search(q, 1)[0].ID }
+	add("a", vecs[0])
+	add("b", vecs[1])
+	if !s.Remove("a") || s.Remove("a") || s.Remove("nope") {
+		t.Fatal("tail Remove contract broken")
+	}
+	add("a", vecs[2])
+	if err := s.Add("a", vecs[2]); err == nil {
+		t.Fatal("duplicate live id in the tail accepted")
+	}
+	s.Freeze()
+	if err := s.Add("a", vecs[3]); err == nil {
+		t.Fatal("duplicate live id in the base accepted")
+	}
+	if s.Len() != 2 || top(vecs[2]) != "a" {
+		t.Fatalf("after seal: Len %d, nearest to a's row %s", s.Len(), top(vecs[2]))
+	}
+	if !s.Remove("a") || s.Remove("a") {
+		t.Fatal("base Remove contract broken")
+	}
+	if s.Len() != 1 || top(vecs[2]) != "b" {
+		t.Fatalf("removed base row still found: Len %d", s.Len())
+	}
+	add("a", vecs[3])
+	if !s.Remove("a") || s.Remove("a") {
+		t.Fatal("Remove of a re-added id must hit the tail row once, never the dead base row")
+	}
+	add("a", vecs[3])
+	z := s.Freeze()
+	if s.Len() != 2 || top(vecs[3]) != "a" {
+		t.Fatalf("after second seal: Len %d", s.Len())
+	}
+	if again := s.Freeze(); again != z {
+		t.Error("an unchanged index sealed a new segment")
+	}
+	thawed, err := z.Thaw()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Remove("b")
+	if thawed.Len() != 2 {
+		t.Error("a removal after the freeze reached the pinned index")
+	}
+}
+
+// TestSQFlatSealKeepsBaseRows: a seal takes the tail as it stands only when
+// there is nothing else to fold in — not merely when the live count happens
+// to equal the tail's length (two live base rows, two dead tail rows).
+func TestSQFlatSealKeepsBaseRows(t *testing.T) {
+	const dim = 8
+	vecs := randomVectors(6, dim, 15)
+	s := NewSQFlat(dim)
+	for i, id := range []string{"a", "b"} {
+		if err := s.Add(id, vecs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Freeze()
+	for i, id := range []string{"c", "d", "e", "f"} {
+		if err := s.Add(id, vecs[2+i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Remove("c")
+	s.Remove("d")
+	want := s.Search(vecs[0], 6)
+	s.Freeze()
+	sameVecHits(t, "across the seal", s.Search(vecs[0], 6), want)
+	if len(want) != 4 || want[0].ID != "a" || s.Len() != 4 {
+		t.Errorf("before the seal: %+v; Len after it %d", want, s.Len())
+	}
+}
+
+// TestSQFlatTailCompaction: churn confined to the tail keeps it within 2x
+// of the live rows.
+func TestSQFlatTailCompaction(t *testing.T) {
+	const dim = 8
+	vecs := randomVectors(400, dim, 9)
+	s := NewSQFlat(dim)
+	for i, v := range vecs {
+		id := fmt.Sprintf("v%03d", i)
+		if err := s.Add(id, v); err != nil {
+			t.Fatal(err)
+		}
+		if i >= 10 {
+			s.Remove(fmt.Sprintf("v%03d", i-10))
+		}
+	}
+	if s.Len() != 10 {
+		t.Fatalf("Len = %d", s.Len())
+	}
+	if len(s.ids) > 2*compactThreshold+20 || len(s.codes) != len(s.ids)*dim || len(s.norms) != len(s.ids) {
+		t.Errorf("tail holds %d rows (%d codes, %d norms) for 10 live", len(s.ids), len(s.codes), len(s.norms))
+	}
+	if hits := s.Search(vecs[399], 3); hits[0].ID != "v399" {
+		t.Errorf("nearest after compaction: %+v", hits)
 	}
 }
 
 func TestSQFlatErrors(t *testing.T) {
-	sq := NewSQFlat(4, Cosine, 0)
-	if sq.rerank != DefaultRerank {
-		t.Errorf("rerank default = %d", sq.rerank)
+	s := NewSQFlat(4)
+	if err := s.Add("short", embed.Vector{1, 2}); err == nil {
+		t.Error("dimension mismatch accepted")
 	}
-	if err := sq.Add("a", embed.Vector{1, 2}); err == nil {
-		t.Error("dim mismatch accepted")
+	if s.Len() != 0 || s.Search(embed.Vector{1, 0, 0, 0}, 3) != nil {
+		t.Error("rejected rows were indexed")
 	}
-	if err := sq.Add("a", embed.Vector{1, 0, 0, 0}); err != nil {
+	if err := s.Add("ok", embed.Vector{1, 0, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sq.Add("a", embed.Vector{0, 1, 0, 0}); err == nil {
-		t.Error("duplicate id accepted")
+	// Nothing the embedder produces, but no input may write a norm the
+	// decoder would refuse: a non-finite row scores 0 and seals.
+	for i, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		if err := s.Add(fmt.Sprint("bad", i), embed.Vector{1, bad, 0, 0}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := sq.Search(embed.Vector{1, 0, 0, 0}, 0); got != nil {
-		t.Errorf("k=0 returned %v", got)
+	for _, n := range s.norms {
+		if !(n >= 0) || math.IsInf(float64(n), 0) {
+			t.Errorf("tail norm %v", n)
+		}
 	}
-	if got := sq.Search(embed.Vector{1, 0}, 3); got != nil {
-		t.Errorf("wrong-dim query returned %v", got)
+	s.Freeze()
+	if hits := s.Search(embed.Vector{1, 0, 0, 0}, 1); len(hits) != 1 || hits[0].ID != "bad0" && hits[0].ID != "ok" {
+		t.Errorf("after sealing non-finite rows: %+v", hits)
+	}
+	if s.Search(embed.Vector{1, 0}, 3) != nil || s.Search(embed.Vector{1, 0, 0, 0}, 0) != nil {
+		t.Error("a query of the wrong dimension, or k = 0, returned hits")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewSQFlat(0) did not panic")
+		}
+	}()
+	NewSQFlat(0)
+}
+
+// TestSQFlatResidencyCountsHeldBytes: codes and norms are priced where
+// they sit — tail and an unsaved seal on the heap, an adopted or reopened
+// segment as exactly its row sections of the file.
+func TestSQFlatResidencyCountsHeldBytes(t *testing.T) {
+	const dim, n = 16, 50
+	s, _ := buildSQ(t, randomVectors(n, dim, 3), dim)
+	rowBytes := int64(n * (dim + 4))
+	if heap, mapped, rows := s.Residency(); heap != rowBytes || mapped != 0 || rows != n {
+		t.Errorf("tail only: %d heap, %d mapped, %d rows", heap, mapped, rows)
+	}
+	z := s.Freeze()
+	if heap, mapped, rows := s.Residency(); heap != rowBytes || mapped != 0 || rows != 0 {
+		t.Errorf("sealed, no file: %d heap, %d mapped, %d rows", heap, mapped, rows)
+	}
+	path := saveAndAdopt(t, z, t.TempDir())
+	if !z.(*sealedRows).seg.Load().r.Mapped() {
+		t.Skip("no mmap on this platform")
+	}
+	fr, err := binfmt.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes, _ := fr.Bytes("codes")
+	norms, _ := fr.Bytes("norms")
+	if err := s.Add("late", randomVectors(1, dim, 4)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if heap, mapped, rows := s.Residency(); mapped != int64(len(codes)+len(norms)) || mapped != rowBytes || heap != dim+4 || rows != 1 {
+		t.Errorf("adopted plus one: %d heap, %d mapped (file sections %d), %d rows", heap, mapped, len(codes)+len(norms), rows)
 	}
 }
 
-func TestSQFlatSaveLoadRoundtrip(t *testing.T) {
+// TestSQFlatAdoptDropsHeapCopy: once a segment is adopted nothing reaches
+// the buffer it was sealed into.
+func TestSQFlatAdoptDropsHeapCopy(t *testing.T) {
 	const dim = 16
-	vecs := randomVectors(120, dim, 41)
-	sq := buildSQ(t, vecs, dim, Cosine, 6)
-	sq.Remove("v007") // tombstones must compact away in the capture
-
-	var buf bytes.Buffer
-	if err := sq.Freeze().Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
+	vecs := randomVectors(60, dim, 13)
+	s, _ := buildSQ(t, vecs, dim)
+	z := s.Freeze().(*sealedRows)
+	collected := make(chan struct{})
+	runtime.SetFinalizer(z.seg.Load().r, func(any) { close(collected) })
+	saveAndAdopt(t, z, t.TempDir())
+	if !z.seg.Load().r.Mapped() {
+		t.Skip("no mmap on this platform: the adopted copy is a heap copy too")
 	}
-	data := append([]byte(nil), buf.Bytes()...)
-
-	loaded, err := LoadSQ(&buf)
-	if err != nil {
-		t.Fatalf("LoadSQ: %v", err)
-	}
-	if loaded.Len() != sq.Len() {
-		t.Fatalf("Len drifted: %d vs %d", loaded.Len(), sq.Len())
-	}
-	queries := randomVectors(8, dim, 42)
-	for qi, q := range queries {
-		a, b := sq.Search(q, 10), loaded.Search(q, 10)
-		if len(a) != len(b) {
-			t.Fatalf("query %d: %d vs %d hits", qi, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Errorf("query %d hit %d: %+v vs %+v", qi, i, a[i], b[i])
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			if hits := s.Search(vecs[7], 1); len(hits) != 1 || hits[0].ID != "v007" {
+				t.Fatalf("adopted index lost v007: %+v", hits)
 			}
+			return
+		case <-time.After(10 * time.Millisecond):
 		}
 	}
-
-	// The mmap-backed open must serve identically, and keep accepting
-	// writes (views are copy-on-grow; requantization never mutates the
-	// mapped columns in place).
-	path := filepath.Join(t.TempDir(), "sq.idx")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mapped, err := OpenSQFile(path)
-	if err != nil {
-		t.Fatalf("OpenSQFile: %v", err)
-	}
-	for qi, q := range queries {
-		a, b := sq.Search(q, 10), mapped.Search(q, 10)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Errorf("mapped query %d hit %d: %+v vs %+v", qi, i, a[i], b[i])
-			}
-		}
-	}
-	if err := mapped.Add("extra", randomVectors(1, dim, 43)[0]); err != nil {
-		t.Fatalf("Add after OpenSQFile: %v", err)
-	}
-	if !mapped.Remove("v003") {
-		t.Error("Remove after OpenSQFile = false")
-	}
-	big := make(embed.Vector, dim)
-	big[0] = 50 // force a requantization over the loaded views
-	if err := mapped.Add("huge", big); err != nil {
-		t.Fatal(err)
-	}
-	if mapped.Requants() == 0 {
-		t.Error("expected a requantization after out-of-range Add")
-	}
+	t.Fatal("the sealed heap buffer is still reachable after Adopt")
 }
 
-// TestSQFlatFreezeIsolation pins the copy-on-write contract: a capture
-// taken before a requantizing Add must serialize the pre-mutation state.
-func TestSQFlatFreezeIsolation(t *testing.T) {
-	const dim = 8
-	vecs := randomVectors(30, dim, 61)
-	sq := buildSQ(t, vecs, dim, Cosine, 10)
-	frozen := sq.Freeze()
-	wantLen := sq.Len()
-	want := sq.Search(vecs[0], 5)
-
-	big := make(embed.Vector, dim)
-	big[0] = 100
-	if err := sq.Add("outlier", big); err != nil {
-		t.Fatal(err)
+// TestSearchAllocatesPerQueryNotPerRow: every family keeps its top-k in
+// the typed heap, so a search over 5,000 rows allocates a handful of
+// objects however many rows it scores.
+func TestSearchAllocatesPerQueryNotPerRow(t *testing.T) {
+	const dim, n, k = 32, 5000, 10
+	vecs := randomVectors(n, dim, 17)
+	ivf := NewIVF(dim, Cosine, 16, 16, 1)
+	sealed := NewSQFlat(dim)
+	families := map[string]liveIndex{
+		"flat": NewFlat(dim, Cosine), "ivf": ivf, "ivf-untrained": NewIVF(dim, Cosine, 16, 16, 1),
+		"sqflat-tail": NewSQFlat(dim), "sqflat-sealed": sealed,
 	}
-
-	var buf bytes.Buffer
-	if err := frozen.Save(&buf); err != nil {
-		t.Fatalf("Save frozen: %v", err)
+	for name, ix := range families {
+		for i, v := range vecs {
+			if err := ix.Add(fmt.Sprintf("v%04d", i), v); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
 	}
-	loaded, err := LoadSQ(&buf)
-	if err != nil {
-		t.Fatalf("LoadSQ: %v", err)
-	}
-	if loaded.Len() != wantLen {
-		t.Errorf("frozen capture Len = %d, want %d", loaded.Len(), wantLen)
-	}
-	got := loaded.Search(vecs[0], 5)
-	if len(got) != len(want) {
-		t.Fatalf("hit counts differ: %v vs %v", got, want)
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Errorf("hit %d: %+v vs %+v", i, got[i], want[i])
+	ivf.Train()
+	sealed.Freeze()
+	q := vecs[123]
+	for name, ix := range families {
+		if hits := ix.Search(q, k); len(hits) != k || hits[0].ID != "v0123" {
+			t.Fatalf("%s: %+v", name, hits)
+		}
+		limit := 4.0
+		if name == "sqflat-sealed" {
+			limit += k // the survivors' IDs are copied out of the segment
+		}
+		if name == "ivf" {
+			limit += 2 // the cell ranking
+		}
+		if allocs := testing.AllocsPerRun(20, func() { ix.Search(q, k) }); allocs > limit {
+			t.Errorf("%s: %.0f allocations per search over %d rows, want <= %.0f", name, allocs, n, limit)
 		}
 	}
 }
 
 func TestDotCodesMatchesReference(t *testing.T) {
-	ref := func(a, b []int8) int32 {
-		n := len(a)
-		if len(b) < n {
-			n = len(b)
+	for _, n := range []int{0, 1, 3, 4, 5, 31, 128} {
+		q := make([]float32, n)
+		c := make([]int8, n)
+		var want float64
+		for i := range q {
+			q[i] = float32(i%7) - 2.5
+			c[i] = int8(i*37%255 - 127)
+			want += float64(q[i]) * float64(c[i])
 		}
-		var s int32
-		for i := 0; i < n; i++ {
-			s += int32(a[i]) * int32(b[i])
+		if got := float64(dotCodes(q, c)); math.Abs(got-want) > 1e-3*math.Max(1, math.Abs(want)) {
+			t.Errorf("n=%d: dotCodes = %v, want %v", n, got, want)
 		}
-		return s
-	}
-	mk := func(n int, seed int) []int8 {
-		out := make([]int8, n)
-		x := uint32(seed)*2654435761 + 1
-		for i := range out {
-			x = x*1664525 + 1013904223
-			out[i] = int8(x >> 24)
-		}
-		return out
-	}
-	for n := 0; n <= 67; n++ {
-		a, b := mk(n, n), mk(n, n+1000)
-		if got, want := dotCodes(a, b), ref(a, b); got != want {
-			t.Fatalf("n=%d: dotCodes = %d, want %d", n, got, want)
-		}
-	}
-	// Mismatched lengths clamp to the shorter row.
-	a, b := mk(10, 1), mk(7, 2)
-	if got, want := dotCodes(a, b), ref(a, b); got != want {
-		t.Errorf("mismatched: %d vs %d", got, want)
 	}
 }

@@ -1,14 +1,21 @@
 // Package vecindex implements the semantic-based index of VerifAI's Indexer
 // module: similarity search over dense vectors. It stands in for Meta Faiss
-// in the paper's architecture and provides Faiss's canonical index types:
-// Flat (exact), IVF-Flat (inverted-file over k-means cells), and LSH
-// (random-hyperplane signatures).
+// in the paper's architecture.
+//
+// SQFlat is the index the server runs: an exhaustive cosine scan over int8
+// rows, 132 bytes for a 128-dimension vector where float32 takes 512. A
+// shard has one immutable form, the sealed segment (a binfmt container,
+// binary.go): what Freeze produces, the scan reads, a retained snapshot
+// searches, Save writes and OpenSQFile or Adopt maps. Mutable are a heap
+// tail of rows added since the last seal and a tombstone bitmap (quant.go).
+//
+// Flat is the float32 reference the int8 scan's recall is measured against;
+// it is not persisted. IVF (k-means cells) and LSH (random hyperplanes) are
+// the approximate families the experiments compare; they keep float32 rows.
 package vecindex
 
 import (
-	"container/heap"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/binfmt"
@@ -58,15 +65,14 @@ type Searcher interface {
 	Len() int
 }
 
-// Index is the surface every index family offers beyond search: live
-// writes, two-phase persistence (Freeze, then Frozen.Save off-lock), and
-// adoption of the file a capture was saved to. Frozen.Thaw returns one.
+// Index is the surface every persisted index family offers beyond search:
+// live writes and two-phase persistence (Freeze under the index lock, then
+// Frozen.Save and Frozen.Adopt off it). Frozen.Thaw returns one.
 type Index interface {
 	Searcher
 	Add(id string, v embed.Vector) error
 	Remove(id string) bool
 	Freeze() Frozen
-	Adopt(z Frozen, path string) error
 	Residency() (heap, mapped int64, heapRows int)
 }
 
@@ -99,6 +105,12 @@ type store struct {
 }
 
 func newStore() store { return store{byID: make(map[string]int)} }
+
+// newTopK returns an empty top-k heap over the store's ordinals; a k
+// beyond the live rows is clamped, so the heap never outgrows the scan.
+func (s *store) newTopK(k int) topK {
+	return topK{k: k, ids: s, h: make([]scored, 0, min(k, s.live))}
+}
 
 // addLocked appends v (copied) under id and returns its ordinal. Duplicate
 // live IDs are errors; a removed id may be added again under a new ordinal.
@@ -238,57 +250,101 @@ func (f *Flat) Search(q embed.Vector, k int) []Hit {
 	}
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	h := newTopK(k)
+	h := f.newTopK(k)
 	for i, v := range f.vecs {
 		if f.deleted[i] {
 			continue
 		}
-		h.offer(f.ids[i], score(f.metric, q, v))
+		h.offer(int32(i), score(f.metric, q, v))
 	}
 	return h.results()
 }
 
-// topK is a bounded min-heap used by all index types to keep the best k
-// hits with deterministic tie-breaking.
+// ordIDs resolves the ordinals a search scored to external IDs.
+type ordIDs interface {
+	// idView returns ord's ID without copying, for tie-breaks: valid for as
+	// long as the search keeps the rows it scored alive.
+	idView(ord int32) string
+	// id returns ord's ID as a string of its own, for the hits returned.
+	id(ord int32) string
+}
+
+func (s *store) idView(ord int32) string { return s.ids[ord] }
+func (s *store) id(ord int32) string     { return s.ids[ord] }
+
+// scored is one candidate inside the top-k heap.
+type scored struct {
+	ord   int32
+	score float64
+}
+
+// topK keeps the k best candidates of a scan in a typed array min-heap,
+// sifted by hand (container/heap would box every candidate), and resolves
+// IDs only to break ties and for the k survivors.
 type topK struct {
-	k     int
-	items []Hit
+	k   int
+	ids ordIDs
+	h   []scored
 }
 
-func newTopK(k int) *topK { return &topK{k: k, items: make([]Hit, 0, k+1)} }
-
-func (h *topK) Len() int { return len(h.items) }
-func (h *topK) Less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
-	if a.Score != b.Score {
-		return a.Score < b.Score
+// worse reports whether a ranks strictly below b: lower score, or equal
+// score and the larger ID.
+func (t *topK) worse(a, b scored) bool {
+	if a.score != b.score {
+		return a.score < b.score
 	}
-	return a.ID > b.ID
-}
-func (h *topK) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *topK) Push(x interface{}) { h.items = append(h.items, x.(Hit)) }
-func (h *topK) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
+	return t.ids.idView(a.ord) > t.ids.idView(b.ord)
 }
 
-func (h *topK) offer(id string, s float64) {
-	heap.Push(h, Hit{ID: id, Score: s})
-	if h.Len() > h.k {
-		heap.Pop(h)
-	}
-}
-
-func (h *topK) results() []Hit {
-	out := append([]Hit(nil), h.items...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+func (t *topK) offer(ord int32, score float64) {
+	c := scored{ord: ord, score: score}
+	if len(t.h) < t.k {
+		t.h = append(t.h, c)
+		for i := len(t.h) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if !t.worse(t.h[i], t.h[parent]) {
+				break
+			}
+			t.h[i], t.h[parent] = t.h[parent], t.h[i]
+			i = parent
 		}
-		return out[i].ID < out[j].ID
-	})
+		return
+	}
+	if !t.worse(t.h[0], c) {
+		return
+	}
+	t.h[0] = c
+	t.siftDown()
+}
+
+func (t *topK) siftDown() {
+	h := t.h
+	for i := 0; ; {
+		l, r, min := 2*i+1, 2*i+2, i
+		if l < len(h) && t.worse(h[l], h[min]) {
+			min = l
+		}
+		if r < len(h) && t.worse(h[r], h[min]) {
+			min = r
+		}
+		if min == i {
+			return
+		}
+		h[i], h[min] = h[min], h[i]
+		i = min
+	}
+}
+
+// results empties the heap into hits ordered best first, ties by ascending
+// ID.
+func (t *topK) results() []Hit {
+	out := make([]Hit, len(t.h))
+	for i := len(out) - 1; i >= 0; i-- {
+		top := t.h[0]
+		out[i] = Hit{ID: t.ids.id(top.ord), Score: top.score}
+		t.h[0] = t.h[len(t.h)-1]
+		t.h = t.h[:len(t.h)-1]
+		t.siftDown()
+	}
 	return out
 }

@@ -1,6 +1,7 @@
 package verifai
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/binfmt"
 	"repro/internal/workload"
 )
 
@@ -403,7 +405,7 @@ func TestOpenValidation(t *testing.T) {
 }
 
 // TestBinarySnapshotRecoverySmoke is the recovery smoke CI's race job runs:
-// checkpoint a quantized durable system, confirm the checkpointed index
+// checkpoint a durable system, confirm the checkpointed index
 // shards on disk are binfmt containers (magic "VAIB"), then recover from a
 // copied tree and check the snapshot alone — zero WAL replay — reproduces
 // the live system's retrieval.
@@ -411,8 +413,6 @@ func TestBinarySnapshotRecoverySmoke(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "data")
 	opts := durableOpts(1)
-	opts.Indexer.Quantize = true
-	opts.Indexer.RerankMultiple = 8
 	sys, err := Open(data, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -467,12 +467,14 @@ func TestBinarySnapshotRecoverySmoke(t *testing.T) {
 	}
 }
 
-// TestStaleFormatSnapshotRebuilds pins the two ways a checkpointed index
+// TestStaleFormatSnapshotRebuilds pins the ways a checkpointed index
 // shard can be unusable. A shard that does not start with the binfmt
-// magic was written by a release older than the container format: indexes
-// are derived data, so recovery re-indexes from the catalog and verdicts
-// match a fresh build. A shard that IS a container but has a flipped byte
-// is corruption, and Open must fail instead of rebuilding over a bad disk.
+// magic was written by a release older than the container format, and a
+// directory whose fingerprint names no vector row format by one whose flat
+// shards held float32 rows: indexes are derived data, so recovery
+// re-indexes from the catalog and verdicts match a fresh build. A shard
+// that IS a container but has a flipped byte is corruption, and Open must
+// fail instead of rebuilding over a bad disk.
 func TestStaleFormatSnapshotRebuilds(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "data")
@@ -548,6 +550,56 @@ func TestStaleFormatSnapshotRebuilds(t *testing.T) {
 			}
 		})
 	}
+
+	t.Run("vector shards with float32 rows", func(t *testing.T) {
+		stale := filepath.Join(t.TempDir(), "stale")
+		copyTree(t, data, stale)
+		indexes := filepath.Join(stale, "checkpoint", "indexes")
+		shards, err := filepath.Glob(filepath.Join(indexes, "vector-*.idx"))
+		if err != nil || len(shards) == 0 {
+			t.Fatalf("no checkpointed vector shards: %v", err)
+		}
+		// The flat layout as it was: meta, ids, and every row as 128 floats.
+		for _, path := range shards {
+			bw := binfmt.NewWriter()
+			if err := bw.JSON("meta", map[string]any{"family": "flat", "metric": 0, "dim": 128, "count": 2}); err != nil {
+				t.Fatal(err)
+			}
+			bw.Strings("ids", []string{"table:a", "table:b"})
+			bw.Float32s("vecs", make([]float32, 2*128))
+			var buf bytes.Buffer
+			if _, err := bw.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		metaPath := filepath.Join(indexes, "meta.json")
+		meta, err := os.ReadFile(metaPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		older := bytes.Replace(meta, []byte(`"vector_rows": "int8",`), nil, 1)
+		if bytes.Equal(older, meta) {
+			t.Fatalf("meta.json names no vector row format: %s", meta)
+		}
+		if err := os.WriteFile(metaPath, older, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recovered, err := Open(stale, durableOpts(1))
+		if err != nil {
+			t.Fatalf("a directory in the float-row layout was not re-indexed: %v", err)
+		}
+		defer recovered.Close()
+		got, err := recovered.VerifyClaim("q", workload.GolfClaim())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("re-indexed report differs from a fresh build:\n got %+v\nwant %+v", got, want)
+		}
+	})
 
 	corrupt := filepath.Join(dir, "corrupt")
 	copyTree(t, data, corrupt)
