@@ -29,8 +29,9 @@ import (
 // any checkpoint the process holds what a restart on the directory would —
 // mapped shard files, a delta of what was written since.
 
-// snapshotFormat versions the snapshot layout itself.
-const snapshotFormat = 1
+// snapshotFormat versions the snapshot layout itself: 2 since BM25 shards
+// store their postings as bit-packed blocks (1 held them as int32 pairs).
+const snapshotFormat = 2
 
 // snapshotMeta pins what a snapshot is valid for.
 type snapshotMeta struct {
@@ -301,7 +302,7 @@ func checkSnapshotMeta(cfg IndexerConfig, dir string) (snapshotMeta, error) {
 		return meta, fmt.Errorf("%w (unreadable config fingerprint: %v)", ErrSnapshotMismatch, err)
 	}
 	if meta.Format != snapshotFormat || stored.String() != string(cc) {
-		return meta, fmt.Errorf("%w (configuration changed)", ErrSnapshotMismatch)
+		return meta, fmt.Errorf("%w (format %d or configuration changed; this build writes format %d)", ErrSnapshotMismatch, meta.Format, snapshotFormat)
 	}
 	return meta, nil
 }

@@ -63,7 +63,7 @@ func TestConcurrentAddSearchDelete(t *testing.T) {
 					return
 				default:
 					ix.Search("document about golf", 5)
-					ix.Explain("golf", "seed1")
+					ix.Contains("seed1")
 				}
 			}
 		}()

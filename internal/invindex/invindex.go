@@ -5,7 +5,11 @@
 // serialized generated data objects.
 //
 // A shard has one immutable form, the sealed segment: a binfmt container
-// (static.go) of the compacted documents and postings as columns. Freeze
+// (static.go) of the compacted documents and postings as columns, each
+// term's (doc, freq) pairs as doc gaps and frequencies bit-packed in blocks
+// of 128 — about 1.1 bytes a pair on the workload lake where plain int32
+// pairs took 8. Searches and seals decode a term's run into a buffer;
+// opening a segment decodes every run once to validate it. Freeze
 // seals base + delta + tombstones into the next segment and goes on
 // searching it as the base; Frozen.Save writes its bytes; OpenFile maps
 // such a file back; Frozen.Adopt moves a running index from the sealed
@@ -251,21 +255,4 @@ func (ix *Index) Contains(id string) bool {
 		}
 	}
 	return false
-}
-
-// Terms returns the number of distinct terms in the index.
-func (ix *Index) Terms() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	base := ix.baseSeg()
-	if base == nil {
-		return len(ix.postings)
-	}
-	n := base.terms.Len()
-	for t := range ix.postings {
-		if base.findTerm(t) < 0 {
-			n++
-		}
-	}
-	return n
 }

@@ -32,9 +32,6 @@ func TestAddAndLen(t *testing.T) {
 	if ix.Len() != 5 {
 		t.Errorf("Len = %d", ix.Len())
 	}
-	if ix.Terms() == 0 {
-		t.Error("Terms = 0")
-	}
 	if !ix.Contains("d1") || ix.Contains("nope") {
 		t.Error("Contains wrong")
 	}
@@ -149,32 +146,36 @@ func TestDeterministicTieBreak(t *testing.T) {
 	}
 }
 
-func TestExplain(t *testing.T) {
+// TestScoreSumsTermContributions: a document's score is its per-term
+// scores added in sorted term order, to the bit, whether the postings are
+// in the delta or in a sealed segment.
+func TestScoreSumsTermContributions(t *testing.T) {
 	ix := buildSmall(t)
-	contrib, ok := ix.Explain("golf prize", "d3")
-	if !ok {
-		t.Fatal("Explain failed for known doc")
+	terms := ix.Analyze("golf prize")
+	if len(terms) != 2 || terms[0] > terms[1] {
+		t.Fatalf("analyzed terms = %v, want two, sorted", terms)
 	}
-	if len(contrib) != 2 {
-		t.Errorf("Explain terms = %v", contrib)
-	}
-	var sum float64
-	for _, c := range contrib {
-		if c <= 0 {
-			t.Errorf("non-positive contribution: %v", contrib)
+	for _, tier := range []string{"delta", "sealed"} {
+		if tier == "sealed" {
+			ix.Freeze()
 		}
-		sum += c
-	}
-	hits := ix.Search("golf prize", 10)
-	for _, h := range hits {
-		if h.ID == "d3" {
-			if diff := sum - h.Score; diff > 1e-9 || diff < -1e-9 {
-				t.Errorf("Explain sum %v != search score %v", sum, h.Score)
+		scoreOf := func(terms ...string) float64 {
+			t.Helper()
+			for _, h := range ix.SearchTerms(terms, 10) {
+				if h.ID == "d3" {
+					return h.Score
+				}
 			}
+			t.Fatalf("%s: d3 not retrieved by %v", tier, terms)
+			return 0
 		}
-	}
-	if _, ok := ix.Explain("golf", "ghost"); ok {
-		t.Error("Explain on unknown doc = ok")
+		a, b := scoreOf(terms[0]), scoreOf(terms[1])
+		if a <= 0 || b <= 0 {
+			t.Errorf("%s: non-positive term scores %v, %v", tier, a, b)
+		}
+		if got := scoreOf(terms...); got != a+b {
+			t.Errorf("%s: score %v, want %v + %v", tier, got, a, b)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strings"
 	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/binfmt"
 )
@@ -62,9 +61,9 @@ func (ix *Index) setBase(z *Frozen) {
 
 // sealLocked builds the compacted segment: live base documents in ordinal
 // order, then live delta documents; terms sorted, each term's pairs in
-// document order (base before delta). Caller holds the write lock.
+// document order (base runs decoded, delta after) and encoded as blocks.
+// Caller holds the write lock.
 func (ix *Index) sealLocked(base *staticSeg) (*staticSeg, error) {
-	view := func(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 	ids := make([]string, 0, ix.baseLive+ix.liveDocs)
 	lengths := make([]int32, 0, cap(ids))
 	terms := make([]string, 0, len(ix.postings))
@@ -86,36 +85,47 @@ func (ix *Index) sealLocked(base *staticSeg) (*staticSeg, error) {
 			lengths = append(lengths, ix.lengths[ord])
 		}
 	}
-	npairs := 0
-	for t, plist := range ix.postings {
-		terms, npairs = append(terms, t), npairs+len(plist)
+	for t := range ix.postings {
+		terms = append(terms, t)
 	}
 	for ti := 0; base != nil && ti < base.terms.Len(); ti++ {
-		terms, npairs = append(terms, view(base.terms.Bytes(ti))), npairs+len(base.pairs(ti))/2
+		terms = append(terms, view(base.terms.Bytes(ti)))
 	}
 	slices.Sort(terms)
 	terms = slices.Compact(terms)
 
 	live := terms[:0] // terms that keep at least one pair
 	postIdx := make([]uint32, 1, len(terms)+1)
-	posts := make([]int32, 0, 2*npairs)
+	postOff := make([]uint32, 1, len(terms)+1)
+	var posts []byte
+	var run []int32 // one term's pairs: live base pairs remapped, then delta pairs
 	for _, t := range terms {
+		run = run[:0]
 		if base != nil {
 			if bt := base.findTerm(t); bt >= 0 {
-				for pairs := base.pairs(bt); len(pairs) > 1; pairs = pairs[2:] {
-					if no := baseRemap[pairs[0]]; no >= 0 {
-						posts = append(posts, no, pairs[1])
+				var err error
+				if run, err = base.pairs(bt, run); err != nil {
+					return nil, err
+				}
+				kept := run[:0]
+				for i := 0; i < len(run); i += 2 {
+					if no := baseRemap[run[i]]; no >= 0 {
+						kept = append(kept, no, run[i+1])
 					}
 				}
+				run = kept
 			}
 		}
 		for _, p := range ix.postings[t] {
 			if no := remap[p.doc]; no >= 0 {
-				posts = append(posts, no, p.freq)
+				run = append(run, no, p.freq)
 			}
 		}
-		if np := uint32(len(posts) / 2); np > postIdx[len(postIdx)-1] {
-			live, postIdx = append(live, t), append(postIdx, np)
+		if len(run) > 0 {
+			posts = appendRun(posts, run)
+			live = append(live, t)
+			postIdx = append(postIdx, postIdx[len(postIdx)-1]+uint32(len(run)/2))
+			postOff = append(postOff, uint32(len(posts)))
 		}
 	}
 	idsort := make([]uint32, len(ids))
@@ -127,7 +137,7 @@ func (ix *Index) sealLocked(base *staticSeg) (*staticSeg, error) {
 	bw := binfmt.NewWriter()
 	if err := bw.JSON("meta", staticMeta{
 		Family: "bm25", K1: ix.k1, B: ix.b,
-		Docs: len(ids), Terms: len(live), Pairs: len(posts) / 2, TotalLen: ix.baseTotalLen + ix.totalLen,
+		Docs: len(ids), Terms: len(live), Pairs: int(postIdx[len(live)]), TotalLen: ix.baseTotalLen + ix.totalLen,
 	}); err != nil {
 		return nil, err
 	}
@@ -136,7 +146,8 @@ func (ix *Index) sealLocked(base *staticSeg) (*staticSeg, error) {
 	bw.Uint32s("idsort", idsort)
 	bw.Strings("terms", live)
 	bw.Uint32s("postidx", postIdx)
-	bw.Int32s("postings", posts)
+	bw.Uint32s("postoff", postOff)
+	bw.Section("postings", posts)
 	fr, err := bw.Build()
 	runtime.KeepAlive(base) // ids and terms viewed its columns until here
 	if err != nil {

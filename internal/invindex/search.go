@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"unsafe"
 )
 
 // Hit is one search result.
@@ -28,12 +27,14 @@ func (ix *Index) Search(query string, k int) []Hit {
 func (ix *Index) Analyze(text string) []string { return ix.analyze(text) }
 
 // searchScratch holds every buffer SearchTerms needs, pooled so the steady
-// path performs no per-query allocations: query terms and weights, a dense
-// per-ordinal score accumulator reset via the touched list, and the top-k
-// heap. scores entries are zero except between scoring and reset.
+// path performs no per-query allocations: query terms and weights, one
+// base term's decoded pairs, a dense per-ordinal score accumulator reset
+// via the touched list, and the top-k heap. scores entries are zero except
+// between scoring and reset.
 type searchScratch struct {
 	terms   []string
 	qw      []float64
+	pairs   []int32
 	scores  []float64
 	touched []int32
 	heap    []scoredDoc
@@ -108,7 +109,10 @@ func (ix *Index) SearchTerms(terms []string, k int) []Hit {
 		var basePairs []int32
 		if base != nil {
 			if bt := base.findTerm(t); bt >= 0 {
-				basePairs = base.pairs(bt)
+				// loadStatic decoded this run without error, and a
+				// segment's bytes never change.
+				sc.pairs, _ = base.pairs(bt, sc.pairs)
+				basePairs = sc.pairs
 			}
 		}
 		plist := ix.postings[t]
@@ -175,19 +179,14 @@ func (ix *Index) SearchTerms(terms []string, k int) []Hit {
 	return out
 }
 
-// ordIDBytes returns the external ID of a global ordinal as a zero-copy
-// byte view, for tie-break comparisons without materializing strings. base
-// is the segment the search loaded: the caller keeps it alive past the last
-// use of the view.
-func (ix *Index) ordIDBytes(base *staticSeg, ord int32) []byte {
+// ordIDView returns the external ID of a global ordinal without a copy,
+// for tie-break comparisons. base is the segment the search loaded: the
+// caller keeps it alive past the last use of the view.
+func (ix *Index) ordIDView(base *staticSeg, ord int32) string {
 	if int(ord) < ix.baseLen() {
-		return base.ids.Bytes(int(ord))
+		return view(base.ids.Bytes(int(ord)))
 	}
-	s := ix.ids[int(ord)-ix.baseLen()]
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice(unsafe.StringData(s), len(s))
+	return ix.ids[int(ord)-ix.baseLen()]
 }
 
 // ordID materializes the external ID of a global ordinal. Delta IDs are
@@ -211,20 +210,7 @@ func (ix *Index) worse(base *staticSeg, a, b scoredDoc) bool {
 	if a.score != b.score {
 		return a.score < b.score
 	}
-	return bytesGreater(ix.ordIDBytes(base, a.doc), ix.ordIDBytes(base, b.doc))
-}
-
-func bytesGreater(a, b []byte) bool {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return a[i] > b[i]
-		}
-	}
-	return len(a) > len(b)
+	return ix.ordIDView(base, a.doc) > ix.ordIDView(base, b.doc)
 }
 
 // topK selects the k best touched ordinals with a manually-sifted bounded
@@ -282,80 +268,4 @@ func (ix *Index) siftDown(base *staticSeg, h []scoredDoc, i int) {
 		h[i], h[min] = h[min], h[i]
 		i = min
 	}
-}
-
-// Explain returns the per-term BM25 contributions for a (query, document)
-// pair, supporting the provenance requirement (challenge C4): why a piece of
-// evidence was retrieved. The map is term -> contribution; missing terms
-// contribute zero. ok is false when the document is unknown or deleted.
-func (ix *Index) Explain(query, id string) (map[string]float64, bool) {
-	terms := ix.analyze(query)
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	nLive := ix.liveDocs + ix.baseLive
-	if nLive == 0 {
-		return nil, false
-	}
-	// Resolve id to a global ordinal across both tiers.
-	base := ix.baseSeg()
-	ord := int32(-1)
-	if o, okID := ix.byID[id]; okID && !ix.deleted[o] {
-		ord = int32(ix.baseLen() + o)
-	} else if base != nil {
-		if bo := base.findDoc(id); bo >= 0 && !ix.baseDeleted[bo] {
-			ord = bo
-		}
-	}
-	if ord < 0 {
-		return nil, false
-	}
-	baseN := ix.baseLen()
-	var dl float64
-	if int(ord) < baseN {
-		dl = float64(base.lengths[ord])
-	} else {
-		dl = float64(ix.lengths[int(ord)-baseN])
-	}
-	avgdl := float64(ix.totalLen+ix.baseTotalLen) / float64(nLive)
-	n := float64(nLive)
-	qf := make(map[string]float64, len(terms))
-	for _, t := range terms {
-		qf[t]++
-	}
-	out := make(map[string]float64)
-	for t, qw := range qf {
-		df := 0
-		var tf float64
-		if base != nil {
-			if bt := base.findTerm(t); bt >= 0 {
-				pairs := base.pairs(bt)
-				for i := 0; i+1 < len(pairs); i += 2 {
-					if ix.baseDeleted[pairs[i]] {
-						continue
-					}
-					df++
-					if pairs[i] == ord {
-						tf = float64(pairs[i+1])
-					}
-				}
-			}
-		}
-		for _, p := range ix.postings[t] {
-			if ix.deleted[p.doc] {
-				continue
-			}
-			df++
-			if int32(baseN)+p.doc == ord {
-				tf = float64(p.freq)
-			}
-		}
-		if df == 0 || tf == 0 {
-			continue
-		}
-		idf := math.Log(1 + (n-float64(df)+0.5)/(float64(df)+0.5))
-		norm := tf * (ix.k1 + 1) / (tf + ix.k1*(1-ix.b+ix.b*dl/avgdl))
-		out[t] = qw * idf * norm
-	}
-	runtime.KeepAlive(base)
-	return out, true
 }

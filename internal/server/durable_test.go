@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -163,9 +164,23 @@ func TestDurableServerSurfaces(t *testing.T) {
 	if rowBytes != 128+4 {
 		t.Errorf("the shard files hold %d row bytes, want one 132-byte row", rowBytes)
 	}
+	// What the BM25 family reports mapped is its four shard files, whole.
+	bm25Files, err := filepath.Glob(filepath.Join(data, "checkpoint", "indexes", "bm25-*.idx"))
+	if err != nil || len(bm25Files) != 4 {
+		t.Fatalf("bm25 shard files: %v (%v)", bm25Files, err)
+	}
+	var bm25FileBytes int64
+	for _, path := range bm25Files {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bm25FileBytes += fi.Size()
+	}
 	exposition := scrape(t, ts)
 	for _, want := range []string{
-		fmt.Sprintf(`verifai_index_segment_bytes{family="bm25",residency="mapped"} %d`, bm25.MappedBytes),
+		fmt.Sprintf(`verifai_index_segment_bytes{family="bm25",residency="mapped"} %d`, bm25FileBytes),
+		`verifai_index_segment_bytes{family="bm25",residency="heap"} 0`,
 		fmt.Sprintf(`verifai_index_segment_bytes{family="vector",residency="mapped"} %d`, rowBytes),
 		`verifai_index_segment_bytes{family="vector",residency="heap"} 0`,
 		`verifai_index_delta_docs{family="bm25"} 0`,

@@ -601,6 +601,67 @@ func TestStaleFormatSnapshotRebuilds(t *testing.T) {
 		}
 	})
 
+	t.Run("bm25 shards with int32 postings", func(t *testing.T) {
+		stale := filepath.Join(t.TempDir(), "stale")
+		copyTree(t, data, stale)
+		indexes := filepath.Join(stale, "checkpoint", "indexes")
+		shards, err := filepath.Glob(filepath.Join(indexes, "bm25-*.idx"))
+		if err != nil || len(shards) == 0 {
+			t.Fatalf("no checkpointed bm25 shards: %v", err)
+		}
+		// The BM25 layout as it was: every (doc, freq) pair as two int32s
+		// and no postoff column.
+		for _, path := range shards {
+			bw := binfmt.NewWriter()
+			if err := bw.JSON("meta", map[string]any{"family": "bm25", "k1": 1.2, "b": 0.75, "docs": 1, "terms": 1, "pairs": 1, "total_len": 2}); err != nil {
+				t.Fatal(err)
+			}
+			bw.Strings("ids", []string{"table:a"})
+			bw.Int32s("lengths", []int32{2})
+			bw.Uint32s("idsort", []uint32{0})
+			bw.Strings("terms", []string{"golf"})
+			bw.Uint32s("postidx", []uint32{0, 1})
+			bw.Int32s("postings", []int32{0, 2})
+			var buf bytes.Buffer
+			if _, err := bw.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Under this build's format number the old shards are corruption,
+		// and the open says so.
+		if bad, err := Open(stale, durableOpts(1)); err == nil {
+			bad.Close()
+			t.Fatal("int32-postings shards opened under the current snapshot format")
+		}
+		metaPath := filepath.Join(indexes, "meta.json")
+		meta, err := os.ReadFile(metaPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		older := bytes.Replace(meta, []byte(`"format": 2,`), []byte(`"format": 1,`), 1)
+		if bytes.Equal(older, meta) {
+			t.Fatalf("meta.json is not at snapshot format 2: %s", meta)
+		}
+		if err := os.WriteFile(metaPath, older, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recovered, err := Open(stale, durableOpts(1))
+		if err != nil {
+			t.Fatalf("a directory in the int32-postings layout was not re-indexed: %v", err)
+		}
+		defer recovered.Close()
+		got, err := recovered.VerifyClaim("q", workload.GolfClaim())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("re-indexed report differs from a fresh build:\n got %+v\nwant %+v", got, want)
+		}
+	})
+
 	corrupt := filepath.Join(dir, "corrupt")
 	copyTree(t, data, corrupt)
 	overwriteShard(corrupt, "bm25", func(raw []byte) []byte { raw[len(raw)/2] ^= 0xff; return raw })
