@@ -371,34 +371,33 @@ func BenchmarkBM25SearchTerms(b *testing.B) {
 func BenchmarkVectorSearch(b *testing.B) {
 	const dim, n = 128, 5000
 	emb := embed.NewEmbedder(dim, 1)
+	ids := make([]string, n)
 	vecs := make([]embed.Vector, n)
 	for i := range vecs {
+		ids[i] = fmt.Sprintf("v%d", i)
 		vecs[i] = emb.EmbedText(fmt.Sprintf("document %d about topic %d with words %d", i, i%37, i%113))
 	}
 	query := vecs[123]
 
-	indexes := map[string]interface {
-		Search(q embed.Vector, k int) []vecindex.Hit
+	flat, sqflat, sealed := vecindex.NewFlat(dim), vecindex.NewSQFlat(dim), vecindex.NewSQFlat(dim)
+	for _, ix := range []interface {
 		Add(id string, v embed.Vector) error
-	}{
-		"flat":   vecindex.NewFlat(dim, vecindex.Cosine),
-		"sqflat": vecindex.NewSQFlat(dim),
-		"sealed": vecindex.NewSQFlat(dim),
-		"ivf":    vecindex.NewIVF(dim, vecindex.Cosine, 64, 8, 1),
-		"lsh":    vecindex.NewLSH(dim, 16, 8, 1),
-	}
-	for name, ix := range indexes {
+	}{flat, sqflat, sealed} {
 		for i, v := range vecs {
-			if err := ix.Add(fmt.Sprintf("v%d", i), v); err != nil {
+			if err := ix.Add(ids[i], v); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if ivf, ok := ix.(*vecindex.IVF); ok {
-			ivf.Train()
-		}
-		if name == "sealed" {
-			ix.(*vecindex.SQFlat).Freeze()
-		}
+	}
+	sealed.Freeze()
+	indexes := map[string]vecindex.Searcher{
+		"flat":   flat,
+		"sqflat": sqflat,
+		"sealed": sealed,
+		"ivf":    vecindex.NewIVF(ids, vecs, 64, 8, 1),
+		"lsh":    vecindex.NewLSH(ids, vecs, 16, 8, 1),
+	}
+	for name, ix := range indexes {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -422,79 +422,71 @@ func TestSnapshotSaveGoesThroughFS(t *testing.T) {
 }
 
 // TestAdoptAfterReopenEveryFamily is a restart followed by the first
-// checkpoint, under every vector family: an indexer opened from one
-// checkpoint's files (its rows views of them) is
-// sealed, saved into a second directory and moved onto it; the first
-// directory is unlinked and the collector run until its mappings are gone.
-// The indexer must answer as the one that never left the heap does, before
-// and after further writes.
+// checkpoint, for both index families: an indexer opened from one
+// checkpoint's files (its BM25 segments and int8 vector segments views of
+// them) is sealed, saved into a second directory and moved onto it; the
+// first directory is unlinked and the collector run until its mappings are
+// gone. The indexer must answer as the one that never left the heap does,
+// before and after further writes.
 func TestAdoptAfterReopenEveryFamily(t *testing.T) {
-	families := map[string]func(*IndexerConfig){
-		"flat": func(*IndexerConfig) {},
-		"ivf":  func(c *IndexerConfig) { c.Vector, c.IVFLists, c.IVFProbes = VectorIVF, 4, 4 },
-		"lsh":  func(c *IndexerConfig) { c.Vector = VectorLSH },
-	}
-	for name, tune := range families {
-		t.Run(name, func(t *testing.T) {
-			lake := datalake.New()
-			defer lake.Close()
-			if err := lake.AddSource(datalake.Source{ID: "s", Name: "src", TrustPrior: 0.8}); err != nil {
-				t.Fatal(err)
-			}
-			r := rand.New(rand.NewSource(5))
-			write := func(from, to int) {
-				for step := from; step < to; step++ {
-					if err := adoptWrite(lake, r, step); err != nil {
-						t.Fatal(err)
-					}
+	t.Run("flat", func(t *testing.T) {
+		lake := datalake.New()
+		defer lake.Close()
+		if err := lake.AddSource(datalake.Source{ID: "s", Name: "src", TrustPrior: 0.8}); err != nil {
+			t.Fatal(err)
+		}
+		r := rand.New(rand.NewSource(5))
+		write := func(from, to int) {
+			for step := from; step < to; step++ {
+				if err := adoptWrite(lake, r, step); err != nil {
+					t.Fatal(err)
 				}
 			}
-			write(0, 120)
-			cfg := DefaultIndexerConfig(3)
-			cfg.EmbedDim, cfg.Shards = 32, 2
-			tune(&cfg)
-			built, err := BuildIndexer(lake, cfg) // trains IVF on what the lake holds
-			if err != nil {
-				t.Fatal(err)
+		}
+		write(0, 120)
+		cfg := DefaultIndexerConfig(3)
+		cfg.EmbedDim, cfg.Shards = 32, 2
+		built, err := BuildIndexer(lake, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer built.Close()
+		first, second := filepath.Join(t.TempDir(), "first"), filepath.Join(t.TempDir(), "second")
+		if err := built.Freeze().Save(faultfs.OS, first, lake.Version()); err != nil {
+			t.Fatal(err)
+		}
+		reopened, err := BuildIndexerFromSnapshot(lake, cfg, first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer reopened.Close()
+		reopened.SetMetrics(obs.NewRegistry())
+		fz := reopened.Freeze()
+		if err := fz.Save(faultfs.OS, second, lake.Version()); err != nil {
+			t.Fatal(err)
+		}
+		fz.Adopt(second)
+		if st := reopened.IndexStats(); st.Skipped != 0 || st.Families[familyVector].HeapBytes != 0 {
+			t.Fatalf("not adopted: %+v", st)
+		}
+		if err := os.RemoveAll(first); err != nil {
+			t.Fatal(err)
+		}
+		agree := func(when string) {
+			for i := 0; i < 5; i++ {
+				runtime.GC()
+				time.Sleep(5 * time.Millisecond)
 			}
-			defer built.Close()
-			first, second := filepath.Join(t.TempDir(), "first"), filepath.Join(t.TempDir(), "second")
-			if err := built.Freeze().Save(faultfs.OS, first, lake.Version()); err != nil {
-				t.Fatal(err)
-			}
-			reopened, err := BuildIndexerFromSnapshot(lake, cfg, first)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer reopened.Close()
-			reopened.SetMetrics(obs.NewRegistry())
-			fz := reopened.Freeze()
-			if err := fz.Save(faultfs.OS, second, lake.Version()); err != nil {
-				t.Fatal(err)
-			}
-			fz.Adopt(second)
-			if st := reopened.IndexStats(); st.Skipped != 0 || st.Families[familyVector].HeapBytes != 0 {
-				t.Fatalf("not adopted: %+v", st)
-			}
-			if err := os.RemoveAll(first); err != nil {
-				t.Fatal(err)
-			}
-			agree := func(when string) {
-				for i := 0; i < 5; i++ {
-					runtime.GC()
-					time.Sleep(5 * time.Millisecond)
+			for _, q := range []string{"golf open prize money palmer", "dover kansas climate record july", "entity 3 league season"} {
+				got := reopened.search(context.Background(), q, 10, nil, true, true)
+				want := built.search(context.Background(), q, 10, nil, true, true)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s, %q:\n got  %+v\n want %+v", when, q, got, want)
 				}
-				for _, q := range []string{"golf open prize money palmer", "dover kansas climate record july", "entity 3 league season"} {
-					got := reopened.search(context.Background(), q, 10, nil, true, true)
-					want := built.search(context.Background(), q, 10, nil, true, true)
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s, %q:\n got  %+v\n want %+v", when, q, got, want)
-					}
-				}
 			}
-			agree("after the adopt")
-			write(120, 150)
-			agree("after further writes")
-		})
-	}
+		}
+		agree("after the adopt")
+		write(120, 150)
+		agree("after further writes")
+	})
 }

@@ -90,11 +90,6 @@ func TestBuildIndexerValidation(t *testing.T) {
 	if _, err := BuildIndexer(lake, IndexerConfig{EmbedDim: 8}); err == nil {
 		t.Error("indexer with no families accepted")
 	}
-	cfg := DefaultIndexerConfig(1)
-	cfg.Vector = VectorIndexKind(42)
-	if _, err := BuildIndexer(lake, cfg); err == nil {
-		t.Error("unknown vector kind accepted")
-	}
 }
 
 func TestIndexerRetrieveKinds(t *testing.T) {
@@ -169,24 +164,6 @@ func TestIndexerBM25OnlyAndVectorOnly(t *testing.T) {
 	}
 }
 
-func TestIndexerIVFAndLSHVariants(t *testing.T) {
-	lake := smallLake(t)
-	for _, kind := range []VectorIndexKind{VectorIVF, VectorLSH} {
-		cfg := DefaultIndexerConfig(1)
-		cfg.Vector = kind
-		cfg.IVFLists = 2
-		cfg.IVFProbes = 2
-		ix, err := BuildIndexer(lake, cfg)
-		if err != nil {
-			t.Fatalf("%d: %v", int(kind), err)
-		}
-		_, ids := ix.Retrieve("1954 golf money tommy bolt", 3, datalake.KindTable)
-		if len(ids) == 0 {
-			t.Errorf("vector kind %d: no hits", int(kind))
-		}
-	}
-}
-
 func TestIndexerChunking(t *testing.T) {
 	lake := smallLake(t)
 	cfg := DefaultIndexerConfig(1)
@@ -204,6 +181,52 @@ func TestIndexerChunking(t *testing.T) {
 	}
 	if len(ids) == 0 {
 		t.Error("chunked retrieval empty")
+	}
+}
+
+// TestVectorHitsKeepInstanceIDs: a vector hit is credited to the instance
+// indexed under that row, even one whose ID ends in "@<digits>" as a chunk's
+// does. Only chunked text rows carry a chunk suffix to strip, and there a
+// document's own ID may end in "@7".
+func TestVectorHitsKeepInstanceIDs(t *testing.T) {
+	lake := datalake.New()
+	defer lake.Close()
+	rain := table.New("q", "monthly rainfall in dover kansas", []string{"month", "inches"})
+	rain.MustAppendRow("january", "1.2")
+	rain.MustAppendRow("july", "4.5")
+	golf := table.New("q@1", "1954 u.s. open (golf) prize money", []string{"player", "money"})
+	golf.MustAppendRow("tommy bolt", "570")
+	golf.MustAppendRow("ed furgol", "6000")
+	for _, tbl := range []*table.Table{rain, golf} {
+		if err := lake.AddTable(tbl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lake.AddDocument(&doc.Document{ID: "report@7", Title: "golf report",
+		Text: "the 1954 u.s. open golf prize money went to ed furgol while tommy bolt and ben hogan tied for sixth place"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, chunk := range []int{0, 8} {
+		cfg := DefaultIndexerConfig(1)
+		cfg.EnableBM25, cfg.ChunkTokens = false, chunk
+		ix, err := BuildIndexer(lake, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		hits, _ := ix.Retrieve("1954 u.s. open golf prize money tommy bolt", 2, datalake.KindTable)
+		if len(hits) != 2 || hits[0].InstanceID != "table:q@1" || hits[1].InstanceID != "table:q" {
+			t.Errorf("chunk tokens %d: table hits %+v, want table:q@1 then table:q", chunk, hits)
+		}
+		hits, ids := ix.Retrieve("golf prize money tommy bolt", 5, datalake.KindText)
+		for _, h := range hits {
+			if h.InstanceID != "text:report@7" {
+				t.Errorf("chunk tokens %d: text hit %+v, want text:report@7", chunk, h)
+			}
+		}
+		if len(ids) != 1 || ids[0] != "text:report@7" || chunk > 0 && len(hits) < 2 {
+			t.Errorf("chunk tokens %d: text candidates %v from %d hits", chunk, ids, len(hits))
+		}
 	}
 }
 

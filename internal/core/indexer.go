@@ -22,41 +22,19 @@ import (
 	"repro/internal/vecindex"
 )
 
-// VectorIndexKind selects the semantic index implementation.
-type VectorIndexKind int
-
-const (
-	// VectorFlat is an exhaustive scan over int8 rows (Faiss
-	// IndexScalarQuantizer, QT_8bit, flat): vecindex.SQFlat.
-	VectorFlat VectorIndexKind = iota
-	// VectorIVF is inverted-file search over k-means cells (Faiss IVF-Flat).
-	VectorIVF
-	// VectorLSH is random-hyperplane hashing (Faiss IndexLSH).
-	VectorLSH
-)
-
-// vectorIndex is one vector shard, of whichever family is configured.
-type vectorIndex = vecindex.Index
-
 // IndexerConfig controls index construction.
 type IndexerConfig struct {
-	// Seed drives the embedding space and IVF/LSH randomness.
+	// Seed drives the embedding space.
 	Seed uint64
 	// EmbedDim is the embedding dimension (default 64).
 	EmbedDim int
 	// EnableBM25 turns on the content-based index (default on via
 	// DefaultIndexerConfig).
 	EnableBM25 bool
-	// EnableVector turns on the semantic index.
+	// EnableVector turns on the semantic index: an exhaustive cosine scan
+	// over int8 rows (vecindex.SQFlat; Faiss IndexScalarQuantizer, QT_8bit,
+	// flat).
 	EnableVector bool
-	// Vector selects the semantic index implementation.
-	Vector VectorIndexKind
-	// IVFLists / IVFProbes parameterize VectorIVF.
-	IVFLists  int
-	IVFProbes int
-	// LSHBits / LSHTables parameterize VectorLSH.
-	LSHBits   int
-	LSHTables int
 	// Kinds lists the instance granularities to index. Tables are indexed
 	// whole AND per-tuple when both kinds are present, matching the paper's
 	// lake of tuples, tables, and text.
@@ -94,11 +72,6 @@ func DefaultIndexerConfig(seed uint64) IndexerConfig {
 		EmbedDim:     128,
 		EnableBM25:   true,
 		EnableVector: true,
-		Vector:       VectorFlat,
-		IVFLists:     64,
-		IVFProbes:    8,
-		LSHBits:      16,
-		LSHTables:    8,
 		Kinds: []datalake.Kind{
 			datalake.KindTable, datalake.KindTuple, datalake.KindText, datalake.KindEntity,
 		},
@@ -123,7 +96,7 @@ type Indexer struct {
 	cfg  IndexerConfig
 
 	bm25 map[datalake.Kind][]*invindex.Index
-	vec  map[datalake.Kind][]vectorIndex
+	vec  map[datalake.Kind][]*vecindex.SQFlat
 
 	qcache      *queryCache
 	workers     int
@@ -247,7 +220,7 @@ func newIndexer(lake *datalake.Lake, cfg *IndexerConfig) (*Indexer, error) {
 		emb:     embed.NewEmbedder(cfg.EmbedDim, cfg.Seed),
 		cfg:     *cfg,
 		bm25:    make(map[datalake.Kind][]*invindex.Index),
-		vec:     make(map[datalake.Kind][]vectorIndex),
+		vec:     make(map[datalake.Kind][]*vecindex.SQFlat),
 		qcache:  newQueryCache(cfg.QueryCacheSize),
 		workers: workers,
 	}
@@ -264,13 +237,9 @@ func newIndexer(lake *datalake.Lake, cfg *IndexerConfig) (*Indexer, error) {
 			ix.bm25[kind] = shards
 		}
 		if cfg.EnableVector {
-			shards := make([]vectorIndex, cfg.Shards)
+			shards := make([]*vecindex.SQFlat, cfg.Shards)
 			for i := range shards {
-				v, err := ix.newVectorIndex()
-				if err != nil {
-					return nil, err
-				}
-				shards[i] = v
+				shards[i] = vecindex.NewSQFlat(cfg.EmbedDim)
 			}
 			ix.vec[kind] = shards
 		}
@@ -293,23 +262,7 @@ func BuildIndexer(lake *datalake.Lake, cfg IndexerConfig) (*Indexer, error) {
 	// between the snapshot walk and the subscription (it would be neither
 	// bulk-indexed nor delivered). Live events then flow through the
 	// pipelined prepare/apply stages (see applier.go).
-	unsubscribe, err := lake.SubscribeSync(func() error {
-		if err := ix.ingest(); err != nil {
-			return err
-		}
-		// Train IVF cells after bulk load. Vectors added afterwards are
-		// assigned to their nearest trained cell by vecindex.IVF.Add.
-		if cfg.EnableVector && cfg.Vector == VectorIVF {
-			for _, shards := range ix.vec {
-				for _, v := range shards {
-					if ivf, ok := v.(*vecindex.IVF); ok {
-						ivf.Train()
-					}
-				}
-			}
-		}
-		return nil
-	}, datalake.Subscriber{Prepare: ix.prepareHook, Apply: ix.apply})
+	unsubscribe, err := lake.SubscribeSync(ix.ingest, datalake.Subscriber{Prepare: ix.prepareHook, Apply: ix.apply})
 	if err != nil {
 		ix.stopAppliers()
 		return nil, err
@@ -346,19 +299,6 @@ func (ix *Indexer) stopAppliers() {
 // Embedder exposes the shared embedding space (the reranker uses the same
 // space for late interaction).
 func (ix *Indexer) Embedder() *embed.Embedder { return ix.emb }
-
-func (ix *Indexer) newVectorIndex() (vectorIndex, error) {
-	switch ix.cfg.Vector {
-	case VectorFlat:
-		return vecindex.NewSQFlat(ix.cfg.EmbedDim), nil
-	case VectorIVF:
-		return vecindex.NewIVF(ix.cfg.EmbedDim, vecindex.Cosine, ix.cfg.IVFLists, ix.cfg.IVFProbes, ix.cfg.Seed), nil
-	case VectorLSH:
-		return vecindex.NewLSH(ix.cfg.EmbedDim, ix.cfg.LSHBits, ix.cfg.LSHTables, ix.cfg.Seed), nil
-	default:
-		return nil, fmt.Errorf("core: unknown vector index kind %d", int(ix.cfg.Vector))
-	}
-}
 
 // wantKind reports whether the config indexes this granularity.
 func (ix *Indexer) wantKind(kind datalake.Kind) bool {
@@ -524,6 +464,7 @@ type scoredHit struct {
 // retrGroup collects the shard results for one (kind, family) pair; shard
 // lists merge by score into the group's final ranking.
 type retrGroup struct {
+	kind      datalake.Kind
 	family    string
 	shardHits [][]scoredHit
 }
@@ -604,7 +545,7 @@ func (ix *Indexer) search(ctx context.Context, query string, k int, kinds []data
 // reads. Everything else — the worker pool, the query-embedding cache,
 // the per-family latency metrics, the merge order — is shared, so a
 // pinned retrieval ranks exactly as a head retrieval over the same data.
-func (ix *Indexer) searchShards(ctx context.Context, query string, k int, kinds []datalake.Kind, wantBM25, wantVector bool, bm25 map[datalake.Kind][]*invindex.Index, vec map[datalake.Kind][]vectorIndex) []provenance.RetrievalHit {
+func (ix *Indexer) searchShards(ctx context.Context, query string, k int, kinds []datalake.Kind, wantBM25, wantVector bool, bm25 map[datalake.Kind][]*invindex.Index, vec map[datalake.Kind][]*vecindex.SQFlat) []provenance.RetrievalHit {
 	if len(kinds) == 0 {
 		kinds = ix.cfg.Kinds
 	}
@@ -638,7 +579,7 @@ func (ix *Indexer) searchShards(ctx context.Context, query string, k int, kinds 
 				if qterms == nil {
 					qterms = shards[0].Analyze(query)
 				}
-				g := &retrGroup{family: familyBM25, shardHits: make([][]scoredHit, len(shards))}
+				g := &retrGroup{kind: kind, family: familyBM25, shardHits: make([][]scoredHit, len(shards))}
 				groups = append(groups, g)
 				for si, sh := range shards {
 					si, sh := si, sh
@@ -657,7 +598,7 @@ func (ix *Indexer) searchShards(ctx context.Context, query string, k int, kinds 
 		}
 		if wantVector {
 			if shards := vec[kind]; len(shards) > 0 {
-				g := &retrGroup{family: familyVector, shardHits: make([][]scoredHit, len(shards))}
+				g := &retrGroup{kind: kind, family: familyVector, shardHits: make([][]scoredHit, len(shards))}
 				groups = append(groups, g)
 				for si, sh := range shards {
 					si, sh := si, sh
@@ -679,9 +620,12 @@ func (ix *Indexer) searchShards(ctx context.Context, query string, k int, kinds 
 
 	var hits []provenance.RetrievalHit
 	for _, g := range groups {
+		// Only text vector rows carry chunk suffixes, and only when chunked:
+		// any other ID is the instance's own, whatever it ends in.
+		chunked := g.family == familyVector && g.kind == datalake.KindText && ix.cfg.ChunkTokens > 0
 		for rank, h := range g.merged(k) {
 			id := h.id
-			if g.family == familyVector {
+			if chunked {
 				id = chunkParent(id)
 			}
 			hits = append(hits, provenance.RetrievalHit{Index: g.family, InstanceID: id, Score: h.score, Rank: rank})

@@ -46,18 +46,17 @@ type snapshotMeta struct {
 // tuning knobs (worker counts, cache sizes) are deliberately excluded: an
 // operator changing them must not invalidate snapshots.
 type snapshotConfig struct {
-	Seed         uint64          `json:"seed"`
-	EmbedDim     int             `json:"embed_dim"`
-	EnableBM25   bool            `json:"enable_bm25"`
-	EnableVector bool            `json:"enable_vector"`
-	Vector       VectorIndexKind `json:"vector"`
-	IVFLists     int             `json:"ivf_lists,omitempty"`
-	IVFProbes    int             `json:"ivf_probes,omitempty"`
-	LSHBits      int             `json:"lsh_bits,omitempty"`
-	LSHTables    int             `json:"lsh_tables,omitempty"`
-	// VectorRows names the row encoding of the VectorFlat family's shard
-	// files, so a directory written with another one (float32 rows, before
-	// the int8 segment) is re-indexed rather than handed to this decoder.
+	Seed         uint64 `json:"seed"`
+	EmbedDim     int    `json:"embed_dim"`
+	EnableBM25   bool   `json:"enable_bm25"`
+	EnableVector bool   `json:"enable_vector"`
+	// Vector is always 0 and VectorRows "int8" when vector shards are
+	// written. Both keys stay so that directories and durable pins already
+	// written keep their fingerprint and open without a re-index, while one
+	// written with float32 rows (no "vector_rows") or for another index
+	// family ("vector" 1 or 2) does not match and is rebuilt from the
+	// catalog.
+	Vector      int             `json:"vector"`
 	VectorRows  string          `json:"vector_rows,omitempty"`
 	Kinds       []datalake.Kind `json:"kinds"`
 	ChunkTokens int             `json:"chunk_tokens"`
@@ -68,19 +67,11 @@ type snapshotConfig struct {
 func canonicalConfig(cfg IndexerConfig) ([]byte, error) {
 	sc := snapshotConfig{
 		Seed: cfg.Seed, EmbedDim: cfg.EmbedDim,
-		EnableBM25: cfg.EnableBM25, EnableVector: cfg.EnableVector, Vector: cfg.Vector,
+		EnableBM25: cfg.EnableBM25, EnableVector: cfg.EnableVector,
 		Kinds: cfg.Kinds, ChunkTokens: cfg.ChunkTokens, Shards: cfg.Shards,
 	}
-	// Only the selected family's parameters pin the layout.
 	if cfg.EnableVector {
-		switch cfg.Vector {
-		case VectorFlat:
-			sc.VectorRows = "int8"
-		case VectorIVF:
-			sc.IVFLists, sc.IVFProbes = cfg.IVFLists, cfg.IVFProbes
-		case VectorLSH:
-			sc.LSHBits, sc.LSHTables = cfg.LSHBits, cfg.LSHTables
-		}
+		sc.VectorRows = "int8"
 	}
 	return json.Marshal(sc)
 }
@@ -95,11 +86,11 @@ func shardFile(dir, family string, kind datalake.Kind, shard int) string {
 // index locks held, so ingestion proceeds for the whole write phase — the
 // capture stays frozen at the fork's lake version no matter how far the
 // live indexes move on. It holds references only: the sealed segments the
-// live shards keep searching as their base (IVF and LSH: rows by reference).
+// live shards keep searching as their base.
 type FrozenIndexes struct {
 	ix   *Indexer
 	bm25 map[datalake.Kind][]*invindex.Frozen
-	vec  map[datalake.Kind][]vecindex.Frozen
+	vec  map[datalake.Kind][]*vecindex.Frozen
 }
 
 // Freeze captures every shard of every index family. Call it only while
@@ -111,7 +102,7 @@ func (ix *Indexer) Freeze() *FrozenIndexes {
 	fz := &FrozenIndexes{
 		ix:   ix,
 		bm25: make(map[datalake.Kind][]*invindex.Frozen, len(ix.bm25)),
-		vec:  make(map[datalake.Kind][]vecindex.Frozen, len(ix.vec)),
+		vec:  make(map[datalake.Kind][]*vecindex.Frozen, len(ix.vec)),
 	}
 	for kind, shards := range ix.bm25 {
 		frozen := make([]*invindex.Frozen, len(shards))
@@ -121,7 +112,7 @@ func (ix *Indexer) Freeze() *FrozenIndexes {
 		fz.bm25[kind] = frozen
 	}
 	for kind, shards := range ix.vec {
-		frozen := make([]vecindex.Frozen, len(shards))
+		frozen := make([]*vecindex.Frozen, len(shards))
 		for si, sh := range shards {
 			frozen[si] = sh.Freeze()
 		}
@@ -253,9 +244,9 @@ func BuildIndexerFromSnapshot(lake *datalake.Lake, cfg IndexerConfig, dir string
 // queries touch them. A missing shard file is an ErrSnapshotMismatch
 // (rebuild instead); one that exists but fails to open is corruption,
 // surfaced loudly.
-func openShards(cfg IndexerConfig, dir string) (map[datalake.Kind][]*invindex.Index, map[datalake.Kind][]vectorIndex, error) {
+func openShards(cfg IndexerConfig, dir string) (map[datalake.Kind][]*invindex.Index, map[datalake.Kind][]*vecindex.SQFlat, error) {
 	bm25 := make(map[datalake.Kind][]*invindex.Index)
-	vec := make(map[datalake.Kind][]vectorIndex)
+	vec := make(map[datalake.Kind][]*vecindex.SQFlat)
 	for _, kind := range cfg.Kinds {
 		for si := 0; si < cfg.Shards; si++ {
 			if cfg.EnableBM25 {
@@ -266,7 +257,7 @@ func openShards(cfg IndexerConfig, dir string) (map[datalake.Kind][]*invindex.In
 				bm25[kind] = append(bm25[kind], sh)
 			}
 			if cfg.EnableVector {
-				sh, err := openVectorShard(cfg, shardFile(dir, familyVector, kind, si))
+				sh, err := openVectorShard(shardFile(dir, familyVector, kind, si))
 				if err != nil {
 					return nil, nil, err
 				}
@@ -336,20 +327,10 @@ func openBM25Shard(path string) (*invindex.Index, error) {
 	return invindex.OpenFile(path)
 }
 
-// openVectorShard opens one persisted vector shard by path, dispatching
-// on the configured family.
-func openVectorShard(cfg IndexerConfig, path string) (vectorIndex, error) {
+// openVectorShard opens one persisted vector shard by path.
+func openVectorShard(path string) (*vecindex.SQFlat, error) {
 	if err := statShard(path); err != nil {
 		return nil, err
 	}
-	switch cfg.Vector {
-	case VectorFlat:
-		return vecindex.OpenSQFile(path)
-	case VectorIVF:
-		return vecindex.OpenIVFFile(path)
-	case VectorLSH:
-		return vecindex.OpenLSHFile(path)
-	default:
-		return nil, fmt.Errorf("core: unknown vector index kind %d", int(cfg.Vector))
-	}
+	return vecindex.OpenSQFile(path)
 }

@@ -44,64 +44,60 @@ func buildPersistLake(t *testing.T) *datalake.Lake {
 }
 
 // TestIndexerSnapshotRoundTrip saves a snapshot and rebuilds an indexer
-// from it, asserting retrieval is identical across every vector family.
+// from it, asserting retrieval is identical. The subtest is named for the
+// fingerprint's "vector" key, 0 for the one vector shard form.
 func TestIndexerSnapshotRoundTrip(t *testing.T) {
-	for _, vk := range []VectorIndexKind{VectorFlat, VectorIVF, VectorLSH} {
-		t.Run(fmt.Sprintf("vector=%d", int(vk)), func(t *testing.T) {
-			lake := buildPersistLake(t)
-			cfg := DefaultIndexerConfig(7)
-			cfg.Vector = vk
-			cfg.IVFLists = 4
-			cfg.IVFProbes = 2
-			cfg.Shards = 2
-			ix, err := BuildIndexer(lake, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ix.Close()
+	t.Run("vector=0", func(t *testing.T) {
+		lake := buildPersistLake(t)
+		cfg := DefaultIndexerConfig(7)
+		cfg.Shards = 2
+		ix, err := BuildIndexer(lake, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
 
-			dir := t.TempDir()
-			var v uint64
-			if err := lake.Quiesce(func(version uint64) error {
-				v = version
-				return ix.Freeze().Save(faultfs.OS, dir, version)
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if v == 0 {
-				t.Fatal("quiesced version is 0")
-			}
+		dir := t.TempDir()
+		var v uint64
+		if err := lake.Quiesce(func(version uint64) error {
+			v = version
+			return ix.Freeze().Save(faultfs.OS, dir, version)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if v == 0 {
+			t.Fatal("quiesced version is 0")
+		}
 
-			loaded, err := BuildIndexerFromSnapshot(lake, cfg, dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer loaded.Close()
+		loaded, err := BuildIndexerFromSnapshot(lake, cfg, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer loaded.Close()
 
-			for _, query := range []string{"season 2 championship", "alice score", "player1 league"} {
-				_, a := ix.Retrieve(query, 10)
-				_, b := loaded.Retrieve(query, 10)
-				if len(a) != len(b) {
-					t.Fatalf("query %q: candidate counts differ (%d vs %d)\n%v\n%v", query, len(a), len(b), a, b)
-				}
-				for i := range a {
-					if a[i] != b[i] {
-						t.Errorf("query %q candidate %d drifted: %s vs %s", query, i, a[i], b[i])
-					}
+		for _, query := range []string{"season 2 championship", "alice score", "player1 league"} {
+			_, a := ix.Retrieve(query, 10)
+			_, b := loaded.Retrieve(query, 10)
+			if len(a) != len(b) {
+				t.Fatalf("query %q: candidate counts differ (%d vs %d)\n%v\n%v", query, len(a), len(b), a, b)
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Errorf("query %q candidate %d drifted: %s vs %s", query, i, a[i], b[i])
 				}
 			}
+		}
 
-			// The snapshot-built indexer is live: new ingests are indexed.
-			d := &doc.Document{ID: "fresh", Title: "fresh doc", Text: "completely fresh zanzibar content", SourceID: "s"}
-			if err := lake.AddDocument(d); err != nil {
-				t.Fatal(err)
-			}
-			_, got := loaded.Retrieve("zanzibar", 5, datalake.KindText)
-			if len(got) == 0 || got[0] != "text:fresh" {
-				t.Fatalf("snapshot-built indexer did not index live ingest: %v", got)
-			}
-		})
-	}
+		// The snapshot-built indexer is live: new ingests are indexed.
+		d := &doc.Document{ID: "fresh", Title: "fresh doc", Text: "completely fresh zanzibar content", SourceID: "s"}
+		if err := lake.AddDocument(d); err != nil {
+			t.Fatal(err)
+		}
+		_, got := loaded.Retrieve("zanzibar", 5, datalake.KindText)
+		if len(got) == 0 || got[0] != "text:fresh" {
+			t.Fatalf("snapshot-built indexer did not index live ingest: %v", got)
+		}
+	})
 }
 
 // TestSnapshotMismatch checks stale or misconfigured snapshots are
@@ -185,6 +181,45 @@ func TestSnapshotMismatch(t *testing.T) {
 		t.Fatalf("tuning-only change refused the snapshot: %v", err)
 	}
 	loaded.Close()
+}
+
+// TestSnapshotFingerprint pins the configuration fingerprint meta.json
+// carries for the default indexer: data directories and durable pins
+// already written open only while it stays these bytes. A directory
+// fingerprinted for another vector index family is refused.
+func TestSnapshotFingerprint(t *testing.T) {
+	const golden = `{"seed":1,"embed_dim":128,"enable_bm25":true,"enable_vector":true,"vector":0,"vector_rows":"int8","kinds":[0,1,2,3],"chunk_tokens":0,"shards":1}`
+	if got, err := canonicalConfig(DefaultIndexerConfig(1)); err != nil || string(got) != golden {
+		t.Fatalf("fingerprint = %s (%v), want %s", got, err, golden)
+	}
+
+	lake := buildPersistLake(t)
+	cfg := DefaultIndexerConfig(7)
+	ix, err := BuildIndexer(lake, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	dir := t.TempDir()
+	if err := lake.Quiesce(func(v uint64) error { return ix.Freeze().Save(faultfs.OS, dir, v) }); err != nil {
+		t.Fatal(err)
+	}
+	metaPath := filepath.Join(dir, "meta.json")
+	meta, err := os.ReadFile(metaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ivf := bytes.Replace(meta, []byte(`"vector": 0,`), []byte(`"vector": 1, "ivf_lists": 64, "ivf_probes": 8,`), 1)
+	ivf = bytes.Replace(ivf, []byte(`"vector_rows": "int8",`), nil, 1)
+	if !bytes.Contains(meta, []byte(`"vector": 0,`)) || bytes.Equal(ivf, meta) {
+		t.Fatalf("meta.json carries no vector fingerprint: %s", meta)
+	}
+	if err := os.WriteFile(metaPath, ivf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BuildIndexerFromSnapshot(lake, cfg, dir); !errors.Is(err, ErrSnapshotMismatch) {
+		t.Fatalf("IVF-fingerprinted directory error = %v, want ErrSnapshotMismatch", err)
+	}
 }
 
 // TestCorruptShardFailsLoudly distinguishes corruption from staleness: a

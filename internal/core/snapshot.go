@@ -12,6 +12,7 @@ import (
 	"repro/internal/invindex"
 	"repro/internal/kg"
 	"repro/internal/provenance"
+	"repro/internal/vecindex"
 	"repro/internal/verify"
 )
 
@@ -40,7 +41,7 @@ type PinnedSnapshot struct {
 	once   sync.Once
 	matErr error
 	bm25   map[datalake.Kind][]*invindex.Index
-	vec    map[datalake.Kind][]vectorIndex
+	vec    map[datalake.Kind][]*vecindex.SQFlat
 	graph  *kg.Graph
 	priors map[string]float64 // view source trust priors
 }
@@ -76,19 +77,15 @@ func (ps *PinnedSnapshot) doMaterialize() error {
 		return err
 	}
 	ps.bm25 = make(map[datalake.Kind][]*invindex.Index)
-	ps.vec = make(map[datalake.Kind][]vectorIndex)
+	ps.vec = make(map[datalake.Kind][]*vecindex.SQFlat)
 	for kind, shards := range ps.frozen.bm25 {
 		for _, sh := range shards {
 			ps.bm25[kind] = append(ps.bm25[kind], sh.Index())
 		}
 	}
 	for kind, shards := range ps.frozen.vec {
-		for si, sh := range shards {
-			thawed, err := sh.Thaw()
-			if err != nil {
-				return fmt.Errorf("core: thaw vector shard %s/%d: %w", kind, si, err)
-			}
-			ps.vec[kind] = append(ps.vec[kind], thawed)
+		for _, sh := range shards {
+			ps.vec[kind] = append(ps.vec[kind], sh.Thaw())
 		}
 	}
 	return nil

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/datalake"
+	"repro/internal/embed"
 	"repro/internal/metrics"
 	"repro/internal/vecindex"
 )
@@ -18,43 +18,56 @@ type VectorIndexPoint struct {
 	QueryMicros float64
 }
 
-// AblateVectorIndex compares the Faiss-substitute index families (Flat exact,
-// IVF over k-means cells, LSH) on semantic-only claim→table retrieval — the
-// quality/latency trade-off behind the paper's choice of ANN indexing for
-// large lakes. BM25 is disabled so only the vector path is measured.
+// AblateVectorIndex compares the Faiss-substitute index families (the
+// int8 exhaustive scan the server runs, IVF over k-means cells, LSH) on
+// semantic-only claim→table retrieval — the quality/latency trade-off
+// behind the paper's choice of ANN indexing for large lakes. The lake's
+// tables are embedded once, as the indexer embeds them, and each family is
+// built over those rows with DefaultIndexerConfig's seed and dimension and
+// queried directly, so only the vector path is measured.
 func (e *Env) AblateVectorIndex() (map[string]VectorIndexPoint, error) {
-	out := make(map[string]VectorIndexPoint)
-	kinds := []struct {
-		name string
-		kind core.VectorIndexKind
-	}{
-		{"flat", core.VectorFlat},
-		{"ivf", core.VectorIVF},
-		{"lsh", core.VectorLSH},
-	}
-	for _, k := range kinds {
-		cfg := core.DefaultIndexerConfig(e.Config.Corpus.Seed)
-		cfg.EnableBM25 = false
-		cfg.Vector = k.kind
-		cfg.Kinds = []datalake.Kind{datalake.KindTable}
-		indexer, err := core.BuildIndexer(e.Corpus.Lake, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: build %s indexer: %w", k.name, err)
+	emb, lake := e.Indexer.Embedder(), e.Corpus.Lake
+	var ids []string
+	var vecs []embed.Vector
+	for _, tid := range lake.TableIDs() {
+		t, ok := lake.Table(tid)
+		if !ok {
+			return nil, fmt.Errorf("experiments: lake table %q vanished", tid)
 		}
-		// Detach from the shared live lake once measured, or every later
-		// ingest would keep feeding this throwaway index.
-		defer indexer.Close()
+		ids = append(ids, datalake.TableInstanceID(tid))
+		vecs = append(vecs, emb.EmbedText(t.SerializeForIndex()))
+	}
+	sq := vecindex.NewSQFlat(emb.Dim())
+	for i, v := range vecs {
+		if err := sq.Add(ids[i], v); err != nil {
+			return nil, fmt.Errorf("experiments: index tables: %w", err)
+		}
+	}
+	seed := e.Config.Corpus.Seed
+	families := []struct {
+		name string
+		ix   vecindex.Searcher
+	}{
+		{"flat", sq},
+		{"ivf", vecindex.NewIVF(ids, vecs, 64, 8, seed)},
+		{"lsh", vecindex.NewLSH(ids, vecs, 16, 8, seed)},
+	}
+	out := make(map[string]VectorIndexPoint, len(families))
+	k := e.Config.TopKTables
+	for _, f := range families {
 		var tally metrics.RecallTally
 		start := time.Now()
 		for i, task := range e.ClaimTasks {
-			g := e.ClaimObject(i, task)
-			_, ids := indexer.Retrieve(g.Query(), e.Config.TopKTables, datalake.KindTable)
-			tally.Observe(trim(ids, e.Config.TopKTables), set(task.RelevantTableID()))
+			hits := f.ix.Search(emb.EmbedText(e.ClaimObject(i, task).Query()), k)
+			got := make([]string, len(hits))
+			for j, h := range hits {
+				got[j] = h.ID
+			}
+			tally.Observe(got, set(task.RelevantTableID()))
 		}
-		elapsed := time.Since(start)
-		out[k.name] = VectorIndexPoint{
+		out[f.name] = VectorIndexPoint{
 			Recall:      tally.Recall(),
-			QueryMicros: float64(elapsed.Microseconds()) / float64(len(e.ClaimTasks)),
+			QueryMicros: float64(time.Since(start).Microseconds()) / float64(len(e.ClaimTasks)),
 		}
 	}
 	return out, nil
@@ -88,7 +101,7 @@ func (e *Env) AblateQuantization(k int) (QuantizationPoint, error) {
 	// recall indexes texts under ids in both forms and queries both; the
 	// latencies it leaves in pt are those of its last call.
 	recall := func(ids, texts, queries []string) (float64, error) {
-		sq, exact := vecindex.NewSQFlat(emb.Dim()), vecindex.NewFlat(emb.Dim(), vecindex.Cosine)
+		sq, exact := vecindex.NewSQFlat(emb.Dim()), vecindex.NewFlat(emb.Dim())
 		for i, v := range emb.EmbedTexts(texts, 0) {
 			if err := sq.Add(ids[i], v); err != nil {
 				return 0, err

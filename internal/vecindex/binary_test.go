@@ -26,8 +26,8 @@ func sameVecHits(t *testing.T, label string, a, b []Hit) {
 }
 
 // writeSnapshotFile saves a capture into a new file and returns its path
-// and bytes. Tests reopen captures from such a file, through the Open*File
-// loaders the server uses: there is no other loader.
+// and bytes. Tests reopen captures from such a file, through OpenSQFile as
+// the server does: there is no other loader.
 func writeSnapshotFile(t testing.TB, save func(w io.Writer) error) (string, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -66,20 +66,7 @@ func TestOpenVectorFilesServeMapped(t *testing.T) {
 	const dim = 12
 	vecs := randomVectors(150, dim, 51)
 	queries := randomVectors(6, dim, 52)
-
-	sq := NewSQFlat(dim)
-	ivf := NewIVF(dim, Cosine, 8, 3, 99)
-	lsh := NewLSH(dim, 10, 4, 99)
-	for i, v := range vecs {
-		id := fmt.Sprintf("v%03d", i)
-		for _, add := range []func(string, embed.Vector) error{sq.Add, ivf.Add, lsh.Add} {
-			if err := add(id, v); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	ivf.Train()
-
+	sq, _ := buildSQ(t, vecs, dim)
 	t.Run("sqflat", func(t *testing.T) {
 		path, _ := writeSnapshotFile(t, sq.Freeze().Save)
 		got, err := OpenSQFile(path)
@@ -107,29 +94,6 @@ func TestOpenVectorFilesServeMapped(t *testing.T) {
 			t.Errorf("row added after open not found: %+v", hits)
 		}
 	})
-	t.Run("ivf", func(t *testing.T) {
-		path, _ := writeSnapshotFile(t, ivf.Freeze().Save)
-		got, err := OpenIVFFile(path)
-		if err != nil {
-			t.Fatalf("OpenIVFFile: %v", err)
-		}
-		for qi, q := range queries {
-			sameVecHits(t, fmt.Sprintf("query %d", qi), ivf.Search(q, 10), got.Search(q, 10))
-		}
-		if err := got.Add("extra", queries[0]); err != nil {
-			t.Fatalf("Add after open: %v", err)
-		}
-	})
-	t.Run("lsh", func(t *testing.T) {
-		path, _ := writeSnapshotFile(t, lsh.Freeze().Save)
-		got, err := OpenLSHFile(path)
-		if err != nil {
-			t.Fatalf("OpenLSHFile: %v", err)
-		}
-		for qi, q := range queries {
-			sameVecHits(t, fmt.Sprintf("query %d", qi), lsh.Search(q, 10), got.Search(q, 10))
-		}
-	})
 	t.Run("sqflat-no-mmap", func(t *testing.T) {
 		t.Setenv(binfmt.NoMmapEnv, "1")
 		path, _ := writeSnapshotFile(t, sq.Freeze().Save)
@@ -141,20 +105,13 @@ func TestOpenVectorFilesServeMapped(t *testing.T) {
 	})
 }
 
-// TestNonBinfmtVectorSnapshotRejected: every loader is "binfmt or error" —
+// TestNonBinfmtVectorSnapshotRejected: the loader is "binfmt or error" —
 // bytes that do not start with the container magic (e.g. a snapshot from
 // a release older than binfmt) are refused.
 func TestNonBinfmtVectorSnapshotRejected(t *testing.T) {
 	path := writeBytesFile(t, []byte("\x0e\xff\x81\x03\x01\x01\x0cflatSnapshot"))
-	loaders := map[string]func() error{
-		"OpenIVFFile": func() error { _, err := OpenIVFFile(path); return err },
-		"OpenLSHFile": func() error { _, err := OpenLSHFile(path); return err },
-		"OpenSQFile":  func() error { _, err := OpenSQFile(path); return err },
-	}
-	for name, load := range loaders {
-		if err := load(); err == nil {
-			t.Errorf("%s accepted a snapshot without the binfmt magic", name)
-		}
+	if _, err := OpenSQFile(path); err == nil {
+		t.Error("OpenSQFile accepted a snapshot without the binfmt magic")
 	}
 }
 
@@ -185,19 +142,6 @@ func TestVectorSnapshotCorruption(t *testing.T) {
 		}
 	}
 
-	// Family confusion must be loud: a segment is not an IVF snapshot, nor
-	// the other way round.
-	if _, err := OpenIVFFile(writeBytesFile(t, good)); err == nil {
-		t.Error("OpenIVFFile accepted an SQFlat segment")
-	}
-	ivf := NewIVF(dim, Cosine, 4, 2, 1)
-	if err := ivf.Add("x", q); err != nil {
-		t.Fatal(err)
-	}
-	other, _ := writeSnapshotFile(t, ivf.Freeze().Save)
-	if _, err := OpenSQFile(other); err == nil {
-		t.Error("OpenSQFile accepted an IVF snapshot")
-	}
 }
 
 // segmentParts are the sections of a segment file as a test wants to

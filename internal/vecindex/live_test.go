@@ -8,7 +8,7 @@ import (
 	"repro/internal/embed"
 )
 
-// liveIndex is the mutate+search surface shared by all index types.
+// liveIndex is the mutate+search surface of the mutable index types.
 type liveIndex interface {
 	Searcher
 	Add(id string, v embed.Vector) error
@@ -22,16 +22,13 @@ func liveVec(i int) embed.Vector {
 	return emb.EmbedText(fmt.Sprintf("document %d about topic %d", i, i%11))
 }
 
-// liveIndexes returns one fresh index per type; IVF is trained over an
-// initial batch so post-train Adds exercise cell assignment.
+// liveIndexes returns one fresh index per mutable type, each holding
+// pretrain seed rows.
 func liveIndexes(t *testing.T, pretrain int) map[string]liveIndex {
 	t.Helper()
-	ivf := NewIVF(liveDim, Cosine, 4, 2, 1)
 	out := map[string]liveIndex{
-		"flat":   NewFlat(liveDim, Cosine),
+		"flat":   NewFlat(liveDim),
 		"sqflat": NewSQFlat(liveDim),
-		"ivf":    ivf,
-		"lsh":    NewLSH(liveDim, 8, 4, 1),
 	}
 	for name, ix := range out {
 		for i := 0; i < pretrain; i++ {
@@ -40,7 +37,6 @@ func liveIndexes(t *testing.T, pretrain int) map[string]liveIndex {
 			}
 		}
 	}
-	ivf.Train()
 	return out
 }
 
@@ -53,9 +49,9 @@ func hasID(hits []Hit, id string) bool {
 	return false
 }
 
-// TestRemoveAndReadd checks the live mutation contract on every index type:
-// removed vectors disappear from results, removal is idempotent, and a
-// removed id can be indexed again.
+// TestRemoveAndReadd checks the live mutation contract on every mutable
+// index type: removed vectors disappear from results, removal is
+// idempotent, and a removed id can be indexed again.
 func TestRemoveAndReadd(t *testing.T) {
 	for name, ix := range liveIndexes(t, 20) {
 		t.Run(name, func(t *testing.T) {
@@ -92,40 +88,9 @@ func TestRemoveAndReadd(t *testing.T) {
 	}
 }
 
-// TestIVFPostTrainAddSearchable checks that vectors added after Train are
-// assigned to trained cells and found by probing (not just by the untrained
-// fallback scan).
-func TestIVFPostTrainAddSearchable(t *testing.T) {
-	ix := NewIVF(liveDim, Cosine, 4, 4, 1) // probe all cells: recall is exact
-	for i := 0; i < 40; i++ {
-		if err := ix.Add(fmt.Sprintf("seed%d", i), liveVec(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ix.Train()
-	if !ix.Trained() {
-		t.Fatal("index not trained")
-	}
-	if err := ix.Add("late", liveVec(999)); err != nil {
-		t.Fatal(err)
-	}
-	if hits := ix.Search(liveVec(999), 3); !hasID(hits, "late") {
-		t.Fatalf("post-train add not retrievable: %v", hits)
-	}
-	// Retrain compacts tombstones and keeps the late vector.
-	ix.Remove("seed0")
-	ix.Train()
-	if hits := ix.Search(liveVec(999), 3); !hasID(hits, "late") {
-		t.Fatalf("late vector lost by retrain: %v", hits)
-	}
-	if hits := ix.Search(liveVec(0), 40); hasID(hits, "seed0") {
-		t.Fatalf("tombstoned seed0 resurfaced after retrain: %v", hits)
-	}
-}
-
 // TestChurnCompaction drives the remove/re-add cycle far past the
-// compaction threshold on every index type: the live set must stay intact
-// and searchable throughout (this is the hot path of live KG entity
+// compaction threshold on every mutable index type: the live set must stay
+// intact and searchable throughout (this is the hot path of live KG entity
 // re-indexing).
 func TestChurnCompaction(t *testing.T) {
 	for name, ix := range liveIndexes(t, 30) {
@@ -153,9 +118,9 @@ func TestChurnCompaction(t *testing.T) {
 	}
 }
 
-// TestConcurrentAddSearch hammers each index type with concurrent writers,
-// removers, and searchers; run under -race it proves the locking discipline,
-// and the final state must account for every live vector.
+// TestConcurrentAddSearch hammers each mutable index type with concurrent
+// writers, removers, and searchers; run under -race it proves the locking
+// discipline, and the final state must account for every live vector.
 func TestConcurrentAddSearch(t *testing.T) {
 	const (
 		writers   = 4

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/binfmt"
@@ -35,8 +34,8 @@ type SQFlat struct {
 	dim int
 	mu  sync.RWMutex
 
-	base     *sealedRows // shared with every capture Freeze handed out; nil until the first
-	baseDead []bool      // tombstones over base ordinals
+	base     *Frozen // shared with every capture Freeze handed out; nil until the first
+	baseDead []bool  // tombstones over base ordinals
 	baseLive int
 
 	ids   []string       // tail ordinal -> ID
@@ -289,28 +288,12 @@ func dotCodes(q []float32, c []int8) float32 {
 	return (s0 + s1) + (s2 + s3)
 }
 
-// sealedRows is the Frozen of an SQFlat: one sealed segment. The live
-// index searches it as its base, a retained snapshot searches it through
-// Thaw, Save writes its bytes, and Adopt swaps those bytes for the mapping
-// of the file Save wrote.
-type sealedRows struct {
-	// seg views the sealed heap buffer until Adopt, the mapped file after;
-	// both hold the same bytes, so a search may load either.
-	seg atomic.Pointer[segment]
-}
-
-func newSealedRows(seg *segment) *sealedRows {
-	z := new(sealedRows)
-	z.seg.Store(seg)
-	return z
-}
-
 // Freeze seals the index: live base and tail rows are compacted into a new
 // segment, which becomes the base under an empty tail and is returned.
 // Searches score the same before and after (a row's codes and norm move
 // verbatim; ties break by ID, not ordinal). An index with nothing written
 // since its last seal returns the segment it has.
-func (s *SQFlat) Freeze() Frozen {
+func (s *SQFlat) Freeze() *Frozen {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	seg := s.segment()
@@ -324,12 +307,12 @@ func (s *SQFlat) Freeze() Frozen {
 		panic(fmt.Sprintf("vecindex: seal: %v", err))
 	}
 	s.ids, s.codes, s.norms, s.dead, s.live, s.byID = nil, nil, nil, nil, 0, make(map[string]int)
-	s.setBase(newSealedRows(next))
+	s.setBase(newFrozen(next))
 	return s.base
 }
 
 // setBase installs z as the base tier with no tombstones.
-func (s *SQFlat) setBase(z *sealedRows) {
+func (s *SQFlat) setBase(z *Frozen) {
 	n := z.seg.Load().n
 	s.base, s.baseDead, s.baseLive = z, make([]bool, n), n
 }

@@ -15,7 +15,7 @@ import (
 // reference.
 func buildSQ(t testing.TB, vecs []embed.Vector, dim int) (*SQFlat, *Flat) {
 	t.Helper()
-	sq, flat := NewSQFlat(dim), NewFlat(dim, Cosine)
+	sq, flat := NewSQFlat(dim), NewFlat(dim)
 	for i, v := range vecs {
 		id := fmt.Sprintf("v%03d", i)
 		if err := sq.Add(id, v); err != nil {
@@ -181,10 +181,7 @@ func TestSQFlatRemoveAndReadd(t *testing.T) {
 	if again := s.Freeze(); again != z {
 		t.Error("an unchanged index sealed a new segment")
 	}
-	thawed, err := z.Thaw()
-	if err != nil {
-		t.Fatal(err)
-	}
+	thawed := z.Thaw()
 	s.Remove("b")
 	if thawed.Len() != 2 {
 		t.Error("a removal after the freeze reached the pinned index")
@@ -298,7 +295,7 @@ func TestSQFlatResidencyCountsHeldBytes(t *testing.T) {
 		t.Errorf("sealed, no file: %d heap, %d mapped, %d rows", heap, mapped, rows)
 	}
 	path := saveAndAdopt(t, z, t.TempDir())
-	if !z.(*sealedRows).seg.Load().r.Mapped() {
+	if !z.seg.Load().r.Mapped() {
 		t.Skip("no mmap on this platform")
 	}
 	fr, err := binfmt.OpenFile(path)
@@ -321,7 +318,7 @@ func TestSQFlatAdoptDropsHeapCopy(t *testing.T) {
 	const dim = 16
 	vecs := randomVectors(60, dim, 13)
 	s, _ := buildSQ(t, vecs, dim)
-	z := s.Freeze().(*sealedRows)
+	z := s.Freeze()
 	collected := make(chan struct{})
 	runtime.SetFinalizer(z.seg.Load().r, func(any) { close(collected) })
 	saveAndAdopt(t, z, t.TempDir())
@@ -348,21 +345,23 @@ func TestSQFlatAdoptDropsHeapCopy(t *testing.T) {
 func TestSearchAllocatesPerQueryNotPerRow(t *testing.T) {
 	const dim, n, k = 32, 5000, 10
 	vecs := randomVectors(n, dim, 17)
-	ivf := NewIVF(dim, Cosine, 16, 16, 1)
-	sealed := NewSQFlat(dim)
-	families := map[string]liveIndex{
-		"flat": NewFlat(dim, Cosine), "ivf": ivf, "ivf-untrained": NewIVF(dim, Cosine, 16, 16, 1),
-		"sqflat-tail": NewSQFlat(dim), "sqflat-sealed": sealed,
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("v%04d", i)
 	}
-	for name, ix := range families {
+	flat, tail, sealed := NewFlat(dim), NewSQFlat(dim), NewSQFlat(dim)
+	for _, ix := range []liveIndex{flat, tail, sealed} {
 		for i, v := range vecs {
-			if err := ix.Add(fmt.Sprintf("v%04d", i), v); err != nil {
-				t.Fatalf("%s: %v", name, err)
+			if err := ix.Add(ids[i], v); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
-	ivf.Train()
 	sealed.Freeze()
+	families := map[string]Searcher{
+		"flat": flat, "ivf": NewIVF(ids, vecs, 16, 16, 1),
+		"sqflat-tail": tail, "sqflat-sealed": sealed,
+	}
 	q := vecs[123]
 	for name, ix := range families {
 		if hits := ix.Search(q, k); len(hits) != k || hits[0].ID != "v0123" {

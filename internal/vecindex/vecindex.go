@@ -1,6 +1,6 @@
 // Package vecindex implements the semantic-based index of VerifAI's Indexer
 // module: similarity search over dense vectors. It stands in for Meta Faiss
-// in the paper's architecture.
+// in the paper's architecture. Every index ranks by cosine similarity.
 //
 // SQFlat is the index the server runs: an exhaustive cosine scan over int8
 // rows, 132 bytes for a 128-dimension vector where float32 takes 512. A
@@ -11,46 +11,18 @@
 //
 // Flat is the float32 reference the int8 scan's recall is measured against;
 // it is not persisted. IVF (k-means cells) and LSH (random hyperplanes) are
-// the approximate families the experiments compare; they keep float32 rows.
+// the approximate indexes the experiments compare: each is built once over
+// a fixed set of float32 rows and only searched afterwards.
 package vecindex
 
 import (
 	"fmt"
 	"sync"
 
-	"repro/internal/binfmt"
 	"repro/internal/embed"
 )
 
-// Metric selects the similarity used for ranking.
-type Metric int
-
-const (
-	// Cosine ranks by cosine similarity (higher is better).
-	Cosine Metric = iota
-	// InnerProduct ranks by dot product (higher is better).
-	InnerProduct
-	// L2 ranks by Euclidean distance (lower is better; Hit.Score is the
-	// negated squared distance so that higher Score is always better).
-	L2
-)
-
-// String implements fmt.Stringer.
-func (m Metric) String() string {
-	switch m {
-	case Cosine:
-		return "cosine"
-	case InnerProduct:
-		return "inner-product"
-	case L2:
-		return "l2"
-	default:
-		return fmt.Sprintf("Metric(%d)", int(m))
-	}
-}
-
-// Hit is one search result. Score is oriented so that higher is better
-// regardless of metric.
+// Hit is one search result; a higher Score is a closer match.
 type Hit struct {
 	ID    string
 	Score float64
@@ -65,17 +37,6 @@ type Searcher interface {
 	Len() int
 }
 
-// Index is the surface every persisted index family offers beyond search:
-// live writes and two-phase persistence (Freeze under the index lock, then
-// Frozen.Save and Frozen.Adopt off it). Frozen.Thaw returns one.
-type Index interface {
-	Searcher
-	Add(id string, v embed.Vector) error
-	Remove(id string) bool
-	Freeze() Frozen
-	Residency() (heap, mapped int64, heapRows int)
-}
-
 // compactThreshold is the minimum tombstone count before an index compacts
 // itself. Removal compacts once tombstones both exceed this floor and
 // outnumber live entries, so sustained churn (e.g. entity re-indexing under
@@ -83,132 +44,26 @@ type Index interface {
 // at amortized O(1) per removal.
 const compactThreshold = 64
 
-// store is the id/vector bookkeeping shared by all index types: append-only
-// arrays with tombstoned removal and threshold-triggered compaction. It
-// holds the lock the embedding index takes; the *Locked methods assume it
-// is held.
-type store struct {
-	mu      sync.RWMutex
-	ids     []string
-	vecs    []embed.Vector
-	deleted []bool
-	live    int
-	byID    map[string]int
-	// pin is the snapshot container rows loaded from it (binary.go) or
-	// re-pointed at it by Adopt are zero-copy views of, blob its vector
-	// section; holding pin keeps the mapping alive. Rows added since are on
-	// the heap. Both nil for an index never saved.
-	pin  *binfmt.Reader
-	blob []float32
-	// viewing counts the live rows that are views of blob.
-	viewing int
-}
-
-func newStore() store { return store{byID: make(map[string]int)} }
-
-// newTopK returns an empty top-k heap over the store's ordinals; a k
-// beyond the live rows is clamped, so the heap never outgrows the scan.
-func (s *store) newTopK(k int) topK {
-	return topK{k: k, ids: s, h: make([]scored, 0, min(k, s.live))}
-}
-
-// addLocked appends v (copied) under id and returns its ordinal. Duplicate
-// live IDs are errors; a removed id may be added again under a new ordinal.
-func (s *store) addLocked(id string, v embed.Vector) (int, error) {
-	if ord, dup := s.byID[id]; dup && !s.deleted[ord] {
-		return 0, fmt.Errorf("vecindex: duplicate id %q", id)
-	}
-	ord := len(s.ids)
-	s.byID[id] = ord
-	s.ids = append(s.ids, id)
-	s.vecs = append(s.vecs, embed.Clone(v))
-	s.deleted = append(s.deleted, false)
-	s.live++
-	return ord, nil
-}
-
-// liveRows captures the live IDs and vectors by reference, in ordinal
-// order with tombstones compacted away. Caller holds the read lock.
-func (s *store) liveRows() rows {
-	r := rows{IDs: make([]string, 0, s.live), Vecs: make([]embed.Vector, 0, s.live)}
-	for ord, v := range s.vecs {
-		if !s.deleted[ord] {
-			r.IDs = append(r.IDs, s.ids[ord])
-			r.Vecs = append(r.Vecs, v)
-		}
-	}
-	return r
-}
-
-// removeLocked tombstones id, reporting whether it was live and whether the
-// tombstone count now warrants compaction.
-func (s *store) removeLocked(id string) (removed, compactDue bool) {
-	ord, ok := s.byID[id]
-	if !ok || s.deleted[ord] {
-		return false, false
-	}
-	s.deleted[ord] = true
-	s.live--
-	if s.inBlob(s.vecs[ord]) {
-		s.viewing--
-	}
-	dead := len(s.ids) - s.live
-	return true, dead > s.live && dead >= compactThreshold
-}
-
-// compactLocked rebuilds the arrays without tombstones and returns the
-// old→new ordinal remapping (-1 for dropped entries) so the embedding index
-// can fix its ordinal references (IVF cells, LSH buckets).
-func (s *store) compactLocked() []int {
-	remap := make([]int, len(s.ids))
-	ids := make([]string, 0, s.live)
-	vecs := make([]embed.Vector, 0, s.live)
-	byID := make(map[string]int, s.live)
-	for i, id := range s.ids {
-		if s.deleted[i] {
-			remap[i] = -1
-			continue
-		}
-		remap[i] = len(ids)
-		byID[id] = len(ids)
-		ids = append(ids, id)
-		vecs = append(vecs, s.vecs[i])
-	}
-	s.ids, s.vecs, s.byID = ids, vecs, byID
-	s.deleted = make([]bool, len(ids))
-	return remap
-}
-
-// score computes the metric-oriented score of q against v.
-func score(m Metric, q, v embed.Vector) float64 {
-	switch m {
-	case Cosine:
-		return embed.Cosine(q, v)
-	case InnerProduct:
-		return embed.Dot(q, v)
-	case L2:
-		return -embed.L2Sq(q, v)
-	default:
-		panic("vecindex: unknown metric")
-	}
-}
-
 // Flat is an exact (brute-force) index, the ground-truth baseline the ANN
 // indexes are measured against. It is safe for concurrent Add, Remove, and
 // Search; removal tombstones the vector (skipped by searches) and the id
 // may be re-added afterwards, matching the live-lake ingest pattern.
 type Flat struct {
-	metric Metric
-	dim    int
-	store
+	dim     int
+	mu      sync.RWMutex
+	ids     idList
+	vecs    []embed.Vector
+	deleted []bool
+	live    int
+	byID    map[string]int
 }
 
 // NewFlat returns an empty exact index of dimension dim.
-func NewFlat(dim int, metric Metric) *Flat {
+func NewFlat(dim int) *Flat {
 	if dim <= 0 {
 		panic("vecindex: non-positive dimension")
 	}
-	return &Flat{metric: metric, dim: dim, store: newStore()}
+	return &Flat{dim: dim, byID: make(map[string]int)}
 }
 
 // Add indexes v under id. The vector is copied. Duplicate live IDs and
@@ -219,8 +74,15 @@ func (f *Flat) Add(id string, v embed.Vector) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	_, err := f.addLocked(id, v)
-	return err
+	if ord, dup := f.byID[id]; dup && !f.deleted[ord] {
+		return fmt.Errorf("vecindex: duplicate id %q", id)
+	}
+	f.byID[id] = len(f.ids)
+	f.ids = append(f.ids, id)
+	f.vecs = append(f.vecs, embed.Clone(v))
+	f.deleted = append(f.deleted, false)
+	f.live++
+	return nil
 }
 
 // Remove tombstones id's vector, compacting the index once tombstones
@@ -229,11 +91,32 @@ func (f *Flat) Add(id string, v embed.Vector) error {
 func (f *Flat) Remove(id string) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	removed, compactDue := f.removeLocked(id)
-	if compactDue {
+	ord, ok := f.byID[id]
+	if !ok || f.deleted[ord] {
+		return false
+	}
+	f.deleted[ord] = true
+	f.live--
+	if dead := len(f.ids) - f.live; dead > f.live && dead >= compactThreshold {
 		f.compactLocked()
 	}
-	return removed
+	return true
+}
+
+// compactLocked rebuilds the arrays without tombstones.
+func (f *Flat) compactLocked() {
+	ids := make(idList, 0, f.live)
+	vecs := make([]embed.Vector, 0, f.live)
+	byID := make(map[string]int, f.live)
+	for i, id := range f.ids {
+		if !f.deleted[i] {
+			byID[id] = len(ids)
+			ids = append(ids, id)
+			vecs = append(vecs, f.vecs[i])
+		}
+	}
+	f.ids, f.vecs, f.byID = ids, vecs, byID
+	f.deleted = make([]bool, len(ids))
 }
 
 // Len returns the number of live indexed vectors.
@@ -250,14 +133,32 @@ func (f *Flat) Search(q embed.Vector, k int) []Hit {
 	}
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	h := f.newTopK(k)
+	h := newTopK(k, &f.ids, f.live)
 	for i, v := range f.vecs {
-		if f.deleted[i] {
-			continue
+		if !f.deleted[i] {
+			h.offer(int32(i), embed.Cosine(q, v))
 		}
-		h.offer(int32(i), score(f.metric, q, v))
 	}
 	return h.results()
+}
+
+// rowDim returns the dimension of a build-once index's rows, panicking
+// unless ids and vecs pair up and every vector shares one positive
+// dimension.
+func rowDim(ids []string, vecs []embed.Vector) int {
+	if len(ids) != len(vecs) {
+		panic(fmt.Sprintf("vecindex: %d ids for %d vectors", len(ids), len(vecs)))
+	}
+	if len(vecs) == 0 {
+		return 0
+	}
+	dim := len(vecs[0])
+	for i, v := range vecs {
+		if len(v) != dim || dim == 0 {
+			panic(fmt.Sprintf("vecindex: vector %q has dim %d, want %d", ids[i], len(v), dim))
+		}
+	}
+	return dim
 }
 
 // ordIDs resolves the ordinals a search scored to external IDs.
@@ -269,8 +170,11 @@ type ordIDs interface {
 	id(ord int32) string
 }
 
-func (s *store) idView(ord int32) string { return s.ids[ord] }
-func (s *store) id(ord int32) string     { return s.ids[ord] }
+// idList is the ordinal → ID column of the float-row indexes.
+type idList []string
+
+func (l *idList) idView(ord int32) string { return (*l)[ord] }
+func (l *idList) id(ord int32) string     { return (*l)[ord] }
 
 // scored is one candidate inside the top-k heap.
 type scored struct {
@@ -285,6 +189,12 @@ type topK struct {
 	k   int
 	ids ordIDs
 	h   []scored
+}
+
+// newTopK returns an empty top-k heap over n candidate rows; a k beyond
+// them is clamped, so the heap never outgrows the scan.
+func newTopK(k int, ids ordIDs, n int) topK {
+	return topK{k: k, ids: ids, h: make([]scored, 0, min(k, n))}
 }
 
 // worse reports whether a ranks strictly below b: lower score, or equal

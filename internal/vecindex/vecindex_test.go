@@ -3,6 +3,8 @@ package vecindex
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/detrand"
@@ -26,7 +28,7 @@ func randomVectors(n, dim int, seed uint64) []embed.Vector {
 
 func TestFlatExactSearch(t *testing.T) {
 	vecs := randomVectors(200, 16, 1)
-	ix := NewFlat(16, Cosine)
+	ix := NewFlat(16)
 	for i, v := range vecs {
 		if err := ix.Add(fmt.Sprintf("v%03d", i), v); err != nil {
 			t.Fatal(err)
@@ -53,41 +55,8 @@ func TestFlatExactSearch(t *testing.T) {
 	}
 }
 
-func TestFlatMetrics(t *testing.T) {
-	a := embed.Vector{1, 0}
-	b := embed.Vector{0, 1}
-	c := embed.Vector{2, 0}
-	for _, metric := range []Metric{Cosine, InnerProduct, L2} {
-		ix := NewFlat(2, metric)
-		for id, v := range map[string]embed.Vector{"a": a, "b": b, "c": c} {
-			if err := ix.Add(id, v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		hits := ix.Search(embed.Vector{1, 0}, 3)
-		if len(hits) != 3 {
-			t.Fatalf("%v: hits = %d", metric, len(hits))
-		}
-		switch metric {
-		case Cosine:
-			// a and c tie at cosine 1; ascending-ID tie-break puts a first.
-			if hits[0].ID != "a" || hits[1].ID != "c" {
-				t.Errorf("cosine order = %v", hits)
-			}
-		case InnerProduct:
-			if hits[0].ID != "c" { // dot 2 beats dot 1
-				t.Errorf("inner-product order = %v", hits)
-			}
-		case L2:
-			if hits[0].ID != "a" || hits[0].Score != 0 {
-				t.Errorf("l2 order = %v", hits)
-			}
-		}
-	}
-}
-
 func TestFlatErrors(t *testing.T) {
-	ix := NewFlat(4, Cosine)
+	ix := NewFlat(4)
 	if err := ix.Add("a", embed.Vector{1, 2}); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
@@ -103,7 +72,7 @@ func TestFlatErrors(t *testing.T) {
 }
 
 func TestFlatAddCopiesVector(t *testing.T) {
-	ix := NewFlat(2, Cosine)
+	ix := NewFlat(2)
 	v := embed.Vector{1, 0}
 	if err := ix.Add("a", v); err != nil {
 		t.Fatal(err)
@@ -116,23 +85,35 @@ func TestFlatAddCopiesVector(t *testing.T) {
 	}
 }
 
-func TestIVFMatchesFlatRecall(t *testing.T) {
-	const n, dim, k = 500, 16, 10
-	vecs := randomVectors(n, dim, 2)
-	flat := NewFlat(dim, Cosine)
-	ivf := NewIVF(dim, Cosine, 16, 6, 3)
+// seqIDs returns the IDs v000, v001, ... for n rows.
+func seqIDs(n int) []string {
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("v%03d", i)
+	}
+	return ids
+}
+
+// buildFlat indexes vecs under ids in the exact reference index.
+func buildFlat(t *testing.T, ids []string, vecs []embed.Vector) *Flat {
+	t.Helper()
+	flat := NewFlat(len(vecs[0]))
 	for i, v := range vecs {
-		id := fmt.Sprintf("v%03d", i)
-		if err := flat.Add(id, v); err != nil {
-			t.Fatal(err)
-		}
-		if err := ivf.Add(id, v); err != nil {
+		if err := flat.Add(ids[i], v); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ivf.Train()
-	if !ivf.Trained() {
-		t.Fatal("IVF not trained")
+	return flat
+}
+
+func TestIVFMatchesFlatRecall(t *testing.T) {
+	const n, dim, k = 500, 16, 10
+	vecs := randomVectors(n, dim, 2)
+	ids := seqIDs(n)
+	flat := buildFlat(t, ids, vecs)
+	ivf := NewIVF(ids, vecs, 16, 6, 3)
+	if ivf.Len() != n {
+		t.Fatalf("Len = %d", ivf.Len())
 	}
 	queries := randomVectors(30, dim, 99)
 	var overlap, total int
@@ -156,57 +137,46 @@ func TestIVFMatchesFlatRecall(t *testing.T) {
 	}
 }
 
-func TestIVFUntrainedFallsBackToExact(t *testing.T) {
-	vecs := randomVectors(50, 8, 3)
-	ivf := NewIVF(8, Cosine, 4, 1, 1)
-	for i, v := range vecs {
-		if err := ivf.Add(fmt.Sprintf("v%02d", i), v); err != nil {
-			t.Fatal(err)
-		}
+// TestIVFFullProbeIsExact: probing every cell scores every row as Flat
+// does, so the top-k is Flat's to the bit, IDs and scores.
+func TestIVFFullProbeIsExact(t *testing.T) {
+	const n, dim, k, nlist = 300, 16, 10, 8
+	vecs := randomVectors(n, dim, 4)
+	ids := seqIDs(n)
+	flat := buildFlat(t, ids, vecs)
+	ivf := NewIVF(ids, vecs, nlist, nlist, 1)
+	for qi, q := range randomVectors(50, dim, 5) {
+		sameVecHits(t, fmt.Sprintf("query %d", qi), ivf.Search(q, k), flat.Search(q, k))
 	}
-	hits := ivf.Search(vecs[7], 1)
-	if len(hits) != 1 || hits[0].ID != "v07" {
-		t.Errorf("untrained IVF search = %v", hits)
-	}
-}
-
-func TestIVFAddAfterTrain(t *testing.T) {
-	vecs := randomVectors(100, 8, 4)
-	ivf := NewIVF(8, Cosine, 8, 8, 1) // probe all cells: exact
-	for i, v := range vecs {
-		if err := ivf.Add(fmt.Sprintf("v%03d", i), v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ivf.Train()
-	extra := randomVectors(1, 8, 777)[0]
-	if err := ivf.Add("late", extra); err != nil {
-		t.Fatal(err)
-	}
-	hits := ivf.Search(extra, 1)
-	if len(hits) != 1 || hits[0].ID != "late" {
-		t.Errorf("late-added vector not found: %v", hits)
+	if got := ivf.Search(vecs[0], 0); got != nil {
+		t.Errorf("k=0 returned %v", got)
 	}
 }
 
 func TestIVFParamPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewIVF with bad params did not panic")
-		}
-	}()
-	NewIVF(8, Cosine, 0, 1, 1)
+	vecs := randomVectors(4, 8, 1)
+	short := append(append([]embed.Vector(nil), vecs[:3]...), vecs[3][:7])
+	for name, build := range map[string]func(){
+		"nlist 0":           func() { NewIVF(seqIDs(4), vecs, 0, 1, 1) },
+		"nprobe 0":          func() { NewIVF(seqIDs(4), vecs, 2, 0, 1) },
+		"ids for 3 rows":    func() { NewIVF(seqIDs(3), vecs, 2, 1, 1) },
+		"a vector of dim 7": func() { NewIVF(seqIDs(4), short, 2, 1, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewIVF with %s did not panic", name)
+				}
+			}()
+			build()
+		}()
+	}
 }
 
 func TestLSHReturnsTrueNeighbors(t *testing.T) {
 	const n, dim = 300, 32
 	vecs := randomVectors(n, dim, 5)
-	lsh := NewLSH(dim, 10, 8, 6)
-	for i, v := range vecs {
-		if err := lsh.Add(fmt.Sprintf("v%03d", i), v); err != nil {
-			t.Fatal(err)
-		}
-	}
+	lsh := NewLSH(seqIDs(n), vecs, 10, 8, 6)
 	if lsh.Len() != n {
 		t.Fatalf("Len = %d", lsh.Len())
 	}
@@ -229,12 +199,7 @@ func TestLSHReturnsTrueNeighbors(t *testing.T) {
 func TestLSHNearbyQueries(t *testing.T) {
 	const dim = 32
 	vecs := randomVectors(100, dim, 7)
-	lsh := NewLSH(dim, 8, 12, 8)
-	for i, v := range vecs {
-		if err := lsh.Add(fmt.Sprintf("v%03d", i), v); err != nil {
-			t.Fatal(err)
-		}
-	}
+	lsh := NewLSH(seqIDs(100), vecs, 8, 12, 8)
 	// A small perturbation of an indexed vector should usually still find
 	// the original.
 	r := detrand.New(11, "perturb")
@@ -255,18 +220,53 @@ func TestLSHNearbyQueries(t *testing.T) {
 	if found < 30 {
 		t.Errorf("LSH perturbed recall = %d/40", found)
 	}
+	if empty := NewLSH(nil, nil, 8, 2, 1); empty.Search(vecs[0], 5) != nil {
+		t.Error("an empty LSH index returned hits")
+	}
 }
 
 func TestLSHParamPanics(t *testing.T) {
-	for _, params := range [][3]int{{0, 8, 2}, {8, 0, 2}, {8, 65, 2}, {8, 8, 0}} {
+	vecs := randomVectors(4, 8, 1)
+	for _, params := range [][3]int{{4, 0, 2}, {4, 65, 2}, {4, 8, 0}, {3, 8, 2}} {
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("NewLSH(%v) did not panic", params)
 				}
 			}()
-			NewLSH(params[0], params[1], params[2], 1)
+			NewLSH(seqIDs(params[0]), vecs, params[1], params[2], 1)
 		}()
+	}
+}
+
+// TestBuildOnceConcurrentSearch: IVF and LSH hold no lock, so concurrent
+// searches must only read; under -race this proves it, and every search
+// answers as a lone one does.
+func TestBuildOnceConcurrentSearch(t *testing.T) {
+	const n, dim = 400, 16
+	vecs := randomVectors(n, dim, 31)
+	queries := randomVectors(8, dim, 32)
+	for name, ix := range map[string]Searcher{
+		"ivf": NewIVF(seqIDs(n), vecs, 8, 3, 1),
+		"lsh": NewLSH(seqIDs(n), vecs, 8, 4, 1),
+	} {
+		want := make([][]Hit, len(queries))
+		for qi, q := range queries {
+			want[qi] = ix.Search(q, 10)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for qi, q := range queries {
+					if got := ix.Search(q, 10); !slices.Equal(got, want[qi]) {
+						t.Errorf("%s query %d: %v, alone %v", name, qi, got, want[qi])
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 
@@ -310,14 +310,5 @@ func TestKMeansEdgeCases(t *testing.T) {
 	c, a := kmeans(vecs, 10, 1, 5) // k > n clamps
 	if len(c) != 3 || len(a) != 3 {
 		t.Errorf("kmeans clamp: %d centroids", len(c))
-	}
-}
-
-func TestMetricString(t *testing.T) {
-	if Cosine.String() != "cosine" || L2.String() != "l2" || InnerProduct.String() != "inner-product" {
-		t.Error("Metric.String wrong")
-	}
-	if Metric(99).String() == "" {
-		t.Error("unknown metric String empty")
 	}
 }

@@ -551,55 +551,70 @@ func TestStaleFormatSnapshotRebuilds(t *testing.T) {
 		})
 	}
 
-	t.Run("vector shards with float32 rows", func(t *testing.T) {
-		stale := filepath.Join(t.TempDir(), "stale")
-		copyTree(t, data, stale)
-		indexes := filepath.Join(stale, "checkpoint", "indexes")
-		shards, err := filepath.Glob(filepath.Join(indexes, "vector-*.idx"))
-		if err != nil || len(shards) == 0 {
-			t.Fatalf("no checkpointed vector shards: %v", err)
-		}
-		// The flat layout as it was: meta, ids, and every row as 128 floats.
-		for _, path := range shards {
-			bw := binfmt.NewWriter()
-			if err := bw.JSON("meta", map[string]any{"family": "flat", "metric": 0, "dim": 128, "count": 2}); err != nil {
+	// Vector shards in float32 rows, under the fingerprints that named
+	// them: the flat layout before int8 segments, and an IVF index (its
+	// untrained layout) from when the indexer could be configured to run
+	// one.
+	for _, tc := range []struct {
+		name   string
+		shard  map[string]any
+		vector string
+	}{
+		{"vector shards with float32 rows", map[string]any{"family": "flat", "metric": 0, "dim": 128, "count": 2}, `"vector": 0,`},
+		{"vector shards of an ivf index", map[string]any{"family": "ivf", "metric": 0, "dim": 128, "count": 2, "nlist": 64, "nprobe": 8, "seed": 1},
+			`"vector": 1, "ivf_lists": 64, "ivf_probes": 8,`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stale := filepath.Join(t.TempDir(), "stale")
+			copyTree(t, data, stale)
+			indexes := filepath.Join(stale, "checkpoint", "indexes")
+			shards, err := filepath.Glob(filepath.Join(indexes, "vector-*.idx"))
+			if err != nil || len(shards) == 0 {
+				t.Fatalf("no checkpointed vector shards: %v", err)
+			}
+			// Meta, ids, and every row as 128 floats.
+			for _, path := range shards {
+				bw := binfmt.NewWriter()
+				if err := bw.JSON("meta", tc.shard); err != nil {
+					t.Fatal(err)
+				}
+				bw.Strings("ids", []string{"table:a", "table:b"})
+				bw.Float32s("vecs", make([]float32, 2*128))
+				var buf bytes.Buffer
+				if _, err := bw.WriteTo(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			metaPath := filepath.Join(indexes, "meta.json")
+			meta, err := os.ReadFile(metaPath)
+			if err != nil {
 				t.Fatal(err)
 			}
-			bw.Strings("ids", []string{"table:a", "table:b"})
-			bw.Float32s("vecs", make([]float32, 2*128))
-			var buf bytes.Buffer
-			if _, err := bw.WriteTo(&buf); err != nil {
+			older := bytes.Replace(meta, []byte(`"vector_rows": "int8",`), nil, 1)
+			older = bytes.Replace(older, []byte(`"vector": 0,`), []byte(tc.vector), 1)
+			if !bytes.Contains(meta, []byte(`"vector": 0,`)) || bytes.Equal(older, meta) {
+				t.Fatalf("meta.json names no vector index or row format: %s", meta)
+			}
+			if err := os.WriteFile(metaPath, older, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			recovered, err := Open(stale, durableOpts(1))
+			if err != nil {
+				t.Fatalf("the directory was not re-indexed: %v", err)
+			}
+			defer recovered.Close()
+			got, err := recovered.VerifyClaim("q", workload.GolfClaim())
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		metaPath := filepath.Join(indexes, "meta.json")
-		meta, err := os.ReadFile(metaPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		older := bytes.Replace(meta, []byte(`"vector_rows": "int8",`), nil, 1)
-		if bytes.Equal(older, meta) {
-			t.Fatalf("meta.json names no vector row format: %s", meta)
-		}
-		if err := os.WriteFile(metaPath, older, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		recovered, err := Open(stale, durableOpts(1))
-		if err != nil {
-			t.Fatalf("a directory in the float-row layout was not re-indexed: %v", err)
-		}
-		defer recovered.Close()
-		got, err := recovered.VerifyClaim("q", workload.GolfClaim())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("re-indexed report differs from a fresh build:\n got %+v\nwant %+v", got, want)
-		}
-	})
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("re-indexed report differs from a fresh build:\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
 
 	t.Run("bm25 shards with int32 postings", func(t *testing.T) {
 		stale := filepath.Join(t.TempDir(), "stale")
