@@ -15,7 +15,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -421,8 +420,8 @@ func reportLatencyPercentiles(b *testing.B, durs []time.Duration) {
 	b.ReportMetric(pick(0.99), "p99-ns")
 }
 
-// retrievalBenchLake builds the multi-kind retrieval corpus shared by the
-// sharding and mixed ingest+query benchmarks.
+// retrievalBenchLake builds the multi-kind retrieval corpus the retrieval
+// benchmarks share.
 func retrievalBenchLake(b *testing.B, tables, texts int) *workload.Corpus {
 	b.Helper()
 	cfg := workload.DefaultConfig()
@@ -435,57 +434,6 @@ func retrievalBenchLake(b *testing.B, tables, texts int) *workload.Corpus {
 	return corpus
 }
 
-// BenchmarkRetrievalSharding measures multi-kind retrieval latency (p50 and
-// p99 per query) on the seed layout (1 shard) vs the sharded parallel
-// fan-out, the tentpole speedup of the live-lake refactor.
-func BenchmarkRetrievalSharding(b *testing.B) {
-	corpus := retrievalBenchLake(b, 800, 400)
-	queries := make([]string, 64)
-	for i := range queries {
-		queries[i] = corpus.Tables[(i*37)%len(corpus.Tables)].SerializeForIndex()
-	}
-	layouts := []struct {
-		name    string
-		shards  int
-		workers int
-	}{
-		{"seed-sequential", 1, 1}, // the pre-refactor layout: one shard, no fan-out
-		{"shards=1-parallel", 1, 0},
-		{"shards=4-parallel", 4, 0},
-	}
-	for _, layout := range layouts {
-		if layout.workers != 1 && runtime.GOMAXPROCS(0) == 1 {
-			b.Run(layout.name, func(b *testing.B) {
-				b.Skipf("GOMAXPROCS=1: parallel fan-out would measure scheduler overhead, not sharding speedup")
-			})
-			continue
-		}
-		icfg := core.DefaultIndexerConfig(1)
-		icfg.Shards = layout.shards
-		icfg.RetrieveWorkers = layout.workers
-		icfg.QueryCacheSize = 0 // measure search, not embedding-cache hits
-		ix, err := core.BuildIndexer(corpus.Lake, icfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(layout.name, func(b *testing.B) {
-			durs := make([]time.Duration, 0, b.N)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				start := time.Now()
-				_, combined := ix.Retrieve(queries[i%len(queries)], 100)
-				durs = append(durs, time.Since(start))
-				if len(combined) == 0 {
-					b.Fatal("no results")
-				}
-			}
-			b.StopTimer()
-			reportLatencyPercentiles(b, durs)
-		})
-		ix.Close() // detach from the shared lake before the next layout
-	}
-}
-
 // benchIngestSeq keeps live-ingested table IDs unique across benchmark
 // re-runs (the lake persists while the harness retries larger b.N).
 var benchIngestSeq atomic.Int64
@@ -495,9 +443,7 @@ var benchIngestSeq atomic.Int64
 // frozen seed could not express.
 func BenchmarkMixedIngestQuery(b *testing.B) {
 	corpus := retrievalBenchLake(b, 400, 200)
-	icfg := core.DefaultIndexerConfig(1)
-	icfg.Shards = 4
-	ix, err := core.BuildIndexer(corpus.Lake, icfg)
+	ix, err := core.BuildIndexer(corpus.Lake, core.DefaultIndexerConfig(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -574,7 +520,6 @@ func BenchmarkIngestThroughput(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/writers=%d", mode, writers), func(b *testing.B) {
 				lake := datalake.New()
 				icfg := core.DefaultIndexerConfig(1)
-				icfg.Shards = 4
 				icfg.QueryCacheSize = 0
 				ix, err := core.BuildIndexer(lake, icfg)
 				if err != nil {
@@ -626,15 +571,14 @@ func BenchmarkIngestThroughput(b *testing.B) {
 // BenchmarkObsOverhead measures what the observability layer costs on the
 // ingest hot path: the same pipelined document ingest, bare vs with every
 // lake and indexer metric armed (prepare/commit/apply histograms, queue
-// gauge, per-family shard-search timers). The two docs/sec figures feed
-// benchgate's -obs-floor ratio check — instrumented throughput must stay
-// within a few percent of bare on the same machine in the same run.
+// gauge, per-family index-search timers). The two docs/sec figures are a
+// record; TestObsAllocationOverhead bounds the difference deterministically,
+// in allocations.
 func BenchmarkObsOverhead(b *testing.B) {
 	for _, mode := range []string{"bare", "instrumented"} {
 		b.Run(mode, func(b *testing.B) {
 			lake := datalake.New()
 			icfg := core.DefaultIndexerConfig(1)
-			icfg.Shards = 4
 			icfg.QueryCacheSize = 0
 			ix, err := core.BuildIndexer(lake, icfg)
 			if err != nil {
@@ -675,7 +619,6 @@ func BenchmarkBatchIngest(b *testing.B) {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
 			lake := datalake.New()
 			icfg := core.DefaultIndexerConfig(1)
-			icfg.Shards = 4
 			icfg.QueryCacheSize = 0
 			ix, err := core.BuildIndexer(lake, icfg)
 			if err != nil {
@@ -772,13 +715,13 @@ func BenchmarkDurableIngest(b *testing.B) {
 // tables, entity pages, and KG triples in the proportions GenerateLake
 // actually commits them — stamped the way the ingest path stamps live
 // appends. Both codecs encode the identical records.
-func walEncodeRecords(b *testing.B) []wal.Record {
+func walEncodeRecords(tb testing.TB) []wal.Record {
 	cfg := workload.DefaultConfig()
 	cfg.NumTables = 60
 	cfg.NumTexts = 30
 	c, err := workload.GenerateLake(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var recs []wal.Record
 	add := func(rec wal.Record) {
@@ -805,9 +748,8 @@ func walEncodeRecords(b *testing.B) []wal.Record {
 
 // BenchmarkWALEncode measures the record codec in isolation: whole-frame
 // bytes per record and encode cost for each payload format over the same
-// mutation mix. The bytes/rec pair is the tentpole's size claim — CI's
-// benchgate asserts binary <= 0.7x JSON within the run (machine
-// independent, since both sides come from the same process).
+// mutation mix. TestWALBinaryEncodingSize holds the size claim (binary
+// at most 0.7x JSON) over the same records.
 func BenchmarkWALEncode(b *testing.B) {
 	recs := walEncodeRecords(b)
 	for _, f := range []wal.Format{wal.FormatBinary, wal.FormatJSON} {

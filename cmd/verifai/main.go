@@ -12,7 +12,7 @@
 //	verifai demo
 //	    run the paper's Figure 1 and Figure 4 cases on the built-in case lake
 //	verifai serve [-lake DIR] [-data-dir DIR] [-addr :8080] [-seed N] [-exact]
-//	              [-shards N] [-ingest-queue N]
+//	              [-ingest-queue N]
 //	              [-verify-concurrency N] [-verify-timeout 30s]
 //	              [-read-timeout 30s] [-read-header-timeout 5s]
 //	              [-idle-timeout 2m] [-fsync always|interval|none]
@@ -22,9 +22,8 @@
 //	    lake (reads keep being served while /v1/ingest/* writes arrive);
 //	    ingestion is pipelined — embedding runs outside the lake's write
 //	    lock and POST /v1/ingest/batch commits mixed batches under one
-//	    lock acquisition; -shards enables the sharded parallel
-//	    retrieval/applier layout and -ingest-queue bounds the in-flight
-//	    ingest event queue. The verify endpoints are
+//	    lock acquisition; -ingest-queue bounds the in-flight ingest
+//	    event queue. The verify endpoints are
 //	    admission-controlled (-verify-concurrency; saturated requests
 //	    answer 429) and deadline-bounded
 //	    (-verify-timeout; expiry aborts the pipeline mid-flight and
@@ -350,7 +349,6 @@ type serveFlags struct {
 	seed              uint64
 	exact             bool
 	addr              string
-	shards            int
 	ingestQueue       int
 	verifyConcurrency int
 	verifyTimeout     time.Duration
@@ -369,7 +367,6 @@ func registerServeFlags(fs *flag.FlagSet, defaultAddr string) *serveFlags {
 	fs.Uint64Var(&f.seed, "seed", 1, "deterministic seed")
 	fs.BoolVar(&f.exact, "exact", true, "exact reasoning (no calibrated error injection)")
 	fs.StringVar(&f.addr, "addr", defaultAddr, "listen address")
-	fs.IntVar(&f.shards, "shards", 0, "index shards per kind and family (0 = unsharded)")
 	fs.IntVar(&f.ingestQueue, "ingest-queue", 0, "bound on the in-flight ingest event queue (0 = default 256)")
 	fs.IntVar(&f.verifyConcurrency, "verify-concurrency", 0, "max concurrently admitted verify requests; beyond it requests answer 429 (0 = 4x GOMAXPROCS, <0 = unlimited)")
 	fs.DurationVar(&f.verifyTimeout, "verify-timeout", 30*time.Second, "per-request verification deadline; expiry aborts the pipeline and answers 504 (0 = client-bounded only)")
@@ -388,9 +385,6 @@ func registerServeFlags(fs *flag.FlagSet, defaultAddr string) *serveFlags {
 // system takes (buildSystem reads the embedded Options and LakeOptions).
 func (f *serveFlags) openOptions() verifai.OpenOptions {
 	opts := baseOptions(f.seed, f.exact)
-	if f.shards > 0 {
-		opts.Indexer.Shards = f.shards
-	}
 	oo := verifai.OpenOptions{Options: opts, Sync: f.fsync, WALFormat: f.walFormat}
 	if f.ingestQueue > 0 {
 		oo.LakeOptions = append(oo.LakeOptions, verifai.WithIngestQueue(f.ingestQueue))

@@ -46,8 +46,7 @@ func checkpointAdopt(t *testing.T, p *Pipeline, dir string) uint64 {
 	return view.Version()
 }
 
-// adoptPipeline assembles an empty lake, a two-shard indexer and a
-// pipeline with no result cache and no lineage store, so every verify
+// adoptPipeline assembles an empty lake, an indexer and a pipeline with no result cache and no lineage store, so every verify
 // searches and two pipelines fed the same writes report identically.
 func adoptPipeline(t *testing.T) *Pipeline {
 	t.Helper()
@@ -56,7 +55,7 @@ func adoptPipeline(t *testing.T) *Pipeline {
 		t.Fatal(err)
 	}
 	cfg := DefaultIndexerConfig(3)
-	cfg.EmbedDim, cfg.Shards = 32, 2
+	cfg.EmbedDim = 32
 	ix, err := BuildIndexer(lake, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +223,7 @@ func sealAdoptDifferential(t *testing.T, steps int) {
 func TestSealAdoptDifferential(t *testing.T) { sealAdoptDifferential(t, 120) }
 
 // TestSealAdoptUnderGCPressure reruns the differential with the collector
-// running almost continuously, so a snapshot or live shard left viewing a
+// running almost continuously, so a snapshot or live index left viewing a
 // released mapping faults.
 func TestSealAdoptUnderGCPressure(t *testing.T) {
 	if testing.Short() {
@@ -287,8 +286,8 @@ func TestSealAdoptPinnedReadOutlivesLaterCheckpoints(t *testing.T) {
 	}
 }
 
-// TestAdoptSkipsForeignShardFile: a shard file that is not what the
-// capture wrote is left alone and counted, and the shard keeps answering
+// TestAdoptSkipsForeignShardFile: an index file that is not what the
+// capture wrote is left alone and counted, and the index keeps answering
 // from the heap.
 func TestAdoptSkipsForeignShardFile(t *testing.T) {
 	p := seededPipeline(t, 60)
@@ -304,16 +303,16 @@ func TestAdoptSkipsForeignShardFile(t *testing.T) {
 	if err := fz.Save(faultfs.OS, dir, view.Version()); err != nil {
 		t.Fatal(err)
 	}
-	// One BM25 shard gets another shard's (valid) container, one vector
-	// shard a flipped byte.
-	other, err := os.ReadFile(shardFile(dir, familyBM25, datalake.KindText, 0))
+	// One BM25 index gets another index's (valid) container, one vector
+	// index a flipped byte.
+	other, err := os.ReadFile(shardFile(dir, familyBM25, datalake.KindText))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(shardFile(dir, familyBM25, datalake.KindEntity, 0), other, 0o644); err != nil {
+	if err := os.WriteFile(shardFile(dir, familyBM25, datalake.KindEntity), other, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	vecPath := shardFile(dir, familyVector, datalake.KindEntity, 1)
+	vecPath := shardFile(dir, familyVector, datalake.KindEntity)
 	data, err := os.ReadFile(vecPath)
 	if err != nil {
 		t.Fatal(err)
@@ -324,11 +323,11 @@ func TestAdoptSkipsForeignShardFile(t *testing.T) {
 	}
 	fz.Adopt(dir)
 	st := p.indexer.IndexStats()
-	if shards := uint64(2 * 2 * len(p.indexer.cfg.Kinds)); st.Skipped != 2 || st.Adopted != shards-2 {
-		t.Errorf("adoptions: %d adopted, %d skipped; want %d and 2", st.Adopted, st.Skipped, shards-2)
+	if files := uint64(2 * len(p.indexer.cfg.Kinds)); st.Skipped != 2 || st.Adopted != files-2 {
+		t.Errorf("adoptions: %d adopted, %d skipped; want %d and 2", st.Adopted, st.Skipped, files-2)
 	}
 	if st.Families[familyBM25].HeapBytes == 0 || st.Families[familyVector].HeapBytes == 0 {
-		t.Errorf("the skipped shards are not on the heap: %+v", st.Families)
+		t.Errorf("the skipped indexes are not on the heap: %+v", st.Families)
 	}
 	if got := p.indexer.search(context.Background(), g.Query(), 10, nil, true, true); !reflect.DeepEqual(got, want) {
 		t.Errorf("hits changed:\n got  %+v\n want %+v", got, want)
@@ -337,7 +336,7 @@ func TestAdoptSkipsForeignShardFile(t *testing.T) {
 
 // TestRetainedCheckpointsHoldNoIndexHeap: eight checkpoints of a 5k-document
 // lake, one small write apart so each is retained as a snapshot of its own
-// and the text shard is re-sealed every time, add under 1 MB of heap each:
+// and the text index is re-sealed every time, add under 1 MB of heap each:
 // a retained checkpoint holds references to mapped segments, not a copy.
 func TestRetainedCheckpointsHoldNoIndexHeap(t *testing.T) {
 	p := adoptPipeline(t)
@@ -397,20 +396,20 @@ func TestReopenedAndCheckpointedResidencyAgree(t *testing.T) {
 	}
 }
 
-// TestSnapshotSaveGoesThroughFS: every shard and meta.json is created and
-// written through the filesystem Save is handed, so a fault-injecting one
-// sees (and can kill) each of those operations.
+// TestSnapshotSaveGoesThroughFS: every index file and meta.json is created
+// and written through the filesystem Save is handed, so a fault-injecting
+// one sees (and can kill) each of those operations.
 func TestSnapshotSaveGoesThroughFS(t *testing.T) {
 	p := seededPipeline(t, 40)
 	fz := p.indexer.Freeze()
-	shards := 2 * 2 * len(p.indexer.cfg.Kinds)
+	files := 2 * len(p.indexer.cfg.Kinds)
 
 	ffs := faultfs.New(faultfs.OS)
 	if err := fz.Save(ffs, t.TempDir(), p.lake.Version()); err != nil {
 		t.Fatal(err)
 	}
 	ops := ffs.Ops()
-	if min := int64(2*shards + 2); ops < min { // mkdir, a create and a write per shard, meta.json
+	if min := int64(2*files + 2); ops < min { // mkdir, a create and a write per index file, meta.json
 		t.Fatalf("Save made %d operations through the filesystem, want at least %d", ops, min)
 	}
 	for _, kill := range []int64{2, ops / 2, ops} {
@@ -445,7 +444,7 @@ func TestAdoptAfterReopenEveryFamily(t *testing.T) {
 		}
 		write(0, 120)
 		cfg := DefaultIndexerConfig(3)
-		cfg.EmbedDim, cfg.Shards = 32, 2
+		cfg.EmbedDim = 32
 		built, err := BuildIndexer(lake, cfg)
 		if err != nil {
 			t.Fatal(err)

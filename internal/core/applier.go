@@ -18,15 +18,9 @@ import (
 //     derive in parallel;
 //  2. the lake commits and delivers the event (with the prepared payload)
 //     in version order;
-//  3. apply partitions the precomputed index operations by shard and hands
-//     them to per-shard applier goroutines, which consume their ordered
-//     queues and perform the cheap index insertions. The lake publishes
-//     the event's version once every shard reports completion.
-//
-// Because the dispatcher enqueues per-shard tasks in version order, each
-// shard applies events in version order; cross-shard completion may
-// reorder, which is why visibility is defined by the lake's published
-// version watermark, not by hook return order.
+//  3. apply performs the precomputed index insertions on the lake's
+//     dispatcher goroutine — the one writer of every index, in version
+//     order — and the lake publishes the event's version once it returns.
 
 // bm25Op is one precomputed content-index insertion.
 type bm25Op struct {
@@ -49,67 +43,17 @@ type preparedEvent struct {
 	vec  []vecOp
 }
 
-// applyTask is one unit of work on a shard applier's queue: either a batch
-// of precomputed index ops for that shard (ops != nil), or an entity
-// re-index (ops == nil; the serialization must read the post-commit graph,
-// so it cannot be precomputed before the lake's write lock). The entity
-// name may legitimately be empty — the graph accepts any triple — so the
-// discriminator is ops, not entity.
-type applyTask struct {
-	ops *shardOps
-	// entity is the canonical entity name and rev the number of triples
-	// about it when the event was dispatched (kg.Graph.Entity): the page
-	// this event needs indexed.
-	entity string
-	rev    int
-	done   func(error)
-}
-
-// shardOps groups one event's precomputed ops routed to a single shard.
-type shardOps struct {
-	bm25 []bm25Op
-	vec  []vecOp
-}
-
-// applierQueueSize bounds each shard applier's task queue. The dispatcher
-// blocks enqueueing to a full shard (backpressure), which in turn slows the
-// lake's dispatcher rather than growing memory.
-const applierQueueSize = 64
-
-// startAppliers launches one applier goroutine per shard ordinal. Shard
-// structures are only written by their own applier (plus the quiesced bulk
-// load), so appliers never contend with each other on index locks.
-func (ix *Indexer) startAppliers() {
-	ix.appliers = make([]chan applyTask, ix.cfg.Shards)
-	for i := range ix.appliers {
-		ch := make(chan applyTask, applierQueueSize)
-		ix.appliers[i] = ch
-		ix.applierWG.Add(1)
-		go func() {
-			defer ix.applierWG.Done()
-			for t := range ch {
-				if t.ops == nil {
-					t.done(ix.reindexEntity(i, t.entity, t.rev))
-				} else {
-					t.done(ix.applyOps(t.ops.bm25, t.ops.vec))
-				}
-			}
-		}()
-	}
-}
-
 // applyOps inserts precomputed operations into the indexes. It is the
-// single insertion implementation behind both the per-shard appliers
-// (live path) and the bulk load, so the two paths cannot drift in ID or
-// serialization scheme.
+// single insertion implementation behind both the live path and the bulk
+// load, so the two paths cannot drift in ID or serialization scheme.
 func (ix *Indexer) applyOps(bm25 []bm25Op, vec []vecOp) error {
 	for _, op := range bm25 {
-		if err := ix.bm25[op.kind][ix.shard(op.id)].AddTerms(op.id, op.terms); err != nil {
+		if err := ix.bm25[op.kind].AddTerms(op.id, op.terms); err != nil {
 			return fmt.Errorf("core: bm25 add %s: %w", op.id, err)
 		}
 	}
 	for _, op := range vec {
-		if err := ix.vec[op.kind][ix.shard(op.id)].Add(op.id, op.vec); err != nil {
+		if err := ix.vec[op.kind].Add(op.id, op.vec); err != nil {
 			return fmt.Errorf("core: vector add %s: %w", op.id, err)
 		}
 	}
@@ -119,7 +63,7 @@ func (ix *Indexer) applyOps(bm25 []bm25Op, vec []vecOp) error {
 // prepareHook is the lake's pre-commit stage: it derives every index
 // operation the event implies, outside the lake's locks. Entity events
 // return no payload — their serialization depends on the post-commit graph
-// neighborhood, so the applier computes it at apply time.
+// neighborhood, so apply computes it.
 func (ix *Indexer) prepareHook(ev datalake.Event) (any, error) {
 	if ev.Kind == datalake.KindEntity {
 		return nil, nil
@@ -150,7 +94,7 @@ func (ix *Indexer) prepareEvent(ev datalake.Event) *preparedEvent {
 			// embedder's worker pool.
 			var terms [][]string
 			var vecs []embed.Vector
-			if len(ix.vec[datalake.KindTuple]) > 0 {
+			if ix.vec[datalake.KindTuple] != nil {
 				terms, vecs = ix.emb.AnalyzeTexts(texts, 0)
 			} else {
 				terms = make([][]string, len(texts))
@@ -159,7 +103,7 @@ func (ix *Indexer) prepareEvent(ev datalake.Event) *preparedEvent {
 				}
 			}
 			for i, id := range ids {
-				if len(ix.bm25[datalake.KindTuple]) > 0 {
+				if ix.bm25[datalake.KindTuple] != nil {
 					pe.bm25 = append(pe.bm25, bm25Op{kind: datalake.KindTuple, id: id, terms: terms[i]})
 				}
 				if vecs != nil {
@@ -173,13 +117,13 @@ func (ix *Indexer) prepareEvent(ev datalake.Event) *preparedEvent {
 		}
 		d := ev.Doc
 		id := datalake.TextInstanceID(d.ID)
-		if ix.cfg.ChunkTokens <= 0 || len(ix.vec[datalake.KindText]) == 0 {
+		if ix.cfg.ChunkTokens <= 0 || ix.vec[datalake.KindText] == nil {
 			pe.addInstance(ix, datalake.KindText, id, d.SerializeForIndex())
 			return pe
 		}
 		// Chunked: the content index takes the document whole, the vector
 		// index one embedding per chunk.
-		if len(ix.bm25[datalake.KindText]) > 0 {
+		if ix.bm25[datalake.KindText] != nil {
 			pe.bm25 = append(pe.bm25, bm25Op{kind: datalake.KindText, id: id, terms: textutil.TokenizeFiltered(d.SerializeForIndex())})
 		}
 		chunks := doc.ChunkDocument(d, ix.cfg.ChunkTokens)
@@ -201,7 +145,7 @@ func (ix *Indexer) prepareEvent(ev datalake.Event) *preparedEvent {
 // addInstance analyzes one serialized instance once and appends its BM25
 // and vector ops to the payload.
 func (pe *preparedEvent) addInstance(ix *Indexer, kind datalake.Kind, id, text string) {
-	wantBM25, wantVec := len(ix.bm25[kind]) > 0, len(ix.vec[kind]) > 0
+	wantBM25, wantVec := ix.bm25[kind] != nil, ix.vec[kind] != nil
 	if !wantBM25 && !wantVec {
 		return
 	}
@@ -214,11 +158,10 @@ func (pe *preparedEvent) addInstance(ix *Indexer, kind datalake.Kind, id, text s
 	}
 }
 
-// apply is the lake's application stage: it routes one committed event's
-// precomputed operations to the per-shard appliers and reports completion
-// through done once every involved shard finishes. It runs on the lake's
-// dispatcher goroutine in version order, so each shard's queue receives
-// events in version order.
+// apply is the lake's application stage: it runs on the lake's dispatcher
+// goroutine in version order, performs one committed event's precomputed
+// insertions (or, for a triple, re-indexes the subject's entity page) and
+// reports completion through done.
 func (ix *Indexer) apply(ev datalake.Event, done func(error)) {
 	if ev.Kind == datalake.KindEntity {
 		if !ix.wantKind(datalake.KindEntity) {
@@ -231,8 +174,7 @@ func (ix *Indexer) apply(ev datalake.Event, done func(error)) {
 		// triple whose subject varies only in case updates the existing
 		// instance instead of forking a new one.
 		entity, rev := ix.lake.Graph().Entity(ev.Triple.Subject)
-		s := ix.shard(datalake.EntityInstanceID(entity))
-		ix.appliers[s] <- applyTask{entity: entity, rev: rev, done: done}
+		done(ix.reindexEntity(entity, rev))
 		return
 	}
 
@@ -242,31 +184,5 @@ func (ix *Indexer) apply(ev datalake.Event, done func(error)) {
 		// event's prepare and commit): derive it now, on the dispatcher.
 		pe = ix.prepareEvent(ev)
 	}
-	perShard := make(map[int]*shardOps)
-	group := func(s int) *shardOps {
-		ops := perShard[s]
-		if ops == nil {
-			ops = &shardOps{}
-			perShard[s] = ops
-		}
-		return ops
-	}
-	for _, op := range pe.bm25 {
-		g := group(ix.shard(op.id))
-		g.bm25 = append(g.bm25, op)
-	}
-	for _, op := range pe.vec {
-		g := group(ix.shard(op.id))
-		g.vec = append(g.vec, op)
-	}
-	if len(perShard) == 0 {
-		done(nil)
-		return
-	}
-	// Aggregate the per-shard completions into the single done call the
-	// lake expects; the first error wins.
-	c := datalake.NewCountdown(len(perShard), done)
-	for s, ops := range perShard {
-		ix.appliers[s] <- applyTask{ops: ops, done: c.Done}
-	}
+	done(ix.applyOps(pe.bm25, pe.vec))
 }

@@ -15,14 +15,11 @@ import (
 	"repro/internal/verify"
 )
 
-// liveIndexer builds an indexer over a small lake with the given shard
-// count, returning both.
-func liveIndexer(t *testing.T, shards int) (*datalake.Lake, *Indexer) {
+// liveIndexer builds an indexer over a small lake, returning both.
+func liveIndexer(t *testing.T) (*datalake.Lake, *Indexer) {
 	t.Helper()
 	lake := smallLake(t)
-	cfg := DefaultIndexerConfig(1)
-	cfg.Shards = shards
-	ix, err := BuildIndexer(lake, cfg)
+	ix, err := BuildIndexer(lake, DefaultIndexerConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,72 +37,74 @@ func containsID(ids []string, want string) bool {
 
 // TestLiveIngestIndexed checks the tentpole contract: instances ingested
 // after BuildIndexer are retrievable without a rebuild, across all three
-// modalities, via the lake's change feed.
+// modalities, via the lake's change feed. The subtest keeps the name it
+// had when the shard count was a parameter; one index per kind is the
+// layout that remains.
 func TestLiveIngestIndexed(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			lake, ix := liveIndexer(t, shards)
+	t.Run("shards=1", testLiveIngestIndexed)
+}
 
-			late := table.New("late1", "1965 masters tournament", []string{"player", "strokes"})
-			late.SourceID = "s1"
-			late.MustAppendRow("jack nicklaus", "271")
-			if err := lake.AddTable(late); err != nil {
-				t.Fatal(err)
-			}
-			_, combined := ix.Retrieve("1965 masters tournament jack nicklaus", 10, datalake.KindTable)
-			if !containsID(combined, "table:late1") {
-				t.Fatalf("late table not retrieved: %v", combined)
-			}
-			_, combined = ix.Retrieve("jack nicklaus strokes 271", 10, datalake.KindTuple)
-			if !containsID(combined, "tuple:late1#0") {
-				t.Fatalf("late tuple not retrieved: %v", combined)
-			}
+func testLiveIngestIndexed(t *testing.T) {
+	lake, ix := liveIndexer(t)
 
-			if err := lake.AddDocument(&doc.Document{
-				ID: "late-doc", Title: "Arnold Palmer", SourceID: "s2",
-				Text: "Arnold Palmer won the 1964 masters tournament by six strokes.",
-			}); err != nil {
-				t.Fatal(err)
-			}
-			_, combined = ix.Retrieve("arnold palmer 1964 masters", 10, datalake.KindText)
-			if !containsID(combined, "text:late-doc") {
-				t.Fatalf("late document not retrieved: %v", combined)
-			}
+	late := table.New("late1", "1965 masters tournament", []string{"player", "strokes"})
+	late.SourceID = "s1"
+	late.MustAppendRow("jack nicklaus", "271")
+	if err := lake.AddTable(late); err != nil {
+		t.Fatal(err)
+	}
+	_, combined := ix.Retrieve("1965 masters tournament jack nicklaus", 10, datalake.KindTable)
+	if !containsID(combined, "table:late1") {
+		t.Fatalf("late table not retrieved: %v", combined)
+	}
+	_, combined = ix.Retrieve("jack nicklaus strokes 271", 10, datalake.KindTuple)
+	if !containsID(combined, "tuple:late1#0") {
+		t.Fatalf("late tuple not retrieved: %v", combined)
+	}
 
-			if err := lake.AddTriple(kg.Triple{
-				Subject: "gary player", Predicate: "winner of 1961 masters", Object: "280", SourceID: "s1",
-			}); err != nil {
-				t.Fatal(err)
-			}
-			_, combined = ix.Retrieve("gary player winner 1961 masters", 10, datalake.KindEntity)
-			if !containsID(combined, "entity:gary player") {
-				t.Fatalf("late entity not retrieved: %v", combined)
-			}
+	if err := lake.AddDocument(&doc.Document{
+		ID: "late-doc", Title: "Arnold Palmer", SourceID: "s2",
+		Text: "Arnold Palmer won the 1964 masters tournament by six strokes.",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, combined = ix.Retrieve("arnold palmer 1964 masters", 10, datalake.KindText)
+	if !containsID(combined, "text:late-doc") {
+		t.Fatalf("late document not retrieved: %v", combined)
+	}
 
-			// A second triple about the same subject — here with variant
-			// casing — refreshes the canonical neighborhood instance rather
-			// than duplicating or erroring.
-			if err := lake.AddTriple(kg.Triple{
-				Subject: "GARY PLAYER", Predicate: "country", Object: "south africa", SourceID: "s1",
-			}); err != nil {
-				t.Fatal(err)
-			}
-			_, combined = ix.Retrieve("gary player country south africa", 10, datalake.KindEntity)
-			if !containsID(combined, "entity:gary player") {
-				t.Fatalf("refreshed entity not retrieved: %v", combined)
-			}
-			if containsID(combined, "entity:GARY PLAYER") {
-				t.Fatalf("variant-cased triple forked a duplicate entity instance: %v", combined)
-			}
-			// The refreshed instance carries the new fact.
-			inst, err := lake.Resolve("entity:gary player")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if s := inst.Serialize(); !strings.Contains(s, "south africa") {
-				t.Fatalf("refreshed neighborhood missing new triple: %q", s)
-			}
-		})
+	if err := lake.AddTriple(kg.Triple{
+		Subject: "gary player", Predicate: "winner of 1961 masters", Object: "280", SourceID: "s1",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, combined = ix.Retrieve("gary player winner 1961 masters", 10, datalake.KindEntity)
+	if !containsID(combined, "entity:gary player") {
+		t.Fatalf("late entity not retrieved: %v", combined)
+	}
+
+	// A second triple about the same subject — here with variant
+	// casing — refreshes the canonical neighborhood instance rather
+	// than duplicating or erroring.
+	if err := lake.AddTriple(kg.Triple{
+		Subject: "GARY PLAYER", Predicate: "country", Object: "south africa", SourceID: "s1",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, combined = ix.Retrieve("gary player country south africa", 10, datalake.KindEntity)
+	if !containsID(combined, "entity:gary player") {
+		t.Fatalf("refreshed entity not retrieved: %v", combined)
+	}
+	if containsID(combined, "entity:GARY PLAYER") {
+		t.Fatalf("variant-cased triple forked a duplicate entity instance: %v", combined)
+	}
+	// The refreshed instance carries the new fact.
+	inst, err := lake.Resolve("entity:gary player")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := inst.Serialize(); !strings.Contains(s, "south africa") {
+		t.Fatalf("refreshed neighborhood missing new triple: %q", s)
 	}
 }
 
@@ -113,7 +112,7 @@ func TestLiveIngestIndexed(t *testing.T) {
 // from the lake's change feed: a replaced indexer must stop consuming
 // ingests while a live one on the same lake keeps indexing.
 func TestClosedIndexerStopsUpdating(t *testing.T) {
-	lake, old := liveIndexer(t, 1)
+	lake, old := liveIndexer(t)
 	cfg := DefaultIndexerConfig(1)
 	replacement, err := BuildIndexer(lake, cfg)
 	if err != nil {
@@ -139,7 +138,7 @@ func TestClosedIndexerStopsUpdating(t *testing.T) {
 // TestRetrieveKindFiltered checks that Retrieve and RetrieveFamily honor
 // kind restrictions: every returned instance is of a requested kind.
 func TestRetrieveKindFiltered(t *testing.T) {
-	_, ix := liveIndexer(t, 2)
+	_, ix := liveIndexer(t)
 	query := "tommy bolt 1954 u.s. open (golf) money 570"
 
 	for _, kinds := range [][]datalake.Kind{
@@ -176,29 +175,6 @@ func TestRetrieveKindFiltered(t *testing.T) {
 	}
 }
 
-// TestShardedRetrievalAgreesOnTop checks that sharding the indexes does not
-// lose the relevant instance: the known-best hit for an exact-content query
-// is retrieved first under both layouts.
-func TestShardedRetrievalAgreesOnTop(t *testing.T) {
-	_, unsharded := liveIndexer(t, 1)
-	_, sharded := liveIndexer(t, 4)
-	queries := []string{
-		"tommy bolt money 570 1954 u.s. open (golf)",
-		"ben hogan total 287 1959 u.s. open (golf)",
-		"climate of dover kansas record high july",
-	}
-	for _, q := range queries {
-		_, a := unsharded.Retrieve(q, 5)
-		_, b := sharded.Retrieve(q, 5)
-		if len(a) == 0 || len(b) == 0 {
-			t.Fatalf("query %q: empty results (%d vs %d)", q, len(a), len(b))
-		}
-		if a[0] != b[0] {
-			t.Errorf("query %q: top hit differs: unsharded %q vs sharded %q", q, a[0], b[0])
-		}
-	}
-}
-
 // TestQueryEmbeddingSkippedAndCached checks two retrieval-path
 // optimizations: the query embedding is not computed when the requested
 // kinds have no vector index, and repeated queries hit the LRU cache.
@@ -211,7 +187,7 @@ func TestQueryEmbeddingSkippedAndCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Remove the text-kind vector shards by requesting an unindexed kind:
+	// Remove the text-kind vector index by requesting an unindexed kind:
 	// KindTuple is not configured, so it has no vector (or BM25) index.
 	ix.Retrieve("tommy bolt", 5, datalake.KindTuple)
 	if hits, misses, _ := ix.QueryCacheStats(); hits != 0 || misses != 0 {
@@ -236,15 +212,9 @@ func TestQueryEmbeddingSkippedAndCached(t *testing.T) {
 
 // TestConcurrentIngestAndQuery runs live ingestion against concurrent
 // retrieval and full verification; run under -race it proves the pipeline
-// serves reads during writes.
+// serves reads while the lake's dispatcher writes the indexes.
 func TestConcurrentIngestAndQuery(t *testing.T) {
-	lake := smallLake(t)
-	cfg := DefaultIndexerConfig(1)
-	cfg.Shards = 3
-	ix, err := BuildIndexer(lake, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lake, ix := liveIndexer(t)
 	p := pipelineOver(t, lake, ix)
 
 	const ingested = 40
@@ -296,11 +266,11 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 }
 
 // TestBatchIngestIndexed checks the pipelined batch path end to end: a
-// mixed AddBatch returns only after every item is applied by the per-shard
-// appliers, so each one is immediately retrievable, and per-item failures
+// mixed AddBatch returns only after every item is applied to the indexes,
+// so each one is immediately retrievable, and per-item failures
 // do not disturb the indexed survivors.
 func TestBatchIngestIndexed(t *testing.T) {
-	lake, ix := liveIndexer(t, 3)
+	lake, ix := liveIndexer(t)
 
 	tbl := table.New("batch-t1", "1971 open championship", []string{"player", "prize"})
 	tbl.SourceID = "s1"
@@ -341,20 +311,20 @@ func TestBatchIngestIndexed(t *testing.T) {
 }
 
 // TestEmptySubjectTripleDoesNotPanic is a regression test: a triple with an
-// empty subject must flow through the per-shard appliers like any other
-// entity event (the graph accepts every triple), not crash the applier.
+// empty subject must flow through apply like any other entity event (the
+// graph accepts every triple), not crash the lake's dispatcher.
 func TestEmptySubjectTripleDoesNotPanic(t *testing.T) {
-	lake, ix := liveIndexer(t, 2)
+	lake, ix := liveIndexer(t)
 	defer ix.Close()
 	if err := lake.AddTriple(kg.Triple{Subject: "", Predicate: "p", Object: "o"}); err != nil {
 		t.Fatalf("empty-subject AddTriple: %v", err)
 	}
-	// The lake (and its appliers) must still be functional afterwards.
+	// The lake (and its indexer) must still be functional afterwards.
 	if err := lake.AddTriple(kg.Triple{Subject: "after", Predicate: "p", Object: "o"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, combined := ix.Retrieve("after p o", 10, datalake.KindEntity); !containsID(combined, "entity:after") {
-		t.Fatalf("appliers dead after empty-subject triple: %v", combined)
+		t.Fatalf("indexing dead after empty-subject triple: %v", combined)
 	}
 }
 

@@ -16,20 +16,20 @@ import (
 )
 
 // Index snapshots let a restarted process skip re-tokenizing and
-// re-embedding the whole lake: a checkpoint saves every shard of every
-// (kind, family) index, and recovery maps them back — valid only for the
+// re-embedding the whole lake: a checkpoint saves the index of every
+// (kind, family) pair, and recovery maps them back — valid only for the
 // exact lake version and indexer configuration they were built under, both
 // pinned in meta.json. A snapshot that does not match is simply not used
 // (the caller falls back to a bulk re-index), never partially applied.
 //
-// A checkpoint is also a flush. Freeze seals each shard into the segment
-// Save writes, and once the directory is promoted Adopt opens each shard
+// A checkpoint is also a flush. Freeze seals each index into the segment
+// Save writes, and once the directory is promoted Adopt opens each index
 // file as recovery would and moves the running process onto it (segment
 // columns become views of the mapping, the heap copies are dropped): after
 // any checkpoint the process holds what a restart on the directory would —
-// mapped shard files, a delta of what was written since.
+// mapped index files, a delta of what was written since.
 
-// snapshotFormat versions the snapshot layout itself: 2 since BM25 shards
+// snapshotFormat versions the snapshot layout itself: 2 since BM25 indexes
 // store their postings as bit-packed blocks (1 held them as int32 pairs).
 const snapshotFormat = 2
 
@@ -50,7 +50,7 @@ type snapshotConfig struct {
 	EmbedDim     int    `json:"embed_dim"`
 	EnableBM25   bool   `json:"enable_bm25"`
 	EnableVector bool   `json:"enable_vector"`
-	// Vector is always 0 and VectorRows "int8" when vector shards are
+	// Vector is always 0 and VectorRows "int8" when vector indexes are
 	// written. Both keys stay so that directories and durable pins already
 	// written keep their fingerprint and open without a re-index, while one
 	// written with float32 rows (no "vector_rows") or for another index
@@ -60,7 +60,11 @@ type snapshotConfig struct {
 	VectorRows  string          `json:"vector_rows,omitempty"`
 	Kinds       []datalake.Kind `json:"kinds"`
 	ChunkTokens int             `json:"chunk_tokens"`
-	Shards      int             `json:"shards"`
+	// Shards is always 1, from when each (kind, family) pair could be
+	// hash-sharded: the key stays so that directories and durable pins
+	// already written open without a re-index, while one written with
+	// several shards does not match and is rebuilt from the catalog.
+	Shards int `json:"shards"`
 }
 
 // canonicalConfig serializes cfg's layout-relevant fields.
@@ -68,7 +72,7 @@ func canonicalConfig(cfg IndexerConfig) ([]byte, error) {
 	sc := snapshotConfig{
 		Seed: cfg.Seed, EmbedDim: cfg.EmbedDim,
 		EnableBM25: cfg.EnableBM25, EnableVector: cfg.EnableVector,
-		Kinds: cfg.Kinds, ChunkTokens: cfg.ChunkTokens, Shards: cfg.Shards,
+		Kinds: cfg.Kinds, ChunkTokens: cfg.ChunkTokens, Shards: 1,
 	}
 	if cfg.EnableVector {
 		sc.VectorRows = "int8"
@@ -76,52 +80,47 @@ func canonicalConfig(cfg IndexerConfig) ([]byte, error) {
 	return json.Marshal(sc)
 }
 
-func shardFile(dir, family string, kind datalake.Kind, shard int) string {
-	return filepath.Join(dir, fmt.Sprintf("%s-%s-%03d.idx", family, kind, shard))
+// shardFile names the file of one (kind, family) index. The "-000" is the
+// shard ordinal from when an index could be hash-sharded; it stays so that
+// directories already written open as they are.
+func shardFile(dir, family string, kind datalake.Kind) string {
+	return filepath.Join(dir, fmt.Sprintf("%s-%s-000.idx", family, kind))
 }
 
-// FrozenIndexes is an immutable capture of every index shard across every
-// (kind, family) pair, pinned by Indexer.Freeze during a checkpoint's
-// quiesced fork phase. Save then serializes it to disk with no lake or
-// index locks held, so ingestion proceeds for the whole write phase — the
-// capture stays frozen at the fork's lake version no matter how far the
-// live indexes move on. It holds references only: the sealed segments the
-// live shards keep searching as their base.
+// FrozenIndexes is an immutable capture of every (kind, family) index,
+// pinned by Indexer.Freeze during a checkpoint's quiesced fork phase. Save
+// then serializes it to disk with no lake or index locks held, so
+// ingestion proceeds for the whole write phase — the capture stays frozen
+// at the fork's lake version no matter how far the live indexes move on.
+// It holds references only: the sealed segments the live indexes keep
+// searching as their base.
 type FrozenIndexes struct {
 	ix   *Indexer
-	bm25 map[datalake.Kind][]*invindex.Frozen
-	vec  map[datalake.Kind][]*vecindex.Frozen
+	bm25 map[datalake.Kind]*invindex.Frozen
+	vec  map[datalake.Kind]*vecindex.Frozen
 }
 
-// Freeze captures every shard of every index family. Call it only while
-// the lake is quiesced (e.g. inside datalake.Fork), or concurrent ingest
-// will tear the shard captures against each other. Shards written since
-// their last seal are compacted into a new segment here (searches on that
-// shard wait); an unchanged shard hands back the segment it has. No I/O.
+// Freeze captures every index of every family. Call it only while the lake
+// is quiesced (e.g. inside datalake.Fork), or concurrent ingest will tear
+// the captures against each other. Indexes written since their last seal
+// are compacted into a new segment here (searches on that index wait); an
+// unchanged index hands back the segment it has. No I/O.
 func (ix *Indexer) Freeze() *FrozenIndexes {
 	fz := &FrozenIndexes{
 		ix:   ix,
-		bm25: make(map[datalake.Kind][]*invindex.Frozen, len(ix.bm25)),
-		vec:  make(map[datalake.Kind][]*vecindex.Frozen, len(ix.vec)),
+		bm25: make(map[datalake.Kind]*invindex.Frozen, len(ix.bm25)),
+		vec:  make(map[datalake.Kind]*vecindex.Frozen, len(ix.vec)),
 	}
-	for kind, shards := range ix.bm25 {
-		frozen := make([]*invindex.Frozen, len(shards))
-		for si, sh := range shards {
-			frozen[si] = sh.Freeze()
-		}
-		fz.bm25[kind] = frozen
+	for kind, idx := range ix.bm25 {
+		fz.bm25[kind] = idx.Freeze()
 	}
-	for kind, shards := range ix.vec {
-		frozen := make([]*vecindex.Frozen, len(shards))
-		for si, sh := range shards {
-			frozen[si] = sh.Freeze()
-		}
-		fz.vec[kind] = frozen
+	for kind, idx := range ix.vec {
+		fz.vec[kind] = idx.Freeze()
 	}
 	return fz
 }
 
-// Save writes the frozen shards plus the pinning metadata to dir (created
+// Save writes the frozen indexes plus the pinning metadata to dir (created
 // if needed) through fs. lakeVersion must be the lake version the capture
 // was frozen at. Safe to call with ingestion running: the capture is
 // immutable.
@@ -143,18 +142,14 @@ func (fz *FrozenIndexes) Save(fs faultfs.FS, dir string, lakeVersion uint64) err
 		}
 		return nil
 	}
-	for kind, shards := range fz.bm25 {
-		for si, sh := range shards {
-			if err := save(shardFile(dir, familyBM25, kind, si), sh); err != nil {
-				return err
-			}
+	for kind, f := range fz.bm25 {
+		if err := save(shardFile(dir, familyBM25, kind), f); err != nil {
+			return err
 		}
 	}
-	for kind, shards := range fz.vec {
-		for si, sh := range shards {
-			if err := save(shardFile(dir, familyVector, kind, si), sh); err != nil {
-				return err
-			}
+	for kind, f := range fz.vec {
+		if err := save(shardFile(dir, familyVector, kind), f); err != nil {
+			return err
 		}
 	}
 	cc, err := canonicalConfig(fz.ix.cfg)
@@ -171,11 +166,11 @@ func (fz *FrozenIndexes) Save(fs faultfs.FS, dir string, lakeVersion uint64) err
 	return nil
 }
 
-// Adopt moves the capture, and the live shards still serving what it
-// captured, onto the shard files Save wrote under dir — call it once dir
+// Adopt moves the capture, and the live indexes still serving what it
+// captured, onto the index files Save wrote under dir — call it once dir
 // is where the files will stay (a promoted checkpoint). A file that does
 // not open, or is not the container this capture wrote, is not adopted:
-// that shard keeps its heap copy and counts as skipped, never guessed.
+// that index keeps its heap copy and counts as skipped, never guessed.
 // Safe with ingestion and searches running.
 func (fz *FrozenIndexes) Adopt(dir string) {
 	count := func(err error) {
@@ -185,15 +180,11 @@ func (fz *FrozenIndexes) Adopt(dir string) {
 			fz.ix.m.adopted.Inc()
 		}
 	}
-	for kind, shards := range fz.bm25 {
-		for si, sh := range shards {
-			count(sh.Adopt(shardFile(dir, familyBM25, kind, si)))
-		}
+	for kind, f := range fz.bm25 {
+		count(f.Adopt(shardFile(dir, familyBM25, kind)))
 	}
-	for kind, shards := range fz.vec {
-		for si, sh := range shards {
-			count(sh.Adopt(shardFile(dir, familyVector, kind, si)))
-		}
+	for kind, f := range fz.vec {
+		count(f.Adopt(shardFile(dir, familyVector, kind)))
 	}
 }
 
@@ -217,52 +208,48 @@ func BuildIndexerFromSnapshot(lake *datalake.Lake, cfg IndexerConfig, dir string
 		return nil, err
 	}
 
-	ix.startAppliers()
 	unsubscribe, err := lake.SubscribeSync(func() error {
 		// Version check inside the quiesced init: nothing can commit
 		// between the check, the load, and the subscription.
 		if v := lake.Version(); v != meta.LakeVersion {
 			return fmt.Errorf("%w (snapshot at lake version %d, lake at %d)", ErrSnapshotMismatch, meta.LakeVersion, v)
 		}
-		bm25, vec, err := openShards(ix.cfg, dir)
+		bm25, vec, err := openIndexes(ix.cfg, dir)
 		if err == nil {
 			ix.bm25, ix.vec = bm25, vec
 		}
 		return err
 	}, datalake.Subscriber{Prepare: ix.prepareHook, Apply: ix.apply})
 	if err != nil {
-		ix.stopAppliers()
 		return nil, err
 	}
 	ix.unsubscribe = unsubscribe
 	return ix, nil
 }
 
-// openShards opens every shard file of the snapshot directory dir as cfg
+// openIndexes opens every index file of the snapshot directory dir as cfg
 // lays them out, by path so each is memory-mapped and served lazily: one
-// verification pass per shard, vector and posting pages fault in as
-// queries touch them. A missing shard file is an ErrSnapshotMismatch
+// verification pass per file, vector and posting pages fault in as
+// queries touch them. A missing index file is an ErrSnapshotMismatch
 // (rebuild instead); one that exists but fails to open is corruption,
 // surfaced loudly.
-func openShards(cfg IndexerConfig, dir string) (map[datalake.Kind][]*invindex.Index, map[datalake.Kind][]*vecindex.SQFlat, error) {
-	bm25 := make(map[datalake.Kind][]*invindex.Index)
-	vec := make(map[datalake.Kind][]*vecindex.SQFlat)
+func openIndexes(cfg IndexerConfig, dir string) (map[datalake.Kind]*invindex.Index, map[datalake.Kind]*vecindex.SQFlat, error) {
+	bm25 := make(map[datalake.Kind]*invindex.Index)
+	vec := make(map[datalake.Kind]*vecindex.SQFlat)
 	for _, kind := range cfg.Kinds {
-		for si := 0; si < cfg.Shards; si++ {
-			if cfg.EnableBM25 {
-				sh, err := openBM25Shard(shardFile(dir, familyBM25, kind, si))
-				if err != nil {
-					return nil, nil, err
-				}
-				bm25[kind] = append(bm25[kind], sh)
+		if cfg.EnableBM25 {
+			idx, err := openBM25Shard(shardFile(dir, familyBM25, kind))
+			if err != nil {
+				return nil, nil, err
 			}
-			if cfg.EnableVector {
-				sh, err := openVectorShard(shardFile(dir, familyVector, kind, si))
-				if err != nil {
-					return nil, nil, err
-				}
-				vec[kind] = append(vec[kind], sh)
+			bm25[kind] = idx
+		}
+		if cfg.EnableVector {
+			idx, err := openVectorShard(shardFile(dir, familyVector, kind))
+			if err != nil {
+				return nil, nil, err
 			}
+			vec[kind] = idx
 		}
 	}
 	return bm25, vec, nil

@@ -50,7 +50,6 @@ func TestIndexerSnapshotRoundTrip(t *testing.T) {
 	t.Run("vector=0", func(t *testing.T) {
 		lake := buildPersistLake(t)
 		cfg := DefaultIndexerConfig(7)
-		cfg.Shards = 2
 		ix, err := BuildIndexer(lake, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -117,27 +116,33 @@ func TestSnapshotMismatch(t *testing.T) {
 
 	// Different layout-relevant configuration.
 	other := cfg
-	other.Shards = 3
+	other.ChunkTokens = 32
 	if _, err := BuildIndexerFromSnapshot(lake, other, dir); !errors.Is(err, ErrSnapshotMismatch) {
 		t.Fatalf("config mismatch error = %v, want ErrSnapshotMismatch", err)
 	}
 
-	// The fingerprint of a directory written before flat shards held int8
-	// rows: same configuration, no row format named.
+	// Fingerprints of directories this build does not write: one from before
+	// flat vector indexes held int8 rows (no row format named), and one
+	// whose indexes were hash-sharded four ways.
 	metaPath := filepath.Join(dir, "meta.json")
 	meta, err := os.ReadFile(metaPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	older := bytes.Replace(meta, []byte(`"vector_rows": "int8",`), nil, 1)
-	if bytes.Equal(older, meta) {
-		t.Fatalf("meta.json names no vector row format: %s", meta)
-	}
-	if err := os.WriteFile(metaPath, older, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := BuildIndexerFromSnapshot(lake, cfg, dir); !errors.Is(err, ErrSnapshotMismatch) {
-		t.Fatalf("float-row directory error = %v, want ErrSnapshotMismatch", err)
+	for _, forged := range []struct{ name, old, new string }{
+		{"float-row", `"vector_rows": "int8",`, ``},
+		{"four-shard", `"shards": 1`, `"shards": 4`},
+	} {
+		older := bytes.Replace(meta, []byte(forged.old), []byte(forged.new), 1)
+		if bytes.Equal(older, meta) {
+			t.Fatalf("meta.json carries no %s: %s", forged.old, meta)
+		}
+		if err := os.WriteFile(metaPath, older, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := BuildIndexerFromSnapshot(lake, cfg, dir); !errors.Is(err, ErrSnapshotMismatch) {
+			t.Fatalf("%s directory error = %v, want ErrSnapshotMismatch", forged.name, err)
+		}
 	}
 	if err := os.WriteFile(metaPath, meta, 0o644); err != nil {
 		t.Fatal(err)
@@ -175,7 +180,6 @@ func TestSnapshotMismatch(t *testing.T) {
 	}
 	tuned := cfg
 	tuned.QueryCacheSize = 1
-	tuned.RetrieveWorkers = 2
 	loaded, err := BuildIndexerFromSnapshot(lake2, tuned, dir2)
 	if err != nil {
 		t.Fatalf("tuning-only change refused the snapshot: %v", err)

@@ -45,7 +45,7 @@ type PipelineConfig struct {
 	SnapshotRetain int
 	// Metrics, when non-nil, registers the pipeline's serving-path metrics
 	// (per-stage spans, verifier call counters, result- and query-cache
-	// mirrors, per-family shard search latency) with the registry. Nil
+	// mirrors, per-family index search latency) with the registry. Nil
 	// disables instrumentation at zero cost on the hot path.
 	Metrics *obs.Registry
 }
@@ -117,7 +117,7 @@ func NewPipeline(lake *datalake.Lake, indexer *Indexer, rr *rerank.Registry, age
 // verifier call volume and latency, mirrors of the result- and
 // query-cache counters (the same atomics Stats() snapshots), the
 // provenance store's size gauges, and the indexer's per-family
-// shard-search histograms.
+// index-search histograms.
 func (p *Pipeline) installMetrics(reg *obs.Registry) {
 	p.obs = reg
 	// Touch the stage family eagerly so an idle system's exposition is
@@ -350,10 +350,10 @@ func (p *Pipeline) verifyCached(ctx context.Context, g verify.Generated, evidenc
 }
 
 // evidenceSource is the seam between the verification flow and the data it
-// reads: retrieval over some set of index shards, instance resolution
+// reads: retrieval over some set of indexes, instance resolution
 // against some catalog, and a trust function. Head reads bind it to the
 // live indexer/lake/trust map; time-travel reads bind it to a pinned
-// snapshot's frozen shards, immutable View, and pin-time trust copy — the
+// snapshot's frozen indexes, immutable View, and pin-time trust copy — the
 // rest of the flow (rerank, verify, verdict, provenance) is shared.
 type evidenceSource struct {
 	retrieve func(ctx context.Context, query string, k int, kinds []datalake.Kind) []provenance.RetrievalHit

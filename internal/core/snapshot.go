@@ -18,7 +18,7 @@ import (
 
 // Time-travel reads. A checkpoint's fork already pins everything a
 // reproducible verdict needs — an immutable catalog View plus a frozen
-// capture of every index shard at one version. This file generalizes that
+// capture of every index at one version. This file generalizes that
 // pair into a retained, queryable snapshot: the pipeline registers the
 // (View, FrozenIndexes, trust copy) triple with a datalake.SnapshotRegistry,
 // and VerifyAsOfCtx runs the full retrieve→rerank→verify flow against it,
@@ -26,37 +26,37 @@ import (
 // lake (and the operator's trust overrides) have moved on.
 
 // PinnedSnapshot is the payload the pipeline hangs on a datalake.Snapshot:
-// the frozen index shards, the trust overrides in force at pin time, and —
+// the frozen indexes, the trust overrides in force at pin time, and —
 // lazily, on first pinned read — searchable wrappers around the frozen
-// capture (or shards opened from disk for a pin recovered at restart) plus
-// a knowledge graph rebuilt from the view's triples.
+// capture (or indexes opened from disk for a pin recovered at restart)
+// plus a knowledge graph rebuilt from the view's triples.
 type PinnedSnapshot struct {
 	cfg   IndexerConfig
 	view  *datalake.View
 	trust map[string]float64 // pipeline trust overrides at pin time
 
 	frozen *FrozenIndexes // in-memory capture (pin path); nil when disk-backed
-	dir    string         // persisted shard directory (recovery path)
+	dir    string         // persisted index directory (recovery path)
 
 	once   sync.Once
 	matErr error
-	bm25   map[datalake.Kind][]*invindex.Index
-	vec    map[datalake.Kind][]*vecindex.SQFlat
+	bm25   map[datalake.Kind]*invindex.Index
+	vec    map[datalake.Kind]*vecindex.SQFlat
 	graph  *kg.Graph
 	priors map[string]float64 // view source trust priors
 }
 
 // Trust returns the trust overrides captured at pin time (shared map;
 // callers must not mutate) — the durable layer persists it alongside the
-// shards so a recovered pin re-verifies identically.
+// indexes so a recovered pin re-verifies identically.
 func (ps *PinnedSnapshot) Trust() map[string]float64 { return ps.trust }
 
 // materialize makes the snapshot searchable exactly once: a live
 // capture's sealed BM25 segments and vector rows are wrapped in place
-// (nothing is copied — they are the bytes the live shards searched at the
+// (nothing is copied — they are the bytes the live indexes searched at the
 // fork, on the heap or in the checkpoint's mapped files), a recovered
-// pin's shard files are opened, and the view's triple list is rebuilt into
-// a graph for entity resolution.
+// pin's index files are opened, and the view's triple list is rebuilt
+// into a graph for entity resolution.
 func (ps *PinnedSnapshot) materialize() error {
 	ps.once.Do(func() { ps.matErr = ps.doMaterialize() })
 	return ps.matErr
@@ -73,20 +73,16 @@ func (ps *PinnedSnapshot) doMaterialize() error {
 	}
 	if ps.frozen == nil {
 		var err error
-		ps.bm25, ps.vec, err = openShards(ps.cfg, ps.dir)
+		ps.bm25, ps.vec, err = openIndexes(ps.cfg, ps.dir)
 		return err
 	}
-	ps.bm25 = make(map[datalake.Kind][]*invindex.Index)
-	ps.vec = make(map[datalake.Kind][]*vecindex.SQFlat)
-	for kind, shards := range ps.frozen.bm25 {
-		for _, sh := range shards {
-			ps.bm25[kind] = append(ps.bm25[kind], sh.Index())
-		}
+	ps.bm25 = make(map[datalake.Kind]*invindex.Index, len(ps.frozen.bm25))
+	ps.vec = make(map[datalake.Kind]*vecindex.SQFlat, len(ps.frozen.vec))
+	for kind, f := range ps.frozen.bm25 {
+		ps.bm25[kind] = f.Index()
 	}
-	for kind, shards := range ps.frozen.vec {
-		for _, sh := range shards {
-			ps.vec[kind] = append(ps.vec[kind], sh.Thaw())
-		}
+	for kind, f := range ps.frozen.vec {
+		ps.vec[kind] = f.Thaw()
 	}
 	return nil
 }
@@ -106,13 +102,13 @@ func (ps *PinnedSnapshot) sourceTrust(sourceID string) float64 {
 }
 
 // source adapts the snapshot into the pipeline's evidence-source seam:
-// retrieval fans out over the thawed shards through the indexer's shared
+// retrieval fans out over the thawed indexes through the indexer's shared
 // worker pool, resolution reads the immutable view, trust reads the
 // pinned copy. materialize must have succeeded first.
 func (ps *PinnedSnapshot) source(ix *Indexer) evidenceSource {
 	return evidenceSource{
 		retrieve: func(ctx context.Context, query string, k int, kinds []datalake.Kind) []provenance.RetrievalHit {
-			return ix.searchShards(ctx, query, k, kinds, true, ps.cfg.EnableVector, ps.bm25, ps.vec)
+			return ix.searchIndexes(ctx, query, k, kinds, true, ps.cfg.EnableVector, ps.bm25, ps.vec)
 		},
 		resolve: func(id string) (datalake.Instance, error) { return ps.view.Resolve(id, ps.graph) },
 		trust:   ps.sourceTrust,
@@ -134,7 +130,7 @@ func (p *Pipeline) trustSnapshot() map[string]float64 {
 }
 
 // TakeSnapshot quiesces the lake just long enough to fork a View and
-// freeze every index shard at the current version, then registers the
+// freeze every index at the current version, then registers the
 // pair as a retained snapshot (explicitly pinned when pinned is true —
 // excluded from retention GC until unpinned). Registering an
 // already-retained version promotes it instead of re-freezing.
@@ -167,7 +163,7 @@ func (p *Pipeline) TakeSnapshot(pinned bool) (*datalake.Snapshot, error) {
 // pair as an explicitly pinned snapshot, excluded from retention GC until
 // unpinned. persist, when non-nil, is called after the in-memory pin is
 // registered, with everything durability needs: the forked view, a
-// writeIndexes that serializes the frozen shards into a directory (under
+// writeIndexes that serializes the frozen indexes into a directory (under
 // dir/indexes, the checkpoint layout), and the pin-time trust overrides. A
 // persist failure demotes the pin back to the retention window and is
 // returned — an operator asking for a durable pin must not silently get a
@@ -207,8 +203,8 @@ func (p *Pipeline) RegisterSnapshot(view *datalake.View, fz *FrozenIndexes, pinn
 
 // RegisterRecoveredSnapshot re-retains a persisted pin at restart: view
 // was reloaded from the pin's serialized catalog, dir holds its index
-// shards (a FrozenIndexes.Save layout, opened lazily on the first pinned
-// read), trust its pin-time overrides. The shards' meta must match the
+// files (a FrozenIndexes.Save layout, opened lazily on the first pinned
+// read), trust its pin-time overrides. The indexes' meta must match the
 // current indexer configuration and the view's version exactly
 // (ErrSnapshotMismatch otherwise — the caller drops the pin loudly rather
 // than serving wrong pinned verdicts).
@@ -218,7 +214,7 @@ func (p *Pipeline) RegisterRecoveredSnapshot(view *datalake.View, dir string, tr
 		return nil, err
 	}
 	if meta.LakeVersion != view.Version() {
-		return nil, fmt.Errorf("%w (pinned shards at lake version %d, view at %d)", ErrSnapshotMismatch, meta.LakeVersion, view.Version())
+		return nil, fmt.Errorf("%w (pinned indexes at lake version %d, view at %d)", ErrSnapshotMismatch, meta.LakeVersion, view.Version())
 	}
 	if trust == nil {
 		trust = make(map[string]float64)
@@ -234,7 +230,7 @@ func (p *Pipeline) VerifyAsOf(g verify.Generated, asOf uint64, kinds ...datalake
 
 // VerifyAsOfCtx verifies g against the retained snapshot at version asOf
 // instead of the live lake: retrieval runs over the snapshot's frozen
-// shards, evidence resolves from its immutable View, and trust reads the
+// indexes, evidence resolves from its immutable View, and trust reads the
 // pin-time copy, so the Report — stamped with AsOfVersion — is
 // reproducible no matter how many writes or trust overrides landed since.
 // asOf 0 means head (plain VerifyCtx). A version below the retention

@@ -168,8 +168,8 @@ type SourceHook func(Source) error
 // ApplyFunc is a subscriber's asynchronous application stage. It is invoked
 // on the dispatcher goroutine in version order, with no lake locks held,
 // and must call done exactly once — possibly from another goroutine — when
-// the event has been fully applied (e.g. after per-shard index appliers
-// finish). The lake publishes the event's version (Version, Flush,
+// the event has been fully applied (the indexer applies on the dispatcher
+// and calls done before returning). The lake publishes the event's version (Version, Flush,
 // ingest-caller returns) only after every subscriber's done fires. An error
 // passed to done is reported to the ingest caller whose mutation it
 // rejected; the catalog mutation itself stays committed — the error signals
@@ -225,8 +225,8 @@ func WithQueueSize(n int) Option {
 //  2. commit — the write lock covers only the catalog mutation, version
 //     assignment, and enqueueing the event on a bounded ordered queue;
 //  3. apply — a dispatcher goroutine delivers events to subscribers in
-//     version order; application (index maintenance) may fan out to
-//     per-shard appliers and completes asynchronously.
+//     version order; a subscriber may complete its application
+//     asynchronously, after its Apply returns.
 //
 // Version() publication — not hook ordering — provides the visibility
 // guarantee: a version becomes observable only once its event is fully
@@ -601,7 +601,7 @@ func (l *Lake) deliver(qe queuedEvent) {
 	start := time.Now()
 	// One token for the dispatcher itself, released after all Applies have
 	// been started, so no early completion can fire while hooks remain.
-	c := NewCountdown(1, func(err error) {
+	c := newCountdown(1, func(err error) {
 		l.m.applySec.Since(start)
 		l.applied(version, err)
 	})
@@ -619,22 +619,20 @@ func (l *Lake) deliver(qe queuedEvent) {
 	c.Done(nil)
 }
 
-// Countdown aggregates several asynchronous completions into one callback:
+// countdown aggregates several asynchronous completions into one callback:
 // the final Done fires the wrapped function with the first error observed.
-// Subscribers fanning one event's application across workers (e.g. the
-// indexer's per-shard appliers) use it to produce the single done call an
-// ApplyFunc owes the lake.
-type Countdown struct {
+// The dispatcher uses it to join one event's subscriber completions.
+type countdown struct {
 	remaining atomic.Int32
 	errMu     sync.Mutex
 	err       error
 	done      func(error)
 }
 
-// NewCountdown returns a countdown firing done after n Done calls (plus
+// newCountdown returns a countdown firing done after n Done calls (plus
 // any registered via Add). n must be at least 1.
-func NewCountdown(n int, done func(error)) *Countdown {
-	c := &Countdown{done: done}
+func newCountdown(n int, done func(error)) *countdown {
+	c := &countdown{done: done}
 	c.remaining.Store(int32(n))
 	return c
 }
@@ -642,10 +640,10 @@ func NewCountdown(n int, done func(error)) *Countdown {
 // Add registers delta additional Done calls to await. It must be called
 // while the countdown is held open (before the outstanding count can
 // reach zero).
-func (c *Countdown) Add(delta int) { c.remaining.Add(int32(delta)) }
+func (c *countdown) Add(delta int) { c.remaining.Add(int32(delta)) }
 
 // Done records one completion; each participant must call it exactly once.
-func (c *Countdown) Done(err error) {
+func (c *countdown) Done(err error) {
 	if err != nil {
 		c.errMu.Lock()
 		if c.err == nil {
@@ -662,9 +660,10 @@ func (c *Countdown) Done(err error) {
 }
 
 // applied advances the contiguous application watermark with one event's
-// completion. Completions may arrive out of order (per-shard appliers
-// finish independently); the watermark only moves through versions whose
-// predecessors are all applied, and publication skips failed versions.
+// completion. Completions may arrive out of order (an ApplyFunc may call
+// done from another goroutine, after later events were delivered); the
+// watermark only moves through versions whose predecessors are all
+// applied, and publication skips failed versions.
 func (l *Lake) applied(version uint64, err error) {
 	l.mu.Lock()
 	if err != nil {

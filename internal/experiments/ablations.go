@@ -202,8 +202,8 @@ func (e *Env) AblateTrust(res *AblationsResult) error {
 	if err != nil {
 		return err
 	}
-	// This lake is private to the ablation: shut its dispatcher and the
-	// indexer's appliers down so repeated ablation runs don't accumulate
+	// This lake is private to the ablation: shut its dispatcher down and
+	// detach the indexer so repeated ablation runs don't accumulate
 	// goroutines and pinned corpora.
 	defer func() {
 		_ = corpus.Lake.Close()

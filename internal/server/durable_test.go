@@ -133,7 +133,7 @@ func TestDurableServerSurfaces(t *testing.T) {
 	if resp := getJSON(t, ts.URL+"/v1/stats", &stats); resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats: status = %d", resp.StatusCode)
 	}
-	// The checkpoint moved all eight shards onto their files: the one
+	// The checkpoint moved all eight indexes onto their files: the one
 	// document sits in a mapped segment and a mapped vector row, and
 	// /metrics says the same.
 	bm25, vec := stats.Indexes.Families["bm25"], stats.Indexes.Families["vector"]
@@ -197,7 +197,7 @@ func TestDurableServerSurfaces(t *testing.T) {
 	if stats.Durability.SyncPolicy != "none" || stats.Durability.CheckpointVersion != 1 {
 		t.Errorf("stats.durability = %+v", stats.Durability)
 	}
-	// catalog.vaib, META.json, and under indexes/ eight shards and meta.json.
+	// catalog.vaib, META.json, and under indexes/ eight index files and meta.json.
 	if stats.Durability.CheckpointFiles != 11 || stats.Durability.CheckpointBytes <= 0 {
 		t.Errorf("stats.durability reports a checkpoint of %d files, %d bytes; want 11 files",
 			stats.Durability.CheckpointFiles, stats.Durability.CheckpointBytes)

@@ -30,9 +30,7 @@ import (
 func TestConcurrentIngestQueryCheckpoint(t *testing.T) {
 	dataDir := filepath.Join(t.TempDir(), "data")
 	open := func() *verifai.System {
-		opts := verifai.ExactOptions(1)
-		opts.Indexer.Shards = 2
-		sys, err := verifai.Open(dataDir, verifai.OpenOptions{Options: opts, Sync: "none"})
+		sys, err := verifai.Open(dataDir, verifai.OpenOptions{Options: verifai.ExactOptions(1), Sync: "none"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/binfmt"
@@ -471,7 +472,8 @@ func TestBinarySnapshotRecoverySmoke(t *testing.T) {
 // shard can be unusable. A shard that does not start with the binfmt
 // magic was written by a release older than the container format, and a
 // directory whose fingerprint names no vector row format by one whose flat
-// shards held float32 rows: indexes are derived data, so recovery
+// shards held float32 rows, one with "shards": 4 by one whose indexes were
+// hash-sharded: indexes are derived data, so recovery
 // re-indexes from the catalog and verdicts match a fresh build. A shard
 // that IS a container but has a flipped byte is corruption, and Open must
 // fail instead of rebuilding over a bad disk.
@@ -666,6 +668,53 @@ func TestStaleFormatSnapshotRebuilds(t *testing.T) {
 		recovered, err := Open(stale, durableOpts(1))
 		if err != nil {
 			t.Fatalf("a directory in the int32-postings layout was not re-indexed: %v", err)
+		}
+		defer recovered.Close()
+		got, err := recovered.VerifyClaim("q", workload.GolfClaim())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("re-indexed report differs from a fresh build:\n got %+v\nwant %+v", got, want)
+		}
+	})
+
+	// A directory from when each index could be hash-sharded, four ways:
+	// this build opens one file per (kind, family) and reads only "-000".
+	t.Run("indexes in four hash shards", func(t *testing.T) {
+		stale := filepath.Join(t.TempDir(), "stale")
+		copyTree(t, data, stale)
+		indexes := filepath.Join(stale, "checkpoint", "indexes")
+		files, err := filepath.Glob(filepath.Join(indexes, "*-000.idx"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no checkpointed index files: %v", err)
+		}
+		for _, path := range files {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for shard := 1; shard < 4; shard++ {
+				if err := os.WriteFile(strings.Replace(path, "-000.idx", fmt.Sprintf("-%03d.idx", shard), 1), raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		metaPath := filepath.Join(indexes, "meta.json")
+		meta, err := os.ReadFile(metaPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharded := bytes.Replace(meta, []byte(`"shards": 1`), []byte(`"shards": 4`), 1)
+		if bytes.Equal(sharded, meta) {
+			t.Fatalf("meta.json names no shard count: %s", meta)
+		}
+		if err := os.WriteFile(metaPath, sharded, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recovered, err := Open(stale, durableOpts(1))
+		if err != nil {
+			t.Fatalf("a four-shard directory was not re-indexed: %v", err)
 		}
 		defer recovered.Close()
 		got, err := recovered.VerifyClaim("q", workload.GolfClaim())

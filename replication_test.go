@@ -280,9 +280,8 @@ func TestReplicationEndToEndCrossFormat(t *testing.T) {
 
 // BenchmarkReplicationLag measures leader ingest throughput with followers
 // attached and the apply lag from leader commit to follower visibility.
-// The lag percentiles are reported as lag-* metrics, which benchgate
-// records but never gates (wall-clock lag is too environment-dependent to
-// gate a CI run on).
+// The lag percentiles are reported as lag-* metrics: a record, not a
+// gate (wall-clock lag is too environment-dependent to gate a CI run on).
 func BenchmarkReplicationLag(b *testing.B) {
 	for _, followers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("followers=%d", followers), func(b *testing.B) {

@@ -28,9 +28,8 @@
 // become retrievable and verifiable immediately, while concurrent
 // verifications keep being served. Every mutation bumps a monotonic lake
 // version (System.LakeVersion) that consumers can use to reason about
-// index freshness. Retrieval fans out in parallel across index shards,
-// modalities, and index families, and the top-k′ evidence is verified
-// concurrently.
+// index freshness. Retrieval fans out in parallel across modalities and
+// index families, and the top-k′ evidence is verified concurrently.
 //
 // Systems built with NewSystem are in-memory. Open instead binds the
 // system to a data directory with a write-ahead log and checkpoints:
@@ -599,8 +598,8 @@ func (s *System) AddBatch(items []BatchItem) ([]BatchItemResult, error) {
 func (s *System) Flush() (uint64, error) { return s.pipeline.Lake().Flush() }
 
 // Close shuts ingestion down: further writes are rejected, queued writes
-// are fully indexed (none are lost), and the indexer's appliers drain and
-// stop. For durable systems the write-ahead log is then fsynced and
+// are fully indexed (none are lost), and the indexer detaches from the
+// lake. For durable systems the write-ahead log is then fsynced and
 // closed, so everything acknowledged is on disk. Verification and
 // retrieval keep working on the final state. Idempotent.
 func (s *System) Close() error {
