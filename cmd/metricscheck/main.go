@@ -72,6 +72,7 @@ var requiredDurable = []string{
 	"verifai_checkpoints_total",
 	"verifai_checkpoint_version",
 	"verifai_checkpoint_bytes",
+	"verifai_checkpoint_part_bytes",
 	"verifai_recovery_replayed_records_total",
 }
 

@@ -3,6 +3,7 @@ package verifai
 import (
 	"bytes"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -13,8 +14,9 @@ import (
 
 // TestCheckpointFootprint: a checkpoint is a fixed, small number of files
 // whatever the lake holds — one catalog container, the index shards, two
-// metadata files — and the system reports that directory's size itself, in
-// Durability() and in the scrape, before and after a restart.
+// metadata files — and the system reports that directory's size itself,
+// in total and by part, in Durability() and in the scrape, before and
+// after a restart.
 func TestCheckpointFootprint(t *testing.T) {
 	cfg := workload.DefaultConfig()
 	cfg.NumTables, cfg.NumTexts = 150, 75
@@ -74,6 +76,10 @@ func TestCheckpointFootprint(t *testing.T) {
 	if files > 16 {
 		t.Errorf("checkpoint of %d instances is %d files, want at most 16", len(items), files)
 	}
+	catalog, err := os.Stat(filepath.Join(data, "checkpoint", "catalog.vaib"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	check := func(when string, sys *System) {
 		t.Helper()
 		ds, _ := sys.Durability()
@@ -85,10 +91,37 @@ func TestCheckpointFootprint(t *testing.T) {
 		if err := sys.Metrics().WritePrometheus(&scrape); err != nil {
 			t.Fatal(err)
 		}
-		_, rest, found := strings.Cut(scrape.String(), "\nverifai_checkpoint_bytes ")
-		line, _, _ := strings.Cut(rest, "\n")
-		if v, err := strconv.ParseFloat(line, 64); !found || err != nil || int64(v) != size {
-			t.Errorf("%s: /metrics has verifai_checkpoint_bytes %q, the directory holds %d bytes", when, line, size)
+		gauge := func(series string) int64 {
+			t.Helper()
+			_, rest, found := strings.Cut(scrape.String(), "\n"+series+" ")
+			line, _, _ := strings.Cut(rest, "\n")
+			v, err := strconv.ParseFloat(line, 64)
+			if !found || err != nil {
+				t.Errorf("%s: /metrics has %s %q", when, series, line)
+			}
+			return int64(v)
+		}
+		if v := gauge("verifai_checkpoint_bytes"); v != size {
+			t.Errorf("%s: /metrics has verifai_checkpoint_bytes %d, the directory holds %d bytes", when, v, size)
+		}
+		// The parts split the directory: they sum to it, and the catalog
+		// part is the catalog file.
+		var sum int64
+		for _, part := range []string{"catalog", "bm25", "vector", "meta"} {
+			n := ds.CheckpointPartBytes[part]
+			if n <= 0 {
+				t.Errorf("%s: checkpoint part %q holds %d bytes", when, part, n)
+			}
+			if v := gauge(`verifai_checkpoint_part_bytes{part="` + part + `"}`); v != n {
+				t.Errorf("%s: /metrics has %d bytes of part %q, Durability() %d", when, v, part, n)
+			}
+			sum += n
+		}
+		if sum != size || len(ds.CheckpointPartBytes) != 4 {
+			t.Errorf("%s: checkpoint parts %v sum to %d bytes, the directory holds %d", when, ds.CheckpointPartBytes, sum, size)
+		}
+		if got := ds.CheckpointPartBytes["catalog"]; got != catalog.Size() {
+			t.Errorf("%s: catalog part is %d bytes, catalog.vaib %d", when, got, catalog.Size())
 		}
 	}
 	check("after the checkpoint", sys)

@@ -28,12 +28,16 @@ package binfmt
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -61,6 +65,7 @@ func align8(n int) int { return (n + 7) &^ 7 }
 type Writer struct {
 	names    []string
 	payloads [][]byte
+	deflated []deflatedColumn
 	id       ID // of the container the last WriteTo produced
 }
 
@@ -78,6 +83,7 @@ func (w *Writer) ID() ID { return w.id }
 // Build serializes the container into memory (one exactly sized buffer)
 // and opens it: the bytes WriteTo would put in a file, verified like one.
 func (w *Writer) Build() (*Reader, error) {
+	w.deflateColumns()
 	size := headerLen + 8
 	for i, p := range w.payloads {
 		size += 22 + len(w.names[i]) + align8(len(p))
@@ -153,29 +159,76 @@ func (w *Writer) Strings(name string, vals []string) {
 	w.Section(name, buf)
 }
 
-// PackedStrings adds a string column in its compact sequential form:
-// uvarint count, count uvarint lengths, then the concatenated bytes. It
-// costs about one byte of framing per short string where Strings costs
-// four, and has no random access: the reader materializes the whole column
-// (Reader.PackedStrings). For bulk columns that are always read whole.
-func (w *Writer) PackedStrings(name string, vals []string) {
-	size := binary.MaxVarintLen64 * (1 + len(vals))
+// DeflatedStrings adds a string column compressed for storage: the
+// column's packed form — uvarint count, count uvarint lengths, then the
+// concatenated bytes — as one DEFLATE run at flate.BestSpeed, prefixed by
+// the packed form's uvarint length. It has no random access: the reader
+// inflates and materializes the whole column (Reader.DeflatedStrings). For
+// bulk columns that are always read whole. The column is compressed when
+// the container is serialized, so vals, like any payload, must not change
+// before then.
+func (w *Writer) DeflatedStrings(name string, vals []string) {
+	w.deflated = append(w.deflated, deflatedColumn{section: len(w.payloads), vals: vals})
+	w.Section(name, nil)
+}
+
+// deflatedColumn is a section DeflatedStrings added and WriteTo has not
+// yet compressed.
+type deflatedColumn struct {
+	section int
+	vals    []string
+}
+
+// deflateColumns compresses the columns DeflatedStrings added into their
+// sections, on at most GOMAXPROCS goroutines that each reuse one
+// compressor from column to column: a compressor costs about a megabyte.
+func (w *Writer) deflateColumns() {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(w.deflated)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var fw *flate.Writer
+			for i := next.Add(1) - 1; i < int64(len(w.deflated)); i = next.Add(1) - 1 {
+				col := w.deflated[i]
+				w.payloads[col.section], fw = deflateStrings(col.vals, fw)
+			}
+		}()
+	}
+	wg.Wait()
+	w.deflated = nil
+}
+
+// deflateStrings compresses vals into a DeflatedStrings payload with fw (a
+// new compressor when nil) and returns fw for the next column. The packed
+// form is streamed into the compressor, never assembled.
+func deflateStrings(vals []string, fw *flate.Writer) ([]byte, *flate.Writer) {
+	lens := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(vals)), uint64(len(vals)))
+	size := 0
 	for _, s := range vals {
+		lens = binary.AppendUvarint(lens, uint64(len(s)))
 		size += len(s)
 	}
-	buf := make([]byte, 0, size)
-	buf = binary.AppendUvarint(buf, uint64(len(vals)))
-	for _, s := range vals {
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
+	size += len(lens)
+	out := bytes.NewBuffer(binary.AppendUvarint(make([]byte, 0, size/4+binary.MaxVarintLen64), uint64(size)))
+	if fw == nil {
+		fw, _ = flate.NewWriter(out, flate.BestSpeed) // fails only for an invalid level
+	} else {
+		fw.Reset(out)
 	}
+	// Writes into a bytes.Buffer do not fail.
+	_, _ = fw.Write(lens)
 	for _, s := range vals {
-		buf = append(buf, s...)
+		_, _ = fw.Write(unsafe.Slice(unsafe.StringData(s), len(s)))
 	}
-	w.Section(name, buf)
+	_ = fw.Close()
+	return out.Bytes(), fw
 }
 
 // WriteTo serializes the container to out.
 func (w *Writer) WriteTo(out io.Writer) (int64, error) {
+	w.deflateColumns()
 	seen := make(map[string]struct{}, len(w.names))
 	toc := make([]byte, 0, 64*len(w.names))
 	var scratch [8]byte
@@ -467,15 +520,58 @@ func (r *Reader) Strings(name string) (StringCol, error) {
 	return StringCol{offs: offs, blob: blob}, nil
 }
 
-// PackedStrings materializes a column written by Writer.PackedStrings.
+// PackedStrings materializes a column stored in the packed form itself,
+// uncompressed — the form containers written before DeflatedStrings hold.
 // The strings share one copy of the column's bytes, so they cost no
-// allocation each but stay alive together. A count or a length the section
-// cannot hold is an error before anything is sized by it.
+// allocation each but stay alive together.
 func (r *Reader) PackedStrings(name string) ([]string, error) {
 	b, err := r.Bytes(name)
 	if err != nil {
 		return nil, err
 	}
+	return unpackStrings(name, bytes.Clone(b))
+}
+
+// maxInflateRatio is the most DEFLATE can expand its input: a 258-byte
+// match per two bits.
+const maxInflateRatio = 1032
+
+// DeflatedStrings materializes a column written by Writer.DeflatedStrings.
+// The column inflates into one buffer of exactly its declared length, which
+// the strings share. A declared length the stream could not produce is an
+// error before anything is sized by it, and a stream that ends short of the
+// length, runs past it or leaves bytes behind is an error too.
+func (r *Reader) DeflatedStrings(name string) ([]string, error) {
+	b, err := r.Bytes(name)
+	if err != nil {
+		return nil, err
+	}
+	size, n := binary.Uvarint(b)
+	if n <= 0 {
+		return nil, fmt.Errorf("binfmt: deflated string column %q has no length", name)
+	}
+	src := bytes.NewReader(b[n:])
+	if size > maxInflateRatio*uint64(src.Len()) {
+		return nil, fmt.Errorf("binfmt: deflated string column %q declares %d bytes, its %d-byte stream cannot hold them", name, size, src.Len())
+	}
+	packed := make([]byte, size)
+	inflate := flate.NewReader(src)
+	if _, err := io.ReadFull(inflate, packed); err != nil {
+		return nil, fmt.Errorf("binfmt: deflated string column %q: %w", name, err)
+	}
+	if extra, err := inflate.Read(make([]byte, 1)); extra != 0 || err != io.EOF {
+		return nil, fmt.Errorf("binfmt: deflated string column %q inflates past its %d declared bytes", name, size)
+	}
+	if src.Len() != 0 {
+		return nil, fmt.Errorf("binfmt: deflated string column %q has %d bytes after its stream", name, src.Len())
+	}
+	return unpackStrings(name, packed)
+}
+
+// unpackStrings parses a column in the packed form. The strings alias b,
+// which the caller hands over: nothing may write it afterwards. A count or
+// a length b cannot hold is an error before anything is sized by it.
+func unpackStrings(name string, b []byte) ([]string, error) {
 	count, n := binary.Uvarint(b)
 	if n <= 0 {
 		return nil, fmt.Errorf("binfmt: packed string column %q has no count", name)
@@ -502,13 +598,15 @@ func (r *Reader) PackedStrings(name string) ([]string, error) {
 	if count == 0 {
 		return nil, nil
 	}
-	blob := string(lens[pos:])
 	out := make([]string, count)
-	pos = 0
-	for i := range out {
-		l, n := binary.Uvarint(lens[pos:])
-		pos += n
-		out[i], blob = blob[:l], blob[l:]
+	if rest := lens[pos:]; len(rest) > 0 { // else every string is empty
+		blob := unsafe.String(&rest[0], len(rest))
+		pos = 0
+		for i := range out {
+			l, n := binary.Uvarint(lens[pos:])
+			pos += n
+			out[i], blob = blob[:l], blob[l:]
+		}
 	}
 	return out, nil
 }

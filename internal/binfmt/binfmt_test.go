@@ -2,13 +2,32 @@ package binfmt
 
 import (
 	"bytes"
+	"compress/flate"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
+
+// testStrings is a string column with the shapes a codec gets wrong.
+var testStrings = []string{"alpha", "", "βγ", "\xff\x00", strings.Repeat("long", 64)}
+
+// packStrings is vals in the packed form: uvarint count, count uvarint
+// lengths, then the bytes.
+func packStrings(vals []string) []byte {
+	b := binary.AppendUvarint(nil, uint64(len(vals)))
+	for _, s := range vals {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+	}
+	for _, s := range vals {
+		b = append(b, s...)
+	}
+	return b
+}
 
 // buildTestContainer writes one section of every supported column type.
 func buildTestContainer(t testing.TB) []byte {
@@ -22,8 +41,9 @@ func buildTestContainer(t testing.TB) []byte {
 	w.Float32s("f32", []float32{0.5, -2.25, 1e20})
 	w.Int8s("i8", []int8{-128, 0, 127, 7})
 	w.Strings("strs", []string{"alpha", "", "βγ", "zz"})
-	w.PackedStrings("packed", []string{"alpha", "", "βγ", "\xff\x00", strings.Repeat("long", 64)})
-	w.PackedStrings("packed-none", nil)
+	w.Section("packed", packStrings(testStrings))
+	w.DeflatedStrings("deflated", testStrings)
+	w.DeflatedStrings("deflated-none", nil)
 	w.Section("raw", []byte("payload"))
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
@@ -77,11 +97,15 @@ func checkTestContainer(t *testing.T, r *Reader) {
 		}
 	}
 	packed, err := r.PackedStrings("packed")
-	if err != nil || !reflect.DeepEqual(packed, []string{"alpha", "", "βγ", "\xff\x00", strings.Repeat("long", 64)}) {
+	if err != nil || !reflect.DeepEqual(packed, testStrings) {
 		t.Fatalf("PackedStrings = %q, %v", packed, err)
 	}
-	if none, err := r.PackedStrings("packed-none"); err != nil || len(none) != 0 {
-		t.Fatalf("PackedStrings(empty column) = %q, %v", none, err)
+	deflated, err := r.DeflatedStrings("deflated")
+	if err != nil || !reflect.DeepEqual(deflated, testStrings) {
+		t.Fatalf("DeflatedStrings = %q, %v", deflated, err)
+	}
+	if none, err := r.DeflatedStrings("deflated-none"); err != nil || len(none) != 0 {
+		t.Fatalf("DeflatedStrings(empty column) = %q, %v", none, err)
 	}
 	raw, err := r.Bytes("raw")
 	if err != nil || string(raw) != "payload" {
@@ -209,9 +233,6 @@ func TestMisalignedInputIsCopied(t *testing.T) {
 	checkTestContainer(t, r)
 }
 
-// FuzzDecodeSnapshot mirrors internal/wal's fuzzing posture: arbitrary
-// bytes must never panic the reader; they either parse (and then every
-// accessor must stay in bounds) or fail with an error.
 // TestPackedStringsRejectsBadFraming: a packed column whose count or
 // lengths do not fit its bytes is an error, not a short column — and is
 // never trusted to size an allocation.
@@ -240,6 +261,68 @@ func TestPackedStringsRejectsBadFraming(t *testing.T) {
 	}
 }
 
+// deflatedPayload is a DeflatedStrings payload whose length prefix says
+// declared and whose stream inflates to packed.
+func deflatedPayload(t testing.TB, declared uint64, packed []byte) []byte {
+	t.Helper()
+	out := bytes.NewBuffer(binary.AppendUvarint(nil, declared))
+	fw, err := flate.NewWriter(out, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.Write(packed); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// badDeflatedColumns are DeflatedStrings payloads a reader must refuse,
+// each behind a valid CRC.
+func badDeflatedColumns(t testing.TB) map[string][]byte {
+	packed := packStrings(testStrings)
+	good := deflatedPayload(t, uint64(len(packed)), packed)
+	return map[string][]byte{
+		"empty section":                   {},
+		"not a deflate stream":            {4, 0xff, 0xff, 0xff, 0xff},
+		"inflates to fewer than declared": deflatedPayload(t, uint64(len(packed))+1, packed),
+		"inflates to more than declared":  deflatedPayload(t, uint64(len(packed))-1, packed),
+		"stream truncated":                good[:len(good)-3],
+		"bytes after the stream":          append(append([]byte(nil), good...), 0),
+		"declared length of 2^40":         deflatedPayload(t, 1<<40, packed),
+		"bad packed form inside":          deflatedPayload(t, 4, []byte{1, 5, 'a', 'b'}),
+	}
+}
+
+// TestDeflatedStringsRejectsBadStreams: a deflated column whose stream
+// disagrees with its declared length, or with itself, is an error, and no
+// allocation is sized by the declared length alone.
+func TestDeflatedStringsRejectsBadStreams(t *testing.T) {
+	for name, payload := range badDeflatedColumns(t) {
+		w := NewWriter()
+		w.Section("col", payload)
+		r, err := w.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := r.DeflatedStrings("col")
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: DeflatedStrings = %q, want an error", name, got)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Errorf("%s: refusing the column allocated %d bytes", name, alloc)
+		}
+	}
+}
+
+// FuzzDecodeSnapshot mirrors internal/wal's fuzzing posture: arbitrary
+// bytes must never panic the reader; they either parse (and then every
+// accessor must stay in bounds) or fail with an error.
 func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(Magic))
@@ -262,12 +345,23 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(segBuf.Bytes())
+	// A deflated column that disagrees with its declared length or its
+	// stream, behind valid checksums.
+	for _, payload := range badDeflatedColumns(f) {
+		w := NewWriter()
+		w.Section("deflated", payload)
+		var buf bytes.Buffer
+		if _, err := w.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(data)
 		if err != nil {
 			return
 		}
-		for _, name := range []string{"meta", "i32", "u32", "f32", "i8", "strs", "packed", "raw", "ids", "idsort", "norms", "codes"} {
+		for _, name := range []string{"meta", "i32", "u32", "f32", "i8", "strs", "packed", "deflated", "deflated-none", "raw", "ids", "idsort", "norms", "codes"} {
 			if b, err := r.Bytes(name); err == nil {
 				_ = len(b)
 			}
@@ -277,6 +371,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 				}
 			}
 			_, _ = r.PackedStrings(name)
+			_, _ = r.DeflatedStrings(name)
 			_, _ = r.Int32s(name)
 			_, _ = r.Uint32s(name)
 			_, _ = r.Float32s(name)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"repro/internal/binfmt"
 	"repro/internal/datalake"
@@ -18,7 +19,11 @@ import (
 // format of the index shards beside it: every table, document and triple
 // of the lake as a handful of string and integer columns, each CRC'd, in
 // one file written through the store's filesystem — not a file per object.
+// The catalog is read whole, never mapped, so its string columns are
+// stored deflated (binfmt's DeflatedStrings): they are mostly repeats.
 //
+//	format                          JSON 2; absent in format 1, whose
+//	                                string columns are packed, not deflated
 //	sources                         JSON []datalake.Source
 //	table.id/.caption/.source       one string per table
 //	table.ncols/.nrows              one uint32 per table
@@ -34,6 +39,11 @@ import (
 
 // catalogFile is the container's name inside a checkpoint or pin directory.
 const catalogFile = "catalog.vaib"
+
+// catalogFormat is the container layout writeCatalog writes. Format 1 is
+// user data already on disk, so it keeps loading; the next checkpoint or
+// pin rewrites it.
+const catalogFormat = 2
 
 // writeCatalog serializes view into dir (created if needed) through the
 // store's filesystem.
@@ -62,8 +72,9 @@ func (s *Store) writeCatalog(view *datalake.View, dir string) error {
 // LoadCatalog loads the catalog a checkpoint or pin directory holds into a
 // fresh lake (versions 1..n in catalog order; the caller fast-forwards to
 // the directory's pinned version). A directory written before the
-// container existed holds the lakeio layout instead and loads through it;
-// the next checkpoint rewrites it. A container that is truncated or fails
+// container existed holds the lakeio layout instead and loads through it,
+// and a format-1 container loads too; the next checkpoint rewrites either
+// as format 2. A container that is truncated or fails
 // a checksum is an error, never a partial lake.
 func (s *Store) LoadCatalog(dir string, opts ...datalake.Option) (*datalake.Lake, error) {
 	data, err := s.fs.ReadFile(filepath.Join(dir, catalogFile))
@@ -78,6 +89,9 @@ func (s *Store) LoadCatalog(dir string, opts ...datalake.Option) (*datalake.Lake
 
 func encodeCatalog(view *datalake.View) (*binfmt.Writer, error) {
 	w := binfmt.NewWriter()
+	if err := w.JSON("format", catalogFormat); err != nil {
+		return nil, fmt.Errorf("durable: encode catalog: %w", err)
+	}
 	if err := w.JSON("sources", view.Sources()); err != nil {
 		return nil, fmt.Errorf("durable: encode catalog: %w", err)
 	}
@@ -120,7 +134,7 @@ func encodeCatalog(view *datalake.View) (*binfmt.Writer, error) {
 		add("triple.source", tr.SourceID)
 	}
 	for _, name := range catalogStringColumns {
-		w.PackedStrings(name, cols[name])
+		w.DeflatedStrings(name, cols[name])
 	}
 	w.Uint32s("table.ncols", ncols)
 	w.Uint32s("table.nrows", nrows)
@@ -147,15 +161,40 @@ func decodeCatalog(data []byte, opts ...datalake.Option) (*datalake.Lake, error)
 	if err != nil {
 		return nil, fmt.Errorf("durable: catalog: %w", err)
 	}
+	column := r.PackedStrings // format 1: no format section
+	if _, err := r.Bytes("format"); err == nil {
+		var format int
+		if err := r.JSON("format", &format); err != nil {
+			return nil, fmt.Errorf("durable: catalog: %w", err)
+		}
+		if format != catalogFormat {
+			return nil, fmt.Errorf("durable: catalog: format %d not supported", format)
+		}
+		column = r.DeflatedStrings
+	}
 	var sources []datalake.Source
 	if err := r.JSON("sources", &sources); err != nil {
 		return nil, fmt.Errorf("durable: catalog: %w", err)
 	}
+	// The columns are independent, so they inflate side by side: the load
+	// takes about as long as its largest column.
+	strs := make([][]string, len(catalogStringColumns))
+	errs := make([]error, len(catalogStringColumns))
+	var wg sync.WaitGroup
+	for i, name := range catalogStringColumns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			strs[i], errs[i] = column(name)
+		}()
+	}
+	wg.Wait()
 	cols := make(map[string][]string, len(catalogStringColumns))
-	for _, name := range catalogStringColumns {
-		if cols[name], err = r.PackedStrings(name); err != nil {
-			return nil, fmt.Errorf("durable: catalog: %w", err)
+	for i, name := range catalogStringColumns {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("durable: catalog: %w", errs[i])
 		}
+		cols[name] = strs[i]
 	}
 	sameLen := func(names ...string) error {
 		for _, name := range names[1:] {

@@ -2,6 +2,8 @@ package durable
 
 import (
 	"bytes"
+	"compress/flate"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/binfmt"
 	"repro/internal/datalake"
 	"repro/internal/doc"
+	"repro/internal/faultfs"
 	"repro/internal/kg"
 	"repro/internal/lakeio"
 	"repro/internal/table"
@@ -324,8 +327,116 @@ func TestParentLayoutCheckpointOpens(t *testing.T) {
 	}
 }
 
-// catalogSections lists every section a catalog container may hold.
-var catalogSections = append([]string{"sources", "table.ncols", "table.nrows", "table.rowwidth"}, catalogStringColumns...)
+// format1Fixture is awkwardLake's catalog as the release before catalog
+// format 2 wrote it: no format section, string columns packed, not
+// deflated.
+const format1Fixture = "testdata/catalog-format1.vaib"
+
+// TestFormat1CatalogFixture: a format-1 catalog is user data already on
+// disk. It loads to the catalog it was written from, the same as its
+// format-2 rewrite does, and a checkpoint over it opens and its next
+// checkpoint writes format 2.
+func TestFormat1CatalogFixture(t *testing.T) {
+	old, err := os.ReadFile(format1Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := binfmt.NewReader(old); err != nil {
+		t.Fatal(err)
+	} else if _, err := r.Bytes("format"); err == nil {
+		t.Fatalf("%s has a format section; it is not a format-1 catalog", format1Fixture)
+	}
+	want := forkOf(t, awkwardLake(t))
+	lake, err := decodeCatalog(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lake.Close()
+	if diff := sameCatalog(forkOf(t, lake), want); diff != "" {
+		t.Fatalf("format 1: %s", diff)
+	}
+	rewritten, err := decodeCatalog(catalogBytes(t, forkOf(t, lake)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rewritten.Close()
+	if diff := sameCatalog(forkOf(t, rewritten), forkOf(t, lake)); diff != "" {
+		t.Fatalf("format-2 rewrite: %s", diff)
+	}
+
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "checkpoint")
+	if err := os.MkdirAll(ckpt, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(ckpt, catalogFile), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeCheckpointMeta(faultfs.OS, ckpt, checkpointMeta{Format: checkpointFormat, Version: want.Version()}); err != nil {
+		t.Fatal(err)
+	}
+	st := openStore(t, dir, Options{Sync: wal.SyncNone})
+	if diff := sameCatalog(forkOf(t, st.Lake()), want); diff != "" {
+		t.Fatalf("opened over format 1: %s", diff)
+	}
+	mustIngest(t, st.Lake(), 1, "late")
+	want = forkOf(t, st.Lake())
+	if _, err := st.Checkpoint(nil); err != nil {
+		t.Fatal(err)
+	}
+	st.Lake().Close()
+	st.Close()
+	data, err := os.ReadFile(filepath.Join(ckpt, catalogFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var format int
+	if r, err := binfmt.NewReader(data); err != nil {
+		t.Fatal(err)
+	} else if err := r.JSON("format", &format); err != nil || format != catalogFormat {
+		t.Fatalf("next checkpoint wrote catalog format %d (%v), want %d", format, err, catalogFormat)
+	}
+	st2 := openStore(t, dir, Options{Sync: wal.SyncNone})
+	defer func() { st2.Lake().Close(); st2.Close() }()
+	if diff := sameCatalog(forkOf(t, st2.Lake()), want); diff != "" {
+		t.Fatalf("reopened after the rewrite: %s", diff)
+	}
+}
+
+// catalogSections lists every section a catalog container may hold (the
+// fuzz target picks one by index, so new sections go last).
+var catalogSections = append(append([]string{"sources", "table.ncols", "table.nrows", "table.rowwidth"}, catalogStringColumns...), "format")
+
+// packedColumn is vals in binfmt's packed string form: uvarint count,
+// count uvarint lengths, then the bytes.
+func packedColumn(vals ...string) []byte {
+	b := binary.AppendUvarint(nil, uint64(len(vals)))
+	for _, s := range vals {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+	}
+	for _, s := range vals {
+		b = append(b, s...)
+	}
+	return b
+}
+
+// deflatedColumn is a format-2 column payload whose length prefix says
+// declared and whose stream inflates to packed.
+func deflatedColumn(t testing.TB, declared int, packed []byte) []byte {
+	t.Helper()
+	out := bytes.NewBuffer(binary.AppendUvarint(nil, uint64(declared)))
+	fw, err := flate.NewWriter(out, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.Write(packed); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
 
 // withSection returns the container good with one section's payload
 // replaced (or added) and every checksum valid again, so damage reaches
@@ -356,15 +467,19 @@ func withSection(t testing.TB, good []byte, name string, payload []byte) []byte 
 // FuzzLoadCatalog feeds the catalog decoder arbitrary bytes — what
 // recovery reads after a torn write, a partial restore or meddling under
 // <dir>/checkpoint — both as the whole file and, behind valid checksums,
-// as the payload of one section of an otherwise good container (the first
-// byte picks which). It must never panic or size an allocation by a
-// forged count, and whatever it accepts must be a fixed point: re-encoding
-// the loaded catalog and loading that gives the same catalog.
+// as the payload of one section of an otherwise good container, format 2
+// and format 1 (the first byte picks which section). It must never panic
+// or size an allocation by a forged count or a forged inflated length, and
+// whatever it accepts must be a fixed point: re-encoding the loaded
+// catalog and loading that gives the same catalog.
 func FuzzLoadCatalog(f *testing.F) {
+	old, err := os.ReadFile(format1Fixture)
+	if err != nil {
+		f.Fatal(err)
+	}
 	emptyLake := datalake.New()
 	defer emptyLake.Close()
-	for _, lake := range []*datalake.Lake{emptyLake, awkwardLake(f)} {
-		good := catalogBytes(f, forkOf(f, lake))
+	for _, good := range [][]byte{catalogBytes(f, forkOf(f, emptyLake)), catalogBytes(f, forkOf(f, awkwardLake(f))), old} {
 		f.Add(good)
 		f.Add(good[:len(good)/2])
 		f.Add(good[:len(good)-1])
@@ -381,16 +496,34 @@ func FuzzLoadCatalog(f *testing.F) {
 	f.Add([]byte{2, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0}) // nrows: 2G rows, then a ragged length
 	f.Add([]byte{3, 0, 0, 0, 0})                      // rowwidth: too few widths
 	f.Add([]byte{3})                                  // rowwidth: present but empty
-	f.Add([]byte{8, 0xff, 0xff, 0xff, 0xff, 0x0f})    // table.cells: count 4G, nothing else
-	f.Add([]byte{8, 2, 1, 0xff, 0x01, 'a'})           // table.cells: a length past the blob
-	f.Add([]byte{8, 0})                               // table.cells: no cells at all
-	f.Add([]byte{4, 1, 2, 'i', 'd'})                  // table.id: one table where four are described
+	f.Add([]byte{18, '3'})                            // format: one this build does not know
+	f.Add([]byte{18, '1'})                            // format: 1 over deflated columns
+	cells := packedColumn("tommy bolt", "570", "", "\xff\xfe", "a,\"b\"", "{}", "1", "2", "3", "4", "5", "6")
+	for _, col := range [][]byte{
+		packedColumn(),                 // table.cells: no cells at all
+		{0xff, 0xff, 0xff, 0xff, 0x0f}, // table.cells: count 4G, nothing else
+		{2, 1, 0xff, 0x01, 'a'},        // table.cells: a length past the blob
+		{4, 1, 2, 'i', 'd'},            // table.cells: four declared, bytes for one
+		cells[:len(cells)-1],           // a blob a byte short
+		append(cells, 'x'),             // a blob a byte long
+	} {
+		f.Add(append([]byte{8}, deflatedColumn(f, len(col), col)...)) // format 2
+		f.Add(append([]byte{8}, col...))                              // format 1
+	}
+	stream := deflatedColumn(f, len(cells), cells)
+	f.Add(append([]byte{8}, stream...))                                                         // table.cells: twelve other cells, as many as it holds
+	f.Add(append([]byte{8}, deflatedColumn(f, len(cells)+1, cells)...))                         // inflates to fewer bytes than declared
+	f.Add(append([]byte{8}, deflatedColumn(f, len(cells)-1, cells)...))                         // inflates to more bytes than declared
+	f.Add(append([]byte{8}, stream[:len(stream)-2]...))                                         // a stream truncated behind a valid CRC
+	f.Add(append([]byte{8}, deflatedColumn(f, 1<<40, cells)...))                                // a declared length of 2^40
+	f.Add(append([]byte{4}, deflatedColumn(f, len(packedColumn("id")), packedColumn("id"))...)) // table.id: one table where four are described
 
 	good := catalogBytes(f, forkOf(f, awkwardLake(f)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inputs := [][]byte{data}
 		if len(data) > 0 {
-			inputs = append(inputs, withSection(t, good, catalogSections[int(data[0])%len(catalogSections)], data[1:]))
+			name := catalogSections[int(data[0])%len(catalogSections)]
+			inputs = append(inputs, withSection(t, good, name, data[1:]), withSection(t, old, name, data[1:]))
 		}
 		for _, in := range inputs {
 			lake, err := decodeCatalog(in)

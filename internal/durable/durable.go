@@ -121,6 +121,10 @@ type Stats struct {
 	// written or recovered.
 	CheckpointBytes int64 `json:"checkpoint_bytes"`
 	CheckpointFiles int   `json:"checkpoint_files"`
+	// CheckpointPartBytes splits CheckpointBytes by part: "catalog"
+	// (catalog.vaib), "bm25" and "vector" (each family's index files) and
+	// "meta" (META.json and indexes/meta.json).
+	CheckpointPartBytes map[string]int64 `json:"checkpoint_part_bytes"`
 	// LastCheckpointUnix is 0 until a checkpoint happens in this process.
 	LastCheckpointUnix int64 `json:"last_checkpoint_unix,omitempty"`
 	// LastForkNanos / LastWriteNanos are the last checkpoint's phase
@@ -212,6 +216,15 @@ func (s *Store) SetMetrics(reg *obs.Registry) {
 			defer s.mu.Unlock()
 			return float64(s.ckptSize.bytes)
 		})
+	parts := reg.GaugeVec("verifai_checkpoint_part_bytes",
+		"Size of the current checkpoint directory by part (catalog, bm25, vector, meta).", "part")
+	reg.OnCollect(func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for _, part := range checkpointParts {
+			parts.With(part).Set(float64(s.ckptSize.parts[part]))
+		}
+	})
 }
 
 func (s *Store) walDir() string        { return filepath.Join(s.dir, "wal") }
@@ -613,6 +626,10 @@ func (s *Store) Stats() Stats {
 		WALRecords:        ls.Records,
 		WALTornBytes:      ls.TornBytes,
 		ReplayedRecords:   s.replayed,
+	}
+	st.CheckpointPartBytes = make(map[string]int64, len(checkpointParts))
+	for _, part := range checkpointParts {
+		st.CheckpointPartBytes[part] = s.ckptSize.parts[part]
 	}
 	if !s.lastCheckpoint.IsZero() {
 		st.LastCheckpointUnix = s.lastCheckpoint.Unix()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/faultfs"
 )
@@ -69,37 +70,65 @@ func syncTree(fs faultfs.FS, root string) error {
 	return nil
 }
 
-// treeSize is what a directory tree holds.
+// checkpointParts are the parts checkpointPart sorts a checkpoint's files
+// into.
+var checkpointParts = []string{"catalog", "bm25", "vector", "meta"}
+
+// treeSize is what a checkpoint directory holds: files and bytes, in total
+// and by part. The parts map is never written once measureTree returns.
 type treeSize struct {
 	files int
 	bytes int64
+	parts map[string]int64
 }
 
-// measureTree counts the regular files under root and their bytes.
+// measureTree counts the regular files under a checkpoint directory and
+// their bytes, in total and by part.
 func measureTree(fs faultfs.FS, root string) (treeSize, error) {
-	var size treeSize
-	entries, err := fs.ReadDir(root)
+	size := treeSize{parts: make(map[string]int64, len(checkpointParts))}
+	if err := size.add(fs, root, false); err != nil {
+		return treeSize{}, err
+	}
+	return size, nil
+}
+
+func (size *treeSize) add(fs faultfs.FS, dir string, indexes bool) error {
+	entries, err := fs.ReadDir(dir)
 	if err != nil {
-		return size, err
+		return err
 	}
 	for _, e := range entries {
 		if e.IsDir() {
-			sub, err := measureTree(fs, filepath.Join(root, e.Name()))
-			if err != nil {
-				return size, err
+			if err := size.add(fs, filepath.Join(dir, e.Name()), indexes || e.Name() == "indexes"); err != nil {
+				return err
 			}
-			size.files += sub.files
-			size.bytes += sub.bytes
 			continue
 		}
 		info, err := e.Info()
 		if err != nil {
-			return size, err
+			return err
 		}
 		size.files++
 		size.bytes += info.Size()
+		size.parts[checkpointPart(e.Name(), indexes)] += info.Size()
 	}
-	return size, nil
+	return nil
+}
+
+// checkpointPart names the part a checkpoint file belongs to. Index files
+// are named for their family (<family>-<kind>-000.idx under indexes/), the
+// META.json and indexes/meta.json markers are metadata, and everything else
+// is the catalog: catalog.vaib, or an older checkpoint's lakeio tree.
+func checkpointPart(name string, indexes bool) string {
+	switch {
+	case name == metaFile || indexes && name == "meta.json":
+		return "meta"
+	case indexes && strings.HasPrefix(name, "bm25-"):
+		return "bm25"
+	case indexes && strings.HasPrefix(name, "vector-"):
+		return "vector"
+	}
+	return "catalog"
 }
 
 // syncDir fsyncs one file or directory by path. Directory fsync persists

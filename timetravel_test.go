@@ -1,10 +1,18 @@
 package verifai
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/binfmt"
+	"repro/internal/workload"
 )
 
 // TestPinnedVerdictReproducible is the time-travel reproducibility
@@ -119,5 +127,134 @@ func TestPinnedVerdictReproducible(t *testing.T) {
 	a.ProvenanceSeq, b.ProvenanceSeq = 0, 0
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("recomputed pinned report drifted:\n  cached     %+v\n  recomputed %+v", a, b)
+	}
+}
+
+// catalogStringColumns are a catalog container's string columns, in the
+// order the release before catalog format 2 wrote them.
+var catalogStringColumns = []string{
+	"table.id", "table.caption", "table.source", "table.columns", "table.cells",
+	"doc.id", "doc.title", "doc.entity", "doc.source", "doc.text",
+	"triple.subject", "triple.predicate", "triple.object", "triple.source",
+}
+
+// rewriteAsFormat1 rewrites the catalog container at path the way the
+// release before catalog format 2 wrote it: no format section, and each
+// string column packed (uvarint count, uvarint lengths, bytes), not
+// deflated.
+func rewriteAsFormat1(t *testing.T, path string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := binfmt.NewReader(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := binfmt.NewWriter()
+	copySection := func(name string) {
+		b, err := r.Bytes(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Section(name, b)
+	}
+	copySection("sources")
+	for _, name := range catalogStringColumns {
+		vals, err := r.DeflatedStrings(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packed := binary.AppendUvarint(nil, uint64(len(vals)))
+		for _, s := range vals {
+			packed = binary.AppendUvarint(packed, uint64(len(s)))
+		}
+		for _, s := range vals {
+			packed = append(packed, s...)
+		}
+		w.Section(name, packed)
+	}
+	for _, name := range []string{"table.ncols", "table.nrows", "table.rowwidth"} {
+		copySection(name)
+	}
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFormat1PinRecovers: a durable pin is user data, so a pin whose
+// catalog is in format 1 (written before catalog format 2) is recovered by
+// Open, and its pinned verify returns the Report a format-2 pin at the
+// same version returns, byte for byte.
+func TestFormat1PinRecovers(t *testing.T) {
+	data := filepath.Join(t.TempDir(), "data")
+	sys, err := Open(data, durableOpts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Pipeline().Lake().AddSource(Source{ID: "cases", Name: "paper cases", TrustPrior: 0.9}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tb := range []*Table{workload.USOpen1954Table(), workload.USOpen1959Table()} {
+		if err := sys.AddTable(tb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.AddDocument(workload.MeaganGoodDoc()); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AddTriple(Triple{Subject: "tommy bolt", Predicate: "champion of", Object: "1958 u.s. open", SourceID: "cases"}); err != nil {
+		t.Fatal(err)
+	}
+	sys.SetSourceTrust("cases", 0.8)
+	pin, err := sys.PinSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// After the pin, the head moves on.
+	if err := sys.AddTable(workload.OhioDistrictsTable()); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(t.TempDir(), "old")
+	copyTree(t, data, old)
+	rewriteAsFormat1(t, filepath.Join(old, "snapshots", fmt.Sprint(pin), "catalog.vaib"))
+
+	pinned := func(dir string) []byte {
+		t.Helper()
+		s, err := Open(dir, durableOpts(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		listed := false
+		for _, snap := range s.Snapshots() {
+			listed = listed || snap.Version == pin && snap.Pinned
+		}
+		if !listed {
+			t.Fatalf("%s: pin %d not recovered (snapshots %+v)", filepath.Base(dir), pin, s.Snapshots())
+		}
+		rep, err := s.VerifyClaimAsOfCtx(context.Background(), "pinned", workload.GolfClaim(), pin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.AsOfVersion != pin || len(rep.Evidence) == 0 {
+			t.Fatalf("%s: pinned report at %d with %d evidence, want at %d with some", filepath.Base(dir), rep.AsOfVersion, len(rep.Evidence), pin)
+		}
+		b, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if format2, format1 := pinned(data), pinned(old); !bytes.Equal(format1, format2) {
+		t.Errorf("pinned reports differ:\n format 1 %s\n format 2 %s", format1, format2)
 	}
 }
