@@ -16,7 +16,8 @@ import (
 // whatever the lake holds — one catalog container, the index shards, two
 // metadata files — and the system reports that directory's size itself,
 // in total and by part, in Durability() and in the scrape, before and
-// after a restart.
+// after a restart; with nothing written since, each index family maps
+// exactly its part of the directory.
 func TestCheckpointFootprint(t *testing.T) {
 	cfg := workload.DefaultConfig()
 	cfg.NumTables, cfg.NumTexts = 150, 75
@@ -122,6 +123,13 @@ func TestCheckpointFootprint(t *testing.T) {
 		}
 		if got := ds.CheckpointPartBytes["catalog"]; got != catalog.Size() {
 			t.Errorf("%s: catalog part is %d bytes, catalog.vaib %d", when, got, catalog.Size())
+		}
+		families := sys.Pipeline().Indexer().IndexStats().Families
+		for _, family := range []string{"bm25", "vector"} {
+			r := families[family]
+			if r.DeltaDocs != 0 || r.HeapBytes != 0 || r.MappedBytes != ds.CheckpointPartBytes[family] {
+				t.Errorf("%s: %s indexes %+v, the checkpoint's %s part %d bytes", when, family, r, family, ds.CheckpointPartBytes[family])
+			}
 		}
 	}
 	check("after the checkpoint", sys)

@@ -481,8 +481,8 @@ func (r *Reader) sized(name string, elem int) ([]byte, error) {
 	return b, nil
 }
 
-// StringCol is a zero-copy view of a string column: At materializes a
-// string (allocates), Bytes returns the raw slice without copying.
+// StringCol is a zero-copy view of a string column: Bytes returns a string
+// as a slice of the column.
 type StringCol struct {
 	offs []uint32 // len+1 end-offsets, offs[0] == 0
 	blob []byte
@@ -618,9 +618,6 @@ func (c StringCol) Len() int {
 	}
 	return len(c.offs) - 1
 }
-
-// At materializes string i (allocates a copy).
-func (c StringCol) At(i int) string { return string(c.Bytes(i)) }
 
 // Bytes returns string i as a zero-copy view into the column blob.
 func (c StringCol) Bytes(i int) []byte {

@@ -4,17 +4,89 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // testStrings is a string column with the shapes a codec gets wrong.
 var testStrings = []string{"alpha", "", "βγ", "\xff\x00", strings.Repeat("long", 64)}
+
+// testIDs is a front-coded column of two blocks and a bit: an empty first
+// string, runs that share long prefixes, one that shares nothing, and
+// strings longer than Find's stack buffer.
+var testIDs = func() []string {
+	ids := []string{"", "table:tbl-000001", "tuple:tbl-000000#0", "tuple:tbl-000000#1", "tuple:tbl-000000#10", "tuple:tbl-000000#2"}
+	for i := 0; i < 20; i++ {
+		ids = append(ids, fmt.Sprintf("tuple:tbl-000001#%02d", i))
+	}
+	long := strings.Repeat("x", 100)
+	return append(ids, long+"a", long+"b", long+"ba", "\xff")
+}()
+
+// frontCodedStrings decodes every string of c through All, checking each
+// against AppendAt.
+func frontCodedStrings(c FrontCodedCol) []string {
+	var out []string
+	for i, b := range c.All() {
+		if at := c.AppendAt(nil, i); !bytes.Equal(at, b) || i != len(out) {
+			panic(fmt.Sprintf("string %d: All yields %q, AppendAt %q", i, b, at))
+		}
+		out = append(out, string(b))
+	}
+	return out
+}
+
+// frontCodedPayload is a front-coded section payload: count, the block
+// offsets, then the blob.
+func frontCodedPayload(count uint32, offs []uint32, blob ...byte) []byte {
+	b := binary.NativeEndian.AppendUint32(nil, count)
+	for _, off := range offs {
+		b = binary.NativeEndian.AppendUint32(b, off)
+	}
+	return append(b, blob...)
+}
+
+// badFrontCodedColumns are front-coded payloads a reader must refuse.
+func badFrontCodedColumns() map[string][]byte {
+	// 17 strings, so two blocks: "k00" ... "k16", each entry four bytes,
+	// the second block at 64.
+	var blob []byte
+	for i := 0; i < 17; i++ {
+		if i%16 == 0 {
+			blob = append(blob, 3, 'k', byte('0'+i/10), byte('0'+i%10))
+		} else {
+			blob = append(blob, 1, 2, byte('0'+i/10), byte('0'+i%10))
+		}
+	}
+	two := func(offs ...uint32) []byte { return frontCodedPayload(17, offs, blob...) }
+	return map[string][]byte{
+		"empty section":                     {},
+		"count of 2^32-1":                   frontCodedPayload(math.MaxUint32, []uint32{0}, 1, 'a'),
+		"count past the strings":            frontCodedPayload(3, []uint32{0}, 1, 'a', 0, 1, 'b'),
+		"count short of the strings":        frontCodedPayload(1, []uint32{0}, 1, 'a', 0, 1, 'b'),
+		"shared prefix past the one before": frontCodedPayload(2, []uint32{0}, 1, 'a', 2, 1, 'b'),
+		"truncated length uvarint":          frontCodedPayload(1, []uint32{0}, 0x80),
+		"truncated suffix uvarint":          frontCodedPayload(2, []uint32{0}, 1, 'a', 0, 0x81),
+		"overlong uvarint":                  frontCodedPayload(1, []uint32{0}, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01),
+		"suffix past the blob":              frontCodedPayload(2, []uint32{0}, 1, 'a', 0, 5, 'b'),
+		"first block offset not 0":          frontCodedPayload(1, []uint32{1}, 1, 'a'),
+		"block offset before its block":     two(0, 63),
+		"block offset after its block":      two(0, 65),
+		"block offset past the blob":        two(0, 9999),
+		"equal strings":                     frontCodedPayload(2, []uint32{0}, 1, 'a', 1, 0),
+		"descending strings":                frontCodedPayload(2, []uint32{0}, 1, 'b', 0, 1, 'a'),
+		"a prefix after its extension":      frontCodedPayload(2, []uint32{0}, 2, 'a', 'b', 1, 0),
+		"block head below the one before":   frontCodedPayload(17, []uint32{0, 64}, append(append([]byte(nil), blob[:64]...), 3, 'k', '0', '0')...),
+	}
+}
 
 // packStrings is vals in the packed form: uvarint count, count uvarint
 // lengths, then the bytes.
@@ -41,6 +113,11 @@ func buildTestContainer(t testing.TB) []byte {
 	w.Float32s("f32", []float32{0.5, -2.25, 1e20})
 	w.Int8s("i8", []int8{-128, 0, 127, 7})
 	w.Strings("strs", []string{"alpha", "", "βγ", "zz"})
+	var ids FrontCoder
+	for _, id := range testIDs {
+		ids.Add(id)
+	}
+	w.FrontCoded("ids", &ids)
 	w.Section("packed", packStrings(testStrings))
 	w.DeflatedStrings("deflated", testStrings)
 	w.DeflatedStrings("deflated-none", nil)
@@ -89,12 +166,16 @@ func checkTestContainer(t *testing.T, r *Reader) {
 		t.Fatalf("Strings.Len = %d, want %d", strs.Len(), len(want))
 	}
 	for i, s := range want {
-		if strs.At(i) != s {
-			t.Fatalf("strs[%d] = %q, want %q", i, strs.At(i), s)
-		}
 		if string(strs.Bytes(i)) != s {
 			t.Fatalf("strs.Bytes(%d) = %q, want %q", i, strs.Bytes(i), s)
 		}
+	}
+	ids, err := r.FrontCoded("ids")
+	if err != nil {
+		t.Fatalf("FrontCoded: %v", err)
+	}
+	if got := frontCodedStrings(ids); !reflect.DeepEqual(got, testIDs) {
+		t.Fatalf("FrontCoded = %q, want %q", got, testIDs)
 	}
 	packed, err := r.PackedStrings("packed")
 	if err != nil || !reflect.DeepEqual(packed, testStrings) {
@@ -336,8 +417,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	if err := seg.JSON("meta", map[string]any{"family": "flat-int8", "dim": 4, "count": 2}); err != nil {
 		f.Fatal(err)
 	}
-	seg.Strings("ids", []string{"tuple:t1#0", "table:t1"})
-	seg.Uint32s("idsort", []uint32{1, 0})
+	var segIDs FrontCoder
+	segIDs.Add("table:t1")
+	segIDs.Add("tuple:t1#0")
+	seg.FrontCoded("ids", &segIDs)
 	seg.Float32s("norms", []float32{0.0078, 0})
 	seg.Int8s("codes", []int8{127, -127, 3, 0, 0, 0, 0, 0})
 	var segBuf bytes.Buffer
@@ -345,6 +428,17 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(segBuf.Bytes())
+	// A front-coded column broken one way, behind valid checksums.
+	badIDs := badFrontCodedColumns()
+	for _, name := range slices.Sorted(maps.Keys(badIDs)) {
+		w := NewWriter()
+		w.Section("ids", badIDs[name])
+		var buf bytes.Buffer
+		if _, err := w.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
 	// A deflated column that disagrees with its declared length or its
 	// stream, behind valid checksums.
 	for _, payload := range badDeflatedColumns(f) {
@@ -361,13 +455,30 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, name := range []string{"meta", "i32", "u32", "f32", "i8", "strs", "packed", "deflated", "deflated-none", "raw", "ids", "idsort", "norms", "codes"} {
+		for _, name := range []string{"meta", "i32", "u32", "f32", "i8", "strs", "packed", "deflated", "deflated-none", "raw", "ids", "norms", "codes"} {
 			if b, err := r.Bytes(name); err == nil {
 				_ = len(b)
 			}
 			if col, err := r.Strings(name); err == nil {
 				for i := 0; i < col.Len(); i++ {
-					_ = col.At(i)
+					_ = col.Bytes(i)
+				}
+			}
+			if col, err := r.FrontCoded(name); err == nil {
+				// Every string decodes, in strictly ascending order, and is
+				// found where it is.
+				var prev []byte
+				for i, b := range col.All() {
+					if i > 0 && bytes.Compare(prev, b) >= 0 {
+						t.Fatalf("%s: string %d %q not above %q", name, i, b, prev)
+					}
+					if at := col.AppendAt(nil, i); !bytes.Equal(at, b) {
+						t.Fatalf("%s: string %d: All %q, AppendAt %q", name, i, b, at)
+					}
+					if got := col.Find(string(b)); got != i {
+						t.Fatalf("%s: Find(%q) = %d, want %d", name, b, got, i)
+					}
+					prev = append(prev[:0], b...)
 				}
 			}
 			_, _ = r.PackedStrings(name)
@@ -380,4 +491,84 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			_ = r.JSON(name, &v)
 		}
 	})
+}
+
+// TestFrontCoded: a front-coded column decodes to the strings added, in
+// order and one at a time, and Find locates each of them and nothing else.
+func TestFrontCoded(t *testing.T) {
+	for _, n := range []int{0, 1, 15, 16, 17, len(testIDs)} {
+		var e FrontCoder
+		for _, id := range testIDs[:n] {
+			e.Add(id)
+		}
+		w := NewWriter()
+		w.FrontCoded("ids", &e)
+		r, err := w.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		col, err := r.FrontCoded("ids")
+		if err != nil {
+			t.Fatalf("%d strings: %v", n, err)
+		}
+		if got := frontCodedStrings(col); col.Len() != n || !slices.Equal(got, testIDs[:n]) {
+			t.Fatalf("%d strings: Len %d, decoded %q", n, col.Len(), got)
+		}
+		for i, id := range testIDs[:n] {
+			if got := col.Find(id); got != i {
+				t.Errorf("%d strings: Find(%q) = %d, want %d", n, id, got, i)
+			}
+			for _, near := range []string{id + "\x00", id + "~"} {
+				if got := col.Find(near); got != -1 && testIDs[got] != near {
+					t.Errorf("%d strings: Find(%q) = %d", n, near, got)
+				}
+			}
+		}
+		for _, absent := range []string{"\x00", "table:", "tuple:tbl-000000#", "tuple:tbl-000001#20", "\xff\xff"} {
+			if got := col.Find(absent); got != -1 {
+				t.Errorf("%d strings: Find(%q) = %d, want -1", n, absent, got)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { col.Find("tuple:tbl-000001#15") }); allocs != 0 {
+			t.Errorf("%d strings: Find allocates %.1f times", n, allocs)
+		}
+	}
+	// Sorted IDs that differ in their last bytes cost a few bytes each.
+	var e FrontCoder
+	for i := 0; i < 1000; i++ {
+		e.Add(fmt.Sprintf("tuple:tbl-%06d#%d", i/10, i%10))
+	}
+	w := NewWriter()
+	w.FrontCoded("ids", &e)
+	r, err := w.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := r.Bytes("ids"); len(b) > 5*1000 {
+		t.Errorf("1,000 18-byte IDs front-coded into %d bytes, want at most 5,000", len(b))
+	}
+}
+
+// TestFrontCodedRejects: a front-coded column whose counts, offsets,
+// lengths or order do not hold is an error at open, and no allocation is
+// sized by its declared count.
+func TestFrontCodedRejects(t *testing.T) {
+	for name, payload := range badFrontCodedColumns() {
+		w := NewWriter()
+		w.Section("ids", payload)
+		r, err := w.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		col, err := r.FrontCoded("ids")
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: opened with %d strings", name, col.Len())
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<16 {
+			t.Errorf("%s: refusing the column allocated %d bytes", name, alloc)
+		}
+	}
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/doc"
 	"repro/internal/embed"
 	"repro/internal/invindex"
+	"repro/internal/kg"
 	"repro/internal/obs"
 	"repro/internal/provenance"
 	"repro/internal/table"
@@ -113,7 +114,7 @@ func (ix *Indexer) SetMetrics(reg *obs.Registry) {
 	ix.m.searchBM25 = vec.With(familyBM25)
 	ix.m.searchVector = vec.With(familyVector)
 	seg := reg.GaugeVec("verifai_index_segment_bytes",
-		"Sealed BM25 segment bytes and vector code and norm bytes, by where they sit (heap, or a mapped index file).", "family", "residency")
+		"Sealed BM25 and vector segment bytes, whole containers, plus vector tail code and norm bytes, by where they sit (heap, or a mapped index file).", "family", "residency")
 	delta := reg.GaugeVec("verifai_index_delta_docs",
 		"BM25 documents or vector rows written since the index's last checkpoint, held only on the heap.", "family")
 	// One walk over the indexes per exposition feeds all six series.
@@ -129,9 +130,11 @@ func (ix *Indexer) SetMetrics(reg *obs.Registry) {
 	ix.m.adopted, ix.m.skipped = adoptions.With("adopted"), adoptions.With("skipped")
 }
 
-// FamilyResidency says where one index family's bulk sits: sealed BM25
-// segment bytes or vector code and norm bytes, by residency, and the BM25
-// delta documents or vector tail rows written since the last checkpoint.
+// FamilyResidency says where one index family's bulk sits: its sealed
+// segments' bytes, whole containers (plus, for vectors, the tail's code and
+// norm bytes), by residency, and the BM25 delta documents or vector tail
+// rows written since the last checkpoint. With nothing written since a
+// checkpoint, MappedBytes is the family's index files, byte for byte.
 type FamilyResidency struct {
 	HeapBytes   int64 `json:"heap_bytes"`
 	MappedBytes int64 `json:"mapped_bytes"`
@@ -212,7 +215,8 @@ func BuildIndexer(lake *datalake.Lake, cfg IndexerConfig) (*Indexer, error) {
 	// between the snapshot walk and the subscription (it would be neither
 	// bulk-indexed nor delivered). Live events then flow through the
 	// pipelined prepare/apply stages (see applier.go).
-	unsubscribe, err := lake.SubscribeSync(ix.ingest, datalake.Subscriber{Prepare: ix.prepareHook, Apply: ix.apply})
+	unsubscribe, err := lake.SubscribeSync(func() error { return ix.ingest(lake, lake.Graph()) },
+		datalake.Subscriber{Prepare: ix.prepareHook, Apply: ix.apply})
 	if err != nil {
 		return nil, err
 	}
@@ -245,11 +249,21 @@ func (ix *Indexer) wantKind(kind datalake.Kind) bool {
 	return false
 }
 
-// ingest walks the lake and feeds both index families.
-func (ix *Indexer) ingest() error {
+// catalog is what a bulk index build reads: a quiesced lake, or the view
+// of a pinned snapshot whose index files are stale.
+type catalog interface {
+	TableIDs() []string
+	Table(id string) (*table.Table, bool)
+	DocIDs() []string
+	Document(id string) (*doc.Document, bool)
+}
+
+// ingest walks the catalog's instances, and the entities of its graph g,
+// and feeds both index families.
+func (ix *Indexer) ingest(c catalog, g *kg.Graph) error {
 	if ix.wantKind(datalake.KindTable) || ix.wantKind(datalake.KindTuple) {
-		for _, tid := range ix.lake.TableIDs() {
-			t, ok := ix.lake.Table(tid)
+		for _, tid := range c.TableIDs() {
+			t, ok := c.Table(tid)
 			if !ok {
 				return fmt.Errorf("core: lake table %q vanished during ingest", tid)
 			}
@@ -259,8 +273,8 @@ func (ix *Indexer) ingest() error {
 		}
 	}
 	if ix.wantKind(datalake.KindText) {
-		for _, did := range ix.lake.DocIDs() {
-			d, ok := ix.lake.Document(did)
+		for _, did := range c.DocIDs() {
+			d, ok := c.Document(did)
 			if !ok {
 				return fmt.Errorf("core: lake document %q vanished during ingest", did)
 			}
@@ -270,7 +284,6 @@ func (ix *Indexer) ingest() error {
 		}
 	}
 	if ix.wantKind(datalake.KindEntity) {
-		g := ix.lake.Graph()
 		for _, e := range g.Entities() {
 			id := datalake.EntityInstanceID(e)
 			text, rev := g.EntityPage(e)

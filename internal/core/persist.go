@@ -29,9 +29,11 @@ import (
 // any checkpoint the process holds what a restart on the directory would —
 // mapped index files, a delta of what was written since.
 
-// snapshotFormat versions the snapshot layout itself: 2 since BM25 indexes
-// store their postings as bit-packed blocks (1 held them as int32 pairs).
-const snapshotFormat = 2
+// snapshotFormat versions the snapshot layout itself: 3 since index
+// segments keep their rows in ID order with the IDs front-coded (2 kept
+// them in insertion order, the IDs plain beside an idsort column; 1 also
+// held BM25 postings as int32 pairs).
+const snapshotFormat = 3
 
 // snapshotMeta pins what a snapshot is valid for.
 type snapshotMeta struct {
@@ -193,6 +195,11 @@ func (fz *FrozenIndexes) Adopt(dir string) {
 // "rebuild instead".
 var ErrSnapshotMismatch = fmt.Errorf("core: index snapshot missing or stale")
 
+// errStaleFormat is the ErrSnapshotMismatch of a snapshot written for this
+// configuration in another snapshot format: its index files are not read,
+// but the catalog they were built from rebuilds them.
+var errStaleFormat = fmt.Errorf("%w (written in another snapshot format)", ErrSnapshotMismatch)
+
 // BuildIndexerFromSnapshot is BuildIndexer loading the index contents from
 // a FrozenIndexes.Save directory instead of re-indexing the lake. The snapshot
 // must match cfg and the lake's current version exactly (both checked with
@@ -259,7 +266,7 @@ func openIndexes(cfg IndexerConfig, dir string) (map[datalake.Kind]*invindex.Ind
 // against cfg (which must already be normalized — newIndexer writes the
 // normalized config back). It returns the meta so callers can check the
 // pinned lake version; any format or config-fingerprint drift is an
-// ErrSnapshotMismatch.
+// ErrSnapshotMismatch, format drift alone errStaleFormat.
 func checkSnapshotMeta(cfg IndexerConfig, dir string) (snapshotMeta, error) {
 	var meta snapshotMeta
 	metaBytes, err := os.ReadFile(filepath.Join(dir, "meta.json"))
@@ -279,8 +286,11 @@ func checkSnapshotMeta(cfg IndexerConfig, dir string) (snapshotMeta, error) {
 	if err := json.Compact(&stored, meta.Config); err != nil {
 		return meta, fmt.Errorf("%w (unreadable config fingerprint: %v)", ErrSnapshotMismatch, err)
 	}
-	if meta.Format != snapshotFormat || stored.String() != string(cc) {
-		return meta, fmt.Errorf("%w (format %d or configuration changed; this build writes format %d)", ErrSnapshotMismatch, meta.Format, snapshotFormat)
+	if stored.String() != string(cc) {
+		return meta, fmt.Errorf("%w (configuration changed)", ErrSnapshotMismatch)
+	}
+	if meta.Format != snapshotFormat {
+		return meta, fmt.Errorf("%w: format %d, this build writes format %d", errStaleFormat, meta.Format, snapshotFormat)
 	}
 	return meta, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strconv"
@@ -36,7 +37,9 @@ type PinnedSnapshot struct {
 	trust map[string]float64 // pipeline trust overrides at pin time
 
 	frozen *FrozenIndexes // in-memory capture (pin path); nil when disk-backed
-	dir    string         // persisted index directory (recovery path)
+	// dir is the persisted index directory (recovery path); empty when its
+	// files are in another snapshot format and the view is re-indexed.
+	dir string
 
 	once   sync.Once
 	matErr error
@@ -55,8 +58,9 @@ func (ps *PinnedSnapshot) Trust() map[string]float64 { return ps.trust }
 // capture's sealed BM25 segments and vector rows are wrapped in place
 // (nothing is copied — they are the bytes the live indexes searched at the
 // fork, on the heap or in the checkpoint's mapped files), a recovered
-// pin's index files are opened, and the view's triple list is rebuilt
-// into a graph for entity resolution.
+// pin's index files are opened (or, written in another snapshot format,
+// rebuilt from the view), and the view's triple list is rebuilt into a
+// graph for entity resolution.
 func (ps *PinnedSnapshot) materialize() error {
 	ps.once.Do(func() { ps.matErr = ps.doMaterialize() })
 	return ps.matErr
@@ -71,7 +75,18 @@ func (ps *PinnedSnapshot) doMaterialize() error {
 	for _, s := range ps.view.Sources() {
 		ps.priors[s.ID] = s.TrustPrior
 	}
-	if ps.frozen == nil {
+	switch {
+	case ps.frozen == nil && ps.dir == "":
+		ix, err := newIndexer(nil, &ps.cfg)
+		if err == nil {
+			err = ix.ingest(ps.view, ps.graph)
+		}
+		if err != nil {
+			return err
+		}
+		ps.bm25, ps.vec = ix.bm25, ix.vec
+		return nil
+	case ps.frozen == nil:
 		var err error
 		ps.bm25, ps.vec, err = openIndexes(ps.cfg, ps.dir)
 		return err
@@ -207,13 +222,17 @@ func (p *Pipeline) RegisterSnapshot(view *datalake.View, fz *FrozenIndexes, pinn
 // read), trust its pin-time overrides. The indexes' meta must match the
 // current indexer configuration and the view's version exactly
 // (ErrSnapshotMismatch otherwise — the caller drops the pin loudly rather
-// than serving wrong pinned verdicts).
+// than serving wrong pinned verdicts), except that index files written in
+// another snapshot format are derived data: the first pinned read
+// re-indexes the view instead.
 func (p *Pipeline) RegisterRecoveredSnapshot(view *datalake.View, dir string, trust map[string]float64) (*datalake.Snapshot, error) {
 	meta, err := checkSnapshotMeta(p.indexer.cfg, dir)
-	if err != nil {
+	switch {
+	case errors.Is(err, errStaleFormat):
+		dir = ""
+	case err != nil:
 		return nil, err
-	}
-	if meta.LakeVersion != view.Version() {
+	case meta.LakeVersion != view.Version():
 		return nil, fmt.Errorf("%w (pinned indexes at lake version %d, view at %d)", ErrSnapshotMismatch, meta.LakeVersion, view.Version())
 	}
 	if trust == nil {

@@ -121,7 +121,7 @@ func (ix *Index) AddTerms(id string, terms []string) error {
 		return fmt.Errorf("invindex: duplicate document id %q", id)
 	}
 	if base := ix.baseSeg(); base != nil {
-		if bo := base.findDoc(id); bo >= 0 && !ix.baseDeleted[bo] {
+		if bo := base.ids.Find(id); bo >= 0 && !ix.baseDeleted[bo] {
 			return fmt.Errorf("invindex: duplicate document id %q", id)
 		}
 	}
@@ -161,7 +161,7 @@ func (ix *Index) Delete(id string) bool {
 	ord, ok := ix.byID[id]
 	if !ok || ix.deleted[ord] {
 		if base := ix.baseSeg(); base != nil {
-			if bo := base.findDoc(id); bo >= 0 && !ix.baseDeleted[bo] {
+			if bo := base.ids.Find(id); bo >= 0 && !ix.baseDeleted[bo] {
 				ix.baseDeleted[bo] = true
 				ix.baseLive--
 				ix.baseTotalLen -= int64(base.lengths[bo])
@@ -250,7 +250,7 @@ func (ix *Index) Contains(id string) bool {
 		return true
 	}
 	if base := ix.baseSeg(); base != nil {
-		if bo := base.findDoc(id); bo >= 0 && !ix.baseDeleted[bo] {
+		if bo := base.ids.Find(id); bo >= 0 && !ix.baseDeleted[bo] {
 			return true
 		}
 	}

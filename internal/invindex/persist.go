@@ -31,9 +31,9 @@ func newFrozen(seg *staticSeg) *Frozen {
 // Freeze seals the index: base, delta and tombstones are compacted into a
 // new segment, which becomes the base under an empty delta and is
 // returned. Searches score the same before and after (BM25 statistics
-// count live documents only; ties break by ID, not ordinal). An index with
-// nothing written since its last seal returns the segment it has. The
-// analyzer is not captured; the loader supplies it.
+// count live documents only; ties break by ID whichever tier holds a
+// document). An index with nothing written since its last seal returns the
+// segment it has. The analyzer is not captured; the loader supplies it.
 func (ix *Index) Freeze() *Frozen {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -59,32 +59,48 @@ func (ix *Index) setBase(z *Frozen) {
 	ix.base, ix.baseDeleted, ix.baseLive, ix.baseTotalLen = z, make([]bool, seg.n), seg.n, seg.totalLen
 }
 
-// sealLocked builds the compacted segment: live base documents in ordinal
-// order, then live delta documents; terms sorted, each term's pairs in
-// document order (base runs decoded, delta after) and encoded as blocks.
+// sealLocked builds the compacted segment: the live base documents, in ID
+// order already, merged with the live delta documents sorted by ID; terms
+// sorted, each term's pairs in document order (the base run decoded and
+// remapped, merged with the delta's remapped pairs) and encoded as blocks.
 // Caller holds the write lock.
 func (ix *Index) sealLocked(base *staticSeg) (*staticSeg, error) {
-	ids := make([]string, 0, ix.baseLive+ix.liveDocs)
-	lengths := make([]int32, 0, cap(ids))
+	delta := make([]int32, 0, ix.liveDocs)
+	for ord, dead := range ix.deleted {
+		if !dead {
+			delta = append(delta, int32(ord))
+		}
+	}
+	slices.SortFunc(delta, func(a, b int32) int { return strings.Compare(ix.ids[a], ix.ids[b]) })
+
+	var ids binfmt.FrontCoder
+	lengths := make([]int32, 0, ix.baseLive+ix.liveDocs)
+	remap := make([]int32, len(ix.ids)) // delta ordinal -> segment ordinal, for live ones
+	takeDelta := func(ord int32) {
+		remap[ord] = int32(len(lengths))
+		ids.Add(ix.ids[ord])
+		lengths = append(lengths, ix.lengths[ord])
+	}
+	baseRemap := make([]int32, len(ix.baseDeleted)) // -1 for dead documents
+	j := 0
+	if base != nil {
+		for ord, id := range base.ids.All() {
+			for ; j < len(delta) && ix.ids[delta[j]] < view(id); j++ {
+				takeDelta(delta[j])
+			}
+			baseRemap[ord] = -1
+			if !ix.baseDeleted[ord] {
+				baseRemap[ord] = int32(len(lengths))
+				ids.Add(view(id))
+				lengths = append(lengths, base.lengths[ord])
+			}
+		}
+	}
+	for ; j < len(delta); j++ {
+		takeDelta(delta[j])
+	}
+
 	terms := make([]string, 0, len(ix.postings))
-	baseRemap := make([]int32, len(ix.baseDeleted))
-	for ord := range baseRemap {
-		baseRemap[ord] = -1
-		if !ix.baseDeleted[ord] {
-			baseRemap[ord] = int32(len(ids))
-			ids = append(ids, view(base.ids.Bytes(ord)))
-			lengths = append(lengths, base.lengths[ord])
-		}
-	}
-	remap := make([]int32, len(ix.ids))
-	for ord, id := range ix.ids {
-		remap[ord] = -1
-		if !ix.deleted[ord] {
-			remap[ord] = int32(len(ids))
-			ids = append(ids, id)
-			lengths = append(lengths, ix.lengths[ord])
-		}
-	}
 	for t := range ix.postings {
 		terms = append(terms, t)
 	}
@@ -98,58 +114,69 @@ func (ix *Index) sealLocked(base *staticSeg) (*staticSeg, error) {
 	postIdx := make([]uint32, 1, len(terms)+1)
 	postOff := make([]uint32, 1, len(terms)+1)
 	var posts []byte
-	var run []int32 // one term's pairs: live base pairs remapped, then delta pairs
+	var baseRun, run []int32 // one term's live base pairs, then all its pairs
+	var deltaRun []int64     // one term's live delta pairs as doc<<32 | freq
 	for _, t := range terms {
-		run = run[:0]
+		baseRun = baseRun[:0]
 		if base != nil {
 			if bt := base.findTerm(t); bt >= 0 {
 				var err error
-				if run, err = base.pairs(bt, run); err != nil {
+				if baseRun, err = base.pairs(bt, baseRun); err != nil {
 					return nil, err
 				}
-				kept := run[:0]
-				for i := 0; i < len(run); i += 2 {
-					if no := baseRemap[run[i]]; no >= 0 {
-						kept = append(kept, no, run[i+1])
+				// baseRemap ascends, so the kept pairs still do.
+				kept := baseRun[:0]
+				for i := 0; i < len(baseRun); i += 2 {
+					if no := baseRemap[baseRun[i]]; no >= 0 {
+						kept = append(kept, no, baseRun[i+1])
 					}
 				}
-				run = kept
+				baseRun = kept
 			}
 		}
+		deltaRun = deltaRun[:0]
 		for _, p := range ix.postings[t] {
-			if no := remap[p.doc]; no >= 0 {
-				run = append(run, no, p.freq)
+			if !ix.deleted[p.doc] {
+				deltaRun = append(deltaRun, int64(remap[p.doc])<<32|int64(p.freq))
 			}
 		}
-		if len(run) > 0 {
+		slices.Sort(deltaRun)
+		out := baseRun // no delta pairs: the base run as it stands
+		if len(deltaRun) > 0 {
+			run = run[:0]
+			for i, j := 0, 0; i < len(baseRun) || j < len(deltaRun); {
+				if j == len(deltaRun) || i < len(baseRun) && int64(baseRun[i]) < deltaRun[j]>>32 {
+					run = append(run, baseRun[i], baseRun[i+1])
+					i += 2
+				} else {
+					run = append(run, int32(deltaRun[j]>>32), int32(deltaRun[j]))
+					j++
+				}
+			}
+			out = run
+		}
+		if run := out; len(run) > 0 {
 			posts = appendRun(posts, run)
 			live = append(live, t)
 			postIdx = append(postIdx, postIdx[len(postIdx)-1]+uint32(len(run)/2))
 			postOff = append(postOff, uint32(len(posts)))
 		}
 	}
-	idsort := make([]uint32, len(ids))
-	for i := range idsort {
-		idsort[i] = uint32(i)
-	}
-	slices.SortFunc(idsort, func(a, b uint32) int { return strings.Compare(ids[a], ids[b]) })
-
 	bw := binfmt.NewWriter()
 	if err := bw.JSON("meta", staticMeta{
 		Family: "bm25", K1: ix.k1, B: ix.b,
-		Docs: len(ids), Terms: len(live), Pairs: int(postIdx[len(live)]), TotalLen: ix.baseTotalLen + ix.totalLen,
+		Docs: len(lengths), Terms: len(live), Pairs: int(postIdx[len(live)]), TotalLen: ix.baseTotalLen + ix.totalLen,
 	}); err != nil {
 		return nil, err
 	}
-	bw.Strings("ids", ids)
+	bw.FrontCoded("ids", &ids)
 	bw.Int32s("lengths", lengths)
-	bw.Uint32s("idsort", idsort)
 	bw.Strings("terms", live)
 	bw.Uint32s("postidx", postIdx)
 	bw.Uint32s("postoff", postOff)
 	bw.Section("postings", posts)
 	fr, err := bw.Build()
-	runtime.KeepAlive(base) // ids and terms viewed its columns until here
+	runtime.KeepAlive(base) // terms viewed its column until here
 	if err != nil {
 		return nil, err
 	}

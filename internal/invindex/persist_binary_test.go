@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/binfmt"
@@ -216,14 +218,53 @@ func TestBinarySnapshotCorruption(t *testing.T) {
 	}
 }
 
+// idColumn is the payload of a front-coded ids section holding ids in the
+// order given, which the coder does not check.
+func idColumn(t testing.TB, ids ...string) []byte {
+	t.Helper()
+	var e binfmt.FrontCoder
+	for _, id := range ids {
+		e.Add(id)
+	}
+	w := binfmt.NewWriter()
+	w.FrontCoded("ids", &e)
+	r, err := w.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.Bytes("ids")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// badIDColumns are ids sections for validParts' two documents that the
+// loader must refuse: each breaks the front-coded column of "a", "b" one
+// way.
+func badIDColumns(t testing.TB) map[string][]byte {
+	forge := func(patch func(b []byte) []byte) []byte {
+		return patch(idColumn(t, "a", "b"))
+	}
+	// The valid payload: count 2, block offset 0, then 1 'a', 0 1 'b'.
+	return map[string][]byte{
+		"shared prefix longer than the ID before": forge(func(b []byte) []byte { b[10] = 2; return b }),
+		"truncated uvarint":                       forge(func(b []byte) []byte { return b[:11] }),
+		"block offset out of range":               forge(func(b []byte) []byte { binary.NativeEndian.PutUint32(b[4:], 99); return b }),
+		"count past the IDs":                      forge(func(b []byte) []byte { binary.NativeEndian.PutUint32(b, 3); return b }),
+		"count disagreeing with meta":             idColumn(t, "a", "b", "c"),
+		"IDs not increasing":                      idColumn(t, "b", "a"),
+		"duplicate IDs":                           idColumn(t, "a", "a"),
+	}
+}
+
 // segParts are the columns of a hand-built segment; encode writes them
 // with plain binfmt.Writer calls, so a test can break any one of them
 // behind valid container CRCs.
 type segParts struct {
 	meta    staticMeta
-	ids     []string
+	ids     []byte
 	lengths []int32
-	idsort  []uint32
 	terms   []string
 	postIdx []uint32
 	postOff []uint32
@@ -232,12 +273,11 @@ type segParts struct {
 
 // validParts is two documents and two terms: alpha in a (freq 2), beta in
 // a (freq 1) and b (freq 2).
-func validParts() segParts {
+func validParts(t testing.TB) segParts {
 	p := segParts{
 		meta:    staticMeta{Family: "bm25", K1: 1.2, B: 0.75, Docs: 2, Terms: 2, Pairs: 3, TotalLen: 5},
-		ids:     []string{"a", "b"},
+		ids:     idColumn(t, "a", "b"),
 		lengths: []int32{2, 3},
-		idsort:  []uint32{0, 1},
 		terms:   []string{"alpha", "beta"},
 	}
 	p.setRuns([]int32{0, 2}, []int32{0, 1, 1, 2})
@@ -261,9 +301,8 @@ func (p segParts) encode(t testing.TB) []byte {
 	if err := bw.JSON("meta", p.meta); err != nil {
 		t.Fatal(err)
 	}
-	bw.Strings("ids", p.ids)
+	bw.Section("ids", p.ids)
 	bw.Int32s("lengths", p.lengths)
-	bw.Uint32s("idsort", p.idsort)
 	bw.Strings("terms", p.terms)
 	bw.Uint32s("postidx", p.postIdx)
 	bw.Uint32s("postoff", p.postOff)
@@ -278,7 +317,7 @@ func (p segParts) encode(t testing.TB) []byte {
 // TestStaticValidationRejects hand-crafts structurally-broken snapshots
 // (valid container CRCs, invalid column semantics) and demands loud opens.
 func TestStaticValidationRejects(t *testing.T) {
-	ix, err := openBytes(t, validParts().encode(t))
+	ix, err := openBytes(t, validParts(t).encode(t))
 	if err != nil {
 		t.Fatalf("valid hand-built snapshot rejected: %v", err)
 	}
@@ -287,20 +326,21 @@ func TestStaticValidationRejects(t *testing.T) {
 	}
 
 	cases := map[string]func(*segParts){
-		"wrong family":          func(p *segParts) { p.meta.Family = "bm42" },
-		"doc column mismatch":   func(p *segParts) { p.lengths = p.lengths[:1] },
-		"idsort out of range":   func(p *segParts) { p.idsort[1] = 9 },
-		"idsort not increasing": func(p *segParts) { p.idsort[0], p.idsort[1] = 1, 0 },
-		"terms unsorted":        func(p *segParts) { p.terms[0], p.terms[1] = p.terms[1], p.terms[0] },
-		"postidx short":         func(p *segParts) { p.postIdx = p.postIdx[:2] },
-		"postidx nonmonotonic":  func(p *segParts) { p.postIdx[1] = 5 },
-		"postidx bad start":     func(p *segParts) { p.postIdx[0] = 1 },
-		"negative length":       func(p *segParts) { p.lengths[0] = -1 },
-		"total length drift":    func(p *segParts) { p.meta.TotalLen = 99 },
-		"pair count drift":      func(p *segParts) { p.meta.Pairs = 2 },
+		"wrong family":         func(p *segParts) { p.meta.Family = "bm42" },
+		"doc column mismatch":  func(p *segParts) { p.lengths = p.lengths[:1] },
+		"terms unsorted":       func(p *segParts) { p.terms[0], p.terms[1] = p.terms[1], p.terms[0] },
+		"postidx short":        func(p *segParts) { p.postIdx = p.postIdx[:2] },
+		"postidx nonmonotonic": func(p *segParts) { p.postIdx[1] = 5 },
+		"postidx bad start":    func(p *segParts) { p.postIdx[0] = 1 },
+		"negative length":      func(p *segParts) { p.lengths[0] = -1 },
+		"total length drift":   func(p *segParts) { p.meta.TotalLen = 99 },
+		"pair count drift":     func(p *segParts) { p.meta.Pairs = 2 },
+	}
+	for name, ids := range badIDColumns(t) {
+		cases["ids: "+name] = func(p *segParts) { p.ids = ids }
 	}
 	for name, mutate := range cases {
-		p := validParts()
+		p := validParts(t)
 		mutate(&p)
 		if _, err := openBytes(t, p.encode(t)); err == nil {
 			t.Errorf("%s: loaded without error", name)
@@ -313,7 +353,7 @@ func TestStaticValidationRejects(t *testing.T) {
 func TestPostingsDecoderBounds(t *testing.T) {
 	// validParts' postings: alpha [1 1 0b11], beta [1 1 0b1011] — gap and
 	// freq-1 widths, then gaps and freq-1 values LSB first.
-	if got, want := validParts().posts, []byte{1, 1, 3, 1, 1, 11}; !bytes.Equal(got, want) {
+	if got, want := validParts(t).posts, []byte{1, 1, 3, 1, 1, 11}; !bytes.Equal(got, want) {
 		t.Fatalf("valid postings = %v, want %v", got, want)
 	}
 	cases := map[string]func(*segParts){
@@ -337,7 +377,7 @@ func TestPostingsDecoderBounds(t *testing.T) {
 		"run with no blocks":     func(p *segParts) { p.postIdx[1] = 0 },
 	}
 	for name, mutate := range cases {
-		p := validParts()
+		p := validParts(t)
 		mutate(&p)
 		if _, err := openBytes(t, p.encode(t)); err == nil {
 			t.Errorf("%s: loaded without error", name)
@@ -461,12 +501,12 @@ func FuzzLoadBinarySnapshot(f *testing.F) {
 	})
 }
 
-// FuzzOpenBM25Segment fuzzes the packed postings behind valid container
-// CRCs, so inputs reach the decoder and not the checksum: docs documents
-// of length 1, one term per postoff entry after the first, and the
-// postidx, postoff and postings columns as given. A segment that opens must
-// search every term and, sealed again with one more document, reopen to
-// the hits the two-tier index returned.
+// FuzzOpenBM25Segment fuzzes the front-coded IDs and the packed postings
+// behind valid container CRCs, so inputs reach the decoders and not the
+// checksum: docs documents of length 1, one term per postoff entry after
+// the first, and the ids, postidx, postoff and postings columns as given.
+// A segment that opens must search every term and, sealed again with one
+// more document, reopen to the hits the two-tier index returned.
 func FuzzOpenBM25Segment(f *testing.F) {
 	toBytes := func(v []uint32) []byte {
 		b := make([]byte, 0, 4*len(v))
@@ -475,8 +515,8 @@ func FuzzOpenBM25Segment(f *testing.F) {
 		}
 		return b
 	}
-	p := validParts()
-	f.Add(uint8(p.meta.Docs), toBytes(p.postIdx), toBytes(p.postOff), p.posts)
+	p := validParts(f)
+	f.Add(uint8(p.meta.Docs), p.ids, toBytes(p.postIdx), toBytes(p.postOff), p.posts)
 	// A sealed segment with runs longer than a block.
 	r := rand.New(rand.NewSource(1))
 	ix := New()
@@ -493,17 +533,22 @@ func FuzzOpenBM25Segment(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var cols [3][]byte
-	for i, name := range []string{"postidx", "postoff", "postings"} {
+	var cols [4][]byte
+	for i, name := range []string{"ids", "postidx", "postoff", "postings"} {
 		if cols[i], err = fr.Bytes(name); err != nil {
 			f.Fatal(err)
 		}
 	}
-	f.Add(uint8(200), cols[0], cols[1], cols[2])
-	f.Add(uint8(0), []byte{0, 0, 0, 0}, []byte{0, 0, 0, 0}, []byte{})
+	f.Add(uint8(200), cols[0], cols[1], cols[2], cols[3])
+	f.Add(uint8(0), []byte{0, 0, 0, 0}, []byte{0, 0, 0, 0}, []byte{0, 0, 0, 0}, []byte{})
+	// validParts with its ids column broken.
+	bad := badIDColumns(f)
+	for _, name := range slices.Sorted(maps.Keys(bad)) {
+		f.Add(uint8(p.meta.Docs), bad[name], toBytes(p.postIdx), toBytes(p.postOff), p.posts)
+	}
 
 	dir := f.TempDir()
-	f.Fuzz(func(t *testing.T, docs uint8, postIdx, postOff, posts []byte) {
+	f.Fuzz(func(t *testing.T, docs uint8, ids, postIdx, postOff, posts []byte) {
 		toU32 := func(b []byte) []uint32 {
 			v := make([]uint32, len(b)/4)
 			for i := range v {
@@ -512,13 +557,11 @@ func FuzzOpenBM25Segment(f *testing.F) {
 			return v
 		}
 		p := segParts{
-			meta:    staticMeta{Family: "bm25", K1: 1.2, B: 0.75, Docs: int(docs), TotalLen: int64(docs)},
-			postIdx: toU32(postIdx), postOff: toU32(postOff), posts: posts,
+			meta: staticMeta{Family: "bm25", K1: 1.2, B: 0.75, Docs: int(docs), TotalLen: int64(docs)},
+			ids:  ids, postIdx: toU32(postIdx), postOff: toU32(postOff), posts: posts,
 		}
 		for i := 0; i < int(docs); i++ {
-			p.ids = append(p.ids, fmt.Sprintf("d%03d", i))
 			p.lengths = append(p.lengths, 1)
-			p.idsort = append(p.idsort, uint32(i))
 		}
 		for i := 1; i < len(p.postOff); i++ {
 			p.terms = append(p.terms, fmt.Sprintf("t%05d", i))
@@ -532,7 +575,7 @@ func FuzzOpenBM25Segment(f *testing.F) {
 			return
 		}
 		if err := loaded.AddTerms("zzz", []string{"t00001"}); err != nil {
-			t.Fatal(err)
+			return // "zzz" may be an ID the input holds
 		}
 		want := make([][]Hit, len(p.terms))
 		for i, term := range p.terms {

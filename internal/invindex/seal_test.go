@@ -24,6 +24,12 @@ func sealDoc(r *rand.Rand) []string {
 	return terms
 }
 
+// tiedDoc is one of three fixed documents, so most documents that match a
+// query score exactly alike and the order of their IDs decides the hits.
+func tiedDoc(r *rand.Rand) []string {
+	return [][]string{{"golf", "prize", "open"}, {"palmer", "golf"}, {"dover", "kansas", "climate", "money"}}[r.Intn(3)]
+}
+
 var sealQueries = [][]string{{"golf", "prize"}, {"dover", "kansas", "climate"}, {"palmer"}, {"money", "total", "open", "money"}}
 
 // adoptInto saves z into a new file under dir and adopts it.
@@ -46,11 +52,13 @@ func adoptInto(t *testing.T, z *Frozen, dir string) string {
 }
 
 // sealAdoptDifferential drives a sealed-and-adopted index and one that is
-// never sealed through the same seeded adds, deletes and re-adds, with a
-// searcher running against the sealed one throughout, and holds every
-// search — head, and pinned at each seal — to the reference's hits, scores
-// to the bit.
-func sealAdoptDifferential(t *testing.T) {
+// never sealed through the same seeded adds, deletes and re-adds of
+// documents doc draws, with a searcher running against the sealed one
+// throughout, and holds every search — head, pinned at each seal, and of
+// each adopted file reopened — to the reference's hits, scores to the bit,
+// tied hits in ascending ID order. It returns how many hits tied the score
+// of the hit before them.
+func sealAdoptDifferential(t *testing.T, doc func(*rand.Rand) []string) int {
 	r := rand.New(rand.NewSource(42))
 	ref, ix := New(), New()
 	dir := t.TempDir()
@@ -77,6 +85,7 @@ func sealAdoptDifferential(t *testing.T) {
 	}
 	var pins []pin
 	var lastFile string
+	ties := 0
 	live := map[string]bool{}
 	for step := 0; step < 400; step++ {
 		id := fmt.Sprintf("doc-%03d", r.Intn(120))
@@ -87,7 +96,7 @@ func sealAdoptDifferential(t *testing.T) {
 			}
 			delete(live, id)
 		case !live[id]:
-			terms := sealDoc(r)
+			terms := doc(r)
 			if a, b := ref.AddTerms(id, terms), ix.AddTerms(id, terms); (a == nil) != (b == nil) {
 				t.Fatalf("step %d: AddTerms(%s) = %v vs %v", step, id, a, b)
 			}
@@ -109,6 +118,11 @@ func sealAdoptDifferential(t *testing.T) {
 					os.Remove(lastFile) // as a checkpoint swap unlinks the previous files
 				}
 				lastFile = next
+				opened, err := OpenFile(next)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pins = append(pins, pin{ix: opened, want: p.want})
 				runtime.GC()
 			}
 		}
@@ -116,7 +130,16 @@ func sealAdoptDifferential(t *testing.T) {
 			t.Fatalf("step %d: Len %d vs %d", step, ix.Len(), ref.Len())
 		}
 		for _, q := range sealQueries {
-			if got, want := ix.SearchTerms(q, 10), ref.SearchTerms(q, 10); !reflect.DeepEqual(got, want) {
+			want := ref.SearchTerms(q, 10)
+			for i := 1; i < len(want); i++ {
+				if want[i].Score == want[i-1].Score {
+					ties++
+					if want[i].ID <= want[i-1].ID {
+						t.Fatalf("step %d query %v: tied hits out of ID order: %v", step, q, want)
+					}
+				}
+			}
+			if got := ix.SearchTerms(q, 10); !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d query %v:\n got  %v\n want %v", step, q, got, want)
 			}
 		}
@@ -131,9 +154,17 @@ func sealAdoptDifferential(t *testing.T) {
 	if heap, mapped, _ := ix.Residency(); mapped == 0 || heap != 0 {
 		t.Errorf("after the last adopt: %d heap, %d mapped segment bytes", heap, mapped)
 	}
+	return ties
 }
 
-func TestSealAdoptDifferential(t *testing.T) { sealAdoptDifferential(t) }
+func TestSealAdoptDifferential(t *testing.T) {
+	t.Run("random", func(t *testing.T) { sealAdoptDifferential(t, sealDoc) })
+	t.Run("ties", func(t *testing.T) {
+		if ties := sealAdoptDifferential(t, tiedDoc); ties < 1000 {
+			t.Errorf("only %d tied hits: the input does not exercise the tie order", ties)
+		}
+	})
+}
 
 // TestSealAdoptUnderGCPressure reruns the differential with the collector
 // running almost continuously, so a view that outlived its mapping, or a
@@ -143,7 +174,8 @@ func TestSealAdoptUnderGCPressure(t *testing.T) {
 		t.Skip("GC-pressure rerun skipped in -short")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(1))
-	sealAdoptDifferential(t)
+	sealAdoptDifferential(t, sealDoc)
+	sealAdoptDifferential(t, tiedDoc)
 }
 
 // TestSealAdoptDropsHeapCopy: once a segment is adopted nothing reaches

@@ -1,9 +1,11 @@
 package invindex
 
 import (
+	"cmp"
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 )
 
@@ -29,8 +31,9 @@ func (ix *Index) Analyze(text string) []string { return ix.analyze(text) }
 // searchScratch holds every buffer SearchTerms needs, pooled so the steady
 // path performs no per-query allocations: query terms and weights, one
 // base term's decoded pairs, a dense per-ordinal score accumulator reset
-// via the touched list, and the top-k heap. scores entries are zero except
-// between scoring and reset.
+// via the touched list, the top-k heap, and a base ID decoded for a tie or
+// a hit. scores entries are zero except between scoring and reset. base is
+// the segment the search loaded, set for the search only.
 type searchScratch struct {
 	terms   []string
 	qw      []float64
@@ -38,6 +41,8 @@ type searchScratch struct {
 	scores  []float64
 	touched []int32
 	heap    []scoredDoc
+	id      []byte
+	base    *staticSeg
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
@@ -52,9 +57,9 @@ type scoredDoc struct {
 // SearchTerms is Search over pre-analyzed query terms.
 //
 // The steady path is allocation-free apart from the returned slice (and,
-// for hits resolved from an mmap'd base segment, materializing their ID
-// strings): scoring uses pooled scratch buffers, the heap is sifted
-// manually, and ID tie-breaks compare bytes in place.
+// for hits resolved from a base segment, materializing their ID strings):
+// scoring uses pooled scratch buffers, the heap is sifted manually, and a
+// tie between two base documents compares their ordinals.
 func (ix *Index) SearchTerms(terms []string, k int) []Hit {
 	if k <= 0 || len(terms) == 0 {
 		return nil
@@ -166,9 +171,11 @@ func (ix *Index) SearchTerms(terms []string, k int) []Hit {
 
 	var out []Hit
 	if len(touched) > 0 {
-		out = ix.topK(base, scores, touched, k, sc)
+		sc.base = base
+		out = ix.topK(scores, touched, k, sc)
+		sc.base = nil
 	}
-	runtime.KeepAlive(base) // ID tie-breaks compared views of its mapping
+	runtime.KeepAlive(base) // IDs were decoded from its mapping
 
 	// Reset the accumulator via the touched list and recycle the scratch.
 	for _, ord := range touched {
@@ -179,22 +186,32 @@ func (ix *Index) SearchTerms(terms []string, k int) []Hit {
 	return out
 }
 
-// ordIDView returns the external ID of a global ordinal without a copy,
-// for tie-break comparisons. base is the segment the search loaded: the
-// caller keeps it alive past the last use of the view.
-func (ix *Index) ordIDView(base *staticSeg, ord int32) string {
-	if int(ord) < ix.baseLen() {
-		return view(base.ids.Bytes(int(ord)))
+// cmpIDs compares the external IDs of two global ordinals. Base ordinals
+// follow their IDs, so two base documents compare as ordinals and two delta
+// ones as strings; a base ID is decoded only against a delta one.
+func (ix *Index) cmpIDs(sc *searchScratch, a, b int32) int {
+	n := int32(ix.baseLen())
+	switch {
+	case a < n && b < n:
+		return cmp.Compare(a, b)
+	case a >= n && b >= n:
+		return strings.Compare(ix.ids[a-n], ix.ids[b-n])
+	case a < n:
+		sc.id = sc.base.ids.AppendAt(sc.id[:0], int(a))
+		return strings.Compare(view(sc.id), ix.ids[b-n])
+	default:
+		sc.id = sc.base.ids.AppendAt(sc.id[:0], int(b))
+		return strings.Compare(ix.ids[a-n], view(sc.id))
 	}
-	return ix.ids[int(ord)-ix.baseLen()]
 }
 
 // ordID materializes the external ID of a global ordinal. Delta IDs are
 // returned without copying; base IDs allocate one string (only the k
 // returned hits pay this).
-func (ix *Index) ordID(base *staticSeg, ord int32) string {
+func (ix *Index) ordID(sc *searchScratch, ord int32) string {
 	if int(ord) < ix.baseLen() {
-		return base.ids.At(int(ord))
+		sc.id = sc.base.ids.AppendAt(sc.id[:0], int(ord))
+		return string(sc.id)
 	}
 	return ix.ids[int(ord)-ix.baseLen()]
 }
@@ -206,17 +223,17 @@ func (ix *Index) baseLen() int { return len(ix.baseDeleted) }
 // worse reports whether hit a ranks strictly below hit b: lower score, or
 // equal score and lexicographically larger ID (so the min-heap keeps the
 // smaller IDs on ties, matching the output order's ascending-ID rule).
-func (ix *Index) worse(base *staticSeg, a, b scoredDoc) bool {
+func (ix *Index) worse(sc *searchScratch, a, b scoredDoc) bool {
 	if a.score != b.score {
 		return a.score < b.score
 	}
-	return ix.ordIDView(base, a.doc) > ix.ordIDView(base, b.doc)
+	return ix.cmpIDs(sc, a.doc, b.doc) > 0
 }
 
 // topK selects the k best touched ordinals with a manually-sifted bounded
 // min-heap (container/heap would box every element) and returns them best
 // first. Caller must hold at least a read lock.
-func (ix *Index) topK(base *staticSeg, scores []float64, touched []int32, k int, sc *searchScratch) []Hit {
+func (ix *Index) topK(scores []float64, touched []int32, k int, sc *searchScratch) []Hit {
 	h := sc.heap[:0]
 	for _, ord := range touched {
 		cand := scoredDoc{doc: ord, score: scores[ord]}
@@ -225,7 +242,7 @@ func (ix *Index) topK(base *staticSeg, scores []float64, touched []int32, k int,
 			// Sift up.
 			for i := len(h) - 1; i > 0; {
 				parent := (i - 1) / 2
-				if !ix.worse(base, h[i], h[parent]) {
+				if !ix.worse(sc, h[i], h[parent]) {
 					break
 				}
 				h[i], h[parent] = h[parent], h[i]
@@ -233,33 +250,33 @@ func (ix *Index) topK(base *staticSeg, scores []float64, touched []int32, k int,
 			}
 			continue
 		}
-		if ix.worse(base, cand, h[0]) {
+		if ix.worse(sc, cand, h[0]) {
 			continue
 		}
 		h[0] = cand
-		ix.siftDown(base, h, 0)
+		ix.siftDown(sc, h, 0)
 	}
 	out := make([]Hit, len(h))
 	// Pop ascending; fill the output back to front for best-first order.
 	for i := len(h) - 1; i >= 0; i-- {
 		top := h[0]
-		out[i] = Hit{ID: ix.ordID(base, top.doc), Score: top.score}
+		out[i] = Hit{ID: ix.ordID(sc, top.doc), Score: top.score}
 		h[0] = h[len(h)-1]
 		h = h[:len(h)-1]
-		ix.siftDown(base, h, 0)
+		ix.siftDown(sc, h, 0)
 	}
 	sc.heap = h[:0]
 	return out
 }
 
-func (ix *Index) siftDown(base *staticSeg, h []scoredDoc, i int) {
+func (ix *Index) siftDown(sc *searchScratch, h []scoredDoc, i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		min := i
-		if l < len(h) && ix.worse(base, h[l], h[min]) {
+		if l < len(h) && ix.worse(sc, h[l], h[min]) {
 			min = l
 		}
-		if r < len(h) && ix.worse(base, h[r], h[min]) {
+		if r < len(h) && ix.worse(sc, h[r], h[min]) {
 			min = r
 		}
 		if min == i {

@@ -20,12 +20,13 @@ import (
 // in the mutable delta tier. Ordinals [0, n) are base documents; the
 // delta's ordinals follow at n.
 //
-// Column layout:
+// Ordinals follow the documents' IDs in ascending order, so two base
+// documents tied on score compare as ordinals. Column layout:
 //
 //	meta     JSON: k1/b, doc/term/pair counts, total length
-//	ids      string column, ordinal -> external ID (insertion order)
+//	ids      front-coded string column (binfmt.FrontCoder), ordinal ->
+//	         external ID, ascending
 //	lengths  int32[n] token counts
-//	idsort   uint32[n] ordinals sorted by ID, for binary-search lookups
 //	terms    string column, sorted distinct terms
 //	postidx  uint32[t+1] pair-range starts per term (document frequency)
 //	postoff  uint32[t+1] byte offset of each term's run in postings
@@ -44,9 +45,8 @@ type staticSeg struct {
 	n        int // document count
 	totalLen int64
 
-	ids     binfmt.StringCol
+	ids     binfmt.FrontCodedCol
 	lengths []int32
-	idsort  []uint32
 	terms   binfmt.StringCol
 	postIdx []uint32
 	postOff []uint32
@@ -89,13 +89,10 @@ func loadStatic(r *binfmt.Reader) (*staticSeg, error) {
 	}
 	s := &staticSeg{r: r, k1: meta.K1, b: meta.B, n: meta.Docs}
 	var err error
-	if s.ids, err = r.Strings("ids"); err != nil {
+	if s.ids, err = r.FrontCoded("ids"); err != nil {
 		return nil, err
 	}
 	if s.lengths, err = r.Int32s("lengths"); err != nil {
-		return nil, err
-	}
-	if s.idsort, err = r.Uint32s("idsort"); err != nil {
 		return nil, err
 	}
 	if s.terms, err = r.Strings("terms"); err != nil {
@@ -110,22 +107,12 @@ func loadStatic(r *binfmt.Reader) (*staticSeg, error) {
 	if s.posts, err = r.Bytes("postings"); err != nil {
 		return nil, err
 	}
-	if s.ids.Len() != meta.Docs || len(s.lengths) != meta.Docs || len(s.idsort) != meta.Docs {
-		return nil, fmt.Errorf("invindex: snapshot document columns disagree (ids=%d lengths=%d idsort=%d docs=%d)",
-			s.ids.Len(), len(s.lengths), len(s.idsort), meta.Docs)
+	if s.ids.Len() != meta.Docs || len(s.lengths) != meta.Docs {
+		return nil, fmt.Errorf("invindex: snapshot document columns disagree (ids=%d lengths=%d docs=%d)",
+			s.ids.Len(), len(s.lengths), meta.Docs)
 	}
 	if s.terms.Len() != meta.Terms || len(s.postIdx) != meta.Terms+1 || len(s.postOff) != meta.Terms+1 {
 		return nil, fmt.Errorf("invindex: snapshot term columns disagree (terms=%d postidx=%d postoff=%d)", s.terms.Len(), len(s.postIdx), len(s.postOff))
-	}
-	// idsort must order ids strictly (which also proves it a permutation:
-	// n in-range values with pairwise-distinct targets).
-	for i, ord := range s.idsort {
-		if int(ord) >= meta.Docs {
-			return nil, fmt.Errorf("invindex: snapshot idsort[%d]=%d out of range", i, ord)
-		}
-		if i > 0 && bytes.Compare(s.ids.Bytes(int(s.idsort[i-1])), s.ids.Bytes(int(ord))) >= 0 {
-			return nil, fmt.Errorf("invindex: snapshot idsort not strictly increasing at %d", i)
-		}
 	}
 	// Terms must be sorted strictly for binary search.
 	for i := 1; i < meta.Terms; i++ {
@@ -268,26 +255,6 @@ func decodeRun(src []byte, count, n int, dst []int32) ([]int32, error) {
 		return dst, fmt.Errorf("%d bytes after the last block", len(src))
 	}
 	return dst, nil
-}
-
-// findDoc returns the base ordinal of id, or -1. Allocation-free.
-func (s *staticSeg) findDoc(id string) int32 {
-	lo, hi := 0, s.n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if view(s.ids.Bytes(int(s.idsort[mid]))) < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < s.n {
-		ord := int32(s.idsort[lo])
-		if view(s.ids.Bytes(int(ord))) == id {
-			return ord
-		}
-	}
-	return -1
 }
 
 // findTerm returns the term index of t, or -1. Allocation-free: the

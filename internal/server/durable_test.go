@@ -141,8 +141,7 @@ func TestDurableServerSurfaces(t *testing.T) {
 		bm25.DeltaDocs != 0 || vec.HeapBytes != 0 || vec.MappedBytes == 0 {
 		t.Errorf("stats.indexes after a checkpoint = %+v", stats.Indexes)
 	}
-	// What the vector family reports mapped is what the shard files hold
-	// as rows: their codes and norms sections, one 128-code row here.
+	// The vector shard files hold one 128-code row between them.
 	shards, err := filepath.Glob(filepath.Join(data, "checkpoint", "indexes", "vector-*.idx"))
 	if err != nil || len(shards) != 4 {
 		t.Fatalf("vector shard files: %v (%v)", shards, err)
@@ -164,24 +163,28 @@ func TestDurableServerSurfaces(t *testing.T) {
 	if rowBytes != 128+4 {
 		t.Errorf("the shard files hold %d row bytes, want one 132-byte row", rowBytes)
 	}
-	// What the BM25 family reports mapped is its four shard files, whole.
-	bm25Files, err := filepath.Glob(filepath.Join(data, "checkpoint", "indexes", "bm25-*.idx"))
-	if err != nil || len(bm25Files) != 4 {
-		t.Fatalf("bm25 shard files: %v (%v)", bm25Files, err)
-	}
-	var bm25FileBytes int64
-	for _, path := range bm25Files {
-		fi, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
+	// What each family reports mapped is its four shard files, whole.
+	fileBytes := func(family string) int64 {
+		t.Helper()
+		files, err := filepath.Glob(filepath.Join(data, "checkpoint", "indexes", family+"-*.idx"))
+		if err != nil || len(files) != 4 {
+			t.Fatalf("%s shard files: %v (%v)", family, files, err)
 		}
-		bm25FileBytes += fi.Size()
+		var n int64
+		for _, path := range files {
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += fi.Size()
+		}
+		return n
 	}
 	exposition := scrape(t, ts)
 	for _, want := range []string{
-		fmt.Sprintf(`verifai_index_segment_bytes{family="bm25",residency="mapped"} %d`, bm25FileBytes),
+		fmt.Sprintf(`verifai_index_segment_bytes{family="bm25",residency="mapped"} %d`, fileBytes("bm25")),
 		`verifai_index_segment_bytes{family="bm25",residency="heap"} 0`,
-		fmt.Sprintf(`verifai_index_segment_bytes{family="vector",residency="mapped"} %d`, rowBytes),
+		fmt.Sprintf(`verifai_index_segment_bytes{family="vector",residency="mapped"} %d`, fileBytes("vector")),
 		`verifai_index_segment_bytes{family="vector",residency="heap"} 0`,
 		`verifai_index_delta_docs{family="bm25"} 0`,
 		`verifai_index_adoptions_total{result="adopted"} 8`,

@@ -37,14 +37,16 @@ func saveAndAdopt(t *testing.T, z *Frozen, dir string) string {
 // sealAdoptDifferential drives an index that is frozen, saved and adopted
 // at intervals and one that never is through the same seeded adds, removes
 // and re-adds, with a searcher running against the first throughout, and
-// holds every search — head, and pinned at each freeze — to the
-// reference's hits: the codes score the same wherever they sit. The
-// previous file is unlinked and the collector run after each adopt, so a
-// row left pointing into a released mapping faults.
-func sealAdoptDifferential(t *testing.T) {
+// holds every search — head, pinned at each freeze, and of each adopted
+// file reopened — to the reference's hits: the codes score the same
+// wherever they sit. The previous file is unlinked and the collector run
+// after each adopt, so a row left pointing into a released mapping faults.
+// With tied, every row is one of three vectors, so most scores tie exactly
+// and the order of IDs, in the base and the tail, decides the hits.
+func sealAdoptDifferential(t *testing.T, tied bool) {
 	const dim = 16
 	r := rand.New(rand.NewSource(7))
-	vec := func() embed.Vector {
+	randomVec := func() embed.Vector {
 		v := make(embed.Vector, dim)
 		for i := range v {
 			v[i] = float32(r.NormFloat64())
@@ -52,7 +54,12 @@ func sealAdoptDifferential(t *testing.T) {
 		embed.Normalize(v)
 		return v
 	}
-	queries := []embed.Vector{vec(), vec(), vec()}
+	vec := randomVec
+	if tied {
+		rows := []embed.Vector{randomVec(), randomVec(), randomVec()}
+		vec = func() embed.Vector { return rows[r.Intn(len(rows))] }
+	}
+	queries := []embed.Vector{randomVec(), randomVec(), randomVec()}
 	ref, ix := NewSQFlat(dim), NewSQFlat(dim)
 	dir := t.TempDir()
 
@@ -78,7 +85,19 @@ func sealAdoptDifferential(t *testing.T) {
 	}
 	var pins []pin
 	var lastFile string
+	ties := 0
 	live := map[string]bool{}
+	// The first seal: every row live and added out of ID order, so the
+	// rows are reordered in place.
+	for _, i := range r.Perm(40) {
+		v := vec()
+		for _, s := range []*SQFlat{ref, ix} {
+			if err := s.Add(fmt.Sprintf("w%03d", i), v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ix.Freeze()
 	for step := 0; step < 600; step++ {
 		id := fmt.Sprintf("v%03d", r.Intn(90))
 		switch {
@@ -95,6 +114,10 @@ func sealAdoptDifferential(t *testing.T) {
 			live[id] = true
 		}
 		if step%60 == 59 {
+			var want [][]Hit
+			for _, q := range queries {
+				want = append(want, ref.Search(q, 10))
+			}
 			z := ix.Freeze()
 			if step%120 == 119 { // every other capture is thawed before it is adopted
 				next := saveAndAdopt(t, z, dir)
@@ -102,19 +125,22 @@ func sealAdoptDifferential(t *testing.T) {
 					os.Remove(lastFile)
 				}
 				lastFile = next
+				opened, err := OpenSQFile(next)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pins = append(pins, pin{ix: opened, want: want})
 			}
-			p := pin{ix: z.Thaw()}
-			for _, q := range queries {
-				p.want = append(p.want, ref.Search(q, 10))
-			}
-			pins = append(pins, p)
+			pins = append(pins, pin{ix: z.Thaw(), want: want})
 			runtime.GC()
 		}
 		if ix.Len() != ref.Len() {
 			t.Fatalf("step %d: Len %d vs %d", step, ix.Len(), ref.Len())
 		}
 		for qi, q := range queries {
-			sameVecHits(t, fmt.Sprintf("step %d query %d", step, qi), ix.Search(q, 10), ref.Search(q, 10))
+			want := ref.Search(q, 10)
+			ties += tiesByID(t, fmt.Sprintf("step %d query %d", step, qi), want)
+			sameVecHits(t, fmt.Sprintf("step %d query %d", step, qi), ix.Search(q, 10), want)
 		}
 		for pi, p := range pins {
 			for qi, q := range queries {
@@ -125,10 +151,30 @@ func sealAdoptDifferential(t *testing.T) {
 			t.FailNow()
 		}
 	}
+	if tied && ties < 1000 {
+		t.Errorf("only %d tied hits: the input does not exercise the tie order", ties)
+	}
+}
+
+// tiesByID counts the hits that tie the score of the hit before them and
+// fails unless each such pair is in ascending ID order.
+func tiesByID(t *testing.T, label string, hits []Hit) int {
+	t.Helper()
+	n := 0
+	for i := 1; i < len(hits); i++ {
+		if hits[i].Score == hits[i-1].Score {
+			n++
+			if hits[i].ID <= hits[i-1].ID {
+				t.Errorf("%s: tied hits %d and %d out of ID order: %v", label, i-1, i, hits)
+			}
+		}
+	}
+	return n
 }
 
 func TestSealAdoptDifferential(t *testing.T) {
-	t.Run("sqflat", sealAdoptDifferential)
+	t.Run("sqflat", func(t *testing.T) { sealAdoptDifferential(t, false) })
+	t.Run("sqflat-ties", func(t *testing.T) { sealAdoptDifferential(t, true) })
 }
 
 // TestSealAdoptUnderGCPressure reruns the differential with the collector
@@ -139,7 +185,8 @@ func TestSealAdoptUnderGCPressure(t *testing.T) {
 		t.Skip("GC-pressure rerun skipped in -short")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(1))
-	sealAdoptDifferential(t)
+	sealAdoptDifferential(t, false)
+	sealAdoptDifferential(t, true)
 }
 
 // TestAdoptRepointsByIdentity: Adopt moves a capture onto the file Save
@@ -189,9 +236,10 @@ func TestAdoptRepointsByIdentity(t *testing.T) {
 	}
 	// The 40 sealed rows are the file's, v007's and v008's tombstoned; the
 	// tail holds v007's new row and the late one.
+	wrote, _ := os.ReadFile(own)
 	heap, mapped, heapRows := s.Residency()
-	if want := int64(40 * (dim + 4)); mapped != want {
-		t.Errorf("mapped %d bytes, want %d", mapped, want)
+	if want := int64(len(wrote)); mapped != want {
+		t.Errorf("mapped %d bytes, want the file's %d", mapped, want)
 	}
 	if heapRows != 2 || heap != 2*(dim+4) {
 		t.Errorf("heap %d bytes in %d rows, want 2 rows", heap, heapRows)
@@ -199,7 +247,6 @@ func TestAdoptRepointsByIdentity(t *testing.T) {
 	if hits := s.Search(replaced, 1); len(hits) != 1 || hits[0].ID != "v007" || hits[0].Score < 0.99 {
 		t.Errorf("the re-added v007 does not answer from its new row: %+v", hits)
 	}
-	wrote, _ := os.ReadFile(own)
 	if _, again := writeSnapshotFile(t, z.Save); !bytes.Equal(again, wrote) {
 		t.Error("the adopted capture saves other bytes than the file it became")
 	}

@@ -2,10 +2,13 @@ package vecindex
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/binfmt"
@@ -144,55 +147,99 @@ func TestVectorSnapshotCorruption(t *testing.T) {
 
 }
 
+// idColumn is the payload of a front-coded ids section holding ids in the
+// order given, which the coder does not check.
+func idColumn(t testing.TB, ids ...string) []byte {
+	t.Helper()
+	var e binfmt.FrontCoder
+	for _, id := range ids {
+		e.Add(id)
+	}
+	w := binfmt.NewWriter()
+	w.FrontCoded("ids", &e)
+	r, err := w.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.Bytes("ids")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// badIDColumns are ids sections for a three-row segment that the loader
+// must refuse: each breaks the front-coded column of "a", "b", "c" one way.
+func badIDColumns(t testing.TB) map[string][]byte {
+	forge := func(patch func(b []byte) []byte) []byte {
+		return patch(idColumn(t, "a", "b", "c"))
+	}
+	// The valid payload: count 3, block offset 0, then 1 'a', 0 1 'b', 0 1 'c'.
+	return map[string][]byte{
+		"shared prefix longer than the ID before": forge(func(b []byte) []byte { b[10] = 2; return b }),
+		"truncated uvarint":                       forge(func(b []byte) []byte { return b[:14] }),
+		"block offset out of range":               forge(func(b []byte) []byte { binary.NativeEndian.PutUint32(b[4:], 99); return b }),
+		"count past the IDs":                      forge(func(b []byte) []byte { binary.NativeEndian.PutUint32(b, 4); return b }),
+		"count disagreeing with meta":             idColumn(t, "a", "b"),
+		"IDs not increasing":                      idColumn(t, "b", "a", "c"),
+		"duplicate IDs":                           idColumn(t, "a", "c", "c"),
+	}
+}
+
 // segmentParts are the sections of a segment file as a test wants to
 // break them.
 type segmentParts struct {
-	meta   binMeta
-	ids    []string
-	idsort []uint32
-	norms  []float32
-	codes  []int8
+	meta  binMeta
+	ids   []byte
+	norms []float32
+	codes []int8
 }
 
-func (p segmentParts) file(t testing.TB) string {
+func (p segmentParts) bytes(t testing.TB) []byte {
 	t.Helper()
 	bw := binfmt.NewWriter()
 	if err := bw.JSON("meta", p.meta); err != nil {
 		t.Fatal(err)
 	}
-	bw.Strings("ids", p.ids)
-	bw.Uint32s("idsort", p.idsort)
+	bw.Section("ids", p.ids)
 	bw.Float32s("norms", p.norms)
 	bw.Int8s("codes", p.codes)
 	var buf bytes.Buffer
 	if _, err := bw.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return writeBytesFile(t, buf.Bytes())
+	return buf.Bytes()
+}
+
+func (p segmentParts) file(t testing.TB) string {
+	t.Helper()
+	return writeBytesFile(t, p.bytes(t))
+}
+
+// validSegmentParts is a three-row segment: a, b and c, of two dimensions.
+func validSegmentParts(t testing.TB) segmentParts {
+	return segmentParts{
+		meta:  binMeta{Family: segmentFamily, Dim: 2, Count: 3},
+		ids:   idColumn(t, "a", "b", "c"),
+		norms: []float32{0.01, 0, 0.5},
+		codes: []int8{127, 1, 0, 0, -127, 3},
+	}
 }
 
 // TestSegmentDecoderBounds: a container whose CRCs hold but whose columns
 // disagree — written by hand, or by something else — is an error at open,
 // never a panic in a scan.
 func TestSegmentDecoderBounds(t *testing.T) {
-	valid := func() segmentParts {
-		return segmentParts{
-			meta:   binMeta{Family: segmentFamily, Dim: 2, Count: 3},
-			ids:    []string{"b", "a", "c"},
-			idsort: []uint32{1, 0, 2},
-			norms:  []float32{0.01, 0, 0.5},
-			codes:  []int8{127, 1, 0, 0, -127, 3},
-		}
-	}
+	valid := func() segmentParts { return validSegmentParts(t) }
 	ix, err := OpenSQFile(valid().file(t))
 	if err != nil {
 		t.Fatalf("the valid segment does not open: %v", err)
 	}
-	if hits := ix.Search(embed.Vector{1, 0}, 3); len(hits) != 3 || hits[0].ID != "b" {
+	if hits := ix.Search(embed.Vector{1, 0}, 3); len(hits) != 3 || hits[0].ID != "a" {
 		t.Fatalf("the valid segment searches wrong: %+v", hits)
 	}
 	nan, inf := float32(math.NaN()), float32(math.Inf(1))
-	for name, breakIt := range map[string]func(*segmentParts){
+	cases := map[string]func(*segmentParts){
 		"codes shorter than count x dim": func(p *segmentParts) { p.codes = p.codes[:5] },
 		"codes longer than count x dim":  func(p *segmentParts) { p.codes = append(p.codes, 1, 2) },
 		"codes for another dim":          func(p *segmentParts) { p.meta.Dim = 3 },
@@ -202,16 +249,15 @@ func TestSegmentDecoderBounds(t *testing.T) {
 		"+Inf norm":                      func(p *segmentParts) { p.norms[0] = inf },
 		"-Inf norm":                      func(p *segmentParts) { p.norms[0] = -inf },
 		"negative norm":                  func(p *segmentParts) { p.norms[2] = -0.5 },
-		"duplicate id":                   func(p *segmentParts) { p.ids[2] = "a" },
-		"idsort out of range":            func(p *segmentParts) { p.idsort[2] = 3 },
-		"idsort not a permutation":       func(p *segmentParts) { p.idsort[2] = 0 },
-		"idsort unsorted":                func(p *segmentParts) { p.idsort = []uint32{0, 1, 2} },
-		"ids shorter than count":         func(p *segmentParts) { p.ids = p.ids[:2] },
 		"negative count":                 func(p *segmentParts) { p.meta.Count = -1 },
 		"zero dim":                       func(p *segmentParts) { p.meta.Dim = 0 },
 		"huge dim":                       func(p *segmentParts) { p.meta.Dim = math.MaxInt64 },
 		"another family":                 func(p *segmentParts) { p.meta.Family = "flat" },
-	} {
+	}
+	for name, ids := range badIDColumns(t) {
+		cases["ids: "+name] = func(p *segmentParts) { p.ids = ids }
+	}
+	for name, breakIt := range cases {
 		p := valid()
 		breakIt(&p)
 		if _, err := OpenSQFile(p.file(t)); err == nil {
@@ -223,7 +269,7 @@ func TestSegmentDecoderBounds(t *testing.T) {
 	if err := bw.JSON("meta", valid().meta); err != nil {
 		t.Fatal(err)
 	}
-	bw.Strings("ids", valid().ids)
+	bw.Section("ids", valid().ids)
 	var buf bytes.Buffer
 	if _, err := bw.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -247,6 +293,13 @@ func FuzzOpenSQSnapshot(f *testing.F) {
 	f.Add(good)
 	f.Add([]byte(binfmt.Magic))
 	f.Add([]byte{})
+	// A broken ids column behind valid checksums.
+	bad := badIDColumns(f)
+	for _, name := range slices.Sorted(maps.Keys(bad)) {
+		p := validSegmentParts(f)
+		p.ids = bad[name]
+		f.Add(p.bytes(f))
+	}
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := writeBytesIn(t, dir, data)

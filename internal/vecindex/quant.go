@@ -1,10 +1,12 @@
 package vecindex
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"unsafe"
 
@@ -102,7 +104,7 @@ func (s *SQFlat) Add(id string, v embed.Vector) error {
 		return fmt.Errorf("vecindex: duplicate id %q", id)
 	}
 	if seg := s.segment(); seg != nil {
-		if ord := seg.find(id); ord >= 0 && !s.baseDead[ord] {
+		if ord := seg.ids.Find(id); ord >= 0 && !s.baseDead[ord] {
 			return fmt.Errorf("vecindex: duplicate id %q", id)
 		}
 	}
@@ -131,7 +133,7 @@ func (s *SQFlat) Remove(id string) bool {
 		return true
 	}
 	if seg := s.segment(); seg != nil {
-		if ord := seg.find(id); ord >= 0 && !s.baseDead[ord] {
+		if ord := seg.ids.Find(id); ord >= 0 && !s.baseDead[ord] {
 			s.baseDead[ord] = true
 			s.baseLive--
 			return true
@@ -165,50 +167,63 @@ func (s *SQFlat) Len() int {
 	return s.baseLive + s.live
 }
 
-// Residency reports the code and norm bytes the index holds, by where
-// they sit — the tail and a base no file backs yet on the heap, an adopted
-// or opened base in its mapping — and the live rows added since the last
-// seal.
+// Residency reports the bytes the index holds, by where they sit — the
+// tail's codes and norms and a base segment no file backs yet on the heap,
+// an adopted or opened base segment in its mapping (the whole container:
+// IDs, norms and codes) — and the live rows added since the last seal.
 func (s *SQFlat) Residency() (heap, mapped int64, heapRows int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	heap = int64(len(s.codes)) + 4*int64(len(s.norms))
 	if seg := s.segment(); seg != nil {
-		if n := int64(len(seg.codes)) + 4*int64(len(seg.norms)); seg.r.Mapped() {
-			mapped = n
+		if size := seg.r.ID().Size; seg.r.Mapped() {
+			mapped = size
 		} else {
-			heap += n
+			heap += size
 		}
 	}
 	return heap, mapped, s.live
 }
 
 // rowIDs resolves the ordinals of one search: below base a row of the
-// segment the search loaded, from base on the tail.
+// segment the search loaded, from base on the tail. buf holds a base ID
+// decoded for a tie with a tail row or for a hit.
 type rowIDs struct {
 	seg  *segment
-	base int
+	base int32
 	tail []string
+	buf  []byte
 }
 
-func (v *rowIDs) idView(ord int32) string {
-	if int(ord) < v.base {
-		return viewString(v.seg.ids.Bytes(int(ord)))
+// cmp compares two rows' IDs. Base ordinals follow their IDs, so two base
+// rows compare as ordinals; a base ID is decoded only against a tail one.
+func (v *rowIDs) cmp(a, b int32) int {
+	switch {
+	case a < v.base && b < v.base:
+		return cmp.Compare(a, b)
+	case a >= v.base && b >= v.base:
+		return strings.Compare(v.tail[a-v.base], v.tail[b-v.base])
+	case a < v.base:
+		v.buf = v.seg.ids.AppendAt(v.buf[:0], int(a))
+		return strings.Compare(viewString(v.buf), v.tail[b-v.base])
+	default:
+		v.buf = v.seg.ids.AppendAt(v.buf[:0], int(b))
+		return strings.Compare(v.tail[a-v.base], viewString(v.buf))
 	}
-	return v.tail[int(ord)-v.base]
 }
 
 func (v *rowIDs) id(ord int32) string {
-	if int(ord) < v.base {
-		return v.seg.ids.At(int(ord))
+	if ord < v.base {
+		v.buf = v.seg.ids.AppendAt(v.buf[:0], int(ord))
+		return string(v.buf)
 	}
-	return v.tail[int(ord)-v.base]
+	return v.tail[ord-v.base]
 }
 
 func viewString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // sqScratch pools what a search needs beyond its result: the ID resolver
-// the heap holds by pointer, and the heap's array.
+// the heap holds by pointer (and its decode buffer), and the heap's array.
 type sqScratch struct {
 	ids rowIDs
 	h   []scored
@@ -235,15 +250,15 @@ func (s *SQFlat) Search(q embed.Vector, k int) []Hit {
 	}
 	seg := s.segment()
 	sc := sqPool.Get().(*sqScratch)
-	sc.ids = rowIDs{seg: seg, base: len(s.baseDead), tail: s.ids}
+	sc.ids = rowIDs{seg: seg, base: int32(len(s.baseDead)), tail: s.ids, buf: sc.ids.buf}
 	t := topK{k: k, ids: &sc.ids, h: sc.h[:0]}
 	if seg != nil {
 		t.scan(q, invQ, 0, seg.codes, seg.norms, s.baseDead)
 	}
 	t.scan(q, invQ, len(s.baseDead), s.codes, s.norms, s.dead)
 	out := t.results()
-	runtime.KeepAlive(seg) // codes and ID views were of its mapping
-	sc.ids, sc.h = rowIDs{}, t.h[:0]
+	runtime.KeepAlive(seg) // codes and IDs were read from its mapping
+	sc.ids, sc.h = rowIDs{buf: sc.ids.buf[:0]}, t.h[:0]
 	sqPool.Put(sc)
 	return out
 }
@@ -291,8 +306,8 @@ func dotCodes(q []float32, c []int8) float32 {
 // Freeze seals the index: live base and tail rows are compacted into a new
 // segment, which becomes the base under an empty tail and is returned.
 // Searches score the same before and after (a row's codes and norm move
-// verbatim; ties break by ID, not ordinal). An index with nothing written
-// since its last seal returns the segment it has.
+// verbatim; ties break by ID whichever tier holds a row). An index with
+// nothing written since its last seal returns the segment it has.
 func (s *SQFlat) Freeze() *Frozen {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -317,36 +332,85 @@ func (s *SQFlat) setBase(z *Frozen) {
 	s.base, s.baseDead, s.baseLive = z, make([]bool, n), n
 }
 
-// sealLocked builds the compacted segment: live base rows in ordinal
-// order, then live tail rows. Caller holds the write lock.
+// permuteRows reorders rows of dim codes and their norms in place so that
+// row i becomes the row at order[i], following each cycle of the
+// permutation once; order is overwritten.
+func permuteRows(codes []int8, norms []float32, dim int, order []int) {
+	row := func(i int) []int8 { return codes[i*dim : (i+1)*dim] }
+	first := make([]int8, dim)
+	for i := range order {
+		if order[i] < 0 || order[i] == i {
+			continue
+		}
+		copy(first, row(i))
+		firstNorm := norms[i]
+		for j := i; ; {
+			k := order[j]
+			order[j] = -1
+			if k == i {
+				copy(row(j), first)
+				norms[j] = firstNorm
+				break
+			}
+			copy(row(j), row(k))
+			norms[j] = norms[k]
+			j = k
+		}
+	}
+}
+
+// sealLocked builds the compacted segment: the live base rows, in ID order
+// already, merged with the live tail rows sorted by ID. Caller holds the
+// write lock.
 func (s *SQFlat) sealLocked(base *segment) (*segment, error) {
-	ids, norms, codes := s.ids, s.norms, s.codes
-	if s.baseLive > 0 || s.live < len(s.ids) { // else nothing to compact: the tail as it stands
+	tail := make([]int, 0, s.live)
+	for ord, dead := range s.dead {
+		if !dead {
+			tail = append(tail, ord)
+		}
+	}
+	slices.SortFunc(tail, func(a, b int) int { return strings.Compare(s.ids[a], s.ids[b]) })
+
+	var ids binfmt.FrontCoder
+	norms, codes := s.norms, s.codes
+	if base == nil && s.live == len(s.ids) {
+		// The tail alone, every row live (the first seal): reorder it in
+		// place rather than into a second buffer the size of its codes.
+		for _, ord := range tail {
+			ids.Add(s.ids[ord])
+		}
+		permuteRows(codes, norms, s.dim, tail)
+	} else {
 		n := s.baseLive + s.live
-		ids = make([]string, 0, n)
-		norms = make([]float32, 0, n)
-		codes = make([]int8, 0, n*s.dim)
-		for ord, dead := range s.baseDead {
-			if !dead {
-				ids = append(ids, viewString(base.ids.Bytes(ord)))
-				norms = append(norms, base.norms[ord])
-				codes = append(codes, base.codes[ord*s.dim:(ord+1)*s.dim]...)
+		norms, codes = make([]float32, 0, n), make([]int8, 0, n*s.dim)
+		takeTail := func(ord int) {
+			ids.Add(s.ids[ord])
+			norms = append(norms, s.norms[ord])
+			codes = append(codes, s.codes[ord*s.dim:(ord+1)*s.dim]...)
+		}
+		j := 0
+		if base != nil {
+			for ord, id := range base.ids.All() {
+				for ; j < len(tail) && s.ids[tail[j]] < viewString(id); j++ {
+					takeTail(tail[j])
+				}
+				if !s.baseDead[ord] {
+					ids.Add(viewString(id))
+					norms = append(norms, base.norms[ord])
+					codes = append(codes, base.codes[ord*s.dim:(ord+1)*s.dim]...)
+				}
 			}
 		}
-		for ord, dead := range s.dead {
-			if !dead {
-				ids = append(ids, s.ids[ord])
-				norms = append(norms, s.norms[ord])
-				codes = append(codes, s.codes[ord*s.dim:(ord+1)*s.dim]...)
-			}
+		for ; j < len(tail); j++ {
+			takeTail(tail[j])
 		}
 	}
 	bw := binfmt.NewWriter()
-	if err := encodeSegment(bw, s.dim, ids, norms, codes); err != nil {
+	if err := encodeSegment(bw, s.dim, &ids, norms, codes); err != nil {
 		return nil, err
 	}
 	fr, err := bw.Build()
-	runtime.KeepAlive(base) // ids viewed its column until here
+	runtime.KeepAlive(base) // norms and codes were copied from its columns until here
 	if err != nil {
 		return nil, err
 	}

@@ -1,13 +1,14 @@
 package vecindex
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"os"
 	"runtime"
 	"testing"
 	"time"
 
-	"repro/internal/binfmt"
 	"repro/internal/embed"
 )
 
@@ -280,9 +281,10 @@ func TestSQFlatErrors(t *testing.T) {
 	NewSQFlat(0)
 }
 
-// TestSQFlatResidencyCountsHeldBytes: codes and norms are priced where
-// they sit — tail and an unsaved seal on the heap, an adopted or reopened
-// segment as exactly its row sections of the file.
+// TestSQFlatResidencyCountsHeldBytes: bytes are priced where they sit —
+// the tail's codes and norms on the heap, a sealed segment as its whole
+// container, on the heap until a file holds it and then as exactly that
+// file's size in its mapping.
 func TestSQFlatResidencyCountsHeldBytes(t *testing.T) {
 	const dim, n = 16, 50
 	s, _ := buildSQ(t, randomVectors(n, dim, 3), dim)
@@ -291,24 +293,27 @@ func TestSQFlatResidencyCountsHeldBytes(t *testing.T) {
 		t.Errorf("tail only: %d heap, %d mapped, %d rows", heap, mapped, rows)
 	}
 	z := s.Freeze()
-	if heap, mapped, rows := s.Residency(); heap != rowBytes || mapped != 0 || rows != 0 {
-		t.Errorf("sealed, no file: %d heap, %d mapped, %d rows", heap, mapped, rows)
+	var buf bytes.Buffer
+	if err := z.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	segBytes := int64(buf.Len())
+	if heap, mapped, rows := s.Residency(); heap != segBytes || heap <= rowBytes || mapped != 0 || rows != 0 {
+		t.Errorf("sealed, no file: %d heap (container %d), %d mapped, %d rows", heap, segBytes, mapped, rows)
 	}
 	path := saveAndAdopt(t, z, t.TempDir())
 	if !z.seg.Load().r.Mapped() {
 		t.Skip("no mmap on this platform")
 	}
-	fr, err := binfmt.OpenFile(path)
+	info, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	codes, _ := fr.Bytes("codes")
-	norms, _ := fr.Bytes("norms")
 	if err := s.Add("late", randomVectors(1, dim, 4)[0]); err != nil {
 		t.Fatal(err)
 	}
-	if heap, mapped, rows := s.Residency(); mapped != int64(len(codes)+len(norms)) || mapped != rowBytes || heap != dim+4 || rows != 1 {
-		t.Errorf("adopted plus one: %d heap, %d mapped (file sections %d), %d rows", heap, mapped, len(codes)+len(norms), rows)
+	if heap, mapped, rows := s.Residency(); mapped != info.Size() || heap != dim+4 || rows != 1 {
+		t.Errorf("adopted plus one: %d heap, %d mapped (file %d), %d rows", heap, mapped, info.Size(), rows)
 	}
 }
 

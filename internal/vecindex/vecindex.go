@@ -17,6 +17,7 @@ package vecindex
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/embed"
@@ -163,9 +164,8 @@ func rowDim(ids []string, vecs []embed.Vector) int {
 
 // ordIDs resolves the ordinals a search scored to external IDs.
 type ordIDs interface {
-	// idView returns ord's ID without copying, for tie-breaks: valid for as
-	// long as the search keeps the rows it scored alive.
-	idView(ord int32) string
+	// cmp compares the IDs of two ordinals, for tie-breaks.
+	cmp(a, b int32) int
 	// id returns ord's ID as a string of its own, for the hits returned.
 	id(ord int32) string
 }
@@ -173,8 +173,8 @@ type ordIDs interface {
 // idList is the ordinal → ID column of the float-row indexes.
 type idList []string
 
-func (l *idList) idView(ord int32) string { return (*l)[ord] }
-func (l *idList) id(ord int32) string     { return (*l)[ord] }
+func (l *idList) cmp(a, b int32) int  { return strings.Compare((*l)[a], (*l)[b]) }
+func (l *idList) id(ord int32) string { return (*l)[ord] }
 
 // scored is one candidate inside the top-k heap.
 type scored struct {
@@ -203,7 +203,7 @@ func (t *topK) worse(a, b scored) bool {
 	if a.score != b.score {
 		return a.score < b.score
 	}
-	return t.ids.idView(a.ord) > t.ids.idView(b.ord)
+	return t.ids.cmp(a.ord, b.ord) > 0
 }
 
 func (t *topK) offer(ord int32, score float64) {

@@ -468,12 +468,73 @@ func TestBinarySnapshotRecoverySmoke(t *testing.T) {
 	}
 }
 
+// rewriteAsFormat2 rewrites the index files under dir in the layout of
+// snapshot format 2: IDs as a plain string column (in the order they are
+// stored) with an idsort column of ordinals sorted by ID beside it, every
+// other section as it is.
+func rewriteAsFormat2(t *testing.T, dir string) {
+	t.Helper()
+	sections := map[string][]string{
+		"bm25":   {"meta", "ids", "lengths", "idsort", "terms", "postidx", "postoff", "postings"},
+		"vector": {"meta", "ids", "idsort", "norms", "codes"},
+	}
+	for family, names := range sections {
+		files, err := filepath.Glob(filepath.Join(dir, family+"-*.idx"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no %s index files: %v", family, err)
+		}
+		for _, path := range files {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := binfmt.NewReader(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			col, err := r.FrontCoded("ids")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ids []string
+			var idsort []uint32
+			for i, id := range col.All() {
+				ids = append(ids, string(id))
+				idsort = append(idsort, uint32(i))
+			}
+			w := binfmt.NewWriter()
+			for _, name := range names {
+				switch name {
+				case "ids":
+					w.Strings(name, ids)
+				case "idsort":
+					w.Uint32s(name, idsort)
+				default:
+					b, err := r.Bytes(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					w.Section(name, b)
+				}
+			}
+			var buf bytes.Buffer
+			if _, err := w.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // TestStaleFormatSnapshotRebuilds pins the ways a checkpointed index
 // shard can be unusable. A shard that does not start with the binfmt
 // magic was written by a release older than the container format, and a
 // directory whose fingerprint names no vector row format by one whose flat
 // shards held float32 rows, one with "shards": 4 by one whose indexes were
-// hash-sharded: indexes are derived data, so recovery
+// hash-sharded, one at snapshot format 2 or 1 by one whose IDs were plain
+// or whose postings were int32 pairs: indexes are derived data, so recovery
 // re-indexes from the catalog and verdicts match a fresh build. A shard
 // that IS a container but has a flipped byte is corruption, and Open must
 // fail instead of rebuilding over a bad disk.
@@ -658,9 +719,9 @@ func TestStaleFormatSnapshotRebuilds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		older := bytes.Replace(meta, []byte(`"format": 2,`), []byte(`"format": 1,`), 1)
+		older := bytes.Replace(meta, []byte(`"format": 3,`), []byte(`"format": 1,`), 1)
 		if bytes.Equal(older, meta) {
-			t.Fatalf("meta.json is not at snapshot format 2: %s", meta)
+			t.Fatalf("meta.json is not at snapshot format 3: %s", meta)
 		}
 		if err := os.WriteFile(metaPath, older, 0o644); err != nil {
 			t.Fatal(err)
@@ -670,6 +731,46 @@ func TestStaleFormatSnapshotRebuilds(t *testing.T) {
 			t.Fatalf("a directory in the int32-postings layout was not re-indexed: %v", err)
 		}
 		defer recovered.Close()
+		got, err := recovered.VerifyClaim("q", workload.GolfClaim())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("re-indexed report differs from a fresh build:\n got %+v\nwant %+v", got, want)
+		}
+	})
+
+	// A directory of snapshot format 2: every index file holds its IDs in a
+	// plain string column, an idsort column beside it.
+	t.Run("indexes at snapshot format 2", func(t *testing.T) {
+		stale := filepath.Join(t.TempDir(), "stale")
+		copyTree(t, data, stale)
+		indexes := filepath.Join(stale, "checkpoint", "indexes")
+		rewriteAsFormat2(t, indexes)
+		if bad, err := Open(stale, durableOpts(1)); err == nil {
+			bad.Close()
+			t.Fatal("format-2 index files opened under the current snapshot format")
+		}
+		metaPath := filepath.Join(indexes, "meta.json")
+		meta, err := os.ReadFile(metaPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		older := bytes.Replace(meta, []byte(`"format": 3,`), []byte(`"format": 2,`), 1)
+		if bytes.Equal(older, meta) {
+			t.Fatalf("meta.json is not at snapshot format 3: %s", meta)
+		}
+		if err := os.WriteFile(metaPath, older, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recovered, err := Open(stale, durableOpts(1))
+		if err != nil {
+			t.Fatalf("a format-2 directory was not re-indexed: %v", err)
+		}
+		defer recovered.Close()
+		if st := recovered.Pipeline().Indexer().IndexStats(); st.Families["bm25"].MappedBytes != 0 {
+			t.Errorf("format-2 index files were mapped: %+v", st.Families)
+		}
 		got, err := recovered.VerifyClaim("q", workload.GolfClaim())
 		if err != nil {
 			t.Fatal(err)

@@ -258,3 +258,102 @@ func TestFormat1PinRecovers(t *testing.T) {
 		t.Errorf("pinned reports differ:\n format 1 %s\n format 2 %s", format1, format2)
 	}
 }
+
+// TestFormat2PinReindexes: a durable pin whose index files were written at
+// snapshot format 2 is recovered by Open, its view re-indexed in place of
+// the files, and its pinned verify returns the Report a format-3 pin at
+// the same version returns, byte for byte.
+func TestFormat2PinReindexes(t *testing.T) {
+	data := filepath.Join(t.TempDir(), "data")
+	sys, err := Open(data, durableOpts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Pipeline().Lake().AddSource(Source{ID: "cases", Name: "paper cases", TrustPrior: 0.9}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tb := range []*Table{workload.USOpen1954Table(), workload.USOpen1959Table()} {
+		if err := sys.AddTable(tb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.AddDocument(workload.MeaganGoodDoc()); err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []Triple{
+		{Subject: "tommy bolt", Predicate: "champion of", Object: "1958 u.s. open", SourceID: "cases"},
+		{Subject: "Tommy Bolt", Predicate: "born in", Object: "haworth", SourceID: "cases"},
+	} {
+		if err := sys.AddTriple(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.SetSourceTrust("cases", 0.8)
+	pin, err := sys.PinSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// After the pin, the head moves on.
+	if err := sys.AddTable(workload.OhioDistrictsTable()); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(t.TempDir(), "old")
+	copyTree(t, data, old)
+	indexes := filepath.Join(old, "snapshots", fmt.Sprint(pin), "indexes")
+	rewriteAsFormat2(t, indexes)
+	metaPath := filepath.Join(indexes, "meta.json")
+	meta, err := os.ReadFile(metaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	older := bytes.Replace(meta, []byte(`"format": 3,`), []byte(`"format": 2,`), 1)
+	if bytes.Equal(older, meta) {
+		t.Fatalf("pin meta.json is not at snapshot format 3: %s", meta)
+	}
+	if err := os.WriteFile(metaPath, older, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	pinned := func(dir string) []byte {
+		t.Helper()
+		s, err := Open(dir, durableOpts(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		listed := false
+		for _, snap := range s.Snapshots() {
+			listed = listed || snap.Version == pin && snap.Pinned
+		}
+		if !listed {
+			t.Fatalf("%s: pin %d not recovered (snapshots %+v)", filepath.Base(dir), pin, s.Snapshots())
+		}
+		ctx := context.Background()
+		golf, err := s.VerifyClaimAsOfCtx(ctx, "pinned", workload.GolfClaim(), pin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prize, err := s.VerifyClaimTextAsOfCtx(ctx, "pinned-text",
+			"In 1954 u.s. open (golf), the cash prize for tommy bolt, fred haas, and ben hogan was 960 in total.", pin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports := []Report{golf, prize}
+		for _, rep := range reports {
+			if rep.AsOfVersion != pin || len(rep.Evidence) == 0 {
+				t.Fatalf("%s: pinned report at %d with %d evidence, want at %d with some", filepath.Base(dir), rep.AsOfVersion, len(rep.Evidence), pin)
+			}
+		}
+		b, err := json.Marshal(reports)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if format3, format2 := pinned(data), pinned(old); !bytes.Equal(format2, format3) {
+		t.Errorf("pinned reports differ:\n format 2 %s\n format 3 %s", format2, format3)
+	}
+}
