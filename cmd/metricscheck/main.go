@@ -44,6 +44,7 @@ var requiredServing = []string{
 	"verifai_shard_search_seconds",
 	"verifai_index_segment_bytes",
 	"verifai_index_delta_docs",
+	"verifai_index_derive_seconds",
 	"verifai_index_adoptions_total",
 	"verifai_verifier_calls_total",
 	"verifai_verifier_call_seconds",

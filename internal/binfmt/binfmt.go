@@ -35,6 +35,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -80,19 +81,44 @@ type ID struct {
 // ID returns the identity of the container the last WriteTo produced.
 func (w *Writer) ID() ID { return w.id }
 
-// Build serializes the container into memory (one exactly sized buffer)
-// and opens it: the bytes WriteTo would put in a file, verified like one.
+// Build serializes the container into memory (one buffer sized to hold
+// it) and opens it: the bytes WriteTo would put in a file, verified like
+// one. Where files can be mapped (see OpenFile) the buffer is an anonymous
+// private mapping, read-only once written and released with the Reader,
+// so a sealed segment searched for as long as it lives neither counts
+// toward the collector's heap goal nor is scanned by it; elsewhere it is a
+// heap buffer.
 func (w *Writer) Build() (*Reader, error) {
 	w.deflateColumns()
 	size := headerLen + 8
 	for i, p := range w.payloads {
 		size += 22 + len(w.names[i]) + align8(len(p))
 	}
-	buf := bytes.NewBuffer(make([]byte, 0, size))
-	if _, err := w.WriteTo(buf); err != nil {
+	var mapping []byte
+	if mmapSupported && os.Getenv(NoMmapEnv) == "" {
+		mapping, _ = mmapAnon(size) // nil on failure: the heap serves
+	}
+	mem := mapping
+	if mem == nil {
+		mem = make([]byte, 0, size)
+	}
+	buf := bytes.NewBuffer(mem[:0])
+	_, err := w.WriteTo(buf)
+	if err == nil && mapping != nil {
+		err = protectReadOnly(mapping)
+	}
+	var r *Reader
+	if err == nil {
+		r, err = NewReader(buf.Bytes())
+	}
+	if err != nil {
+		munmap(mapping)
 		return nil, err
 	}
-	return NewReader(buf.Bytes())
+	if mapping != nil {
+		setUnmapCleanup(r, mapping)
+	}
+	return r, nil
 }
 
 // NewWriter returns an empty container writer.
@@ -312,12 +338,12 @@ func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 // Reader is an opened container. The section views it hands out alias the
 // underlying mapping (or the file's in-memory copy on the fallback path);
 // any structure that retains a view must also retain the Reader, which
-// keeps the mapping alive — the mapping is released by a finalizer once
-// the Reader is unreachable.
+// keeps the mapping alive — the mapping is released by a cleanup once the
+// Reader is unreachable.
 type Reader struct {
 	data   []byte
 	secs   map[string]section
-	mapped bool
+	mapped bool // a file mapping; Build's anonymous one is private memory
 }
 
 type section struct {
@@ -410,7 +436,7 @@ func (r *Reader) WriteTo(w io.Writer) (int64, error) {
 }
 
 // Mapped reports whether the reader is backed by an mmap'd file (as
-// opposed to an in-memory copy).
+// opposed to process-private memory: a Build buffer, or a file's copy).
 func (r *Reader) Mapped() bool { return r.mapped }
 
 // Bytes returns the raw payload of a section.

@@ -14,6 +14,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // testStrings is a string column with the shapes a codec gets wrong.
@@ -104,6 +105,16 @@ func packStrings(vals []string) []byte {
 // buildTestContainer writes one section of every supported column type.
 func buildTestContainer(t testing.TB) []byte {
 	t.Helper()
+	var buf bytes.Buffer
+	if _, err := testWriter(t).WriteTo(&buf); err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// testWriter holds the sections of buildTestContainer.
+func testWriter(t testing.TB) *Writer {
+	t.Helper()
 	w := NewWriter()
 	if err := w.JSON("meta", map[string]any{"kind": "test", "n": 3}); err != nil {
 		t.Fatalf("JSON: %v", err)
@@ -122,11 +133,7 @@ func buildTestContainer(t testing.TB) []byte {
 	w.DeflatedStrings("deflated", testStrings)
 	w.DeflatedStrings("deflated-none", nil)
 	w.Section("raw", []byte("payload"))
-	var buf bytes.Buffer
-	if _, err := w.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	return buf.Bytes()
+	return w
 }
 
 func checkTestContainer(t *testing.T, r *Reader) {
@@ -230,6 +237,62 @@ func TestOpenFileMmapAndFallback(t *testing.T) {
 		t.Fatal("reader mapped despite NoMmapEnv")
 	}
 	checkTestContainer(t, r2)
+}
+
+// TestBuildOffHeap: Build holds exactly the bytes WriteTo writes, as
+// process-private memory, not a file mapping. Where files map, a big
+// container costs the Go heap nothing and its memory goes with the Reader;
+// under NoMmapEnv it is a heap buffer.
+func TestBuildOffHeap(t *testing.T) {
+	want := buildTestContainer(t)
+	heapAlloc := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	const big = 8 << 20
+	for _, noMmap := range []bool{false, true} {
+		t.Run(fmt.Sprintf("nommap=%v", noMmap), func(t *testing.T) {
+			if noMmap {
+				t.Setenv(NoMmapEnv, "1")
+			}
+			r, err := testWriter(t).Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if _, err := r.WriteTo(&got); err != nil || !bytes.Equal(got.Bytes(), want) || r.Mapped() {
+				t.Fatalf("Build holds %d bytes (mapped %v, %v), WriteTo wrote %d", got.Len(), r.Mapped(), err, len(want))
+			}
+			checkTestContainer(t, r)
+
+			w := NewWriter()
+			w.Section("bulk", make([]byte, big))
+			before := heapAlloc()
+			r, err = w.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			grew := heapAlloc() - before
+			if offHeap := mmapSupported && !noMmap; offHeap && grew > big/8 || !offHeap && grew < big {
+				t.Errorf("a %d-byte container grew the heap by %d bytes", big, grew)
+			}
+			released := make(chan struct{})
+			runtime.AddCleanup(r, func(ch chan struct{}) { close(ch) }, released)
+			runtime.KeepAlive(w)
+			r, w = nil, nil
+			for i := 0; i < 20; i++ {
+				runtime.GC()
+				select {
+				case <-released:
+					return
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+			t.Fatal("an unreachable Reader was not released")
+		})
+	}
 }
 
 // TestCorruption flips a byte at every offset region of the container —
@@ -532,6 +595,7 @@ func TestFrontCoded(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, func() { col.Find("tuple:tbl-000001#15") }); allocs != 0 {
 			t.Errorf("%d strings: Find allocates %.1f times", n, allocs)
 		}
+		runtime.KeepAlive(r) // col views its memory
 	}
 	// Sorted IDs that differ in their last bytes cost a few bytes each.
 	var e FrontCoder

@@ -2,12 +2,19 @@
 
 package binfmt
 
-import "os"
+import (
+	"errors"
+	"os"
+)
 
 const mmapSupported = false
 
 func mmapFile(*os.File, int) ([]byte, error) { return nil, nil }
 
+func mmapAnon(int) ([]byte, error) { return nil, errors.ErrUnsupported }
+
+func protectReadOnly([]byte) error { return nil }
+
 func munmap([]byte) {}
 
-func setUnmapFinalizer(*Reader) {}
+func setUnmapCleanup(*Reader, []byte) {}

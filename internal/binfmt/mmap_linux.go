@@ -19,19 +19,25 @@ func mmapFile(f *os.File, size int) ([]byte, error) {
 	return syscall.Mmap(int(f.Fd()), 0, size, syscall.PROT_READ, syscall.MAP_PRIVATE)
 }
 
+// mmapAnon maps size bytes of zeroed, writable private memory.
+func mmapAnon(size int) ([]byte, error) {
+	return syscall.Mmap(-1, 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANON)
+}
+
+// protectReadOnly makes a mapping mmapAnon returned read-only, so a stray
+// write into a sealed container faults instead of changing it.
+func protectReadOnly(data []byte) error { return syscall.Mprotect(data, syscall.PROT_READ) }
+
 func munmap(data []byte) {
 	if data != nil {
 		_ = syscall.Munmap(data)
 	}
 }
 
-// setUnmapFinalizer releases the mapping once the Reader is unreachable.
+// setUnmapCleanup releases the mapping r reads once r is unreachable.
 // Every structure that retains a section view also retains the Reader
 // (see Reader docs), so the mapping cannot be released while a view is
 // still reachable. Close is deliberately absent: core's Indexer contract
 // keeps indexes searchable after Close, so an eager unmap would turn a
 // late search into a fault.
-func setUnmapFinalizer(r *Reader) {
-	data := r.data
-	runtime.SetFinalizer(r, func(*Reader) { munmap(data) })
-}
+func setUnmapCleanup(r *Reader, mapping []byte) { runtime.AddCleanup(r, munmap, mapping) }

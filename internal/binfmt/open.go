@@ -8,14 +8,15 @@ import (
 )
 
 // NoMmapEnv disables the mmap fast path when set to a non-empty value,
-// forcing OpenFile onto the portable read-everything fallback. Exposed so
-// benchmarks can measure both paths on the same machine.
+// forcing OpenFile onto the portable read-everything fallback and Build
+// onto a heap buffer. Exposed so benchmarks can measure both paths on the
+// same machine.
 const NoMmapEnv = "REPRO_BINFMT_NOMMAP"
 
 // OpenFile opens and fully verifies a container file. On supported
 // platforms the file is memory-mapped read-only, so opening costs one
 // verification pass over the page cache and no heap materialization; the
-// mapping is released by a finalizer when the Reader (and every structure
+// mapping is released by a cleanup when the Reader (and every structure
 // pinning it) becomes unreachable. Elsewhere — or when NoMmapEnv is set —
 // the file is read into an aligned buffer instead.
 func OpenFile(path string) (*Reader, error) {
@@ -41,7 +42,7 @@ func OpenFile(path string) (*Reader, error) {
 				return nil, fmt.Errorf("binfmt: %s: %w", path, rerr)
 			}
 			r.mapped = true
-			setUnmapFinalizer(r)
+			setUnmapCleanup(r, data)
 			return r, nil
 		}
 		// Fall through to the portable path on any mmap failure.

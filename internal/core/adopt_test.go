@@ -303,8 +303,7 @@ func TestAdoptSkipsForeignShardFile(t *testing.T) {
 	if err := fz.Save(faultfs.OS, dir, view.Version()); err != nil {
 		t.Fatal(err)
 	}
-	// One BM25 index gets another index's (valid) container, one vector
-	// index a flipped byte.
+	// One index gets another index's (valid) container, one a flipped byte.
 	other, err := os.ReadFile(shardFile(dir, familyBM25, datalake.KindText))
 	if err != nil {
 		t.Fatal(err)
@@ -312,21 +311,21 @@ func TestAdoptSkipsForeignShardFile(t *testing.T) {
 	if err := os.WriteFile(shardFile(dir, familyBM25, datalake.KindEntity), other, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	vecPath := shardFile(dir, familyVector, datalake.KindEntity)
-	data, err := os.ReadFile(vecPath)
+	flipPath := shardFile(dir, familyBM25, datalake.KindTuple)
+	data, err := os.ReadFile(flipPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[len(data)-5] ^= 0x01
-	if err := os.WriteFile(vecPath, data, 0o644); err != nil {
+	if err := os.WriteFile(flipPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	fz.Adopt(dir)
 	st := p.indexer.IndexStats()
-	if files := uint64(2 * len(p.indexer.cfg.Kinds)); st.Skipped != 2 || st.Adopted != files-2 {
+	if files := uint64(len(p.indexer.cfg.Kinds)); st.Skipped != 2 || st.Adopted != files-2 {
 		t.Errorf("adoptions: %d adopted, %d skipped; want %d and 2", st.Adopted, st.Skipped, files-2)
 	}
-	if st.Families[familyBM25].HeapBytes == 0 || st.Families[familyVector].HeapBytes == 0 {
+	if st.Families[familyBM25].HeapBytes == 0 {
 		t.Errorf("the skipped indexes are not on the heap: %+v", st.Families)
 	}
 	if got := p.indexer.search(context.Background(), g.Query(), 10, nil, true, true); !reflect.DeepEqual(got, want) {
@@ -391,8 +390,8 @@ func TestReopenedAndCheckpointedResidencyAgree(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("residency differs:\n checkpointed %+v\n reopened     %+v", got, want)
 	}
-	if want[familyBM25].HeapBytes != 0 || want[familyVector].HeapBytes != 0 || want[familyBM25].DeltaDocs != 0 {
-		t.Errorf("a reopened indexer holds index bytes on the heap: %+v", want)
+	if want[familyBM25].HeapBytes != 0 || want[familyVector].MappedBytes != 0 || want[familyBM25].DeltaDocs != 0 || want[familyVector].DeltaDocs != 0 {
+		t.Errorf("a reopened indexer holds BM25 bytes on the heap, vector files or a delta: %+v", want)
 	}
 }
 
@@ -402,7 +401,7 @@ func TestReopenedAndCheckpointedResidencyAgree(t *testing.T) {
 func TestSnapshotSaveGoesThroughFS(t *testing.T) {
 	p := seededPipeline(t, 40)
 	fz := p.indexer.Freeze()
-	files := 2 * len(p.indexer.cfg.Kinds)
+	files := len(p.indexer.cfg.Kinds)
 
 	ffs := faultfs.New(faultfs.OS)
 	if err := fz.Save(ffs, t.TempDir(), p.lake.Version()); err != nil {
@@ -422,11 +421,11 @@ func TestSnapshotSaveGoesThroughFS(t *testing.T) {
 
 // TestAdoptAfterReopenEveryFamily is a restart followed by the first
 // checkpoint, for both index families: an indexer opened from one
-// checkpoint's files (its BM25 segments and int8 vector segments views of
-// them) is sealed, saved into a second directory and moved onto it; the
-// first directory is unlinked and the collector run until its mappings are
-// gone. The indexer must answer as the one that never left the heap does,
-// before and after further writes.
+// checkpoint's files (its BM25 segments views of them, its int8 vector
+// segments derived from those) is sealed, saved into a second directory
+// and moved onto it; the first directory is unlinked and the collector run
+// until its mappings are gone. The indexer must answer as the one that
+// never left the heap does, before and after further writes.
 func TestAdoptAfterReopenEveryFamily(t *testing.T) {
 	t.Run("flat", func(t *testing.T) {
 		lake := datalake.New()
@@ -465,7 +464,7 @@ func TestAdoptAfterReopenEveryFamily(t *testing.T) {
 			t.Fatal(err)
 		}
 		fz.Adopt(second)
-		if st := reopened.IndexStats(); st.Skipped != 0 || st.Families[familyVector].HeapBytes != 0 {
+		if st := reopened.IndexStats(); st.Skipped != 0 || st.Families[familyBM25].HeapBytes != 0 {
 			t.Fatalf("not adopted: %+v", st)
 		}
 		if err := os.RemoveAll(first); err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/datalake"
-	"repro/internal/doc"
 	"repro/internal/embed"
 	"repro/internal/textutil"
 )
@@ -79,9 +78,7 @@ func (ix *Indexer) prepareEvent(ev datalake.Event) *preparedEvent {
 	switch ev.Kind {
 	case datalake.KindTable:
 		t := ev.Table
-		if ix.wantKind(datalake.KindTable) {
-			pe.addInstance(ix, datalake.KindTable, datalake.TableInstanceID(t.ID), t.SerializeForIndex())
-		}
+		pe.addInstance(ix, datalake.KindTable, datalake.TableInstanceID(t.ID), t.SerializeForIndex())
 		if ix.wantKind(datalake.KindTuple) {
 			ids := make([]string, 0, t.NumRows())
 			texts := make([]string, 0, t.NumRows())
@@ -92,70 +89,27 @@ func (ix *Indexer) prepareEvent(ev datalake.Event) *preparedEvent {
 			}
 			// Batch the tuples: a wide table fans its rows across the
 			// embedder's worker pool.
-			var terms [][]string
-			var vecs []embed.Vector
-			if ix.vec[datalake.KindTuple] != nil {
-				terms, vecs = ix.emb.AnalyzeTexts(texts, 0)
-			} else {
-				terms = make([][]string, len(texts))
-				for i, text := range texts {
-					terms[i] = textutil.TokenizeFiltered(text)
-				}
-			}
+			terms, vecs := ix.emb.AnalyzeTexts(texts, 0)
 			for i, id := range ids {
-				if ix.bm25[datalake.KindTuple] != nil {
-					pe.bm25 = append(pe.bm25, bm25Op{kind: datalake.KindTuple, id: id, terms: terms[i]})
-				}
-				if vecs != nil {
-					pe.vec = append(pe.vec, vecOp{kind: datalake.KindTuple, id: id, vec: vecs[i]})
-				}
+				pe.bm25 = append(pe.bm25, bm25Op{kind: datalake.KindTuple, id: id, terms: terms[i]})
+				pe.vec = append(pe.vec, vecOp{kind: datalake.KindTuple, id: id, vec: vecs[i]})
 			}
 		}
 	case datalake.KindText:
-		if !ix.wantKind(datalake.KindText) {
-			return pe
-		}
-		d := ev.Doc
-		id := datalake.TextInstanceID(d.ID)
-		if ix.cfg.ChunkTokens <= 0 || ix.vec[datalake.KindText] == nil {
-			pe.addInstance(ix, datalake.KindText, id, d.SerializeForIndex())
-			return pe
-		}
-		// Chunked: the content index takes the document whole, the vector
-		// index one embedding per chunk.
-		if ix.bm25[datalake.KindText] != nil {
-			pe.bm25 = append(pe.bm25, bm25Op{kind: datalake.KindText, id: id, terms: textutil.TokenizeFiltered(d.SerializeForIndex())})
-		}
-		chunks := doc.ChunkDocument(d, ix.cfg.ChunkTokens)
-		texts := make([]string, len(chunks))
-		for i, ch := range chunks {
-			texts[i] = d.Title + " " + ch.Text
-		}
-		for i, vec := range ix.emb.EmbedTexts(texts, 0) {
-			pe.vec = append(pe.vec, vecOp{
-				kind: datalake.KindText,
-				id:   fmt.Sprintf("%s@%d", id, chunks[i].Seq),
-				vec:  vec,
-			})
-		}
+		pe.addInstance(ix, datalake.KindText, datalake.TextInstanceID(ev.Doc.ID), ev.Doc.SerializeForIndex())
 	}
 	return pe
 }
 
-// addInstance analyzes one serialized instance once and appends its BM25
-// and vector ops to the payload.
+// addInstance analyzes one serialized instance of a configured kind once
+// and appends its BM25 and vector ops to the payload.
 func (pe *preparedEvent) addInstance(ix *Indexer, kind datalake.Kind, id, text string) {
-	wantBM25, wantVec := ix.bm25[kind] != nil, ix.vec[kind] != nil
-	if !wantBM25 && !wantVec {
+	if !ix.wantKind(kind) {
 		return
 	}
 	terms := textutil.TokenizeFiltered(text)
-	if wantBM25 {
-		pe.bm25 = append(pe.bm25, bm25Op{kind: kind, id: id, terms: terms})
-	}
-	if wantVec {
-		pe.vec = append(pe.vec, vecOp{kind: kind, id: id, vec: ix.emb.EmbedTerms(terms)})
-	}
+	pe.bm25 = append(pe.bm25, bm25Op{kind: kind, id: id, terms: terms})
+	pe.vec = append(pe.vec, vecOp{kind: kind, id: id, vec: ix.emb.EmbedTerms(terms)})
 }
 
 // apply is the lake's application stage: it runs on the lake's dispatcher

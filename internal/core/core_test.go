@@ -1,7 +1,8 @@
 package core
 
 import (
-	"strings"
+	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/claims"
@@ -88,7 +89,7 @@ func golfClaimObject() verify.Generated {
 func TestBuildIndexerValidation(t *testing.T) {
 	lake := smallLake(t)
 	if _, err := BuildIndexer(lake, IndexerConfig{EmbedDim: 8}); err == nil {
-		t.Error("indexer with no families accepted")
+		t.Error("indexer with no kinds accepted")
 	}
 }
 
@@ -139,55 +140,8 @@ func TestIndexerRetrieveFamily(t *testing.T) {
 	}
 }
 
-func TestIndexerBM25OnlyAndVectorOnly(t *testing.T) {
-	lake := smallLake(t)
-	cfg := DefaultIndexerConfig(1)
-	cfg.EnableVector = false
-	ix, err := BuildIndexer(lake, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ids := ix.Retrieve("tommy bolt", 3, datalake.KindTuple)
-	if len(ids) == 0 {
-		t.Error("bm25-only retrieval empty")
-	}
-
-	cfg2 := DefaultIndexerConfig(1)
-	cfg2.EnableBM25 = false
-	ix2, err := BuildIndexer(lake, cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ids2 := ix2.Retrieve("tommy bolt united states golfer", 3, datalake.KindText)
-	if len(ids2) == 0 {
-		t.Error("vector-only retrieval empty")
-	}
-}
-
-func TestIndexerChunking(t *testing.T) {
-	lake := smallLake(t)
-	cfg := DefaultIndexerConfig(1)
-	cfg.ChunkTokens = 8
-	ix, err := BuildIndexer(lake, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Chunk hits must be mapped back to their parent document instance.
-	_, ids := ix.Retrieve("tommy bolt golfer", 5, datalake.KindText)
-	for _, id := range ids {
-		if strings.Contains(id, "@") {
-			t.Errorf("chunk id leaked: %q", id)
-		}
-	}
-	if len(ids) == 0 {
-		t.Error("chunked retrieval empty")
-	}
-}
-
 // TestVectorHitsKeepInstanceIDs: a vector hit is credited to the instance
-// indexed under that row, even one whose ID ends in "@<digits>" as a chunk's
-// does. Only chunked text rows carry a chunk suffix to strip, and there a
-// document's own ID may end in "@7".
+// indexed under that row, even one whose ID ends in "@<digits>".
 func TestVectorHitsKeepInstanceIDs(t *testing.T) {
 	lake := datalake.New()
 	defer lake.Close()
@@ -206,41 +160,23 @@ func TestVectorHitsKeepInstanceIDs(t *testing.T) {
 		Text: "the 1954 u.s. open golf prize money went to ed furgol while tommy bolt and ben hogan tied for sixth place"}); err != nil {
 		t.Fatal(err)
 	}
-	for _, chunk := range []int{0, 8} {
-		cfg := DefaultIndexerConfig(1)
-		cfg.EnableBM25, cfg.ChunkTokens = false, chunk
-		ix, err := BuildIndexer(lake, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ix.Close()
-		hits, _ := ix.Retrieve("1954 u.s. open golf prize money tommy bolt", 2, datalake.KindTable)
-		if len(hits) != 2 || hits[0].InstanceID != "table:q@1" || hits[1].InstanceID != "table:q" {
-			t.Errorf("chunk tokens %d: table hits %+v, want table:q@1 then table:q", chunk, hits)
-		}
-		hits, ids := ix.Retrieve("golf prize money tommy bolt", 5, datalake.KindText)
-		for _, h := range hits {
-			if h.InstanceID != "text:report@7" {
-				t.Errorf("chunk tokens %d: text hit %+v, want text:report@7", chunk, h)
-			}
-		}
-		if len(ids) != 1 || ids[0] != "text:report@7" || chunk > 0 && len(hits) < 2 {
-			t.Errorf("chunk tokens %d: text candidates %v from %d hits", chunk, ids, len(hits))
-		}
+	ix, err := BuildIndexer(lake, DefaultIndexerConfig(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestChunkParent(t *testing.T) {
-	tests := []struct{ in, want string }{
-		{"text:doc-1@2", "text:doc-1"},
-		{"text:doc-1@12", "text:doc-1"},
-		{"text:doc-1", "text:doc-1"},
-		{"table:t@x", "table:t@x"}, // non-numeric suffix untouched
-	}
-	for _, tc := range tests {
-		if got := chunkParent(tc.in); got != tc.want {
-			t.Errorf("chunkParent(%q) = %q, want %q", tc.in, got, tc.want)
+	defer ix.Close()
+	vectorHits := func(query string, kind datalake.Kind) []string {
+		var ids []string
+		for _, h := range ix.search(context.Background(), query, 2, []datalake.Kind{kind}, false, true) {
+			ids = append(ids, h.InstanceID)
 		}
+		return ids
+	}
+	if got := vectorHits("1954 u.s. open golf prize money tommy bolt", datalake.KindTable); !slices.Equal(got, []string{"table:q@1", "table:q"}) {
+		t.Errorf("table hits %v, want table:q@1 then table:q", got)
+	}
+	if got := vectorHits("golf prize money tommy bolt", datalake.KindText); !slices.Equal(got, []string{"text:report@7"}) {
+		t.Errorf("text hits %v, want text:report@7", got)
 	}
 }
 

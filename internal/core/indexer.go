@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/datalake"
@@ -23,43 +24,33 @@ import (
 	"repro/internal/vecindex"
 )
 
-// IndexerConfig controls index construction.
+// IndexerConfig controls index construction. Every configured kind gets
+// both index families: a content-based one (BM25) and a semantic one, an
+// exhaustive cosine scan over int8 rows (vecindex.SQFlat; Faiss
+// IndexScalarQuantizer, QT_8bit, flat).
 type IndexerConfig struct {
 	// Seed drives the embedding space.
 	Seed uint64
 	// EmbedDim is the embedding dimension (default 64).
 	EmbedDim int
-	// EnableBM25 turns on the content-based index (default on via
-	// DefaultIndexerConfig).
-	EnableBM25 bool
-	// EnableVector turns on the semantic index: an exhaustive cosine scan
-	// over int8 rows (vecindex.SQFlat; Faiss IndexScalarQuantizer, QT_8bit,
-	// flat).
-	EnableVector bool
 	// Kinds lists the instance granularities to index. Tables are indexed
 	// whole AND per-tuple when both kinds are present, matching the paper's
 	// lake of tuples, tables, and text.
 	Kinds []datalake.Kind
-	// ChunkTokens bounds text chunks for the semantic index (the paper's
-	// "chunked text files"); <= 0 indexes whole documents.
-	ChunkTokens int
 	// QueryCacheSize is the capacity of the query-embedding LRU cache shared
 	// by all retrievals; <= 0 disables the cache. Repeated queries (the
 	// heavy-traffic case) skip the embedding computation entirely.
 	QueryCacheSize int
 }
 
-// DefaultIndexerConfig indexes every modality with both index families.
+// DefaultIndexerConfig indexes every modality.
 func DefaultIndexerConfig(seed uint64) IndexerConfig {
 	return IndexerConfig{
-		Seed:         seed,
-		EmbedDim:     128,
-		EnableBM25:   true,
-		EnableVector: true,
+		Seed:     seed,
+		EmbedDim: 128,
 		Kinds: []datalake.Kind{
 			datalake.KindTable, datalake.KindTuple, datalake.KindText, datalake.KindEntity,
 		},
-		ChunkTokens:    0,
 		QueryCacheSize: 256,
 	}
 }
@@ -67,7 +58,9 @@ func DefaultIndexerConfig(seed uint64) IndexerConfig {
 // Indexer is VerifAI's Indexer module: task-agnostic content-based (BM25)
 // and semantic-based (vector) indexes over lake instances, one of each per
 // modality so retrieval can target the data types a task needs; a
-// retrieval searches them in parallel.
+// retrieval searches them in parallel. A vector row is always the
+// embedding of exactly the terms its instance's BM25 document holds, which
+// is what lets a restart derive the vector indexes from the BM25 ones.
 //
 // The indexer is live: BuildIndexer subscribes it to the lake's change feed,
 // so instances ingested after construction become retrievable immediately,
@@ -89,6 +82,10 @@ type Indexer struct {
 	// — e.g. one loaded from a snapshot — is indexed at an unknown revision
 	// and re-indexed by its next triple.
 	entityRev map[string]int
+
+	// deriveNanos is how long the last open of persisted indexes spent
+	// deriving vector indexes (openIndexes).
+	deriveNanos atomic.Int64
 
 	// m holds the per-family index-search latency handles; the zero value
 	// records nothing. Deliberately NOT part of IndexerConfig: the config
@@ -114,7 +111,7 @@ func (ix *Indexer) SetMetrics(reg *obs.Registry) {
 	ix.m.searchBM25 = vec.With(familyBM25)
 	ix.m.searchVector = vec.With(familyVector)
 	seg := reg.GaugeVec("verifai_index_segment_bytes",
-		"Sealed BM25 and vector segment bytes, whole containers, plus vector tail code and norm bytes, by where they sit (heap, or a mapped index file).", "family", "residency")
+		"Sealed BM25 and vector segment bytes, whole containers, plus vector tail code and norm bytes, by where they sit (heap: process-private memory, Go heap and anonymous mappings alike; mapped: an index file).", "family", "residency")
 	delta := reg.GaugeVec("verifai_index_delta_docs",
 		"BM25 documents or vector rows written since the index's last checkpoint, held only on the heap.", "family")
 	// One walk over the indexes per exposition feeds all six series.
@@ -125,16 +122,21 @@ func (ix *Indexer) SetMetrics(reg *obs.Registry) {
 			delta.With(family).Set(float64(r.DeltaDocs))
 		}
 	})
+	reg.GaugeFunc("verifai_index_derive_seconds",
+		"Time the last open of persisted indexes spent deriving the vector indexes from the BM25 ones.",
+		func() float64 { return time.Duration(ix.deriveNanos.Load()).Seconds() })
 	adoptions := reg.CounterVec("verifai_index_adoptions_total",
-		"Index files a checkpoint moved the running indexes onto (adopted) or could not (skipped: that index stays on the heap).", "result")
+		"BM25 index files a checkpoint moved the running indexes onto (adopted) or could not (skipped: that index stays on its built copy).", "result")
 	ix.m.adopted, ix.m.skipped = adoptions.With("adopted"), adoptions.With("skipped")
 }
 
 // FamilyResidency says where one index family's bulk sits: its sealed
 // segments' bytes, whole containers (plus, for vectors, the tail's code and
-// norm bytes), by residency, and the BM25 delta documents or vector tail
+// norm bytes), by residency — heap is process-private memory, Go heap and
+// anonymous mappings alike — and the BM25 delta documents or vector tail
 // rows written since the last checkpoint. With nothing written since a
-// checkpoint, MappedBytes is the family's index files, byte for byte.
+// checkpoint, the BM25 MappedBytes is the family's index files, byte for
+// byte; vectors have no files and are all heap.
 type FamilyResidency struct {
 	HeapBytes   int64 `json:"heap_bytes"`
 	MappedBytes int64 `json:"mapped_bytes"`
@@ -146,12 +148,14 @@ func (f *FamilyResidency) add(heap, mapped int64, delta int) {
 }
 
 // IndexStats is the "indexes" block of /v1/stats: per-family residency
-// summed over kinds, and the index files checkpoints adopted or had to
-// skip (counted once SetMetrics has run).
+// summed over kinds, the index files checkpoints adopted or had to skip
+// (counted once SetMetrics has run), and the milliseconds the last open of
+// persisted indexes spent deriving the vector indexes.
 type IndexStats struct {
 	Families map[string]FamilyResidency `json:"families"`
 	Adopted  uint64                     `json:"adopted"`
 	Skipped  uint64                     `json:"skipped"`
+	DeriveMS float64                    `json:"derive_ms"`
 }
 
 // IndexStats reports where index memory sits.
@@ -161,11 +165,13 @@ func (ix *Indexer) IndexStats() IndexStats {
 		bm25.add(idx.Residency())
 	}
 	for _, idx := range ix.vec {
-		vec.add(idx.Residency())
+		bytes, rows := idx.Residency()
+		vec.add(bytes, 0, rows)
 	}
 	return IndexStats{
 		Families: map[string]FamilyResidency{familyBM25: bm25, familyVector: vec},
 		Adopted:  ix.m.adopted.Value(), Skipped: ix.m.skipped.Value(),
+		DeriveMS: float64(ix.deriveNanos.Load()) / 1e6,
 	}
 }
 
@@ -174,12 +180,9 @@ func (ix *Indexer) IndexStats() IndexStats {
 // lake) and BuildIndexerFromSnapshot (which loads persisted indexes). The
 // normalized config is written back through cfg so both paths fingerprint
 // identically.
-func newIndexer(lake *datalake.Lake, cfg *IndexerConfig) (*Indexer, error) {
+func newIndexer(lake *datalake.Lake, cfg *IndexerConfig) *Indexer {
 	if cfg.EmbedDim <= 0 {
 		cfg.EmbedDim = 64
-	}
-	if !cfg.EnableBM25 && !cfg.EnableVector {
-		return nil, fmt.Errorf("core: indexer needs at least one index family enabled")
 	}
 	ix := &Indexer{
 		lake:      lake,
@@ -191,24 +194,20 @@ func newIndexer(lake *datalake.Lake, cfg *IndexerConfig) (*Indexer, error) {
 		entityRev: make(map[string]int),
 	}
 	for _, kind := range cfg.Kinds {
-		if cfg.EnableBM25 {
-			ix.bm25[kind] = invindex.New()
-		}
-		if cfg.EnableVector {
-			ix.vec[kind] = vecindex.NewSQFlat(cfg.EmbedDim)
-		}
+		ix.bm25[kind] = invindex.New()
+		ix.vec[kind] = vecindex.NewSQFlat(cfg.EmbedDim)
 	}
-	return ix, nil
+	return ix
 }
 
 // BuildIndexer indexes the lake's current instances per cfg and subscribes
 // to the lake's change feed for incremental maintenance: tables, documents,
 // and triples added to the lake afterwards are indexed as they arrive.
 func BuildIndexer(lake *datalake.Lake, cfg IndexerConfig) (*Indexer, error) {
-	ix, err := newIndexer(lake, &cfg)
-	if err != nil {
-		return nil, err
+	if len(cfg.Kinds) == 0 {
+		return nil, fmt.Errorf("core: indexer needs at least one kind to index")
 	}
+	ix := newIndexer(lake, &cfg)
 	// Bulk-index the current lake contents and subscribe to the change feed
 	// atomically: SubscribeSync quiesces the lake (write lock held, event
 	// queue drained) across both, so a concurrent ingest can never land
@@ -304,8 +303,8 @@ func (ix *Indexer) indexTable(t *table.Table) error {
 	return ix.applyOps(pe.bm25, pe.vec)
 }
 
-// indexDocument indexes a text document (whole for BM25, chunked for the
-// vector family when configured), sharing the live path's implementation.
+// indexDocument indexes a text document, sharing the live path's
+// implementation.
 func (ix *Indexer) indexDocument(d *doc.Document) error {
 	pe := ix.prepareEvent(datalake.Event{Kind: datalake.KindText, Doc: d})
 	return ix.applyOps(pe.bm25, pe.vec)
@@ -319,25 +318,10 @@ func (ix *Indexer) add(kind datalake.Kind, id, text string) error {
 }
 
 // remove drops one instance from both families (no-op for unindexed IDs).
-// For chunked text instances the vector family stores per-chunk sub-IDs
-// ("id@seq"), which are enumerated and removed individually.
 func (ix *Indexer) remove(kind datalake.Kind, id string) {
 	if idx, ok := ix.bm25[kind]; ok {
 		idx.Delete(id)
-	}
-	vec, ok := ix.vec[kind]
-	if !ok {
-		return
-	}
-	vec.Remove(id)
-	if kind == datalake.KindText && ix.cfg.ChunkTokens > 0 {
-		// Chunk sequence numbers are contiguous from 0, so stop at the
-		// first miss.
-		for seq := 0; ; seq++ {
-			if !vec.Remove(fmt.Sprintf("%s@%d", id, seq)) {
-				break
-			}
-		}
+		ix.vec[kind].Remove(id)
 	}
 }
 
@@ -391,17 +375,10 @@ func (ix *Indexer) QueryCacheStats() (hits, misses uint64, size int) {
 // retrieval hits, ranked in the order the index emits them.
 type retrGroup struct {
 	family string
-	// chunked strips chunk suffixes: only text vector rows carry them, and
-	// only when chunked — any other ID is the instance's own, whatever it
-	// ends in.
-	chunked bool
-	hits    []provenance.RetrievalHit
+	hits   []provenance.RetrievalHit
 }
 
 func (g *retrGroup) add(id string, score float64) {
-	if g.chunked {
-		id = chunkParent(id)
-	}
 	g.hits = append(g.hits, provenance.RetrievalHit{Index: g.family, InstanceID: id, Score: score, Rank: len(g.hits)})
 }
 
@@ -499,7 +476,7 @@ func (ix *Indexer) searchIndexes(ctx context.Context, query string, k int, kinds
 			})
 		}
 		if idx := vec[kind]; wantVector && idx != nil {
-			g := &retrGroup{family: familyVector, chunked: kind == datalake.KindText && ix.cfg.ChunkTokens > 0}
+			g := &retrGroup{family: familyVector}
 			groups = append(groups, g)
 			tasks = append(tasks, func() {
 				if ctx.Err() != nil {
@@ -537,7 +514,7 @@ func (ix *Indexer) Retrieve(query string, k int, kinds ...datalake.Kind) ([]prov
 // possibly partial results of a cancelled retrieval are returned as-is;
 // callers must check ctx.Err() and discard them.
 func (ix *Indexer) RetrieveCtx(ctx context.Context, query string, k int, kinds ...datalake.Kind) ([]provenance.RetrievalHit, []string) {
-	hits := ix.search(ctx, query, k, kinds, true, ix.cfg.EnableVector)
+	hits := ix.search(ctx, query, k, kinds, true, true)
 	return hits, combine(hits)
 }
 
@@ -548,26 +525,10 @@ func (ix *Indexer) RetrieveFamily(query, family string, k int, kinds ...datalake
 	case familyBM25:
 		return combine(ix.search(context.Background(), query, k, kinds, true, false))
 	case familyVector:
-		if !ix.cfg.EnableVector {
-			return nil
-		}
 		return combine(ix.search(context.Background(), query, k, kinds, false, true))
 	default:
 		return nil
 	}
-}
-
-// chunkParent strips a chunk suffix ("text:doc-1@2" → "text:doc-1").
-func chunkParent(id string) string {
-	for i := len(id) - 1; i >= 0; i-- {
-		if id[i] == '@' {
-			return id[:i]
-		}
-		if id[i] < '0' || id[i] > '9' {
-			break
-		}
-	}
-	return id
 }
 
 // combine merges hits from all indexes, deduplicating by instance ID — the

@@ -7,33 +7,44 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"time"
 
 	"repro/internal/binfmt"
 	"repro/internal/datalake"
+	"repro/internal/embed"
 	"repro/internal/faultfs"
 	"repro/internal/invindex"
 	"repro/internal/vecindex"
 )
 
 // Index snapshots let a restarted process skip re-tokenizing and
-// re-embedding the whole lake: a checkpoint saves the index of every
-// (kind, family) pair, and recovery maps them back — valid only for the
-// exact lake version and indexer configuration they were built under, both
-// pinned in meta.json. A snapshot that does not match is simply not used
-// (the caller falls back to a bulk re-index), never partially applied.
+// re-embedding the whole lake: a checkpoint saves every kind's BM25 index,
+// and recovery maps them back and derives each kind's vector index from
+// its BM25 one — valid only for the exact lake version and indexer
+// configuration they were built under, both pinned in meta.json. A
+// snapshot that does not match is simply not used (the caller falls back
+// to a bulk re-index), never partially applied.
 //
-// A checkpoint is also a flush. Freeze seals each index into the segment
-// Save writes, and once the directory is promoted Adopt opens each index
-// file as recovery would and moves the running process onto it (segment
-// columns become views of the mapping, the heap copies are dropped): after
-// any checkpoint the process holds what a restart on the directory would —
-// mapped index files, a delta of what was written since.
+// The vector indexes need no files: a row is the embedding of exactly the
+// terms its instance's BM25 document holds, and a sealed BM25 segment
+// holds each document's distinct terms, in the ascending order the
+// embedding sums them, with the frequencies it weighs them by
+// (deriveVectors).
+//
+// A checkpoint is also a flush. Freeze seals each index into a segment,
+// Save writes the BM25 ones, and once the directory is promoted Adopt
+// opens each BM25 file as recovery would and moves the running process
+// onto it (segment columns become views of the mapping, the sealed copies
+// are dropped): after any checkpoint the process holds what a restart on
+// the directory would — mapped BM25 files, sealed vector segments, a delta
+// of what was written since.
 
-// snapshotFormat versions the snapshot layout itself: 3 since index
-// segments keep their rows in ID order with the IDs front-coded (2 kept
-// them in insertion order, the IDs plain beside an idsort column; 1 also
-// held BM25 postings as int32 pairs).
-const snapshotFormat = 3
+// snapshotFormat versions the snapshot layout itself: 4 since a snapshot
+// holds no vector files (3 held one per kind; 2 kept rows in insertion
+// order, the IDs plain beside an idsort column; 1 also held BM25 postings
+// as int32 pairs).
+const snapshotFormat = 4
 
 // snapshotMeta pins what a snapshot is valid for.
 type snapshotMeta struct {
@@ -47,39 +58,33 @@ type snapshotMeta struct {
 // snapshotConfig is the layout-relevant subset of IndexerConfig. Runtime
 // tuning knobs (worker counts, cache sizes) are deliberately excluded: an
 // operator changing them must not invalidate snapshots.
+//
+// The other keys are constants from configurations the indexer no longer
+// offers; they stay so that directories and durable pins keep their
+// fingerprint, while one written otherwise does not match and is rebuilt
+// from the catalog. Both families are always on ("enable_*" true), text is
+// never chunked ("chunk_tokens" 0), the vector index is the int8 flat one
+// ("vector" 0, "vector_rows" "int8"; float32 rows wrote no "vector_rows",
+// an IVF or LSH index "vector" 1 or 2) and no index is hash-sharded
+// ("shards" 1).
 type snapshotConfig struct {
-	Seed         uint64 `json:"seed"`
-	EmbedDim     int    `json:"embed_dim"`
-	EnableBM25   bool   `json:"enable_bm25"`
-	EnableVector bool   `json:"enable_vector"`
-	// Vector is always 0 and VectorRows "int8" when vector indexes are
-	// written. Both keys stay so that directories and durable pins already
-	// written keep their fingerprint and open without a re-index, while one
-	// written with float32 rows (no "vector_rows") or for another index
-	// family ("vector" 1 or 2) does not match and is rebuilt from the
-	// catalog.
-	Vector      int             `json:"vector"`
-	VectorRows  string          `json:"vector_rows,omitempty"`
-	Kinds       []datalake.Kind `json:"kinds"`
-	ChunkTokens int             `json:"chunk_tokens"`
-	// Shards is always 1, from when each (kind, family) pair could be
-	// hash-sharded: the key stays so that directories and durable pins
-	// already written open without a re-index, while one written with
-	// several shards does not match and is rebuilt from the catalog.
-	Shards int `json:"shards"`
+	Seed         uint64          `json:"seed"`
+	EmbedDim     int             `json:"embed_dim"`
+	EnableBM25   bool            `json:"enable_bm25"`
+	EnableVector bool            `json:"enable_vector"`
+	Vector       int             `json:"vector"`
+	VectorRows   string          `json:"vector_rows"`
+	Kinds        []datalake.Kind `json:"kinds"`
+	ChunkTokens  int             `json:"chunk_tokens"`
+	Shards       int             `json:"shards"`
 }
 
 // canonicalConfig serializes cfg's layout-relevant fields.
 func canonicalConfig(cfg IndexerConfig) ([]byte, error) {
-	sc := snapshotConfig{
-		Seed: cfg.Seed, EmbedDim: cfg.EmbedDim,
-		EnableBM25: cfg.EnableBM25, EnableVector: cfg.EnableVector,
-		Kinds: cfg.Kinds, ChunkTokens: cfg.ChunkTokens, Shards: 1,
-	}
-	if cfg.EnableVector {
-		sc.VectorRows = "int8"
-	}
-	return json.Marshal(sc)
+	return json.Marshal(snapshotConfig{
+		Seed: cfg.Seed, EmbedDim: cfg.EmbedDim, EnableBM25: true, EnableVector: true,
+		VectorRows: "int8", Kinds: cfg.Kinds, Shards: 1,
+	})
 }
 
 // shardFile names the file of one (kind, family) index. The "-000" is the
@@ -122,36 +127,27 @@ func (ix *Indexer) Freeze() *FrozenIndexes {
 	return fz
 }
 
-// Save writes the frozen indexes plus the pinning metadata to dir (created
-// if needed) through fs. lakeVersion must be the lake version the capture
-// was frozen at. Safe to call with ingestion running: the capture is
-// immutable.
+// Save writes the frozen BM25 indexes plus the pinning metadata to dir
+// (created if needed) through fs; the vector indexes are derived from the
+// BM25 ones when the directory is opened. lakeVersion must be the lake
+// version the capture was frozen at. Safe to call with ingestion running:
+// the capture is immutable.
 func (fz *FrozenIndexes) Save(fs faultfs.FS, dir string, lakeVersion uint64) error {
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: snapshot mkdir: %w", err)
 	}
-	save := func(path string, sh interface{ Save(io.Writer) error }) error {
+	for kind, z := range fz.bm25 {
+		path := shardFile(dir, familyBM25, kind)
 		f, err := fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 		if err != nil {
 			return fmt.Errorf("core: create snapshot file: %w", err)
 		}
-		err = sh.Save(f)
+		err = z.Save(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
 			return fmt.Errorf("core: write %s: %w", filepath.Base(path), err)
-		}
-		return nil
-	}
-	for kind, f := range fz.bm25 {
-		if err := save(shardFile(dir, familyBM25, kind), f); err != nil {
-			return err
-		}
-	}
-	for kind, f := range fz.vec {
-		if err := save(shardFile(dir, familyVector, kind), f); err != nil {
-			return err
 		}
 	}
 	cc, err := canonicalConfig(fz.ix.cfg)
@@ -168,25 +164,19 @@ func (fz *FrozenIndexes) Save(fs faultfs.FS, dir string, lakeVersion uint64) err
 	return nil
 }
 
-// Adopt moves the capture, and the live indexes still serving what it
+// Adopt moves the capture, and the live BM25 indexes still serving what it
 // captured, onto the index files Save wrote under dir — call it once dir
 // is where the files will stay (a promoted checkpoint). A file that does
 // not open, or is not the container this capture wrote, is not adopted:
-// that index keeps its heap copy and counts as skipped, never guessed.
+// that index keeps its sealed copy and counts as skipped, never guessed.
 // Safe with ingestion and searches running.
 func (fz *FrozenIndexes) Adopt(dir string) {
-	count := func(err error) {
-		if err != nil {
+	for kind, z := range fz.bm25 {
+		if z.Adopt(shardFile(dir, familyBM25, kind)) != nil {
 			fz.ix.m.skipped.Inc()
 		} else {
 			fz.ix.m.adopted.Inc()
 		}
-	}
-	for kind, f := range fz.bm25 {
-		count(f.Adopt(shardFile(dir, familyBM25, kind)))
-	}
-	for kind, f := range fz.vec {
-		count(f.Adopt(shardFile(dir, familyVector, kind)))
 	}
 }
 
@@ -206,10 +196,7 @@ var errStaleFormat = fmt.Errorf("%w (written in another snapshot format)", ErrSn
 // the lake quiesced); on any mismatch it returns ErrSnapshotMismatch
 // (wrap-checked with errors.Is) and the caller falls back to BuildIndexer.
 func BuildIndexerFromSnapshot(lake *datalake.Lake, cfg IndexerConfig, dir string) (*Indexer, error) {
-	ix, err := newIndexer(lake, &cfg)
-	if err != nil {
-		return nil, err
-	}
+	ix := newIndexer(lake, &cfg)
 	meta, err := checkSnapshotMeta(ix.cfg, dir)
 	if err != nil {
 		return nil, err
@@ -221,7 +208,7 @@ func BuildIndexerFromSnapshot(lake *datalake.Lake, cfg IndexerConfig, dir string
 		if v := lake.Version(); v != meta.LakeVersion {
 			return fmt.Errorf("%w (snapshot at lake version %d, lake at %d)", ErrSnapshotMismatch, meta.LakeVersion, v)
 		}
-		bm25, vec, err := openIndexes(ix.cfg, dir)
+		bm25, vec, err := ix.openIndexes(dir)
 		if err == nil {
 			ix.bm25, ix.vec = bm25, vec
 		}
@@ -234,32 +221,100 @@ func BuildIndexerFromSnapshot(lake *datalake.Lake, cfg IndexerConfig, dir string
 	return ix, nil
 }
 
-// openIndexes opens every index file of the snapshot directory dir as cfg
-// lays them out, by path so each is memory-mapped and served lazily: one
-// verification pass per file, vector and posting pages fault in as
-// queries touch them. A missing index file is an ErrSnapshotMismatch
-// (rebuild instead); one that exists but fails to open is corruption,
-// surfaced loudly.
-func openIndexes(cfg IndexerConfig, dir string) (map[datalake.Kind]*invindex.Index, map[datalake.Kind]*vecindex.SQFlat, error) {
-	bm25 := make(map[datalake.Kind]*invindex.Index)
-	vec := make(map[datalake.Kind]*vecindex.SQFlat)
-	for _, kind := range cfg.Kinds {
-		if cfg.EnableBM25 {
-			idx, err := openBM25Shard(shardFile(dir, familyBM25, kind))
-			if err != nil {
-				return nil, nil, err
-			}
-			bm25[kind] = idx
+// openIndexes opens the BM25 index file of every configured kind of the
+// snapshot directory dir, by path so each is memory-mapped and served
+// lazily (one verification pass per file; posting pages fault in as
+// queries touch them), then derives each kind's vector index from it,
+// kinds in parallel, and records how long the derivation took. A missing
+// index file is an ErrSnapshotMismatch (rebuild instead); one that exists
+// but fails to open or to derive from is corruption, surfaced loudly.
+func (ix *Indexer) openIndexes(dir string) (map[datalake.Kind]*invindex.Index, map[datalake.Kind]*vecindex.SQFlat, error) {
+	kinds := ix.cfg.Kinds
+	bm25s := make([]*invindex.Index, len(kinds))
+	trs := make([]*invindex.Transposed, len(kinds))
+	vecs := make([]*vecindex.SQFlat, len(kinds))
+	eachKind := func(do func(i int) error) error {
+		errs := make([]error, len(kinds))
+		tasks := make([]func(), len(kinds))
+		for i := range kinds {
+			tasks[i] = func() { errs[i] = do(i) }
 		}
-		if cfg.EnableVector {
-			idx, err := openVectorShard(shardFile(dir, familyVector, kind))
+		runParallel(tasks, runtime.GOMAXPROCS(0))
+		// The first kind's error, as a sequential open would return it: a
+		// mismatch must not hide another kind's corruption, or the reverse.
+		for _, err := range errs {
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
-			vec[kind] = idx
 		}
+		return nil
+	}
+	if err := eachKind(func(i int) (err error) {
+		bm25s[i], err = openBM25Shard(shardFile(dir, familyBM25, kinds[i]))
+		return err
+	}); err != nil {
+		return nil, nil, err
+	}
+	start := time.Now()
+	if err := eachKind(func(i int) (err error) {
+		trs[i], err = bm25s[i].Transpose()
+		return err
+	}); err != nil {
+		return nil, nil, err
+	}
+	tokens := tokenVectors(ix.emb, trs)
+	if err := eachKind(func(i int) (err error) {
+		vecs[i], err = vecindex.Derive(ix.emb.Dim(), trs[i].IDs, derivedRows(trs[i], tokens))
+		return err
+	}); err != nil {
+		return nil, nil, err
+	}
+	ix.deriveNanos.Store(int64(time.Since(start)))
+	bm25 := make(map[datalake.Kind]*invindex.Index, len(kinds))
+	vec := make(map[datalake.Kind]*vecindex.SQFlat, len(kinds))
+	for i, kind := range kinds {
+		bm25[kind], vec[kind] = bm25s[i], vecs[i]
 	}
 	return bm25, vec, nil
+}
+
+// tokenVectors takes the token vector of every term of trs from emb once,
+// on every core: the kinds share most of their terms.
+func tokenVectors(emb *embed.Embedder, trs []*invindex.Transposed) map[string]embed.Vector {
+	tokens := make(map[string]embed.Vector)
+	var terms []string
+	for _, tr := range trs {
+		for i := 0; i < tr.Terms.Len(); i++ {
+			if _, seen := tokens[string(tr.Terms.Bytes(i))]; !seen {
+				t := string(tr.Terms.Bytes(i))
+				tokens[t] = nil
+				terms = append(terms, t)
+			}
+		}
+	}
+	for i, v := range emb.TokenVectors(terms) {
+		tokens[terms[i]] = v
+	}
+	return tokens
+}
+
+// derivedRows returns what fills the vector row of tr's document d: what
+// EmbedTerms returns for the terms the document was indexed with, summed
+// from its distinct terms in ascending order through the same accumulate
+// step and normalized, so the codes and norms are the ones ingestion
+// wrote, bit for bit. tokens holds every term's token vector.
+func derivedRows(tr *invindex.Transposed, tokens map[string]embed.Vector) func(d int, row embed.Vector) {
+	byTerm := make([]embed.Vector, tr.Terms.Len())
+	for i := range byTerm {
+		byTerm[i] = tokens[string(tr.Terms.Bytes(i))]
+	}
+	return func(d int, row embed.Vector) {
+		pairs := tr.Doc(d)
+		for j := 0; j < len(pairs); j += 2 {
+			embed.AddTerm(row, byTerm[pairs[j]], pairs[j+1])
+		}
+		embed.Normalize(row)
+	}
 }
 
 // checkSnapshotMeta reads and validates a snapshot directory's meta.json
@@ -295,39 +350,24 @@ func checkSnapshotMeta(cfg IndexerConfig, dir string) (snapshotMeta, error) {
 	return meta, nil
 }
 
-// statShard distinguishes "snapshot incomplete or written by a release
-// older than the binfmt container" (ErrSnapshotMismatch, rebuild instead)
-// from "shard present but unreadable" (corruption, surfaced loudly by the
-// open that follows).
-func statShard(path string) error {
+// openBM25Shard opens one persisted BM25 shard by path. A file missing, or
+// written by a release older than the binfmt container, is an
+// ErrSnapshotMismatch (rebuild instead); one present but unreadable is
+// corruption, surfaced loudly by the open.
+func openBM25Shard(path string) (*invindex.Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("%w (missing shard file %s)", ErrSnapshotMismatch, filepath.Base(path))
+		return nil, fmt.Errorf("%w (missing shard file %s)", ErrSnapshotMismatch, filepath.Base(path))
 	}
-	defer f.Close()
 	var head [len(binfmt.Magic)]byte
 	// A file shorter than the magic leaves head zero-padded: stale too.
-	if _, err := io.ReadFull(f, head[:]); err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return fmt.Errorf("core: read %s: %w", filepath.Base(path), err)
+	_, err = io.ReadFull(f, head[:])
+	f.Close()
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, fmt.Errorf("core: read %s: %w", filepath.Base(path), err)
 	}
 	if string(head[:]) != binfmt.Magic {
-		return fmt.Errorf("%w (shard file %s is not in the binfmt format)", ErrSnapshotMismatch, filepath.Base(path))
-	}
-	return nil
-}
-
-// openBM25Shard opens one persisted BM25 shard by path.
-func openBM25Shard(path string) (*invindex.Index, error) {
-	if err := statShard(path); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w (shard file %s is not in the binfmt format)", ErrSnapshotMismatch, filepath.Base(path))
 	}
 	return invindex.OpenFile(path)
-}
-
-// openVectorShard opens one persisted vector shard by path.
-func openVectorShard(path string) (*vecindex.SQFlat, error) {
-	if err := statShard(path); err != nil {
-		return nil, err
-	}
-	return vecindex.OpenSQFile(path)
 }

@@ -116,14 +116,15 @@ func TestSnapshotMismatch(t *testing.T) {
 
 	// Different layout-relevant configuration.
 	other := cfg
-	other.ChunkTokens = 32
+	other.EmbedDim = 64
 	if _, err := BuildIndexerFromSnapshot(lake, other, dir); !errors.Is(err, ErrSnapshotMismatch) {
 		t.Fatalf("config mismatch error = %v, want ErrSnapshotMismatch", err)
 	}
 
 	// Fingerprints of directories this build does not write: one from before
-	// flat vector indexes held int8 rows (no row format named), and one
-	// whose indexes were hash-sharded four ways.
+	// flat vector indexes held int8 rows (no row format named), one whose
+	// indexes were hash-sharded four ways, one whose text vectors were
+	// chunked and one with no vector indexes.
 	metaPath := filepath.Join(dir, "meta.json")
 	meta, err := os.ReadFile(metaPath)
 	if err != nil {
@@ -132,6 +133,8 @@ func TestSnapshotMismatch(t *testing.T) {
 	for _, forged := range []struct{ name, old, new string }{
 		{"float-row", `"vector_rows": "int8",`, ``},
 		{"four-shard", `"shards": 1`, `"shards": 4`},
+		{"chunked", `"chunk_tokens": 0`, `"chunk_tokens": 32`},
+		{"bm25-only", `"enable_vector": true`, `"enable_vector": false`},
 	} {
 		older := bytes.Replace(meta, []byte(forged.old), []byte(forged.new), 1)
 		if bytes.Equal(older, meta) {

@@ -365,7 +365,7 @@ type evidenceSource struct {
 func (p *Pipeline) headSource() evidenceSource {
 	return evidenceSource{
 		retrieve: func(ctx context.Context, query string, k int, kinds []datalake.Kind) []provenance.RetrievalHit {
-			return p.indexer.search(ctx, query, k, kinds, true, p.indexer.cfg.EnableVector)
+			return p.indexer.search(ctx, query, k, kinds, true, true)
 		},
 		resolve: p.lake.Resolve,
 		trust:   p.SourceTrust,

@@ -32,7 +32,6 @@ import (
 // capture (or indexes opened from disk for a pin recovered at restart)
 // plus a knowledge graph rebuilt from the view's triples.
 type PinnedSnapshot struct {
-	cfg   IndexerConfig
 	view  *datalake.View
 	trust map[string]float64 // pipeline trust overrides at pin time
 
@@ -57,16 +56,16 @@ func (ps *PinnedSnapshot) Trust() map[string]float64 { return ps.trust }
 // materialize makes the snapshot searchable exactly once: a live
 // capture's sealed BM25 segments and vector rows are wrapped in place
 // (nothing is copied — they are the bytes the live indexes searched at the
-// fork, on the heap or in the checkpoint's mapped files), a recovered
-// pin's index files are opened (or, written in another snapshot format,
-// rebuilt from the view), and the view's triple list is rebuilt into a
-// graph for entity resolution.
-func (ps *PinnedSnapshot) materialize() error {
-	ps.once.Do(func() { ps.matErr = ps.doMaterialize() })
+// fork, sealed or in the checkpoint's mapped files), a recovered pin's
+// BM25 files are opened and ix derives its vector indexes from them (or,
+// written in another snapshot format, the view is re-indexed), and the
+// view's triple list is rebuilt into a graph for entity resolution.
+func (ps *PinnedSnapshot) materialize(ix *Indexer) error {
+	ps.once.Do(func() { ps.matErr = ps.doMaterialize(ix) })
 	return ps.matErr
 }
 
-func (ps *PinnedSnapshot) doMaterialize() error {
+func (ps *PinnedSnapshot) doMaterialize(ix *Indexer) error {
 	ps.graph = kg.NewGraph()
 	for _, t := range ps.view.Triples() {
 		ps.graph.Add(t)
@@ -77,18 +76,16 @@ func (ps *PinnedSnapshot) doMaterialize() error {
 	}
 	switch {
 	case ps.frozen == nil && ps.dir == "":
-		ix, err := newIndexer(nil, &ps.cfg)
-		if err == nil {
-			err = ix.ingest(ps.view, ps.graph)
-		}
-		if err != nil {
+		cfg := ix.cfg
+		rebuilt := newIndexer(nil, &cfg)
+		if err := rebuilt.ingest(ps.view, ps.graph); err != nil {
 			return err
 		}
-		ps.bm25, ps.vec = ix.bm25, ix.vec
+		ps.bm25, ps.vec = rebuilt.bm25, rebuilt.vec
 		return nil
 	case ps.frozen == nil:
 		var err error
-		ps.bm25, ps.vec, err = openIndexes(ps.cfg, ps.dir)
+		ps.bm25, ps.vec, err = ix.openIndexes(ps.dir)
 		return err
 	}
 	ps.bm25 = make(map[datalake.Kind]*invindex.Index, len(ps.frozen.bm25))
@@ -123,7 +120,7 @@ func (ps *PinnedSnapshot) sourceTrust(sourceID string) float64 {
 func (ps *PinnedSnapshot) source(ix *Indexer) evidenceSource {
 	return evidenceSource{
 		retrieve: func(ctx context.Context, query string, k int, kinds []datalake.Kind) []provenance.RetrievalHit {
-			return ix.searchIndexes(ctx, query, k, kinds, true, ps.cfg.EnableVector, ps.bm25, ps.vec)
+			return ix.searchIndexes(ctx, query, k, kinds, true, true, ps.bm25, ps.vec)
 		},
 		resolve: func(id string) (datalake.Instance, error) { return ps.view.Resolve(id, ps.graph) },
 		trust:   ps.sourceTrust,
@@ -193,7 +190,7 @@ func (p *Pipeline) PinSnapshot(persist func(view *datalake.View, writeIndexes fu
 		return nil, err
 	}
 	trust := p.trustSnapshot()
-	ps := &PinnedSnapshot{cfg: p.indexer.cfg, view: view, trust: trust, frozen: fz}
+	ps := &PinnedSnapshot{view: view, trust: trust, frozen: fz}
 	snap := p.snapshots.Add(view, ps, true)
 	if persist != nil {
 		writeIndexes := func(fs faultfs.FS, dir string) error {
@@ -212,7 +209,7 @@ func (p *Pipeline) PinSnapshot(persist func(view *datalake.View, writeIndexes fu
 // hands the same pair here, so every checkpoint doubles as a time-travel
 // snapshot at zero extra quiescence.
 func (p *Pipeline) RegisterSnapshot(view *datalake.View, fz *FrozenIndexes, pinned bool) *datalake.Snapshot {
-	ps := &PinnedSnapshot{cfg: p.indexer.cfg, view: view, trust: p.trustSnapshot(), frozen: fz}
+	ps := &PinnedSnapshot{view: view, trust: p.trustSnapshot(), frozen: fz}
 	return p.snapshots.Add(view, ps, pinned)
 }
 
@@ -238,7 +235,7 @@ func (p *Pipeline) RegisterRecoveredSnapshot(view *datalake.View, dir string, tr
 	if trust == nil {
 		trust = make(map[string]float64)
 	}
-	ps := &PinnedSnapshot{cfg: p.indexer.cfg, view: view, trust: trust, dir: dir}
+	ps := &PinnedSnapshot{view: view, trust: trust, dir: dir}
 	return p.snapshots.Add(view, ps, true), nil
 }
 
@@ -279,7 +276,7 @@ func (p *Pipeline) VerifyAsOfCtx(ctx context.Context, g verify.Generated, asOf u
 			return rep, nil
 		}
 	}
-	if err := ps.materialize(); err != nil {
+	if err := ps.materialize(p.indexer); err != nil {
 		return Report{}, err
 	}
 	rep, err := p.verifyAgainst(ctx, g, p.cfg.VerifyWorkers, kk, ps.source(p.indexer), asOf)

@@ -1,14 +1,6 @@
 // Package doc models the unstructured-text modality of the multi-modal data
-// lake: documents (e.g. Wikipedia-style entity pages) and the chunking used
-// before embedding, mirroring the paper's "chunked text files" that feed the
-// Faiss index.
+// lake: documents (e.g. Wikipedia-style entity pages), indexed whole.
 package doc
-
-import (
-	"strings"
-
-	"repro/internal/textutil"
-)
 
 // Document is a text file in the lake.
 type Document struct {
@@ -31,52 +23,4 @@ func (d *Document) SerializeForIndex() string {
 		return d.Text
 	}
 	return d.Title + " " + d.Text
-}
-
-// Chunk is a contiguous span of a document, the unit of semantic indexing.
-type Chunk struct {
-	// DocID is the owning document.
-	DocID string
-	// Seq is the chunk's position within the document, starting at 0.
-	Seq int
-	// Text is the chunk body.
-	Text string
-}
-
-// ChunkDocument splits a document into chunks of at most maxTokens tokens,
-// breaking on sentence boundaries so no sentence is split across chunks
-// (unless a single sentence alone exceeds maxTokens, in which case it forms
-// its own oversized chunk). maxTokens <= 0 yields one chunk per document.
-func ChunkDocument(d *Document, maxTokens int) []Chunk {
-	if maxTokens <= 0 {
-		return []Chunk{{DocID: d.ID, Seq: 0, Text: d.Text}}
-	}
-	sentences := textutil.SplitSentences(d.Text)
-	if len(sentences) == 0 {
-		return nil
-	}
-	var chunks []Chunk
-	var cur []string
-	curTokens := 0
-	flush := func() {
-		if len(cur) == 0 {
-			return
-		}
-		chunks = append(chunks, Chunk{DocID: d.ID, Seq: len(chunks), Text: strings.Join(cur, " ")})
-		cur = cur[:0]
-		curTokens = 0
-	}
-	for _, s := range sentences {
-		n := len(textutil.Tokenize(s))
-		if curTokens > 0 && curTokens+n > maxTokens {
-			flush()
-		}
-		cur = append(cur, s)
-		curTokens += n
-		if curTokens >= maxTokens {
-			flush()
-		}
-	}
-	flush()
-	return chunks
 }

@@ -1,11 +1,6 @@
 package doc
 
-import (
-	"strings"
-	"testing"
-
-	"repro/internal/textutil"
-)
+import "testing"
 
 func TestSerializeForIndex(t *testing.T) {
 	d := &Document{Title: "Meagan Good", Text: "An actress."}
@@ -15,81 +10,5 @@ func TestSerializeForIndex(t *testing.T) {
 	d2 := &Document{Text: "No title."}
 	if got := d2.SerializeForIndex(); got != "No title." {
 		t.Errorf("SerializeForIndex untitled = %q", got)
-	}
-}
-
-func TestChunkDocumentWhole(t *testing.T) {
-	d := &Document{ID: "d1", Text: "One. Two. Three."}
-	chunks := ChunkDocument(d, 0)
-	if len(chunks) != 1 || chunks[0].Text != d.Text || chunks[0].DocID != "d1" {
-		t.Errorf("whole-doc chunking = %+v", chunks)
-	}
-}
-
-func TestChunkDocumentBounds(t *testing.T) {
-	var sentences []string
-	for i := 0; i < 20; i++ {
-		sentences = append(sentences, "alpha beta gamma delta epsilon.")
-	}
-	d := &Document{ID: "d2", Text: strings.Join(sentences, " ")}
-	const maxTokens = 12
-	chunks := ChunkDocument(d, maxTokens)
-	if len(chunks) < 5 {
-		t.Fatalf("expected several chunks, got %d", len(chunks))
-	}
-	for i, ch := range chunks {
-		if ch.Seq != i {
-			t.Errorf("chunk %d has Seq %d", i, ch.Seq)
-		}
-		n := len(textutil.Tokenize(ch.Text))
-		// Each sentence has 5 tokens; chunks pack 2 sentences (10 tokens)
-		// under the 12-token cap.
-		if n > maxTokens {
-			t.Errorf("chunk %d has %d tokens > cap %d", i, n, maxTokens)
-		}
-		// No sentence may be split: chunks end on sentence boundaries.
-		if !strings.HasSuffix(strings.TrimSpace(ch.Text), ".") {
-			t.Errorf("chunk %d does not end on a sentence boundary: %q", i, ch.Text)
-		}
-	}
-}
-
-func TestChunkDocumentCoversAllSentences(t *testing.T) {
-	d := &Document{ID: "d3", Text: "First point. Second point. Third point. Fourth point."}
-	chunks := ChunkDocument(d, 4)
-	joined := ""
-	for _, ch := range chunks {
-		joined += " " + ch.Text
-	}
-	for _, want := range []string{"First point.", "Second point.", "Third point.", "Fourth point."} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("chunks lost sentence %q", want)
-		}
-	}
-}
-
-func TestChunkOversizedSentence(t *testing.T) {
-	long := strings.Repeat("word ", 50) + "end."
-	d := &Document{ID: "d4", Text: "Short. " + long}
-	chunks := ChunkDocument(d, 10)
-	if len(chunks) < 2 {
-		t.Fatalf("expected >= 2 chunks, got %d", len(chunks))
-	}
-	// The oversized sentence forms its own chunk rather than being dropped.
-	found := false
-	for _, ch := range chunks {
-		if strings.Contains(ch.Text, "end.") {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("oversized sentence was dropped")
-	}
-}
-
-func TestChunkEmptyDocument(t *testing.T) {
-	d := &Document{ID: "d5", Text: ""}
-	if chunks := ChunkDocument(d, 10); chunks != nil {
-		t.Errorf("empty doc chunks = %v", chunks)
 	}
 }

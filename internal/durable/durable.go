@@ -6,7 +6,8 @@
 //	<dir>/checkpoint/      latest checkpoint: catalog.vaib (the whole
 //	                       catalog in one binfmt container, see
 //	                       catalog.go), META.json (checkpoint version),
-//	                       and indexes/ (the indexer's persisted shards)
+//	                       and indexes/ (the indexer's persisted BM25
+//	                       shards; the vector ones are derived from them)
 //	<dir>/checkpoint.old/  previous checkpoint, kept only mid-swap
 //
 // The commit protocol: every lake mutation is appended to the WAL by the
@@ -122,8 +123,8 @@ type Stats struct {
 	CheckpointBytes int64 `json:"checkpoint_bytes"`
 	CheckpointFiles int   `json:"checkpoint_files"`
 	// CheckpointPartBytes splits CheckpointBytes by part: "catalog"
-	// (catalog.vaib), "bm25" and "vector" (each family's index files) and
-	// "meta" (META.json and indexes/meta.json).
+	// (catalog.vaib), "bm25" (the index files) and "meta" (META.json and
+	// indexes/meta.json).
 	CheckpointPartBytes map[string]int64 `json:"checkpoint_part_bytes"`
 	// LastCheckpointUnix is 0 until a checkpoint happens in this process.
 	LastCheckpointUnix int64 `json:"last_checkpoint_unix,omitempty"`
@@ -217,7 +218,7 @@ func (s *Store) SetMetrics(reg *obs.Registry) {
 			return float64(s.ckptSize.bytes)
 		})
 	parts := reg.GaugeVec("verifai_checkpoint_part_bytes",
-		"Size of the current checkpoint directory by part (catalog, bm25, vector, meta).", "part")
+		"Size of the current checkpoint directory by part (catalog, bm25, meta).", "part")
 	reg.OnCollect(func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()

@@ -72,7 +72,7 @@ func syncTree(fs faultfs.FS, root string) error {
 
 // checkpointParts are the parts checkpointPart sorts a checkpoint's files
 // into.
-var checkpointParts = []string{"catalog", "bm25", "vector", "meta"}
+var checkpointParts = []string{"catalog", "bm25", "meta"}
 
 // treeSize is what a checkpoint directory holds: files and bytes, in total
 // and by part. The parts map is never written once measureTree returns.
@@ -116,7 +116,7 @@ func (size *treeSize) add(fs faultfs.FS, dir string, indexes bool) error {
 }
 
 // checkpointPart names the part a checkpoint file belongs to. Index files
-// are named for their family (<family>-<kind>-000.idx under indexes/), the
+// are named for their family (bm25-<kind>-000.idx under indexes/), the
 // META.json and indexes/meta.json markers are metadata, and everything else
 // is the catalog: catalog.vaib, or an older checkpoint's lakeio tree.
 func checkpointPart(name string, indexes bool) string {
@@ -125,8 +125,6 @@ func checkpointPart(name string, indexes bool) string {
 		return "meta"
 	case indexes && strings.HasPrefix(name, "bm25-"):
 		return "bm25"
-	case indexes && strings.HasPrefix(name, "vector-"):
-		return "vector"
 	}
 	return "catalog"
 }

@@ -171,6 +171,14 @@ func (e *Embedder) TokenVector(token string) Vector {
 	return v
 }
 
+// TokenVectors returns the token vector of each of tokens, computed on the
+// embedder's worker pool.
+func (e *Embedder) TokenVectors(tokens []string) []Vector {
+	out := make([]Vector, len(tokens))
+	forEach(len(tokens), 0, func(i int) { out[i] = e.TokenVector(tokens[i]) })
+	return out
+}
+
 // EmbedTokens returns one vector per analyzed token of s, in order, for
 // late-interaction (ColBERT-style) scoring. Returns nil for token-free text.
 func (e *Embedder) EmbedTokens(s string) []Vector {
@@ -202,7 +210,7 @@ func (e *Embedder) EmbedTerms(terms []string) Vector {
 	if len(terms) == 0 {
 		return out
 	}
-	freq := make(map[string]float64, len(terms))
+	freq := make(map[string]int32, len(terms))
 	for _, t := range terms {
 		freq[t]++
 	}
@@ -214,14 +222,24 @@ func (e *Embedder) EmbedTerms(terms []string) Vector {
 	}
 	sort.Strings(uniq)
 	for _, t := range uniq {
-		w := float32(math.Sqrt(freq[t]))
-		tv := e.TokenVector(t)
-		for i := range out {
-			out[i] += w * tv[i]
-		}
+		AddTerm(out, e.TokenVector(t), freq[t])
 	}
 	Normalize(out)
 	return out
+}
+
+// AddTerm adds a term's token vector tv, occurring freq times, into the
+// sum acc: the step EmbedTerms takes per distinct term, in ascending term
+// order, before it normalizes. A vector rebuilt from stored term
+// frequencies through this same step rounds exactly as the embedding did;
+// the explicit conversion keeps the compiler from fusing the multiply into
+// the add on some platforms and not others.
+func AddTerm(acc, tv Vector, freq int32) {
+	w := float32(math.Sqrt(float64(freq)))
+	tv = tv[:len(acc)]
+	for i := range acc {
+		acc[i] += float32(w * tv[i])
+	}
 }
 
 // embedSlots bounds the extra goroutines all concurrent EmbedTexts calls
@@ -300,24 +318,4 @@ func forEach(n, workers int, fn func(i int)) {
 	}
 	work()
 	wg.Wait()
-}
-
-// EmbedTuple embeds a serialized tuple: the caption, column names, and cell
-// values ("tuple-to-vec" in the paper). Column names are included so tuples
-// from same-schema tables cluster.
-func (e *Embedder) EmbedTuple(caption string, columns, values []string) Vector {
-	var parts []string
-	if caption != "" {
-		parts = append(parts, caption)
-	}
-	parts = append(parts, columns...)
-	parts = append(parts, values...)
-	joined := ""
-	for i, p := range parts {
-		if i > 0 {
-			joined += " "
-		}
-		joined += p
-	}
-	return e.EmbedText(joined)
 }

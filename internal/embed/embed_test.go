@@ -168,21 +168,6 @@ func TestEmbedTokens(t *testing.T) {
 	}
 }
 
-func TestEmbedTuple(t *testing.T) {
-	e := NewEmbedder(64, 1)
-	v1 := e.EmbedTuple("1954 open", []string{"player", "money"}, []string{"tommy bolt", "570"})
-	v2 := e.EmbedTuple("1954 open", []string{"player", "money"}, []string{"tommy bolt", "570"})
-	for i := range v1 {
-		if v1[i] != v2[i] {
-			t.Fatal("EmbedTuple not deterministic")
-		}
-	}
-	v3 := e.EmbedTuple("2001 season", []string{"week", "opponent"}, []string{"1", "riverton comets"})
-	if Cosine(v1, v3) > Cosine(v1, v2) {
-		t.Error("different tuples more similar than identical tuples")
-	}
-}
-
 func TestFrequencyDamping(t *testing.T) {
 	// Repeating a token must not dominate: sqrt damping keeps the rare
 	// token's contribution visible.

@@ -12,15 +12,17 @@
 // opening a segment decodes every run once to validate it. Freeze
 // seals base + delta + tombstones into the next segment and goes on
 // searching it as the base; Frozen.Save writes its bytes; OpenFile maps
-// such a file back; Frozen.Adopt moves a running index from the sealed
-// heap buffer onto the mapping of the file just written; a snapshot
-// retained for time travel searches the same segment through Frozen.Index.
-// What is mutable is small: the delta of documents added since the last
-// seal, and a tombstone bitmap over the base.
+// such a file back; Frozen.Adopt moves a running index from the container
+// it was sealed into onto the mapping of the file just written; a snapshot
+// retained for time travel searches the same segment through Frozen.Index;
+// Transpose hands a segment's postings back by document. What is mutable
+// is small: the delta of documents added since the last seal, and a
+// tombstone bitmap over the base.
 //
 // The index is safe for concurrent use: writes take an exclusive lock,
-// searches a shared one; a segment's bytes move from heap to mapping
-// behind an atomic pointer shared by every index searching it.
+// searches a shared one; a segment's bytes move from the built container
+// to the mapping behind an atomic pointer shared by every index searching
+// it.
 package invindex
 
 import (
@@ -42,7 +44,7 @@ type posting struct {
 
 // Index is a BM25 inverted index over string documents. It has up to two
 // tiers: an optional immutable base segment (sealed by Freeze or opened by
-// OpenFile; on the heap until a file holds it, mapped afterwards) occupying
+// OpenFile; process-private until a file holds it, mapped afterwards) occupying
 // global ordinals [0, base.n), and the mutable delta below whose local
 // ordinals follow at base.n. New documents always land in the delta;
 // deletions of base documents only flip a bit in baseDeleted, so the base
@@ -230,7 +232,8 @@ func (ix *Index) Tombstones() int {
 }
 
 // Residency reports where the index sits: the sealed base segment's bytes,
-// on the heap or in a mapped file, and the live delta documents.
+// in process-private memory (heap) or in a mapped file, and the live delta
+// documents.
 func (ix *Index) Residency() (heap, mapped int64, deltaDocs int) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()

@@ -17,7 +17,7 @@ import (
 // retained snapshot searches it through Index, Save writes its bytes, and
 // Adopt swaps those bytes for the mapping of the file Save wrote.
 type Frozen struct {
-	// cols views the sealed heap buffer until Adopt, the mapped file after;
+	// cols views the container Freeze built until Adopt, the mapped file after;
 	// both hold the same bytes, so a search may load either.
 	cols atomic.Pointer[staticSeg]
 }
@@ -196,7 +196,8 @@ func (z *Frozen) Save(w io.Writer) error {
 // Save wrote (same container identity): it is opened as OpenFile opens a
 // snapshot and the column views switch to its mapping — same bytes, same
 // ordinals, so every index sharing the segment keeps its tombstones, delta
-// and scores, while the heap copy becomes garbage. On error nothing moves.
+// and scores, while the built container is released. On error nothing
+// moves.
 func (z *Frozen) Adopt(path string) error {
 	fr, err := binfmt.OpenFile(path)
 	if err != nil {

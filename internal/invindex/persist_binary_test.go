@@ -236,7 +236,7 @@ func idColumn(t testing.TB, ids ...string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
+	return bytes.Clone(b) // the container is read-only and goes with r
 }
 
 // badIDColumns are ids sections for validParts' two documents that the
@@ -344,6 +344,72 @@ func TestStaticValidationRejects(t *testing.T) {
 		mutate(&p)
 		if _, err := openBytes(t, p.encode(t)); err == nil {
 			t.Errorf("%s: loaded without error", name)
+		}
+	}
+}
+
+// TestTranspose: a segment's postings turned around give each document its
+// distinct terms, ascending, with their frequencies; a segment holding a
+// document with more distinct terms than its length is an error.
+func TestTranspose(t *testing.T) {
+	ix, err := openBytes(t, validParts(t).encode(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := ix.Transpose()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := [][]int32{tr.Doc(0), tr.Doc(1)}, [][]int32{{0, 2, 1, 1}, {1, 2}}; tr.Len() != 2 || !reflect.DeepEqual(got, want) {
+		t.Errorf("hand-built segment transposes to %v, want %v", got, want)
+	}
+	short := validParts(t)
+	short.lengths = []int32{1, 4}
+	if ix, err = openBytes(t, short.encode(t)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.Transpose(); err == nil {
+		t.Error("a document with two terms and length 1 transposed")
+	}
+
+	// A sealed index of random documents, some deleted, some re-added.
+	r := rand.New(rand.NewSource(3))
+	ix, docs := New(), map[string][]string{}
+	for i := 0; i < 300; i++ {
+		id := fmt.Sprintf("doc-%03d", r.Intn(150))
+		if docs[id] != nil {
+			ix.Delete(id)
+		}
+		docs[id] = sealDoc(r)
+		if err := ix.AddTerms(id, docs[id]); err != nil {
+			t.Fatal(err)
+		}
+		if i == 150 {
+			ix.Freeze()
+		}
+	}
+	ix.Freeze()
+	if tr, err = ix.Transpose(); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() != len(docs) {
+		t.Fatalf("%d documents transposed, %d indexed", tr.Len(), len(docs))
+	}
+	termIndex := map[string]int32{}
+	for i := 0; i < tr.Terms.Len(); i++ {
+		termIndex[string(tr.Terms.Bytes(i))] = int32(i)
+	}
+	for d, id := range tr.IDs.All() {
+		freqs := map[string]int32{}
+		for _, term := range docs[string(id)] {
+			freqs[term]++
+		}
+		var want []int32
+		for _, term := range slices.Sorted(maps.Keys(freqs)) {
+			want = append(want, termIndex[term], freqs[term])
+		}
+		if got := tr.Doc(d); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %v, want %v", id, got, want)
 		}
 	}
 }

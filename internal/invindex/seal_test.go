@@ -184,7 +184,7 @@ func TestSealAdoptDropsHeapCopy(t *testing.T) {
 	ix := buildSmall(t)
 	z := ix.Freeze()
 	collected := make(chan struct{})
-	runtime.SetFinalizer(z.cols.Load().r, func(any) { close(collected) })
+	runtime.AddCleanup(z.cols.Load().r, func(ch chan struct{}) { close(ch) }, collected)
 	adoptInto(t, z, t.TempDir())
 	if !z.cols.Load().r.Mapped() {
 		t.Skip("no mmap on this platform: the adopted copy is a heap copy too")

@@ -13,8 +13,8 @@ import (
 )
 
 // staticSeg is one set of column views over a sealed segment's container
-// — the heap buffer Freeze built it in, or the mapping of the file that
-// holds it (a Frozen switches from the first to the second, see Adopt).
+// — the one Freeze built, or the mapping of the file that holds it (a
+// Frozen switches from the first to the second, see Adopt).
 // Documents and postings in a segment are never rewritten — deletions are
 // tracked in the owning Index's baseDeleted bitmap, and new documents land
 // in the mutable delta tier. Ordinals [0, n) are base documents; the
@@ -255,6 +255,64 @@ func decodeRun(src []byte, count, n int, dst []int32) ([]int32, error) {
 		return dst, fmt.Errorf("%d bytes after the last block", len(src))
 	}
 	return dst, nil
+}
+
+// Transposed is a base segment's postings turned around: by document, the
+// distinct terms each was indexed with and their frequencies. Document d
+// is base ordinal d, so the documents ascend by ID, and a document's terms
+// ascend as the term column does.
+type Transposed struct {
+	// IDs is the segment's ID column, ordinal -> ID.
+	IDs binfmt.FrontCodedCol
+	// Terms is the segment's term column, term index -> term.
+	Terms binfmt.StringCol
+
+	seg        *staticSeg // holds the bytes the columns view
+	start, end []int      // document d's pairs are pairs[2*start[d] : 2*end[d]]
+	pairs      []int32
+}
+
+// Len returns the number of documents.
+func (t *Transposed) Len() int { return len(t.end) }
+
+// Doc returns document d's terms as interleaved (term index, frequency)
+// pairs, term indexes ascending.
+func (t *Transposed) Doc(d int) []int32 { return t.pairs[2*t.start[d] : 2*t.end[d]] }
+
+// Transpose turns the base segment's postings around, decoding each term's
+// run once; the delta and tombstones are not consulted, so call it on an
+// index just opened. A document holds no more distinct terms than its
+// length, so laying the pairs out by length takes them without a counting
+// pass; a segment whose postings break that is an error.
+func (ix *Index) Transpose() (*Transposed, error) {
+	ix.mu.RLock()
+	s := ix.baseSeg()
+	ix.mu.RUnlock()
+	if s == nil {
+		return &Transposed{}, nil
+	}
+	t := &Transposed{IDs: s.ids, Terms: s.terms, seg: s, start: make([]int, s.n), end: make([]int, s.n)}
+	slots := 0
+	for d, l := range s.lengths {
+		t.start[d], t.end[d] = slots, slots
+		slots += int(l)
+	}
+	t.pairs = make([]int32, 2*slots)
+	var run []int32
+	for ti := 0; ti < s.terms.Len(); ti++ {
+		// loadStatic decoded this run without error.
+		run, _ = s.pairs(ti, run)
+		for i := 0; i < len(run); i += 2 {
+			d := run[i]
+			at := t.end[d]
+			if at-t.start[d] == int(s.lengths[d]) {
+				return nil, fmt.Errorf("invindex: document %d has more terms than its length %d", d, s.lengths[d])
+			}
+			t.pairs[2*at], t.pairs[2*at+1] = int32(ti), run[i+1]
+			t.end[d]++
+		}
+	}
+	return t, nil
 }
 
 // findTerm returns the term index of t, or -1. Allocation-free: the

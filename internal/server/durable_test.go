@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	verifai "repro"
-	"repro/internal/binfmt"
 	"repro/internal/core"
 	"repro/internal/workload"
 )
@@ -133,62 +132,38 @@ func TestDurableServerSurfaces(t *testing.T) {
 	if resp := getJSON(t, ts.URL+"/v1/stats", &stats); resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats: status = %d", resp.StatusCode)
 	}
-	// The checkpoint moved all eight indexes onto their files: the one
-	// document sits in a mapped segment and a mapped vector row, and
-	// /metrics says the same.
+	// The checkpoint moved the four BM25 indexes onto their files: the one
+	// document sits in a mapped segment and in one sealed vector row, held
+	// in process-private memory, and /metrics says the same.
 	bm25, vec := stats.Indexes.Families["bm25"], stats.Indexes.Families["vector"]
-	if stats.Indexes.Adopted != 8 || stats.Indexes.Skipped != 0 || bm25.HeapBytes != 0 || bm25.MappedBytes == 0 ||
-		bm25.DeltaDocs != 0 || vec.HeapBytes != 0 || vec.MappedBytes == 0 {
+	if stats.Indexes.Adopted != 4 || stats.Indexes.Skipped != 0 || bm25.HeapBytes != 0 || bm25.MappedBytes == 0 ||
+		bm25.DeltaDocs != 0 || vec.HeapBytes == 0 || vec.MappedBytes != 0 || vec.DeltaDocs != 0 {
 		t.Errorf("stats.indexes after a checkpoint = %+v", stats.Indexes)
 	}
-	// The vector shard files hold one 128-code row between them.
-	shards, err := filepath.Glob(filepath.Join(data, "checkpoint", "indexes", "vector-*.idx"))
-	if err != nil || len(shards) != 4 {
-		t.Fatalf("vector shard files: %v (%v)", shards, err)
+	// What the BM25 family reports mapped is its four shard files, whole;
+	// there are no vector files.
+	files, err := filepath.Glob(filepath.Join(data, "checkpoint", "indexes", "*.idx"))
+	if err != nil || len(files) != 4 {
+		t.Fatalf("index files: %v (%v)", files, err)
 	}
-	var rowBytes int64
-	for _, path := range shards {
-		fr, err := binfmt.OpenFile(path)
-		if err != nil {
-			t.Fatal(err)
+	var fileBytes int64
+	for _, path := range files {
+		fi, err := os.Stat(path)
+		if err != nil || !strings.HasPrefix(filepath.Base(path), "bm25-") {
+			t.Fatalf("%s: %v", path, err)
 		}
-		for _, section := range []string{"codes", "norms"} {
-			b, err := fr.Bytes(section)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rowBytes += int64(len(b))
-		}
-	}
-	if rowBytes != 128+4 {
-		t.Errorf("the shard files hold %d row bytes, want one 132-byte row", rowBytes)
-	}
-	// What each family reports mapped is its four shard files, whole.
-	fileBytes := func(family string) int64 {
-		t.Helper()
-		files, err := filepath.Glob(filepath.Join(data, "checkpoint", "indexes", family+"-*.idx"))
-		if err != nil || len(files) != 4 {
-			t.Fatalf("%s shard files: %v (%v)", family, files, err)
-		}
-		var n int64
-		for _, path := range files {
-			fi, err := os.Stat(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n += fi.Size()
-		}
-		return n
+		fileBytes += fi.Size()
 	}
 	exposition := scrape(t, ts)
 	for _, want := range []string{
-		fmt.Sprintf(`verifai_index_segment_bytes{family="bm25",residency="mapped"} %d`, fileBytes("bm25")),
+		fmt.Sprintf(`verifai_index_segment_bytes{family="bm25",residency="mapped"} %d`, fileBytes),
 		`verifai_index_segment_bytes{family="bm25",residency="heap"} 0`,
-		fmt.Sprintf(`verifai_index_segment_bytes{family="vector",residency="mapped"} %d`, fileBytes("vector")),
-		`verifai_index_segment_bytes{family="vector",residency="heap"} 0`,
+		`verifai_index_segment_bytes{family="vector",residency="mapped"} 0`,
+		fmt.Sprintf(`verifai_index_segment_bytes{family="vector",residency="heap"} %d`, vec.HeapBytes),
 		`verifai_index_delta_docs{family="bm25"} 0`,
-		`verifai_index_adoptions_total{result="adopted"} 8`,
+		`verifai_index_adoptions_total{result="adopted"} 4`,
 		`verifai_index_adoptions_total{result="skipped"} 0`,
+		`verifai_index_derive_seconds 0`,
 	} {
 		if !strings.Contains(exposition, want) {
 			t.Errorf("/metrics lacks %q", want)
@@ -200,9 +175,9 @@ func TestDurableServerSurfaces(t *testing.T) {
 	if stats.Durability.SyncPolicy != "none" || stats.Durability.CheckpointVersion != 1 {
 		t.Errorf("stats.durability = %+v", stats.Durability)
 	}
-	// catalog.vaib, META.json, and under indexes/ eight index files and meta.json.
-	if stats.Durability.CheckpointFiles != 11 || stats.Durability.CheckpointBytes <= 0 {
-		t.Errorf("stats.durability reports a checkpoint of %d files, %d bytes; want 11 files",
+	// catalog.vaib, META.json, and under indexes/ four index files and meta.json.
+	if stats.Durability.CheckpointFiles != 7 || stats.Durability.CheckpointBytes <= 0 {
+		t.Errorf("stats.durability reports a checkpoint of %d files, %d bytes; want 7 files",
 			stats.Durability.CheckpointFiles, stats.Durability.CheckpointBytes)
 	}
 

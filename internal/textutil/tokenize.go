@@ -132,7 +132,7 @@ func WordNGrams(tokens []string, n int) []string {
 
 // SplitSentences splits text into sentences on ./!/? boundaries followed by
 // whitespace. It is intentionally simple: the synthetic corpus generator
-// produces well-punctuated text, and chunking only needs rough boundaries.
+// produces well-punctuated text, and its callers only need rough boundaries.
 func SplitSentences(text string) []string {
 	var out []string
 	start := 0

@@ -8,9 +8,11 @@ import (
 )
 
 // An SQFlat segment (family "flat-int8") is one binfmt container holding
-// the rows as columns, all served as views of the container, nothing
-// decoded onto the heap. Ordinals follow the rows' IDs in ascending order,
-// so two base rows tied on score compare as ordinals.
+// the rows as columns, all served as views of the container Build made,
+// nothing decoded onto the heap. No file holds one: a segment is sealed
+// from the index's rows or derived at open from what the rows were
+// embedded from. Ordinals follow the rows' IDs in ascending order, so two
+// base rows tied on score compare as ordinals.
 //
 //	meta    JSON: family, dim, row count
 //	ids     front-coded string column (binfmt.FrontCoder), ordinal ->
@@ -21,20 +23,15 @@ import (
 // binMeta is the JSON "meta" section of a segment.
 type binMeta struct {
 	Family string `json:"family"`
-	// Metric is always 0 (cosine), written so segment files stay the bytes
-	// they have always been.
-	Metric int `json:"metric"`
-	Dim    int `json:"dim"`
-	Count  int `json:"count"`
+	Dim    int    `json:"dim"`
+	Count  int    `json:"count"`
 }
 
 // segment is one set of column views over a sealed SQFlat shard's
-// container — the heap buffer Freeze built it in, or the mapping of the
-// file that holds it (a Frozen switches from the first to the second, see
-// Adopt). Nothing in it is ever rewritten: removals are tracked in the
+// container. Nothing in it is ever rewritten: removals are tracked in the
 // owning index's tombstones, additions land in its tail.
 type segment struct {
-	r *binfmt.Reader // pins the mapping for as long as the segment lives
+	r *binfmt.Reader // pins the container for as long as the segment lives
 
 	dim, n int
 	ids    binfmt.FrontCodedCol
@@ -43,6 +40,20 @@ type segment struct {
 }
 
 const segmentFamily = "flat-int8"
+
+// Frozen is one sealed SQFlat segment, produced by Freeze under the index's
+// lock: the live index searches it as its base, and a retained snapshot
+// searches it through Thaw.
+type Frozen struct{ seg *segment }
+
+// Thaw wraps the segment as an index of its own, for reads pinned to the
+// version it was frozen at: base shared, a fresh tombstone bitmap, an empty
+// tail.
+func (z *Frozen) Thaw() *SQFlat {
+	s := NewSQFlat(z.seg.dim)
+	s.setBase(z)
+	return s
+}
 
 // encodeSegment adds a segment's sections to bw.
 func encodeSegment(bw *binfmt.Writer, dim int, ids *binfmt.FrontCoder, norms []float32, codes []int8) error {
@@ -56,9 +67,9 @@ func encodeSegment(bw *binfmt.Writer, dim int, ids *binfmt.FrontCoder, norms []f
 }
 
 // loadSegment validates a binfmt container as an SQFlat segment and wraps
-// it. The container's CRCs guarantee the bytes are what a writer produced;
-// this pass guarantees the columns agree with each other, so a hand-made
-// or foreign file fails at open rather than inside a scan.
+// it: the columns must agree with each other, so a seal or a derivation
+// that broke them fails where it built the container rather than inside a
+// scan.
 func loadSegment(r *binfmt.Reader) (*segment, error) {
 	var meta binMeta
 	if err := r.JSON("meta", &meta); err != nil {

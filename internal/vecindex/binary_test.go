@@ -4,12 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"maps"
 	"math"
-	"os"
 	"slices"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/binfmt"
 	"repro/internal/embed"
@@ -26,125 +25,6 @@ func sameVecHits(t *testing.T, label string, a, b []Hit) {
 			t.Errorf("%s: hit %d: %+v vs %+v", label, i, a[i], b[i])
 		}
 	}
-}
-
-// writeSnapshotFile saves a capture into a new file and returns its path
-// and bytes. Tests reopen captures from such a file, through OpenSQFile as
-// the server does: there is no other loader.
-func writeSnapshotFile(t testing.TB, save func(w io.Writer) error) (string, []byte) {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	return writeBytesFile(t, buf.Bytes()), buf.Bytes()
-}
-
-// writeBytesFile puts data in a new file, for a loader to open by path as
-// the server opens a shard.
-func writeBytesFile(t testing.TB, data []byte) string {
-	t.Helper()
-	return writeBytesIn(t, t.TempDir(), data)
-}
-
-// writeBytesIn is writeBytesFile into a directory the caller made once (a
-// fuzz target runs too often to make one per input).
-func writeBytesIn(t testing.TB, dir string, data []byte) string {
-	t.Helper()
-	f, err := os.CreateTemp(dir, "vec-*.idx")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = f.Write(data)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f.Name()
-}
-
-func TestOpenVectorFilesServeMapped(t *testing.T) {
-	const dim = 12
-	vecs := randomVectors(150, dim, 51)
-	queries := randomVectors(6, dim, 52)
-	sq, _ := buildSQ(t, vecs, dim)
-	t.Run("sqflat", func(t *testing.T) {
-		path, _ := writeSnapshotFile(t, sq.Freeze().Save)
-		got, err := OpenSQFile(path)
-		if err != nil {
-			t.Fatalf("OpenSQFile: %v", err)
-		}
-		if got.Len() != sq.Len() {
-			t.Fatalf("Len drifted: %d vs %d", got.Len(), sq.Len())
-		}
-		for qi, q := range queries {
-			sameVecHits(t, fmt.Sprintf("query %d", qi), sq.Search(q, 10), got.Search(q, 10))
-		}
-		// The opened index stays mutable: writes land in its tail and its
-		// tombstones, never in the mapping.
-		if err := got.Add("extra", queries[0]); err != nil {
-			t.Fatalf("Add after open: %v", err)
-		}
-		if err := got.Add("v001", queries[0]); err == nil {
-			t.Error("duplicate of a mapped row accepted")
-		}
-		if !got.Remove("v000") || got.Remove("v000") {
-			t.Error("Remove of a mapped row is not once-only")
-		}
-		if hits := got.Search(queries[0], 1); len(hits) != 1 || hits[0].ID != "extra" {
-			t.Errorf("row added after open not found: %+v", hits)
-		}
-	})
-	t.Run("sqflat-no-mmap", func(t *testing.T) {
-		t.Setenv(binfmt.NoMmapEnv, "1")
-		path, _ := writeSnapshotFile(t, sq.Freeze().Save)
-		got, err := OpenSQFile(path)
-		if err != nil {
-			t.Fatalf("OpenSQFile (no mmap): %v", err)
-		}
-		sameVecHits(t, "fallback", sq.Search(queries[0], 10), got.Search(queries[0], 10))
-	})
-}
-
-// TestNonBinfmtVectorSnapshotRejected: the loader is "binfmt or error" —
-// bytes that do not start with the container magic (e.g. a snapshot from
-// a release older than binfmt) are refused.
-func TestNonBinfmtVectorSnapshotRejected(t *testing.T) {
-	path := writeBytesFile(t, []byte("\x0e\xff\x81\x03\x01\x01\x0cflatSnapshot"))
-	if _, err := OpenSQFile(path); err == nil {
-		t.Error("OpenSQFile accepted a snapshot without the binfmt magic")
-	}
-}
-
-// TestVectorSnapshotCorruption flips bytes of a segment file and demands
-// each flip either fails loudly or (padding bytes) changes nothing.
-func TestVectorSnapshotCorruption(t *testing.T) {
-	const dim = 6
-	sq, _ := buildSQ(t, randomVectors(20, dim, 81), dim)
-	path, good := writeSnapshotFile(t, sq.Freeze().Save)
-	q := randomVectors(1, dim, 82)[0]
-	want := sq.Search(q, 5)
-
-	for off := 0; off < len(good); off++ {
-		mut := append([]byte(nil), good...)
-		mut[off] ^= 0xa5
-		if err := os.WriteFile(path, mut, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := OpenSQFile(path)
-		if err != nil {
-			continue
-		}
-		sameVecHits(t, fmt.Sprintf("silent flip at %d", off), want, loaded.Search(q, 5))
-	}
-	for _, cut := range []int{0, 3, len(good) / 2, len(good) - 1} {
-		if _, err := OpenSQFile(writeBytesFile(t, good[:cut])); err == nil {
-			t.Errorf("truncation to %d bytes loaded", cut)
-		}
-	}
-
 }
 
 // idColumn is the payload of a front-coded ids section holding ids in the
@@ -165,7 +45,7 @@ func idColumn(t testing.TB, ids ...string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
+	return bytes.Clone(b) // the container is read-only and goes with r
 }
 
 // badIDColumns are ids sections for a three-row segment that the loader
@@ -186,8 +66,8 @@ func badIDColumns(t testing.TB) map[string][]byte {
 	}
 }
 
-// segmentParts are the sections of a segment file as a test wants to
-// break them.
+// segmentParts are the sections of a segment as a test wants to break
+// them.
 type segmentParts struct {
 	meta  binMeta
 	ids   []byte
@@ -211,9 +91,18 @@ func (p segmentParts) bytes(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-func (p segmentParts) file(t testing.TB) string {
-	t.Helper()
-	return writeBytesFile(t, p.bytes(t))
+// openSegment loads a container's bytes as a segment and wraps it as an
+// index.
+func openSegment(data []byte) (*SQFlat, error) {
+	r, err := binfmt.NewReader(data)
+	if err != nil {
+		return nil, err
+	}
+	seg, err := loadSegment(r)
+	if err != nil {
+		return nil, err
+	}
+	return (&Frozen{seg: seg}).Thaw(), nil
 }
 
 // validSegmentParts is a three-row segment: a, b and c, of two dimensions.
@@ -227,11 +116,11 @@ func validSegmentParts(t testing.TB) segmentParts {
 }
 
 // TestSegmentDecoderBounds: a container whose CRCs hold but whose columns
-// disagree — written by hand, or by something else — is an error at open,
-// never a panic in a scan.
+// disagree — built by a broken seal or derivation — is an error where it is
+// loaded, never a panic in a scan.
 func TestSegmentDecoderBounds(t *testing.T) {
 	valid := func() segmentParts { return validSegmentParts(t) }
-	ix, err := OpenSQFile(valid().file(t))
+	ix, err := openSegment(valid().bytes(t))
 	if err != nil {
 		t.Fatalf("the valid segment does not open: %v", err)
 	}
@@ -260,11 +149,11 @@ func TestSegmentDecoderBounds(t *testing.T) {
 	for name, breakIt := range cases {
 		p := valid()
 		breakIt(&p)
-		if _, err := OpenSQFile(p.file(t)); err == nil {
+		if _, err := openSegment(p.bytes(t)); err == nil {
 			t.Errorf("%s: opened", name)
 		}
 	}
-	// A section missing altogether, and one cut short inside the file.
+	// A section missing altogether.
 	bw := binfmt.NewWriter()
 	if err := bw.JSON("meta", valid().meta); err != nil {
 		t.Fatal(err)
@@ -274,23 +163,83 @@ func TestSegmentDecoderBounds(t *testing.T) {
 	if _, err := bw.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenSQFile(writeBytesFile(t, buf.Bytes())); err == nil {
+	if _, err := openSegment(buf.Bytes()); err == nil {
 		t.Error("a segment without its row sections opened")
-	}
-	whole, err := os.ReadFile(valid().file(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenSQFile(writeBytesFile(t, whole[:len(whole)-4])); err == nil {
-		t.Error("a segment with a truncated codes section opened")
 	}
 }
 
-// FuzzOpenSQSnapshot: anything that opens must be fully servable.
+// TestNonBinfmtVectorSnapshotRejected: the loader is "binfmt or error" —
+// bytes that do not start with the container magic are refused.
+func TestNonBinfmtVectorSnapshotRejected(t *testing.T) {
+	if _, err := openSegment([]byte("\x0e\xff\x81\x03\x01\x01\x0cflatSnapshot")); err == nil {
+		t.Error("a segment without the binfmt magic loaded")
+	}
+}
+
+// TestVectorSnapshotCorruption flips bytes of a sealed segment's container
+// and demands each flip either fails to load or (padding bytes) changes
+// nothing.
+func TestVectorSnapshotCorruption(t *testing.T) {
+	const dim = 6
+	sq, _ := buildSQ(t, randomVectors(20, dim, 81), dim)
+	good := containerBytes(t, sq.Freeze())
+	q := randomVectors(1, dim, 82)[0]
+	want := sq.Search(q, 5)
+
+	for off := range good {
+		mut := bytes.Clone(good)
+		mut[off] ^= 0xa5
+		loaded, err := openSegment(mut)
+		if err != nil {
+			continue
+		}
+		sameVecHits(t, fmt.Sprintf("silent flip at %d", off), want, loaded.Search(q, 5))
+	}
+	for _, cut := range []int{0, 3, len(good) / 2, len(good) - 1} {
+		if _, err := openSegment(bytes.Clone(good[:cut])); err == nil {
+			t.Errorf("truncation to %d bytes loaded", cut)
+		}
+	}
+}
+
+// TestSQFlatSaveOpenProperty: whatever rows went in, the container a seal
+// built loads to an index that answers as the one that sealed it.
+func TestSQFlatSaveOpenProperty(t *testing.T) {
+	f := func(seed uint64, n uint8) bool {
+		count := int(n%40) + 1
+		vecs := randomVectors(count, 4, seed)
+		ix := NewSQFlat(4)
+		for i, v := range vecs {
+			if err := ix.Add(fmt.Sprintf("v%d", i), v); err != nil {
+				return false
+			}
+		}
+		ix.Remove("v0")
+		loaded, err := openSegment(containerBytes(t, ix.Freeze()))
+		if err != nil || loaded.Len() != count-1 {
+			return false
+		}
+		a, b := ix.Search(vecs[0], 3), loaded.Search(vecs[0], 3)
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] || a[i].ID == "v0" {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Error(err)
+	}
+}
+
+// FuzzOpenSQSnapshot: any container that loads as a segment must be fully
+// servable, and seal again into one that loads (Freeze panics otherwise).
 func FuzzOpenSQSnapshot(f *testing.F) {
 	sq, _ := buildSQ(f, randomVectors(12, 4, 91), 4)
-	_, good := writeSnapshotFile(f, sq.Freeze().Save)
-	f.Add(good)
+	f.Add(containerBytes(f, sq.Freeze()))
 	f.Add([]byte(binfmt.Magic))
 	f.Add([]byte{})
 	// A broken ids column behind valid checksums.
@@ -300,22 +249,16 @@ func FuzzOpenSQSnapshot(f *testing.F) {
 		p.ids = bad[name]
 		f.Add(p.bytes(f))
 	}
-	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := writeBytesIn(t, dir, data)
-		loaded, err := OpenSQFile(path)
-		os.Remove(path) // a mapping outlives its name
+		loaded, err := openSegment(bytes.Clone(data)) // the segment would alias the input
 		if err != nil {
 			return
 		}
 		_ = loaded.Search(embed.Vector{1, 0, 0, 0}, 5)
 		loaded.Remove("v003")
 		if err := loaded.Add("fresh", embed.Vector{0, 1, 0, 0}); err != nil {
-			return // "fresh" may be an ID the input holds
+			return // another dimension, or "fresh" is an ID the input holds
 		}
-		var out bytes.Buffer
-		if err := loaded.Freeze().Save(&out); err != nil {
-			t.Fatalf("re-save of an opened segment failed: %v", err)
-		}
+		loaded.Freeze()
 	})
 }

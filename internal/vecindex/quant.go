@@ -20,16 +20,16 @@ import (
 // so a row scores as rownorm · Σ q[i]·code[i] / ‖q‖ in one pass, against
 // the float32 query as given. The codes are the only thing ever scored —
 // there is no float copy to re-rank against and no index-wide range to
-// requantize to — so an index that was sealed, saved, adopted or reopened
-// answers bit for bit as one that never left the heap.
+// requantize to — so an index that was sealed, or derived at open from
+// what its rows were embedded from, answers bit for bit as one whose rows
+// were all added.
 //
 // Rows live in two tiers. The base is a sealed segment (binary.go): one
 // contiguous row-major code matrix with the norms and IDs beside it,
-// immutable, in the heap buffer Freeze built it in until a file holds it
-// and in that file's mapping afterwards, behind an atomic pointer shared
-// with every capture of it. Its ordinals are [0, n); rows added since
-// follow at n in the heap tail. Removing a base row only flips its
-// tombstone. Freeze folds base, tail and tombstones into the next base.
+// immutable, in the container Build made, shared with every capture of
+// it. Its ordinals are [0, n); rows added since follow at n in the heap
+// tail. Removing a base row only flips its tombstone. Freeze folds base,
+// tail and tombstones into the next base.
 //
 // Safe for concurrent Add, Remove, Freeze and Search.
 type SQFlat struct {
@@ -61,7 +61,7 @@ func (s *SQFlat) segment() *segment {
 	if s.base == nil {
 		return nil
 	}
-	return s.base.seg.Load()
+	return s.base.seg
 }
 
 // quantize writes v's codes into dst (len(v) long) and returns the inverse
@@ -167,22 +167,17 @@ func (s *SQFlat) Len() int {
 	return s.baseLive + s.live
 }
 
-// Residency reports the bytes the index holds, by where they sit — the
-// tail's codes and norms and a base segment no file backs yet on the heap,
-// an adopted or opened base segment in its mapping (the whole container:
-// IDs, norms and codes) — and the live rows added since the last seal.
-func (s *SQFlat) Residency() (heap, mapped int64, heapRows int) {
+// Residency reports the process-private bytes the index holds — the
+// tail's codes and norms, and the base segment's whole container (IDs,
+// norms and codes) — and the live rows added since the last seal.
+func (s *SQFlat) Residency() (bytes int64, tailRows int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	heap = int64(len(s.codes)) + 4*int64(len(s.norms))
+	bytes = int64(len(s.codes)) + 4*int64(len(s.norms))
 	if seg := s.segment(); seg != nil {
-		if size := seg.r.ID().Size; seg.r.Mapped() {
-			mapped = size
-		} else {
-			heap += size
-		}
+		bytes += seg.r.ID().Size
 	}
-	return heap, mapped, s.live
+	return bytes, s.live
 }
 
 // rowIDs resolves the ordinals of one search: below base a row of the
@@ -322,14 +317,47 @@ func (s *SQFlat) Freeze() *Frozen {
 		panic(fmt.Sprintf("vecindex: seal: %v", err))
 	}
 	s.ids, s.codes, s.norms, s.dead, s.live, s.byID = nil, nil, nil, nil, 0, make(map[string]int)
-	s.setBase(newFrozen(next))
+	s.setBase(&Frozen{seg: next})
 	return s.base
 }
 
 // setBase installs z as the base tier with no tombstones.
 func (s *SQFlat) setBase(z *Frozen) {
-	n := z.seg.Load().n
+	n := z.seg.n
 	s.base, s.baseDead, s.baseLive = z, make([]bool, n), n
+}
+
+// Derive returns an index whose base is a segment of rows computed in
+// place: one per ID of ids, in the column's (ascending) order, row i being
+// what fill(i, row) writes into a zeroed vector of dim components,
+// quantized as Add quantizes a vector. The rows never sit on the heap
+// whole, only their codes until the container is built.
+func Derive(dim int, ids binfmt.FrontCodedCol, fill func(i int, row embed.Vector)) (*SQFlat, error) {
+	n := ids.Len()
+	codes, norms := make([]int8, n*dim), make([]float32, n)
+	row := make(embed.Vector, dim)
+	for i := range norms {
+		clear(row)
+		fill(i, row)
+		norms[i] = quantize(codes[i*dim:(i+1)*dim], row)
+	}
+	var col binfmt.FrontCoder
+	for _, id := range ids.All() {
+		col.Add(viewString(id))
+	}
+	bw := binfmt.NewWriter()
+	if err := encodeSegment(bw, dim, &col, norms, codes); err != nil {
+		return nil, err
+	}
+	fr, err := bw.Build()
+	if err != nil {
+		return nil, fmt.Errorf("vecindex: derive: %w", err)
+	}
+	seg, err := loadSegment(fr)
+	if err != nil {
+		return nil, err
+	}
+	return (&Frozen{seg: seg}).Thaw(), nil
 }
 
 // permuteRows reorders rows of dim codes and their norms in place so that

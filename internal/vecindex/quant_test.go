@@ -1,10 +1,8 @@
 package vecindex
 
 import (
-	"bytes"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -75,8 +73,8 @@ func TestSQFlatTracksFlat(t *testing.T) {
 }
 
 // TestSQFlatEdgeRows: a zero vector, a one-row shard and a row whose
-// largest component is negative index, rank deterministically and come
-// back from a file as they went in.
+// largest component is negative index, rank deterministically and are
+// derived as they went in.
 func TestSQFlatEdgeRows(t *testing.T) {
 	const dim = 4
 	one := NewSQFlat(dim)
@@ -120,14 +118,10 @@ func TestSQFlatEdgeRows(t *testing.T) {
 		}
 	}
 	check("tail", s)
-	path, _ := writeSnapshotFile(t, s.Freeze().Save)
+	derived := deriveFrom(t, s.Freeze(), rows)
 	check("sealed", s)
-	reopened, err := OpenSQFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("reopened", reopened)
-	sameVecHits(t, "reopened vs sealed", reopened.Search(q, 4), s.Search(q, 4))
+	check("derived", derived)
+	sameVecHits(t, "derived vs sealed", derived.Search(q, 4), s.Search(q, 4))
 	// A zero query scores every row 0: pure ID order.
 	if hits := s.Search(embed.Vector{0, 0, 0, 0}, 2); len(hits) != 2 || hits[0].ID != "neg" || hits[1].ID != "pos" {
 		t.Errorf("zero query: %+v", hits)
@@ -281,67 +275,50 @@ func TestSQFlatErrors(t *testing.T) {
 	NewSQFlat(0)
 }
 
-// TestSQFlatResidencyCountsHeldBytes: bytes are priced where they sit —
-// the tail's codes and norms on the heap, a sealed segment as its whole
-// container, on the heap until a file holds it and then as exactly that
-// file's size in its mapping.
+// TestSQFlatResidencyCountsHeldBytes: an index holds its tail's codes and
+// norms and, once sealed, its segment's whole container, and nothing else.
 func TestSQFlatResidencyCountsHeldBytes(t *testing.T) {
 	const dim, n = 16, 50
 	s, _ := buildSQ(t, randomVectors(n, dim, 3), dim)
 	rowBytes := int64(n * (dim + 4))
-	if heap, mapped, rows := s.Residency(); heap != rowBytes || mapped != 0 || rows != n {
-		t.Errorf("tail only: %d heap, %d mapped, %d rows", heap, mapped, rows)
+	if bytes, rows := s.Residency(); bytes != rowBytes || rows != n {
+		t.Errorf("tail only: %d bytes, %d rows", bytes, rows)
 	}
 	z := s.Freeze()
-	var buf bytes.Buffer
-	if err := z.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	segBytes := int64(buf.Len())
-	if heap, mapped, rows := s.Residency(); heap != segBytes || heap <= rowBytes || mapped != 0 || rows != 0 {
-		t.Errorf("sealed, no file: %d heap (container %d), %d mapped, %d rows", heap, segBytes, mapped, rows)
-	}
-	path := saveAndAdopt(t, z, t.TempDir())
-	if !z.seg.Load().r.Mapped() {
-		t.Skip("no mmap on this platform")
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
+	segBytes := int64(len(containerBytes(t, z)))
+	if bytes, rows := s.Residency(); bytes != segBytes || bytes <= rowBytes || rows != 0 {
+		t.Errorf("sealed: %d bytes (container %d), %d rows", bytes, segBytes, rows)
 	}
 	if err := s.Add("late", randomVectors(1, dim, 4)[0]); err != nil {
 		t.Fatal(err)
 	}
-	if heap, mapped, rows := s.Residency(); mapped != info.Size() || heap != dim+4 || rows != 1 {
-		t.Errorf("adopted plus one: %d heap, %d mapped (file %d), %d rows", heap, mapped, info.Size(), rows)
+	if bytes, rows := s.Residency(); bytes != segBytes+dim+4 || rows != 1 {
+		t.Errorf("sealed plus one: %d bytes, %d rows", bytes, rows)
 	}
 }
 
-// TestSQFlatAdoptDropsHeapCopy: once a segment is adopted nothing reaches
-// the buffer it was sealed into.
-func TestSQFlatAdoptDropsHeapCopy(t *testing.T) {
+// TestSQFlatSealReleasesReplacedSegment: once a seal replaces the base,
+// nothing reaches the container of the segment it replaced.
+func TestSQFlatSealReleasesReplacedSegment(t *testing.T) {
 	const dim = 16
 	vecs := randomVectors(60, dim, 13)
 	s, _ := buildSQ(t, vecs, dim)
-	z := s.Freeze()
-	collected := make(chan struct{})
-	runtime.SetFinalizer(z.seg.Load().r, func(any) { close(collected) })
-	saveAndAdopt(t, z, t.TempDir())
-	if !z.seg.Load().r.Mapped() {
-		t.Skip("no mmap on this platform: the adopted copy is a heap copy too")
-	}
+	released := make(chan struct{})
+	runtime.AddCleanup(s.Freeze().seg.r, func(ch chan struct{}) { close(ch) }, released)
+	s.Remove("v008")
+	s.Freeze()
 	for i := 0; i < 20; i++ {
 		runtime.GC()
 		select {
-		case <-collected:
+		case <-released:
 			if hits := s.Search(vecs[7], 1); len(hits) != 1 || hits[0].ID != "v007" {
-				t.Fatalf("adopted index lost v007: %+v", hits)
+				t.Fatalf("the sealed index lost v007: %+v", hits)
 			}
 			return
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	t.Fatal("the sealed heap buffer is still reachable after Adopt")
+	t.Fatal("the replaced segment's container is still reachable after the seal")
 }
 
 // TestSearchAllocatesPerQueryNotPerRow: every family keeps its top-k in

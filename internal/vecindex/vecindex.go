@@ -4,10 +4,11 @@
 //
 // SQFlat is the index the server runs: an exhaustive cosine scan over int8
 // rows, 132 bytes for a 128-dimension vector where float32 takes 512. A
-// shard has one immutable form, the sealed segment (a binfmt container,
-// binary.go): what Freeze produces, the scan reads, a retained snapshot
-// searches, Save writes and OpenSQFile or Adopt maps. Mutable are a heap
-// tail of rows added since the last seal and a tombstone bitmap (quant.go).
+// shard has one immutable form, the sealed segment (a binfmt container
+// outside the Go heap, binary.go): what Freeze produces and Derive builds,
+// the scan reads and a retained snapshot searches. No file holds one.
+// Mutable are a heap tail of rows added since the last seal and a
+// tombstone bitmap (quant.go).
 //
 // Flat is the float32 reference the int8 scan's recall is measured against;
 // it is not persisted. IVF (k-means cells) and LSH (random hyperplanes) are

@@ -181,8 +181,9 @@ func TestDurableCheckpointRecovery(t *testing.T) {
 
 // TestCheckpointLeavesProcessWhereRestartWould: a checkpoint is a flush.
 // After it the running system holds its indexes the way a system reopened
-// on the same directory does — every shard a mapped file, only the writes
-// since on the heap — and the two answer alike.
+// on the same directory does — every BM25 shard a mapped file, every
+// vector shard the segment a restart derives, the writes since on the heap
+// — and the two answer alike.
 func TestCheckpointLeavesProcessWhereRestartWould(t *testing.T) {
 	data := filepath.Join(t.TempDir(), "data")
 	sys, err := Open(data, durableOpts(1))
@@ -208,7 +209,7 @@ func TestCheckpointLeavesProcessWhereRestartWould(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := sys.Pipeline().Indexer().IndexStats()
-	if after.Adopted != 8 || after.Skipped != 0 || after.Families["bm25"].HeapBytes != 0 || after.Families["vector"].HeapBytes == 0 {
+	if after.Adopted != 4 || after.Skipped != 0 || after.Families["bm25"].HeapBytes != 0 || after.Families["vector"].HeapBytes == 0 {
 		t.Errorf("after the checkpoint and one write: %+v", after)
 	}
 	want, err := sys.VerifyClaim("golf", workload.GolfClaim())
@@ -468,63 +469,75 @@ func TestBinarySnapshotRecoverySmoke(t *testing.T) {
 	}
 }
 
-// rewriteAsFormat2 rewrites the index files under dir in the layout of
+// rewriteAsFormat2 rewrites the BM25 index files under dir in the layout of
 // snapshot format 2: IDs as a plain string column (in the order they are
 // stored) with an idsort column of ordinals sorted by ID beside it, every
 // other section as it is.
 func rewriteAsFormat2(t *testing.T, dir string) {
 	t.Helper()
-	sections := map[string][]string{
-		"bm25":   {"meta", "ids", "lengths", "idsort", "terms", "postidx", "postoff", "postings"},
-		"vector": {"meta", "ids", "idsort", "norms", "codes"},
+	files, err := filepath.Glob(filepath.Join(dir, "bm25-*.idx"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no bm25 index files: %v", err)
 	}
-	for family, names := range sections {
-		files, err := filepath.Glob(filepath.Join(dir, family+"-*.idx"))
-		if err != nil || len(files) == 0 {
-			t.Fatalf("no %s index files: %v", family, err)
+	for _, path := range files {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, path := range files {
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := binfmt.NewReader(raw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			col, err := r.FrontCoded("ids")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var ids []string
-			var idsort []uint32
-			for i, id := range col.All() {
-				ids = append(ids, string(id))
-				idsort = append(idsort, uint32(i))
-			}
-			w := binfmt.NewWriter()
-			for _, name := range names {
-				switch name {
-				case "ids":
-					w.Strings(name, ids)
-				case "idsort":
-					w.Uint32s(name, idsort)
-				default:
-					b, err := r.Bytes(name)
-					if err != nil {
-						t.Fatal(err)
-					}
-					w.Section(name, b)
+		r, err := binfmt.NewReader(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col, err := r.FrontCoded("ids")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []string
+		var idsort []uint32
+		for i, id := range col.All() {
+			ids = append(ids, string(id))
+			idsort = append(idsort, uint32(i))
+		}
+		w := binfmt.NewWriter()
+		for _, name := range []string{"meta", "ids", "lengths", "idsort", "terms", "postidx", "postoff", "postings"} {
+			switch name {
+			case "ids":
+				w.Strings(name, ids)
+			case "idsort":
+				w.Uint32s(name, idsort)
+			default:
+				b, err := r.Bytes(name)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			var buf bytes.Buffer
-			if _, err := w.WriteTo(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
+				w.Section(name, b)
 			}
 		}
+		var buf bytes.Buffer
+		if _, err := w.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// setSnapshotFormat rewrites the meta.json under dir to name snapshot
+// format in place of the one this build writes.
+func setSnapshotFormat(t *testing.T, dir string, format int) {
+	t.Helper()
+	path := filepath.Join(dir, "meta.json")
+	meta, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	older := bytes.Replace(meta, []byte(`"format": 4,`), []byte(fmt.Sprintf(`"format": %d,`, format)), 1)
+	if bytes.Equal(older, meta) {
+		t.Fatalf("%s is not at snapshot format 4: %s", path, meta)
+	}
+	if err := os.WriteFile(path, older, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -533,11 +546,13 @@ func rewriteAsFormat2(t *testing.T, dir string) {
 // magic was written by a release older than the container format, and a
 // directory whose fingerprint names no vector row format by one whose flat
 // shards held float32 rows, one with "shards": 4 by one whose indexes were
-// hash-sharded, one at snapshot format 2 or 1 by one whose IDs were plain
-// or whose postings were int32 pairs: indexes are derived data, so recovery
-// re-indexes from the catalog and verdicts match a fresh build. A shard
-// that IS a container but has a flipped byte is corruption, and Open must
-// fail instead of rebuilding over a bad disk.
+// hash-sharded, one at snapshot format 3, 2 or 1 by one that held vector
+// files, whose IDs were plain or whose postings were int32 pairs: indexes
+// are derived data, so recovery re-indexes from the catalog and verdicts
+// match a fresh build. A vector file an older release left beside the
+// BM25 shards is not read. A shard that IS a container but has a flipped
+// byte is corruption, and Open must fail instead of rebuilding over a bad
+// disk.
 func TestStaleFormatSnapshotRebuilds(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "data")
@@ -588,31 +603,54 @@ func TestStaleFormatSnapshotRebuilds(t *testing.T) {
 		}
 	}
 
-	for _, tc := range []struct {
-		name, family string
-		content      []byte
-	}{
-		{"bm25 shard in an older encoding", "bm25", []byte("\x0e\xff\x81\x03\x01\x01\x08snapshot")},
-		{"vector shard shorter than the magic", "vector", []byte("VA")},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			stale := filepath.Join(t.TempDir(), "stale")
-			copyTree(t, data, stale)
-			overwriteShard(stale, tc.family, func([]byte) []byte { return tc.content })
-			recovered, err := Open(stale, durableOpts(1))
-			if err != nil {
-				t.Fatalf("stale-format shard was not rebuilt: %v", err)
-			}
-			defer recovered.Close()
-			got, err := recovered.VerifyClaim("q", workload.GolfClaim())
-			if err != nil {
+	// verifiesAsFresh opens tree and verifies against it; mapped says
+	// whether the BM25 files must have been opened (else re-indexed).
+	verifiesAsFresh := func(t *testing.T, tree string, mapped bool) {
+		t.Helper()
+		recovered, err := Open(tree, durableOpts(1))
+		if err != nil {
+			t.Fatalf("the directory did not open: %v", err)
+		}
+		defer recovered.Close()
+		if st := recovered.Pipeline().Indexer().IndexStats(); (st.Families["bm25"].MappedBytes != 0) != mapped {
+			t.Errorf("BM25 files mapped: %+v, want mapped %v", st.Families, mapped)
+		}
+		got, err := recovered.VerifyClaim("q", workload.GolfClaim())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("report differs from a fresh build:\n got %+v\nwant %+v", got, want)
+		}
+	}
+
+	t.Run("bm25 shard in an older encoding", func(t *testing.T) {
+		stale := filepath.Join(t.TempDir(), "stale")
+		copyTree(t, data, stale)
+		overwriteShard(stale, "bm25", func([]byte) []byte { return []byte("\x0e\xff\x81\x03\x01\x01\x08snapshot") })
+		verifiesAsFresh(t, stale, false)
+	})
+
+	// vectorFiles writes one vector file per kind beside the BM25 ones, as
+	// the releases that stored vectors did.
+	vectorFiles := func(t *testing.T, indexes string, content []byte) {
+		t.Helper()
+		shards, err := filepath.Glob(filepath.Join(indexes, "bm25-*.idx"))
+		if err != nil || len(shards) == 0 {
+			t.Fatalf("no checkpointed bm25 shards: %v", err)
+		}
+		for _, path := range shards {
+			if err := os.WriteFile(strings.Replace(path, "bm25-", "vector-", 1), content, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("re-indexed report differs from a fresh build:\n got %+v\nwant %+v", got, want)
-			}
-		})
+		}
 	}
+	t.Run("vector shard shorter than the magic", func(t *testing.T) {
+		stale := filepath.Join(t.TempDir(), "stale")
+		copyTree(t, data, stale)
+		vectorFiles(t, filepath.Join(stale, "checkpoint", "indexes"), []byte("VA"))
+		verifiesAsFresh(t, stale, true)
+	})
 
 	// Vector shards in float32 rows, under the fingerprints that named
 	// them: the flat layout before int8 segments, and an IVF index (its
@@ -631,26 +669,18 @@ func TestStaleFormatSnapshotRebuilds(t *testing.T) {
 			stale := filepath.Join(t.TempDir(), "stale")
 			copyTree(t, data, stale)
 			indexes := filepath.Join(stale, "checkpoint", "indexes")
-			shards, err := filepath.Glob(filepath.Join(indexes, "vector-*.idx"))
-			if err != nil || len(shards) == 0 {
-				t.Fatalf("no checkpointed vector shards: %v", err)
-			}
 			// Meta, ids, and every row as 128 floats.
-			for _, path := range shards {
-				bw := binfmt.NewWriter()
-				if err := bw.JSON("meta", tc.shard); err != nil {
-					t.Fatal(err)
-				}
-				bw.Strings("ids", []string{"table:a", "table:b"})
-				bw.Float32s("vecs", make([]float32, 2*128))
-				var buf bytes.Buffer
-				if _, err := bw.WriteTo(&buf); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
+			bw := binfmt.NewWriter()
+			if err := bw.JSON("meta", tc.shard); err != nil {
+				t.Fatal(err)
 			}
+			bw.Strings("ids", []string{"table:a", "table:b"})
+			bw.Float32s("vecs", make([]float32, 2*128))
+			var buf bytes.Buffer
+			if _, err := bw.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			vectorFiles(t, indexes, buf.Bytes())
 			metaPath := filepath.Join(indexes, "meta.json")
 			meta, err := os.ReadFile(metaPath)
 			if err != nil {
@@ -664,18 +694,7 @@ func TestStaleFormatSnapshotRebuilds(t *testing.T) {
 			if err := os.WriteFile(metaPath, older, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			recovered, err := Open(stale, durableOpts(1))
-			if err != nil {
-				t.Fatalf("the directory was not re-indexed: %v", err)
-			}
-			defer recovered.Close()
-			got, err := recovered.VerifyClaim("q", workload.GolfClaim())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("re-indexed report differs from a fresh build:\n got %+v\nwant %+v", got, want)
-			}
+			verifiesAsFresh(t, stale, false)
 		})
 	}
 
@@ -714,30 +733,8 @@ func TestStaleFormatSnapshotRebuilds(t *testing.T) {
 			bad.Close()
 			t.Fatal("int32-postings shards opened under the current snapshot format")
 		}
-		metaPath := filepath.Join(indexes, "meta.json")
-		meta, err := os.ReadFile(metaPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		older := bytes.Replace(meta, []byte(`"format": 3,`), []byte(`"format": 1,`), 1)
-		if bytes.Equal(older, meta) {
-			t.Fatalf("meta.json is not at snapshot format 3: %s", meta)
-		}
-		if err := os.WriteFile(metaPath, older, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		recovered, err := Open(stale, durableOpts(1))
-		if err != nil {
-			t.Fatalf("a directory in the int32-postings layout was not re-indexed: %v", err)
-		}
-		defer recovered.Close()
-		got, err := recovered.VerifyClaim("q", workload.GolfClaim())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("re-indexed report differs from a fresh build:\n got %+v\nwant %+v", got, want)
-		}
+		setSnapshotFormat(t, indexes, 1)
+		verifiesAsFresh(t, stale, false)
 	})
 
 	// A directory of snapshot format 2: every index file holds its IDs in a
@@ -751,33 +748,20 @@ func TestStaleFormatSnapshotRebuilds(t *testing.T) {
 			bad.Close()
 			t.Fatal("format-2 index files opened under the current snapshot format")
 		}
-		metaPath := filepath.Join(indexes, "meta.json")
-		meta, err := os.ReadFile(metaPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		older := bytes.Replace(meta, []byte(`"format": 3,`), []byte(`"format": 2,`), 1)
-		if bytes.Equal(older, meta) {
-			t.Fatalf("meta.json is not at snapshot format 3: %s", meta)
-		}
-		if err := os.WriteFile(metaPath, older, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		recovered, err := Open(stale, durableOpts(1))
-		if err != nil {
-			t.Fatalf("a format-2 directory was not re-indexed: %v", err)
-		}
-		defer recovered.Close()
-		if st := recovered.Pipeline().Indexer().IndexStats(); st.Families["bm25"].MappedBytes != 0 {
-			t.Errorf("format-2 index files were mapped: %+v", st.Families)
-		}
-		got, err := recovered.VerifyClaim("q", workload.GolfClaim())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("re-indexed report differs from a fresh build:\n got %+v\nwant %+v", got, want)
-		}
+		setSnapshotFormat(t, indexes, 2)
+		verifiesAsFresh(t, stale, false)
+	})
+
+	// A directory of snapshot format 3: BM25 files this build could read,
+	// beside vector files it no longer does. A snapshot has one format, so
+	// the directory is re-indexed, not half read.
+	t.Run("indexes at snapshot format 3", func(t *testing.T) {
+		stale := filepath.Join(t.TempDir(), "stale")
+		copyTree(t, data, stale)
+		indexes := filepath.Join(stale, "checkpoint", "indexes")
+		vectorFiles(t, indexes, []byte(binfmt.Magic))
+		setSnapshotFormat(t, indexes, 3)
+		verifiesAsFresh(t, stale, false)
 	})
 
 	// A directory from when each index could be hash-sharded, four ways:
@@ -813,18 +797,7 @@ func TestStaleFormatSnapshotRebuilds(t *testing.T) {
 		if err := os.WriteFile(metaPath, sharded, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		recovered, err := Open(stale, durableOpts(1))
-		if err != nil {
-			t.Fatalf("a four-shard directory was not re-indexed: %v", err)
-		}
-		defer recovered.Close()
-		got, err := recovered.VerifyClaim("q", workload.GolfClaim())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("re-indexed report differs from a fresh build:\n got %+v\nwant %+v", got, want)
-		}
+		verifiesAsFresh(t, stale, false)
 	})
 
 	corrupt := filepath.Join(dir, "corrupt")

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/binfmt"
@@ -261,9 +262,42 @@ func TestFormat1PinRecovers(t *testing.T) {
 
 // TestFormat2PinReindexes: a durable pin whose index files were written at
 // snapshot format 2 is recovered by Open, its view re-indexed in place of
-// the files, and its pinned verify returns the Report a format-3 pin at
-// the same version returns, byte for byte.
+// the files, and its pinned verify returns the Report a current pin at the
+// same version returns, byte for byte.
 func TestFormat2PinReindexes(t *testing.T) {
+	pinReindexes(t, func(indexes string) {
+		rewriteAsFormat2(t, indexes)
+		setSnapshotFormat(t, indexes, 2)
+	})
+}
+
+// TestFormat3PinReindexes is TestFormat2PinReindexes for a pin written at
+// snapshot format 3: BM25 files this build could read, beside vector files
+// it no longer does.
+func TestFormat3PinReindexes(t *testing.T) {
+	pinReindexes(t, func(indexes string) {
+		if vs, err := filepath.Glob(filepath.Join(indexes, "vector-*.idx")); err != nil || len(vs) != 0 {
+			t.Fatalf("the pin wrote vector files %v (%v)", vs, err)
+		}
+		files, err := filepath.Glob(filepath.Join(indexes, "bm25-*.idx"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no pinned bm25 index files: %v", err)
+		}
+		for _, path := range files {
+			if err := os.WriteFile(strings.Replace(path, "bm25-", "vector-", 1), []byte(binfmt.Magic), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		setSnapshotFormat(t, indexes, 3)
+	})
+}
+
+// pinReindexes pins a version, lets the head move on, and rewrites a copy
+// of the data directory's pin by makeStale, given its index directory.
+// Open must recover the rewritten pin, and its pinned verifies must return
+// the Reports the untouched pin returns, byte for byte.
+func pinReindexes(t *testing.T, makeStale func(indexes string)) {
+	t.Helper()
 	data := filepath.Join(t.TempDir(), "data")
 	sys, err := Open(data, durableOpts(1))
 	if err != nil {
@@ -302,20 +336,7 @@ func TestFormat2PinReindexes(t *testing.T) {
 	}
 	old := filepath.Join(t.TempDir(), "old")
 	copyTree(t, data, old)
-	indexes := filepath.Join(old, "snapshots", fmt.Sprint(pin), "indexes")
-	rewriteAsFormat2(t, indexes)
-	metaPath := filepath.Join(indexes, "meta.json")
-	meta, err := os.ReadFile(metaPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	older := bytes.Replace(meta, []byte(`"format": 3,`), []byte(`"format": 2,`), 1)
-	if bytes.Equal(older, meta) {
-		t.Fatalf("pin meta.json is not at snapshot format 3: %s", meta)
-	}
-	if err := os.WriteFile(metaPath, older, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	makeStale(filepath.Join(old, "snapshots", fmt.Sprint(pin), "indexes"))
 
 	pinned := func(dir string) []byte {
 		t.Helper()
@@ -353,7 +374,7 @@ func TestFormat2PinReindexes(t *testing.T) {
 		}
 		return b
 	}
-	if format3, format2 := pinned(data), pinned(old); !bytes.Equal(format2, format3) {
-		t.Errorf("pinned reports differ:\n format 2 %s\n format 3 %s", format2, format3)
+	if current, stale := pinned(data), pinned(old); !bytes.Equal(stale, current) {
+		t.Errorf("pinned reports differ:\n stale   %s\n current %s", stale, current)
 	}
 }

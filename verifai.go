@@ -381,9 +381,9 @@ func recoverPins(sys *System, st *durable.Store) error {
 // ingestion: writers wait only for the short quiesced fork (catalog view
 // pinned, index shards sealed in memory, WAL rotated), while the long
 // serialization and atomic swap overlap normal traffic. A checkpoint is
-// also a flush: once its directory is promoted the running indexes are
-// moved onto the shard files it wrote and their heap copies dropped, so
-// the process holds what a restart on the directory would. A concurrent
+// also a flush: once its directory is promoted the running BM25 indexes
+// are moved onto the shard files it wrote and their sealed copies dropped,
+// so the process holds what a restart on the directory would. A concurrent
 // Checkpoint fails fast with ErrCheckpointInFlight (the in-flight one
 // covers it). Only systems opened with Open can checkpoint.
 func (s *System) Checkpoint() (uint64, error) {
@@ -493,7 +493,7 @@ func newSystem(lake *Lake, opts Options, snapshotDir string) (*System, error) {
 	if lake == nil {
 		return nil, fmt.Errorf("verifai: nil lake")
 	}
-	if opts.Indexer.EmbedDim == 0 && !opts.Indexer.EnableBM25 && !opts.Indexer.EnableVector {
+	if opts.Indexer.EmbedDim == 0 && len(opts.Indexer.Kinds) == 0 {
 		opts.Indexer = core.DefaultIndexerConfig(opts.Seed)
 	}
 	if opts.Pipeline.TopK == 0 {

@@ -45,6 +45,32 @@ func noiseFreeOptions(seed uint64) Options {
 	return o
 }
 
+// TestNewSystemZeroOptionsIndexesEveryKind: NewSystem given no indexer
+// configuration indexes all four kinds, in both families, at the default
+// dimension.
+func TestNewSystemZeroOptionsIndexesEveryKind(t *testing.T) {
+	lake := caseLake(t)
+	if err := lake.AddTriple(Triple{Subject: "tommy bolt", Predicate: "champion of", Object: "1958 u.s. open", SourceID: "cases"}); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(lake, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	ix := sys.Pipeline().Indexer()
+	if dim := ix.Embedder().Dim(); dim != 128 {
+		t.Errorf("embedding dimension %d, want 128", dim)
+	}
+	for _, kind := range []Kind{KindTable, KindTuple, KindText, KindEntity} {
+		for _, family := range []string{"bm25", "vector"} {
+			if ids := ix.RetrieveFamily("tommy bolt 1958 u.s. open golf meagan good actress", family, 5, kind); len(ids) == 0 {
+				t.Errorf("%s retrieval of %s instances found nothing", family, kind)
+			}
+		}
+	}
+}
+
 func TestQuickstartFlow(t *testing.T) {
 	sys, err := NewSystem(caseLake(t), noiseFreeOptions(42))
 	if err != nil {
