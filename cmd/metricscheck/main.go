@@ -75,6 +75,7 @@ var requiredDurable = []string{
 	"verifai_checkpoint_bytes",
 	"verifai_checkpoint_part_bytes",
 	"verifai_recovery_replayed_records_total",
+	"verifai_memory_bytes",
 }
 
 // requiredFollower is added for follower (replica) deployments.

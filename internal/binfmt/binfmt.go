@@ -81,43 +81,61 @@ type ID struct {
 // ID returns the identity of the container the last WriteTo produced.
 func (w *Writer) ID() ID { return w.id }
 
+// OffHeap returns size zeroed, writable bytes that live as long as owner.
+// Where files can be mapped (see OpenFile) they are an anonymous private
+// mapping, so they neither count toward the collector's heap goal nor are
+// scanned by it, and a page costs memory only once written; the mapping is
+// released by a cleanup once owner is unreachable, so owner must stay
+// reachable for as long as the bytes are used (runtime.KeepAlive where
+// nothing else holds it). Elsewhere, with NoMmapEnv set, or when the
+// mapping fails, they are a heap buffer. mapped reports which.
+func OffHeap[T any](owner *T, size int) (buf []byte, mapped bool) {
+	if mmapSupported && size > 0 && os.Getenv(NoMmapEnv) == "" {
+		if m, err := mmapAnon(size); err == nil {
+			runtime.AddCleanup(owner, munmap, m)
+			return m, true
+		}
+	}
+	return make([]byte, size), false
+}
+
+// builtBytes is what the containers Build holds in anonymous mappings
+// occupy, until their Readers are released.
+var builtBytes atomic.Int64
+
+// BuiltBytes returns the bytes of the containers Build holds outside the
+// Go heap (see OffHeap) and has not yet released.
+func BuiltBytes() int64 { return builtBytes.Load() }
+
 // Build serializes the container into memory (one buffer sized to hold
 // it) and opens it: the bytes WriteTo would put in a file, verified like
-// one. Where files can be mapped (see OpenFile) the buffer is an anonymous
-// private mapping, read-only once written and released with the Reader,
-// so a sealed segment searched for as long as it lives neither counts
-// toward the collector's heap goal nor is scanned by it; elsewhere it is a
-// heap buffer.
+// one. The buffer comes from OffHeap, owned by the Reader, and a mapped
+// one is read-only once written: a sealed segment searched for as long as
+// it lives stays off the Go heap where files can be mapped.
 func (w *Writer) Build() (*Reader, error) {
 	w.deflateColumns()
 	size := headerLen + 8
 	for i, p := range w.payloads {
 		size += 22 + len(w.names[i]) + align8(len(p))
 	}
-	var mapping []byte
-	if mmapSupported && os.Getenv(NoMmapEnv) == "" {
-		mapping, _ = mmapAnon(size) // nil on failure: the heap serves
-	}
-	mem := mapping
-	if mem == nil {
-		mem = make([]byte, 0, size)
-	}
+	r := new(Reader)
+	mem, mapped := OffHeap(r, size)
 	buf := bytes.NewBuffer(mem[:0])
-	_, err := w.WriteTo(buf)
-	if err == nil && mapping != nil {
-		err = protectReadOnly(mapping)
-	}
-	var r *Reader
-	if err == nil {
-		r, err = NewReader(buf.Bytes())
-	}
-	if err != nil {
-		munmap(mapping)
+	if _, err := w.WriteTo(buf); err != nil {
 		return nil, err
 	}
-	if mapping != nil {
-		setUnmapCleanup(r, mapping)
+	if mapped {
+		if err := protectReadOnly(mem); err != nil {
+			return nil, err
+		}
+		builtBytes.Add(int64(size))
+		runtime.AddCleanup(r, func(n int64) { builtBytes.Add(-n) }, int64(size))
 	}
+	opened, err := NewReader(buf.Bytes())
+	if err != nil {
+		return nil, err
+	}
+	*r = *opened
 	return r, nil
 }
 

@@ -16,5 +16,3 @@ func mmapAnon(int) ([]byte, error) { return nil, errors.ErrUnsupported }
 func protectReadOnly([]byte) error { return nil }
 
 func munmap([]byte) {}
-
-func setUnmapCleanup(*Reader, []byte) {}

@@ -4,7 +4,6 @@ package binfmt
 
 import (
 	"os"
-	"runtime"
 	"syscall"
 )
 
@@ -33,11 +32,3 @@ func munmap(data []byte) {
 		_ = syscall.Munmap(data)
 	}
 }
-
-// setUnmapCleanup releases the mapping r reads once r is unreachable.
-// Every structure that retains a section view also retains the Reader
-// (see Reader docs), so the mapping cannot be released while a view is
-// still reachable. Close is deliberately absent: core's Indexer contract
-// keeps indexes searchable after Close, so an eager unmap would turn a
-// late search into a fault.
-func setUnmapCleanup(r *Reader, mapping []byte) { runtime.AddCleanup(r, munmap, mapping) }

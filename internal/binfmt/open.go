@@ -4,13 +4,14 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"unsafe"
 )
 
 // NoMmapEnv disables the mmap fast path when set to a non-empty value,
-// forcing OpenFile onto the portable read-everything fallback and Build
-// onto a heap buffer. Exposed so benchmarks can measure both paths on the
-// same machine.
+// forcing OpenFile onto the portable read-everything fallback and OffHeap
+// (so Build) onto heap buffers. Exposed so benchmarks can measure both
+// paths on the same machine.
 const NoMmapEnv = "REPRO_BINFMT_NOMMAP"
 
 // OpenFile opens and fully verifies a container file. On supported
@@ -42,7 +43,13 @@ func OpenFile(path string) (*Reader, error) {
 				return nil, fmt.Errorf("binfmt: %s: %w", path, rerr)
 			}
 			r.mapped = true
-			setUnmapCleanup(r, data)
+			// Every structure that retains a section view also retains
+			// the Reader (see Reader docs), so the mapping cannot be
+			// released while a view is still reachable. Close is
+			// deliberately absent: core's Indexer contract keeps indexes
+			// searchable after Close, so an eager unmap would turn a late
+			// search into a fault.
+			runtime.AddCleanup(r, munmap, data)
 			return r, nil
 		}
 		// Fall through to the portable path on any mmap failure.

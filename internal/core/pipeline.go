@@ -454,6 +454,10 @@ func (p *Pipeline) verifyAgainst(ctx context.Context, g verify.Generated, eviden
 	report := Report{Object: g, ProvenanceSeq: -1, AsOfVersion: asOf}
 	votes := make(map[string][]float64)
 	var decisions []provenance.VerifierDecision
+	if len(ordered) > 0 { // sized exactly: a cached Report keeps its array
+		report.Evidence = make([]Evidence, 0, len(ordered))
+		decisions = make([]provenance.VerifierDecision, 0, len(ordered))
+	}
 	for i, in := range ordered {
 		res := results[i]
 		st := src.trust(in.SourceID)

@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"reflect"
@@ -162,6 +163,7 @@ func FuzzDecodeProvenanceRecord(f *testing.F) {
 	for _, r := range append(edgeRecords()[:6], sampleRecord("g1")) {
 		seq := seeds.Append(r)
 		b, _ := seeds.encoded(seq)
+		b = bytes.Clone(b) // the arena is released with seeds, before the fuzz inputs run
 		f.Add(b)
 		f.Add(b[:len(b)/2])               // torn
 		f.Add(append([]byte{0xff}, b...)) // object ID length pushed out of range

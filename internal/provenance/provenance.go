@@ -8,7 +8,10 @@
 // The store keeps records encoded (codec.go) in a byte arena of fixed-size
 // segments rather than as Go structs: a record costs a few KB of memory the
 // garbage collector never scans, and every Record handed out is decoded
-// afresh, so callers share nothing with the store or with each other.
+// afresh, so callers share nothing with the store or with each other. The
+// segments come from binfmt.OffHeap: where files can be mapped they sit
+// outside the Go heap, so lineage does not raise the collector's heap goal
+// either.
 package provenance
 
 import (
@@ -17,9 +20,11 @@ import (
 	"fmt"
 	"hash/maphash"
 	"io"
+	"runtime"
 	"sort"
 	"sync"
 
+	"repro/internal/binfmt"
 	"repro/internal/obs"
 )
 
@@ -86,9 +91,10 @@ const segmentSize = 1 << 20
 // len(recs); everything below those is immutable, in sealed and active
 // segments alike, which is what lets readers decode without the lock.
 type segment struct {
-	first int // seq of recs[0]
-	data  []byte
-	recs  []recordMeta
+	first  int    // seq of recs[0]
+	data   []byte // from binfmt.OffHeap, owned by the store
+	recs   []recordMeta
+	mapped bool // data is an anonymous mapping, not heap
 }
 
 // recordMeta is a record's entry in its segment's offset table.
@@ -133,6 +139,7 @@ type Store struct {
 	segs     []*segment // ascending by first; the last one is active
 	n        int
 	used     int64                  // encoded bytes in segs' data
+	offHeap  int64                  // the part of used in mapped segments
 	byObject map[uint64]uint32      // object ID hash → 1 + seq of its newest record
 	evidence map[uint32]evidenceUse // dictionary ID of an instance → its postings
 	postings []posting
@@ -168,8 +175,11 @@ func (s *Store) Append(r Record) int {
 	s.n++
 	g := s.activeSegment(seq, len(e.buf))
 	g.recs = append(g.recs, recordMeta{off: uint32(len(g.data)), prevObject: s.byObject[hash]})
-	g.data = append(g.data, e.buf...)
+	g.data = append(g.data, e.buf...) // within cap: activeSegment made room
 	s.used += int64(len(e.buf))
+	if g.mapped {
+		s.offHeap += int64(len(e.buf))
+	}
 	s.byObject[hash] = uint32(seq + 1)
 	for _, id := range e.evidence {
 		use := s.evidence[id]
@@ -187,7 +197,8 @@ func (s *Store) activeSegment(seq, size int) *segment {
 			return g
 		}
 	}
-	g := &segment{first: seq, data: make([]byte, 0, max(size, segmentSize))}
+	data, mapped := binfmt.OffHeap(s, max(size, segmentSize))
+	g := &segment{first: seq, data: data[:0], mapped: mapped}
 	s.segs = append(s.segs, g)
 	return g
 }
@@ -200,7 +211,8 @@ func (s *Store) Len() int {
 }
 
 // encoded returns record seq's bytes and offset-table entry. The caller
-// holds mu and seq is in range; the bytes stay valid after unlocking.
+// holds mu and seq is in range; the bytes stay valid after unlocking for as
+// long as s is reachable.
 func (s *Store) encoded(seq int) ([]byte, recordMeta) {
 	g := s.segs[sort.Search(len(s.segs), func(i int) bool { return s.segs[i].first > seq })-1]
 	return g.bytes(seq - g.first), g.recs[seq-g.first]
@@ -210,6 +222,7 @@ func (s *Store) encoded(seq int) ([]byte, recordMeta) {
 // what Append encoded, so a failure is a bug, not an input error.
 func (s *Store) decode(seq int, b []byte) Record {
 	r, err := decodeRecord(b, s.dict.snapshot())
+	runtime.KeepAlive(s) // b may lie in a segment s's cleanup unmaps
 	if err != nil {
 		panic(fmt.Sprintf("provenance: record %d: %v", seq, err))
 	}
@@ -297,6 +310,7 @@ func (s *Store) TaintedBy(instanceID string) []string {
 			out = append(out, obj)
 		}
 	}
+	runtime.KeepAlive(s) // until the last of encoded is read
 	sort.Strings(out)
 	return out
 }
@@ -358,10 +372,16 @@ type Stats struct {
 	// Records is Len.
 	Records int `json:"records"`
 	// Bytes is the memory lineage occupies: the encoded records plus the
-	// offset tables and evidence postings. Not counted: the unused tail of
-	// each segment (Segments × 1 MiB is what the arena reserves), the object
-	// and evidence maps (some 30 bytes a record) and the dictionary.
+	// offset tables and evidence postings. Not counted: the object and
+	// evidence maps (some 30 bytes a record) and the dictionary, nor the
+	// unwritten tail of each segment: a segment reserves 1 MiB of address
+	// space (Segments × 1 MiB in all), but a mapped one is resident only as
+	// far as it is written.
 	Bytes int64 `json:"bytes"`
+	// OffHeapBytes is the part of Bytes outside the Go heap: the encoded
+	// records in mapped segments (all of them unless binfmt.OffHeap fell
+	// back to the heap). The rest of Bytes is Go heap.
+	OffHeapBytes int64 `json:"off_heap_bytes"`
 	// Segments counts arena segments, the active one included.
 	Segments int `json:"segments"`
 	// DictionaryEntries is the number of interned strings.
@@ -374,8 +394,9 @@ func (s *Store) Stats() Stats {
 	st := Stats{
 		Records: s.n,
 		// A recordMeta and a posting are 8 bytes each.
-		Bytes:    s.used + 8*int64(s.n) + 8*int64(len(s.postings)),
-		Segments: len(s.segs),
+		Bytes:        s.used + 8*int64(s.n) + 8*int64(len(s.postings)),
+		OffHeapBytes: s.offHeap,
+		Segments:     len(s.segs),
 	}
 	s.mu.RUnlock()
 	st.DictionaryEntries = len(s.dict.snapshot())

@@ -1,6 +1,8 @@
 package rerank
 
 import (
+	"strings"
+
 	"repro/internal/datalake"
 	"repro/internal/table"
 	"repro/internal/textutil"
@@ -84,13 +86,15 @@ func (o *OpenTFV) Score(q Query, inst datalake.Instance) float64 {
 }
 
 // tableContains reports whether any cell folds equal to v, or for numeric v
-// whether any cell carries the same number.
+// whether any cell carries the same number. v is folded and parsed once;
+// cells are compared in place, so a table without a match costs no
+// allocation when v is already folded.
 func tableContains(t *table.Table, v string) bool {
 	want := textutil.Fold(v)
 	num, isNum := textutil.ParseNumber(v)
 	for _, row := range t.Rows {
 		for _, cell := range row {
-			if textutil.Fold(cell) == want {
+			if textutil.FoldEqual(cell, want) {
 				return true
 			}
 			if isNum {
@@ -103,13 +107,4 @@ func tableContains(t *table.Table, v string) bool {
 	return false
 }
 
-func joinColumns(t *table.Table) string {
-	s := ""
-	for i, c := range t.Columns {
-		if i > 0 {
-			s += " "
-		}
-		s += c
-	}
-	return s
-}
+func joinColumns(t *table.Table) string { return strings.Join(t.Columns, " ") }

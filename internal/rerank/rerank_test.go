@@ -204,3 +204,26 @@ func TestRerankTopKPrime(t *testing.T) {
 		t.Error("no candidates returned results")
 	}
 }
+
+// TestTableContainsAllocatesNothing: scanning a table that holds neither
+// the entity nor the number costs no allocation for a value that is its
+// own folded key, as claimed entities and integers are, and one (the key)
+// for any other value, whatever the cells hold.
+func TestTableContainsAllocatesNothing(t *testing.T) {
+	tbl := usOpen1954()
+	tbl.MustAppendRow("t9", "Gene Littler, Jr.", "$1,200")
+	tbl.MustAppendRow("t10", "São Paulo", "4.5%")
+	for v, allocs := range map[string]float64{"arnold palmer": 0, "1400": 0, "$6,000": 1, "-3.5": 1} {
+		if tableContains(tbl, v) {
+			t.Fatalf("the table contains %q", v)
+		}
+		if n := testing.AllocsPerRun(100, func() { tableContains(tbl, v) }); n != allocs {
+			t.Errorf("tableContains(%q) allocates %v times, want %v", v, n, allocs)
+		}
+	}
+	for _, v := range []string{"Tommy Bolt", "gene littler jr", "1200", "570.0", "sao paulo"} {
+		if got := tableContains(tbl, v); got != (v != "sao paulo") {
+			t.Errorf("tableContains(%q) = %v", v, got)
+		}
+	}
+}

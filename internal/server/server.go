@@ -256,6 +256,13 @@ func New(p *core.Pipeline, opts ...Option) *Server {
 		"Verifications currently holding an admission slot.", func() float64 {
 			return float64(len(s.verifySem))
 		})
+	memory := s.obs.GaugeVec("verifai_memory_bytes",
+		"Where the process's memory sits, by class: the Go heap and runtime (runtime/metrics), off-heap provenance and index bytes, mapped BM25 files, the accounted sum of the resident classes, and VmRSS, RssAnon and RssFile on Linux.", "class")
+	s.obs.OnCollect(func() {
+		for class, n := range s.memoryLedger() {
+			memory.With(class).Set(float64(n))
+		}
+	})
 	return s
 }
 
@@ -1053,6 +1060,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"latest":   s.pipeline.Snapshots().Latest(),
 		},
 		"indexes": s.pipeline.Indexer().IndexStats(),
+		"memory":  s.memoryLedger(),
 	}
 	if store := s.pipeline.Provenance(); store != nil {
 		body["provenance"] = store.Stats()

@@ -52,18 +52,52 @@ func parseNumberRef(s string) (float64, bool) {
 	return 0, false
 }
 
-// TestParseNumberMatchesReference holds the digit-free exit to the old
-// results: every cell, column name and caption of the default lake, plus
-// the digit-free spellings ParseFloat accepts and digits outside ASCII.
-func TestParseNumberMatchesReference(t *testing.T) {
+// foldRef is Fold as it stood before FoldEqual: the reference both are
+// tested against.
+func foldRef(s string) string {
+	var b strings.Builder
+	space := false
+	started := false
+	for _, r := range s {
+		switch {
+		case unicode.IsLetter(r) || unicode.IsDigit(r):
+			if space {
+				b.WriteByte(' ')
+				space = false
+			}
+			b.WriteRune(unicode.ToLower(r))
+			started = true
+		default:
+			space = started
+		}
+	}
+	return b.String()
+}
+
+// edgeCells are inputs the lake does not hold: the digit-free spellings
+// ParseFloat accepts, digits and letters outside ASCII, separators and
+// signs in every position, exponents, hex, runs ParseFloat refuses or
+// overflows on, and invalid UTF-8.
+var edgeCells = []string{
+	"", " ", "inf", "Inf", "+Infinity", "-INF", "nan", "NaN", "+nan", "-nan", "+-inf", "infinit", "infinityx",
+	"İnf", "ınf", "٣", "٣٤ items", "price ٣", "१२", "-", "+", ".", "e", "0x", "0x1p-2", "1_000", "1e3", "north", "india", "Nancy",
+	"$6,000", "+ 4", "- 4", "-  12.5 pts", "2011-05-03", "1.2.3", "1,234,567.89", "1,2,3", ",5", "5,", "5.", ".5", "-.5",
+	"71.5%", "960 in total", "12a", "a12", "1e400", "1e-400", "-1e5x", "0X1P-2", "0x1e-2", "1__0", "_1", "1_",
+	"1" + strings.Repeat("0", 400), "x " + strings.Repeat("9", 320) + " y", strings.Repeat("1,", 40) + "1",
+	"٣.٤", "1,٣", "٣,1", "1.٣", "Ⅻ", "²", "3²", "\xe2\x82 5", "5\xff", "\xff-5", "- \xff 5", "\xc3",
+	"Steve_Chabot", "steve chabot.", "  Arnold  PALMER ", "o'brien", "São Paulo", "ǅemal", "ΣΊΣΥΦΟΣ", "ﬁnal", "Straße",
+	"K", "İstanbul", "a\u0301", "tab\tsep", "--", "a--b", "...", "",
+}
+
+// lakeCells returns every caption, column name and cell of the default
+// lake, then edgeCells.
+func lakeCells(t *testing.T) []string {
+	t.Helper()
 	corpus, err := workload.GenerateLake(workload.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := []string{
-		"", " ", "inf", "Inf", "+Infinity", "-INF", "nan", "NaN", "+nan", "-nan", "+-inf", "infinit", "infinityx",
-		"İnf", "ınf", "٣", "٣٤ items", "price ٣", "१२", "-", "+", ".", "e", "0x", "0x1p-2", "1_000", "1e3", "north", "india", "Nancy",
-	}
+	var cells []string
 	for _, tb := range corpus.Tables {
 		cells = append(cells, tb.Caption)
 		cells = append(cells, tb.Columns...)
@@ -71,6 +105,34 @@ func TestParseNumberMatchesReference(t *testing.T) {
 			cells = append(cells, row...)
 		}
 	}
+	return append(cells, edgeCells...)
+}
+
+// TestFoldEqualMatchesReference holds Fold and FoldEqual to foldRef on
+// every lake string and edge input: each string against its own key, the
+// previous string's key, and its own key cut short or run long.
+func TestFoldEqualMatchesReference(t *testing.T) {
+	cells := lakeCells(t)
+	prev := ""
+	for _, c := range cells {
+		key := foldRef(c)
+		if got := textutil.Fold(c); got != key {
+			t.Fatalf("Fold(%q) = %q, reference %q", c, got, key)
+		}
+		for _, folded := range []string{key, foldRef(prev), key + " ", key + "x", strings.TrimSuffix(key, key[max(len(key)-1, 0):])} {
+			if got, want := textutil.FoldEqual(c, folded), key == folded; got != want {
+				t.Fatalf("FoldEqual(%q, %q) = %v, reference %v", c, folded, got, want)
+			}
+		}
+		prev = c
+	}
+	t.Logf("%d strings agree", len(cells))
+}
+
+// TestParseNumberMatchesReference holds ParseNumber's exits and its
+// in-place scan to the old results on every lake string and edge input.
+func TestParseNumberMatchesReference(t *testing.T) {
+	cells := lakeCells(t)
 	for _, c := range cells {
 		want, wantOK := parseNumberRef(c)
 		got, ok := textutil.ParseNumber(c)
@@ -79,6 +141,17 @@ func TestParseNumberMatchesReference(t *testing.T) {
 		}
 	}
 	t.Logf("%d cells agree", len(cells))
+}
+
+// TestParseNumberCellsAllocateNothing: numbers as cells write them —
+// plain, with separators, signs, units or words around — are parsed
+// without an allocation too.
+func TestParseNumberCellsAllocateNothing(t *testing.T) {
+	for _, cell := range []string{"1400", "-3.25", "$6,000", "+ 4", "71.5%", "960 in total", "2011-05-03", "1,234,567.89", "1.2.3", "١٢ and 7"} {
+		if n := testing.AllocsPerRun(100, func() { textutil.ParseNumber(cell) }); n != 0 {
+			t.Errorf("ParseNumber(%q) allocates %v times", cell, n)
+		}
+	}
 }
 
 // TestParseNumberNonNumericAllocatesNothing: a cell of words is answered

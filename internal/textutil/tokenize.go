@@ -9,6 +9,7 @@ package textutil
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Tokenize splits s into lowercase word tokens. A token is a maximal run of
@@ -81,8 +82,12 @@ func Normalize(s string) string {
 }
 
 // Fold returns a fully folded comparison key: normalized, with all
-// punctuation removed. "Steve_Chabot" and "steve chabot." fold equal.
+// punctuation removed. "Steve_Chabot" and "steve chabot." fold equal. A
+// string that is its own key is returned as is, without allocating.
 func Fold(s string) string {
+	if FoldEqual(s, s) {
+		return s
+	}
 	var b strings.Builder
 	b.Grow(len(s))
 	space := false
@@ -101,6 +106,36 @@ func Fold(s string) string {
 		}
 	}
 	return b.String()
+}
+
+// FoldEqual reports whether Fold(s) == folded, folding s as it compares
+// instead of building its key: it allocates nothing and stops at the first
+// byte that differs.
+func FoldEqual(s, folded string) bool {
+	pos := 0
+	space := false
+	started := false
+	for _, r := range s {
+		if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+			space = started
+			continue
+		}
+		if space {
+			if pos == len(folded) || folded[pos] != ' ' {
+				return false
+			}
+			pos++
+			space = false
+		}
+		started = true
+		var enc [utf8.UTFMax]byte
+		n := utf8.EncodeRune(enc[:], unicode.ToLower(r))
+		if len(folded)-pos < n || folded[pos:pos+n] != string(enc[:n]) {
+			return false
+		}
+		pos += n
+	}
+	return pos == len(folded)
 }
 
 // NGrams returns the character n-grams of s (after folding). Used by the
