@@ -12,7 +12,6 @@
 //	verifai demo
 //	    run the paper's Figure 1 and Figure 4 cases on the built-in case lake
 //	verifai serve [-lake DIR] [-data-dir DIR] [-addr :8080] [-seed N] [-exact]
-//	              [-ingest-queue N]
 //	              [-verify-concurrency N] [-verify-timeout 30s]
 //	              [-read-timeout 30s] [-read-header-timeout 5s]
 //	              [-idle-timeout 2m] [-fsync always|interval|none]
@@ -22,8 +21,8 @@
 //	    lake (reads keep being served while /v1/ingest/* writes arrive);
 //	    ingestion is pipelined — embedding runs outside the lake's write
 //	    lock and POST /v1/ingest/batch commits mixed batches under one
-//	    lock acquisition; -ingest-queue bounds the in-flight ingest
-//	    event queue. The verify endpoints are
+//	    lock acquisition; at most 256 committed events wait to be indexed
+//	    before writers block. The verify endpoints are
 //	    admission-controlled (-verify-concurrency; saturated requests
 //	    answer 429) and deadline-bounded
 //	    (-verify-timeout; expiry aborts the pipeline mid-flight and
@@ -149,11 +148,11 @@ func baseOptions(seed uint64, exact bool) verifai.Options {
 	return verifai.DefaultOptions(seed)
 }
 
-func buildSystem(lakeDir string, opts verifai.Options, lakeOpts ...verifai.LakeOption) (*verifai.System, *verifai.Lake, error) {
+func buildSystem(lakeDir string, opts verifai.Options) (*verifai.System, *verifai.Lake, error) {
 	if lakeDir == "" {
 		return nil, nil, fmt.Errorf("-lake is required")
 	}
-	lake, err := lakeio.Load(lakeDir, lakeOpts...)
+	lake, err := lakeio.Load(lakeDir)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -349,7 +348,6 @@ type serveFlags struct {
 	seed              uint64
 	exact             bool
 	addr              string
-	ingestQueue       int
 	verifyConcurrency int
 	verifyTimeout     time.Duration
 	readTimeout       time.Duration
@@ -367,7 +365,6 @@ func registerServeFlags(fs *flag.FlagSet, defaultAddr string) *serveFlags {
 	fs.Uint64Var(&f.seed, "seed", 1, "deterministic seed")
 	fs.BoolVar(&f.exact, "exact", true, "exact reasoning (no calibrated error injection)")
 	fs.StringVar(&f.addr, "addr", defaultAddr, "listen address")
-	fs.IntVar(&f.ingestQueue, "ingest-queue", 0, "bound on the in-flight ingest event queue (0 = default 256)")
 	fs.IntVar(&f.verifyConcurrency, "verify-concurrency", 0, "max concurrently admitted verify requests; beyond it requests answer 429 (0 = 4x GOMAXPROCS, <0 = unlimited)")
 	fs.DurationVar(&f.verifyTimeout, "verify-timeout", 30*time.Second, "per-request verification deadline; expiry aborts the pipeline and answers 504 (0 = client-bounded only)")
 	fs.DurationVar(&f.readTimeout, "read-timeout", 30*time.Second, "max duration for reading an entire request, body included (0 = unlimited)")
@@ -382,14 +379,9 @@ func registerServeFlags(fs *flag.FlagSet, defaultAddr string) *serveFlags {
 }
 
 // openOptions turns the flags into the options every way of assembling a
-// system takes (buildSystem reads the embedded Options and LakeOptions).
+// system takes (buildSystem reads the embedded Options).
 func (f *serveFlags) openOptions() verifai.OpenOptions {
-	opts := baseOptions(f.seed, f.exact)
-	oo := verifai.OpenOptions{Options: opts, Sync: f.fsync, WALFormat: f.walFormat}
-	if f.ingestQueue > 0 {
-		oo.LakeOptions = append(oo.LakeOptions, verifai.WithIngestQueue(f.ingestQueue))
-	}
-	return oo
+	return verifai.OpenOptions{Options: baseOptions(f.seed, f.exact), Sync: f.fsync, WALFormat: f.walFormat}
 }
 
 // serverOptions are the verify limits plus, on a durable system, the
@@ -435,7 +427,7 @@ func runServe(args []string) error {
 	if f.dataDir != "" {
 		sys, err = openDurable(f.dataDir, *lakeDir, openOpts)
 	} else {
-		sys, _, err = buildSystem(*lakeDir, openOpts.Options, openOpts.LakeOptions...)
+		sys, _, err = buildSystem(*lakeDir, openOpts.Options)
 	}
 	if err != nil {
 		return err

@@ -122,11 +122,9 @@ func OpenFollower(dir, leader string, opts OpenOptions) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("verifai: %w", err)
 	}
-	lakeOpts := make([]LakeOption, len(opts.LakeOptions))
-	copy(lakeOpts, opts.LakeOptions)
 	st, err := durable.Open(dir, durable.Options{
 		Sync: policy, SyncInterval: opts.SyncInterval, SegmentBytes: opts.SegmentBytes,
-		WALFormat: format, LakeOptions: lakeOpts,
+		WALFormat: format,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("verifai: %w", err)

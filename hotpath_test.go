@@ -98,7 +98,7 @@ func TestPrepareRunsOutsideWriteLock(t *testing.T) {
 		entered.Wait()
 		close(both)
 	}()
-	unsubscribe := lake.Subscribe(datalake.Subscriber{Prepare: func(datalake.Event) (any, error) {
+	unsubscribe, err := lake.Subscribe(nil, datalake.Subscriber{Prepare: func(datalake.Event) (any, error) {
 		entered.Done()
 		select {
 		case <-both:
@@ -107,6 +107,9 @@ func TestPrepareRunsOutsideWriteLock(t *testing.T) {
 			return nil, errors.New("the other ingest never entered prepare: prepares are serialized")
 		}
 	}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer unsubscribe()
 
 	errs := make(chan error, 2)

@@ -184,7 +184,7 @@ func sealAdoptDifferential(t *testing.T, steps int) {
 		}
 		switch step % 20 {
 		case 9: // a seal that no file ever backs
-			snap, err := sut.TakeSnapshot(false)
+			snap, err := sut.PinSnapshot(nil)
 			if err != nil {
 				t.Fatal(err)
 			}

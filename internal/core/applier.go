@@ -113,14 +113,13 @@ func (pe *preparedEvent) addInstance(ix *Indexer, kind datalake.Kind, id, text s
 }
 
 // apply is the lake's application stage: it runs on the lake's dispatcher
-// goroutine in version order, performs one committed event's precomputed
-// insertions (or, for a triple, re-indexes the subject's entity page) and
-// reports completion through done.
-func (ix *Indexer) apply(ev datalake.Event, done func(error)) {
+// goroutine in version order and performs one committed event's
+// precomputed insertions (or, for a triple, re-indexes the subject's
+// entity page).
+func (ix *Indexer) apply(ev datalake.Event) error {
 	if ev.Kind == datalake.KindEntity {
 		if !ix.wantKind(datalake.KindEntity) {
-			done(nil)
-			return
+			return nil
 		}
 		// The triple is committed, so the graph knows its subject. The
 		// instance is keyed by the canonical (first-seen) subject casing —
@@ -128,8 +127,7 @@ func (ix *Indexer) apply(ev datalake.Event, done func(error)) {
 		// triple whose subject varies only in case updates the existing
 		// instance instead of forking a new one.
 		entity, rev := ix.lake.Graph().Entity(ev.Triple.Subject)
-		done(ix.reindexEntity(entity, rev))
-		return
+		return ix.reindexEntity(entity, rev)
 	}
 
 	pe, ok := ev.Payload.(*preparedEvent)
@@ -138,5 +136,5 @@ func (ix *Indexer) apply(ev datalake.Event, done func(error)) {
 		// event's prepare and commit): derive it now, on the dispatcher.
 		pe = ix.prepareEvent(ev)
 	}
-	done(ix.applyOps(pe.bm25, pe.vec))
+	return ix.applyOps(pe.bm25, pe.vec)
 }

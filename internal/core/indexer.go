@@ -209,12 +209,12 @@ func BuildIndexer(lake *datalake.Lake, cfg IndexerConfig) (*Indexer, error) {
 	}
 	ix := newIndexer(lake, &cfg)
 	// Bulk-index the current lake contents and subscribe to the change feed
-	// atomically: SubscribeSync quiesces the lake (write lock held, event
+	// atomically: Subscribe quiesces the lake (write lock held, event
 	// queue drained) across both, so a concurrent ingest can never land
 	// between the snapshot walk and the subscription (it would be neither
 	// bulk-indexed nor delivered). Live events then flow through the
 	// pipelined prepare/apply stages (see applier.go).
-	unsubscribe, err := lake.SubscribeSync(func() error { return ix.ingest(lake, lake.Graph()) },
+	unsubscribe, err := lake.Subscribe(func() error { return ix.ingest(lake, lake.Graph()) },
 		datalake.Subscriber{Prepare: ix.prepareHook, Apply: ix.apply})
 	if err != nil {
 		return nil, err

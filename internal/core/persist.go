@@ -202,7 +202,7 @@ func BuildIndexerFromSnapshot(lake *datalake.Lake, cfg IndexerConfig, dir string
 		return nil, err
 	}
 
-	unsubscribe, err := lake.SubscribeSync(func() error {
+	unsubscribe, err := lake.Subscribe(func() error {
 		// Version check inside the quiesced init: nothing can commit
 		// between the check, the load, and the subscription.
 		if v := lake.Version(); v != meta.LakeVersion {

@@ -96,31 +96,24 @@ func newResultCache(capacity int) *resultCache {
 }
 
 // attach subscribes the cache to the lake's change feed and to source
-// registrations. The feed subscription is quiesced (SubscribeSync): a
-// write committed but still dispatching during pipeline construction
-// cannot slip past the watermark unobserved. The subscriber's Apply
-// completes synchronously on the dispatcher goroutine, so the per-kind
+// registrations. The subscription is quiesced: a write committed but still
+// dispatching during pipeline construction cannot slip past the watermark
+// unobserved. Apply runs on the dispatcher goroutine, so the per-kind
 // watermark is advanced before the lake publishes the write's version —
 // i.e. before the ingest caller's acknowledgment returns. Source
 // registrations bump the epoch: an AddSource overwrite changes the
 // TrustPrior that verdict resolution falls back to, which is invisible to
 // the versioned feed.
 func (c *resultCache) attach(lake *datalake.Lake) error {
-	unsubFeed, err := lake.SubscribeSync(nil, datalake.Subscriber{
-		Apply: func(ev datalake.Event, done func(error)) {
+	unsubscribe, err := lake.Subscribe(nil, datalake.Subscriber{
+		Apply: func(ev datalake.Event) error {
 			c.observe(ev)
-			done(nil)
+			return nil
 		},
+		Source: func(datalake.Source) { c.bumpEpoch() },
 	})
-	if err != nil {
-		return err
-	}
-	unsubSources := lake.OnSourceChange(func(datalake.Source) { c.bumpEpoch() })
-	c.unsubscribe = func() {
-		unsubFeed()
-		unsubSources()
-	}
-	return nil
+	c.unsubscribe = unsubscribe
+	return err
 }
 
 // close detaches the cache from the change feed. Idempotent.
@@ -168,8 +161,7 @@ func (c *resultCache) minValid(kinds []datalake.Kind) uint64 {
 	return v
 }
 
-// rcShardFor hashes a key onto its LRU shard (FNV-1a, as the indexer's
-// instance-ID sharding).
+// shardFor hashes a key onto its LRU shard (FNV-1a).
 func (c *resultCache) shardFor(key string) *rcShard {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {

@@ -141,45 +141,17 @@ func (p *Pipeline) trustSnapshot() map[string]float64 {
 	return out
 }
 
-// TakeSnapshot quiesces the lake just long enough to fork a View and
-// freeze every index at the current version, then registers the
-// pair as a retained snapshot (explicitly pinned when pinned is true —
-// excluded from retention GC until unpinned). Registering an
-// already-retained version promotes it instead of re-freezing.
-func (p *Pipeline) TakeSnapshot(pinned bool) (*datalake.Snapshot, error) {
-	if s, err := p.snapshots.Acquire(p.lake.Version()); err == nil {
-		// Already retained at head: promote, don't re-freeze.
-		if s.Version() == p.lake.Version() {
-			defer s.Release()
-			if pinned {
-				if err := p.snapshots.Pin(s.Version()); err != nil {
-					return nil, err
-				}
-			}
-			return s, nil
-		}
-		s.Release()
-	}
-	var fz *FrozenIndexes
-	view, err := p.lake.Fork(func(*datalake.View) error {
-		fz = p.indexer.Freeze()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return p.RegisterSnapshot(view, fz, pinned), nil
-}
-
 // PinSnapshot forks and freezes at the current version and retains the
 // pair as an explicitly pinned snapshot, excluded from retention GC until
-// unpinned. persist, when non-nil, is called after the in-memory pin is
-// registered, with everything durability needs: the forked view, a
-// writeIndexes that serializes the frozen indexes into a directory (under
-// dir/indexes, the checkpoint layout), and the pin-time trust overrides. A
-// persist failure demotes the pin back to the retention window and is
-// returned — an operator asking for a durable pin must not silently get a
-// memory-only one.
+// unpinned. A version that is already retained (a checkpoint's snapshot,
+// or an earlier pin) keeps its snapshot unchanged, trust overrides
+// included: the pin only promotes it. persist, when non-nil, is called
+// after the in-memory pin is registered, with everything durability needs:
+// the forked view, a writeIndexes that serializes the frozen indexes into
+// a directory (under dir/indexes, the checkpoint layout), and the trust
+// overrides of the snapshot the registry retains. A persist failure demotes
+// the pin back to the retention window and is returned — an operator
+// asking for a durable pin must not silently get a memory-only one.
 func (p *Pipeline) PinSnapshot(persist func(view *datalake.View, writeIndexes func(fs faultfs.FS, dir string) error, trust map[string]float64) error) (*datalake.Snapshot, error) {
 	var fz *FrozenIndexes
 	view, err := p.lake.Fork(func(*datalake.View) error {
@@ -189,14 +161,18 @@ func (p *Pipeline) PinSnapshot(persist func(view *datalake.View, writeIndexes fu
 	if err != nil {
 		return nil, err
 	}
-	trust := p.trustSnapshot()
-	ps := &PinnedSnapshot{view: view, trust: trust, frozen: fz}
-	snap := p.snapshots.Add(view, ps, true)
+	snap := p.RegisterSnapshot(view, fz, true)
 	if persist != nil {
 		writeIndexes := func(fs faultfs.FS, dir string) error {
 			return fz.Save(fs, filepath.Join(dir, "indexes"), view.Version())
 		}
-		if err := persist(view, writeIndexes, trust); err != nil {
+		// The registry may have kept an earlier snapshot of this version:
+		// persist the trust it serves, so a restart serves the same.
+		ps, ok := snap.Payload().(*PinnedSnapshot)
+		if !ok {
+			return nil, fmt.Errorf("core: snapshot at version %d collected while pinning", view.Version())
+		}
+		if err := persist(view, writeIndexes, ps.trust); err != nil {
 			_ = p.snapshots.Unpin(view.Version())
 			return nil, err
 		}

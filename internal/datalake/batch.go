@@ -46,8 +46,8 @@ func (l *Lake) AddBatch(items []BatchItem) ([]BatchItemResult, error) {
 // (versions 1..n in item order): what every deserializer of a stored
 // catalog ends with. Any rejected item fails the whole load. The lake runs
 // a dispatcher goroutine; callers that discard it should Close it.
-func Load(sources []Source, items []BatchItem, opts ...Option) (*Lake, error) {
-	l := New(opts...)
+func Load(sources []Source, items []BatchItem) (*Lake, error) {
+	l := New()
 	err := func() error {
 		for _, src := range sources {
 			if err := l.AddSource(src); err != nil {

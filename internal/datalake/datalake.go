@@ -16,7 +16,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/doc"
@@ -119,7 +118,7 @@ type Event struct {
 	Triple *kg.Triple
 	// Payload carries the value this subscriber's Prepare returned for the
 	// mutation (nil for subscribers without a Prepare stage, and for events
-	// committed before the subscriber registered). It is private to the
+	// prepared before the subscriber registered). It is private to the
 	// subscriber: every subscriber sees its own payload.
 	Payload any
 }
@@ -165,53 +164,44 @@ type CommitHook func(evs []Event) error
 // aborts the registration.
 type SourceHook func(Source) error
 
-// ApplyFunc is a subscriber's asynchronous application stage. It is invoked
-// on the dispatcher goroutine in version order, with no lake locks held,
-// and must call done exactly once — possibly from another goroutine — when
-// the event has been fully applied (the indexer applies on the dispatcher
-// and calls done before returning). The lake publishes the event's version (Version, Flush,
-// ingest-caller returns) only after every subscriber's done fires. An error
-// passed to done is reported to the ingest caller whose mutation it
-// rejected; the catalog mutation itself stays committed — the error signals
-// that a downstream consumer (e.g. an incremental indexer) lagged, not that
-// the data was lost.
+// ApplyFunc is a subscriber's application stage. It runs on the dispatcher
+// goroutine in version order, with no lake locks held, and the event is
+// applied when it returns: the lake publishes the event's version (Version,
+// Flush, ingest-caller returns) only after every subscriber's Apply has
+// returned. A returned error is reported to the ingest caller whose
+// mutation it rejected; the catalog mutation itself stays committed — the
+// error signals that a downstream consumer (e.g. an incremental indexer)
+// lagged, not that the data was lost.
 //
 // An ApplyFunc must not ingest into the lake (AddTable and friends): the
 // dispatcher that runs it is also the consumer that drains the ingest
 // queue, so a reentrant write can deadlock against queue backpressure.
 // Reading the lake (Resolve, Graph, Stats, ...) is allowed.
-type ApplyFunc func(ev Event, done func(error))
+type ApplyFunc func(Event) error
 
-// Subscriber is a two-stage change consumer: Prepare precomputes the
-// expensive payload outside the lake's locks, Apply consumes the committed
-// event asynchronously. Either field may be nil (a nil Apply makes the
-// subscriber prepare-only, which is rarely useful).
+// Subscriber is a change consumer: Prepare precomputes the expensive
+// payload outside the lake's locks, Apply consumes the committed event, and
+// Source observes source registrations. Any field may be nil.
 type Subscriber struct {
 	Prepare PrepareFunc
 	Apply   ApplyFunc
+	// Source observes every source registration (AddSource and
+	// ReplicateSource), overwrites of an existing source included — the
+	// one catalog mutation outside the versioned change feed. A
+	// trust-sensitive consumer (e.g. a verify-result cache, whose verdict
+	// weighting reads Source.TrustPrior) uses it to invalidate. It runs on
+	// the registering goroutine before the registration returns and must
+	// not write into the lake.
+	Source func(Source)
 }
 
 // ErrClosed marks ingestion into a closed lake.
 var ErrClosed = errors.New("datalake: lake closed")
 
-// defaultQueueSize bounds the in-flight event queue between commit and the
+// queueSize bounds the in-flight event queue between commit and the
 // dispatcher. Writers block (holding the write lock) once the queue is
 // full, so queued-event memory is bounded under ingest bursts.
-const defaultQueueSize = 256
-
-// Option configures a Lake.
-type Option func(*Lake)
-
-// WithQueueSize overrides the bounded ingest-event queue capacity
-// (default 256). Larger values absorb bigger ingest bursts before
-// backpressure blocks writers; smaller values bound memory tighter.
-func WithQueueSize(n int) Option {
-	return func(l *Lake) {
-		if n > 0 {
-			l.queueSize = n
-		}
-	}
-}
+const queueSize = 256
 
 // Lake is the multi-modal data lake catalog. The lake is live: ingestion is
 // allowed at any time, while lookups take a shared lock, so the lake serves
@@ -225,18 +215,19 @@ func WithQueueSize(n int) Option {
 //  2. commit — the write lock covers only the catalog mutation, version
 //     assignment, and enqueueing the event on a bounded ordered queue;
 //  3. apply — a dispatcher goroutine delivers events to subscribers in
-//     version order; a subscriber may complete its application
-//     asynchronously, after its Apply returns.
+//     version order; an event is applied once every subscriber's Apply has
+//     returned.
 //
-// Version() publication — not hook ordering — provides the visibility
-// guarantee: a version becomes observable only once its event is fully
-// applied. The ingest entry points additionally wait for their own
-// mutation's application before returning, so "AddX returned nil" still
-// implies "retrievable now".
+// Version() publication provides the visibility guarantee: a version
+// becomes observable only once its event is fully applied. The ingest
+// entry points additionally wait for their own mutation's application
+// before returning, so "AddX returned nil" still implies "retrievable
+// now".
 type Lake struct {
 	// writeMu serializes the commit stage (catalog mutation + version
-	// assignment + enqueue). It is intentionally narrow: no subscriber
-	// code and no derivation work runs under it. Always acquired before mu.
+	// assignment + enqueue). It is intentionally narrow: no Prepare or
+	// Apply code and no derivation work runs under it (Source observers
+	// do, so they see registrations in order). Always acquired before mu.
 	writeMu  sync.Mutex
 	closed   bool // guarded by writeMu
 	readOnly bool // follower mode: local writes rejected, guarded by writeMu
@@ -247,17 +238,16 @@ type Lake struct {
 	sourceHook SourceHook
 
 	// hooksMu guards the subscriber list; it is never held while acquiring
-	// writeMu or mu, and the dispatcher holds it (shared) for the duration
-	// of one event's delivery so unsubscribe can exclude in-flight calls.
-	hooksMu   sync.RWMutex
-	hooks     []registeredHook
-	sourceObs []registeredSourceObserver
-	hookSeq   int
+	// writeMu. The dispatcher (one event's delivery) and source
+	// registration hold it shared while calling into subscribers, so
+	// unsubscribe can exclude in-flight calls.
+	hooksMu sync.RWMutex
+	hooks   []registeredHook
+	hookSeq int
 
 	// events is the bounded ordered queue between commit and dispatch.
 	// Sends happen under writeMu, so channel order is version order.
 	events    chan queuedEvent
-	queueSize int
 	closeOnce sync.Once
 	closeErr  error
 	// dispatchDone closes when the dispatcher exits (after Close drains).
@@ -267,8 +257,8 @@ type Lake struct {
 	cond *sync.Cond // broadcast when processed/published advance
 	// version is the last assigned (committed) version.
 	version uint64
-	// processed is the contiguous application watermark: every event with
-	// version <= processed has completed application (successfully or not).
+	// processed is the application watermark: every event with version <=
+	// processed has completed application (successfully or not).
 	processed uint64
 	// published trails processed: it is the last *successfully* applied
 	// version, so readers of Version() never observe a version whose
@@ -277,13 +267,10 @@ type Lake struct {
 	// failed records application errors by version until the ingest caller
 	// (or Flush) claims them.
 	failed map[uint64]error
-	// waiting counts ingest callers registered (at commit time) to claim
-	// their version's application error; Flush and WaitVersion leave those
-	// errors for the registered claimant instead of stealing them.
-	waiting map[uint64]int
-	// ahead holds completion results for versions above processed+1, so
-	// out-of-order async completions advance the watermark contiguously.
-	ahead map[uint64]error
+	// waiting marks the versions whose ingest caller registered (at commit
+	// time) to claim the application error; Flush leaves those errors for
+	// the registered claimant instead of stealing them.
+	waiting map[uint64]bool
 	// drained flips once Close has applied the final event; waiters for
 	// versions that will now never commit are woken with ErrClosed.
 	drained bool
@@ -316,7 +303,7 @@ func (l *Lake) SetMetrics(reg *obs.Registry) {
 	l.m = lakeMetrics{
 		prepareSec: reg.Histogram("verifai_ingest_prepare_seconds", "Per-event prepare stage (tokenize + embed, outside all lake locks)."),
 		commitSec:  reg.Histogram("verifai_ingest_commit_seconds", "Commit section latency (stage + durable hook + materialize + enqueue, under the write lock). Batches observe once per section."),
-		applySec:   reg.Histogram("verifai_ingest_apply_seconds", "Per-event apply stage (dispatcher delivery through the last subscriber completion)."),
+		applySec:   reg.Histogram("verifai_ingest_apply_seconds", "Per-event apply stage (dispatcher delivery through the last subscriber's Apply)."),
 	}
 	reg.GaugeFunc("verifai_ingest_queue_depth", "Committed events waiting in the bounded apply queue.",
 		func() float64 { return float64(len(l.events)) })
@@ -333,23 +320,18 @@ type queuedEvent struct {
 // dispatcher goroutine keeps the lake reachable until Close, so a
 // long-lived process that discards lakes (rather than keeping one for its
 // lifetime) must Close them to release the memory.
-func New(opts ...Option) *Lake {
+func New() *Lake {
 	l := &Lake{
 		tables:       make(map[string]*table.Table),
 		docs:         make(map[string]*doc.Document),
 		graph:        kg.NewGraph(),
 		sources:      make(map[string]Source),
 		failed:       make(map[uint64]error),
-		waiting:      make(map[uint64]int),
-		ahead:        make(map[uint64]error),
-		queueSize:    defaultQueueSize,
+		waiting:      make(map[uint64]bool),
+		events:       make(chan queuedEvent, queueSize),
 		dispatchDone: make(chan struct{}),
 	}
-	for _, o := range opts {
-		o(l)
-	}
 	l.cond = sync.NewCond(&l.mu)
-	l.events = make(chan queuedEvent, l.queueSize)
 	go l.dispatch()
 	return l
 }
@@ -357,8 +339,8 @@ func New(opts ...Option) *Lake {
 // AddSource registers (or overwrites) a source description. A zero
 // TrustPrior is normalized to 0.5. The returned error only ever comes from
 // a durability (source) hook rejecting the registration; lakes without a
-// hook always succeed. Registered source observers (OnSourceChange) run
-// before the call returns.
+// hook always succeed. Every subscriber's Source observer runs before the
+// call returns.
 func (l *Lake) AddSource(s Source) error {
 	return l.addSource(s, false)
 }
@@ -385,46 +367,16 @@ func (l *Lake) addSource(s Source, replica bool) error {
 	l.mu.Unlock()
 	// Notify observers under writeMu (registrations are observed in
 	// serialization order) but outside mu, so observers may read the lake.
+	// hooksMu is held shared across the calls, as in deliver, so an
+	// unsubscribe that has returned excludes every later call.
 	l.hooksMu.RLock()
-	obs := append([]registeredSourceObserver(nil), l.sourceObs...)
-	l.hooksMu.RUnlock()
-	for _, o := range obs {
-		o.fn(s)
-	}
-	return nil
-}
-
-// registeredSourceObserver pairs a source observer with its registration
-// handle.
-type registeredSourceObserver struct {
-	id int
-	fn func(Source)
-}
-
-// OnSourceChange registers fn to observe every subsequent source
-// registration (AddSource), including overwrites of an existing source —
-// the one catalog mutation outside the versioned change feed. A
-// trust-sensitive consumer (e.g. a verify-result cache, whose verdict
-// weighting reads Source.TrustPrior) uses this to invalidate on source
-// overwrites. fn runs on the registering goroutine before AddSource
-// returns and must not write into the lake. The returned function
-// unsubscribes (idempotent).
-func (l *Lake) OnSourceChange(fn func(Source)) (unsubscribe func()) {
-	l.hooksMu.Lock()
-	defer l.hooksMu.Unlock()
-	l.hookSeq++
-	id := l.hookSeq
-	l.sourceObs = append(l.sourceObs, registeredSourceObserver{id: id, fn: fn})
-	return func() {
-		l.hooksMu.Lock()
-		defer l.hooksMu.Unlock()
-		for i, o := range l.sourceObs {
-			if o.id == id {
-				l.sourceObs = append(l.sourceObs[:i], l.sourceObs[i+1:]...)
-				return
-			}
+	defer l.hooksMu.RUnlock()
+	for _, rh := range l.hooks {
+		if rh.Source != nil {
+			rh.Source(s)
 		}
 	}
+	return nil
 }
 
 // SetCommitHook installs (or, with nil, removes) the durable commit hook.
@@ -506,32 +458,24 @@ func (l *Lake) Sources() []Source {
 // registeredHook pairs a subscriber with its registration handle so it can
 // be removed again.
 type registeredHook struct {
-	id      int
-	apply   ApplyFunc
-	prepare PrepareFunc
+	id int
+	Subscriber
 }
 
-// Subscribe registers a two-stage subscriber observing every subsequent
-// mutation. The returned function unsubscribes it (idempotent) and blocks
-// until any in-flight delivery to the subscriber has returned, so after it
-// returns the subscriber's Apply is never invoked again.
-func (l *Lake) Subscribe(s Subscriber) (unsubscribe func()) {
-	l.hooksMu.Lock()
-	defer l.hooksMu.Unlock()
-	return l.subscribeLocked(s)
-}
-
-// SubscribeSync runs init and then registers s, with the lake quiesced: the
-// write lock is held and the event queue fully drained across both, so no
-// mutation can commit — and no committed mutation can still be applying —
-// between init's snapshot of the lake and the registration. An incremental
-// indexer uses this to close the gap where a concurrent ingest would be
-// neither bulk-indexed nor delivered as an event. init may read the lake
-// but must not mutate it (that would deadlock); an init error aborts the
-// registration.
-func (l *Lake) SubscribeSync(init func() error, s Subscriber) (unsubscribe func(), err error) {
-	// Quiesce: every committed event has been applied before init snapshots
-	// the catalog, so nothing is both snapshotted and later delivered.
+// Subscribe runs init (if non-nil) and then registers s, with the lake
+// quiesced: the write lock is held and the event queue fully drained across
+// both, so no mutation can commit — and no committed mutation can still be
+// applying — between init's snapshot of the lake and the registration. An
+// incremental indexer uses this to close the gap where a concurrent ingest
+// would be neither bulk-indexed nor delivered as an event. init may read
+// the lake but must not mutate it (that would deadlock); an init error
+// aborts the registration.
+//
+// The returned function unsubscribes s (idempotent) and blocks until any
+// in-flight call into it has returned, so after it returns neither Apply
+// nor Source is invoked again. Apply and Source must not call it (that
+// would deadlock).
+func (l *Lake) Subscribe(init func() error, s Subscriber) (unsubscribe func(), err error) {
 	err = l.Quiesce(func(uint64) error {
 		if init != nil {
 			if err := init(); err != nil {
@@ -540,31 +484,25 @@ func (l *Lake) SubscribeSync(init func() error, s Subscriber) (unsubscribe func(
 		}
 		l.hooksMu.Lock()
 		defer l.hooksMu.Unlock()
-		unsubscribe = l.subscribeLocked(s)
+		l.hookSeq++
+		id := l.hookSeq
+		l.hooks = append(l.hooks, registeredHook{id: id, Subscriber: s})
+		unsubscribe = func() {
+			l.hooksMu.Lock()
+			defer l.hooksMu.Unlock()
+			for i, rh := range l.hooks {
+				if rh.id == id {
+					l.hooks = append(l.hooks[:i], l.hooks[i+1:]...)
+					return
+				}
+			}
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return unsubscribe, nil
-}
-
-// subscribeLocked appends the subscriber and builds its unsubscribe
-// closure. Caller holds hooksMu.
-func (l *Lake) subscribeLocked(s Subscriber) func() {
-	l.hookSeq++
-	id := l.hookSeq
-	l.hooks = append(l.hooks, registeredHook{id: id, apply: s.Apply, prepare: s.Prepare})
-	return func() {
-		l.hooksMu.Lock()
-		defer l.hooksMu.Unlock()
-		for i, rh := range l.hooks {
-			if rh.id == id {
-				l.hooks = append(l.hooks[:i], l.hooks[i+1:]...)
-				return
-			}
-		}
-	}
 }
 
 // Version returns the lake's monotonic mutation version (0 for an empty,
@@ -592,142 +530,56 @@ func (l *Lake) dispatch() {
 	}
 }
 
-// deliver invokes every subscriber's Apply for one event, aggregating their
-// asynchronous completions; the event's version is marked applied once all
-// of them (and the dispatcher's own token) are done. hooksMu is held shared
-// across the Apply calls so unsubscribe can exclude in-flight deliveries.
+// deliver invokes every subscriber's Apply for one event, in registration
+// order, then advances the application watermark past the event, recording
+// the first error any Apply returned. Events arrive in version order, so
+// the watermark moves one version at a time; publication skips failed
+// versions. hooksMu is held shared across the Apply calls so unsubscribe
+// can exclude in-flight deliveries.
 func (l *Lake) deliver(qe queuedEvent) {
-	version := qe.ev.Version
 	start := time.Now()
-	// One token for the dispatcher itself, released after all Applies have
-	// been started, so no early completion can fire while hooks remain.
-	c := newCountdown(1, func(err error) {
-		l.m.applySec.Since(start)
-		l.applied(version, err)
-	})
+	var first error
 	l.hooksMu.RLock()
 	for _, rh := range l.hooks {
-		if rh.apply == nil {
+		if rh.Apply == nil {
 			continue
 		}
 		ev := qe.ev
 		ev.Payload = qe.payloads[rh.id]
-		c.Add(1)
-		rh.apply(ev, c.Done)
+		if err := rh.Apply(ev); err != nil && first == nil {
+			first = err
+		}
 	}
 	l.hooksMu.RUnlock()
-	c.Done(nil)
-}
-
-// countdown aggregates several asynchronous completions into one callback:
-// the final Done fires the wrapped function with the first error observed.
-// The dispatcher uses it to join one event's subscriber completions.
-type countdown struct {
-	remaining atomic.Int32
-	errMu     sync.Mutex
-	err       error
-	done      func(error)
-}
-
-// newCountdown returns a countdown firing done after n Done calls (plus
-// any registered via Add). n must be at least 1.
-func newCountdown(n int, done func(error)) *countdown {
-	c := &countdown{done: done}
-	c.remaining.Store(int32(n))
-	return c
-}
-
-// Add registers delta additional Done calls to await. It must be called
-// while the countdown is held open (before the outstanding count can
-// reach zero).
-func (c *countdown) Add(delta int) { c.remaining.Add(int32(delta)) }
-
-// Done records one completion; each participant must call it exactly once.
-func (c *countdown) Done(err error) {
-	if err != nil {
-		c.errMu.Lock()
-		if c.err == nil {
-			c.err = err
-		}
-		c.errMu.Unlock()
-	}
-	if c.remaining.Add(-1) == 0 {
-		c.errMu.Lock()
-		first := c.err
-		c.errMu.Unlock()
-		c.done(first)
-	}
-}
-
-// applied advances the contiguous application watermark with one event's
-// completion. Completions may arrive out of order (an ApplyFunc may call
-// done from another goroutine, after later events were delivered); the
-// watermark only moves through versions whose predecessors are all
-// applied, and publication skips failed versions.
-func (l *Lake) applied(version uint64, err error) {
+	l.m.applySec.Since(start)
 	l.mu.Lock()
-	if err != nil {
-		l.failed[version] = err
-	}
-	l.ahead[version] = err
-	for {
-		e, ok := l.ahead[l.processed+1]
-		if !ok {
-			break
-		}
-		delete(l.ahead, l.processed+1)
-		l.processed++
-		if e == nil {
-			l.published = l.processed
-		}
+	l.processed = qe.ev.Version
+	if first != nil {
+		l.failed[l.processed] = first
+	} else {
+		l.published = l.processed
 	}
 	l.mu.Unlock()
 	l.cond.Broadcast()
 }
 
-// WaitVersion blocks until the mutation committed as version v has been
-// fully applied (its indexing finished, successfully or not), then returns
-// the application error recorded for v, if any. An error whose ingest
-// caller is still waiting for it stays reserved for that caller (this
-// function reports it without claiming it); otherwise the error is
-// claimed and reported once. Waiting for a version that was never
-// committed blocks until it is — or returns ErrClosed once Close
-// guarantees it never will be.
-func (l *Lake) WaitVersion(v uint64) error {
-	return l.wait(v, false)
-}
-
-// waitClaimed is WaitVersion for the ingest caller registered at commit
-// time: it always claims the version's error and releases the
-// registration. Its callers wait on committed versions, which Close always
-// applies before draining, so the drained guard is only a safety net.
+// waitClaimed blocks until the mutation committed as version v has been
+// applied, then claims its application error for the ingest caller
+// registered at commit time and releases the registration. Its callers
+// wait on committed versions, which Close always applies before draining,
+// so the drained guard is only a safety net.
 func (l *Lake) waitClaimed(v uint64) error {
-	return l.wait(v, true)
-}
-
-// wait is the single wait-loop implementation behind WaitVersion (claim
-// only when unreserved) and waitClaimed (always claim and deregister).
-func (l *Lake) wait(v uint64, claim bool) error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	for l.processed < v {
 		if l.drained {
-			l.mu.Unlock()
 			return ErrClosed
 		}
 		l.cond.Wait()
 	}
 	err := l.failed[v]
-	if claim {
-		delete(l.failed, v)
-		if n := l.waiting[v]; n > 1 {
-			l.waiting[v] = n - 1
-		} else {
-			delete(l.waiting, v)
-		}
-	} else if l.waiting[v] == 0 {
-		delete(l.failed, v)
-	}
-	l.mu.Unlock()
+	delete(l.failed, v)
+	delete(l.waiting, v)
 	return err
 }
 
@@ -747,7 +599,7 @@ func (l *Lake) Flush() (uint64, error) {
 	}
 	var versions []uint64
 	for v := range l.failed {
-		if v <= target && l.waiting[v] == 0 {
+		if v <= target && !l.waiting[v] {
 			versions = append(versions, v)
 		}
 	}
@@ -798,14 +650,14 @@ func (l *Lake) prepare(ev Event) (map[int]any, error) {
 	l.hooksMu.RLock()
 	var preparers []registeredHook
 	for _, rh := range l.hooks {
-		if rh.prepare != nil {
+		if rh.Prepare != nil {
 			preparers = append(preparers, rh)
 		}
 	}
 	l.hooksMu.RUnlock()
 	var payloads map[int]any
 	for _, rh := range preparers {
-		p, err := rh.prepare(ev)
+		p, err := rh.Prepare(ev)
 		if err != nil {
 			return nil, fmt.Errorf("datalake: prepare: %w", err)
 		}
@@ -882,7 +734,7 @@ func (l *Lake) materializeLocked(ev *Event) {
 		l.graph.Add(*ev.Triple)
 	}
 	l.version = ev.Version
-	l.waiting[ev.Version]++
+	l.waiting[ev.Version] = true
 }
 
 // AddTable ingests a table. The table's ID must be unique. Safe to call at

@@ -1,6 +1,7 @@
 package datalake
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -14,23 +15,55 @@ import (
 	"repro/internal/table"
 )
 
-// TestFlushUnderLoad ingests from concurrent writers against a slow
-// asynchronous subscriber, then checks the Flush contract: the returned
-// watermark covers every accepted write, every one is resolvable, and
-// Version() equals the watermark (all applications completed).
+// waitQueueFull polls until the event queue holds queueSize events behind
+// a gated Apply: every further commit now blocks on backpressure.
+func waitQueueFull(t *testing.T, l *Lake) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for len(l.events) < queueSize {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue holds %d events, want %d", len(l.events), queueSize)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFlushUnderLoad ingests from concurrent writers and a batch larger than
+// the queue while Apply blocks on a gate on the dispatcher, so the queue
+// fills and commits wait on backpressure. Once the gate opens it checks the
+// Flush contract: the returned watermark covers every accepted write, every
+// one is resolvable, and Version() equals the watermark (all applications
+// completed).
 func TestFlushUnderLoad(t *testing.T) {
-	l := New(WithQueueSize(8)) // small queue: exercise backpressure too
+	l := New()
+	defer l.Close()
+	gate := make(chan struct{})
 	var applied atomic.Int64
-	l.Subscribe(Subscriber{Apply: func(ev Event, done func(error)) {
-		go func() { // complete off the dispatcher, out of order
-			time.Sleep(time.Duration(ev.Version%3) * time.Millisecond)
-			applied.Add(1)
-			done(nil)
-		}()
+	subscribe(t, l, Subscriber{Apply: func(Event) error {
+		<-gate
+		applied.Add(1)
+		return nil
 	}})
 
-	const writers, perWriter = 4, 20
+	const writers, perWriter, batch = 4, 20, queueSize + 44
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		items := make([]BatchItem, batch)
+		for i := range items {
+			items[i] = BatchItem{Doc: &doc.Document{ID: fmt.Sprintf("b%d", i), Text: "body"}}
+		}
+		results, err := l.AddBatch(items)
+		if err != nil {
+			t.Errorf("AddBatch: %v", err)
+		}
+		for _, res := range results {
+			if res.Err != nil {
+				t.Errorf("AddBatch item: %v", res.Err)
+			}
+		}
+	}()
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -42,20 +75,23 @@ func TestFlushUnderLoad(t *testing.T) {
 			}
 		}(w)
 	}
+	waitQueueFull(t, l)
+	close(gate)
 	wg.Wait()
 
+	const total = writers*perWriter + batch
 	v, err := l.Flush()
 	if err != nil {
 		t.Fatalf("Flush error: %v", err)
 	}
-	if want := uint64(writers * perWriter); v != want {
-		t.Fatalf("Flush watermark = %d, want %d", v, want)
+	if v != total {
+		t.Fatalf("Flush watermark = %d, want %d", v, total)
 	}
 	if got := l.Version(); got != v {
 		t.Fatalf("Version() = %d after Flush, want %d", got, v)
 	}
-	if got := applied.Load(); got != int64(writers*perWriter) {
-		t.Fatalf("applied %d events, want %d", got, writers*perWriter)
+	if got := applied.Load(); got != total {
+		t.Fatalf("applied %d events, want %d", got, total)
 	}
 	for w := 0; w < writers; w++ {
 		for i := 0; i < perWriter; i++ {
@@ -64,22 +100,25 @@ func TestFlushUnderLoad(t *testing.T) {
 			}
 		}
 	}
+	for i := 0; i < batch; i++ {
+		if _, err := l.Resolve(fmt.Sprintf("text:b%d", i)); err != nil {
+			t.Fatalf("accepted batch write not resolvable: %v", err)
+		}
+	}
 }
 
 // TestCloseRejectsNewKeepsQueued closes the lake while a batch's events are
-// still queued behind a gated subscriber: Close must reject subsequent
-// writes with ErrClosed while every already-accepted write is applied (none
-// lost), and must be idempotent.
+// still queued behind an Apply blocked on a gate on the dispatcher: Close
+// must reject subsequent writes with ErrClosed while every already-accepted
+// write is applied (none lost), and must be idempotent.
 func TestCloseRejectsNewKeepsQueued(t *testing.T) {
 	l := New()
 	gate := make(chan struct{})
 	var applied atomic.Int64
-	l.Subscribe(Subscriber{Apply: func(ev Event, done func(error)) {
-		go func() {
-			<-gate
-			applied.Add(1)
-			done(nil)
-		}()
+	subscribe(t, l, Subscriber{Apply: func(Event) error {
+		<-gate
+		applied.Add(1)
+		return nil
 	}})
 
 	const n = 10
@@ -122,7 +161,7 @@ func TestCloseRejectsNewKeepsQueued(t *testing.T) {
 		t.Fatalf("AddDocument during close = %v, want ErrClosed", err)
 	}
 
-	close(gate) // let the appliers drain
+	close(gate) // let the dispatcher drain
 	if err := <-closeDone; err != nil {
 		t.Fatalf("Close error: %v", err)
 	}
@@ -147,8 +186,8 @@ func TestCloseRejectsNewKeepsQueued(t *testing.T) {
 	}
 	// Waiting for a version that can no longer commit returns ErrClosed
 	// instead of blocking forever.
-	if err := l.WaitVersion(l.Version() + 1); !errors.Is(err, ErrClosed) {
-		t.Fatalf("WaitVersion(future) after Close = %v, want ErrClosed", err)
+	if err := l.WaitApplied(context.Background(), l.Version()+1); !errors.Is(err, ErrClosed) {
+		t.Fatalf("WaitApplied(future) after Close = %v, want ErrClosed", err)
 	}
 }
 
@@ -159,11 +198,11 @@ func TestAddBatchMixed(t *testing.T) {
 	l := New()
 	var mu sync.Mutex
 	var versions []uint64
-	l.Subscribe(Subscriber{Apply: func(ev Event, done func(error)) {
+	subscribe(t, l, Subscriber{Apply: func(ev Event) error {
 		mu.Lock()
 		versions = append(versions, ev.Version)
 		mu.Unlock()
-		done(nil)
+		return nil
 	}})
 
 	tbl := table.New("t1", "caption", []string{"a"})
@@ -226,7 +265,7 @@ func TestSubscriberPreparePayload(t *testing.T) {
 	l := New()
 	type payload struct{ derived string }
 	var prepared, appliedOK atomic.Int64
-	l.Subscribe(Subscriber{
+	subscribe(t, l, Subscriber{
 		Prepare: func(ev Event) (any, error) {
 			if ev.Version != 0 {
 				t.Errorf("Prepare saw version %d, want 0 (pre-commit)", ev.Version)
@@ -237,7 +276,7 @@ func TestSubscriberPreparePayload(t *testing.T) {
 			}
 			return nil, nil
 		},
-		Apply: func(ev Event, done func(error)) {
+		Apply: func(ev Event) error {
 			if ev.Kind == KindText {
 				p, ok := ev.Payload.(*payload)
 				if !ok || p.derived != "derived:"+ev.Doc.ID {
@@ -246,7 +285,7 @@ func TestSubscriberPreparePayload(t *testing.T) {
 					appliedOK.Add(1)
 				}
 			}
-			done(nil)
+			return nil
 		},
 	})
 	if err := l.AddDocument(&doc.Document{ID: "d1", Text: "body"}); err != nil {
@@ -267,9 +306,9 @@ func TestPrepareErrorAbortsIngest(t *testing.T) {
 	l := New()
 	sentinel := errors.New("prepare exploded")
 	events := 0
-	l.Subscribe(Subscriber{
+	subscribe(t, l, Subscriber{
 		Prepare: func(Event) (any, error) { return nil, sentinel },
-		Apply:   func(ev Event, done func(error)) { events++; done(nil) },
+		Apply:   func(Event) error { events++; return nil },
 	})
 	err := l.AddDocument(&doc.Document{ID: "d1", Text: "body"})
 	if !errors.Is(err, sentinel) {
@@ -286,38 +325,6 @@ func TestPrepareErrorAbortsIngest(t *testing.T) {
 	}
 	if events != 0 {
 		t.Fatalf("%d events delivered for an aborted ingest", events)
-	}
-}
-
-// TestAsyncApplyErrorReported checks that an error delivered through an
-// asynchronous done callback reaches the ingest caller and leaves the
-// version unpublished, exactly like a synchronous hook error.
-func TestAsyncApplyErrorReported(t *testing.T) {
-	l := New()
-	sentinel := errors.New("shard applier failed")
-	var fail atomic.Bool
-	l.Subscribe(Subscriber{Apply: func(ev Event, done func(error)) {
-		go func() {
-			if fail.Load() {
-				done(sentinel)
-				return
-			}
-			done(nil)
-		}()
-	}})
-	fail.Store(true)
-	if err := l.AddDocument(&doc.Document{ID: "d1", Text: "body"}); !errors.Is(err, sentinel) {
-		t.Fatalf("AddDocument error = %v, want applier error", err)
-	}
-	if v := l.Version(); v != 0 {
-		t.Fatalf("Version() = %d after failed apply, want 0 (unpublished)", v)
-	}
-	fail.Store(false)
-	if err := l.AddDocument(&doc.Document{ID: "d2", Text: "body"}); err != nil {
-		t.Fatal(err)
-	}
-	if v := l.Version(); v != 2 {
-		t.Fatalf("Version() = %d after recovery, want 2", v)
 	}
 }
 
@@ -360,7 +367,7 @@ func TestSingleItemIngestMatchesOneItemBatch(t *testing.T) {
 			setup: func(l *Lake, _ BatchItem) { l.SetCommitHook(func([]Event) error { return boom }) }},
 		{name: "apply error", id: "x", version: 1, wantErr: lagged, failed: true,
 			setup: func(l *Lake, _ BatchItem) {
-				l.Subscribe(Subscriber{Apply: func(_ Event, done func(error)) { done(lagged) }})
+				subscribe(t, l, Subscriber{Apply: func(Event) error { return lagged }})
 			}},
 	}
 	single := func(l *Lake, it BatchItem) (uint64, error) {

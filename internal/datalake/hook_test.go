@@ -65,7 +65,7 @@ func TestCommitHookErrorAborts(t *testing.T) {
 	l := New()
 	defer l.Close()
 	var delivered int
-	l.Subscribe(Subscriber{Apply: func(_ Event, done func(error)) { delivered++; done(nil) }})
+	subscribe(t, l, Subscriber{Apply: func(Event) error { delivered++; return nil }})
 
 	boom := errors.New("disk full")
 	fail := true

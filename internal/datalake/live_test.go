@@ -11,6 +11,16 @@ import (
 	"repro/internal/table"
 )
 
+// subscribe registers s on l with no init, failing the test on error.
+func subscribe(t testing.TB, l *Lake, s Subscriber) (unsubscribe func()) {
+	t.Helper()
+	unsubscribe, err := l.Subscribe(nil, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return unsubscribe
+}
+
 func liveTable(id string) *table.Table {
 	t := table.New(id, "caption "+id, []string{"a", "b"})
 	t.MustAppendRow("x", "y")
@@ -26,9 +36,9 @@ func TestVersionAndEvents(t *testing.T) {
 		t.Fatalf("fresh lake version = %d, want 0", v)
 	}
 	var events []Event
-	l.Subscribe(Subscriber{Apply: func(ev Event, done func(error)) {
+	subscribe(t, l, Subscriber{Apply: func(ev Event) error {
 		events = append(events, ev)
-		done(nil)
+		return nil
 	}})
 
 	if err := l.AddTable(liveTable("t1")); err != nil {
@@ -87,12 +97,11 @@ func TestHookErrorPropagates(t *testing.T) {
 	l := New()
 	sentinel := errors.New("indexer lagged")
 	var fail bool
-	l.Subscribe(Subscriber{Apply: func(_ Event, done func(error)) {
+	subscribe(t, l, Subscriber{Apply: func(Event) error {
 		if fail {
-			done(sentinel)
-			return
+			return sentinel
 		}
-		done(nil)
+		return nil
 	}})
 	fail = true
 	if err := l.AddTable(liveTable("t1")); !errors.Is(err, sentinel) {

@@ -56,8 +56,8 @@ func (l *Lake) CommittedVersion() uint64 {
 
 // WaitApplied blocks until every mutation committed as version <= v has
 // completed application (successfully or not), or ctx is done, or the lake
-// closes (ErrClosed). Unlike WaitVersion it never claims application
-// errors — it is a pure freshness barrier, the primitive behind
+// closes (ErrClosed). It never claims application errors — it is a pure
+// freshness barrier, the primitive behind
 // read-your-writes (?min_version=) and change-feed gating. Waiting on a
 // version not yet committed blocks until it is committed and applied,
 // which on a follower means "until replication catches up".

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,11 +46,11 @@ func TestReadOnlyRejectsLocalWrites(t *testing.T) {
 	// The replication path must work and feed subscribers normally.
 	var mu sync.Mutex
 	var seen []uint64
-	l.Subscribe(Subscriber{Apply: func(ev Event, done func(error)) {
+	subscribe(t, l, Subscriber{Apply: func(ev Event) error {
 		mu.Lock()
 		seen = append(seen, ev.Version)
 		mu.Unlock()
-		done(nil)
+		return nil
 	}})
 	res, err := l.ReplicateBatch([]BatchItem{{Doc: testDoc("r1")}, {Doc: testDoc("r2")}})
 	if err != nil {
@@ -143,28 +144,29 @@ func TestWaitAppliedClosedLake(t *testing.T) {
 
 // TestFollowerCloseDuringApply is the regression test for the follower
 // shutdown path: Close racing a replication apply whose events are still
-// being delivered to a (slow) change-feed subscriber must not deadlock.
-// The replication applier is an external goroutine — not a lake hook — so
-// the PR 2 rule "hooks must not write back into the lake" holds: the
-// dispatcher can always drain, Close's Flush always terminates, and the
-// in-flight ReplicateBatch either completes or reports ErrClosed.
+// being delivered to a change-feed subscriber must not deadlock. Apply
+// blocks on a gate on the dispatcher and each replicated batch is larger
+// than the queue, so the applier is blocked mid-enqueue (holding the write
+// lock) when Close starts. The replication applier is an external
+// goroutine — not a lake hook — so the rule "hooks must not write back into
+// the lake" holds: the dispatcher can always drain, Close's Flush always
+// terminates, and the in-flight ReplicateBatch either completes or reports
+// ErrClosed.
 func TestFollowerCloseDuringApply(t *testing.T) {
-	l := New(WithQueueSize(1)) // tiny queue: the applier blocks mid-enqueue
+	l := New()
 	l.SetReadOnly(true)
-	l.Subscribe(Subscriber{Apply: func(ev Event, done func(error)) {
-		go func() {
-			time.Sleep(2 * time.Millisecond) // slow change-feed consumer
-			done(nil)
-		}()
+	gate := make(chan struct{})
+	subscribe(t, l, Subscriber{Apply: func(Event) error {
+		<-gate
+		return nil
 	}})
 
 	applierDone := make(chan error, 1)
 	go func() {
 		for i := 0; ; i++ {
-			items := []BatchItem{
-				{Doc: testDoc(fmt.Sprintf("a-%d", i))},
-				{Doc: testDoc(fmt.Sprintf("b-%d", i))},
-				{Doc: testDoc(fmt.Sprintf("c-%d", i))},
+			items := make([]BatchItem, queueSize+8)
+			for j := range items {
+				items[j] = BatchItem{Doc: testDoc(fmt.Sprintf("r%d-%d", i, j))}
 			}
 			if _, err := l.ReplicateBatch(items); err != nil {
 				applierDone <- err
@@ -173,9 +175,15 @@ func TestFollowerCloseDuringApply(t *testing.T) {
 		}
 	}()
 
-	time.Sleep(20 * time.Millisecond) // let applies pile up mid-flight
+	waitQueueFull(t, l)
 	closeDone := make(chan error, 1)
 	go func() { closeDone <- l.Close() }()
+	select {
+	case err := <-closeDone:
+		t.Fatalf("Close returned %v while the applier still held the write lock", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(gate)
 
 	for _, ch := range []struct {
 		name string
@@ -192,5 +200,73 @@ func TestFollowerCloseDuringApply(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("%s deadlocked against the change-feed subscriber", ch.name)
 		}
+	}
+}
+
+// TestSubscriberSourceAndUnsubscribe checks that a subscriber's Source runs
+// before AddSource and ReplicateSource return, and that once unsubscribe
+// returns — even when it raced an in-flight Apply — neither Apply nor
+// Source is invoked again.
+func TestSubscriberSourceAndUnsubscribe(t *testing.T) {
+	l := New()
+	defer l.Close()
+	var applies, sources atomic.Int64
+	entered, release := make(chan struct{}), make(chan struct{})
+	unsubscribe := subscribe(t, l, Subscriber{
+		Apply: func(ev Event) error {
+			applies.Add(1)
+			if ev.Doc.ID == "slow" {
+				close(entered)
+				<-release
+			}
+			return nil
+		},
+		Source: func(Source) { sources.Add(1) },
+	})
+
+	if err := l.AddSource(Source{ID: "local"}); err != nil {
+		t.Fatal(err)
+	}
+	if n := sources.Load(); n != 1 {
+		t.Fatalf("Source ran %d times before AddSource returned, want 1", n)
+	}
+	l.SetReadOnly(true)
+	if err := l.ReplicateSource(Source{ID: "replicated"}); err != nil {
+		t.Fatal(err)
+	}
+	if n := sources.Load(); n != 2 {
+		t.Fatalf("Source ran %d times before ReplicateSource returned, want 2", n)
+	}
+	l.SetReadOnly(false)
+
+	// Unsubscribe while an Apply is in flight: it must wait for that call.
+	ingestDone := make(chan error, 1)
+	go func() { ingestDone <- l.AddDocument(testDoc("slow")) }()
+	<-entered
+	unsubDone := make(chan struct{})
+	go func() {
+		unsubscribe()
+		close(unsubDone)
+	}()
+	select {
+	case <-unsubDone:
+		t.Fatal("unsubscribe returned while Apply was still running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-unsubDone
+	if err := <-ingestDone; err != nil {
+		t.Fatal(err)
+	}
+	unsubscribe() // idempotent
+
+	if err := l.AddSource(Source{ID: "after"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AddDocument(testDoc("after")); err != nil {
+		t.Fatal(err)
+	}
+	if a, s := applies.Load(), sources.Load(); a != 1 || s != 2 {
+		t.Fatalf("after unsubscribe: %d Apply and %d Source calls, want 1 and 2", a, s)
 	}
 }

@@ -76,15 +76,15 @@ func (s *Store) writeCatalog(view *datalake.View, dir string) error {
 // and a format-1 container loads too; the next checkpoint rewrites either
 // as format 2. A container that is truncated or fails
 // a checksum is an error, never a partial lake.
-func (s *Store) LoadCatalog(dir string, opts ...datalake.Option) (*datalake.Lake, error) {
+func (s *Store) LoadCatalog(dir string) (*datalake.Lake, error) {
 	data, err := s.fs.ReadFile(filepath.Join(dir, catalogFile))
 	if errors.Is(err, os.ErrNotExist) {
-		return lakeio.Load(dir, opts...)
+		return lakeio.Load(dir)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("durable: read catalog: %w", err)
 	}
-	return decodeCatalog(data, opts...)
+	return decodeCatalog(data)
 }
 
 func encodeCatalog(view *datalake.View) (*binfmt.Writer, error) {
@@ -156,7 +156,7 @@ var catalogStringColumns = []string{
 // checked against the column it indexes before anything is sliced, so a
 // container whose sections pass their CRCs but disagree with each other
 // (only a bug or a forged file can produce one) is still an error.
-func decodeCatalog(data []byte, opts ...datalake.Option) (*datalake.Lake, error) {
+func decodeCatalog(data []byte) (*datalake.Lake, error) {
 	r, err := binfmt.NewReader(data)
 	if err != nil {
 		return nil, fmt.Errorf("durable: catalog: %w", err)
@@ -289,7 +289,7 @@ func decodeCatalog(data []byte, opts ...datalake.Option) (*datalake.Lake, error)
 		}})
 	}
 
-	lake, err := datalake.Load(sources, items, opts...)
+	lake, err := datalake.Load(sources, items)
 	if err != nil {
 		return nil, fmt.Errorf("durable: catalog: %w", err)
 	}

@@ -74,8 +74,6 @@ type Options struct {
 	// SegmentBytes is the WAL segment rotation threshold; <= 0 means the
 	// wal package default (16 MiB).
 	SegmentBytes int64
-	// LakeOptions configure the recovered lake (e.g. the ingest queue).
-	LakeOptions []datalake.Option
 	// FS is the filesystem the store (and its WAL) writes through — catalog
 	// containers, index shards (a WriteFunc is handed it), META, manifests,
 	// renames, fsyncs; nil means the real OS. The crash-consistency suite
@@ -276,7 +274,7 @@ func Open(dir string, opts Options) (_ *Store, err error) {
 		return nil, err
 	}
 	if meta != nil {
-		lake, err := s.LoadCatalog(s.checkpointDir(), opts.LakeOptions...)
+		lake, err := s.LoadCatalog(s.checkpointDir())
 		if err != nil {
 			return nil, fmt.Errorf("durable: load checkpoint: %w", err)
 		}
@@ -291,7 +289,7 @@ func Open(dir string, opts Options) (_ *Store, err error) {
 			return nil, fmt.Errorf("durable: checkpoint at version %d behind its own catalog: %w", meta.Version, err)
 		}
 	} else {
-		s.lake = datalake.New(opts.LakeOptions...)
+		s.lake = datalake.New()
 	}
 	defer func() {
 		if err != nil {

@@ -119,11 +119,11 @@ func Save(lake Catalog, dir string) error {
 	return nil
 }
 
-// Load reads a lake directory written by Save. opts configure the returned
-// lake (e.g. datalake.WithQueueSize for the ingest queue bound). The lake
-// runs a dispatcher goroutine; processes that discard loaded lakes before
-// exiting should Close them.
-func Load(dir string, opts ...datalake.Option) (*datalake.Lake, error) {
+// Load reads a lake directory written by Save into a new lake, every
+// instance ingested as one batch (versions 1..n in manifest order). The
+// lake runs a dispatcher goroutine; processes that discard loaded lakes
+// before exiting should Close them.
+func Load(dir string) (*datalake.Lake, error) {
 	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
 		return nil, fmt.Errorf("lakeio: read manifest: %w", err)
@@ -159,7 +159,7 @@ func Load(dir string, opts ...datalake.Option) (*datalake.Lake, error) {
 	for i := range m.Triples {
 		items = append(items, datalake.BatchItem{Triple: &m.Triples[i]})
 	}
-	lake, err := datalake.Load(m.Sources, items, opts...)
+	lake, err := datalake.Load(m.Sources, items)
 	if err != nil {
 		return nil, fmt.Errorf("lakeio: load: %w", err)
 	}

@@ -378,3 +378,64 @@ func pinReindexes(t *testing.T, makeStale func(indexes string)) {
 		t.Errorf("pinned reports differ:\n stale   %s\n current %s", stale, current)
 	}
 }
+
+// TestRepinPersistsServedTrust: pinning a version that is already retained
+// keeps its snapshot, trust overrides included, so the durable pin must
+// persist that snapshot's trust — or a pinned Report changes across a
+// restart. Two sequences reach such a pin: a checkpoint, a trust change
+// and a pin; and a pin, a trust change and a second pin.
+func TestRepinPersistsServedTrust(t *testing.T) {
+	for name, retain := range map[string]func(*System) error{
+		"checkpoint": func(s *System) error { _, err := s.Checkpoint(); return err },
+		"pin":        func(s *System) error { _, err := s.PinSnapshot(); return err },
+	} {
+		t.Run(name, func(t *testing.T) {
+			data := filepath.Join(t.TempDir(), "data")
+			sys, err := Open(data, durableOpts(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tb := range []*Table{workload.USOpen1954Table(), workload.USOpen1959Table()} {
+				if err := sys.AddTable(tb); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sys.SetSourceTrust(workload.CaseSource, 0.8)
+			if err := retain(sys); err != nil {
+				t.Fatal(err)
+			}
+			sys.SetSourceTrust(workload.CaseSource, 0.3)
+			pin, err := sys.PinSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pinned := func(s *System) []byte {
+				t.Helper()
+				rep, err := s.VerifyClaimAsOfCtx(context.Background(), "pinned", workload.GolfClaim(), pin)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.AsOfVersion != pin || len(rep.Evidence) == 0 {
+					t.Fatalf("pinned report at %d with %d evidence, want at %d with some", rep.AsOfVersion, len(rep.Evidence), pin)
+				}
+				b, err := json.Marshal(rep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			before := pinned(sys)
+			if err := sys.Close(); err != nil {
+				t.Fatal(err)
+			}
+			reopened, err := Open(data, durableOpts(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer reopened.Close()
+			if after := pinned(reopened); !bytes.Equal(before, after) {
+				t.Errorf("pinned report changed across a restart:\n before %s\n after  %s", before, after)
+			}
+		})
+	}
+}

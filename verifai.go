@@ -120,14 +120,7 @@ type (
 	BatchItem = datalake.BatchItem
 	// BatchItemResult is the per-item outcome of a System.AddBatch call.
 	BatchItemResult = datalake.BatchItemResult
-	// LakeOption configures a lake built by NewLake.
-	LakeOption = datalake.Option
 )
-
-// WithIngestQueue bounds the lake's in-flight ingest event queue (default
-// 256 events). Writers block once it fills, so queued-event memory stays
-// bounded under ingest bursts.
-func WithIngestQueue(n int) LakeOption { return datalake.WithQueueSize(n) }
 
 // NewGenerationStore returns an empty generation store.
 func NewGenerationStore() *GenerationStore { return genstore.NewStore() }
@@ -148,7 +141,7 @@ const (
 )
 
 // NewLake returns an empty multi-modal data lake.
-func NewLake(opts ...LakeOption) *Lake { return datalake.New(opts...) }
+func NewLake() *Lake { return datalake.New() }
 
 // NewTable returns an empty table with the given caption and schema, ready
 // for Table.AppendRow and lake ingestion.
@@ -268,8 +261,6 @@ type OpenOptions struct {
 	// payloads are self-describing, so switching needs no migration and
 	// segments may mix encodings.
 	WALFormat string
-	// LakeOptions configure the recovered lake (e.g. WithIngestQueue).
-	LakeOptions []LakeOption
 }
 
 // DefaultOpenOptions is DefaultOptions plus the default durability
@@ -306,11 +297,9 @@ func Open(dir string, opts OpenOptions) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("verifai: %w", err)
 	}
-	lakeOpts := make([]datalake.Option, len(opts.LakeOptions))
-	copy(lakeOpts, opts.LakeOptions)
 	st, err := durable.Open(dir, durable.Options{
 		Sync: policy, SyncInterval: opts.SyncInterval, SegmentBytes: opts.SegmentBytes,
-		WALFormat: format, LakeOptions: lakeOpts,
+		WALFormat: format,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("verifai: %w", err)
