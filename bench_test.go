@@ -364,38 +364,31 @@ func BenchmarkBM25SearchTerms(b *testing.B) {
 	}
 }
 
-// BenchmarkVectorSearch compares single-query latency across the vector
-// families: the int8 scan the server runs (sqflat: the heap tail; sealed:
-// the same rows as one segment), the float32 reference (flat), IVF and LSH.
+// BenchmarkVectorSearch compares single-query latency of the int8 scan the
+// server runs (sqflat: the heap tail; sealed: the same rows as one segment)
+// and of the float32 reference (flat).
 func BenchmarkVectorSearch(b *testing.B) {
 	const dim, n = 128, 5000
 	emb := embed.NewEmbedder(dim, 1)
-	ids := make([]string, n)
 	vecs := make([]embed.Vector, n)
 	for i := range vecs {
-		ids[i] = fmt.Sprintf("v%d", i)
 		vecs[i] = emb.EmbedText(fmt.Sprintf("document %d about topic %d with words %d", i, i%37, i%113))
 	}
 	query := vecs[123]
 
 	flat, sqflat, sealed := vecindex.NewFlat(dim), vecindex.NewSQFlat(dim), vecindex.NewSQFlat(dim)
-	for _, ix := range []interface {
+	indexes := map[string]interface {
 		Add(id string, v embed.Vector) error
-	}{flat, sqflat, sealed} {
+		Search(q embed.Vector, k int) []vecindex.Hit
+	}{"flat": flat, "sqflat": sqflat, "sealed": sealed}
+	for _, ix := range indexes {
 		for i, v := range vecs {
-			if err := ix.Add(ids[i], v); err != nil {
+			if err := ix.Add(fmt.Sprintf("v%d", i), v); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 	sealed.Freeze()
-	indexes := map[string]vecindex.Searcher{
-		"flat":   flat,
-		"sqflat": sqflat,
-		"sealed": sealed,
-		"ivf":    vecindex.NewIVF(ids, vecs, 64, 8, 1),
-		"lsh":    vecindex.NewLSH(ids, vecs, 16, 8, 1),
-	}
 	for name, ix := range indexes {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -1134,24 +1127,6 @@ func BenchmarkProvenanceAppend(b *testing.B) {
 	b.StopTimer()
 	st := store.Stats()
 	b.ReportMetric(float64(st.Bytes)/float64(st.Records), "bytes/record")
-}
-
-// BenchmarkAblationVectorIndex compares the semantic index families
-// (Flat exact, IVF, LSH) on vector-only claim→table retrieval quality.
-func BenchmarkAblationVectorIndex(b *testing.B) {
-	env := benchEnvironment(b)
-	var points map[string]experiments.VectorIndexPoint
-	var err error
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		points, err = env.AblateVectorIndex()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(points["flat"].Recall, "flat-recall")
-	b.ReportMetric(points["ivf"].Recall, "ivf-recall")
-	b.ReportMetric(points["lsh"].Recall, "lsh-recall")
 }
 
 // BenchmarkAblationQuantization reports the int8 vector index's recall@10

@@ -1,6 +1,7 @@
 // Command experiments regenerates every experimental result of the paper:
 // the no-evidence baseline, Table 1 (retrieval recall), Table 2 (verifier
-// accuracy), the Figure 1 and Figure 4 case studies, and the ablations.
+// accuracy), the Figure 1 and Figure 4 case studies, and the combiner,
+// reranker, top-k and trust ablations.
 //
 // Usage:
 //
@@ -153,17 +154,5 @@ func runAblations(env *experiments.Env) error {
 		return err
 	}
 	fmt.Print(r.Format())
-
-	points, err := env.AblateVectorIndex()
-	if err != nil {
-		return err
-	}
-	fmt.Println("== Ablation: semantic index family (vector-only claim->table) ==")
-	fmt.Println("family  recall@5   mean query latency")
-	for _, name := range []string{"flat", "ivf", "lsh"} {
-		p := points[name]
-		fmt.Printf("%-7s %.2f       %.0f us\n", name, p.Recall, p.QueryMicros)
-	}
-	fmt.Println()
 	return nil
 }

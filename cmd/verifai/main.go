@@ -69,7 +69,6 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -84,7 +83,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/genstore"
 	"repro/internal/lakeio"
 	"repro/internal/obs"
 	"repro/internal/server"
@@ -190,7 +188,6 @@ func runClaim(args []string) error {
 	lakeDir, seed, exact := commonFlags(fs)
 	text := fs.String("text", "", "claim text (required)")
 	withTexts := fs.Bool("texts", false, "also use text files as evidence")
-	record := fs.String("record", "", "append the generation and verdict to this genstore JSON file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -210,43 +207,6 @@ func runClaim(args []string) error {
 		return err
 	}
 	printReport(report)
-	if *record != "" {
-		return recordGeneration(*record, "claim", *text, report, *lakeDir)
-	}
-	return nil
-}
-
-// recordGeneration appends a generation + verdict to a genstore JSON file,
-// creating it when absent (the Section 5 "managing generated data" flow).
-func recordGeneration(path, template, output string, report verifai.Report, lakeStamp string) error {
-	store := verifai.NewGenerationStore()
-	if data, err := os.ReadFile(path); err == nil {
-		loaded, err := genstore.ReadJSON(bytes.NewReader(data))
-		if err != nil {
-			return fmt.Errorf("load genstore %s: %w", path, err)
-		}
-		store = loaded
-	}
-	id := fmt.Sprintf("gen-%06d", store.Len())
-	if err := store.Record(verifai.Generation{ID: id, Template: template, Output: output}); err != nil {
-		return err
-	}
-	if err := store.AddVerdict(id, verifai.VerdictEntry{
-		Verdict:       report.Verdict.String(),
-		Confidence:    report.Confidence,
-		ProvenanceSeq: report.ProvenanceSeq,
-		LakeStamp:     lakeStamp,
-	}); err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	if err := store.WriteJSON(&buf); err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("write genstore %s: %w", path, err)
-	}
-	fmt.Printf("recorded as %s in %s\n", id, path)
 	return nil
 }
 

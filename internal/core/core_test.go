@@ -8,6 +8,7 @@ import (
 	"repro/internal/claims"
 	"repro/internal/datalake"
 	"repro/internal/doc"
+	"repro/internal/embed"
 	"repro/internal/kg"
 	"repro/internal/provenance"
 	"repro/internal/rerank"
@@ -90,6 +91,24 @@ func TestBuildIndexerValidation(t *testing.T) {
 	lake := smallLake(t)
 	if _, err := BuildIndexer(lake, IndexerConfig{EmbedDim: 8}); err == nil {
 		t.Error("indexer with no kinds accepted")
+	}
+}
+
+// TestZeroEmbedDimDefaultsTo128: a config that names its kinds but not its
+// dimension embeds at DefaultIndexerConfig's 128, in the embedder and in
+// the vector index.
+func TestZeroEmbedDimDefaultsTo128(t *testing.T) {
+	ix, err := BuildIndexer(smallLake(t), IndexerConfig{Seed: 1, Kinds: []datalake.Kind{datalake.KindTable}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if got := ix.Embedder().Dim(); got != 128 {
+		t.Errorf("embedder dimension = %d, want 128", got)
+	}
+	q := embed.NewEmbedder(128, 1).EmbedText("1954 golf tommy bolt money")
+	if hits := ix.vec[datalake.KindTable].Search(q, 1); len(hits) != 1 {
+		t.Errorf("a 128-dimension query found %v in the table vectors", hits)
 	}
 }
 

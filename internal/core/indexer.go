@@ -21,6 +21,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/provenance"
 	"repro/internal/table"
+	"repro/internal/textutil"
 	"repro/internal/vecindex"
 )
 
@@ -31,7 +32,7 @@ import (
 type IndexerConfig struct {
 	// Seed drives the embedding space.
 	Seed uint64
-	// EmbedDim is the embedding dimension (default 64).
+	// EmbedDim is the embedding dimension (default 128).
 	EmbedDim int
 	// Kinds lists the instance granularities to index. Tables are indexed
 	// whole AND per-tuple when both kinds are present, matching the paper's
@@ -43,11 +44,15 @@ type IndexerConfig struct {
 	QueryCacheSize int
 }
 
+// defaultEmbedDim is the embedding dimension of a config that leaves
+// EmbedDim zero.
+const defaultEmbedDim = 128
+
 // DefaultIndexerConfig indexes every modality.
 func DefaultIndexerConfig(seed uint64) IndexerConfig {
 	return IndexerConfig{
 		Seed:     seed,
-		EmbedDim: 128,
+		EmbedDim: defaultEmbedDim,
 		Kinds: []datalake.Kind{
 			datalake.KindTable, datalake.KindTuple, datalake.KindText, datalake.KindEntity,
 		},
@@ -182,7 +187,7 @@ func (ix *Indexer) IndexStats() IndexStats {
 // identically.
 func newIndexer(lake *datalake.Lake, cfg *IndexerConfig) *Indexer {
 	if cfg.EmbedDim <= 0 {
-		cfg.EmbedDim = 64
+		cfg.EmbedDim = defaultEmbedDim
 	}
 	ix := &Indexer{
 		lake:      lake,
@@ -460,7 +465,7 @@ func (ix *Indexer) searchIndexes(ctx context.Context, query string, k int, kinds
 	for _, kind := range kinds {
 		if idx := bm25[kind]; wantBM25 && idx != nil {
 			if qterms == nil {
-				qterms = idx.Analyze(query)
+				qterms = textutil.TokenizeFiltered(query)
 			}
 			g := &retrGroup{family: familyBM25}
 			groups = append(groups, g)

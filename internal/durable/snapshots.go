@@ -235,17 +235,6 @@ func (s *Store) DropPin(version uint64) error {
 	return nil
 }
 
-// PersistedPins lists the manifest's pin set (oldest first).
-func (s *Store) PersistedPins() ([]PinMeta, error) {
-	s.pinMu.Lock()
-	defer s.pinMu.Unlock()
-	m, err := s.readSnapshotManifest()
-	if err != nil {
-		return nil, err
-	}
-	return append([]PinMeta(nil), m.Pins...), nil
-}
-
 // RecoverPins resolves the durable pin set at startup: every manifested
 // version with its directory and trust map, ready for re-registration.
 // Directories the manifest does not list — pin serializations that crashed

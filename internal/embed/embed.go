@@ -80,32 +80,6 @@ func Cosine(a, b Vector) float64 {
 	return Dot(a, b) / (na * nb)
 }
 
-// L2Sq returns the squared Euclidean distance between a and b.
-func L2Sq(a, b Vector) float64 {
-	if len(a) != len(b) {
-		panic("embed: dimension mismatch")
-	}
-	b = b[:len(a)]
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		aa, bb := a[i:i+4:i+4], b[i:i+4:i+4]
-		d0 := float64(aa[0]) - float64(bb[0])
-		d1 := float64(aa[1]) - float64(bb[1])
-		d2 := float64(aa[2]) - float64(bb[2])
-		d3 := float64(aa[3]) - float64(bb[3])
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-	}
-	for ; i < len(a); i++ {
-		d := float64(a[i]) - float64(b[i])
-		s0 += d * d
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
 // Normalize scales v to unit norm in place. Zero vectors stay zero.
 func Normalize(v Vector) {
 	n := Norm(v)

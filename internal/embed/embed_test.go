@@ -25,9 +25,6 @@ func TestVectorOps(t *testing.T) {
 	if Cosine(a, b) != 0 {
 		t.Error("Cosine orthogonal != 0")
 	}
-	if L2Sq(a, b) != 2 {
-		t.Error("L2Sq != 2")
-	}
 	if Norm(Vector{3, 4}) != 5 {
 		t.Error("Norm != 5")
 	}
@@ -39,8 +36,7 @@ func TestVectorOps(t *testing.T) {
 
 func TestDimensionMismatchPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"Dot":  func() { Dot(Vector{1}, Vector{1, 2}) },
-		"L2Sq": func() { L2Sq(Vector{1}, Vector{1, 2}) },
+		"Dot": func() { Dot(Vector{1}, Vector{1, 2}) },
 	} {
 		func() {
 			defer func() {

@@ -25,15 +25,6 @@ func refNorm(v Vector) float64 {
 	return math.Sqrt(s)
 }
 
-func refL2Sq(a, b Vector) float64 {
-	var s float64
-	for i := range a {
-		d := float64(a[i]) - float64(b[i])
-		s += d * d
-	}
-	return s
-}
-
 func relClose(a, b float64) bool {
 	if a == b {
 		return true
@@ -61,9 +52,6 @@ func TestKernelsMatchScalarReference(t *testing.T) {
 		if got, want := Norm(a), refNorm(a); !relClose(got, want) {
 			t.Errorf("n=%d: Norm = %v, want %v", n, got, want)
 		}
-		if got, want := L2Sq(a, b), refL2Sq(a, b); !relClose(got, want) {
-			t.Errorf("n=%d: L2Sq = %v, want %v", n, got, want)
-		}
 		wantCos := 0.0
 		if na, nb := refNorm(a), refNorm(b); na != 0 && nb != 0 {
 			wantCos = refDot(a, b) / (na * nb)
@@ -82,9 +70,6 @@ func TestKernelEdgeValues(t *testing.T) {
 	}
 	if got := Dot(zero, one); got != 0 {
 		t.Errorf("Dot(zero, e1) = %v", got)
-	}
-	if got := L2Sq(one, one); got != 0 {
-		t.Errorf("L2Sq(v, v) = %v", got)
 	}
 	if got := Norm(one); got != 1 {
 		t.Errorf("Norm(e1) = %v", got)
@@ -105,14 +90,6 @@ func BenchmarkKernels(b *testing.B) {
 		var s float64
 		for i := 0; i < b.N; i++ {
 			s += Dot(x, y)
-		}
-		_ = s
-	})
-	b.Run("L2Sq", func(b *testing.B) {
-		b.ReportAllocs()
-		var s float64
-		for i := 0; i < b.N; i++ {
-			s += L2Sq(x, y)
 		}
 		_ = s
 	})

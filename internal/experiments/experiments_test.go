@@ -206,36 +206,6 @@ func TestAblationsSmall(t *testing.T) {
 	}
 }
 
-func TestAblateVectorIndex(t *testing.T) {
-	if testing.Short() {
-		t.Skip("vector ablation builds three indexers")
-	}
-	env := sharedEnv(t)
-	points, err := env.AblateVectorIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"flat", "ivf", "lsh"} {
-		p, ok := points[name]
-		if !ok {
-			t.Fatalf("missing family %s", name)
-		}
-		if p.Recall <= 0 || p.Recall > 1 {
-			t.Errorf("%s recall = %v", name, p.Recall)
-		}
-		if p.QueryMicros <= 0 {
-			t.Errorf("%s latency = %v", name, p.QueryMicros)
-		}
-	}
-	// Exact search is the quality ceiling for the approximate families.
-	if points["ivf"].Recall > points["flat"].Recall+1e-9 {
-		t.Errorf("IVF recall %v exceeds exact %v", points["ivf"].Recall, points["flat"].Recall)
-	}
-	if points["lsh"].Recall > points["flat"].Recall+1e-9 {
-		t.Errorf("LSH recall %v exceeds exact %v", points["lsh"].Recall, points["flat"].Recall)
-	}
-}
-
 // TestAblateQuantizationRecall holds the int8 index, with no re-rank pass,
 // to the float32 exact scan's neighbours on the default workload lake (the
 // one the serving benchmark loads: 3,000 tables, ~24k tuples): its table

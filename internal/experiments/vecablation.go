@@ -5,73 +5,8 @@ import (
 	"time"
 
 	"repro/internal/datalake"
-	"repro/internal/embed"
-	"repro/internal/metrics"
 	"repro/internal/vecindex"
 )
-
-// VectorIndexPoint is one ANN index family's quality/latency measurement.
-type VectorIndexPoint struct {
-	// Recall is claim→table recall@5 using ONLY the semantic index.
-	Recall float64
-	// QueryMicros is the mean per-query latency in microseconds.
-	QueryMicros float64
-}
-
-// AblateVectorIndex compares the Faiss-substitute index families (the
-// int8 exhaustive scan the server runs, IVF over k-means cells, LSH) on
-// semantic-only claim→table retrieval — the quality/latency trade-off
-// behind the paper's choice of ANN indexing for large lakes. The lake's
-// tables are embedded once, as the indexer embeds them, and each family is
-// built over those rows with DefaultIndexerConfig's seed and dimension and
-// queried directly, so only the vector path is measured.
-func (e *Env) AblateVectorIndex() (map[string]VectorIndexPoint, error) {
-	emb, lake := e.Indexer.Embedder(), e.Corpus.Lake
-	var ids []string
-	var vecs []embed.Vector
-	for _, tid := range lake.TableIDs() {
-		t, ok := lake.Table(tid)
-		if !ok {
-			return nil, fmt.Errorf("experiments: lake table %q vanished", tid)
-		}
-		ids = append(ids, datalake.TableInstanceID(tid))
-		vecs = append(vecs, emb.EmbedText(t.SerializeForIndex()))
-	}
-	sq := vecindex.NewSQFlat(emb.Dim())
-	for i, v := range vecs {
-		if err := sq.Add(ids[i], v); err != nil {
-			return nil, fmt.Errorf("experiments: index tables: %w", err)
-		}
-	}
-	seed := e.Config.Corpus.Seed
-	families := []struct {
-		name string
-		ix   vecindex.Searcher
-	}{
-		{"flat", sq},
-		{"ivf", vecindex.NewIVF(ids, vecs, 64, 8, seed)},
-		{"lsh", vecindex.NewLSH(ids, vecs, 16, 8, seed)},
-	}
-	out := make(map[string]VectorIndexPoint, len(families))
-	k := e.Config.TopKTables
-	for _, f := range families {
-		var tally metrics.RecallTally
-		start := time.Now()
-		for i, task := range e.ClaimTasks {
-			hits := f.ix.Search(emb.EmbedText(e.ClaimObject(i, task).Query()), k)
-			got := make([]string, len(hits))
-			for j, h := range hits {
-				got[j] = h.ID
-			}
-			tally.Observe(got, set(task.RelevantTableID()))
-		}
-		out[f.name] = VectorIndexPoint{
-			Recall:      tally.Recall(),
-			QueryMicros: float64(time.Since(start).Microseconds()) / float64(len(e.ClaimTasks)),
-		}
-	}
-	return out, nil
-}
 
 // QuantizationPoint measures the int8 vector index the server runs
 // (vecindex.SQFlat) against the float32 exact scan (vecindex.Flat) on

@@ -32,19 +32,17 @@ import (
 	"repro/internal/textutil"
 )
 
-// Analyzer converts a string into index terms. The default analyzer chain is
-// tokenize → stopword-filter → Porter stem (textutil.TokenizeFiltered).
-type Analyzer func(string) []string
-
 // posting records one document's occurrences of a term.
 type posting struct {
 	doc  int32 // internal document ordinal
 	freq int32 // term frequency in the document
 }
 
-// Index is a BM25 inverted index over string documents. It has up to two
-// tiers: an optional immutable base segment (sealed by Freeze or opened by
-// OpenFile; process-private until a file holds it, mapped afterwards) occupying
+// Index is a BM25 inverted index over string documents, analyzed by
+// textutil.TokenizeFiltered (tokenize → stopword-filter → Porter stem), the
+// chain the vector rows are embedded from too. It has up to two tiers: an
+// optional immutable base segment (sealed by Freeze or opened by OpenFile;
+// process-private until a file holds it, mapped afterwards) occupying
 // global ordinals [0, base.n), and the mutable delta below whose local
 // ordinals follow at base.n. New documents always land in the delta;
 // deletions of base documents only flip a bit in baseDeleted, so the base
@@ -52,8 +50,7 @@ type posting struct {
 type Index struct {
 	mu sync.RWMutex
 
-	analyze Analyzer
-	k1, b   float64
+	k1, b float64 // BM25 parameters: a new index's defaults, a segment's own once opened
 
 	base         *Frozen // shared with every capture Freeze handed out
 	baseDeleted  []bool  // tombstones for base ordinals
@@ -70,18 +67,6 @@ type Index struct {
 	liveDocs int
 }
 
-// Option configures an Index.
-type Option func(*Index)
-
-// WithAnalyzer overrides the analysis chain.
-func WithAnalyzer(a Analyzer) Option { return func(ix *Index) { ix.analyze = a } }
-
-// WithBM25 overrides the BM25 parameters (defaults k1=1.2, b=0.75, the
-// Elasticsearch/Lucene defaults).
-func WithBM25(k1, b float64) Option {
-	return func(ix *Index) { ix.k1, ix.b = k1, b }
-}
-
 // baseSeg returns the base tier's current column views, nil without one.
 func (ix *Index) baseSeg() *staticSeg {
 	if ix.base == nil {
@@ -90,32 +75,28 @@ func (ix *Index) baseSeg() *staticSeg {
 	return ix.base.cols.Load()
 }
 
-// New returns an empty index.
-func New(opts ...Option) *Index {
-	ix := &Index{
-		analyze:  textutil.TokenizeFiltered,
+// New returns an empty index scoring with k1=1.2, b=0.75, the
+// Elasticsearch/Lucene defaults.
+func New() *Index {
+	return &Index{
 		k1:       1.2,
 		b:        0.75,
 		byID:     make(map[string]int),
 		postings: make(map[string][]posting),
 	}
-	for _, o := range opts {
-		o(ix)
-	}
-	return ix
 }
 
 // Add indexes text under id. Re-adding an existing id returns an error:
 // documents are immutable, and the caller should Delete first (matching the
 // append-mostly ingest pattern of a data lake).
 func (ix *Index) Add(id, text string) error {
-	return ix.AddTerms(id, ix.analyze(text))
+	return ix.AddTerms(id, textutil.TokenizeFiltered(text))
 }
 
 // AddTerms indexes a pre-analyzed document under id. The caller ran the
-// analysis chain (Analyze) already — typically on an ingest pipeline's
-// prepare stage, outside the index lock — so the critical section covers
-// only the posting-list insertion.
+// analysis chain (textutil.TokenizeFiltered) already — typically on an
+// ingest pipeline's prepare stage, outside the index lock — so the critical
+// section covers only the posting-list insertion.
 func (ix *Index) AddTerms(id string, terms []string) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/textutil"
 )
 
 func buildSmall(t *testing.T) *Index {
@@ -151,7 +153,7 @@ func TestDeterministicTieBreak(t *testing.T) {
 // in the delta or in a sealed segment.
 func TestScoreSumsTermContributions(t *testing.T) {
 	ix := buildSmall(t)
-	terms := ix.Analyze("golf prize")
+	terms := textutil.TokenizeFiltered("golf prize")
 	if len(terms) != 2 || terms[0] > terms[1] {
 		t.Fatalf("analyzed terms = %v, want two, sorted", terms)
 	}
@@ -280,30 +282,31 @@ func TestConcurrentSearchDuringAdd(t *testing.T) {
 	}
 }
 
-func TestCustomAnalyzer(t *testing.T) {
-	// A whitespace-only analyzer must keep stopwords searchable.
-	ix := New(WithAnalyzer(strings.Fields))
-	if err := ix.Add("d1", "the the the"); err != nil {
-		t.Fatal(err)
-	}
-	if hits := ix.Search("the", 1); len(hits) != 1 {
-		t.Errorf("custom analyzer: %v", hits)
-	}
-}
-
+// TestBM25ParamOverride: a segment scores with the k1 and b its meta
+// records, not the defaults. With b=0 there is no length normalization: a
+// long doc repeating the term more often must win, in the index that sealed
+// it and in one opened from its bytes.
 func TestBM25ParamOverride(t *testing.T) {
-	// With b=0 there is no length normalization: a long doc repeating the
-	// term more often must win.
-	ix := New(WithBM25(1.2, 0))
+	ix := New()
+	ix.b = 0
 	if err := ix.Add("long", strings.Repeat("golf ", 50)+strings.Repeat("filler ", 500)); err != nil {
 		t.Fatal(err)
 	}
 	if err := ix.Add("short", "golf"); err != nil {
 		t.Fatal(err)
 	}
-	hits := ix.Search("golf", 2)
-	if len(hits) != 2 || hits[0].ID != "long" {
-		t.Errorf("b=0 ranking = %v", hits)
+	var buf bytes.Buffer
+	if err := ix.Freeze().Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := openBytes(t, buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ix := range map[string]*Index{"sealed": ix, "opened": loaded} {
+		if hits := ix.Search("golf", 2); len(hits) != 2 || hits[0].ID != "long" {
+			t.Errorf("%s: b=0 ranking = %v", name, hits)
+		}
 	}
 }
 
@@ -321,11 +324,11 @@ func TestAddTermsMatchesAdd(t *testing.T) {
 		if err := raw.Add(id, text); err != nil {
 			t.Fatal(err)
 		}
-		if err := pre.AddTerms(id, pre.Analyze(text)); err != nil {
+		if err := pre.AddTerms(id, textutil.TokenizeFiltered(text)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := pre.AddTerms("d1", pre.Analyze("dup")); err == nil {
+	if err := pre.AddTerms("d1", textutil.TokenizeFiltered("dup")); err == nil {
 		t.Fatal("AddTerms accepted a duplicate id")
 	}
 	for _, q := range []string{"tommy bolt money", "prize money records", "ben hogan 287"} {

@@ -124,7 +124,7 @@ func TestWorkloadLakeSealDifferential(t *testing.T) {
 		terms := make([][]string, len(queries))
 		want := make([][]Hit, len(queries))
 		for i, q := range queries {
-			terms[i] = ref.Analyze(q)
+			terms[i] = textutil.TokenizeFiltered(q)
 			want[i] = ref.SearchTerms(terms[i], 100)
 		}
 		check := func(stage string, got *Index) {

@@ -33,7 +33,7 @@ func newFrozen(seg *staticSeg) *Frozen {
 // returned. Searches score the same before and after (BM25 statistics
 // count live documents only; ties break by ID whichever tier holds a
 // document). An index with nothing written since its last seal returns the
-// segment it has. The analyzer is not captured; the loader supplies it.
+// segment it has.
 func (ix *Index) Freeze() *Frozen {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -216,34 +216,31 @@ func (z *Frozen) Adopt(path string) error {
 
 // Index wraps the segment as a searchable index of its own (base tier
 // shared, no tombstones, empty delta) for reads pinned to the version it
-// was sealed at. Options apply after the segment's BM25 parameters.
-func (z *Frozen) Index(opts ...Option) *Index {
+// was sealed at, scoring with the segment's BM25 parameters.
+func (z *Frozen) Index() *Index {
 	seg := z.cols.Load()
 	ix := New()
 	ix.k1, ix.b = seg.k1, seg.b
-	for _, o := range opts {
-		o(ix)
-	}
 	ix.setBase(z)
 	return ix
 }
 
 // OpenFile opens a snapshot file, serving it as an mmap'd immutable base
 // segment (new writes layer into the mutable delta).
-func OpenFile(path string, opts ...Option) (*Index, error) {
+func OpenFile(path string) (*Index, error) {
 	fr, err := binfmt.OpenFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("invindex: %w", err)
 	}
-	return fromReader(fr, opts...)
+	return fromReader(fr)
 }
 
 // fromReader wraps a verified binfmt container as an Index with an
 // immutable base tier and an empty delta.
-func fromReader(fr *binfmt.Reader, opts ...Option) (*Index, error) {
+func fromReader(fr *binfmt.Reader) (*Index, error) {
 	base, err := loadStatic(fr)
 	if err != nil {
 		return nil, err
 	}
-	return newFrozen(base).Index(opts...), nil
+	return newFrozen(base).Index(), nil
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/binfmt"
+	"repro/internal/textutil"
 )
 
 // saveToFile freezes ix into a binfmt snapshot file and returns its path.
@@ -35,22 +36,22 @@ func saveToFile(t *testing.T, ix *Index) string {
 
 // openBytes puts data in a new file and opens it the way the server opens a
 // shard: OpenFile is the one loader.
-func openBytes(t testing.TB, data []byte, opts ...Option) (*Index, error) {
+func openBytes(t testing.TB, data []byte) (*Index, error) {
 	t.Helper()
-	return openBytesIn(t, t.TempDir(), data, opts...)
+	return openBytesIn(t, t.TempDir(), data)
 }
 
 // openBytesIn is openBytes through a directory the caller made once (a
 // fuzz target runs too often to make one per input); the file is unlinked
 // once open, which a mapping outlives.
-func openBytesIn(t testing.TB, dir string, data []byte, opts ...Option) (*Index, error) {
+func openBytesIn(t testing.TB, dir string, data []byte) (*Index, error) {
 	t.Helper()
 	path := filepath.Join(dir, "bm25.idx")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	defer os.Remove(path)
-	return OpenFile(path, opts...)
+	return OpenFile(path)
 }
 
 // sameHits fails the test unless a and b agree on IDs and (within fp
@@ -91,7 +92,7 @@ func TestOpenFileServesBaseSegment(t *testing.T) {
 		sameHits(t, q, orig.Search(q, 10), ix.Search(q, 10))
 	}
 	// Every term of the mapped segment scores as it did in memory.
-	for _, term := range orig.Analyze("the quick brown fox golf tournament springfield prize election") {
+	for _, term := range textutil.TokenizeFiltered("the quick brown fox golf tournament springfield prize election") {
 		if got, want := ix.SearchTerms([]string{term}, 10), orig.SearchTerms([]string{term}, 10); !reflect.DeepEqual(got, want) {
 			t.Errorf("term %q: %v, want %v", term, got, want)
 		}
@@ -509,7 +510,7 @@ func TestSearchTermsAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	terms := ix.Analyze("golf prize springfield results")
+	terms := textutil.TokenizeFiltered("golf prize springfield results")
 	const k = 10
 	for _, tier := range []struct {
 		name string

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"strings"
 	"sync"
+
+	"repro/internal/textutil"
 )
 
 // Hit is one search result.
@@ -20,13 +22,8 @@ type Hit struct {
 // Search returns the top-k documents for query by BM25 score, ties broken by
 // ascending ID for determinism. k <= 0 returns nil.
 func (ix *Index) Search(query string, k int) []Hit {
-	return ix.SearchTerms(ix.analyze(query), k)
+	return ix.SearchTerms(textutil.TokenizeFiltered(query), k)
 }
-
-// Analyze runs the index's analysis chain over text, for callers that fan
-// one query out across many shards and want to tokenize it only once (pair
-// with SearchTerms).
-func (ix *Index) Analyze(text string) []string { return ix.analyze(text) }
 
 // searchScratch holds every buffer SearchTerms needs, pooled so the steady
 // path performs no per-query allocations: query terms and weights, one

@@ -1,7 +1,7 @@
 // Package kg implements the knowledge-graph modality the paper lists as a
 // lake data type and discusses under "Cross-Modal Verification" (Section 5):
-// a triple store with subject/predicate/object indexes and entity
-// neighborhood extraction for (text, knowledge-graph entity) verification.
+// a triple store with a subject index and entity neighborhood extraction
+// for (text, knowledge-graph entity) verification.
 package kg
 
 import (
@@ -21,25 +21,19 @@ type Triple struct {
 	SourceID string
 }
 
-// Graph is an in-memory triple store with exact-match indexes on folded
-// subject, predicate, and object. It is safe for concurrent use: writes
-// take an exclusive lock and queries a shared lock, so triples can keep
-// arriving while the graph serves lookups (the live-lake ingestion path).
+// Graph is an in-memory triple store with an exact-match index on the
+// folded subject. It is safe for concurrent use: writes take an exclusive
+// lock and queries a shared lock, so triples can keep arriving while the
+// graph serves lookups (the live-lake ingestion path).
 type Graph struct {
 	mu      sync.RWMutex
 	triples []Triple
 	bySubj  map[string][]int
-	byPred  map[string][]int
-	byObj   map[string][]int
 }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
-	return &Graph{
-		bySubj: make(map[string][]int),
-		byPred: make(map[string][]int),
-		byObj:  make(map[string][]int),
-	}
+	return &Graph{bySubj: make(map[string][]int)}
 }
 
 // Add inserts a triple.
@@ -48,10 +42,8 @@ func (g *Graph) Add(t Triple) {
 	defer g.mu.Unlock()
 	i := len(g.triples)
 	g.triples = append(g.triples, t)
-	subj, pred, obj := textutil.Fold(t.Subject), textutil.Fold(t.Predicate), textutil.Fold(t.Object)
+	subj := textutil.Fold(t.Subject)
 	g.bySubj[subj] = append(g.bySubj[subj], i)
-	g.byPred[pred] = append(g.byPred[pred], i)
-	g.byObj[obj] = append(g.byObj[obj], i)
 }
 
 // Len returns the number of triples.
@@ -100,33 +92,6 @@ func (g *Graph) Entity(entity string) (canonical string, triples int) {
 		return "", 0
 	}
 	return g.triples[idx[0]].Subject, len(idx)
-}
-
-// Mentioning returns every triple where entity appears as subject or object.
-func (g *Graph) Mentioning(entity string) []Triple {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	f := textutil.Fold(entity)
-	seen := make(map[int]struct{})
-	var idx []int
-	for _, j := range g.bySubj[f] {
-		if _, ok := seen[j]; !ok {
-			seen[j] = struct{}{}
-			idx = append(idx, j)
-		}
-	}
-	for _, j := range g.byObj[f] {
-		if _, ok := seen[j]; !ok {
-			seen[j] = struct{}{}
-			idx = append(idx, j)
-		}
-	}
-	sort.Ints(idx)
-	out := make([]Triple, len(idx))
-	for i, j := range idx {
-		out[i] = g.triples[j]
-	}
-	return out
 }
 
 // Lookup returns the objects of triples matching (subject, predicate).

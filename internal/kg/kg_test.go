@@ -36,14 +36,6 @@ func TestAbout(t *testing.T) {
 	}
 }
 
-func TestMentioning(t *testing.T) {
-	g := sampleGraph()
-	ts := g.Mentioning("tommy bolt")
-	if len(ts) != 3 { // 2 as subject, 1 as object
-		t.Errorf("Mentioning = %d triples, want 3", len(ts))
-	}
-}
-
 func TestLookup(t *testing.T) {
 	g := sampleGraph()
 	got := g.Lookup("tommy bolt", "Country")

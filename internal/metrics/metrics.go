@@ -1,14 +1,6 @@
 // Package metrics provides the evaluation measures the paper reports:
-// recall for retrieval (Table 1), accuracy for verification (Table 2),
-// plus confusion matrices and simple latency summaries for the extended
-// harness.
+// recall for retrieval (Table 1) and accuracy for verification (Table 2).
 package metrics
-
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
 
 // RecallTally accumulates per-task retrieval hits: a task counts as recalled
 // when at least one relevant instance appears in the retrieved top-k, the
@@ -76,141 +68,3 @@ func (a AccuracyTally) Total() int { return a.total }
 
 // Correct returns the number of correct decisions.
 func (a AccuracyTally) Correct() int { return a.correct }
-
-// Confusion is a labeled confusion matrix over string classes.
-type Confusion struct {
-	labels []string
-	index  map[string]int
-	counts [][]int
-}
-
-// NewConfusion returns a matrix over the given class labels.
-func NewConfusion(labels ...string) *Confusion {
-	c := &Confusion{labels: labels, index: make(map[string]int, len(labels))}
-	for i, l := range labels {
-		c.index[l] = i
-	}
-	c.counts = make([][]int, len(labels))
-	for i := range c.counts {
-		c.counts[i] = make([]int, len(labels))
-	}
-	return c
-}
-
-// Observe records a (truth, predicted) pair. Unknown labels are ignored
-// with a false return.
-func (c *Confusion) Observe(truth, predicted string) bool {
-	ti, ok1 := c.index[truth]
-	pi, ok2 := c.index[predicted]
-	if !ok1 || !ok2 {
-		return false
-	}
-	c.counts[ti][pi]++
-	return true
-}
-
-// Count returns the (truth, predicted) cell.
-func (c *Confusion) Count(truth, predicted string) int {
-	ti, ok1 := c.index[truth]
-	pi, ok2 := c.index[predicted]
-	if !ok1 || !ok2 {
-		return 0
-	}
-	return c.counts[ti][pi]
-}
-
-// Accuracy returns the diagonal mass over the total.
-func (c *Confusion) Accuracy() float64 {
-	diag, total := 0, 0
-	for i := range c.counts {
-		for j := range c.counts[i] {
-			total += c.counts[i][j]
-			if i == j {
-				diag += c.counts[i][j]
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(diag) / float64(total)
-}
-
-// PrecisionRecall returns precision and recall for one class.
-func (c *Confusion) PrecisionRecall(label string) (precision, recall float64) {
-	li, ok := c.index[label]
-	if !ok {
-		return 0, 0
-	}
-	tp := c.counts[li][li]
-	var predicted, actual int
-	for i := range c.labels {
-		predicted += c.counts[i][li]
-		actual += c.counts[li][i]
-	}
-	if predicted > 0 {
-		precision = float64(tp) / float64(predicted)
-	}
-	if actual > 0 {
-		recall = float64(tp) / float64(actual)
-	}
-	return precision, recall
-}
-
-// String renders the matrix as an aligned text table (rows = truth).
-func (c *Confusion) String() string {
-	var b strings.Builder
-	w := 12
-	b.WriteString(fmt.Sprintf("%-*s", w, "truth\\pred"))
-	for _, l := range c.labels {
-		b.WriteString(fmt.Sprintf("%*s", w, l))
-	}
-	b.WriteByte('\n')
-	for i, l := range c.labels {
-		b.WriteString(fmt.Sprintf("%-*s", w, l))
-		for j := range c.labels {
-			b.WriteString(fmt.Sprintf("%*d", w, c.counts[i][j]))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// GroupedAccuracy tallies accuracy per group key (e.g. per claim operation),
-// for the ablation reports.
-type GroupedAccuracy struct {
-	groups map[string]*AccuracyTally
-}
-
-// NewGroupedAccuracy returns an empty grouped tally.
-func NewGroupedAccuracy() *GroupedAccuracy {
-	return &GroupedAccuracy{groups: make(map[string]*AccuracyTally)}
-}
-
-// Observe records a decision under a group key.
-func (g *GroupedAccuracy) Observe(group string, correct bool) {
-	t, ok := g.groups[group]
-	if !ok {
-		t = &AccuracyTally{}
-		g.groups[group] = t
-	}
-	t.Observe(correct)
-}
-
-// Groups returns the group keys, sorted.
-func (g *GroupedAccuracy) Groups() []string {
-	out := make([]string, 0, len(g.groups))
-	for k := range g.groups {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Get returns the tally for a group (nil-safe zero tally when absent).
-func (g *GroupedAccuracy) Get(group string) AccuracyTally {
-	if t, ok := g.groups[group]; ok {
-		return *t
-	}
-	return AccuracyTally{}
-}

@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestRecallTally(t *testing.T) {
 	var r RecallTally
@@ -38,66 +35,5 @@ func TestAccuracyTally(t *testing.T) {
 	var empty AccuracyTally
 	if empty.Accuracy() != 0 {
 		t.Error("empty Accuracy != 0")
-	}
-}
-
-func TestConfusion(t *testing.T) {
-	c := NewConfusion("Verified", "Refuted", "Not Related")
-	c.Observe("Verified", "Verified")
-	c.Observe("Verified", "Refuted")
-	c.Observe("Refuted", "Refuted")
-	c.Observe("Not Related", "Not Related")
-	if !c.Observe("Verified", "Verified") {
-		t.Error("valid labels rejected")
-	}
-	if c.Observe("Unknown", "Verified") {
-		t.Error("unknown label accepted")
-	}
-	if got := c.Count("Verified", "Verified"); got != 2 {
-		t.Errorf("Count = %d", got)
-	}
-	if got := c.Count("ghost", "Verified"); got != 0 {
-		t.Errorf("Count unknown = %d", got)
-	}
-	if acc := c.Accuracy(); acc != 0.8 {
-		t.Errorf("Accuracy = %v", acc)
-	}
-	p, r := c.PrecisionRecall("Refuted")
-	if p != 0.5 { // 1 TP of 2 predicted Refuted
-		t.Errorf("precision = %v", p)
-	}
-	if r != 1 { // 1 TP of 1 actual Refuted
-		t.Errorf("recall = %v", r)
-	}
-	if p, r := c.PrecisionRecall("ghost"); p != 0 || r != 0 {
-		t.Error("unknown class precision/recall != 0")
-	}
-	s := c.String()
-	if !strings.Contains(s, "Verified") || !strings.Contains(s, "truth\\pred") {
-		t.Errorf("String output:\n%s", s)
-	}
-}
-
-func TestConfusionEmptyAccuracy(t *testing.T) {
-	c := NewConfusion("A", "B")
-	if c.Accuracy() != 0 {
-		t.Error("empty confusion accuracy != 0")
-	}
-}
-
-func TestGroupedAccuracy(t *testing.T) {
-	g := NewGroupedAccuracy()
-	g.Observe("lookup", true)
-	g.Observe("lookup", false)
-	g.Observe("sum", true)
-	groups := g.Groups()
-	if len(groups) != 2 || groups[0] != "lookup" || groups[1] != "sum" {
-		t.Errorf("Groups = %v", groups)
-	}
-	if got := g.Get("lookup").Accuracy(); got != 0.5 {
-		t.Errorf("lookup accuracy = %v", got)
-	}
-	if got := g.Get("missing").Total(); got != 0 {
-		t.Errorf("missing group total = %d", got)
 	}
 }

@@ -114,12 +114,6 @@ func (g *segment) bytes(i int) []byte {
 	return g.data[g.recs[i].off:end:end]
 }
 
-// evidenceUse is the postings head of one instance used as evidence.
-type evidenceUse struct {
-	decisions uint32 // decisions over the instance, all records
-	last      uint32 // 1 + index in Store.postings of the newest one
-}
-
 // posting links one decision to its record and to the previous decision
 // over the same instance.
 type posting struct {
@@ -138,10 +132,12 @@ type Store struct {
 	mu       sync.RWMutex
 	segs     []*segment // ascending by first; the last one is active
 	n        int
-	used     int64                  // encoded bytes in segs' data
-	offHeap  int64                  // the part of used in mapped segments
-	byObject map[uint64]uint32      // object ID hash → 1 + seq of its newest record
-	evidence map[uint32]evidenceUse // dictionary ID of an instance → its postings
+	used     int64             // encoded bytes in segs' data
+	offHeap  int64             // the part of used in mapped segments
+	byObject map[uint64]uint32 // object ID hash → 1 + seq of its newest record
+	// evidence maps the dictionary ID of an instance to the head of its
+	// postings: 1 + the index in postings of the newest decision over it.
+	evidence map[uint32]uint32
 	postings []posting
 }
 
@@ -150,7 +146,7 @@ func NewStore() *Store {
 	return &Store{
 		dict:     dictionary{seed: maphash.MakeSeed()},
 		byObject: make(map[uint64]uint32),
-		evidence: make(map[uint32]evidenceUse),
+		evidence: make(map[uint32]uint32),
 	}
 }
 
@@ -182,9 +178,8 @@ func (s *Store) Append(r Record) int {
 	}
 	s.byObject[hash] = uint32(seq + 1)
 	for _, id := range e.evidence {
-		use := s.evidence[id]
-		s.postings = append(s.postings, posting{seq: uint32(seq), prev: use.last})
-		s.evidence[id] = evidenceUse{decisions: use.decisions + 1, last: uint32(len(s.postings))}
+		s.postings = append(s.postings, posting{seq: uint32(seq), prev: s.evidence[id]})
+		s.evidence[id] = uint32(len(s.postings))
 	}
 	return seq
 }
@@ -266,22 +261,6 @@ func (s *Store) ByObject(objectID string) []Record {
 	return out
 }
 
-// EvidenceUsage returns, per lake instance, how many final verdicts each
-// instance participated in — the reverse lineage needed to answer "which
-// conclusions are tainted?" when an instance is found to be flawed.
-func (s *Store) EvidenceUsage() map[string]int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	// Taken under mu, the snapshot covers every ID in s.evidence: a record's
-	// strings are interned before it is appended.
-	dict := s.dict.snapshot()
-	out := make(map[string]int, len(s.evidence))
-	for id, use := range s.evidence {
-		out[dict[id]] = int(use.decisions)
-	}
-	return out
-}
-
 // TaintedBy returns the object IDs whose verification used the given
 // instance as evidence, sorted.
 func (s *Store) TaintedBy(instanceID string) []string {
@@ -291,7 +270,7 @@ func (s *Store) TaintedBy(instanceID string) []string {
 	}
 	var encoded [][]byte
 	s.mu.RLock()
-	for next := s.evidence[id].last; next != 0; {
+	for next := s.evidence[id]; next != 0; {
 		p := s.postings[next-1]
 		b, _ := s.encoded(int(p.seq))
 		encoded = append(encoded, b)

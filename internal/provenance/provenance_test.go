@@ -68,14 +68,10 @@ func TestByObject(t *testing.T) {
 	}
 }
 
-func TestEvidenceUsageAndTaint(t *testing.T) {
+func TestTaintedBy(t *testing.T) {
 	s := NewStore()
 	s.Append(sampleRecord("g1"))
 	s.Append(sampleRecord("g2"))
-	usage := s.EvidenceUsage()
-	if usage["tuple:t1#0"] != 2 {
-		t.Errorf("usage = %v", usage)
-	}
 	tainted := s.TaintedBy("tuple:t1#0")
 	if !reflect.DeepEqual(tainted, []string{"g1", "g2"}) {
 		t.Errorf("TaintedBy = %v", tainted)
@@ -123,7 +119,7 @@ func TestConcurrentAppend(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				s.Append(sampleRecord("g"))
 				s.ByObject("g")
-				s.EvidenceUsage()
+				s.TaintedBy("tuple:t1#0")
 			}
 		}(w)
 	}
@@ -156,16 +152,6 @@ func (s *scanStore) byObject(objectID string) []Record {
 	for _, r := range s.records {
 		if r.ObjectID == objectID {
 			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func (s *scanStore) evidenceUsage() map[string]int {
-	out := make(map[string]int)
-	for _, r := range s.records {
-		for _, d := range r.Decisions {
-			out[d.InstanceID]++
 		}
 	}
 	return out
@@ -226,8 +212,8 @@ func TestReturnedRecordsArePrivate(t *testing.T) {
 	}
 }
 
-// TestIndexesMatchScan pins ByObject, EvidenceUsage and TaintedBy, which
-// answer from chains built at Append, to a scan over every record.
+// TestIndexesMatchScan pins ByObject and TaintedBy, which answer from
+// chains built at Append, to a scan over every record.
 func TestIndexesMatchScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s, ref := NewStore(), &scanStore{}
@@ -236,14 +222,11 @@ func TestIndexesMatchScan(t *testing.T) {
 		r.Decisions = nil
 		for n := rng.Intn(4); n > 0; n-- {
 			// Few enough instances that one is sometimes decided twice in a
-			// record, which usage counts twice and taint once.
+			// record, which taints it once.
 			r.Decisions = append(r.Decisions, VerifierDecision{InstanceID: fmt.Sprintf("tuple:t%d#0", rng.Intn(40)), Verdict: "Verified"})
 		}
 		s.Append(r)
 		ref.append(r)
-	}
-	if got, want := s.EvidenceUsage(), ref.evidenceUsage(); !reflect.DeepEqual(got, want) {
-		t.Errorf("EvidenceUsage = %v\nscan says %v", got, want)
 	}
 	for i := 0; i <= 40; i++ { // 40 was never used
 		id := fmt.Sprintf("tuple:t%d#0", i)
@@ -405,7 +388,7 @@ func TestConcurrentUseAcrossSeals(t *testing.T) {
 				}
 			}
 		},
-		func() { s.TaintedBy("tuple:t1#0"); s.EvidenceUsage(); s.Stats() },
+		func() { s.TaintedBy("tuple:t1#0"); s.Stats() },
 		func() {
 			if err := s.WriteJSON(io.Discard); err != nil {
 				t.Error(err)
@@ -432,9 +415,6 @@ func TestConcurrentUseAcrossSeals(t *testing.T) {
 	st := s.Stats()
 	if st.Records != appenders*perAppender || st.Segments < 20 {
 		t.Fatalf("stats = %+v, want %d records over 20+ segments", st, appenders*perAppender)
-	}
-	if got := s.EvidenceUsage()["tuple:t1#0"]; got != st.Records {
-		t.Errorf("usage = %d, want %d", got, st.Records)
 	}
 	if got := s.TaintedBy("tuple:t1#0"); !reflect.DeepEqual(got, []string{"w0", "w1", "w2", "w3"}) {
 		t.Errorf("TaintedBy = %v", got)

@@ -118,36 +118,6 @@ func (t *Table) IsNumericColumn(col int) bool {
 	return float64(num)/float64(tot) >= 0.8
 }
 
-// KeyColumn infers the key column: the leftmost non-numeric column whose
-// folded values are all distinct and non-missing. Returns -1 when none
-// qualifies. Used by the tuple verifier to align evidence rows with the
-// generated tuple ("verify a non-key attribute given the key").
-func (t *Table) KeyColumn() int {
-	for col := range t.Columns {
-		if t.IsNumericColumn(col) {
-			continue
-		}
-		seen := make(map[string]struct{}, len(t.Rows))
-		ok := len(t.Rows) > 0
-		for _, r := range t.Rows {
-			f := textutil.Fold(r[col])
-			if f == "" || r[col] == Missing {
-				ok = false
-				break
-			}
-			if _, dup := seen[f]; dup {
-				ok = false
-				break
-			}
-			seen[f] = struct{}{}
-		}
-		if ok {
-			return col
-		}
-	}
-	return -1
-}
-
 // FindRow returns the index of the first row whose cell in column col folds
 // equal to value, or -1.
 func (t *Table) FindRow(col int, value string) int {

@@ -101,27 +101,6 @@ func TestIsNumericColumn(t *testing.T) {
 	}
 }
 
-func TestKeyColumn(t *testing.T) {
-	tbl := golfTable()
-	// place has distinct values t1,t2,t5 and is non-numeric → leftmost key.
-	if got := tbl.KeyColumn(); got != 0 {
-		t.Errorf("KeyColumn = %d, want 0", got)
-	}
-	// Duplicate values disqualify a column.
-	dup := New("d", "c", []string{"k", "v"})
-	dup.MustAppendRow("a", "1")
-	dup.MustAppendRow("a", "2")
-	if got := dup.KeyColumn(); got != -1 {
-		t.Errorf("KeyColumn with dup = %d, want -1", got)
-	}
-	// Missing key cells disqualify too.
-	miss := New("m", "c", []string{"k"})
-	miss.MustAppendRow(Missing)
-	if got := miss.KeyColumn(); got != -1 {
-		t.Errorf("KeyColumn with missing = %d, want -1", got)
-	}
-}
-
 func TestFindRow(t *testing.T) {
 	tbl := golfTable()
 	if got := tbl.FindRow(1, "Gene_Littler"); got != 1 {

@@ -127,37 +127,6 @@ func dropCommas(run string, n int) string {
 	return string(b)
 }
 
-// ParseAllNumbers returns every number appearing in s, in order.
-func ParseAllNumbers(s string) []float64 {
-	var out []float64
-	runes := []rune(s)
-	for i := 0; i < len(runes); {
-		if !unicode.IsDigit(runes[i]) {
-			i++
-			continue
-		}
-		end := i
-		for end < len(runes) {
-			r := runes[end]
-			if unicode.IsDigit(r) {
-				end++
-				continue
-			}
-			if (r == ',' || r == '.') && end+1 < len(runes) && unicode.IsDigit(runes[end+1]) {
-				end++
-				continue
-			}
-			break
-		}
-		numStr := strings.ReplaceAll(string(runes[i:end]), ",", "")
-		if v, err := strconv.ParseFloat(numStr, 64); err == nil {
-			out = append(out, v)
-		}
-		i = end
-	}
-	return out
-}
-
 // IsNumeric reports whether the whole (trimmed) string parses as a number,
 // ignoring currency symbols and separators.
 func IsNumeric(s string) bool {

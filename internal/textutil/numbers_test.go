@@ -1,7 +1,6 @@
 package textutil
 
 import (
-	"reflect"
 	"testing"
 )
 
@@ -30,22 +29,6 @@ func TestParseNumber(t *testing.T) {
 		if ok != tc.ok || (ok && got != tc.want) {
 			t.Errorf("ParseNumber(%q) = (%v, %v), want (%v, %v)", tc.in, got, ok, tc.want, tc.ok)
 		}
-	}
-}
-
-func TestParseAllNumbers(t *testing.T) {
-	got := ParseAllNumbers("71 + 70 + 71 + 72 = 284")
-	want := []float64{71, 70, 71, 72, 284}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ParseAllNumbers = %v, want %v", got, want)
-	}
-	if got := ParseAllNumbers("no digits"); got != nil {
-		t.Errorf("ParseAllNumbers(no digits) = %v, want nil", got)
-	}
-	got = ParseAllNumbers("1,500 then 2.5")
-	want = []float64{1500, 2.5}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ParseAllNumbers separators = %v, want %v", got, want)
 	}
 }
 

@@ -1,60 +1,5 @@
 package textutil
 
-import "math"
-
-// Levenshtein returns the edit distance between a and b using the standard
-// two-row dynamic program. Cost is O(len(a)*len(b)) time, O(min) space.
-func Levenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) > len(rb) {
-		ra, rb = rb, ra
-	}
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	prev := make([]int, len(ra)+1)
-	cur := make([]int, len(ra)+1)
-	for i := range prev {
-		prev[i] = i
-	}
-	for j := 1; j <= len(rb); j++ {
-		cur[0] = j
-		for i := 1; i <= len(ra); i++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[i] = min3(cur[i-1]+1, prev[i]+1, prev[i-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(ra)]
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
-}
-
-// EditSimilarity returns 1 - Levenshtein(a,b)/max(len(a),len(b)), a value in
-// [0,1] where 1 means equal strings. Empty-vs-empty is 1.
-func EditSimilarity(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	m := la
-	if lb > m {
-		m = lb
-	}
-	return 1 - float64(Levenshtein(a, b))/float64(m)
-}
-
 // Jaccard returns |A∩B| / |A∪B| over the two token multisets treated as
 // sets. Both-empty yields 1.
 func Jaccard(a, b []string) float64 {
@@ -75,62 +20,6 @@ func Jaccard(a, b []string) float64 {
 		}
 	}
 	return float64(inter) / float64(len(set))
-}
-
-// Dice returns the Sørensen–Dice coefficient 2|A∩B| / (|A|+|B|) over token
-// sets. Both-empty yields 1.
-func Dice(a, b []string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	sa := make(map[string]struct{}, len(a))
-	for _, t := range a {
-		sa[t] = struct{}{}
-	}
-	sb := make(map[string]struct{}, len(b))
-	for _, t := range b {
-		sb[t] = struct{}{}
-	}
-	inter := 0
-	for t := range sa {
-		if _, ok := sb[t]; ok {
-			inter++
-		}
-	}
-	return 2 * float64(inter) / float64(len(sa)+len(sb))
-}
-
-// CosineTokens returns the cosine similarity of the term-frequency vectors
-// of the two token lists.
-func CosineTokens(a, b []string) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	fa := make(map[string]float64, len(a))
-	for _, t := range a {
-		fa[t]++
-	}
-	fb := make(map[string]float64, len(b))
-	for _, t := range b {
-		fb[t]++
-	}
-	var dot, na, nb float64
-	for t, c := range fa {
-		na += c * c
-		if cb, ok := fb[t]; ok {
-			dot += c * cb
-		}
-	}
-	for _, c := range fb {
-		nb += c * c
-	}
-	if dot == 0 {
-		return 0
-	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
 }
 
 // ContainmentSimilarity returns |A∩B| / |A|: how much of a is covered by b.

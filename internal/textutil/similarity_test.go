@@ -5,65 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestLevenshtein(t *testing.T) {
-	tests := []struct {
-		a, b string
-		want int
-	}{
-		{"", "", 0},
-		{"abc", "", 3},
-		{"", "abc", 3},
-		{"kitten", "sitting", 3},
-		{"flaw", "lawn", 2},
-		{"same", "same", 0},
-		{"a", "b", 1},
-	}
-	for _, tc := range tests {
-		if got := Levenshtein(tc.a, tc.b); got != tc.want {
-			t.Errorf("Levenshtein(%q, %q) = %d, want %d", tc.a, tc.b, got, tc.want)
-		}
-	}
-}
-
-func TestLevenshteinProperties(t *testing.T) {
-	symmetric := func(a, b string) bool { return Levenshtein(a, b) == Levenshtein(b, a) }
-	if err := quick.Check(symmetric, nil); err != nil {
-		t.Errorf("symmetry: %v", err)
-	}
-	identity := func(a string) bool { return Levenshtein(a, a) == 0 }
-	if err := quick.Check(identity, nil); err != nil {
-		t.Errorf("identity: %v", err)
-	}
-	bounded := func(a, b string) bool {
-		d := Levenshtein(a, b)
-		la, lb := len([]rune(a)), len([]rune(b))
-		max := la
-		if lb > max {
-			max = lb
-		}
-		min := la - lb
-		if min < 0 {
-			min = -min
-		}
-		return d >= min && d <= max
-	}
-	if err := quick.Check(bounded, nil); err != nil {
-		t.Errorf("bounds: %v", err)
-	}
-}
-
-func TestEditSimilarity(t *testing.T) {
-	if got := EditSimilarity("", ""); got != 1 {
-		t.Errorf("EditSimilarity empty = %v, want 1", got)
-	}
-	if got := EditSimilarity("abc", "abc"); got != 1 {
-		t.Errorf("EditSimilarity equal = %v, want 1", got)
-	}
-	if got := EditSimilarity("abc", "xyz"); got != 0 {
-		t.Errorf("EditSimilarity disjoint = %v, want 0", got)
-	}
-}
-
 func TestJaccard(t *testing.T) {
 	a := []string{"x", "y", "z"}
 	b := []string{"y", "z", "w"}
@@ -93,32 +34,6 @@ func TestJaccardProperties(t *testing.T) {
 	symmetric := func(a, b []string) bool { return Jaccard(a, b) == Jaccard(b, a) }
 	if err := quick.Check(symmetric, nil); err != nil {
 		t.Errorf("symmetry: %v", err)
-	}
-}
-
-func TestDice(t *testing.T) {
-	a := []string{"x", "y"}
-	b := []string{"y", "z"}
-	if got := Dice(a, b); got != 0.5 {
-		t.Errorf("Dice = %v, want 0.5", got)
-	}
-	if got := Dice(nil, nil); got != 1 {
-		t.Errorf("Dice empty = %v, want 1", got)
-	}
-	if got := Dice(a, nil); got != 0 {
-		t.Errorf("Dice half-empty = %v, want 0", got)
-	}
-}
-
-func TestCosineTokens(t *testing.T) {
-	if got := CosineTokens([]string{"a", "b"}, []string{"a", "b"}); got < 0.999 {
-		t.Errorf("CosineTokens identical = %v, want ~1", got)
-	}
-	if got := CosineTokens([]string{"a"}, []string{"b"}); got != 0 {
-		t.Errorf("CosineTokens disjoint = %v, want 0", got)
-	}
-	if got := CosineTokens(nil, []string{"a"}); got != 0 {
-		t.Errorf("CosineTokens empty = %v, want 0", got)
 	}
 }
 

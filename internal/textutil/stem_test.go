@@ -146,11 +146,3 @@ func TestIsStopword(t *testing.T) {
 		}
 	}
 }
-
-func TestFilterStopwords(t *testing.T) {
-	in := []string{"the", "golf", "of", "champions"}
-	got := FilterStopwords(in)
-	if len(got) != 2 || got[0] != "golf" || got[1] != "champions" {
-		t.Errorf("FilterStopwords = %v", got)
-	}
-}

@@ -19,15 +19,3 @@ func IsStopword(t string) bool {
 	_, ok := stopwords[t]
 	return ok
 }
-
-// FilterStopwords returns tokens with stopwords removed, reusing the input
-// slice's backing array.
-func FilterStopwords(tokens []string) []string {
-	out := tokens[:0]
-	for _, t := range tokens {
-		if !IsStopword(t) {
-			out = append(out, t)
-		}
-	}
-	return out
-}

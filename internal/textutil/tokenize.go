@@ -1,7 +1,7 @@
 // Package textutil provides the text-processing substrate shared by the
 // indexing, reranking, and verification layers: tokenization, normalization,
-// Porter stemming, stopword filtering, n-grams, string similarity, and
-// numeric parsing. All functions are deterministic and allocation-conscious,
+// Porter stemming, stopword filtering, token-set similarity, and numeric
+// parsing. All functions are deterministic and allocation-conscious,
 // since they sit on the hot path of both index construction and query
 // evaluation.
 package textutil
@@ -136,33 +136,6 @@ func FoldEqual(s, folded string) bool {
 		pos += n
 	}
 	return pos == len(folded)
-}
-
-// NGrams returns the character n-grams of s (after folding). Used by the
-// fuzzy matching path of the tuple reranker. Returns nil when len(s) < n.
-func NGrams(s string, n int) []string {
-	f := Fold(s)
-	runes := []rune(f)
-	if len(runes) < n || n <= 0 {
-		return nil
-	}
-	grams := make([]string, 0, len(runes)-n+1)
-	for i := 0; i+n <= len(runes); i++ {
-		grams = append(grams, string(runes[i:i+n]))
-	}
-	return grams
-}
-
-// WordNGrams returns token n-grams joined by a single space.
-func WordNGrams(tokens []string, n int) []string {
-	if len(tokens) < n || n <= 0 {
-		return nil
-	}
-	grams := make([]string, 0, len(tokens)-n+1)
-	for i := 0; i+n <= len(tokens); i++ {
-		grams = append(grams, strings.Join(tokens[i:i+n], " "))
-	}
-	return grams
 }
 
 // SplitSentences splits text into sentences on ./!/? boundaries followed by

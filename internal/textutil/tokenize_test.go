@@ -112,28 +112,6 @@ func TestNormalizeIdempotent(t *testing.T) {
 	}
 }
 
-func TestNGrams(t *testing.T) {
-	if got := NGrams("abcd", 2); !reflect.DeepEqual(got, []string{"ab", "bc", "cd"}) {
-		t.Errorf("NGrams = %v", got)
-	}
-	if got := NGrams("ab", 3); got != nil {
-		t.Errorf("NGrams on short input = %v, want nil", got)
-	}
-	if got := NGrams("abc", 0); got != nil {
-		t.Errorf("NGrams with n=0 = %v, want nil", got)
-	}
-}
-
-func TestWordNGrams(t *testing.T) {
-	toks := []string{"a", "b", "c"}
-	if got := WordNGrams(toks, 2); !reflect.DeepEqual(got, []string{"a b", "b c"}) {
-		t.Errorf("WordNGrams = %v", got)
-	}
-	if got := WordNGrams(toks, 4); got != nil {
-		t.Errorf("WordNGrams too long = %v, want nil", got)
-	}
-}
-
 func TestSplitSentences(t *testing.T) {
 	tests := []struct {
 		in   string

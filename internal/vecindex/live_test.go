@@ -8,13 +8,6 @@ import (
 	"repro/internal/embed"
 )
 
-// liveIndex is the mutate+search surface of the mutable index types.
-type liveIndex interface {
-	Searcher
-	Add(id string, v embed.Vector) error
-	Remove(id string) bool
-}
-
 const liveDim = 32
 
 func liveVec(i int) embed.Vector {
@@ -22,12 +15,11 @@ func liveVec(i int) embed.Vector {
 	return emb.EmbedText(fmt.Sprintf("document %d about topic %d", i, i%11))
 }
 
-// liveIndexes returns one fresh index per mutable type, each holding
-// pretrain seed rows.
-func liveIndexes(t *testing.T, pretrain int) map[string]liveIndex {
+// liveIndexes returns one fresh index per mutable type, keyed by the
+// subtest name, each holding pretrain seed rows.
+func liveIndexes(t *testing.T, pretrain int) map[string]*SQFlat {
 	t.Helper()
-	out := map[string]liveIndex{
-		"flat":   NewFlat(liveDim),
+	out := map[string]*SQFlat{
 		"sqflat": NewSQFlat(liveDim),
 	}
 	for name, ix := range out {

@@ -118,6 +118,13 @@ func (s *SQFlat) Add(id string, v embed.Vector) error {
 	return nil
 }
 
+// compactThreshold is the minimum tombstone count before the tail compacts
+// itself. Removal compacts once tombstones both exceed this floor and
+// outnumber live rows, so sustained churn (e.g. entity re-indexing under
+// live KG ingestion) keeps memory and scan cost within 2× of the live set
+// at amortized O(1) per removal.
+const compactThreshold = 64
+
 // Remove tombstones id's row, reporting whether it was live. The tail
 // compacts once tombstones dominate it; base tombstones wait for the next
 // Freeze.
@@ -226,10 +233,11 @@ type sqScratch struct {
 
 var sqPool = sync.Pool{New: func() any { return new(sqScratch) }}
 
-// Search implements Searcher: one pass over the code matrix, then the
-// tail, keeping the k best ordinals; IDs are resolved for those k only
-// (and to break ties), so a search allocates its result and, for hits in
-// a sealed base, their ID strings.
+// Search returns the top-k rows nearest q, best first, ties broken by
+// ascending ID: one pass over the code matrix, then the tail, keeping the
+// k best ordinals; IDs are resolved for those k only (and to break ties),
+// so a search allocates its result and, for hits in a sealed base, their
+// ID strings.
 func (s *SQFlat) Search(q embed.Vector, k int) []Hit {
 	if k <= 0 || len(q) != s.dim {
 		return nil

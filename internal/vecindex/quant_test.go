@@ -29,7 +29,7 @@ func buildSQ(t testing.TB, vecs []embed.Vector, dim int) (*SQFlat, *Flat) {
 
 // recallAt is the share of ref's top-k IDs that got's top-k holds, over
 // queries.
-func recallAt(k int, got, ref Searcher, queries []embed.Vector) float64 {
+func recallAt(k int, got, ref searcher, queries []embed.Vector) float64 {
 	var hit, total int
 	for _, q := range queries {
 		want := map[string]bool{}
@@ -102,7 +102,7 @@ func TestSQFlatEdgeRows(t *testing.T) {
 	}
 	q := embed.Vector{0, -1, 0, 0}
 	want := []string{"neg", "zero-a", "zero-b", "pos"} // zero rows tie at 0, by ID
-	check := func(label string, ix Searcher) {
+	check := func(label string, ix *SQFlat) {
 		t.Helper()
 		hits := ix.Search(q, 4)
 		if len(hits) != len(want) {
@@ -321,7 +321,7 @@ func TestSQFlatSealReleasesReplacedSegment(t *testing.T) {
 	t.Fatal("the replaced segment's container is still reachable after the seal")
 }
 
-// TestSearchAllocatesPerQueryNotPerRow: every family keeps its top-k in
+// TestSearchAllocatesPerQueryNotPerRow: both indexes keep their top-k in
 // the typed heap, so a search over 5,000 rows allocates a handful of
 // objects however many rows it scores.
 func TestSearchAllocatesPerQueryNotPerRow(t *testing.T) {
@@ -332,18 +332,15 @@ func TestSearchAllocatesPerQueryNotPerRow(t *testing.T) {
 		ids[i] = fmt.Sprintf("v%04d", i)
 	}
 	flat, tail, sealed := NewFlat(dim), NewSQFlat(dim), NewSQFlat(dim)
-	for _, ix := range []liveIndex{flat, tail, sealed} {
-		for i, v := range vecs {
-			if err := ix.Add(ids[i], v); err != nil {
+	for i, v := range vecs {
+		for _, err := range []error{flat.Add(ids[i], v), tail.Add(ids[i], v), sealed.Add(ids[i], v)} {
+			if err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	sealed.Freeze()
-	families := map[string]Searcher{
-		"flat": flat, "ivf": NewIVF(ids, vecs, 16, 16, 1),
-		"sqflat-tail": tail, "sqflat-sealed": sealed,
-	}
+	families := map[string]searcher{"flat": flat, "sqflat-tail": tail, "sqflat-sealed": sealed}
 	q := vecs[123]
 	for name, ix := range families {
 		if hits := ix.Search(q, k); len(hits) != k || hits[0].ID != "v0123" {
@@ -352,9 +349,6 @@ func TestSearchAllocatesPerQueryNotPerRow(t *testing.T) {
 		limit := 4.0
 		if name == "sqflat-sealed" {
 			limit += k // the survivors' IDs are copied out of the segment
-		}
-		if name == "ivf" {
-			limit += 2 // the cell ranking
 		}
 		if allocs := testing.AllocsPerRun(20, func() { ix.Search(q, k) }); allocs > limit {
 			t.Errorf("%s: %.0f allocations per search over %d rows, want <= %.0f", name, allocs, n, limit)

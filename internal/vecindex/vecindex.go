@@ -10,10 +10,9 @@
 // Mutable are a heap tail of rows added since the last seal and a
 // tombstone bitmap (quant.go).
 //
-// Flat is the float32 reference the int8 scan's recall is measured against;
-// it is not persisted. IVF (k-means cells) and LSH (random hyperplanes) are
-// the approximate indexes the experiments compare: each is built once over
-// a fixed set of float32 rows and only searched afterwards.
+// Flat is the float32 exact scan the int8 scan's recall is measured
+// against (AblateQuantization and the recall tests); it is append-only and
+// not persisted.
 package vecindex
 
 import (
@@ -30,34 +29,15 @@ type Hit struct {
 	Score float64
 }
 
-// Searcher is the query interface shared by all index types.
-type Searcher interface {
-	// Search returns the top-k nearest vectors to q, best first, ties broken
-	// by ascending ID.
-	Search(q embed.Vector, k int) []Hit
-	// Len returns the number of indexed vectors.
-	Len() int
-}
-
-// compactThreshold is the minimum tombstone count before an index compacts
-// itself. Removal compacts once tombstones both exceed this floor and
-// outnumber live entries, so sustained churn (e.g. entity re-indexing under
-// live KG ingestion) keeps memory and scan cost within 2× of the live set
-// at amortized O(1) per removal.
-const compactThreshold = 64
-
-// Flat is an exact (brute-force) index, the ground-truth baseline the ANN
-// indexes are measured against. It is safe for concurrent Add, Remove, and
-// Search; removal tombstones the vector (skipped by searches) and the id
-// may be re-added afterwards, matching the live-lake ingest pattern.
+// Flat is an exact (brute-force) index over float32 rows, the reference
+// SQFlat's recall is measured against. It is safe for concurrent Add and
+// Search.
 type Flat struct {
-	dim     int
-	mu      sync.RWMutex
-	ids     idList
-	vecs    []embed.Vector
-	deleted []bool
-	live    int
-	byID    map[string]int
+	dim  int
+	mu   sync.RWMutex
+	ids  idList
+	vecs []embed.Vector
+	byID map[string]struct{}
 }
 
 // NewFlat returns an empty exact index of dimension dim.
@@ -65,102 +45,39 @@ func NewFlat(dim int) *Flat {
 	if dim <= 0 {
 		panic("vecindex: non-positive dimension")
 	}
-	return &Flat{dim: dim, byID: make(map[string]int)}
+	return &Flat{dim: dim, byID: make(map[string]struct{})}
 }
 
-// Add indexes v under id. The vector is copied. Duplicate live IDs and
-// dimension mismatches are errors; a removed id may be added again.
+// Add indexes v under id. The vector is copied. Duplicate IDs and dimension
+// mismatches are errors.
 func (f *Flat) Add(id string, v embed.Vector) error {
 	if len(v) != f.dim {
 		return fmt.Errorf("vecindex: vector dim %d != index dim %d", len(v), f.dim)
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if ord, dup := f.byID[id]; dup && !f.deleted[ord] {
+	if _, dup := f.byID[id]; dup {
 		return fmt.Errorf("vecindex: duplicate id %q", id)
 	}
-	f.byID[id] = len(f.ids)
+	f.byID[id] = struct{}{}
 	f.ids = append(f.ids, id)
 	f.vecs = append(f.vecs, embed.Clone(v))
-	f.deleted = append(f.deleted, false)
-	f.live++
 	return nil
 }
 
-// Remove tombstones id's vector, compacting the index once tombstones
-// dominate. Removing an unknown or already-removed id is a no-op returning
-// false.
-func (f *Flat) Remove(id string) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ord, ok := f.byID[id]
-	if !ok || f.deleted[ord] {
-		return false
-	}
-	f.deleted[ord] = true
-	f.live--
-	if dead := len(f.ids) - f.live; dead > f.live && dead >= compactThreshold {
-		f.compactLocked()
-	}
-	return true
-}
-
-// compactLocked rebuilds the arrays without tombstones.
-func (f *Flat) compactLocked() {
-	ids := make(idList, 0, f.live)
-	vecs := make([]embed.Vector, 0, f.live)
-	byID := make(map[string]int, f.live)
-	for i, id := range f.ids {
-		if !f.deleted[i] {
-			byID[id] = len(ids)
-			ids = append(ids, id)
-			vecs = append(vecs, f.vecs[i])
-		}
-	}
-	f.ids, f.vecs, f.byID = ids, vecs, byID
-	f.deleted = make([]bool, len(ids))
-}
-
-// Len returns the number of live indexed vectors.
-func (f *Flat) Len() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.live
-}
-
-// Search implements Searcher with an exact scan.
+// Search returns the top-k vectors by exact cosine similarity to q, best
+// first, ties broken by ascending ID.
 func (f *Flat) Search(q embed.Vector, k int) []Hit {
 	if k <= 0 {
 		return nil
 	}
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	h := newTopK(k, &f.ids, f.live)
+	h := newTopK(k, &f.ids, len(f.ids))
 	for i, v := range f.vecs {
-		if !f.deleted[i] {
-			h.offer(int32(i), embed.Cosine(q, v))
-		}
+		h.offer(int32(i), embed.Cosine(q, v))
 	}
 	return h.results()
-}
-
-// rowDim returns the dimension of a build-once index's rows, panicking
-// unless ids and vecs pair up and every vector shares one positive
-// dimension.
-func rowDim(ids []string, vecs []embed.Vector) int {
-	if len(ids) != len(vecs) {
-		panic(fmt.Sprintf("vecindex: %d ids for %d vectors", len(ids), len(vecs)))
-	}
-	if len(vecs) == 0 {
-		return 0
-	}
-	dim := len(vecs[0])
-	for i, v := range vecs {
-		if len(v) != dim || dim == 0 {
-			panic(fmt.Sprintf("vecindex: vector %q has dim %d, want %d", ids[i], len(v), dim))
-		}
-	}
-	return dim
 }
 
 // ordIDs resolves the ordinals a search scored to external IDs.
@@ -171,7 +88,7 @@ type ordIDs interface {
 	id(ord int32) string
 }
 
-// idList is the ordinal → ID column of the float-row indexes.
+// idList is Flat's ordinal → ID column.
 type idList []string
 
 func (l *idList) cmp(a, b int32) int  { return strings.Compare((*l)[a], (*l)[b]) }

@@ -10,14 +10,11 @@ import (
 // Figure 3 of the paper. Local (specific) verifiers are preferred when
 // registered and applicable — the paper motivates them with data privacy
 // and better accuracy — and the one-size-fits-all LLM verifier is the
-// fallback.
+// fallback. An agent with no locals registered always uses the fallback
+// (the paper's "ChatGPT by default for simplicity" mode).
 type Agent struct {
 	locals   []Verifier
 	fallback Verifier
-	// preferLocal selects local models when available; when false the agent
-	// always uses the fallback (the "ChatGPT by default for simplicity"
-	// mode).
-	preferLocal bool
 }
 
 // AgentOption configures an Agent.
@@ -29,12 +26,6 @@ func WithLocalVerifier(v Verifier) AgentOption {
 	return func(a *Agent) { a.locals = append(a.locals, v) }
 }
 
-// WithPreferLocal toggles whether local verifiers are preferred over the
-// fallback LLM (default true).
-func WithPreferLocal(prefer bool) AgentOption {
-	return func(a *Agent) { a.preferLocal = prefer }
-}
-
 // NewAgent returns an agent with the given fallback (typically the
 // LLMVerifier). Panics on a nil fallback: the agent must always be able to
 // decide.
@@ -42,7 +33,7 @@ func NewAgent(fallback Verifier, opts ...AgentOption) *Agent {
 	if fallback == nil {
 		panic("verify: agent needs a fallback verifier")
 	}
-	a := &Agent{fallback: fallback, preferLocal: true}
+	a := &Agent{fallback: fallback}
 	for _, o := range opts {
 		o(a)
 	}
@@ -51,11 +42,9 @@ func NewAgent(fallback Verifier, opts ...AgentOption) *Agent {
 
 // Route returns the verifier the agent would use for this pair.
 func (a *Agent) Route(g Generated, evidenceKind datalake.Kind) Verifier {
-	if a.preferLocal {
-		for _, v := range a.locals {
-			if v.Supports(g, evidenceKind) {
-				return v
-			}
+	for _, v := range a.locals {
+		if v.Supports(g, evidenceKind) {
+			return v
 		}
 	}
 	return a.fallback

@@ -201,12 +201,6 @@ func TestAgentRouting(t *testing.T) {
 	if got := agent.Route(claimObj, datalake.KindText).Name(); got != "chatgpt-sim" {
 		t.Errorf("claim/text routed to %s", got)
 	}
-
-	// preferLocal=false sends everything to the fallback.
-	agentLLM := NewAgent(llm, WithLocalVerifier(pasta), WithPreferLocal(false))
-	if got := agentLLM.Route(claimObj, datalake.KindTable).Name(); got != "chatgpt-sim" {
-		t.Errorf("preferLocal=false routed to %s", got)
-	}
 }
 
 func TestAgentVerifyDispatch(t *testing.T) {

@@ -64,7 +64,6 @@ import (
 	"repro/internal/doc"
 	"repro/internal/durable"
 	"repro/internal/faultfs"
-	"repro/internal/genstore"
 	"repro/internal/kg"
 	"repro/internal/obs"
 	"repro/internal/provenance"
@@ -107,23 +106,12 @@ type (
 	Evidence = core.Evidence
 	// ProvenanceStore records verification lineage.
 	ProvenanceStore = provenance.Store
-	// GenerationStore manages prompts, generated outputs, and their
-	// verification history (the Section 5 "managing data generated by
-	// generative AI" extension).
-	GenerationStore = genstore.Store
-	// Generation is one recorded generative-AI output.
-	Generation = genstore.Generation
-	// VerdictEntry is one verification of a Generation.
-	VerdictEntry = genstore.VerdictEntry
 	// BatchItem is one mutation in a System.AddBatch call (exactly one of
 	// Table, Doc, or Triple set).
 	BatchItem = datalake.BatchItem
 	// BatchItemResult is the per-item outcome of a System.AddBatch call.
 	BatchItemResult = datalake.BatchItemResult
 )
-
-// NewGenerationStore returns an empty generation store.
-func NewGenerationStore() *GenerationStore { return genstore.NewStore() }
 
 // Verdict values.
 const (

@@ -264,68 +264,3 @@ func TestVerifyBatchPublicAPI(t *testing.T) {
 		}
 	}
 }
-
-// TestGenerationLifecycle exercises the Section 5 extension end to end:
-// record generations, verify them, query accuracy per template, then
-// re-verify after a lake change.
-func TestGenerationLifecycle(t *testing.T) {
-	sys, err := NewSystem(caseLake(t), noiseFreeOptions(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := NewGenerationStore()
-
-	claim := workload.GolfClaim()
-	if err := store.Record(Generation{
-		ID: "gen-1", Template: "claim-answer",
-		Prompt: "Was the prize total 960?", Output: claim.Text,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ohio := workload.OhioDistrictsTable()
-	tp, _ := ohio.TupleAt(0)
-	if err := store.Record(Generation{
-		ID: "gen-2", Template: "tuple-completion",
-		Prompt: "Fill the missing incumbent", Output: tp.String(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	// First verification sweep against lake stamp "v1".
-	n, err := store.Reverify("v1", func(g Generation) (VerdictEntry, error) {
-		var rep Report
-		var err error
-		switch g.Template {
-		case "claim-answer":
-			rep, err = sys.VerifyClaim(g.ID, claim)
-		default:
-			rep, err = sys.VerifyImputedTuple(g.ID, tp, "incumbent")
-		}
-		if err != nil {
-			return VerdictEntry{}, err
-		}
-		return VerdictEntry{
-			Verdict:       rep.Verdict.String(),
-			Confidence:    rep.Confidence,
-			ProvenanceSeq: rep.ProvenanceSeq,
-		}, nil
-	})
-	if err != nil || n != 2 {
-		t.Fatalf("Reverify = %d, %v", n, err)
-	}
-
-	if got := store.ByVerdict("Refuted"); len(got) != 1 || got[0] != "gen-1" {
-		t.Errorf("refuted generations = %v", got)
-	}
-	if got := store.ByVerdict("Verified"); len(got) != 1 || got[0] != "gen-2" {
-		t.Errorf("verified generations = %v", got)
-	}
-	acc := store.TemplateAccuracy()
-	if acc["claim-answer"]["Refuted"] != 1 || acc["tuple-completion"]["Verified"] != 1 {
-		t.Errorf("template accuracy = %v", acc)
-	}
-	// After a lake change everything is stale again.
-	if got := store.StaleSince("v2"); len(got) != 2 {
-		t.Errorf("stale after lake change = %v", got)
-	}
-}
