@@ -2,57 +2,55 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/datalake"
 	"repro/internal/embed"
 	"repro/internal/textutil"
+	"repro/internal/vecindex"
 )
 
 // The live ingest path is pipelined in three stages (mirroring the lake's
 // write path):
 //
 //  1. prepareHook runs on the ingesting goroutine before the lake's write
-//     lock: it serializes the event's instances and computes their BM25
-//     terms and embeddings — the expensive work — so concurrent writers
-//     derive in parallel;
+//     lock: it serializes the event's instances, analyzes each once into a
+//     bag of terms (its BM25 document) and sums, normalizes and quantizes
+//     its vector row from that bag into int8 codes — the expensive work —
+//     so concurrent writers derive in parallel;
 //  2. the lake commits and delivers the event (with the prepared payload)
 //     in version order;
 //  3. apply performs the precomputed index insertions on the lake's
 //     dispatcher goroutine — the one writer of every index, in version
 //     order — and the lake publishes the event's version once it returns.
 
-// bm25Op is one precomputed content-index insertion.
-type bm25Op struct {
+// indexOp is one instance's precomputed insertion into both families: its
+// bag of terms, and its vector row's codes and inverse norm as
+// vecindex.Quantize wrote them.
+type indexOp struct {
 	kind  datalake.Kind
 	id    string
-	terms []string
-}
-
-// vecOp is one precomputed semantic-index insertion.
-type vecOp struct {
-	kind datalake.Kind
-	id   string
-	vec  embed.Vector
+	bag   textutil.Bag
+	codes []int8
+	norm  float32
 }
 
 // preparedEvent is the payload prepareHook attaches to a lake event: every
-// index operation the event implies, with tokenization and embedding done.
+// index operation the event implies, with analysis and embedding done.
 type preparedEvent struct {
-	bm25 []bm25Op
-	vec  []vecOp
+	ops   []indexOp
+	codes []int8 // the ops' codes, back to back
 }
 
 // applyOps inserts precomputed operations into the indexes. It is the
 // single insertion implementation behind both the live path and the bulk
 // load, so the two paths cannot drift in ID or serialization scheme.
-func (ix *Indexer) applyOps(bm25 []bm25Op, vec []vecOp) error {
-	for _, op := range bm25 {
-		if err := ix.bm25[op.kind].AddTerms(op.id, op.terms); err != nil {
+func (ix *Indexer) applyOps(pe *preparedEvent) error {
+	for _, op := range pe.ops {
+		if err := ix.bm25[op.kind].AddTerms(op.id, op.bag); err != nil {
 			return fmt.Errorf("core: bm25 add %s: %w", op.id, err)
 		}
-	}
-	for _, op := range vec {
-		if err := ix.vec[op.kind].Add(op.id, op.vec); err != nil {
+		if err := ix.vec[op.kind].AddCodes(op.id, op.codes, op.norm); err != nil {
 			return fmt.Errorf("core: vector add %s: %w", op.id, err)
 		}
 	}
@@ -70,46 +68,44 @@ func (ix *Indexer) prepareHook(ev datalake.Event) (any, error) {
 	return ix.prepareEvent(ev), nil
 }
 
-// prepareEvent computes the precomputed payload for a table or text event.
-// Each serialized instance is analyzed once, and the same terms feed its
-// BM25 op and its embedding.
+// prepareEvent computes the precomputed payload for a table or text event:
+// each serialized instance is analyzed once, and the same bag feeds its
+// BM25 op and its vector row, summed in one accumulator the event reuses.
 func (ix *Indexer) prepareEvent(ev datalake.Event) *preparedEvent {
 	pe := &preparedEvent{}
+	acc := make(embed.Vector, ix.emb.Dim())
 	switch ev.Kind {
 	case datalake.KindTable:
 		t := ev.Table
-		pe.addInstance(ix, datalake.KindTable, datalake.TableInstanceID(t.ID), t.SerializeForIndex())
+		pe.codes = make([]int8, 0, (1+t.NumRows())*len(acc))
+		pe.addInstance(ix, acc, datalake.KindTable, datalake.TableInstanceID(t.ID), t.SerializeForIndex())
 		if ix.wantKind(datalake.KindTuple) {
-			ids := make([]string, 0, t.NumRows())
-			texts := make([]string, 0, t.NumRows())
 			for row := range t.Rows {
 				tp, _ := t.TupleAt(row)
-				ids = append(ids, datalake.TupleInstanceID(t.ID, row))
-				texts = append(texts, tp.SerializeForIndex())
-			}
-			// Batch the tuples: a wide table fans its rows across the
-			// embedder's worker pool.
-			terms, vecs := ix.emb.AnalyzeTexts(texts, 0)
-			for i, id := range ids {
-				pe.bm25 = append(pe.bm25, bm25Op{kind: datalake.KindTuple, id: id, terms: terms[i]})
-				pe.vec = append(pe.vec, vecOp{kind: datalake.KindTuple, id: id, vec: vecs[i]})
+				pe.addInstance(ix, acc, datalake.KindTuple, datalake.TupleInstanceID(t.ID, row), tp.SerializeForIndex())
 			}
 		}
 	case datalake.KindText:
-		pe.addInstance(ix, datalake.KindText, datalake.TextInstanceID(ev.Doc.ID), ev.Doc.SerializeForIndex())
+		pe.addInstance(ix, acc, datalake.KindText, datalake.TextInstanceID(ev.Doc.ID), ev.Doc.SerializeForIndex())
 	}
 	return pe
 }
 
 // addInstance analyzes one serialized instance of a configured kind once
-// and appends its BM25 and vector ops to the payload.
-func (pe *preparedEvent) addInstance(ix *Indexer, kind datalake.Kind, id, text string) {
+// and appends its op to the payload, summing the row in acc: EmbedText's
+// sum of the same bag, normalized, then quantized.
+func (pe *preparedEvent) addInstance(ix *Indexer, acc embed.Vector, kind datalake.Kind, id, text string) {
 	if !ix.wantKind(kind) {
 		return
 	}
-	terms := textutil.TokenizeFiltered(text)
-	pe.bm25 = append(pe.bm25, bm25Op{kind: kind, id: id, terms: terms})
-	pe.vec = append(pe.vec, vecOp{kind: kind, id: id, vec: ix.emb.EmbedTerms(terms)})
+	bag := textutil.Analyze(text)
+	clear(acc)
+	ix.emb.AddBag(acc, bag)
+	embed.Normalize(acc)
+	off := len(pe.codes)
+	pe.codes = slices.Grow(pe.codes, len(acc))[:off+len(acc)]
+	codes := pe.codes[off:]
+	pe.ops = append(pe.ops, indexOp{kind: kind, id: id, bag: bag, codes: codes, norm: vecindex.Quantize(codes, acc)})
 }
 
 // apply is the lake's application stage: it runs on the lake's dispatcher
@@ -136,5 +132,5 @@ func (ix *Indexer) apply(ev datalake.Event) error {
 		// event's prepare and commit): derive it now, on the dispatcher.
 		pe = ix.prepareEvent(ev)
 	}
-	return ix.applyOps(pe.bm25, pe.vec)
+	return ix.applyOps(pe)
 }

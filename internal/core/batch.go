@@ -16,8 +16,8 @@ import (
 //
 // The pipeline is safe for concurrent verification: the lake and every index
 // structure are internally synchronized (ingestion may even proceed while a
-// batch runs), the embedder cache and the provenance store are concurrent,
-// and verdict resolution is per-object.
+// batch runs), the embedder's token table and the provenance store are
+// concurrent, and verdict resolution is per-object.
 func (p *Pipeline) VerifyBatch(objects []verify.Generated, parallelism int, kinds ...datalake.Kind) ([]Report, error) {
 	return p.VerifyBatchCtx(context.Background(), objects, parallelism, kinds...)
 }

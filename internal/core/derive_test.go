@@ -4,23 +4,93 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/datalake"
 	"repro/internal/embed"
 	"repro/internal/faultfs"
 	"repro/internal/invindex"
+	"repro/internal/textutil"
+	"repro/internal/vecindex"
 	"repro/internal/workload"
 )
 
+// instance is one serialized lake instance as ingestion indexes it.
+type instance struct {
+	kind     datalake.Kind
+	id, text string
+}
+
+// lakeInstances lists every instance of lake the default indexer config
+// indexes, with the text its prepare stage serializes.
+func lakeInstances(lake *datalake.Lake) []instance {
+	var out []instance
+	for _, id := range lake.TableIDs() {
+		tb, _ := lake.Table(id)
+		out = append(out, instance{datalake.KindTable, datalake.TableInstanceID(id), tb.SerializeForIndex()})
+		for row := range tb.Rows {
+			tp, _ := tb.TupleAt(row)
+			out = append(out, instance{datalake.KindTuple, datalake.TupleInstanceID(id, row), tp.SerializeForIndex()})
+		}
+	}
+	for _, id := range lake.DocIDs() {
+		d, _ := lake.Document(id)
+		out = append(out, instance{datalake.KindText, datalake.TextInstanceID(id), d.SerializeForIndex()})
+	}
+	g := lake.Graph()
+	for _, e := range g.Entities() {
+		text, _ := g.EntityPage(e)
+		out = append(out, instance{datalake.KindEntity, datalake.EntityInstanceID(e), text})
+	}
+	return out
+}
+
+// TestBagMatchesCounts: for every serialized instance of the default
+// workload lake, the bag both index families are fed holds each
+// TokenizeFiltered term once, in strictly ascending order, with the count
+// a map counts for it, and the counts sum to the token count.
+func TestBagMatchesCounts(t *testing.T) {
+	corpus, err := workload.GenerateLake(workload.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer corpus.Lake.Close()
+	for _, in := range lakeInstances(corpus.Lake) {
+		tokens := textutil.TokenizeFiltered(in.text)
+		counts := make(map[string]int32, len(tokens))
+		for _, tok := range tokens {
+			counts[tok]++
+		}
+		bag := textutil.Analyze(in.text)
+		if bag.Len != len(tokens) || len(bag.Terms) != len(counts) || len(bag.Counts) != len(counts) {
+			t.Fatalf("%s: bag of %d tokens, %d terms, %d counts; analysis has %d tokens, %d terms",
+				in.id, bag.Len, len(bag.Terms), len(bag.Counts), len(tokens), len(counts))
+		}
+		sum := 0
+		for i, term := range bag.Terms {
+			if i > 0 && bag.Terms[i-1] >= term {
+				t.Fatalf("%s: terms %q, %q out of order", in.id, bag.Terms[i-1], term)
+			}
+			if bag.Counts[i] != counts[term] {
+				t.Fatalf("%s: %q counted %d, analysis has it %d times", in.id, term, bag.Counts[i], counts[term])
+			}
+			sum += int(bag.Counts[i])
+		}
+		if sum != bag.Len {
+			t.Fatalf("%s: counts sum to %d, %d tokens", in.id, sum, bag.Len)
+		}
+	}
+}
+
 // TestDerivedVectorsMatchIngested: on the default workload lake, every
 // vector row a reopened indexer derives from its BM25 files is, bit for
-// bit, the embedding ingestion computed for that instance — so are its
-// codes and norms, which quantization computes from the row alone, and
-// vecindex holds a derived segment to the sealed one byte for byte. The
-// derived indexes are the size of the sealed ones, and the reopened
-// indexer retrieves as the fresh build does, scores included, for 100
-// claims and 100 tuples of the workload.
+// bit, what EmbedTerms returns for the instance's analyzed text, and its
+// codes and norm are the ones the prepare stage quantized for the
+// instance; vecindex holds a derived segment to the sealed one byte for
+// byte. The derived indexes are the size of the sealed ones, and the
+// reopened indexer retrieves as the fresh build does, scores included, for
+// 100 claims and 100 tuples of the workload.
 func TestDerivedVectorsMatchIngested(t *testing.T) {
 	corpus, err := workload.GenerateLake(workload.DefaultConfig())
 	if err != nil {
@@ -35,25 +105,27 @@ func TestDerivedVectorsMatchIngested(t *testing.T) {
 	}
 	defer fresh.Close()
 
-	// What ingestion embedded, by instance ID.
+	// What ingestion prepared, by instance ID.
 	var pe preparedEvent
 	for _, id := range lake.TableIDs() {
 		tb, _ := lake.Table(id)
-		pe.vec = append(pe.vec, fresh.prepareEvent(datalake.Event{Kind: datalake.KindTable, Table: tb}).vec...)
+		pe.ops = append(pe.ops, fresh.prepareEvent(datalake.Event{Kind: datalake.KindTable, Table: tb}).ops...)
 	}
 	for _, id := range lake.DocIDs() {
 		d, _ := lake.Document(id)
-		pe.vec = append(pe.vec, fresh.prepareEvent(datalake.Event{Kind: datalake.KindText, Doc: d}).vec...)
+		pe.ops = append(pe.ops, fresh.prepareEvent(datalake.Event{Kind: datalake.KindText, Doc: d}).ops...)
 	}
-	g := lake.Graph()
-	for _, e := range g.Entities() {
-		text, _ := g.EntityPage(e)
-		pe.addInstance(fresh, datalake.KindEntity, datalake.EntityInstanceID(e), text)
+	texts := make(map[string]string)
+	for _, in := range lakeInstances(lake) {
+		texts[in.id] = in.text
+		if in.kind == datalake.KindEntity {
+			pe.addInstance(fresh, make(embed.Vector, cfg.EmbedDim), in.kind, in.id, in.text)
+		}
 	}
-	ingested := make(map[string]embed.Vector, len(pe.vec))
+	ingested := make(map[string]indexOp, len(pe.ops))
 	perKind := map[datalake.Kind]int{}
-	for _, op := range pe.vec {
-		ingested[op.id] = op.vec
+	for _, op := range pe.ops {
+		ingested[op.id] = op
 		perKind[op.kind]++
 	}
 
@@ -77,14 +149,19 @@ func TestDerivedVectorsMatchIngested(t *testing.T) {
 		if tr.Len() != perKind[kind] {
 			t.Fatalf("%s: %d rows derived, %d ingested", kind, tr.Len(), perKind[kind])
 		}
+		codes := make([]int8, cfg.EmbedDim)
 		for d, id := range tr.IDs.All() {
 			clear(row)
 			fill(d, row)
-			want := ingested[string(id)]
+			want := fresh.emb.EmbedTerms(textutil.TokenizeFiltered(texts[string(id)]))
 			for i := range want {
 				if math.Float32bits(row[i]) != math.Float32bits(want[i]) {
-					t.Fatalf("%s: component %d derived as %v, ingested as %v", id, i, row[i], want[i])
+					t.Fatalf("%s: component %d derived as %v, embedded as %v", id, i, row[i], want[i])
 				}
+			}
+			op := ingested[string(id)]
+			if norm := vecindex.Quantize(codes, row); norm != op.norm || !slices.Equal(codes, op.codes) {
+				t.Fatalf("%s: derived codes and norm %v differ from the prepared ones (norm %v)", id, norm, op.norm)
 			}
 		}
 	}

@@ -305,21 +305,21 @@ func (ix *Indexer) ingest(c catalog, g *kg.Graph) error {
 // the live pipeline, just synchronously on the calling goroutine.
 func (ix *Indexer) indexTable(t *table.Table) error {
 	pe := ix.prepareEvent(datalake.Event{Kind: datalake.KindTable, Table: t})
-	return ix.applyOps(pe.bm25, pe.vec)
+	return ix.applyOps(pe)
 }
 
 // indexDocument indexes a text document, sharing the live path's
 // implementation.
 func (ix *Indexer) indexDocument(d *doc.Document) error {
 	pe := ix.prepareEvent(datalake.Event{Kind: datalake.KindText, Doc: d})
-	return ix.applyOps(pe.bm25, pe.vec)
+	return ix.applyOps(pe)
 }
 
 // add indexes one instance in both families.
 func (ix *Indexer) add(kind datalake.Kind, id, text string) error {
 	var pe preparedEvent
-	pe.addInstance(ix, kind, id, text)
-	return ix.applyOps(pe.bm25, pe.vec)
+	pe.addInstance(ix, make(embed.Vector, ix.emb.Dim()), kind, id, text)
+	return ix.applyOps(&pe)
 }
 
 // remove drops one instance from both families (no-op for unindexed IDs).

@@ -14,7 +14,6 @@ package embed
 import (
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -100,16 +99,25 @@ func Clone(v Vector) Vector {
 }
 
 // Embedder produces embeddings of a fixed dimension. It is safe for
-// concurrent use: the token-vector cache is guarded by a read/write mutex,
-// since queries introduce new tokens at search time, not only during index
-// construction.
+// concurrent use: queries introduce new tokens at search time, not only
+// during index construction, so the token table is guarded by a
+// read/write mutex.
+//
+// The table holds every token vector the embedder has handed out, back to
+// back in fixed-size chunks that are never reallocated, so a returned
+// vector stays valid without the lock and the table costs one allocation
+// per tokenChunk tokens, not one per token.
 type Embedder struct {
 	dim  int
 	seed uint64
 
-	mu    sync.RWMutex
-	cache map[string]Vector
+	mu     sync.RWMutex
+	ids    map[string]uint32 // token -> row of the table
+	chunks [][]float32       // row r is chunks[r/tokenChunk] at (r%tokenChunk)·dim
 }
+
+// tokenChunk is the number of token vectors one chunk of the table holds.
+const tokenChunk = 256
 
 // NewEmbedder returns an embedder of dimension dim seeded by seed.
 // Dimension must be positive.
@@ -117,32 +125,56 @@ func NewEmbedder(dim int, seed uint64) *Embedder {
 	if dim <= 0 {
 		panic("embed: non-positive dimension")
 	}
-	return &Embedder{dim: dim, seed: seed, cache: make(map[string]Vector)}
+	return &Embedder{dim: dim, seed: seed, ids: make(map[string]uint32)}
 }
 
 // Dim returns the embedding dimension.
 func (e *Embedder) Dim() int { return e.dim }
+
+// row returns the table's row r. Caller holds the lock.
+func (e *Embedder) row(r uint32) Vector {
+	off := int(r%tokenChunk) * e.dim
+	return e.chunks[r/tokenChunk][off : off+e.dim : off+e.dim]
+}
 
 // TokenVector returns the unit-norm embedding of a single (stemmed) token.
 // The same token always maps to the same vector. Callers must not mutate
 // the returned vector.
 func (e *Embedder) TokenVector(token string) Vector {
 	e.mu.RLock()
-	v, ok := e.cache[token]
+	r, ok := e.ids[token]
+	var v Vector
+	if ok {
+		v = e.row(r)
+	}
 	e.mu.RUnlock()
 	if ok {
 		return v
 	}
-	r := detrand.New(e.seed, "token", token)
+	rng := detrand.New(e.seed, "token", token)
 	v = make(Vector, e.dim)
 	for i := range v {
-		v[i] = float32(r.NormFloat64())
+		v[i] = float32(rng.NormFloat64())
 	}
 	Normalize(v)
 	e.mu.Lock()
-	e.cache[token] = v
-	e.mu.Unlock()
-	return v
+	defer e.mu.Unlock()
+	if r, ok = e.ids[token]; !ok {
+		r = uint32(len(e.ids))
+		if r%tokenChunk == 0 {
+			e.chunks = append(e.chunks, make([]float32, tokenChunk*e.dim))
+		}
+		e.ids[token] = r
+		copy(e.row(r), v)
+	}
+	return e.row(r)
+}
+
+// TableBytes returns the bytes of the token table's vector chunks.
+func (e *Embedder) TableBytes() int64 {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return int64(len(e.chunks)) * tokenChunk * int64(e.dim) * 4
 }
 
 // TokenVectors returns the token vector of each of tokens, computed on the
@@ -171,39 +203,30 @@ func (e *Embedder) EmbedTokens(s string) []Vector {
 // vectors with sub-linear (sqrt) frequency damping, normalized to unit
 // length. Damping prevents one repeated token from dominating, mirroring
 // TF-saturation in learned encoders.
-func (e *Embedder) EmbedText(s string) Vector {
-	return e.EmbedTerms(textutil.TokenizeFiltered(s))
-}
+func (e *Embedder) EmbedText(s string) Vector { return e.embedBag(textutil.Analyze(s)) }
 
 // EmbedTerms is EmbedText over text already analyzed by
-// textutil.TokenizeFiltered, for callers that need the terms anyway (the
-// indexer feeds one analysis to both index families). terms is not
-// modified or retained.
-func (e *Embedder) EmbedTerms(terms []string) Vector {
+// textutil.TokenizeFiltered. terms is not modified or retained.
+func (e *Embedder) EmbedTerms(terms []string) Vector { return e.embedBag(textutil.BagOf(terms)) }
+
+func (e *Embedder) embedBag(b textutil.Bag) Vector {
 	out := make(Vector, e.dim)
-	if len(terms) == 0 {
-		return out
-	}
-	freq := make(map[string]int32, len(terms))
-	for _, t := range terms {
-		freq[t]++
-	}
-	// Accumulate in sorted token order: float addition is not associative,
-	// and map iteration order would make embeddings bitwise nondeterministic.
-	uniq := make([]string, 0, len(freq))
-	for t := range freq {
-		uniq = append(uniq, t)
-	}
-	sort.Strings(uniq)
-	for _, t := range uniq {
-		AddTerm(out, e.TokenVector(t), freq[t])
-	}
+	e.AddBag(out, b)
 	Normalize(out)
 	return out
 }
 
+// AddBag adds b's terms into acc in the bag's ascending term order, the
+// sum EmbedText normalizes: float addition is not associative, so one
+// fixed order keeps every embedding of the same text bitwise identical.
+func (e *Embedder) AddBag(acc Vector, b textutil.Bag) {
+	for i, t := range b.Terms {
+		AddTerm(acc, e.TokenVector(t), b.Counts[i])
+	}
+}
+
 // AddTerm adds a term's token vector tv, occurring freq times, into the
-// sum acc: the step EmbedTerms takes per distinct term, in ascending term
+// sum acc: the step AddBag takes per distinct term, in ascending term
 // order, before it normalizes. A vector rebuilt from stored term
 // frequencies through this same step rounds exactly as the embedding did;
 // the explicit conversion keeps the compiler from fusing the multiply into
@@ -216,35 +239,19 @@ func AddTerm(acc, tv Vector, freq int32) {
 	}
 }
 
-// embedSlots bounds the extra goroutines all concurrent EmbedTexts calls
-// may spawn, process-wide, to GOMAXPROCS: nested pools (e.g. a batch
-// ingest's per-item prepare workers each embedding a multi-row table)
+// embedSlots bounds the extra goroutines all concurrent EmbedTexts and
+// TokenVectors calls may spawn, process-wide, to GOMAXPROCS: nested pools
 // degrade to inline work instead of oversubscribing the scheduler.
 var embedSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
 
 // EmbedTexts embeds a batch of texts on a bounded worker pool (workers <= 0
-// means GOMAXPROCS), returning one vector per text in order. This is the
-// batch entry point the pipelined ingest path uses to fan embedding work
-// across cores before the lake's write lock is taken. The calling
+// means GOMAXPROCS), returning one vector per text in order. The calling
 // goroutine always participates, so progress never depends on acquiring a
 // worker slot.
 func (e *Embedder) EmbedTexts(texts []string, workers int) []Vector {
 	out := make([]Vector, len(texts))
 	forEach(len(texts), workers, func(i int) { out[i] = e.EmbedText(texts[i]) })
 	return out
-}
-
-// AnalyzeTexts is EmbedTexts that also returns each text's analyzed terms
-// (textutil.TokenizeFiltered): one analysis per text serves the caller's
-// content index and the embedding, and both run on the pool.
-func (e *Embedder) AnalyzeTexts(texts []string, workers int) ([][]string, []Vector) {
-	terms := make([][]string, len(texts))
-	vecs := make([]Vector, len(texts))
-	forEach(len(texts), workers, func(i int) {
-		terms[i] = textutil.TokenizeFiltered(texts[i])
-		vecs[i] = e.EmbedTerms(terms[i])
-	})
-	return terms, vecs
 }
 
 // forEach runs fn(0..n-1) on the caller plus up to workers-1 goroutines
@@ -256,9 +263,7 @@ func forEach(n, workers int, fn func(i int)) {
 	if workers > n {
 		workers = n
 	}
-	// Tiny batches run inline: goroutine setup would outweigh the work,
-	// and callers already inside a worker pool (batch-ingest prepare) get
-	// their parallelism across items, not within one small item.
+	// Tiny batches run inline: goroutine setup would outweigh the work.
 	if workers <= 1 || n < 4 {
 		for i := 0; i < n; i++ {
 			fn(i)

@@ -4,9 +4,11 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/detrand"
 	"repro/internal/textutil"
 )
 
@@ -249,9 +251,10 @@ func embedTextReference(e *Embedder, s string) Vector {
 	return out
 }
 
-// TestEmbedTermsMatchesEmbedText: embedding pre-analyzed terms — alone or
-// through the batch AnalyzeTexts — gives the bits EmbedText gives for the
-// text, and the terms are the analysis chain's, untouched.
+// TestEmbedTermsMatchesEmbedText: embedding pre-analyzed terms, or adding
+// the text's bag into an accumulator an earlier text dirtied and
+// normalizing it, gives the bits EmbedText gives for the text, and the
+// terms are the analysis chain's, untouched.
 func TestEmbedTermsMatchesEmbedText(t *testing.T) {
 	e := NewEmbedder(128, 3)
 	texts := []string{
@@ -288,15 +291,56 @@ func TestEmbedTermsMatchesEmbedText(t *testing.T) {
 			t.Errorf("EmbedTerms modified its terms: %v -> %v", before, terms)
 		}
 	}
-	for _, workers := range []int{0, 1, 4} {
-		terms, vecs := e.AnalyzeTexts(texts, workers)
-		for i, s := range texts {
-			if !slices.Equal(terms[i], textutil.TokenizeFiltered(s)) {
-				t.Errorf("workers=%d: AnalyzeTexts terms for %q = %v", workers, s, terms[i])
-			}
-			if !sameBits(vecs[i], embedTextReference(e, s)) {
-				t.Errorf("workers=%d: AnalyzeTexts vector for %q differs from the reference embedding", workers, s)
-			}
+	acc := make(Vector, e.Dim())
+	for _, s := range texts {
+		clear(acc)
+		e.AddBag(acc, textutil.Analyze(s))
+		Normalize(acc)
+		if !sameBits(acc, embedTextReference(e, s)) {
+			t.Errorf("AddBag of Analyze(%q) into a reused accumulator differs from the reference embedding", s)
 		}
+	}
+}
+
+// TestTokenTable: the token table hands out the vector TokenVector always
+// computed — each (seed, token) stream, normalized — and a vector handed
+// out before the table grew by chunks is unchanged after, from any number
+// of goroutines.
+func TestTokenTable(t *testing.T) {
+	e := NewEmbedder(16, 5)
+	tokens := make([]string, 3*tokenChunk+7)
+	for i := range tokens {
+		tokens[i] = "tok" + strconv.Itoa(i)
+	}
+	first := e.TokenVector(tokens[0])
+	want := slices.Clone(first)
+	done := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for i := w; i < len(tokens); i += 2 {
+				e.TokenVector(tokens[i])
+			}
+		}()
+	}
+	for w := 0; w < 4; w++ {
+		<-done
+	}
+	if !slices.Equal(first, want) {
+		t.Fatal("a token vector changed as the table grew")
+	}
+	for i, tok := range tokens {
+		r := detrand.New(5, "token", tok)
+		ref := make(Vector, 16)
+		for d := range ref {
+			ref[d] = float32(r.NormFloat64())
+		}
+		Normalize(ref)
+		if got := e.TokenVector(tok); !slices.Equal(got, ref) {
+			t.Fatalf("token %d: table row %v, want %v", i, got, ref)
+		}
+	}
+	if got, want := e.TableBytes(), int64(4*tokenChunk*16*4); got != want {
+		t.Errorf("TableBytes = %d, want %d (four chunks)", got, want)
 	}
 }

@@ -90,14 +90,14 @@ func New() *Index {
 // documents are immutable, and the caller should Delete first (matching the
 // append-mostly ingest pattern of a data lake).
 func (ix *Index) Add(id, text string) error {
-	return ix.AddTerms(id, textutil.TokenizeFiltered(text))
+	return ix.AddTerms(id, textutil.Analyze(text))
 }
 
-// AddTerms indexes a pre-analyzed document under id. The caller ran the
-// analysis chain (textutil.TokenizeFiltered) already — typically on an
+// AddTerms indexes a pre-analyzed document under id: its bag of
+// textutil.Analyze terms, which the caller built already — typically on an
 // ingest pipeline's prepare stage, outside the index lock — so the critical
 // section covers only the posting-list insertion.
-func (ix *Index) AddTerms(id string, terms []string) error {
+func (ix *Index) AddTerms(id string, bag textutil.Bag) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if ord, ok := ix.byID[id]; ok && !ix.deleted[ord] {
@@ -111,17 +111,12 @@ func (ix *Index) AddTerms(id string, terms []string) error {
 	ord := len(ix.ids)
 	ix.ids = append(ix.ids, id)
 	ix.byID[id] = ord
-	ix.lengths = append(ix.lengths, int32(len(terms)))
+	ix.lengths = append(ix.lengths, int32(bag.Len))
 	ix.deleted = append(ix.deleted, false)
-	ix.totalLen += int64(len(terms))
+	ix.totalLen += int64(bag.Len)
 	ix.liveDocs++
-
-	freqs := make(map[string]int32, len(terms))
-	for _, t := range terms {
-		freqs[t]++
-	}
-	for t, f := range freqs {
-		ix.postings[t] = append(ix.postings[t], posting{doc: int32(ord), freq: f})
+	for i, t := range bag.Terms {
+		ix.postings[t] = append(ix.postings[t], posting{doc: int32(ord), freq: bag.Counts[i]})
 	}
 	return nil
 }

@@ -63,7 +63,7 @@ func lakeIndex(t *testing.T, docs []lakeDoc) *Index {
 	t.Helper()
 	ix := New()
 	for _, d := range docs {
-		if err := ix.AddTerms(d.id, d.terms); err != nil {
+		if err := ix.AddTerms(d.id, textutil.BagOf(d.terms)); err != nil {
 			t.Fatal(err)
 		}
 	}

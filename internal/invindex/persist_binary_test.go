@@ -382,7 +382,7 @@ func TestTranspose(t *testing.T) {
 			ix.Delete(id)
 		}
 		docs[id] = sealDoc(r)
-		if err := ix.AddTerms(id, docs[id]); err != nil {
+		if err := ix.AddTerms(id, textutil.BagOf(docs[id])); err != nil {
 			t.Fatal(err)
 		}
 		if i == 150 {
@@ -588,7 +588,7 @@ func FuzzOpenBM25Segment(f *testing.F) {
 	r := rand.New(rand.NewSource(1))
 	ix := New()
 	for i := 0; i < 200; i++ {
-		if err := ix.AddTerms(fmt.Sprintf("d%03d", i), sealDoc(r)); err != nil {
+		if err := ix.AddTerms(fmt.Sprintf("d%03d", i), textutil.BagOf(sealDoc(r))); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -641,7 +641,7 @@ func FuzzOpenBM25Segment(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := loaded.AddTerms("zzz", []string{"t00001"}); err != nil {
+		if err := loaded.AddTerms("zzz", textutil.BagOf([]string{"t00001"})); err != nil {
 			return // "zzz" may be an ID the input holds
 		}
 		want := make([][]Hit, len(p.terms))

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"repro/internal/textutil"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -97,7 +98,7 @@ func sealAdoptDifferential(t *testing.T, doc func(*rand.Rand) []string) int {
 			delete(live, id)
 		case !live[id]:
 			terms := doc(r)
-			if a, b := ref.AddTerms(id, terms), ix.AddTerms(id, terms); (a == nil) != (b == nil) {
+			if a, b := ref.AddTerms(id, textutil.BagOf(terms)), ix.AddTerms(id, textutil.BagOf(terms)); (a == nil) != (b == nil) {
 				t.Fatalf("step %d: AddTerms(%s) = %v vs %v", step, id, a, b)
 			}
 			live[id] = true

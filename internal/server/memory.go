@@ -43,7 +43,8 @@ var goMemoryMetrics = []string{
 //
 // The other rows are context: go_heap_goal (the heap size that triggers
 // the next collection), go_heap_released (heap returned to the OS, not
-// resident), and vm_rss, rss_anon and rss_file from /proc/self/status.
+// resident), token_table (the embedder's token vectors, a part of
+// go_heap_live), and vm_rss, rss_anon and rss_file from /proc/self/status.
 var residentClasses = []string{
 	"go_heap_live", "go_heap_dead", "go_heap_unused", "go_heap_idle", "go_stacks", "go_runtime_other",
 	"offheap_provenance", "offheap_indexes", "mapped_bm25", "file_other",
@@ -64,6 +65,7 @@ func (s *Server) memoryLedger() map[string]int64 {
 		}
 	}
 	live, goal, objects, unused, free, released, stacks, osStacks, total := v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], v[8]
+	ix := s.pipeline.Indexer()
 	m := map[string]int64{
 		"go_heap_live":     live,
 		"go_heap_dead":     max(objects-live, 0),
@@ -74,7 +76,8 @@ func (s *Server) memoryLedger() map[string]int64 {
 		"go_heap_goal":     goal,
 		"go_heap_released": released,
 		"offheap_indexes":  binfmt.BuiltBytes(),
-		"mapped_bm25":      s.pipeline.Indexer().IndexStats().Families["bm25"].MappedBytes,
+		"mapped_bm25":      ix.IndexStats().Families["bm25"].MappedBytes,
+		"token_table":      ix.Embedder().TableBytes(),
 	}
 	if store := s.pipeline.Provenance(); store != nil {
 		m["offheap_provenance"] = store.Stats().OffHeapBytes

@@ -20,8 +20,9 @@ import (
 // checkpoint, a thousand verifications — and reads the memory block of
 // GET /v1/stats: the provenance arena and the mapped BM25 files show under
 // their own classes, the same bytes the provenance and indexes blocks
-// report, /metrics carries every class, and on Linux the resident classes
-// add up to VmRSS within 5 %. The runtime counts a few MB of sparse tables
+// report, the token table is a nonzero part of the live heap, /metrics
+// carries every class, and on Linux the resident classes add up to VmRSS
+// within 5 %. The runtime counts a few MB of sparse tables
 // (profiling buckets, arena metadata) that are mapped but mostly not
 // resident, so the sum is checked on the default lake, at the size the
 // benchmark serves, and not under the race detector, whose shadow memory
@@ -89,6 +90,9 @@ func TestMemoryLedger(t *testing.T) {
 	}
 	if mem["go_heap_live"] == 0 || mem["go_heap_goal"] < mem["go_heap_live"] {
 		t.Errorf("go heap live %d, goal %d", mem["go_heap_live"], mem["go_heap_goal"])
+	}
+	if tt := mem["token_table"]; tt <= 0 || tt > mem["go_heap_live"] {
+		t.Errorf("token_table = %d, go heap live %d", tt, mem["go_heap_live"])
 	}
 	if got, want := mem["offheap_provenance"], stats.Provenance.OffHeapBytes; got != want || stats.Provenance.Records != len(tasks) {
 		t.Errorf("offheap_provenance = %d, provenance block %+v", got, stats.Provenance)

@@ -7,6 +7,7 @@
 package textutil
 
 import (
+	"slices"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -56,6 +57,37 @@ func TokenizeFiltered(s string) []string {
 		out = append(out, Stem(t))
 	}
 	return out
+}
+
+// Bag is one analyzed text as both index families read it: its distinct
+// TokenizeFiltered terms in ascending byte order, each term's count, and
+// the number of tokens.
+type Bag struct {
+	Terms  []string
+	Counts []int32
+	Len    int
+}
+
+// Analyze returns the bag of s's TokenizeFiltered terms.
+func Analyze(s string) Bag { return bagOf(TokenizeFiltered(s)) }
+
+// BagOf returns the bag of terms already analyzed; terms is not modified.
+func BagOf(terms []string) Bag { return bagOf(slices.Clone(terms)) }
+
+// bagOf sorts tokens in place and folds each run of equal terms into one
+// entry, reusing the tokens' array for the terms.
+func bagOf(tokens []string) Bag {
+	slices.Sort(tokens)
+	b := Bag{Terms: tokens[:0], Counts: make([]int32, 0, len(tokens)), Len: len(tokens)}
+	for _, t := range tokens {
+		if n := len(b.Terms); n > 0 && b.Terms[n-1] == t {
+			b.Counts[n-1]++
+			continue
+		}
+		b.Terms = append(b.Terms, t)
+		b.Counts = append(b.Counts, 1)
+	}
+	return b
 }
 
 // Normalize lowercases s, collapses runs of whitespace to single spaces, and

@@ -64,10 +64,11 @@ func (s *SQFlat) segment() *segment {
 	return s.base.seg
 }
 
-// quantize writes v's codes into dst (len(v) long) and returns the inverse
+// Quantize writes v's codes into dst (len(v) long) and returns the inverse
 // norm of the codes, 0 for a zero or infinite vector (a NaN component codes
-// as 0). Branch-free per component: it runs once for every row ingested.
-func quantize(dst []int8, v embed.Vector) float32 {
+// as 0): a row as SQFlat stores it. Branch-free per component: it runs
+// once for every row ingested.
+func Quantize(dst []int8, v embed.Vector) float32 {
 	var maxAbs float32
 	for _, x := range v {
 		if a := math.Float32frombits(math.Float32bits(x) &^ (1 << 31)); a > maxAbs {
@@ -95,8 +96,15 @@ func quantize(dst []int8, v embed.Vector) float32 {
 // Add quantizes v and indexes it under id. Duplicate live IDs and dimension
 // mismatches are errors; a removed id may be added again.
 func (s *SQFlat) Add(id string, v embed.Vector) error {
-	if len(v) != s.dim {
-		return fmt.Errorf("vecindex: vector dim %d != index dim %d", len(v), s.dim)
+	codes := make([]int8, len(v))
+	return s.AddCodes(id, codes, Quantize(codes, v))
+}
+
+// AddCodes indexes a row Quantize already coded under id: its codes and
+// the inverse norm Quantize returned, stored as they are.
+func (s *SQFlat) AddCodes(id string, codes []int8, norm float32) error {
+	if len(codes) != s.dim {
+		return fmt.Errorf("vecindex: vector dim %d != index dim %d", len(codes), s.dim)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -108,9 +116,8 @@ func (s *SQFlat) Add(id string, v embed.Vector) error {
 			return fmt.Errorf("vecindex: duplicate id %q", id)
 		}
 	}
-	off := len(s.codes)
-	s.codes = slices.Grow(s.codes, s.dim)[:off+s.dim]
-	s.norms = append(s.norms, quantize(s.codes[off:], v))
+	s.codes = append(s.codes, codes...)
+	s.norms = append(s.norms, norm)
 	s.byID[id] = len(s.ids)
 	s.ids = append(s.ids, id)
 	s.dead = append(s.dead, false)
@@ -347,7 +354,7 @@ func Derive(dim int, ids binfmt.FrontCodedCol, fill func(i int, row embed.Vector
 	for i := range norms {
 		clear(row)
 		fill(i, row)
-		norms[i] = quantize(codes[i*dim:(i+1)*dim], row)
+		norms[i] = Quantize(codes[i*dim:(i+1)*dim], row)
 	}
 	var col binfmt.FrontCoder
 	for _, id := range ids.All() {
