@@ -39,7 +39,6 @@ var requiredServing = []string{
 	"verifai_ingest_prepare_seconds",
 	"verifai_ingest_commit_seconds",
 	"verifai_ingest_apply_seconds",
-	"verifai_ingest_queue_depth",
 	"verifai_stage_duration_seconds",
 	"verifai_shard_search_seconds",
 	"verifai_index_segment_bytes",

@@ -114,39 +114,11 @@ func OpenFollower(dir, leader string, opts OpenOptions) (*System, error) {
 		}
 	}
 
-	policy, err := wal.ParseSyncPolicy(opts.Sync)
+	sys, err := openDurable(dir, opts, true)
 	if err != nil {
-		return nil, fmt.Errorf("verifai: %w", err)
-	}
-	format, err := wal.ParseFormat(opts.WALFormat)
-	if err != nil {
-		return nil, fmt.Errorf("verifai: %w", err)
-	}
-	st, err := durable.Open(dir, durable.Options{
-		Sync: policy, SyncInterval: opts.SyncInterval, SegmentBytes: opts.SegmentBytes,
-		WALFormat: format,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("verifai: %w", err)
-	}
-	// Read-only before anything else can write: replication is the only
-	// mutation path from here on (ReplayTail applies through it too).
-	st.Lake().SetReadOnly(true)
-	sys, err := newSystem(st.Lake(), opts.Options, st.IndexSnapshotDir())
-	if err != nil {
-		_ = st.Lake().Close()
-		_ = st.Close()
 		return nil, err
 	}
-	st.SetMetrics(sys.Metrics())
-	if err := st.ReplayTail(); err != nil {
-		sys.pipeline.Indexer().Close()
-		_ = st.Lake().Close()
-		_ = st.Close()
-		return nil, fmt.Errorf("verifai: %w", err)
-	}
-	st.Arm()
-	sys.durable = st
+	st := sys.durable
 
 	ctx, cancel := context.WithCancel(context.Background())
 	f := &follower{leader: leader, cancel: cancel, done: make(chan struct{})}

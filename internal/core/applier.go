@@ -18,11 +18,12 @@ import (
 //     bag of terms (its BM25 document) and sums, normalizes and quantizes
 //     its vector row from that bag into int8 codes — the expensive work —
 //     so concurrent writers derive in parallel;
-//  2. the lake commits and delivers the event (with the prepared payload)
-//     in version order;
-//  3. apply performs the precomputed index insertions on the lake's
-//     dispatcher goroutine — the one writer of every index, in version
-//     order — and the lake publishes the event's version once it returns.
+//  2. the lake commits the event and delivers it (with the prepared
+//     payload) in version order;
+//  3. apply performs the precomputed index insertions on the committing
+//     goroutine, under the lake's apply lock — one section writes the
+//     indexes at a time, in version order — and the lake publishes the
+//     event's version once it returns.
 
 // indexOp is one instance's precomputed insertion into both families: its
 // bag of terms, and its vector row's codes and inverse norm as
@@ -108,8 +109,8 @@ func (pe *preparedEvent) addInstance(ix *Indexer, acc embed.Vector, kind datalak
 	pe.ops = append(pe.ops, indexOp{kind: kind, id: id, bag: bag, codes: codes, norm: vecindex.Quantize(codes, acc)})
 }
 
-// apply is the lake's application stage: it runs on the lake's dispatcher
-// goroutine in version order and performs one committed event's
+// apply is the lake's application stage: it runs under the lake's apply
+// lock in version order and performs one committed event's
 // precomputed insertions (or, for a triple, re-indexes the subject's
 // entity page).
 func (ix *Indexer) apply(ev datalake.Event) error {
@@ -129,7 +130,7 @@ func (ix *Indexer) apply(ev datalake.Event) error {
 	pe, ok := ev.Payload.(*preparedEvent)
 	if !ok {
 		// No prepared payload (e.g. the subscriber registered between this
-		// event's prepare and commit): derive it now, on the dispatcher.
+		// event's prepare and commit): derive it now, under the apply lock.
 		pe = ix.prepareEvent(ev)
 	}
 	return ix.applyOps(pe)

@@ -82,8 +82,8 @@ type Indexer struct {
 	unsubscribe func()
 
 	// entityRev maps each entity instance ID to the number of triples its
-	// indexed page covers. Only the lake's dispatcher (and the quiesced
-	// bulk load) touches it, so it needs no lock. An entity absent from it
+	// indexed page covers. Only apply, under the lake's apply lock (and
+	// the quiesced bulk load), touches it, so it needs no lock of its own. An entity absent from it
 	// — e.g. one loaded from a snapshot — is indexed at an unknown revision
 	// and re-indexed by its next triple.
 	entityRev map[string]int
@@ -214,8 +214,8 @@ func BuildIndexer(lake *datalake.Lake, cfg IndexerConfig) (*Indexer, error) {
 	}
 	ix := newIndexer(lake, &cfg)
 	// Bulk-index the current lake contents and subscribe to the change feed
-	// atomically: Subscribe quiesces the lake (write lock held, event
-	// queue drained) across both, so a concurrent ingest can never land
+	// atomically: Subscribe quiesces the lake (write and apply locks held)
+	// across both, so a concurrent ingest can never land
 	// between the snapshot walk and the subscription (it would be neither
 	// bulk-indexed nor delivered). Live events then flow through the
 	// pipelined prepare/apply stages (see applier.go).
@@ -331,13 +331,13 @@ func (ix *Indexer) remove(kind datalake.Kind, id string) {
 }
 
 // reindexEntity brings an entity's indexed page up to revision rev (the
-// triple count about it when the triggering event was dispatched). A page
+// triple count about it when the triggering event committed). A page
 // already at or past rev — indexed by an earlier event of the same commit
 // section, whose serialization read the post-commit graph — covers this
 // event's triple, so the event completes as a no-op: a batch of triples
 // indexes each entity once, not once per triple. Otherwise the stale
 // instance (if any) is tombstoned and the re-serialized neighborhood
-// indexed in its place. Runs on the lake's dispatcher only.
+// indexed in its place. Runs under the lake's apply lock only.
 func (ix *Indexer) reindexEntity(entity string, rev int) error {
 	id := datalake.EntityInstanceID(entity)
 	if ix.entityRev[id] >= rev {

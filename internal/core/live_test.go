@@ -212,7 +212,7 @@ func TestQueryEmbeddingSkippedAndCached(t *testing.T) {
 
 // TestConcurrentIngestAndQuery runs live ingestion against concurrent
 // retrieval and full verification; run under -race it proves the pipeline
-// serves reads while the lake's dispatcher writes the indexes.
+// serves reads while the ingesting goroutines write the indexes.
 func TestConcurrentIngestAndQuery(t *testing.T) {
 	lake, ix := liveIndexer(t)
 	p := pipelineOver(t, lake, ix)
@@ -312,7 +312,7 @@ func TestBatchIngestIndexed(t *testing.T) {
 
 // TestEmptySubjectTripleDoesNotPanic is a regression test: a triple with an
 // empty subject must flow through apply like any other entity event (the
-// graph accepts every triple), not crash the lake's dispatcher.
+// graph accepts every triple), not crash the ingesting goroutine.
 func TestEmptySubjectTripleDoesNotPanic(t *testing.T) {
 	lake, ix := liveIndexer(t)
 	defer ix.Close()

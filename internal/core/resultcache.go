@@ -97,10 +97,10 @@ func newResultCache(capacity int) *resultCache {
 
 // attach subscribes the cache to the lake's change feed and to source
 // registrations. The subscription is quiesced: a write committed but still
-// dispatching during pipeline construction cannot slip past the watermark
-// unobserved. Apply runs on the dispatcher goroutine, so the per-kind
-// watermark is advanced before the lake publishes the write's version —
-// i.e. before the ingest caller's acknowledgment returns. Source
+// applying during pipeline construction cannot slip past the watermark
+// unobserved. Apply runs before the lake publishes the write's version, so
+// the per-kind watermark is advanced before the ingest caller's
+// acknowledgment returns. Source
 // registrations bump the epoch: an AddSource overwrite changes the
 // TrustPrior that verdict resolution falls back to, which is invisible to
 // the versioned feed.

@@ -44,32 +44,24 @@ func (l *Lake) AddBatch(items []BatchItem) ([]BatchItemResult, error) {
 
 // Load returns a new lake holding sources and items, ingested as one batch
 // (versions 1..n in item order): what every deserializer of a stored
-// catalog ends with. Any rejected item fails the whole load. The lake runs
-// a dispatcher goroutine; callers that discard it should Close it.
+// catalog ends with. Any rejected item fails the whole load.
 func Load(sources []Source, items []BatchItem) (*Lake, error) {
 	l := New()
-	err := func() error {
-		for _, src := range sources {
-			if err := l.AddSource(src); err != nil {
-				return err
-			}
+	for _, src := range sources {
+		if err := l.AddSource(src); err != nil {
+			return nil, err
 		}
-		// One pipelined ingest: a single write-lock acquisition commits
-		// every item, instead of one commit+wait round trip per instance.
-		results, err := l.AddBatch(items)
-		if err != nil {
-			return err
-		}
-		for _, res := range results {
-			if res.Err != nil {
-				return res.Err
-			}
-		}
-		return nil
-	}()
+	}
+	// One pipelined ingest: a single write-lock acquisition commits every
+	// item, instead of one commit+apply round trip per instance.
+	results, err := l.AddBatch(items)
 	if err != nil {
-		_ = l.Close()
 		return nil, err
+	}
+	for _, res := range results {
+		if res.Err != nil {
+			return nil, res.Err
+		}
 	}
 	return l, nil
 }
@@ -155,42 +147,47 @@ func (l *Lake) addBatch(items []BatchItem, replica bool) ([]BatchItemResult, err
 		wg.Wait()
 	}
 
-	// Stage 3: commit every valid item under one write-lock acquisition.
-	if err := l.commitSection(evs, payloads, results, replica); err != nil {
-		return results, err
-	}
-
-	// Stage 4: await application of every committed item (ascending, so
-	// only the tail wait actually blocks) and claim its application error.
-	for i := range results {
-		if results[i].Version == 0 {
-			continue
-		}
-		if err := l.waitClaimed(results[i].Version); err != nil {
-			results[i].Err = err
-		}
-	}
-	return results, nil
+	// Stages 3 and 4: commit every valid item under one write-lock
+	// acquisition, then apply them.
+	return results, l.commitSection(evs, payloads, results, replica)
 }
 
-// commitSection is the lake's one commit section: a single write-lock
-// acquisition stages every still-valid item (versions contiguous in slice
-// order, catalog untouched), the durable hook (if any) persists the whole
-// section with one append+sync, and only then do the mutations materialize
-// and enqueue — a hook failure rolls the entire section back with the
-// staged versions released, reported in each staged item's result. The hook
-// runs without mu so readers stay unblocked during an fsync. A committed
-// item's version lands in results[i].Version; the returned error is
-// ErrClosed or ErrReadOnly.
+// commitSection runs the lake's one commit section (commit), then delivers
+// the committed events on the calling goroutine, in version order, under
+// the applyMu that commit handed over. A committed item's version lands in
+// results[i].Version and its application error in results[i].Err; the
+// returned error is ErrClosed or ErrReadOnly.
 func (l *Lake) commitSection(evs []Event, payloads []map[int]any, results []BatchItemResult, replica bool) error {
+	staged, err := l.commit(evs, results, replica)
+	if len(staged) == 0 {
+		return err
+	}
+	defer l.applyMu.Unlock()
+	for _, i := range staged {
+		results[i].Err = l.deliver(evs[i], payloads[i])
+	}
+	return nil
+}
+
+// commit takes the write lock once, stages every still-valid item
+// (versions contiguous in slice order, catalog untouched), lets the
+// durable hook (if any) persist the whole section with one append+sync,
+// and only then materializes the mutations — a hook failure rolls the
+// entire section back with the staged versions released, reported in each
+// staged item's result. The hook runs without mu so readers stay
+// unblocked during an fsync. When items materialized, commit returns their
+// indexes holding applyMu, taken before writeMu is released: the next
+// section commits while this one applies, and sections apply in commit
+// order.
+func (l *Lake) commit(evs []Event, results []BatchItemResult, replica bool) ([]int, error) {
 	defer l.m.commitSec.Since(time.Now())
 	l.writeMu.Lock()
 	defer l.writeMu.Unlock()
 	if l.closed {
-		return ErrClosed
+		return nil, ErrClosed
 	}
 	if l.readOnly && !replica {
-		return ErrReadOnly
+		return nil, ErrReadOnly
 	}
 	staged := make([]int, 0, len(evs))
 	st := newStaging()
@@ -208,7 +205,10 @@ func (l *Lake) commitSection(evs []Event, payloads []map[int]any, results []Batc
 		next++
 	}
 	l.mu.RUnlock()
-	if l.commitHook != nil && len(staged) > 0 {
+	if len(staged) == 0 {
+		return nil, nil
+	}
+	if l.commitHook != nil {
 		hookEvs := make([]Event, len(staged))
 		for n, i := range staged {
 			hookEvs[n] = evs[i]
@@ -217,7 +217,7 @@ func (l *Lake) commitSection(evs []Event, payloads []map[int]any, results []Batc
 			for _, i := range staged {
 				results[i].Err = err
 			}
-			return nil
+			return nil, nil
 		}
 	}
 	l.mu.Lock()
@@ -226,11 +226,6 @@ func (l *Lake) commitSection(evs []Event, payloads []map[int]any, results []Batc
 		results[i].Version = evs[i].Version
 	}
 	l.mu.Unlock()
-	// Enqueue under writeMu so queue order stays version order; a full
-	// queue applies backpressure here (to writers, never readers), bounding
-	// queued-event memory.
-	for _, i := range staged {
-		l.events <- queuedEvent{ev: evs[i], payloads: payloads[i]}
-	}
-	return nil
+	l.applyMu.Lock()
+	return staged, nil
 }

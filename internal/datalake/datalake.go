@@ -152,7 +152,7 @@ type PrepareFunc func(Event) (any, error)
 
 // CommitHook observes each commit section's mutations durably, before they
 // take effect. It runs under the write lock with the section's staged
-// events — versions assigned, catalog not yet mutated, nothing enqueued —
+// events — versions assigned, catalog not yet mutated, nothing applied —
 // so a durability layer (the write-ahead log) can persist them first. An
 // error aborts the whole section: no catalog change, no event delivery,
 // and the staged versions are released for the next commit. The hook must
@@ -164,19 +164,20 @@ type CommitHook func(evs []Event) error
 // aborts the registration.
 type SourceHook func(Source) error
 
-// ApplyFunc is a subscriber's application stage. It runs on the dispatcher
-// goroutine in version order, with no lake locks held, and the event is
-// applied when it returns: the lake publishes the event's version (Version,
-// Flush, ingest-caller returns) only after every subscriber's Apply has
-// returned. A returned error is reported to the ingest caller whose
-// mutation it rejected; the catalog mutation itself stays committed — the
-// error signals that a downstream consumer (e.g. an incremental indexer)
-// lagged, not that the data was lost.
+// ApplyFunc is a subscriber's application stage. It runs on the committing
+// goroutine in version order, after the write lock is released but while
+// the section holds the apply lock, and the event is applied when it
+// returns: the lake publishes the event's version (Version, Flush,
+// ingest-caller returns) only after every subscriber's Apply has returned.
+// A returned error is reported to the ingest caller whose mutation it
+// rejected; the catalog mutation itself stays committed — the error
+// signals that a downstream consumer (e.g. an incremental indexer) lagged,
+// not that the data was lost.
 //
-// An ApplyFunc must not ingest into the lake (AddTable and friends): the
-// dispatcher that runs it is also the consumer that drains the ingest
-// queue, so a reentrant write can deadlock against queue backpressure.
-// Reading the lake (Resolve, Graph, Stats, ...) is allowed.
+// An ApplyFunc must not write into the lake (AddTable and friends) or wait
+// on it (Flush, Quiesce): the next section waits for the apply lock while
+// holding the write lock, so either would deadlock. Reading the lake
+// (Resolve, Graph, Stats, ...) is allowed.
 type ApplyFunc func(Event) error
 
 // Subscriber is a change consumer: Prepare precomputes the expensive
@@ -198,37 +199,39 @@ type Subscriber struct {
 // ErrClosed marks ingestion into a closed lake.
 var ErrClosed = errors.New("datalake: lake closed")
 
-// queueSize bounds the in-flight event queue between commit and the
-// dispatcher. Writers block (holding the write lock) once the queue is
-// full, so queued-event memory is bounded under ingest bursts.
-const queueSize = 256
-
 // Lake is the multi-modal data lake catalog. The lake is live: ingestion is
 // allowed at any time, while lookups take a shared lock, so the lake serves
 // reads during writes. Every mutation bumps a monotonic version.
 //
-// The write path is pipelined. An ingest runs three stages:
+// The write path is pipelined. An ingest runs three stages, all on the
+// ingesting goroutine:
 //
 //  1. prepare — subscriber Prepare funcs derive expensive payloads
-//     (tokenize, embed) on the ingesting goroutine, outside every lake
-//     lock, so concurrent writers prepare in parallel;
+//     (tokenize, embed) outside every lake lock, so concurrent writers
+//     prepare in parallel;
 //  2. commit — the write lock covers only the catalog mutation, version
-//     assignment, and enqueueing the event on a bounded ordered queue;
-//  3. apply — a dispatcher goroutine delivers events to subscribers in
-//     version order; an event is applied once every subscriber's Apply has
-//     returned.
+//     assignment and the durable hook, and hands over to the apply lock
+//     before it is released;
+//  3. apply — under the apply lock the section delivers its events to
+//     subscribers in version order; an event is applied once every
+//     subscriber's Apply has returned.
 //
-// Version() publication provides the visibility guarantee: a version
-// becomes observable only once its event is fully applied. The ingest
-// entry points additionally wait for their own mutation's application
-// before returning, so "AddX returned nil" still implies "retrievable
-// now".
+// The next section commits (and fsyncs) while this one applies, then waits
+// for the apply lock, so events apply in version order. Version()
+// publication provides the visibility guarantee: a version becomes
+// observable only once its event is fully applied. The ingest entry points
+// return after their own section has applied, so "AddX returned nil"
+// implies "retrievable now".
 type Lake struct {
 	// writeMu serializes the commit stage (catalog mutation + version
-	// assignment + enqueue). It is intentionally narrow: no Prepare or
+	// assignment + durable hook). It is intentionally narrow: no Prepare or
 	// Apply code and no derivation work runs under it (Source observers
-	// do, so they see registrations in order). Always acquired before mu.
-	writeMu  sync.Mutex
+	// do, so they see registrations in order). Always acquired before
+	// applyMu, and both before mu.
+	writeMu sync.Mutex
+	// applyMu is held by the section delivering its events. A section takes
+	// it before releasing writeMu, so sections apply in commit order.
+	applyMu  sync.Mutex
 	closed   bool // guarded by writeMu
 	readOnly bool // follower mode: local writes rejected, guarded by writeMu
 	// commitHook / sourceHook are the durability hooks (guarded by
@@ -238,20 +241,12 @@ type Lake struct {
 	sourceHook SourceHook
 
 	// hooksMu guards the subscriber list; it is never held while acquiring
-	// writeMu. The dispatcher (one event's delivery) and source
-	// registration hold it shared while calling into subscribers, so
-	// unsubscribe can exclude in-flight calls.
+	// writeMu or applyMu. Delivery and source registration hold it shared
+	// while calling into subscribers, so unsubscribe can exclude in-flight
+	// calls.
 	hooksMu sync.RWMutex
 	hooks   []registeredHook
 	hookSeq int
-
-	// events is the bounded ordered queue between commit and dispatch.
-	// Sends happen under writeMu, so channel order is version order.
-	events    chan queuedEvent
-	closeOnce sync.Once
-	closeErr  error
-	// dispatchDone closes when the dispatcher exits (after Close drains).
-	dispatchDone chan struct{}
 
 	mu   sync.RWMutex
 	cond *sync.Cond // broadcast when processed/published advance
@@ -264,13 +259,6 @@ type Lake struct {
 	// version, so readers of Version() never observe a version whose
 	// incremental indexing failed or is still in flight.
 	published uint64
-	// failed records application errors by version until the ingest caller
-	// (or Flush) claims them.
-	failed map[uint64]error
-	// waiting marks the versions whose ingest caller registered (at commit
-	// time) to claim the application error; Flush leaves those errors for
-	// the registered claimant instead of stealing them.
-	waiting map[uint64]bool
 	// drained flips once Close has applied the final event; waiters for
 	// versions that will now never commit are woken with ErrClosed.
 	drained bool
@@ -302,37 +290,21 @@ type lakeMetrics struct {
 func (l *Lake) SetMetrics(reg *obs.Registry) {
 	l.m = lakeMetrics{
 		prepareSec: reg.Histogram("verifai_ingest_prepare_seconds", "Per-event prepare stage (tokenize + embed, outside all lake locks)."),
-		commitSec:  reg.Histogram("verifai_ingest_commit_seconds", "Commit section latency (stage + durable hook + materialize + enqueue, under the write lock). Batches observe once per section."),
-		applySec:   reg.Histogram("verifai_ingest_apply_seconds", "Per-event apply stage (dispatcher delivery through the last subscriber's Apply)."),
+		commitSec:  reg.Histogram("verifai_ingest_commit_seconds", "Commit section latency (stage + durable hook + materialize, under the write lock, through the hand-off to apply, which waits for the previous section). Batches observe once per section."),
+		applySec:   reg.Histogram("verifai_ingest_apply_seconds", "Per-event apply stage (delivery through the last subscriber's Apply)."),
 	}
-	reg.GaugeFunc("verifai_ingest_queue_depth", "Committed events waiting in the bounded apply queue.",
-		func() float64 { return float64(len(l.events)) })
 }
 
-// queuedEvent pairs a committed event with the per-subscriber payloads its
-// prepare stage produced (keyed by subscriber registration id).
-type queuedEvent struct {
-	ev       Event
-	payloads map[int]any
-}
-
-// New returns an empty lake and starts its event dispatcher. The
-// dispatcher goroutine keeps the lake reachable until Close, so a
-// long-lived process that discards lakes (rather than keeping one for its
-// lifetime) must Close them to release the memory.
+// New returns an empty lake. It starts no goroutine: every stage of an
+// ingest runs on the ingesting goroutine.
 func New() *Lake {
 	l := &Lake{
-		tables:       make(map[string]*table.Table),
-		docs:         make(map[string]*doc.Document),
-		graph:        kg.NewGraph(),
-		sources:      make(map[string]Source),
-		failed:       make(map[uint64]error),
-		waiting:      make(map[uint64]bool),
-		events:       make(chan queuedEvent, queueSize),
-		dispatchDone: make(chan struct{}),
+		tables:  make(map[string]*table.Table),
+		docs:    make(map[string]*doc.Document),
+		graph:   kg.NewGraph(),
+		sources: make(map[string]Source),
 	}
 	l.cond = sync.NewCond(&l.mu)
-	go l.dispatch()
 	return l
 }
 
@@ -396,21 +368,17 @@ func (l *Lake) SetSourceHook(h SourceHook) {
 	l.sourceHook = h
 }
 
-// Quiesce runs fn with the lake quiesced: the write lock is held and every
-// committed mutation fully applied, so no mutation can commit — and none
-// can still be applying — while fn runs. version is the lake's current
-// (catalog) version. fn may read the lake but must not mutate it (that
-// would deadlock). Checkpoints use this to capture a consistent snapshot.
+// Quiesce runs fn with the lake quiesced: the write and apply locks are
+// held, so every committed mutation is fully applied and none can commit
+// while fn runs. version is the lake's current (catalog) version. fn may
+// read the lake but must not mutate it (that would deadlock). Checkpoints
+// use this to capture a consistent snapshot.
 func (l *Lake) Quiesce(fn func(version uint64) error) error {
 	l.writeMu.Lock()
 	defer l.writeMu.Unlock()
-	l.mu.Lock()
-	for l.processed < l.version {
-		l.cond.Wait()
-	}
-	v := l.version
-	l.mu.Unlock()
-	return fn(v)
+	l.applyMu.Lock()
+	defer l.applyMu.Unlock()
+	return fn(l.CommittedVersion())
 }
 
 // FastForwardVersion advances the lake's version counter to v without
@@ -418,16 +386,15 @@ func (l *Lake) Quiesce(fn func(version uint64) error) error {
 // the reloaded catalog re-committed as versions 1..n, but the write-ahead
 // log's tail continues from the pre-crash version, so the counter must
 // jump there for replayed (and future) mutations to reuse their original
-// version numbers. It requires an idle lake (nothing in flight) and a
-// target at or past the current version.
+// version numbers. It waits out the section applying, if any, and requires
+// a target at or past the current version.
 func (l *Lake) FastForwardVersion(v uint64) error {
 	l.writeMu.Lock()
 	defer l.writeMu.Unlock()
+	l.applyMu.Lock()
+	defer l.applyMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.processed != l.version {
-		return fmt.Errorf("datalake: fast-forward with mutations in flight (processed %d < version %d)", l.processed, l.version)
-	}
 	if v < l.version {
 		return fmt.Errorf("datalake: fast-forward target %d behind current version %d", v, l.version)
 	}
@@ -463,9 +430,9 @@ type registeredHook struct {
 }
 
 // Subscribe runs init (if non-nil) and then registers s, with the lake
-// quiesced: the write lock is held and the event queue fully drained across
-// both, so no mutation can commit — and no committed mutation can still be
-// applying — between init's snapshot of the lake and the registration. An
+// quiesced (see Quiesce) across both, so no mutation can commit — and no
+// committed mutation can still be applying — between init's snapshot of
+// the lake and the registration. An
 // incremental indexer uses this to close the gap where a concurrent ingest
 // would be neither bulk-indexed nor delivered as an event. init may read
 // the lake but must not mutate it (that would deadlock); an init error
@@ -520,23 +487,13 @@ func (l *Lake) Version() uint64 {
 	return l.published
 }
 
-// dispatch is the lake's event-dispatcher goroutine: it pops committed
-// events off the ordered queue and delivers each to every subscriber in
-// version order. It exits when Close closes the (drained) queue.
-func (l *Lake) dispatch() {
-	defer close(l.dispatchDone)
-	for qe := range l.events {
-		l.deliver(qe)
-	}
-}
-
 // deliver invokes every subscriber's Apply for one event, in registration
-// order, then advances the application watermark past the event, recording
-// the first error any Apply returned. Events arrive in version order, so
-// the watermark moves one version at a time; publication skips failed
-// versions. hooksMu is held shared across the Apply calls so unsubscribe
-// can exclude in-flight deliveries.
-func (l *Lake) deliver(qe queuedEvent) {
+// order, then advances the application watermark past the event and
+// returns the first error any Apply returned. Events arrive in version
+// order, so the watermark moves one version at a time; publication skips
+// failed versions. hooksMu is held shared across the Apply calls so
+// unsubscribe can exclude in-flight deliveries. Caller holds applyMu.
+func (l *Lake) deliver(ev Event, payloads map[int]any) error {
 	start := time.Now()
 	var first error
 	l.hooksMu.RLock()
@@ -544,8 +501,7 @@ func (l *Lake) deliver(qe queuedEvent) {
 		if rh.Apply == nil {
 			continue
 		}
-		ev := qe.ev
-		ev.Payload = qe.payloads[rh.id]
+		ev.Payload = payloads[rh.id]
 		if err := rh.Apply(ev); err != nil && first == nil {
 			first = err
 		}
@@ -553,96 +509,52 @@ func (l *Lake) deliver(qe queuedEvent) {
 	l.hooksMu.RUnlock()
 	l.m.applySec.Since(start)
 	l.mu.Lock()
-	l.processed = qe.ev.Version
-	if first != nil {
-		l.failed[l.processed] = first
-	} else {
+	l.processed = ev.Version
+	if first == nil {
 		l.published = l.processed
 	}
 	l.mu.Unlock()
 	l.cond.Broadcast()
-}
-
-// waitClaimed blocks until the mutation committed as version v has been
-// applied, then claims its application error for the ingest caller
-// registered at commit time and releases the registration. Its callers
-// wait on committed versions, which Close always applies before draining,
-// so the drained guard is only a safety net.
-func (l *Lake) waitClaimed(v uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for l.processed < v {
-		if l.drained {
-			return ErrClosed
-		}
-		l.cond.Wait()
-	}
-	err := l.failed[v]
-	delete(l.failed, v)
-	delete(l.waiting, v)
-	return err
+	return first
 }
 
 // Flush blocks until every mutation accepted before the call has been
-// applied (successfully or not). It returns the publication watermark —
+// applied (successfully or not) and returns the publication watermark —
 // the same value Version() now reports; every successfully applied write
-// at or below it is visible to retrieval — and any unclaimed application
-// errors, joined. A mutation whose error is reported here (or was
-// reported to its ingest caller) is committed in the catalog but absent
-// from the indexes, at any version. Errors reserved for a still-waiting
-// ingest caller are left to that caller.
+// at or below it is visible to retrieval. Application errors go to the
+// ingest caller whose mutation failed, so the error is always nil.
 func (l *Lake) Flush() (uint64, error) {
-	l.mu.Lock()
-	target := l.version
-	for l.processed < target {
-		l.cond.Wait()
-	}
-	var versions []uint64
-	for v := range l.failed {
-		if v <= target && !l.waiting[v] {
-			versions = append(versions, v)
-		}
-	}
-	sort.Slice(versions, func(i, j int) bool { return versions[i] < versions[j] })
-	var errs []error
-	for _, v := range versions {
-		errs = append(errs, l.failed[v])
-		delete(l.failed, v)
-	}
-	watermark := l.published
-	l.mu.Unlock()
-	return watermark, errors.Join(errs...)
+	l.writeMu.Lock()
+	defer l.writeMu.Unlock()
+	l.applyMu.Lock()
+	defer l.applyMu.Unlock()
+	return l.Version(), nil
 }
 
 // Close shuts ingestion down: subsequent writes are rejected with
-// ErrClosed, every already-accepted write is applied (none are lost), and
-// the dispatcher goroutine exits. Returns any unclaimed application errors
-// from the final drain. Idempotent; concurrent calls wait for the first to
-// finish. The lake remains readable after Close.
+// ErrClosed and the section already applying finishes (no accepted write
+// is lost). Application errors go to the ingest callers, so the error is
+// always nil. Idempotent. The lake remains readable after Close.
 func (l *Lake) Close() error {
-	l.closeOnce.Do(func() {
-		l.writeMu.Lock()
-		l.closed = true
-		l.writeMu.Unlock()
-		_, l.closeErr = l.Flush()
-		close(l.events)
-		<-l.dispatchDone
-		// Wake waiters for versions that will now never commit.
-		l.mu.Lock()
-		l.drained = true
-		l.mu.Unlock()
-		l.cond.Broadcast()
-	})
-	// Wait for a concurrent first closer to finish draining.
-	<-l.dispatchDone
-	return l.closeErr
+	l.writeMu.Lock()
+	l.closed = true
+	l.writeMu.Unlock()
+	// No section can commit now; wait out the one applying, if any.
+	l.applyMu.Lock()
+	defer l.applyMu.Unlock()
+	// Wake waiters for versions that will now never commit.
+	l.mu.Lock()
+	l.drained = true
+	l.mu.Unlock()
+	l.cond.Broadcast()
+	return nil
 }
 
 // prepare runs every subscriber's Prepare stage for a candidate event, on
 // the calling (ingesting) goroutine, with no lake locks held. The hook
 // list is snapshotted first so the expensive Prepare work never holds
 // hooksMu — a pending Subscribe (write lock) must not stall other
-// preparers or the dispatcher behind one slow item. A subscriber
+// preparers or a delivery behind one slow item. A subscriber
 // unsubscribed mid-prepare runs its Prepare once more harmlessly: deliver
 // looks payloads up by the registration ids still subscribed.
 func (l *Lake) prepare(ev Event) (map[int]any, error) {
@@ -717,11 +629,9 @@ func (l *Lake) stageLocked(ev *Event, version uint64, st *staging) error {
 	return nil
 }
 
-// materializeLocked performs one staged event's catalog mutation, advances
-// the version counter to the event's pre-assigned version, and registers
-// the ingest caller as the claimant of the version's application error —
-// before anything can complete it, so a concurrent Flush cannot steal the
-// error the caller must return. Caller holds writeMu and mu.
+// materializeLocked performs one staged event's catalog mutation and
+// advances the version counter to the event's pre-assigned version. Caller
+// holds writeMu and mu.
 func (l *Lake) materializeLocked(ev *Event) {
 	switch ev.Kind {
 	case KindTable:
@@ -734,7 +644,6 @@ func (l *Lake) materializeLocked(ev *Event) {
 		l.graph.Add(*ev.Triple)
 	}
 	l.version = ev.Version
-	l.waiting[ev.Version] = true
 }
 
 // AddTable ingests a table. The table's ID must be unique. Safe to call at

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,55 +16,85 @@ import (
 	"repro/internal/table"
 )
 
-// waitQueueFull polls until the event queue holds queueSize events behind
-// a gated Apply: every further commit now blocks on backpressure.
-func waitQueueFull(t *testing.T, l *Lake) {
+// countSections installs a commit hook on l that counts commit sections.
+func countSections(l *Lake) *atomic.Int64 {
+	var n atomic.Int64
+	l.SetCommitHook(func([]Event) error {
+		n.Add(1)
+		return nil
+	})
+	return &n
+}
+
+// waitUntil polls cond for up to ten seconds and fails the test, saying
+// what it waited for, if cond never holds.
+func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for len(l.events) < queueSize {
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("queue holds %d events, want %d", len(l.events), queueSize)
+			t.Fatalf("timed out waiting for %s", what)
 		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestFlushUnderLoad ingests from concurrent writers and a batch larger than
-// the queue while Apply blocks on a gate on the dispatcher, so the queue
-// fills and commits wait on backpressure. Once the gate opens it checks the
-// Flush contract: the returned watermark covers every accepted write, every
-// one is resolvable, and Version() equals the watermark (all applications
+// waitOverlap waits until an Apply held on a gate has been entered and a
+// second commit section's hook has run: the next section commits (and
+// would fsync) while the first one applies.
+func waitOverlap(t *testing.T, sections, entered *atomic.Int64) {
+	t.Helper()
+	waitUntil(t, "a second section to commit while the first applies", func() bool {
+		return entered.Load() > 0 && sections.Load() >= 2
+	})
+}
+
+// ingestAsync runs AddBatch(items) on its own goroutine and sends the
+// first batch-level or item error (nil if none) on the returned channel.
+func ingestAsync(l *Lake, items []BatchItem) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		results, err := l.AddBatch(items)
+		for _, res := range results {
+			if err == nil {
+				err = res.Err
+			}
+		}
+		done <- err
+	}()
+	return done
+}
+
+func docItems(prefix string, n int) []BatchItem {
+	items := make([]BatchItem, n)
+	for i := range items {
+		items[i] = BatchItem{Doc: &doc.Document{ID: fmt.Sprintf("%s%d", prefix, i), Text: "body"}}
+	}
+	return items
+}
+
+// TestFlushUnderLoad ingests from concurrent writers and a batch while
+// Apply blocks on a gate, and waits until a second section has committed
+// behind the blocked one. Once the gate opens it checks the Flush
+// contract: the returned watermark covers every accepted write, every one
+// is resolvable, and Version() equals the watermark (all applications
 // completed).
 func TestFlushUnderLoad(t *testing.T) {
 	l := New()
 	defer l.Close()
+	sections := countSections(l)
 	gate := make(chan struct{})
-	var applied atomic.Int64
+	open := sync.OnceFunc(func() { close(gate) })
+	defer open() // before Close, should the test fail with the gate shut
+	var entered, applied atomic.Int64
 	subscribe(t, l, Subscriber{Apply: func(Event) error {
+		entered.Add(1)
 		<-gate
 		applied.Add(1)
 		return nil
 	}})
 
-	const writers, perWriter, batch = 4, 20, queueSize + 44
+	const writers, perWriter, batch = 4, 20, 300
+	batchDone := ingestAsync(l, docItems("b", batch))
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		items := make([]BatchItem, batch)
-		for i := range items {
-			items[i] = BatchItem{Doc: &doc.Document{ID: fmt.Sprintf("b%d", i), Text: "body"}}
-		}
-		results, err := l.AddBatch(items)
-		if err != nil {
-			t.Errorf("AddBatch: %v", err)
-		}
-		for _, res := range results {
-			if res.Err != nil {
-				t.Errorf("AddBatch item: %v", res.Err)
-			}
-		}
-	}()
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -75,9 +106,12 @@ func TestFlushUnderLoad(t *testing.T) {
 			}
 		}(w)
 	}
-	waitQueueFull(t, l)
-	close(gate)
+	waitOverlap(t, sections, &entered)
+	open()
 	wg.Wait()
+	if err := <-batchDone; err != nil {
+		t.Fatalf("AddBatch: %v", err)
+	}
 
 	const total = writers*perWriter + batch
 	v, err := l.Flush()
@@ -107,78 +141,73 @@ func TestFlushUnderLoad(t *testing.T) {
 	}
 }
 
-// TestCloseRejectsNewKeepsQueued closes the lake while a batch's events are
-// still queued behind an Apply blocked on a gate on the dispatcher: Close
-// must reject subsequent writes with ErrClosed while every already-accepted
+// TestCloseRejectsNewAppliesInFlight closes the lake while a first section
+// is blocked in Apply and a second has committed behind it: Close must
+// reject subsequent writes with ErrClosed while every already-accepted
 // write is applied (none lost), and must be idempotent.
-func TestCloseRejectsNewKeepsQueued(t *testing.T) {
+func TestCloseRejectsNewAppliesInFlight(t *testing.T) {
 	l := New()
-	gate := make(chan struct{})
-	var applied atomic.Int64
-	subscribe(t, l, Subscriber{Apply: func(Event) error {
-		<-gate
+	sections := countSections(l)
+	first, second := make(chan struct{}), make(chan struct{})
+	var entered, applied atomic.Int64
+	subscribe(t, l, Subscriber{Apply: func(ev Event) error {
+		entered.Add(1)
+		if ev.Doc.ID == "second0" {
+			<-second
+		} else {
+			<-first
+		}
 		applied.Add(1)
 		return nil
 	}})
 
 	const n = 10
-	items := make([]BatchItem, n)
-	for i := range items {
-		items[i] = BatchItem{Doc: &doc.Document{ID: fmt.Sprintf("queued%d", i), Text: "body"}}
-	}
-	batchDone := make(chan error, 1)
-	go func() {
-		results, err := l.AddBatch(items)
-		for _, res := range results {
-			if err == nil {
-				err = res.Err
-			}
-		}
-		batchDone <- err
-	}()
+	firstDone := ingestAsync(l, docItems("first", n))
+	waitUntil(t, "the first section to apply", func() bool { return entered.Load() > 0 })
+	secondDone := ingestAsync(l, docItems("second", 1))
+	waitOverlap(t, sections, &entered)
 
-	// Wait until the whole batch has committed (catalog-visible) though its
-	// application is gated.
-	for l.Stats().Docs < n {
-		time.Sleep(time.Millisecond)
-	}
-
+	// Close queues behind the second section's write lock; once the first
+	// section's gate opens, the second section applies and Close flips the
+	// closed flag.
 	closeDone := make(chan error, 1)
 	go func() { closeDone <- l.Close() }()
-
-	// Wait (white-box) for Close to flip the closed flag, then prove new
-	// writes are rejected even though the queued batch is still unapplied.
-	for {
+	close(first)
+	waitUntil(t, "Close to set the closed flag", func() bool {
 		l.writeMu.Lock()
-		c := l.closed
-		l.writeMu.Unlock()
-		if c {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+		defer l.writeMu.Unlock()
+		return l.closed
+	})
+	// New writes are rejected even though the second section is unapplied.
 	if err := l.AddDocument(&doc.Document{ID: "rejected", Text: "body"}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("AddDocument during close = %v, want ErrClosed", err)
 	}
+	select {
+	case err := <-closeDone:
+		t.Fatalf("Close returned %v while a section was still applying", err)
+	case <-time.After(20 * time.Millisecond):
+	}
 
-	close(gate) // let the dispatcher drain
+	close(second)
 	if err := <-closeDone; err != nil {
 		t.Fatalf("Close error: %v", err)
 	}
-	if err := <-batchDone; err != nil {
-		t.Fatalf("queued batch write lost: %v", err)
+	for _, done := range []<-chan error{firstDone, secondDone} {
+		if err := <-done; err != nil {
+			t.Fatalf("in-flight write lost: %v", err)
+		}
 	}
-	if got := applied.Load(); got != int64(n) {
-		t.Fatalf("applied %d events, want %d (none lost)", got, n)
+	if got := applied.Load(); got != n+1 {
+		t.Fatalf("applied %d events, want %d (none lost)", got, n+1)
 	}
-	if got := l.Version(); got != uint64(n) {
-		t.Fatalf("Version() = %d after Close, want %d", got, n)
+	if got := l.Version(); got != n+1 {
+		t.Fatalf("Version() = %d after Close, want %d", got, n+1)
 	}
 	// Still closed, still readable, still idempotent.
 	if err := l.AddTriple(kg.Triple{Subject: "s", Predicate: "p", Object: "o"}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close AddTriple error = %v, want ErrClosed", err)
 	}
-	if _, err := l.Resolve("text:queued0"); err != nil {
+	if _, err := l.Resolve("text:second0"); err != nil {
 		t.Fatalf("closed lake not readable: %v", err)
 	}
 	if err := l.Close(); err != nil {
@@ -188,6 +217,23 @@ func TestCloseRejectsNewKeepsQueued(t *testing.T) {
 	// instead of blocking forever.
 	if err := l.WaitApplied(context.Background(), l.Version()+1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("WaitApplied(future) after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestLakeStartsNoGoroutine pins that a lake runs every ingest stage on
+// the ingesting goroutine: lakes written to and never closed leave no
+// goroutine behind.
+func TestLakeStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	lakes := make([]*Lake, 50)
+	for i := range lakes {
+		lakes[i] = New()
+		if err := lakes[i].AddDocument(testDoc("d")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after writing to %d lakes, %d before", after, len(lakes), before)
 	}
 }
 

@@ -65,24 +65,17 @@ func (l *Lake) WaitApplied(ctx context.Context, v uint64) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if done := ctx.Done(); done != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-done:
-				// Taking mu before broadcasting orders the wakeup after the
-				// waiter has either parked in Wait or re-checked ctx — a bare
-				// Broadcast could land in the gap between its ctx check and
-				// cond.Wait and be lost.
-				l.mu.Lock()
-				//lint:ignore SA2001 empty critical section is the ordering barrier described above
-				l.mu.Unlock()
-				l.cond.Broadcast()
-			case <-stop:
-			}
-		}()
-	}
+	stop := context.AfterFunc(ctx, func() {
+		// Taking mu before broadcasting orders the wakeup after the waiter
+		// has either parked in Wait or re-checked ctx — a bare Broadcast
+		// could land in the gap between its ctx check and cond.Wait and be
+		// lost.
+		l.mu.Lock()
+		//lint:ignore SA2001 empty critical section is the ordering barrier described above
+		l.mu.Unlock()
+		l.cond.Broadcast()
+	})
+	defer stop()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for l.processed < v {

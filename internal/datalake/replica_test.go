@@ -144,38 +144,43 @@ func TestWaitAppliedClosedLake(t *testing.T) {
 
 // TestFollowerCloseDuringApply is the regression test for the follower
 // shutdown path: Close racing a replication apply whose events are still
-// being delivered to a change-feed subscriber must not deadlock. Apply
-// blocks on a gate on the dispatcher and each replicated batch is larger
-// than the queue, so the applier is blocked mid-enqueue (holding the write
-// lock) when Close starts. The replication applier is an external
-// goroutine — not a lake hook — so the rule "hooks must not write back into
-// the lake" holds: the dispatcher can always drain, Close's Flush always
-// terminates, and the in-flight ReplicateBatch either completes or reports
+// being delivered to a change-feed subscriber must not deadlock. Two
+// appliers replicate concurrently while Apply blocks on a gate, and Close
+// starts once a second section has committed behind the blocked one (so
+// that applier holds the write lock, waiting to apply). The appliers are
+// external goroutines — not lake hooks — so the rule "hooks must not write
+// back into the lake" holds: every section applies once the gate opens,
+// Close always terminates, and each applier's next ReplicateBatch reports
 // ErrClosed.
 func TestFollowerCloseDuringApply(t *testing.T) {
 	l := New()
 	l.SetReadOnly(true)
+	sections := countSections(l)
 	gate := make(chan struct{})
+	var entered atomic.Int64
 	subscribe(t, l, Subscriber{Apply: func(Event) error {
+		entered.Add(1)
 		<-gate
 		return nil
 	}})
 
-	applierDone := make(chan error, 1)
-	go func() {
-		for i := 0; ; i++ {
-			items := make([]BatchItem, queueSize+8)
-			for j := range items {
-				items[j] = BatchItem{Doc: testDoc(fmt.Sprintf("r%d-%d", i, j))}
+	applierDone := make(chan error, 2)
+	for a := 0; a < 2; a++ {
+		go func() {
+			for i := 0; ; i++ {
+				items := make([]BatchItem, 8)
+				for j := range items {
+					items[j] = BatchItem{Doc: testDoc(fmt.Sprintf("r%d-%d-%d", a, i, j))}
+				}
+				if _, err := l.ReplicateBatch(items); err != nil {
+					applierDone <- err
+					return
+				}
 			}
-			if _, err := l.ReplicateBatch(items); err != nil {
-				applierDone <- err
-				return
-			}
-		}
-	}()
+		}()
+	}
 
-	waitQueueFull(t, l)
+	waitOverlap(t, sections, &entered)
 	closeDone := make(chan error, 1)
 	go func() { closeDone <- l.Close() }()
 	select {
@@ -188,7 +193,7 @@ func TestFollowerCloseDuringApply(t *testing.T) {
 	for _, ch := range []struct {
 		name string
 		c    chan error
-	}{{"Close", closeDone}, {"applier", applierDone}} {
+	}{{"Close", closeDone}, {"applier", applierDone}, {"applier", applierDone}} {
 		select {
 		case err := <-ch.c:
 			if ch.name == "applier" && !errors.Is(err, ErrClosed) {

@@ -202,9 +202,8 @@ func (e *Env) AblateTrust(res *AblationsResult) error {
 	if err != nil {
 		return err
 	}
-	// This lake is private to the ablation: shut its dispatcher down and
-	// detach the indexer so repeated ablation runs don't accumulate
-	// goroutines and pinned corpora.
+	// This lake is private to the ablation: close it and detach the
+	// indexer so repeated ablation runs don't keep feeding dead indexes.
 	defer func() {
 		_ = corpus.Lake.Close()
 		indexer.Close()

@@ -120,9 +120,7 @@ func Save(lake Catalog, dir string) error {
 }
 
 // Load reads a lake directory written by Save into a new lake, every
-// instance ingested as one batch (versions 1..n in manifest order). The
-// lake runs a dispatcher goroutine; processes that discard loaded lakes
-// before exiting should Close them.
+// instance ingested as one batch (versions 1..n in manifest order).
 func Load(dir string) (*datalake.Lake, error) {
 	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {

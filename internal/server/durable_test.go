@@ -38,43 +38,34 @@ func newClosedServer(t *testing.T) *httptest.Server {
 	return ts
 }
 
-// TestIngestAfterCloseReturns503 checks every single-item ingest endpoint
-// maps datalake.ErrClosed to 503 Service Unavailable.
+// TestIngestAfterCloseReturns503 checks every ingest endpoint, the batch
+// one included, maps datalake.ErrClosed to 503 Service Unavailable.
 func TestIngestAfterCloseReturns503(t *testing.T) {
 	ts := newClosedServer(t)
 	cases := []struct {
-		path string
-		body interface{}
+		name, path string
+		body       interface{}
 	}{
-		{"/v1/ingest/table", IngestTableRequest{ID: "late", Caption: "c", Columns: []string{"a"}, Rows: [][]string{{"1"}}}},
-		{"/v1/ingest/document", IngestDocumentRequest{ID: "late", Text: "x"}},
-		{"/v1/ingest/triple", IngestTripleRequest{Subject: "s", Predicate: "p", Object: "o"}},
+		{"table", "/v1/ingest/table", IngestTableRequest{ID: "late", Caption: "c", Columns: []string{"a"}, Rows: [][]string{{"1"}}}},
+		{"document", "/v1/ingest/document", IngestDocumentRequest{ID: "late", Text: "x"}},
+		{"triple", "/v1/ingest/triple", IngestTripleRequest{Subject: "s", Predicate: "p", Object: "o"}},
+		{"batch", "/v1/ingest/batch", IngestBatchRequest{Items: []IngestBatchItem{
+			{Type: "document", ID: "late1", Text: "x"},
+			{Type: "triple", Subject: "s", Predicate: "p", Object: "o"},
+		}}},
 	}
 	for _, tc := range cases {
-		resp, body := postJSON(t, ts.URL+tc.path, tc.body)
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Errorf("POST %s after close: status = %d body = %s, want 503", tc.path, resp.StatusCode, body)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			resp, body := postJSON(t, ts.URL+tc.path, tc.body)
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Errorf("POST %s after close: status = %d body = %s, want 503", tc.path, resp.StatusCode, body)
+			}
+		})
 	}
 	// Reads keep working on the final state.
 	var stats map[string]any
 	if resp := getJSON(t, ts.URL+"/v1/stats", &stats); resp.StatusCode != http.StatusOK {
 		t.Errorf("GET /v1/stats after close: status = %d", resp.StatusCode)
-	}
-}
-
-// TestIngestBatchAfterCloseReturns503 checks the batch endpoint's
-// batch-level ErrClosed also maps to 503.
-func TestIngestBatchAfterCloseReturns503(t *testing.T) {
-	ts := newClosedServer(t)
-	resp, body := postJSON(t, ts.URL+"/v1/ingest/batch", IngestBatchRequest{
-		Items: []IngestBatchItem{
-			{Type: "document", ID: "late1", Text: "x"},
-			{Type: "triple", Subject: "s", Predicate: "p", Object: "o"},
-		},
-	})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("batch after close: status = %d body = %s, want 503", resp.StatusCode, body)
 	}
 }
 

@@ -387,8 +387,7 @@ type IngestBatchItem struct {
 
 // maxBatchItems caps one batch request: AddBatch materializes every item's
 // prepared payload (embeddings, term lists) before committing, so the cap
-// bounds per-request memory the same way the ingest queue bounds
-// queued-event memory. Larger loads split into multiple batches.
+// bounds per-request memory. Larger loads split into multiple batches.
 const maxBatchItems = 1024
 
 // IngestBatchRequest is the body of POST /v1/ingest/batch.
@@ -874,8 +873,7 @@ func (s *Server) handleIngestTriple(w http.ResponseWriter, r *http.Request) {
 // its error answers 400), then the write. The write waits for the
 // mutation's incremental indexing (the pipelined apply stage) before
 // returning, so a 200 response means the instance is already retrievable.
-// A closed lake (the system is shutting down) maps to 503 so load balancers
-// retry elsewhere.
+// Write errors answer with ingestStatus.
 func (s *Server) ingestOne(w http.ResponseWriter, r *http.Request, req any, build func() (datalake.BatchItem, error)) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
@@ -897,17 +895,24 @@ func (s *Server) ingestOne(w http.ResponseWriter, r *http.Request, req any, buil
 		err = results[0].Err
 	}
 	if err != nil {
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, datalake.ErrDuplicate):
-			status = http.StatusConflict
-		case errors.Is(err, datalake.ErrClosed):
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, "ingest: %v", err)
+		writeError(w, ingestStatus(err), "ingest: %v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, IngestResponse{Status: "ingested", Version: results[0].Version})
+}
+
+// ingestStatus maps an ingest error to its HTTP status: a duplicate ID is
+// a client conflict (409), a closed lake — the system is shutting down —
+// is 503 so load balancers retry elsewhere, and anything else is 500.
+func ingestStatus(err error) int {
+	switch {
+	case errors.Is(err, datalake.ErrDuplicate):
+		return http.StatusConflict
+	case errors.Is(err, datalake.ErrClosed):
+		return http.StatusServiceUnavailable
+	default:
+		return http.StatusInternalServerError
+	}
 }
 
 func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
@@ -950,11 +955,7 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	results, err := s.pipeline.Lake().AddBatch(items)
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, datalake.ErrClosed) {
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, "ingest batch: %v", err)
+		writeError(w, ingestStatus(err), "ingest batch: %v", err)
 		return
 	}
 	resp := IngestBatchResponse{Results: make([]IngestBatchItemResult, len(results))}

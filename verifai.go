@@ -277,6 +277,24 @@ func DefaultOpenOptions(seed uint64) OpenOptions {
 // the kernel); Checkpoint periodically to bound recovery time and log
 // size — checkpoints overlap ingestion, so a tight cadence is safe.
 func Open(dir string, opts OpenOptions) (*System, error) {
+	sys, err := openDurable(dir, opts, false)
+	if err != nil {
+		return nil, err
+	}
+	if err := recoverPins(sys, sys.durable); err != nil {
+		_ = sys.Close()
+		return nil, fmt.Errorf("verifai: recover pinned snapshots: %w", err)
+	}
+	return sys, nil
+}
+
+// openDurable is the open both Open and OpenFollower share: it opens the
+// data directory, assembles a system over its lake, replays the WAL tail
+// and arms the durability hooks. readOnly (a follower) marks the lake
+// read-only before anything can write, so replication — ReplayTail
+// included — is the only mutation path. On error everything it opened is
+// closed again.
+func openDurable(dir string, opts OpenOptions, readOnly bool) (*System, error) {
 	policy, err := wal.ParseSyncPolicy(opts.Sync)
 	if err != nil {
 		return nil, fmt.Errorf("verifai: %w", err)
@@ -292,27 +310,20 @@ func Open(dir string, opts OpenOptions) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("verifai: %w", err)
 	}
+	st.Lake().SetReadOnly(readOnly)
 	sys, err := newSystem(st.Lake(), opts.Options, st.IndexSnapshotDir())
 	if err != nil {
 		_ = st.Lake().Close()
 		_ = st.Close()
 		return nil, err
 	}
+	sys.durable = st
 	st.SetMetrics(sys.Metrics())
 	if err := st.ReplayTail(); err != nil {
-		sys.pipeline.Indexer().Close()
-		_ = st.Lake().Close()
-		_ = st.Close()
+		_ = sys.Close()
 		return nil, fmt.Errorf("verifai: %w", err)
 	}
 	st.Arm()
-	if err := recoverPins(sys, st); err != nil {
-		_ = sys.Close()
-		_ = st.Lake().Close()
-		_ = st.Close()
-		return nil, fmt.Errorf("verifai: recover pinned snapshots: %w", err)
-	}
-	sys.durable = st
 	return sys, nil
 }
 
@@ -569,15 +580,15 @@ func (s *System) AddBatch(items []BatchItem) ([]BatchItemResult, error) {
 
 // Flush blocks until every previously accepted ingest has been applied,
 // returning the publication watermark (every successfully indexed write at
-// or below it is retrievable; see LakeVersion) and any unclaimed indexing
-// errors — a write whose error is reported was committed but is absent
-// from the indexes.
+// or below it is retrievable; see LakeVersion). Indexing errors go to the
+// ingest call whose write failed, so the error is always nil.
 func (s *System) Flush() (uint64, error) { return s.pipeline.Lake().Flush() }
 
-// Close shuts ingestion down: further writes are rejected, queued writes
-// are fully indexed (none are lost), and the indexer detaches from the
-// lake. For durable systems the write-ahead log is then fsynced and
-// closed, so everything acknowledged is on disk. Verification and
+// Close shuts ingestion down: further writes are rejected, the writes
+// still applying are fully indexed (none are lost), and the indexer
+// detaches from the lake. For durable systems the write-ahead log is then
+// fsynced and closed, so everything acknowledged is on disk; the error is
+// the log's (closing the lake itself always succeeds). Verification and
 // retrieval keep working on the final state. Idempotent.
 func (s *System) Close() error {
 	if s.follower != nil {
