@@ -556,14 +556,17 @@ func openDurable(dataDir, lakeDir string, openOpts verifai.OpenOptions) (*verifa
 		}
 		return sys, nil
 	}
-	if err := seedFromLake(sys, lakeDir); err != nil {
+	readS, ingestS, err := seedFromLake(sys, lakeDir)
+	if err != nil {
 		sys.Close()
 		return nil, fmt.Errorf("seed from -lake: %w", err)
 	}
+	start := time.Now()
 	if v, err := sys.Checkpoint(); err != nil {
 		logger.Error("post-seed checkpoint failed (WAL still has everything)", "err", err)
 	} else {
-		logger.Info("seeded and checkpointed", "data_dir", dataDir, "lake", lakeDir, "lake_version", v)
+		logger.Info("seeded and checkpointed", "data_dir", dataDir, "lake", lakeDir, "lake_version", v,
+			"read_s", readS, "ingest_s", ingestS, "checkpoint_s", time.Since(start).Seconds())
 	}
 	return sys, nil
 }
@@ -610,46 +613,30 @@ func runWaldump(args []string) error {
 }
 
 // seedFromLake ingests a lakegen directory's contents through the durable
-// system's batched write path.
-func seedFromLake(sys *verifai.System, lakeDir string) error {
-	seedLake, err := lakeio.Load(lakeDir)
+// system's batched write path, in the directory's manifest order, and
+// returns the seconds spent reading the directory and ingesting it.
+func seedFromLake(sys *verifai.System, lakeDir string) (readS, ingestS float64, err error) {
+	start := time.Now()
+	sources, items, err := lakeio.Read(lakeDir)
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
-	defer seedLake.Close()
+	readS = time.Since(start).Seconds()
+	start = time.Now()
 	lake := sys.Pipeline().Lake()
-	for _, src := range seedLake.Sources() {
+	for _, src := range sources {
 		if err := lake.AddSource(src); err != nil {
-			return err
+			return 0, 0, err
 		}
-	}
-	var items []verifai.BatchItem
-	for _, tid := range seedLake.TableIDs() {
-		t, ok := seedLake.Table(tid)
-		if !ok {
-			return fmt.Errorf("table %q vanished from seed lake", tid)
-		}
-		items = append(items, verifai.BatchItem{Table: t})
-	}
-	for _, did := range seedLake.DocIDs() {
-		d, ok := seedLake.Document(did)
-		if !ok {
-			return fmt.Errorf("document %q vanished from seed lake", did)
-		}
-		items = append(items, verifai.BatchItem{Doc: d})
-	}
-	for _, tr := range seedLake.Graph().Triples() {
-		tr := tr
-		items = append(items, verifai.BatchItem{Triple: &tr})
 	}
 	results, err := sys.AddBatch(items)
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
 	for _, res := range results {
 		if res.Err != nil {
-			return res.Err
+			return 0, 0, res.Err
 		}
 	}
-	return nil
+	return readS, time.Since(start).Seconds(), nil
 }

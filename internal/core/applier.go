@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/datalake"
 	"repro/internal/embed"
+	"repro/internal/table"
 	"repro/internal/textutil"
 	"repro/internal/vecindex"
 )
@@ -14,10 +15,11 @@ import (
 // write path):
 //
 //  1. prepareHook runs on the ingesting goroutine before the lake's write
-//     lock: it serializes the event's instances, analyzes each once into a
-//     bag of terms (its BM25 document) and sums, normalizes and quantizes
-//     its vector row from that bag into int8 codes — the expensive work —
-//     so concurrent writers derive in parallel;
+//     lock: it analyzes the event's text once, into term IDs of the
+//     embedder's dictionary, folds them into each instance's bag of terms
+//     (its BM25 document) and sums, normalizes and quantizes its vector row
+//     from that bag into int8 codes — the expensive work — so concurrent
+//     writers derive in parallel;
 //  2. the lake commits the event and delivers it (with the prepared
 //     payload) in version order;
 //  3. apply performs the precomputed index insertions on the committing
@@ -31,7 +33,7 @@ import (
 type indexOp struct {
 	kind  datalake.Kind
 	id    string
-	bag   textutil.Bag
+	bag   textutil.IDBag
 	codes []int8
 	norm  float32
 }
@@ -48,7 +50,7 @@ type preparedEvent struct {
 // load, so the two paths cannot drift in ID or serialization scheme.
 func (ix *Indexer) applyOps(pe *preparedEvent) error {
 	for _, op := range pe.ops {
-		if err := ix.bm25[op.kind].AddTerms(op.id, op.bag); err != nil {
+		if err := ix.bm25[op.kind].AddBag(op.id, op.bag); err != nil {
 			return fmt.Errorf("core: bm25 add %s: %w", op.id, err)
 		}
 		if err := ix.vec[op.kind].AddCodes(op.id, op.codes, op.norm); err != nil {
@@ -70,36 +72,84 @@ func (ix *Indexer) prepareHook(ev datalake.Event) (any, error) {
 }
 
 // prepareEvent computes the precomputed payload for a table or text event:
-// each serialized instance is analyzed once, and the same bag feeds its
+// each piece of text is analyzed once, and each instance's bag feeds its
 // BM25 op and its vector row, summed in one accumulator the event reuses.
 func (ix *Indexer) prepareEvent(ev datalake.Event) *preparedEvent {
 	pe := &preparedEvent{}
 	acc := make(embed.Vector, ix.emb.Dim())
+	dict := ix.emb.Dict()
 	switch ev.Kind {
 	case datalake.KindTable:
-		t := ev.Table
-		pe.codes = make([]int8, 0, (1+t.NumRows())*len(acc))
-		pe.addInstance(ix, acc, datalake.KindTable, datalake.TableInstanceID(t.ID), t.SerializeForIndex())
-		if ix.wantKind(datalake.KindTuple) {
-			for row := range t.Rows {
-				tp, _ := t.TupleAt(row)
-				pe.addInstance(ix, acc, datalake.KindTuple, datalake.TupleInstanceID(t.ID, row), tp.SerializeForIndex())
-			}
-		}
+		ix.prepareTable(pe, acc, ev.Table)
 	case datalake.KindText:
-		pe.addInstance(ix, acc, datalake.KindText, datalake.TextInstanceID(ev.Doc.ID), ev.Doc.SerializeForIndex())
+		// A document's text is its title and its body.
+		d := ev.Doc
+		ids := dict.AppendIDs(dict.AppendIDs(nil, d.Title), d.Text)
+		pe.addBag(ix, acc, datalake.KindText, datalake.TextInstanceID(d.ID), dict.Bag(ids))
 	}
 	return pe
 }
 
-// addInstance analyzes one serialized instance of a configured kind once
-// and appends its op to the payload, summing the row in acc: EmbedText's
-// sum of the same bag, normalized, then quantized.
+// prepareTable adds a table's ops: the table's, then each row's tuple's.
+// A tuple's text is the table's header (caption and columns) and its row's
+// cells up to the header's width; the table's is the header and every
+// cell. No token crosses the spaces that join those pieces, so each piece
+// is analyzed once and the instances' bags are folded from the pieces'
+// IDs: the bags of the texts SerializeForIndex writes, without writing
+// them.
+func (ix *Indexer) prepareTable(pe *preparedEvent, acc embed.Vector, t *table.Table) {
+	wantTable, wantTuple := ix.wantKind(datalake.KindTable), ix.wantKind(datalake.KindTuple)
+	if !wantTable && !wantTuple {
+		return
+	}
+	dict := ix.emb.Dict()
+	ids := dict.AppendIDs(nil, t.Caption)
+	for _, c := range t.Columns {
+		ids = dict.AppendIDs(ids, c)
+	}
+	header := len(ids)
+	cells := make([][2]int, len(t.Rows)) // row r's cells within the header's width: ids[cells[r][0]:cells[r][1]]
+	for r, row := range t.Rows {
+		w := min(len(row), len(t.Columns))
+		cells[r][0] = len(ids)
+		for _, c := range row[:w] {
+			ids = dict.AppendIDs(ids, c)
+		}
+		cells[r][1] = len(ids)
+		for _, c := range row[w:] {
+			ids = dict.AppendIDs(ids, c)
+		}
+	}
+	rows := 0
+	if wantTuple {
+		rows = len(t.Rows)
+	}
+	pe.codes = make([]int8, 0, (1+rows)*len(acc))
+	if wantTable {
+		pe.addBag(ix, acc, datalake.KindTable, datalake.TableInstanceID(t.ID), dict.Bag(slices.Clone(ids)))
+	}
+	var tuple []uint32
+	for r := 0; r < rows; r++ {
+		tuple = append(append(tuple[:0], ids[:header]...), ids[cells[r][0]:cells[r][1]]...)
+		pe.addBag(ix, acc, datalake.KindTuple, datalake.TupleInstanceID(t.ID, r), dict.Bag(tuple))
+	}
+}
+
+// addInstance analyzes one serialized instance of a configured kind and
+// appends its op to the payload.
 func (pe *preparedEvent) addInstance(ix *Indexer, acc embed.Vector, kind datalake.Kind, id, text string) {
+	if ix.wantKind(kind) {
+		pe.addBag(ix, acc, kind, id, ix.emb.Dict().Analyze(text))
+	}
+}
+
+// addBag appends the op of an instance of a configured kind with bag
+// to the payload, summing the row in acc: EmbedText's sum of the same bag,
+// normalized, then quantized.
+func (pe *preparedEvent) addBag(ix *Indexer, acc embed.Vector, kind datalake.Kind, id string, bag textutil.IDBag) {
 	if !ix.wantKind(kind) {
 		return
 	}
-	bag := textutil.Analyze(text)
 	clear(acc)
 	ix.emb.AddBag(acc, bag)
 	embed.Normalize(acc)

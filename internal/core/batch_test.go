@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/claims"
 	"repro/internal/datalake"
+	"repro/internal/table"
 	"repro/internal/verify"
 )
 
@@ -126,5 +127,44 @@ func TestVerifyBatchLargeParallel(t *testing.T) {
 	// Provenance recorded every run exactly once.
 	if got := p.Provenance().Len(); got != len(objects) {
 		t.Errorf("provenance records = %d, want %d", got, len(objects))
+	}
+}
+
+// TestRaggedTableRejected: a table with a row shorter than its header is
+// rejected in its batch result, by AddBatch and AddTable alike, before any
+// prepare stage reads it, and the rest of the batch commits. A row wider
+// than its header is accepted: its extra cells are indexed with the
+// table, not with the row's tuple.
+func TestRaggedTableRejected(t *testing.T) {
+	lake := datalake.New()
+	defer lake.Close()
+	ix, err := BuildIndexer(lake, DefaultIndexerConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	short := &table.Table{ID: "short", Caption: "c", Columns: []string{"a", "b"}, Rows: [][]string{{"x", "y"}, {"z"}}}
+	wide := &table.Table{ID: "wide", Caption: "c", Columns: []string{"a"}, Rows: [][]string{{"x", "extra"}}}
+	res, err := lake.AddBatch([]datalake.BatchItem{{Table: short}, {Table: wide}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Err == nil || res[0].Version != 0 {
+		t.Errorf("short row: result %+v, want a rejection", res[0])
+	}
+	if res[1].Err != nil {
+		t.Errorf("wide row: %v", res[1].Err)
+	}
+	if err := lake.AddTable(short); err == nil {
+		t.Error("AddTable accepted a row shorter than its header")
+	}
+	if _, ok := lake.Table("short"); ok {
+		t.Error("the rejected table is in the lake")
+	}
+	if hits := ix.bm25[datalake.KindTable].Search("extra", 10); len(hits) != 1 || hits[0].ID != datalake.TableInstanceID("wide") {
+		t.Errorf("table hits for a cell beyond the header: %+v", hits)
+	}
+	if hits := ix.bm25[datalake.KindTuple].Search("extra", 10); len(hits) != 0 {
+		t.Errorf("tuple hits for a cell beyond the header: %+v", hits)
 	}
 }

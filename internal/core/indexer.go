@@ -72,8 +72,10 @@ func DefaultIndexerConfig(seed uint64) IndexerConfig {
 // with no rebuild. All methods are safe for concurrent use.
 type Indexer struct {
 	lake *datalake.Lake
-	emb  *embed.Embedder
-	cfg  IndexerConfig
+	// emb embeds instances and queries; its term dictionary numbers the
+	// terms of every bag the indexes are fed and of their BM25 deltas.
+	emb *embed.Embedder
+	cfg IndexerConfig
 
 	bm25 map[datalake.Kind]*invindex.Index
 	vec  map[datalake.Kind]*vecindex.SQFlat
@@ -199,7 +201,7 @@ func newIndexer(lake *datalake.Lake, cfg *IndexerConfig) *Indexer {
 		entityRev: make(map[string]int),
 	}
 	for _, kind := range cfg.Kinds {
-		ix.bm25[kind] = invindex.New()
+		ix.bm25[kind] = invindex.NewWithDict(ix.emb.Dict())
 		ix.vec[kind] = vecindex.NewSQFlat(cfg.EmbedDim)
 	}
 	return ix

@@ -15,6 +15,7 @@ import (
 	"repro/internal/embed"
 	"repro/internal/faultfs"
 	"repro/internal/invindex"
+	"repro/internal/textutil"
 	"repro/internal/vecindex"
 )
 
@@ -111,18 +112,23 @@ type FrozenIndexes struct {
 // is quiesced (e.g. inside datalake.Fork), or concurrent ingest will tear
 // the captures against each other. Indexes written since their last seal
 // are compacted into a new segment here (searches on that index wait); an
-// unchanged index hands back the segment it has. No I/O.
+// unchanged index hands back the segment it has. The indexes seal in
+// parallel. No I/O.
 func (ix *Indexer) Freeze() *FrozenIndexes {
 	fz := &FrozenIndexes{
 		ix:   ix,
 		bm25: make(map[datalake.Kind]*invindex.Frozen, len(ix.bm25)),
 		vec:  make(map[datalake.Kind]*vecindex.Frozen, len(ix.vec)),
 	}
-	for kind, idx := range ix.bm25 {
-		fz.bm25[kind] = idx.Freeze()
+	bm25 := make([]*invindex.Frozen, len(ix.cfg.Kinds))
+	vec := make([]*vecindex.Frozen, len(ix.cfg.Kinds))
+	var tasks []func()
+	for i, kind := range ix.cfg.Kinds {
+		tasks = append(tasks, func() { bm25[i] = ix.bm25[kind].Freeze() }, func() { vec[i] = ix.vec[kind].Freeze() })
 	}
-	for kind, idx := range ix.vec {
-		fz.vec[kind] = idx.Freeze()
+	runParallel(tasks, runtime.GOMAXPROCS(0))
+	for i, kind := range ix.cfg.Kinds {
+		fz.bm25[kind], fz.vec[kind] = bm25[i], vec[i]
 	}
 	return fz
 }
@@ -250,7 +256,7 @@ func (ix *Indexer) openIndexes(dir string) (map[datalake.Kind]*invindex.Index, m
 		return nil
 	}
 	if err := eachKind(func(i int) (err error) {
-		bm25s[i], err = openBM25Shard(shardFile(dir, familyBM25, kinds[i]))
+		bm25s[i], err = openBM25Shard(shardFile(dir, familyBM25, kinds[i]), ix.emb.Dict())
 		return err
 	}); err != nil {
 		return nil, nil, err
@@ -278,8 +284,8 @@ func (ix *Indexer) openIndexes(dir string) (map[datalake.Kind]*invindex.Index, m
 	return bm25, vec, nil
 }
 
-// tokenVectors takes the token vector of every term of trs from emb once,
-// on every core: the kinds share most of their terms.
+// tokenVectors adds every term of trs to emb's dictionary and takes its
+// token vector once, on every core: the kinds share most of their terms.
 func tokenVectors(emb *embed.Embedder, trs []*invindex.Transposed) map[string]embed.Vector {
 	tokens := make(map[string]embed.Vector)
 	var terms []string
@@ -292,7 +298,7 @@ func tokenVectors(emb *embed.Embedder, trs []*invindex.Transposed) map[string]em
 			}
 		}
 	}
-	for i, v := range emb.TokenVectors(terms) {
+	for i, v := range emb.AddTermVectors(terms) {
 		tokens[terms[i]] = v
 	}
 	return tokens
@@ -350,11 +356,11 @@ func checkSnapshotMeta(cfg IndexerConfig, dir string) (snapshotMeta, error) {
 	return meta, nil
 }
 
-// openBM25Shard opens one persisted BM25 shard by path. A file missing, or
-// written by a release older than the binfmt container, is an
-// ErrSnapshotMismatch (rebuild instead); one present but unreadable is
-// corruption, surfaced loudly by the open.
-func openBM25Shard(path string) (*invindex.Index, error) {
+// openBM25Shard opens one persisted BM25 shard by path, its delta over
+// dict. A file missing, or written by a release older than the binfmt
+// container, is an ErrSnapshotMismatch (rebuild instead); one present but
+// unreadable is corruption, surfaced loudly by the open.
+func openBM25Shard(path string, dict *textutil.Dict) (*invindex.Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("%w (missing shard file %s)", ErrSnapshotMismatch, filepath.Base(path))
@@ -369,5 +375,5 @@ func openBM25Shard(path string) (*invindex.Index, error) {
 	if string(head[:]) != binfmt.Magic {
 		return nil, fmt.Errorf("%w (shard file %s is not in the binfmt format)", ErrSnapshotMismatch, filepath.Base(path))
 	}
-	return invindex.OpenFile(path)
+	return invindex.OpenFileWithDict(path, dict)
 }

@@ -39,12 +39,14 @@ type BatchItemResult struct {
 // returns after every committed item has been applied (indexed); the
 // batch-level errors are ErrClosed and, on a follower, ErrReadOnly.
 func (l *Lake) AddBatch(items []BatchItem) ([]BatchItemResult, error) {
-	return l.addBatch(items, false)
+	return l.addBatch(items, localWrite)
 }
 
 // Load returns a new lake holding sources and items, ingested as one batch
 // (versions 1..n in item order): what every deserializer of a stored
-// catalog ends with. Any rejected item fails the whole load.
+// catalog ends with. A table is loaded as it was stored, even with a row
+// shorter than its header, which AddBatch rejects; any rejected item fails
+// the whole load.
 func Load(sources []Source, items []BatchItem) (*Lake, error) {
 	l := New()
 	for _, src := range sources {
@@ -54,7 +56,7 @@ func Load(sources []Source, items []BatchItem) (*Lake, error) {
 	}
 	// One pipelined ingest: a single write-lock acquisition commits every
 	// item, instead of one commit+apply round trip per instance.
-	results, err := l.AddBatch(items)
+	results, err := l.addBatch(items, storedCatalog)
 	if err != nil {
 		return nil, err
 	}
@@ -66,12 +68,22 @@ func Load(sources []Source, items []BatchItem) (*Lake, error) {
 	return l, nil
 }
 
-// addBatch is the shared implementation behind AddBatch (local writes) and
+// batchSource says where the items of an addBatch call come from.
+type batchSource int
+
+const (
+	localWrite    batchSource = iota // AddBatch and the single-item adds
+	replicated                       // a leader's events: past a follower's read-only gate
+	storedCatalog                    // Load: tables as they were stored, ragged rows included
+)
+
+// addBatch is the shared implementation behind AddBatch (local writes),
 // ReplicateBatch (the replication apply path, which bypasses the follower's
 // read-only gate but is otherwise the identical pipeline — replicated
 // events prepare, commit, and apply exactly like local ingests, so index
-// maintenance and cache watermarks behave identically on both roles).
-func (l *Lake) addBatch(items []BatchItem, replica bool) ([]BatchItemResult, error) {
+// maintenance and cache watermarks behave identically on both roles) and
+// Load.
+func (l *Lake) addBatch(items []BatchItem, src batchSource) ([]BatchItemResult, error) {
 	results := make([]BatchItemResult, len(items))
 	if len(items) == 0 {
 		return results, nil
@@ -87,6 +99,10 @@ func (l *Lake) addBatch(items []BatchItem, replica bool) ([]BatchItemResult, err
 		case it.Table != nil && it.Doc == nil && it.Triple == nil:
 			if it.Table.ID == "" {
 				results[i].Err = fmt.Errorf("datalake: table with empty ID")
+				continue
+			}
+			if err := checkRows(it.Table); err != nil && src != storedCatalog {
+				results[i].Err = err
 				continue
 			}
 			if l.hasTable(it.Table.ID) {
@@ -149,7 +165,20 @@ func (l *Lake) addBatch(items []BatchItem, replica bool) ([]BatchItemResult, err
 
 	// Stages 3 and 4: commit every valid item under one write-lock
 	// acquisition, then apply them.
-	return results, l.commitSection(evs, payloads, results, replica)
+	return results, l.commitSection(evs, payloads, results, src == replicated)
+}
+
+// checkRows rejects a table with a row shorter than its header: a tuple
+// is read cell by column, so such a row has no value for some attribute.
+// A wider row is accepted: its extra cells are indexed with the table, and
+// a write-ahead log replayed through AddBatch may hold such tables.
+func checkRows(t *table.Table) error {
+	for r, row := range t.Rows {
+		if len(row) < len(t.Columns) {
+			return fmt.Errorf("datalake: table %q row %d has %d cells, its header %d columns", t.ID, r, len(row), len(t.Columns))
+		}
+	}
+	return nil
 }
 
 // commitSection runs the lake's one commit section (commit), then delivers

@@ -690,7 +690,7 @@ func (l *Lake) AddTripleVersioned(t kg.Triple) (uint64, error) {
 // write path, flattened to (version, error). The version is non-zero
 // whenever the item committed, even if its application then failed.
 func (l *Lake) addOne(it BatchItem) (uint64, error) {
-	res, err := l.addBatch([]BatchItem{it}, false)
+	res, err := l.addBatch([]BatchItem{it}, localWrite)
 	if err != nil {
 		return 0, err
 	}

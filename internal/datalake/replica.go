@@ -33,7 +33,7 @@ func (l *Lake) ReadOnly() bool {
 // in leader version order with no gaps, which the durable layer asserts by
 // comparing recommitted versions against the leader-assigned ones.
 func (l *Lake) ReplicateBatch(items []BatchItem) ([]BatchItemResult, error) {
-	return l.addBatch(items, true)
+	return l.addBatch(items, replicated)
 }
 
 // ReplicateSource applies a replicated source registration, bypassing the

@@ -78,19 +78,15 @@ func forkOf(t testing.TB, lake *datalake.Lake) *datalake.View {
 
 // awkwardLake holds the shapes a catalog codec gets wrong: an empty table,
 // a table with no columns, cells that are empty, not UTF-8, or full of CSV
-// and JSON syntax, a ragged row, subjects that differ only in case, an
-// empty subject, and a source the catalog's instances never mention.
+// and JSON syntax, ragged rows, subjects that differ only in case, an
+// empty subject, and a source the catalog's instances never mention. It is
+// built as a stored catalog loads (datalake.Load), because AddBatch
+// rejects a row shorter than its header.
 func awkwardLake(t testing.TB) *datalake.Lake {
 	t.Helper()
-	lake := datalake.New()
-	t.Cleanup(func() { lake.Close() })
-	for _, src := range []datalake.Source{
+	sources := []datalake.Source{
 		{ID: "web", Name: "web tables", TrustPrior: 0.7},
 		{ID: "unused", Name: "", TrustPrior: 0.123456789012345678},
-	} {
-		if err := lake.AddSource(src); err != nil {
-			t.Fatal(err)
-		}
 	}
 	plain := table.New("plain", "1954 u.s. open (golf)", []string{"player", "money"})
 	plain.SourceID = "web"
@@ -101,18 +97,15 @@ func awkwardLake(t testing.TB) *datalake.Lake {
 	bare := table.New("bare", "", nil)
 	ragged := table.New("ragged", "scraped", []string{"x", "y"})
 	ragged.Rows = [][]string{{"1", "2"}, {"3"}, nil, {"4", "5", "6"}}
+	var items []datalake.BatchItem
 	for _, tb := range []*table.Table{plain, empty, bare, ragged} {
-		if err := lake.AddTable(tb); err != nil {
-			t.Fatal(err)
-		}
+		items = append(items, datalake.BatchItem{Table: tb})
 	}
 	for _, d := range []*doc.Document{
 		{ID: "d1", Title: "Tommy Bolt", EntityID: "tommy bolt", SourceID: "web", Text: "Tommy Bolt won 570.\n\nSecond paragraph."},
 		{ID: "d2"},
 	} {
-		if err := lake.AddDocument(d); err != nil {
-			t.Fatal(err)
-		}
+		items = append(items, datalake.BatchItem{Doc: d})
 	}
 	for _, tr := range []kg.Triple{
 		{Subject: "Ohio", Predicate: "capital", Object: "Columbus", SourceID: "web"},
@@ -120,10 +113,13 @@ func awkwardLake(t testing.TB) *datalake.Lake {
 		{Subject: "OHIO", Predicate: "capital", Object: "Columbus", SourceID: "web"},
 		{Subject: "", Predicate: "", Object: ""},
 	} {
-		if err := lake.AddTriple(tr); err != nil {
-			t.Fatal(err)
-		}
+		items = append(items, datalake.BatchItem{Triple: &tr})
 	}
+	lake, err := datalake.Load(sources, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lake.Close() })
 	return lake
 }
 

@@ -99,89 +99,123 @@ func Clone(v Vector) Vector {
 }
 
 // Embedder produces embeddings of a fixed dimension. It is safe for
-// concurrent use: queries introduce new tokens at search time, not only
-// during index construction, so the token table is guarded by a
-// read/write mutex.
+// concurrent use.
 //
-// The table holds every token vector the embedder has handed out, back to
-// back in fixed-size chunks that are never reallocated, so a returned
-// vector stays valid without the lock and the table costs one allocation
-// per tokenChunk tokens, not one per token.
+// Its token table holds the vector of every term of its dictionary, the
+// table's row being the term's ID: the dictionary grows with what the
+// lake ingests, and so does the table, never with what queries ask. A
+// query term the dictionary lacks gets its vector computed for the call.
+// The table's rows sit back to back in fixed-size chunks that are never
+// reallocated, filled the first time a term's row is read; reading a
+// filled row takes no lock.
 type Embedder struct {
 	dim  int
 	seed uint64
+	dict *textutil.Dict
 
-	mu     sync.RWMutex
-	ids    map[string]uint32 // token -> row of the table
-	chunks [][]float32       // row r is chunks[r/tokenChunk] at (r%tokenChunk)·dim
+	mu     sync.Mutex // serializes growing the chunk list and filling rows
+	chunks atomic.Pointer[[]*tokenRows]
+}
+
+// tokenRows is one chunk of the token table: tokenChunk rows of dim
+// components, and whether each row is filled yet.
+type tokenRows struct {
+	vecs   []float32
+	filled [tokenChunk]atomic.Bool
 }
 
 // tokenChunk is the number of token vectors one chunk of the table holds.
 const tokenChunk = 256
 
-// NewEmbedder returns an embedder of dimension dim seeded by seed.
-// Dimension must be positive.
+// NewEmbedder returns an embedder of dimension dim seeded by seed, over a
+// term dictionary of its own. Dimension must be positive.
 func NewEmbedder(dim int, seed uint64) *Embedder {
 	if dim <= 0 {
 		panic("embed: non-positive dimension")
 	}
-	return &Embedder{dim: dim, seed: seed, ids: make(map[string]uint32)}
+	return &Embedder{dim: dim, seed: seed, dict: textutil.NewDict()}
 }
 
 // Dim returns the embedding dimension.
 func (e *Embedder) Dim() int { return e.dim }
 
-// row returns the table's row r. Caller holds the lock.
-func (e *Embedder) row(r uint32) Vector {
-	off := int(r%tokenChunk) * e.dim
-	return e.chunks[r/tokenChunk][off : off+e.dim : off+e.dim]
+// Dict returns the term dictionary whose IDs number the token table: the
+// one every index fed from this embedder's bags analyzes with.
+func (e *Embedder) Dict() *textutil.Dict { return e.dict }
+
+// Row returns the token vector of the dictionary's term id, the table's
+// row id, filling it first if no one has. Callers must not mutate it.
+func (e *Embedder) Row(id uint32) Vector {
+	if cs := e.chunks.Load(); cs != nil && int(id/tokenChunk) < len(*cs) {
+		if c := (*cs)[id/tokenChunk]; c.filled[id%tokenChunk].Load() {
+			return e.rowOf(c, id)
+		}
+	}
+	v := e.newTokenVector(e.dict.Term(id)) // computed outside the lock
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	cs := e.chunks.Load()
+	for cs == nil || int(id/tokenChunk) >= len(*cs) {
+		var grown []*tokenRows
+		if cs != nil {
+			grown = append(grown, *cs...)
+		}
+		grown = append(grown, &tokenRows{vecs: make([]float32, tokenChunk*e.dim)})
+		cs = &grown
+		e.chunks.Store(cs)
+	}
+	c := (*cs)[id/tokenChunk]
+	row := e.rowOf(c, id)
+	if !c.filled[id%tokenChunk].Load() {
+		copy(row, v)
+		c.filled[id%tokenChunk].Store(true)
+	}
+	return row
 }
 
-// TokenVector returns the unit-norm embedding of a single (stemmed) token.
-// The same token always maps to the same vector. Callers must not mutate
-// the returned vector.
-func (e *Embedder) TokenVector(token string) Vector {
-	e.mu.RLock()
-	r, ok := e.ids[token]
-	var v Vector
-	if ok {
-		v = e.row(r)
-	}
-	e.mu.RUnlock()
-	if ok {
-		return v
-	}
+func (e *Embedder) rowOf(c *tokenRows, id uint32) Vector {
+	off := int(id%tokenChunk) * e.dim
+	return c.vecs[off : off+e.dim : off+e.dim]
+}
+
+// newTokenVector computes token's unit-norm vector: a fixed pseudo-random
+// Gaussian direction derived from (seed, token).
+func (e *Embedder) newTokenVector(token string) Vector {
 	rng := detrand.New(e.seed, "token", token)
-	v = make(Vector, e.dim)
+	v := make(Vector, e.dim)
 	for i := range v {
 		v[i] = float32(rng.NormFloat64())
 	}
 	Normalize(v)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if r, ok = e.ids[token]; !ok {
-		r = uint32(len(e.ids))
-		if r%tokenChunk == 0 {
-			e.chunks = append(e.chunks, make([]float32, tokenChunk*e.dim))
-		}
-		e.ids[token] = r
-		copy(e.row(r), v)
+	return v
+}
+
+// TokenVector returns the unit-norm embedding of a single (stemmed) token.
+// The same token always maps to the same vector: its table row when the
+// dictionary holds it, otherwise one computed for this call. Callers must
+// not mutate the returned vector.
+func (e *Embedder) TokenVector(token string) Vector {
+	if id, ok := e.dict.Lookup(token); ok {
+		return e.Row(id)
 	}
-	return e.row(r)
+	return e.newTokenVector(token)
 }
 
 // TableBytes returns the bytes of the token table's vector chunks.
 func (e *Embedder) TableBytes() int64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return int64(len(e.chunks)) * tokenChunk * int64(e.dim) * 4
+	cs := e.chunks.Load()
+	if cs == nil {
+		return 0
+	}
+	return int64(len(*cs)) * tokenChunk * int64(e.dim) * 4
 }
 
-// TokenVectors returns the token vector of each of tokens, computed on the
-// embedder's worker pool.
-func (e *Embedder) TokenVectors(tokens []string) []Vector {
-	out := make([]Vector, len(tokens))
-	forEach(len(tokens), 0, func(i int) { out[i] = e.TokenVector(tokens[i]) })
+// AddTermVectors adds each of terms to the dictionary and returns its
+// token vector, the rows filled on the embedder's worker pool: what a
+// reopened index's terms take.
+func (e *Embedder) AddTermVectors(terms []string) []Vector {
+	out := make([]Vector, len(terms))
+	forEach(len(terms), 0, func(i int) { out[i] = e.Row(e.dict.Add(terms[i])) })
 	return out
 }
 
@@ -202,7 +236,7 @@ func (e *Embedder) EmbedTokens(s string) []Vector {
 // EmbedText returns the document-level embedding of s: the sum of token
 // vectors with sub-linear (sqrt) frequency damping, normalized to unit
 // length. Damping prevents one repeated token from dominating, mirroring
-// TF-saturation in learned encoders.
+// TF-saturation in learned encoders. It adds nothing to the dictionary.
 func (e *Embedder) EmbedText(s string) Vector { return e.embedBag(textutil.Analyze(s)) }
 
 // EmbedTerms is EmbedText over text already analyzed by
@@ -211,7 +245,9 @@ func (e *Embedder) EmbedTerms(terms []string) Vector { return e.embedBag(textuti
 
 func (e *Embedder) embedBag(b textutil.Bag) Vector {
 	out := make(Vector, e.dim)
-	e.AddBag(out, b)
+	for i, t := range b.Terms {
+		AddTerm(out, e.TokenVector(t), b.Counts[i])
+	}
 	Normalize(out)
 	return out
 }
@@ -219,9 +255,9 @@ func (e *Embedder) embedBag(b textutil.Bag) Vector {
 // AddBag adds b's terms into acc in the bag's ascending term order, the
 // sum EmbedText normalizes: float addition is not associative, so one
 // fixed order keeps every embedding of the same text bitwise identical.
-func (e *Embedder) AddBag(acc Vector, b textutil.Bag) {
-	for i, t := range b.Terms {
-		AddTerm(acc, e.TokenVector(t), b.Counts[i])
+func (e *Embedder) AddBag(acc Vector, b textutil.IDBag) {
+	for _, t := range b.Terms {
+		AddTerm(acc, e.Row(t.ID), t.Freq)
 	}
 }
 

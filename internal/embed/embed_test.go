@@ -294,10 +294,10 @@ func TestEmbedTermsMatchesEmbedText(t *testing.T) {
 	acc := make(Vector, e.Dim())
 	for _, s := range texts {
 		clear(acc)
-		e.AddBag(acc, textutil.Analyze(s))
+		e.AddBag(acc, e.Dict().Analyze(s))
 		Normalize(acc)
 		if !sameBits(acc, embedTextReference(e, s)) {
-			t.Errorf("AddBag of Analyze(%q) into a reused accumulator differs from the reference embedding", s)
+			t.Errorf("AddBag of the dictionary's bag of %q into a reused accumulator differs from the reference embedding", s)
 		}
 	}
 }
@@ -305,21 +305,22 @@ func TestEmbedTermsMatchesEmbedText(t *testing.T) {
 // TestTokenTable: the token table hands out the vector TokenVector always
 // computed — each (seed, token) stream, normalized — and a vector handed
 // out before the table grew by chunks is unchanged after, from any number
-// of goroutines.
+// of goroutines. Only the dictionary's terms take rows: a token it lacks
+// gets the same vector and leaves the table as it was.
 func TestTokenTable(t *testing.T) {
 	e := NewEmbedder(16, 5)
 	tokens := make([]string, 3*tokenChunk+7)
 	for i := range tokens {
 		tokens[i] = "tok" + strconv.Itoa(i)
 	}
-	first := e.TokenVector(tokens[0])
+	first := e.Row(e.Dict().Add(tokens[0]))
 	want := slices.Clone(first)
 	done := make(chan struct{})
 	for w := 0; w < 4; w++ {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for i := w; i < len(tokens); i += 2 {
-				e.TokenVector(tokens[i])
+				e.Row(e.Dict().Add(tokens[i]))
 			}
 		}()
 	}
@@ -342,5 +343,20 @@ func TestTokenTable(t *testing.T) {
 	}
 	if got, want := e.TableBytes(), int64(4*tokenChunk*16*4); got != want {
 		t.Errorf("TableBytes = %d, want %d (four chunks)", got, want)
+	}
+	r := detrand.New(5, "token", "novel")
+	ref := make(Vector, 16)
+	for d := range ref {
+		ref[d] = float32(r.NormFloat64())
+	}
+	Normalize(ref)
+	if got := e.TokenVector("novel"); !slices.Equal(got, ref) {
+		t.Errorf("novel token: vector %v, want %v", got, ref)
+	}
+	if n := e.Dict().Len(); n != len(tokens) {
+		t.Errorf("dictionary holds %d terms after a lookup of a novel token, want %d", n, len(tokens))
+	}
+	if got, want := e.TableBytes(), int64(4*tokenChunk*16*4); got != want {
+		t.Errorf("TableBytes = %d after a lookup of a novel token, want %d", got, want)
 	}
 }

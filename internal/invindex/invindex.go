@@ -40,7 +40,8 @@ type posting struct {
 
 // Index is a BM25 inverted index over string documents, analyzed by
 // textutil.TokenizeFiltered (tokenize → stopword-filter → Porter stem), the
-// chain the vector rows are embedded from too. It has up to two tiers: an
+// chain the vector rows are embedded from too. The delta keys its postings
+// by the term IDs of the index's dictionary. It has up to two tiers: an
 // optional immutable base segment (sealed by Freeze or opened by OpenFile;
 // process-private until a file holds it, mapped afterwards) occupying
 // global ordinals [0, base.n), and the mutable delta below whose local
@@ -57,11 +58,12 @@ type Index struct {
 	baseLive     int
 	baseTotalLen int64 // sum of lengths of live base documents
 
+	dict     *textutil.Dict
 	ids      []string       // delta ordinal -> external ID
 	byID     map[string]int // external ID -> delta ordinal
 	lengths  []int32        // delta ordinal -> token count
 	deleted  []bool         // delta tombstones
-	postings map[string][]posting
+	postings [][]posting    // term ID -> the delta's postings of the term
 	// totalLen is the sum of lengths of live delta documents, for avgdl.
 	totalLen int64
 	liveDocs int
@@ -75,29 +77,37 @@ func (ix *Index) baseSeg() *staticSeg {
 	return ix.base.cols.Load()
 }
 
-// New returns an empty index scoring with k1=1.2, b=0.75, the
-// Elasticsearch/Lucene defaults.
-func New() *Index {
-	return &Index{
-		k1:       1.2,
-		b:        0.75,
-		byID:     make(map[string]int),
-		postings: make(map[string][]posting),
-	}
+// New returns an empty index over a dictionary of its own, scoring with
+// k1=1.2, b=0.75, the Elasticsearch/Lucene defaults.
+func New() *Index { return NewWithDict(textutil.NewDict()) }
+
+// NewWithDict is New over the dictionary d, which the bags AddBag is given
+// must come from.
+func NewWithDict(d *textutil.Dict) *Index {
+	return &Index{k1: 1.2, b: 0.75, dict: d, byID: make(map[string]int)}
 }
 
 // Add indexes text under id. Re-adding an existing id returns an error:
 // documents are immutable, and the caller should Delete first (matching the
 // append-mostly ingest pattern of a data lake).
 func (ix *Index) Add(id, text string) error {
-	return ix.AddTerms(id, textutil.Analyze(text))
+	return ix.AddBag(id, ix.dict.Analyze(text))
 }
 
-// AddTerms indexes a pre-analyzed document under id: its bag of
-// textutil.Analyze terms, which the caller built already — typically on an
+// AddTerms is AddBag for a bag whose terms are strings.
+func (ix *Index) AddTerms(id string, bag textutil.Bag) error {
+	b := textutil.IDBag{Terms: make([]textutil.TermFreq, len(bag.Terms)), Len: bag.Len}
+	for i, t := range bag.Terms {
+		b.Terms[i] = textutil.TermFreq{ID: ix.dict.Add(t), Freq: bag.Counts[i]}
+	}
+	return ix.AddBag(id, b)
+}
+
+// AddBag indexes a pre-analyzed document under id: its bag of terms of
+// the index's dictionary, which the caller built already — typically on an
 // ingest pipeline's prepare stage, outside the index lock — so the critical
 // section covers only the posting-list insertion.
-func (ix *Index) AddTerms(id string, bag textutil.Bag) error {
+func (ix *Index) AddBag(id string, bag textutil.IDBag) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if ord, ok := ix.byID[id]; ok && !ix.deleted[ord] {
@@ -115,8 +125,20 @@ func (ix *Index) AddTerms(id string, bag textutil.Bag) error {
 	ix.deleted = append(ix.deleted, false)
 	ix.totalLen += int64(bag.Len)
 	ix.liveDocs++
-	for i, t := range bag.Terms {
-		ix.postings[t] = append(ix.postings[t], posting{doc: int32(ord), freq: bag.Counts[i]})
+	for _, t := range bag.Terms {
+		if int(t.ID) >= len(ix.postings) {
+			ix.postings = append(ix.postings, make([][]posting, int(t.ID)+1-len(ix.postings))...)
+		}
+		ix.postings[t.ID] = append(ix.postings[t.ID], posting{doc: int32(ord), freq: t.Freq})
+	}
+	return nil
+}
+
+// deltaPostings returns the delta's postings of term. Caller holds the
+// lock.
+func (ix *Index) deltaPostings(term string) []posting {
+	if id, ok := ix.dict.Lookup(term); ok && int(id) < len(ix.postings) {
+		return ix.postings[id]
 	}
 	return nil
 }
@@ -184,10 +206,9 @@ func (ix *Index) compactLocked() {
 			}
 		}
 		if len(kept) == 0 {
-			delete(ix.postings, term)
-		} else {
-			ix.postings[term] = kept
+			kept = nil
 		}
+		ix.postings[term] = kept
 	}
 }
 

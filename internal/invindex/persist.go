@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/binfmt"
+	"repro/internal/textutil"
 )
 
 // Frozen is one sealed segment: an immutable, compacted capture of an
@@ -48,7 +49,7 @@ func (ix *Index) Freeze() *Frozen {
 		panic(fmt.Sprintf("invindex: seal: %v", err))
 	}
 	ix.ids, ix.lengths, ix.deleted, ix.totalLen, ix.liveDocs = nil, nil, nil, 0, 0
-	ix.byID, ix.postings = make(map[string]int), make(map[string][]posting)
+	ix.byID, ix.postings = make(map[string]int), nil
 	ix.setBase(newFrozen(seg))
 	return ix.base
 }
@@ -100,42 +101,69 @@ func (ix *Index) sealLocked(base *staticSeg) (*staticSeg, error) {
 		takeDelta(delta[j])
 	}
 
-	terms := make([]string, 0, len(ix.postings))
-	for t := range ix.postings {
-		terms = append(terms, t)
+	// The delta's terms, resolved from their IDs and sorted, merge with the
+	// base's, which its column holds sorted already.
+	type deltaTerm struct {
+		term  string
+		plist []posting
 	}
-	for ti := 0; base != nil && ti < base.terms.Len(); ti++ {
-		terms = append(terms, view(base.terms.Bytes(ti)))
+	var dterms []deltaTerm
+	for id, plist := range ix.postings {
+		if len(plist) > 0 {
+			dterms = append(dterms, deltaTerm{ix.dict.Term(uint32(id)), plist})
+		}
 	}
-	slices.Sort(terms)
-	terms = slices.Compact(terms)
+	slices.SortFunc(dterms, func(a, b deltaTerm) int { return strings.Compare(a.term, b.term) })
+	nBase := 0
+	if base != nil {
+		nBase = base.terms.Len()
+	}
 
-	live := terms[:0] // terms that keep at least one pair
-	postIdx := make([]uint32, 1, len(terms)+1)
-	postOff := make([]uint32, 1, len(terms)+1)
+	var live []string // terms that keep at least one pair
+	postIdx := make([]uint32, 1, len(dterms)+nBase+1)
+	postOff := make([]uint32, 1, len(dterms)+nBase+1)
 	var posts []byte
 	var baseRun, run []int32 // one term's live base pairs, then all its pairs
 	var deltaRun []int64     // one term's live delta pairs as doc<<32 | freq
-	for _, t := range terms {
-		baseRun = baseRun[:0]
-		if base != nil {
-			if bt := base.findTerm(t); bt >= 0 {
-				var err error
-				if baseRun, err = base.pairs(bt, baseRun); err != nil {
-					return nil, err
-				}
-				// baseRemap ascends, so the kept pairs still do.
-				kept := baseRun[:0]
-				for i := 0; i < len(baseRun); i += 2 {
-					if no := baseRemap[baseRun[i]]; no >= 0 {
-						kept = append(kept, no, baseRun[i+1])
-					}
-				}
-				baseRun = kept
+	for bi, di := 0, 0; bi < nBase || di < len(dterms); {
+		// The next term in order: the base's, the delta's, or both's.
+		var t string
+		var plist []posting
+		bt := -1
+		if bi < nBase {
+			t, bt = view(base.terms.Bytes(bi)), bi
+		}
+		if di < len(dterms) {
+			switch {
+			case bt < 0 || dterms[di].term < t:
+				t, bt, plist = dterms[di].term, -1, dterms[di].plist
+			case dterms[di].term == t:
+				plist = dterms[di].plist
 			}
 		}
+		if bt >= 0 {
+			bi++
+		}
+		if plist != nil {
+			di++
+		}
+		baseRun = baseRun[:0]
+		if bt >= 0 {
+			var err error
+			if baseRun, err = base.pairs(bt, baseRun); err != nil {
+				return nil, err
+			}
+			// baseRemap ascends, so the kept pairs still do.
+			kept := baseRun[:0]
+			for i := 0; i < len(baseRun); i += 2 {
+				if no := baseRemap[baseRun[i]]; no >= 0 {
+					kept = append(kept, no, baseRun[i+1])
+				}
+			}
+			baseRun = kept
+		}
 		deltaRun = deltaRun[:0]
-		for _, p := range ix.postings[t] {
+		for _, p := range plist {
 			if !ix.deleted[p.doc] {
 				deltaRun = append(deltaRun, int64(remap[p.doc])<<32|int64(p.freq))
 			}
@@ -215,32 +243,33 @@ func (z *Frozen) Adopt(path string) error {
 }
 
 // Index wraps the segment as a searchable index of its own (base tier
-// shared, no tombstones, empty delta) for reads pinned to the version it
-// was sealed at, scoring with the segment's BM25 parameters.
-func (z *Frozen) Index() *Index {
+// shared, no tombstones, empty delta over a dictionary of its own) for
+// reads pinned to the version it was sealed at, scoring with the segment's
+// BM25 parameters.
+func (z *Frozen) Index() *Index { return z.index(textutil.NewDict()) }
+
+func (z *Frozen) index(d *textutil.Dict) *Index {
 	seg := z.cols.Load()
-	ix := New()
+	ix := NewWithDict(d)
 	ix.k1, ix.b = seg.k1, seg.b
 	ix.setBase(z)
 	return ix
 }
 
 // OpenFile opens a snapshot file, serving it as an mmap'd immutable base
-// segment (new writes layer into the mutable delta).
-func OpenFile(path string) (*Index, error) {
+// segment (new writes layer into the mutable delta, over a dictionary of
+// its own).
+func OpenFile(path string) (*Index, error) { return OpenFileWithDict(path, textutil.NewDict()) }
+
+// OpenFileWithDict is OpenFile with the delta over the dictionary d.
+func OpenFileWithDict(path string, d *textutil.Dict) (*Index, error) {
 	fr, err := binfmt.OpenFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("invindex: %w", err)
 	}
-	return fromReader(fr)
-}
-
-// fromReader wraps a verified binfmt container as an Index with an
-// immutable base tier and an empty delta.
-func fromReader(fr *binfmt.Reader) (*Index, error) {
 	base, err := loadStatic(fr)
 	if err != nil {
 		return nil, err
 	}
-	return newFrozen(base).Index(), nil
+	return newFrozen(base).index(d), nil
 }

@@ -117,7 +117,7 @@ func (ix *Index) SearchTerms(terms []string, k int) []Hit {
 				basePairs = sc.pairs
 			}
 		}
-		plist := ix.postings[t]
+		plist := ix.deltaPostings(t)
 		if len(basePairs) == 0 && len(plist) == 0 {
 			continue
 		}

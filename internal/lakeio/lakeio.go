@@ -20,6 +20,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/datalake"
 	"repro/internal/doc"
@@ -122,44 +125,84 @@ func Save(lake Catalog, dir string) error {
 // Load reads a lake directory written by Save into a new lake, every
 // instance ingested as one batch (versions 1..n in manifest order).
 func Load(dir string) (*datalake.Lake, error) {
-	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	sources, items, err := Read(dir)
 	if err != nil {
-		return nil, fmt.Errorf("lakeio: read manifest: %w", err)
+		return nil, err
 	}
-	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("lakeio: parse manifest: %w", err)
-	}
-	var items []datalake.BatchItem
-	for _, te := range m.Tables {
-		f, err := os.Open(filepath.Join(dir, te.File))
-		if err != nil {
-			return nil, fmt.Errorf("lakeio: open table file: %w", err)
-		}
-		t, err := table.ReadCSV(f, te.ID, te.Caption)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, fmt.Errorf("lakeio: read table %q: %w", te.ID, err)
-		}
-		t.SourceID = te.SourceID
-		items = append(items, datalake.BatchItem{Table: t})
-	}
-	for _, de := range m.Docs {
-		text, err := os.ReadFile(filepath.Join(dir, de.File))
-		if err != nil {
-			return nil, fmt.Errorf("lakeio: read doc %q: %w", de.ID, err)
-		}
-		d := &doc.Document{ID: de.ID, Title: de.Title, EntityID: de.EntityID, SourceID: de.SourceID, Text: string(text)}
-		items = append(items, datalake.BatchItem{Doc: d})
-	}
-	for i := range m.Triples {
-		items = append(items, datalake.BatchItem{Triple: &m.Triples[i]})
-	}
-	lake, err := datalake.Load(m.Sources, items)
+	lake, err := datalake.Load(sources, items)
 	if err != nil {
 		return nil, fmt.Errorf("lakeio: load: %w", err)
 	}
 	return lake, nil
+}
+
+// Read reads a lake directory written by Save without building a lake:
+// its sources, and every instance as a batch item in manifest order —
+// tables, then documents, then triples — which is the order Load commits
+// them in. The table and document files are parsed on GOMAXPROCS workers.
+func Read(dir string) ([]datalake.Source, []datalake.BatchItem, error) {
+	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		return nil, nil, fmt.Errorf("lakeio: read manifest: %w", err)
+	}
+	var m manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		return nil, nil, fmt.Errorf("lakeio: parse manifest: %w", err)
+	}
+	files := len(m.Tables) + len(m.Docs)
+	items := make([]datalake.BatchItem, files, files+len(m.Triples))
+	errs := make([]error, files)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), files); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				switch {
+				case i >= files:
+					return
+				case i < len(m.Tables):
+					items[i].Table, errs[i] = readTable(dir, m.Tables[i])
+				default:
+					items[i].Doc, errs[i] = readDoc(dir, m.Docs[i-len(m.Tables)])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	for i := range m.Triples {
+		items = append(items, datalake.BatchItem{Triple: &m.Triples[i]})
+	}
+	return m.Sources, items, nil
+}
+
+func readTable(dir string, te tableEntry) (*table.Table, error) {
+	f, err := os.Open(filepath.Join(dir, te.File))
+	if err != nil {
+		return nil, fmt.Errorf("lakeio: open table file: %w", err)
+	}
+	t, err := table.ReadCSV(f, te.ID, te.Caption)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, fmt.Errorf("lakeio: read table %q: %w", te.ID, err)
+	}
+	t.SourceID = te.SourceID
+	return t, nil
+}
+
+func readDoc(dir string, de docEntry) (*doc.Document, error) {
+	text, err := os.ReadFile(filepath.Join(dir, de.File))
+	if err != nil {
+		return nil, fmt.Errorf("lakeio: read doc %q: %w", de.ID, err)
+	}
+	return &doc.Document{ID: de.ID, Title: de.Title, EntityID: de.EntityID, SourceID: de.SourceID, Text: string(text)}, nil
 }

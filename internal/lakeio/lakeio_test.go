@@ -92,3 +92,58 @@ func TestSaveGeneratedCorpus(t *testing.T) {
 		t.Errorf("corpus stats drifted: %+v vs %+v", loaded.Stats(), corpus.Lake.Stats())
 	}
 }
+
+// TestReadKeepsManifestOrder: Read, parsing on several workers, returns
+// the tables, then the documents, then the triples in the order the lake
+// holds them — the order Load commits them in — and a missing file fails
+// the read.
+func TestReadKeepsManifestOrder(t *testing.T) {
+	cfg := workload.DefaultConfig()
+	cfg.NumTables = 60
+	cfg.NumTexts = 40
+	corpus, err := workload.GenerateLake(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lake := corpus.Lake
+	dir := t.TempDir()
+	if err := Save(lake, dir); err != nil {
+		t.Fatal(err)
+	}
+	sources, items, err := Read(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sources, lake.Sources()) {
+		t.Errorf("sources %+v, lake %+v", sources, lake.Sources())
+	}
+	var got, want []string
+	for _, it := range items {
+		switch {
+		case it.Table != nil:
+			got = append(got, "table "+it.Table.ID)
+		case it.Doc != nil:
+			got = append(got, "doc "+it.Doc.ID)
+		default:
+			got = append(got, "triple "+it.Triple.Subject+"|"+it.Triple.Predicate+"|"+it.Triple.Object)
+		}
+	}
+	for _, id := range lake.TableIDs() {
+		want = append(want, "table "+id)
+	}
+	for _, id := range lake.DocIDs() {
+		want = append(want, "doc "+id)
+	}
+	for _, tr := range lake.Triples() {
+		want = append(want, "triple "+tr.Subject+"|"+tr.Predicate+"|"+tr.Object)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Read returned %d items out of the lake's order", len(got))
+	}
+	if err := os.Remove(filepath.Join(dir, "tables", lake.TableIDs()[7]+".csv")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Read(dir); err == nil {
+		t.Error("Read succeeded with a table file missing")
+	}
+}

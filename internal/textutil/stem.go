@@ -10,30 +10,27 @@ import (
 // definition. Tokens of length <= 2 are returned unchanged.
 //
 // Results are memoized: a lake's vocabulary is small next to its token
-// count, and every instance is analyzed at ingest and again per candidate
-// at rerank, so most calls repeat a word already stemmed. Safe for
-// concurrent use.
-func Stem(word string) string {
-	if len(word) <= 2 {
-		return word
+// count, and the rerankers analyze every candidate again per request, so
+// most calls repeat a word already stemmed. (Ingest stems each new token
+// once, through its Dict.) Safe for concurrent use.
+func Stem(word string) string { return stem(word) }
+
+// stem is Stem of a token held as a string or as bytes: a memo hit costs
+// no allocation either way.
+func stem[T string | []byte](w T) string {
+	if !stemmable(w) {
+		return string(w)
 	}
-	// Every rule's suffix ends in an ASCII letter, so no step can fire on a
-	// word that ends in anything else (numbers, non-ASCII): such words are
-	// their own stem, and staying out of the memo keeps the unbounded space
-	// of numeric cell values from evicting the vocabulary.
-	if c := word[len(word)-1]; c < 'a' || c > 'z' {
-		return word
-	}
-	sh := &stemMemo[stemShardOf(word)]
+	sh := &stemMemo[stemShardOf(w)]
 	sh.mu.RLock()
-	s, ok := sh.m[word]
+	s, ok := sh.m[string(w)]
 	sh.mu.RUnlock()
 	if ok {
 		return s
 	}
-	// The memo keeps its own copy: word may be a slice of a much larger
-	// string, which a retained key would pin.
-	word = strings.Clone(word)
+	// The memo keeps its own copy: a string word may be a slice of a much
+	// larger string, which a retained key would pin.
+	word := strings.Clone(string(w))
 	s = porter(word)
 	sh.mu.Lock()
 	if sh.m == nil || len(sh.m) >= stemMemoEntries/stemMemoShards {
@@ -47,9 +44,19 @@ func Stem(word string) string {
 	return s
 }
 
+// stemmable reports whether Porter's algorithm can change w. Words of
+// length <= 2 are left alone, and every rule's suffix ends in an ASCII
+// letter, so no step can fire on a word that ends in anything else
+// (numbers, non-ASCII): such words are their own stem, and staying out of
+// the memo keeps the unbounded space of numeric cell values from evicting
+// the vocabulary.
+func stemmable[T string | []byte](w T) bool {
+	return len(w) > 2 && 'a' <= w[len(w)-1] && w[len(w)-1] <= 'z'
+}
+
 // stemMemoEntries caps the words the memo holds (about 100 bytes each,
 // so under 2 MB); stemMemoShards spreads them over independently locked
-// maps so concurrent ingest and verify goroutines rarely meet.
+// maps so concurrent verify goroutines rarely meet.
 const (
 	stemMemoEntries = 1 << 14
 	stemMemoShards  = 16
@@ -61,7 +68,7 @@ var stemMemo [stemMemoShards]struct {
 }
 
 // stemShardOf hashes word (FNV-1a) to its memo shard.
-func stemShardOf(word string) uint32 {
+func stemShardOf[T string | []byte](word T) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(word); i++ {
 		h ^= uint32(word[i])

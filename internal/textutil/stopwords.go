@@ -15,7 +15,9 @@ var stopwords = map[string]struct{}{
 }
 
 // IsStopword reports whether the lowercase token t is an English stopword.
-func IsStopword(t string) bool {
-	_, ok := stopwords[t]
+func IsStopword(t string) bool { return isStopword(t) }
+
+func isStopword[T string | []byte](t T) bool {
+	_, ok := stopwords[string(t)]
 	return ok
 }

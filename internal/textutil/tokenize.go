@@ -13,48 +13,80 @@ import (
 	"unicode/utf8"
 )
 
-// Tokenize splits s into lowercase word tokens. A token is a maximal run of
-// letters/digits; punctuation and whitespace are separators. Apostrophes
-// inside a word ("ohio's") are dropped so that "ohio's" and "ohio" share a
-// prefix token. Underscores are treated as separators because data-lake
-// identifiers such as "Ohio's_1st_congressional_district" should decompose
-// into searchable words.
+// tokenBuf is the token length the scanning kernel lowercases into its
+// caller's stack buffer; a longer token grows the buffer onto the heap.
+const tokenBuf = 64
+
+// scanToken is the analysis chain's one byte-scanning kernel: it finds the
+// first token of s at or after i, lowercases it into buf[:0] and returns
+// it with the index just past it; tok is empty once s holds no more
+// tokens. A token is a maximal run of letters and digits; punctuation and
+// whitespace separate tokens. Apostrophes inside a word ("ohio's") are
+// dropped so that "ohio's" and "ohio" share a prefix token. Underscores
+// separate too, because data-lake identifiers such as
+// "Ohio's_1st_congressional_district" should decompose into searchable
+// words. ASCII is classified and lowercased a byte at a time; other input
+// is decoded and goes through package unicode.
+func scanToken(s string, i int, buf []byte) (tok []byte, next int) {
+	tok = buf[:0]
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			i++
+			switch {
+			case 'a' <= c && c <= 'z' || '0' <= c && c <= '9':
+				tok = append(tok, c)
+			case 'A' <= c && c <= 'Z':
+				tok = append(tok, c+('a'-'A'))
+			case c == '\'':
+				// Dropped without splitting: "o'brien" -> "obrien".
+			case len(tok) > 0:
+				return tok, i
+			}
+			continue
+		}
+		r, n := utf8.DecodeRuneInString(s[i:])
+		i += n
+		switch {
+		case unicode.IsLetter(r) || unicode.IsDigit(r):
+			tok = utf8.AppendRune(tok, unicode.ToLower(r))
+		case r == '’':
+		case len(tok) > 0:
+			return tok, i
+		}
+	}
+	return tok, i
+}
+
+// Tokenize splits s into lowercase word tokens (see scanToken).
 func Tokenize(s string) []string {
 	if s == "" {
 		return nil
 	}
 	tokens := make([]string, 0, len(s)/5+1)
-	var b strings.Builder
-	flush := func() {
-		if b.Len() > 0 {
-			tokens = append(tokens, b.String())
-			b.Reset()
+	var buf [tokenBuf]byte
+	for i := 0; i < len(s); {
+		var tok []byte
+		if tok, i = scanToken(s, i, buf[:0]); len(tok) > 0 {
+			tokens = append(tokens, string(tok))
 		}
 	}
-	for _, r := range s {
-		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			b.WriteRune(unicode.ToLower(r))
-		case r == '\'' || r == '’':
-			// Drop apostrophes without splitting: "o'brien" -> "obrien".
-		default:
-			flush()
-		}
-	}
-	flush()
 	return tokens
 }
 
 // TokenizeFiltered tokenizes s, removes stopwords, and stems each remaining
 // token. This is the canonical analysis chain used by the inverted index.
+// A token whose stem the memo holds costs no allocation.
 func TokenizeFiltered(s string) []string {
-	raw := Tokenize(s)
-	out := raw[:0]
-	for _, t := range raw {
-		if IsStopword(t) {
-			continue
+	if s == "" {
+		return nil
+	}
+	out := make([]string, 0, len(s)/5+1)
+	var buf [tokenBuf]byte
+	for i := 0; i < len(s); {
+		var tok []byte
+		if tok, i = scanToken(s, i, buf[:0]); len(tok) > 0 && !isStopword(tok) {
+			out = append(out, stem(tok))
 		}
-		out = append(out, Stem(t))
 	}
 	return out
 }
