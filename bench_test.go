@@ -907,8 +907,8 @@ func caseSystem(b *testing.B, cache bool) *System {
 // repeated claims: "cold" recomputes the full retrieve→rerank→verify
 // pipeline every time, "cached" serves the identical request from the
 // sharded LRU (invalidated exactly on writes touching its evidence kinds).
-// The expected gap is ≥10x — a hit is a fingerprint hash and one LRU
-// lookup versus the whole pipeline.
+// The expected gap is ≥10x — a hit is a fingerprint hash, one LRU lookup
+// and a Report rebuilt from its lineage record versus the whole pipeline.
 func BenchmarkVerifyCachedVsCold(b *testing.B) {
 	for _, mode := range []string{"cold", "cached"} {
 		b.Run(mode, func(b *testing.B) {

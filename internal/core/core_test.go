@@ -360,6 +360,10 @@ func TestPipelineNilProvenance(t *testing.T) {
 	if rep.ProvenanceSeq != -1 {
 		t.Errorf("provenance seq with nil store = %d", rep.ProvenanceSeq)
 	}
+	// A cache hit is rebuilt from lineage, so there is no cache without it.
+	if p.rcache != nil {
+		t.Error("a pipeline without a provenance store has a result cache")
+	}
 }
 
 func TestCombineRRF(t *testing.T) {

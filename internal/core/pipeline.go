@@ -33,11 +33,16 @@ type PipelineConfig struct {
 	// (object, evidence), so the report is identical either way.
 	VerifyWorkers int
 	// ResultCache is the capacity (entries) of the verify-result cache:
-	// completed Reports keyed by (task, object fingerprint, kind set) and
-	// invalidated exactly when a lake write touches a kind they depend on
-	// (see resultcache.go). <= 0 disables caching — every Verify recomputes.
-	// A cache hit returns the original Report, including its ProvenanceSeq:
-	// identical requests against an unchanged lake share one lineage record.
+	// completed verifications keyed by (task, object fingerprint, kind set)
+	// and invalidated exactly when a lake write touches a kind they depend
+	// on (see resultcache.go). <= 0 disables caching — every Verify
+	// recomputes. An entry holds no Report, only the verification's lineage
+	// record number with its verdict and confidence: a hit rebuilds the
+	// Report from the record, the caller's object and the evidence resolved
+	// as the miss resolved it, so it equals the original Report, including
+	// its ProvenanceSeq — identical requests against an unchanged lake share
+	// one lineage record. A pipeline without a provenance store therefore
+	// has no result cache, whatever ResultCache says.
 	ResultCache int
 	// SnapshotRetain bounds the unpinned time-travel snapshot population
 	// (keep-last-N; explicit pins are retained regardless). <= 0 selects
@@ -52,8 +57,8 @@ type PipelineConfig struct {
 
 // DefaultPipelineConfig returns the paper's settings, with the top-k′
 // evidence verified concurrently and the verify-result cache enabled (the
-// verifiers are deterministic, so cached Reports are bit-identical to
-// recomputed ones).
+// verifiers are deterministic, so a Report rebuilt from the cache equals a
+// recomputed one).
 func DefaultPipelineConfig() PipelineConfig {
 	return PipelineConfig{TopK: 100, TopKPrime: 5, UseReranker: true, VerifyWorkers: 4, ResultCache: 4096}
 }
@@ -84,7 +89,8 @@ type Pipeline struct {
 
 // NewPipeline assembles a pipeline. sourceTrust maps source IDs to trust in
 // [0,1]; missing sources default to their lake prior (or 0.5). A nil
-// provenance store disables lineage recording.
+// provenance store disables lineage recording, and with it the result
+// cache, whose entries are rebuilt from lineage.
 func NewPipeline(lake *datalake.Lake, indexer *Indexer, rr *rerank.Registry, agent *verify.Agent,
 	prov *provenance.Store, sourceTrust map[string]float64, cfg PipelineConfig) (*Pipeline, error) {
 	if lake == nil || indexer == nil || rr == nil || agent == nil {
@@ -101,7 +107,7 @@ func NewPipeline(lake *datalake.Lake, indexer *Indexer, rr *rerank.Registry, age
 		prov: prov, trust: sourceTrust, cfg: cfg,
 		snapshots: datalake.NewSnapshotRegistry(cfg.SnapshotRetain),
 	}
-	if cfg.ResultCache > 0 {
+	if cfg.ResultCache > 0 && prov != nil {
 		p.rcache = newResultCache(cfg.ResultCache)
 		if err := p.rcache.attach(lake); err != nil {
 			return nil, fmt.Errorf("core: attach result cache: %w", err)
@@ -141,7 +147,7 @@ func (p *Pipeline) installMetrics(reg *obs.Registry) {
 		reg.CounterFunc("verifai_result_cache_invalidations_total",
 			"Verify-result cache entries evicted because a lake write or trust override staled them.", rc.invalidations.Load)
 		reg.GaugeFunc("verifai_result_cache_entries",
-			"Verify-result cache resident entries.", func() float64 { return float64(rc.len()) })
+			"Verify-result cache resident entries.", func() float64 { n, _ := rc.size(); return float64(n) })
 	}
 	reg.CounterFunc("verifai_query_cache_hits_total",
 		"Query-embedding cache hits.", func() uint64 { h, _, _ := p.indexer.QueryCacheStats(); return h })
@@ -221,6 +227,8 @@ type Stats struct {
 	ResultCacheMisses        uint64 `json:"result_cache_misses"`
 	ResultCacheInvalidations uint64 `json:"result_cache_invalidations"`
 	ResultCacheSize          int    `json:"result_cache_size"`
+	// ResultCacheBytes is the heap the entries hold, keys included.
+	ResultCacheBytes int64 `json:"result_cache_bytes"`
 	// QueryCache* describe the indexer's query-embedding LRU.
 	QueryCacheHits   uint64 `json:"query_cache_hits"`
 	QueryCacheMisses uint64 `json:"query_cache_misses"`
@@ -231,7 +239,8 @@ type Stats struct {
 func (p *Pipeline) Stats() Stats {
 	var s Stats
 	if p.rcache != nil {
-		s.ResultCacheHits, s.ResultCacheMisses, s.ResultCacheInvalidations, s.ResultCacheSize = p.rcache.stats()
+		s.ResultCacheHits, s.ResultCacheMisses, s.ResultCacheInvalidations = p.rcache.hits.Load(), p.rcache.misses.Load(), p.rcache.invalidations.Load()
+		s.ResultCacheSize, s.ResultCacheBytes = p.rcache.size()
 	}
 	s.QueryCacheHits, s.QueryCacheMisses, s.QueryCacheSize = p.indexer.QueryCacheStats()
 	return s
@@ -312,10 +321,10 @@ func (p *Pipeline) Verify(g verify.Generated, kinds ...datalake.Kind) (Report, e
 // verification and returns the context's error, so an abandoned HTTP
 // request stops burning CPU mid-flight.
 //
-// When the result cache is enabled, a Report computed for the same
-// (object, kinds) fingerprint against an unchanged lake (no write touching
-// the requested kinds, no trust override) is returned without recomputing;
-// cancelled or failed verifications are never cached.
+// When the result cache is enabled, a verification of the same (object,
+// kinds) fingerprint against an unchanged lake (no write touching the
+// requested kinds, no trust override) is rebuilt from its lineage record
+// without recomputing; cancelled or failed verifications are never cached.
 func (p *Pipeline) VerifyCtx(ctx context.Context, g verify.Generated, kinds ...datalake.Kind) (Report, error) {
 	return p.verifyCached(ctx, g, p.cfg.VerifyWorkers, p.normalizeKinds(kinds))
 }
@@ -324,29 +333,30 @@ func (p *Pipeline) VerifyCtx(ctx context.Context, g verify.Generated, kinds ...d
 // single serving path behind VerifyCtx and VerifyBatchCtx. kinds must be
 // normalized.
 func (p *Pipeline) verifyCached(ctx context.Context, g verify.Generated, evidenceWorkers int, kinds []datalake.Kind) (Report, error) {
-	var key string
-	if p.rcache != nil {
-		key = cacheKey(g, kinds)
-		if rep, ok := p.rcache.get(key, kinds); ok {
-			return rep, nil
-		}
+	run := func() (Report, error) { return p.verifyWith(ctx, g, evidenceWorkers, kinds) }
+	if p.rcache == nil {
+		return run()
 	}
-	// Stamp validity before touching the indexes: every index read below
-	// reflects at least this published version, and a write landing
-	// mid-verification makes the stamp conservatively stale.
-	var version, epoch uint64
-	if p.rcache != nil {
-		version = p.lake.Version()
-		epoch = p.rcache.epoch.Load()
+	return p.cached(cacheKey(g, kinds), g, kinds, p.lake.Resolve, run)
+}
+
+// cached serves g from the result cache under key, rebuilding a hit with
+// resolve, or calls run and caches its outcome. The validity stamps are
+// read before run touches the indexes: every index read reflects at
+// least this published version, and a write landing mid-verification makes
+// the stamp conservatively stale. Cancelled or failed verifications are
+// never cached.
+func (p *Pipeline) cached(key string, g verify.Generated, kinds []datalake.Kind,
+	resolve func(string) (datalake.Instance, error), run func() (Report, error)) (Report, error) {
+	if rep, ok := p.rcache.get(key, kinds, func(e rcEntry) (Report, bool) { return p.rebuild(g, e, resolve) }); ok {
+		return rep, nil
 	}
-	rep, err := p.verifyWith(ctx, g, evidenceWorkers, kinds)
-	if err != nil {
-		return rep, err
-	}
-	if p.rcache != nil {
+	version, epoch := p.lake.Version(), p.rcache.epoch.Load()
+	rep, err := run()
+	if err == nil {
 		p.rcache.put(key, kinds, version, epoch, rep)
 	}
-	return rep, nil
+	return rep, err
 }
 
 // evidenceSource is the seam between the verification flow and the data it
@@ -454,7 +464,7 @@ func (p *Pipeline) verifyAgainst(ctx context.Context, g verify.Generated, eviden
 	report := Report{Object: g, ProvenanceSeq: -1, AsOfVersion: asOf}
 	votes := make(map[string][]float64)
 	var decisions []provenance.VerifierDecision
-	if len(ordered) > 0 { // sized exactly: a cached Report keeps its array
+	if len(ordered) > 0 {
 		report.Evidence = make([]Evidence, 0, len(ordered))
 		decisions = make([]provenance.VerifierDecision, 0, len(ordered))
 	}

@@ -6,16 +6,26 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/datalake"
 	"repro/internal/verify"
 )
 
-// resultCache is a sharded LRU of completed verification Reports, the
-// read-path counterpart of the write path's pipelining: VerifAI's verifiers
-// are deterministic functions of (object, evidence), and the lake's
-// monotonic version orders every mutation, so a Report stays exactly valid
-// until a write touches one of the evidence kinds it was computed over.
+// resultCache is a sharded LRU of completed verifications, the read-path
+// counterpart of the write path's pipelining: VerifAI's verifiers are
+// deterministic functions of (object, evidence), and the lake's monotonic
+// version orders every mutation, so a verification's outcome stays exactly
+// valid until a write touches one of the evidence kinds it was computed
+// over.
+//
+// An entry holds no Report. The lineage record the verification appended
+// already keeps everything a Report is made of but the caller's object and
+// the evidence instances themselves, so an entry is the record's sequence
+// number plus the verdict and confidence, and a hit rebuilds the Report
+// from the record, the caller's object and the same instance resolution
+// the miss used (Pipeline.rebuild). Lineage is the only copy; a pipeline
+// without a lineage store has no result cache.
 //
 // Invalidation is version-based and per-kind, not wholesale. The cache
 // subscribes to the lake's change feed and tracks, per instance kind, the
@@ -63,18 +73,34 @@ type rcShard struct {
 	cap   int
 	ll    *list.List
 	items map[string]*list.Element
+	bytes int64 // rcEntryBytes per entry plus the bytes of its key
 }
 
-// rcEntry is one cached Report with its validity stamps.
+// rcEntry is one cached verification: its validity stamps and the outcome
+// a hit rebuilds its Report around. Apart from its key it holds no
+// pointer.
 type rcEntry struct {
 	key string
 	// version is the lake's published version when the verification's
-	// retrieval began: every index read the Report depends on reflects at
+	// retrieval began: every index read the outcome depends on reflects at
 	// least this version, and nothing later is assumed.
 	version uint64
 	epoch   uint64
-	report  Report
+	// asOf is the Report's AsOfVersion. A pinned entry (asOf > 0) read
+	// immutable snapshot state, so neither the per-kind watermarks nor the
+	// trust epoch can stale it: its key, which embeds the snapshot's
+	// registry-unique identity (see pinnedCacheKey), is its whole validity
+	// story, and it retires only by LRU pressure.
+	asOf       uint64
+	seq        int // the lineage record's sequence number
+	verdict    verify.Verdict
+	confidence float64
 }
+
+// rcEntryBytes is what an entry costs besides its key's bytes: the entry,
+// its list node and its map slot.
+const rcEntryBytes = int64(unsafe.Sizeof(rcEntry{}) + unsafe.Sizeof(list.Element{}) +
+	unsafe.Sizeof("") + unsafe.Sizeof((*list.Element)(nil)))
 
 // newResultCache returns a cache holding at most capacity entries across
 // rcShardCount LRU shards (per-shard capacity rounds up, so tiny capacities
@@ -143,7 +169,7 @@ func (c *resultCache) observe(ev datalake.Event) {
 	}
 }
 
-// bumpEpoch invalidates every entry (trust override).
+// bumpEpoch invalidates every head entry (trust override).
 func (c *resultCache) bumpEpoch() { c.epoch.Add(1) }
 
 // minValid returns the lowest snapshot version still valid for a retrieval
@@ -171,11 +197,15 @@ func (c *resultCache) shardFor(key string) *rcShard {
 	return c.shards[h%uint32(len(c.shards))]
 }
 
-// get returns the cached Report for key if one exists and is still valid
-// for a retrieval spanning kinds. Stale entries are evicted on sight and
+// get looks key up and, when its entry is still valid for a retrieval
+// spanning kinds, returns the Report rebuild makes of a copy of it. rebuild
+// runs after the shard is unlocked. The lookup counts as a hit only when
+// rebuild succeeds; when it fails (the lineage record is gone, or an
+// instance no longer resolves) it counts as a miss, and the caller's
+// recomputation replaces the entry. Stale entries are evicted on sight and
 // counted as invalidations (invalidation is lazy: the write only advances
 // a watermark, and the entry dies at its next lookup or by LRU pressure).
-func (c *resultCache) get(key string, kinds []datalake.Kind) (Report, bool) {
+func (c *resultCache) get(key string, kinds []datalake.Kind, rebuild func(rcEntry) (Report, bool)) (Report, bool) {
 	minValid := c.minValid(kinds)
 	epoch := c.epoch.Load()
 	sh := c.shardFor(key)
@@ -187,102 +217,118 @@ func (c *resultCache) get(key string, kinds []datalake.Kind) (Report, bool) {
 		return Report{}, false
 	}
 	e := el.Value.(*rcEntry)
-	if e.version < minValid || e.epoch != epoch {
-		sh.ll.Remove(el)
-		delete(sh.items, key)
+	if e.asOf == 0 && (e.version < minValid || e.epoch != epoch) {
+		sh.remove(el)
 		sh.mu.Unlock()
 		c.invalidations.Add(1)
 		c.misses.Add(1)
 		return Report{}, false
 	}
-	// Copy the report out while the lock is held: a concurrent put for the
-	// same key refreshes the entry's fields in place.
-	rep := e.report
+	// Copy the entry out while the lock is held: a concurrent put for the
+	// same key refreshes its fields in place.
+	found := *e
 	sh.ll.MoveToFront(el)
 	sh.mu.Unlock()
-	c.hits.Add(1)
-	return rep, true
-}
-
-// put caches a completed Report. version and epoch are the stamps read
-// before the verification's retrieval began; an entry already stale against
-// the current watermarks (a write landed mid-verification) is not inserted.
-func (c *resultCache) put(key string, kinds []datalake.Kind, version, epoch uint64, rep Report) {
-	if version < c.minValid(kinds) || epoch != c.epoch.Load() {
-		return
-	}
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.items[key]; ok {
-		e := el.Value.(*rcEntry)
-		e.version, e.epoch, e.report = version, epoch, rep
-		sh.ll.MoveToFront(el)
-		return
-	}
-	sh.items[key] = sh.ll.PushFront(&rcEntry{key: key, version: version, epoch: epoch, report: rep})
-	if sh.ll.Len() > sh.cap {
-		last := sh.ll.Back()
-		sh.ll.Remove(last)
-		delete(sh.items, last.Value.(*rcEntry).key)
-	}
-}
-
-// getPinned returns the cached Report for a pin-scoped key. Pinned entries
-// read immutable snapshot state, so neither the per-kind watermarks nor the
-// trust epoch can stale them — the key itself (which embeds the snapshot's
-// registry-unique identity, see pinnedCacheKey) is the whole validity
-// story, and entries retire only by LRU pressure.
-func (c *resultCache) getPinned(key string) (Report, bool) {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	el, ok := sh.items[key]
+	rep, ok := rebuild(found)
 	if !ok {
-		sh.mu.Unlock()
 		c.misses.Add(1)
 		return Report{}, false
 	}
-	rep := el.Value.(*rcEntry).report
-	sh.ll.MoveToFront(el)
-	sh.mu.Unlock()
 	c.hits.Add(1)
 	return rep, true
 }
 
-// putPinned caches a Report computed against a retained snapshot. No
-// version/epoch stamps: the snapshot is immutable, so the entry can never
-// go stale (its key dies with the pin generation instead).
-func (c *resultCache) putPinned(key string, rep Report) {
+// put caches the outcome of a completed verification. version and epoch
+// are the stamps read before the verification's retrieval began; a head
+// entry already stale against the current watermarks (a write landed
+// mid-verification) is not inserted. A pinned Report (AsOfVersion > 0)
+// needs no stamps.
+func (c *resultCache) put(key string, kinds []datalake.Kind, version, epoch uint64, rep Report) {
+	if rep.AsOfVersion == 0 && (version < c.minValid(kinds) || epoch != c.epoch.Load()) {
+		return
+	}
+	e := rcEntry{
+		key: key, version: version, epoch: epoch, asOf: rep.AsOfVersion,
+		seq: rep.ProvenanceSeq, verdict: rep.Verdict, confidence: rep.Confidence,
+	}
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if el, ok := sh.items[key]; ok {
-		el.Value.(*rcEntry).report = rep
+		e.key = el.Value.(*rcEntry).key
+		*el.Value.(*rcEntry) = e
 		sh.ll.MoveToFront(el)
 		return
 	}
-	sh.items[key] = sh.ll.PushFront(&rcEntry{key: key, report: rep})
+	e.key = strings.Clone(key) // keys are built in a larger buffer
+	sh.items[e.key] = sh.ll.PushFront(&e)
+	sh.bytes += rcEntryBytes + int64(len(key))
 	if sh.ll.Len() > sh.cap {
-		last := sh.ll.Back()
-		sh.ll.Remove(last)
-		delete(sh.items, last.Value.(*rcEntry).key)
+		sh.remove(sh.ll.Back())
 	}
 }
 
-// len returns the current entry count across shards.
-func (c *resultCache) len() int {
-	n := 0
+// remove drops an entry. The caller holds mu.
+func (sh *rcShard) remove(el *list.Element) {
+	key := el.Value.(*rcEntry).key
+	sh.ll.Remove(el)
+	delete(sh.items, key)
+	sh.bytes -= rcEntryBytes + int64(len(key))
+}
+
+// size returns the current entry count across shards and their bytes
+// (rcShard.bytes).
+func (c *resultCache) size() (entries int, bytes int64) {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		n += sh.ll.Len()
+		entries += sh.ll.Len()
+		bytes += sh.bytes
 		sh.mu.Unlock()
 	}
-	return n
+	return entries, bytes
 }
 
-// stats snapshots the counters.
-func (c *resultCache) stats() (hits, misses, invalidations uint64, size int) {
-	return c.hits.Load(), c.misses.Load(), c.invalidations.Load(), c.len()
+// rebuild makes the Report a cache hit on e returns for g: verdict and
+// confidence from e, the evidence from e's lineage record, each instance
+// resolved through resolve — the lake for head reads, the pinned view for
+// pinned reads, as on the miss that filled e. False when the record is gone
+// or an instance no longer resolves: the caller recomputes. The Report
+// shares no memory with the cache or the store.
+func (p *Pipeline) rebuild(g verify.Generated, e rcEntry, resolve func(string) (datalake.Instance, error)) (Report, bool) {
+	out, ok := p.prov.Outcome(e.seq)
+	if !ok || len(out.Reranked) != len(out.Decisions) {
+		return Report{}, false
+	}
+	rep := Report{Object: g, Verdict: e.verdict, Confidence: e.confidence, ProvenanceSeq: e.seq, AsOfVersion: e.asOf}
+	if len(out.Decisions) > 0 {
+		rep.Evidence = make([]Evidence, len(out.Decisions))
+	}
+	for i, dec := range out.Decisions {
+		inst, err := resolve(dec.InstanceID)
+		if err != nil {
+			return Report{}, false
+		}
+		rep.Evidence[i] = Evidence{
+			Instance:    inst,
+			RerankScore: out.Reranked[i].Score,
+			Result: verify.Result{
+				Verdict: parseVerdict(dec.Verdict), Explanation: dec.Explanation,
+				Verifier: dec.Verifier, EvidenceID: dec.InstanceID,
+			},
+			SourceTrust: dec.SourceTrust,
+		}
+	}
+	return rep, true
+}
+
+// parseVerdict inverts Verdict.String for the verdicts lineage records.
+func parseVerdict(s string) verify.Verdict {
+	for _, v := range []verify.Verdict{verify.Verified, verify.Refuted} {
+		if s == v.String() {
+			return v
+		}
+	}
+	return verify.NotRelated
 }
 
 // cacheKey fingerprints one verification request: the task kind, the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/rerank"
 	"repro/internal/table"
 	"repro/internal/verify"
+	"repro/internal/workload"
 )
 
 // tokenVerifier is a deterministic stub: evidence containing the token is
@@ -162,6 +164,136 @@ func TestResultCacheHitAndExactInvalidation(t *testing.T) {
 	if st.ResultCacheInvalidations != 4 {
 		t.Fatalf("source overwrite did not invalidate: %+v", st)
 	}
+
+	// A hit is private: editing the Report it returned changes no later hit.
+	hitsBefore := p.Stats().ResultCacheHits
+	hit, err := p.Verify(g, datalake.KindTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hit.Evidence) == 0 {
+		t.Fatal("no evidence to edit")
+	}
+	want := hit.Evidence[0]
+	hit.Evidence[0].Result.Explanation = "edited by the caller"
+	hit.Evidence[0].RerankScore = -1
+	again, err := p.Verify(g, datalake.KindTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.ResultCacheHits != hitsBefore+2 {
+		t.Fatalf("the last two verifies did not both hit: %+v", st)
+	}
+	if !reflect.DeepEqual(again.Evidence[0], want) {
+		t.Fatalf("a caller's edit reached the cache:\n got %+v\nwant %+v", again.Evidence[0], want)
+	}
+}
+
+// TestCachedReportsMatchRecomputed: over a generated lake, for claims and
+// imputed tuples, head and pinned reads, reranker on and off, every cache
+// hit equals the Report a pipeline without a result cache computes over
+// the same lake for the same object — down to the caller's own object,
+// which matters when two requests share a key: the fingerprint leaves out a
+// tuple's TableID and SourceID, which no verifier reads. Lineage sequence
+// numbers differ between the two pipelines, so the recomputed Report takes
+// the hit's before the comparison, and the hit's must be its miss's.
+func TestCachedReportsMatchRecomputed(t *testing.T) {
+	cfg := workload.DefaultConfig()
+	cfg.NumTables, cfg.NumTexts = 80, 30
+	corpus, err := workload.GenerateLake(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer corpus.Lake.Close()
+	ix, err := BuildIndexer(corpus.Lake, DefaultIndexerConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	registry := rerank.NewRegistry(rerank.NewColBERT(ix.Embedder(), 128))
+	agent := verify.NewAgent(verify.NewLLMVerifier(verify.DefaultLLMConfig(1)), verify.WithLocalVerifier(verify.NewTupleVerifier()))
+
+	claimTasks, err := corpus.ClaimTasks(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tupleTasks, err := corpus.TupleTasks(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var objects []verify.Generated
+	for i, ct := range claimTasks {
+		objects = append(objects, verify.NewClaimObject(fmt.Sprintf("claim-%d", i), ct.Claim))
+	}
+	for i, tt := range tupleTasks {
+		objects = append(objects, verify.NewTupleObject(fmt.Sprintf("tuple-%d", i), tt.MaskedTuple(), tt.MaskedAttr()))
+	}
+	// Two requests one entry serves.
+	shared := tupleTasks[0].MaskedTuple()
+	shared.TableID, shared.SourceID = "generated-a", "model-a"
+	other := shared
+	other.TableID, other.SourceID = "generated-b", "model-b"
+	sharedA := verify.NewTupleObject("shared", shared, tupleTasks[0].MaskedAttr())
+	sharedB := verify.NewTupleObject("shared", other, tupleTasks[0].MaskedAttr())
+	if cacheKey(sharedA, ix.cfg.Kinds) != cacheKey(sharedB, ix.cfg.Kinds) {
+		t.Fatal("the two tuples do not share a key")
+	}
+
+	for _, useReranker := range []bool{true, false} {
+		t.Run(fmt.Sprintf("reranker=%v", useReranker), func(t *testing.T) {
+			pcfg := DefaultPipelineConfig()
+			pcfg.UseReranker = useReranker
+			cached, err := NewPipeline(corpus.Lake, ix, registry, agent, provenance.NewStore(), nil, pcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cached.Close()
+			pcfg.ResultCache = 0
+			fresh, err := NewPipeline(corpus.Lake, ix, registry, agent, provenance.NewStore(), nil, pcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pin, err := cached.PinSnapshot(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if freshPin, err := fresh.PinSnapshot(nil); err != nil || freshPin.Version() != pin.Version() {
+				t.Fatalf("pins at %d and %d (%v)", pin.Version(), freshPin.Version(), err)
+			}
+			hits := 0
+			check := func(fill, g verify.Generated, asOf uint64) {
+				t.Helper()
+				miss, err := cached.VerifyAsOf(fill, asOf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hit, err := cached.VerifyAsOf(g, asOf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if hits++; cached.Stats().ResultCacheHits != uint64(hits) {
+					t.Fatalf("%s at %d: no hit: %+v", g.ID, asOf, cached.Stats())
+				}
+				want, err := fresh.VerifyAsOf(g, asOf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if hit.ProvenanceSeq != miss.ProvenanceSeq {
+					t.Fatalf("%s at %d: hit names lineage record %d, its miss %d", g.ID, asOf, hit.ProvenanceSeq, miss.ProvenanceSeq)
+				}
+				want.ProvenanceSeq = hit.ProvenanceSeq
+				if !reflect.DeepEqual(hit, want) {
+					t.Fatalf("%s at %d: cached Report differs from the recomputed one:\n got %+v\nwant %+v", g.ID, asOf, hit, want)
+				}
+			}
+			for _, asOf := range []uint64{0, pin.Version()} {
+				for _, g := range objects {
+					check(g, g, asOf)
+				}
+				check(sharedA, sharedB, asOf)
+			}
+		})
+	}
 }
 
 // TestCacheKeyStructuredFields guards the fingerprint against aliasing:
@@ -297,6 +429,7 @@ func TestCacheInvalidationOrdering(t *testing.T) {
 // goroutines (meaningful under -race) and then checks the counters add up.
 func TestResultCacheConcurrent(t *testing.T) {
 	c := newResultCache(64)
+	rebuild := func(e rcEntry) (Report, bool) { return Report{Confidence: e.confidence}, true }
 	kindsets := [][]datalake.Kind{
 		{datalake.KindTable},
 		{datalake.KindText},
@@ -311,13 +444,13 @@ func TestResultCacheConcurrent(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				ks := kindsets[i%len(kindsets)]
 				key := fmt.Sprintf("k%d", i%40)
-				if _, ok := c.get(key, ks); !ok {
+				if _, ok := c.get(key, ks, rebuild); !ok {
 					c.put(key, ks, uint64(i), c.epoch.Load(), Report{})
 				}
 				// Hammer one hot key unconditionally so concurrent
 				// refresh-in-place puts race against hits.
 				c.put("hot", ks, uint64(i), c.epoch.Load(), Report{Confidence: float64(i)})
-				c.get("hot", ks)
+				c.get("hot", ks, rebuild)
 				switch i % 50 {
 				case 17:
 					c.observe(datalake.Event{Version: uint64(w*rounds + i), Kind: datalake.KindTable})
@@ -328,7 +461,8 @@ func TestResultCacheConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	hits, misses, invalidations, size := c.stats()
+	hits, misses, invalidations := c.hits.Load(), c.misses.Load(), c.invalidations.Load()
+	size, bytes := c.size()
 	if hits+misses != 2*workers*rounds {
 		t.Fatalf("hits(%d)+misses(%d) != lookups(%d)", hits, misses, 2*workers*rounds)
 	}
@@ -337,6 +471,15 @@ func TestResultCacheConcurrent(t *testing.T) {
 	}
 	if size > 64 {
 		t.Fatalf("size %d exceeds capacity", size)
+	}
+	var want int64
+	for _, sh := range c.shards {
+		for key := range sh.items {
+			want += rcEntryBytes + int64(len(key))
+		}
+	}
+	if bytes != want {
+		t.Fatalf("%d entries account for %d bytes, their keys for %d", size, bytes, want)
 	}
 }
 

@@ -244,25 +244,15 @@ func (p *Pipeline) VerifyAsOfCtx(ctx context.Context, g verify.Generated, asOf u
 	if !ok {
 		return Report{}, fmt.Errorf("core: snapshot at version %d carries no pinned indexes", asOf)
 	}
-	kk := p.normalizeKinds(kinds)
-	var key string
-	if p.rcache != nil {
-		key = pinnedCacheKey(g, kk, snap)
-		if rep, ok := p.rcache.getPinned(key); ok {
-			return rep, nil
-		}
-	}
 	if err := ps.materialize(p.indexer); err != nil {
 		return Report{}, err
 	}
-	rep, err := p.verifyAgainst(ctx, g, p.cfg.VerifyWorkers, kk, ps.source(p.indexer), asOf)
-	if err != nil {
-		return rep, err
+	kk, src := p.normalizeKinds(kinds), ps.source(p.indexer)
+	run := func() (Report, error) { return p.verifyAgainst(ctx, g, p.cfg.VerifyWorkers, kk, src, asOf) }
+	if p.rcache == nil {
+		return run()
 	}
-	if p.rcache != nil {
-		p.rcache.putPinned(key, rep)
-	}
-	return rep, nil
+	return p.cached(pinnedCacheKey(g, kk, snap), g, kk, src.resolve, run)
 }
 
 // pinnedCacheKey scopes a result-cache key to one snapshot identity. The

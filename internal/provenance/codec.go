@@ -18,20 +18,22 @@ import (
 //	query       len, bytes
 //	final       dict
 //	resolution  dict
+//	reranked    count, then runs: first rank (zigzag), run length >= 1,
+//	              then per entry: dict<<1|f32, score
+//	decisions   count, then per decision: dict<<1|f32, trust,
+//	              source dict, verifier dict, verdict dict,
+//	              explanation len, bytes
 //	hits        count, then runs until count hits are covered:
 //	              index dict, first rank (zigzag), run length >= 1,
 //	              then per hit: dict<<1|f32, score
 //	combined    count, then per entry: ref
-//	reranked    count, then runs: first rank (zigzag), run length >= 1,
-//	              then per entry: ref<<1|f32, score
-//	decisions   count, then per decision: ref<<1|f32, trust,
-//	              source dict, verifier dict, verdict dict,
-//	              explanation len, bytes
 //
-// A run is a stretch whose ranks count up by one (and, for hits, whose index
-// family is the same), so the ranks the pipeline produces cost three bytes
-// per index list while any other rank sequence still round-trips. A ref
-// names an instance: hit<<1 when some hit of this record carries the same
+// The outcome (verdict, rerank order, decisions) comes first, so a read of
+// it stops before the hits, which hold most of a record's bytes. A run is
+// a stretch whose ranks count up by one (and, for hits, whose index family
+// is the same), so the ranks the pipeline produces cost three bytes per
+// index list while any other rank sequence still round-trips. A ref names
+// a fused candidate: hit<<1 when some hit of this record carries the same
 // instance ID (the position of the first such hit), dict<<1|1 otherwise. A
 // score is its float32 bits (4 bytes LE) when f32 is set — chosen only when
 // widening them reproduces the float64 bit for bit — and its float64 bits
@@ -175,6 +177,31 @@ func (e *encoder) encode(d *dictionary, r *Record) {
 	e.uvarint(uint64(e.intern(r.FinalVerdict)))
 	e.uvarint(uint64(e.intern(r.Resolution)))
 
+	e.count(len(r.Reranked), r.Reranked == nil)
+	for i := 0; i < len(r.Reranked); {
+		run := i + 1
+		for run < len(r.Reranked) && r.Reranked[run].Rank == r.Reranked[run-1].Rank+1 {
+			run++
+		}
+		e.buf = binary.AppendVarint(e.buf, int64(r.Reranked[i].Rank))
+		e.uvarint(uint64(run - i))
+		for ; i < run; i++ {
+			e.scored(uint64(e.intern(r.Reranked[i].InstanceID)), r.Reranked[i].Score)
+		}
+	}
+
+	e.count(len(r.Decisions), r.Decisions == nil)
+	for i := range r.Decisions {
+		dec := &r.Decisions[i]
+		id := e.intern(dec.InstanceID)
+		e.evidence = append(e.evidence, id)
+		e.scored(uint64(id), dec.SourceTrust)
+		e.uvarint(uint64(e.intern(dec.SourceID)))
+		e.uvarint(uint64(e.intern(dec.Verifier)))
+		e.uvarint(uint64(e.intern(dec.Verdict)))
+		e.raw(dec.Explanation)
+	}
+
 	e.count(len(r.Hits), r.Hits == nil)
 	for i := 0; i < len(r.Hits); {
 		run := i + 1
@@ -195,34 +222,7 @@ func (e *encoder) encode(d *dictionary, r *Record) {
 
 	e.count(len(r.Combined), r.Combined == nil)
 	for _, id := range r.Combined {
-		ref, _ := e.ref(id)
-		e.uvarint(ref)
-	}
-
-	e.count(len(r.Reranked), r.Reranked == nil)
-	for i := 0; i < len(r.Reranked); {
-		run := i + 1
-		for run < len(r.Reranked) && r.Reranked[run].Rank == r.Reranked[run-1].Rank+1 {
-			run++
-		}
-		e.buf = binary.AppendVarint(e.buf, int64(r.Reranked[i].Rank))
-		e.uvarint(uint64(run - i))
-		for ; i < run; i++ {
-			ref, _ := e.ref(r.Reranked[i].InstanceID)
-			e.scored(ref, r.Reranked[i].Score)
-		}
-	}
-
-	e.count(len(r.Decisions), r.Decisions == nil)
-	for i := range r.Decisions {
-		dec := &r.Decisions[i]
-		ref, id := e.ref(dec.InstanceID)
-		e.evidence = append(e.evidence, id)
-		e.scored(ref, dec.SourceTrust)
-		e.uvarint(uint64(e.intern(dec.SourceID)))
-		e.uvarint(uint64(e.intern(dec.Verifier)))
-		e.uvarint(uint64(e.intern(dec.Verdict)))
-		e.raw(dec.Explanation)
+		e.uvarint(e.ref(id))
 	}
 }
 
@@ -253,14 +253,14 @@ func (e *encoder) intern(s string) uint32 {
 	return id
 }
 
-// ref names an instance by the first hit that carries it, or by dictionary
-// ID when no hit does; it also returns the dictionary ID.
-func (e *encoder) ref(instanceID string) (ref uint64, dict uint32) {
-	dict = e.intern(instanceID)
+// ref names a fused candidate by the first hit that carries it, or by
+// dictionary ID when no hit does.
+func (e *encoder) ref(instanceID string) uint64 {
+	dict := e.intern(instanceID)
 	if slot := e.firstHit[dict%uint32(len(e.firstHit))]; slot.id == dict+1 {
-		return uint64(slot.pos) << 1, dict
+		return uint64(slot.pos) << 1
 	}
-	return uint64(dict)<<1 | 1, dict
+	return uint64(dict)<<1 | 1
 }
 
 // scored writes v with the score's width in its low bit, then the score.
@@ -291,14 +291,73 @@ type decoder struct {
 // length and count is checked against the bytes that remain before anything
 // is allocated, and trailing bytes are an error.
 func decodeRecord(b []byte, dict []string) (Record, error) {
+	return decode(b, dict, true)
+}
+
+// decodeOutcome reads only a record's outcome: the first part of
+// decodeRecord's walk, which ends before the hits. It fails where that
+// part fails, and where decodeRecord succeeds it agrees with it.
+func decodeOutcome(b []byte, dict []string) (Outcome, error) {
+	r, err := decode(b, dict, false)
+	return Outcome{FinalVerdict: r.FinalVerdict, Reranked: r.Reranked, Decisions: r.Decisions}, err
+}
+
+// decode walks one record, or with full unset its outcome alone, skipping
+// the object ID and query and stopping before the hits.
+func decode(b []byte, dict []string, full bool) (Record, error) {
 	d := decoder{b: b, dict: dict}
 	var r Record
-	r.ObjectID = string(d.raw())
-	r.Query = string(d.raw())
+	objectID, query := d.raw(), d.raw()
+	if full {
+		r.ObjectID, r.Query = string(objectID), string(query)
+	}
 	r.FinalVerdict = d.str(d.uvarint())
 	r.Resolution = d.str(d.uvarint())
 
-	// A hit is at least a ref byte and four score bytes.
+	// A rerank entry is at least an instance byte and four score bytes.
+	if n, ok := d.count(5); ok {
+		r.Reranked = make([]RerankEntry, 0, n)
+		for len(r.Reranked) < n && d.err == nil {
+			rank := d.varint()
+			run := d.run(n - len(r.Reranked))
+			for i := 0; i < run && d.err == nil; i++ {
+				v, f32 := d.flagged()
+				r.Reranked = append(r.Reranked, RerankEntry{
+					InstanceID: d.str(v), Score: d.score(f32), Rank: int(rank) + i,
+				})
+			}
+		}
+	}
+
+	// A decision is an instance, a four-byte trust, three dictionary IDs
+	// and an explanation length.
+	if n, ok := d.count(9); ok {
+		r.Decisions = make([]VerifierDecision, 0, n)
+		for i := 0; i < n && d.err == nil; i++ {
+			v, f32 := d.flagged()
+			r.Decisions = append(r.Decisions, VerifierDecision{
+				InstanceID:  d.str(v),
+				SourceTrust: d.score(f32),
+				SourceID:    d.str(d.uvarint()),
+				Verifier:    d.str(d.uvarint()),
+				Verdict:     d.str(d.uvarint()),
+				Explanation: string(d.raw()),
+			})
+		}
+	}
+	if full {
+		d.rest(&r)
+	}
+	if d.err != nil {
+		return Record{}, d.err
+	}
+	return r, nil
+}
+
+// rest reads what follows a record's outcome: the hits and the fused
+// list, then checks that nothing trails them.
+func (d *decoder) rest(r *Record) {
+	// A hit is at least an instance byte and four score bytes.
 	if n, ok := d.count(5); ok {
 		r.Hits = make([]RetrievalHit, 0, n)
 		for len(r.Hits) < n && d.err == nil {
@@ -322,44 +381,9 @@ func decodeRecord(b []byte, dict []string) (Record, error) {
 		}
 	}
 
-	if n, ok := d.count(5); ok {
-		r.Reranked = make([]RerankEntry, 0, n)
-		for len(r.Reranked) < n && d.err == nil {
-			rank := d.varint()
-			run := d.run(n - len(r.Reranked))
-			for i := 0; i < run && d.err == nil; i++ {
-				v, f32 := d.flagged()
-				r.Reranked = append(r.Reranked, RerankEntry{
-					InstanceID: d.instance(v), Score: d.score(f32), Rank: int(rank) + i,
-				})
-			}
-		}
-	}
-
-	// A decision is a ref, a four-byte trust, three dictionary IDs and an
-	// explanation length.
-	if n, ok := d.count(9); ok {
-		r.Decisions = make([]VerifierDecision, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			v, f32 := d.flagged()
-			r.Decisions = append(r.Decisions, VerifierDecision{
-				InstanceID:  d.instance(v),
-				SourceTrust: d.score(f32),
-				SourceID:    d.str(d.uvarint()),
-				Verifier:    d.str(d.uvarint()),
-				Verdict:     d.str(d.uvarint()),
-				Explanation: string(d.raw()),
-			})
-		}
-	}
-
 	if d.err == nil && len(d.b) != 0 {
 		d.fail("%d trailing bytes", len(d.b))
 	}
-	if d.err != nil {
-		return Record{}, d.err
-	}
-	return r, nil
 }
 
 // decodeObjectID reads only a record's object ID, its first field.

@@ -106,9 +106,15 @@ func takeScores(r *Record) []uint64 {
 	return bits
 }
 
-// TestCodecRoundTrip: every edge record reads back equal to itself, right
-// after Append and again once its segment is sealed and a few more have
-// filled up behind it. (Records captured from real claim, tuple and pinned
+// sameOutcome reports whether o is r's outcome, scores compared by bits.
+func sameOutcome(o Outcome, r Record) bool {
+	return sameRecord(Record{FinalVerdict: o.FinalVerdict, Reranked: o.Reranked, Decisions: o.Decisions},
+		Record{FinalVerdict: r.FinalVerdict, Reranked: r.Reranked, Decisions: r.Decisions})
+}
+
+// TestCodecRoundTrip: every edge record reads back equal to itself, and its
+// outcome read equal to its outcome, right after Append and again once its
+// segment is sealed and a few more have filled up behind it. (Records captured from real claim, tuple and pinned
 // runs get the same check in the root package's TestLineageLossless.)
 func TestCodecRoundTrip(t *testing.T) {
 	s := NewStore()
@@ -119,6 +125,9 @@ func TestCodecRoundTrip(t *testing.T) {
 			want.Seq = seq
 			if got, ok := s.Get(seq); !ok || !sameRecord(got, want) {
 				t.Fatalf("record %d (%q) after %d segments:\n got %+v\nwant %+v", seq, want.ObjectID, s.Stats().Segments, got, want)
+			}
+			if got, ok := s.Outcome(seq); !ok || !sameOutcome(got, want) {
+				t.Fatalf("outcome %d (%q) after %d segments:\n got %+v\nwant %+v", seq, want.ObjectID, s.Stats().Segments, got, want)
 			}
 		}
 	}
@@ -155,9 +164,11 @@ func fuzzStore() *Store {
 	return s
 }
 
-// FuzzDecodeProvenanceRecord feeds arbitrary bytes to the record decoder. It
-// must never panic nor allocate beyond what the input's size allows, and
-// whatever it accepts must survive Append → Get unchanged.
+// FuzzDecodeProvenanceRecord feeds arbitrary bytes to the record decoder and
+// to the outcome read. Neither may panic nor allocate beyond what the
+// input's size allows; what the full decode accepts the outcome read
+// accepts too and agrees with; and whatever the full decode accepts must
+// survive Append → Get unchanged.
 func FuzzDecodeProvenanceRecord(f *testing.F) {
 	seeds := fuzzStore()
 	for _, r := range append(edgeRecords()[:6], sampleRecord("g1")) {
@@ -169,14 +180,21 @@ func FuzzDecodeProvenanceRecord(f *testing.F) {
 		f.Add(append([]byte{0xff}, b...)) // object ID length pushed out of range
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}) // a hit count in the billions
-	f.Add([]byte{0, 0, 0, 0, 2, 1, 0, 9})                   // a run longer than its list
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}) // a hit count in the billions
+	f.Add([]byte{0, 0, 0, 0, 2, 0, 9})                            // a rerank run longer than its list
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := fuzzStore()
 		rec, err := decodeRecord(data, s.dict.snapshot())
+		out, outErr := decodeOutcome(data, s.dict.snapshot())
+		if n := len(out.Reranked) + len(out.Decisions); n > len(data) {
+			t.Fatalf("%d outcome entries read from %d bytes", n, len(data))
+		}
 		if err != nil {
 			return
+		}
+		if outErr != nil || !sameOutcome(out, rec) {
+			t.Fatalf("outcome read (error %v) disagrees with the full decode:\n got %+v\nwant %+v", outErr, out, rec)
 		}
 		if n := len(rec.Hits) + len(rec.Combined) + len(rec.Reranked) + len(rec.Decisions); n > len(data) {
 			t.Fatalf("%d entries decoded from %d bytes", n, len(data))

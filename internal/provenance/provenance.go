@@ -80,6 +80,16 @@ type Record struct {
 	Resolution string `json:"resolution"`
 }
 
+// Outcome is what one verification decided, as its record keeps it: the
+// resolved verdict, the reranked top-k′ with their scores, and the decision
+// over each of them. It is the part of a Record that a verification's
+// result is rebuilt from.
+type Outcome struct {
+	FinalVerdict string
+	Reranked     []RerankEntry
+	Decisions    []VerifierDecision
+}
+
 // segmentSize is the capacity of one arena segment. A record never spans
 // segments: one that does not fit what is left of the active segment seals
 // it and opens the next, and one larger than a whole segment gets a segment
@@ -225,16 +235,41 @@ func (s *Store) decode(seq int, b []byte) Record {
 	return r
 }
 
-// Get returns the record with the given sequence number.
-func (s *Store) Get(seq int) (Record, bool) {
+// encodedRecord returns record seq's bytes, or false when there is no such
+// record.
+func (s *Store) encodedRecord(seq int) ([]byte, bool) {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if seq < 0 || seq >= s.n {
-		s.mu.RUnlock()
-		return Record{}, false
+		return nil, false
 	}
 	b, _ := s.encoded(seq)
-	s.mu.RUnlock()
+	return b, true
+}
+
+// Get returns the record with the given sequence number.
+func (s *Store) Get(seq int) (Record, bool) {
+	b, ok := s.encodedRecord(seq)
+	if !ok {
+		return Record{}, false
+	}
 	return s.decode(seq, b), true
+}
+
+// Outcome returns the outcome of the record with the given sequence
+// number. It reads the record as Get does, up to where the hits begin, so
+// it costs the outcome's own bytes and allocations and no more.
+func (s *Store) Outcome(seq int) (Outcome, bool) {
+	b, ok := s.encodedRecord(seq)
+	if !ok {
+		return Outcome{}, false
+	}
+	o, err := decodeOutcome(b, s.dict.snapshot())
+	runtime.KeepAlive(s) // as in decode
+	if err != nil {
+		panic(fmt.Sprintf("provenance: record %d: %v", seq, err))
+	}
+	return o, true
 }
 
 // ByObject returns all records for a generated object, oldest first.

@@ -44,7 +44,9 @@ var goMemoryMetrics = []string{
 // The other rows are context: go_heap_goal (the heap size that triggers
 // the next collection), go_heap_released (heap returned to the OS, not
 // resident), token_table (the embedder's token vectors, a part of
-// go_heap_live), and vm_rss, rss_anon and rss_file from /proc/self/status.
+// go_heap_live), result_cache (the verify-result cache's entries, keys
+// included, also a part of go_heap_live), and vm_rss, rss_anon and
+// rss_file from /proc/self/status.
 var residentClasses = []string{
 	"go_heap_live", "go_heap_dead", "go_heap_unused", "go_heap_idle", "go_stacks", "go_runtime_other",
 	"offheap_provenance", "offheap_indexes", "mapped_bm25", "file_other",
@@ -78,6 +80,7 @@ func (s *Server) memoryLedger() map[string]int64 {
 		"offheap_indexes":  binfmt.BuiltBytes(),
 		"mapped_bm25":      ix.IndexStats().Families["bm25"].MappedBytes,
 		"token_table":      ix.Embedder().TableBytes(),
+		"result_cache":     s.pipeline.Stats().ResultCacheBytes,
 	}
 	if store := s.pipeline.Provenance(); store != nil {
 		m["offheap_provenance"] = store.Stats().OffHeapBytes

@@ -79,3 +79,58 @@ func TestTrafficGrowthStaysOffHeap(t *testing.T) {
 		t.Errorf("live heap grew %d bytes over %d verifications, provenance %d: want under 300 a verification and a tenth of provenance", heapGrew, measured, provGrew)
 	}
 }
+
+// TestVerifyRetainsLittleHeap is the traffic-growth audit for the result
+// cache: on a default-lake system, 2,000 verifies of novel claims — each a
+// miss that leaves a cache entry and a lineage record — grow the live Go
+// heap, measured after two collections, by less than 1,000 bytes a verify.
+// An entry is its key and a few stamps; the Report it stands for is
+// rebuilt from lineage on a hit, and lineage sits in mapped arena segments.
+// It runs without the race detector, which would make it take minutes.
+func TestVerifyRetainsLittleHeap(t *testing.T) {
+	if runtime.GOOS != "linux" || os.Getenv(binfmt.NoMmapEnv) != "" {
+		t.Skip("the provenance arena is on the heap on this run")
+	}
+	if raceEnabled {
+		t.Skip("the race detector slows 2,300 verifies of the default lake to minutes")
+	}
+	const warm, measured = 300, 2000
+	corpus, err := workload.GenerateLake(workload.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(corpus.Lake, ExactOptions(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	tasks, err := corpus.ClaimTasks(warm + measured)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verify := func(from, to int) int64 {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if _, err := sys.VerifyClaim(fmt.Sprintf("novel-%05d", i), tasks[i].Claim, KindTable); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		return liveHeap()
+	}
+	// Warm-up: past the query cache's capacity, so what grows below is
+	// what each further verify leaves behind.
+	heap0 := verify(0, warm)
+	heap1 := verify(warm, warm+measured)
+
+	st := sys.Stats()
+	if st.ResultCacheSize != warm+measured {
+		t.Fatalf("%d result-cache entries after %d novel verifies", st.ResultCacheSize, warm+measured)
+	}
+	grew := heap1 - heap0
+	t.Logf("live heap %+d bytes over %d verifies (%+d a verify); result cache %d bytes in %d entries",
+		grew, measured, grew/measured, st.ResultCacheBytes, st.ResultCacheSize)
+	if grew >= 1000*measured {
+		t.Errorf("live heap grew %d bytes over %d novel verifies, %d a verify: want under 1,000", grew, measured, grew/measured)
+	}
+}

@@ -177,7 +177,9 @@ type Options struct {
 	// accuracy in Table 2), so it belongs in flows where evidence is known
 	// to be relevant or privacy forbids the hosted model.
 	UseLocalVerifiers bool
-	// RecordProvenance enables the lineage store (challenge C4).
+	// RecordProvenance enables the lineage store (challenge C4). The result
+	// cache rebuilds its hits from lineage, so with RecordProvenance off
+	// there is no result cache either, whatever Pipeline.ResultCache says.
 	RecordProvenance bool
 }
 
