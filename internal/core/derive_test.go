@@ -10,7 +10,6 @@ import (
 	"repro/internal/datalake"
 	"repro/internal/embed"
 	"repro/internal/faultfs"
-	"repro/internal/invindex"
 	"repro/internal/textutil"
 	"repro/internal/vecindex"
 	"repro/internal/workload"
@@ -48,34 +47,37 @@ func lakeInstances(lake *datalake.Lake) []instance {
 
 // TestBagMatchesCounts: for every serialized instance of the default
 // workload lake, the bag both index families are fed holds each
-// TokenizeFiltered term once, in strictly ascending order, with the count
-// a map counts for it, and the counts sum to the token count.
+// TokenizeFiltered term once, in strictly ascending order of the terms,
+// with the count a map counts for it, and the counts sum to the token
+// count.
 func TestBagMatchesCounts(t *testing.T) {
 	corpus, err := workload.GenerateLake(workload.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer corpus.Lake.Close()
+	dict := textutil.NewDict()
 	for _, in := range lakeInstances(corpus.Lake) {
 		tokens := textutil.TokenizeFiltered(in.text)
 		counts := make(map[string]int32, len(tokens))
 		for _, tok := range tokens {
 			counts[tok]++
 		}
-		bag := textutil.Analyze(in.text)
-		if bag.Len != len(tokens) || len(bag.Terms) != len(counts) || len(bag.Counts) != len(counts) {
-			t.Fatalf("%s: bag of %d tokens, %d terms, %d counts; analysis has %d tokens, %d terms",
-				in.id, bag.Len, len(bag.Terms), len(bag.Counts), len(tokens), len(counts))
+		bag := dict.Analyze(in.text)
+		if bag.Len != len(tokens) || len(bag.Terms) != len(counts) {
+			t.Fatalf("%s: bag of %d tokens, %d terms; analysis has %d tokens, %d terms",
+				in.id, bag.Len, len(bag.Terms), len(tokens), len(counts))
 		}
 		sum := 0
-		for i, term := range bag.Terms {
-			if i > 0 && bag.Terms[i-1] >= term {
-				t.Fatalf("%s: terms %q, %q out of order", in.id, bag.Terms[i-1], term)
+		for i, tf := range bag.Terms {
+			term := dict.Term(tf.ID)
+			if i > 0 && dict.Term(bag.Terms[i-1].ID) >= term {
+				t.Fatalf("%s: terms %q, %q out of order", in.id, dict.Term(bag.Terms[i-1].ID), term)
 			}
-			if bag.Counts[i] != counts[term] {
-				t.Fatalf("%s: %q counted %d, analysis has it %d times", in.id, term, bag.Counts[i], counts[term])
+			if tf.Freq != counts[term] {
+				t.Fatalf("%s: %q counted %d, analysis has it %d times", in.id, term, tf.Freq, counts[term])
 			}
-			sum += int(bag.Counts[i])
+			sum += int(tf.Freq)
 		}
 		if sum != bag.Len {
 			t.Fatalf("%s: counts sum to %d, %d tokens", in.id, sum, bag.Len)
@@ -85,10 +87,9 @@ func TestBagMatchesCounts(t *testing.T) {
 
 // TestDerivedVectorsMatchIngested: on the default workload lake, every
 // vector row a reopened indexer derives from its BM25 files is, bit for
-// bit, what EmbedTerms returns for the instance's analyzed text, and its
-// codes and norm are the ones the prepare stage quantized for the
-// instance; vecindex holds a derived segment to the sealed one byte for
-// byte. The derived indexes are the size of the sealed ones, and the
+// bit, what EmbedText returns for the instance's text, and its codes and
+// norm are the ones the prepare stage quantized for the instance; vecindex
+// holds a derived segment to the sealed one byte for byte. The derived indexes are the size of the sealed ones, and the
 // reopened indexer retrieves as the fresh build does, scores included, for
 // 100 claims and 100 tuples of the workload.
 func TestDerivedVectorsMatchIngested(t *testing.T) {
@@ -145,7 +146,7 @@ func TestDerivedVectorsMatchIngested(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fill := derivedRows(tr, tokenVectors(reopened.emb, []*invindex.Transposed{tr}))
+		fill := derivedRows(reopened.emb, tr)
 		if tr.Len() != perKind[kind] {
 			t.Fatalf("%s: %d rows derived, %d ingested", kind, tr.Len(), perKind[kind])
 		}
@@ -153,7 +154,7 @@ func TestDerivedVectorsMatchIngested(t *testing.T) {
 		for d, id := range tr.IDs.All() {
 			clear(row)
 			fill(d, row)
-			want := fresh.emb.EmbedTerms(textutil.TokenizeFiltered(texts[string(id)]))
+			want := fresh.emb.EmbedText(texts[string(id)])
 			for i := range want {
 				if math.Float32bits(row[i]) != math.Float32bits(want[i]) {
 					t.Fatalf("%s: component %d derived as %v, embedded as %v", id, i, row[i], want[i])

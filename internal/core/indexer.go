@@ -21,7 +21,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/provenance"
 	"repro/internal/table"
-	"repro/internal/textutil"
 	"repro/internal/vecindex"
 )
 
@@ -460,15 +459,17 @@ func (ix *Indexer) searchIndexes(ctx context.Context, query string, k int, kinds
 		}
 	}
 
-	// Analyze the query once; every BM25 index shares the same chain.
+	// Analyze the query once, through the head's dictionary without adding
+	// to it: every BM25 index, a pinned one over a dictionary of its own
+	// included, shares the same chain and resolves the terms itself.
 	var qterms []string
+	if wantBM25 {
+		qterms = ix.emb.Dict().AppendTerms(nil, query)
+	}
 	var groups []*retrGroup
 	var tasks []func()
 	for _, kind := range kinds {
 		if idx := bm25[kind]; wantBM25 && idx != nil {
-			if qterms == nil {
-				qterms = textutil.TokenizeFiltered(query)
-			}
 			g := &retrGroup{family: familyBM25}
 			groups = append(groups, g)
 			tasks = append(tasks, func() {

@@ -268,9 +268,14 @@ func (ix *Indexer) openIndexes(dir string) (map[datalake.Kind]*invindex.Index, m
 	}); err != nil {
 		return nil, nil, err
 	}
-	tokens := tokenVectors(ix.emb, trs)
+	// Kinds take their term rows in turn, so a term they share is added and
+	// its row filled by the first and only read by the rest.
+	fills := make([]func(d int, row embed.Vector), len(kinds))
+	for i, tr := range trs {
+		fills[i] = derivedRows(ix.emb, tr)
+	}
 	if err := eachKind(func(i int) (err error) {
-		vecs[i], err = vecindex.Derive(ix.emb.Dim(), trs[i].IDs, derivedRows(trs[i], tokens))
+		vecs[i], err = vecindex.Derive(ix.emb.Dim(), trs[i].IDs, fills[i])
 		return err
 	}); err != nil {
 		return nil, nil, err
@@ -284,36 +289,18 @@ func (ix *Indexer) openIndexes(dir string) (map[datalake.Kind]*invindex.Index, m
 	return bm25, vec, nil
 }
 
-// tokenVectors adds every term of trs to emb's dictionary and takes its
-// token vector once, on every core: the kinds share most of their terms.
-func tokenVectors(emb *embed.Embedder, trs []*invindex.Transposed) map[string]embed.Vector {
-	tokens := make(map[string]embed.Vector)
-	var terms []string
-	for _, tr := range trs {
-		for i := 0; i < tr.Terms.Len(); i++ {
-			if _, seen := tokens[string(tr.Terms.Bytes(i))]; !seen {
-				t := string(tr.Terms.Bytes(i))
-				tokens[t] = nil
-				terms = append(terms, t)
-			}
-		}
+// derivedRows adds tr's terms to emb's dictionary, their token-table rows
+// filled on the embedder's worker pool, and returns what fills the vector
+// row of tr's document d: what EmbedText returns for the text the document
+// was indexed from, summed from its distinct terms in ascending order
+// through the same accumulate step and normalized, so the codes and norms
+// are the ones ingestion wrote, bit for bit.
+func derivedRows(emb *embed.Embedder, tr *invindex.Transposed) func(d int, row embed.Vector) {
+	terms := make([]string, tr.Terms.Len())
+	for i := range terms {
+		terms[i] = string(tr.Terms.Bytes(i))
 	}
-	for i, v := range emb.AddTermVectors(terms) {
-		tokens[terms[i]] = v
-	}
-	return tokens
-}
-
-// derivedRows returns what fills the vector row of tr's document d: what
-// EmbedTerms returns for the terms the document was indexed with, summed
-// from its distinct terms in ascending order through the same accumulate
-// step and normalized, so the codes and norms are the ones ingestion
-// wrote, bit for bit. tokens holds every term's token vector.
-func derivedRows(tr *invindex.Transposed, tokens map[string]embed.Vector) func(d int, row embed.Vector) {
-	byTerm := make([]embed.Vector, tr.Terms.Len())
-	for i := range byTerm {
-		byTerm[i] = tokens[string(tr.Terms.Bytes(i))]
-	}
+	byTerm := emb.AddTermVectors(terms)
 	return func(d int, row embed.Vector) {
 		pairs := tr.Doc(d)
 		for j := 0; j < len(pairs); j += 2 {

@@ -14,6 +14,7 @@ package embed
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -221,13 +222,14 @@ func (e *Embedder) AddTermVectors(terms []string) []Vector {
 
 // EmbedTokens returns one vector per analyzed token of s, in order, for
 // late-interaction (ColBERT-style) scoring. Returns nil for token-free text.
+// It adds nothing to the dictionary.
 func (e *Embedder) EmbedTokens(s string) []Vector {
-	tokens := textutil.TokenizeFiltered(s)
-	if len(tokens) == 0 {
+	terms := e.dict.AppendTerms(nil, s)
+	if len(terms) == 0 {
 		return nil
 	}
-	out := make([]Vector, len(tokens))
-	for i, t := range tokens {
+	out := make([]Vector, len(terms))
+	for i, t := range terms {
 		out[i] = e.TokenVector(t)
 	}
 	return out
@@ -237,16 +239,17 @@ func (e *Embedder) EmbedTokens(s string) []Vector {
 // vectors with sub-linear (sqrt) frequency damping, normalized to unit
 // length. Damping prevents one repeated token from dominating, mirroring
 // TF-saturation in learned encoders. It adds nothing to the dictionary.
-func (e *Embedder) EmbedText(s string) Vector { return e.embedBag(textutil.Analyze(s)) }
-
-// EmbedTerms is EmbedText over text already analyzed by
-// textutil.TokenizeFiltered. terms is not modified or retained.
-func (e *Embedder) EmbedTerms(terms []string) Vector { return e.embedBag(textutil.BagOf(terms)) }
-
-func (e *Embedder) embedBag(b textutil.Bag) Vector {
+func (e *Embedder) EmbedText(s string) Vector {
+	terms := e.dict.AppendTerms(nil, s)
+	slices.Sort(terms)
 	out := make(Vector, e.dim)
-	for i, t := range b.Terms {
-		AddTerm(out, e.TokenVector(t), b.Counts[i])
+	for i := 0; i < len(terms); {
+		j := i + 1
+		for j < len(terms) && terms[j] == terms[i] {
+			j++
+		}
+		AddTerm(out, e.TokenVector(terms[i]), int32(j-i))
+		i = j
 	}
 	Normalize(out)
 	return out

@@ -223,8 +223,8 @@ func TestEmbedTextsMatchesEmbedText(t *testing.T) {
 	}
 }
 
-// embedTextReference is EmbedText as it stood before EmbedTerms was split
-// out of it: tokenize inside, accumulate in sorted token order.
+// embedTextReference is EmbedText as it stood before the dictionary
+// analyzed queries: tokenize inside, accumulate in sorted token order.
 func embedTextReference(e *Embedder, s string) Vector {
 	tokens := textutil.TokenizeFiltered(s)
 	out := make(Vector, e.Dim())
@@ -251,11 +251,11 @@ func embedTextReference(e *Embedder, s string) Vector {
 	return out
 }
 
-// TestEmbedTermsMatchesEmbedText: embedding pre-analyzed terms, or adding
-// the text's bag into an accumulator an earlier text dirtied and
-// normalizing it, gives the bits EmbedText gives for the text, and the
-// terms are the analysis chain's, untouched.
-func TestEmbedTermsMatchesEmbedText(t *testing.T) {
+// TestEmbedTextMatchesReference: EmbedText gives the reference
+// embedding's bits over an empty dictionary and over one that holds the
+// texts' terms, and so does adding the text's bag into an accumulator an
+// earlier text dirtied and normalizing it.
+func TestEmbedTextMatchesReference(t *testing.T) {
 	e := NewEmbedder(128, 3)
 	texts := []string{
 		"",
@@ -278,18 +278,12 @@ func TestEmbedTermsMatchesEmbedText(t *testing.T) {
 		return true
 	}
 	for _, s := range texts {
-		terms := textutil.TokenizeFiltered(s)
-		before := append([]string(nil), terms...)
-		want := embedTextReference(e, s)
-		if got := e.EmbedTerms(terms); !sameBits(got, want) {
-			t.Errorf("EmbedTerms(TokenizeFiltered(%q)) differs from the reference embedding", s)
+		if got := e.EmbedText(s); !sameBits(got, embedTextReference(e, s)) {
+			t.Errorf("EmbedText(%q) over an empty dictionary differs from the reference embedding", s)
 		}
-		if got := e.EmbedText(s); !sameBits(got, want) {
-			t.Errorf("EmbedText(%q) differs from the reference embedding", s)
-		}
-		if !slices.Equal(terms, before) {
-			t.Errorf("EmbedTerms modified its terms: %v -> %v", before, terms)
-		}
+	}
+	if n := e.Dict().Len(); n != 0 {
+		t.Errorf("EmbedText added %d terms to the dictionary", n)
 	}
 	acc := make(Vector, e.Dim())
 	for _, s := range texts {
@@ -298,6 +292,9 @@ func TestEmbedTermsMatchesEmbedText(t *testing.T) {
 		Normalize(acc)
 		if !sameBits(acc, embedTextReference(e, s)) {
 			t.Errorf("AddBag of the dictionary's bag of %q into a reused accumulator differs from the reference embedding", s)
+		}
+		if got := e.EmbedText(s); !sameBits(got, embedTextReference(e, s)) {
+			t.Errorf("EmbedText(%q) over a dictionary that holds its terms differs from the reference embedding", s)
 		}
 	}
 }

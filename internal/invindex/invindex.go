@@ -38,10 +38,10 @@ type posting struct {
 	freq int32 // term frequency in the document
 }
 
-// Index is a BM25 inverted index over string documents, analyzed by
-// textutil.TokenizeFiltered (tokenize → stopword-filter → Porter stem), the
+// Index is a BM25 inverted index over string documents, analyzed by the
+// index's term dictionary (tokenize → stopword-filter → Porter stem), the
 // chain the vector rows are embedded from too. The delta keys its postings
-// by the term IDs of the index's dictionary. It has up to two tiers: an
+// by the dictionary's term IDs. It has up to two tiers: an
 // optional immutable base segment (sealed by Freeze or opened by OpenFile;
 // process-private until a file holds it, mapped afterwards) occupying
 // global ordinals [0, base.n), and the mutable delta below whose local

@@ -324,11 +324,11 @@ func TestAddTermsMatchesAdd(t *testing.T) {
 		if err := raw.Add(id, text); err != nil {
 			t.Fatal(err)
 		}
-		if err := pre.AddTerms(id, textutil.Analyze(text)); err != nil {
+		if err := pre.AddTerms(id, textutil.BagOf(textutil.TokenizeFiltered(text))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := pre.AddTerms("d1", textutil.Analyze("dup")); err == nil {
+	if err := pre.AddTerms("d1", textutil.BagOf(textutil.TokenizeFiltered("dup"))); err == nil {
 		t.Fatal("AddTerms accepted a duplicate id")
 	}
 	for _, q := range []string{"tommy bolt money", "prize money records", "ben hogan 287"} {

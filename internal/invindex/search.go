@@ -7,8 +7,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-
-	"repro/internal/textutil"
 )
 
 // Hit is one search result.
@@ -20,9 +18,10 @@ type Hit struct {
 }
 
 // Search returns the top-k documents for query by BM25 score, ties broken by
-// ascending ID for determinism. k <= 0 returns nil.
+// ascending ID for determinism. k <= 0 returns nil. The query is analyzed
+// through the index's dictionary, which it leaves as it was.
 func (ix *Index) Search(query string, k int) []Hit {
-	return ix.SearchTerms(textutil.TokenizeFiltered(query), k)
+	return ix.SearchTerms(ix.dict.AppendTerms(nil, query), k)
 }
 
 // searchScratch holds every buffer SearchTerms needs, pooled so the steady

@@ -17,7 +17,8 @@ type ColBERT struct {
 	maxDocTokens int
 }
 
-// NewColBERT returns a late-interaction scorer over emb's token space.
+// NewColBERT returns a late-interaction scorer over emb's token space,
+// analyzing through emb's term dictionary, which it never adds to.
 func NewColBERT(emb *embed.Embedder, maxDocTokens int) *ColBERT {
 	if maxDocTokens <= 0 {
 		maxDocTokens = 256

@@ -21,6 +21,7 @@ import (
 // When the claim is structured (parsed), the signals are computed from its
 // fields; otherwise they fall back to bag-of-words containment.
 type OpenTFV struct {
+	dict          *textutil.Dict
 	captionWeight float64
 	entityWeight  float64
 	valueWeight   float64
@@ -29,9 +30,9 @@ type OpenTFV struct {
 // NewOpenTFV returns the scorer with the default signal weights
 // (0.5 / 0.35 / 0.15 — caption identity dominates, as the Figure 4 E2 case
 // shows that same-entity different-caption tables must rank below the true
-// table).
-func NewOpenTFV() *OpenTFV {
-	return &OpenTFV{captionWeight: 0.5, entityWeight: 0.35, valueWeight: 0.15}
+// table), analyzing through dict, which it never adds to.
+func NewOpenTFV(dict *textutil.Dict) *OpenTFV {
+	return &OpenTFV{dict: dict, captionWeight: 0.5, entityWeight: 0.35, valueWeight: 0.15}
 }
 
 // Name implements Scorer.
@@ -53,8 +54,8 @@ func (o *OpenTFV) Score(q Query, inst datalake.Instance) float64 {
 		// Unstructured fallback: token containment of the query in the
 		// serialized table.
 		return textutil.ContainmentSimilarity(
-			textutil.TokenizeFiltered(q.Text),
-			textutil.TokenizeFiltered(t.SerializeForIndex()),
+			o.dict.AppendTerms(nil, q.Text),
+			o.dict.AppendTerms(nil, t.SerializeForIndex()),
 		)
 	}
 	c := q.Claim

@@ -57,13 +57,15 @@ type Registry struct {
 }
 
 // NewRegistry returns a registry with the full scorer inventory.
-// emb must be the embedder the semantic index uses, so late-interaction
-// scores live in the same space.
+// colbert's embedder must be the one the semantic index uses, so
+// late-interaction scores live in the same space; its term dictionary is
+// the one every scorer analyzes through.
 func NewRegistry(colbert *ColBERT) *Registry {
+	dict := colbert.emb.Dict()
 	return &Registry{
 		tupleTuple: NewTupleTupleScorer(),
-		tupleText:  NewTupleTextScorer(),
-		claimTable: NewOpenTFV(),
+		tupleText:  NewTupleTextScorer(dict),
+		claimTable: NewOpenTFV(dict),
 		claimText:  colbert,
 		fallback:   colbert,
 	}
@@ -85,7 +87,7 @@ func (r *Registry) Route(q Query, kind datalake.Kind) Scorer {
 	}
 }
 
-// Rerank rescsores the candidate instances with the routed scorer and
+// Rerank rescores the candidate instances with the routed scorer and
 // returns the top-k′, best first, ties broken by ascending ID. Instances
 // whose scorer routing differs (mixed modalities) are each scored by their
 // own scorer; scores are comparable enough for final ordering because every

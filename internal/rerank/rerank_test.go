@@ -8,6 +8,7 @@ import (
 	"repro/internal/doc"
 	"repro/internal/embed"
 	"repro/internal/table"
+	"repro/internal/textutil"
 )
 
 func newColBERT() *ColBERT {
@@ -73,7 +74,7 @@ func TestColBERTEmptyInputs(t *testing.T) {
 func TestOpenTFVFigure4Ordering(t *testing.T) {
 	// The 1954 table must outrank the 1959 table for the Figure 4 claim,
 	// even though both contain the claimed players.
-	o := NewOpenTFV()
+	o := NewOpenTFV(textutil.NewDict())
 	cl := claims.Claim{
 		Context:   "1954 u.s. open (golf)",
 		Entities:  []string{"tommy bolt", "fred haas", "ben hogan"},
@@ -91,7 +92,7 @@ func TestOpenTFVFigure4Ordering(t *testing.T) {
 }
 
 func TestOpenTFVUnstructuredFallback(t *testing.T) {
-	o := NewOpenTFV()
+	o := NewOpenTFV(textutil.NewDict())
 	q := Query{Text: "tommy bolt money 570"}
 	s := o.Score(q, tableInstance(usOpen1954()))
 	if s <= 0 || s > 1 {
@@ -126,7 +127,7 @@ func TestTupleTupleScorerPrefersCounterpart(t *testing.T) {
 }
 
 func TestTupleTextScorerPrefersEntityPageWithContext(t *testing.T) {
-	s := NewTupleTextScorer()
+	s := NewTupleTextScorer(textutil.NewDict())
 	tbl := usOpen1954()
 	tp, _ := tbl.TupleAt(0)
 	q := Query{Text: tp.SerializeForIndex(), Tuple: &tp}

@@ -59,14 +59,16 @@ func (s *TupleTupleScorer) Score(q Query, inst datalake.Instance) float64 {
 // This is the (tuple, text) instance of the fine-grained rerankers the
 // paper's Section 3.2 remark announces.
 type TupleTextScorer struct {
+	dict          *textutil.Dict
 	titleWeight   float64
 	contextWeight float64
 	tokenWeight   float64
 }
 
-// NewTupleTextScorer returns the default scorer (0.5 / 0.3 / 0.2).
-func NewTupleTextScorer() *TupleTextScorer {
-	return &TupleTextScorer{titleWeight: 0.5, contextWeight: 0.3, tokenWeight: 0.2}
+// NewTupleTextScorer returns the default scorer (0.5 / 0.3 / 0.2),
+// analyzing through dict, which it never adds to.
+func NewTupleTextScorer(dict *textutil.Dict) *TupleTextScorer {
+	return &TupleTextScorer{dict: dict, titleWeight: 0.5, contextWeight: 0.3, tokenWeight: 0.2}
 }
 
 // Name implements Scorer.
@@ -94,8 +96,8 @@ func (s *TupleTextScorer) Score(q Query, inst datalake.Instance) float64 {
 	}
 
 	tokenSig := textutil.ContainmentSimilarity(
-		textutil.TokenizeFiltered(q.Text),
-		textutil.TokenizeFiltered(d.SerializeForIndex()),
+		s.dict.AppendTerms(nil, q.Text),
+		s.dict.AppendTerms(nil, d.SerializeForIndex()),
 	)
 
 	return s.titleWeight*titleSig + s.contextWeight*ctxSig + s.tokenWeight*tokenSig

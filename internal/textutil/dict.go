@@ -105,15 +105,11 @@ func (d *Dict) token(tok []byte) uint32 {
 	return d.addToken(string(tok))
 }
 
-// addToken is token's path for a token not yet published. The stem is
-// computed before the lock is taken: two writers racing on one new token
+// addToken is token's path for a token not yet published. The token is
+// classified before the lock is taken: two writers racing on one new token
 // may both stem it, and one of them adds it.
 func (d *Dict) addToken(tok string) uint32 {
-	stop := isStopword(tok)
-	term := tok
-	if !stop && stemmable(tok) {
-		term = porter(tok)
-	}
+	term, stop := classify(tok)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if id, ok := d.raw.get(tok); ok {
@@ -145,6 +141,50 @@ func (d *Dict) AppendIDs(dst []uint32, s string) []uint32 {
 		}
 	}
 	return dst
+}
+
+// AppendTerms appends the term of every token of s that is not a
+// stopword to dst, in text order, and returns the extended slice: the
+// terms AppendIDs numbers, without adding anything. A token the
+// dictionary holds costs one probe and yields the dictionary's own term
+// string; any other is classified for this call only. Queries and rerank
+// candidates analyze through it, so they leave the dictionary, and the
+// token table it numbers, as they found it. Analyzing tokens already in
+// the dictionary allocates nothing beyond dst's growth; a dst without
+// capacity is allocated once, sized for s.
+func (d *Dict) AppendTerms(dst []string, s string) []string {
+	if cap(dst) == 0 {
+		dst = make([]string, 0, len(s)/5+1)
+	}
+	var buf [tokenBuf]byte
+	for i := 0; i < len(s); {
+		var tok []byte
+		if tok, i = scanToken(s, i, buf[:0]); len(tok) == 0 {
+			continue
+		}
+		if id, ok := d.raw.get(unsafe.String(unsafe.SliceData(tok), len(tok))); ok {
+			if id != stopword {
+				dst = append(dst, d.Term(id))
+			}
+		} else if term, stop := classify(string(tok)); !stop {
+			dst = append(dst, term)
+		}
+	}
+	return dst
+}
+
+// classify returns the term the raw lowercased token tok stands for, or
+// stop if it is a stopword: the analysis chain's one decision about a
+// token, made once for each token a dictionary adds and on every call for
+// a token AppendTerms finds missing.
+func classify(tok string) (term string, stop bool) {
+	if isStopword(tok) {
+		return "", true
+	}
+	if stemmable(tok) {
+		return porter(tok), false
+	}
+	return tok, false
 }
 
 // IDBag is one analyzed text as both index families read it, without a

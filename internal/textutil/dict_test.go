@@ -94,14 +94,24 @@ func lakeInputs(t *testing.T) []string {
 	return out
 }
 
+// novelInputs are lines of tokens the default lake never holds raw whose
+// stems it holds as terms ("golfing" when "golf" is known), and of tokens
+// it holds neither way.
+var novelInputs = []string{
+	"Golfing golfers' countries, players: elections, rankings scored incumbents' albums",
+	"Springfieldian zyzzyva qwertyuiopasdfgh 1954000000",
+}
+
 // TestKernelMatchesReferenceChain: for every piece of text of the default
 // lake and the edge inputs, Tokenize is the reference tokenizer,
 // TokenizeFiltered the reference chain, and a dictionary's IDs and bag,
-// cold and then warm, name the reference chain's terms — and Analyze's
-// string bag is the dictionary bag's, term for term.
+// cold and then warm, name the reference chain's terms — and BagOf's
+// string bag is the dictionary bag's, term for term. The read-only path
+// yields the reference chain too, over an empty dictionary and over the
+// warm one, novel tokens included, and adds nothing to either.
 func TestKernelMatchesReferenceChain(t *testing.T) {
 	inputs := append(lakeInputs(t), edgeInputs...)
-	d := textutil.NewDict()
+	d, empty := textutil.NewDict(), textutil.NewDict()
 	for pass := 0; pass < 2; pass++ {
 		for _, s := range inputs {
 			want := referenceChain(s)
@@ -110,6 +120,9 @@ func TestKernelMatchesReferenceChain(t *testing.T) {
 			}
 			if got := textutil.TokenizeFiltered(s); !slices.Equal(got, want) {
 				t.Fatalf("TokenizeFiltered(%q) = %q, reference %q", s, got, want)
+			}
+			if got := empty.AppendTerms(nil, s); !slices.Equal(got, want) {
+				t.Fatalf("AppendTerms(%q) over an empty dictionary = %q, reference %q", s, got, want)
 			}
 			ids := d.AppendIDs(nil, s)
 			got := make([]string, len(ids))
@@ -134,6 +147,26 @@ func TestKernelMatchesReferenceChain(t *testing.T) {
 		if got, ok := d.Lookup(d.Term(uint32(id))); !ok || got != uint32(id) {
 			t.Fatalf("Lookup(Term(%d)) = %d, %v", id, got, ok)
 		}
+	}
+	for _, tok := range []string{"golfing", "golfers", "countries", "players", "elections", "rankings", "scored", "incumbents", "albums"} {
+		if _, known := d.Lookup(textutil.Porter(tok)); d.HasRaw(tok) || !known {
+			t.Fatalf("%q is not a novel token whose stem is a term of the lake", tok)
+		}
+	}
+	terms, raw := d.Len(), d.RawLen()
+	for _, s := range append(inputs, novelInputs...) {
+		if got, want := d.AppendTerms(nil, s), referenceChain(s); !slices.Equal(got, want) {
+			t.Fatalf("AppendTerms(%q) over the warm dictionary = %q, reference %q", s, got, want)
+		}
+		if got, want := empty.AppendTerms(nil, s), referenceChain(s); !slices.Equal(got, want) {
+			t.Fatalf("AppendTerms(%q) over an empty dictionary = %q, reference %q", s, got, want)
+		}
+	}
+	if d.Len() != terms || d.RawLen() != raw {
+		t.Errorf("AppendTerms grew the warm dictionary from %d terms, %d raw tokens to %d, %d", terms, raw, d.Len(), d.RawLen())
+	}
+	if empty.Len() != 0 || empty.RawLen() != 0 {
+		t.Errorf("AppendTerms added %d terms, %d raw tokens to an empty dictionary", empty.Len(), empty.RawLen())
 	}
 }
 
@@ -180,8 +213,8 @@ func TestDictConcurrent(t *testing.T) {
 }
 
 // TestAnalyzeKnownTermsAllocs: analyzing an instance whose terms are all
-// in the dictionary allocates nothing but its bag, and a lookup never
-// adds.
+// in the dictionary allocates nothing but its bag, reading its terms
+// nothing at all, and neither a lookup nor a read-only analysis adds.
 func TestAnalyzeKnownTermsAllocs(t *testing.T) {
 	const text = "1954 U.S. Open (golf) place t6 player Tommy Bolt country United States money 570 o'brien café"
 	d := textutil.NewDict()
@@ -193,9 +226,14 @@ func TestAnalyzeKnownTermsAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { d.Bag(d.AppendIDs(ids[:0], text)) }); allocs > 1 {
 		t.Errorf("AppendIDs and Bag of known terms: %v allocations, want at most 1 (the bag)", allocs)
 	}
+	terms := d.AppendTerms(nil, text)
+	if allocs := testing.AllocsPerRun(100, func() { terms = d.AppendTerms(terms[:0], text) }); allocs != 0 {
+		t.Errorf("AppendTerms of known terms: %v allocations, want 0", allocs)
+	}
 	for _, term := range []string{"novel", "unheard", "1954"} {
 		d.Lookup(term)
 	}
+	d.AppendTerms(nil, "novel unheard golfing 1954")
 	if d.Len() != n {
 		t.Errorf("lookups grew the dictionary from %d to %d terms", n, d.Len())
 	}

@@ -1,7 +1,7 @@
 package textutil
 
-// Porter is Stem without the memo and without the last-byte shortcut: the
-// reference both are tested against.
+// Porter is the stemming algorithm without the last-byte shortcut the
+// analysis chain takes: the reference the chain is tested against.
 func Porter(word string) string {
 	if len(word) <= 2 {
 		return word
@@ -9,17 +9,11 @@ func Porter(word string) string {
 	return porter(word)
 }
 
-// StemMemoEntries is the memo's cap.
-const StemMemoEntries = stemMemoEntries
+// RawLen returns the number of raw tokens the dictionary holds.
+func (d *Dict) RawLen() int { return d.raw.n }
 
-// StemMemoLen returns how many words the memo holds now.
-func StemMemoLen() int {
-	n := 0
-	for i := range stemMemo {
-		sh := &stemMemo[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
+// HasRaw reports whether the dictionary holds the raw lowercased token tok.
+func (d *Dict) HasRaw(tok string) bool {
+	_, ok := d.raw.get(tok)
+	return ok
 }

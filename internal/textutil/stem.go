@@ -1,83 +1,15 @@
 package textutil
 
-import (
-	"strings"
-	"sync"
-)
-
-// Stem applies the Porter stemming algorithm (M.F. Porter, 1980) to a single
-// lowercase token. The implementation follows the original five-step
-// definition. Tokens of length <= 2 are returned unchanged.
-//
-// Results are memoized: a lake's vocabulary is small next to its token
-// count, and the rerankers analyze every candidate again per request, so
-// most calls repeat a word already stemmed. (Ingest stems each new token
-// once, through its Dict.) Safe for concurrent use.
-func Stem(word string) string { return stem(word) }
-
-// stem is Stem of a token held as a string or as bytes: a memo hit costs
-// no allocation either way.
-func stem[T string | []byte](w T) string {
-	if !stemmable(w) {
-		return string(w)
-	}
-	sh := &stemMemo[stemShardOf(w)]
-	sh.mu.RLock()
-	s, ok := sh.m[string(w)]
-	sh.mu.RUnlock()
-	if ok {
-		return s
-	}
-	// The memo keeps its own copy: a string word may be a slice of a much
-	// larger string, which a retained key would pin.
-	word := strings.Clone(string(w))
-	s = porter(word)
-	sh.mu.Lock()
-	if sh.m == nil || len(sh.m) >= stemMemoEntries/stemMemoShards {
-		// A full shard is dropped whole and refills with the words in use
-		// now: no per-entry bookkeeping on the hit path, and the memo can
-		// never hold more than stemMemoEntries words.
-		sh.m = make(map[string]string)
-	}
-	sh.m[word] = s
-	sh.mu.Unlock()
-	return s
-}
-
 // stemmable reports whether Porter's algorithm can change w. Words of
 // length <= 2 are left alone, and every rule's suffix ends in an ASCII
 // letter, so no step can fire on a word that ends in anything else
-// (numbers, non-ASCII): such words are their own stem, and staying out of
-// the memo keeps the unbounded space of numeric cell values from evicting
-// the vocabulary.
-func stemmable[T string | []byte](w T) bool {
+// (numbers, non-ASCII): such words are their own stem.
+func stemmable(w string) bool {
 	return len(w) > 2 && 'a' <= w[len(w)-1] && w[len(w)-1] <= 'z'
 }
 
-// stemMemoEntries caps the words the memo holds (about 100 bytes each,
-// so under 2 MB); stemMemoShards spreads them over independently locked
-// maps so concurrent verify goroutines rarely meet.
-const (
-	stemMemoEntries = 1 << 14
-	stemMemoShards  = 16
-)
-
-var stemMemo [stemMemoShards]struct {
-	mu sync.RWMutex
-	m  map[string]string
-}
-
-// stemShardOf hashes word (FNV-1a) to its memo shard.
-func stemShardOf[T string | []byte](word T) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(word); i++ {
-		h ^= uint32(word[i])
-		h *= 16777619
-	}
-	return h % stemMemoShards
-}
-
-// porter is the unmemoized algorithm.
+// porter applies the Porter stemming algorithm (M.F. Porter, 1980) to a
+// single lowercase token, following the original five-step definition.
 func porter(word string) string {
 	w := []byte(word)
 	w = step1a(w)

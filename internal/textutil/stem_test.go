@@ -68,8 +68,8 @@ func TestStemKnownVectors(t *testing.T) {
 		{"the", "the"},
 	}
 	for _, tc := range tests {
-		if got := Stem(tc.in); got != tc.want {
-			t.Errorf("Stem(%q) = %q, want %q", tc.in, got, tc.want)
+		if got := Porter(tc.in); got != tc.want {
+			t.Errorf("Porter(%q) = %q, want %q", tc.in, got, tc.want)
 		}
 	}
 }
@@ -84,10 +84,10 @@ func TestStemSharedStems(t *testing.T) {
 		{"retrieve", "retrieved", "retrieves", "retrieving"},
 	}
 	for _, g := range groups {
-		stem := Stem(g[0])
+		stem := Porter(g[0])
 		for _, w := range g[1:] {
-			if got := Stem(w); got != stem {
-				t.Errorf("Stem(%q) = %q, want %q (same as %q)", w, got, stem, g[0])
+			if got := Porter(w); got != stem {
+				t.Errorf("Porter(%q) = %q, want %q (same as %q)", w, got, stem, g[0])
 			}
 		}
 	}
@@ -107,7 +107,7 @@ func TestStemNeverGrows(t *testing.T) {
 				return true
 			}
 		}
-		return len(Stem(word)) <= len(word)+1
+		return len(Porter(word)) <= len(word)+1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -125,12 +125,12 @@ func TestStemDeterministic(t *testing.T) {
 		"championship", "climate", "precipitation", "companies",
 	}
 	for _, w := range words {
-		if Stem(w) != Stem(w) {
-			t.Errorf("Stem(%q) is not deterministic", w)
+		if Porter(w) != Porter(w) {
+			t.Errorf("Porter(%q) is not deterministic", w)
 		}
 	}
-	if got := Stem("congressional"); got != "congression" {
-		t.Errorf("Stem(congressional) = %q, want congression", got)
+	if got := Porter("congressional"); got != "congression" {
+		t.Errorf("Porter(congressional) = %q, want congression", got)
 	}
 }
 

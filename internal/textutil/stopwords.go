@@ -17,7 +17,7 @@ var stopwords = map[string]struct{}{
 // IsStopword reports whether the lowercase token t is an English stopword.
 func IsStopword(t string) bool { return isStopword(t) }
 
-func isStopword[T string | []byte](t T) bool {
-	_, ok := stopwords[string(t)]
+func isStopword(t string) bool {
+	_, ok := stopwords[t]
 	return ok
 }

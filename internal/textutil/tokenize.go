@@ -74,44 +74,24 @@ func Tokenize(s string) []string {
 }
 
 // TokenizeFiltered tokenizes s, removes stopwords, and stems each remaining
-// token. This is the canonical analysis chain used by the inverted index.
-// A token whose stem the memo holds costs no allocation.
-func TokenizeFiltered(s string) []string {
-	if s == "" {
-		return nil
-	}
-	out := make([]string, 0, len(s)/5+1)
-	var buf [tokenBuf]byte
-	for i := 0; i < len(s); {
-		var tok []byte
-		if tok, i = scanToken(s, i, buf[:0]); len(tok) > 0 && !isStopword(tok) {
-			out = append(out, stem(tok))
-		}
-	}
-	return out
-}
+// token: the analysis chain, as an empty dictionary's AppendTerms runs it.
+func TokenizeFiltered(s string) []string { return new(Dict).AppendTerms(nil, s) }
 
-// Bag is one analyzed text as both index families read it: its distinct
-// TokenizeFiltered terms in ascending byte order, each term's count, and
-// the number of tokens.
+// Bag is one analyzed text as term strings: its distinct terms in
+// ascending byte order (the order an IDBag holds its terms in), each
+// term's count, and the number of tokens.
 type Bag struct {
 	Terms  []string
 	Counts []int32
 	Len    int
 }
 
-// Analyze returns the bag of s's TokenizeFiltered terms.
-func Analyze(s string) Bag { return bagOf(TokenizeFiltered(s)) }
-
 // BagOf returns the bag of terms already analyzed; terms is not modified.
-func BagOf(terms []string) Bag { return bagOf(slices.Clone(terms)) }
-
-// bagOf sorts tokens in place and folds each run of equal terms into one
-// entry, reusing the tokens' array for the terms.
-func bagOf(tokens []string) Bag {
-	slices.Sort(tokens)
-	b := Bag{Terms: tokens[:0], Counts: make([]int32, 0, len(tokens)), Len: len(tokens)}
-	for _, t := range tokens {
+func BagOf(terms []string) Bag {
+	sorted := slices.Clone(terms)
+	slices.Sort(sorted)
+	b := Bag{Terms: sorted[:0], Counts: make([]int32, 0, len(sorted)), Len: len(sorted)}
+	for _, t := range sorted {
 		if n := len(b.Terms); n > 0 && b.Terms[n-1] == t {
 			b.Counts[n-1]++
 			continue

@@ -637,6 +637,9 @@ func (s *System) VerifyImputedTupleCtx(ctx context.Context, id string, tp Tuple,
 // head. See Pipeline.VerifyAsOfCtx for the error contract (not-retained vs
 // below-floor).
 func (s *System) VerifyImputedTupleAsOfCtx(ctx context.Context, id string, tp Tuple, attr string, asOf uint64, kinds ...Kind) (Report, error) {
+	if len(tp.Values) != len(tp.Columns) {
+		return Report{}, fmt.Errorf("verifai: tuple has %d columns and %d values", len(tp.Columns), len(tp.Values))
+	}
 	if _, ok := tp.Value(attr); !ok {
 		return Report{}, fmt.Errorf("verifai: tuple has no attribute %q", attr)
 	}

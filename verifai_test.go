@@ -1,6 +1,7 @@
 package verifai
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -123,6 +124,29 @@ func TestVerifyImputedTuple(t *testing.T) {
 	// Unknown attribute is rejected.
 	if _, err := sys.VerifyImputedTuple("x", tp, "nonexistent"); err == nil {
 		t.Error("unknown attribute accepted")
+	}
+}
+
+// TestVerifyImputedTupleRejectsRaggedTuple: a tuple whose values do not
+// match its columns one for one is an error, whichever attribute is asked
+// for, on every entry point — not a panic in serialization.
+func TestVerifyImputedTupleRejectsRaggedTuple(t *testing.T) {
+	sys, err := NewSystem(caseLake(t), noiseFreeOptions(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	short := Tuple{Caption: "c", Columns: []string{"player", "money"}, Values: []string{"tommy bolt"}}
+	long := Tuple{Caption: "c", Columns: []string{"player"}, Values: []string{"tommy bolt", "570"}}
+	for _, tp := range []Tuple{short, long} {
+		for _, attr := range []string{"player", "money"} {
+			if _, err := sys.VerifyImputedTuple("ragged", tp, attr); err == nil {
+				t.Errorf("%d columns, %d values, attr %q: accepted", len(tp.Columns), len(tp.Values), attr)
+			}
+			if _, err := sys.VerifyImputedTupleAsOfCtx(context.Background(), "ragged", tp, attr, 0); err == nil {
+				t.Errorf("%d columns, %d values, attr %q: accepted at head", len(tp.Columns), len(tp.Values), attr)
+			}
+		}
 	}
 }
 
