@@ -10,8 +10,10 @@
 //
 // The built-in required set covers every family a serving deployment
 // must expose (HTTP, ingest, pipeline, caches, CDC); -durable adds the
-// WAL/checkpoint/recovery families and -follower the replication ones.
-// -require replaces the built-in set entirely.
+// WAL/checkpoint/recovery families, and the memory ledger's catalog
+// series, and -follower the replication ones. -require replaces the
+// built-in set entirely. An entry is a family name, or one series of a
+// family written as it is exposed: name{label="value"}.
 package main
 
 import (
@@ -74,7 +76,9 @@ var requiredDurable = []string{
 	"verifai_checkpoint_bytes",
 	"verifai_checkpoint_part_bytes",
 	"verifai_recovery_replayed_records_total",
+	"verifai_wal_poisoned",
 	"verifai_memory_bytes",
+	`verifai_memory_bytes{class="offheap_catalog"}`,
 }
 
 // requiredFollower is added for follower (replica) deployments.
@@ -172,7 +176,9 @@ func requiredSet(override string, durable, follower bool) []string {
 }
 
 // presentFamilies collects family names from TYPE headers and samples
-// (histogram sample suffixes stripped back to the family name).
+// (histogram sample suffixes stripped back to the family name), and the
+// series of every sample with labels, as name{labels}, so that one series
+// of a family can be required.
 func presentFamilies(body string) map[string]bool {
 	present := make(map[string]bool)
 	for _, line := range strings.Split(body, "\n") {
@@ -190,6 +196,9 @@ func presentFamilies(body string) map[string]bool {
 		name := line
 		if i := strings.IndexAny(name, "{ "); i >= 0 {
 			name = name[:i]
+		}
+		if series, _, ok := strings.Cut(line, "} "); ok && strings.Contains(series, "{") {
+			present[series+"}"] = true
 		}
 		present[name] = true
 		for _, suffix := range []string{"_bucket", "_sum", "_count"} {

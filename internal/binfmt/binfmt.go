@@ -34,9 +34,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"iter"
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -136,6 +138,9 @@ func (w *Writer) Build() (*Reader, error) {
 		return nil, err
 	}
 	*r = *opened
+	if mapped {
+		r.offHeap = int64(size)
+	}
 	return r, nil
 }
 
@@ -184,19 +189,28 @@ func (w *Writer) JSON(name string, v any) error {
 // count+1 u32 end-offsets into the blob that follows. Like all payloads,
 // the integers are native byte order.
 func (w *Writer) Strings(name string, vals []string) {
-	var blobLen int
-	for _, s := range vals {
+	w.StringSeq(name, slices.Values(vals))
+}
+
+// StringSeq is Strings over a sequence, which it reads twice: once to
+// size the section and once to fill it. The column's bytes must total
+// under 4 GiB, the reach of its offsets.
+func (w *Writer) StringSeq(name string, vals iter.Seq[string]) {
+	count, blobLen := 0, 0
+	for s := range vals {
+		count++
 		blobLen += len(s)
 	}
-	buf := make([]byte, 4+4*(len(vals)+1)+blobLen)
+	buf := make([]byte, 4+4*(count+1)+blobLen)
 	ne := binary.NativeEndian
-	ne.PutUint32(buf, uint32(len(vals)))
+	ne.PutUint32(buf, uint32(count))
 	ne.PutUint32(buf[4:], 0)
-	off := uint32(0)
-	pos := 4 + 4*(len(vals)+1)
-	for i, s := range vals {
+	i, off := 0, uint32(0)
+	pos := 4 + 4*(count+1)
+	for s := range vals {
+		i++
 		off += uint32(len(s))
-		ne.PutUint32(buf[4+4*(i+1):], off)
+		ne.PutUint32(buf[4+4*i:], off)
 		copy(buf[pos:], s)
 		pos += len(s)
 	}
@@ -212,6 +226,13 @@ func (w *Writer) Strings(name string, vals []string) {
 // the container is serialized, so vals, like any payload, must not change
 // before then.
 func (w *Writer) DeflatedStrings(name string, vals []string) {
+	w.DeflatedStringSeq(name, slices.Values(vals))
+}
+
+// DeflatedStringSeq is DeflatedStrings over a sequence, which is read
+// twice when the container is serialized: once for the lengths and once
+// for the bytes. The strings need to stay valid only until then.
+func (w *Writer) DeflatedStringSeq(name string, vals iter.Seq[string]) {
 	w.deflated = append(w.deflated, deflatedColumn{section: len(w.payloads), vals: vals})
 	w.Section(name, nil)
 }
@@ -220,7 +241,7 @@ func (w *Writer) DeflatedStrings(name string, vals []string) {
 // yet compressed.
 type deflatedColumn struct {
 	section int
-	vals    []string
+	vals    iter.Seq[string]
 }
 
 // deflateColumns compresses the columns DeflatedStrings added into their
@@ -246,15 +267,19 @@ func (w *Writer) deflateColumns() {
 
 // deflateStrings compresses vals into a DeflatedStrings payload with fw (a
 // new compressor when nil) and returns fw for the next column. The packed
-// form is streamed into the compressor, never assembled.
-func deflateStrings(vals []string, fw *flate.Writer) ([]byte, *flate.Writer) {
-	lens := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(vals)), uint64(len(vals)))
-	size := 0
-	for _, s := range vals {
+// form is streamed into the compressor, never assembled. DEFLATE's output
+// depends on the bytes it is given, not on how they are split into
+// writes, so the count and the lengths go in apart.
+func deflateStrings(vals iter.Seq[string], fw *flate.Writer) ([]byte, *flate.Writer) {
+	var lens []byte
+	count, size := 0, 0
+	for s := range vals {
 		lens = binary.AppendUvarint(lens, uint64(len(s)))
+		count++
 		size += len(s)
 	}
-	size += len(lens)
+	head := binary.AppendUvarint(nil, uint64(count))
+	size += len(head) + len(lens)
 	out := bytes.NewBuffer(binary.AppendUvarint(make([]byte, 0, size/4+binary.MaxVarintLen64), uint64(size)))
 	if fw == nil {
 		fw, _ = flate.NewWriter(out, flate.BestSpeed) // fails only for an invalid level
@@ -262,8 +287,9 @@ func deflateStrings(vals []string, fw *flate.Writer) ([]byte, *flate.Writer) {
 		fw.Reset(out)
 	}
 	// Writes into a bytes.Buffer do not fail.
+	_, _ = fw.Write(head)
 	_, _ = fw.Write(lens)
-	for _, s := range vals {
+	for s := range vals {
 		_, _ = fw.Write(unsafe.Slice(unsafe.StringData(s), len(s)))
 	}
 	_ = fw.Close()
@@ -359,9 +385,10 @@ func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 // keeps the mapping alive — the mapping is released by a cleanup once the
 // Reader is unreachable.
 type Reader struct {
-	data   []byte
-	secs   map[string]section
-	mapped bool // a file mapping; Build's anonymous one is private memory
+	data    []byte
+	secs    map[string]section
+	mapped  bool  // a file mapping; Build's anonymous one is private memory
+	offHeap int64 // the size of Build's anonymous mapping, if it has one
 }
 
 type section struct {
@@ -456,6 +483,10 @@ func (r *Reader) WriteTo(w io.Writer) (int64, error) {
 // Mapped reports whether the reader is backed by an mmap'd file (as
 // opposed to process-private memory: a Build buffer, or a file's copy).
 func (r *Reader) Mapped() bool { return r.mapped }
+
+// OffHeapBytes returns the size of the anonymous mapping a container Build
+// made holds, a part of BuiltBytes; 0 for every other reader.
+func (r *Reader) OffHeapBytes() int64 { return r.offHeap }
 
 // Bytes returns the raw payload of a section.
 func (r *Reader) Bytes(name string) ([]byte, error) {
@@ -667,6 +698,16 @@ func (c StringCol) Len() int {
 func (c StringCol) Bytes(i int) []byte {
 	return c.blob[c.offs[i]:c.offs[i+1]:c.offs[i+1]]
 }
+
+// Span returns strings i to j-1 as one zero-copy view of their bytes, which
+// the column stores back to back.
+func (c StringCol) Span(i, j int) []byte {
+	return c.blob[c.offs[i]:c.offs[j]:c.offs[j]]
+}
+
+// Offsets returns the j-i+1 offsets into the column's bytes that bound
+// strings i to j-1: string k spans [offs[k-i], offs[k-i+1]).
+func (c StringCol) Offsets(i, j int) []uint32 { return c.offs[i : j+1 : j+1] }
 
 // castToBytes views n bytes at p as a byte slice (nil-safe for n == 0).
 func castToBytes(p unsafe.Pointer, n int) []byte {

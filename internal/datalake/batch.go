@@ -68,6 +68,57 @@ func Load(sources []Source, items []BatchItem) (*Lake, error) {
 	return l, nil
 }
 
+// LoadColumns returns a new lake holding sources, the tables and documents
+// cols holds, sealed into one segment off the Go heap, and triples: what
+// a stored catalog loads as. Like Load it counts versions 1..n over the
+// tables, documents and triples, and a table loads as it was stored; an
+// empty or repeated ID fails the load.
+func LoadColumns(sources []Source, cols Columns, triples []kg.Triple) (*Lake, error) {
+	seg, err := newSegment(cols)
+	if err != nil {
+		return nil, err
+	}
+	l := New()
+	for _, src := range sources {
+		if err := l.AddSource(src); err != nil {
+			return nil, err
+		}
+	}
+	if seg.numTables()+seg.numDocs() > 0 {
+		l.cat.segs = []*segment{seg}
+		l.cat.sealedTables, l.cat.sealedDocs = seg.numTables(), seg.numDocs()
+		l.cat.tableIDs, l.cat.docIDs = seg.strings(colTableID), seg.strings(colDocID)
+		l.cat.tableOrd, l.cat.docOrd = make(map[string]int, seg.numTables()), make(map[string]int, seg.numDocs())
+	}
+	if err := indexIDs(l.cat.tableOrd, l.cat.tableIDs, "table"); err != nil {
+		return nil, err
+	}
+	if err := indexIDs(l.cat.docOrd, l.cat.docIDs, "document"); err != nil {
+		return nil, err
+	}
+	for _, tr := range triples {
+		l.graph.Add(tr)
+	}
+	n := uint64(len(l.cat.tableIDs) + len(l.cat.docIDs) + len(triples))
+	l.version, l.processed, l.published = n, n, n
+	return l, nil
+}
+
+// indexIDs maps each of ids to its position in ord, rejecting an empty or
+// repeated ID as AddBatch would.
+func indexIDs(ord map[string]int, ids []string, what string) error {
+	for i, id := range ids {
+		if id == "" {
+			return fmt.Errorf("datalake: %s with empty ID", what)
+		}
+		if _, dup := ord[id]; dup {
+			return fmt.Errorf("datalake: duplicate %s id %q: %w", what, id, ErrDuplicate)
+		}
+		ord[id] = i
+	}
+	return nil
+}
+
 // batchSource says where the items of an addBatch call come from.
 type batchSource int
 

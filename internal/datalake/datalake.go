@@ -216,6 +216,11 @@ var ErrClosed = errors.New("datalake: lake closed")
 //     subscribers in version order; an event is applied once every
 //     subscriber's Apply has returned.
 //
+// Tables and documents up to the last Seal (a durable lake's checkpoint)
+// live in sealed segments off the Go heap; Table, Document and Resolve
+// hand out heap copies of them, so nothing a caller holds points into a
+// segment. Those committed since are the Go objects that were ingested.
+//
 // The next section commits (and fsyncs) while this one applies, then waits
 // for the apply lock, so events apply in version order. Version()
 // publication provides the visibility guarantee: a version becomes
@@ -263,13 +268,9 @@ type Lake struct {
 	// versions that will now never commit are woken with ErrClosed.
 	drained bool
 
-	tables  map[string]*table.Table
-	docs    map[string]*doc.Document
+	cat     catalog
 	graph   *kg.Graph
 	sources map[string]Source
-
-	tableIDs []string
-	docIDs   []string
 
 	// m holds the ingest-stage observability handles (nil-safe no-ops
 	// until SetMetrics installs real ones).
@@ -299,8 +300,7 @@ func (l *Lake) SetMetrics(reg *obs.Registry) {
 // ingest runs on the ingesting goroutine.
 func New() *Lake {
 	l := &Lake{
-		tables:  make(map[string]*table.Table),
-		docs:    make(map[string]*doc.Document),
+		cat:     newCatalog(),
 		graph:   kg.NewGraph(),
 		sources: make(map[string]Source),
 	}
@@ -602,7 +602,7 @@ func (l *Lake) stageLocked(ev *Event, version uint64, st *staging) error {
 	switch ev.Kind {
 	case KindTable:
 		id := ev.Table.ID
-		_, dup := l.tables[id]
+		dup := l.cat.hasTable(id)
 		if !dup {
 			_, dup = st.tables[id]
 		}
@@ -612,7 +612,7 @@ func (l *Lake) stageLocked(ev *Event, version uint64, st *staging) error {
 		st.tables[id] = struct{}{}
 	case KindText:
 		id := ev.Doc.ID
-		_, dup := l.docs[id]
+		dup := l.cat.hasDoc(id)
 		if !dup {
 			_, dup = st.docs[id]
 		}
@@ -635,11 +635,9 @@ func (l *Lake) stageLocked(ev *Event, version uint64, st *staging) error {
 func (l *Lake) materializeLocked(ev *Event) {
 	switch ev.Kind {
 	case KindTable:
-		l.tables[ev.Table.ID] = ev.Table
-		l.tableIDs = append(l.tableIDs, ev.Table.ID)
+		l.cat.addTable(ev.Table)
 	case KindText:
-		l.docs[ev.Doc.ID] = ev.Doc
-		l.docIDs = append(l.docIDs, ev.Doc.ID)
+		l.cat.addDoc(ev.Doc)
 	case KindEntity:
 		l.graph.Add(*ev.Triple)
 	}
@@ -701,15 +699,13 @@ func (l *Lake) addOne(it BatchItem) (uint64, error) {
 func (l *Lake) hasTable(id string) bool {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	_, ok := l.tables[id]
-	return ok
+	return l.cat.hasTable(id)
 }
 
 func (l *Lake) hasDoc(id string) bool {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	_, ok := l.docs[id]
-	return ok
+	return l.cat.hasDoc(id)
 }
 
 // Graph returns the lake's knowledge graph (shared; internally synchronized,
@@ -727,34 +723,35 @@ func (l *Lake) Triples() []kg.Triple {
 	return l.Graph().Triples()
 }
 
-// Table returns the table with the given ID.
+// Table returns the table with the given ID. A table committed before the
+// last checkpoint is sealed, and each call returns a fresh copy of it;
+// one committed since is the object that was ingested.
 func (l *Lake) Table(id string) (*table.Table, bool) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	t, ok := l.tables[id]
-	return t, ok
+	return l.cat.table(id)
 }
 
-// Document returns the document with the given ID.
+// Document returns the document with the given ID: a fresh copy when it is
+// sealed, as Table.
 func (l *Lake) Document(id string) (*doc.Document, bool) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	d, ok := l.docs[id]
-	return d, ok
+	return l.cat.document(id)
 }
 
 // TableIDs returns all table IDs in insertion order (copy).
 func (l *Lake) TableIDs() []string {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return append([]string(nil), l.tableIDs...)
+	return append([]string(nil), l.cat.tableIDs...)
 }
 
 // DocIDs returns all document IDs in insertion order (copy).
 func (l *Lake) DocIDs() []string {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return append([]string(nil), l.docIDs...)
+	return append([]string(nil), l.cat.docIDs...)
 }
 
 // Stats summarizes lake contents, matching the corpus statistics the paper
@@ -772,17 +769,14 @@ type Stats struct {
 func (l *Lake) Stats() Stats {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	s := Stats{
-		Tables:  len(l.tables),
-		Docs:    len(l.docs),
-		Triples: l.graph.Len(),
-		Sources: len(l.sources),
+	return Stats{
+		Tables:   len(l.cat.tableIDs),
+		Tuples:   l.cat.numTuples(),
+		Docs:     len(l.cat.docIDs),
+		Triples:  l.graph.Len(),
+		Sources:  len(l.sources),
+		Entities: len(l.graph.Entities()),
 	}
-	for _, t := range l.tables {
-		s.Tuples += t.NumRows()
-	}
-	s.Entities = len(l.graph.Entities())
-	return s
 }
 
 // --- instance addressing ---
@@ -819,7 +813,8 @@ func KindOf(instanceID string) (Kind, bool) {
 
 // Resolve maps an instance ID to its content. It returns an error for
 // malformed IDs or IDs referencing missing data — a resolution failure
-// indicates index/lake drift, which callers surface rather than skip.
+// indicates index/lake drift, which callers surface rather than skip. A
+// sealed table, tuple or document resolves to a fresh copy.
 func (l *Lake) Resolve(instanceID string) (Instance, error) {
 	kind, ok := KindOf(instanceID)
 	if !ok {
@@ -827,50 +822,13 @@ func (l *Lake) Resolve(instanceID string) (Instance, error) {
 	}
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	switch kind {
-	case KindTable:
-		id := strings.TrimPrefix(instanceID, "table:")
-		t, ok := l.tables[id]
-		if !ok {
-			return Instance{}, fmt.Errorf("datalake: unknown table %q", id)
-		}
-		return Instance{ID: instanceID, Kind: KindTable, SourceID: t.SourceID, Table: t}, nil
-	case KindTuple:
-		rest := strings.TrimPrefix(instanceID, "tuple:")
-		hash := strings.LastIndexByte(rest, '#')
-		if hash < 0 {
-			return Instance{}, fmt.Errorf("datalake: malformed tuple id %q", instanceID)
-		}
-		tableID := rest[:hash]
-		row, err := strconv.Atoi(rest[hash+1:])
-		if err != nil {
-			return Instance{}, fmt.Errorf("datalake: malformed tuple row in %q: %w", instanceID, err)
-		}
-		t, ok := l.tables[tableID]
-		if !ok {
-			return Instance{}, fmt.Errorf("datalake: unknown table %q", tableID)
-		}
-		tp, ok := t.TupleAt(row)
-		if !ok {
-			return Instance{}, fmt.Errorf("datalake: row %d out of range for table %q", row, tableID)
-		}
-		return Instance{ID: instanceID, Kind: KindTuple, SourceID: t.SourceID, Tuple: &tp}, nil
-	case KindText:
-		id := strings.TrimPrefix(instanceID, "text:")
-		d, ok := l.docs[id]
-		if !ok {
-			return Instance{}, fmt.Errorf("datalake: unknown document %q", id)
-		}
-		return Instance{ID: instanceID, Kind: KindText, SourceID: d.SourceID, Doc: d}, nil
-	case KindEntity:
-		name := strings.TrimPrefix(instanceID, "entity:")
-		ts := l.graph.About(name)
-		if len(ts) == 0 {
-			return Instance{}, fmt.Errorf("datalake: unknown entity %q", name)
-		}
-		src := ts[0].SourceID
-		return Instance{ID: instanceID, Kind: KindEntity, SourceID: src, Entity: name, Graph: l.graph}, nil
-	default:
-		return Instance{}, fmt.Errorf("datalake: unhandled kind %v", kind)
+	if kind != KindEntity {
+		return l.cat.resolve(instanceID, kind, nil)
 	}
+	name := strings.TrimPrefix(instanceID, "entity:")
+	ts := l.graph.About(name)
+	if len(ts) == 0 {
+		return Instance{}, fmt.Errorf("datalake: unknown entity %q", name)
+	}
+	return Instance{ID: instanceID, Kind: KindEntity, SourceID: ts[0].SourceID, Entity: name, Graph: l.graph}, nil
 }

@@ -27,11 +27,11 @@ func TestCommitHookObservesStagedEvents(t *testing.T) {
 			// materialization.
 			switch ev.Kind {
 			case KindTable:
-				if _, ok := l.tables[ev.Table.ID]; ok {
+				if l.cat.hasTable(ev.Table.ID) {
 					t.Errorf("table %q already in catalog during hook", ev.Table.ID)
 				}
 			case KindText:
-				if _, ok := l.docs[ev.Doc.ID]; ok {
+				if l.cat.hasDoc(ev.Doc.ID) {
 					t.Errorf("doc %q already in catalog during hook", ev.Doc.ID)
 				}
 			}

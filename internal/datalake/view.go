@@ -2,9 +2,10 @@ package datalake
 
 import (
 	"fmt"
+	"iter"
 	"sort"
-	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/doc"
 	"repro/internal/kg"
@@ -13,22 +14,22 @@ import (
 
 // View is an immutable snapshot of the lake's catalog pinned at one
 // version: the fork primitive behind non-blocking checkpoints. A View is
-// built under a brief quiescence (Fork) by copying the catalog's
-// *references* — map and slice headers, plus the triple list — so the fork
-// cost is proportional to the number of instances, not their content. The
-// referenced tables and documents are safe to share because the lake
-// treats them as immutable once ingested (updates are modeled as
-// delete+re-add, and the catalog maps are replaced, never mutated through
-// a view). A long-running consumer (the checkpoint write phase) serializes
-// the View while ingestion continues on the live lake.
+// built under a brief quiescence (Fork) by copying the catalog's ID maps
+// and sharing everything else, cut to its length: the segments, the
+// tail's tables and documents, the ID lists and the triples only ever grow
+// at their end, and the lake treats an ingested table or document as
+// immutable. So the fork costs a map entry per instance, not its content.
+// A long-running consumer (the checkpoint write phase) serializes the View
+// while ingestion continues on the live lake.
+//
+// A View's content never changes, but its form can: Seal moves the tail it
+// holds as Go objects into a segment, which the View adopts in place of
+// them.
 type View struct {
-	version  uint64
-	sources  []Source
-	tableIDs []string
-	docIDs   []string
-	tables   map[string]*table.Table
-	docs     map[string]*doc.Document
-	triples  []kg.Triple
+	version uint64
+	sources []Source
+	cat     atomic.Pointer[catalog]
+	triples []kg.Triple
 }
 
 // Fork quiesces the lake just long enough to pin a consistent View of the
@@ -55,32 +56,50 @@ func (l *Lake) Fork(extra func(v *View) error) (*View, error) {
 	return view, nil
 }
 
-// viewLocked copies the catalog references into a View. The caller holds
-// writeMu with the lake fully applied (Quiesce), so mu readers are the
-// only concurrent accessors and a read lock suffices.
+// viewLocked forks the catalog into a View. The caller holds writeMu with
+// the lake fully applied (Quiesce), so mu readers are the only concurrent
+// accessors and a read lock suffices.
 func (l *Lake) viewLocked(version uint64) *View {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	v := &View{
-		version:  version,
-		sources:  make([]Source, 0, len(l.sources)),
-		tableIDs: append([]string(nil), l.tableIDs...),
-		docIDs:   append([]string(nil), l.docIDs...),
-		tables:   make(map[string]*table.Table, len(l.tables)),
-		docs:     make(map[string]*doc.Document, len(l.docs)),
+		version: version,
+		sources: make([]Source, 0, len(l.sources)),
+		triples: l.graph.Appended(),
 	}
-	for id, t := range l.tables {
-		v.tables[id] = t
-	}
-	for id, d := range l.docs {
-		v.docs[id] = d
-	}
+	v.cat.Store(l.cat.fork())
 	for _, s := range l.sources {
 		v.sources = append(v.sources, s)
 	}
 	sort.Slice(v.sources, func(i, j int) bool { return v.sources[i].ID < v.sources[j].ID })
-	v.triples = l.graph.Triples()
 	return v
+}
+
+// Seal moves the tables and documents that v, a fork of l, holds as Go
+// objects — those committed since the last seal — into one new segment
+// off the Go heap, which v and l both adopt in place of the objects. The
+// content of v and of l is unchanged; only its form is. It is a
+// checkpoint's step and, like a checkpoint, runs while ingestion
+// continues; seals of one lake must not overlap, and a view forked before
+// the last seal cannot seal. Nothing to seal is not an error.
+func (l *Lake) Seal(v *View) error {
+	c := v.cat.Load()
+	if len(c.tables) == 0 && len(c.docs) == 0 {
+		return nil
+	}
+	seg, err := c.sealTail()
+	if err != nil {
+		return fmt.Errorf("datalake: seal: %w", err)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.cat.sealedTables != c.sealedTables || l.cat.sealedDocs != c.sealedDocs {
+		return fmt.Errorf("datalake: seal: the lake sealed since the view forked")
+	}
+	sealed := c.adopt(seg)
+	v.cat.Store(&sealed)
+	l.cat = l.cat.adopt(seg)
+	return nil
 }
 
 // Version returns the lake version the view is pinned at.
@@ -92,27 +111,33 @@ func (v *View) Sources() []Source { return v.sources }
 
 // TableIDs returns the view's table IDs in insertion order (shared slice;
 // callers must not mutate).
-func (v *View) TableIDs() []string { return v.tableIDs }
+func (v *View) TableIDs() []string { return v.cat.Load().tableIDs }
 
-// Table returns the table with the given ID.
-func (v *View) Table(id string) (*table.Table, bool) {
-	t, ok := v.tables[id]
-	return t, ok
-}
+// Table returns the table with the given ID: a fresh copy when it is
+// sealed.
+func (v *View) Table(id string) (*table.Table, bool) { return v.cat.Load().table(id) }
 
 // DocIDs returns the view's document IDs in insertion order (shared
 // slice; callers must not mutate).
-func (v *View) DocIDs() []string { return v.docIDs }
+func (v *View) DocIDs() []string { return v.cat.Load().docIDs }
 
-// Document returns the document with the given ID.
-func (v *View) Document(id string) (*doc.Document, bool) {
-	d, ok := v.docs[id]
-	return d, ok
-}
+// Document returns the document with the given ID: a fresh copy when it
+// is sealed.
+func (v *View) Document(id string) (*doc.Document, bool) { return v.cat.Load().document(id) }
 
 // Triples returns the view's knowledge-graph triples in insertion order
 // (shared slice; callers must not mutate).
 func (v *View) Triples() []kg.Triple { return v.triples }
+
+// Column yields the named column of CatalogColumns over the view's tables
+// or documents in insertion order, and Shape their counts: the column form
+// a stored catalog is written in. A string Column yields may be a view of
+// a segment's memory, valid only while v is reachable.
+func (v *View) Column(name string) iter.Seq[string] { return v.cat.Load().column(name) }
+
+// Shape returns each table's column and row count and each row's width,
+// in insertion order (see Column).
+func (v *View) Shape() (ncols, nrows, widths []uint32) { return v.cat.Load().shape() }
 
 // Resolve maps an instance ID to its content as of the view's version —
 // the pinned-read counterpart of Lake.Resolve. Entity instances resolve
@@ -124,52 +149,16 @@ func (v *View) Resolve(instanceID string, g *kg.Graph) (Instance, error) {
 	if !ok {
 		return Instance{}, fmt.Errorf("datalake: malformed instance id %q", instanceID)
 	}
-	switch kind {
-	case KindTable:
-		id := strings.TrimPrefix(instanceID, "table:")
-		t, ok := v.tables[id]
-		if !ok {
-			return Instance{}, fmt.Errorf("datalake: unknown table %q at version %d", id, v.version)
-		}
-		return Instance{ID: instanceID, Kind: KindTable, SourceID: t.SourceID, Table: t}, nil
-	case KindTuple:
-		rest := strings.TrimPrefix(instanceID, "tuple:")
-		hash := strings.LastIndexByte(rest, '#')
-		if hash < 0 {
-			return Instance{}, fmt.Errorf("datalake: malformed tuple id %q", instanceID)
-		}
-		tableID := rest[:hash]
-		row, err := strconv.Atoi(rest[hash+1:])
-		if err != nil {
-			return Instance{}, fmt.Errorf("datalake: malformed tuple row in %q: %w", instanceID, err)
-		}
-		t, ok := v.tables[tableID]
-		if !ok {
-			return Instance{}, fmt.Errorf("datalake: unknown table %q at version %d", tableID, v.version)
-		}
-		tp, ok := t.TupleAt(row)
-		if !ok {
-			return Instance{}, fmt.Errorf("datalake: row %d out of range for table %q", row, tableID)
-		}
-		return Instance{ID: instanceID, Kind: KindTuple, SourceID: t.SourceID, Tuple: &tp}, nil
-	case KindText:
-		id := strings.TrimPrefix(instanceID, "text:")
-		d, ok := v.docs[id]
-		if !ok {
-			return Instance{}, fmt.Errorf("datalake: unknown document %q at version %d", id, v.version)
-		}
-		return Instance{ID: instanceID, Kind: KindText, SourceID: d.SourceID, Doc: d}, nil
-	case KindEntity:
-		name := strings.TrimPrefix(instanceID, "entity:")
-		var ts []kg.Triple
-		if g != nil {
-			ts = g.About(name)
-		}
-		if len(ts) == 0 {
-			return Instance{}, fmt.Errorf("datalake: unknown entity %q at version %d", name, v.version)
-		}
-		return Instance{ID: instanceID, Kind: KindEntity, SourceID: ts[0].SourceID, Entity: name, Graph: g}, nil
-	default:
-		return Instance{}, fmt.Errorf("datalake: unhandled kind %v", kind)
+	if kind != KindEntity {
+		return v.cat.Load().resolve(instanceID, kind, &v.version)
 	}
+	name := strings.TrimPrefix(instanceID, "entity:")
+	var ts []kg.Triple
+	if g != nil {
+		ts = g.About(name)
+	}
+	if len(ts) == 0 {
+		return Instance{}, fmt.Errorf("datalake: unknown entity %q at version %d", name, v.version)
+	}
+	return Instance{ID: instanceID, Kind: KindEntity, SourceID: ts[0].SourceID, Entity: name, Graph: g}, nil
 }

@@ -3,16 +3,16 @@ package durable
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"repro/internal/binfmt"
 	"repro/internal/datalake"
-	"repro/internal/doc"
 	"repro/internal/kg"
 	"repro/internal/lakeio"
-	"repro/internal/table"
 )
 
 // A checkpoint (and a pin) stores its catalog as one binfmt container, the
@@ -36,6 +36,16 @@ import (
 //
 // Order is the catalog's: tables and documents in insertion order, triples
 // in graph order, so a reloaded lake forks to the same View.
+//
+// The table and document columns are also the in-memory form of every
+// table and document up to the last checkpoint: a checkpoint seals the
+// ones committed since the one before into a segment (datalake.Lake.Seal),
+// which holds these columns packed, not deflated, off the Go heap, with
+// offsets to find a table's column names, rows and cells; and an open
+// inflates the file's columns straight into one such segment
+// (datalake.LoadColumns). This file is written from the segments and the
+// tail since the last seal, byte for byte what writing the same catalog
+// from Go objects gives.
 
 // catalogFile is the container's name inside a checkpoint or pin directory.
 const catalogFile = "catalog.vaib"
@@ -71,11 +81,12 @@ func (s *Store) writeCatalog(view *datalake.View, dir string) error {
 
 // LoadCatalog loads the catalog a checkpoint or pin directory holds into a
 // fresh lake (versions 1..n in catalog order; the caller fast-forwards to
-// the directory's pinned version). A directory written before the
-// container existed holds the lakeio layout instead and loads through it,
-// and a format-1 container loads too; the next checkpoint rewrites either
-// as format 2. A container that is truncated or fails
-// a checksum is an error, never a partial lake.
+// the directory's pinned version), its tables and documents in one sealed
+// segment. A directory written before the container existed holds the
+// lakeio layout instead and loads through it, as Go objects, and a
+// format-1 container loads too; the next checkpoint rewrites either as
+// format 2. A container that is truncated or fails a checksum is an
+// error, never a partial lake.
 func (s *Store) LoadCatalog(dir string) (*datalake.Lake, error) {
 	data, err := s.fs.ReadFile(filepath.Join(dir, catalogFile))
 	if errors.Is(err, os.ErrNotExist) {
@@ -95,46 +106,29 @@ func encodeCatalog(view *datalake.View) (*binfmt.Writer, error) {
 	if err := w.JSON("sources", view.Sources()); err != nil {
 		return nil, fmt.Errorf("durable: encode catalog: %w", err)
 	}
-	cols := make(map[string][]string)
-	add := func(name string, vals ...string) { cols[name] = append(cols[name], vals...) }
-
-	tableIDs := view.TableIDs()
-	ncols := make([]uint32, 0, len(tableIDs))
-	nrows := make([]uint32, 0, len(tableIDs))
-	var rowWidth []uint32
+	for _, name := range datalake.CatalogColumns {
+		w.DeflatedStringSeq(name, view.Column(name))
+	}
+	triples := view.Triples()
+	for i, name := range tripleColumns {
+		w.DeflatedStringSeq(name, func(yield func(string) bool) {
+			for _, tr := range triples {
+				if !yield([...]string{tr.Subject, tr.Predicate, tr.Object, tr.SourceID}[i]) {
+					return
+				}
+			}
+		})
+	}
+	ncols, nrows, rowWidth := view.Shape()
 	ragged := false
-	for _, id := range tableIDs {
-		t, _ := view.Table(id) // a View holds every ID it lists
-		add("table.id", t.ID)
-		add("table.caption", t.Caption)
-		add("table.source", t.SourceID)
-		add("table.columns", t.Columns...)
-		ncols = append(ncols, uint32(len(t.Columns)))
-		nrows = append(nrows, uint32(len(t.Rows)))
-		for _, row := range t.Rows {
-			add("table.cells", row...)
-			rowWidth = append(rowWidth, uint32(len(row)))
+	row := 0
+	for i, n := range nrows {
+		for _, width := range rowWidth[row : row+int(n)] {
 			// A zero-width row counts as ragged so that every row costs
 			// the file something (the reader bounds its allocations by it).
-			ragged = ragged || len(row) != len(t.Columns) || len(row) == 0
+			ragged = ragged || width != ncols[i] || width == 0
 		}
-	}
-	for _, id := range view.DocIDs() {
-		d, _ := view.Document(id)
-		add("doc.id", d.ID)
-		add("doc.title", d.Title)
-		add("doc.entity", d.EntityID)
-		add("doc.source", d.SourceID)
-		add("doc.text", d.Text)
-	}
-	for _, tr := range view.Triples() {
-		add("triple.subject", tr.Subject)
-		add("triple.predicate", tr.Predicate)
-		add("triple.object", tr.Object)
-		add("triple.source", tr.SourceID)
-	}
-	for _, name := range catalogStringColumns {
-		w.DeflatedStrings(name, cols[name])
+		row += int(n)
 	}
 	w.Uint32s("table.ncols", ncols)
 	w.Uint32s("table.nrows", nrows)
@@ -145,17 +139,18 @@ func encodeCatalog(view *datalake.View) (*binfmt.Writer, error) {
 	return w, nil
 }
 
-// catalogStringColumns lists the container's string columns in file order.
-var catalogStringColumns = []string{
-	"table.id", "table.caption", "table.source", "table.columns", "table.cells",
-	"doc.id", "doc.title", "doc.entity", "doc.source", "doc.text",
-	"triple.subject", "triple.predicate", "triple.object", "triple.source",
-}
+// tripleColumns are the container's triple columns, in file order.
+var tripleColumns = []string{"triple.subject", "triple.predicate", "triple.object", "triple.source"}
 
-// decodeCatalog rebuilds a lake from container bytes. Every count is
-// checked against the column it indexes before anything is sliced, so a
-// container whose sections pass their CRCs but disagree with each other
-// (only a bug or a forged file can produce one) is still an error.
+// catalogStringColumns lists the container's string columns in file order.
+var catalogStringColumns = append(append([]string(nil), datalake.CatalogColumns...), tripleColumns...)
+
+// decodeCatalog loads a lake from container bytes: its tables and
+// documents inflate into one sealed segment (datalake.LoadColumns), which
+// checks every count against the column it indexes before anything is
+// sized by it, so a container whose sections pass their CRCs but disagree
+// with each other (only a bug or a forged file can produce one) is still
+// an error.
 func decodeCatalog(data []byte) (*datalake.Lake, error) {
 	r, err := binfmt.NewReader(data)
 	if err != nil {
@@ -196,100 +191,24 @@ func decodeCatalog(data []byte) (*datalake.Lake, error) {
 		}
 		cols[name] = strs[i]
 	}
-	sameLen := func(names ...string) error {
-		for _, name := range names[1:] {
-			if len(cols[name]) != len(cols[names[0]]) {
-				return fmt.Errorf("durable: catalog: column %q has %d entries, %q has %d", name, len(cols[name]), names[0], len(cols[names[0]]))
-			}
+	subjects := cols["triple.subject"]
+	for _, name := range tripleColumns[1:] {
+		if len(cols[name]) != len(subjects) {
+			return nil, fmt.Errorf("durable: catalog: column %q has %d entries, %q has %d", name, len(cols[name]), tripleColumns[0], len(subjects))
 		}
-		return nil
 	}
-	if err := sameLen("table.id", "table.caption", "table.source"); err != nil {
-		return nil, err
+	triples := make([]kg.Triple, len(subjects))
+	for i, subject := range subjects {
+		triples[i] = kg.Triple{Subject: subject, Predicate: cols["triple.predicate"][i],
+			Object: cols["triple.object"][i], SourceID: cols["triple.source"][i]}
 	}
-	if err := sameLen("doc.id", "doc.title", "doc.entity", "doc.source", "doc.text"); err != nil {
-		return nil, err
-	}
-	if err := sameLen("triple.subject", "triple.predicate", "triple.object", "triple.source"); err != nil {
-		return nil, err
-	}
-	ncols, err := r.Uint32s("table.ncols")
-	if err != nil {
-		return nil, fmt.Errorf("durable: catalog: %w", err)
-	}
-	nrows, err := r.Uint32s("table.nrows")
-	if err != nil {
-		return nil, fmt.Errorf("durable: catalog: %w", err)
-	}
-	if len(ncols) != len(cols["table.id"]) || len(nrows) != len(cols["table.id"]) {
-		return nil, fmt.Errorf("durable: catalog: %d tables but %d column counts and %d row counts", len(cols["table.id"]), len(ncols), len(nrows))
-	}
-	// rowWidth is empty (nil) for the usual all-rectangular catalog.
-	rowWidth, err := r.Uint32s("table.rowwidth")
-	if err != nil {
-		return nil, fmt.Errorf("durable: catalog: %w", err)
-	}
-
-	items := make([]datalake.BatchItem, 0, len(cols["table.id"])+len(cols["doc.id"])+len(cols["triple.subject"]))
-	columns, cells := cols["table.columns"], cols["table.cells"]
-	// take cuts the next n strings off *from, or fails when the counts
-	// claim more than the column holds.
-	take := func(from *[]string, n uint32, id string) ([]string, error) {
-		if uint64(n) > uint64(len(*from)) {
-			return nil, fmt.Errorf("durable: catalog: table %q claims %d more strings, column has %d left", id, n, len(*from))
+	tables := datalake.Columns{Strings: func(name string) iter.Seq[string] { return slices.Values(cols[name]) }}
+	for name, dst := range map[string]*[]uint32{"table.ncols": &tables.NCols, "table.nrows": &tables.NRows, "table.rowwidth": &tables.RowWidth} {
+		if *dst, err = r.Uint32s(name); err != nil {
+			return nil, fmt.Errorf("durable: catalog: %w", err)
 		}
-		if n == 0 {
-			return nil, nil
-		}
-		out := (*from)[:n:n]
-		*from = (*from)[n:]
-		return out, nil
 	}
-	for i, id := range cols["table.id"] {
-		t := &table.Table{ID: id, Caption: cols["table.caption"][i], SourceID: cols["table.source"][i]}
-		if t.Columns, err = take(&columns, ncols[i], id); err != nil {
-			return nil, err
-		}
-		// The writer spends a cell or a width entry on every row, so this
-		// bounds the allocation below by the container's size.
-		left := len(cells)
-		if rowWidth != nil {
-			left = len(rowWidth)
-		}
-		if uint64(nrows[i]) > uint64(left) {
-			return nil, fmt.Errorf("durable: catalog: table %q claims %d rows, %d left", id, nrows[i], left)
-		}
-		if nrows[i] > 0 {
-			t.Rows = make([][]string, nrows[i])
-		}
-		for row := range t.Rows {
-			width := ncols[i]
-			if rowWidth != nil {
-				width, rowWidth = rowWidth[0], rowWidth[1:]
-			}
-			if t.Rows[row], err = take(&cells, width, id); err != nil {
-				return nil, err
-			}
-		}
-		items = append(items, datalake.BatchItem{Table: t})
-	}
-	if len(columns) != 0 || len(cells) != 0 || len(rowWidth) != 0 {
-		return nil, fmt.Errorf("durable: catalog: %d column names, %d cells and %d row widths belong to no table", len(columns), len(cells), len(rowWidth))
-	}
-	for i, id := range cols["doc.id"] {
-		items = append(items, datalake.BatchItem{Doc: &doc.Document{
-			ID: id, Title: cols["doc.title"][i], EntityID: cols["doc.entity"][i],
-			SourceID: cols["doc.source"][i], Text: cols["doc.text"][i],
-		}})
-	}
-	for i, subject := range cols["triple.subject"] {
-		items = append(items, datalake.BatchItem{Triple: &kg.Triple{
-			Subject: subject, Predicate: cols["triple.predicate"][i],
-			Object: cols["triple.object"][i], SourceID: cols["triple.source"][i],
-		}})
-	}
-
-	lake, err := datalake.Load(sources, items)
+	lake, err := datalake.LoadColumns(sources, tables, triples)
 	if err != nil {
 		return nil, fmt.Errorf("durable: catalog: %w", err)
 	}

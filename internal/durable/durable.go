@@ -138,6 +138,9 @@ type Stats struct {
 	WALTornBytes int64 `json:"wal_torn_bytes,omitempty"`
 	// ReplayedRecords counts WAL records replayed at recovery.
 	ReplayedRecords int `json:"replayed_records"`
+	// WALReadOnly is why the WAL refuses appends (it wraps
+	// wal.ErrReadOnly); empty while it accepts them.
+	WALReadOnly string `json:"wal_read_only,omitempty"`
 }
 
 // Store is an open durable lake: the recovered lake plus its WAL. Create
@@ -463,8 +466,10 @@ type AdoptFunc func(dir string)
 // skips index snapshotting) to capture index state in memory, and rotate
 // the WAL so every post-fork write lands in a fresh segment.
 //
-// Write (unquiesced, long): serialize the pinned view and frozen indexes
-// to checkpoint.tmp, fsync the tree, atomically swap it in as the current
+// Write (unquiesced, long): seal the tables and documents committed since
+// the last checkpoint into a catalog segment off the Go heap, which the
+// lake and the view adopt (datalake.Lake.Seal), serialize the pinned view
+// and frozen indexes to checkpoint.tmp, fsync the tree, atomically swap it in as the current
 // checkpoint, then delete the sealed WAL segments the checkpoint covers —
 // all while new writes commit into the live lake and the rotated WAL —
 // and last hand the promoted directory to the write's AdoptFunc.
@@ -520,6 +525,13 @@ func (s *Store) Checkpoint(freeze FreezeFunc) (uint64, error) {
 	tmp := s.checkpointDir() + ".tmp"
 	if err := s.fs.RemoveAll(tmp); err != nil {
 		return 0, fmt.Errorf("durable: clear checkpoint.tmp: %w", err)
+	}
+	// The tables and documents committed since the last checkpoint move
+	// into a sealed segment off the Go heap, which the lake and the view
+	// (and so the snapshot the freeze registered) adopt; the catalog is
+	// then written from segments alone.
+	if err := s.lake.Seal(view); err != nil {
+		return 0, err
 	}
 	if err := s.writeCatalog(view, tmp); err != nil {
 		return 0, err
@@ -632,6 +644,9 @@ func (s *Store) Stats() Stats {
 	}
 	if !s.lastCheckpoint.IsZero() {
 		st.LastCheckpointUnix = s.lastCheckpoint.Unix()
+	}
+	if err := s.log.Poisoned(); err != nil {
+		st.WALReadOnly = err.Error()
 	}
 	return st
 }

@@ -60,6 +60,16 @@ func (g *Graph) Triples() []Triple {
 	return append([]Triple(nil), g.triples...)
 }
 
+// Appended returns the triples added so far without copying them: the
+// graph only ever appends, so the returned slice never changes, and its
+// capacity is capped so that an append to it cannot reach the graph's.
+// Callers must not write into it.
+func (g *Graph) Appended() []Triple {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.triples[:len(g.triples):len(g.triples)]
+}
+
 // About returns every triple whose subject folds equal to entity.
 func (g *Graph) About(entity string) []Triple {
 	g.mu.RLock()

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/binfmt"
+	"repro/internal/datalake"
 )
 
 // goMemoryMetrics are the runtime/metrics samples the memory ledger reads,
@@ -36,7 +37,10 @@ var goMemoryMetrics = []string{
 //   - go_runtime_other: the runtime's own metadata, profiling buckets and
 //     the rest of what it mapped;
 //   - offheap_provenance: lineage records in mapped arena segments;
-//   - offheap_indexes: sealed index containers built in anonymous mappings;
+//   - offheap_catalog: the catalog's sealed segments (the tables and
+//     documents up to the last checkpoint) in anonymous mappings;
+//   - offheap_indexes: the other containers built in anonymous mappings,
+//     sealed index segments;
 //   - mapped_bm25: the checkpoint's BM25 index files mapped by the indexes;
 //   - file_other: the rest of the file-backed resident pages (rss_file less
 //     mapped_bm25), mostly the executable's text.
@@ -49,7 +53,7 @@ var goMemoryMetrics = []string{
 // rss_file from /proc/self/status.
 var residentClasses = []string{
 	"go_heap_live", "go_heap_dead", "go_heap_unused", "go_heap_idle", "go_stacks", "go_runtime_other",
-	"offheap_provenance", "offheap_indexes", "mapped_bm25", "file_other",
+	"offheap_provenance", "offheap_catalog", "offheap_indexes", "mapped_bm25", "file_other",
 }
 
 // memoryLedger is the "memory" block of /v1/stats and the classes of
@@ -68,6 +72,7 @@ func (s *Server) memoryLedger() map[string]int64 {
 	}
 	live, goal, objects, unused, free, released, stacks, osStacks, total := v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], v[8]
 	ix := s.pipeline.Indexer()
+	catalog := datalake.SegmentBytes()
 	m := map[string]int64{
 		"go_heap_live":     live,
 		"go_heap_dead":     max(objects-live, 0),
@@ -77,7 +82,8 @@ func (s *Server) memoryLedger() map[string]int64 {
 		"go_runtime_other": total - objects - unused - free - released - stacks - osStacks,
 		"go_heap_goal":     goal,
 		"go_heap_released": released,
-		"offheap_indexes":  binfmt.BuiltBytes(),
+		"offheap_catalog":  catalog,
+		"offheap_indexes":  max(binfmt.BuiltBytes()-catalog, 0),
 		"mapped_bm25":      ix.IndexStats().Families["bm25"].MappedBytes,
 		"token_table":      ix.Embedder().TableBytes(),
 		"result_cache":     s.pipeline.Stats().ResultCacheBytes,

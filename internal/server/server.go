@@ -29,7 +29,7 @@
 //	GET  /v1/lake/version     current monotonic lake version
 //	GET  /v1/stats            lake statistics, index residency (+ durability posture when durable)
 //	GET  /v1/provenance?seq=N one lineage record
-//	GET  /v1/healthz          liveness
+//	GET  /v1/healthz          liveness (503 "read_only" while the WAL refuses writes)
 //
 // The lake behind the pipeline is live: the ingest endpoints index new
 // instances incrementally, so the server keeps serving verification reads
@@ -37,8 +37,8 @@
 // leak); errors use RFC-7807-ish {"error": "..."} bodies with conventional
 // status codes (409 for duplicate ingest IDs, 413 for oversized bodies,
 // 429 when the verify admission limiter is saturated, 503 for writes after
-// the system began shutting down, 504 for verifications exceeding the
-// per-request deadline).
+// the system began shutting down or while the write-ahead log refuses them,
+// 504 for verifications exceeding the per-request deadline).
 //
 // The verify endpoints are admission-controlled: at most a configured
 // number of verifications run concurrently (WithVerifyConcurrency /
@@ -79,6 +79,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/table"
 	"repro/internal/verify"
+	"repro/internal/wal"
 )
 
 // Request-body size caps. Verify and single-item ingest bodies are small
@@ -257,7 +258,7 @@ func New(p *core.Pipeline, opts ...Option) *Server {
 			return float64(len(s.verifySem))
 		})
 	memory := s.obs.GaugeVec("verifai_memory_bytes",
-		"Where the process's memory sits, by class: the Go heap and runtime (runtime/metrics), off-heap provenance and index bytes, mapped BM25 files, the accounted sum of the resident classes, and VmRSS, RssAnon and RssFile on Linux.", "class")
+		"Where the process's memory sits, by class: the Go heap and runtime (runtime/metrics), off-heap provenance, catalog and index bytes, mapped BM25 files, the accounted sum of the resident classes, and VmRSS, RssAnon and RssFile on Linux.", "class")
 	s.obs.OnCollect(func() {
 		for class, n := range s.memoryLedger() {
 			memory.With(class).Set(float64(n))
@@ -902,13 +903,14 @@ func (s *Server) ingestOne(w http.ResponseWriter, r *http.Request, req any, buil
 }
 
 // ingestStatus maps an ingest error to its HTTP status: a duplicate ID is
-// a client conflict (409), a closed lake — the system is shutting down —
-// is 503 so load balancers retry elsewhere, and anything else is 500.
+// a client conflict (409); a closed lake — the system is shutting down —
+// and a read-only WAL — it refuses writes since an fsync failed — are 503
+// so load balancers retry elsewhere; anything else is 500.
 func ingestStatus(err error) int {
 	switch {
 	case errors.Is(err, datalake.ErrDuplicate):
 		return http.StatusConflict
-	case errors.Is(err, datalake.ErrClosed):
+	case errors.Is(err, datalake.ErrClosed), errors.Is(err, wal.ErrReadOnly):
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusInternalServerError
@@ -959,7 +961,7 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := IngestBatchResponse{Results: make([]IngestBatchItemResult, len(results))}
-	allDup := true
+	var failErr error // the first error that is not a duplicate, else a duplicate
 	for i, res := range results {
 		// Report the version even alongside an error: a committed item
 		// whose indexing failed must not look like a rejected one.
@@ -970,16 +972,17 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 		if res.Err != nil {
 			resp.Failed++
 			resp.Results[i].Error = res.Err.Error()
-			if !errors.Is(res.Err, datalake.ErrDuplicate) {
-				allDup = false
+			if failErr == nil || errors.Is(failErr, datalake.ErrDuplicate) {
+				failErr = res.Err
 			}
 			continue
 		}
 		resp.Ingested++
 	}
 	// Wholly failed batches signal through the status code like the
-	// single-item endpoints (409 when it's all duplicates), so clients
-	// keying on HTTP status don't mistake total rejection for success.
+	// single-item endpoints (409 when it's all duplicates, 503 when the
+	// WAL refused them), so clients keying on HTTP status don't mistake
+	// total rejection for success.
 	code := http.StatusOK
 	switch {
 	case resp.Failed == 0:
@@ -988,11 +991,7 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 		resp.Status = "partial"
 	default:
 		resp.Status = "failed"
-		if allDup {
-			code = http.StatusConflict
-		} else {
-			code = http.StatusInternalServerError
-		}
+		code = ingestStatus(failErr)
 	}
 	writeJSON(w, code, resp)
 }
@@ -1111,7 +1110,16 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rec)
 }
 
+// handleHealthz answers 200 {"status":"ok"}, or 503 {"status":"read_only"}
+// with the reason while the WAL refuses writes: reads still serve, but a
+// load balancer should send writes elsewhere and an operator should look.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	if s.durStats != nil {
+		if reason := s.durStats().WALReadOnly; reason != "" {
+			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "read_only", "reason": reason})
+			return
+		}
+	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 

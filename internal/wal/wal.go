@@ -183,6 +183,27 @@ func (l *Log) SetMetrics(reg *obs.Registry) {
 		func() float64 { return float64(l.Stats().Segments) })
 	reg.GaugeFunc("verifai_wal_bytes", "Current total WAL size in bytes.",
 		func() float64 { return float64(l.Stats().Bytes) })
+	reg.GaugeFunc("verifai_wal_poisoned", "Whether the log refuses every append since an fsync, a rollback or a rotation failed (1) or accepts them (0).",
+		func() float64 {
+			if l.Poisoned() != nil {
+				return 1
+			}
+			return 0
+		})
+}
+
+// ErrReadOnly wraps the error every append to a poisoned log returns: once
+// an fsync, the rollback of a failed write or a rotation has failed, the
+// log can no longer tell what is on disk, so it acknowledges nothing more
+// until it is reopened. The wrapped message gives the failure.
+var ErrReadOnly = errors.New("wal: log is read-only")
+
+// Poisoned returns the error that made the log read-only (wrapping
+// ErrReadOnly), or nil while it accepts appends.
+func (l *Log) Poisoned() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.sticky
 }
 
 // Open opens (or creates) the log in dir and replays every record through
@@ -370,7 +391,7 @@ func (l *Log) Append(recs ...Record) error {
 	prev := seg.bytes
 	if _, err := l.active.Write(buf.Bytes()); err != nil {
 		if terr := l.active.Truncate(prev); terr != nil {
-			l.sticky = fmt.Errorf("wal: append failed (%v) and rollback failed (%v); log is read-only", err, terr)
+			l.sticky = fmt.Errorf("%w: append failed (%v) and rollback failed (%v)", ErrReadOnly, err, terr)
 			return l.sticky
 		}
 		return fmt.Errorf("wal: append: %w", err)
@@ -382,7 +403,7 @@ func (l *Log) Append(recs ...Record) error {
 			// pages (a retry would falsely succeed): roll the frames back
 			// best-effort and refuse all further appends.
 			_ = l.active.Truncate(prev)
-			l.sticky = fmt.Errorf("wal: fsync failed (%v); log is read-only", err)
+			l.sticky = fmt.Errorf("%w: fsync failed (%v)", ErrReadOnly, err)
 			return l.sticky
 		}
 		l.dirty = false
@@ -431,7 +452,7 @@ func (l *Log) syncLocked() error {
 	}
 	start := time.Now()
 	if err := l.active.Sync(); err != nil {
-		l.sticky = fmt.Errorf("wal: fsync failed (%v); log is read-only", err)
+		l.sticky = fmt.Errorf("%w: fsync failed (%v)", ErrReadOnly, err)
 		return l.sticky
 	}
 	l.m.fsyncSec.Since(start)
@@ -464,13 +485,13 @@ func (l *Log) rotateLocked() (int, error) {
 	}
 	if err := l.active.Close(); err != nil {
 		l.active = nil
-		l.sticky = fmt.Errorf("wal: close sealed segment (%v); log is read-only", err)
+		l.sticky = fmt.Errorf("%w: close sealed segment (%v)", ErrReadOnly, err)
 		return 0, l.sticky
 	}
 	l.active = nil
 	sealed := l.segs[len(l.segs)-1].seq
 	if err := l.openSegment(sealed + 1); err != nil {
-		l.sticky = fmt.Errorf("wal: rotate failed (%v); log is read-only", err)
+		l.sticky = fmt.Errorf("%w: rotate failed (%v)", ErrReadOnly, err)
 		return 0, l.sticky
 	}
 	l.m.rotations.Inc()

@@ -373,7 +373,9 @@ func recoverPins(sys *System, st *durable.Store) error {
 // serialization and atomic swap overlap normal traffic. A checkpoint is
 // also a flush: once its directory is promoted the running BM25 indexes
 // are moved onto the shard files it wrote and their sealed copies dropped,
-// so the process holds what a restart on the directory would. A concurrent
+// so the process holds what a restart on the directory would, and the
+// tables and documents it covers move into a sealed catalog segment off
+// the Go heap, from which lookups hand out copies. A concurrent
 // Checkpoint fails fast with ErrCheckpointInFlight (the in-flight one
 // covers it). Only systems opened with Open can checkpoint.
 func (s *System) Checkpoint() (uint64, error) {
