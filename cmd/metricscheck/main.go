@@ -45,6 +45,9 @@ var requiredServing = []string{
 	"verifai_shard_search_seconds",
 	"verifai_index_segment_bytes",
 	"verifai_index_delta_docs",
+	"verifai_index_segments",
+	"verifai_tail_seal_seconds",
+	"verifai_catalog_merges_total",
 	"verifai_index_derive_seconds",
 	"verifai_index_adoptions_total",
 	"verifai_verifier_calls_total",
@@ -79,6 +82,7 @@ var requiredDurable = []string{
 	"verifai_wal_poisoned",
 	"verifai_memory_bytes",
 	`verifai_memory_bytes{class="offheap_catalog"}`,
+	`verifai_memory_bytes{class="tail"}`,
 }
 
 // requiredFollower is added for follower (replica) deployments.

@@ -233,3 +233,54 @@ func (c FrontCodedCol) Find(s string) int {
 		cur, rest = next(cur, 0, rest)
 	}
 }
+
+// MergeAscending visits the strings of cols and of extra in one ascending
+// order and calls emit with each one's input (a column's index, or
+// len(cols) for extra), its row there and the string, which is valid only
+// for the call. Each column and extra must ascend; a column's rows that
+// dead (one bitmap per column) marks are skipped. A string present in two
+// inputs is visited once from each.
+func MergeAscending(cols []FrontCodedCol, dead [][]bool, extra []string, emit func(src, row int, s string)) {
+	next := make([]int, len(cols)+1) // each input's next row
+	heads := make([][]byte, len(cols))
+	// advance moves column i to its next live row and decodes it.
+	advance := func(i int) {
+		for next[i] < cols[i].Len() && dead[i][next[i]] {
+			next[i]++
+		}
+		if next[i] < cols[i].Len() {
+			heads[i] = cols[i].AppendAt(heads[i][:0], next[i])
+		}
+	}
+	head := func(i int) (string, bool) {
+		if i == len(cols) {
+			if next[i] < len(extra) {
+				return extra[next[i]], true
+			}
+			return "", false
+		}
+		if next[i] < cols[i].Len() {
+			return unsafe.String(unsafe.SliceData(heads[i]), len(heads[i])), true
+		}
+		return "", false
+	}
+	for i := range cols {
+		advance(i)
+	}
+	for {
+		best, min := -1, ""
+		for i := range next {
+			if s, ok := head(i); ok && (best < 0 || s < min) {
+				best, min = i, s
+			}
+		}
+		if best < 0 {
+			return
+		}
+		emit(best, next[best], min)
+		next[best]++
+		if best < len(cols) {
+			advance(best)
+		}
+	}
+}

@@ -123,8 +123,11 @@ func adoptWrite(lake *datalake.Lake, r *rand.Rand, step int) error {
 // included) and the same Report from both — and, from the first, the same
 // Report at every retained version as the reference gave when that version
 // was head. Each checkpoint directory is removed once the next is adopted,
-// as a checkpoint swap unlinks it.
-func sealAdoptDifferential(t *testing.T, steps int) {
+// as a checkpoint swap unlinks it. With every > 0 the first pipeline's
+// lake also forks (and so seals its tail and the indexes' deltas into
+// segments) after every every-th write, so its indexes search lists of
+// segments.
+func sealAdoptDifferential(t *testing.T, steps, every int) {
 	ref, sut := adoptPipeline(t), adoptPipeline(t)
 	rRef, rSut := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
 	objects := []verify.Generated{
@@ -162,6 +165,11 @@ func sealAdoptDifferential(t *testing.T, steps int) {
 		}
 		if err := adoptWrite(sut.lake, rSut, step); err != nil {
 			t.Fatal(err)
+		}
+		if every > 0 && step%every == every-1 {
+			if _, err := sut.lake.Fork(nil); err != nil {
+				t.Fatal(err)
+			}
 		}
 		var reports []Report
 		for _, g := range objects {
@@ -220,7 +228,12 @@ func sealAdoptDifferential(t *testing.T, steps int) {
 	}
 }
 
-func TestSealAdoptDifferential(t *testing.T) { sealAdoptDifferential(t, 120) }
+func TestSealAdoptDifferential(t *testing.T) {
+	sealAdoptDifferential(t, 120, 0)
+	for _, every := range []int{1, 7, 64} {
+		t.Run(fmt.Sprintf("seal-every-%d", every), func(t *testing.T) { sealAdoptDifferential(t, 120, every) })
+	}
+}
 
 // TestSealAdoptUnderGCPressure reruns the differential with the collector
 // running almost continuously, so a snapshot or live index left viewing a
@@ -230,7 +243,7 @@ func TestSealAdoptUnderGCPressure(t *testing.T) {
 		t.Skip("GC-pressure rerun skipped in -short")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(1))
-	sealAdoptDifferential(t, 60)
+	sealAdoptDifferential(t, 60, 7)
 }
 
 // seededPipeline is adoptPipeline after n writes of the seeded sequence.

@@ -117,15 +117,18 @@ func (ix *Indexer) SetMetrics(reg *obs.Registry) {
 	ix.m.searchBM25 = vec.With(familyBM25)
 	ix.m.searchVector = vec.With(familyVector)
 	seg := reg.GaugeVec("verifai_index_segment_bytes",
-		"Sealed BM25 and vector segment bytes, whole containers, plus vector tail code and norm bytes, by where they sit (heap: process-private memory, Go heap and anonymous mappings alike; mapped: an index file).", "family", "residency")
+		"Sealed BM25 and vector segment bytes, whole containers, plus the deltas' Go heap (BM25: estimated; vector: tail codes and norms), by where they sit (heap: process-private memory, Go heap and anonymous mappings alike; mapped: an index file).", "family", "residency")
 	delta := reg.GaugeVec("verifai_index_delta_docs",
-		"BM25 documents or vector rows written since the index's last checkpoint, held only on the heap.", "family")
-	// One walk over the indexes per exposition feeds all six series.
+		"BM25 documents or vector rows written since the index's last seal, held only on the heap.", "family")
+	segs := reg.GaugeVec("verifai_index_segments",
+		"Sealed segments the indexes of a family search, summed over kinds.", "family")
+	// One walk over the indexes per exposition feeds all eight series.
 	reg.OnCollect(func() {
 		for family, r := range ix.IndexStats().Families {
 			seg.With(family, "heap").Set(float64(r.HeapBytes))
 			seg.With(family, "mapped").Set(float64(r.MappedBytes))
 			delta.With(family).Set(float64(r.DeltaDocs))
+			segs.With(family).Set(float64(r.Segments))
 		}
 	})
 	reg.GaugeFunc("verifai_index_derive_seconds",
@@ -137,20 +140,20 @@ func (ix *Indexer) SetMetrics(reg *obs.Registry) {
 }
 
 // FamilyResidency says where one index family's bulk sits: its sealed
-// segments' bytes, whole containers (plus, for vectors, the tail's code and
-// norm bytes), by residency — heap is process-private memory, Go heap and
-// anonymous mappings alike — and the BM25 delta documents or vector tail
-// rows written since the last checkpoint. With nothing written since a
-// checkpoint, the BM25 MappedBytes is the family's index files, byte for
-// byte; vectors have no files and are all heap.
+// segments' bytes, whole containers, plus what its deltas hold on the Go
+// heap (BM25: the estimate TailBytes; vector: the tail's code and norm
+// bytes), by residency — heap is process-private memory, Go heap and
+// anonymous mappings alike — the BM25 delta documents or vector tail rows
+// written since the last seal, the estimated Go heap those deltas hold,
+// and the segments searched. With nothing written since a checkpoint, the
+// BM25 MappedBytes is the family's index files, byte for byte; vectors
+// have no files and are all heap.
 type FamilyResidency struct {
 	HeapBytes   int64 `json:"heap_bytes"`
 	MappedBytes int64 `json:"mapped_bytes"`
 	DeltaDocs   int   `json:"delta_docs"`
-}
-
-func (f *FamilyResidency) add(heap, mapped int64, delta int) {
-	f.HeapBytes, f.MappedBytes, f.DeltaDocs = f.HeapBytes+heap, f.MappedBytes+mapped, f.DeltaDocs+delta
+	TailBytes   int64 `json:"tail_bytes"`
+	Segments    int   `json:"segments"`
 }
 
 // IndexStats is the "indexes" block of /v1/stats: per-family residency
@@ -168,11 +171,16 @@ type IndexStats struct {
 func (ix *Indexer) IndexStats() IndexStats {
 	var bm25, vec FamilyResidency
 	for _, idx := range ix.bm25 {
-		bm25.add(idx.Residency())
+		heap, mapped, docs := idx.Residency()
+		bm25.HeapBytes, bm25.MappedBytes, bm25.DeltaDocs = bm25.HeapBytes+heap, bm25.MappedBytes+mapped, bm25.DeltaDocs+docs
+		bm25.TailBytes += idx.DeltaBytes()
+		bm25.Segments += idx.Segments()
 	}
 	for _, idx := range ix.vec {
 		bytes, rows := idx.Residency()
-		vec.add(bytes, 0, rows)
+		vec.HeapBytes, vec.DeltaDocs = vec.HeapBytes+bytes, vec.DeltaDocs+rows
+		vec.TailBytes += idx.TailBytes()
+		vec.Segments += idx.Segments()
 	}
 	return IndexStats{
 		Families: map[string]FamilyResidency{familyBM25: bm25, familyVector: vec},
@@ -221,7 +229,7 @@ func BuildIndexer(lake *datalake.Lake, cfg IndexerConfig) (*Indexer, error) {
 	// bulk-indexed nor delivered). Live events then flow through the
 	// pipelined prepare/apply stages (see applier.go).
 	unsubscribe, err := lake.Subscribe(func() error { return ix.ingest(lake, lake.Graph()) },
-		datalake.Subscriber{Prepare: ix.prepareHook, Apply: ix.apply})
+		datalake.Subscriber{Prepare: ix.prepareHook, Apply: ix.apply, Seal: ix.Seal})
 	if err != nil {
 		return nil, err
 	}
@@ -238,6 +246,18 @@ func (ix *Indexer) Close() {
 	if ix.unsubscribe != nil {
 		ix.unsubscribe()
 	}
+}
+
+// Seal seals the delta of every index into a segment of its list (see
+// invindex.Index.Seal and vecindex.SQFlat.Seal), indexes in parallel: the
+// lake's Subscriber.Seal, so the deltas leave the Go heap when the lake's
+// tail does.
+func (ix *Indexer) Seal() {
+	var tasks []func()
+	for _, kind := range ix.cfg.Kinds {
+		tasks = append(tasks, ix.bm25[kind].Seal, ix.vec[kind].Seal)
+	}
+	runParallel(tasks, runtime.GOMAXPROCS(0))
 }
 
 // Embedder exposes the shared embedding space (the reranker uses the same

@@ -33,13 +33,12 @@ import (
 // embedding sums them, with the frequencies it weighs them by
 // (deriveVectors).
 //
-// A checkpoint is also a flush. Freeze seals each index into a segment,
-// Save writes the BM25 ones, and once the directory is promoted Adopt
+// A checkpoint is also a flush. Freeze folds each BM25 index into one
+// segment, Save writes them, and once the directory is promoted Adopt
 // opens each BM25 file as recovery would and moves the running process
 // onto it (segment columns become views of the mapping, the sealed copies
-// are dropped): after any checkpoint the process holds what a restart on
-// the directory would — mapped BM25 files, sealed vector segments, a delta
-// of what was written since.
+// are dropped): after any checkpoint the process holds mapped BM25 files,
+// as a restart on the directory would, and sealed vector segments.
 
 // snapshotFormat versions the snapshot layout itself: 4 since a snapshot
 // holds no vector files (3 held one per kind; 2 kept rows in insertion
@@ -100,31 +99,33 @@ func shardFile(dir, family string, kind datalake.Kind) string {
 // then serializes it to disk with no lake or index locks held, so
 // ingestion proceeds for the whole write phase — the capture stays frozen
 // at the fork's lake version no matter how far the live indexes move on.
-// It holds references only: the sealed segments the live indexes keep
-// searching as their base.
+// It holds references only: each BM25 index's one segment, which the live
+// index keeps searching, and forks of the vector indexes, which share
+// their segments with the live ones.
 type FrozenIndexes struct {
 	ix   *Indexer
 	bm25 map[datalake.Kind]*invindex.Frozen
-	vec  map[datalake.Kind]*vecindex.Frozen
+	vec  map[datalake.Kind]*vecindex.SQFlat
 }
 
 // Freeze captures every index of every family. Call it only while the lake
 // is quiesced (e.g. inside datalake.Fork), or concurrent ingest will tear
-// the captures against each other. Indexes written since their last seal
-// are compacted into a new segment here (searches on that index wait); an
-// unchanged index hands back the segment it has. The indexes seal in
-// parallel. No I/O.
+// the captures against each other. Each BM25 index is folded into the one
+// segment its file holds (searches on that index wait); one that is a
+// single segment with nothing written since hands back the segment it
+// has. Each vector index only seals its tail and is forked. The indexes
+// are captured in parallel. No I/O.
 func (ix *Indexer) Freeze() *FrozenIndexes {
 	fz := &FrozenIndexes{
 		ix:   ix,
 		bm25: make(map[datalake.Kind]*invindex.Frozen, len(ix.bm25)),
-		vec:  make(map[datalake.Kind]*vecindex.Frozen, len(ix.vec)),
+		vec:  make(map[datalake.Kind]*vecindex.SQFlat, len(ix.vec)),
 	}
 	bm25 := make([]*invindex.Frozen, len(ix.cfg.Kinds))
-	vec := make([]*vecindex.Frozen, len(ix.cfg.Kinds))
+	vec := make([]*vecindex.SQFlat, len(ix.cfg.Kinds))
 	var tasks []func()
 	for i, kind := range ix.cfg.Kinds {
-		tasks = append(tasks, func() { bm25[i] = ix.bm25[kind].Freeze() }, func() { vec[i] = ix.vec[kind].Freeze() })
+		tasks = append(tasks, func() { bm25[i] = ix.bm25[kind].Freeze() }, func() { vec[i] = ix.vec[kind].Fork() })
 	}
 	runParallel(tasks, runtime.GOMAXPROCS(0))
 	for i, kind := range ix.cfg.Kinds {
@@ -219,7 +220,7 @@ func BuildIndexerFromSnapshot(lake *datalake.Lake, cfg IndexerConfig, dir string
 			ix.bm25, ix.vec = bm25, vec
 		}
 		return err
-	}, datalake.Subscriber{Prepare: ix.prepareHook, Apply: ix.apply})
+	}, datalake.Subscriber{Prepare: ix.prepareHook, Apply: ix.apply, Seal: ix.Seal})
 	if err != nil {
 		return nil, err
 	}

@@ -54,9 +54,10 @@ type PinnedSnapshot struct {
 func (ps *PinnedSnapshot) Trust() map[string]float64 { return ps.trust }
 
 // materialize makes the snapshot searchable exactly once: a live
-// capture's sealed BM25 segments and vector rows are wrapped in place
-// (nothing is copied — they are the bytes the live indexes searched at the
-// fork, sealed or in the checkpoint's mapped files), a recovered pin's
+// capture's sealed BM25 segments are wrapped in place and its vector forks
+// searched as they are (nothing is copied — they are the bytes the live
+// indexes searched at the fork, sealed or in the checkpoint's mapped
+// files), a recovered pin's
 // BM25 files are opened and ix derives its vector indexes from them (or,
 // written in another snapshot format, the view is re-indexed), and the
 // view's triple list is rebuilt into a graph for entity resolution.
@@ -89,13 +90,10 @@ func (ps *PinnedSnapshot) doMaterialize(ix *Indexer) error {
 		return err
 	}
 	ps.bm25 = make(map[datalake.Kind]*invindex.Index, len(ps.frozen.bm25))
-	ps.vec = make(map[datalake.Kind]*vecindex.SQFlat, len(ps.frozen.vec))
 	for kind, f := range ps.frozen.bm25 {
 		ps.bm25[kind] = f.Index()
 	}
-	for kind, f := range ps.frozen.vec {
-		ps.vec[kind] = f.Thaw()
-	}
+	ps.vec = ps.frozen.vec
 	return nil
 }
 

@@ -85,10 +85,9 @@ func LoadColumns(sources []Source, cols Columns, triples []kg.Triple) (*Lake, er
 		}
 	}
 	if seg.numTables()+seg.numDocs() > 0 {
-		l.cat.segs = []*segment{seg}
-		l.cat.sealedTables, l.cat.sealedDocs = seg.numTables(), seg.numDocs()
 		l.cat.tableIDs, l.cat.docIDs = seg.strings(colTableID), seg.strings(colDocID)
 		l.cat.tableOrd, l.cat.docOrd = make(map[string]int, seg.numTables()), make(map[string]int, seg.numDocs())
+		l.cat = l.cat.withSegs([]*segment{seg})
 	}
 	if err := indexIDs(l.cat.tableOrd, l.cat.tableIDs, "table"); err != nil {
 		return nil, err
@@ -246,6 +245,7 @@ func (l *Lake) commitSection(evs []Event, payloads []map[int]any, results []Batc
 	for _, i := range staged {
 		results[i].Err = l.deliver(evs[i], payloads[i])
 	}
+	l.sealIfFull()
 	return nil
 }
 

@@ -4,49 +4,64 @@ import (
 	"fmt"
 	"iter"
 	"maps"
+	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"repro/internal/doc"
 	"repro/internal/table"
 )
 
-// catalog holds a lake's tables and documents: those up to the last
-// checkpoint in sealed segments, off the Go heap, and the tail since then
-// as Go objects. One map per modality takes an ID to its position in
-// insertion order; the first sealedTables (sealedDocs) positions are the
+// catalog holds a lake's tables and documents: those up to the last seal
+// in sealed segments, off the Go heap, and the tail since then as Go
+// objects. One map per modality takes an ID to its position in insertion
+// order; the first last(tableEnd) (last(docEnd)) positions are the
 // segments' instances, in segment order, and the rest index the tail.
 //
-// Every slice only ever grows at its end, so a fork shares them cut to
-// their length (an append by the lake cannot reach what the fork sees);
-// only the maps are copied.
+// Every slice only ever grows at its end, or is replaced, so a fork shares
+// them cut to their length (an append by the lake cannot reach what the
+// fork sees); only the maps are copied.
 type catalog struct {
-	segs                     []*segment
-	sealedTables, sealedDocs int
-	tableOrd, docOrd         map[string]int
-	tableIDs, docIDs         []string
-	tables                   []*table.Table
-	docs                     []*doc.Document
+	segs []*segment
+	// tableEnd[i] and docEnd[i] count the tables and documents of
+	// segs[:i+1], so a position finds its segment by binary search.
+	tableEnd, docEnd []int
+	tableOrd, docOrd map[string]int
+	tableIDs, docIDs []string
+	tables           []*table.Table
+	docs             []*doc.Document
 }
 
 func newCatalog() catalog {
 	return catalog{tableOrd: make(map[string]int), docOrd: make(map[string]int)}
 }
 
+// last is the count of instances of every segment ends counts.
+func last(ends []int) int {
+	if len(ends) == 0 {
+		return 0
+	}
+	return ends[len(ends)-1]
+}
+
 // fork returns a copy that later additions to c do not change.
 func (c *catalog) fork() *catalog {
 	return &catalog{
-		segs:         c.segs[:len(c.segs):len(c.segs)],
-		sealedTables: c.sealedTables,
-		sealedDocs:   c.sealedDocs,
-		tableOrd:     maps.Clone(c.tableOrd),
-		docOrd:       maps.Clone(c.docOrd),
-		tableIDs:     c.tableIDs[:len(c.tableIDs):len(c.tableIDs)],
-		docIDs:       c.docIDs[:len(c.docIDs):len(c.docIDs)],
-		tables:       c.tables[:len(c.tables):len(c.tables)],
-		docs:         c.docs[:len(c.docs):len(c.docs)],
+		segs:     cut(c.segs),
+		tableEnd: cut(c.tableEnd),
+		docEnd:   cut(c.docEnd),
+		tableOrd: maps.Clone(c.tableOrd),
+		docOrd:   maps.Clone(c.docOrd),
+		tableIDs: cut(c.tableIDs),
+		docIDs:   cut(c.docIDs),
+		tables:   cut(c.tables),
+		docs:     cut(c.docs),
 	}
 }
+
+// cut returns s with its capacity cut to its length, so an append copies.
+func cut[S ~[]E, E any](s S) S { return s[:len(s):len(s)] }
 
 func (c *catalog) addTable(t *table.Table) {
 	c.tableOrd[t.ID] = len(c.tableIDs)
@@ -60,31 +75,82 @@ func (c *catalog) addDoc(d *doc.Document) {
 	c.docs = append(c.docs, d)
 }
 
-// adopt returns c with seg, which holds the first tables and documents of
-// c's tail, in place of those Go objects. The tail is copied, so the
-// objects are unreachable from the result.
-func (c catalog) adopt(seg *segment) catalog {
-	c.segs = append(c.segs[:len(c.segs):len(c.segs)], seg)
-	c.sealedTables += seg.numTables()
-	c.sealedDocs += seg.numDocs()
-	c.tables = append([]*table.Table(nil), c.tables[seg.numTables():]...)
-	c.docs = append([]*doc.Document(nil), c.docs[seg.numDocs():]...)
+// tablePayload is the bytes of a table's strings.
+func tablePayload(t *table.Table) int {
+	n := len(t.ID) + len(t.Caption) + len(t.SourceID)
+	for _, c := range t.Columns {
+		n += len(c)
+	}
+	for _, row := range t.Rows {
+		for _, cell := range row {
+			n += len(cell)
+		}
+	}
+	return n
+}
+
+// docPayload is the bytes of a document's strings.
+func docPayload(d *doc.Document) int {
+	return len(d.ID) + len(d.Title) + len(d.EntityID) + len(d.SourceID) + len(d.Text)
+}
+
+// tailHeapBytes estimates the Go heap the tail holds: the payload, a
+// string header per string, a slice header per row, each object's struct,
+// and per instance its catalog entries (ID list slot, map entry, pointer).
+func (c *catalog) tailHeapBytes() int64 {
+	const strHdr, sliceHdr, entry = 16, 24, 16 + 40 + 8
+	var n int64
+	for _, t := range c.tables {
+		n += int64(tablePayload(t)) + int64(unsafe.Sizeof(*t)) + entry + strHdr*int64(len(t.Columns)) + sliceHdr*int64(len(t.Rows))
+		for _, row := range t.Rows {
+			n += strHdr * int64(len(row))
+		}
+	}
+	for _, d := range c.docs {
+		n += int64(docPayload(d)) + int64(unsafe.Sizeof(*d)) + entry
+	}
+	return n
+}
+
+// withSegs returns c over segs, which hold c's segments' instances and
+// then the first tables and documents of c's tail, in place of those Go
+// objects. The tail is copied, so the objects are unreachable from the
+// result.
+func (c catalog) withSegs(segs []*segment) catalog {
+	c.segs, c.tableEnd, c.docEnd = segs, make([]int, len(segs)), make([]int, len(segs))
+	tables, docs := 0, 0
+	for i, s := range segs {
+		tables += s.numTables()
+		docs += s.numDocs()
+		c.tableEnd[i], c.docEnd[i] = tables, docs
+	}
+	c.tables = append([]*table.Table(nil), c.tables[tables-(len(c.tableIDs)-len(c.tables)):]...)
+	c.docs = append([]*doc.Document(nil), c.docs[docs-(len(c.docIDs)-len(c.docs)):]...)
 	return c
 }
 
+// findSeg returns the segment holding position ord of ends and ord's
+// ordinal in it, or -1 and ord's index in the tail.
+func findSeg(ends []int, ord int) (int, int) {
+	i := sort.SearchInts(ends, ord+1) // the first segment ending past ord
+	if i == len(ends) {
+		return -1, ord - last(ends)
+	}
+	if i > 0 {
+		ord -= ends[i-1]
+	}
+	return i, ord
+}
+
 // tableSegment finds the segment holding the table at position ord, and
-// the table's ordinal in it; nil when the table is in the tail.
+// the table's ordinal in it; nil and its index in the tail when the table
+// is in the tail.
 func (c *catalog) tableSegment(ord int) (*segment, int) {
-	if ord >= c.sealedTables {
-		return nil, ord - c.sealedTables
+	i, ord := findSeg(c.tableEnd, ord)
+	if i < 0 {
+		return nil, ord
 	}
-	for _, s := range c.segs {
-		if ord < s.numTables() {
-			return s, ord
-		}
-		ord -= s.numTables()
-	}
-	panic("datalake: table position past the segments")
+	return c.segs[i], ord
 }
 
 func (c *catalog) hasTable(id string) bool {
@@ -103,10 +169,11 @@ func (c *catalog) table(id string) (*table.Table, bool) {
 	if !ok {
 		return nil, false
 	}
-	if s, i := c.tableSegment(ord); s != nil {
-		return s.table(i), true
+	s, i := c.tableSegment(ord)
+	if s == nil {
+		return c.tables[i], true
 	}
-	return c.tables[ord-c.sealedTables], true
+	return s.table(i), true
 }
 
 // tuple returns row of the table with the given ID; ok reports whether
@@ -116,11 +183,12 @@ func (c *catalog) tuple(id string, row int) (tp table.Tuple, ok, inRange bool) {
 	if !ok {
 		return table.Tuple{}, false, false
 	}
-	if s, i := c.tableSegment(ord); s != nil {
+	s, i := c.tableSegment(ord)
+	if s == nil {
+		tp, inRange = c.tables[i].TupleAt(row)
+	} else {
 		tp, inRange = s.tuple(i, row)
-		return tp, true, inRange
 	}
-	tp, inRange = c.tables[ord-c.sealedTables].TupleAt(row)
 	return tp, true, inRange
 }
 
@@ -131,16 +199,11 @@ func (c *catalog) document(id string) (*doc.Document, bool) {
 	if !ok {
 		return nil, false
 	}
-	if ord >= c.sealedDocs {
-		return c.docs[ord-c.sealedDocs], true
+	s, i := findSeg(c.docEnd, ord)
+	if s < 0 {
+		return c.docs[i], true
 	}
-	for _, s := range c.segs {
-		if ord < s.numDocs() {
-			return s.document(ord), true
-		}
-		ord -= s.numDocs()
-	}
-	panic("datalake: document position past the segments")
+	return c.segs[s].document(i), true
 }
 
 // numTuples counts the rows of every table.
@@ -282,9 +345,30 @@ func (c *catalog) shape() (ncols, nrows, widths []uint32) {
 	return ncols, nrows, widths
 }
 
-// sealTail builds the segment that holds c's tail.
-func (c *catalog) sealTail() (*segment, error) {
-	tail := catalog{tables: c.tables, docs: c.docs}
-	ncols, nrows, widths := tail.shape()
-	return newSegment(Columns{Strings: tail.column, NCols: ncols, NRows: nrows, RowWidth: widths})
+// sealTail returns the segments that hold c's segments' instances and
+// its tail: one new segment for the tail, then the two newest merged while
+// the newer holds at least half the instances of the older, so the list
+// stays O(log n) long and an instance is copied into a new segment O(log n)
+// times. The segments c has are unchanged.
+func (c *catalog) sealTail() ([]*segment, error) {
+	tail, err := sealed(catalog{tables: c.tables, docs: c.docs})
+	if err != nil {
+		return nil, err
+	}
+	segs := append(cut(c.segs), tail)
+	size := func(s *segment) int { return s.numTables() + s.numDocs() }
+	for n := len(segs); n >= 2 && 2*size(segs[n-1]) >= size(segs[n-2]); n = len(segs) {
+		merged, err := sealed(catalog{segs: segs[n-2:]})
+		if err != nil {
+			return nil, err
+		}
+		segs = append(segs[:n-2:n-2], merged)
+	}
+	return segs, nil
+}
+
+// sealed builds one segment of what c holds.
+func sealed(c catalog) (*segment, error) {
+	ncols, nrows, widths := c.shape()
+	return newSegment(Columns{Strings: c.column, NCols: ncols, NRows: nrows, RowWidth: widths})
 }

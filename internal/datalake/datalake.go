@@ -181,11 +181,19 @@ type SourceHook func(Source) error
 type ApplyFunc func(Event) error
 
 // Subscriber is a change consumer: Prepare precomputes the expensive
-// payload outside the lake's locks, Apply consumes the committed event, and
-// Source observes source registrations. Any field may be nil.
+// payload outside the lake's locks, Apply consumes the committed event,
+// Seal follows the lake's seals, and Source observes source
+// registrations. Any field may be nil.
 type Subscriber struct {
 	Prepare PrepareFunc
 	Apply   ApplyFunc
+	// Seal runs each time the lake has sealed its tail: when a section
+	// has applied and the payload committed since the last seal has
+	// passed SealBytes, and at every Fork. It runs as Apply does, on that
+	// goroutine under the apply lock (at a Fork, with the lake quiesced),
+	// and is where a consumer moves what it derived from the tail off the
+	// Go heap too (e.g. an indexer sealing its deltas).
+	Seal func()
 	// Source observes every source registration (AddSource and
 	// ReplicateSource), overwrites of an existing source included — the
 	// one catalog mutation outside the versioned change feed. A
@@ -216,10 +224,14 @@ var ErrClosed = errors.New("datalake: lake closed")
 //     subscribers in version order; an event is applied once every
 //     subscriber's Apply has returned.
 //
-// Tables and documents up to the last Seal (a durable lake's checkpoint)
-// live in sealed segments off the Go heap; Table, Document and Resolve
-// hand out heap copies of them, so nothing a caller holds points into a
-// segment. Those committed since are the Go objects that were ingested.
+// The lake seals by size: once a section has applied and the payload
+// committed since the last seal has passed SealBytes, that section's
+// goroutine moves the tables and documents it holds as Go objects — the
+// tail — into a sealed segment off the Go heap, and every subscriber's
+// Seal follows; every Fork seals what is left first. Table, Document and
+// Resolve hand out heap copies of sealed instances, so nothing a caller
+// holds points into a segment. Those committed since the last seal are
+// the Go objects that were ingested.
 //
 // The next section commits (and fsyncs) while this one applies, then waits
 // for the apply lock, so events apply in version order. Version()
@@ -271,6 +283,9 @@ type Lake struct {
 	cat     catalog
 	graph   *kg.Graph
 	sources map[string]Source
+	// unsealed is the payload committed since the last seal: the bytes of
+	// the strings of the tables, documents and triples.
+	unsealed int
 
 	// m holds the ingest-stage observability handles (nil-safe no-ops
 	// until SetMetrics installs real ones).
@@ -283,6 +298,8 @@ type lakeMetrics struct {
 	prepareSec *obs.Histogram
 	commitSec  *obs.Histogram
 	applySec   *obs.Histogram
+	sealSec    *obs.Histogram
+	merges     *obs.Counter
 }
 
 // SetMetrics registers the lake's ingest-stage metrics in reg and installs
@@ -293,6 +310,8 @@ func (l *Lake) SetMetrics(reg *obs.Registry) {
 		prepareSec: reg.Histogram("verifai_ingest_prepare_seconds", "Per-event prepare stage (tokenize + embed, outside all lake locks)."),
 		commitSec:  reg.Histogram("verifai_ingest_commit_seconds", "Commit section latency (stage + durable hook + materialize, under the write lock, through the hand-off to apply, which waits for the previous section). Batches observe once per section."),
 		applySec:   reg.Histogram("verifai_ingest_apply_seconds", "Per-event apply stage (delivery through the last subscriber's Apply)."),
+		sealSec:    reg.Histogram("verifai_tail_seal_seconds", "Seals of the tail, by size or at a fork: the lake's segment and every subscriber's Seal (the indexes' deltas)."),
+		merges:     reg.Counter("verifai_catalog_merges_total", "Catalog segment merges: the two newest segments merged after a seal while the newer holds at least half the instances of the older."),
 	}
 }
 
@@ -636,12 +655,84 @@ func (l *Lake) materializeLocked(ev *Event) {
 	switch ev.Kind {
 	case KindTable:
 		l.cat.addTable(ev.Table)
+		l.unsealed += tablePayload(ev.Table)
 	case KindText:
 		l.cat.addDoc(ev.Doc)
+		l.unsealed += docPayload(ev.Doc)
 	case KindEntity:
 		l.graph.Add(*ev.Triple)
+		tr := ev.Triple
+		l.unsealed += len(tr.Subject) + len(tr.Predicate) + len(tr.Object) + len(tr.SourceID)
 	}
 	l.version = ev.Version
+}
+
+// SealBytes is the payload — the bytes of the strings of the tables,
+// documents and triples — committed since the last seal past which the
+// section that commits it seals the tail. A seal costs time in proportion
+// to it on the committing goroutine; the tail holds the Go heap it stands
+// for, several times the payload once the indexes' deltas are counted.
+const SealBytes = 256 << 10
+
+// sealIfFull seals the tail when the payload committed since the last
+// seal has passed SealBytes. The caller holds applyMu, with its section
+// applied. A failed seal leaves the tail as Go objects, and the next
+// section tries again.
+func (l *Lake) sealIfFull() {
+	l.mu.RLock()
+	full := l.unsealed >= SealBytes
+	l.mu.RUnlock()
+	if full {
+		_ = l.seal()
+	}
+}
+
+// seal moves the tables and documents the lake holds as Go objects — those
+// committed since the last seal — into a new segment off the Go heap
+// (catalog.sealTail), then runs every subscriber's Seal. What the lake
+// holds is unchanged; only its form is. The caller holds applyMu, which
+// serializes seals, so only commits run alongside, and they only append
+// to the tail.
+func (l *Lake) seal() error {
+	start := time.Now()
+	l.mu.RLock()
+	c := catalog{segs: cut(l.cat.segs), tables: cut(l.cat.tables), docs: cut(l.cat.docs)}
+	sealed := l.unsealed
+	l.mu.RUnlock()
+	if sealed == 0 && len(c.tables)+len(c.docs) == 0 {
+		return nil // nothing committed since the last seal
+	}
+	var segs []*segment
+	if len(c.tables)+len(c.docs) > 0 {
+		var err error
+		if segs, err = c.sealTail(); err != nil {
+			return fmt.Errorf("datalake: seal: %w", err)
+		}
+		l.m.merges.Add(uint64(len(c.segs) + 1 - len(segs)))
+	}
+	l.mu.Lock()
+	if segs != nil {
+		l.cat = l.cat.withSegs(segs)
+	}
+	l.unsealed -= sealed
+	l.mu.Unlock()
+	l.hooksMu.RLock()
+	for _, rh := range l.hooks {
+		if rh.Seal != nil {
+			rh.Seal()
+		}
+	}
+	l.hooksMu.RUnlock()
+	l.m.sealSec.Since(start)
+	return nil
+}
+
+// TailBytes estimates the Go heap the lake's tail holds: the tables and
+// documents committed since the last seal, with their catalog entries.
+func (l *Lake) TailBytes() int64 {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.cat.tailHeapBytes()
 }
 
 // AddTable ingests a table. The table's ID must be unique. Safe to call at
@@ -724,8 +815,8 @@ func (l *Lake) Triples() []kg.Triple {
 }
 
 // Table returns the table with the given ID. A table committed before the
-// last checkpoint is sealed, and each call returns a fresh copy of it;
-// one committed since is the object that was ingested.
+// last seal is sealed, and each call returns a fresh copy of it; one
+// committed since is the object that was ingested.
 func (l *Lake) Table(id string) (*table.Table, bool) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()

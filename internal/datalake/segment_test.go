@@ -3,6 +3,7 @@ package datalake
 import (
 	"fmt"
 	"iter"
+	"math/bits"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -85,37 +86,35 @@ func viewCatalog(t *testing.T, v *View) map[string]any {
 		func(id string) (Instance, error) { return v.Resolve(id, nil) })
 }
 
-// TestSealKeepsCatalog: sealing a lake's tail — twice, with ingest
-// between and after — changes what the lake and the sealed view hold in
-// form only. Every table, tuple and document reads back as it did from Go
-// objects, and so do IDs, stats and the column form a stored catalog is
-// written from; a fork from before the second seal reads as before; the
-// sealed objects are let go; and a view that missed a seal cannot seal.
+// TestSealKeepsCatalog: sealing a lake's tail — at each fork, with ingest
+// between and after, and with segments merged — changes what the lake
+// and its views hold in form only. Every table, tuple and document reads
+// back as it did from Go objects, and so do IDs, stats and the column form
+// a stored catalog is written from; a fork from before later seals and
+// merges reads as before; and the sealed objects are let go.
 func TestSealKeepsCatalog(t *testing.T) {
 	l, err := Load([]Source{{ID: "web", TrustPrior: 0.7}}, sealableItems("a-"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	first := forkView(t, l)
 	want := lakeCatalog(t, l)
-	wantView := viewCatalog(t, first)
-	wantCols := columnsOf(first)
 	held, _ := l.Table("a-plain")
 	released := weak.Make(held)
 	held = nil
-	if err := l.Seal(first); err != nil {
-		t.Fatal(err)
+	first := forkView(t, l)
+	if len(first.cat.tables)+len(first.cat.docs) != 0 || len(l.cat.tables)+len(l.cat.docs) != 0 {
+		t.Fatal("the fork left Go objects in the view or the lake")
 	}
 	if got := lakeCatalog(t, l); !reflect.DeepEqual(got, want) {
 		t.Fatalf("sealed lake reads\n%v\nwant\n%v", got, want)
 	}
-	if got := viewCatalog(t, first); !reflect.DeepEqual(got, wantView) {
-		t.Fatalf("sealed view reads\n%v\nwant\n%v", got, wantView)
+	wantView := viewCatalog(t, first)
+	delete(want, "stats")
+	if !reflect.DeepEqual(wantView, want) {
+		t.Fatalf("sealed view reads\n%v\nwant\n%v", wantView, want)
 	}
-	if got := columnsOf(first); !reflect.DeepEqual(got, wantCols) {
-		t.Fatalf("sealed view's columns\n%v\nwant\n%v", got, wantCols)
-	}
+	wantCols := columnsOf(first)
 	runtime.GC()
 	runtime.GC()
 	if released.Value() != nil {
@@ -131,41 +130,76 @@ func TestSealKeepsCatalog(t *testing.T) {
 	}
 	stale := forkView(t, l)
 	staleWant := viewCatalog(t, stale)
-	second := forkView(t, l)
-	want = lakeCatalog(t, l)
-	wantCols = columnsOf(second)
-	if err := l.Seal(second); err != nil {
+	if _, err := l.addBatch(sealableItems("c-"), storedCatalog); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Seal(stale); err == nil {
-		t.Error("a view forked before the last seal sealed again")
+	want = lakeCatalog(t, l)
+	second := forkView(t, l)
+	if len(second.cat.segs) != 1 {
+		t.Errorf("three seals of equal size left %d segments, want them merged into one", len(second.cat.segs))
 	}
 	if got := viewCatalog(t, stale); !reflect.DeepEqual(got, staleWant) {
 		t.Fatalf("a fork from before the seal reads\n%v\nwant\n%v", got, staleWant)
 	}
-	if _, err := l.addBatch(sealableItems("c-"), storedCatalog); err != nil {
-		t.Fatal(err)
+	if got := columnsOf(first); !reflect.DeepEqual(got, wantCols) {
+		t.Fatalf("the first view's columns after later seals\n%v\nwant\n%v", got, wantCols)
 	}
-	if got := columnsOf(second); !reflect.DeepEqual(got, wantCols) {
-		t.Fatalf("twice-sealed view's columns\n%v\nwant\n%v", got, wantCols)
+	if _, err := l.addBatch(sealableItems("d-"), storedCatalog); err != nil {
+		t.Fatal(err)
 	}
 	got := viewCatalog(t, second)
 	if len(got) != len(want)-1 { // all but the lake's stats
-		t.Fatalf("twice-sealed view holds %d entries, the lake held %d", len(got), len(want)-1)
+		t.Fatalf("the merged view holds %d entries, the lake held %d", len(got), len(want)-1)
 	}
 	for k, v := range got {
 		if !reflect.DeepEqual(v, want[k]) {
-			t.Errorf("twice-sealed view's %s = %v, the lake's was %v", k, v, want[k])
+			t.Errorf("the merged view's %s = %v, the lake's was %v", k, v, want[k])
 		}
 	}
 	// Sealing what is left must not change what the lake holds.
-	third := forkView(t, l)
 	want = lakeCatalog(t, l)
-	if err := l.Seal(third); err != nil {
-		t.Fatal(err)
-	}
+	forkView(t, l)
 	if got := lakeCatalog(t, l); !reflect.DeepEqual(got, want) {
-		t.Fatalf("three seals: lake reads\n%v\nwant\n%v", got, want)
+		t.Fatalf("four seals: lake reads\n%v\nwant\n%v", got, want)
+	}
+}
+
+// TestManySmallSegments: a lake sealed after every small batch holds its
+// catalog in a list of segments that merges keep O(log n) long, and every
+// table, tuple, document, ID and stat reads as from a lake that never
+// sealed; lookups find each instance's segment by its position.
+func TestManySmallSegments(t *testing.T) {
+	l, ref := New(), New()
+	defer l.Close()
+	defer ref.Close()
+	most := 0
+	for i := range 60 {
+		items := sealableItems(fmt.Sprint(i, "-"))
+		if i%3 == 2 { // a batch of documents alone, so positions of the two modalities part
+			items = items[4:6]
+		}
+		for _, lk := range []*Lake{l, ref} {
+			if _, err := lk.addBatch(items, storedCatalog); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Quiesce(func(uint64) error { return l.seal() }); err != nil {
+			t.Fatal(err)
+		}
+		most = max(most, len(l.cat.segs))
+		if n := len(l.cat.segs); n > 2+bits.Len(uint(len(l.cat.tableIDs)+len(l.cat.docIDs))) {
+			t.Fatalf("batch %d: %d segments", i, n)
+		}
+	}
+	if most < 3 {
+		t.Errorf("at most %d segments: the test does not exercise the search over many", most)
+	}
+	if got, want := lakeCatalog(t, l), lakeCatalog(t, ref); !reflect.DeepEqual(got, want) {
+		t.Fatalf("sealed lake reads\n%v\nwant\n%v", got, want)
+	}
+	v, w := forkView(t, l), forkView(t, ref)
+	if got, want := columnsOf(v), columnsOf(w); !reflect.DeepEqual(got, want) {
+		t.Fatalf("sealed columns\n%v\nwant\n%v", got, want)
 	}
 }
 
@@ -290,10 +324,6 @@ func sealedCopies(t *testing.T) map[string]any {
 	}
 	defer l.Close()
 	v := forkView(t, l)
-	if err := l.Seal(v); err != nil {
-		t.Error(err)
-		return nil
-	}
 	got := lakeCatalog(t, l)
 	for k, val := range viewCatalog(t, v) {
 		if k != "stats" && !reflect.DeepEqual(val, got[k]) {
@@ -340,7 +370,7 @@ func TestSealWhileReading(t *testing.T) {
 	var wg sync.WaitGroup
 	var views sync.Map // round → *View, forked before the round's seal
 	wg.Add(1)
-	go func() { // the writer: ingest a batch, fork, seal
+	go func() { // the writer: ingest a batch, fork (which seals)
 		defer wg.Done()
 		for r := range rounds {
 			items := sealableItems(fmt.Sprint(r, "-"))
@@ -354,10 +384,6 @@ func TestSealWhileReading(t *testing.T) {
 				return
 			}
 			views.Store(r, v)
-			if err := l.Seal(v); err != nil {
-				t.Error(err)
-				return
-			}
 		}
 	}()
 	if _, err := ref.addBatch(func() (all []BatchItem) {

@@ -5,7 +5,6 @@ import (
 	"iter"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/doc"
 	"repro/internal/kg"
@@ -14,29 +13,28 @@ import (
 
 // View is an immutable snapshot of the lake's catalog pinned at one
 // version: the fork primitive behind non-blocking checkpoints. A View is
-// built under a brief quiescence (Fork) by copying the catalog's ID maps
-// and sharing everything else, cut to its length: the segments, the
-// tail's tables and documents, the ID lists and the triples only ever grow
-// at their end, and the lake treats an ingested table or document as
-// immutable. So the fork costs a map entry per instance, not its content.
-// A long-running consumer (the checkpoint write phase) serializes the View
-// while ingestion continues on the live lake.
-//
-// A View's content never changes, but its form can: Seal moves the tail it
-// holds as Go objects into a segment, which the View adopts in place of
-// them.
+// built under a brief quiescence (Fork), which first seals the lake's
+// tail, so a View holds sealed segments only, never a Go object the lake
+// was given. It copies the catalog's ID maps and shares everything else,
+// cut to its length: the segment list, the ID lists and the triples only
+// ever grow at their end or are replaced. So the fork costs a map entry
+// per instance, not its content. A long-running consumer (the checkpoint
+// write phase) serializes the View while ingestion continues on the live
+// lake.
 type View struct {
 	version uint64
 	sources []Source
-	cat     atomic.Pointer[catalog]
+	cat     *catalog
 	triples []kg.Triple
 }
 
-// Fork quiesces the lake just long enough to pin a consistent View of the
-// catalog at the current version, optionally running extra fork-time work
-// (e.g. rotating a write-ahead log, freezing index shards) under the same
+// Fork quiesces the lake just long enough to seal its tail (at most
+// SealBytes of payload; see Lake) and pin a consistent View of the catalog at
+// the current version, optionally running extra fork-time work (e.g.
+// rotating a write-ahead log, freezing index shards) under the same
 // quiescence. When Fork returns, ingestion resumes immediately; the View
-// stays frozen at its version forever. An extra error aborts the fork.
+// stays frozen at its version forever. A seal or extra error aborts the
+// fork.
 //
 // This is the short phase of a two-phase checkpoint: everything
 // proportional to snapshot *size* (serialization, fsync) happens later,
@@ -44,6 +42,9 @@ type View struct {
 func (l *Lake) Fork(extra func(v *View) error) (*View, error) {
 	var view *View
 	err := l.Quiesce(func(version uint64) error {
+		if err := l.seal(); err != nil {
+			return err
+		}
 		view = l.viewLocked(version)
 		if extra != nil {
 			return extra(view)
@@ -65,41 +66,14 @@ func (l *Lake) viewLocked(version uint64) *View {
 	v := &View{
 		version: version,
 		sources: make([]Source, 0, len(l.sources)),
+		cat:     l.cat.fork(),
 		triples: l.graph.Appended(),
 	}
-	v.cat.Store(l.cat.fork())
 	for _, s := range l.sources {
 		v.sources = append(v.sources, s)
 	}
 	sort.Slice(v.sources, func(i, j int) bool { return v.sources[i].ID < v.sources[j].ID })
 	return v
-}
-
-// Seal moves the tables and documents that v, a fork of l, holds as Go
-// objects — those committed since the last seal — into one new segment
-// off the Go heap, which v and l both adopt in place of the objects. The
-// content of v and of l is unchanged; only its form is. It is a
-// checkpoint's step and, like a checkpoint, runs while ingestion
-// continues; seals of one lake must not overlap, and a view forked before
-// the last seal cannot seal. Nothing to seal is not an error.
-func (l *Lake) Seal(v *View) error {
-	c := v.cat.Load()
-	if len(c.tables) == 0 && len(c.docs) == 0 {
-		return nil
-	}
-	seg, err := c.sealTail()
-	if err != nil {
-		return fmt.Errorf("datalake: seal: %w", err)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.cat.sealedTables != c.sealedTables || l.cat.sealedDocs != c.sealedDocs {
-		return fmt.Errorf("datalake: seal: the lake sealed since the view forked")
-	}
-	sealed := c.adopt(seg)
-	v.cat.Store(&sealed)
-	l.cat = l.cat.adopt(seg)
-	return nil
 }
 
 // Version returns the lake version the view is pinned at.
@@ -111,19 +85,17 @@ func (v *View) Sources() []Source { return v.sources }
 
 // TableIDs returns the view's table IDs in insertion order (shared slice;
 // callers must not mutate).
-func (v *View) TableIDs() []string { return v.cat.Load().tableIDs }
+func (v *View) TableIDs() []string { return v.cat.tableIDs }
 
-// Table returns the table with the given ID: a fresh copy when it is
-// sealed.
-func (v *View) Table(id string) (*table.Table, bool) { return v.cat.Load().table(id) }
+// Table returns a fresh copy of the table with the given ID.
+func (v *View) Table(id string) (*table.Table, bool) { return v.cat.table(id) }
 
 // DocIDs returns the view's document IDs in insertion order (shared
 // slice; callers must not mutate).
-func (v *View) DocIDs() []string { return v.cat.Load().docIDs }
+func (v *View) DocIDs() []string { return v.cat.docIDs }
 
-// Document returns the document with the given ID: a fresh copy when it
-// is sealed.
-func (v *View) Document(id string) (*doc.Document, bool) { return v.cat.Load().document(id) }
+// Document returns a fresh copy of the document with the given ID.
+func (v *View) Document(id string) (*doc.Document, bool) { return v.cat.document(id) }
 
 // Triples returns the view's knowledge-graph triples in insertion order
 // (shared slice; callers must not mutate).
@@ -133,11 +105,11 @@ func (v *View) Triples() []kg.Triple { return v.triples }
 // or documents in insertion order, and Shape their counts: the column form
 // a stored catalog is written in. A string Column yields may be a view of
 // a segment's memory, valid only while v is reachable.
-func (v *View) Column(name string) iter.Seq[string] { return v.cat.Load().column(name) }
+func (v *View) Column(name string) iter.Seq[string] { return v.cat.column(name) }
 
 // Shape returns each table's column and row count and each row's width,
 // in insertion order (see Column).
-func (v *View) Shape() (ncols, nrows, widths []uint32) { return v.cat.Load().shape() }
+func (v *View) Shape() (ncols, nrows, widths []uint32) { return v.cat.shape() }
 
 // Resolve maps an instance ID to its content as of the view's version —
 // the pinned-read counterpart of Lake.Resolve. Entity instances resolve
@@ -150,7 +122,7 @@ func (v *View) Resolve(instanceID string, g *kg.Graph) (Instance, error) {
 		return Instance{}, fmt.Errorf("datalake: malformed instance id %q", instanceID)
 	}
 	if kind != KindEntity {
-		return v.cat.Load().resolve(instanceID, kind, &v.version)
+		return v.cat.resolve(instanceID, kind, &v.version)
 	}
 	name := strings.TrimPrefix(instanceID, "entity:")
 	var ts []kg.Triple

@@ -38,14 +38,14 @@ import (
 // in graph order, so a reloaded lake forks to the same View.
 //
 // The table and document columns are also the in-memory form of every
-// table and document up to the last checkpoint: a checkpoint seals the
-// ones committed since the one before into a segment (datalake.Lake.Seal),
-// which holds these columns packed, not deflated, off the Go heap, with
-// offsets to find a table's column names, rows and cells; and an open
-// inflates the file's columns straight into one such segment
-// (datalake.LoadColumns). This file is written from the segments and the
-// tail since the last seal, byte for byte what writing the same catalog
-// from Go objects gives.
+// table and document up to the lake's last seal: the lake seals the ones
+// committed since the one before into a segment as they pass
+// datalake.SealBytes, and at every fork, which holds these columns packed,
+// not deflated, off the Go heap, with offsets to find a table's column
+// names, rows and cells; and an open inflates the file's columns straight
+// into one such segment (datalake.LoadColumns). This file is written from
+// a View's segments, byte for byte what writing the same catalog from Go
+// objects gives, however many segments hold it.
 
 // catalogFile is the container's name inside a checkpoint or pin directory.
 const catalogFile = "catalog.vaib"

@@ -461,15 +461,15 @@ type AdoptFunc func(dir string)
 // Checkpoint captures a durable snapshot without blocking ingestion, in
 // two phases.
 //
-// Fork (quiesced, short — the only window writers wait on): pin an
-// immutable view of the catalog at the current version, run freeze (nil
+// Fork (quiesced, short — the only window writers wait on): seal what the
+// lake still holds as Go objects (at most datalake.SealBytes of payload:
+// the lake seals by size as it ingests) and pin an immutable view of the
+// catalog, all sealed segments, at the current version, run freeze (nil
 // skips index snapshotting) to capture index state in memory, and rotate
 // the WAL so every post-fork write lands in a fresh segment.
 //
-// Write (unquiesced, long): seal the tables and documents committed since
-// the last checkpoint into a catalog segment off the Go heap, which the
-// lake and the view adopt (datalake.Lake.Seal), serialize the pinned view
-// and frozen indexes to checkpoint.tmp, fsync the tree, atomically swap it in as the current
+// Write (unquiesced, long): serialize the pinned view and frozen indexes
+// to checkpoint.tmp, fsync the tree, atomically swap it in as the current
 // checkpoint, then delete the sealed WAL segments the checkpoint covers —
 // all while new writes commit into the live lake and the rotated WAL —
 // and last hand the promoted directory to the write's AdoptFunc.
@@ -525,13 +525,6 @@ func (s *Store) Checkpoint(freeze FreezeFunc) (uint64, error) {
 	tmp := s.checkpointDir() + ".tmp"
 	if err := s.fs.RemoveAll(tmp); err != nil {
 		return 0, fmt.Errorf("durable: clear checkpoint.tmp: %w", err)
-	}
-	// The tables and documents committed since the last checkpoint move
-	// into a sealed segment off the Go heap, which the lake and the view
-	// (and so the snapshot the freeze registered) adopt; the catalog is
-	// then written from segments alone.
-	if err := s.lake.Seal(view); err != nil {
-		return 0, err
 	}
 	if err := s.writeCatalog(view, tmp); err != nil {
 		return 0, err

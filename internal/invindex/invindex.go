@@ -9,15 +9,16 @@
 // term's (doc, freq) pairs as doc gaps and frequencies bit-packed in blocks
 // of 128 — about 1.1 bytes a pair on the workload lake where plain int32
 // pairs took 8. Searches and seals decode a term's run into a buffer;
-// opening a segment decodes every run once to validate it. Freeze
-// seals base + delta + tombstones into the next segment and goes on
-// searching it as the base; Frozen.Save writes its bytes; OpenFile maps
-// such a file back; Frozen.Adopt moves a running index from the container
-// it was sealed into onto the mapping of the file just written; a snapshot
-// retained for time travel searches the same segment through Frozen.Index;
-// Transpose hands a segment's postings back by document. What is mutable
-// is small: the delta of documents added since the last seal, and a
-// tombstone bitmap over the base.
+// opening a segment decodes every run once to validate it. An index
+// searches a list of segments: Seal moves the delta into a new one, merging
+// the newest while they are of a size; Freeze folds segments, delta and
+// tombstones into one and goes on searching it alone; Frozen.Save writes
+// its bytes; OpenFile maps such a file back; Frozen.Adopt moves a running
+// index from the container it was sealed into onto the mapping of the file
+// just written; a snapshot retained for time travel searches the same
+// segment through Frozen.Index; Transpose hands a segment's postings back
+// by document. What is mutable is small: the delta of documents added
+// since the last seal, and a tombstone bitmap over each segment.
 //
 // The index is safe for concurrent use: writes take an exclusive lock,
 // searches a shared one; a segment's bytes move from the built container
@@ -41,22 +42,27 @@ type posting struct {
 // Index is a BM25 inverted index over string documents, analyzed by the
 // index's term dictionary (tokenize → stopword-filter → Porter stem), the
 // chain the vector rows are embedded from too. The delta keys its postings
-// by the dictionary's term IDs. It has up to two tiers: an
-// optional immutable base segment (sealed by Freeze or opened by OpenFile;
-// process-private until a file holds it, mapped afterwards) occupying
-// global ordinals [0, base.n), and the mutable delta below whose local
-// ordinals follow at base.n. New documents always land in the delta;
-// deletions of base documents only flip a bit in baseDeleted, so the base
-// columns are never written. Freeze folds all three into the next base.
+// by the dictionary's term IDs. Documents live in a list of immutable
+// segments (sealed by Seal or Freeze, or opened by OpenFile; process-private
+// until a file holds one, mapped afterwards), whose documents take the
+// global ordinals in list order, oldest first, and in the mutable delta
+// below, whose local ordinals follow. New documents always land in the
+// delta; deleting a sealed document only flips a bit in the index's own
+// tombstones over its segment, so segment columns are never written.
+//
+// Search sums the statistics BM25 needs — live documents, their lengths,
+// each term's live document frequency — over the segments and the delta.
+// They are integers, so a document scores the same bits whichever
+// segment, or the delta, holds it.
 type Index struct {
 	mu sync.RWMutex
 
 	k1, b float64 // BM25 parameters: a new index's defaults, a segment's own once opened
 
-	base         *Frozen // shared with every capture Freeze handed out
-	baseDeleted  []bool  // tombstones for base ordinals
-	baseLive     int
-	baseTotalLen int64 // sum of lengths of live base documents
+	segs        []*part // oldest first
+	segDocs     int     // documents over every segment, deleted ones included: the delta's first ordinal
+	segLive     int
+	segTotalLen int64 // sum of lengths of live sealed documents
 
 	dict     *textutil.Dict
 	ids      []string       // delta ordinal -> external ID
@@ -69,12 +75,42 @@ type Index struct {
 	liveDocs int
 }
 
-// baseSeg returns the base tier's current column views, nil without one.
-func (ix *Index) baseSeg() *staticSeg {
-	if ix.base == nil {
-		return nil
+// part is one sealed segment of an index's list, with the index's own
+// tombstones over its documents.
+type part struct {
+	z        *Frozen // shared with every index whose list holds it
+	dead     []bool
+	live     int
+	totalLen int64 // sum of lengths of its live documents
+	first    int   // the global ordinal of its first document
+}
+
+func newPart(z *Frozen) *part {
+	seg := z.cols.Load()
+	return &part{z: z, dead: make([]bool, seg.n), live: seg.n, totalLen: seg.totalLen}
+}
+
+// setSegs installs segs as the segment list and numbers their documents.
+func (ix *Index) setSegs(segs []*part) {
+	ix.segs, ix.segDocs, ix.segLive, ix.segTotalLen = segs, 0, 0, 0
+	for _, p := range segs {
+		p.first = ix.segDocs
+		ix.segDocs += len(p.dead)
+		ix.segLive += p.live
+		ix.segTotalLen += p.totalLen
 	}
-	return ix.base.cols.Load()
+}
+
+// findSealed returns the segment holding id's live sealed document, its
+// current column views and the document's ordinal in it, or nil.
+func (ix *Index) findSealed(id string) (*part, *staticSeg, int) {
+	for _, p := range ix.segs {
+		seg := p.z.cols.Load()
+		if ord := seg.ids.Find(id); ord >= 0 && !p.dead[ord] {
+			return p, seg, ord
+		}
+	}
+	return nil, nil, -1
 }
 
 // New returns an empty index over a dictionary of its own, scoring with
@@ -113,10 +149,8 @@ func (ix *Index) AddBag(id string, bag textutil.IDBag) error {
 	if ord, ok := ix.byID[id]; ok && !ix.deleted[ord] {
 		return fmt.Errorf("invindex: duplicate document id %q", id)
 	}
-	if base := ix.baseSeg(); base != nil {
-		if bo := base.ids.Find(id); bo >= 0 && !ix.baseDeleted[bo] {
-			return fmt.Errorf("invindex: duplicate document id %q", id)
-		}
+	if p, _, _ := ix.findSealed(id); p != nil {
+		return fmt.Errorf("invindex: duplicate document id %q", id)
 	}
 	ord := len(ix.ids)
 	ix.ids = append(ix.ids, id)
@@ -152,21 +186,21 @@ const compactThreshold = 64
 
 // Delete tombstones a document, compacting the delta once tombstones
 // dominate. Deleting an unknown or already-deleted id is a no-op returning
-// false. Base-segment documents are tombstoned in a side bitmap until the
-// next Freeze compacts them: the base columns are immutable (often a
-// read-only mapping), and dead base entries cost one skipped pair per query.
+// false. Sealed documents are tombstoned in their segment's bitmap until a
+// merge or Freeze compacts them: segment columns are immutable (often a
+// read-only mapping), and dead sealed entries cost one skipped pair per
+// query.
 func (ix *Index) Delete(id string) bool {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ord, ok := ix.byID[id]
 	if !ok || ix.deleted[ord] {
-		if base := ix.baseSeg(); base != nil {
-			if bo := base.ids.Find(id); bo >= 0 && !ix.baseDeleted[bo] {
-				ix.baseDeleted[bo] = true
-				ix.baseLive--
-				ix.baseTotalLen -= int64(base.lengths[bo])
-				return true
-			}
+		if p, seg, bo := ix.findSealed(id); p != nil {
+			l := int64(seg.lengths[bo])
+			p.dead[bo] = true
+			p.live, p.totalLen = p.live-1, p.totalLen-l
+			ix.segLive, ix.segTotalLen = ix.segLive-1, ix.segTotalLen-l
+			return true
 		}
 		return false
 	}
@@ -216,30 +250,65 @@ func (ix *Index) compactLocked() {
 func (ix *Index) Len() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.liveDocs + ix.baseLive
+	return ix.liveDocs + ix.segLive
 }
 
 // Tombstones returns the number of deleted documents the index still
-// carries postings for (both tiers): what re-indexing churn has left
-// behind and compaction has not yet reclaimed.
+// carries postings for (segments and delta): what re-indexing churn has
+// left behind and compaction has not yet reclaimed.
 func (ix *Index) Tombstones() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.ids) - ix.liveDocs + ix.baseLen() - ix.baseLive
+	return len(ix.ids) - ix.liveDocs + ix.segDocs - ix.segLive
 }
 
-// Residency reports where the index sits: the sealed base segment's bytes,
-// in process-private memory (heap) or in a mapped file, and the live delta
-// documents.
+// Residency reports where the index sits: the sealed segments' bytes, in
+// process-private memory (heap) or in mapped files, the delta's estimated
+// Go heap (DeltaBytes) counted as heap, and the live delta documents.
 func (ix *Index) Residency() (heap, mapped int64, deltaDocs int) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if base := ix.baseSeg(); base != nil && base.r.Mapped() {
-		mapped = base.r.ID().Size
-	} else if base != nil {
-		heap = base.r.ID().Size
+	for _, p := range ix.segs {
+		if r := p.z.cols.Load().r; r.Mapped() {
+			mapped += r.ID().Size
+		} else {
+			heap += r.ID().Size
+		}
 	}
-	return heap, mapped, ix.liveDocs
+	return heap + ix.deltaBytesLocked(), mapped, ix.liveDocs
+}
+
+// Segments returns the length of the segment list.
+func (ix *Index) Segments() int {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return len(ix.segs)
+}
+
+// DeltaBytes estimates the Go heap the delta holds: its IDs with their
+// string headers and map entries, lengths, tombstones, and posting lists.
+func (ix *Index) DeltaBytes() int64 {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.deltaBytesLocked()
+}
+
+// mapEntryBytes is about what a map entry of a string key and an int
+// costs, its share of empty slots included.
+const mapEntryBytes = 40
+
+func (ix *Index) deltaBytesLocked() int64 {
+	if len(ix.ids) == 0 {
+		return 0
+	}
+	n := int64(len(ix.ids))*(16+4+1+mapEntryBytes) + 24*int64(cap(ix.postings))
+	for _, id := range ix.ids {
+		n += int64(len(id))
+	}
+	for _, plist := range ix.postings {
+		n += 8 * int64(cap(plist))
+	}
+	return n
 }
 
 // Contains reports whether id is indexed and live.
@@ -249,10 +318,6 @@ func (ix *Index) Contains(id string) bool {
 	if ord, ok := ix.byID[id]; ok && !ix.deleted[ord] {
 		return true
 	}
-	if base := ix.baseSeg(); base != nil {
-		if bo := base.ids.Find(id); bo >= 0 && !ix.baseDeleted[bo] {
-			return true
-		}
-	}
-	return false
+	p, _, _ := ix.findSealed(id)
+	return p != nil
 }

@@ -79,7 +79,7 @@ func TestOpenFileServesBaseSegment(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenFile: %v", err)
 	}
-	if ix.base == nil {
+	if len(ix.segs) == 0 {
 		t.Fatal("binfmt snapshot did not load as a base segment")
 	}
 	if ix.Len() != orig.Len() {

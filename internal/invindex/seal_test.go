@@ -2,6 +2,7 @@ package invindex
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -57,9 +58,12 @@ func adoptInto(t *testing.T, z *Frozen, dir string) string {
 // documents doc draws, with a searcher running against the sealed one
 // throughout, and holds every search — head, pinned at each seal, and of
 // each adopted file reopened — to the reference's hits, scores to the bit,
-// tied hits in ascending ID order. It returns how many hits tied the score
-// of the hit before them.
-func sealAdoptDifferential(t *testing.T, doc func(*rand.Rand) []string) int {
+// tied hits in ascending ID order. With every > 0 the index also seals its
+// delta into a segment after every every-th add or delete, so searches and
+// freezes run over a list of segments; the list must stay within the
+// binary counter's bound. It returns how many hits tied the score of the
+// hit before them.
+func sealAdoptDifferential(t *testing.T, doc func(*rand.Rand) []string, every int) int {
 	r := rand.New(rand.NewSource(42))
 	ref, ix := New(), New()
 	dir := t.TempDir()
@@ -88,6 +92,7 @@ func sealAdoptDifferential(t *testing.T, doc func(*rand.Rand) []string) int {
 	var lastFile string
 	ties := 0
 	live := map[string]bool{}
+	writes := 0
 	for step := 0; step < 400; step++ {
 		id := fmt.Sprintf("doc-%03d", r.Intn(120))
 		switch {
@@ -96,12 +101,20 @@ func sealAdoptDifferential(t *testing.T, doc func(*rand.Rand) []string) int {
 				t.Fatalf("step %d: Delete(%s) = %v vs %v", step, id, a, b)
 			}
 			delete(live, id)
+			writes++
 		case !live[id]:
 			terms := doc(r)
 			if a, b := ref.AddTerms(id, textutil.BagOf(terms)), ix.AddTerms(id, textutil.BagOf(terms)); (a == nil) != (b == nil) {
 				t.Fatalf("step %d: AddTerms(%s) = %v vs %v", step, id, a, b)
 			}
 			live[id] = true
+			writes++
+		}
+		if every > 0 && writes%every == 0 {
+			ix.Seal()
+			if n, bound := ix.Segments(), 2+bits.Len(uint(ix.Len()+ix.Tombstones())); n > bound {
+				t.Fatalf("step %d: %d segments over %d documents", step, n, ix.Len()+ix.Tombstones())
+			}
 		}
 		if step%50 == 49 {
 			z := ix.Freeze()
@@ -159,12 +172,20 @@ func sealAdoptDifferential(t *testing.T, doc func(*rand.Rand) []string) int {
 }
 
 func TestSealAdoptDifferential(t *testing.T) {
-	t.Run("random", func(t *testing.T) { sealAdoptDifferential(t, sealDoc) })
+	t.Run("random", func(t *testing.T) { sealAdoptDifferential(t, sealDoc, 0) })
 	t.Run("ties", func(t *testing.T) {
-		if ties := sealAdoptDifferential(t, tiedDoc); ties < 1000 {
+		if ties := sealAdoptDifferential(t, tiedDoc, 0); ties < 1000 {
 			t.Errorf("only %d tied hits: the input does not exercise the tie order", ties)
 		}
 	})
+	for _, every := range []int{1, 7, 64} {
+		t.Run(fmt.Sprintf("seal-every-%d", every), func(t *testing.T) { sealAdoptDifferential(t, sealDoc, every) })
+		t.Run(fmt.Sprintf("seal-every-%d-ties", every), func(t *testing.T) {
+			if ties := sealAdoptDifferential(t, tiedDoc, every); ties < 1000 {
+				t.Errorf("only %d tied hits: the input does not exercise the tie order", ties)
+			}
+		})
+	}
 }
 
 // TestSealAdoptUnderGCPressure reruns the differential with the collector
@@ -175,8 +196,8 @@ func TestSealAdoptUnderGCPressure(t *testing.T) {
 		t.Skip("GC-pressure rerun skipped in -short")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(1))
-	sealAdoptDifferential(t, sealDoc)
-	sealAdoptDifferential(t, tiedDoc)
+	sealAdoptDifferential(t, sealDoc, 0)
+	sealAdoptDifferential(t, tiedDoc, 7)
 }
 
 // TestSealAdoptDropsHeapCopy: once a segment is adopted nothing reaches

@@ -25,20 +25,21 @@ func (ix *Index) Search(query string, k int) []Hit {
 }
 
 // searchScratch holds every buffer SearchTerms needs, pooled so the steady
-// path performs no per-query allocations: query terms and weights, one
-// base term's decoded pairs, a dense per-ordinal score accumulator reset
-// via the touched list, the top-k heap, and a base ID decoded for a tie or
-// a hit. scores entries are zero except between scoring and reset. base is
-// the segment the search loaded, set for the search only.
+// path performs no per-query allocations: query terms and weights, each
+// segment's decoded pairs of one term, a dense per-ordinal score
+// accumulator reset via the touched list, the top-k heap, and sealed IDs
+// decoded for a tie or a hit. scores entries are zero except between
+// scoring and reset. segs are the column views the search loaded, one per
+// segment, set for the search only.
 type searchScratch struct {
 	terms   []string
 	qw      []float64
-	pairs   []int32
+	runs    [][]int32
 	scores  []float64
 	touched []int32
 	heap    []scoredDoc
-	id      []byte
-	base    *staticSeg
+	id, id2 []byte
+	segs    []*staticSeg
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
@@ -53,9 +54,9 @@ type scoredDoc struct {
 // SearchTerms is Search over pre-analyzed query terms.
 //
 // The steady path is allocation-free apart from the returned slice (and,
-// for hits resolved from a base segment, materializing their ID strings):
+// for hits resolved from a segment, materializing their ID strings):
 // scoring uses pooled scratch buffers, the heap is sifted manually, and a
-// tie between two base documents compares their ordinals.
+// tie between two documents of one segment compares their ordinals.
 func (ix *Index) SearchTerms(terms []string, k int) []Hit {
 	if k <= 0 || len(terms) == 0 {
 		return nil
@@ -63,17 +64,22 @@ func (ix *Index) SearchTerms(terms []string, k int) []Hit {
 
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	nLive := ix.liveDocs + ix.baseLive
+	nLive := ix.liveDocs + ix.segLive
 	if nLive == 0 {
 		return nil
 	}
-	base := ix.baseSeg()
-	baseN := ix.baseLen()
-	nOrds := baseN + len(ix.ids)
-	avgdl := float64(ix.totalLen+ix.baseTotalLen) / float64(nLive)
+	nOrds := ix.segDocs + len(ix.ids)
+	avgdl := float64(ix.totalLen+ix.segTotalLen) / float64(nLive)
 	n := float64(nLive)
 
 	sc := scratchPool.Get().(*searchScratch)
+	for _, p := range ix.segs {
+		sc.segs = append(sc.segs, p.z.cols.Load())
+	}
+	for len(sc.runs) < len(sc.segs) {
+		sc.runs = append(sc.runs, nil)
+	}
+	runs := sc.runs[:len(sc.segs)]
 
 	// Collapse duplicate query terms; BM25 treats repeated query terms as
 	// multiplied weight. Terms are then scored in sorted order: per-doc
@@ -107,27 +113,25 @@ func (ix *Index) SearchTerms(terms []string, k int) []Hit {
 
 	for ti, t := range sc.terms {
 		qw := sc.qw[ti]
-		var basePairs []int32
-		if base != nil {
-			if bt := base.findTerm(t); bt >= 0 {
+		// Live document frequency for IDF, summed over the segments and
+		// the delta. Tombstoned postings still appear in the lists but are
+		// skipped below; df counts live documents only.
+		df := 0
+		for i, seg := range sc.segs {
+			runs[i] = runs[i][:0]
+			if bt := seg.findTerm(t); bt >= 0 {
 				// loadStatic decoded this run without error, and a
 				// segment's bytes never change.
-				sc.pairs, _ = base.pairs(bt, sc.pairs)
-				basePairs = sc.pairs
+				runs[i], _ = seg.pairs(bt, runs[i])
+				dead := ix.segs[i].dead
+				for j := 0; j < len(runs[i]); j += 2 {
+					if !dead[runs[i][j]] {
+						df++
+					}
+				}
 			}
 		}
 		plist := ix.deltaPostings(t)
-		if len(basePairs) == 0 && len(plist) == 0 {
-			continue
-		}
-		// Live document frequency for IDF. Tombstoned postings still
-		// appear in the lists but are skipped below; df uses live count.
-		df := 0
-		for i := 0; i+1 < len(basePairs); i += 2 {
-			if !ix.baseDeleted[basePairs[i]] {
-				df++
-			}
-		}
 		for _, p := range plist {
 			if !ix.deleted[p.doc] {
 				df++
@@ -137,24 +141,28 @@ func (ix *Index) SearchTerms(terms []string, k int) []Hit {
 			continue
 		}
 		idf := math.Log(1 + (n-float64(df)+0.5)/(float64(df)+0.5))
-		for i := 0; i+1 < len(basePairs); i += 2 {
-			doc := basePairs[i]
-			if ix.baseDeleted[doc] {
-				continue
+		for i, run := range runs {
+			p, seg := ix.segs[i], sc.segs[i]
+			for j := 0; j < len(run); j += 2 {
+				doc := run[j]
+				if p.dead[doc] {
+					continue
+				}
+				ord := int32(p.first) + doc
+				tf := float64(run[j+1])
+				dl := float64(seg.lengths[doc])
+				norm := tf * (ix.k1 + 1) / (tf + ix.k1*(1-ix.b+ix.b*dl/avgdl))
+				if scores[ord] == 0 {
+					touched = append(touched, ord)
+				}
+				scores[ord] += qw * idf * norm
 			}
-			tf := float64(basePairs[i+1])
-			dl := float64(base.lengths[doc])
-			norm := tf * (ix.k1 + 1) / (tf + ix.k1*(1-ix.b+ix.b*dl/avgdl))
-			if scores[doc] == 0 {
-				touched = append(touched, doc)
-			}
-			scores[doc] += qw * idf * norm
 		}
 		for _, p := range plist {
 			if ix.deleted[p.doc] {
 				continue
 			}
-			ord := int32(baseN) + p.doc
+			ord := int32(ix.segDocs) + p.doc
 			tf := float64(p.freq)
 			dl := float64(ix.lengths[p.doc])
 			norm := tf * (ix.k1 + 1) / (tf + ix.k1*(1-ix.b+ix.b*dl/avgdl))
@@ -167,54 +175,76 @@ func (ix *Index) SearchTerms(terms []string, k int) []Hit {
 
 	var out []Hit
 	if len(touched) > 0 {
-		sc.base = base
 		out = ix.topK(scores, touched, k, sc)
-		sc.base = nil
 	}
-	runtime.KeepAlive(base) // IDs were decoded from its mapping
+	runtime.KeepAlive(sc.segs) // IDs were decoded from their mappings
 
 	// Reset the accumulator via the touched list and recycle the scratch.
 	for _, ord := range touched {
 		scores[ord] = 0
 	}
 	sc.touched = touched[:0]
+	clear(sc.segs)
+	sc.segs = sc.segs[:0]
 	scratchPool.Put(sc)
 	return out
 }
 
-// cmpIDs compares the external IDs of two global ordinals. Base ordinals
-// follow their IDs, so two base documents compare as ordinals and two delta
-// ones as strings; a base ID is decoded only against a delta one.
-func (ix *Index) cmpIDs(sc *searchScratch, a, b int32) int {
-	n := int32(ix.baseLen())
-	switch {
-	case a < n && b < n:
-		return cmp.Compare(a, b)
-	case a >= n && b >= n:
-		return strings.Compare(ix.ids[a-n], ix.ids[b-n])
-	case a < n:
-		sc.id = sc.base.ids.AppendAt(sc.id[:0], int(a))
-		return strings.Compare(view(sc.id), ix.ids[b-n])
-	default:
-		sc.id = sc.base.ids.AppendAt(sc.id[:0], int(b))
-		return strings.Compare(ix.ids[a-n], view(sc.id))
+// segOf returns the index of the segment holding global ordinal ord, -1
+// for the delta.
+func (ix *Index) segOf(ord int32) int {
+	if int(ord) >= ix.segDocs {
+		return -1
 	}
+	lo, hi := 0, len(ix.segs) // the last segment starting at or before ord
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if int32(ix.segs[mid].first) <= ord {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo - 1
+}
+
+// idOf returns the external ID of ordinal ord of segment seg (-1: the
+// delta): a sealed one is decoded into buf, which is returned grown, and
+// viewed.
+func (ix *Index) idOf(sc *searchScratch, ord int32, seg int, buf []byte) (string, []byte) {
+	if seg < 0 {
+		return ix.ids[int(ord)-ix.segDocs], buf
+	}
+	buf = sc.segs[seg].ids.AppendAt(buf[:0], int(ord)-ix.segs[seg].first)
+	return view(buf), buf
+}
+
+// cmpIDs compares the external IDs of two global ordinals. A segment's
+// ordinals follow its IDs, so two documents of one segment compare as
+// ordinals; other sealed IDs are decoded.
+func (ix *Index) cmpIDs(sc *searchScratch, a, b int32) int {
+	sa, sb := ix.segOf(a), ix.segOf(b)
+	if sa == sb && sa >= 0 {
+		return cmp.Compare(a, b)
+	}
+	var x, y string
+	x, sc.id = ix.idOf(sc, a, sa, sc.id)
+	y, sc.id2 = ix.idOf(sc, b, sb, sc.id2)
+	return strings.Compare(x, y)
 }
 
 // ordID materializes the external ID of a global ordinal. Delta IDs are
-// returned without copying; base IDs allocate one string (only the k
+// returned without copying; sealed IDs allocate one string (only the k
 // returned hits pay this).
 func (ix *Index) ordID(sc *searchScratch, ord int32) string {
-	if int(ord) < ix.baseLen() {
-		sc.id = sc.base.ids.AppendAt(sc.id[:0], int(ord))
-		return string(sc.id)
+	seg := ix.segOf(ord)
+	id, buf := ix.idOf(sc, ord, seg, sc.id)
+	sc.id = buf
+	if seg >= 0 {
+		return string(buf)
 	}
-	return ix.ids[int(ord)-ix.baseLen()]
+	return id
 }
-
-// baseLen is the base tier's document count (its tombstone bitmap covers
-// every base ordinal).
-func (ix *Index) baseLen() int { return len(ix.baseDeleted) }
 
 // worse reports whether hit a ranks strictly below hit b: lower score, or
 // equal score and lexicographically larger ID (so the min-heap keeps the

@@ -16,12 +16,11 @@ import (
 // — the one Freeze built, or the mapping of the file that holds it (a
 // Frozen switches from the first to the second, see Adopt).
 // Documents and postings in a segment are never rewritten — deletions are
-// tracked in the owning Index's baseDeleted bitmap, and new documents land
-// in the mutable delta tier. Ordinals [0, n) are base documents; the
-// delta's ordinals follow at n.
+// tracked in each owning Index's tombstones over it, and new documents land
+// in the mutable delta.
 //
-// Ordinals follow the documents' IDs in ascending order, so two base
-// documents tied on score compare as ordinals. Column layout:
+// Ordinals follow the documents' IDs in ascending order, so two documents
+// of one segment tied on score compare as ordinals. Column layout:
 //
 //	meta     JSON: k1/b, doc/term/pair counts, total length
 //	ids      front-coded string column (binfmt.FrontCoder), ordinal ->
@@ -68,7 +67,7 @@ type staticMeta struct {
 }
 
 // loadStatic validates a binfmt container as a BM25 snapshot and wraps it
-// as a base segment. Validation is exhaustive — the container's CRCs
+// as a segment. Validation is exhaustive — the container's CRCs
 // guarantee the bytes match what the writer produced, and this pass
 // guarantees the columns are structurally sound (every postings run is
 // decoded once), so a corrupt or hand-crafted file fails loudly at open
@@ -257,9 +256,9 @@ func decodeRun(src []byte, count, n int, dst []int32) ([]int32, error) {
 	return dst, nil
 }
 
-// Transposed is a base segment's postings turned around: by document, the
+// Transposed is a segment's postings turned around: by document, the
 // distinct terms each was indexed with and their frequencies. Document d
-// is base ordinal d, so the documents ascend by ID, and a document's terms
+// is segment ordinal d, so the documents ascend by ID, and a document's terms
 // ascend as the term column does.
 type Transposed struct {
 	// IDs is the segment's ID column, ordinal -> ID.
@@ -279,18 +278,23 @@ func (t *Transposed) Len() int { return len(t.end) }
 // pairs, term indexes ascending.
 func (t *Transposed) Doc(d int) []int32 { return t.pairs[2*t.start[d] : 2*t.end[d]] }
 
-// Transpose turns the base segment's postings around, decoding each term's
-// run once; the delta and tombstones are not consulted, so call it on an
-// index just opened. A document holds no more distinct terms than its
+// Transpose turns the postings of the index's one segment around, decoding
+// each term's run once; the delta and tombstones are not consulted, so
+// call it on an index just opened. A document holds no more distinct terms than its
 // length, so laying the pairs out by length takes them without a counting
 // pass; a segment whose postings break that is an error.
 func (ix *Index) Transpose() (*Transposed, error) {
 	ix.mu.RLock()
-	s := ix.baseSeg()
+	segs := ix.segs
 	ix.mu.RUnlock()
-	if s == nil {
+	switch len(segs) {
+	case 0:
 		return &Transposed{}, nil
+	case 1:
+	default:
+		return nil, fmt.Errorf("invindex: transpose of %d segments, want one", len(segs))
 	}
+	s := segs[0].z.cols.Load()
 	t := &Transposed{IDs: s.ids, Terms: s.terms, seg: s, start: make([]int, s.n), end: make([]int, s.n)}
 	slots := 0
 	for d, l := range s.lengths {

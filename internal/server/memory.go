@@ -38,7 +38,7 @@ var goMemoryMetrics = []string{
 //     the rest of what it mapped;
 //   - offheap_provenance: lineage records in mapped arena segments;
 //   - offheap_catalog: the catalog's sealed segments (the tables and
-//     documents up to the last checkpoint) in anonymous mappings;
+//     documents up to the lake's last seal) in anonymous mappings;
 //   - offheap_indexes: the other containers built in anonymous mappings,
 //     sealed index segments;
 //   - mapped_bm25: the checkpoint's BM25 index files mapped by the indexes;
@@ -49,8 +49,10 @@ var goMemoryMetrics = []string{
 // the next collection), go_heap_released (heap returned to the OS, not
 // resident), token_table (the embedder's token vectors, a part of
 // go_heap_live), result_cache (the verify-result cache's entries, keys
-// included, also a part of go_heap_live), and vm_rss, rss_anon and
-// rss_file from /proc/self/status.
+// included, also a part of go_heap_live), tail (what has not been sealed
+// yet: the lake's Go tables and documents since its last seal and the
+// indexes' deltas, as their owners estimate them, also a part of
+// go_heap_live), and vm_rss, rss_anon and rss_file from /proc/self/status.
 var residentClasses = []string{
 	"go_heap_live", "go_heap_dead", "go_heap_unused", "go_heap_idle", "go_stacks", "go_runtime_other",
 	"offheap_provenance", "offheap_catalog", "offheap_indexes", "mapped_bm25", "file_other",
@@ -72,6 +74,7 @@ func (s *Server) memoryLedger() map[string]int64 {
 	}
 	live, goal, objects, unused, free, released, stacks, osStacks, total := v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], v[8]
 	ix := s.pipeline.Indexer()
+	indexes := ix.IndexStats().Families
 	catalog := datalake.SegmentBytes()
 	m := map[string]int64{
 		"go_heap_live":     live,
@@ -84,9 +87,10 @@ func (s *Server) memoryLedger() map[string]int64 {
 		"go_heap_released": released,
 		"offheap_catalog":  catalog,
 		"offheap_indexes":  max(binfmt.BuiltBytes()-catalog, 0),
-		"mapped_bm25":      ix.IndexStats().Families["bm25"].MappedBytes,
+		"mapped_bm25":      indexes["bm25"].MappedBytes,
 		"token_table":      ix.Embedder().TableBytes(),
 		"result_cache":     s.pipeline.Stats().ResultCacheBytes,
+		"tail":             s.pipeline.Lake().TailBytes() + indexes["bm25"].TailBytes + indexes["vector"].TailBytes,
 	}
 	if store := s.pipeline.Provenance(); store != nil {
 		m["offheap_provenance"] = store.Stats().OffHeapBytes

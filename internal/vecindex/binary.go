@@ -41,17 +41,15 @@ type segment struct {
 
 const segmentFamily = "flat-int8"
 
-// Frozen is one sealed SQFlat segment, produced by Freeze under the index's
-// lock: the live index searches it as its base, and a retained snapshot
-// searches it through Thaw.
+// Frozen is one sealed SQFlat segment, produced by Seal, Freeze or Derive
+// under the index's lock: every index whose list holds it searches it.
 type Frozen struct{ seg *segment }
 
-// Thaw wraps the segment as an index of its own, for reads pinned to the
-// version it was frozen at: base shared, a fresh tombstone bitmap, an empty
-// tail.
+// Thaw wraps the segment as an index of its own: the segment shared, a
+// fresh tombstone bitmap, an empty tail.
 func (z *Frozen) Thaw() *SQFlat {
 	s := NewSQFlat(z.seg.dim)
-	s.setBase(z)
+	s.setSegs([]*part{newPart(z)})
 	return s
 }
 

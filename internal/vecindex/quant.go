@@ -24,21 +24,25 @@ import (
 // what its rows were embedded from, answers bit for bit as one whose rows
 // were all added.
 //
-// Rows live in two tiers. The base is a sealed segment (binary.go): one
-// contiguous row-major code matrix with the norms and IDs beside it,
-// immutable, in the container Build made, shared with every capture of
-// it. Its ordinals are [0, n); rows added since follow at n in the heap
-// tail. Removing a base row only flips its tombstone. Freeze folds base,
-// tail and tombstones into the next base.
+// Rows live in a list of sealed segments and a heap tail. A segment
+// (binary.go) is one contiguous row-major code matrix with the norms and
+// IDs beside it, immutable, in the container Build made, shared with every
+// fork of the index. The segments' rows take the ordinals in list order,
+// oldest first; rows added since follow in the tail. Removing a sealed row
+// only flips its tombstone, in the index's own bitmap over that segment.
+// Seal moves the tail into a new segment and merges the two newest while
+// the newer holds at least half the rows of the older (a binary counter),
+// so the list stays O(log n) long; Freeze folds every segment, the tail
+// and the tombstones into one.
 //
-// Safe for concurrent Add, Remove, Freeze and Search.
+// Safe for concurrent Add, Remove, Seal, Freeze, Fork and Search.
 type SQFlat struct {
 	dim int
 	mu  sync.RWMutex
 
-	base     *Frozen // shared with every capture Freeze handed out; nil until the first
-	baseDead []bool  // tombstones over base ordinals
-	baseLive int
+	segs    []*part // oldest first
+	segRows int     // rows over every segment, removed ones included: the tail's first ordinal
+	segLive int
 
 	ids   []string       // tail ordinal -> ID
 	byID  map[string]int // ID -> its latest tail ordinal
@@ -48,6 +52,17 @@ type SQFlat struct {
 	live  int            // live tail rows
 }
 
+// part is one sealed segment of an index's list, with the index's own
+// tombstones over its rows.
+type part struct {
+	z     *Frozen
+	dead  []bool
+	live  int
+	first int // the ordinal of its first row
+}
+
+func newPart(z *Frozen) *part { return &part{z: z, dead: make([]bool, z.seg.n), live: z.seg.n} }
+
 // NewSQFlat returns an empty index of dimension dim.
 func NewSQFlat(dim int) *SQFlat {
 	if dim <= 0 {
@@ -56,12 +71,25 @@ func NewSQFlat(dim int) *SQFlat {
 	return &SQFlat{dim: dim, byID: make(map[string]int)}
 }
 
-// segment returns the base tier's current column views, nil without one.
-func (s *SQFlat) segment() *segment {
-	if s.base == nil {
-		return nil
+// setSegs installs segs as the segment list and numbers their rows.
+func (s *SQFlat) setSegs(segs []*part) {
+	s.segs, s.segRows, s.segLive = segs, 0, 0
+	for _, p := range segs {
+		p.first = s.segRows
+		s.segRows += p.z.seg.n
+		s.segLive += p.live
 	}
-	return s.base.seg
+}
+
+// findSealed returns the segment holding id's live sealed row and the
+// row's ordinal in it, or nil.
+func (s *SQFlat) findSealed(id string) (*part, int) {
+	for _, p := range s.segs {
+		if ord := p.z.seg.ids.Find(id); ord >= 0 && !p.dead[ord] {
+			return p, ord
+		}
+	}
+	return nil, -1
 }
 
 // Quantize writes v's codes into dst (len(v) long) and returns the inverse
@@ -111,10 +139,8 @@ func (s *SQFlat) AddCodes(id string, codes []int8, norm float32) error {
 	if ord, ok := s.byID[id]; ok && !s.dead[ord] {
 		return fmt.Errorf("vecindex: duplicate id %q", id)
 	}
-	if seg := s.segment(); seg != nil {
-		if ord := seg.ids.Find(id); ord >= 0 && !s.baseDead[ord] {
-			return fmt.Errorf("vecindex: duplicate id %q", id)
-		}
+	if p, _ := s.findSealed(id); p != nil {
+		return fmt.Errorf("vecindex: duplicate id %q", id)
 	}
 	s.codes = append(s.codes, codes...)
 	s.norms = append(s.norms, norm)
@@ -133,8 +159,8 @@ func (s *SQFlat) AddCodes(id string, codes []int8, norm float32) error {
 const compactThreshold = 64
 
 // Remove tombstones id's row, reporting whether it was live. The tail
-// compacts once tombstones dominate it; base tombstones wait for the next
-// Freeze.
+// compacts once tombstones dominate it; a sealed row's tombstone stays
+// until a merge or Freeze rewrites its segment.
 func (s *SQFlat) Remove(id string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -146,12 +172,11 @@ func (s *SQFlat) Remove(id string) bool {
 		}
 		return true
 	}
-	if seg := s.segment(); seg != nil {
-		if ord := seg.ids.Find(id); ord >= 0 && !s.baseDead[ord] {
-			s.baseDead[ord] = true
-			s.baseLive--
-			return true
-		}
+	if p, ord := s.findSealed(id); p != nil {
+		p.dead[ord] = true
+		p.live--
+		s.segLive--
+		return true
 	}
 	return false
 }
@@ -178,55 +203,104 @@ func (s *SQFlat) compactTailLocked() {
 func (s *SQFlat) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.baseLive + s.live
+	return s.segLive + s.live
 }
 
 // Residency reports the process-private bytes the index holds — the
-// tail's codes and norms, and the base segment's whole container (IDs,
-// norms and codes) — and the live rows added since the last seal.
+// tail's codes and norms, and every segment's whole container (IDs, norms
+// and codes) — and the live rows added since the last seal.
 func (s *SQFlat) Residency() (bytes int64, tailRows int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	bytes = int64(len(s.codes)) + 4*int64(len(s.norms))
-	if seg := s.segment(); seg != nil {
-		bytes += seg.r.ID().Size
+	for _, p := range s.segs {
+		bytes += p.z.seg.r.ID().Size
 	}
 	return bytes, s.live
 }
 
-// rowIDs resolves the ordinals of one search: below base a row of the
-// segment the search loaded, from base on the tail. buf holds a base ID
-// decoded for a tie with a tail row or for a hit.
-type rowIDs struct {
-	seg  *segment
-	base int32
-	tail []string
-	buf  []byte
+// Segments returns the length of the segment list.
+func (s *SQFlat) Segments() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.segs)
 }
 
-// cmp compares two rows' IDs. Base ordinals follow their IDs, so two base
-// rows compare as ordinals; a base ID is decoded only against a tail one.
-func (v *rowIDs) cmp(a, b int32) int {
-	switch {
-	case a < v.base && b < v.base:
-		return cmp.Compare(a, b)
-	case a >= v.base && b >= v.base:
-		return strings.Compare(v.tail[a-v.base], v.tail[b-v.base])
-	case a < v.base:
-		v.buf = v.seg.ids.AppendAt(v.buf[:0], int(a))
-		return strings.Compare(viewString(v.buf), v.tail[b-v.base])
-	default:
-		v.buf = v.seg.ids.AppendAt(v.buf[:0], int(b))
-		return strings.Compare(v.tail[a-v.base], viewString(v.buf))
+// TailBytes estimates the Go heap the tail holds: its codes, norms and
+// tombstones, its IDs with their string headers, and a map entry for each.
+func (s *SQFlat) TailBytes() int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := int64(len(s.codes)) + 5*int64(len(s.norms)) + mapEntryBytes*int64(len(s.byID))
+	for _, id := range s.ids {
+		n += 16 + int64(len(id))
 	}
+	return n
+}
+
+// mapEntryBytes is about what a map entry of a string key and an int
+// costs, its share of empty slots included.
+const mapEntryBytes = 40
+
+// rowIDs resolves the ordinals of one search: a segment's rows below
+// tailFirst, the tail's from there on. buf and buf2 hold sealed IDs
+// decoded for a tie or a hit.
+type rowIDs struct {
+	segs      []*part
+	tailFirst int32
+	tail      []string
+	buf, buf2 []byte
+}
+
+// segOf returns the index of the segment holding ord, -1 for the tail.
+func (v *rowIDs) segOf(ord int32) int {
+	if ord >= v.tailFirst {
+		return -1
+	}
+	lo, hi := 0, len(v.segs) // the last segment starting at or before ord
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if int32(v.segs[mid].first) <= ord {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo - 1
+}
+
+// str returns ord's ID, of segment seg (-1: the tail): a sealed one is
+// decoded into buf, which is returned grown, and viewed.
+func (v *rowIDs) str(ord int32, seg int, buf []byte) (string, []byte) {
+	if seg < 0 {
+		return v.tail[ord-v.tailFirst], buf
+	}
+	p := v.segs[seg]
+	buf = p.z.seg.ids.AppendAt(buf[:0], int(ord)-p.first)
+	return viewString(buf), buf
+}
+
+// cmp compares two rows' IDs. A segment's ordinals follow its IDs, so two
+// rows of one segment compare as ordinals; other sealed IDs are decoded.
+func (v *rowIDs) cmp(a, b int32) int {
+	sa, sb := v.segOf(a), v.segOf(b)
+	if sa == sb && sa >= 0 {
+		return cmp.Compare(a, b)
+	}
+	var x, y string
+	x, v.buf = v.str(a, sa, v.buf)
+	y, v.buf2 = v.str(b, sb, v.buf2)
+	return strings.Compare(x, y)
 }
 
 func (v *rowIDs) id(ord int32) string {
-	if ord < v.base {
-		v.buf = v.seg.ids.AppendAt(v.buf[:0], int(ord))
-		return string(v.buf)
+	seg := v.segOf(ord)
+	s, buf := v.str(ord, seg, v.buf)
+	v.buf = buf
+	if seg >= 0 {
+		return string(buf)
 	}
-	return v.tail[ord-v.base]
+	return s
 }
 
 func viewString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
@@ -241,34 +315,34 @@ type sqScratch struct {
 var sqPool = sync.Pool{New: func() any { return new(sqScratch) }}
 
 // Search returns the top-k rows nearest q, best first, ties broken by
-// ascending ID: one pass over the code matrix, then the tail, keeping the
-// k best ordinals; IDs are resolved for those k only (and to break ties),
-// so a search allocates its result and, for hits in a sealed base, their
-// ID strings.
+// ascending ID: one pass over each segment's code matrix, then the tail,
+// keeping the k best ordinals; IDs are resolved for those k only (and to
+// break ties), so a search allocates its result and, for sealed hits,
+// their ID strings.
 func (s *SQFlat) Search(q embed.Vector, k int) []Hit {
 	if k <= 0 || len(q) != s.dim {
 		return nil
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.baseLive+s.live == 0 {
+	if s.segLive+s.live == 0 {
 		return nil
 	}
 	var invQ float64
 	if n := embed.Norm(q); n > 0 {
 		invQ = 1 / n
 	}
-	seg := s.segment()
+	segs := s.segs
 	sc := sqPool.Get().(*sqScratch)
-	sc.ids = rowIDs{seg: seg, base: int32(len(s.baseDead)), tail: s.ids, buf: sc.ids.buf}
+	sc.ids = rowIDs{segs: segs, tailFirst: int32(s.segRows), tail: s.ids, buf: sc.ids.buf, buf2: sc.ids.buf2}
 	t := topK{k: k, ids: &sc.ids, h: sc.h[:0]}
-	if seg != nil {
-		t.scan(q, invQ, 0, seg.codes, seg.norms, s.baseDead)
+	for _, p := range segs {
+		t.scan(q, invQ, p.first, p.z.seg.codes, p.z.seg.norms, p.dead)
 	}
-	t.scan(q, invQ, len(s.baseDead), s.codes, s.norms, s.dead)
+	t.scan(q, invQ, s.segRows, s.codes, s.norms, s.dead)
 	out := t.results()
-	runtime.KeepAlive(seg) // codes and IDs were read from its mapping
-	sc.ids, sc.h = rowIDs{buf: sc.ids.buf[:0]}, t.h[:0]
+	runtime.KeepAlive(segs) // codes and IDs were read from their mappings
+	sc.ids, sc.h = rowIDs{buf: sc.ids.buf[:0], buf2: sc.ids.buf2[:0]}, t.h[:0]
 	sqPool.Put(sc)
 	return out
 }
@@ -313,33 +387,79 @@ func dotCodes(q []float32, c []int8) float32 {
 	return (s0 + s1) + (s2 + s3)
 }
 
-// Freeze seals the index: live base and tail rows are compacted into a new
-// segment, which becomes the base under an empty tail and is returned.
-// Searches score the same before and after (a row's codes and norm move
-// verbatim; ties break by ID whichever tier holds a row). An index with
-// nothing written since its last seal returns the segment it has.
+// Seal moves the tail into a new segment at the end of the list, then
+// merges the two newest segments while the newer holds at least half the
+// rows of the older: a seal costs the tail's rows, and a row is copied
+// into a new segment O(log n) times over the index's life. Searches score
+// the same before and after (a row's codes and norm move verbatim; ties
+// break by ID whichever segment holds a row).
+func (s *SQFlat) Seal() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sealLocked()
+}
+
+func (s *SQFlat) sealLocked() {
+	segs := s.segs[:len(s.segs):len(s.segs)] // appends copy: a list handed out stays as it was
+	if s.live > 0 {
+		segs = append(segs, newPart(&Frozen{seg: s.mustMerge(nil, true)}))
+	}
+	if len(s.ids) > 0 {
+		s.resetTail()
+	}
+	for n := len(segs); n >= 2 && 2*segs[n-1].z.seg.n >= segs[n-2].z.seg.n; n = len(segs) {
+		merged := newPart(&Frozen{seg: s.mustMerge(segs[n-2:], false)})
+		segs = append(segs[:n-2:n-2], merged)
+	}
+	s.setSegs(segs)
+}
+
+// Freeze folds the index into one segment of its live rows, which it then
+// searches under an empty tail, and returns it. Searches score the same
+// before and after. An index that is one segment with nothing written or
+// removed since returns the segment it has.
 func (s *SQFlat) Freeze() *Frozen {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seg := s.segment()
-	if seg != nil && len(s.ids) == 0 && s.baseLive == seg.n {
-		return s.base
+	if len(s.ids) == 0 && len(s.segs) == 1 && s.segLive == s.segRows {
+		return s.segs[0].z
 	}
-	next, err := s.sealLocked(seg)
-	if err != nil {
-		// Built here from a consistent index, yet failing the validation
-		// every opened snapshot passes: a bug.
-		panic(fmt.Sprintf("vecindex: seal: %v", err))
-	}
-	s.ids, s.codes, s.norms, s.dead, s.live, s.byID = nil, nil, nil, nil, 0, make(map[string]int)
-	s.setBase(&Frozen{seg: next})
-	return s.base
+	z := &Frozen{seg: s.mustMerge(s.segs, true)}
+	s.resetTail()
+	s.setSegs([]*part{newPart(z)})
+	return z
 }
 
-// setBase installs z as the base tier with no tombstones.
-func (s *SQFlat) setBase(z *Frozen) {
-	n := z.seg.n
-	s.base, s.baseDead, s.baseLive = z, make([]bool, n), n
+// Fork seals the tail (see Seal) and returns an index over the same
+// segments, with a copy of their tombstones and an empty tail: what a
+// reader pinned to this point searches. It shares every segment with the
+// live index, so it costs a tombstone per sealed row.
+func (s *SQFlat) Fork() *SQFlat {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sealLocked()
+	f := NewSQFlat(s.dim)
+	segs := make([]*part, len(s.segs))
+	for i, p := range s.segs {
+		segs[i] = &part{z: p.z, dead: slices.Clone(p.dead), live: p.live}
+	}
+	f.setSegs(segs)
+	return f
+}
+
+func (s *SQFlat) resetTail() {
+	s.ids, s.codes, s.norms, s.dead, s.live, s.byID = nil, nil, nil, nil, 0, make(map[string]int)
+}
+
+// mustMerge is mergeLocked, whose failure is a bug: the segment was built
+// here from a consistent index, yet fails the validation every opened one
+// passes.
+func (s *SQFlat) mustMerge(segs []*part, tail bool) *segment {
+	seg, err := s.mergeLocked(segs, tail)
+	if err != nil {
+		panic(fmt.Sprintf("vecindex: seal: %v", err))
+	}
+	return seg
 }
 
 // Derive returns an index whose base is a segment of rows computed in
@@ -402,58 +522,59 @@ func permuteRows(codes []int8, norms []float32, dim int, order []int) {
 	}
 }
 
-// sealLocked builds the compacted segment: the live base rows, in ID order
-// already, merged with the live tail rows sorted by ID. Caller holds the
-// write lock.
-func (s *SQFlat) sealLocked(base *segment) (*segment, error) {
-	tail := make([]int, 0, s.live)
-	for ord, dead := range s.dead {
-		if !dead {
-			tail = append(tail, ord)
-		}
-	}
-	slices.SortFunc(tail, func(a, b int) int { return strings.Compare(s.ids[a], s.ids[b]) })
-
-	var ids binfmt.FrontCoder
-	norms, codes := s.norms, s.codes
-	if base == nil && s.live == len(s.ids) {
-		// The tail alone, every row live (the first seal): reorder it in
-		// place rather than into a second buffer the size of its codes.
-		for _, ord := range tail {
-			ids.Add(s.ids[ord])
-		}
-		permuteRows(codes, norms, s.dim, tail)
-	} else {
-		n := s.baseLive + s.live
-		norms, codes = make([]float32, 0, n), make([]int8, 0, n*s.dim)
-		takeTail := func(ord int) {
-			ids.Add(s.ids[ord])
-			norms = append(norms, s.norms[ord])
-			codes = append(codes, s.codes[ord*s.dim:(ord+1)*s.dim]...)
-		}
-		j := 0
-		if base != nil {
-			for ord, id := range base.ids.All() {
-				for ; j < len(tail) && s.ids[tail[j]] < viewString(id); j++ {
-					takeTail(tail[j])
-				}
-				if !s.baseDead[ord] {
-					ids.Add(viewString(id))
-					norms = append(norms, base.norms[ord])
-					codes = append(codes, base.codes[ord*s.dim:(ord+1)*s.dim]...)
-				}
+// mergeLocked builds one segment of the live rows of segs and, with tail,
+// of the tail, in ID order. Caller holds the write lock.
+func (s *SQFlat) mergeLocked(segs []*part, tail bool) (*segment, error) {
+	var order []int // the tail's live rows in ID order
+	if tail {
+		order = make([]int, 0, s.live)
+		for ord, dead := range s.dead {
+			if !dead {
+				order = append(order, ord)
 			}
 		}
-		for ; j < len(tail); j++ {
-			takeTail(tail[j])
+		slices.SortFunc(order, func(a, b int) int { return strings.Compare(s.ids[a], s.ids[b]) })
+	}
+	var ids binfmt.FrontCoder
+	norms, codes := s.norms, s.codes
+	if tail && len(segs) == 0 && s.live == len(s.ids) {
+		// The tail alone, every row live: reorder it in place rather than
+		// into a second buffer the size of its codes.
+		for _, ord := range order {
+			ids.Add(s.ids[ord])
 		}
+		permuteRows(codes, norms, s.dim, order)
+	} else {
+		n := len(order)
+		cols, dead := make([]binfmt.FrontCodedCol, len(segs)), make([][]bool, len(segs))
+		for i, p := range segs {
+			n += p.live
+			cols[i], dead[i] = p.z.seg.ids, p.dead
+		}
+		tailIDs := make([]string, len(order))
+		for i, ord := range order {
+			tailIDs[i] = s.ids[ord]
+		}
+		norms, codes = make([]float32, 0, n), make([]int8, 0, n*s.dim)
+		binfmt.MergeAscending(cols, dead, tailIDs, func(src, row int, id string) {
+			ids.Add(id)
+			if src == len(segs) {
+				row = order[row]
+				norms = append(norms, s.norms[row])
+				codes = append(codes, s.codes[row*s.dim:(row+1)*s.dim]...)
+				return
+			}
+			seg := segs[src].z.seg
+			norms = append(norms, seg.norms[row])
+			codes = append(codes, seg.codes[row*s.dim:(row+1)*s.dim]...)
+		})
 	}
 	bw := binfmt.NewWriter()
 	if err := encodeSegment(bw, s.dim, &ids, norms, codes); err != nil {
 		return nil, err
 	}
 	fr, err := bw.Build()
-	runtime.KeepAlive(base) // norms and codes were copied from its columns until here
+	runtime.KeepAlive(segs) // norms, codes and IDs were copied from their columns until here
 	if err != nil {
 		return nil, err
 	}

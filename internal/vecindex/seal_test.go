@@ -3,6 +3,7 @@ package vecindex
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
@@ -124,7 +125,7 @@ func sealAdoptDifferential(t *testing.T, tied bool) {
 			z := ix.Freeze()
 			if step%120 == 119 { // every other capture is derived as well
 				derived := deriveFrom(t, z, rows)
-				if !bytes.Equal(containerBytes(t, derived.base), containerBytes(t, z)) {
+				if !bytes.Equal(containerBytes(t, derived.segs[0].z), containerBytes(t, z)) {
 					t.Fatalf("step %d: the derived segment is not the sealed one", step)
 				}
 				pins = append(pins, pin{ix: derived, want: want})
@@ -173,6 +174,104 @@ func tiesByID(t *testing.T, label string, hits []Hit) int {
 func TestSealAdoptDifferential(t *testing.T) {
 	t.Run("sqflat", func(t *testing.T) { sealAdoptDifferential(t, false) })
 	t.Run("sqflat-ties", func(t *testing.T) { sealAdoptDifferential(t, true) })
+	for _, every := range []int{1, 7, 64} {
+		for _, tied := range []bool{false, true} {
+			t.Run(fmt.Sprintf("seal-every-%d-tied-%v", every, tied), func(t *testing.T) { sealEveryDifferential(t, every, tied) })
+		}
+	}
+}
+
+// sealEveryDifferential drives an index that seals after every k-th add
+// or remove and one that never seals through the same seeded adds,
+// removes and re-adds, with a searcher running against the first
+// throughout, and holds every search — head, and of a fork taken every 50
+// steps — to the reference's hits, scores to the bit. The list of segments
+// must stay within the binary counter's bound.
+func sealEveryDifferential(t *testing.T, k int, tied bool) {
+	const dim = 16
+	r := rand.New(rand.NewSource(int64(11 * k)))
+	randomVec := func() embed.Vector {
+		v := make(embed.Vector, dim)
+		for i := range v {
+			v[i] = float32(r.NormFloat64())
+		}
+		embed.Normalize(v)
+		return v
+	}
+	vec := randomVec
+	if tied {
+		rows := []embed.Vector{randomVec(), randomVec(), randomVec()}
+		vec = func() embed.Vector { return rows[r.Intn(len(rows))] }
+	}
+	queries := []embed.Vector{randomVec(), randomVec(), randomVec()}
+	ref, ix := NewSQFlat(dim), NewSQFlat(dim)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				ix.Search(queries[i%len(queries)], 10)
+			}
+		}
+	}()
+	defer func() { close(stop); wg.Wait() }()
+	type pin struct {
+		ix   *SQFlat
+		want [][]Hit
+	}
+	var pins []pin
+	live := map[string]bool{}
+	writes := 0
+	for step := 0; step < 700; step++ {
+		id := fmt.Sprintf("v%03d", r.Intn(150))
+		switch {
+		case live[id] && r.Intn(3) == 0:
+			if a, b := ref.Remove(id), ix.Remove(id); a != b {
+				t.Fatalf("step %d: Remove(%s) = %v vs %v", step, id, a, b)
+			}
+			delete(live, id)
+			writes++
+		case !live[id]:
+			v := vec()
+			if a, b := ref.Add(id, v), ix.Add(id, v); (a == nil) != (b == nil) {
+				t.Fatalf("step %d: Add(%s) = %v vs %v", step, id, a, b)
+			}
+			live[id] = true
+			writes++
+		}
+		if writes%k == 0 {
+			ix.Seal()
+		}
+		if step%50 == 49 {
+			p := pin{ix: ix.Fork()}
+			for _, q := range queries {
+				p.want = append(p.want, ref.Search(q, 10))
+			}
+			pins = append(pins, p)
+		}
+		if n, bound := ix.Segments(), 2+bits.Len(uint(ix.Len()+ix.segRows)); n > bound {
+			t.Fatalf("step %d: %d segments over %d rows", step, n, ix.segRows)
+		}
+		if ix.Len() != ref.Len() {
+			t.Fatalf("step %d: Len %d vs %d", step, ix.Len(), ref.Len())
+		}
+		for qi, q := range queries {
+			sameVecHits(t, fmt.Sprintf("step %d query %d", step, qi), ix.Search(q, 10), ref.Search(q, 10))
+		}
+		for pi, p := range pins {
+			for qi, q := range queries {
+				sameVecHits(t, fmt.Sprintf("step %d fork %d query %d", step, pi, qi), p.ix.Search(q, 10), p.want[qi])
+			}
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
 }
 
 // TestSealAdoptUnderGCPressure reruns the differential with the collector

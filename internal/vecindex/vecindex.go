@@ -5,10 +5,10 @@
 // SQFlat is the index the server runs: an exhaustive cosine scan over int8
 // rows, 132 bytes for a 128-dimension vector where float32 takes 512. A
 // shard has one immutable form, the sealed segment (a binfmt container
-// outside the Go heap, binary.go): what Freeze produces and Derive builds,
-// the scan reads and a retained snapshot searches. No file holds one.
-// Mutable are a heap tail of rows added since the last seal and a
-// tombstone bitmap (quant.go).
+// outside the Go heap, binary.go): what Seal, Freeze and Derive build,
+// the scan reads and a retained snapshot shares through Fork. No file
+// holds one. Mutable are a heap tail of rows added since the last seal
+// and a tombstone bitmap per segment (quant.go).
 //
 // Flat is the float32 exact scan the int8 scan's recall is measured
 // against (AblateQuantization and the recall tests); it is append-only and

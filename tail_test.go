@@ -1,0 +1,230 @@
+package verifai
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"weak"
+
+	"repro/internal/table"
+	"repro/internal/workload"
+)
+
+// liveTables is a second corpus shaped as ingest_live's writes: n tables
+// of a lake generated from another seed, IDs prefixed live- so they never
+// collide with the default lake's.
+func liveTables(t *testing.T, n int) []*Table {
+	t.Helper()
+	cfg := workload.DefaultConfig()
+	cfg.Seed ^= 0x6c697665 // "live"
+	cfg.NumTables, cfg.NumTexts, cfg.KGTableFraction = n, 0, 0
+	second, err := workload.GenerateLake(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Lake.Close()
+	out := make([]*Table, n)
+	for i, src := range second.Tables {
+		out[i] = src.Clone()
+		out[i].ID = fmt.Sprintf("live-%06d", i)
+		out[i].SourceID = workload.SourceTables
+	}
+	return out
+}
+
+// TestTailHeapBoundedAfterCheckpoint: 1,650 tables ingested one at a time
+// after the seed's checkpoint, as ingest_live writes them, grow the live
+// heap — beyond the tables themselves, which the test holds throughout —
+// by little more than one seal's worth of tail: the lake seals its tables
+// and the indexes their deltas off the heap as the payload passes
+// datalake.SealBytes, not at the next checkpoint. (Sealing only at a
+// checkpoint, the same writes held 7.4 MB more.)
+func TestTailHeapBoundedAfterCheckpoint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap audit skipped under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("ingests a second corpus; skipped in -short")
+	}
+	lakeDir, _ := savedDefaultLake(t)
+	sys := seedDefaultLake(t, lakeDir, filepath.Join(t.TempDir(), "data"))
+	tables := liveTables(t, 1650)
+	before := liveHeap()
+	for _, tb := range tables {
+		if err := sys.AddTable(tb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	growth := liveHeap() - before
+	runtime.KeepAlive(tables)
+	mem := sys.Pipeline().Indexer().IndexStats().Families
+	t.Logf("live heap grew %.2f MB; tail: lake %d B, bm25 %d B, vector %d B; segments: bm25 %d, vector %d",
+		float64(growth)/(1<<20), sys.Pipeline().Lake().TailBytes(), mem["bm25"].TailBytes, mem["vector"].TailBytes,
+		mem["bm25"].Segments, mem["vector"].Segments)
+	if growth > 2.5*(1<<20) {
+		t.Errorf("the live heap grew %.2f MB over 1,650 tables, want at most 2.5 MB", float64(growth)/(1<<20))
+	}
+	if mem["bm25"].Segments <= 4 {
+		t.Errorf("%d BM25 segments over four kinds: the tail never sealed by size", mem["bm25"].Segments)
+	}
+}
+
+// TestPinMidTailKeepsNoTables: a pin forked while tables sit in the tail
+// seals them first, so after two collections nothing — not the pin's View,
+// not its indexes, not the live lake — keeps the tables that were
+// ingested, and the pin reads them back as they were.
+func TestPinMidTailKeepsNoTables(t *testing.T) {
+	data := filepath.Join(t.TempDir(), "data")
+	sys, err := Open(data, durableOpts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if _, err := sys.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	tables := liveTables(t, 40)
+	want := make(map[string]*Table, len(tables))
+	held := make([]weak.Pointer[table.Table], len(tables))
+	for i, tb := range tables {
+		want[tb.ID] = tb.Clone()
+		held[i] = weak.Make(tb)
+		if err := sys.AddTable(tb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sys.Pipeline().Lake().TailBytes() == 0 {
+		t.Fatal("the tables are not in the tail: the test would not fork mid-tail")
+	}
+	tables = nil
+	pin, err := sys.PinSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	kept := 0
+	for _, p := range held {
+		if p.Value() != nil {
+			kept++
+		}
+	}
+	if kept > 0 {
+		t.Errorf("%d of %d tables ingested before the pin are still reachable", kept, len(held))
+	}
+	snap, err := sys.Pipeline().Snapshots().Acquire(pin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	for id, w := range want {
+		if got, ok := snap.View().Table(id); !ok || !reflect.DeepEqual(got, w) {
+			t.Fatalf("the pin reads table %s as %+v, want %+v", id, got, w)
+		}
+	}
+}
+
+// checkpointHashes is the sha256 of catalog.vaib and of every BM25 file of
+// the checkpoint in dataDir, by file name.
+func checkpointHashes(t *testing.T, dataDir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for _, pattern := range []string{"catalog.vaib", filepath.Join("indexes", "bm25-*.idx")} {
+		paths, err := filepath.Glob(filepath.Join(dataDir, "checkpoint", pattern))
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("no %s in the checkpoint (%v)", pattern, err)
+		}
+		for _, p := range paths {
+			b, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(b)
+			out[filepath.Base(p)] = hex.EncodeToString(sum[:])
+		}
+	}
+	return out
+}
+
+// goldenSizeSealed is what checkpointHashes gave for TestSizeSealsKeep-
+// CheckpointBytes's writes before the lake sealed by size: every one of
+// them a Go object until the checkpoint.
+var goldenSizeSealed = map[string]string{
+	"bm25-entity-000.idx": "407673e443a106519735c85acfffd95f9c1baba393d086f935964831be3eba03",
+	"bm25-table-000.idx":  "df890650ec7a708ed6047239f139d20239b8c9da415ea65d0f94f4490975c0eb",
+	"bm25-text-000.idx":   "11a069b8ca3b033d379e43b101ac4c515d77451b865e3d3d42c50828e9570aa3",
+	"bm25-tuple-000.idx":  "2cf177e7ea875bfb55dda69e062e91f133fef3ddf9280b86a6c467fbc22e3588",
+	"catalog.vaib":        "37ed042eaf9d315d883f2979ddc0376b026627120fc3dd8f1d9991fdf42c1acb",
+}
+
+// TestSizeSealsKeepCheckpointBytes is the disk guard of sealing by size:
+// a fixed sequence of tables, documents and triples written one at a time
+// seals the tail many times (and merges segments) before its checkpoint,
+// yet catalog.vaib and every BM25 file are byte for byte the ones a
+// checkpoint writes for the same writes made as one batch, which seals
+// once, and the ones written when nothing sealed before a checkpoint.
+func TestSizeSealsKeepCheckpointBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ingests a second corpus; skipped in -short")
+	}
+	tables := liveTables(t, 2000)
+	var items []BatchItem
+	for i, tb := range tables {
+		items = append(items, BatchItem{Table: tb})
+		if i%3 == 0 {
+			items = append(items, BatchItem{Doc: &Document{ID: fmt.Sprint("doc-", i), Title: tb.Caption,
+				Text: strings.Join(tb.Columns, " ") + " " + tb.Caption, SourceID: "s"}})
+		}
+		if i%5 == 0 {
+			items = append(items, BatchItem{Triple: &Triple{Subject: fmt.Sprint("entity ", i%17), Predicate: tb.Columns[0],
+				Object: tb.Caption, SourceID: "s"}})
+		}
+	}
+	checkpointed := func(batch bool) map[string]string {
+		data := filepath.Join(t.TempDir(), "data")
+		sys, err := Open(data, durableOpts(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Close()
+		if batch {
+			res, err := sys.AddBatch(items)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range res {
+				if r.Err != nil {
+					t.Fatal(r.Err)
+				}
+			}
+		} else {
+			for _, it := range items {
+				if _, err := sys.AddBatch([]BatchItem{it}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			seals := sys.Metrics().Histogram("verifai_tail_seal_seconds", "").Count()
+			merges := sys.Metrics().Counter("verifai_catalog_merges_total", "").Value()
+			if seals < 3 || merges == 0 {
+				t.Fatalf("%d seals and %d merges before the checkpoint: the test does not exercise sealing by size", seals, merges)
+			}
+		}
+		if _, err := sys.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		return checkpointHashes(t, data)
+	}
+	sealed, once := checkpointed(false), checkpointed(true)
+	if !reflect.DeepEqual(sealed, once) {
+		t.Errorf("size seals changed the checkpoint:\n sealed %v\n once   %v", sealed, once)
+	}
+	if !reflect.DeepEqual(sealed, goldenSizeSealed) {
+		t.Errorf("the checkpoint differs from the one written before sealing by size:\n got  %v\n want %v", sealed, goldenSizeSealed)
+	}
+}

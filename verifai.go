@@ -368,16 +368,17 @@ func recoverPins(sys *System, st *durable.Store) error {
 // Checkpoint captures a durable snapshot — catalog plus index state — and
 // truncates the write-ahead log segments it covers, returning the lake
 // version it captured. Checkpoints are two-phase and do not block
-// ingestion: writers wait only for the short quiesced fork (catalog view
-// pinned, index shards sealed in memory, WAL rotated), while the long
-// serialization and atomic swap overlap normal traffic. A checkpoint is
-// also a flush: once its directory is promoted the running BM25 indexes
-// are moved onto the shard files it wrote and their sealed copies dropped,
-// so the process holds what a restart on the directory would, and the
-// tables and documents it covers move into a sealed catalog segment off
-// the Go heap, from which lookups hand out copies. A concurrent
-// Checkpoint fails fast with ErrCheckpointInFlight (the in-flight one
-// covers it). Only systems opened with Open can checkpoint.
+// ingestion: writers wait only for the short quiesced fork (what is left
+// of the tail sealed, catalog view pinned, BM25 shards folded and vector
+// shards forked in memory, WAL rotated), while the long serialization
+// and atomic swap overlap normal traffic. Sealing does not wait for a
+// checkpoint: the lake seals its tables and documents, and the indexes
+// their deltas, off the Go heap whenever the payload written since the
+// last seal passes datalake.SealBytes. A checkpoint is still a flush for
+// BM25: once its directory is promoted the running BM25 indexes are moved
+// onto the shard files it wrote and their sealed copies dropped. A
+// concurrent Checkpoint fails fast with ErrCheckpointInFlight (the
+// in-flight one covers it). Only systems opened with Open can checkpoint.
 func (s *System) Checkpoint() (uint64, error) {
 	if s.durable == nil {
 		return 0, fmt.Errorf("verifai: system has no data directory (use Open)")
