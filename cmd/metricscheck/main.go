@@ -61,6 +61,7 @@ var requiredServing = []string{
 	"verifai_provenance_records",
 	"verifai_provenance_bytes",
 	"verifai_provenance_segments",
+	"verifai_cpu_seconds_total",
 }
 
 // requiredDurable is added for -data-dir deployments (WAL + checkpoints).

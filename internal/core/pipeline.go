@@ -365,8 +365,12 @@ func (p *Pipeline) cached(key string, g verify.Generated, kinds []datalake.Kind,
 // live indexer/lake/trust map; time-travel reads bind it to a pinned
 // snapshot's frozen indexes, immutable View, and pin-time trust copy — the
 // rest of the flow (rerank, verify, verdict, provenance) is shared.
+// Resolution comes twice: borrow hands the reranker every candidate
+// without copying it, for the length of one call, and resolve copies the
+// k′ the reranker keeps, for the verifiers, the Report and lineage.
 type evidenceSource struct {
 	retrieve func(ctx context.Context, query string, k int, kinds []datalake.Kind) []provenance.RetrievalHit
+	borrow   func(instanceIDs []string, fn func([]datalake.Instance) error) error
 	resolve  func(instanceID string) (datalake.Instance, error)
 	trust    func(sourceID string) float64
 }
@@ -377,6 +381,7 @@ func (p *Pipeline) headSource() evidenceSource {
 		retrieve: func(ctx context.Context, query string, k int, kinds []datalake.Kind) []provenance.RetrievalHit {
 			return p.indexer.search(ctx, query, k, kinds, true, true)
 		},
+		borrow:  p.lake.ResolveBorrowed,
 		resolve: p.lake.Resolve,
 		trust:   p.SourceTrust,
 	}
@@ -407,46 +412,27 @@ func (p *Pipeline) verifyAgainst(ctx context.Context, g verify.Generated, eviden
 		return Report{}, err
 	}
 
-	// Resolve candidates. Resolution failures indicate index/lake drift and
-	// are surfaced, not skipped.
-	endResolve := p.obs.Span(ctx, "resolve")
-	instances := make([]datalake.Instance, 0, len(combined))
-	for _, id := range combined {
-		inst, err := src.resolve(id)
-		if err != nil {
-			endResolve()
-			return Report{}, fmt.Errorf("core: resolve candidate: %w", err)
-		}
-		instances = append(instances, inst)
-	}
-	endResolve()
-
-	// Task-aware reranking to top-k′.
-	endRerank := p.obs.Span(ctx, "rerank")
-	var ordered []datalake.Instance
+	// Resolve the candidates without copying them and rerank them to
+	// top-k′, then copy the k′ kept. Resolution failures indicate
+	// index/lake drift and are surfaced, not skipped.
+	stage := p.obs.Span(ctx, "resolve")
 	var rerankEntries []provenance.RerankEntry
-	if p.cfg.UseReranker {
-		q := toRerankQuery(g)
-		scored := p.rerankers.Rerank(q, instances, p.cfg.TopKPrime)
-		byID := make(map[string]datalake.Instance, len(instances))
-		for _, in := range instances {
-			byID[in.ID] = in
-		}
-		for rank, s := range scored {
-			ordered = append(ordered, byID[s.ID])
-			rerankEntries = append(rerankEntries, provenance.RerankEntry{InstanceID: s.ID, Score: s.Score, Rank: rank})
-		}
-	} else {
-		n := p.cfg.TopKPrime
-		if n > len(instances) {
-			n = len(instances)
-		}
-		ordered = instances[:n]
-		for rank, in := range ordered {
-			rerankEntries = append(rerankEntries, provenance.RerankEntry{InstanceID: in.ID, Rank: rank})
-		}
+	err := src.borrow(combined, func(candidates []datalake.Instance) error {
+		stage()
+		stage = p.obs.Span(ctx, "rerank")
+		rerankEntries = p.rerank(g, candidates)
+		return nil
+	})
+	var ordered []datalake.Instance
+	for i := 0; err == nil && i < len(rerankEntries); i++ {
+		var in datalake.Instance
+		in, err = src.resolve(rerankEntries[i].InstanceID)
+		ordered = append(ordered, in)
 	}
-	endRerank()
+	stage()
+	if err != nil {
+		return Report{}, fmt.Errorf("core: resolve candidate: %w", err)
+	}
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
 	}
@@ -519,6 +505,23 @@ func (p *Pipeline) verifyAgainst(ctx context.Context, g verify.Generated, eviden
 		})
 	}
 	return report, nil
+}
+
+// rerank orders borrowed candidates task-aware and keeps the top k′ —
+// or, with the reranker off, the first k′ in combiner order — and names
+// them by ID, so nothing it returns holds a candidate.
+func (p *Pipeline) rerank(g verify.Generated, candidates []datalake.Instance) []provenance.RerankEntry {
+	var entries []provenance.RerankEntry
+	if p.cfg.UseReranker {
+		for rank, s := range p.rerankers.Rerank(toRerankQuery(g), candidates, p.cfg.TopKPrime) {
+			entries = append(entries, provenance.RerankEntry{InstanceID: s.ID, Score: s.Score, Rank: rank})
+		}
+		return entries
+	}
+	for rank, in := range candidates[:min(p.cfg.TopKPrime, len(candidates))] {
+		entries = append(entries, provenance.RerankEntry{InstanceID: in.ID, Rank: rank})
+	}
+	return entries
 }
 
 // verifyEvidence runs the Agent over each evidence instance on a bounded

@@ -120,6 +120,9 @@ func (ps *PinnedSnapshot) source(ix *Indexer) evidenceSource {
 		retrieve: func(ctx context.Context, query string, k int, kinds []datalake.Kind) []provenance.RetrievalHit {
 			return ix.searchIndexes(ctx, query, k, kinds, true, true, ps.bm25, ps.vec)
 		},
+		borrow: func(ids []string, fn func([]datalake.Instance) error) error {
+			return ps.view.ResolveBorrowed(ids, ps.graph, fn)
+		},
 		resolve: func(id string) (datalake.Instance, error) { return ps.view.Resolve(id, ps.graph) },
 		trust:   ps.sourceTrust,
 	}

@@ -245,7 +245,7 @@ func (l *Lake) commitSection(evs []Event, payloads []map[int]any, results []Batc
 	for _, i := range staged {
 		results[i].Err = l.deliver(evs[i], payloads[i])
 	}
-	l.sealIfFull()
+	l.sealIfFull(len(staged) == 1)
 	return nil
 }
 

@@ -163,8 +163,9 @@ func (c *catalog) hasDoc(id string) bool {
 	return ok
 }
 
-// table returns the table with the given ID: a copy when it is sealed.
-func (c *catalog) table(id string) (*table.Table, bool) {
+// table returns the table with the given ID: a copy when it is sealed,
+// or with b a view of its segment (see borrowBuf).
+func (c *catalog) table(id string, b *borrowBuf) (*table.Table, bool) {
 	ord, ok := c.tableOrd[id]
 	if !ok {
 		return nil, false
@@ -173,28 +174,38 @@ func (c *catalog) table(id string) (*table.Table, bool) {
 	if s == nil {
 		return c.tables[i], true
 	}
-	return s.table(i), true
+	return s.table(i, b), true
 }
 
-// tuple returns row of the table with the given ID; ok reports whether
-// the table exists, and inRange whether it has that row.
-func (c *catalog) tuple(id string, row int) (tp table.Tuple, ok, inRange bool) {
+// tuple returns row of the table with the given ID, as table does the
+// table; ok reports whether the table exists, and inRange whether it has
+// that row. Borrowed from the tail, the tuple's values are the row itself.
+func (c *catalog) tuple(id string, row int, b *borrowBuf) (tp *table.Tuple, ok, inRange bool) {
 	ord, ok := c.tableOrd[id]
 	if !ok {
-		return table.Tuple{}, false, false
+		return nil, false, false
 	}
 	s, i := c.tableSegment(ord)
-	if s == nil {
-		tp, inRange = c.tables[i].TupleAt(row)
-	} else {
-		tp, inRange = s.tuple(i, row)
+	if s != nil {
+		tp, inRange = s.tuple(i, row, b)
+		return tp, true, inRange
 	}
-	return tp, true, inRange
+	t := c.tables[i]
+	if row < 0 || row >= len(t.Rows) {
+		return nil, true, false
+	}
+	if b == nil {
+		cp, _ := t.TupleAt(row)
+		return &cp, true, true
+	}
+	tp = b.tuple()
+	*tp = table.Tuple{TableID: t.ID, Caption: t.Caption, Columns: t.Columns, Values: t.Rows[row], SourceID: t.SourceID}
+	return tp, true, true
 }
 
-// document returns the document with the given ID: a copy when it is
-// sealed.
-func (c *catalog) document(id string) (*doc.Document, bool) {
+// document returns the document with the given ID, as table does the
+// table.
+func (c *catalog) document(id string, b *borrowBuf) (*doc.Document, bool) {
 	ord, ok := c.docOrd[id]
 	if !ok {
 		return nil, false
@@ -203,7 +214,7 @@ func (c *catalog) document(id string) (*doc.Document, bool) {
 	if s < 0 {
 		return c.docs[i], true
 	}
-	return c.segs[s].document(i), true
+	return c.segs[s].document(i, b), true
 }
 
 // numTuples counts the rows of every table.
@@ -218,9 +229,10 @@ func (c *catalog) numTuples() int {
 	return n
 }
 
-// resolve maps a table, tuple or text instance ID to its content. A View
-// passes its version, which its not-found errors name.
-func (c *catalog) resolve(instanceID string, kind Kind, view *uint64) (Instance, error) {
+// resolve maps a table, tuple or text instance ID to its content, copied
+// out of its segment, or with b borrowed (see borrowBuf). A View passes
+// its version, which its not-found errors name.
+func (c *catalog) resolve(instanceID string, kind Kind, view *uint64, b *borrowBuf) (Instance, error) {
 	at := func() string {
 		if view == nil {
 			return ""
@@ -230,7 +242,7 @@ func (c *catalog) resolve(instanceID string, kind Kind, view *uint64) (Instance,
 	switch kind {
 	case KindTable:
 		id := strings.TrimPrefix(instanceID, "table:")
-		t, ok := c.table(id)
+		t, ok := c.table(id, b)
 		if !ok {
 			return Instance{}, fmt.Errorf("datalake: unknown table %q%s", id, at())
 		}
@@ -246,17 +258,17 @@ func (c *catalog) resolve(instanceID string, kind Kind, view *uint64) (Instance,
 		if err != nil {
 			return Instance{}, fmt.Errorf("datalake: malformed tuple row in %q: %w", instanceID, err)
 		}
-		tp, ok, inRange := c.tuple(tableID, row)
+		tp, ok, inRange := c.tuple(tableID, row, b)
 		if !ok {
 			return Instance{}, fmt.Errorf("datalake: unknown table %q%s", tableID, at())
 		}
 		if !inRange {
 			return Instance{}, fmt.Errorf("datalake: row %d out of range for table %q", row, tableID)
 		}
-		return Instance{ID: instanceID, Kind: KindTuple, SourceID: tp.SourceID, Tuple: &tp}, nil
+		return Instance{ID: instanceID, Kind: KindTuple, SourceID: tp.SourceID, Tuple: tp}, nil
 	case KindText:
 		id := strings.TrimPrefix(instanceID, "text:")
-		d, ok := c.document(id)
+		d, ok := c.document(id, b)
 		if !ok {
 			return Instance{}, fmt.Errorf("datalake: unknown document %q%s", id, at())
 		}

@@ -12,10 +12,12 @@ package datalake
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/doc"
@@ -230,7 +232,8 @@ var ErrClosed = errors.New("datalake: lake closed")
 // tail — into a sealed segment off the Go heap, and every subscriber's
 // Seal follows; every Fork seals what is left first. Table, Document and
 // Resolve hand out heap copies of sealed instances, so nothing a caller
-// holds points into a segment. Those committed since the last seal are
+// holds points into a segment; ResolveBorrowed lends views of them for
+// the length of one call. Those committed since the last seal are
 // the Go objects that were ingested.
 //
 // The next section commits (and fsyncs) while this one applies, then waits
@@ -286,6 +289,9 @@ type Lake struct {
 	// unsealed is the payload committed since the last seal: the bytes of
 	// the strings of the tables, documents and triples.
 	unsealed int
+	// releasing is set while a goroutine hands a seal's freed heap back
+	// to the OS (releaseFreed).
+	releasing atomic.Bool
 
 	// m holds the ingest-stage observability handles (nil-safe no-ops
 	// until SetMetrics installs real ones).
@@ -677,13 +683,16 @@ const SealBytes = 256 << 10
 // sealIfFull seals the tail when the payload committed since the last
 // seal has passed SealBytes. The caller holds applyMu, with its section
 // applied. A failed seal leaves the tail as Go objects, and the next
-// section tries again.
-func (l *Lake) sealIfFull() {
+// section tries again. After a section of one write, the seal's freed
+// heap goes back to the OS at once (releaseFreed): writes one at a time
+// allocate too little to bring the collector round soon, where a batch
+// (a seed, a replay) keeps it busy.
+func (l *Lake) sealIfFull(single bool) {
 	l.mu.RLock()
 	full := l.unsealed >= SealBytes
 	l.mu.RUnlock()
-	if full {
-		_ = l.seal()
+	if full && l.seal() == nil && single {
+		l.releaseFreed()
 	}
 }
 
@@ -725,6 +734,21 @@ func (l *Lake) seal() error {
 	l.hooksMu.RUnlock()
 	l.m.sealSec.Since(start)
 	return nil
+}
+
+// releaseFreed returns the Go heap a seal has freed to the OS, off the
+// sealing goroutine. A seal leaves the tail's objects and the new
+// segments' staging as several MB of garbage, which the collector frees
+// only at its next cycle and the scavenger returns only after that: late,
+// when requests allocate little, so the process stays that much larger in
+// the meantime. A seal while a release runs starts no other.
+func (l *Lake) releaseFreed() {
+	if l.releasing.CompareAndSwap(false, true) {
+		go func() {
+			debug.FreeOSMemory()
+			l.releasing.Store(false)
+		}()
+	}
 }
 
 // TailBytes estimates the Go heap the lake's tail holds: the tables and
@@ -820,7 +844,7 @@ func (l *Lake) Triples() []kg.Triple {
 func (l *Lake) Table(id string) (*table.Table, bool) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return l.cat.table(id)
+	return l.cat.table(id, nil)
 }
 
 // Document returns the document with the given ID: a fresh copy when it is
@@ -828,7 +852,7 @@ func (l *Lake) Table(id string) (*table.Table, bool) {
 func (l *Lake) Document(id string) (*doc.Document, bool) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return l.cat.document(id)
+	return l.cat.document(id, nil)
 }
 
 // TableIDs returns all table IDs in insertion order (copy).
@@ -907,14 +931,20 @@ func KindOf(instanceID string) (Kind, bool) {
 // indicates index/lake drift, which callers surface rather than skip. A
 // sealed table, tuple or document resolves to a fresh copy.
 func (l *Lake) Resolve(instanceID string) (Instance, error) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.resolveLocked(instanceID, nil)
+}
+
+// resolveLocked is Resolve, or with b a borrowing resolve (see
+// ResolveBorrowed). The caller holds mu.
+func (l *Lake) resolveLocked(instanceID string, b *borrowBuf) (Instance, error) {
 	kind, ok := KindOf(instanceID)
 	if !ok {
 		return Instance{}, fmt.Errorf("datalake: malformed instance id %q", instanceID)
 	}
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	if kind != KindEntity {
-		return l.cat.resolve(instanceID, kind, nil)
+		return l.cat.resolve(instanceID, kind, nil, b)
 	}
 	name := strings.TrimPrefix(instanceID, "entity:")
 	ts := l.graph.About(name)

@@ -41,9 +41,11 @@ type Columns struct {
 // table, plus one) say where a table's column names and rows start, and
 // table.cellstart (one per row, plus one) where a row's cells start.
 //
-// Nothing a segment hands out points into it: every instance is copied
-// onto the heap, so the segment's memory is released by its Reader's
-// cleanup once no lake or View holds the segment.
+// What a segment hands out is copied onto the heap, so the segment's
+// memory is released by its Reader's cleanup once no lake or View holds
+// the segment — except what a borrowing resolve hands out, which views
+// the segment's memory and is valid only while its caller keeps the
+// segment reachable (see Lake.ResolveBorrowed).
 type segment struct {
 	r    *binfmt.Reader
 	cols [10]binfmt.StringCol // CatalogColumns, in order
@@ -237,14 +239,17 @@ func (c *copyOut) strings(dst []string, offs []uint32) {
 
 // table copies table i onto the heap, as a stored catalog loads it: no
 // column names, no rows or an empty row are nil. It takes one allocation
-// each for the bytes, the strings, the rows and the Table.
-func (s *segment) table(i int) *table.Table {
+// each for the bytes, the strings, the rows and the Table. With b it
+// copies nothing: the strings view the segment's memory, and the rest
+// comes from b.
+func (s *segment) table(i int, b *borrowBuf) *table.Table {
 	r0, r1 := int(s.rowStart[i]), int(s.rowStart[i+1])
 	k0 := int(s.cellStart[r0])
-	head, cols, cells := s.copyRows(i, r0, r1)
-	t := &table.Table{ID: head[0], Caption: head[1], SourceID: head[2], Columns: cols}
+	head, cols, cells := s.rows(i, r0, r1, b)
+	t := b.table()
+	*t = table.Table{ID: head[0], Caption: head[1], SourceID: head[2], Columns: cols}
 	if r1 > r0 {
-		t.Rows = make([][]string, r1-r0)
+		t.Rows = b.rowSlices(r1 - r0)
 		for r := range t.Rows {
 			a, e := int(s.cellStart[r0+r])-k0, int(s.cellStart[r0+r+1])-k0
 			if e > a {
@@ -256,35 +261,45 @@ func (s *segment) table(i int) *table.Table {
 	return t
 }
 
-// tuple copies row of table i onto the heap: the table's header and that
-// row, nothing else, in one allocation for the bytes and one for the
-// strings.
-func (s *segment) tuple(i, row int) (table.Tuple, bool) {
+// tuple copies row of table i onto the heap, as table copies a table: the
+// table's header and that row, nothing else, in one allocation for the
+// bytes and one for the strings.
+func (s *segment) tuple(i, row int, b *borrowBuf) (*table.Tuple, bool) {
 	r0 := int(s.rowStart[i])
 	if row < 0 || row >= int(s.rowStart[i+1])-r0 {
-		return table.Tuple{}, false
+		return nil, false
 	}
-	head, cols, cells := s.copyRows(i, r0+row, r0+row+1)
-	tp := table.Tuple{TableID: head[0], Caption: head[1], SourceID: head[2], Columns: cols}
+	head, cols, cells := s.rows(i, r0+row, r0+row+1, b)
+	tp := b.tuple()
+	*tp = table.Tuple{TableID: head[0], Caption: head[1], SourceID: head[2], Columns: cols}
 	if len(cells) > 0 {
 		tp.Values = cells
 	}
 	return tp, true
 }
 
-// copyRows copies table i's ID, caption and source, its column names (nil
+// rows returns table i's ID, caption and source, its column names (nil
 // when it has none) and the cells of rows ra to rb-1 (segment-wide row
-// numbers) onto the heap: one allocation for the bytes, one for the
-// column names and cells.
-func (s *segment) copyRows(i, ra, rb int) (head [3]string, cols, cells []string) {
+// numbers): copied onto the heap in one allocation for the bytes and one
+// for the column names and cells, or with b as views of the segment's
+// memory in string headers from b.
+func (s *segment) rows(i, ra, rb int, b *borrowBuf) (head [3]string, cols, cells []string) {
 	c0, c1 := int(s.colStart[i]), int(s.colStart[i+1])
 	k0, k1 := int(s.cellStart[ra]), int(s.cellStart[rb])
 	id, caption, source := s.cols[colTableID].Bytes(i), s.cols[colCaption].Bytes(i), s.cols[colTableSource].Bytes(i)
-	out := newCopyOut(id, caption, source, s.cols[colColumns].Span(c0, c1), s.cols[colCells].Span(k0, k1))
-	head = [3]string{out.next(len(id)), out.next(len(caption)), out.next(len(source))}
-	strs := make([]string, c1-c0+k1-k0)
-	out.strings(strs[:c1-c0], s.cols[colColumns].Offsets(c0, c1))
-	out.strings(strs[c1-c0:], s.cols[colCells].Offsets(k0, k1))
+	colSpan, cellSpan := s.cols[colColumns].Span(c0, c1), s.cols[colCells].Span(k0, k1)
+	strs := b.strings(c1 - c0 + k1 - k0)
+	if b == nil {
+		out := newCopyOut(id, caption, source, colSpan, cellSpan)
+		head = [3]string{out.next(len(id)), out.next(len(caption)), out.next(len(source))}
+		out.strings(strs[:c1-c0], s.cols[colColumns].Offsets(c0, c1))
+		out.strings(strs[c1-c0:], s.cols[colCells].Offsets(k0, k1))
+	} else {
+		head = [3]string{view(id), view(caption), view(source)}
+		colOut, cellOut := copyOut{str: view(colSpan)}, copyOut{str: view(cellSpan)}
+		colOut.strings(strs[:c1-c0], s.cols[colColumns].Offsets(c0, c1))
+		cellOut.strings(strs[c1-c0:], s.cols[colCells].Offsets(k0, k1))
+	}
 	runtime.KeepAlive(s)
 	if c1 > c0 {
 		cols = strs[: c1-c0 : c1-c0]
@@ -292,15 +307,25 @@ func (s *segment) copyRows(i, ra, rb int) (head [3]string, cols, cells []string)
 	return head, cols, strs[c1-c0:]
 }
 
-// document copies document i onto the heap.
-func (s *segment) document(i int) *doc.Document {
-	var f [5][]byte
-	for j := range f {
-		f[j] = s.cols[colDocID+j].Bytes(i)
+// document copies document i onto the heap, or with b views it.
+func (s *segment) document(i int, b *borrowBuf) *doc.Document {
+	var f [5]string
+	if b == nil {
+		var spans [5][]byte
+		for j := range spans {
+			spans[j] = s.cols[colDocID+j].Bytes(i)
+		}
+		out := newCopyOut(spans[:]...)
+		for j := range f {
+			f[j] = out.next(len(spans[j]))
+		}
+	} else {
+		for j := range f {
+			f[j] = view(s.cols[colDocID+j].Bytes(i))
+		}
 	}
-	out := newCopyOut(f[:]...)
-	d := &doc.Document{ID: out.next(len(f[0])), Title: out.next(len(f[1])), EntityID: out.next(len(f[2])),
-		SourceID: out.next(len(f[3])), Text: out.next(len(f[4]))}
+	d := b.document()
+	*d = doc.Document{ID: f[0], Title: f[1], EntityID: f[2], SourceID: f[3], Text: f[4]}
 	runtime.KeepAlive(s)
 	return d
 }

@@ -88,14 +88,14 @@ func (v *View) Sources() []Source { return v.sources }
 func (v *View) TableIDs() []string { return v.cat.tableIDs }
 
 // Table returns a fresh copy of the table with the given ID.
-func (v *View) Table(id string) (*table.Table, bool) { return v.cat.table(id) }
+func (v *View) Table(id string) (*table.Table, bool) { return v.cat.table(id, nil) }
 
 // DocIDs returns the view's document IDs in insertion order (shared
 // slice; callers must not mutate).
 func (v *View) DocIDs() []string { return v.cat.docIDs }
 
 // Document returns a fresh copy of the document with the given ID.
-func (v *View) Document(id string) (*doc.Document, bool) { return v.cat.document(id) }
+func (v *View) Document(id string) (*doc.Document, bool) { return v.cat.document(id, nil) }
 
 // Triples returns the view's knowledge-graph triples in insertion order
 // (shared slice; callers must not mutate).
@@ -117,12 +117,18 @@ func (v *View) Shape() (ncols, nrows, widths []uint32) { return v.cat.shape() }
 // carries the flat triple list); passing nil resolves entities as
 // missing. Needs no locking: the view is immutable.
 func (v *View) Resolve(instanceID string, g *kg.Graph) (Instance, error) {
+	return v.resolve(instanceID, g, nil)
+}
+
+// resolve is Resolve, or with b a borrowing resolve (see
+// ResolveBorrowed).
+func (v *View) resolve(instanceID string, g *kg.Graph, b *borrowBuf) (Instance, error) {
 	kind, ok := KindOf(instanceID)
 	if !ok {
 		return Instance{}, fmt.Errorf("datalake: malformed instance id %q", instanceID)
 	}
 	if kind != KindEntity {
-		return v.cat.resolve(instanceID, kind, &v.version)
+		return v.cat.resolve(instanceID, kind, &v.version, b)
 	}
 	name := strings.TrimPrefix(instanceID, "entity:")
 	var ts []kg.Triple

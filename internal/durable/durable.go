@@ -51,6 +51,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"time"
 
@@ -580,6 +581,11 @@ func (s *Store) Checkpoint(freeze FreezeFunc) (uint64, error) {
 	s.m.forkSec.Observe(forkDur.Seconds())
 	s.m.writeSec.Observe(writeDur.Seconds())
 	s.m.checkpoints.Inc()
+	// The write phase leaves its buffers as garbage, and after a seed so
+	// does the batch the checkpoint follows: tens of MB that, with the
+	// collector's goal raised by them, can wait long for its next cycle.
+	// Collect them now, off this goroutine, for the scavenger to return.
+	go runtime.GC()
 	return version, nil
 }
 

@@ -100,6 +100,9 @@ func validateBuckets(name string, bounds []float64) {
 type Counter struct {
 	v  atomic.Uint64
 	fn func() uint64 // set for CounterFunc registrations
+	// float is set for CounterVecFunc registrations: a total in float
+	// units, exposed as is.
+	float func() float64
 }
 
 // Inc adds one.
@@ -120,6 +123,9 @@ func (c *Counter) Value() uint64 {
 	}
 	if c.fn != nil {
 		return c.fn()
+	}
+	if c.float != nil {
+		return uint64(c.float())
 	}
 	return c.v.Load()
 }
@@ -520,6 +526,20 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 	r.register(name, help, kindCounter, nil, nil).getOrCreate("").ctr.fn = fn
 }
 
+// CounterVecFunc registers a counter family with one label, labelKey,
+// and one series per element of values, whose value is read from fn at
+// exposition time: for totals kept elsewhere in float units, such as the
+// runtime's CPU seconds.
+func (r *Registry) CounterVecFunc(name, help, labelKey string, values []string, fn func(value string) float64) {
+	if r == nil {
+		return
+	}
+	f := r.register(name, help, kindCounter, []string{labelKey}, nil)
+	for _, v := range values {
+		f.getOrCreate(renderLabels(f.labelKeys, []string{v})).ctr.float = func() float64 { return fn(v) }
+	}
+}
+
 // Gauge registers (or returns) the named gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	if r == nil {
@@ -637,6 +657,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 func writeChild(w io.Writer, f *family, c *child) error {
 	switch f.kind {
 	case kindCounter:
+		if c.ctr.float != nil {
+			_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, c.labels, formatFloat(c.ctr.float()))
+			return err
+		}
 		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, c.labels, c.ctr.Value())
 		return err
 	case kindGauge:

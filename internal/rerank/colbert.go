@@ -31,28 +31,32 @@ func (c *ColBERT) Name() string { return "colbert-late-interaction" }
 
 // Score implements Scorer: mean MaxSim over query tokens, normalized to
 // [0,1] (token vectors are unit-norm, so cosine ∈ [-1,1]).
-func (c *ColBERT) Score(q Query, inst datalake.Instance) float64 {
+func (c *ColBERT) Score(q Query, inst datalake.Instance) float64 { return c.bind(q)(inst) }
+
+func (c *ColBERT) bind(q Query) func(datalake.Instance) float64 {
 	qTokens := c.emb.EmbedTokens(q.Text)
 	if len(qTokens) == 0 {
-		return 0
+		return zero
 	}
-	dTokens := c.emb.EmbedTokens(inst.Serialize())
-	if len(dTokens) > c.maxDocTokens {
-		dTokens = dTokens[:c.maxDocTokens]
-	}
-	if len(dTokens) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, qt := range qTokens {
-		best := -1.0
-		for _, dt := range dTokens {
-			if s := embed.Dot(qt, dt); s > best {
-				best = s
-			}
+	return func(inst datalake.Instance) float64 {
+		dTokens := c.emb.EmbedTokens(inst.Serialize())
+		if len(dTokens) > c.maxDocTokens {
+			dTokens = dTokens[:c.maxDocTokens]
 		}
-		sum += best
+		if len(dTokens) == 0 {
+			return 0
+		}
+		var sum float64
+		for _, qt := range qTokens {
+			best := -1.0
+			for _, dt := range dTokens {
+				if s := embed.Dot(qt, dt); s > best {
+					best = s
+				}
+			}
+			sum += best
+		}
+		mean := sum / float64(len(qTokens))
+		return (mean + 1) / 2
 	}
-	mean := sum / float64(len(qTokens))
-	return (mean + 1) / 2
 }

@@ -1,10 +1,7 @@
 package rerank
 
 import (
-	"strings"
-
 	"repro/internal/datalake"
-	"repro/internal/table"
 	"repro/internal/textutil"
 )
 
@@ -39,67 +36,106 @@ func NewOpenTFV(dict *textutil.Dict) *OpenTFV {
 func (o *OpenTFV) Name() string { return "opentfv-semantic" }
 
 // Score implements Scorer, normalized to [0,1].
-func (o *OpenTFV) Score(q Query, inst datalake.Instance) float64 {
-	var t *table.Table
-	switch inst.Kind {
-	case datalake.KindTable:
-		t = inst.Table
-	case datalake.KindTuple:
-		t = table.New(inst.Tuple.TableID, inst.Tuple.Caption, inst.Tuple.Columns)
-		t.Rows = [][]string{inst.Tuple.Values}
-	default:
-		return 0
-	}
+func (o *OpenTFV) Score(q Query, inst datalake.Instance) float64 { return o.bind(q)(inst) }
+
+func (o *OpenTFV) bind(q Query) func(datalake.Instance) float64 {
 	if q.Claim == nil {
 		// Unstructured fallback: token containment of the query in the
 		// serialized table.
-		return textutil.ContainmentSimilarity(
-			o.dict.AppendTerms(nil, q.Text),
-			o.dict.AppendTerms(nil, t.SerializeForIndex()),
-		)
+		terms := newTermSet(o.dict, q.Text)
+		return func(inst datalake.Instance) float64 {
+			var one [1][]string
+			caption, cols, rows, ok := tableOf(inst, &one)
+			if !ok {
+				return 0
+			}
+			terms.reset()
+			terms.scan(caption)
+			for _, c := range cols {
+				terms.scan(c)
+			}
+			for _, row := range rows {
+				for _, cell := range row {
+					terms.scan(cell)
+				}
+			}
+			return terms.share()
+		}
 	}
 	c := q.Claim
-
-	capSim := textutil.Jaccard(textutil.Tokenize(c.Context), textutil.Tokenize(t.Caption))
-
-	entityCov := 0.0
-	if len(c.Entities) > 0 {
-		hit := 0
-		for _, e := range c.Entities {
-			if tableContains(t, e) {
-				hit++
-			}
+	context, attr := newTokenSet(c.Context), newTokenSet(c.Attribute)
+	entities := make([]cellKey, len(c.Entities))
+	for i, e := range c.Entities {
+		entities[i] = newCellKey(e)
+	}
+	value := newCellKey(c.Value)
+	return func(inst datalake.Instance) float64 {
+		var one [1][]string
+		caption, cols, rows, ok := tableOf(inst, &one)
+		if !ok {
+			return 0
 		}
-		entityCov = float64(hit) / float64(len(c.Entities))
-	}
+		capSim := context.jaccard(caption)
 
-	valueSig := 0.0
-	attrTokens := textutil.Tokenize(c.Attribute)
-	colTokens := textutil.Tokenize(joinColumns(t))
-	if textutil.ContainmentSimilarity(attrTokens, colTokens) >= 0.5 {
-		valueSig += 0.5
-	}
-	if tableContains(t, c.Value) {
-		valueSig += 0.5
-	}
+		entityCov := 0.0
+		if len(entities) > 0 {
+			hit := 0
+			for i := range entities {
+				if entities[i].in(rows) {
+					hit++
+				}
+			}
+			entityCov = float64(hit) / float64(len(entities))
+		}
 
-	return o.captionWeight*capSim + o.entityWeight*entityCov + o.valueWeight*valueSig
+		valueSig := 0.0
+		if attr.containment(cols) >= 0.5 {
+			valueSig += 0.5
+		}
+		if value.in(rows) {
+			valueSig += 0.5
+		}
+		return o.captionWeight*capSim + o.entityWeight*entityCov + o.valueWeight*valueSig
+	}
 }
 
-// tableContains reports whether any cell folds equal to v, or for numeric v
-// whether any cell carries the same number. v is folded and parsed once;
-// cells are compared in place, so a table without a match costs no
-// allocation when v is already folded.
-func tableContains(t *table.Table, v string) bool {
-	want := textutil.Fold(v)
+// tableOf reads a table or tuple candidate in place: its caption, column
+// names and rows, a tuple's one row put in one.
+func tableOf(inst datalake.Instance, one *[1][]string) (caption string, cols []string, rows [][]string, ok bool) {
+	switch inst.Kind {
+	case datalake.KindTable:
+		return inst.Table.Caption, inst.Table.Columns, inst.Table.Rows, true
+	case datalake.KindTuple:
+		one[0] = inst.Tuple.Values
+		return inst.Tuple.Caption, inst.Tuple.Columns, one[:], true
+	}
+	return "", nil, nil, false
+}
+
+// cellKey is a claimed value prepared for matching cells: its Fold key
+// and, when it is a number, the number.
+type cellKey struct {
+	folded string
+	num    float64
+	isNum  bool
+}
+
+func newCellKey(v string) cellKey {
 	num, isNum := textutil.ParseNumber(v)
-	for _, row := range t.Rows {
+	return cellKey{folded: textutil.Fold(v), num: num, isNum: isNum}
+}
+
+// in reports whether any cell of rows folds equal to the value, or for a
+// number whether any cell carries the same number. Cells are compared in
+// place, without allocating.
+func (k *cellKey) in(rows [][]string) bool {
+	for _, row := range rows {
 		for _, cell := range row {
-			if textutil.FoldEqual(cell, want) {
+			if textutil.FoldEqual(cell, k.folded) {
 				return true
 			}
-			if isNum {
-				if cv, ok := textutil.ParseNumber(cell); ok && textutil.NearlyEqual(cv, num) {
+			if k.isNum {
+				if cv, ok := textutil.ParseNumber(cell); ok && textutil.NearlyEqual(cv, k.num) {
 					return true
 				}
 			}
@@ -107,5 +143,3 @@ func tableContains(t *table.Table, v string) bool {
 	}
 	return false
 }
-
-func joinColumns(t *table.Table) string { return strings.Join(t.Columns, " ") }

@@ -3,19 +3,25 @@
 // Indexer, so that downstream verification only needs a small top-k′
 // (Section 3.2 of the paper, k′ = 5).
 //
-// Three rerankers are provided, matching the paper's inventory:
+// Four scorers are provided, for the paper's three rerankers and the
+// remark that more are in progress:
 //
 //   - ColBERT-style late interaction for (text, text) pairs (colbert.go);
 //   - OpenTFV-style semantic matching for (text, table) pairs (opentfv.go);
-//   - RetClean-style cell alignment for (tuple, tuple) and a title/context
-//     scorer for (tuple, text) pairs (tuplerank.go), the "different types of
-//     fine-grained Rerankers" the paper's remark says are in progress.
+//   - RetClean-style cell alignment for (tuple, tuple) pairs and a
+//     title/context scorer for (tuple, text) pairs (tuplerank.go), the
+//     "different types of fine-grained Rerankers" the paper's remark says
+//     are in progress.
 //
 // A Registry routes each (query kind, instance kind) pair to its scorer.
+// It analyzes the query once per Rerank call — tokens, folded keys, parsed
+// numbers, analyzed terms — and scores each candidate in place: the
+// candidate side folds, tokenizes and matches without allocating.
 package rerank
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/claims"
 	"repro/internal/datalake"
@@ -40,6 +46,11 @@ type Scored struct {
 }
 
 // Scorer computes a task-aware relevance score for (query, instance).
+//
+// A candidate's strings may alias the memory of a sealed catalog segment
+// (see datalake.Lake.ResolveBorrowed), valid only while the caller holds
+// the catalog: Score must not keep them, or anything that holds them,
+// past its return.
 type Scorer interface {
 	// Name identifies the scorer for provenance.
 	Name() string
@@ -47,13 +58,25 @@ type Scorer interface {
 	Score(q Query, inst datalake.Instance) float64
 }
 
+// scorer is a Scorer that analyzes a query once: bind returns the score
+// of each candidate against q, as Score(q, candidate) would give it. The
+// function it returns keeps nothing of a candidate once it returns.
+type scorer interface {
+	Scorer
+	bind(q Query) func(inst datalake.Instance) float64
+}
+
+// zero scores every candidate 0, as a scorer does every candidate of a
+// query it does not apply to.
+func zero(datalake.Instance) float64 { return 0 }
+
 // Registry routes (query, instance-kind) pairs to scorers.
 type Registry struct {
-	tupleTuple Scorer
-	tupleText  Scorer
-	claimTable Scorer
-	claimText  Scorer
-	fallback   Scorer
+	tupleTuple scorer
+	tupleText  scorer
+	claimTable scorer
+	claimText  scorer
+	fallback   scorer
 }
 
 // NewRegistry returns a registry with the full scorer inventory.
@@ -72,7 +95,9 @@ func NewRegistry(colbert *ColBERT) *Registry {
 }
 
 // Route returns the scorer for this query/instance-kind pair.
-func (r *Registry) Route(q Query, kind datalake.Kind) Scorer {
+func (r *Registry) Route(q Query, kind datalake.Kind) Scorer { return r.route(q, kind) }
+
+func (r *Registry) route(q Query, kind datalake.Kind) scorer {
 	switch {
 	case q.Tuple != nil && kind == datalake.KindTuple:
 		return r.tupleTuple
@@ -91,21 +116,36 @@ func (r *Registry) Route(q Query, kind datalake.Kind) Scorer {
 // returns the top-k′, best first, ties broken by ascending ID. Instances
 // whose scorer routing differs (mixed modalities) are each scored by their
 // own scorer; scores are comparable enough for final ordering because every
-// scorer is normalized to [0,1].
+// scorer is normalized to [0,1]. Each scorer a candidate routes to analyzes
+// q once, on its first candidate. The candidates may borrow their strings
+// (see Scorer); nothing Rerank returns holds them.
 func (r *Registry) Rerank(q Query, candidates []datalake.Instance, kPrime int) []Scored {
 	if kPrime <= 0 || len(candidates) == 0 {
 		return nil
 	}
-	out := make([]Scored, 0, len(candidates))
-	for _, inst := range candidates {
-		s := r.Route(q, inst.Kind).Score(q, inst)
-		out = append(out, Scored{ID: inst.ID, Score: s})
+	type bound struct {
+		s     scorer
+		score func(datalake.Instance) float64
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	var bounds []bound
+	out := make([]Scored, len(candidates))
+	for i, inst := range candidates {
+		s := r.route(q, inst.Kind)
+		k := slices.IndexFunc(bounds, func(b bound) bool { return b.s == s })
+		if k < 0 {
+			k = len(bounds)
+			bounds = append(bounds, bound{s, s.bind(q)})
 		}
-		return out[i].ID < out[j].ID
+		out[i] = Scored{ID: inst.ID, Score: bounds[k].score(inst)}
+	}
+	slices.SortFunc(out, func(a, b Scored) int {
+		switch {
+		case a.Score > b.Score:
+			return -1
+		case a.Score < b.Score:
+			return 1
+		}
+		return strings.Compare(a.ID, b.ID)
 	})
 	if len(out) > kPrime {
 		out = out[:kPrime]

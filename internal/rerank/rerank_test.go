@@ -207,24 +207,114 @@ func TestRerankTopKPrime(t *testing.T) {
 }
 
 // TestTableContainsAllocatesNothing: scanning a table that holds neither
-// the entity nor the number costs no allocation for a value that is its
-// own folded key, as claimed entities and integers are, and one (the key)
-// for any other value, whatever the cells hold.
+// the entity nor the number costs no allocation, whatever the value and
+// the cells hold: the value is folded and parsed once, when the query is
+// bound, and cells are compared in place.
 func TestTableContainsAllocatesNothing(t *testing.T) {
 	tbl := usOpen1954()
 	tbl.MustAppendRow("t9", "Gene Littler, Jr.", "$1,200")
 	tbl.MustAppendRow("t10", "São Paulo", "4.5%")
-	for v, allocs := range map[string]float64{"arnold palmer": 0, "1400": 0, "$6,000": 1, "-3.5": 1} {
-		if tableContains(tbl, v) {
+	for _, v := range []string{"arnold palmer", "1400", "$6,000", "-3.5"} {
+		k := newCellKey(v)
+		if k.in(tbl.Rows) {
 			t.Fatalf("the table contains %q", v)
 		}
-		if n := testing.AllocsPerRun(100, func() { tableContains(tbl, v) }); n != allocs {
-			t.Errorf("tableContains(%q) allocates %v times, want %v", v, n, allocs)
+		if n := testing.AllocsPerRun(100, func() { k.in(tbl.Rows) }); n != 0 {
+			t.Errorf("matching %q allocates %v times", v, n)
 		}
 	}
 	for _, v := range []string{"Tommy Bolt", "gene littler jr", "1200", "570.0", "sao paulo"} {
-		if got := tableContains(tbl, v); got != (v != "sao paulo") {
-			t.Errorf("tableContains(%q) = %v", v, got)
+		k := newCellKey(v)
+		if got := k.in(tbl.Rows); got != (v != "sao paulo") {
+			t.Errorf("the table contains %q: %v", v, got)
+		}
+	}
+}
+
+// TestCandidateSideAllocatesNothing: once a query is bound, scoring a
+// candidate whose tokens the dictionary holds allocates nothing — the
+// fold-aware context search, the streaming term containment, caption
+// Jaccard, column containment and the cell scans — for each scorer on
+// the workloads' paths, and for OpenTFV's bag-of-words fallback.
+func TestCandidateSideAllocatesNothing(t *testing.T) {
+	dict := textutil.NewDict()
+	tbl := usOpen1954()
+	tp, _ := tbl.TupleAt(0)
+	page := docInstance("a", "Tommy Bolt",
+		"Tommy Bolt is a golfer. In the 1954 u.s. open (golf), Tommy Bolt recorded a money of 570.")
+	cl := claims.Claim{Context: "1954 u.s. open (golf)", Entities: []string{"tommy bolt", "fred haas"},
+		Attribute: "cash prize", Op: claims.OpSum, Value: "1,140"}
+	cl.Render()
+	tupleQ := Query{Text: tp.SerializeForIndex(), Tuple: &tp}
+	for _, s := range []string{page.Doc.SerializeForIndex(), tbl.SerializeForIndex(), tupleQ.Text, cl.Text} {
+		dict.AppendIDs(nil, s)
+	}
+	for _, c := range []struct {
+		name string
+		s    scorer
+		q    Query
+		inst datalake.Instance
+	}{
+		{"tuple-text", NewTupleTextScorer(dict), tupleQ, page},
+		{"tuple-tuple", NewTupleTupleScorer(), tupleQ, tupleInstance(tbl, 1)},
+		{"opentfv/table", NewOpenTFV(dict), Query{Text: cl.Text, Claim: &cl}, tableInstance(tbl)},
+		{"opentfv/tuple", NewOpenTFV(dict), Query{Text: cl.Text, Claim: &cl}, tupleInstance(tbl, 2)},
+		{"opentfv/fallback", NewOpenTFV(dict), Query{Text: cl.Text}, tableInstance(tbl)},
+	} {
+		score := c.s.bind(c.q)
+		if score(c.inst) == 0 {
+			t.Fatalf("%s: scored 0", c.name)
+		}
+		if n := testing.AllocsPerRun(100, func() { score(c.inst) }); n != 0 {
+			t.Errorf("%s: scoring a candidate allocates %v times", c.name, n)
+		}
+	}
+	terms := newTermSet(dict, tupleQ.Text)
+	if n := testing.AllocsPerRun(100, func() { terms.reset(); terms.scan(page.Doc.Text) }); n != 0 {
+		t.Errorf("streaming containment allocates %v times", n)
+	}
+}
+
+// TestEmptyCaptionMatchesNoContext: a query tuple whose caption folds to
+// nothing gives no document the context signal; strings.Contains would
+// have found the empty key in every text.
+func TestEmptyCaptionMatchesNoContext(t *testing.T) {
+	s := NewTupleTextScorer(textutil.NewDict())
+	page := docInstance("a", "Gene Littler", "Gene Littler is a golfer. (!) Nothing here matches.")
+	for _, caption := range []string{"", "(!)", " — "} {
+		tp := table.Tuple{Caption: caption, Columns: []string{"player"}, Values: []string{"tommy bolt"}}
+		if got := s.Score(Query{Text: "tommy bolt", Tuple: &tp}, page); got != 0 {
+			t.Errorf("caption %q: scored %v, want 0 (no title, context or token match)", caption, got)
+		}
+	}
+}
+
+// TestContainmentSimilarity: the share of a query's distinct tokens (or
+// analyzed terms) a candidate's cover, streamed over the candidate's
+// pieces: full, half, none for a query without any, and a repeated query
+// token counted once.
+func TestContainmentSimilarity(t *testing.T) {
+	dict := textutil.NewDict()
+	for _, c := range []struct {
+		query  string
+		pieces []string
+		want   float64
+	}{
+		{"x y", []string{"x y", "z w"}, 1},
+		{"x y z w", []string{"x", "y"}, 0.5},
+		{"", []string{"x y z w"}, 0},
+		{"x x q", []string{"x"}, 0.5},
+	} {
+		if got := newTokenSet(c.query).containment(c.pieces); got != c.want {
+			t.Errorf("tokens of %q in %q: %v, want %v", c.query, c.pieces, got, c.want)
+		}
+		terms := newTermSet(dict, c.query)
+		terms.reset()
+		for _, p := range c.pieces {
+			terms.scan(p)
+		}
+		if got := terms.share(); got != c.want {
+			t.Errorf("terms of %q in %q: %v, want %v", c.query, c.pieces, got, c.want)
 		}
 	}
 }

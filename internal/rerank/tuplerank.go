@@ -1,7 +1,7 @@
 package rerank
 
 import (
-	"strings"
+	"slices"
 
 	"repro/internal/datalake"
 	"repro/internal/textutil"
@@ -26,32 +26,49 @@ func NewTupleTupleScorer() *TupleTupleScorer {
 func (s *TupleTupleScorer) Name() string { return "retclean-cell-alignment" }
 
 // Score implements Scorer, normalized to [0,1].
-func (s *TupleTupleScorer) Score(q Query, inst datalake.Instance) float64 {
-	if q.Tuple == nil || inst.Kind != datalake.KindTuple {
-		return 0
-	}
-	ev := inst.Tuple
-	capSim := textutil.Jaccard(textutil.Tokenize(q.Tuple.Caption), textutil.Tokenize(ev.Caption))
+func (s *TupleTupleScorer) Score(q Query, inst datalake.Instance) float64 { return s.bind(q)(inst) }
 
-	shared, agree := 0, 0
+func (s *TupleTupleScorer) bind(q Query) func(datalake.Instance) float64 {
+	if q.Tuple == nil {
+		return zero
+	}
+	caption := newTokenSet(q.Tuple.Caption)
+	cols := make([]string, len(q.Tuple.Columns))
 	for i, c := range q.Tuple.Columns {
-		evVal, ok := ev.Value(c)
-		if !ok {
-			continue
-		}
-		shared++
-		qv := q.Tuple.Values[i]
-		// Missing cells (the masked attribute) count as neutral agreement:
-		// the query tuple legitimately lacks that value.
-		if qv == "" || qv == "NaN" || textutil.Fold(evVal) == textutil.Fold(qv) {
-			agree++
-		}
+		cols[i] = textutil.Fold(c)
 	}
-	cellSim := 0.0
-	if shared > 0 {
-		cellSim = float64(agree) / float64(shared)
+	// Missing cells (the masked attribute) count as neutral agreement:
+	// the query tuple legitimately lacks that value.
+	vals := make([]string, len(q.Tuple.Values))
+	neutral := make([]bool, len(q.Tuple.Values))
+	for i, v := range q.Tuple.Values {
+		neutral[i] = v == "" || v == "NaN"
+		vals[i] = textutil.Fold(v)
 	}
-	return s.captionWeight*capSim + s.cellWeight*cellSim
+	return func(inst datalake.Instance) float64 {
+		if inst.Kind != datalake.KindTuple {
+			return 0
+		}
+		ev := inst.Tuple
+		capSim := caption.jaccard(ev.Caption)
+
+		shared, agree := 0, 0
+		for i, col := range cols {
+			j := slices.IndexFunc(ev.Columns, func(c string) bool { return textutil.FoldEqual(c, col) })
+			if j < 0 {
+				continue
+			}
+			shared++
+			if neutral[i] || textutil.FoldEqual(ev.Values[j], vals[i]) {
+				agree++
+			}
+		}
+		cellSim := 0.0
+		if shared > 0 {
+			cellSim = float64(agree) / float64(shared)
+		}
+		return s.captionWeight*capSim + s.cellWeight*cellSim
+	}
 }
 
 // TupleTextScorer scores (tuple, text) pairs: is this document the page of
@@ -75,30 +92,43 @@ func NewTupleTextScorer(dict *textutil.Dict) *TupleTextScorer {
 func (s *TupleTextScorer) Name() string { return "tuple-text-context" }
 
 // Score implements Scorer, normalized to [0,1].
-func (s *TupleTextScorer) Score(q Query, inst datalake.Instance) float64 {
-	if q.Tuple == nil || inst.Kind != datalake.KindText {
-		return 0
-	}
-	d := inst.Doc
-	title := textutil.Fold(d.Title)
+func (s *TupleTextScorer) Score(q Query, inst datalake.Instance) float64 { return s.bind(q)(inst) }
 
-	titleSig := 0.0
+func (s *TupleTextScorer) bind(q Query) func(datalake.Instance) float64 {
+	if q.Tuple == nil {
+		return zero
+	}
+	var titles []string
 	for _, v := range q.Tuple.Values {
-		if f := textutil.Fold(v); f != "" && f == title {
-			titleSig = 1
-			break
+		if f := textutil.Fold(v); f != "" {
+			titles = append(titles, f)
 		}
 	}
+	caption := textutil.Fold(q.Tuple.Caption)
+	terms := newTermSet(s.dict, q.Text)
+	return func(inst datalake.Instance) float64 {
+		if inst.Kind != datalake.KindText {
+			return 0
+		}
+		d := inst.Doc
+		titleSig := 0.0
+		if slices.ContainsFunc(titles, func(f string) bool { return textutil.FoldEqual(d.Title, f) }) {
+			titleSig = 1
+		}
 
-	ctxSig := 0.0
-	if strings.Contains(textutil.Fold(d.Text), textutil.Fold(q.Tuple.Caption)) {
-		ctxSig = 1
+		// A caption that folds to nothing names no context: every
+		// document would contain it.
+		ctxSig := 0.0
+		if caption != "" && textutil.FoldContains(d.Text, caption) {
+			ctxSig = 1
+		}
+
+		// The document's terms are its title's and then its text's, as
+		// its serialization for the index reads.
+		terms.reset()
+		terms.scan(d.Title)
+		terms.scan(d.Text)
+
+		return s.titleWeight*titleSig + s.contextWeight*ctxSig + s.tokenWeight*terms.share()
 	}
-
-	tokenSig := textutil.ContainmentSimilarity(
-		s.dict.AppendTerms(nil, q.Text),
-		s.dict.AppendTerms(nil, d.SerializeForIndex()),
-	)
-
-	return s.titleWeight*titleSig + s.contextWeight*ctxSig + s.tokenWeight*tokenSig
 }

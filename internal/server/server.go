@@ -264,6 +264,7 @@ func New(p *core.Pipeline, opts ...Option) *Server {
 			memory.With(class).Set(float64(n))
 		}
 	})
+	registerCPUMetrics(s.obs)
 	return s
 }
 
@@ -1061,6 +1062,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		},
 		"indexes": s.pipeline.Indexer().IndexStats(),
 		"memory":  s.memoryLedger(),
+		"cpu":     cpuSeconds(),
 	}
 	if store := s.pipeline.Provenance(); store != nil {
 		body["provenance"] = store.Stats()

@@ -134,7 +134,7 @@ func (d *Dict) AppendIDs(dst []uint32, s string) []uint32 {
 	var buf [tokenBuf]byte
 	for i := 0; i < len(s); {
 		var tok []byte
-		if tok, i = scanToken(s, i, buf[:0]); len(tok) > 0 {
+		if tok, i = ScanToken(s, i, buf[:0]); len(tok) > 0 {
 			if id := d.token(tok); id != stopword {
 				dst = append(dst, id)
 			}
@@ -145,12 +145,10 @@ func (d *Dict) AppendIDs(dst []uint32, s string) []uint32 {
 
 // AppendTerms appends the term of every token of s that is not a
 // stopword to dst, in text order, and returns the extended slice: the
-// terms AppendIDs numbers, without adding anything. A token the
-// dictionary holds costs one probe and yields the dictionary's own term
-// string; any other is classified for this call only. Queries and rerank
-// candidates analyze through it, so they leave the dictionary, and the
-// token table it numbers, as they found it. Analyzing tokens already in
-// the dictionary allocates nothing beyond dst's growth; a dst without
+// terms AppendIDs numbers, without adding anything (see TokenTerm).
+// Queries analyze through it, so they leave the dictionary, and the token
+// table it numbers, as they found it. Analyzing tokens already in the
+// dictionary allocates nothing beyond dst's growth; a dst without
 // capacity is allocated once, sized for s.
 func (d *Dict) AppendTerms(dst []string, s string) []string {
 	if cap(dst) == 0 {
@@ -159,24 +157,40 @@ func (d *Dict) AppendTerms(dst []string, s string) []string {
 	var buf [tokenBuf]byte
 	for i := 0; i < len(s); {
 		var tok []byte
-		if tok, i = scanToken(s, i, buf[:0]); len(tok) == 0 {
+		if tok, i = ScanToken(s, i, buf[:0]); len(tok) == 0 {
 			continue
 		}
-		if id, ok := d.raw.get(unsafe.String(unsafe.SliceData(tok), len(tok))); ok {
-			if id != stopword {
-				dst = append(dst, d.Term(id))
-			}
-		} else if term, stop := classify(string(tok)); !stop {
+		if _, term, _ := d.TokenTerm(tok); term != "" {
 			dst = append(dst, term)
 		}
 	}
 	return dst
 }
 
+// TokenTerm returns the term the raw lowercased token tok (as ScanToken
+// yields it) stands for, or "" for a stopword. held reports whether the
+// dictionary holds the token, and id is then the term's ID. It never
+// adds: a token the dictionary holds costs one probe, no allocation, and
+// yields the dictionary's own term string; any other is classified for
+// this call only. A term starts with its token's first byte: stemming
+// rewrites only a word's end, and keeps at least its first letter.
+func (d *Dict) TokenTerm(tok []byte) (id uint32, term string, held bool) {
+	if id, ok := d.raw.get(unsafe.String(unsafe.SliceData(tok), len(tok))); ok {
+		if id == stopword {
+			return 0, "", true
+		}
+		return id, d.Term(id), true
+	}
+	if term, stop := classify(string(tok)); !stop {
+		return 0, term, false
+	}
+	return 0, "", false
+}
+
 // classify returns the term the raw lowercased token tok stands for, or
 // stop if it is a stopword: the analysis chain's one decision about a
 // token, made once for each token a dictionary adds and on every call for
-// a token AppendTerms finds missing.
+// a token TokenTerm finds missing.
 func classify(tok string) (term string, stop bool) {
 	if isStopword(tok) {
 		return "", true

@@ -163,3 +163,82 @@ func TestParseNumberNonNumericAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestFoldContainsMatchesReference holds FoldContains to strings.Contains
+// over foldRef keys: every document of the default lake against the
+// captions of tables and pieces of its own key, and every lake string and
+// edge input against its own key, pieces of it cut at rune boundaries,
+// and the previous string's key.
+func TestFoldContainsMatchesReference(t *testing.T) {
+	check := func(s, folded string) {
+		t.Helper()
+		if got, want := textutil.FoldContains(s, folded), strings.Contains(foldRef(s), folded); got != want {
+			t.Fatalf("FoldContains(%q, %q) = %v, reference %v", s, folded, got, want)
+		}
+	}
+	// pieces cuts key at rune boundaries: a prefix, a suffix, a middle
+	// and one rune.
+	pieces := func(key string) []string {
+		var cuts []int
+		for i := range key {
+			cuts = append(cuts, i)
+		}
+		cuts = append(cuts, len(key))
+		n := len(cuts) - 1
+		return []string{key[:cuts[n/2]], key[cuts[n/3]:], key[cuts[n/4]:cuts[n-n/4]], key[cuts[n/2]:cuts[min(n/2+1, n)]]}
+	}
+	corpus, err := workload.GenerateLake(workload.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer corpus.Lake.Close()
+	docs := 0
+	for i, id := range corpus.Lake.DocIDs() {
+		d, _ := corpus.Lake.Document(id)
+		for k := range 5 {
+			check(d.Text, foldRef(corpus.Tables[(7*i+k)%len(corpus.Tables)].Caption))
+		}
+		for _, p := range pieces(foldRef(d.Text)) {
+			check(d.Text, p)
+		}
+		docs++
+	}
+	cells := lakeCells(t)
+	prev := ""
+	for _, c := range cells {
+		key := foldRef(c)
+		for _, folded := range append(pieces(key), key, foldRef(prev), key+" x", "x"+key) {
+			check(c, folded)
+		}
+		prev = c
+	}
+	t.Logf("%d documents and %d strings agree", docs, len(cells))
+}
+
+// TestTermKeepsFirstByte: the term of every token of the default lake's
+// strings and documents, and of words whose suffix is all Porter's rules
+// leave, starts with the token's first byte — what lets a reranker skip a
+// candidate token whose first byte starts no query term.
+func TestTermKeepsFirstByte(t *testing.T) {
+	texts := append(lakeCells(t), "ies sses eed ing ed ying ied ational ization ement ness ful ll able")
+	corpus, err := workload.GenerateLake(workload.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer corpus.Lake.Close()
+	for _, id := range corpus.Lake.DocIDs() {
+		d, _ := corpus.Lake.Document(id)
+		texts = append(texts, d.Text)
+	}
+	dict, tokens := textutil.NewDict(), 0
+	for _, s := range texts {
+		for _, tok := range textutil.Tokenize(s) {
+			_, term, _ := dict.TokenTerm([]byte(tok))
+			if term != "" && term[0] != tok[0] {
+				t.Fatalf("token %q has term %q", tok, term)
+			}
+			tokens++
+		}
+	}
+	t.Logf("%d tokens keep their first byte", tokens)
+}

@@ -21,27 +21,3 @@ func Jaccard(a, b []string) float64 {
 	}
 	return float64(inter) / float64(len(set))
 }
-
-// ContainmentSimilarity returns |A∩B| / |A|: how much of a is covered by b.
-// Used to score whether an evidence text covers a query tuple's tokens.
-func ContainmentSimilarity(a, b []string) float64 {
-	if len(a) == 0 {
-		return 0
-	}
-	sb := make(map[string]struct{}, len(b))
-	for _, t := range b {
-		sb[t] = struct{}{}
-	}
-	hit := 0
-	seen := make(map[string]struct{}, len(a))
-	for _, t := range a {
-		if _, dup := seen[t]; dup {
-			continue
-		}
-		seen[t] = struct{}{}
-		if _, ok := sb[t]; ok {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(seen))
-}

@@ -36,21 +36,3 @@ func TestJaccardProperties(t *testing.T) {
 		t.Errorf("symmetry: %v", err)
 	}
 }
-
-func TestContainmentSimilarity(t *testing.T) {
-	a := []string{"x", "y"}
-	b := []string{"x", "y", "z", "w"}
-	if got := ContainmentSimilarity(a, b); got != 1 {
-		t.Errorf("Containment full = %v, want 1", got)
-	}
-	if got := ContainmentSimilarity(b, a); got != 0.5 {
-		t.Errorf("Containment half = %v, want 0.5", got)
-	}
-	if got := ContainmentSimilarity(nil, b); got != 0 {
-		t.Errorf("Containment empty query = %v, want 0", got)
-	}
-	// Duplicate query tokens count once.
-	if got := ContainmentSimilarity([]string{"x", "x", "q"}, []string{"x"}); got != 0.5 {
-		t.Errorf("Containment dup = %v, want 0.5", got)
-	}
-}

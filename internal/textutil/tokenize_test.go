@@ -143,3 +143,15 @@ func TestSplitSentencesCoversInput(t *testing.T) {
 		t.Errorf("sentences cover %d non-space chars, want %d", total, want)
 	}
 }
+
+// TestFoldContainsAllocatesNothing: searching a text for a folded key
+// allocates nothing, whether the key is found or not, and whatever runes
+// the text holds.
+func TestFoldContainsAllocatesNothing(t *testing.T) {
+	const text = "In the 1954 U.S. Open (golf), Tommy Bolt — of São Paulo — recorded a money of $570."
+	for _, key := range []string{"1954 u s open golf", "sao paulo", "são paulo", "money of 570", "1959 u s open golf"} {
+		if allocs := testing.AllocsPerRun(100, func() { FoldContains(text, key) }); allocs != 0 {
+			t.Errorf("FoldContains(%q): %v allocations, want 0", key, allocs)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package verifai
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/metrics"
 	"testing"
@@ -132,5 +133,73 @@ func TestVerifyRetainsLittleHeap(t *testing.T) {
 		grew, measured, grew/measured, st.ResultCacheBytes, st.ResultCacheSize)
 	if grew >= 1000*measured {
 		t.Errorf("live heap grew %d bytes over %d novel verifies, %d a verify: want under 1,000", grew, measured, grew/measured)
+	}
+}
+
+// TestVerifyAllocations bounds the bytes a verify allocates, from
+// runtime.MemStats.TotalAlloc, on the default lake seeded and
+// checkpointed as `serve` does: after a warm-up, 250 novel claim verifies
+// (table evidence, as claims_cold asks) allocate under 100 KB each, and
+// 200 novel tuple verifies (tuple and text evidence, as tuples_cold asks)
+// under 250 KB each. Candidates are reranked in place, borrowed from the
+// sealed catalog, and only the k′ kept are copied. (Copying every
+// candidate and analyzing it afresh, they allocated about 434 KB and
+// 2.25 MB.) It runs without the race detector, which changes allocation.
+func TestVerifyAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation")
+	}
+	if testing.Short() {
+		t.Skip("seeds the default lake; skipped in -short")
+	}
+	const warm, claimsN, tuplesN = 50, 250, 200
+	lakeDir, _ := savedDefaultLake(t)
+	sys := seedDefaultLake(t, lakeDir, filepath.Join(t.TempDir(), "data"))
+	corpus, err := workload.GenerateLake(workload.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer corpus.Lake.Close()
+	claimTasks, err := corpus.ClaimTasks(warm + claimsN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tupleTasks, err := corpus.TupleTasks(warm + tuplesN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// perVerify returns the bytes each of verifies n calls to verify
+	// allocate, after warm calls.
+	perVerify := func(n int, verify func(i int)) uint64 {
+		for i := range warm {
+			verify(i)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := warm; i < warm+n; i++ {
+			verify(i)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
+	}
+	claim := perVerify(claimsN, func(i int) {
+		if _, err := sys.VerifyClaim(fmt.Sprintf("claim-%05d", i), claimTasks[i].Claim, KindTable); err != nil {
+			t.Fatal(err)
+		}
+	})
+	tuple := perVerify(tuplesN, func(i int) {
+		tt := tupleTasks[i]
+		tp := tt.Tuple
+		if _, err := sys.VerifyImputedTuple(fmt.Sprintf("tuple-%05d", i), Tuple{Caption: tp.Caption, Columns: tp.Columns, Values: tp.Values},
+			tt.MaskedAttr(), KindTuple, KindText); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocated per verify: claim %.1f KB, tuple %.1f KB", float64(claim)/1024, float64(tuple)/1024)
+	if claim >= 100<<10 {
+		t.Errorf("a claim verify allocates %d bytes, want under 100 KB", claim)
+	}
+	if tuple >= 250<<10 {
+		t.Errorf("a tuple verify allocates %d bytes, want under 250 KB", tuple)
 	}
 }
