@@ -84,6 +84,7 @@ var requiredDurable = []string{
 	"verifai_memory_bytes",
 	`verifai_memory_bytes{class="offheap_catalog"}`,
 	`verifai_memory_bytes{class="tail"}`,
+	`verifai_memory_bytes{class="token_table"}`,
 }
 
 // requiredFollower is added for follower (replica) deployments.

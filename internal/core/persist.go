@@ -308,6 +308,7 @@ func derivedRows(emb *embed.Embedder, tr *invindex.Transposed) func(d int, row e
 			embed.AddTerm(row, byTerm[pairs[j]], pairs[j+1])
 		}
 		embed.Normalize(row)
+		runtime.KeepAlive(emb) // byTerm views its token table
 	}
 }
 

@@ -60,17 +60,14 @@ func (ps *PinnedSnapshot) Trust() map[string]float64 { return ps.trust }
 // files), a recovered pin's
 // BM25 files are opened and ix derives its vector indexes from them (or,
 // written in another snapshot format, the view is re-indexed), and the
-// view's triple list is rebuilt into a graph for entity resolution.
+// view's graph resolves entities.
 func (ps *PinnedSnapshot) materialize(ix *Indexer) error {
 	ps.once.Do(func() { ps.matErr = ps.doMaterialize(ix) })
 	return ps.matErr
 }
 
 func (ps *PinnedSnapshot) doMaterialize(ix *Indexer) error {
-	ps.graph = kg.NewGraph()
-	for _, t := range ps.view.Triples() {
-		ps.graph.Add(t)
-	}
+	ps.graph = ps.view.Graph()
 	ps.priors = make(map[string]float64, len(ps.view.Sources()))
 	for _, s := range ps.view.Sources() {
 		ps.priors[s.ID] = s.TrustPrior

@@ -68,12 +68,12 @@ func Load(sources []Source, items []BatchItem) (*Lake, error) {
 	return l, nil
 }
 
-// LoadColumns returns a new lake holding sources, the tables and documents
-// cols holds, sealed into one segment off the Go heap, and triples: what
-// a stored catalog loads as. Like Load it counts versions 1..n over the
+// LoadColumns returns a new lake holding sources and the tables, documents
+// and triples cols holds, sealed into one segment off the Go heap: what a
+// stored catalog loads as. Like Load it counts versions 1..n over the
 // tables, documents and triples, and a table loads as it was stored; an
 // empty or repeated ID fails the load.
-func LoadColumns(sources []Source, cols Columns, triples []kg.Triple) (*Lake, error) {
+func LoadColumns(sources []Source, cols Columns) (*Lake, error) {
 	seg, err := newSegment(cols)
 	if err != nil {
 		return nil, err
@@ -84,10 +84,11 @@ func LoadColumns(sources []Source, cols Columns, triples []kg.Triple) (*Lake, er
 			return nil, err
 		}
 	}
-	if seg.numTables()+seg.numDocs() > 0 {
+	if seg.numTables()+seg.numDocs()+seg.numTriples() > 0 {
 		l.cat.tableIDs, l.cat.docIDs = seg.strings(colTableID), seg.strings(colDocID)
 		l.cat.tableOrd, l.cat.docOrd = make(map[string]int, seg.numTables()), make(map[string]int, seg.numDocs())
 		l.cat = l.cat.withSegs([]*segment{seg})
+		l.graph = kg.SealedGraph(seg.run)
 	}
 	if err := indexIDs(l.cat.tableOrd, l.cat.tableIDs, "table"); err != nil {
 		return nil, err
@@ -95,10 +96,7 @@ func LoadColumns(sources []Source, cols Columns, triples []kg.Triple) (*Lake, er
 	if err := indexIDs(l.cat.docOrd, l.cat.docIDs, "document"); err != nil {
 		return nil, err
 	}
-	for _, tr := range triples {
-		l.graph.Add(tr)
-	}
-	n := uint64(len(l.cat.tableIDs) + len(l.cat.docIDs) + len(triples))
+	n := uint64(len(l.cat.tableIDs) + len(l.cat.docIDs) + seg.numTriples())
 	l.version, l.processed, l.published = n, n, n
 	return l, nil
 }

@@ -10,6 +10,7 @@ import (
 	"unsafe"
 
 	"repro/internal/doc"
+	"repro/internal/kg"
 	"repro/internal/table"
 )
 
@@ -18,6 +19,9 @@ import (
 // objects. One map per modality takes an ID to its position in insertion
 // order; the first last(tableEnd) (last(docEnd)) positions are the
 // segments' instances, in segment order, and the rest index the tail.
+// The segments hold the lake's sealed triples too, which its kg.Graph
+// searches; the graph holds the triples' tail, and a catalog being sealed
+// or viewed carries it in triples.
 //
 // Every slice only ever grows at its end, or is replaced, so a fork shares
 // them cut to their length (an append by the lake cannot reach what the
@@ -31,6 +35,7 @@ type catalog struct {
 	tableIDs, docIDs []string
 	tables           []*table.Table
 	docs             []*doc.Document
+	triples          []kg.Triple
 }
 
 func newCatalog() catalog {
@@ -57,6 +62,7 @@ func (c *catalog) fork() *catalog {
 		docIDs:   cut(c.docIDs),
 		tables:   cut(c.tables),
 		docs:     cut(c.docs),
+		triples:  cut(c.triples),
 	}
 }
 
@@ -94,9 +100,15 @@ func docPayload(d *doc.Document) int {
 	return len(d.ID) + len(d.Title) + len(d.EntityID) + len(d.SourceID) + len(d.Text)
 }
 
+// triplePayload is the bytes of a triple's strings.
+func triplePayload(t *kg.Triple) int {
+	return len(t.Subject) + len(t.Predicate) + len(t.Object) + len(t.SourceID)
+}
+
 // tailHeapBytes estimates the Go heap the tail holds: the payload, a
 // string header per string, a slice header per row, each object's struct,
-// and per instance its catalog entries (ID list slot, map entry, pointer).
+// and per instance its catalog entries (ID list slot, map entry, pointer);
+// per triple in triples, its payload, struct and subject index entry.
 func (c *catalog) tailHeapBytes() int64 {
 	const strHdr, sliceHdr, entry = 16, 24, 16 + 40 + 8
 	var n int64
@@ -108,6 +120,9 @@ func (c *catalog) tailHeapBytes() int64 {
 	}
 	for _, d := range c.docs {
 		n += int64(docPayload(d)) + int64(unsafe.Sizeof(*d)) + entry
+	}
+	for i := range c.triples {
+		n += int64(triplePayload(&c.triples[i])) + int64(unsafe.Sizeof(c.triples[i])) + 8
 	}
 	return n
 }
@@ -278,13 +293,13 @@ func (c *catalog) resolve(instanceID string, kind Kind, view *uint64, b *borrowB
 	}
 }
 
-// column yields column name of CatalogColumns over every table or
-// document in insertion order: the segments' first, then the tail's.
-// Strings from a segment are views of its memory, valid only while c is
-// reachable.
+// column yields column name of CatalogColumns or kg.ColumnNames over
+// every table, document or triple in insertion order: the segments' first,
+// then the tail's. Strings from a segment are views of its memory, valid
+// only while c is reachable.
 func (c *catalog) column(name string) iter.Seq[string] {
 	col := -1
-	for i, n := range CatalogColumns {
+	for i, n := range segmentColumns {
 		if n == name {
 			col = i
 		}
@@ -295,12 +310,12 @@ func (c *catalog) column(name string) iter.Seq[string] {
 				return
 			}
 		}
-		tailColumn(col, c.tables, c.docs)(yield)
+		tailColumn(col, c)(yield)
 	}
 }
 
-// tailColumn yields column col of CatalogColumns over Go objects.
-func tailColumn(col int, tables []*table.Table, docs []*doc.Document) iter.Seq[string] {
+// tailColumn yields column col of segmentColumns over c's Go objects.
+func tailColumn(col int, c *catalog) iter.Seq[string] {
 	return func(yield func(string) bool) {
 		each := func(vals ...string) bool {
 			for _, v := range vals {
@@ -310,15 +325,23 @@ func tailColumn(col int, tables []*table.Table, docs []*doc.Document) iter.Seq[s
 			}
 			return true
 		}
+		if col >= colSubject {
+			for _, t := range c.triples {
+				if !each([...]string{t.Subject, t.Predicate, t.Object, t.SourceID}[col-colSubject]) {
+					return
+				}
+			}
+			return
+		}
 		if col >= colDocID {
-			for _, d := range docs {
+			for _, d := range c.docs {
 				if !each([...]string{d.ID, d.Title, d.EntityID, d.SourceID, d.Text}[col-colDocID]) {
 					return
 				}
 			}
 			return
 		}
-		for _, t := range tables {
+		for _, t := range c.tables {
 			ok := true
 			switch col {
 			case colColumns:
@@ -358,17 +381,17 @@ func (c *catalog) shape() (ncols, nrows, widths []uint32) {
 }
 
 // sealTail returns the segments that hold c's segments' instances and
-// its tail: one new segment for the tail, then the two newest merged while
-// the newer holds at least half the instances of the older, so the list
-// stays O(log n) long and an instance is copied into a new segment O(log n)
-// times. The segments c has are unchanged.
+// triples and its tail: one new segment for the tail, then the two newest
+// merged while the newer holds at least half the instances and triples of
+// the older, so the list stays O(log n) long and an instance is copied
+// into a new segment O(log n) times. The segments c has are unchanged.
 func (c *catalog) sealTail() ([]*segment, error) {
-	tail, err := sealed(catalog{tables: c.tables, docs: c.docs})
+	tail, err := sealed(catalog{tables: c.tables, docs: c.docs, triples: c.triples})
 	if err != nil {
 		return nil, err
 	}
 	segs := append(cut(c.segs), tail)
-	size := func(s *segment) int { return s.numTables() + s.numDocs() }
+	size := func(s *segment) int { return s.numTables() + s.numDocs() + s.numTriples() }
 	for n := len(segs); n >= 2 && 2*size(segs[n-1]) >= size(segs[n-2]); n = len(segs) {
 		merged, err := sealed(catalog{segs: segs[n-2:]})
 		if err != nil {

@@ -228,13 +228,14 @@ var ErrClosed = errors.New("datalake: lake closed")
 //
 // The lake seals by size: once a section has applied and the payload
 // committed since the last seal has passed SealBytes, that section's
-// goroutine moves the tables and documents it holds as Go objects — the
-// tail — into a sealed segment off the Go heap, and every subscriber's
-// Seal follows; every Fork seals what is left first. Table, Document and
-// Resolve hand out heap copies of sealed instances, so nothing a caller
-// holds points into a segment; ResolveBorrowed lends views of them for
-// the length of one call. Those committed since the last seal are
-// the Go objects that were ingested.
+// goroutine moves the tables, documents and triples it holds as Go
+// objects — the tail — into a sealed segment off the Go heap, and every
+// subscriber's Seal follows; every Fork seals what is left first. Table,
+// Document and Resolve hand out heap copies of sealed instances, and the
+// graph (Graph) heap copies of sealed triples, so nothing a caller holds
+// points into a segment; ResolveBorrowed lends views of them for the
+// length of one call. Those committed since the last seal are the Go
+// objects that were ingested.
 //
 // The next section commits (and fsyncs) while this one applies, then waits
 // for the apply lock, so events apply in version order. Version()
@@ -667,8 +668,7 @@ func (l *Lake) materializeLocked(ev *Event) {
 		l.unsealed += docPayload(ev.Doc)
 	case KindEntity:
 		l.graph.Add(*ev.Triple)
-		tr := ev.Triple
-		l.unsealed += len(tr.Subject) + len(tr.Predicate) + len(tr.Object) + len(tr.SourceID)
+		l.unsealed += triplePayload(ev.Triple)
 	}
 	l.version = ev.Version
 }
@@ -696,23 +696,23 @@ func (l *Lake) sealIfFull(single bool) {
 	}
 }
 
-// seal moves the tables and documents the lake holds as Go objects — those
-// committed since the last seal — into a new segment off the Go heap
-// (catalog.sealTail), then runs every subscriber's Seal. What the lake
-// holds is unchanged; only its form is. The caller holds applyMu, which
-// serializes seals, so only commits run alongside, and they only append
-// to the tail.
+// seal moves the tables, documents and triples the lake holds as Go
+// objects — those committed since the last seal — into a new segment off
+// the Go heap (catalog.sealTail), then runs every subscriber's Seal. What
+// the lake holds is unchanged; only its form is. The caller holds
+// applyMu, which serializes seals, so only commits run alongside, and
+// they only append to the tail.
 func (l *Lake) seal() error {
 	start := time.Now()
 	l.mu.RLock()
-	c := catalog{segs: cut(l.cat.segs), tables: cut(l.cat.tables), docs: cut(l.cat.docs)}
+	c := catalog{segs: cut(l.cat.segs), tables: cut(l.cat.tables), docs: cut(l.cat.docs), triples: l.graph.Unsealed()}
 	sealed := l.unsealed
 	l.mu.RUnlock()
-	if sealed == 0 && len(c.tables)+len(c.docs) == 0 {
+	if sealed == 0 && len(c.tables)+len(c.docs)+len(c.triples) == 0 {
 		return nil // nothing committed since the last seal
 	}
 	var segs []*segment
-	if len(c.tables)+len(c.docs) > 0 {
+	if len(c.tables)+len(c.docs)+len(c.triples) > 0 {
 		var err error
 		if segs, err = c.sealTail(); err != nil {
 			return fmt.Errorf("datalake: seal: %w", err)
@@ -722,6 +722,7 @@ func (l *Lake) seal() error {
 	l.mu.Lock()
 	if segs != nil {
 		l.cat = l.cat.withSegs(segs)
+		l.graph.Seal(runs(segs), len(c.triples))
 	}
 	l.unsealed -= sealed
 	l.mu.Unlock()
@@ -751,12 +752,26 @@ func (l *Lake) releaseFreed() {
 	}
 }
 
-// TailBytes estimates the Go heap the lake's tail holds: the tables and
-// documents committed since the last seal, with their catalog entries.
+// runs returns the triples of segs, in order.
+func runs(segs []*segment) []*kg.Run {
+	var out []*kg.Run
+	for _, s := range segs {
+		if s.run != nil {
+			out = append(out, s.run)
+		}
+	}
+	return out
+}
+
+// TailBytes estimates the Go heap the lake's tail holds: the tables,
+// documents and triples committed since the last seal, with their catalog
+// and graph entries.
 func (l *Lake) TailBytes() int64 {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return l.cat.tailHeapBytes()
+	c := l.cat
+	c.triples = l.graph.Unsealed()
+	return c.tailHeapBytes()
 }
 
 // AddTable ingests a table. The table's ID must be unique. Safe to call at
@@ -824,7 +839,9 @@ func (l *Lake) hasDoc(id string) bool {
 }
 
 // Graph returns the lake's knowledge graph (shared; internally synchronized,
-// so it can be queried while triples keep arriving).
+// so it can be queried while triples keep arriving). Its sealed triples
+// are in the lake's segments, which the graph keeps reachable; what it
+// hands out is copied out of them.
 func (l *Lake) Graph() *kg.Graph {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -832,8 +849,9 @@ func (l *Lake) Graph() *kg.Graph {
 }
 
 // Triples returns a copy of the knowledge graph's triples in insertion
-// order — the same catalog surface a pinned View offers, so serializers
-// (lakeio) can treat a live lake and a forked view uniformly.
+// order (kg.Graph.Triples) — the same catalog surface a pinned View
+// offers, so serializers (lakeio) can treat a live lake and a forked view
+// uniformly.
 func (l *Lake) Triples() []kg.Triple {
 	return l.Graph().Triples()
 }
@@ -880,7 +898,8 @@ type Stats struct {
 	Entities int
 }
 
-// Stats computes the current lake statistics.
+// Stats computes the current lake statistics. Entities is the graph's
+// count of distinct folded subjects, which it keeps as triples arrive.
 func (l *Lake) Stats() Stats {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -890,7 +909,7 @@ func (l *Lake) Stats() Stats {
 		Docs:     len(l.cat.docIDs),
 		Triples:  l.graph.Len(),
 		Sources:  len(l.sources),
-		Entities: len(l.graph.Entities()),
+		Entities: l.graph.NumEntities(),
 	}
 }
 
@@ -947,9 +966,9 @@ func (l *Lake) resolveLocked(instanceID string, b *borrowBuf) (Instance, error) 
 		return l.cat.resolve(instanceID, kind, nil, b)
 	}
 	name := strings.TrimPrefix(instanceID, "entity:")
-	ts := l.graph.About(name)
-	if len(ts) == 0 {
+	source, ok := l.graph.EntitySource(name)
+	if !ok {
 		return Instance{}, fmt.Errorf("datalake: unknown entity %q", name)
 	}
-	return Instance{ID: instanceID, Kind: KindEntity, SourceID: ts[0].SourceID, Entity: name, Graph: l.graph}, nil
+	return Instance{ID: instanceID, Kind: KindEntity, SourceID: source, Entity: name, Graph: l.graph}, nil
 }

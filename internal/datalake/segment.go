@@ -5,12 +5,14 @@ import (
 	"iter"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/binfmt"
 	"repro/internal/doc"
+	"repro/internal/kg"
 	"repro/internal/table"
 )
 
@@ -23,23 +25,29 @@ var CatalogColumns = []string{
 	"doc.id", "doc.title", "doc.entity", "doc.source", "doc.text",
 }
 
-// Columns is a run of tables and documents in column form. Strings yields
-// the named column of CatalogColumns (each column is read three times);
-// NCols and NRows give each table's column and row count, and RowWidth
-// each row's cell count, or is nil when every row of a table is as wide
-// as its header.
+// segmentColumns are the string columns of a segment: CatalogColumns,
+// then the triples' kg.ColumnNames.
+var segmentColumns = append(slices.Clone(CatalogColumns), kg.ColumnNames...)
+
+// Columns is a run of tables, documents and triples in column form.
+// Strings yields the named column of CatalogColumns or kg.ColumnNames
+// (each column is read three times); NCols and NRows give each table's
+// column and row count, and RowWidth each row's cell count, or is nil when
+// every row of a table is as wide as its header.
 type Columns struct {
 	Strings      func(name string) iter.Seq[string]
 	NCols, NRows []uint32
 	RowWidth     []uint32
 }
 
-// segment is a sealed run of tables and documents: the columns of
-// CatalogColumns in one binfmt container built off the Go heap
-// (binfmt.Writer.Build), with three offset columns that let a table be
-// found without a scan — table.colstart and table.rowstart (one entry per
-// table, plus one) say where a table's column names and rows start, and
-// table.cellstart (one per row, plus one) where a row's cells start.
+// segment is a sealed run of tables, documents and triples: the columns
+// of CatalogColumns and kg.ColumnNames in one binfmt container built off
+// the Go heap (binfmt.Writer.Build), with three offset columns that let a
+// table be found without a scan — table.colstart and table.rowstart (one
+// entry per table, plus one) say where a table's column names and rows
+// start, and table.cellstart (one per row, plus one) where a row's cells
+// start — and the triples' folded-subject index (kg.WriteIndex), which
+// the lake's graph searches the segment's triples by (kg.Run).
 //
 // What a segment hands out is copied onto the heap, so the segment's
 // memory is released by its Reader's cleanup once no lake or View holds
@@ -48,12 +56,13 @@ type Columns struct {
 // segment reachable (see Lake.ResolveBorrowed).
 type segment struct {
 	r    *binfmt.Reader
-	cols [10]binfmt.StringCol // CatalogColumns, in order
+	cols [14]binfmt.StringCol // segmentColumns, in order
 	// colStart, rowStart and cellStart view the offset columns.
 	colStart, rowStart, cellStart []uint32
+	run                           *kg.Run // the triples; nil when there are none
 }
 
-// The positions of CatalogColumns in segment.cols.
+// The positions of segmentColumns in segment.cols.
 const (
 	colTableID = iota
 	colCaption
@@ -65,6 +74,7 @@ const (
 	colEntity
 	colDocSource
 	colText
+	colSubject // the first of kg.ColumnNames
 )
 
 // segmentBytes is what the live segments hold outside the Go heap.
@@ -78,8 +88,8 @@ func SegmentBytes() int64 { return segmentBytes.Load() }
 // against the column it indexes before anything is sized by it, so a
 // forged count is an error, never an allocation.
 func newSegment(c Columns) (*segment, error) {
-	counts := make([]int, len(CatalogColumns))
-	for i, name := range CatalogColumns {
+	counts := make([]int, len(segmentColumns))
+	for i, name := range segmentColumns {
 		size := 0
 		for s := range c.Strings(name) {
 			counts[i]++
@@ -92,7 +102,7 @@ func newSegment(c Columns) (*segment, error) {
 	sameCount := func(cols ...int) error {
 		for _, i := range cols[1:] {
 			if counts[i] != counts[cols[0]] {
-				return fmt.Errorf("column %q has %d entries, %q has %d", CatalogColumns[i], counts[i], CatalogColumns[cols[0]], counts[cols[0]])
+				return fmt.Errorf("column %q has %d entries, %q has %d", segmentColumns[i], counts[i], segmentColumns[cols[0]], counts[cols[0]])
 			}
 		}
 		return nil
@@ -101,6 +111,9 @@ func newSegment(c Columns) (*segment, error) {
 		return nil, err
 	}
 	if err := sameCount(colDocID, colTitle, colEntity, colDocSource, colText); err != nil {
+		return nil, err
+	}
+	if err := sameCount(colSubject, colSubject+1, colSubject+2, colSubject+3); err != nil {
 		return nil, err
 	}
 	tables := counts[colTableID]
@@ -148,18 +161,22 @@ func newSegment(c Columns) (*segment, error) {
 	}
 
 	w := binfmt.NewWriter()
-	for _, name := range CatalogColumns {
+	for _, name := range segmentColumns {
 		w.StringSeq(name, c.Strings(name))
 	}
 	w.Uint32s("table.colstart", colStart)
 	w.Uint32s("table.rowstart", rowStart)
 	w.Uint32s("table.cellstart", cellStart)
+	kg.WriteIndex(w, c.Strings(kg.ColumnNames[0]))
 	r, err := w.Build()
 	if err != nil {
 		return nil, err
 	}
 	s := &segment{r: r}
-	for i, name := range CatalogColumns {
+	if s.run, err = kg.OpenRun(r); err != nil {
+		return nil, err
+	}
+	for i, name := range segmentColumns {
 		if s.cols[i], err = r.Strings(name); err != nil {
 			return nil, err
 		}
@@ -180,8 +197,9 @@ func newSegment(c Columns) (*segment, error) {
 	return s, nil
 }
 
-func (s *segment) numTables() int { return s.cols[colTableID].Len() }
-func (s *segment) numDocs() int   { return s.cols[colDocID].Len() }
+func (s *segment) numTables() int  { return s.cols[colTableID].Len() }
+func (s *segment) numDocs() int    { return s.cols[colDocID].Len() }
+func (s *segment) numTriples() int { return s.cols[colSubject].Len() }
 
 // numRows returns the rows of all the segment's tables.
 func (s *segment) numRows() int { return len(s.cellStart) - 1 }
@@ -330,7 +348,7 @@ func (s *segment) document(i int, b *borrowBuf) *doc.Document {
 	return d
 }
 
-// column yields column col of CatalogColumns as views of the segment's
+// column yields column col of segmentColumns as views of the segment's
 // memory, valid only while the segment is reachable.
 func (s *segment) column(col int, yield func(string) bool) bool {
 	c := s.cols[col]

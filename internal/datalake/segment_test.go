@@ -3,6 +3,7 @@ package datalake
 import (
 	"fmt"
 	"iter"
+	"maps"
 	"math/bits"
 	"reflect"
 	"runtime"
@@ -37,7 +38,13 @@ func sealableItems(prefix string) []BatchItem {
 	} {
 		items = append(items, BatchItem{Doc: d})
 	}
-	return append(items, BatchItem{Triple: &kg.Triple{Subject: prefix + "s", Predicate: "p", Object: "o"}})
+	// Every batch's triples repeat one entity in another casing, so sealed
+	// runs and the tail share subjects.
+	return append(items,
+		BatchItem{Triple: &kg.Triple{Subject: prefix + "s", Predicate: "p", Object: "o"}},
+		BatchItem{Triple: &kg.Triple{Subject: "Tommy Bolt", Predicate: prefix + "won", Object: "570", SourceID: "web"}},
+		BatchItem{Triple: &kg.Triple{Subject: prefix + "TOMMY bolt", Predicate: "country", Object: "\xff"}},
+		BatchItem{Triple: &kg.Triple{Subject: "tommy  BOLT", Predicate: "Country", Object: prefix + "us"}})
 }
 
 // catalogOf is what a reader can see of a lake or a view: every table,
@@ -75,15 +82,46 @@ func catalogOf(t *testing.T, tableIDs, docIDs []string, tbl func(string) (*table
 	return out
 }
 
+// graphOf is what a reader can see of a graph: its triples, entities and
+// their pages, and each triple's subject looked up.
+func graphOf(t *testing.T, g *kg.Graph, resolve func(string) (Instance, error)) map[string]any {
+	t.Helper()
+	triples, entities := g.Triples(), g.Entities()
+	out := map[string]any{"triples": triples, "entities": entities}
+	if g.Len() != len(triples) || g.NumEntities() != len(entities) {
+		t.Fatalf("graph Len %d, NumEntities %d; %d triples, %d entities", g.Len(), g.NumEntities(), len(triples), len(entities))
+	}
+	for _, e := range append(entities, "TOMMY BOLT", "nobody") {
+		canonical, n := g.Entity(e)
+		page, pn := g.EntityPage(e)
+		source, ok := g.EntitySource(e)
+		in, err := resolve(EntityInstanceID(e))
+		out["entity:"+e] = fmt.Sprint(canonical, n, page, pn, source, ok, g.About(e), in.SourceID, in.Entity, err == nil)
+	}
+	for _, tr := range triples {
+		out["lookup:"+tr.Subject+"/"+tr.Predicate] = g.Lookup(tr.Subject, tr.Predicate)
+	}
+	return out
+}
+
 func lakeCatalog(t *testing.T, l *Lake) map[string]any {
 	out := catalogOf(t, l.TableIDs(), l.DocIDs(), l.Table, l.Document, l.Resolve)
 	out["stats"] = l.Stats()
+	if !reflect.DeepEqual(l.Triples(), l.Graph().Triples()) {
+		t.Fatal("the lake's triples are not its graph's")
+	}
+	maps.Copy(out, graphOf(t, l.Graph(), l.Resolve))
 	return out
 }
 
 func viewCatalog(t *testing.T, v *View) map[string]any {
-	return catalogOf(t, v.TableIDs(), v.DocIDs(), v.Table, v.Document,
-		func(id string) (Instance, error) { return v.Resolve(id, nil) })
+	resolve := func(id string) (Instance, error) { return v.Resolve(id, v.Graph()) }
+	out := catalogOf(t, v.TableIDs(), v.DocIDs(), v.Table, v.Document, resolve)
+	if !reflect.DeepEqual(v.Triples(), v.Graph().Triples()) {
+		t.Fatal("the view's triples are not its graph's")
+	}
+	maps.Copy(out, graphOf(t, v.Graph(), resolve))
+	return out
 }
 
 // TestSealKeepsCatalog: sealing a lake's tail — at each fork, with ingest
@@ -215,7 +253,7 @@ func forkView(t *testing.T, l *Lake) *View {
 // columnsOf is the column form a view is written in.
 func columnsOf(v *View) map[string]any {
 	out := map[string]any{}
-	for _, name := range CatalogColumns {
+	for _, name := range segmentColumns {
 		var vals []string
 		for s := range v.Column(name) {
 			vals = append(vals, string([]byte(s)))
@@ -234,6 +272,7 @@ func TestLoadColumnsRejects(t *testing.T) {
 		"table.id": {"t"}, "table.caption": {"c"}, "table.source": {""},
 		"table.columns": {"a", "b"}, "table.cells": {"1", "2", "3", "4"},
 		"doc.id": {"d"}, "doc.title": {""}, "doc.entity": {""}, "doc.source": {""}, "doc.text": {"x"},
+		"triple.subject": {"s"}, "triple.predicate": {"p"}, "triple.object": {"o"}, "triple.source": {""},
 	}
 	load := func(edit func(cols map[string][]string, c *Columns)) error {
 		cols := map[string][]string{}
@@ -243,7 +282,7 @@ func TestLoadColumnsRejects(t *testing.T) {
 		c := Columns{NCols: []uint32{2}, NRows: []uint32{2}}
 		edit(cols, &c)
 		c.Strings = func(name string) iter.Seq[string] { return slices.Values(cols[name]) }
-		l, err := LoadColumns(nil, c, nil)
+		l, err := LoadColumns(nil, c)
 		if err == nil {
 			l.Close()
 		}
@@ -266,6 +305,7 @@ func TestLoadColumnsRejects(t *testing.T) {
 		"widths short":          func(_ map[string][]string, c *Columns) { c.RowWidth = []uint32{4} },
 		"widths past the cells": func(_ map[string][]string, c *Columns) { c.RowWidth = []uint32{4, 1} },
 		"an empty table id":     func(m map[string][]string, _ *Columns) { m["table.id"] = []string{""} },
+		"a triple object short": func(m map[string][]string, _ *Columns) { m["triple.object"] = nil },
 		"a repeated doc id": func(m map[string][]string, _ *Columns) {
 			for _, col := range []string{"doc.id", "doc.title", "doc.entity", "doc.source", "doc.text"} {
 				m[col] = append(m[col], m[col][0])
@@ -334,7 +374,8 @@ func sealedCopies(t *testing.T) map[string]any {
 }
 
 // TestViewTriplesShareTheGraph: a view takes the graph's triples without
-// copying them, and triples added after the fork stay out of it.
+// copying them — the fork seals them into the segment it shares with the
+// lake — and triples added after the fork stay out of it.
 func TestViewTriplesShareTheGraph(t *testing.T) {
 	l := New()
 	defer l.Close()
@@ -345,8 +386,8 @@ func TestViewTriplesShareTheGraph(t *testing.T) {
 	}
 	v := forkView(t, l)
 	parent := l.Triples()
-	if &v.Triples()[0] != &l.Graph().Appended()[0] {
-		t.Error("the view copied the graph's triples")
+	if len(l.Graph().Unsealed()) != 0 || len(v.cat.segs) != 1 || v.cat.segs[0] != l.cat.segs[0] || v.cat.segs[0].numTriples() != 3 {
+		t.Error("the view does not share the segment the fork sealed the triples into")
 	}
 	for i := range 100 {
 		if err := l.AddTriple(kg.Triple{Subject: fmt.Sprint("late", i), Predicate: "p", Object: "o"}); err != nil {
@@ -359,8 +400,9 @@ func TestViewTriplesShareTheGraph(t *testing.T) {
 }
 
 // TestSealWhileReading: seals run while other goroutines ingest, and read
-// every instance from the lake and from the views being sealed, and every
-// read sees the content it would without the seals.
+// every instance and an entity's triples from the lake and from the views
+// being sealed, and every read sees the content it would without the
+// seals.
 func TestSealWhileReading(t *testing.T) {
 	l := New()
 	defer l.Close()
@@ -407,7 +449,21 @@ func TestSealWhileReading(t *testing.T) {
 						return
 					}
 				}
+				// The triples about an entity every round repeats: a
+				// prefix of all of them, whatever has been sealed.
+				want := ref.Graph().About("tommy bolt")
+				prefix := func(got []kg.Triple) bool {
+					return len(got) == 0 || len(got) <= len(want) && reflect.DeepEqual(got, want[:len(got)])
+				}
+				if got := l.Graph().About("tommy bolt"); !prefix(got) {
+					t.Errorf("About(tommy bolt) = %v, want a prefix of %v", got, want)
+					return
+				}
 				views.Range(func(_, v any) bool {
+					if got := v.(*View).Graph().About("tommy bolt"); !prefix(got) {
+						t.Errorf("view's About(tommy bolt) = %v, want a prefix of %v", got, want)
+						return false
+					}
 					for _, id := range v.(*View).DocIDs() {
 						got, _ := v.(*View).Document(id)
 						want, _ := ref.Document(id)

@@ -15,17 +15,18 @@ import (
 // version: the fork primitive behind non-blocking checkpoints. A View is
 // built under a brief quiescence (Fork), which first seals the lake's
 // tail, so a View holds sealed segments only, never a Go object the lake
-// was given. It copies the catalog's ID maps and shares everything else,
-// cut to its length: the segment list, the ID lists and the triples only
-// ever grow at their end or are replaced. So the fork costs a map entry
-// per instance, not its content. A long-running consumer (the checkpoint
-// write phase) serializes the View while ingestion continues on the live
-// lake.
+// was given. It copies the catalog's ID maps and the graph's subject
+// index of its tail (kg.Graph.Fork), and shares everything else, cut to
+// its length: the segment list, the ID lists and the graph's runs and tail
+// only ever grow at their end or are replaced. So the fork costs a map
+// entry per instance, not its content. A long-running consumer (the
+// checkpoint write phase) serializes the View while ingestion continues
+// on the live lake.
 type View struct {
 	version uint64
 	sources []Source
 	cat     *catalog
-	triples []kg.Triple
+	graph   *kg.Graph
 }
 
 // Fork quiesces the lake just long enough to seal its tail (at most
@@ -67,8 +68,9 @@ func (l *Lake) viewLocked(version uint64) *View {
 		version: version,
 		sources: make([]Source, 0, len(l.sources)),
 		cat:     l.cat.fork(),
-		triples: l.graph.Appended(),
+		graph:   l.graph.Fork(),
 	}
+	v.cat.triples = v.graph.Unsealed()
 	for _, s := range l.sources {
 		v.sources = append(v.sources, s)
 	}
@@ -97,14 +99,20 @@ func (v *View) DocIDs() []string { return v.cat.docIDs }
 // Document returns a fresh copy of the document with the given ID.
 func (v *View) Document(id string) (*doc.Document, bool) { return v.cat.document(id, nil) }
 
-// Triples returns the view's knowledge-graph triples in insertion order
-// (shared slice; callers must not mutate).
-func (v *View) Triples() []kg.Triple { return v.triples }
+// Triples returns a copy of the view's knowledge-graph triples in
+// insertion order.
+func (v *View) Triples() []kg.Triple { return v.graph.Triples() }
 
-// Column yields the named column of CatalogColumns over the view's tables
-// or documents in insertion order, and Shape their counts: the column form
-// a stored catalog is written in. A string Column yields may be a view of
-// a segment's memory, valid only while v is reachable.
+// Graph returns the view's knowledge graph, which shares the lake's
+// sealed triples and hands out copies of them as the lake's does. Callers
+// must not add to it.
+func (v *View) Graph() *kg.Graph { return v.graph }
+
+// Column yields the named column of CatalogColumns or kg.ColumnNames over
+// the view's tables, documents or triples in insertion order, and Shape
+// the tables' counts: the column form a stored catalog is written in. A
+// string Column yields may be a view of a segment's memory, valid only
+// while v is reachable.
 func (v *View) Column(name string) iter.Seq[string] { return v.cat.column(name) }
 
 // Shape returns each table's column and row count and each row's width,
@@ -113,9 +121,8 @@ func (v *View) Shape() (ncols, nrows, widths []uint32) { return v.cat.shape() }
 
 // Resolve maps an instance ID to its content as of the view's version —
 // the pinned-read counterpart of Lake.Resolve. Entity instances resolve
-// against g, a graph built from the view's triples (the view itself only
-// carries the flat triple list); passing nil resolves entities as
-// missing. Needs no locking: the view is immutable.
+// against g, the view's Graph or one the caller holds for it; passing nil
+// resolves entities as missing. Needs no locking: the view is immutable.
 func (v *View) Resolve(instanceID string, g *kg.Graph) (Instance, error) {
 	return v.resolve(instanceID, g, nil)
 }
@@ -131,12 +138,12 @@ func (v *View) resolve(instanceID string, g *kg.Graph, b *borrowBuf) (Instance, 
 		return v.cat.resolve(instanceID, kind, &v.version, b)
 	}
 	name := strings.TrimPrefix(instanceID, "entity:")
-	var ts []kg.Triple
+	var source string
 	if g != nil {
-		ts = g.About(name)
+		source, ok = g.EntitySource(name)
 	}
-	if len(ts) == 0 {
+	if g == nil || !ok {
 		return Instance{}, fmt.Errorf("datalake: unknown entity %q at version %d", name, v.version)
 	}
-	return Instance{ID: instanceID, Kind: KindEntity, SourceID: ts[0].SourceID, Entity: name, Graph: g}, nil
+	return Instance{ID: instanceID, Kind: KindEntity, SourceID: source, Entity: name, Graph: g}, nil
 }

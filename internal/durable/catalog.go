@@ -37,15 +37,15 @@ import (
 // Order is the catalog's: tables and documents in insertion order, triples
 // in graph order, so a reloaded lake forks to the same View.
 //
-// The table and document columns are also the in-memory form of every
-// table and document up to the lake's last seal: the lake seals the ones
-// committed since the one before into a segment as they pass
-// datalake.SealBytes, and at every fork, which holds these columns packed,
-// not deflated, off the Go heap, with offsets to find a table's column
-// names, rows and cells; and an open inflates the file's columns straight
-// into one such segment (datalake.LoadColumns). This file is written from
-// a View's segments, byte for byte what writing the same catalog from Go
-// objects gives, however many segments hold it.
+// The columns are also the in-memory form of every table, document and
+// triple up to the lake's last seal: the lake seals the ones committed
+// since the one before into a segment as they pass datalake.SealBytes, and
+// at every fork, which holds these columns packed, not deflated, off the
+// Go heap, with offsets to find a table's column names, rows and cells and
+// an index of the triples by folded subject; and an open inflates the
+// file's columns straight into one such segment (datalake.LoadColumns).
+// This file is written from a View's segments, byte for byte what writing
+// the same catalog from Go objects gives, however many segments hold it.
 
 // catalogFile is the container's name inside a checkpoint or pin directory.
 const catalogFile = "catalog.vaib"
@@ -106,18 +106,8 @@ func encodeCatalog(view *datalake.View) (*binfmt.Writer, error) {
 	if err := w.JSON("sources", view.Sources()); err != nil {
 		return nil, fmt.Errorf("durable: encode catalog: %w", err)
 	}
-	for _, name := range datalake.CatalogColumns {
+	for _, name := range catalogStringColumns {
 		w.DeflatedStringSeq(name, view.Column(name))
-	}
-	triples := view.Triples()
-	for i, name := range tripleColumns {
-		w.DeflatedStringSeq(name, func(yield func(string) bool) {
-			for _, tr := range triples {
-				if !yield([...]string{tr.Subject, tr.Predicate, tr.Object, tr.SourceID}[i]) {
-					return
-				}
-			}
-		})
 	}
 	ncols, nrows, rowWidth := view.Shape()
 	ragged := false
@@ -139,14 +129,11 @@ func encodeCatalog(view *datalake.View) (*binfmt.Writer, error) {
 	return w, nil
 }
 
-// tripleColumns are the container's triple columns, in file order.
-var tripleColumns = []string{"triple.subject", "triple.predicate", "triple.object", "triple.source"}
-
 // catalogStringColumns lists the container's string columns in file order.
-var catalogStringColumns = append(append([]string(nil), datalake.CatalogColumns...), tripleColumns...)
+var catalogStringColumns = append(append([]string(nil), datalake.CatalogColumns...), kg.ColumnNames...)
 
-// decodeCatalog loads a lake from container bytes: its tables and
-// documents inflate into one sealed segment (datalake.LoadColumns), which
+// decodeCatalog loads a lake from container bytes: its tables, documents
+// and triples inflate into one sealed segment (datalake.LoadColumns), which
 // checks every count against the column it indexes before anything is
 // sized by it, so a container whose sections pass their CRCs but disagree
 // with each other (only a bug or a forged file can produce one) is still
@@ -191,24 +178,13 @@ func decodeCatalog(data []byte) (*datalake.Lake, error) {
 		}
 		cols[name] = strs[i]
 	}
-	subjects := cols["triple.subject"]
-	for _, name := range tripleColumns[1:] {
-		if len(cols[name]) != len(subjects) {
-			return nil, fmt.Errorf("durable: catalog: column %q has %d entries, %q has %d", name, len(cols[name]), tripleColumns[0], len(subjects))
-		}
-	}
-	triples := make([]kg.Triple, len(subjects))
-	for i, subject := range subjects {
-		triples[i] = kg.Triple{Subject: subject, Predicate: cols["triple.predicate"][i],
-			Object: cols["triple.object"][i], SourceID: cols["triple.source"][i]}
-	}
 	tables := datalake.Columns{Strings: func(name string) iter.Seq[string] { return slices.Values(cols[name]) }}
 	for name, dst := range map[string]*[]uint32{"table.ncols": &tables.NCols, "table.nrows": &tables.NRows, "table.rowwidth": &tables.RowWidth} {
 		if *dst, err = r.Uint32s(name); err != nil {
 			return nil, fmt.Errorf("durable: catalog: %w", err)
 		}
 	}
-	lake, err := datalake.LoadColumns(sources, tables, triples)
+	lake, err := datalake.LoadColumns(sources, tables)
 	if err != nil {
 		return nil, fmt.Errorf("durable: catalog: %w", err)
 	}

@@ -17,7 +17,9 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
+	"repro/internal/binfmt"
 	"repro/internal/detrand"
 	"repro/internal/textutil"
 )
@@ -108,20 +110,27 @@ func Clone(v Vector) Vector {
 // query term the dictionary lacks gets its vector computed for the call.
 // The table's rows sit back to back in fixed-size chunks that are never
 // reallocated, filled the first time a term's row is read; reading a
-// filled row takes no lock.
+// filled row takes no lock. The chunks come from binfmt.OffHeap, owned by
+// the Embedder: where files can be mapped the collector neither scans nor
+// counts them, and they are released once the Embedder is unreachable. So
+// a row the Embedder hands out (Row, TokenVector, EmbedTokens,
+// AddTermVectors) is a view of the table, not a copy: its caller keeps
+// the Embedder reachable for as long as it reads the row
+// (runtime.KeepAlive where nothing else holds it).
 type Embedder struct {
 	dim  int
 	seed uint64
 	dict *textutil.Dict
 
-	mu     sync.Mutex // serializes growing the chunk list and filling rows
-	chunks atomic.Pointer[[]*tokenRows]
+	mu      sync.Mutex // serializes growing the chunk list and filling rows
+	chunks  atomic.Pointer[[]*tokenRows]
+	offHeap atomic.Int64 // bytes of the chunks in anonymous mappings
 }
 
 // tokenRows is one chunk of the token table: tokenChunk rows of dim
 // components, and whether each row is filled yet.
 type tokenRows struct {
-	vecs   []float32
+	vecs   []float32 // from binfmt.OffHeap, owned by the Embedder
 	filled [tokenChunk]atomic.Bool
 }
 
@@ -145,7 +154,8 @@ func (e *Embedder) Dim() int { return e.dim }
 func (e *Embedder) Dict() *textutil.Dict { return e.dict }
 
 // Row returns the token vector of the dictionary's term id, the table's
-// row id, filling it first if no one has. Callers must not mutate it.
+// row id, filling it first if no one has: a view of the table, valid while
+// e is reachable. Callers must not mutate it.
 func (e *Embedder) Row(id uint32) Vector {
 	if cs := e.chunks.Load(); cs != nil && int(id/tokenChunk) < len(*cs) {
 		if c := (*cs)[id/tokenChunk]; c.filled[id%tokenChunk].Load() {
@@ -161,7 +171,7 @@ func (e *Embedder) Row(id uint32) Vector {
 		if cs != nil {
 			grown = append(grown, *cs...)
 		}
-		grown = append(grown, &tokenRows{vecs: make([]float32, tokenChunk*e.dim)})
+		grown = append(grown, &tokenRows{vecs: e.newChunk()})
 		cs = &grown
 		e.chunks.Store(cs)
 	}
@@ -172,6 +182,15 @@ func (e *Embedder) Row(id uint32) Vector {
 		c.filled[id%tokenChunk].Store(true)
 	}
 	return row
+}
+
+// newChunk returns the zeroed vectors of a new chunk of the table.
+func (e *Embedder) newChunk() []float32 {
+	buf, mapped := binfmt.OffHeap(e, tokenChunk*e.dim*4)
+	if mapped {
+		e.offHeap.Add(int64(len(buf)))
+	}
+	return unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(buf))), tokenChunk*e.dim)
 }
 
 func (e *Embedder) rowOf(c *tokenRows, id uint32) Vector {
@@ -193,8 +212,8 @@ func (e *Embedder) newTokenVector(token string) Vector {
 
 // TokenVector returns the unit-norm embedding of a single (stemmed) token.
 // The same token always maps to the same vector: its table row when the
-// dictionary holds it, otherwise one computed for this call. Callers must
-// not mutate the returned vector.
+// dictionary holds it (a view, as Row's), otherwise one computed for this
+// call. Callers must not mutate the returned vector.
 func (e *Embedder) TokenVector(token string) Vector {
 	if id, ok := e.dict.Lookup(token); ok {
 		return e.Row(id)
@@ -211,9 +230,13 @@ func (e *Embedder) TableBytes() int64 {
 	return int64(len(*cs)) * tokenChunk * int64(e.dim) * 4
 }
 
+// OffHeapBytes returns the part of TableBytes outside the Go heap: all of
+// it unless binfmt.OffHeap fell back to heap buffers.
+func (e *Embedder) OffHeapBytes() int64 { return e.offHeap.Load() }
+
 // AddTermVectors adds each of terms to the dictionary and returns its
 // token vector, the rows filled on the embedder's worker pool: what a
-// reopened index's terms take.
+// reopened index's terms take. The vectors are views, as Row's.
 func (e *Embedder) AddTermVectors(terms []string) []Vector {
 	out := make([]Vector, len(terms))
 	forEach(len(terms), 0, func(i int) { out[i] = e.Row(e.dict.Add(terms[i])) })
@@ -221,8 +244,8 @@ func (e *Embedder) AddTermVectors(terms []string) []Vector {
 }
 
 // EmbedTokens returns one vector per analyzed token of s, in order, for
-// late-interaction (ColBERT-style) scoring. Returns nil for token-free text.
-// It adds nothing to the dictionary.
+// late-interaction (ColBERT-style) scoring: views, as TokenVector's.
+// Returns nil for token-free text. It adds nothing to the dictionary.
 func (e *Embedder) EmbedTokens(s string) []Vector {
 	terms := e.dict.AppendTerms(nil, s)
 	if len(terms) == 0 {
@@ -251,6 +274,7 @@ func (e *Embedder) EmbedText(s string) Vector {
 		AddTerm(out, e.TokenVector(terms[i]), int32(j-i))
 		i = j
 	}
+	runtime.KeepAlive(e) // until the last row is read
 	Normalize(out)
 	return out
 }
@@ -262,6 +286,7 @@ func (e *Embedder) AddBag(acc Vector, b textutil.IDBag) {
 	for _, t := range b.Terms {
 		AddTerm(acc, e.Row(t.ID), t.Freq)
 	}
+	runtime.KeepAlive(e) // until the last row is read
 }
 
 // AddTerm adds a term's token vector tv, occurring freq times, into the

@@ -8,6 +8,9 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"unsafe"
+
+	"repro/internal/binfmt"
 )
 
 // Record wire format inside a segment (all integers uvarint unless noted;
@@ -51,12 +54,42 @@ import (
 // emptied, and a slot that answers from its own cache line misses once
 // where a map misses on its control word, its key header and the key's
 // bytes (Append measured a sixth faster inside a real verify loop). It is
-// also free of pointers.
+// also free of pointers, so it comes from binfmt.OffHeap (see slotTable).
 type dictionary struct {
 	mu    sync.RWMutex
 	seed  maphash.Seed
-	slots []dictSlot // length a power of two, at most half full
+	table *slotTable // nil until the first add
 	strs  []string   // ID → string
+}
+
+// slotTable owns one slot table of a dictionary: where files can be mapped
+// the slots are an anonymous mapping (binfmt.OffHeap), which the
+// collector neither scans nor counts, released once the dictionary has
+// grown past the table and let go of it, or its store is unreachable.
+// Every read of the slots goes through the dictionary, under its lock, so
+// the table is reachable for as long as they are read.
+type slotTable struct {
+	slots  []dictSlot // length a power of two, at most half full
+	mapped bool
+}
+
+// newSlotTable returns a table of n empty slots.
+func newSlotTable(n int) *slotTable {
+	t := new(slotTable)
+	buf, mapped := binfmt.OffHeap(t, n*int(unsafe.Sizeof(dictSlot{})))
+	t.slots, t.mapped = unsafe.Slice((*dictSlot)(unsafe.Pointer(unsafe.SliceData(buf))), n), mapped
+	return t
+}
+
+// slotBytes returns the bytes of the slot table, and whether they are
+// outside the Go heap.
+func (d *dictionary) slotBytes() (n int64, offHeap bool) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if d.table == nil {
+		return 0, false
+	}
+	return int64(len(d.table.slots)) * int64(unsafe.Sizeof(dictSlot{})), d.table.mapped
 }
 
 const dictInline = 24
@@ -69,13 +102,14 @@ type dictSlot struct {
 
 // find returns s's ID. The caller holds mu.
 func (d *dictionary) find(s string) (uint32, bool) {
-	if len(d.slots) == 0 {
+	if d.table == nil {
 		return 0, false
 	}
+	slots := d.table.slots
 	head := s[:min(len(s), dictInline)]
-	mask := uint64(len(d.slots) - 1)
+	mask := uint64(len(slots) - 1)
 	for i := maphash.String(d.seed, s) & mask; ; i = (i + 1) & mask {
-		slot := &d.slots[i]
+		slot := &slots[i]
 		if slot.id == 0 {
 			return 0, false
 		}
@@ -89,12 +123,13 @@ func (d *dictionary) find(s string) (uint32, bool) {
 // place puts strs[id] into the first free slot of its probe sequence.
 func (d *dictionary) place(id uint32) {
 	s := d.strs[id]
-	mask := uint64(len(d.slots) - 1)
+	slots := d.table.slots
+	mask := uint64(len(slots) - 1)
 	i := maphash.String(d.seed, s) & mask
-	for d.slots[i].id != 0 {
+	for slots[i].id != 0 {
 		i = (i + 1) & mask
 	}
-	slot := &d.slots[i]
+	slot := &slots[i]
 	slot.id, slot.n = id+1, uint32(len(s))
 	copy(slot.head[:], s)
 }
@@ -109,8 +144,12 @@ func (d *dictionary) add(s string) uint32 {
 	}
 	id := uint32(len(d.strs))
 	d.strs = append(d.strs, strings.Clone(s))
-	if 2*len(d.strs) > len(d.slots) {
-		d.slots = make([]dictSlot, max(64, 2*len(d.slots)))
+	if d.table == nil || 2*len(d.strs) > len(d.table.slots) {
+		n := 64
+		if d.table != nil {
+			n = 2 * len(d.table.slots)
+		}
+		d.table = newSlotTable(n)
 		for old := range d.strs {
 			d.place(uint32(old))
 		}

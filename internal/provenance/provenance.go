@@ -9,9 +9,10 @@
 // segments rather than as Go structs: a record costs a few KB of memory the
 // garbage collector never scans, and every Record handed out is decoded
 // afresh, so callers share nothing with the store or with each other. The
-// segments come from binfmt.OffHeap: where files can be mapped they sit
-// outside the Go heap, so lineage does not raise the collector's heap goal
-// either.
+// segments, and the slot table of the dictionary that interns the strings
+// records repeat, come from binfmt.OffHeap: where files can be mapped they
+// sit outside the Go heap, so lineage does not raise the collector's heap
+// goal either.
 package provenance
 
 import (
@@ -341,7 +342,7 @@ func (s *Store) WriteJSON(w io.Writer) error {
 	s.mu.RUnlock()
 	if len(segs) == 0 {
 		// What encoding/json writes for the nil slice an empty store used
-		// to hold; ReadJSON accepts it.
+		// to hold; decoding it gives no records.
 		_, err := io.WriteString(w, "null\n")
 		return err
 	}
@@ -368,33 +369,22 @@ func (s *Store) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// ReadJSON loads records previously written by WriteJSON into a new store.
-func ReadJSON(r io.Reader) (*Store, error) {
-	var records []Record
-	if err := json.NewDecoder(r).Decode(&records); err != nil {
-		return nil, fmt.Errorf("provenance: decode records: %w", err)
-	}
-	s := NewStore()
-	for _, rec := range records {
-		s.Append(rec)
-	}
-	return s, nil
-}
-
 // Stats is a point-in-time size summary of a store.
 type Stats struct {
 	// Records is Len.
 	Records int `json:"records"`
 	// Bytes is the memory lineage occupies: the encoded records plus the
-	// offset tables and evidence postings. Not counted: the object and
-	// evidence maps (some 30 bytes a record) and the dictionary, nor the
-	// unwritten tail of each segment: a segment reserves 1 MiB of address
-	// space (Segments × 1 MiB in all), but a mapped one is resident only as
-	// far as it is written.
+	// offset tables and evidence postings, and the dictionary's slot table
+	// (32 bytes a slot, at most half of them used). Not counted: the object
+	// and evidence maps (some 30 bytes a record) and the dictionary's
+	// strings, nor the unwritten tail of each segment: a segment reserves
+	// 1 MiB of address space (Segments × 1 MiB in all), but a mapped one is
+	// resident only as far as it is written.
 	Bytes int64 `json:"bytes"`
 	// OffHeapBytes is the part of Bytes outside the Go heap: the encoded
-	// records in mapped segments (all of them unless binfmt.OffHeap fell
-	// back to the heap). The rest of Bytes is Go heap.
+	// records in mapped segments and the slot table when it is mapped (all
+	// of them unless binfmt.OffHeap fell back to the heap). The rest of
+	// Bytes is Go heap.
 	OffHeapBytes int64 `json:"off_heap_bytes"`
 	// Segments counts arena segments, the active one included.
 	Segments int `json:"segments"`
@@ -414,6 +404,11 @@ func (s *Store) Stats() Stats {
 	}
 	s.mu.RUnlock()
 	st.DictionaryEntries = len(s.dict.snapshot())
+	slots, offHeap := s.dict.slotBytes()
+	st.Bytes += slots
+	if offHeap {
+		st.OffHeapBytes += slots
+	}
 	return st
 }
 

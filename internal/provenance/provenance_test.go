@@ -420,3 +420,16 @@ func TestConcurrentUseAcrossSeals(t *testing.T) {
 		t.Errorf("TaintedBy = %v", got)
 	}
 }
+
+// ReadJSON loads records previously written by WriteJSON into a new store.
+func ReadJSON(r io.Reader) (*Store, error) {
+	var records []Record
+	if err := json.NewDecoder(r).Decode(&records); err != nil {
+		return nil, fmt.Errorf("provenance: decode records: %w", err)
+	}
+	s := NewStore()
+	for _, rec := range records {
+		s.Append(rec)
+	}
+	return s, nil
+}

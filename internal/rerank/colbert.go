@@ -1,6 +1,8 @@
 package rerank
 
 import (
+	"runtime"
+
 	"repro/internal/datalake"
 	"repro/internal/embed"
 )
@@ -56,6 +58,7 @@ func (c *ColBERT) bind(q Query) func(datalake.Instance) float64 {
 			}
 			sum += best
 		}
+		runtime.KeepAlive(c.emb) // the token vectors view its table
 		mean := sum / float64(len(qTokens))
 		return (mean + 1) / 2
 	}

@@ -36,9 +36,13 @@ var goMemoryMetrics = []string{
 //   - go_stacks: goroutine and OS thread stacks;
 //   - go_runtime_other: the runtime's own metadata, profiling buckets and
 //     the rest of what it mapped;
-//   - offheap_provenance: lineage records in mapped arena segments;
-//   - offheap_catalog: the catalog's sealed segments (the tables and
-//     documents up to the lake's last seal) in anonymous mappings;
+//   - offheap_provenance: lineage records in mapped arena segments and
+//     the slot table of their dictionary;
+//   - offheap_catalog: the catalog's sealed segments (the tables,
+//     documents and triples up to the lake's last seal) in anonymous
+//     mappings;
+//   - token_table: the embedder's token vectors in anonymous mappings (0
+//     when they fell back to the heap, where go_heap_live holds them);
 //   - offheap_indexes: the other containers built in anonymous mappings,
 //     sealed index segments;
 //   - mapped_bm25: the checkpoint's BM25 index files mapped by the indexes;
@@ -47,15 +51,14 @@ var goMemoryMetrics = []string{
 //
 // The other rows are context: go_heap_goal (the heap size that triggers
 // the next collection), go_heap_released (heap returned to the OS, not
-// resident), token_table (the embedder's token vectors, a part of
-// go_heap_live), result_cache (the verify-result cache's entries, keys
-// included, also a part of go_heap_live), tail (what has not been sealed
-// yet: the lake's Go tables and documents since its last seal and the
+// resident), result_cache (the verify-result cache's entries, keys
+// included, a part of go_heap_live), tail (what has not been sealed yet:
+// the lake's Go tables, documents and triples since its last seal and the
 // indexes' deltas, as their owners estimate them, also a part of
 // go_heap_live), and vm_rss, rss_anon and rss_file from /proc/self/status.
 var residentClasses = []string{
 	"go_heap_live", "go_heap_dead", "go_heap_unused", "go_heap_idle", "go_stacks", "go_runtime_other",
-	"offheap_provenance", "offheap_catalog", "offheap_indexes", "mapped_bm25", "file_other",
+	"offheap_provenance", "offheap_catalog", "offheap_indexes", "token_table", "mapped_bm25", "file_other",
 }
 
 // memoryLedger is the "memory" block of /v1/stats and the classes of
@@ -88,7 +91,7 @@ func (s *Server) memoryLedger() map[string]int64 {
 		"offheap_catalog":  catalog,
 		"offheap_indexes":  max(binfmt.BuiltBytes()-catalog, 0),
 		"mapped_bm25":      indexes["bm25"].MappedBytes,
-		"token_table":      ix.Embedder().TableBytes(),
+		"token_table":      ix.Embedder().OffHeapBytes(),
 		"result_cache":     s.pipeline.Stats().ResultCacheBytes,
 		"tail":             s.pipeline.Lake().TailBytes() + indexes["bm25"].TailBytes + indexes["vector"].TailBytes,
 	}
