@@ -4,21 +4,21 @@ import (
 	"fmt"
 	"iter"
 	"maps"
-	"sort"
 	"strconv"
 	"strings"
 	"unsafe"
 
 	"repro/internal/doc"
 	"repro/internal/kg"
+	"repro/internal/seglist"
 	"repro/internal/table"
 )
 
 // catalog holds a lake's tables and documents: those up to the last seal
 // in sealed segments, off the Go heap, and the tail since then as Go
 // objects. One map per modality takes an ID to its position in insertion
-// order; the first last(tableEnd) (last(docEnd)) positions are the
-// segments' instances, in segment order, and the rest index the tail.
+// order; the segments' instances take the first positions, in segment
+// order, and the tail's the rest.
 // The segments hold the lake's sealed triples too, which its kg.Graph
 // searches; the graph holds the triples' tail, and a catalog being sealed
 // or viewed carries it in triples.
@@ -28,41 +28,33 @@ import (
 // fork sees); only the maps are copied.
 type catalog struct {
 	segs []*segment
-	// tableEnd[i] and docEnd[i] count the tables and documents of
-	// segs[:i+1], so a position finds its segment by binary search.
-	tableEnd, docEnd []int
-	tableOrd, docOrd map[string]int
-	tableIDs, docIDs []string
-	tables           []*table.Table
-	docs             []*doc.Document
-	triples          []kg.Triple
+	// tableFirst[i] and docFirst[i] are the positions of segs[i]'s first
+	// table and document, so a position finds its segment by seglist.Find.
+	tableFirst, docFirst []int
+	tableOrd, docOrd     map[string]int
+	tableIDs, docIDs     []string
+	tables               []*table.Table
+	docs                 []*doc.Document
+	triples              []kg.Triple
 }
 
 func newCatalog() catalog {
 	return catalog{tableOrd: make(map[string]int), docOrd: make(map[string]int)}
 }
 
-// last is the count of instances of every segment ends counts.
-func last(ends []int) int {
-	if len(ends) == 0 {
-		return 0
-	}
-	return ends[len(ends)-1]
-}
-
 // fork returns a copy that later additions to c do not change.
 func (c *catalog) fork() *catalog {
 	return &catalog{
-		segs:     cut(c.segs),
-		tableEnd: cut(c.tableEnd),
-		docEnd:   cut(c.docEnd),
-		tableOrd: maps.Clone(c.tableOrd),
-		docOrd:   maps.Clone(c.docOrd),
-		tableIDs: cut(c.tableIDs),
-		docIDs:   cut(c.docIDs),
-		tables:   cut(c.tables),
-		docs:     cut(c.docs),
-		triples:  cut(c.triples),
+		segs:       cut(c.segs),
+		tableFirst: cut(c.tableFirst),
+		docFirst:   cut(c.docFirst),
+		tableOrd:   maps.Clone(c.tableOrd),
+		docOrd:     maps.Clone(c.docOrd),
+		tableIDs:   cut(c.tableIDs),
+		docIDs:     cut(c.docIDs),
+		tables:     cut(c.tables),
+		docs:       cut(c.docs),
+		triples:    cut(c.triples),
 	}
 }
 
@@ -132,40 +124,27 @@ func (c *catalog) tailHeapBytes() int64 {
 // objects. The tail is copied, so the objects are unreachable from the
 // result.
 func (c catalog) withSegs(segs []*segment) catalog {
-	c.segs, c.tableEnd, c.docEnd = segs, make([]int, len(segs)), make([]int, len(segs))
+	c.segs, c.tableFirst, c.docFirst = segs, make([]int, len(segs)), make([]int, len(segs))
 	tables, docs := 0, 0
 	for i, s := range segs {
+		c.tableFirst[i], c.docFirst[i] = tables, docs
 		tables += s.numTables()
 		docs += s.numDocs()
-		c.tableEnd[i], c.docEnd[i] = tables, docs
 	}
 	c.tables = append([]*table.Table(nil), c.tables[tables-(len(c.tableIDs)-len(c.tables)):]...)
 	c.docs = append([]*doc.Document(nil), c.docs[docs-(len(c.docIDs)-len(c.docs)):]...)
 	return c
 }
 
-// findSeg returns the segment holding position ord of ends and ord's
-// ordinal in it, or -1 and ord's index in the tail.
-func findSeg(ends []int, ord int) (int, int) {
-	i := sort.SearchInts(ends, ord+1) // the first segment ending past ord
-	if i == len(ends) {
-		return -1, ord - last(ends)
+// at returns the segment holding position ord of a modality whose
+// segments start at firsts and whose tail at tailFirst, and ord's ordinal
+// in it; nil and ord's index in the tail when it is there.
+func (c *catalog) at(firsts []int, tailFirst, ord int) (*segment, int) {
+	if ord >= tailFirst {
+		return nil, ord - tailFirst
 	}
-	if i > 0 {
-		ord -= ends[i-1]
-	}
-	return i, ord
-}
-
-// tableSegment finds the segment holding the table at position ord, and
-// the table's ordinal in it; nil and its index in the tail when the table
-// is in the tail.
-func (c *catalog) tableSegment(ord int) (*segment, int) {
-	i, ord := findSeg(c.tableEnd, ord)
-	if i < 0 {
-		return nil, ord
-	}
-	return c.segs[i], ord
+	i := seglist.Find(firsts, ord)
+	return c.segs[i], ord - firsts[i]
 }
 
 func (c *catalog) hasTable(id string) bool {
@@ -185,7 +164,7 @@ func (c *catalog) table(id string, b *borrowBuf) (*table.Table, bool) {
 	if !ok {
 		return nil, false
 	}
-	s, i := c.tableSegment(ord)
+	s, i := c.at(c.tableFirst, len(c.tableIDs)-len(c.tables), ord)
 	if s == nil {
 		return c.tables[i], true
 	}
@@ -200,7 +179,7 @@ func (c *catalog) tuple(id string, row int, b *borrowBuf) (tp *table.Tuple, ok, 
 	if !ok {
 		return nil, false, false
 	}
-	s, i := c.tableSegment(ord)
+	s, i := c.at(c.tableFirst, len(c.tableIDs)-len(c.tables), ord)
 	if s != nil {
 		tp, inRange = s.tuple(i, row, b)
 		return tp, true, inRange
@@ -225,11 +204,11 @@ func (c *catalog) document(id string, b *borrowBuf) (*doc.Document, bool) {
 	if !ok {
 		return nil, false
 	}
-	s, i := findSeg(c.docEnd, ord)
-	if s < 0 {
+	s, i := c.at(c.docFirst, len(c.docIDs)-len(c.docs), ord)
+	if s == nil {
 		return c.docs[i], true
 	}
-	return c.segs[s].document(i, b), true
+	return s.document(i, b), true
 }
 
 // numTuples counts the rows of every table.
@@ -381,25 +360,16 @@ func (c *catalog) shape() (ncols, nrows, widths []uint32) {
 }
 
 // sealTail returns the segments that hold c's segments' instances and
-// triples and its tail: one new segment for the tail, then the two newest
-// merged while the newer holds at least half the instances and triples of
-// the older, so the list stays O(log n) long and an instance is copied
-// into a new segment O(log n) times. The segments c has are unchanged.
+// triples and its tail: one new segment for the tail, then merged by
+// seglist.Merge's policy, by instances and triples. The segments c has are
+// unchanged.
 func (c *catalog) sealTail() ([]*segment, error) {
 	tail, err := sealed(catalog{tables: c.tables, docs: c.docs, triples: c.triples})
 	if err != nil {
 		return nil, err
 	}
-	segs := append(cut(c.segs), tail)
-	size := func(s *segment) int { return s.numTables() + s.numDocs() + s.numTriples() }
-	for n := len(segs); n >= 2 && 2*size(segs[n-1]) >= size(segs[n-2]); n = len(segs) {
-		merged, err := sealed(catalog{segs: segs[n-2:]})
-		if err != nil {
-			return nil, err
-		}
-		segs = append(segs[:n-2:n-2], merged)
-	}
-	return segs, nil
+	return seglist.Merge(c.segs, func(s *segment) int { return s.numTables() + s.numDocs() + s.numTriples() },
+		func(segs []*segment) (*segment, error) { return sealed(catalog{segs: segs}) }, tail)
 }
 
 // sealed builds one segment of what c holds.

@@ -65,9 +65,6 @@ func (s *Snapshot) ID() uint64 { return s.id }
 // View returns the immutable catalog view pinned at the snapshot version.
 func (s *Snapshot) View() *View { return s.view }
 
-// Created returns when the snapshot was registered.
-func (s *Snapshot) Created() time.Time { return s.created }
-
 // Payload returns the opaque attachment supplied at Add time. Valid for
 // the lifetime of an acquired handle (the registry never drops the
 // payload while any reader holds a reference).

@@ -10,15 +10,16 @@
 // of 128 — about 1.1 bytes a pair on the workload lake where plain int32
 // pairs took 8. Searches and seals decode a term's run into a buffer;
 // opening a segment decodes every run once to validate it. An index
-// searches a list of segments: Seal moves the delta into a new one, merging
-// the newest while they are of a size; Freeze folds segments, delta and
-// tombstones into one and goes on searching it alone; Frozen.Save writes
-// its bytes; OpenFile maps such a file back; Frozen.Adopt moves a running
-// index from the container it was sealed into onto the mapping of the file
-// just written; a snapshot retained for time travel searches the same
-// segment through Frozen.Index; Transpose hands a segment's postings back
-// by document. What is mutable is small: the delta of documents added
-// since the last seal, and a tombstone bitmap over each segment.
+// searches a list of segments: Seal moves the delta into a new one, merged
+// by the one policy of the lake's segment lists, seglist.Merge; Freeze
+// folds segments, delta and tombstones into one and searches it alone;
+// Frozen.Save writes its bytes; OpenFile maps such a file back;
+// Frozen.Adopt moves a running index from the container it was sealed into
+// onto the mapping of the file just written; a snapshot retained for time
+// travel searches the same segment through Frozen.Index; Transpose hands a
+// segment's postings back by document. What is mutable is small: the delta
+// of documents added since the last seal, and a tombstone bitmap over each
+// segment.
 //
 // The index is safe for concurrent use: writes take an exclusive lock,
 // searches a shared one; a segment's bytes move from the built container
@@ -30,6 +31,8 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/binfmt"
+	"repro/internal/seglist"
 	"repro/internal/textutil"
 )
 
@@ -62,7 +65,7 @@ type Index struct {
 	segs        []*part // oldest first
 	segDocs     int     // documents over every segment, deleted ones included: the delta's first ordinal
 	segLive     int
-	segTotalLen int64 // sum of lengths of live sealed documents
+	segTotalLen int64 // sum of lengths of live sealed documents: grows at a seal, shrinks at a delete
 
 	dict     *textutil.Dict
 	ids      []string       // delta ordinal -> external ID
@@ -78,40 +81,20 @@ type Index struct {
 // part is one sealed segment of an index's list, with the index's own
 // tombstones over its documents.
 type part struct {
-	z        *Frozen // shared with every index whose list holds it
-	dead     []bool
-	live     int
-	totalLen int64 // sum of lengths of its live documents
-	first    int   // the global ordinal of its first document
+	z *Frozen // shared with every index whose list holds it
+	seglist.Part
 }
 
-func newPart(z *Frozen) *part {
-	seg := z.cols.Load()
-	return &part{z: z, dead: make([]bool, seg.n), live: seg.n, totalLen: seg.totalLen}
-}
+func newPart(z *Frozen) *part { return &part{z: z, Part: seglist.NewPart(z.cols.Load().n)} }
 
 // setSegs installs segs as the segment list and numbers their documents.
 func (ix *Index) setSegs(segs []*part) {
-	ix.segs, ix.segDocs, ix.segLive, ix.segTotalLen = segs, 0, 0, 0
-	for _, p := range segs {
-		p.first = ix.segDocs
-		ix.segDocs += len(p.dead)
-		ix.segLive += p.live
-		ix.segTotalLen += p.totalLen
-	}
+	ix.segs = segs
+	ix.segDocs, ix.segLive = seglist.Number(segs)
 }
 
-// findSealed returns the segment holding id's live sealed document, its
-// current column views and the document's ordinal in it, or nil.
-func (ix *Index) findSealed(id string) (*part, *staticSeg, int) {
-	for _, p := range ix.segs {
-		seg := p.z.cols.Load()
-		if ord := seg.ids.Find(id); ord >= 0 && !p.dead[ord] {
-			return p, seg, ord
-		}
-	}
-	return nil, nil, -1
-}
+// sealedIDs is a segment's ID column, for seglist.Lookup.
+func sealedIDs(p *part) binfmt.FrontCodedCol { return p.z.cols.Load().ids }
 
 // New returns an empty index over a dictionary of its own, scoring with
 // k1=1.2, b=0.75, the Elasticsearch/Lucene defaults.
@@ -149,7 +132,7 @@ func (ix *Index) AddBag(id string, bag textutil.IDBag) error {
 	if ord, ok := ix.byID[id]; ok && !ix.deleted[ord] {
 		return fmt.Errorf("invindex: duplicate document id %q", id)
 	}
-	if p, _, _ := ix.findSealed(id); p != nil {
+	if p, _ := seglist.Lookup(ix.segs, id, sealedIDs); p != nil {
 		return fmt.Errorf("invindex: duplicate document id %q", id)
 	}
 	ord := len(ix.ids)
@@ -195,11 +178,9 @@ func (ix *Index) Delete(id string) bool {
 	defer ix.mu.Unlock()
 	ord, ok := ix.byID[id]
 	if !ok || ix.deleted[ord] {
-		if p, seg, bo := ix.findSealed(id); p != nil {
-			l := int64(seg.lengths[bo])
-			p.dead[bo] = true
-			p.live, p.totalLen = p.live-1, p.totalLen-l
-			ix.segLive, ix.segTotalLen = ix.segLive-1, ix.segTotalLen-l
+		if p, bo := seglist.Lookup(ix.segs, id, sealedIDs); p != nil {
+			p.Delete(bo)
+			ix.segLive, ix.segTotalLen = ix.segLive-1, ix.segTotalLen-int64(p.z.cols.Load().lengths[bo])
 			return true
 		}
 		return false
@@ -318,6 +299,6 @@ func (ix *Index) Contains(id string) bool {
 	if ord, ok := ix.byID[id]; ok && !ix.deleted[ord] {
 		return true
 	}
-	p, _, _ := ix.findSealed(id)
+	p, _ := seglist.Lookup(ix.segs, id, sealedIDs)
 	return p != nil
 }

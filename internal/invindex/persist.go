@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/binfmt"
+	"repro/internal/seglist"
 	"repro/internal/textutil"
 )
 
@@ -30,24 +31,23 @@ func newFrozen(seg *staticSeg) *Frozen {
 }
 
 // Seal moves the delta into a new segment at the end of the list, then
-// merges the two newest segments while the newer holds at least half the
-// documents of the older: a seal costs the delta's size, and a document is
-// copied into a new segment O(log n) times over the index's life.
-// Searches score the same before and after (see Index).
+// merges by seglist.Merge's policy, by documents: a seal costs the delta's
+// size, and a document is copied into a new segment O(log n) times over
+// the index's life. Searches score the same before and after (see Index).
 func (ix *Index) Seal() {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	segs := ix.segs[:len(ix.segs):len(ix.segs)] // appends copy: a list handed out stays as it was
+	var add []*part
 	if ix.liveDocs > 0 {
-		segs = append(segs, newPart(newFrozen(ix.mustMerge(nil, true))))
+		add = append(add, newPart(newFrozen(ix.mustMerge(nil, true))))
+		ix.segTotalLen += ix.totalLen
 	}
 	if len(ix.ids) > 0 {
 		ix.resetDelta()
 	}
-	for n := len(segs); n >= 2 && 2*len(segs[n-1].dead) >= len(segs[n-2].dead); n = len(segs) {
-		merged := newPart(newFrozen(ix.mustMerge(segs[n-2:], false)))
-		segs = append(segs[:n-2:n-2], merged)
-	}
+	segs, _ := seglist.Merge(ix.segs, func(p *part) int { return len(p.Dead) }, func(segs []*part) (*part, error) {
+		return newPart(newFrozen(ix.mustMerge(segs, false))), nil
+	}, add...)
 	ix.setSegs(segs)
 }
 
@@ -63,6 +63,7 @@ func (ix *Index) Freeze() *Frozen {
 		return ix.segs[0].z
 	}
 	z := newFrozen(ix.mustMerge(ix.segs, true))
+	ix.segTotalLen += ix.totalLen
 	ix.resetDelta()
 	ix.setSegs([]*part{newPart(z)})
 	return z
@@ -96,9 +97,9 @@ func (ix *Index) mergeLocked(segs []*part, delta bool) (*staticSeg, error) {
 	docs := 0
 	for i, p := range segs {
 		loaded[i] = p.z.cols.Load()
-		cols[i], dead[i] = loaded[i].ids, p.dead
+		cols[i], dead[i] = loaded[i].ids, p.Dead
 		remaps[i] = make([]int32, loaded[i].n)
-		docs += p.live
+		docs += p.Live
 	}
 	var order []int32 // the delta's live documents in ID order
 	var deltaIDs []string
@@ -298,7 +299,7 @@ func (z *Frozen) Index() *Index { return z.index(textutil.NewDict()) }
 func (z *Frozen) index(d *textutil.Dict) *Index {
 	seg := z.cols.Load()
 	ix := NewWithDict(d)
-	ix.k1, ix.b = seg.k1, seg.b
+	ix.k1, ix.b, ix.segTotalLen = seg.k1, seg.b, seg.totalLen
 	ix.setSegs([]*part{newPart(z)})
 	return ix
 }

@@ -1,21 +1,16 @@
 package invindex
 
 import (
-	"cmp"
 	"math"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
+
+	"repro/internal/seglist"
 )
 
-// Hit is one search result.
-type Hit struct {
-	// ID is the external document ID.
-	ID string
-	// Score is the BM25 score (higher is better).
-	Score float64
-}
+// Hit is one search result; its Score is the BM25 score.
+type Hit = seglist.Hit
 
 // Search returns the top-k documents for query by BM25 score, ties broken by
 // ascending ID for determinism. k <= 0 returns nil. The query is analyzed
@@ -27,29 +22,21 @@ func (ix *Index) Search(query string, k int) []Hit {
 // searchScratch holds every buffer SearchTerms needs, pooled so the steady
 // path performs no per-query allocations: query terms and weights, each
 // segment's decoded pairs of one term, a dense per-ordinal score
-// accumulator reset via the touched list, the top-k heap, and sealed IDs
-// decoded for a tie or a hit. scores entries are zero except between
-// scoring and reset. segs are the column views the search loaded, one per
-// segment, set for the search only.
+// accumulator reset via the touched list, and the top-k heap over the
+// index's ID column. scores entries are zero except between scoring and
+// reset. segs are the column views the search loaded, one per segment,
+// set for the search only.
 type searchScratch struct {
 	terms   []string
 	qw      []float64
 	runs    [][]int32
 	scores  []float64
 	touched []int32
-	heap    []scoredDoc
-	id, id2 []byte
+	top     seglist.TopK
 	segs    []*staticSeg
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
-
-// scoredDoc pairs a global document ordinal with its score inside the
-// top-k heap.
-type scoredDoc struct {
-	doc   int32
-	score float64
-}
 
 // SearchTerms is Search over pre-analyzed query terms.
 //
@@ -73,8 +60,11 @@ func (ix *Index) SearchTerms(terms []string, k int) []Hit {
 	n := float64(nLive)
 
 	sc := scratchPool.Get().(*searchScratch)
+	sc.top.IDs.Reset(ix.segDocs, ix.ids)
 	for _, p := range ix.segs {
-		sc.segs = append(sc.segs, p.z.cols.Load())
+		seg := p.z.cols.Load()
+		sc.segs = append(sc.segs, seg)
+		sc.top.IDs.Add(p.First, seg.ids)
 	}
 	for len(sc.runs) < len(sc.segs) {
 		sc.runs = append(sc.runs, nil)
@@ -123,7 +113,7 @@ func (ix *Index) SearchTerms(terms []string, k int) []Hit {
 				// loadStatic decoded this run without error, and a
 				// segment's bytes never change.
 				runs[i], _ = seg.pairs(bt, runs[i])
-				dead := ix.segs[i].dead
+				dead := ix.segs[i].Dead
 				for j := 0; j < len(runs[i]); j += 2 {
 					if !dead[runs[i][j]] {
 						df++
@@ -145,10 +135,10 @@ func (ix *Index) SearchTerms(terms []string, k int) []Hit {
 			p, seg := ix.segs[i], sc.segs[i]
 			for j := 0; j < len(run); j += 2 {
 				doc := run[j]
-				if p.dead[doc] {
+				if p.Dead[doc] {
 					continue
 				}
-				ord := int32(p.first) + doc
+				ord := int32(p.First) + doc
 				tf := float64(run[j+1])
 				dl := float64(seg.lengths[doc])
 				norm := tf * (ix.k1 + 1) / (tf + ix.k1*(1-ix.b+ix.b*dl/avgdl))
@@ -175,7 +165,11 @@ func (ix *Index) SearchTerms(terms []string, k int) []Hit {
 
 	var out []Hit
 	if len(touched) > 0 {
-		out = ix.topK(scores, touched, k, sc)
+		sc.top.Reset(k, len(touched))
+		for _, ord := range touched {
+			sc.top.Offer(ord, scores[ord])
+		}
+		out = sc.top.Hits()
 	}
 	runtime.KeepAlive(sc.segs) // IDs were decoded from their mappings
 
@@ -184,131 +178,9 @@ func (ix *Index) SearchTerms(terms []string, k int) []Hit {
 		scores[ord] = 0
 	}
 	sc.touched = touched[:0]
+	sc.top.IDs.Reset(0, nil)
 	clear(sc.segs)
 	sc.segs = sc.segs[:0]
 	scratchPool.Put(sc)
 	return out
-}
-
-// segOf returns the index of the segment holding global ordinal ord, -1
-// for the delta.
-func (ix *Index) segOf(ord int32) int {
-	if int(ord) >= ix.segDocs {
-		return -1
-	}
-	lo, hi := 0, len(ix.segs) // the last segment starting at or before ord
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if int32(ix.segs[mid].first) <= ord {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo - 1
-}
-
-// idOf returns the external ID of ordinal ord of segment seg (-1: the
-// delta): a sealed one is decoded into buf, which is returned grown, and
-// viewed.
-func (ix *Index) idOf(sc *searchScratch, ord int32, seg int, buf []byte) (string, []byte) {
-	if seg < 0 {
-		return ix.ids[int(ord)-ix.segDocs], buf
-	}
-	buf = sc.segs[seg].ids.AppendAt(buf[:0], int(ord)-ix.segs[seg].first)
-	return view(buf), buf
-}
-
-// cmpIDs compares the external IDs of two global ordinals. A segment's
-// ordinals follow its IDs, so two documents of one segment compare as
-// ordinals; other sealed IDs are decoded.
-func (ix *Index) cmpIDs(sc *searchScratch, a, b int32) int {
-	sa, sb := ix.segOf(a), ix.segOf(b)
-	if sa == sb && sa >= 0 {
-		return cmp.Compare(a, b)
-	}
-	var x, y string
-	x, sc.id = ix.idOf(sc, a, sa, sc.id)
-	y, sc.id2 = ix.idOf(sc, b, sb, sc.id2)
-	return strings.Compare(x, y)
-}
-
-// ordID materializes the external ID of a global ordinal. Delta IDs are
-// returned without copying; sealed IDs allocate one string (only the k
-// returned hits pay this).
-func (ix *Index) ordID(sc *searchScratch, ord int32) string {
-	seg := ix.segOf(ord)
-	id, buf := ix.idOf(sc, ord, seg, sc.id)
-	sc.id = buf
-	if seg >= 0 {
-		return string(buf)
-	}
-	return id
-}
-
-// worse reports whether hit a ranks strictly below hit b: lower score, or
-// equal score and lexicographically larger ID (so the min-heap keeps the
-// smaller IDs on ties, matching the output order's ascending-ID rule).
-func (ix *Index) worse(sc *searchScratch, a, b scoredDoc) bool {
-	if a.score != b.score {
-		return a.score < b.score
-	}
-	return ix.cmpIDs(sc, a.doc, b.doc) > 0
-}
-
-// topK selects the k best touched ordinals with a manually-sifted bounded
-// min-heap (container/heap would box every element) and returns them best
-// first. Caller must hold at least a read lock.
-func (ix *Index) topK(scores []float64, touched []int32, k int, sc *searchScratch) []Hit {
-	h := sc.heap[:0]
-	for _, ord := range touched {
-		cand := scoredDoc{doc: ord, score: scores[ord]}
-		if len(h) < k {
-			h = append(h, cand)
-			// Sift up.
-			for i := len(h) - 1; i > 0; {
-				parent := (i - 1) / 2
-				if !ix.worse(sc, h[i], h[parent]) {
-					break
-				}
-				h[i], h[parent] = h[parent], h[i]
-				i = parent
-			}
-			continue
-		}
-		if ix.worse(sc, cand, h[0]) {
-			continue
-		}
-		h[0] = cand
-		ix.siftDown(sc, h, 0)
-	}
-	out := make([]Hit, len(h))
-	// Pop ascending; fill the output back to front for best-first order.
-	for i := len(h) - 1; i >= 0; i-- {
-		top := h[0]
-		out[i] = Hit{ID: ix.ordID(sc, top.doc), Score: top.score}
-		h[0] = h[len(h)-1]
-		h = h[:len(h)-1]
-		ix.siftDown(sc, h, 0)
-	}
-	sc.heap = h[:0]
-	return out
-}
-
-func (ix *Index) siftDown(sc *searchScratch, h []scoredDoc, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(h) && ix.worse(sc, h[l], h[min]) {
-			min = l
-		}
-		if r < len(h) && ix.worse(sc, h[r], h[min]) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	verifai "repro"
+	"repro/internal/binfmt"
 	"repro/internal/core"
 	"repro/internal/workload"
 )
@@ -124,15 +125,11 @@ func TestDurableServerSurfaces(t *testing.T) {
 		t.Fatalf("stats: status = %d", resp.StatusCode)
 	}
 	// The checkpoint moved the four BM25 indexes onto their files: the one
-	// document sits in a mapped segment and in one sealed vector row, held
-	// in process-private memory, and /metrics says the same.
-	bm25, vec := stats.Indexes.Families["bm25"], stats.Indexes.Families["vector"]
-	if stats.Indexes.Adopted != 4 || stats.Indexes.Skipped != 0 || bm25.HeapBytes != 0 || bm25.MappedBytes == 0 ||
-		bm25.DeltaDocs != 0 || vec.HeapBytes == 0 || vec.MappedBytes != 0 || vec.DeltaDocs != 0 {
-		t.Errorf("stats.indexes after a checkpoint = %+v", stats.Indexes)
-	}
-	// What the BM25 family reports mapped is its four shard files, whole;
-	// there are no vector files.
+	// document sits in a segment read from its file and in one sealed
+	// vector row, held in process-private memory, and /metrics says the
+	// same. What the BM25 family holds is its four shard files, whole:
+	// mapped, or on the heap where files are read instead (binfmt.NoMmapEnv).
+	// There are no vector files.
 	files, err := filepath.Glob(filepath.Join(data, "checkpoint", "indexes", "*.idx"))
 	if err != nil || len(files) != 4 {
 		t.Fatalf("index files: %v (%v)", files, err)
@@ -145,10 +142,23 @@ func TestDurableServerSurfaces(t *testing.T) {
 		}
 		fileBytes += fi.Size()
 	}
+	r, err := binfmt.OpenFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	bm25, vec := stats.Indexes.Families["bm25"], stats.Indexes.Families["vector"]
+	onFile, other, fileRes, otherRes := bm25.MappedBytes, bm25.HeapBytes, "mapped", "heap"
+	if !r.Mapped() {
+		onFile, other, fileRes, otherRes = bm25.HeapBytes, bm25.MappedBytes, "heap", "mapped"
+	}
+	if stats.Indexes.Adopted != 4 || stats.Indexes.Skipped != 0 || other != 0 || onFile == 0 ||
+		bm25.DeltaDocs != 0 || vec.HeapBytes == 0 || vec.MappedBytes != 0 || vec.DeltaDocs != 0 {
+		t.Errorf("stats.indexes after a checkpoint = %+v", stats.Indexes)
+	}
 	exposition := scrape(t, ts)
 	for _, want := range []string{
-		fmt.Sprintf(`verifai_index_segment_bytes{family="bm25",residency="mapped"} %d`, fileBytes),
-		`verifai_index_segment_bytes{family="bm25",residency="heap"} 0`,
+		fmt.Sprintf(`verifai_index_segment_bytes{family="bm25",residency=%q} %d`, fileRes, fileBytes),
+		fmt.Sprintf(`verifai_index_segment_bytes{family="bm25",residency=%q} 0`, otherRes),
 		`verifai_index_segment_bytes{family="vector",residency="mapped"} 0`,
 		fmt.Sprintf(`verifai_index_segment_bytes{family="vector",residency="heap"} %d`, vec.HeapBytes),
 		`verifai_index_delta_docs{family="bm25"} 0`,

@@ -1,7 +1,6 @@
 package vecindex
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"runtime"
@@ -12,6 +11,7 @@ import (
 
 	"repro/internal/binfmt"
 	"repro/internal/embed"
+	"repro/internal/seglist"
 )
 
 // SQFlat is an exhaustive cosine index over int8 rows. A row is dim codes
@@ -30,10 +30,9 @@ import (
 // fork of the index. The segments' rows take the ordinals in list order,
 // oldest first; rows added since follow in the tail. Removing a sealed row
 // only flips its tombstone, in the index's own bitmap over that segment.
-// Seal moves the tail into a new segment and merges the two newest while
-// the newer holds at least half the rows of the older (a binary counter),
-// so the list stays O(log n) long; Freeze folds every segment, the tail
-// and the tombstones into one.
+// Seal moves the tail into a new segment and merges segments by the
+// policy of seglist.Merge, so the list stays O(log n) long; Freeze folds
+// every segment, the tail and the tombstones into one.
 //
 // Safe for concurrent Add, Remove, Seal, Freeze, Fork and Search.
 type SQFlat struct {
@@ -55,13 +54,11 @@ type SQFlat struct {
 // part is one sealed segment of an index's list, with the index's own
 // tombstones over its rows.
 type part struct {
-	z     *Frozen
-	dead  []bool
-	live  int
-	first int // the ordinal of its first row
+	z *Frozen
+	seglist.Part
 }
 
-func newPart(z *Frozen) *part { return &part{z: z, dead: make([]bool, z.seg.n), live: z.seg.n} }
+func newPart(z *Frozen) *part { return &part{z: z, Part: seglist.NewPart(z.seg.n)} }
 
 // NewSQFlat returns an empty index of dimension dim.
 func NewSQFlat(dim int) *SQFlat {
@@ -73,24 +70,12 @@ func NewSQFlat(dim int) *SQFlat {
 
 // setSegs installs segs as the segment list and numbers their rows.
 func (s *SQFlat) setSegs(segs []*part) {
-	s.segs, s.segRows, s.segLive = segs, 0, 0
-	for _, p := range segs {
-		p.first = s.segRows
-		s.segRows += p.z.seg.n
-		s.segLive += p.live
-	}
+	s.segs = segs
+	s.segRows, s.segLive = seglist.Number(segs)
 }
 
-// findSealed returns the segment holding id's live sealed row and the
-// row's ordinal in it, or nil.
-func (s *SQFlat) findSealed(id string) (*part, int) {
-	for _, p := range s.segs {
-		if ord := p.z.seg.ids.Find(id); ord >= 0 && !p.dead[ord] {
-			return p, ord
-		}
-	}
-	return nil, -1
-}
+// sealedIDs is a segment's ID column, for seglist.Lookup.
+func sealedIDs(p *part) binfmt.FrontCodedCol { return p.z.seg.ids }
 
 // Quantize writes v's codes into dst (len(v) long) and returns the inverse
 // norm of the codes, 0 for a zero or infinite vector (a NaN component codes
@@ -139,7 +124,7 @@ func (s *SQFlat) AddCodes(id string, codes []int8, norm float32) error {
 	if ord, ok := s.byID[id]; ok && !s.dead[ord] {
 		return fmt.Errorf("vecindex: duplicate id %q", id)
 	}
-	if p, _ := s.findSealed(id); p != nil {
+	if p, _ := seglist.Lookup(s.segs, id, sealedIDs); p != nil {
 		return fmt.Errorf("vecindex: duplicate id %q", id)
 	}
 	s.codes = append(s.codes, codes...)
@@ -172,9 +157,8 @@ func (s *SQFlat) Remove(id string) bool {
 		}
 		return true
 	}
-	if p, ord := s.findSealed(id); p != nil {
-		p.dead[ord] = true
-		p.live--
+	if p, ord := seglist.Lookup(s.segs, id, sealedIDs); p != nil {
+		p.Delete(ord)
 		s.segLive--
 		return true
 	}
@@ -242,77 +226,11 @@ func (s *SQFlat) TailBytes() int64 {
 // costs, its share of empty slots included.
 const mapEntryBytes = 40
 
-// rowIDs resolves the ordinals of one search: a segment's rows below
-// tailFirst, the tail's from there on. buf and buf2 hold sealed IDs
-// decoded for a tie or a hit.
-type rowIDs struct {
-	segs      []*part
-	tailFirst int32
-	tail      []string
-	buf, buf2 []byte
-}
-
-// segOf returns the index of the segment holding ord, -1 for the tail.
-func (v *rowIDs) segOf(ord int32) int {
-	if ord >= v.tailFirst {
-		return -1
-	}
-	lo, hi := 0, len(v.segs) // the last segment starting at or before ord
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if int32(v.segs[mid].first) <= ord {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo - 1
-}
-
-// str returns ord's ID, of segment seg (-1: the tail): a sealed one is
-// decoded into buf, which is returned grown, and viewed.
-func (v *rowIDs) str(ord int32, seg int, buf []byte) (string, []byte) {
-	if seg < 0 {
-		return v.tail[ord-v.tailFirst], buf
-	}
-	p := v.segs[seg]
-	buf = p.z.seg.ids.AppendAt(buf[:0], int(ord)-p.first)
-	return viewString(buf), buf
-}
-
-// cmp compares two rows' IDs. A segment's ordinals follow its IDs, so two
-// rows of one segment compare as ordinals; other sealed IDs are decoded.
-func (v *rowIDs) cmp(a, b int32) int {
-	sa, sb := v.segOf(a), v.segOf(b)
-	if sa == sb && sa >= 0 {
-		return cmp.Compare(a, b)
-	}
-	var x, y string
-	x, v.buf = v.str(a, sa, v.buf)
-	y, v.buf2 = v.str(b, sb, v.buf2)
-	return strings.Compare(x, y)
-}
-
-func (v *rowIDs) id(ord int32) string {
-	seg := v.segOf(ord)
-	s, buf := v.str(ord, seg, v.buf)
-	v.buf = buf
-	if seg >= 0 {
-		return string(buf)
-	}
-	return s
-}
-
 func viewString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
-// sqScratch pools what a search needs beyond its result: the ID resolver
-// the heap holds by pointer (and its decode buffer), and the heap's array.
-type sqScratch struct {
-	ids rowIDs
-	h   []scored
-}
-
-var sqPool = sync.Pool{New: func() any { return new(sqScratch) }}
+// sqPool pools what a search needs beyond its result: the heap's array
+// and the ID column it resolves ties and hits by (and its decode buffers).
+var sqPool = sync.Pool{New: func() any { return new(seglist.TopK) }}
 
 // Search returns the top-k rows nearest q, best first, ties broken by
 // ascending ID: one pass over each segment's code matrix, then the tail,
@@ -333,27 +251,28 @@ func (s *SQFlat) Search(q embed.Vector, k int) []Hit {
 		invQ = 1 / n
 	}
 	segs := s.segs
-	sc := sqPool.Get().(*sqScratch)
-	sc.ids = rowIDs{segs: segs, tailFirst: int32(s.segRows), tail: s.ids, buf: sc.ids.buf, buf2: sc.ids.buf2}
-	t := topK{k: k, ids: &sc.ids, h: sc.h[:0]}
+	t := sqPool.Get().(*seglist.TopK)
+	t.IDs.Reset(s.segRows, s.ids)
+	t.Reset(k, s.segLive+s.live)
 	for _, p := range segs {
-		t.scan(q, invQ, p.first, p.z.seg.codes, p.z.seg.norms, p.dead)
+		t.IDs.Add(p.First, p.z.seg.ids) // before any of its rows can tie
+		scan(t, q, invQ, p.First, p.z.seg.codes, p.z.seg.norms, p.Dead)
 	}
-	t.scan(q, invQ, s.segRows, s.codes, s.norms, s.dead)
-	out := t.results()
+	scan(t, q, invQ, s.segRows, s.codes, s.norms, s.dead)
+	out := t.Hits()
 	runtime.KeepAlive(segs) // codes and IDs were read from their mappings
-	sc.ids, sc.h = rowIDs{buf: sc.ids.buf[:0], buf2: sc.ids.buf2[:0]}, t.h[:0]
-	sqPool.Put(sc)
+	t.IDs.Reset(0, nil)
+	sqPool.Put(t)
 	return out
 }
 
 // scan offers every live row of one tier, whose ordinals start at base.
-func (t *topK) scan(q []float32, invQ float64, base int, codes []int8, norms []float32, dead []bool) {
+func scan(t *seglist.TopK, q []float32, invQ float64, base int, codes []int8, norms []float32, dead []bool) {
 	dim := len(q)
 	for ord, gone := range dead {
 		if !gone {
 			score := float64(dotCodes(q, codes[ord*dim:(ord+1)*dim])) * float64(norms[ord]) * invQ
-			t.offer(int32(base+ord), score)
+			t.Offer(int32(base+ord), score)
 		}
 	}
 }
@@ -388,11 +307,10 @@ func dotCodes(q []float32, c []int8) float32 {
 }
 
 // Seal moves the tail into a new segment at the end of the list, then
-// merges the two newest segments while the newer holds at least half the
-// rows of the older: a seal costs the tail's rows, and a row is copied
-// into a new segment O(log n) times over the index's life. Searches score
-// the same before and after (a row's codes and norm move verbatim; ties
-// break by ID whichever segment holds a row).
+// merges by seglist.Merge's policy, by rows: a seal costs the tail's rows,
+// and a row is copied into a new segment O(log n) times over the index's
+// life. Searches score the same before and after (a row's codes and norm
+// move verbatim; ties break by ID whichever segment holds a row).
 func (s *SQFlat) Seal() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -400,17 +318,16 @@ func (s *SQFlat) Seal() {
 }
 
 func (s *SQFlat) sealLocked() {
-	segs := s.segs[:len(s.segs):len(s.segs)] // appends copy: a list handed out stays as it was
+	var add []*part
 	if s.live > 0 {
-		segs = append(segs, newPart(&Frozen{seg: s.mustMerge(nil, true)}))
+		add = append(add, newPart(&Frozen{seg: s.mustMerge(nil, true)}))
 	}
 	if len(s.ids) > 0 {
 		s.resetTail()
 	}
-	for n := len(segs); n >= 2 && 2*segs[n-1].z.seg.n >= segs[n-2].z.seg.n; n = len(segs) {
-		merged := newPart(&Frozen{seg: s.mustMerge(segs[n-2:], false)})
-		segs = append(segs[:n-2:n-2], merged)
-	}
+	segs, _ := seglist.Merge(s.segs, func(p *part) int { return p.z.seg.n }, func(segs []*part) (*part, error) {
+		return newPart(&Frozen{seg: s.mustMerge(segs, false)}), nil
+	}, add...)
 	s.setSegs(segs)
 }
 
@@ -441,7 +358,7 @@ func (s *SQFlat) Fork() *SQFlat {
 	f := NewSQFlat(s.dim)
 	segs := make([]*part, len(s.segs))
 	for i, p := range s.segs {
-		segs[i] = &part{z: p.z, dead: slices.Clone(p.dead), live: p.live}
+		segs[i] = &part{z: p.z, Part: p.Clone()}
 	}
 	f.setSegs(segs)
 	return f
@@ -548,8 +465,8 @@ func (s *SQFlat) mergeLocked(segs []*part, tail bool) (*segment, error) {
 		n := len(order)
 		cols, dead := make([]binfmt.FrontCodedCol, len(segs)), make([][]bool, len(segs))
 		for i, p := range segs {
-			n += p.live
-			cols[i], dead[i] = p.z.seg.ids, p.dead
+			n += p.Live
+			cols[i], dead[i] = p.z.seg.ids, p.Dead
 		}
 		tailIDs := make([]string, len(order))
 		for i, ord := range order {

@@ -8,7 +8,8 @@
 // outside the Go heap, binary.go): what Seal, Freeze and Derive build,
 // the scan reads and a retained snapshot shares through Fork. No file
 // holds one. Mutable are a heap tail of rows added since the last seal
-// and a tombstone bitmap per segment (quant.go).
+// and a tombstone bitmap per segment (quant.go); Seal merges segments by
+// the one policy of the lake's segment lists, seglist.Merge.
 //
 // Flat is the float32 exact scan the int8 scan's recall is measured
 // against (AblateQuantization and the recall tests); it is append-only and
@@ -17,17 +18,14 @@ package vecindex
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"repro/internal/embed"
+	"repro/internal/seglist"
 )
 
 // Hit is one search result; a higher Score is a closer match.
-type Hit struct {
-	ID    string
-	Score float64
-}
+type Hit = seglist.Hit
 
 // Flat is an exact (brute-force) index over float32 rows, the reference
 // SQFlat's recall is measured against. It is safe for concurrent Add and
@@ -35,7 +33,7 @@ type Hit struct {
 type Flat struct {
 	dim  int
 	mu   sync.RWMutex
-	ids  idList
+	ids  []string
 	vecs []embed.Vector
 	byID map[string]struct{}
 }
@@ -73,106 +71,11 @@ func (f *Flat) Search(q embed.Vector, k int) []Hit {
 	}
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	h := newTopK(k, &f.ids, len(f.ids))
+	var t seglist.TopK
+	t.IDs.Reset(0, f.ids)
+	t.Reset(k, len(f.ids))
 	for i, v := range f.vecs {
-		h.offer(int32(i), embed.Cosine(q, v))
+		t.Offer(int32(i), embed.Cosine(q, v))
 	}
-	return h.results()
-}
-
-// ordIDs resolves the ordinals a search scored to external IDs.
-type ordIDs interface {
-	// cmp compares the IDs of two ordinals, for tie-breaks.
-	cmp(a, b int32) int
-	// id returns ord's ID as a string of its own, for the hits returned.
-	id(ord int32) string
-}
-
-// idList is Flat's ordinal → ID column.
-type idList []string
-
-func (l *idList) cmp(a, b int32) int  { return strings.Compare((*l)[a], (*l)[b]) }
-func (l *idList) id(ord int32) string { return (*l)[ord] }
-
-// scored is one candidate inside the top-k heap.
-type scored struct {
-	ord   int32
-	score float64
-}
-
-// topK keeps the k best candidates of a scan in a typed array min-heap,
-// sifted by hand (container/heap would box every candidate), and resolves
-// IDs only to break ties and for the k survivors.
-type topK struct {
-	k   int
-	ids ordIDs
-	h   []scored
-}
-
-// newTopK returns an empty top-k heap over n candidate rows; a k beyond
-// them is clamped, so the heap never outgrows the scan.
-func newTopK(k int, ids ordIDs, n int) topK {
-	return topK{k: k, ids: ids, h: make([]scored, 0, min(k, n))}
-}
-
-// worse reports whether a ranks strictly below b: lower score, or equal
-// score and the larger ID.
-func (t *topK) worse(a, b scored) bool {
-	if a.score != b.score {
-		return a.score < b.score
-	}
-	return t.ids.cmp(a.ord, b.ord) > 0
-}
-
-func (t *topK) offer(ord int32, score float64) {
-	c := scored{ord: ord, score: score}
-	if len(t.h) < t.k {
-		t.h = append(t.h, c)
-		for i := len(t.h) - 1; i > 0; {
-			parent := (i - 1) / 2
-			if !t.worse(t.h[i], t.h[parent]) {
-				break
-			}
-			t.h[i], t.h[parent] = t.h[parent], t.h[i]
-			i = parent
-		}
-		return
-	}
-	if !t.worse(t.h[0], c) {
-		return
-	}
-	t.h[0] = c
-	t.siftDown()
-}
-
-func (t *topK) siftDown() {
-	h := t.h
-	for i := 0; ; {
-		l, r, min := 2*i+1, 2*i+2, i
-		if l < len(h) && t.worse(h[l], h[min]) {
-			min = l
-		}
-		if r < len(h) && t.worse(h[r], h[min]) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-}
-
-// results empties the heap into hits ordered best first, ties by ascending
-// ID.
-func (t *topK) results() []Hit {
-	out := make([]Hit, len(t.h))
-	for i := len(out) - 1; i >= 0; i-- {
-		top := t.h[0]
-		out[i] = Hit{ID: t.ids.id(top.ord), Score: top.score}
-		t.h[0] = t.h[len(t.h)-1]
-		t.h = t.h[:len(t.h)-1]
-		t.siftDown()
-	}
-	return out
+	return t.Hits()
 }

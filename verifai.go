@@ -444,11 +444,6 @@ func (s *System) UnpinSnapshot(version uint64) error {
 // Snapshots lists the retained time-travel snapshots, oldest first.
 func (s *System) Snapshots() []SnapshotInfo { return s.pipeline.Snapshots().List() }
 
-// SnapshotFloor returns the oldest retained snapshot version — the
-// time-travel read floor (0 when nothing is retained yet). Requests below
-// it fail with datalake.BelowFloorError naming this floor.
-func (s *System) SnapshotFloor() uint64 { return s.pipeline.Snapshots().Floor() }
-
 // ErrCheckpointInFlight reports a Checkpoint call that overlapped another;
 // detect it with errors.Is and skip (the running checkpoint covers it).
 var ErrCheckpointInFlight = durable.ErrCheckpointInFlight
