@@ -247,6 +247,8 @@ type deflatedColumn struct {
 // deflateColumns compresses the columns DeflatedStrings added into their
 // sections, on at most GOMAXPROCS goroutines that each reuse one
 // compressor from column to column: a compressor costs about a megabyte.
+// It is not par.For: a compressor per worker, shared through a sync.Pool
+// instead, would outlive the collection a checkpoint ends with.
 func (w *Writer) deflateColumns() {
 	var next atomic.Int64
 	var wg sync.WaitGroup

@@ -3,16 +3,18 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/datalake"
+	"repro/internal/par"
 	"repro/internal/verify"
 )
 
 // VerifyBatch verifies many generated objects concurrently, preserving input
 // order in the returned reports. parallelism bounds the number of in-flight
-// verifications (values < 1 mean sequential). The first error stops new work
-// from being dispatched and is returned.
+// verifications (values < 1 mean sequential). A failure stops objects after
+// it from starting; the error returned is that of the lowest-indexed object
+// that failed, the one a sequential run would return.
 //
 // The pipeline is safe for concurrent verification: the lake and every index
 // structure are internally synchronized (ingestion may even proceed while a
@@ -23,41 +25,14 @@ func (p *Pipeline) VerifyBatch(objects []verify.Generated, parallelism int, kind
 }
 
 // VerifyBatchCtx is VerifyBatch honoring a request context: cancellation
-// stops new objects from being dispatched and aborts each in-flight
-// verification at its next stage boundary, returning the context's error.
-// Individual objects hit the verify-result cache exactly as VerifyCtx does.
+// stops new objects from starting and aborts each in-flight verification at
+// its next stage boundary. It returns the lowest-indexed object's error as
+// VerifyBatch does, or else the context's error. Individual objects hit the
+// verify-result cache exactly as VerifyCtx does.
 func (p *Pipeline) VerifyBatchCtx(ctx context.Context, objects []verify.Generated, parallelism int, kinds ...datalake.Kind) ([]Report, error) {
 	if len(objects) == 0 {
 		return nil, nil
 	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	if parallelism > len(objects) {
-		parallelism = len(objects)
-	}
-
-	reports := make([]Report, len(objects))
-	jobs := make(chan int)
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-
 	// Each in-flight verification runs its evidence sequentially when the
 	// batch itself is parallel, so verifier concurrency stays at the
 	// requested bound instead of multiplying by cfg.VerifyWorkers. (The
@@ -65,41 +40,37 @@ func (p *Pipeline) VerifyBatchCtx(ctx context.Context, objects []verify.Generate
 	// short-lived fan-out; those goroutines are multiplexed onto GOMAXPROCS
 	// by the scheduler, so actual CPU parallelism stays machine-bounded.)
 	evidenceWorkers := p.cfg.VerifyWorkers
-	if parallelism > 1 {
+	if parallelism > 1 && len(objects) > 1 {
 		evidenceWorkers = 1
 	}
 	eff := p.normalizeKinds(kinds)
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if failed() {
-					continue // drain without working
-				}
-				rep, err := p.verifyCached(ctx, objects[i], evidenceWorkers, eff)
-				if err != nil {
-					fail(fmt.Errorf("core: verify object %d (%s): %w", i, objects[i].ID, err))
-					continue
-				}
-				reports[i] = rep
-			}
-		}()
-	}
-	for i := range objects {
-		if failed() || ctx.Err() != nil {
-			break
+	reports := make([]Report, len(objects))
+	errs := make([]error, len(objects))
+	// failedAt holds the index of a failed object (len(objects) while none
+	// has). An object after it does not start; one before it always runs,
+	// so the lowest-indexed failure is never skipped and errs finds it.
+	var failedAt atomic.Int64
+	failedAt.Store(int64(len(objects)))
+	par.For(len(objects), parallelism, func(i int) {
+		if int64(i) > failedAt.Load() || ctx.Err() != nil {
+			return
 		}
-		jobs <- i
+		rep, err := p.verifyCached(ctx, objects[i], evidenceWorkers, eff)
+		if err != nil {
+			errs[i] = fmt.Errorf("core: verify object %d (%s): %w", i, objects[i].ID, err)
+			failedAt.Store(int64(i))
+			return
+		}
+		reports[i] = rep
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	// A cancellation that stopped dispatch without any worker observing it
-	// leaves undispatched zero-value reports; surface the context error
-	// rather than returning a silently partial batch.
+	// A cancellation that stopped objects from starting leaves zero-value
+	// reports; surface the context error rather than returning a silently
+	// partial batch.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

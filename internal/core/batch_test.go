@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/claims"
@@ -63,37 +64,53 @@ func TestVerifyBatchEdgeCases(t *testing.T) {
 	}
 }
 
+// TestVerifyBatchPropagatesErrors: a verifier error fails the batch, and
+// with two failing objects in flight at once the error names the lower
+// index, as a sequential run would, whichever fails first.
 func TestVerifyBatchPropagatesErrors(t *testing.T) {
 	lake := smallLake(t)
-	// An agent whose local verifier rejects its pairs surfaces an error.
-	indexer, err := BuildIndexer(lake, DefaultIndexerConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := buildPipeline(t, lake, true)
-
-	// Build a claim object that causes pipeline failure indirectly is hard;
-	// instead verify that an unresolvable evidence path cannot happen here
-	// and use a broken verifier via a fresh pipeline.
-	_ = indexer
 	badAgent := verify.NewAgent(failingVerifier{})
 	bp, err := NewPipeline(lake, p.Indexer(), p.rerankers, badAgent, nil, nil, DefaultPipelineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = bp.VerifyBatch([]verify.Generated{golfClaimObject(), golfClaimObject()}, 2, datalake.KindTable)
+	var objects []verify.Generated
+	for i := 0; i < 6; i++ {
+		c := claims.Claim{
+			Context:   "1954 u.s. open (golf)",
+			Entities:  []string{"tommy bolt"},
+			Attribute: "money",
+			Op:        claims.OpLookup,
+			Value:     fmt.Sprintf("%d", 500+i),
+		}
+		c.Render()
+		id := fmt.Sprintf("ok%d", i)
+		if i == 1 || i == 2 {
+			id = fmt.Sprintf("fail%d", i)
+		}
+		objects = append(objects, verify.NewClaimObject(id, c))
+	}
+	_, err = bp.VerifyBatch(objects, 4, datalake.KindTable)
 	if err == nil {
-		t.Error("batch swallowed verifier error")
+		t.Fatal("batch swallowed verifier error")
+	}
+	if want := "object 1 (fail1)"; !strings.Contains(err.Error(), want) {
+		t.Errorf("batch error %q does not name %s", err, want)
 	}
 }
 
-// failingVerifier always errors, for error-path tests.
+// failingVerifier errors for every object whose ID starts with "fail",
+// for error-path tests.
 type failingVerifier struct{}
 
 func (failingVerifier) Name() string                                  { return "failing" }
 func (failingVerifier) Supports(verify.Generated, datalake.Kind) bool { return true }
-func (failingVerifier) Verify(verify.Generated, datalake.Instance) (verify.Result, error) {
-	return verify.Result{}, fmt.Errorf("synthetic failure")
+func (failingVerifier) Verify(g verify.Generated, _ datalake.Instance) (verify.Result, error) {
+	if strings.HasPrefix(g.ID, "fail") {
+		return verify.Result{}, fmt.Errorf("synthetic failure")
+	}
+	return verify.Result{}, nil
 }
 
 func TestVerifyBatchLargeParallel(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,6 +18,7 @@ import (
 	"repro/internal/invindex"
 	"repro/internal/kg"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/provenance"
 	"repro/internal/table"
 	"repro/internal/vecindex"
@@ -257,7 +257,7 @@ func (ix *Indexer) Seal() {
 	for _, kind := range ix.cfg.Kinds {
 		tasks = append(tasks, ix.bm25[kind].Seal, ix.vec[kind].Seal)
 	}
-	runParallel(tasks, runtime.GOMAXPROCS(0))
+	par.For(len(tasks), runtime.GOMAXPROCS(0), func(i int) { tasks[i]() })
 }
 
 // Embedder exposes the shared embedding space (the reranker uses the same
@@ -408,36 +408,6 @@ func (g *retrGroup) add(id string, score float64) {
 	g.hits = append(g.hits, provenance.RetrievalHit{Index: g.family, InstanceID: id, Score: score, Rank: len(g.hits)})
 }
 
-// runParallel executes tasks on a bounded worker pool (inline when the pool
-// would be pointless).
-func runParallel(tasks []func(), workers int) {
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers <= 1 || len(tasks) <= 1 {
-		for _, t := range tasks {
-			t()
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan func())
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range jobs {
-				t()
-			}
-		}()
-	}
-	for _, t := range tasks {
-		jobs <- t
-	}
-	close(jobs)
-	wg.Wait()
-}
-
 // families selects which index families to search: both for Retrieve, one
 // for RetrieveFamily.
 const (
@@ -445,19 +415,19 @@ const (
 	familyVector = "vector"
 )
 
-// search runs one search per (kind, requested family) on a worker pool of
-// GOMAXPROCS and returns the ranked hits in deterministic group order
-// (kinds as requested, BM25 before vector). A cancelled context makes
-// unstarted searches no-ops, so an abandoned request drains the pool
-// quickly; the (partial) hits of a cancelled search must be discarded by
-// the caller, which owns surfacing ctx.Err().
+// search runs one search per (kind, requested family) on at most GOMAXPROCS
+// goroutines (par.For) and returns the ranked hits in deterministic group
+// order (kinds as requested, BM25 before vector). A cancelled context makes
+// unstarted searches no-ops, so an abandoned request returns quickly; the
+// (partial) hits of a cancelled search must be discarded by the caller,
+// which owns surfacing ctx.Err().
 func (ix *Indexer) search(ctx context.Context, query string, k int, kinds []datalake.Kind, wantBM25, wantVector bool) []provenance.RetrievalHit {
 	return ix.searchIndexes(ctx, query, k, kinds, wantBM25, wantVector, ix.bm25, ix.vec)
 }
 
 // searchIndexes is search over explicit index maps: the live indexes for
 // head reads, or a pinned snapshot's materialized indexes for time-travel
-// reads. Everything else — the worker pool, the query-embedding cache,
+// reads. Everything else — the fan-out, the query-embedding cache,
 // the per-family latency metrics, the group order — is shared, so a
 // pinned retrieval ranks exactly as a head retrieval over the same data.
 func (ix *Indexer) searchIndexes(ctx context.Context, query string, k int, kinds []datalake.Kind, wantBM25, wantVector bool, bm25 map[datalake.Kind]*invindex.Index, vec map[datalake.Kind]*vecindex.SQFlat) []provenance.RetrievalHit {
@@ -518,7 +488,7 @@ func (ix *Indexer) searchIndexes(ctx context.Context, query string, k int, kinds
 			})
 		}
 	}
-	runParallel(tasks, runtime.GOMAXPROCS(0))
+	par.For(len(tasks), runtime.GOMAXPROCS(0), func(i int) { tasks[i]() })
 
 	var hits []provenance.RetrievalHit
 	for _, g := range groups {
@@ -538,7 +508,7 @@ func (ix *Indexer) Retrieve(query string, k int, kinds ...datalake.Kind) ([]prov
 
 // RetrieveCtx is Retrieve honoring a request context: once ctx is
 // cancelled, index searches that have not started are skipped, so an
-// abandoned request stops occupying the retrieval worker pool. The
+// abandoned request stops occupying the retrieval fan-out. The
 // possibly partial results of a cancelled retrieval are returned as-is;
 // callers must check ctx.Err() and discard them.
 func (ix *Indexer) RetrieveCtx(ctx context.Context, query string, k int, kinds ...datalake.Kind) ([]provenance.RetrievalHit, []string) {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/embed"
 	"repro/internal/faultfs"
 	"repro/internal/invindex"
+	"repro/internal/par"
 	"repro/internal/textutil"
 	"repro/internal/vecindex"
 )
@@ -127,7 +128,7 @@ func (ix *Indexer) Freeze() *FrozenIndexes {
 	for i, kind := range ix.cfg.Kinds {
 		tasks = append(tasks, func() { bm25[i] = ix.bm25[kind].Freeze() }, func() { vec[i] = ix.vec[kind].Fork() })
 	}
-	runParallel(tasks, runtime.GOMAXPROCS(0))
+	par.For(len(tasks), runtime.GOMAXPROCS(0), func(i int) { tasks[i]() })
 	for i, kind := range ix.cfg.Kinds {
 		fz.bm25[kind], fz.vec[kind] = bm25[i], vec[i]
 	}
@@ -242,11 +243,7 @@ func (ix *Indexer) openIndexes(dir string) (map[datalake.Kind]*invindex.Index, m
 	vecs := make([]*vecindex.SQFlat, len(kinds))
 	eachKind := func(do func(i int) error) error {
 		errs := make([]error, len(kinds))
-		tasks := make([]func(), len(kinds))
-		for i := range kinds {
-			tasks[i] = func() { errs[i] = do(i) }
-		}
-		runParallel(tasks, runtime.GOMAXPROCS(0))
+		par.For(len(kinds), runtime.GOMAXPROCS(0), func(i int) { errs[i] = do(i) })
 		// The first kind's error, as a sequential open would return it: a
 		// mismatch must not hide another kind's corruption, or the reverse.
 		for _, err := range errs {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/datalake"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/provenance"
 	"repro/internal/rerank"
 	"repro/internal/trust"
@@ -329,11 +330,13 @@ func (p *Pipeline) VerifyCtx(ctx context.Context, g verify.Generated, kinds ...d
 	return p.verifyCached(ctx, g, p.cfg.VerifyWorkers, p.normalizeKinds(kinds))
 }
 
-// verifyCached wraps verifyWith with the result-cache lookup/fill — the
-// single serving path behind VerifyCtx and VerifyBatchCtx. kinds must be
-// normalized.
+// verifyCached is a head verification behind the result-cache lookup/fill —
+// the single serving path behind VerifyCtx and VerifyBatchCtx. Its
+// evidence-worker bound lets an outer fan-out (VerifyBatch) keep total
+// concurrency at its own bound instead of multiplying by cfg.VerifyWorkers.
+// kinds must be normalized (non-empty).
 func (p *Pipeline) verifyCached(ctx context.Context, g verify.Generated, evidenceWorkers int, kinds []datalake.Kind) (Report, error) {
-	run := func() (Report, error) { return p.verifyWith(ctx, g, evidenceWorkers, kinds) }
+	run := func() (Report, error) { return p.verifyAgainst(ctx, g, evidenceWorkers, kinds, p.headSource(), 0) }
 	if p.rcache == nil {
 		return run()
 	}
@@ -385,14 +388,6 @@ func (p *Pipeline) headSource() evidenceSource {
 		resolve: p.lake.Resolve,
 		trust:   p.SourceTrust,
 	}
-}
-
-// verifyWith is VerifyCtx's implementation with an explicit evidence-worker
-// bound, so an outer fan-out (VerifyBatch) can keep total concurrency at
-// its own bound instead of multiplying by cfg.VerifyWorkers. kinds must be
-// normalized (non-empty).
-func (p *Pipeline) verifyWith(ctx context.Context, g verify.Generated, evidenceWorkers int, kinds []datalake.Kind) (Report, error) {
-	return p.verifyAgainst(ctx, g, evidenceWorkers, kinds, p.headSource(), 0)
 }
 
 // verifyAgainst runs the full retrieve → combine → rerank → verify →
@@ -524,48 +519,30 @@ func (p *Pipeline) rerank(g verify.Generated, candidates []datalake.Instance) []
 	return entries
 }
 
-// verifyEvidence runs the Agent over each evidence instance on a bounded
-// worker pool (workers <= 1 runs inline). Results preserve input order; the
-// first error wins. A cancelled context stops unstarted verifications; the
+// verifyEvidence runs the Agent over each evidence instance on at most
+// workers goroutines (par.For). Results preserve input order; the error of
+// the lowest-indexed instance that failed is returned, as a sequential run
+// would return it. A cancelled context stops unstarted verifications; the
 // context error is returned once in-flight ones drain.
 func (p *Pipeline) verifyEvidence(ctx context.Context, g verify.Generated, ordered []datalake.Instance, workers int) ([]verify.Result, error) {
 	results := make([]verify.Result, len(ordered))
-	var (
-		errMu    sync.Mutex
-		firstErr error
-	)
-	setErr := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
+	errs := make([]error, len(ordered))
+	par.For(len(ordered), workers, func(i int) {
+		if ctx.Err() != nil {
+			return
 		}
-		errMu.Unlock()
-	}
-	tasks := make([]func(), len(ordered))
-	for i := range ordered {
-		i := i
-		tasks[i] = func() {
-			if err := ctx.Err(); err != nil {
-				setErr(err)
-				return
-			}
-			start := time.Now()
-			res, err := p.agent.Verify(g, ordered[i])
-			p.verifierCalls.Inc()
-			p.verifierSec.Since(start)
-			if err != nil {
-				setErr(err)
-				return
-			}
-			results[i] = res
-		}
-	}
-	runParallel(tasks, workers)
+		start := time.Now()
+		results[i], errs[i] = p.agent.Verify(g, ordered[i])
+		p.verifierCalls.Inc()
+		p.verifierSec.Since(start)
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return results, nil
 }

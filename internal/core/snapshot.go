@@ -109,8 +109,8 @@ func (ps *PinnedSnapshot) sourceTrust(sourceID string) float64 {
 }
 
 // source adapts the snapshot into the pipeline's evidence-source seam:
-// retrieval fans out over the thawed indexes through the indexer's shared
-// worker pool, resolution reads the immutable view, trust reads the
+// retrieval fans out over the thawed indexes as the indexer's head
+// retrieval does, resolution reads the immutable view, trust reads the
 // pinned copy. materialize must have succeeded first.
 func (ps *PinnedSnapshot) source(ix *Indexer) evidenceSource {
 	return evidenceSource{

@@ -3,11 +3,11 @@ package datalake
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/doc"
 	"repro/internal/kg"
+	"repro/internal/par"
 	"repro/internal/table"
 )
 
@@ -175,41 +175,15 @@ func (l *Lake) addBatch(items []BatchItem, src batchSource) ([]BatchItemResult, 
 		}
 	}
 
-	// Stage 2: run subscriber prepare stages in parallel across items on a
-	// bounded pool — the expensive embedding/tokenization work happens here,
-	// outside every lake lock.
+	// Stage 2: run subscriber prepare stages in parallel across items on
+	// GOMAXPROCS workers — the expensive embedding/tokenization work happens
+	// here, outside every lake lock. An item stage 1 rejected is skipped.
 	payloads := make([]map[int]any, len(items))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(items) {
-		workers = len(items)
-	}
-	if workers <= 1 {
-		for i := range items {
-			if results[i].Err != nil {
-				continue
-			}
+	par.For(len(items), runtime.GOMAXPROCS(0), func(i int) {
+		if results[i].Err == nil {
 			payloads[i], results[i].Err = l.prepare(evs[i])
 		}
-	} else {
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					payloads[i], results[i].Err = l.prepare(evs[i])
-				}
-			}()
-		}
-		for i := range items {
-			if results[i].Err == nil {
-				idx <- i
-			}
-		}
-		close(idx)
-		wg.Wait()
-	}
+	})
 
 	// Stages 3 and 4: commit every valid item under one write-lock
 	// acquisition, then apply them.

@@ -7,12 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sync"
 
 	"repro/internal/binfmt"
 	"repro/internal/datalake"
 	"repro/internal/kg"
 	"repro/internal/lakeio"
+	"repro/internal/par"
 )
 
 // A checkpoint (and a pin) stores its catalog as one binfmt container, the
@@ -162,15 +162,9 @@ func decodeCatalog(data []byte) (*datalake.Lake, error) {
 	// takes about as long as its largest column.
 	strs := make([][]string, len(catalogStringColumns))
 	errs := make([]error, len(catalogStringColumns))
-	var wg sync.WaitGroup
-	for i, name := range catalogStringColumns {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			strs[i], errs[i] = column(name)
-		}()
-	}
-	wg.Wait()
+	par.For(len(catalogStringColumns), len(catalogStringColumns), func(i int) {
+		strs[i], errs[i] = column(catalogStringColumns[i])
+	})
 	cols := make(map[string][]string, len(catalogStringColumns))
 	for i, name := range catalogStringColumns {
 		if errs[i] != nil {

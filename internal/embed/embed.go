@@ -319,7 +319,8 @@ func (e *Embedder) EmbedTexts(texts []string, workers int) []Vector {
 }
 
 // forEach runs fn(0..n-1) on the caller plus up to workers-1 goroutines
-// taken from embedSlots.
+// taken from embedSlots. It is not par.For, whose bound is per call: the
+// slots bound the helpers of all concurrent and nested calls together.
 func forEach(n, workers int, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

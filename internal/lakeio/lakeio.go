@@ -21,12 +21,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/datalake"
 	"repro/internal/doc"
 	"repro/internal/kg"
+	"repro/internal/par"
 	"repro/internal/table"
 )
 
@@ -152,26 +151,13 @@ func Read(dir string) ([]datalake.Source, []datalake.BatchItem, error) {
 	files := len(m.Tables) + len(m.Docs)
 	items := make([]datalake.BatchItem, files, files+len(m.Triples))
 	errs := make([]error, files)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), files); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				switch {
-				case i >= files:
-					return
-				case i < len(m.Tables):
-					items[i].Table, errs[i] = readTable(dir, m.Tables[i])
-				default:
-					items[i].Doc, errs[i] = readDoc(dir, m.Docs[i-len(m.Tables)])
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(files, runtime.GOMAXPROCS(0), func(i int) {
+		if i < len(m.Tables) {
+			items[i].Table, errs[i] = readTable(dir, m.Tables[i])
+		} else {
+			items[i].Doc, errs[i] = readDoc(dir, m.Docs[i-len(m.Tables)])
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, nil, err

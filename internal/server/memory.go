@@ -21,6 +21,7 @@ var goMemoryMetrics = []string{
 	"/memory/classes/heap/released:bytes",
 	"/memory/classes/heap/stacks:bytes",
 	"/memory/classes/os-stacks:bytes",
+	"/memory/classes/profiling/buckets:bytes",
 	"/memory/classes/total:bytes",
 }
 
@@ -34,8 +35,8 @@ var goMemoryMetrics = []string{
 //   - go_heap_unused: free slots inside in-use heap spans (fragmentation);
 //   - go_heap_idle: free heap spans not yet returned to the OS;
 //   - go_stacks: goroutine and OS thread stacks;
-//   - go_runtime_other: the runtime's own metadata, profiling buckets and
-//     the rest of what it mapped;
+//   - go_runtime_other: the runtime's own metadata and the rest of what it
+//     mapped, less go_profiling_buckets;
 //   - offheap_provenance: lineage records in mapped arena segments and
 //     the slot table of their dictionary;
 //   - offheap_catalog: the catalog's sealed segments (the tables,
@@ -51,11 +52,13 @@ var goMemoryMetrics = []string{
 //
 // The other rows are context: go_heap_goal (the heap size that triggers
 // the next collection), go_heap_released (heap returned to the OS, not
-// resident), result_cache (the verify-result cache's entries, keys
-// included, a part of go_heap_live), tail (what has not been sealed yet:
-// the lake's Go tables, documents and triples since its last seal and the
-// indexes' deltas, as their owners estimate them, also a part of
-// go_heap_live), and vm_rss, rss_anon and rss_file from /proc/self/status.
+// resident), go_profiling_buckets (the profiler's stack buckets: a sparse
+// hash table, mapped but barely touched), result_cache (the verify-result
+// cache's entries, keys included, a part of go_heap_live), tail (what has
+// not been sealed yet: the lake's Go tables, documents and triples since
+// its last seal and the indexes' deltas, as their owners estimate them,
+// also a part of go_heap_live), and vm_rss, rss_anon and rss_file from
+// /proc/self/status.
 var residentClasses = []string{
 	"go_heap_live", "go_heap_dead", "go_heap_unused", "go_heap_idle", "go_stacks", "go_runtime_other",
 	"offheap_provenance", "offheap_catalog", "offheap_indexes", "token_table", "mapped_bm25", "file_other",
@@ -75,25 +78,26 @@ func (s *Server) memoryLedger() map[string]int64 {
 			v[i] = int64(sm.Value.Uint64())
 		}
 	}
-	live, goal, objects, unused, free, released, stacks, osStacks, total := v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], v[8]
+	live, goal, objects, unused, free, released, stacks, osStacks, profiling, total := v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], v[8], v[9]
 	ix := s.pipeline.Indexer()
 	indexes := ix.IndexStats().Families
 	catalog := datalake.SegmentBytes()
 	m := map[string]int64{
-		"go_heap_live":     live,
-		"go_heap_dead":     max(objects-live, 0),
-		"go_heap_unused":   unused,
-		"go_heap_idle":     free,
-		"go_stacks":        stacks + osStacks,
-		"go_runtime_other": total - objects - unused - free - released - stacks - osStacks,
-		"go_heap_goal":     goal,
-		"go_heap_released": released,
-		"offheap_catalog":  catalog,
-		"offheap_indexes":  max(binfmt.BuiltBytes()-catalog, 0),
-		"mapped_bm25":      indexes["bm25"].MappedBytes,
-		"token_table":      ix.Embedder().OffHeapBytes(),
-		"result_cache":     s.pipeline.Stats().ResultCacheBytes,
-		"tail":             s.pipeline.Lake().TailBytes() + indexes["bm25"].TailBytes + indexes["vector"].TailBytes,
+		"go_heap_live":         live,
+		"go_heap_dead":         max(objects-live, 0),
+		"go_heap_unused":       unused,
+		"go_heap_idle":         free,
+		"go_stacks":            stacks + osStacks,
+		"go_runtime_other":     total - objects - unused - free - released - stacks - osStacks - profiling,
+		"go_heap_goal":         goal,
+		"go_heap_released":     released,
+		"go_profiling_buckets": profiling,
+		"offheap_catalog":      catalog,
+		"offheap_indexes":      max(binfmt.BuiltBytes()-catalog, 0),
+		"mapped_bm25":          indexes["bm25"].MappedBytes,
+		"token_table":          ix.Embedder().OffHeapBytes(),
+		"result_cache":         s.pipeline.Stats().ResultCacheBytes,
+		"tail":                 s.pipeline.Lake().TailBytes() + indexes["bm25"].TailBytes + indexes["vector"].TailBytes,
 	}
 	if store := s.pipeline.Provenance(); store != nil {
 		m["offheap_provenance"] = store.Stats().OffHeapBytes

@@ -83,7 +83,7 @@ func TestMemoryLedger(t *testing.T) {
 	}
 	mem := stats.Memory
 	t.Logf("memory: %v", mem)
-	for _, class := range append(residentClasses, "go_heap_goal", "go_heap_released", "accounted") {
+	for _, class := range append(residentClasses, "go_heap_goal", "go_heap_released", "go_profiling_buckets", "accounted") {
 		if _, ok := mem[class]; (!ok && (class != "file_other" || runtime.GOOS == "linux")) || mem[class] < 0 {
 			t.Errorf("memory[%q] = %d (present %v)", class, mem[class], ok)
 		}

@@ -77,6 +77,7 @@ import (
 	"repro/internal/durable"
 	"repro/internal/kg"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/table"
 	"repro/internal/verify"
 	"repro/internal/wal"
@@ -753,36 +754,18 @@ func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.verifyContext(r)
 	defer cancel()
 
-	// Fan the items across a small worker pool (order-preserving). Kinds
-	// vary per item, so this drives VerifyCtx directly rather than
+	// Fan the items across verifyBatchParallelism workers (order-preserving).
+	// Kinds vary per item, so this drives VerifyCtx directly rather than
 	// VerifyBatchCtx; each item still hits the result cache.
 	resp := VerifyBatchResponse{Results: make([]VerifyBatchItemResult, len(req.Items))}
-	workers := verifyBatchParallelism
-	if workers > len(req.Items) {
-		workers = len(req.Items)
-	}
-	jobs := make(chan int)
-	done := make(chan struct{})
-	for wkr := 0; wkr < workers; wkr++ {
-		go func() {
-			for i := range jobs {
-				vr, err := s.verifyObject(ctx, objects[i], asOf, itemKinds[i])
-				if err != nil {
-					resp.Results[i].Error = err.Error()
-				} else {
-					resp.Results[i].Report = &vr
-				}
-			}
-			done <- struct{}{}
-		}()
-	}
-	for i := range req.Items {
-		jobs <- i
-	}
-	close(jobs)
-	for wkr := 0; wkr < workers; wkr++ {
-		<-done
-	}
+	par.For(len(req.Items), verifyBatchParallelism, func(i int) {
+		vr, err := s.verifyObject(ctx, objects[i], asOf, itemKinds[i])
+		if err != nil {
+			resp.Results[i].Error = err.Error()
+		} else {
+			resp.Results[i].Report = &vr
+		}
+	})
 
 	for _, res := range resp.Results {
 		if res.Error != "" {

@@ -568,8 +568,8 @@ func (s *System) AddDocument(d *Document) error { return s.pipeline.Lake().AddDo
 func (s *System) AddTriple(t Triple) error { return s.pipeline.Lake().AddTriple(t) }
 
 // AddBatch ingests a mixed batch of tables, documents, and triples through
-// the pipelined write path: embedding and tokenization fan out across a
-// bounded worker pool before the lake's write lock is taken, and a single
+// the pipelined write path: embedding and tokenization fan out across
+// GOMAXPROCS goroutines before the lake's write lock is taken, and a single
 // lock acquisition commits the whole batch with contiguous versions. Item
 // failures (duplicate IDs, malformed items) are reported per item without
 // affecting the rest; the only batch-level error is ingestion into a
@@ -693,14 +693,17 @@ func (s *System) VerifyClaimTextAsOfCtx(ctx context.Context, id, text string, as
 }
 
 // VerifyBatch verifies many generated objects concurrently (order-preserving;
-// parallelism < 1 means sequential). kinds applies to every object.
+// parallelism < 1 means sequential). kinds applies to every object. A
+// failure stops later objects from starting, and the error returned is that
+// of the lowest-indexed object that failed, as a sequential run returns it.
 func (s *System) VerifyBatch(objects []Generated, parallelism int, kinds ...Kind) ([]Report, error) {
 	return s.pipeline.VerifyBatch(objects, parallelism, kinds...)
 }
 
 // VerifyBatchCtx is VerifyBatch honoring a request context: cancellation
-// stops undispatched objects and aborts in-flight verifications at their
-// next stage boundary.
+// stops objects not yet started and aborts in-flight verifications at their
+// next stage boundary. It returns the lowest-indexed object's error, as
+// VerifyBatch does, or else the context's error.
 func (s *System) VerifyBatchCtx(ctx context.Context, objects []Generated, parallelism int, kinds ...Kind) ([]Report, error) {
 	return s.pipeline.VerifyBatchCtx(ctx, objects, parallelism, kinds...)
 }
