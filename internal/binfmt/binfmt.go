@@ -159,11 +159,6 @@ func (w *Writer) Int8s(name string, v []int8) {
 	w.Section(name, castToBytes(unsafe.Pointer(unsafe.SliceData(v)), len(v)))
 }
 
-// Int32s adds v's bytes as a section (native byte order, zero copy).
-func (w *Writer) Int32s(name string, v []int32) {
-	w.Section(name, castToBytes(unsafe.Pointer(unsafe.SliceData(v)), len(v)*4))
-}
-
 // Uint32s adds v's bytes as a section (native byte order, zero copy).
 func (w *Writer) Uint32s(name string, v []uint32) {
 	w.Section(name, castToBytes(unsafe.Pointer(unsafe.SliceData(v)), len(v)*4))
@@ -172,6 +167,33 @@ func (w *Writer) Uint32s(name string, v []uint32) {
 // Float32s adds v's bytes as a section (native byte order, zero copy).
 func (w *Writer) Float32s(name string, v []float32) {
 	w.Section(name, castToBytes(unsafe.Pointer(unsafe.SliceData(v)), len(v)*4))
+}
+
+// Uints adds v as a column of the narrowest width of 1, 2 or 4 bytes
+// that holds its largest value (native byte order; zero copy at 4 bytes).
+// The reader, told the count, takes the width from the section's length
+// (Reader.Uints).
+func (w *Writer) Uints(name string, v []uint32) {
+	m := uint32(0)
+	for _, x := range v {
+		m = max(m, x)
+	}
+	switch {
+	case m <= math.MaxUint8:
+		b := make([]byte, len(v))
+		for i, x := range v {
+			b[i] = uint8(x)
+		}
+		w.Section(name, b)
+	case m <= math.MaxUint16:
+		b := make([]byte, 0, 2*len(v))
+		for _, x := range v {
+			b = binary.NativeEndian.AppendUint16(b, uint16(x))
+		}
+		w.Section(name, b)
+	default:
+		w.Uint32s(name, v)
+	}
 }
 
 // JSON marshals v and adds it as a section — meant for small metadata
@@ -520,15 +542,6 @@ func (r *Reader) Int8s(name string) ([]int8, error) {
 	return unsafe.Slice((*int8)(unsafe.Pointer(&b[0])), len(b)), nil
 }
 
-// Int32s returns a typed view of a section.
-func (r *Reader) Int32s(name string) ([]int32, error) {
-	b, err := r.sized(name, 4)
-	if err != nil || len(b) == 0 {
-		return nil, err
-	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4), nil
-}
-
 // Uint32s returns a typed view of a section.
 func (r *Reader) Uint32s(name string) ([]uint32, error) {
 	b, err := r.sized(name, 4)
@@ -545,6 +558,45 @@ func (r *Reader) Float32s(name string) ([]float32, error) {
 		return nil, err
 	}
 	return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), len(b)/4), nil
+}
+
+// UintCol is a typed view of a column Writer.Uints wrote, at the width it
+// was written: one of its slices is the column, the others are nil (all
+// of them for an empty column). A loop over many values can switch on the
+// width once and read the slice; At reads one value.
+type UintCol struct {
+	U8  []uint8
+	U16 []uint16
+	U32 []uint32
+}
+
+// Uints returns a view of a column of n values written by Writer.Uints:
+// the section must hold n values of 1, 2 or 4 bytes.
+func (r *Reader) Uints(name string, n int) (UintCol, error) {
+	b, err := r.Bytes(name)
+	if err != nil || len(b) == 0 && n == 0 {
+		return UintCol{}, err
+	}
+	switch {
+	case len(b) == n:
+		return UintCol{U8: b}, nil
+	case len(b) == 2*n:
+		return UintCol{U16: unsafe.Slice((*uint16)(unsafe.Pointer(&b[0])), n)}, nil
+	case len(b) == 4*n:
+		return UintCol{U32: unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), n)}, nil
+	}
+	return UintCol{}, fmt.Errorf("binfmt: section %q of %d bytes holds no 1-, 2- or 4-byte column of %d values", name, len(b), n)
+}
+
+// At returns value i.
+func (c UintCol) At(i int) uint32 {
+	switch {
+	case c.U8 != nil:
+		return uint32(c.U8[i])
+	case c.U16 != nil:
+		return uint32(c.U16[i])
+	}
+	return c.U32[i]
 }
 
 func (r *Reader) sized(name string, elem int) ([]byte, error) {

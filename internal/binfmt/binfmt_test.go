@@ -119,7 +119,6 @@ func testWriter(t testing.TB) *Writer {
 	if err := w.JSON("meta", map[string]any{"kind": "test", "n": 3}); err != nil {
 		t.Fatalf("JSON: %v", err)
 	}
-	w.Int32s("i32", []int32{-1, 0, math.MaxInt32})
 	w.Uint32s("u32", []uint32{1, 2, 3, 4, 5})
 	w.Float32s("f32", []float32{0.5, -2.25, 1e20})
 	w.Int8s("i8", []int8{-128, 0, 127, 7})
@@ -147,10 +146,6 @@ func checkTestContainer(t *testing.T, r *Reader) {
 	}
 	if meta.Kind != "test" || meta.N != 3 {
 		t.Fatalf("meta = %+v", meta)
-	}
-	i32, err := r.Int32s("i32")
-	if err != nil || !reflect.DeepEqual(i32, []int32{-1, 0, math.MaxInt32}) {
-		t.Fatalf("Int32s = %v, %v", i32, err)
 	}
 	u32, err := r.Uint32s("u32")
 	if err != nil || !reflect.DeepEqual(u32, []uint32{1, 2, 3, 4, 5}) {
@@ -440,6 +435,46 @@ func badDeflatedColumns(t testing.TB) map[string][]byte {
 	}
 }
 
+// TestUints: a column is stored at the narrowest of 1, 2 or 4 bytes that
+// holds its largest value, reads back value for value, and a section
+// whose length is no such width times the count is an error.
+func TestUints(t *testing.T) {
+	cols := map[string][]uint32{
+		"empty":   nil,
+		"1 byte":  {0, 7, math.MaxUint8},
+		"2 bytes": {0, math.MaxUint8 + 1, math.MaxUint16, 3},
+		"4 bytes": {math.MaxUint16 + 1, 0, math.MaxUint32},
+	}
+	width := map[string]int{"empty": 0, "1 byte": 1, "2 bytes": 2, "4 bytes": 4}
+	w := NewWriter()
+	for _, name := range slices.Sorted(maps.Keys(cols)) {
+		w.Uints(name, cols[name])
+	}
+	r, err := w.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range cols {
+		if b, _ := r.Bytes(name); len(b) != width[name]*len(want) {
+			t.Errorf("%s: %d bytes for %d values, want %d a value", name, len(b), len(want), width[name])
+		}
+		col, err := r.Uints(name, len(want))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, v := range want {
+			if got := col.At(i); got != v {
+				t.Errorf("%s: value %d reads %d, want %d", name, i, got, v)
+			}
+		}
+	}
+	for name, n := range map[string]int{"1 byte": 2, "2 bytes": 3, "4 bytes": 5, "empty": 1} {
+		if _, err := r.Uints(name, n); err == nil {
+			t.Errorf("%s read as %d values without error", name, n)
+		}
+	}
+}
+
 // TestDeflatedStringsRejectsBadStreams: a deflated column whose stream
 // disagrees with its declared length, or with itself, is an error, and no
 // allocation is sized by the declared length alone.
@@ -518,7 +553,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, name := range []string{"meta", "i32", "u32", "f32", "i8", "strs", "packed", "deflated", "deflated-none", "raw", "ids", "norms", "codes"} {
+		for _, name := range []string{"meta", "u32", "f32", "i8", "strs", "packed", "deflated", "deflated-none", "raw", "ids", "norms", "codes"} {
 			if b, err := r.Bytes(name); err == nil {
 				_ = len(b)
 			}
@@ -546,10 +581,12 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			}
 			_, _ = r.PackedStrings(name)
 			_, _ = r.DeflatedStrings(name)
-			_, _ = r.Int32s(name)
 			_, _ = r.Uint32s(name)
 			_, _ = r.Float32s(name)
 			_, _ = r.Int8s(name)
+			if col, err := r.Uints(name, 3); err == nil {
+				_ = col.At(2)
+			}
 			var v any
 			_ = r.JSON(name, &v)
 		}

@@ -41,11 +41,14 @@ import (
 // are dropped): after any checkpoint the process holds mapped BM25 files,
 // as a restart on the directory would, and sealed vector segments.
 
-// snapshotFormat versions the snapshot layout itself: 4 since a snapshot
-// holds no vector files (3 held one per kind; 2 kept rows in insertion
+// snapshotFormat versions the snapshot layout itself: 5 since BM25 blocks
+// patch their wide gaps in as exceptions and the lengths and per-term
+// pair counts (df) are stored at the width they need (4 stored every gap
+// at its block's widest, lengths as int32 and cumulative pair starts as
+// uint32; 3 also held one vector file per kind; 2 kept rows in insertion
 // order, the IDs plain beside an idsort column; 1 also held BM25 postings
 // as int32 pairs).
-const snapshotFormat = 4
+const snapshotFormat = 5
 
 // snapshotMeta pins what a snapshot is valid for.
 type snapshotMeta struct {

@@ -180,7 +180,7 @@ func (ix *Index) Delete(id string) bool {
 	if !ok || ix.deleted[ord] {
 		if p, bo := seglist.Lookup(ix.segs, id, sealedIDs); p != nil {
 			p.Delete(bo)
-			ix.segLive, ix.segTotalLen = ix.segLive-1, ix.segTotalLen-int64(p.z.cols.Load().lengths[bo])
+			ix.segLive, ix.segTotalLen = ix.segLive-1, ix.segTotalLen-int64(p.z.cols.Load().lengths.At(bo))
 			return true
 		}
 		return false

@@ -128,16 +128,16 @@ func (ix *Index) mergeLocked(segs []*part, delta bool) (*staticSeg, error) {
 	}
 
 	var ids binfmt.FrontCoder
-	lengths := make([]int32, 0, docs)
+	lengths := make([]uint32, 0, docs)
 	var totalLen int64
 	binfmt.MergeAscending(cols, dead, deltaIDs, func(src, row int, id string) {
 		ids.Add(id)
-		l := int32(0)
+		var l uint32
 		if src == len(segs) {
 			row = int(order[row])
-			l = ix.lengths[row]
+			l = uint32(ix.lengths[row])
 		} else {
-			l = loaded[src].lengths[row]
+			l = loaded[src].lengths.At(row)
 		}
 		remaps[src][row] = int32(len(lengths))
 		lengths = append(lengths, l)
@@ -158,8 +158,9 @@ func (ix *Index) mergeLocked(segs []*part, delta bool) (*staticSeg, error) {
 		return "", false
 	}
 	var live []string // terms that keep at least one pair
-	postIdx := make([]uint32, 1, 1+len(dterms))
+	df := make([]uint32, 0, len(dterms))
 	postOff := make([]uint32, 1, 1+len(dterms))
+	pairs := 0
 	var posts []byte
 	var run, in, merged []int32 // one term's pairs so far, one input's, and the two merged
 	var deltaRun []int64        // one term's live delta pairs as doc<<32 | freq
@@ -215,21 +216,22 @@ func (ix *Index) mergeLocked(segs []*part, delta bool) (*staticSeg, error) {
 		if len(run) > 0 {
 			posts = appendRun(posts, run)
 			live = append(live, t)
-			postIdx = append(postIdx, postIdx[len(postIdx)-1]+uint32(len(run)/2))
+			df = append(df, uint32(len(run)/2))
+			pairs += len(run) / 2
 			postOff = append(postOff, uint32(len(posts)))
 		}
 	}
 	bw := binfmt.NewWriter()
 	if err := bw.JSON("meta", staticMeta{
 		Family: "bm25", K1: ix.k1, B: ix.b,
-		Docs: len(lengths), Terms: len(live), Pairs: int(postIdx[len(live)]), TotalLen: totalLen,
+		Docs: len(lengths), Terms: len(live), Pairs: pairs, TotalLen: totalLen,
 	}); err != nil {
 		return nil, err
 	}
 	bw.FrontCoded("ids", &ids)
-	bw.Int32s("lengths", lengths)
+	bw.Uints("lengths", lengths)
 	bw.Strings("terms", live)
-	bw.Uint32s("postidx", postIdx)
+	bw.Uints("df", df)
 	bw.Uint32s("postoff", postOff)
 	bw.Section("postings", posts)
 	fr, err := bw.Build()

@@ -267,7 +267,8 @@ type segParts struct {
 	ids     []byte
 	lengths []int32
 	terms   []string
-	postIdx []uint32
+	df      []uint32
+	rawDF   []byte // written as the df section in place of df when set
 	postOff []uint32
 	posts   []byte
 }
@@ -287,13 +288,14 @@ func validParts(t testing.TB) segParts {
 
 // setRuns encodes one run of interleaved (doc, freq) pairs per term.
 func (p *segParts) setRuns(runs ...[]int32) {
-	p.postIdx, p.postOff, p.posts = []uint32{0}, []uint32{0}, nil
+	p.df, p.postOff, p.posts = nil, []uint32{0}, nil
+	p.meta.Pairs = 0
 	for _, run := range runs {
 		p.posts = appendRun(p.posts, run)
-		p.postIdx = append(p.postIdx, p.postIdx[len(p.postIdx)-1]+uint32(len(run)/2))
+		p.df = append(p.df, uint32(len(run)/2))
 		p.postOff = append(p.postOff, uint32(len(p.posts)))
+		p.meta.Pairs += len(run) / 2
 	}
-	p.meta.Pairs = int(p.postIdx[len(runs)])
 }
 
 func (p segParts) encode(t testing.TB) []byte {
@@ -303,9 +305,17 @@ func (p segParts) encode(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	bw.Section("ids", p.ids)
-	bw.Int32s("lengths", p.lengths)
+	lengths := make([]uint32, len(p.lengths))
+	for i, l := range p.lengths {
+		lengths[i] = uint32(l)
+	}
+	bw.Uints("lengths", lengths)
 	bw.Strings("terms", p.terms)
-	bw.Uint32s("postidx", p.postIdx)
+	if p.rawDF != nil {
+		bw.Section("df", p.rawDF)
+	} else {
+		bw.Uints("df", p.df)
+	}
 	bw.Uint32s("postoff", p.postOff)
 	bw.Section("postings", p.posts)
 	var buf bytes.Buffer
@@ -313,6 +323,99 @@ func (p segParts) encode(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// sections returns the payloads of the named sections of a container.
+func sections(t testing.TB, data []byte, names ...string) [][]byte {
+	t.Helper()
+	fr, err := binfmt.NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([][]byte, len(names))
+	for i, name := range names {
+		b, err := fr.Bytes(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = bytes.Clone(b)
+	}
+	return out
+}
+
+// packBits is a hand-assembled postings block: header, then each
+// {value, width} field bit-packed LSB first, padded to a byte.
+func packBits(header []byte, fields ...[2]uint64) []byte {
+	var acc, nacc uint64
+	for _, f := range fields {
+		acc |= f[0] << nacc
+		for nacc += f[1]; nacc >= 8; nacc -= 8 {
+			header, acc = append(header, byte(acc)), acc>>8
+		}
+	}
+	if nacc > 0 {
+		header = append(header, byte(acc))
+	}
+	return header
+}
+
+// exceptionRun is 128 pairs over 200 documents, every frequency 1: docs 0
+// to 62, 100, 101 to 163, and 199. Every gap is 1 but two, 38 and 36, so
+// its one block stores gap-1 at base width 0 and those two as exceptions.
+func exceptionRun() []int32 {
+	var run []int32
+	for d := int32(0); d < 200; d++ {
+		if d < 63 || d == 100 || d > 100 && d < 164 || d == 199 {
+			run = append(run, d, 1)
+		}
+	}
+	return run
+}
+
+// exceptionParts is a segment of 200 documents of length 1 and one term,
+// t00001, whose run is exceptionRun: the shape FuzzOpenBM25Segment builds
+// around its columns.
+func exceptionParts(t testing.TB) segParts {
+	p := segParts{
+		meta:  staticMeta{Family: "bm25", K1: 1.2, B: 0.75, Docs: 200, Terms: 1, TotalLen: 200},
+		terms: []string{"t00001"},
+	}
+	ids := make([]string, 200)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("d%03d", i)
+		p.lengths = append(p.lengths, 1)
+	}
+	p.ids = idColumn(t, ids...)
+	p.setRuns(exceptionRun())
+	return p
+}
+
+// exceptionBlock is exceptionRun's block with its exceptions' count,
+// positions and high bits as given (widths 0, 0 and xw).
+func exceptionBlock(count byte, xw, pos1, pos2, hi1, hi2 uint64) []byte {
+	return packBits([]byte{0x80, 0, count, byte(xw), byte(pos1), byte(pos2)}, [2]uint64{hi1, xw}, [2]uint64{hi2, xw})
+}
+
+// badExceptionBlocks are exceptionRun's block broken every way the
+// decoder must notice.
+func badExceptionBlocks() map[string][]byte {
+	return map[string][]byte{
+		"exception count over the block":     exceptionBlock(129, 6, 63, 127, 37, 35),
+		"exception count of 0":               exceptionBlock(0, 6, 63, 127, 37, 35),
+		"exception position at the count":    exceptionBlock(2, 6, 63, 128, 37, 35),
+		"exception position past the count":  exceptionBlock(2, 6, 63, 255, 37, 35),
+		"exception positions out of order":   exceptionBlock(2, 6, 127, 63, 35, 37),
+		"exception positions equal":          exceptionBlock(2, 6, 63, 63, 37, 35),
+		"exception with no high bits":        exceptionBlock(2, 6, 63, 127, 0, 35),
+		"high bits push a doc to n":          exceptionBlock(2, 6, 63, 127, 37, 36),
+		"high bits push a doc past int32":    exceptionBlock(2, 32, 63, 127, 37, math.MaxUint32),
+		"exception width of 0":               exceptionBlock(2, 0, 63, 127, 0, 0),
+		"exception width over 32":            exceptionBlock(2, 33, 63, 127, 37, 35),
+		"base and exception widths over 32":  append([]byte{0x81}, exceptionBlock(2, 32, 63, 127, 37, 35)[1:]...),
+		"base width over 32 with exceptions": append([]byte{0x80 | 33}, exceptionBlock(2, 6, 63, 127, 37, 35)[1:]...),
+		"exception bytes truncated":          exceptionBlock(2, 6, 63, 127, 37, 35)[:7],
+		"exception header truncated":         {0x80, 0, 2},
+	}
 }
 
 // TestStaticValidationRejects hand-crafts structurally-broken snapshots
@@ -327,15 +430,16 @@ func TestStaticValidationRejects(t *testing.T) {
 	}
 
 	cases := map[string]func(*segParts){
-		"wrong family":         func(p *segParts) { p.meta.Family = "bm42" },
-		"doc column mismatch":  func(p *segParts) { p.lengths = p.lengths[:1] },
-		"terms unsorted":       func(p *segParts) { p.terms[0], p.terms[1] = p.terms[1], p.terms[0] },
-		"postidx short":        func(p *segParts) { p.postIdx = p.postIdx[:2] },
-		"postidx nonmonotonic": func(p *segParts) { p.postIdx[1] = 5 },
-		"postidx bad start":    func(p *segParts) { p.postIdx[0] = 1 },
-		"negative length":      func(p *segParts) { p.lengths[0] = -1 },
-		"total length drift":   func(p *segParts) { p.meta.TotalLen = 99 },
-		"pair count drift":     func(p *segParts) { p.meta.Pairs = 2 },
+		"wrong family":        func(p *segParts) { p.meta.Family = "bm42" },
+		"doc column mismatch": func(p *segParts) { p.lengths = p.lengths[:1] },
+		"terms unsorted":      func(p *segParts) { p.terms[0], p.terms[1] = p.terms[1], p.terms[0] },
+		"df short":            func(p *segParts) { p.df = p.df[:1] },
+		"df of 3 bytes":       func(p *segParts) { p.rawDF = []byte{1, 2, 0} },
+		"df past the pairs":   func(p *segParts) { p.df[1] = 5 },
+		"df of 0":             func(p *segParts) { p.df[0] = 0 },
+		"negative length":     func(p *segParts) { p.lengths[0] = -1 },
+		"total length drift":  func(p *segParts) { p.meta.TotalLen = 99 },
+		"pair count drift":    func(p *segParts) { p.meta.Pairs = 2 },
 	}
 	for name, ids := range badIDColumns(t) {
 		cases["ids: "+name] = func(p *segParts) { p.ids = ids }
@@ -418,19 +522,20 @@ func TestTranspose(t *testing.T) {
 // TestPostingsDecoderBounds breaks the packed postings every way the
 // decoder must notice; each must fail the open, and none may panic.
 func TestPostingsDecoderBounds(t *testing.T) {
-	// validParts' postings: alpha [1 1 0b11], beta [1 1 0b1011] — gap and
-	// freq-1 widths, then gaps and freq-1 values LSB first.
-	if got, want := validParts(t).posts, []byte{1, 1, 3, 1, 1, 11}; !bytes.Equal(got, want) {
+	// validParts' postings: alpha [0 1 0b1], beta [0 1 0b10] — the
+	// gap-1 and freq-1 widths, then the freq-1 values LSB first (every
+	// gap-1 is 0, at width 0).
+	if got, want := validParts(t).posts, []byte{0, 1, 1, 0, 1, 2}; !bytes.Equal(got, want) {
 		t.Fatalf("valid postings = %v, want %v", got, want)
 	}
 	cases := map[string]func(*segParts){
 		"gap width over 32":  func(p *segParts) { p.posts[0] = 33 },
 		"freq width over 32": func(p *segParts) { p.posts[1] = 40 },
-		"truncated header":   func(p *segParts) { p.posts, p.postOff = []byte{1, 1, 1, 11}, []uint32{0, 1, 4} },
-		"truncated block":    func(p *segParts) { p.posts, p.postOff = []byte{1, 1, 1, 1, 11}, []uint32{0, 2, 5} },
+		"truncated header":   func(p *segParts) { p.posts, p.postOff = []byte{0, 0, 1, 2}, []uint32{0, 1, 4} },
+		"truncated block":    func(p *segParts) { p.posts, p.postOff = []byte{0, 1, 0, 1, 2}, []uint32{0, 2, 5} },
 		"doc not below n":    func(p *segParts) { p.setRuns([]int32{2, 2}, []int32{0, 1, 1, 2}) },
 		"doc far past n":     func(p *segParts) { p.setRuns([]int32{math.MaxInt32 - 1, 2}, []int32{0, 1, 1, 2}) },
-		"doc not ascending":  func(p *segParts) { p.posts[5] = 9 }, // beta's second gap 0
+		"gap past n":         func(p *segParts) { p.posts[3] = 1 }, // beta's gaps-1 0 and 1 at width 1: docs 0, 2
 		// Runs of 4 or more pairs take the two-gaps-a-load path.
 		"long run past n":        func(p *segParts) { p.setRuns([]int32{0, 1, 1, 1, 2, 1, 3, 1}, []int32{0, 1, 1, 2}) },
 		"long run not ascending": func(p *segParts) { p.setRuns([]int32{0, 2}, []int32{0, 1, 1, 1, 1, 1, 1, 1}) },
@@ -439,13 +544,46 @@ func TestPostingsDecoderBounds(t *testing.T) {
 		"postoff past section":   func(p *segParts) { p.postOff[2] = 9 },
 		"postoff bad start":      func(p *segParts) { p.postOff[0] = 1 },
 		"postoff short":          func(p *segParts) { p.postOff = p.postOff[:2] },
-		"trailing bytes in run":  func(p *segParts) { p.posts, p.postOff = []byte{1, 1, 3, 0, 1, 1, 11}, []uint32{0, 4, 7} },
+		"trailing bytes in run":  func(p *segParts) { p.posts, p.postOff = []byte{0, 1, 1, 0, 0, 1, 2}, []uint32{0, 4, 7} },
 		"trailing section bytes": func(p *segParts) { p.posts = append(p.posts, 0) },
-		"run with no blocks":     func(p *segParts) { p.postIdx[1] = 0 },
+		"run with no blocks":     func(p *segParts) { p.df[1] = 0 },
 	}
 	for name, mutate := range cases {
 		p := validParts(t)
 		mutate(&p)
+		if _, err := openBytes(t, p.encode(t)); err == nil {
+			t.Errorf("%s: loaded without error", name)
+		}
+	}
+}
+
+// TestPostingsExceptions: exceptionRun's block stores its two wide gaps
+// as exceptions, the segment searches them where they are, and every
+// breakage of their count, positions, high bits or widths fails the open.
+func TestPostingsExceptions(t *testing.T) {
+	p := exceptionParts(t)
+	if want := exceptionBlock(2, 6, 63, 127, 37, 35); !bytes.Equal(p.posts, want) {
+		t.Fatalf("exceptionRun encodes as %v, want %v", p.posts, want)
+	}
+	ix, err := openBytes(t, p.encode(t))
+	if err != nil {
+		t.Fatalf("valid exception block rejected: %v", err)
+	}
+	var got []string
+	for _, h := range ix.SearchTerms([]string{"t00001"}, 200) {
+		got = append(got, h.ID)
+	}
+	slices.Sort(got)
+	var want []string
+	for i := 0; i < len(exceptionRun()); i += 2 {
+		want = append(want, fmt.Sprintf("d%03d", exceptionRun()[i]))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("the exception block searches to %v, want %v", got, want)
+	}
+	for name, block := range badExceptionBlocks() {
+		p := exceptionParts(t)
+		p.posts, p.postOff = block, []uint32{0, uint32(len(block))}
 		if _, err := openBytes(t, p.encode(t)); err == nil {
 			t.Errorf("%s: loaded without error", name)
 		}
@@ -489,9 +627,96 @@ func TestPostingsRoundTrip(t *testing.T) {
 			t.Errorf("%s: decoded %d values, not the %d encoded", name, len(got), len(pairs))
 		}
 	}
-	// A block whose frequencies are all 1 stores no frequency bits.
-	if enc := appendRun(nil, runs["all freq 1, dense"]); enc[1] != 0 || len(enc) != 2+blockLen/8 {
-		t.Errorf("all-freq-1 block: freq width %d, %d bytes; want 0, %d", enc[1], len(enc), 2+blockLen/8)
+	// A block of consecutive docs whose frequencies are all 1 is its
+	// header alone.
+	if enc := appendRun(nil, runs["all freq 1, dense"]); !bytes.Equal(enc, []byte{0, 0}) {
+		t.Errorf("a dense all-freq-1 block encodes as %v, want [0 0]", enc)
+	}
+}
+
+// TestPatchedRunsRoundTrip is the codec's property: random runs of 1, 2,
+// 4, 127, 128, 129 and 10,000 pairs — gaps from 1 to 2^31-1, mostly 1
+// with some small and a few as wide as the docs left allow, and
+// frequencies up to MaxInt32 — decode to the pairs encoded, at the base
+// width the encoder picks and at every narrower one, down to blocks whose
+// every gap is an exception (short runs reach base widths past 28, where
+// a load holds one gap, not two).
+func TestPatchedRunsRoundTrip(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	randomRun := func(n int) []int32 {
+		pairs := make([]int32, 0, 2*n)
+		doc := int64(-1)
+		for i := 0; i < n; i++ {
+			gap, room := int64(1), (math.MaxInt32-1-doc)/int64(n-i)
+			switch x := r.Intn(10); {
+			case x < 3:
+				gap += r.Int63n(min(room, 1<<r.Intn(12)))
+			case x == 3:
+				gap += r.Int63n(room)
+			}
+			doc += gap
+			freq := int32(1)
+			switch x := r.Intn(10); {
+			case x < 3:
+				freq += r.Int31n(20)
+			case x == 3:
+				freq += r.Int31n(math.MaxInt32)
+			}
+			pairs = append(pairs, int32(doc), freq)
+		}
+		return pairs
+	}
+	for _, n := range []int{1, 2, 4, blockLen - 1, blockLen, blockLen + 1, 10000} {
+		trials := 200
+		if n == 10000 {
+			trials = 5
+		}
+		for trial := 0; trial < trials; trial++ {
+			pairs := randomRun(n)
+			enc := appendRun(nil, pairs)
+			got, err := decodeRun(enc, n, math.MaxInt32, nil)
+			if err != nil || !slices.Equal(got, pairs) {
+				t.Fatalf("%d pairs, trial %d: decoded %v (%v), want %v", n, trial, got, err, pairs)
+			}
+			if n > blockLen {
+				continue
+			}
+			// The one block at every base width the encoder did not pick.
+			gaps := make([]uint32, n)
+			prev := int64(-1)
+			for i := range gaps {
+				gaps[i] = uint32(int64(pairs[2*i]) - prev - 1)
+				prev = int64(pairs[2*i])
+			}
+			for gw := uint(0); gw < baseWidth(gaps, pairs); gw++ {
+				enc := appendBlock(nil, gaps, pairs, gw)
+				got, err := decodeRun(enc, n, math.MaxInt32, nil)
+				if err != nil || !slices.Equal(got, pairs) {
+					t.Fatalf("%d pairs, trial %d, base width %d: decoded %v (%v), want %v", n, trial, gw, got, err, pairs)
+				}
+			}
+		}
+	}
+	// Blocks whose every gap is an exception.
+	for _, n := range []int{1, blockLen - 1, blockLen} {
+		pairs := make([]int32, 0, 2*n)
+		gaps := make([]uint32, n)
+		for i := range gaps {
+			gaps[i] = 1 + uint32(r.Intn(1000))
+			doc := int32(gaps[i])
+			if i > 0 {
+				doc += pairs[2*i-2] + 1
+			}
+			pairs = append(pairs, doc, 1+r.Int31n(3))
+		}
+		enc := appendBlock(nil, gaps, pairs, 0)
+		if enc[0] != 0x80 || int(enc[2]) != n {
+			t.Fatalf("%d pairs: header %v, want %d exceptions at base width 0", n, enc[:4], n)
+		}
+		got, err := decodeRun(enc, n, math.MaxInt32, nil)
+		if err != nil || !slices.Equal(got, pairs) {
+			t.Fatalf("%d pairs, all exceptions: decoded %v (%v), want %v", n, got, err, pairs)
+		}
 	}
 }
 
@@ -571,9 +796,10 @@ func FuzzLoadBinarySnapshot(f *testing.F) {
 // FuzzOpenBM25Segment fuzzes the front-coded IDs and the packed postings
 // behind valid container CRCs, so inputs reach the decoders and not the
 // checksum: docs documents of length 1, one term per postoff entry after
-// the first, and the ids, postidx, postoff and postings columns as given.
-// A segment that opens must search every term and, sealed again with one
-// more document, reopen to the hits the two-tier index returned.
+// the first, and the ids, df, postoff and postings columns as given (df
+// at the width its length implies). A segment that opens must search
+// every term and, sealed again with one more document, reopen to the hits
+// the two-tier index returned.
 func FuzzOpenBM25Segment(f *testing.F) {
 	toBytes := func(v []uint32) []byte {
 		b := make([]byte, 0, 4*len(v))
@@ -582,8 +808,10 @@ func FuzzOpenBM25Segment(f *testing.F) {
 		}
 		return b
 	}
+	cols := func(data []byte) [][]byte { return sections(f, data, "ids", "df", "postoff", "postings") }
 	p := validParts(f)
-	f.Add(uint8(p.meta.Docs), p.ids, toBytes(p.postIdx), toBytes(p.postOff), p.posts)
+	valid := cols(p.encode(f))
+	f.Add(uint8(p.meta.Docs), valid[0], valid[1], valid[2], valid[3])
 	// A sealed segment with runs longer than a block.
 	r := rand.New(rand.NewSource(1))
 	ix := New()
@@ -596,36 +824,31 @@ func FuzzOpenBM25Segment(f *testing.F) {
 	if err := ix.Freeze().Save(&buf); err != nil {
 		f.Fatal(err)
 	}
-	fr, err := binfmt.NewReader(buf.Bytes())
-	if err != nil {
-		f.Fatal(err)
-	}
-	var cols [4][]byte
-	for i, name := range []string{"ids", "postidx", "postoff", "postings"} {
-		if cols[i], err = fr.Bytes(name); err != nil {
-			f.Fatal(err)
-		}
-	}
-	f.Add(uint8(200), cols[0], cols[1], cols[2], cols[3])
-	f.Add(uint8(0), []byte{0, 0, 0, 0}, []byte{0, 0, 0, 0}, []byte{0, 0, 0, 0}, []byte{})
+	sealed := cols(buf.Bytes())
+	f.Add(uint8(200), sealed[0], sealed[1], sealed[2], sealed[3])
+	f.Add(uint8(0), []byte{0, 0, 0, 0}, []byte{}, []byte{0, 0, 0, 0}, []byte{})
 	// validParts with its ids column broken.
 	bad := badIDColumns(f)
 	for _, name := range slices.Sorted(maps.Keys(bad)) {
-		f.Add(uint8(p.meta.Docs), bad[name], toBytes(p.postIdx), toBytes(p.postOff), p.posts)
+		f.Add(uint8(p.meta.Docs), bad[name], valid[1], valid[2], valid[3])
+	}
+	// A block with exceptions, whole and broken.
+	exc := cols(exceptionParts(f).encode(f))
+	f.Add(uint8(200), exc[0], exc[1], exc[2], exc[3])
+	badExc := badExceptionBlocks()
+	for _, name := range slices.Sorted(maps.Keys(badExc)) {
+		block := badExc[name]
+		f.Add(uint8(200), exc[0], exc[1], toBytes([]uint32{0, uint32(len(block))}), block)
 	}
 
 	dir := f.TempDir()
-	f.Fuzz(func(t *testing.T, docs uint8, ids, postIdx, postOff, posts []byte) {
-		toU32 := func(b []byte) []uint32 {
-			v := make([]uint32, len(b)/4)
-			for i := range v {
-				v[i] = binary.NativeEndian.Uint32(b[4*i:])
-			}
-			return v
-		}
+	f.Fuzz(func(t *testing.T, docs uint8, ids, df, postOff, posts []byte) {
 		p := segParts{
 			meta: staticMeta{Family: "bm25", K1: 1.2, B: 0.75, Docs: int(docs), TotalLen: int64(docs)},
-			ids:  ids, postIdx: toU32(postIdx), postOff: toU32(postOff), posts: posts,
+			ids:  ids, rawDF: df, posts: posts,
+		}
+		for i := 0; i+4 <= len(postOff); i += 4 {
+			p.postOff = append(p.postOff, binary.NativeEndian.Uint32(postOff[i:]))
 		}
 		for i := 0; i < int(docs); i++ {
 			p.lengths = append(p.lengths, 1)
@@ -634,8 +857,15 @@ func FuzzOpenBM25Segment(f *testing.F) {
 			p.terms = append(p.terms, fmt.Sprintf("t%05d", i))
 		}
 		p.meta.Terms = len(p.terms)
-		if len(p.postIdx) > 0 {
-			p.meta.Pairs = int(p.postIdx[len(p.postIdx)-1])
+		// The pairs df holds, at the width its length implies.
+		if w := len(df) / max(1, p.meta.Terms); w*p.meta.Terms == len(df) && (w == 1 || w == 2 || w == 4) {
+			for i := 0; i < len(df); i += w {
+				v := uint64(0)
+				for j := w - 1; j >= 0; j-- {
+					v = v<<8 | uint64(df[i+j])
+				}
+				p.meta.Pairs += int(v)
+			}
 		}
 		loaded, err := openBytesIn(t, dir, p.encode(t))
 		if err != nil {

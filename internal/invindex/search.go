@@ -132,20 +132,14 @@ func (ix *Index) SearchTerms(terms []string, k int) []Hit {
 		}
 		idf := math.Log(1 + (n-float64(df)+0.5)/(float64(df)+0.5))
 		for i, run := range runs {
-			p, seg := ix.segs[i], sc.segs[i]
-			for j := 0; j < len(run); j += 2 {
-				doc := run[j]
-				if p.Dead[doc] {
-					continue
-				}
-				ord := int32(p.First) + doc
-				tf := float64(run[j+1])
-				dl := float64(seg.lengths[doc])
-				norm := tf * (ix.k1 + 1) / (tf + ix.k1*(1-ix.b+ix.b*dl/avgdl))
-				if scores[ord] == 0 {
-					touched = append(touched, ord)
-				}
-				scores[ord] += qw * idf * norm
+			p, first := ix.segs[i], int32(ix.segs[i].First)
+			switch l := sc.segs[i].lengths; {
+			case l.U8 != nil:
+				touched = scoreRun(scores, touched, run, p.Dead, l.U8, first, qw, idf, ix.k1, ix.b, avgdl)
+			case l.U16 != nil:
+				touched = scoreRun(scores, touched, run, p.Dead, l.U16, first, qw, idf, ix.k1, ix.b, avgdl)
+			default:
+				touched = scoreRun(scores, touched, run, p.Dead, l.U32, first, qw, idf, ix.k1, ix.b, avgdl)
 			}
 		}
 		for _, p := range plist {
@@ -183,4 +177,27 @@ func (ix *Index) SearchTerms(terms []string, k int) []Hit {
 	sc.segs = sc.segs[:0]
 	scratchPool.Put(sc)
 	return out
+}
+
+// scoreRun adds the BM25 contributions of one segment's decoded run to
+// scores, skipping tombstoned documents, and appends each document it
+// touches first to touched: document doc is ordinal first+doc, of length
+// lengths[doc]. It is generic over the width the segment stores lengths
+// at, so the loop reads them without a branch.
+func scoreRun[L uint8 | uint16 | uint32](scores []float64, touched, run []int32, dead []bool, lengths []L, first int32, qw, idf, k1, b, avgdl float64) []int32 {
+	for j := 0; j < len(run); j += 2 {
+		doc := run[j]
+		if dead[doc] {
+			continue
+		}
+		ord := first + doc
+		tf := float64(run[j+1])
+		dl := float64(lengths[doc])
+		norm := tf * (k1 + 1) / (tf + k1*(1-b+b*dl/avgdl))
+		if scores[ord] == 0 {
+			touched = append(touched, ord)
+		}
+		scores[ord] += qw * idf * norm
+	}
+	return touched
 }

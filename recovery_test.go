@@ -508,7 +508,7 @@ func rewriteAsFormat2(t *testing.T, dir string) {
 			idsort = append(idsort, uint32(i))
 		}
 		w := binfmt.NewWriter()
-		for _, name := range []string{"meta", "ids", "lengths", "idsort", "terms", "postidx", "postoff", "postings"} {
+		for _, name := range []string{"meta", "ids", "lengths", "idsort", "terms", "df", "postoff", "postings"} {
 			switch name {
 			case "ids":
 				w.Strings(name, ids)
@@ -541,9 +541,9 @@ func setSnapshotFormat(t *testing.T, dir string, format int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	older := bytes.Replace(meta, []byte(`"format": 4,`), []byte(fmt.Sprintf(`"format": %d,`, format)), 1)
+	older := bytes.Replace(meta, []byte(`"format": 5,`), []byte(fmt.Sprintf(`"format": %d,`, format)), 1)
 	if bytes.Equal(older, meta) {
-		t.Fatalf("%s is not at snapshot format 4: %s", path, meta)
+		t.Fatalf("%s is not at snapshot format 5: %s", path, meta)
 	}
 	if err := os.WriteFile(path, older, 0o644); err != nil {
 		t.Fatal(err)
@@ -723,11 +723,11 @@ func TestStaleFormatSnapshotRebuilds(t *testing.T) {
 				t.Fatal(err)
 			}
 			bw.Strings("ids", []string{"table:a"})
-			bw.Int32s("lengths", []int32{2})
+			bw.Uint32s("lengths", []uint32{2})
 			bw.Uint32s("idsort", []uint32{0})
 			bw.Strings("terms", []string{"golf"})
 			bw.Uint32s("postidx", []uint32{0, 1})
-			bw.Int32s("postings", []int32{0, 2})
+			bw.Uint32s("postings", []uint32{0, 2})
 			var buf bytes.Buffer
 			if _, err := bw.WriteTo(&buf); err != nil {
 				t.Fatal(err)
