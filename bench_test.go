@@ -1152,13 +1152,13 @@ func BenchmarkAblationQuantization(b *testing.B) {
 }
 
 // BenchmarkRecoveryOpen measures snapshot-restart latency — the time from
-// "snapshot directory on disk" to "indexer serving" — for the two ways of
-// opening a binfmt snapshot, at three lake sizes:
+// "snapshot directory on disk" to "indexer serving" — for the two places
+// an index file inflates into, at three lake sizes:
 //
-//   - binary-read: the binfmt columnar snapshot with mmap disabled
-//     (REPRO_BINFMT_NOMMAP=1), i.e. one sequential read + checksum.
-//   - binary-mmap: the binfmt snapshot mapped read-only; column decode is
-//     pointer casting, so open cost is validation, not deserialization.
+//   - heap: heap buffers (REPRO_BINFMT_NOMMAP=1).
+//   - offheap: anonymous mappings. Column decode is pointer casting either
+//     way, so open cost is the inflate, checksums and validation, not
+//     deserialization.
 func BenchmarkRecoveryOpen(b *testing.B) {
 	for _, tables := range []int{250, 1000, 4000} {
 		corpus := retrievalBenchLake(b, tables, tables/2)
@@ -1173,9 +1173,9 @@ func BenchmarkRecoveryOpen(b *testing.B) {
 		}
 		ix.Close()
 		for _, noMmap := range []bool{true, false} {
-			name := "binary-mmap"
+			name := "offheap"
 			if noMmap {
-				name = "binary-read"
+				name = "heap"
 			}
 			b.Run(fmt.Sprintf("tables=%d/%s", tables, name), func(b *testing.B) {
 				if noMmap {

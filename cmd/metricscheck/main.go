@@ -49,7 +49,6 @@ var requiredServing = []string{
 	"verifai_tail_seal_seconds",
 	"verifai_catalog_merges_total",
 	"verifai_index_derive_seconds",
-	"verifai_index_adoptions_total",
 	"verifai_verifier_calls_total",
 	"verifai_verifier_call_seconds",
 	"verifai_result_cache_hits_total",

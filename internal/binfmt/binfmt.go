@@ -1,7 +1,9 @@
 // Package binfmt is the binary columnar container behind VerifAI's index
-// snapshots: a length-prefixed, CRC'd, versioned collection of named
-// sections, designed so a reader can map the file and hand out typed views
-// of each column without decoding anything into heap objects.
+// snapshots and sealed segments: a length-prefixed, CRC'd, versioned
+// collection of named sections, designed so a reader holding the bytes
+// (off the Go heap, see OffHeap) hands out typed views of each column
+// without decoding anything into heap objects. On disk a container is
+// stored deflated (Reader.WriteFile, OpenFile).
 //
 // Layout:
 //
@@ -21,9 +23,7 @@
 // rejects a snapshot moved across machines of different endianness.
 //
 // NewReader verifies the TOC and every section CRC up front, so a
-// corrupted file fails loudly at open rather than serving garbage later;
-// with an mmap'd file this is one streaming pass that warms the page cache
-// without building any heap representation of the contents.
+// corrupted file fails loudly at open rather than serving garbage later.
 package binfmt
 
 import (
@@ -69,23 +69,11 @@ type Writer struct {
 	names    []string
 	payloads [][]byte
 	deflated []deflatedColumn
-	id       ID // of the container the last WriteTo produced
 }
-
-// ID identifies a container's contents: its length and the CRC of its TOC,
-// which carries every section's offset, length and CRC. A container
-// NewReader verified, with the ID a writer reported, holds what it wrote.
-type ID struct {
-	Size int64
-	TOC  uint32
-}
-
-// ID returns the identity of the container the last WriteTo produced.
-func (w *Writer) ID() ID { return w.id }
 
 // OffHeap returns size zeroed, writable bytes that live as long as owner.
-// Where files can be mapped (see OpenFile) they are an anonymous private
-// mapping, so they neither count toward the collector's heap goal nor are
+// Where the platform maps memory they are an anonymous private mapping,
+// so they neither count toward the collector's heap goal nor are
 // scanned by it, and a page costs memory only once written; the mapping is
 // released by a cleanup once owner is unreachable, so owner must stay
 // reachable for as long as the bytes are used (runtime.KeepAlive where
@@ -101,47 +89,30 @@ func OffHeap[T any](owner *T, size int) (buf []byte, mapped bool) {
 	return make([]byte, size), false
 }
 
-// builtBytes is what the containers Build holds in anonymous mappings
-// occupy, until their Readers are released.
+// builtBytes is what the containers Build made and OpenFile inflated hold
+// in anonymous mappings, until their Readers are released.
 var builtBytes atomic.Int64
 
-// BuiltBytes returns the bytes of the containers Build holds outside the
-// Go heap (see OffHeap) and has not yet released.
+// BuiltBytes returns the bytes of the containers Build made and OpenFile
+// inflated that sit outside the Go heap (see OffHeap) and are not yet
+// released.
 func BuiltBytes() int64 { return builtBytes.Load() }
 
 // Build serializes the container into memory (one buffer sized to hold
-// it) and opens it: the bytes WriteTo would put in a file, verified like
-// one. The buffer comes from OffHeap, owned by the Reader, and a mapped
-// one is read-only once written: a sealed segment searched for as long as
-// it lives stays off the Go heap where files can be mapped.
+// it) and opens it: the bytes WriteTo would write, verified like a file.
+// The buffer comes from OffHeap, owned by the Reader, and a mapped one is
+// read-only once written: a sealed segment searched for as long as it
+// lives stays off the Go heap.
 func (w *Writer) Build() (*Reader, error) {
 	w.deflateColumns()
 	size := headerLen + 8
 	for i, p := range w.payloads {
 		size += 22 + len(w.names[i]) + align8(len(p))
 	}
-	r := new(Reader)
-	mem, mapped := OffHeap(r, size)
-	buf := bytes.NewBuffer(mem[:0])
-	if _, err := w.WriteTo(buf); err != nil {
-		return nil, err
-	}
-	if mapped {
-		if err := protectReadOnly(mem); err != nil {
-			return nil, err
-		}
-		builtBytes.Add(int64(size))
-		runtime.AddCleanup(r, func(n int64) { builtBytes.Add(-n) }, int64(size))
-	}
-	opened, err := NewReader(buf.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	*r = *opened
-	if mapped {
-		r.offHeap = int64(size)
-	}
-	return r, nil
+	return openOffHeap(size, func(mem []byte) (int, error) {
+		n, err := w.WriteTo(bytes.NewBuffer(mem[:0]))
+		return int(n), err
+	})
 }
 
 // NewWriter returns an empty container writer.
@@ -399,20 +370,17 @@ func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 			}
 		}
 	}
-	w.id = ID{Size: written, TOC: tocCRC}
 	return written, nil
 }
 
-// Reader is an opened container. The section views it hands out alias the
-// underlying mapping (or the file's in-memory copy on the fallback path);
-// any structure that retains a view must also retain the Reader, which
-// keeps the mapping alive — the mapping is released by a cleanup once the
-// Reader is unreachable.
+// Reader is an opened container. The section views it hands out alias its
+// bytes; any structure that retains a view must also retain the Reader,
+// which keeps the bytes alive — an OffHeap buffer is released by a cleanup
+// once the Reader is unreachable.
 type Reader struct {
 	data    []byte
 	secs    map[string]section
-	mapped  bool  // a file mapping; Build's anonymous one is private memory
-	offHeap int64 // the size of Build's anonymous mapping, if it has one
+	offHeap int64 // the size of its anonymous mapping, if it has one
 }
 
 type section struct {
@@ -427,7 +395,7 @@ func NewReader(data []byte) (*Reader, error) {
 		return nil, fmt.Errorf("binfmt: file too short (%d bytes)", len(data))
 	}
 	// Typed views are produced by pointer casts, so the backing array must
-	// be 8-byte aligned (mmap pages and alignedBuf always are; arbitrary
+	// be 8-byte aligned (mapped pages and alignedBuf always are; arbitrary
 	// caller slices may not be — copy those once).
 	if uintptr(unsafe.Pointer(unsafe.SliceData(data)))%8 != 0 {
 		buf := alignedBuf(len(data))
@@ -493,10 +461,8 @@ func NewReader(data []byte) (*Reader, error) {
 	return r, nil
 }
 
-// ID returns the container's identity (see ID).
-func (r *Reader) ID() ID {
-	return ID{Size: int64(len(r.data)), TOC: binary.LittleEndian.Uint32(r.data[20:24])}
-}
+// Size returns the container's length in bytes.
+func (r *Reader) Size() int64 { return int64(len(r.data)) }
 
 // WriteTo writes the container's bytes verbatim.
 func (r *Reader) WriteTo(w io.Writer) (int64, error) {
@@ -504,12 +470,9 @@ func (r *Reader) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// Mapped reports whether the reader is backed by an mmap'd file (as
-// opposed to process-private memory: a Build buffer, or a file's copy).
-func (r *Reader) Mapped() bool { return r.mapped }
-
 // OffHeapBytes returns the size of the anonymous mapping a container Build
-// made holds, a part of BuiltBytes; 0 for every other reader.
+// made or OpenFile inflated holds, a part of BuiltBytes; 0 for every other
+// reader.
 func (r *Reader) OffHeapBytes() int64 { return r.offHeap }
 
 // Bytes returns the raw payload of a section.
@@ -684,15 +647,8 @@ func (r *Reader) DeflatedStrings(name string) ([]string, error) {
 		return nil, fmt.Errorf("binfmt: deflated string column %q declares %d bytes, its %d-byte stream cannot hold them", name, size, src.Len())
 	}
 	packed := make([]byte, size)
-	inflate := flate.NewReader(src)
-	if _, err := io.ReadFull(inflate, packed); err != nil {
+	if err := inflateExactly(packed, src); err != nil {
 		return nil, fmt.Errorf("binfmt: deflated string column %q: %w", name, err)
-	}
-	if extra, err := inflate.Read(make([]byte, 1)); extra != 0 || err != io.EOF {
-		return nil, fmt.Errorf("binfmt: deflated string column %q inflates past its %d declared bytes", name, size)
-	}
-	if src.Len() != 0 {
-		return nil, fmt.Errorf("binfmt: deflated string column %q has %d bytes after its stream", name, src.Len())
 	}
 	return unpackStrings(name, packed)
 }

@@ -208,35 +208,149 @@ func TestRoundTrip(t *testing.T) {
 	checkTestContainer(t, r)
 }
 
+// TestOpenFileMmapAndFallback: a container written with WriteFile opens
+// to the same bytes, inflated into an anonymous mapping counted in
+// BuiltBytes where the platform maps memory, and into a heap buffer under
+// NoMmapEnv.
 func TestOpenFileMmapAndFallback(t *testing.T) {
 	data := buildTestContainer(t)
 	path := filepath.Join(t.TempDir(), "c.idx")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+	writeContainerFile(t, path, data)
+	if raw, err := os.ReadFile(path); err != nil || len(raw) >= len(data) {
+		t.Fatalf("the file holds %d bytes (%v), the container %d", len(raw), err, len(data))
 	}
+	before := BuiltBytes()
 	r, err := OpenFile(path)
 	if err != nil {
 		t.Fatalf("OpenFile: %v", err)
 	}
-	if mmapSupported && !r.Mapped() {
-		t.Fatal("expected mmap-backed reader on this platform")
+	if !bytes.Equal(r.data, data) {
+		t.Fatal("OpenFile holds other bytes than the container written")
+	}
+	if mmapSupported && os.Getenv(NoMmapEnv) == "" && (r.OffHeapBytes() != int64(len(data)) || BuiltBytes()-before != int64(len(data))) {
+		t.Fatalf("an opened %d-byte container holds %d off-heap bytes, BuiltBytes grew %d", len(data), r.OffHeapBytes(), BuiltBytes()-before)
 	}
 	checkTestContainer(t, r)
+	runtime.KeepAlive(r)
 
 	t.Setenv(NoMmapEnv, "1")
 	r2, err := OpenFile(path)
 	if err != nil {
 		t.Fatalf("OpenFile (no mmap): %v", err)
 	}
-	if r2.Mapped() {
+	if r2.OffHeapBytes() != 0 {
 		t.Fatal("reader mapped despite NoMmapEnv")
 	}
 	checkTestContainer(t, r2)
 }
 
-// TestBuildOffHeap: Build holds exactly the bytes WriteTo writes, as
-// process-private memory, not a file mapping. Where files map, a big
-// container costs the Go heap nothing and its memory goes with the Reader;
+// writeContainerFile writes the container data to path with WriteFile.
+func writeContainerFile(t testing.TB, path string, data []byte) {
+	t.Helper()
+	r, err := NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := r.WriteFile(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// fileOf is a container file whose header declares declared bytes and
+// whose stream inflates to content, then holds tail.
+func fileOf(t testing.TB, declared uint64, content, tail []byte) []byte {
+	t.Helper()
+	out := bytes.NewBufferString(FileMagic)
+	out.Write(binary.LittleEndian.AppendUint64(nil, declared))
+	fw, err := flate.NewWriter(out, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.Write(content); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return append(out.Bytes(), tail...)
+}
+
+// badContainerFiles are container files OpenFile must refuse.
+func badContainerFiles(t testing.TB) map[string][]byte {
+	data := buildTestContainer(t)
+	n := uint64(len(data))
+	good := fileOf(t, n, data, nil)
+	return map[string][]byte{
+		"empty file":                      {},
+		"header truncated":                good[:fileHeaderLen-1],
+		"bad magic":                       append([]byte("VAIB"), good[len(FileMagic):]...),
+		"raw container":                   data,
+		"declared length past the ratio":  fileOf(t, maxInflateRatio*uint64(len(good)-fileHeaderLen)+1, data, nil),
+		"declared length of 2^62":         fileOf(t, 1<<62, data, nil),
+		"stream ends short":               fileOf(t, n+1, data, nil),
+		"stream runs past the length":     fileOf(t, n-1, data, nil),
+		"stream truncated":                good[:len(good)-3],
+		"bytes after the stream":          fileOf(t, n, data, []byte{0}),
+		"not a deflate stream":            append(append([]byte(nil), good[:fileHeaderLen]...), 0xff, 0xff, 0xff, 0xff),
+		"corrupt container inside":        fileOf(t, n, append(append([]byte(nil), data[:n/2]...), append([]byte{data[n/2] ^ 1}, data[n/2+1:]...)...), nil),
+		"declared length of 0, no stream": good[:fileHeaderLen],
+	}
+}
+
+// TestOpenFileRejectsBadFiles: every malformed container file is an error
+// at open, never a panic or a partial container, and a declared length
+// past what the stream could inflate to is refused before it is allocated.
+func TestOpenFileRejectsBadFiles(t *testing.T) {
+	data := buildTestContainer(t)
+	if r, err := readFile(fileOf(t, uint64(len(data)), data, nil)); err != nil || !bytes.Equal(r.data, data) {
+		t.Fatalf("a well-formed file: %v", err)
+	}
+	for name, file := range badContainerFiles(t) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err := readFile(file)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: opened a %d-byte container", name, r.Size())
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Errorf("%s: refusing the file allocated %d bytes", name, alloc)
+		}
+	}
+}
+
+// FuzzOpenContainerFile feeds OpenFile's parser arbitrary file bytes: a
+// file either opens to a container that writes back to a file opening to
+// the same bytes, or is an error; never a panic.
+func FuzzOpenContainerFile(f *testing.F) {
+	data := buildTestContainer(f)
+	f.Add(fileOf(f, uint64(len(data)), data, nil))
+	bad := badContainerFiles(f)
+	for _, name := range slices.Sorted(maps.Keys(bad)) {
+		f.Add(bad[name])
+	}
+	f.Fuzz(func(t *testing.T, file []byte) {
+		r, err := readFile(file)
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := r.WriteFile(&out); err != nil {
+			t.Fatal(err)
+		}
+		again, err := readFile(out.Bytes())
+		if err != nil || !bytes.Equal(again.data, r.data) {
+			t.Fatalf("the container written back does not reopen to its bytes: %v", err)
+		}
+	})
+}
+
+// TestBuildOffHeap: Build holds exactly the bytes WriteTo writes. Where
+// the platform maps memory, a big container costs the Go heap nothing and its memory goes with the Reader;
 // under NoMmapEnv it is a heap buffer.
 func TestBuildOffHeap(t *testing.T) {
 	want := buildTestContainer(t)
@@ -256,9 +370,8 @@ func TestBuildOffHeap(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var got bytes.Buffer
-			if _, err := r.WriteTo(&got); err != nil || !bytes.Equal(got.Bytes(), want) || r.Mapped() {
-				t.Fatalf("Build holds %d bytes (mapped %v, %v), WriteTo wrote %d", got.Len(), r.Mapped(), err, len(want))
+			if !bytes.Equal(r.data, want) {
+				t.Fatalf("Build holds %d bytes, WriteTo wrote %d", len(r.data), len(want))
 			}
 			checkTestContainer(t, r)
 
@@ -270,7 +383,7 @@ func TestBuildOffHeap(t *testing.T) {
 				t.Fatal(err)
 			}
 			grew := heapAlloc() - before
-			if offHeap := mmapSupported && !noMmap; offHeap && grew > big/8 || !offHeap && grew < big {
+			if offHeap := mmapSupported && os.Getenv(NoMmapEnv) == ""; offHeap && grew > big/8 || !offHeap && grew < big {
 				t.Errorf("a %d-byte container grew the heap by %d bytes", big, grew)
 			}
 			released := make(chan struct{})

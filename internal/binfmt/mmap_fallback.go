@@ -2,14 +2,9 @@
 
 package binfmt
 
-import (
-	"errors"
-	"os"
-)
+import "errors"
 
 const mmapSupported = false
-
-func mmapFile(*os.File, int) ([]byte, error) { return nil, nil }
 
 func mmapAnon(int) ([]byte, error) { return nil, errors.ErrUnsupported }
 

@@ -2,21 +2,9 @@
 
 package binfmt
 
-import (
-	"os"
-	"syscall"
-)
+import "syscall"
 
 const mmapSupported = true
-
-func mmapFile(f *os.File, size int) ([]byte, error) {
-	if size == 0 {
-		// Zero-length mappings are invalid; an empty file cannot be a
-		// container anyway, so surface that through NewReader.
-		return nil, nil
-	}
-	return syscall.Mmap(int(f.Fd()), 0, size, syscall.PROT_READ, syscall.MAP_PRIVATE)
-}
 
 // mmapAnon maps size bytes of zeroed, writable private memory.
 func mmapAnon(size int) ([]byte, error) {

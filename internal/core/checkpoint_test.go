@@ -20,15 +20,14 @@ import (
 	"repro/internal/doc"
 	"repro/internal/faultfs"
 	"repro/internal/kg"
-	"repro/internal/obs"
 	"repro/internal/rerank"
 	"repro/internal/table"
 	"repro/internal/verify"
 )
 
-// checkpointAdopt does to p what a durable checkpoint does: fork, seal
-// and retain the capture as a snapshot, write it into dir, adopt dir.
-func checkpointAdopt(t *testing.T, p *Pipeline, dir string) uint64 {
+// checkpointInto does to p what a durable checkpoint does: fork, seal and
+// retain the capture as a snapshot, write it into dir.
+func checkpointInto(t *testing.T, p *Pipeline, dir string) uint64 {
 	t.Helper()
 	var fz *FrozenIndexes
 	view, err := p.lake.Fork(func(*datalake.View) error {
@@ -42,13 +41,13 @@ func checkpointAdopt(t *testing.T, p *Pipeline, dir string) uint64 {
 	if err := fz.Save(faultfs.OS, dir, view.Version()); err != nil {
 		t.Fatal(err)
 	}
-	fz.Adopt(dir)
 	return view.Version()
 }
 
-// adoptPipeline assembles an empty lake, an indexer and a pipeline with no result cache and no lineage store, so every verify
-// searches and two pipelines fed the same writes report identically.
-func adoptPipeline(t *testing.T) *Pipeline {
+// diffPipeline assembles an empty lake, an indexer and a pipeline with no
+// result cache and no lineage store, so every verify searches and two
+// pipelines fed the same writes report identically.
+func diffPipeline(t *testing.T) *Pipeline {
 	t.Helper()
 	lake := datalake.New()
 	if err := lake.AddSource(datalake.Source{ID: "s", Name: "src", TrustPrior: 0.8}); err != nil {
@@ -60,7 +59,6 @@ func adoptPipeline(t *testing.T) *Pipeline {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.SetMetrics(obs.NewRegistry()) // adoptions are counted there
 	pcfg := DefaultPipelineConfig()
 	pcfg.ResultCache, pcfg.SnapshotRetain, pcfg.TopK = 0, 64, 20
 	p, err := NewPipeline(lake, ix, rerank.NewRegistry(rerank.NewColBERT(ix.Embedder(), 64)),
@@ -91,14 +89,14 @@ func sameReport(a, b Report) bool {
 	return reflect.DeepEqual(strip(a), strip(b))
 }
 
-var adoptWords = strings.Fields("golf open prize palmer hogan dover kansas climate record july total money league season harbor")
+var seedWords = strings.Fields("golf open prize palmer hogan dover kansas climate record july total money league season harbor")
 
-// adoptWrite applies the step-th write of the seeded sequence to lake:
+// seededWrite applies the step-th write of the seeded sequence to lake:
 // mostly triples about a dozen subjects, so entity pages are re-indexed
 // (deleted and re-added) across base and delta; otherwise a table or a
 // document.
-func adoptWrite(lake *datalake.Lake, r *rand.Rand, step int) error {
-	word := func() string { return adoptWords[r.Intn(len(adoptWords))] }
+func seededWrite(lake *datalake.Lake, r *rand.Rand, step int) error {
+	word := func() string { return seedWords[r.Intn(len(seedWords))] }
 	switch k := r.Intn(4); k {
 	case 0:
 		tb := table.New(fmt.Sprintf("t%03d", step), fmt.Sprintf("%s %s results %d", word(), word(), step), []string{"player", "money"})
@@ -117,18 +115,19 @@ func adoptWrite(lake *datalake.Lake, r *rand.Rand, step int) error {
 }
 
 // sealAdoptDifferential feeds one seeded write sequence to a pipeline that
-// takes snapshots and checkpoints-with-adopt along the way and to one that
-// never does, with verifies and retrievals running against the first
-// throughout, and requires after every step the same raw hits (scores
-// included) and the same Report from both — and, from the first, the same
-// Report at every retained version as the reference gave when that version
-// was head. Each checkpoint directory is removed once the next is adopted,
-// as a checkpoint swap unlinks it. With every > 0 the first pipeline's
+// takes snapshots and checkpoints along the way and to one that never
+// does, with verifies and retrievals running against the first throughout,
+// and requires after every step the same raw hits (scores included) and
+// the same Report from both — and, from the first, the same Report at
+// every retained version as the reference gave when that version was head,
+// and from an indexer opened on each checkpoint's files the reference's
+// hits at that step. Each checkpoint directory is removed once the next
+// is written, as a checkpoint swap unlinks it. With every > 0 the first pipeline's
 // lake also forks (and so seals its tail and the indexes' deltas into
 // segments) after every every-th write, so its indexes search lists of
 // segments.
 func sealAdoptDifferential(t *testing.T, steps, every int) {
-	ref, sut := adoptPipeline(t), adoptPipeline(t)
+	ref, sut := diffPipeline(t), diffPipeline(t)
 	rRef, rSut := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
 	objects := []verify.Generated{
 		claimAbout("q1", "golf open prize money palmer"),
@@ -160,10 +159,10 @@ func sealAdoptDifferential(t *testing.T, steps, every int) {
 	pinned := map[uint64][]Report{}
 	root, prevDir := t.TempDir(), ""
 	for step := 0; step < steps; step++ {
-		if err := adoptWrite(ref.lake, rRef, step); err != nil {
+		if err := seededWrite(ref.lake, rRef, step); err != nil {
 			t.Fatal(err)
 		}
-		if err := adoptWrite(sut.lake, rSut, step); err != nil {
+		if err := seededWrite(sut.lake, rSut, step); err != nil {
 			t.Fatal(err)
 		}
 		if every > 0 && step%every == every-1 {
@@ -199,7 +198,18 @@ func sealAdoptDifferential(t *testing.T, steps, every int) {
 			pinned[snap.Version()] = reports
 		case 19:
 			dir := filepath.Join(root, fmt.Sprint(step))
-			pinned[checkpointAdopt(t, sut, dir)] = reports
+			pinned[checkpointInto(t, sut, dir)] = reports
+			reopened, err := BuildIndexerFromSnapshot(sut.lake, sut.indexer.cfg, dir)
+			if err != nil {
+				t.Fatalf("step %d: the checkpoint does not open: %v", step, err)
+			}
+			for _, g := range objects {
+				want := ref.indexer.search(context.Background(), g.Query(), 10, nil, true, true)
+				if got := reopened.search(context.Background(), g.Query(), 10, nil, true, true); !reflect.DeepEqual(got, want) {
+					t.Fatalf("step %d %s: the reopened checkpoint's hits differ\n got  %+v\n want %+v", step, g.ID, got, want)
+				}
+			}
+			reopened.Close()
 			if prevDir != "" {
 				os.RemoveAll(prevDir)
 			}
@@ -222,10 +232,6 @@ func sealAdoptDifferential(t *testing.T, steps, every int) {
 			}
 		}
 	}
-	st := sut.indexer.IndexStats()
-	if st.Adopted == 0 || st.Skipped != 0 {
-		t.Errorf("adoptions: %d adopted, %d skipped", st.Adopted, st.Skipped)
-	}
 }
 
 func TestSealAdoptDifferential(t *testing.T) {
@@ -237,7 +243,7 @@ func TestSealAdoptDifferential(t *testing.T) {
 
 // TestSealAdoptUnderGCPressure reruns the differential with the collector
 // running almost continuously, so a snapshot or live index left viewing a
-// released mapping faults.
+// released segment faults.
 func TestSealAdoptUnderGCPressure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("GC-pressure rerun skipped in -short")
@@ -246,13 +252,13 @@ func TestSealAdoptUnderGCPressure(t *testing.T) {
 	sealAdoptDifferential(t, 60, 7)
 }
 
-// seededPipeline is adoptPipeline after n writes of the seeded sequence.
+// seededPipeline is diffPipeline after n writes of the seeded sequence.
 func seededPipeline(t *testing.T, n int) *Pipeline {
 	t.Helper()
-	p := adoptPipeline(t)
+	p := diffPipeline(t)
 	r := rand.New(rand.NewSource(5))
 	for step := 0; step < n; step++ {
-		if err := adoptWrite(p.lake, r, step); err != nil {
+		if err := seededWrite(p.lake, r, step); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -262,12 +268,12 @@ func seededPipeline(t *testing.T, n int) *Pipeline {
 // TestSealAdoptPinnedReadOutlivesLaterCheckpoints: a read at version v
 // answers byte-identically after two later checkpoints have each replaced
 // and unlinked the files before them, with collections forced in between
-// — v's segments stay mapped for as long as v is retained.
+// — v's segments stay alive for as long as v is retained.
 func TestSealAdoptPinnedReadOutlivesLaterCheckpoints(t *testing.T) {
 	p := seededPipeline(t, 80)
 	g := claimAbout("q", "golf open prize money palmer")
 	root := t.TempDir()
-	v := checkpointAdopt(t, p, filepath.Join(root, "a"))
+	v := checkpointInto(t, p, filepath.Join(root, "a"))
 	read := func() []byte {
 		rep, err := p.VerifyAsOf(g, v)
 		if err != nil {
@@ -283,11 +289,11 @@ func TestSealAdoptPinnedReadOutlivesLaterCheckpoints(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	for i, name := range []string{"b", "c"} {
 		for step := 0; step < 15; step++ {
-			if err := adoptWrite(p.lake, r, 1000+100*i+step); err != nil {
+			if err := seededWrite(p.lake, r, 1000+100*i+step); err != nil {
 				t.Fatal(err)
 			}
 		}
-		checkpointAdopt(t, p, filepath.Join(root, name))
+		checkpointInto(t, p, filepath.Join(root, name))
 		if err := os.RemoveAll(filepath.Join(root, string(rune('a'+i)))); err != nil {
 			t.Fatal(err)
 		}
@@ -299,63 +305,17 @@ func TestSealAdoptPinnedReadOutlivesLaterCheckpoints(t *testing.T) {
 	}
 }
 
-// TestAdoptSkipsForeignShardFile: an index file that is not what the
-// capture wrote is left alone and counted, and the index keeps answering
-// from the heap.
-func TestAdoptSkipsForeignShardFile(t *testing.T) {
-	p := seededPipeline(t, 60)
-	g := claimAbout("q", "dover kansas climate record july")
-	want := p.indexer.search(context.Background(), g.Query(), 10, nil, true, true)
-
-	var fz *FrozenIndexes
-	view, err := p.lake.Fork(func(*datalake.View) error { fz = p.indexer.Freeze(); return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := fz.Save(faultfs.OS, dir, view.Version()); err != nil {
-		t.Fatal(err)
-	}
-	// One index gets another index's (valid) container, one a flipped byte.
-	other, err := os.ReadFile(shardFile(dir, familyBM25, datalake.KindText))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(shardFile(dir, familyBM25, datalake.KindEntity), other, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	flipPath := shardFile(dir, familyBM25, datalake.KindTuple)
-	data, err := os.ReadFile(flipPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-5] ^= 0x01
-	if err := os.WriteFile(flipPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fz.Adopt(dir)
-	st := p.indexer.IndexStats()
-	if files := uint64(len(p.indexer.cfg.Kinds)); st.Skipped != 2 || st.Adopted != files-2 {
-		t.Errorf("adoptions: %d adopted, %d skipped; want %d and 2", st.Adopted, st.Skipped, files-2)
-	}
-	if st.Families[familyBM25].HeapBytes == 0 {
-		t.Errorf("the skipped indexes are not on the heap: %+v", st.Families)
-	}
-	if got := p.indexer.search(context.Background(), g.Query(), 10, nil, true, true); !reflect.DeepEqual(got, want) {
-		t.Errorf("hits changed:\n got  %+v\n want %+v", got, want)
-	}
-}
-
 // TestRetainedCheckpointsHoldNoIndexHeap: eight checkpoints of a 5k-document
 // lake, one small write apart so each is retained as a snapshot of its own
 // and the text index is re-sealed every time, add under 1 MB of heap each:
-// a retained checkpoint holds references to mapped segments, not a copy.
+// a retained checkpoint holds references to the sealed segments, which sit
+// off the Go heap, not a copy.
 func TestRetainedCheckpointsHoldNoIndexHeap(t *testing.T) {
-	p := adoptPipeline(t)
+	p := diffPipeline(t)
 	var items []datalake.BatchItem
 	for i := 0; i < 5000; i++ {
-		items = append(items, datalake.BatchItem{Doc: &doc.Document{ID: fmt.Sprintf("doc%04d", i), Title: adoptWords[i%len(adoptWords)], SourceID: "s",
-			Text: fmt.Sprintf("%s %s report number %d about %s", adoptWords[i%7], adoptWords[i%11], i, adoptWords[i%13])}})
+		items = append(items, datalake.BatchItem{Doc: &doc.Document{ID: fmt.Sprintf("doc%04d", i), Title: seedWords[i%len(seedWords)], SourceID: "s",
+			Text: fmt.Sprintf("%s %s report number %d about %s", seedWords[i%7], seedWords[i%11], i, seedWords[i%13])}})
 	}
 	if _, err := p.lake.AddBatch(items); err != nil {
 		t.Fatal(err)
@@ -368,13 +328,13 @@ func TestRetainedCheckpointsHoldNoIndexHeap(t *testing.T) {
 		return m.HeapAlloc
 	}
 	root := t.TempDir()
-	checkpointAdopt(t, p, filepath.Join(root, "0"))
+	checkpointInto(t, p, filepath.Join(root, "0"))
 	before := heap()
 	for i := 1; i <= 8; i++ {
 		if err := p.lake.AddDocument(&doc.Document{ID: fmt.Sprintf("late%d", i), Text: "one more report", SourceID: "s"}); err != nil {
 			t.Fatal(err)
 		}
-		checkpointAdopt(t, p, filepath.Join(root, fmt.Sprint(i)))
+		checkpointInto(t, p, filepath.Join(root, fmt.Sprint(i)))
 		os.RemoveAll(filepath.Join(root, fmt.Sprint(i-1)))
 		after := heap()
 		if grew := int64(after) - int64(before); grew > 1<<20 {
@@ -393,7 +353,7 @@ func TestRetainedCheckpointsHoldNoIndexHeap(t *testing.T) {
 func TestReopenedAndCheckpointedResidencyAgree(t *testing.T) {
 	p := seededPipeline(t, 100)
 	dir := t.TempDir()
-	checkpointAdopt(t, p, dir)
+	checkpointInto(t, p, dir)
 	reopened, err := BuildIndexerFromSnapshot(p.lake, p.indexer.cfg, dir)
 	if err != nil {
 		t.Fatal(err)
@@ -403,8 +363,8 @@ func TestReopenedAndCheckpointedResidencyAgree(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("residency differs:\n checkpointed %+v\n reopened     %+v", got, want)
 	}
-	if want[familyBM25].HeapBytes != 0 || want[familyVector].MappedBytes != 0 || want[familyBM25].DeltaDocs != 0 || want[familyVector].DeltaDocs != 0 {
-		t.Errorf("a reopened indexer holds BM25 bytes on the heap, vector files or a delta: %+v", want)
+	if want[familyBM25].HeapBytes == 0 || want[familyBM25].DeltaDocs != 0 || want[familyVector].DeltaDocs != 0 {
+		t.Errorf("a reopened indexer holds no BM25 segment, or a delta: %+v", want)
 	}
 }
 
@@ -434,11 +394,11 @@ func TestSnapshotSaveGoesThroughFS(t *testing.T) {
 
 // TestAdoptAfterReopenEveryFamily is a restart followed by the first
 // checkpoint, for both index families: an indexer opened from one
-// checkpoint's files (its BM25 segments views of them, its int8 vector
-// segments derived from those) is sealed, saved into a second directory
-// and moved onto it; the first directory is unlinked and the collector run
-// until its mappings are gone. The indexer must answer as the one that
-// never left the heap does, before and after further writes.
+// checkpoint's files (its BM25 segments inflated from them, its int8
+// vector segments derived from those) is sealed and saved into a second
+// directory; the first directory is unlinked and the collector run. The
+// indexer, and one opened on the second directory, must answer as the one
+// that never left memory does, before and after further writes.
 func TestAdoptAfterReopenEveryFamily(t *testing.T) {
 	t.Run("flat", func(t *testing.T) {
 		lake := datalake.New()
@@ -449,7 +409,7 @@ func TestAdoptAfterReopenEveryFamily(t *testing.T) {
 		r := rand.New(rand.NewSource(5))
 		write := func(from, to int) {
 			for step := from; step < to; step++ {
-				if err := adoptWrite(lake, r, step); err != nil {
+				if err := seededWrite(lake, r, step); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -471,15 +431,14 @@ func TestAdoptAfterReopenEveryFamily(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer reopened.Close()
-		reopened.SetMetrics(obs.NewRegistry())
-		fz := reopened.Freeze()
-		if err := fz.Save(faultfs.OS, second, lake.Version()); err != nil {
+		if err := reopened.Freeze().Save(faultfs.OS, second, lake.Version()); err != nil {
 			t.Fatal(err)
 		}
-		fz.Adopt(second)
-		if st := reopened.IndexStats(); st.Skipped != 0 || st.Families[familyBM25].HeapBytes != 0 {
-			t.Fatalf("not adopted: %+v", st)
+		again, err := BuildIndexerFromSnapshot(lake, cfg, second)
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer again.Close()
 		if err := os.RemoveAll(first); err != nil {
 			t.Fatal(err)
 		}
@@ -489,14 +448,15 @@ func TestAdoptAfterReopenEveryFamily(t *testing.T) {
 				time.Sleep(5 * time.Millisecond)
 			}
 			for _, q := range []string{"golf open prize money palmer", "dover kansas climate record july", "entity 3 league season"} {
-				got := reopened.search(context.Background(), q, 10, nil, true, true)
 				want := built.search(context.Background(), q, 10, nil, true, true)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s, %q:\n got  %+v\n want %+v", when, q, got, want)
+				for name, ix := range map[string]*Indexer{"reopened": reopened, "opened on its checkpoint": again} {
+					if got := ix.search(context.Background(), q, 10, nil, true, true); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s, %s, %q:\n got  %+v\n want %+v", when, name, q, got, want)
+					}
 				}
 			}
 		}
-		agree("after the adopt")
+		agree("after the checkpoint")
 		write(120, 150)
 		agree("after further writes")
 	})

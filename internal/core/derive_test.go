@@ -142,7 +142,7 @@ func TestDerivedVectorsMatchIngested(t *testing.T) {
 
 	row := make(embed.Vector, cfg.EmbedDim)
 	for _, kind := range cfg.Kinds {
-		tr, err := reopened.bm25[kind].Transpose()
+		_, tr, err := openBM25Shard(shardFile(dir, familyBM25, kind), reopened.emb.Dict())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -104,9 +104,6 @@ type Indexer struct {
 type indexerMetrics struct {
 	searchBM25   *obs.Histogram
 	searchVector *obs.Histogram
-	// adopted / skipped count index files FrozenIndexes.Adopt moved this
-	// process onto, and ones it had to leave on the heap.
-	adopted, skipped *obs.Counter
 }
 
 // SetMetrics registers the indexer's retrieval metrics with reg. Call it
@@ -117,16 +114,15 @@ func (ix *Indexer) SetMetrics(reg *obs.Registry) {
 	ix.m.searchBM25 = vec.With(familyBM25)
 	ix.m.searchVector = vec.With(familyVector)
 	seg := reg.GaugeVec("verifai_index_segment_bytes",
-		"Sealed BM25 and vector segment bytes, whole containers, plus the deltas' Go heap (BM25: estimated; vector: tail codes and norms), by where they sit (heap: process-private memory, Go heap and anonymous mappings alike; mapped: an index file).", "family", "residency")
+		"Sealed BM25 and vector segment bytes, whole containers in process-private memory (Go heap and anonymous mappings alike), plus the deltas' Go heap (BM25: estimated; vector: tail codes and norms).", "family")
 	delta := reg.GaugeVec("verifai_index_delta_docs",
 		"BM25 documents or vector rows written since the index's last seal, held only on the heap.", "family")
 	segs := reg.GaugeVec("verifai_index_segments",
 		"Sealed segments the indexes of a family search, summed over kinds.", "family")
-	// One walk over the indexes per exposition feeds all eight series.
+	// One walk over the indexes per exposition feeds all six series.
 	reg.OnCollect(func() {
 		for family, r := range ix.IndexStats().Families {
-			seg.With(family, "heap").Set(float64(r.HeapBytes))
-			seg.With(family, "mapped").Set(float64(r.MappedBytes))
+			seg.With(family).Set(float64(r.HeapBytes))
 			delta.With(family).Set(float64(r.DeltaDocs))
 			segs.With(family).Set(float64(r.Segments))
 		}
@@ -134,36 +130,29 @@ func (ix *Indexer) SetMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("verifai_index_derive_seconds",
 		"Time the last open of persisted indexes spent deriving the vector indexes from the BM25 ones.",
 		func() float64 { return time.Duration(ix.deriveNanos.Load()).Seconds() })
-	adoptions := reg.CounterVec("verifai_index_adoptions_total",
-		"BM25 index files a checkpoint moved the running indexes onto (adopted) or could not (skipped: that index stays on its built copy).", "result")
-	ix.m.adopted, ix.m.skipped = adoptions.With("adopted"), adoptions.With("skipped")
 }
 
-// FamilyResidency says where one index family's bulk sits: its sealed
-// segments' bytes, whole containers, plus what its deltas hold on the Go
+// FamilyResidency says what one index family holds: HeapBytes is its
+// sealed segments' bytes, whole containers in process-private memory (Go
+// heap and anonymous mappings alike), plus what its deltas hold on the Go
 // heap (BM25: the estimate TailBytes; vector: the tail's code and norm
-// bytes), by residency — heap is process-private memory, Go heap and
-// anonymous mappings alike — the BM25 delta documents or vector tail rows
-// written since the last seal, the estimated Go heap those deltas hold,
-// and the segments searched. With nothing written since a checkpoint, the
-// BM25 MappedBytes is the family's index files, byte for byte; vectors
-// have no files and are all heap.
+// bytes); then the BM25 delta documents or vector tail rows written since
+// the last seal, the estimated Go heap those deltas hold, and the segments
+// searched. With nothing written since a checkpoint, the BM25 HeapBytes is
+// what the family's index files inflate to, byte for byte; vectors have no
+// files.
 type FamilyResidency struct {
-	HeapBytes   int64 `json:"heap_bytes"`
-	MappedBytes int64 `json:"mapped_bytes"`
-	DeltaDocs   int   `json:"delta_docs"`
-	TailBytes   int64 `json:"tail_bytes"`
-	Segments    int   `json:"segments"`
+	HeapBytes int64 `json:"heap_bytes"`
+	DeltaDocs int   `json:"delta_docs"`
+	TailBytes int64 `json:"tail_bytes"`
+	Segments  int   `json:"segments"`
 }
 
 // IndexStats is the "indexes" block of /v1/stats: per-family residency
-// summed over kinds, the index files checkpoints adopted or had to skip
-// (counted once SetMetrics has run), and the milliseconds the last open of
-// persisted indexes spent deriving the vector indexes.
+// summed over kinds, and the milliseconds the last open of persisted
+// indexes spent deriving the vector indexes.
 type IndexStats struct {
 	Families map[string]FamilyResidency `json:"families"`
-	Adopted  uint64                     `json:"adopted"`
-	Skipped  uint64                     `json:"skipped"`
 	DeriveMS float64                    `json:"derive_ms"`
 }
 
@@ -171,8 +160,8 @@ type IndexStats struct {
 func (ix *Indexer) IndexStats() IndexStats {
 	var bm25, vec FamilyResidency
 	for _, idx := range ix.bm25 {
-		heap, mapped, docs := idx.Residency()
-		bm25.HeapBytes, bm25.MappedBytes, bm25.DeltaDocs = bm25.HeapBytes+heap, bm25.MappedBytes+mapped, bm25.DeltaDocs+docs
+		bytes, docs := idx.Residency()
+		bm25.HeapBytes, bm25.DeltaDocs = bm25.HeapBytes+bytes, bm25.DeltaDocs+docs
 		bm25.TailBytes += idx.DeltaBytes()
 		bm25.Segments += idx.Segments()
 	}
@@ -184,7 +173,6 @@ func (ix *Indexer) IndexStats() IndexStats {
 	}
 	return IndexStats{
 		Families: map[string]FamilyResidency{familyBM25: bm25, familyVector: vec},
-		Adopted:  ix.m.adopted.Value(), Skipped: ix.m.skipped.Value(),
 		DeriveMS: float64(ix.deriveNanos.Load()) / 1e6,
 	}
 }

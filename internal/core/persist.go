@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -22,7 +23,7 @@ import (
 
 // Index snapshots let a restarted process skip re-tokenizing and
 // re-embedding the whole lake: a checkpoint saves every kind's BM25 index,
-// and recovery maps them back and derives each kind's vector index from
+// and recovery opens them back and derives each kind's vector index from
 // its BM25 one — valid only for the exact lake version and indexer
 // configuration they were built under, both pinned in meta.json. A
 // snapshot that does not match is simply not used (the caller falls back
@@ -35,20 +36,27 @@ import (
 // (deriveVectors).
 //
 // A checkpoint is also a flush. Freeze folds each BM25 index into one
-// segment, Save writes them, and once the directory is promoted Adopt
-// opens each BM25 file as recovery would and moves the running process
-// onto it (segment columns become views of the mapping, the sealed copies
-// are dropped): after any checkpoint the process holds mapped BM25 files,
-// as a restart on the directory would, and sealed vector segments.
+// segment, which the running index keeps searching, and Save writes each
+// segment's container to its file deflated (binfmt.Reader.WriteFile): after
+// any checkpoint the process holds one sealed segment per BM25 index, as a
+// restart on the directory would, inflated there from the files.
+//
+// Layout of a snapshot directory:
+//
+//	meta.json             the format, the lake version and the config
+//	                      fingerprint (snapshotMeta)
+//	bm25-<kind>-000.idx   each kind's BM25 segment: binfmt.FileMagic, the
+//	                      container's length, the container deflated
 
-// snapshotFormat versions the snapshot layout itself: 5 since BM25 blocks
-// patch their wide gaps in as exceptions and the lengths and per-term
-// pair counts (df) are stored at the width they need (4 stored every gap
+// snapshotFormat versions the snapshot layout itself: 6 since the BM25
+// files are deflated (5 held the containers as they are in memory, with
+// BM25 blocks that patch their wide gaps in as exceptions and the lengths
+// and per-term pair counts (df) at the width they need; 4 stored every gap
 // at its block's widest, lengths as int32 and cumulative pair starts as
 // uint32; 3 also held one vector file per kind; 2 kept rows in insertion
 // order, the IDs plain beside an idsort column; 1 also held BM25 postings
 // as int32 pairs).
-const snapshotFormat = 5
+const snapshotFormat = 6
 
 // snapshotMeta pins what a snapshot is valid for.
 type snapshotMeta struct {
@@ -139,27 +147,21 @@ func (ix *Indexer) Freeze() *FrozenIndexes {
 }
 
 // Save writes the frozen BM25 indexes plus the pinning metadata to dir
-// (created if needed) through fs; the vector indexes are derived from the
-// BM25 ones when the directory is opened. lakeVersion must be the lake
-// version the capture was frozen at. Safe to call with ingestion running:
-// the capture is immutable.
+// (created if needed) through fs, the kinds' files deflated in parallel;
+// the vector indexes are derived from the BM25 ones when the directory is
+// opened. lakeVersion must be the lake version the capture was frozen at.
+// Safe to call with ingestion running: the capture is immutable.
 func (fz *FrozenIndexes) Save(fs faultfs.FS, dir string, lakeVersion uint64) error {
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: snapshot mkdir: %w", err)
 	}
-	for kind, z := range fz.bm25 {
-		path := shardFile(dir, familyBM25, kind)
-		f, err := fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-		if err != nil {
-			return fmt.Errorf("core: create snapshot file: %w", err)
-		}
-		err = z.Save(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("core: write %s: %w", filepath.Base(path), err)
-		}
+	kinds := fz.ix.cfg.Kinds
+	errs := make([]error, len(kinds))
+	par.For(len(kinds), runtime.GOMAXPROCS(0), func(i int) {
+		errs[i] = saveShard(fs, shardFile(dir, familyBM25, kinds[i]), fz.bm25[kinds[i]])
+	})
+	if err := errors.Join(errs...); err != nil {
+		return err
 	}
 	cc, err := canonicalConfig(fz.ix.cfg)
 	if err != nil {
@@ -175,20 +177,20 @@ func (fz *FrozenIndexes) Save(fs faultfs.FS, dir string, lakeVersion uint64) err
 	return nil
 }
 
-// Adopt moves the capture, and the live BM25 indexes still serving what it
-// captured, onto the index files Save wrote under dir — call it once dir
-// is where the files will stay (a promoted checkpoint). A file that does
-// not open, or is not the container this capture wrote, is not adopted:
-// that index keeps its sealed copy and counts as skipped, never guessed.
-// Safe with ingestion and searches running.
-func (fz *FrozenIndexes) Adopt(dir string) {
-	for kind, z := range fz.bm25 {
-		if z.Adopt(shardFile(dir, familyBM25, kind)) != nil {
-			fz.ix.m.skipped.Inc()
-		} else {
-			fz.ix.m.adopted.Inc()
-		}
+// saveShard writes one BM25 segment to the file at path through fs.
+func saveShard(fs faultfs.FS, path string, z *invindex.Frozen) error {
+	f, err := fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("core: create snapshot file: %w", err)
 	}
+	err = z.Save(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("core: write %s: %w", filepath.Base(path), err)
+	}
+	return nil
 }
 
 // ErrSnapshotMismatch reports a snapshot that is missing or was built for
@@ -233,9 +235,9 @@ func BuildIndexerFromSnapshot(lake *datalake.Lake, cfg IndexerConfig, dir string
 }
 
 // openIndexes opens the BM25 index file of every configured kind of the
-// snapshot directory dir, by path so each is memory-mapped and served
-// lazily (one verification pass per file; posting pages fault in as
-// queries touch them), then derives each kind's vector index from it,
+// snapshot directory dir — each inflated into a segment off the Go heap,
+// every run decoded once to validate it and laid out by document in the
+// same pass — then derives each kind's vector index from those documents,
 // kinds in parallel, and records how long the derivation took. A missing
 // index file is an ErrSnapshotMismatch (rebuild instead); one that exists
 // but fails to open or to derive from is corruption, surfaced loudly.
@@ -257,18 +259,12 @@ func (ix *Indexer) openIndexes(dir string) (map[datalake.Kind]*invindex.Index, m
 		return nil
 	}
 	if err := eachKind(func(i int) (err error) {
-		bm25s[i], err = openBM25Shard(shardFile(dir, familyBM25, kinds[i]), ix.emb.Dict())
+		bm25s[i], trs[i], err = openBM25Shard(shardFile(dir, familyBM25, kinds[i]), ix.emb.Dict())
 		return err
 	}); err != nil {
 		return nil, nil, err
 	}
 	start := time.Now()
-	if err := eachKind(func(i int) (err error) {
-		trs[i], err = bm25s[i].Transpose()
-		return err
-	}); err != nil {
-		return nil, nil, err
-	}
 	// Kinds take their term rows in turn, so a term they share is added and
 	// its row filled by the first and only read by the rest.
 	fills := make([]func(d int, row embed.Vector), len(kinds))
@@ -346,23 +342,23 @@ func checkSnapshotMeta(cfg IndexerConfig, dir string) (snapshotMeta, error) {
 }
 
 // openBM25Shard opens one persisted BM25 shard by path, its delta over
-// dict. A file missing, or written by a release older than the binfmt
-// container, is an ErrSnapshotMismatch (rebuild instead); one present but
-// unreadable is corruption, surfaced loudly by the open.
-func openBM25Shard(path string, dict *textutil.Dict) (*invindex.Index, error) {
+// dict, with its postings transposed. A file missing, or not a binfmt
+// container file, is an ErrSnapshotMismatch (rebuild instead); one present
+// but unreadable is corruption, surfaced loudly by the open.
+func openBM25Shard(path string, dict *textutil.Dict) (*invindex.Index, *invindex.Transposed, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("%w (missing shard file %s)", ErrSnapshotMismatch, filepath.Base(path))
+		return nil, nil, fmt.Errorf("%w (missing shard file %s)", ErrSnapshotMismatch, filepath.Base(path))
 	}
-	var head [len(binfmt.Magic)]byte
+	var head [len(binfmt.FileMagic)]byte
 	// A file shorter than the magic leaves head zero-padded: stale too.
 	_, err = io.ReadFull(f, head[:])
 	f.Close()
 	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return nil, fmt.Errorf("core: read %s: %w", filepath.Base(path), err)
+		return nil, nil, fmt.Errorf("core: read %s: %w", filepath.Base(path), err)
 	}
-	if string(head[:]) != binfmt.Magic {
-		return nil, fmt.Errorf("%w (shard file %s is not in the binfmt format)", ErrSnapshotMismatch, filepath.Base(path))
+	if string(head[:]) != binfmt.FileMagic {
+		return nil, nil, fmt.Errorf("%w (shard file %s is not a binfmt container file)", ErrSnapshotMismatch, filepath.Base(path))
 	}
-	return invindex.OpenFileWithDict(path, dict)
+	return invindex.OpenFile(path, dict)
 }

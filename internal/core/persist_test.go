@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/binfmt"
 	"repro/internal/datalake"
 	"repro/internal/doc"
 	"repro/internal/faultfs"
@@ -230,7 +232,9 @@ func TestSnapshotFingerprint(t *testing.T) {
 }
 
 // TestCorruptShardFailsLoudly distinguishes corruption from staleness: a
-// present-but-mangled shard must surface an error that is NOT
+// present-but-mangled shard — a flipped byte, its deflated stream cut
+// short or followed by a byte, or a container length in its header past
+// what the stream could hold — must surface an error that is NOT
 // ErrSnapshotMismatch, so operators never silently rebuild over bad disks.
 func TestCorruptShardFailsLoudly(t *testing.T) {
 	lake := buildPersistLake(t)
@@ -248,19 +252,28 @@ func TestCorruptShardFailsLoudly(t *testing.T) {
 	if err != nil || len(matches) == 0 {
 		t.Fatalf("no bm25 shard files: %v", err)
 	}
-	data, err := os.ReadFile(matches[0])
+	good, err := os.ReadFile(matches[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(matches[0], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = BuildIndexerFromSnapshot(lake, cfg, dir)
-	if err == nil {
-		t.Fatal("corrupt shard loaded without error")
-	}
-	if errors.Is(err, ErrSnapshotMismatch) {
-		t.Fatalf("corruption reported as staleness: %v", err)
+	for name, mangle := range map[string]func([]byte) []byte{
+		"flipped byte":     func(b []byte) []byte { b[len(b)/2] ^= 0xff; return b },
+		"stream cut short": func(b []byte) []byte { return b[:len(b)-4] },
+		"trailing byte":    func(b []byte) []byte { return append(b, 0) },
+		"length past the stream": func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[len(binfmt.FileMagic):], 1<<40)
+			return b
+		},
+	} {
+		if err := os.WriteFile(matches[0], mangle(bytes.Clone(good)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = BuildIndexerFromSnapshot(lake, cfg, dir)
+		if err == nil {
+			t.Fatalf("%s: corrupt shard loaded without error", name)
+		}
+		if errors.Is(err, ErrSnapshotMismatch) {
+			t.Fatalf("%s: corruption reported as staleness: %v", name, err)
+		}
 	}
 }

@@ -55,9 +55,8 @@ func (ps *PinnedSnapshot) Trust() map[string]float64 { return ps.trust }
 
 // materialize makes the snapshot searchable exactly once: a live
 // capture's sealed BM25 segments are wrapped in place and its vector forks
-// searched as they are (nothing is copied — they are the bytes the live
-// indexes searched at the fork, sealed or in the checkpoint's mapped
-// files), a recovered pin's
+// searched as they are (nothing is copied — they are the segments the
+// live indexes searched at the fork), a recovered pin's
 // BM25 files are opened and ix derives its vector indexes from them (or,
 // written in another snapshot format, the view is re-indexed), and the
 // view's graph resolves entities.

@@ -19,8 +19,8 @@ import (
 // format of the index shards beside it: every table, document and triple
 // of the lake as a handful of string and integer columns, each CRC'd, in
 // one file written through the store's filesystem — not a file per object.
-// The catalog is read whole, never mapped, so its string columns are
-// stored deflated (binfmt's DeflatedStrings): they are mostly repeats.
+// The catalog is read whole and its string columns are stored deflated
+// column by column (binfmt's DeflatedStrings): they are mostly repeats.
 //
 //	format                          JSON 2; absent in format 1, whose
 //	                                string columns are packed, not deflated

@@ -31,10 +31,10 @@ func TestCheckpointDoesNotBlockIngest(t *testing.T) {
 	go func() {
 		_, err := st.Checkpoint(func(v *datalake.View) (WriteFunc, error) {
 			forkVersion = v.Version()
-			return func(faultfs.FS, string) (AdoptFunc, error) {
+			return func(faultfs.FS, string) error {
 				close(writing) // quiescence released; write phase running
 				<-release
-				return nil, nil
+				return nil
 			}, nil
 		})
 		done <- err
@@ -130,10 +130,10 @@ func TestCloseWaitsForCheckpoint(t *testing.T) {
 	ckptDone := make(chan error, 1)
 	go func() {
 		_, err := st.Checkpoint(func(*datalake.View) (WriteFunc, error) {
-			return func(faultfs.FS, string) (AdoptFunc, error) {
+			return func(faultfs.FS, string) error {
 				close(writing)
 				<-release
-				return nil, nil
+				return nil
 			}, nil
 		})
 		ckptDone <- err

@@ -50,14 +50,12 @@ var crashIndexerConfig = func() core.IndexerConfig {
 }()
 
 // indexFreeze is the FreezeFunc verifai.Checkpoint passes, over ix: seal
-// in the fork, write the shards through the store's filesystem, adopt
-// them once promoted.
+// in the fork, write the shards through the store's filesystem.
 func indexFreeze(ix *core.Indexer) FreezeFunc {
 	return func(v *datalake.View) (WriteFunc, error) {
 		fz := ix.Freeze()
-		return func(fs faultfs.FS, dir string) (AdoptFunc, error) {
-			adopt := func(dir string) { fz.Adopt(filepath.Join(dir, "indexes")) }
-			return adopt, fz.Save(fs, filepath.Join(dir, "indexes"), v.Version())
+		return func(fs faultfs.FS, dir string) error {
+			return fz.Save(fs, filepath.Join(dir, "indexes"), v.Version())
 		}, nil
 	}
 }

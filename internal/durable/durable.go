@@ -22,9 +22,7 @@
 // long part, proportional to snapshot size — then serializes the pinned
 // state to checkpoint.tmp, fsyncs the tree, atomically swaps it in, and
 // deletes the sealed WAL segments the checkpoint covers, all while
-// ingestion continues, and last hands the promoted directory back to the
-// index layer (AdoptFunc) to serve the shard files just written. Ingest
-// stall is bounded by the fork phase alone. At most one checkpoint runs at
+// ingestion continues. Ingest stall is bounded by the fork phase alone. At most one checkpoint runs at
 // a time (ErrCheckpointInFlight).
 //
 // A checkpoint is about a dozen files whatever the lake holds, so the
@@ -450,14 +448,7 @@ type FreezeFunc func(view *datalake.View) (WriteFunc, error)
 // WriteFunc is the write-phase half: it serializes the frozen capture
 // into the checkpoint directory being built, through the store's
 // filesystem, with no lake locks held and ingestion running.
-type WriteFunc func(fs faultfs.FS, dir string) (AdoptFunc, error)
-
-// AdoptFunc (nil for none) is called with the checkpoint directory once it
-// is promoted and durable, still inside the in-flight section — no other
-// checkpoint can rename the directory away — so the running process can
-// switch to serving the files it just wrote. The checkpoint is complete by
-// then and cannot fail on it.
-type AdoptFunc func(dir string)
+type WriteFunc func(fs faultfs.FS, dir string) error
 
 // Checkpoint captures a durable snapshot without blocking ingestion, in
 // two phases.
@@ -472,8 +463,7 @@ type AdoptFunc func(dir string)
 // Write (unquiesced, long): serialize the pinned view and frozen indexes
 // to checkpoint.tmp, fsync the tree, atomically swap it in as the current
 // checkpoint, then delete the sealed WAL segments the checkpoint covers —
-// all while new writes commit into the live lake and the rotated WAL —
-// and last hand the promoted directory to the write's AdoptFunc.
+// all while new writes commit into the live lake and the rotated WAL.
 //
 // Returns the checkpoint's lake version. Concurrent calls do not queue:
 // the second fails fast with ErrCheckpointInFlight.
@@ -530,9 +520,8 @@ func (s *Store) Checkpoint(freeze FreezeFunc) (uint64, error) {
 	if err := s.writeCatalog(view, tmp); err != nil {
 		return 0, err
 	}
-	var adopt AdoptFunc
 	if write != nil {
-		if adopt, err = write(s.fs, tmp); err != nil {
+		if err := write(s.fs, tmp); err != nil {
 			return 0, fmt.Errorf("durable: save indexes: %w", err)
 		}
 	}
@@ -566,9 +555,6 @@ func (s *Store) Checkpoint(freeze FreezeFunc) (uint64, error) {
 	// predates.
 	if err := s.log.TruncateThrough(version, sealedSeq); err != nil {
 		return 0, err
-	}
-	if adopt != nil {
-		adopt(s.checkpointDir())
 	}
 	writeDur := time.Since(writeStart)
 	s.mu.Lock()

@@ -111,9 +111,9 @@ func Clone(v Vector) Vector {
 // The table's rows sit back to back in fixed-size chunks that are never
 // reallocated, filled the first time a term's row is read; reading a
 // filled row takes no lock. The chunks come from binfmt.OffHeap, owned by
-// the Embedder: where files can be mapped the collector neither scans nor
-// counts them, and they are released once the Embedder is unreachable. So
-// a row the Embedder hands out (Row, TokenVector, EmbedTokens,
+// the Embedder: where the platform maps memory the collector neither scans
+// nor counts them, and they are released once the Embedder is unreachable.
+// So a row the Embedder hands out (Row, TokenVector, EmbedTokens,
 // AddTermVectors) is a view of the table, not a copy: its caller keeps
 // the Embedder reachable for as long as it reads the row
 // (runtime.KeepAlive where nothing else holds it).

@@ -13,18 +13,16 @@
 // searches a list of segments: Seal moves the delta into a new one, merged
 // by the one policy of the lake's segment lists, seglist.Merge; Freeze
 // folds segments, delta and tombstones into one and searches it alone;
-// Frozen.Save writes its bytes; OpenFile maps such a file back;
-// Frozen.Adopt moves a running index from the container it was sealed into
-// onto the mapping of the file just written; a snapshot retained for time
-// travel searches the same segment through Frozen.Index; Transpose hands a
-// segment's postings back by document. What is mutable is small: the delta
-// of documents added since the last seal, and a tombstone bitmap over each
-// segment.
+// Frozen.Save writes its bytes to a file, deflated; OpenFile inflates such
+// a file back into a segment, handing its postings back by document
+// (Transposed) from the pass that validates them; a snapshot retained for
+// time travel searches the same segment through Frozen.Index. A running
+// index keeps the segments it built: a file is never the bytes it serves.
+// What is mutable is small: the delta of documents added since the last
+// seal, and a tombstone bitmap over each segment.
 //
 // The index is safe for concurrent use: writes take an exclusive lock,
-// searches a shared one; a segment's bytes move from the built container
-// to the mapping behind an atomic pointer shared by every index searching
-// it.
+// searches a shared one.
 package invindex
 
 import (
@@ -46,8 +44,8 @@ type posting struct {
 // index's term dictionary (tokenize → stopword-filter → Porter stem), the
 // chain the vector rows are embedded from too. The delta keys its postings
 // by the dictionary's term IDs. Documents live in a list of immutable
-// segments (sealed by Seal or Freeze, or opened by OpenFile; process-private
-// until a file holds one, mapped afterwards), whose documents take the
+// segments (sealed by Seal or Freeze, or opened by OpenFile; each a
+// container in process-private memory), whose documents take the
 // global ordinals in list order, oldest first, and in the mutable delta
 // below, whose local ordinals follow. New documents always land in the
 // delta; deleting a sealed document only flips a bit in the index's own
@@ -85,7 +83,7 @@ type part struct {
 	seglist.Part
 }
 
-func newPart(z *Frozen) *part { return &part{z: z, Part: seglist.NewPart(z.cols.Load().n)} }
+func newPart(z *Frozen) *part { return &part{z: z, Part: seglist.NewPart(z.seg.n)} }
 
 // setSegs installs segs as the segment list and numbers their documents.
 func (ix *Index) setSegs(segs []*part) {
@@ -94,7 +92,7 @@ func (ix *Index) setSegs(segs []*part) {
 }
 
 // sealedIDs is a segment's ID column, for seglist.Lookup.
-func sealedIDs(p *part) binfmt.FrontCodedCol { return p.z.cols.Load().ids }
+func sealedIDs(p *part) binfmt.FrontCodedCol { return p.z.seg.ids }
 
 // New returns an empty index over a dictionary of its own, scoring with
 // k1=1.2, b=0.75, the Elasticsearch/Lucene defaults.
@@ -180,7 +178,7 @@ func (ix *Index) Delete(id string) bool {
 	if !ok || ix.deleted[ord] {
 		if p, bo := seglist.Lookup(ix.segs, id, sealedIDs); p != nil {
 			p.Delete(bo)
-			ix.segLive, ix.segTotalLen = ix.segLive-1, ix.segTotalLen-int64(p.z.cols.Load().lengths.At(bo))
+			ix.segLive, ix.segTotalLen = ix.segLive-1, ix.segTotalLen-int64(p.z.seg.lengths.At(bo))
 			return true
 		}
 		return false
@@ -243,20 +241,16 @@ func (ix *Index) Tombstones() int {
 	return len(ix.ids) - ix.liveDocs + ix.segDocs - ix.segLive
 }
 
-// Residency reports where the index sits: the sealed segments' bytes, in
-// process-private memory (heap) or in mapped files, the delta's estimated
-// Go heap (DeltaBytes) counted as heap, and the live delta documents.
-func (ix *Index) Residency() (heap, mapped int64, deltaDocs int) {
+// Residency reports what the index holds: the sealed segments' bytes,
+// whole containers, plus the delta's estimated Go heap (DeltaBytes), and
+// the live delta documents.
+func (ix *Index) Residency() (bytes int64, deltaDocs int) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	for _, p := range ix.segs {
-		if r := p.z.cols.Load().r; r.Mapped() {
-			mapped += r.ID().Size
-		} else {
-			heap += r.ID().Size
-		}
+		bytes += p.z.seg.r.Size()
 	}
-	return heap + ix.deltaBytesLocked(), mapped, ix.liveDocs
+	return bytes + ix.deltaBytesLocked(), ix.liveDocs
 }
 
 // Segments returns the length of the segment list.

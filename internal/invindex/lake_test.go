@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/binfmt"
 	"repro/internal/datalake"
 	"repro/internal/textutil"
 	"repro/internal/workload"
@@ -82,14 +81,12 @@ func TestPackedPostingsSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []string{"table", "tuple"} {
+		z := lakeIndex(t, lake.docs[kind]).Freeze()
 		var buf bytes.Buffer
-		if err := lakeIndex(t, lake.docs[kind]).Freeze().Save(&buf); err != nil {
+		if err := z.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
-		fr, err := binfmt.NewReader(buf.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
+		fr := z.seg.r
 		var meta staticMeta
 		if err := fr.JSON("meta", &meta); err != nil {
 			t.Fatal(err)
@@ -103,8 +100,8 @@ func TestPackedPostingsSize(t *testing.T) {
 			size += len(b)
 		}
 		perPair := float64(size) / float64(meta.Pairs)
-		t.Logf("%s shard: %d docs, %d terms, %d pairs; postings + postoff %d B = %.3f B a pair; segment %d B",
-			kind, meta.Docs, meta.Terms, meta.Pairs, size, perPair, buf.Len())
+		t.Logf("%s shard: %d docs, %d terms, %d pairs; postings + postoff %d B = %.3f B a pair; segment %d B, file %d B",
+			kind, meta.Docs, meta.Terms, meta.Pairs, size, perPair, fr.Size(), buf.Len())
 		if bound := map[string]float64{"table": 1.5, "tuple": 0.9}[kind]; perPair > bound {
 			t.Errorf("%s shard postings cost %.3f B a pair, want <= %.1f", kind, perPair, bound)
 		}
@@ -112,9 +109,9 @@ func TestPackedPostingsSize(t *testing.T) {
 }
 
 // TestWorkloadLakeSealDifferential runs 1,000 workload queries against the
-// lake's table and tuple shards three ways — never sealed, sealed on the
-// heap, and sealed, saved, reopened with OpenFile and adopted — and holds
-// every hit list, scores included, equal across all of them.
+// lake's table and tuple shards three ways — never sealed, sealed, and
+// sealed, saved and reopened with OpenFile — and holds every hit list,
+// scores included, equal across all of them.
 func TestWorkloadLakeSealDifferential(t *testing.T) {
 	lake, err := lakeShards()
 	if err != nil {
@@ -150,14 +147,11 @@ func TestWorkloadLakeSealDifferential(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
-		opened, err := OpenFile(path)
+		opened, _, err := OpenFile(path, textutil.NewDict())
 		if err != nil {
 			t.Fatal(err)
 		}
 		check("opened", opened)
-		if err := z.Adopt(path); err != nil {
-			t.Fatal(err)
-		}
-		check("adopted", ix)
+		check("sealed after the save", ix)
 	}
 }

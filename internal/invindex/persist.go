@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/binfmt"
 	"repro/internal/seglist"
@@ -16,19 +15,13 @@ import (
 // Frozen is one sealed segment: an immutable, compacted capture of
 // documents in the binfmt columnar layout (see staticSeg). It is the one
 // form a sealed shard takes: every index whose list holds it searches it,
-// a retained snapshot searches it through Index, Save writes its bytes,
-// and Adopt swaps those bytes for the mapping of the file Save wrote.
+// a retained snapshot searches it through Index, and Save writes its bytes
+// to a file.
 type Frozen struct {
-	// cols views the container Freeze built until Adopt, the mapped file after;
-	// both hold the same bytes, so a search may load either.
-	cols atomic.Pointer[staticSeg]
+	seg *staticSeg
 }
 
-func newFrozen(seg *staticSeg) *Frozen {
-	z := new(Frozen)
-	z.cols.Store(seg)
-	return z
-}
+func newFrozen(seg *staticSeg) *Frozen { return &Frozen{seg: seg} }
 
 // Seal moves the delta into a new segment at the end of the list, then
 // merges by seglist.Merge's policy, by documents: a seal costs the delta's
@@ -96,7 +89,7 @@ func (ix *Index) mergeLocked(segs []*part, delta bool) (*staticSeg, error) {
 	remaps := make([][]int32, len(segs)+1) // input row -> merged ordinal, for live rows
 	docs := 0
 	for i, p := range segs {
-		loaded[i] = p.z.cols.Load()
+		loaded[i] = p.z.seg
 		cols[i], dead[i] = loaded[i].ids, p.Dead
 		remaps[i] = make([]int32, loaded[i].n)
 		docs += p.Live
@@ -239,7 +232,7 @@ func (ix *Index) mergeLocked(segs []*part, delta bool) (*staticSeg, error) {
 	if err != nil {
 		return nil, err
 	}
-	return loadStatic(fr)
+	return loadStatic(fr, nil)
 }
 
 // deltaTerm is one term of the delta with its postings.
@@ -261,34 +254,12 @@ func mergePairs(dst, a, b []int32) []int32 {
 	return append(append(dst, a...), b...)
 }
 
-// Save writes the segment's bytes to w: the binfmt container a loader can
-// memory-map and serve as an index's segment.
+// Save writes the segment's bytes to w as a container file (deflated,
+// see binfmt.Reader.WriteFile), which OpenFile opens.
 func (z *Frozen) Save(w io.Writer) error {
-	if _, err := z.cols.Load().r.WriteTo(w); err != nil {
+	if err := z.seg.r.WriteFile(w); err != nil {
 		return fmt.Errorf("invindex: write snapshot: %w", err)
 	}
-	return nil
-}
-
-// Adopt moves the segment onto the file at path, which must be the file
-// Save wrote (same container identity): it is opened as OpenFile opens a
-// snapshot and the column views switch to its mapping — same bytes, same
-// ordinals, so every index sharing the segment keeps its tombstones, delta
-// and scores, while the built container is released. On error nothing
-// moves.
-func (z *Frozen) Adopt(path string) error {
-	fr, err := binfmt.OpenFile(path)
-	if err != nil {
-		return fmt.Errorf("invindex: %w", err)
-	}
-	if got, want := fr.ID(), z.cols.Load().r.ID(); got != want {
-		return fmt.Errorf("invindex: %s holds container %+v, segment wrote %+v", path, got, want)
-	}
-	seg, err := loadStatic(fr)
-	if err != nil {
-		return err
-	}
-	z.cols.Store(seg)
 	return nil
 }
 
@@ -299,27 +270,27 @@ func (z *Frozen) Adopt(path string) error {
 func (z *Frozen) Index() *Index { return z.index(textutil.NewDict()) }
 
 func (z *Frozen) index(d *textutil.Dict) *Index {
-	seg := z.cols.Load()
+	seg := z.seg
 	ix := NewWithDict(d)
 	ix.k1, ix.b, ix.segTotalLen = seg.k1, seg.b, seg.totalLen
 	ix.setSegs([]*part{newPart(z)})
 	return ix
 }
 
-// OpenFile opens a snapshot file, serving it as an index's one mmap'd
-// immutable segment (new writes layer into the mutable delta, over a
-// dictionary of its own).
-func OpenFile(path string) (*Index, error) { return OpenFileWithDict(path, textutil.NewDict()) }
-
-// OpenFileWithDict is OpenFile with the delta over the dictionary d.
-func OpenFileWithDict(path string, d *textutil.Dict) (*Index, error) {
+// OpenFile opens a snapshot file Save wrote as an index's one immutable
+// segment, new writes layering into the mutable delta over the dictionary
+// d, and returns the segment's postings transposed with it: the one pass
+// that decodes every run to validate the file also lays the runs out by
+// document.
+func OpenFile(path string, d *textutil.Dict) (*Index, *Transposed, error) {
 	fr, err := binfmt.OpenFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("invindex: %w", err)
+		return nil, nil, fmt.Errorf("invindex: %w", err)
 	}
-	base, err := loadStatic(fr)
+	tr := new(Transposed)
+	base, err := loadStatic(fr, tr)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return newFrozen(base).index(d), nil
+	return newFrozen(base).index(d), tr, nil
 }

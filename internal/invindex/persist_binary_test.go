@@ -38,20 +38,21 @@ func saveToFile(t *testing.T, ix *Index) string {
 // shard: OpenFile is the one loader.
 func openBytes(t testing.TB, data []byte) (*Index, error) {
 	t.Helper()
-	return openBytesIn(t, t.TempDir(), data)
+	ix, _, err := openBytesIn(t, t.TempDir(), data)
+	return ix, err
 }
 
 // openBytesIn is openBytes through a directory the caller made once (a
-// fuzz target runs too often to make one per input); the file is unlinked
-// once open, which a mapping outlives.
-func openBytesIn(t testing.TB, dir string, data []byte) (*Index, error) {
+// fuzz target runs too often to make one per input), with the segment's
+// postings transposed; the file is unlinked once open.
+func openBytesIn(t testing.TB, dir string, data []byte) (*Index, *Transposed, error) {
 	t.Helper()
 	path := filepath.Join(dir, "bm25.idx")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	defer os.Remove(path)
-	return OpenFile(path)
+	return OpenFile(path, textutil.NewDict())
 }
 
 // sameHits fails the test unless a and b agree on IDs and (within fp
@@ -75,7 +76,7 @@ func TestOpenFileServesBaseSegment(t *testing.T) {
 	orig := buildSmall(t)
 	path := saveToFile(t, orig)
 
-	ix, err := OpenFile(path)
+	ix, _, err := OpenFile(path, textutil.NewDict())
 	if err != nil {
 		t.Fatalf("OpenFile: %v", err)
 	}
@@ -91,7 +92,7 @@ func TestOpenFileServesBaseSegment(t *testing.T) {
 	for _, q := range []string{"golf prize", "fox springfield", "the quick brown fox"} {
 		sameHits(t, q, orig.Search(q, 10), ix.Search(q, 10))
 	}
-	// Every term of the mapped segment scores as it did in memory.
+	// Every term of the opened segment scores as it did where it was built.
 	for _, term := range textutil.TokenizeFiltered("the quick brown fox golf tournament springfield prize election") {
 		if got, want := ix.SearchTerms([]string{term}, 10), orig.SearchTerms([]string{term}, 10); !reflect.DeepEqual(got, want) {
 			t.Errorf("term %q: %v, want %v", term, got, want)
@@ -103,7 +104,7 @@ func TestBaseSegmentFallbackMatchesMmap(t *testing.T) {
 	orig := buildSmall(t)
 	path := saveToFile(t, orig)
 	t.Setenv(binfmt.NoMmapEnv, "1")
-	ix, err := OpenFile(path)
+	ix, _, err := OpenFile(path, textutil.NewDict())
 	if err != nil {
 		t.Fatalf("OpenFile (no mmap): %v", err)
 	}
@@ -112,7 +113,7 @@ func TestBaseSegmentFallbackMatchesMmap(t *testing.T) {
 
 func TestTwoTierMutation(t *testing.T) {
 	path := saveToFile(t, buildSmall(t))
-	ix, err := OpenFile(path)
+	ix, _, err := OpenFile(path, textutil.NewDict())
 	if err != nil {
 		t.Fatalf("OpenFile: %v", err)
 	}
@@ -182,7 +183,7 @@ func TestTwoTierMutation(t *testing.T) {
 }
 
 // TestNonBinfmtSnapshotRejected: OpenFile is "binfmt or error" — bytes
-// that do not start with the container magic (e.g. a snapshot from a
+// that do not start with the container file magic (e.g. a snapshot from a
 // release older than binfmt) are refused.
 func TestNonBinfmtSnapshotRejected(t *testing.T) {
 	if _, err := openBytes(t, []byte("\x0e\xff\x81\x03\x01\x01\x08snapshot")); err == nil {
@@ -298,7 +299,8 @@ func (p *segParts) setRuns(runs ...[]int32) {
 	}
 }
 
-func (p segParts) encode(t testing.TB) []byte {
+// build is the segment's container.
+func (p segParts) build(t testing.TB) *binfmt.Reader {
 	t.Helper()
 	bw := binfmt.NewWriter()
 	if err := bw.JSON("meta", p.meta); err != nil {
@@ -318,20 +320,26 @@ func (p segParts) encode(t testing.TB) []byte {
 	}
 	bw.Uint32s("postoff", p.postOff)
 	bw.Section("postings", p.posts)
+	r, err := bw.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// encode is the segment's container as the file Save writes.
+func (p segParts) encode(t testing.TB) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if _, err := bw.WriteTo(&buf); err != nil {
+	if err := p.build(t).WriteFile(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
 // sections returns the payloads of the named sections of a container.
-func sections(t testing.TB, data []byte, names ...string) [][]byte {
+func sections(t testing.TB, fr *binfmt.Reader, names ...string) [][]byte {
 	t.Helper()
-	fr, err := binfmt.NewReader(data)
-	if err != nil {
-		t.Fatal(err)
-	}
 	out := make([][]byte, len(names))
 	for i, name := range names {
 		b, err := fr.Bytes(name)
@@ -455,13 +463,10 @@ func TestStaticValidationRejects(t *testing.T) {
 
 // TestTranspose: a segment's postings turned around give each document its
 // distinct terms, ascending, with their frequencies; a segment holding a
-// document with more distinct terms than its length is an error.
+// document with more distinct terms than its length fails the open.
 func TestTranspose(t *testing.T) {
-	ix, err := openBytes(t, validParts(t).encode(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := ix.Transpose()
+	dir := t.TempDir()
+	_, tr, err := openBytesIn(t, dir, validParts(t).encode(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,11 +475,8 @@ func TestTranspose(t *testing.T) {
 	}
 	short := validParts(t)
 	short.lengths = []int32{1, 4}
-	if ix, err = openBytes(t, short.encode(t)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.Transpose(); err == nil {
-		t.Error("a document with two terms and length 1 transposed")
+	if _, _, err := openBytesIn(t, dir, short.encode(t)); err == nil {
+		t.Error("a document with two terms and length 1 opened")
 	}
 
 	// A sealed index of random documents, some deleted, some re-added.
@@ -493,8 +495,11 @@ func TestTranspose(t *testing.T) {
 			ix.Freeze()
 		}
 	}
-	ix.Freeze()
-	if tr, err = ix.Transpose(); err != nil {
+	var buf bytes.Buffer
+	if err := ix.Freeze().Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, tr, err = openBytesIn(t, dir, buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Len() != len(docs) {
@@ -775,11 +780,11 @@ func FuzzLoadBinarySnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
-	f.Add([]byte(binfmt.Magic))
+	f.Add([]byte(binfmt.FileMagic))
 	f.Add([]byte{})
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		loaded, err := openBytesIn(t, dir, data)
+		loaded, _, err := openBytesIn(t, dir, data)
 		if err != nil {
 			return
 		}
@@ -808,9 +813,9 @@ func FuzzOpenBM25Segment(f *testing.F) {
 		}
 		return b
 	}
-	cols := func(data []byte) [][]byte { return sections(f, data, "ids", "df", "postoff", "postings") }
+	cols := func(r *binfmt.Reader) [][]byte { return sections(f, r, "ids", "df", "postoff", "postings") }
 	p := validParts(f)
-	valid := cols(p.encode(f))
+	valid := cols(p.build(f))
 	f.Add(uint8(p.meta.Docs), valid[0], valid[1], valid[2], valid[3])
 	// A sealed segment with runs longer than a block.
 	r := rand.New(rand.NewSource(1))
@@ -820,11 +825,7 @@ func FuzzOpenBM25Segment(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := ix.Freeze().Save(&buf); err != nil {
-		f.Fatal(err)
-	}
-	sealed := cols(buf.Bytes())
+	sealed := cols(ix.Freeze().seg.r)
 	f.Add(uint8(200), sealed[0], sealed[1], sealed[2], sealed[3])
 	f.Add(uint8(0), []byte{0, 0, 0, 0}, []byte{}, []byte{0, 0, 0, 0}, []byte{})
 	// validParts with its ids column broken.
@@ -833,7 +834,7 @@ func FuzzOpenBM25Segment(f *testing.F) {
 		f.Add(uint8(p.meta.Docs), bad[name], valid[1], valid[2], valid[3])
 	}
 	// A block with exceptions, whole and broken.
-	exc := cols(exceptionParts(f).encode(f))
+	exc := cols(exceptionParts(f).build(f))
 	f.Add(uint8(200), exc[0], exc[1], exc[2], exc[3])
 	badExc := badExceptionBlocks()
 	for _, name := range slices.Sorted(maps.Keys(badExc)) {
@@ -867,7 +868,7 @@ func FuzzOpenBM25Segment(f *testing.F) {
 				p.meta.Pairs += int(v)
 			}
 		}
-		loaded, err := openBytesIn(t, dir, p.encode(t))
+		loaded, _, err := openBytesIn(t, dir, p.encode(t))
 		if err != nil {
 			return
 		}
@@ -882,7 +883,7 @@ func FuzzOpenBM25Segment(f *testing.F) {
 		if err := loaded.Freeze().Save(&out); err != nil {
 			t.Fatalf("re-save of parsed snapshot failed: %v", err)
 		}
-		again, err := openBytesIn(t, dir, out.Bytes())
+		again, _, err := openBytesIn(t, dir, out.Bytes())
 		if err != nil {
 			t.Fatalf("re-sealed segment does not open: %v", err)
 		}

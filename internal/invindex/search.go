@@ -62,7 +62,7 @@ func (ix *Index) SearchTerms(terms []string, k int) []Hit {
 	sc := scratchPool.Get().(*searchScratch)
 	sc.top.IDs.Reset(ix.segDocs, ix.ids)
 	for _, p := range ix.segs {
-		seg := p.z.cols.Load()
+		seg := p.z.seg
 		sc.segs = append(sc.segs, seg)
 		sc.top.IDs.Add(p.First, seg.ids)
 	}

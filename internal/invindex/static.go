@@ -12,9 +12,9 @@ import (
 	"repro/internal/binfmt"
 )
 
-// staticSeg is one set of column views over a sealed segment's container
-// — the one Freeze built, or the mapping of the file that holds it (a
-// Frozen switches from the first to the second, see Adopt).
+// staticSeg is one set of column views over a sealed segment's container:
+// the one a seal built, or the one OpenFile inflated from a file (which
+// holds it deflated, see binfmt.Reader.WriteFile).
 // Documents and postings in a segment are never rewritten — deletions are
 // tracked in each owning Index's tombstones over it, and new documents land
 // in the mutable delta.
@@ -53,7 +53,7 @@ import (
 //
 // The encoder picks the gw that makes the block smallest.
 type staticSeg struct {
-	r *binfmt.Reader // pins the mapping for as long as the segment lives
+	r *binfmt.Reader // pins the container for as long as the segment lives
 
 	k1, b    float64
 	n        int // document count
@@ -86,8 +86,10 @@ type staticMeta struct {
 // guarantee the bytes match what the writer produced, and this pass
 // guarantees the columns are structurally sound (every postings run is
 // decoded once), so a corrupt or hand-crafted file fails loudly at open
-// rather than corrupting a search.
-func loadStatic(r *binfmt.Reader) (*staticSeg, error) {
+// rather than corrupting a search. With tr, the decoded runs are also
+// transposed into it, and a document with more distinct terms than its
+// length fails the open too.
+func loadStatic(r *binfmt.Reader, tr *Transposed) (*staticSeg, error) {
 	var meta staticMeta
 	if err := r.JSON("meta", &meta); err != nil {
 		return nil, err
@@ -148,6 +150,9 @@ func loadStatic(r *binfmt.Reader) (*staticSeg, error) {
 	if s.postOff[0] != 0 || int(s.postOff[meta.Terms]) != len(s.posts) {
 		return nil, fmt.Errorf("invindex: snapshot postoff runs from %d to %d, want 0 to %d", s.postOff[0], s.postOff[meta.Terms], len(s.posts))
 	}
+	if tr != nil {
+		tr.init(s)
+	}
 	var buf []int32
 	pairs := 0
 	for ti := 0; ti < meta.Terms; ti++ {
@@ -161,6 +166,11 @@ func loadStatic(r *binfmt.Reader) (*staticSeg, error) {
 		}
 		if buf, err = s.pairs(ti, buf); err != nil {
 			return nil, fmt.Errorf("invindex: snapshot postings of term %d: %w", ti, err)
+		}
+		if tr != nil {
+			if err := tr.add(ti, buf); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if pairs != meta.Pairs {
@@ -397,24 +407,11 @@ func (t *Transposed) Len() int { return len(t.end) }
 // pairs, term indexes ascending.
 func (t *Transposed) Doc(d int) []int32 { return t.pairs[2*t.start[d] : 2*t.end[d]] }
 
-// Transpose turns the postings of the index's one segment around, decoding
-// each term's run once; the delta and tombstones are not consulted, so
-// call it on an index just opened. A document holds no more distinct terms than its
-// length, so laying the pairs out by length takes them without a counting
-// pass; a segment whose postings break that is an error.
-func (ix *Index) Transpose() (*Transposed, error) {
-	ix.mu.RLock()
-	segs := ix.segs
-	ix.mu.RUnlock()
-	switch len(segs) {
-	case 0:
-		return &Transposed{}, nil
-	case 1:
-	default:
-		return nil, fmt.Errorf("invindex: transpose of %d segments, want one", len(segs))
-	}
-	s := segs[0].z.cols.Load()
-	t := &Transposed{IDs: s.ids, Terms: s.terms, seg: s, start: make([]int, s.n+1), end: make([]int, s.n)}
+// init lays t out for segment s: its columns, and room for each document
+// to hold as many distinct terms as its length, which no document can
+// exceed, so no counting pass is needed.
+func (t *Transposed) init(s *staticSeg) {
+	*t = Transposed{IDs: s.ids, Terms: s.terms, seg: s, start: make([]int, s.n+1), end: make([]int, s.n)}
 	slots := 0
 	for d := range s.n {
 		t.start[d], t.end[d] = slots, slots
@@ -422,21 +419,21 @@ func (ix *Index) Transpose() (*Transposed, error) {
 	}
 	t.start[s.n] = slots
 	t.pairs = make([]int32, 2*slots)
-	var run []int32
-	for ti := 0; ti < s.terms.Len(); ti++ {
-		// loadStatic decoded this run without error.
-		run, _ = s.pairs(ti, run)
-		for i := 0; i < len(run); i += 2 {
-			d := run[i]
-			at := t.end[d]
-			if at == t.start[d+1] {
-				return nil, fmt.Errorf("invindex: document %d has more terms than its length %d", d, at-t.start[d])
-			}
-			t.pairs[2*at], t.pairs[2*at+1] = int32(ti), run[i+1]
-			t.end[d]++
+}
+
+// add files term ti's decoded run under each of its documents; terms must
+// come in ascending order.
+func (t *Transposed) add(ti int, run []int32) error {
+	for i := 0; i < len(run); i += 2 {
+		d := run[i]
+		at := t.end[d]
+		if at == t.start[d+1] {
+			return fmt.Errorf("invindex: document %d has more terms than its length %d", d, at-t.start[d])
 		}
+		t.pairs[2*at], t.pairs[2*at+1] = int32(ti), run[i+1]
+		t.end[d]++
 	}
-	return t, nil
+	return nil
 }
 
 // findTerm returns the term index of t, or -1. Allocation-free: the

@@ -62,8 +62,8 @@ type dictionary struct {
 	strs  []string   // ID → string
 }
 
-// slotTable owns one slot table of a dictionary: where files can be mapped
-// the slots are an anonymous mapping (binfmt.OffHeap), which the
+// slotTable owns one slot table of a dictionary: where the platform maps
+// memory the slots are an anonymous mapping (binfmt.OffHeap), which the
 // collector neither scans nor counts, released once the dictionary has
 // grown past the table and let go of it, or its store is unreachable.
 // Every read of the slots goes through the dictionary, under its lock, so

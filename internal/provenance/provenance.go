@@ -10,9 +10,9 @@
 // garbage collector never scans, and every Record handed out is decoded
 // afresh, so callers share nothing with the store or with each other. The
 // segments, and the slot table of the dictionary that interns the strings
-// records repeat, come from binfmt.OffHeap: where files can be mapped they
-// sit outside the Go heap, so lineage does not raise the collector's heap
-// goal either.
+// records repeat, come from binfmt.OffHeap: where the platform maps memory
+// they sit outside the Go heap, so lineage does not raise the collector's
+// heap goal either.
 package provenance
 
 import (

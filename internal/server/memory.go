@@ -44,11 +44,11 @@ var goMemoryMetrics = []string{
 //     mappings;
 //   - token_table: the embedder's token vectors in anonymous mappings (0
 //     when they fell back to the heap, where go_heap_live holds them);
-//   - offheap_indexes: the other containers built in anonymous mappings,
-//     sealed index segments;
-//   - mapped_bm25: the checkpoint's BM25 index files mapped by the indexes;
-//   - file_other: the rest of the file-backed resident pages (rss_file less
-//     mapped_bm25), mostly the executable's text.
+//   - offheap_indexes: the other containers in anonymous mappings, sealed
+//     index segments, built by seals or inflated from the checkpoint's
+//     BM25 files;
+//   - file_other: the file-backed resident pages (rss_file), mostly the
+//     executable's text.
 //
 // The other rows are context: go_heap_goal (the heap size that triggers
 // the next collection), go_heap_released (heap returned to the OS, not
@@ -61,7 +61,7 @@ var goMemoryMetrics = []string{
 // /proc/self/status.
 var residentClasses = []string{
 	"go_heap_live", "go_heap_dead", "go_heap_unused", "go_heap_idle", "go_stacks", "go_runtime_other",
-	"offheap_provenance", "offheap_catalog", "offheap_indexes", "token_table", "mapped_bm25", "file_other",
+	"offheap_provenance", "offheap_catalog", "offheap_indexes", "token_table", "file_other",
 }
 
 // memoryLedger is the "memory" block of /v1/stats and the classes of
@@ -94,7 +94,6 @@ func (s *Server) memoryLedger() map[string]int64 {
 		"go_profiling_buckets": profiling,
 		"offheap_catalog":      catalog,
 		"offheap_indexes":      max(binfmt.BuiltBytes()-catalog, 0),
-		"mapped_bm25":          indexes["bm25"].MappedBytes,
 		"token_table":          ix.Embedder().OffHeapBytes(),
 		"result_cache":         s.pipeline.Stats().ResultCacheBytes,
 		"tail":                 s.pipeline.Lake().TailBytes() + indexes["bm25"].TailBytes + indexes["vector"].TailBytes,
@@ -104,7 +103,7 @@ func (s *Server) memoryLedger() map[string]int64 {
 	}
 	if rss, ok := procStatusBytes("VmRSS", "RssAnon", "RssFile"); ok {
 		m["vm_rss"], m["rss_anon"], m["rss_file"] = rss[0], rss[1], rss[2]
-		m["file_other"] = max(rss[2]-m["mapped_bm25"], 0)
+		m["file_other"] = rss[2]
 	}
 	var accounted int64
 	for _, class := range residentClasses {

@@ -12,6 +12,7 @@ import (
 
 	verifai "repro"
 	"repro/internal/binfmt"
+	"repro/internal/core"
 	"repro/internal/provenance"
 	"repro/internal/workload"
 )
@@ -73,9 +74,7 @@ func TestMemoryLedger(t *testing.T) {
 		Memory     map[string]int64 `json:"memory"`
 		Provenance provenance.Stats `json:"provenance"`
 		Indexes    struct {
-			Families map[string]struct {
-				MappedBytes int64 `json:"mapped_bytes"`
-			} `json:"families"`
+			Families map[string]core.FamilyResidency `json:"families"`
 		} `json:"indexes"`
 	}
 	if resp := getJSON(t, ts.URL+"/v1/stats", &stats); resp.StatusCode != http.StatusOK {
@@ -101,8 +100,9 @@ func TestMemoryLedger(t *testing.T) {
 	if maps && (stats.Provenance.OffHeapBytes == 0 || mem["offheap_indexes"] == 0) {
 		t.Errorf("nothing off the heap: provenance %+v, indexes %d", stats.Provenance, mem["offheap_indexes"])
 	}
-	if got, want := mem["mapped_bm25"], stats.Indexes.Families["bm25"].MappedBytes; got != want || maps && got == 0 {
-		t.Errorf("mapped_bm25 = %d, indexes block %d", got, want)
+	// The BM25 segments, built by the checkpoint, sit in offheap_indexes.
+	if bm25 := stats.Indexes.Families["bm25"]; maps && mem["offheap_indexes"] < bm25.HeapBytes-bm25.TailBytes {
+		t.Errorf("offheap_indexes = %d, under the BM25 segments' %d bytes", mem["offheap_indexes"], bm25.HeapBytes-bm25.TailBytes)
 	}
 	exposition := scrape(t, ts)
 	for class := range mem {

@@ -259,7 +259,7 @@ func New(p *core.Pipeline, opts ...Option) *Server {
 			return float64(len(s.verifySem))
 		})
 	memory := s.obs.GaugeVec("verifai_memory_bytes",
-		"Where the process's memory sits, by class: the Go heap and runtime (runtime/metrics), off-heap provenance, catalog and index bytes, mapped BM25 files, the accounted sum of the resident classes, and VmRSS, RssAnon and RssFile on Linux.", "class")
+		"Where the process's memory sits, by class: the Go heap and runtime (runtime/metrics), off-heap provenance, catalog and index bytes, file-backed pages, the accounted sum of the resident classes, and VmRSS, RssAnon and RssFile on Linux.", "class")
 	s.obs.OnCollect(func() {
 		for class, n := range s.memoryLedger() {
 			memory.With(class).Set(float64(n))

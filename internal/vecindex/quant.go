@@ -198,7 +198,7 @@ func (s *SQFlat) Residency() (bytes int64, tailRows int) {
 	defer s.mu.RUnlock()
 	bytes = int64(len(s.codes)) + 4*int64(len(s.norms))
 	for _, p := range s.segs {
-		bytes += p.z.seg.r.ID().Size
+		bytes += p.z.seg.r.Size()
 	}
 	return bytes, s.live
 }

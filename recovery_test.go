@@ -182,8 +182,9 @@ func TestDurableCheckpointRecovery(t *testing.T) {
 
 // TestCheckpointLeavesProcessWhereRestartWould: a checkpoint is a flush.
 // After it the running system holds its BM25 indexes the way a system
-// reopened on the same directory does — every shard a mapped file, the
-// writes since in the delta on the heap — every vector shard sealed but
+// reopened on the same directory does — every shard the one segment its
+// file holds, the writes since in the delta on the heap — every vector
+// shard sealed but
 // for those writes, and the two answer alike. (A running vector shard is
 // the list of segments it sealed, which its retained snapshots share; a
 // restart derives one segment per shard.)
@@ -202,7 +203,7 @@ func TestCheckpointLeavesProcessWhereRestartWould(t *testing.T) {
 		}
 	}
 	before := sys.Pipeline().Indexer().IndexStats()
-	if bm25 := before.Families["bm25"]; bm25.MappedBytes != 0 || bm25.DeltaDocs == 0 {
+	if bm25 := before.Families["bm25"]; bm25.DeltaDocs == 0 {
 		t.Fatalf("before any checkpoint: %+v", before)
 	}
 	if _, err := sys.Checkpoint(); err != nil {
@@ -212,7 +213,7 @@ func TestCheckpointLeavesProcessWhereRestartWould(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := sys.Pipeline().Indexer().IndexStats()
-	if bm25 := after.Families["bm25"]; after.Adopted != 4 || after.Skipped != 0 || bm25.HeapBytes != bm25.TailBytes || bm25.TailBytes == 0 || after.Families["vector"].HeapBytes == 0 {
+	if bm25 := after.Families["bm25"]; bm25.Segments != 4 || bm25.HeapBytes <= bm25.TailBytes || bm25.TailBytes == 0 || after.Families["vector"].HeapBytes == 0 {
 		t.Errorf("after the checkpoint and one write: %+v", after)
 	}
 	want, err := sys.VerifyClaim("golf", workload.GolfClaim())
@@ -228,11 +229,11 @@ func TestCheckpointLeavesProcessWhereRestartWould(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
-	// What sits where, less the deltas' own estimate of their heap, which
-	// counts posting-list slots by the dictionary's size.
-	sealed := func(fams map[string]core.FamilyResidency) [5]int64 {
+	// What the BM25 segments hold, less the deltas' own estimate of their
+	// heap, which counts posting-list slots by the dictionary's size.
+	sealed := func(fams map[string]core.FamilyResidency) [4]int64 {
 		bm25, vec := fams["bm25"], fams["vector"]
-		return [5]int64{bm25.HeapBytes - bm25.TailBytes, bm25.MappedBytes, int64(bm25.DeltaDocs), vec.MappedBytes, int64(vec.DeltaDocs)}
+		return [4]int64{bm25.HeapBytes - bm25.TailBytes, int64(bm25.Segments), int64(bm25.DeltaDocs), int64(vec.DeltaDocs)}
 	}
 	if got := reopened.Pipeline().Indexer().IndexStats(); sealed(got.Families) != sealed(after.Families) {
 		t.Errorf("residency differs:\n checkpointed %+v\n reopened     %+v", after.Families, got.Families)
@@ -456,8 +457,8 @@ func TestBinarySnapshotRecoverySmoke(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(head) < 4 || string(head[:4]) != "VAIB" {
-			t.Errorf("%s: not a binfmt container (head %q)", filepath.Base(p), head[:min(4, len(head))])
+		if len(head) < 4 || string(head[:4]) != binfmt.FileMagic {
+			t.Errorf("%s: not a binfmt container file (head %q)", filepath.Base(p), head[:min(4, len(head))])
 		}
 	}
 
@@ -489,11 +490,7 @@ func rewriteAsFormat2(t *testing.T, dir string) {
 		t.Fatalf("no bm25 index files: %v", err)
 	}
 	for _, path := range files {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := binfmt.NewReader(raw)
+		r, err := binfmt.OpenFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -522,13 +519,24 @@ func rewriteAsFormat2(t *testing.T, dir string) {
 				w.Section(name, b)
 			}
 		}
-		var buf bytes.Buffer
-		if _, err := w.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		writeContainerFile(t, path, w)
+	}
+}
+
+// writeContainerFile writes the container w holds to path as the container
+// file an index file is.
+func writeContainerFile(t *testing.T, path string, w *binfmt.Writer) {
+	t.Helper()
+	r, err := w.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := r.WriteFile(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -541,9 +549,9 @@ func setSnapshotFormat(t *testing.T, dir string, format int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	older := bytes.Replace(meta, []byte(`"format": 5,`), []byte(fmt.Sprintf(`"format": %d,`, format)), 1)
+	older := bytes.Replace(meta, []byte(`"format": 6,`), []byte(fmt.Sprintf(`"format": %d,`, format)), 1)
 	if bytes.Equal(older, meta) {
-		t.Fatalf("%s is not at snapshot format 5: %s", path, meta)
+		t.Fatalf("%s is not at snapshot format 6: %s", path, meta)
 	}
 	if err := os.WriteFile(path, older, 0o644); err != nil {
 		t.Fatal(err)
@@ -552,7 +560,8 @@ func setSnapshotFormat(t *testing.T, dir string, format int) {
 
 // TestStaleFormatSnapshotRebuilds pins the ways a checkpointed index
 // shard can be unusable. A shard that does not start with the binfmt
-// magic was written by a release older than the container format, and a
+// container file magic was written by a release older than the container
+// format, and a
 // directory whose fingerprint names no vector row format by one whose flat
 // shards held float32 rows, one with "shards": 4 by one whose indexes were
 // hash-sharded, one at snapshot format 3, 2 or 1 by one that held vector
@@ -612,17 +621,18 @@ func TestStaleFormatSnapshotRebuilds(t *testing.T) {
 		}
 	}
 
-	// verifiesAsFresh opens tree and verifies against it; mapped says
-	// whether the BM25 files must have been opened (else re-indexed).
-	verifiesAsFresh := func(t *testing.T, tree string, mapped bool) {
+	// verifiesAsFresh opens tree and verifies against it; opened says
+	// whether the BM25 files must have been opened and the vector indexes
+	// derived from them (else re-indexed).
+	verifiesAsFresh := func(t *testing.T, tree string, opened bool) {
 		t.Helper()
 		recovered, err := Open(tree, durableOpts(1))
 		if err != nil {
 			t.Fatalf("the directory did not open: %v", err)
 		}
 		defer recovered.Close()
-		if st := recovered.Pipeline().Indexer().IndexStats(); (st.Families["bm25"].MappedBytes != 0) != mapped {
-			t.Errorf("BM25 files mapped: %+v, want mapped %v", st.Families, mapped)
+		if st := recovered.Pipeline().Indexer().IndexStats(); (st.DeriveMS != 0) != opened {
+			t.Errorf("BM25 files opened: %+v, want opened %v", st, opened)
 		}
 		got, err := recovered.VerifyClaim("q", workload.GolfClaim())
 		if err != nil {
@@ -728,13 +738,7 @@ func TestStaleFormatSnapshotRebuilds(t *testing.T) {
 			bw.Strings("terms", []string{"golf"})
 			bw.Uint32s("postidx", []uint32{0, 1})
 			bw.Uint32s("postings", []uint32{0, 2})
-			var buf bytes.Buffer
-			if _, err := bw.WriteTo(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			writeContainerFile(t, path, bw)
 		}
 		// Under this build's format number the old shards are corruption,
 		// and the open says so.

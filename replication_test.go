@@ -93,12 +93,12 @@ func TestReplicationEndToEnd(t *testing.T) {
 	if ds, ok := follower.Durability(); !ok || ds.CheckpointVersion != ckptVersion {
 		t.Fatalf("follower checkpoint version = %+v, want bootstrap at %d", ds, ckptVersion)
 	}
-	// The bootstrap carried BM25 files only; the follower mapped them and
+	// The bootstrap carried BM25 files only; the follower opened them and
 	// derived its vector shards from them.
 	if vs, err := filepath.Glob(filepath.Join(fdir, "checkpoint", "indexes", "vector-*.idx")); err != nil || len(vs) != 0 {
 		t.Errorf("the bootstrap holds vector files %v (%v)", vs, err)
 	}
-	if st := follower.Pipeline().Indexer().IndexStats(); st.DeriveMS == 0 || st.Families["bm25"].MappedBytes == 0 {
+	if st := follower.Pipeline().Indexer().IndexStats(); st.DeriveMS == 0 || st.Families["bm25"].HeapBytes == 0 {
 		t.Errorf("the follower did not open the bootstrap's indexes: %+v", st)
 	}
 

@@ -9,13 +9,24 @@ import (
 	"testing"
 
 	"repro/internal/invindex"
+	"repro/internal/textutil"
 	"repro/internal/workload"
 )
 
 // TestFormat4DirectoryReindexes opens testdata/format4/data, a data
 // directory written by the release before snapshot format 5 (BM25 gaps at
 // their block's widest width, int32 lengths, uint32 cumulative pair
-// starts). It was made with that release's binaries:
+// starts), as staleDirectoryReindexes describes.
+func TestFormat4DirectoryReindexes(t *testing.T) { staleDirectoryReindexes(t, "format4") }
+
+// TestFormat5DirectoryReindexes opens testdata/format5/data, a data
+// directory written by the release before snapshot format 6 (BM25 files
+// holding their containers as they are in memory, not deflated), as
+// staleDirectoryReindexes describes.
+func TestFormat5DirectoryReindexes(t *testing.T) { staleDirectoryReindexes(t, "format5") }
+
+// staleDirectoryReindexes opens testdata/<fixture>/data, a data directory
+// an older release wrote with its own binaries:
 //
 //	lakegen -out L -tables 8 -texts 4
 //	verifai serve -lake L -data-dir D -fsync always
@@ -24,15 +35,15 @@ import (
 //	POST /v1/ingest/document furgol-note          version 79
 //	SIGTERM                                       final checkpoint at 79
 //
-// and testdata/format4/reports.json holds, by name, the JSON of the
+// and testdata/<fixture>/reports.json holds, by name, the JSON of the
 // Reports that release's Open returned on a copy of D. This build must
 // re-index the head at open, re-index the pin on its first pinned read
 // (its files no longer open), return the same Reports byte for byte,
-// write format 5 at its next checkpoint, and reopen from that checkpoint's
-// files without re-indexing.
-func TestFormat4DirectoryReindexes(t *testing.T) {
+// write this build's format at its next checkpoint, and reopen from that
+// checkpoint's files without re-indexing.
+func staleDirectoryReindexes(t *testing.T, fixture string) {
 	const pin = 77
-	raw, err := os.ReadFile(filepath.Join("testdata", "format4", "reports.json"))
+	raw, err := os.ReadFile(filepath.Join("testdata", fixture, "reports.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +52,11 @@ func TestFormat4DirectoryReindexes(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := filepath.Join(t.TempDir(), "data")
-	copyTree(t, filepath.Join("testdata", "format4", "data"), data)
+	copyTree(t, filepath.Join("testdata", fixture, "data"), data)
 
 	pinFile := filepath.Join(data, "snapshots", "77", "indexes", "bm25-tuple-000.idx")
-	if _, err := invindex.OpenFile(pinFile); err == nil {
-		t.Fatalf("%s, written at format 4, opens as a format-5 BM25 file", pinFile)
+	if _, _, err := invindex.OpenFile(pinFile, textutil.NewDict()); err == nil {
+		t.Fatalf("%s, written by an older release, opens as a BM25 file of this one", pinFile)
 	}
 
 	furgol := "In 1954 u.s. open (golf), the money for ed furgol was 9000."
@@ -77,20 +88,21 @@ func TestFormat4DirectoryReindexes(t *testing.T) {
 				t.Fatalf("%s: %v", c.name, err)
 			}
 			if !bytes.Equal(got, w.Bytes()) {
-				t.Errorf("%s: report differs from the one the format-4 release returned:\n got %s\nwant %s", c.name, got, w.Bytes())
+				t.Errorf("%s: report differs from the one the %s release returned:\n got %s\nwant %s", c.name, fixture, got, w.Bytes())
 			}
 		}
 	}
-	// open opens the directory; mapped says whether the head's BM25 files
-	// must have been opened (else re-indexed).
-	open := func(t *testing.T, mapped bool) *System {
+	// open opens the directory; opened says whether the head's BM25 files
+	// must have been opened and the vector indexes derived from them (else
+	// re-indexed).
+	open := func(t *testing.T, opened bool) *System {
 		t.Helper()
 		sys, err := Open(data, durableOpts(1))
 		if err != nil {
 			t.Fatalf("the directory did not open: %v", err)
 		}
-		if st := sys.Pipeline().Indexer().IndexStats(); (st.Families["bm25"].MappedBytes != 0) != mapped {
-			t.Errorf("BM25 files mapped: %+v, want mapped %v", st.Families, mapped)
+		if st := sys.Pipeline().Indexer().IndexStats(); (st.DeriveMS != 0) != opened {
+			t.Errorf("BM25 files opened: %+v, want opened %v", st, opened)
 		}
 		listed := false
 		for _, snap := range sys.Snapshots() {
@@ -112,8 +124,8 @@ func TestFormat4DirectoryReindexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(meta, []byte(`"format": 5,`)) {
-		t.Fatalf("the checkpoint wrote %s, want snapshot format 5", meta)
+	if !bytes.Contains(meta, []byte(`"format": 6,`)) {
+		t.Fatalf("the checkpoint wrote %s, want snapshot format 6", meta)
 	}
 	sys = open(t, true)
 	defer sys.Close()

@@ -375,9 +375,8 @@ func recoverPins(sys *System, st *durable.Store) error {
 // checkpoint: the lake seals its tables and documents, and the indexes
 // their deltas, off the Go heap whenever the payload written since the
 // last seal passes datalake.SealBytes. A checkpoint is still a flush for
-// BM25: once its directory is promoted the running BM25 indexes are moved
-// onto the shard files it wrote and their sealed copies dropped. A
-// concurrent Checkpoint fails fast with ErrCheckpointInFlight (the
+// BM25: each running BM25 index is folded into the one segment its shard
+// file holds, and keeps searching it. A concurrent Checkpoint fails fast with ErrCheckpointInFlight (the
 // in-flight one covers it). Only systems opened with Open can checkpoint.
 func (s *System) Checkpoint() (uint64, error) {
 	if s.durable == nil {
@@ -389,9 +388,8 @@ func (s *System) Checkpoint() (uint64, error) {
 		// retain it: every checkpoint doubles as an unpinned snapshot in the
 		// keep-last-N window at zero extra quiescence.
 		s.pipeline.RegisterSnapshot(view, frozen, false)
-		return func(fs faultfs.FS, dir string) (durable.AdoptFunc, error) {
-			adopt := func(dir string) { frozen.Adopt(filepath.Join(dir, "indexes")) }
-			return adopt, frozen.Save(fs, filepath.Join(dir, "indexes"), view.Version())
+		return func(fs faultfs.FS, dir string) error {
+			return frozen.Save(fs, filepath.Join(dir, "indexes"), view.Version())
 		}, nil
 	})
 }
