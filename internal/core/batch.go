@@ -28,20 +28,11 @@ func (p *Pipeline) VerifyBatch(objects []verify.Generated, parallelism int, kind
 // stops new objects from starting and aborts each in-flight verification at
 // its next stage boundary. It returns the lowest-indexed object's error as
 // VerifyBatch does, or else the context's error. Individual objects hit the
-// verify-result cache exactly as VerifyCtx does.
+// verify-result cache exactly as VerifyCtx does. Each object runs on the
+// worker that took it, so parallelism bounds the batch's goroutines.
 func (p *Pipeline) VerifyBatchCtx(ctx context.Context, objects []verify.Generated, parallelism int, kinds ...datalake.Kind) ([]Report, error) {
 	if len(objects) == 0 {
 		return nil, nil
-	}
-	// Each in-flight verification runs its evidence sequentially when the
-	// batch itself is parallel, so verifier concurrency stays at the
-	// requested bound instead of multiplying by cfg.VerifyWorkers. (The
-	// retrieval stage inside each verification still uses its own
-	// short-lived fan-out; those goroutines are multiplexed onto GOMAXPROCS
-	// by the scheduler, so actual CPU parallelism stays machine-bounded.)
-	evidenceWorkers := p.cfg.VerifyWorkers
-	if parallelism > 1 && len(objects) > 1 {
-		evidenceWorkers = 1
 	}
 	eff := p.normalizeKinds(kinds)
 	reports := make([]Report, len(objects))
@@ -55,7 +46,7 @@ func (p *Pipeline) VerifyBatchCtx(ctx context.Context, objects []verify.Generate
 		if int64(i) > failedAt.Load() || ctx.Err() != nil {
 			return
 		}
-		rep, err := p.verifyCached(ctx, objects[i], evidenceWorkers, eff)
+		rep, err := p.verifyCached(ctx, objects[i], eff)
 		if err != nil {
 			errs[i] = fmt.Errorf("core: verify object %d (%s): %w", i, objects[i].ID, err)
 			failedAt.Store(int64(i))

@@ -62,9 +62,10 @@ func DefaultIndexerConfig(seed uint64) IndexerConfig {
 // Indexer is VerifAI's Indexer module: task-agnostic content-based (BM25)
 // and semantic-based (vector) indexes over lake instances, one of each per
 // modality so retrieval can target the data types a task needs; a
-// retrieval searches them in parallel. A vector row is always the
-// embedding of exactly the terms its instance's BM25 document holds, which
-// is what lets a restart derive the vector indexes from the BM25 ones.
+// retrieval searches them in turn, on its caller's goroutine. A vector row
+// is always the embedding of exactly the terms its instance's BM25
+// document holds, which is what lets a restart derive the vector indexes
+// from the BM25 ones.
 //
 // The indexer is live: BuildIndexer subscribes it to the lake's change feed,
 // so instances ingested after construction become retrievable immediately,
@@ -100,7 +101,7 @@ type Indexer struct {
 }
 
 // indexerMetrics pre-resolves the per-family children of the index-search
-// histogram vec so the search fan-out's hot closures never render labels.
+// histogram vec so the search loop never renders labels.
 type indexerMetrics struct {
 	searchBM25   *obs.Histogram
 	searchVector *obs.Histogram
@@ -385,17 +386,6 @@ func (ix *Indexer) QueryCacheStats() (hits, misses uint64, size int) {
 	return ix.qcache.stats()
 }
 
-// retrGroup is one (kind, family) search: the index's best-first hits as
-// retrieval hits, ranked in the order the index emits them.
-type retrGroup struct {
-	family string
-	hits   []provenance.RetrievalHit
-}
-
-func (g *retrGroup) add(id string, score float64) {
-	g.hits = append(g.hits, provenance.RetrievalHit{Index: g.family, InstanceID: id, Score: score, Rank: len(g.hits)})
-}
-
 // families selects which index families to search: both for Retrieve, one
 // for RetrieveFamily.
 const (
@@ -403,40 +393,25 @@ const (
 	familyVector = "vector"
 )
 
-// search runs one search per (kind, requested family) on at most GOMAXPROCS
-// goroutines (par.For) and returns the ranked hits in deterministic group
-// order (kinds as requested, BM25 before vector). A cancelled context makes
-// unstarted searches no-ops, so an abandoned request returns quickly; the
-// (partial) hits of a cancelled search must be discarded by the caller,
-// which owns surfacing ctx.Err().
+// search runs one search per (kind, requested family) in turn, on the
+// calling goroutine, and returns the ranked hits in group order (kinds as
+// requested, BM25 before vector), each ranked as its index emits it. A
+// cancelled context stops it before the next kind, so an abandoned request
+// returns quickly; the (partial) hits of a cancelled search must be
+// discarded by the caller, which owns surfacing ctx.Err().
 func (ix *Indexer) search(ctx context.Context, query string, k int, kinds []datalake.Kind, wantBM25, wantVector bool) []provenance.RetrievalHit {
 	return ix.searchIndexes(ctx, query, k, kinds, wantBM25, wantVector, ix.bm25, ix.vec)
 }
 
 // searchIndexes is search over explicit index maps: the live indexes for
 // head reads, or a pinned snapshot's materialized indexes for time-travel
-// reads. Everything else — the fan-out, the query-embedding cache,
-// the per-family latency metrics, the group order — is shared, so a
-// pinned retrieval ranks exactly as a head retrieval over the same data.
+// reads. Everything else — the search order, the query-embedding cache,
+// the per-family latency metrics — is shared, so a pinned retrieval ranks
+// exactly as a head retrieval over the same data.
 func (ix *Indexer) searchIndexes(ctx context.Context, query string, k int, kinds []datalake.Kind, wantBM25, wantVector bool, bm25 map[datalake.Kind]*invindex.Index, vec map[datalake.Kind]*vecindex.SQFlat) []provenance.RetrievalHit {
 	if len(kinds) == 0 {
 		kinds = ix.cfg.Kinds
 	}
-	// Embed the query only when some requested kind actually has a vector
-	// index; BM25-only retrievals (and kinds outside the configured set)
-	// skip the embedding computation entirely. The embedding depends only
-	// on (query, seed), never on index contents, so head and pinned
-	// retrievals share the same cache entry.
-	var qvec embed.Vector
-	if wantVector {
-		for _, kind := range kinds {
-			if vec[kind] != nil {
-				qvec = ix.queryVec(query)
-				break
-			}
-		}
-	}
-
 	// Analyze the query once, through the head's dictionary without adding
 	// to it: every BM25 index, a pinned one over a dictionary of its own
 	// included, shares the same chain and resolves the terms itself.
@@ -444,50 +419,40 @@ func (ix *Indexer) searchIndexes(ctx context.Context, query string, k int, kinds
 	if wantBM25 {
 		qterms = ix.emb.Dict().AppendTerms(nil, query)
 	}
-	var groups []*retrGroup
-	var tasks []func()
+	// The query is embedded at the first vector index searched, so
+	// BM25-only retrievals (and kinds outside the configured set) skip the
+	// embedding. It depends only on (query, seed), never on index contents,
+	// so head and pinned retrievals share the same cache entry.
+	var qvec embed.Vector
+	var hits []provenance.RetrievalHit
 	for _, kind := range kinds {
+		if ctx.Err() != nil {
+			return hits
+		}
 		if idx := bm25[kind]; wantBM25 && idx != nil {
-			g := &retrGroup{family: familyBM25}
-			groups = append(groups, g)
-			tasks = append(tasks, func() {
-				if ctx.Err() != nil {
-					return
-				}
-				start := time.Now()
-				for _, h := range idx.SearchTerms(qterms, k) {
-					g.add(h.ID, h.Score)
-				}
-				ix.m.searchBM25.Since(start)
-			})
+			start := time.Now()
+			for rank, h := range idx.SearchTerms(qterms, k) {
+				hits = append(hits, provenance.RetrievalHit{Index: familyBM25, InstanceID: h.ID, Score: h.Score, Rank: rank})
+			}
+			ix.m.searchBM25.Since(start)
 		}
 		if idx := vec[kind]; wantVector && idx != nil {
-			g := &retrGroup{family: familyVector}
-			groups = append(groups, g)
-			tasks = append(tasks, func() {
-				if ctx.Err() != nil {
-					return
-				}
-				start := time.Now()
-				for _, h := range idx.Search(qvec, k) {
-					g.add(h.ID, h.Score)
-				}
-				ix.m.searchVector.Since(start)
-			})
+			if qvec == nil {
+				qvec = ix.queryVec(query)
+			}
+			start := time.Now()
+			for rank, h := range idx.Search(qvec, k) {
+				hits = append(hits, provenance.RetrievalHit{Index: familyVector, InstanceID: h.ID, Score: h.Score, Rank: rank})
+			}
+			ix.m.searchVector.Since(start)
 		}
-	}
-	par.For(len(tasks), runtime.GOMAXPROCS(0), func(i int) { tasks[i]() })
-
-	var hits []provenance.RetrievalHit
-	for _, g := range groups {
-		hits = append(hits, g.hits...)
 	}
 	return hits
 }
 
 // Retrieve runs the task-agnostic retrieval for the query against the given
 // kinds (all configured kinds when none given): top-k per index family per
-// kind, searched in parallel. It returns the raw hits (for provenance) and
+// kind, searched in turn. It returns the raw hits (for provenance) and
 // the combined, deduplicated candidate IDs in best-first order — the
 // Combiner of Section 3.1.
 func (ix *Indexer) Retrieve(query string, k int, kinds ...datalake.Kind) ([]provenance.RetrievalHit, []string) {
@@ -495,10 +460,10 @@ func (ix *Indexer) Retrieve(query string, k int, kinds ...datalake.Kind) ([]prov
 }
 
 // RetrieveCtx is Retrieve honoring a request context: once ctx is
-// cancelled, index searches that have not started are skipped, so an
-// abandoned request stops occupying the retrieval fan-out. The
-// possibly partial results of a cancelled retrieval are returned as-is;
-// callers must check ctx.Err() and discard them.
+// cancelled, the kinds not yet searched are skipped, so an abandoned
+// request stops searching. The possibly partial results of a cancelled
+// retrieval are returned as-is; callers must check ctx.Err() and discard
+// them.
 func (ix *Indexer) RetrieveCtx(ctx context.Context, query string, k int, kinds ...datalake.Kind) ([]provenance.RetrievalHit, []string) {
 	hits := ix.search(ctx, query, k, kinds, true, true)
 	return hits, combine(hits)

@@ -287,11 +287,11 @@ func (ix *Indexer) openIndexes(dir string) (map[datalake.Kind]*invindex.Index, m
 }
 
 // derivedRows adds tr's terms to emb's dictionary, their token-table rows
-// filled on the embedder's worker pool, and returns what fills the vector
-// row of tr's document d: what EmbedText returns for the text the document
-// was indexed from, summed from its distinct terms in ascending order
-// through the same accumulate step and normalized, so the codes and norms
-// are the ones ingestion wrote, bit for bit.
+// filled in parallel (Embedder.AddTermVectors), and returns what fills the
+// vector row of tr's document d: what EmbedText returns for the text the
+// document was indexed from, summed from its distinct terms in ascending
+// order through the same accumulate step and normalized, so the codes and
+// norms are the ones ingestion wrote, bit for bit.
 func derivedRows(emb *embed.Embedder, tr *invindex.Transposed) func(d int, row embed.Vector) {
 	terms := make([]string, tr.Terms.Len())
 	for i := range terms {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sort"
@@ -9,7 +10,6 @@ import (
 
 	"repro/internal/datalake"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/provenance"
 	"repro/internal/rerank"
 	"repro/internal/trust"
@@ -28,11 +28,6 @@ type PipelineConfig struct {
 	// candidates are truncated to TopKPrime in combiner order (the
 	// ablation's baseline).
 	UseReranker bool
-	// VerifyWorkers bounds concurrent verification of the top-k′ evidence
-	// within one Verify call (order-preserving, like VerifyBatch); <= 1
-	// means sequential. The verifiers are deterministic functions of
-	// (object, evidence), so the report is identical either way.
-	VerifyWorkers int
 	// ResultCache is the capacity (entries) of the verify-result cache:
 	// completed verifications keyed by (task, object fingerprint, kind set)
 	// and invalidated exactly when a lake write touches a kind they depend
@@ -56,12 +51,11 @@ type PipelineConfig struct {
 	Metrics *obs.Registry
 }
 
-// DefaultPipelineConfig returns the paper's settings, with the top-k′
-// evidence verified concurrently and the verify-result cache enabled (the
-// verifiers are deterministic, so a Report rebuilt from the cache equals a
-// recomputed one).
+// DefaultPipelineConfig returns the paper's settings, with the
+// verify-result cache enabled (the verifiers are deterministic, so a
+// Report rebuilt from the cache equals a recomputed one).
 func DefaultPipelineConfig() PipelineConfig {
-	return PipelineConfig{TopK: 100, TopKPrime: 5, UseReranker: true, VerifyWorkers: 4, ResultCache: 4096}
+	return PipelineConfig{TopK: 100, TopKPrime: 5, UseReranker: true, ResultCache: 4096}
 }
 
 // Pipeline is the assembled VerifAI system. It is safe for concurrent use:
@@ -318,7 +312,7 @@ func (p *Pipeline) Verify(g verify.Generated, kinds ...datalake.Kind) (Report, e
 }
 
 // VerifyCtx is Verify honoring a request context: cancellation or deadline
-// expiry aborts the remaining retrieval fan-out, reranking, and evidence
+// expiry aborts the remaining retrieval, reranking, and evidence
 // verification and returns the context's error, so an abandoned HTTP
 // request stops burning CPU mid-flight.
 //
@@ -327,16 +321,14 @@ func (p *Pipeline) Verify(g verify.Generated, kinds ...datalake.Kind) (Report, e
 // requested kinds, no trust override) is rebuilt from its lineage record
 // without recomputing; cancelled or failed verifications are never cached.
 func (p *Pipeline) VerifyCtx(ctx context.Context, g verify.Generated, kinds ...datalake.Kind) (Report, error) {
-	return p.verifyCached(ctx, g, p.cfg.VerifyWorkers, p.normalizeKinds(kinds))
+	return p.verifyCached(ctx, g, p.normalizeKinds(kinds))
 }
 
 // verifyCached is a head verification behind the result-cache lookup/fill —
-// the single serving path behind VerifyCtx and VerifyBatchCtx. Its
-// evidence-worker bound lets an outer fan-out (VerifyBatch) keep total
-// concurrency at its own bound instead of multiplying by cfg.VerifyWorkers.
-// kinds must be normalized (non-empty).
-func (p *Pipeline) verifyCached(ctx context.Context, g verify.Generated, evidenceWorkers int, kinds []datalake.Kind) (Report, error) {
-	run := func() (Report, error) { return p.verifyAgainst(ctx, g, evidenceWorkers, kinds, p.headSource(), 0) }
+// the single serving path behind VerifyCtx and VerifyBatchCtx. kinds must
+// be normalized (non-empty).
+func (p *Pipeline) verifyCached(ctx context.Context, g verify.Generated, kinds []datalake.Kind) (Report, error) {
+	run := func() (Report, error) { return p.verifyAgainst(ctx, g, kinds, p.headSource(), 0) }
 	if p.rcache == nil {
 		return run()
 	}
@@ -393,8 +385,9 @@ func (p *Pipeline) headSource() evidenceSource {
 // verifyAgainst runs the full retrieve → combine → rerank → verify →
 // resolve → provenance flow against an explicit evidence source, stamping
 // the report with asOf (0 for head reads). This is the single verification
-// body behind head and pinned reads.
-func (p *Pipeline) verifyAgainst(ctx context.Context, g verify.Generated, evidenceWorkers int, kinds []datalake.Kind, src evidenceSource, asOf uint64) (Report, error) {
+// body behind head and pinned reads, and it runs on its caller's
+// goroutine: requests are the parallel unit.
+func (p *Pipeline) verifyAgainst(ctx context.Context, g verify.Generated, kinds []datalake.Kind, src evidenceSource, asOf uint64) (Report, error) {
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
 	}
@@ -432,12 +425,10 @@ func (p *Pipeline) verifyAgainst(ctx context.Context, g verify.Generated, eviden
 		return Report{}, err
 	}
 
-	// Verify each evidence instance via the Agent — concurrently when
-	// configured — then aggregate sequentially in rank order so the report
-	// (votes, provenance, float accumulation) is bit-identical to the
-	// sequential path.
+	// Verify each evidence instance via the Agent, then aggregate in rank
+	// order.
 	endVerify := p.obs.Span(ctx, "verify")
-	results, err := p.verifyEvidence(ctx, g, ordered, evidenceWorkers)
+	results, err := p.verifyEvidence(ctx, g, ordered)
 	endVerify()
 	if err != nil {
 		return Report{}, err
@@ -519,30 +510,27 @@ func (p *Pipeline) rerank(g verify.Generated, candidates []datalake.Instance) []
 	return entries
 }
 
-// verifyEvidence runs the Agent over each evidence instance on at most
-// workers goroutines (par.For). Results preserve input order; the error of
-// the lowest-indexed instance that failed is returned, as a sequential run
-// would return it. A cancelled context stops unstarted verifications; the
-// context error is returned once in-flight ones drain.
-func (p *Pipeline) verifyEvidence(ctx context.Context, g verify.Generated, ordered []datalake.Instance, workers int) ([]verify.Result, error) {
+// verifyEvidence runs the Agent over each evidence instance in rank order
+// and returns the first error, or the context's once it has ended. The
+// context is checked before each verification and after the last, so a
+// deadline that expires inside one still fails the verify.
+func (p *Pipeline) verifyEvidence(ctx context.Context, g verify.Generated, ordered []datalake.Instance) ([]verify.Result, error) {
 	results := make([]verify.Result, len(ordered))
-	errs := make([]error, len(ordered))
-	par.For(len(ordered), workers, func(i int) {
-		if ctx.Err() != nil {
-			return
-		}
-		start := time.Now()
-		results[i], errs[i] = p.agent.Verify(g, ordered[i])
-		p.verifierCalls.Inc()
-		p.verifierSec.Since(start)
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
+	for i, in := range ordered {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		start := time.Now()
+		res, err := p.agent.Verify(g, in)
+		p.verifierCalls.Inc()
+		p.verifierSec.Since(start)
+		if err != nil {
+			return nil, cmp.Or(ctx.Err(), err)
+		}
+		results[i] = res
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	return results, nil
 }

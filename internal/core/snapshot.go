@@ -108,9 +108,9 @@ func (ps *PinnedSnapshot) sourceTrust(sourceID string) float64 {
 }
 
 // source adapts the snapshot into the pipeline's evidence-source seam:
-// retrieval fans out over the thawed indexes as the indexer's head
-// retrieval does, resolution reads the immutable view, trust reads the
-// pinned copy. materialize must have succeeded first.
+// retrieval searches the thawed indexes as the indexer's head retrieval
+// does, resolution reads the immutable view, trust reads the pinned copy.
+// materialize must have succeeded first.
 func (ps *PinnedSnapshot) source(ix *Indexer) evidenceSource {
 	return evidenceSource{
 		retrieve: func(ctx context.Context, query string, k int, kinds []datalake.Kind) []provenance.RetrievalHit {
@@ -245,7 +245,7 @@ func (p *Pipeline) VerifyAsOfCtx(ctx context.Context, g verify.Generated, asOf u
 		return Report{}, err
 	}
 	kk, src := p.normalizeKinds(kinds), ps.source(p.indexer)
-	run := func() (Report, error) { return p.verifyAgainst(ctx, g, p.cfg.VerifyWorkers, kk, src, asOf) }
+	run := func() (Report, error) { return p.verifyAgainst(ctx, g, kk, src, asOf) }
 	if p.rcache == nil {
 		return run()
 	}

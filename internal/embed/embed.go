@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/binfmt"
 	"repro/internal/detrand"
+	"repro/internal/par"
 	"repro/internal/textutil"
 )
 
@@ -235,11 +236,11 @@ func (e *Embedder) TableBytes() int64 {
 func (e *Embedder) OffHeapBytes() int64 { return e.offHeap.Load() }
 
 // AddTermVectors adds each of terms to the dictionary and returns its
-// token vector, the rows filled on the embedder's worker pool: what a
-// reopened index's terms take. The vectors are views, as Row's.
+// token vector, the rows filled on up to GOMAXPROCS goroutines (par.For):
+// what a reopened index's terms take. The vectors are views, as Row's.
 func (e *Embedder) AddTermVectors(terms []string) []Vector {
 	out := make([]Vector, len(terms))
-	forEach(len(terms), 0, func(i int) { out[i] = e.Row(e.dict.Add(terms[i])) })
+	par.For(len(terms), runtime.GOMAXPROCS(0), func(i int) { out[i] = e.Row(e.dict.Add(terms[i])) })
 	return out
 }
 
@@ -303,63 +304,14 @@ func AddTerm(acc, tv Vector, freq int32) {
 	}
 }
 
-// embedSlots bounds the extra goroutines all concurrent EmbedTexts and
-// TokenVectors calls may spawn, process-wide, to GOMAXPROCS: nested pools
-// degrade to inline work instead of oversubscribing the scheduler.
-var embedSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
-
-// EmbedTexts embeds a batch of texts on a bounded worker pool (workers <= 0
-// means GOMAXPROCS), returning one vector per text in order. The calling
-// goroutine always participates, so progress never depends on acquiring a
-// worker slot.
+// EmbedTexts embeds a batch of texts on at most workers goroutines
+// (par.For; workers <= 0 means GOMAXPROCS), returning one vector per text
+// in order.
 func (e *Embedder) EmbedTexts(texts []string, workers int) []Vector {
-	out := make([]Vector, len(texts))
-	forEach(len(texts), workers, func(i int) { out[i] = e.EmbedText(texts[i]) })
-	return out
-}
-
-// forEach runs fn(0..n-1) on the caller plus up to workers-1 goroutines
-// taken from embedSlots. It is not par.For, whose bound is per call: the
-// slots bound the helpers of all concurrent and nested calls together.
-func forEach(n, workers int, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	// Tiny batches run inline: goroutine setup would outweigh the work.
-	if workers <= 1 || n < 4 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			fn(i)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ { // worker 0 is the caller
-		select {
-		case embedSlots <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-embedSlots }()
-				work()
-			}()
-			continue
-		default:
-		}
-		break // slots exhausted: the caller and acquired workers finish the rest
-	}
-	work()
-	wg.Wait()
+	out := make([]Vector, len(texts))
+	par.For(len(texts), workers, func(i int) { out[i] = e.EmbedText(texts[i]) })
+	return out
 }

@@ -28,8 +28,8 @@
 // become retrievable and verifiable immediately, while concurrent
 // verifications keep being served. Every mutation bumps a monotonic lake
 // version (System.LakeVersion) that consumers can use to reason about
-// index freshness. Retrieval fans out in parallel across modalities and
-// index families, and the top-k′ evidence is verified concurrently.
+// index freshness. Each verification runs on its caller's goroutine:
+// concurrent requests are the parallel unit.
 //
 // Systems built with NewSystem are in-memory. Open instead binds the
 // system to a data directory with a write-ahead log and checkpoints:
@@ -621,7 +621,7 @@ func (s *System) VerifyImputedTuple(id string, tp Tuple, attr string, kinds ...K
 
 // VerifyImputedTupleCtx is VerifyImputedTuple honoring a request context:
 // cancellation or deadline expiry aborts the verification mid-flight
-// (retrieval fan-out, reranking, and evidence verification all stop) and
+// (retrieval, reranking, and evidence verification all stop) and
 // returns the context's error.
 func (s *System) VerifyImputedTupleCtx(ctx context.Context, id string, tp Tuple, attr string, kinds ...Kind) (Report, error) {
 	return s.VerifyImputedTupleAsOfCtx(ctx, id, tp, attr, 0, kinds...)
