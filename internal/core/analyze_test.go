@@ -36,7 +36,7 @@ func TestPieceBagsMatchSerialization(t *testing.T) {
 		&table.Table{ID: "headless", Caption: "the of", Rows: [][]string{{"only", "cells"}, nil}},
 		&table.Table{ID: "empty", Columns: []string{"a", "b"}},
 	)
-	ix := newIndexer(nil, &IndexerConfig{Kinds: []datalake.Kind{datalake.KindTable, datalake.KindTuple}})
+	ix := newIndexer(nil, &IndexerConfig{})
 	dict := ix.emb.Dict()
 	same := func(a, b textutil.IDBag) bool { return a.Len == b.Len && slices.Equal(a.Terms, b.Terms) }
 	instances := 0

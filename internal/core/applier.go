@@ -98,10 +98,6 @@ func (ix *Indexer) prepareEvent(ev datalake.Event) *preparedEvent {
 // IDs: the bags of the texts SerializeForIndex writes, without writing
 // them.
 func (ix *Indexer) prepareTable(pe *preparedEvent, acc embed.Vector, t *table.Table) {
-	wantTable, wantTuple := ix.wantKind(datalake.KindTable), ix.wantKind(datalake.KindTuple)
-	if !wantTable && !wantTuple {
-		return
-	}
 	dict := ix.emb.Dict()
 	ids := dict.AppendIDs(nil, t.Caption)
 	for _, c := range t.Columns {
@@ -120,36 +116,25 @@ func (ix *Indexer) prepareTable(pe *preparedEvent, acc embed.Vector, t *table.Ta
 			ids = dict.AppendIDs(ids, c)
 		}
 	}
-	rows := 0
-	if wantTuple {
-		rows = len(t.Rows)
-	}
-	pe.codes = make([]int8, 0, (1+rows)*len(acc))
-	if wantTable {
-		pe.addBag(ix, acc, datalake.KindTable, datalake.TableInstanceID(t.ID), dict.Bag(slices.Clone(ids)))
-	}
+	pe.codes = make([]int8, 0, (1+len(t.Rows))*len(acc))
+	pe.addBag(ix, acc, datalake.KindTable, datalake.TableInstanceID(t.ID), dict.Bag(slices.Clone(ids)))
 	var tuple []uint32
-	for r := 0; r < rows; r++ {
+	for r := range t.Rows {
 		tuple = append(append(tuple[:0], ids[:header]...), ids[cells[r][0]:cells[r][1]]...)
 		pe.addBag(ix, acc, datalake.KindTuple, datalake.TupleInstanceID(t.ID, r), dict.Bag(tuple))
 	}
 }
 
-// addInstance analyzes one serialized instance of a configured kind and
-// appends its op to the payload.
+// addInstance analyzes one serialized instance and appends its op to the
+// payload.
 func (pe *preparedEvent) addInstance(ix *Indexer, acc embed.Vector, kind datalake.Kind, id, text string) {
-	if ix.wantKind(kind) {
-		pe.addBag(ix, acc, kind, id, ix.emb.Dict().Analyze(text))
-	}
+	pe.addBag(ix, acc, kind, id, ix.emb.Dict().Analyze(text))
 }
 
-// addBag appends the op of an instance of a configured kind with bag
-// to the payload, summing the row in acc: EmbedText's sum of the same bag,
-// normalized, then quantized.
+// addBag appends the op of an instance with bag to the payload, summing
+// the row in acc: EmbedText's sum of the same bag, normalized, then
+// quantized.
 func (pe *preparedEvent) addBag(ix *Indexer, acc embed.Vector, kind datalake.Kind, id string, bag textutil.IDBag) {
-	if !ix.wantKind(kind) {
-		return
-	}
 	clear(acc)
 	ix.emb.AddBag(acc, bag)
 	embed.Normalize(acc)
@@ -165,9 +150,6 @@ func (pe *preparedEvent) addBag(ix *Indexer, acc embed.Vector, kind datalake.Kin
 // entity page).
 func (ix *Indexer) apply(ev datalake.Event) error {
 	if ev.Kind == datalake.KindEntity {
-		if !ix.wantKind(datalake.KindEntity) {
-			return nil
-		}
 		// The triple is committed, so the graph knows its subject. The
 		// instance is keyed by the canonical (first-seen) subject casing —
 		// the same key bulk ingest derives from Graph.Entities() — so a

@@ -53,6 +53,12 @@ func diffPipeline(t *testing.T) *Pipeline {
 	if err := lake.AddSource(datalake.Source{ID: "s", Name: "src", TrustPrior: 0.8}); err != nil {
 		t.Fatal(err)
 	}
+	return diffPipelineOn(t, lake)
+}
+
+// diffPipelineOn is diffPipeline over lake, which it closes at cleanup.
+func diffPipelineOn(t *testing.T, lake *datalake.Lake) *Pipeline {
+	t.Helper()
 	cfg := DefaultIndexerConfig(3)
 	cfg.EmbedDim = 32
 	ix, err := BuildIndexer(lake, cfg)
@@ -374,7 +380,7 @@ func TestReopenedAndCheckpointedResidencyAgree(t *testing.T) {
 func TestSnapshotSaveGoesThroughFS(t *testing.T) {
 	p := seededPipeline(t, 40)
 	fz := p.indexer.Freeze()
-	files := len(p.indexer.cfg.Kinds)
+	files := len(storedKinds)
 
 	ffs := faultfs.New(faultfs.OS)
 	if err := fz.Save(ffs, t.TempDir(), p.lake.Version()); err != nil {

@@ -87,18 +87,11 @@ func golfClaimObject() verify.Generated {
 	return verify.NewClaimObject("golf", c)
 }
 
-func TestBuildIndexerValidation(t *testing.T) {
-	lake := smallLake(t)
-	if _, err := BuildIndexer(lake, IndexerConfig{EmbedDim: 8}); err == nil {
-		t.Error("indexer with no kinds accepted")
-	}
-}
-
-// TestZeroEmbedDimDefaultsTo128: a config that names its kinds but not its
-// dimension embeds at DefaultIndexerConfig's 128, in the embedder and in
+// TestZeroEmbedDimDefaultsTo128: a config that leaves its dimension zero
+// embeds at DefaultIndexerConfig's 128, in the embedder and in
 // the vector index.
 func TestZeroEmbedDimDefaultsTo128(t *testing.T) {
-	ix, err := BuildIndexer(smallLake(t), IndexerConfig{Seed: 1, Kinds: []datalake.Kind{datalake.KindTable}})
+	ix, err := BuildIndexer(smallLake(t), IndexerConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,7 +86,8 @@ func TestBagMatchesCounts(t *testing.T) {
 }
 
 // TestDerivedVectorsMatchIngested: on the default workload lake, every
-// vector row a reopened indexer derives from its BM25 files is, bit for
+// vector row a reopened indexer derives from its BM25 indexes (opened from
+// their files, the table kind's summed from the tuple kind's) is, bit for
 // bit, what EmbedText returns for the instance's text, and its codes and
 // norm are the ones the prepare stage quantized for the instance; vecindex
 // holds a derived segment to the sealed one byte for byte. The derived indexes are the size of the sealed ones, and the
@@ -141,11 +142,12 @@ func TestDerivedVectorsMatchIngested(t *testing.T) {
 	defer reopened.Close()
 
 	row := make(embed.Vector, cfg.EmbedDim)
-	for _, kind := range cfg.Kinds {
-		_, tr, err := openBM25Shard(shardFile(dir, familyBM25, kind), reopened.emb.Dict())
-		if err != nil {
-			t.Fatal(err)
-		}
+	_, trs, err := openBM25(reopened, dir, lake)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, kind := range allKinds {
+		tr := trs[i]
 		fill := derivedRows(reopened.emb, tr)
 		if tr.Len() != perKind[kind] {
 			t.Fatalf("%s: %d rows derived, %d ingested", kind, tr.Len(), perKind[kind])

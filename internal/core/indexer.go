@@ -24,7 +24,7 @@ import (
 	"repro/internal/vecindex"
 )
 
-// IndexerConfig controls index construction. Every configured kind gets
+// IndexerConfig controls index construction. Every kind of allKinds gets
 // both index families: a content-based one (BM25) and a semantic one, an
 // exhaustive cosine scan over int8 rows (vecindex.SQFlat; Faiss
 // IndexScalarQuantizer, QT_8bit, flat).
@@ -33,10 +33,6 @@ type IndexerConfig struct {
 	Seed uint64
 	// EmbedDim is the embedding dimension (default 128).
 	EmbedDim int
-	// Kinds lists the instance granularities to index. Tables are indexed
-	// whole AND per-tuple when both kinds are present, matching the paper's
-	// lake of tuples, tables, and text.
-	Kinds []datalake.Kind
 	// QueryCacheSize is the capacity of the query-embedding LRU cache shared
 	// by all retrievals; <= 0 disables the cache. Repeated queries (the
 	// heavy-traffic case) skip the embedding computation entirely.
@@ -47,16 +43,15 @@ type IndexerConfig struct {
 // EmbedDim zero.
 const defaultEmbedDim = 128
 
-// DefaultIndexerConfig indexes every modality.
+// allKinds are the instance granularities every indexer indexes, in
+// order, each kind at its own value's position: tables whole and per
+// tuple, matching the paper's lake of tuples, tables and text, and
+// knowledge-graph entities.
+var allKinds = []datalake.Kind{datalake.KindTable, datalake.KindTuple, datalake.KindText, datalake.KindEntity}
+
+// DefaultIndexerConfig is the indexer's default configuration.
 func DefaultIndexerConfig(seed uint64) IndexerConfig {
-	return IndexerConfig{
-		Seed:     seed,
-		EmbedDim: defaultEmbedDim,
-		Kinds: []datalake.Kind{
-			datalake.KindTable, datalake.KindTuple, datalake.KindText, datalake.KindEntity,
-		},
-		QueryCacheSize: 256,
-	}
+	return IndexerConfig{Seed: seed, EmbedDim: defaultEmbedDim, QueryCacheSize: 256}
 }
 
 // Indexer is VerifAI's Indexer module: task-agnostic content-based (BM25)
@@ -140,8 +135,8 @@ func (ix *Indexer) SetMetrics(reg *obs.Registry) {
 // bytes); then the BM25 delta documents or vector tail rows written since
 // the last seal, the estimated Go heap those deltas hold, and the segments
 // searched. With nothing written since a checkpoint, the BM25 HeapBytes is
-// what the family's index files inflate to, byte for byte; vectors have no
-// files.
+// what the family's index files inflate to, byte for byte, plus the table
+// kind's segment, which has no file; vectors have no files.
 type FamilyResidency struct {
 	HeapBytes int64 `json:"heap_bytes"`
 	DeltaDocs int   `json:"delta_docs"`
@@ -196,7 +191,7 @@ func newIndexer(lake *datalake.Lake, cfg *IndexerConfig) *Indexer {
 		qcache:    newQueryCache(cfg.QueryCacheSize),
 		entityRev: make(map[string]int),
 	}
-	for _, kind := range cfg.Kinds {
+	for _, kind := range allKinds {
 		ix.bm25[kind] = invindex.NewWithDict(ix.emb.Dict())
 		ix.vec[kind] = vecindex.NewSQFlat(cfg.EmbedDim)
 	}
@@ -207,9 +202,6 @@ func newIndexer(lake *datalake.Lake, cfg *IndexerConfig) *Indexer {
 // to the lake's change feed for incremental maintenance: tables, documents,
 // and triples added to the lake afterwards are indexed as they arrive.
 func BuildIndexer(lake *datalake.Lake, cfg IndexerConfig) (*Indexer, error) {
-	if len(cfg.Kinds) == 0 {
-		return nil, fmt.Errorf("core: indexer needs at least one kind to index")
-	}
 	ix := newIndexer(lake, &cfg)
 	// Bulk-index the current lake contents and subscribe to the change feed
 	// atomically: Subscribe quiesces the lake (write and apply locks held)
@@ -243,7 +235,7 @@ func (ix *Indexer) Close() {
 // tail does.
 func (ix *Indexer) Seal() {
 	var tasks []func()
-	for _, kind := range ix.cfg.Kinds {
+	for _, kind := range allKinds {
 		tasks = append(tasks, ix.bm25[kind].Seal, ix.vec[kind].Seal)
 	}
 	par.For(len(tasks), runtime.GOMAXPROCS(0), func(i int) { tasks[i]() })
@@ -252,16 +244,6 @@ func (ix *Indexer) Seal() {
 // Embedder exposes the shared embedding space (the reranker uses the same
 // space for late interaction).
 func (ix *Indexer) Embedder() *embed.Embedder { return ix.emb }
-
-// wantKind reports whether the config indexes this granularity.
-func (ix *Indexer) wantKind(kind datalake.Kind) bool {
-	for _, k := range ix.cfg.Kinds {
-		if k == kind {
-			return true
-		}
-	}
-	return false
-}
 
 // catalog is what a bulk index build reads: a quiesced lake, or the view
 // of a pinned snapshot whose index files are stale.
@@ -275,44 +257,38 @@ type catalog interface {
 // ingest walks the catalog's instances, and the entities of its graph g,
 // and feeds both index families.
 func (ix *Indexer) ingest(c catalog, g *kg.Graph) error {
-	if ix.wantKind(datalake.KindTable) || ix.wantKind(datalake.KindTuple) {
-		for _, tid := range c.TableIDs() {
-			t, ok := c.Table(tid)
-			if !ok {
-				return fmt.Errorf("core: lake table %q vanished during ingest", tid)
-			}
-			if err := ix.indexTable(t); err != nil {
-				return err
-			}
+	for _, tid := range c.TableIDs() {
+		t, ok := c.Table(tid)
+		if !ok {
+			return fmt.Errorf("core: lake table %q vanished during ingest", tid)
+		}
+		if err := ix.indexTable(t); err != nil {
+			return err
 		}
 	}
-	if ix.wantKind(datalake.KindText) {
-		for _, did := range c.DocIDs() {
-			d, ok := c.Document(did)
-			if !ok {
-				return fmt.Errorf("core: lake document %q vanished during ingest", did)
-			}
-			if err := ix.indexDocument(d); err != nil {
-				return err
-			}
+	for _, did := range c.DocIDs() {
+		d, ok := c.Document(did)
+		if !ok {
+			return fmt.Errorf("core: lake document %q vanished during ingest", did)
+		}
+		if err := ix.indexDocument(d); err != nil {
+			return err
 		}
 	}
-	if ix.wantKind(datalake.KindEntity) {
-		for _, e := range g.Entities() {
-			id := datalake.EntityInstanceID(e)
-			text, rev := g.EntityPage(e)
-			if err := ix.add(datalake.KindEntity, id, text); err != nil {
-				return err
-			}
-			ix.entityRev[id] = rev
+	for _, e := range g.Entities() {
+		id := datalake.EntityInstanceID(e)
+		text, rev := g.EntityPage(e)
+		if err := ix.add(datalake.KindEntity, id, text); err != nil {
+			return err
 		}
+		ix.entityRev[id] = rev
 	}
 	return nil
 }
 
-// indexTable indexes a table whole and/or per tuple, per the configured
-// kinds (bulk-load path). It runs the same prepare/apply implementation as
-// the live pipeline, just synchronously on the calling goroutine.
+// indexTable indexes a table whole and per tuple (bulk-load path). It runs
+// the same prepare/apply implementation as the live pipeline, just
+// synchronously on the calling goroutine.
 func (ix *Indexer) indexTable(t *table.Table) error {
 	pe := ix.prepareEvent(datalake.Event{Kind: datalake.KindTable, Table: t})
 	return ix.applyOps(pe)
@@ -410,7 +386,7 @@ func (ix *Indexer) search(ctx context.Context, query string, k int, kinds []data
 // exactly as a head retrieval over the same data.
 func (ix *Indexer) searchIndexes(ctx context.Context, query string, k int, kinds []datalake.Kind, wantBM25, wantVector bool, bm25 map[datalake.Kind]*invindex.Index, vec map[datalake.Kind]*vecindex.SQFlat) []provenance.RetrievalHit {
 	if len(kinds) == 0 {
-		kinds = ix.cfg.Kinds
+		kinds = allKinds
 	}
 	// Analyze the query once, through the head's dictionary without adding
 	// to it: every BM25 index, a pinned one over a dictionary of its own
@@ -420,11 +396,20 @@ func (ix *Indexer) searchIndexes(ctx context.Context, query string, k int, kinds
 		qterms = ix.emb.Dict().AppendTerms(nil, query)
 	}
 	// The query is embedded at the first vector index searched, so
-	// BM25-only retrievals (and kinds outside the configured set) skip the
-	// embedding. It depends only on (query, seed), never on index contents,
-	// so head and pinned retrievals share the same cache entry.
+	// BM25-only retrievals (and kinds no index holds) skip the embedding.
+	// It depends only on (query, seed), never on index contents, so head
+	// and pinned retrievals share the same cache entry.
 	var qvec embed.Vector
-	var hits []provenance.RetrievalHit
+	// Each search returns at most k hits: room for all of them up front,
+	// so the slice is never regrown.
+	families := 0
+	if wantBM25 {
+		families++
+	}
+	if wantVector {
+		families++
+	}
+	hits := make([]provenance.RetrievalHit, 0, k*families*len(kinds))
 	for _, kind := range kinds {
 		if ctx.Err() != nil {
 			return hits
@@ -451,7 +436,7 @@ func (ix *Indexer) searchIndexes(ctx context.Context, query string, k int, kinds
 }
 
 // Retrieve runs the task-agnostic retrieval for the query against the given
-// kinds (all configured kinds when none given): top-k per index family per
+// kinds (every kind when none given): top-k per index family per
 // kind, searched in turn. It returns the raw hits (for provenance) and
 // the combined, deduplicated candidate IDs in best-first order — the
 // Combiner of Section 3.1.

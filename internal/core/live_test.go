@@ -176,20 +176,16 @@ func TestRetrieveKindFiltered(t *testing.T) {
 }
 
 // TestQueryEmbeddingSkippedAndCached checks two retrieval-path
-// optimizations: the query embedding is not computed when the requested
-// kinds have no vector index, and repeated queries hit the LRU cache.
+// optimizations: the query embedding is not computed when the retrieval
+// searches no vector index, and repeated queries hit the LRU cache.
 func TestQueryEmbeddingSkippedAndCached(t *testing.T) {
 	lake := smallLake(t)
-	cfg := DefaultIndexerConfig(1)
-	// Vector family only for tables: text retrievals must skip embedding.
-	cfg.Kinds = []datalake.Kind{datalake.KindTable, datalake.KindText}
-	ix, err := BuildIndexer(lake, cfg)
+	ix, err := BuildIndexer(lake, DefaultIndexerConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Remove the text-kind vector index by requesting an unindexed kind:
-	// KindTuple is not configured, so it has no vector (or BM25) index.
-	ix.Retrieve("tommy bolt", 5, datalake.KindTuple)
+	// A kind no index holds has no vector index to search.
+	ix.Retrieve("tommy bolt", 5, datalake.Kind(len(allKinds)))
 	if hits, misses, _ := ix.QueryCacheStats(); hits != 0 || misses != 0 {
 		t.Fatalf("embedding computed for kind with no vector index (hits=%d misses=%d)", hits, misses)
 	}

@@ -9,6 +9,9 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/binfmt"
@@ -22,8 +25,9 @@ import (
 )
 
 // Index snapshots let a restarted process skip re-tokenizing and
-// re-embedding the whole lake: a checkpoint saves every kind's BM25 index,
-// and recovery opens them back and derives each kind's vector index from
+// re-embedding the whole lake: a checkpoint saves the BM25 index of every
+// kind but the table one, and recovery opens them back, sums the table
+// kind's from the tuple kind's and derives each kind's vector index from
 // its BM25 one — valid only for the exact lake version and indexer
 // configuration they were built under, both pinned in meta.json. A
 // snapshot that does not match is simply not used (the caller falls back
@@ -33,30 +37,40 @@ import (
 // terms its instance's BM25 document holds, and a sealed BM25 segment
 // holds each document's distinct terms, in the ascending order the
 // embedding sums them, with the frequencies it weighs them by
-// (deriveVectors).
+// (derivedRows). Nor does the table kind's BM25 index: a table's document
+// is its header and its rows' cells, which its tuples' documents hold
+// too, so only the header and any cells past its width are analyzed again
+// (tablePieces.sum).
 //
 // A checkpoint is also a flush. Freeze folds each BM25 index into one
 // segment, which the running index keeps searching, and Save writes each
-// segment's container to its file deflated (binfmt.Reader.WriteFile): after
-// any checkpoint the process holds one sealed segment per BM25 index, as a
-// restart on the directory would, inflated there from the files.
+// stored kind's segment container to its file deflated
+// (binfmt.Reader.WriteFile): after any checkpoint the process holds one
+// sealed segment per BM25 index, as a restart on the directory would,
+// inflated there from the files or, for the table kind, summed.
 //
 // Layout of a snapshot directory:
 //
 //	meta.json             the format, the lake version and the config
 //	                      fingerprint (snapshotMeta)
-//	bm25-<kind>-000.idx   each kind's BM25 segment: binfmt.FileMagic, the
+//	bm25-<kind>-000.idx   the BM25 segment of each kind of storedKinds
+//	                      (tuple, text, entity): binfmt.FileMagic, the
 //	                      container's length, the container deflated
 
-// snapshotFormat versions the snapshot layout itself: 6 since the BM25
-// files are deflated (5 held the containers as they are in memory, with
+// snapshotFormat versions the snapshot layout itself: 7 since the table
+// kind's BM25 segment is summed at open instead of stored (6 deflated the
+// BM25 files, the table kind's too; 5 held the containers as they are in memory, with
 // BM25 blocks that patch their wide gaps in as exceptions and the lengths
 // and per-term pair counts (df) at the width they need; 4 stored every gap
 // at its block's widest, lengths as int32 and cumulative pair starts as
 // uint32; 3 also held one vector file per kind; 2 kept rows in insertion
 // order, the IDs plain beside an idsort column; 1 also held BM25 postings
 // as int32 pairs).
-const snapshotFormat = 6
+const snapshotFormat = 7
+
+// storedKinds are the kinds whose BM25 segment a snapshot directory
+// holds: every kind of allKinds but the table one.
+var storedKinds = []datalake.Kind{datalake.KindTuple, datalake.KindText, datalake.KindEntity}
 
 // snapshotMeta pins what a snapshot is valid for.
 type snapshotMeta struct {
@@ -78,7 +92,7 @@ type snapshotMeta struct {
 // never chunked ("chunk_tokens" 0), the vector index is the int8 flat one
 // ("vector" 0, "vector_rows" "int8"; float32 rows wrote no "vector_rows",
 // an IVF or LSH index "vector" 1 or 2) and no index is hash-sharded
-// ("shards" 1).
+// ("shards" 1), and every kind is indexed ("kinds" allKinds).
 type snapshotConfig struct {
 	Seed         uint64          `json:"seed"`
 	EmbedDim     int             `json:"embed_dim"`
@@ -95,7 +109,7 @@ type snapshotConfig struct {
 func canonicalConfig(cfg IndexerConfig) ([]byte, error) {
 	return json.Marshal(snapshotConfig{
 		Seed: cfg.Seed, EmbedDim: cfg.EmbedDim, EnableBM25: true, EnableVector: true,
-		VectorRows: "int8", Kinds: cfg.Kinds, Shards: 1,
+		VectorRows: "int8", Kinds: allKinds, Shards: 1,
 	})
 }
 
@@ -133,32 +147,34 @@ func (ix *Indexer) Freeze() *FrozenIndexes {
 		bm25: make(map[datalake.Kind]*invindex.Frozen, len(ix.bm25)),
 		vec:  make(map[datalake.Kind]*vecindex.SQFlat, len(ix.vec)),
 	}
-	bm25 := make([]*invindex.Frozen, len(ix.cfg.Kinds))
-	vec := make([]*vecindex.SQFlat, len(ix.cfg.Kinds))
+	bm25 := make([]*invindex.Frozen, len(allKinds))
+	vec := make([]*vecindex.SQFlat, len(allKinds))
 	var tasks []func()
-	for i, kind := range ix.cfg.Kinds {
+	for i, kind := range allKinds {
 		tasks = append(tasks, func() { bm25[i] = ix.bm25[kind].Freeze() }, func() { vec[i] = ix.vec[kind].Fork() })
 	}
 	par.For(len(tasks), runtime.GOMAXPROCS(0), func(i int) { tasks[i]() })
-	for i, kind := range ix.cfg.Kinds {
+	for i, kind := range allKinds {
 		fz.bm25[kind], fz.vec[kind] = bm25[i], vec[i]
 	}
 	return fz
 }
 
-// Save writes the frozen BM25 indexes plus the pinning metadata to dir
-// (created if needed) through fs, the kinds' files deflated in parallel;
-// the vector indexes are derived from the BM25 ones when the directory is
-// opened. lakeVersion must be the lake version the capture was frozen at.
+// Save writes the frozen BM25 indexes of storedKinds plus the pinning
+// metadata to dir (created if needed) through fs, the kinds' files
+// deflated in parallel; the table kind's BM25 index is summed from the
+// tuple kind's, and the vector indexes are derived from the BM25 ones,
+// when the directory is opened. lakeVersion must be the lake version the
+// capture was frozen at.
 // Safe to call with ingestion running: the capture is immutable.
 func (fz *FrozenIndexes) Save(fs faultfs.FS, dir string, lakeVersion uint64) error {
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: snapshot mkdir: %w", err)
 	}
-	kinds := fz.ix.cfg.Kinds
-	errs := make([]error, len(kinds))
-	par.For(len(kinds), runtime.GOMAXPROCS(0), func(i int) {
-		errs[i] = saveShard(fs, shardFile(dir, familyBM25, kinds[i]), fz.bm25[kinds[i]])
+	errs := make([]error, len(storedKinds))
+	par.For(len(storedKinds), runtime.GOMAXPROCS(0), func(i int) {
+		kind := storedKinds[i]
+		errs[i] = saveShard(fs, shardFile(dir, familyBM25, kind), fz.bm25[kind])
 	})
 	if err := errors.Join(errs...); err != nil {
 		return err
@@ -176,6 +192,11 @@ func (fz *FrozenIndexes) Save(fs faultfs.FS, dir string, lakeVersion uint64) err
 	}
 	return nil
 }
+
+// BM25 returns the frozen BM25 segment of kind: written through
+// invindex.Frozen.Save, the file a snapshot directory holds for a stored
+// kind.
+func (fz *FrozenIndexes) BM25(kind datalake.Kind) *invindex.Frozen { return fz.bm25[kind] }
 
 // saveShard writes one BM25 segment to the file at path through fs.
 func saveShard(fs faultfs.FS, path string, z *invindex.Frozen) error {
@@ -221,7 +242,7 @@ func BuildIndexerFromSnapshot(lake *datalake.Lake, cfg IndexerConfig, dir string
 		if v := lake.Version(); v != meta.LakeVersion {
 			return fmt.Errorf("%w (snapshot at lake version %d, lake at %d)", ErrSnapshotMismatch, meta.LakeVersion, v)
 		}
-		bm25, vec, err := ix.openIndexes(dir)
+		bm25, vec, err := ix.openIndexes(dir, lake.TableIDs(), lake.ResolveBorrowed)
 		if err == nil {
 			ix.bm25, ix.vec = bm25, vec
 		}
@@ -234,56 +255,280 @@ func BuildIndexerFromSnapshot(lake *datalake.Lake, cfg IndexerConfig, dir string
 	return ix, nil
 }
 
-// openIndexes opens the BM25 index file of every configured kind of the
+// openIndexes opens the BM25 index file of every stored kind of the
 // snapshot directory dir — each inflated into a segment off the Go heap,
 // every run decoded once to validate it and laid out by document in the
-// same pass — then derives each kind's vector index from those documents,
-// kinds in parallel, and records how long the derivation took. A missing
+// same pass — while it reads the tables of the catalog the snapshot was
+// taken of: those of tids, through borrow (datalake.Lake.ResolveBorrowed
+// or its View counterpart). It then derives the vector indexes, kinds in parallel: each
+// stored kind's from its BM25 documents, and the table kind's from its
+// BM25 index, which it first sums from the tuple kind's documents and the
+// tables (tablePieces.sum); and it records how long that took. A missing
 // index file is an ErrSnapshotMismatch (rebuild instead); one that exists
 // but fails to open or to derive from is corruption, surfaced loudly.
-func (ix *Indexer) openIndexes(dir string) (map[datalake.Kind]*invindex.Index, map[datalake.Kind]*vecindex.SQFlat, error) {
-	kinds := ix.cfg.Kinds
-	bm25s := make([]*invindex.Index, len(kinds))
-	trs := make([]*invindex.Transposed, len(kinds))
-	vecs := make([]*vecindex.SQFlat, len(kinds))
-	eachKind := func(do func(i int) error) error {
-		errs := make([]error, len(kinds))
-		par.For(len(kinds), runtime.GOMAXPROCS(0), func(i int) { errs[i] = do(i) })
-		// The first kind's error, as a sequential open would return it: a
-		// mismatch must not hide another kind's corruption, or the reverse.
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := eachKind(func(i int) (err error) {
-		bm25s[i], trs[i], err = openBM25Shard(shardFile(dir, familyBM25, kinds[i]), ix.emb.Dict())
-		return err
-	}); err != nil {
+func (ix *Indexer) openIndexes(dir string, tids []string, borrow borrowFunc) (map[datalake.Kind]*invindex.Index, map[datalake.Kind]*vecindex.SQFlat, error) {
+	bm25s, trs, tables, err := ix.openStored(dir, tids, borrow)
+	if err != nil {
 		return nil, nil, err
 	}
 	start := time.Now()
-	// Kinds take their term rows in turn, so a term they share is added and
-	// its row filled by the first and only read by the rest.
-	fills := make([]func(d int, row embed.Vector), len(kinds))
-	for i, tr := range trs {
-		fills[i] = derivedRows(ix.emb, tr)
+	// The stored kinds take their term rows in turn, the tuple kind first,
+	// so a term they share is added and its row filled by the first and
+	// only read by the rest, and the tuple kind's terms are numbered in
+	// their ascending order: a derivation then reads the token table in
+	// address order. The table kind's terms are the tuple kind's, but for
+	// a few only headers or cells past them hold, so its sum and
+	// derivation run beside the other kinds' derivations.
+	fills := make([]func(d int, row embed.Vector), len(allKinds))
+	for _, kind := range storedKinds {
+		fills[kind] = derivedRows(ix.emb, trs[kind])
 	}
+	vecs := make([]*vecindex.SQFlat, len(allKinds))
 	if err := eachKind(func(i int) (err error) {
+		if allKinds[i] == datalake.KindTable {
+			if bm25s[i], trs[i], err = tables.sum(ix.emb.Dict(), trs[datalake.KindTuple]); err != nil {
+				return err
+			}
+			fills[i] = derivedRows(ix.emb, trs[i])
+		}
 		vecs[i], err = vecindex.Derive(ix.emb.Dim(), trs[i].IDs, fills[i])
 		return err
 	}); err != nil {
 		return nil, nil, err
 	}
 	ix.deriveNanos.Store(int64(time.Since(start)))
-	bm25 := make(map[datalake.Kind]*invindex.Index, len(kinds))
-	vec := make(map[datalake.Kind]*vecindex.SQFlat, len(kinds))
-	for i, kind := range kinds {
+	bm25 := make(map[datalake.Kind]*invindex.Index, len(allKinds))
+	vec := make(map[datalake.Kind]*vecindex.SQFlat, len(allKinds))
+	for i, kind := range allKinds {
 		bm25[kind], vec[kind] = bm25s[i], vecs[i]
 	}
 	return bm25, vec, nil
+}
+
+// eachKind runs do for every kind's position in allKinds, kinds in
+// parallel, and returns the first kind's error, as a sequential loop would
+// return it: a mismatch must not hide another kind's corruption, or the
+// reverse.
+func eachKind(do func(i int) error) error {
+	errs := make([]error, len(allKinds))
+	par.For(len(allKinds), runtime.GOMAXPROCS(0), func(i int) { errs[i] = do(i) })
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// borrowFunc resolves instances without copying them and calls fn with
+// them, as datalake.Lake.ResolveBorrowed does.
+type borrowFunc func(instanceIDs []string, fn func([]datalake.Instance) error) error
+
+// openStored returns the BM25 index of every stored kind of the snapshot
+// directory dir, by position in allKinds, with its postings transposed,
+// and what the table kind's is summed from besides the tuple kind's: the
+// files opened, and the tables of tids read through borrow, in parallel.
+func (ix *Indexer) openStored(dir string, tids []string, borrow borrowFunc) ([]*invindex.Index, []*invindex.Transposed, *tablePieces, error) {
+	bm25s := make([]*invindex.Index, len(allKinds))
+	trs := make([]*invindex.Transposed, len(allKinds))
+	var tables *tablePieces
+	err := eachKind(func(i int) (err error) {
+		if allKinds[i] == datalake.KindTable {
+			tables, err = readTables(tids, borrow)
+		} else {
+			bm25s[i], trs[i], err = openBM25Shard(shardFile(dir, familyBM25, allKinds[i]), ix.emb.Dict())
+		}
+		return err
+	})
+	return bm25s, trs, tables, err
+}
+
+// tablePieces is what the table kind's BM25 index is summed from besides
+// the tuple kind's documents (tablePieces.sum): each table's ID, ascending
+// (the segment's order), the term IDs of its header (caption and column
+// names) and then of its cells past the header's width, in a dictionary
+// of their own, and its row count.
+type tablePieces struct {
+	dict   *textutil.Dict
+	tids   []string
+	pieces [][]uint32
+	header []int // table i's header is pieces[i][:header[i]]
+	first  []int // table i's rows are numbered first[i] to first[i+1]-1
+	at     map[string]int
+}
+
+// readChunk is how many tables readTables borrows at a time, so the
+// pooled buffer a borrow fills stays small and is reused.
+const readChunk = 64
+
+// readTables analyzes the header and the cells past its width of every
+// table of tids, borrowed through borrow, for tablePieces.sum.
+func readTables(tids []string, borrow borrowFunc) (*tablePieces, error) {
+	tids = slices.Sorted(slices.Values(tids))
+	tp := &tablePieces{dict: textutil.NewDict(), tids: tids, pieces: make([][]uint32, len(tids)),
+		header: make([]int, len(tids)), first: make([]int, len(tids)+1), at: make(map[string]int, len(tids))}
+	ids := make([]string, 0, readChunk)
+	for lo := 0; lo < len(tids); lo += readChunk {
+		ids = ids[:0]
+		for _, tid := range tids[lo:min(lo+readChunk, len(tids))] {
+			ids = append(ids, datalake.TableInstanceID(tid))
+		}
+		err := borrow(ids, func(insts []datalake.Instance) error {
+			for k, inst := range insts {
+				i, t := lo+k, inst.Table
+				pieces := tp.dict.AppendIDs(nil, t.Caption)
+				for _, col := range t.Columns {
+					pieces = tp.dict.AppendIDs(pieces, col)
+				}
+				tp.header[i] = len(pieces)
+				for _, row := range t.Rows {
+					for _, cell := range row[min(len(row), len(t.Columns)):] {
+						pieces = tp.dict.AppendIDs(pieces, cell)
+					}
+				}
+				tp.pieces[i], tp.first[i+1], tp.at[tids[i]] = pieces, tp.first[i]+len(t.Rows), i
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("core: read the lake's tables: %w", err)
+		}
+	}
+	return tp, nil
+}
+
+// sum returns the table kind's BM25 index over the tables, over dict,
+// with its postings transposed: summed from the tuple kind's documents
+// tuples instead of analyzing every cell. prepareTable analyzes a table in
+// pieces: its header, each row's cells within the header's width, and any
+// cells past it; a tuple's document is the header and its row's cells
+// within the width, the table's is every piece. So for each term, the
+// table's frequency is the header's, plus over the rows the tuple's
+// frequency less the header's, plus its frequency in the cells past the
+// width, and the length sums the same way: integer sums, so the table's
+// document, and the bits of its BM25 scores and vector row, are the ones
+// ingestion wrote. A table with no rows is its header alone. The tuples
+// must be exactly the tables' rows, each holding its header: anything
+// else is corruption, reported as an error.
+func (tp *tablePieces) sum(dict *textutil.Dict, tuples *invindex.Transposed) (*invindex.Index, *invindex.Transposed, error) {
+	n := len(tp.tids)
+	if tp.first[n] != tuples.Len() {
+		return nil, nil, fmt.Errorf("core: the tuple index holds %d documents for %d table rows", tuples.Len(), tp.first[n])
+	}
+	rowDoc := make([]int, tuples.Len())
+	for d := range rowDoc {
+		rowDoc[d] = -1
+	}
+	for d, id := range tuples.IDs.All() {
+		tid, row, ok := tupleRow(id)
+		i, known := tp.at[string(tid)]
+		if !ok || !known || row >= tp.first[i+1]-tp.first[i] || rowDoc[tp.first[i]+row] >= 0 {
+			return nil, nil, fmt.Errorf("core: tuple document %q is no row of the lake's tables", id)
+		}
+		rowDoc[tp.first[i]+row] = d
+	}
+
+	// The index's terms are the tuple index's, and those only headers of
+	// tables without rows or cells past a header hold, merged in order.
+	terms := make([]string, tuples.Terms.Len())
+	for ti := range terms {
+		terms[ti] = string(tuples.Terms.Bytes(ti))
+	}
+	// tupleRank maps a tuple index term's index to its index among the
+	// index's terms, pieceRank a piece term's ID in tp.dict; held says
+	// whether the tuple index holds the piece term.
+	tupleRank := make([]int32, len(terms))
+	for ti := range tupleRank {
+		tupleRank[ti] = int32(ti)
+	}
+	pieceRank, held := make([]int32, tp.dict.Len()), make([]bool, tp.dict.Len())
+	var extra []uint32 // the piece terms the tuple index lacks
+	for id := range pieceRank {
+		// For a term not held: where it would be inserted.
+		ti, found := slices.BinarySearch(terms, tp.dict.Term(uint32(id)))
+		pieceRank[id], held[id] = int32(ti), found
+		if !found {
+			extra = append(extra, uint32(id))
+		}
+	}
+	if len(extra) > 0 {
+		// Sorted, the extras' insertion points ascend too.
+		slices.SortFunc(extra, func(a, b uint32) int { return strings.Compare(tp.dict.Term(a), tp.dict.Term(b)) })
+		merged := make([]string, 0, len(terms)+len(extra))
+		ti := 0
+		for _, id := range extra {
+			for ; ti < int(pieceRank[id]); ti++ {
+				tupleRank[ti], merged = int32(len(merged)), append(merged, terms[ti])
+			}
+			pieceRank[id], merged = int32(len(merged)), append(merged, tp.dict.Term(id))
+		}
+		for ; ti < len(terms); ti++ {
+			tupleRank[ti], merged = int32(len(merged)), append(merged, terms[ti])
+		}
+		terms = merged
+	}
+	for id, ti := range pieceRank {
+		if held[id] {
+			pieceRank[id] = tupleRank[ti]
+		}
+	}
+
+	ids, lengths, docs := make([]string, n), make([]uint32, n), make([][]int32, n)
+	// counts holds the table's terms' frequencies by term index, the terms
+	// being those whose seen entry is the table's ordinal plus one, in
+	// touched.
+	counts, seen := make([]int32, len(terms)), make([]int, len(terms))
+	var touched []int32
+	for i, tid := range tp.tids {
+		touched = touched[:0]
+		add := func(t, freq int32) {
+			if seen[t] != i+1 {
+				seen[t], touched = i+1, append(touched, t)
+			}
+			counts[t] += freq
+		}
+		pieces, header := tp.pieces[i], tp.header[i]
+		for _, id := range pieces {
+			add(pieceRank[id], 1)
+		}
+		length := len(pieces)
+		for _, d := range rowDoc[tp.first[i]:tp.first[i+1]] {
+			pairs := tuples.Doc(d)
+			for j := 0; j < len(pairs); j += 2 {
+				add(tupleRank[pairs[j]], pairs[j+1])
+			}
+			for _, id := range pieces[:header] {
+				counts[pieceRank[id]]--
+			}
+			length += tuples.DocLen(d) - header
+		}
+		doc := make([]int32, 0, 2*len(touched))
+		for _, t := range touched {
+			if counts[t] <= 0 {
+				return nil, nil, fmt.Errorf("core: the tuples of table %q sum to %d occurrences of %q", tid, counts[t], terms[t])
+			}
+			doc = append(doc, t, counts[t])
+			counts[t] = 0
+		}
+		ids[i], lengths[i], docs[i] = datalake.TableInstanceID(tid), uint32(length), doc
+	}
+	idx, tr, err := invindex.Build(dict, terms, ids, lengths, docs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: table index: %w", err)
+	}
+	return idx, tr, nil
+}
+
+// tupleRow parses a tuple's instance ID (datalake.TupleInstanceID) into
+// its table's ID and its row.
+func tupleRow(id []byte) (tid []byte, row int, ok bool) {
+	rest, found := bytes.CutPrefix(id, []byte("tuple:"))
+	hash := bytes.LastIndexByte(rest, '#')
+	if !found || hash < 0 {
+		return nil, 0, false
+	}
+	row, err := strconv.Atoi(string(rest[hash+1:]))
+	return rest[:hash], row, err == nil && row >= 0
 }
 
 // derivedRows adds tr's terms to emb's dictionary, their token-table rows

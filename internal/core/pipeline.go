@@ -280,13 +280,13 @@ func (p *Pipeline) Retrieve(g verify.Generated, k int, kinds ...datalake.Kind) (
 }
 
 // normalizeKinds resolves the effective evidence-kind set for one request:
-// the indexer's configured kinds when empty, sorted and deduplicated
+// every kind when empty, sorted and deduplicated
 // otherwise. Retrieval searches each kind once and the combiner is
 // order-independent, so the normalized set retrieves identically to the
 // caller's — and it gives cache keys a canonical form.
 func (p *Pipeline) normalizeKinds(kinds []datalake.Kind) []datalake.Kind {
 	if len(kinds) == 0 {
-		return p.indexer.cfg.Kinds
+		return allKinds
 	}
 	out := append([]datalake.Kind(nil), kinds...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

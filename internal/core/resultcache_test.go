@@ -235,7 +235,7 @@ func TestCachedReportsMatchRecomputed(t *testing.T) {
 	other.TableID, other.SourceID = "generated-b", "model-b"
 	sharedA := verify.NewTupleObject("shared", shared, tupleTasks[0].MaskedAttr())
 	sharedB := verify.NewTupleObject("shared", other, tupleTasks[0].MaskedAttr())
-	if cacheKey(sharedA, ix.cfg.Kinds) != cacheKey(sharedB, ix.cfg.Kinds) {
+	if cacheKey(sharedA, allKinds) != cacheKey(sharedB, allKinds) {
 		t.Fatal("the two tuples do not share a key")
 	}
 

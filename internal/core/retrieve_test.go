@@ -21,7 +21,7 @@ import (
 // vector.
 func retrieveReference(ix *Indexer, query string, k int, kinds []datalake.Kind) []provenance.RetrievalHit {
 	if len(kinds) == 0 {
-		kinds = ix.cfg.Kinds
+		kinds = allKinds
 	}
 	qterms := ix.emb.Dict().AppendTerms(nil, query)
 	qvec := ix.emb.EmbedText(query)
@@ -80,7 +80,7 @@ func TestRetrieveMatchesFanOutReference(t *testing.T) {
 		queries = append(queries, verify.NewTupleObject(fmt.Sprint(i), tt.MaskedTuple(), tt.MaskedAttr()).Query())
 	}
 	kindSets := [][]datalake.Kind{nil, {datalake.KindText, datalake.KindTable}}
-	for _, kind := range ix.cfg.Kinds {
+	for _, kind := range allKinds {
 		kindSets = append(kindSets, []datalake.Kind{kind})
 	}
 

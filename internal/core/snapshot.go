@@ -57,7 +57,8 @@ func (ps *PinnedSnapshot) Trust() map[string]float64 { return ps.trust }
 // capture's sealed BM25 segments are wrapped in place and its vector forks
 // searched as they are (nothing is copied — they are the segments the
 // live indexes searched at the fork), a recovered pin's
-// BM25 files are opened and ix derives its vector indexes from them (or,
+// BM25 files are opened, its table kind's BM25 index summed from the
+// view's tables and its tuples, and ix derives its vector indexes (or,
 // written in another snapshot format, the view is re-indexed), and the
 // view's graph resolves entities.
 func (ps *PinnedSnapshot) materialize(ix *Indexer) error {
@@ -82,7 +83,9 @@ func (ps *PinnedSnapshot) doMaterialize(ix *Indexer) error {
 		return nil
 	case ps.frozen == nil:
 		var err error
-		ps.bm25, ps.vec, err = ix.openIndexes(ps.dir)
+		ps.bm25, ps.vec, err = ix.openIndexes(ps.dir, ps.view.TableIDs(), func(ids []string, fn func([]datalake.Instance) error) error {
+			return ps.view.ResolveBorrowed(ids, ps.graph, fn)
+		})
 		return err
 	}
 	ps.bm25 = make(map[datalake.Kind]*invindex.Index, len(ps.frozen.bm25))

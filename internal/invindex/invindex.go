@@ -101,8 +101,11 @@ func New() *Index { return NewWithDict(textutil.NewDict()) }
 // NewWithDict is New over the dictionary d, which the bags AddBag is given
 // must come from.
 func NewWithDict(d *textutil.Dict) *Index {
-	return &Index{k1: 1.2, b: 0.75, dict: d, byID: make(map[string]int)}
+	return &Index{k1: defaultK1, b: defaultB, dict: d, byID: make(map[string]int)}
 }
+
+// defaultK1 and defaultB are the BM25 parameters a new index scores with.
+const defaultK1, defaultB = 1.2, 0.75
 
 // Add indexes text under id. Re-adding an existing id returns an error:
 // documents are immutable, and the caller should Delete first (matching the

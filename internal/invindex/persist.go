@@ -120,11 +120,8 @@ func (ix *Index) mergeLocked(segs []*part, delta bool) (*staticSeg, error) {
 		slices.SortFunc(dterms, func(a, b deltaTerm) int { return strings.Compare(a.term, b.term) })
 	}
 
-	var ids binfmt.FrontCoder
-	lengths := make([]uint32, 0, docs)
-	var totalLen int64
+	c := columns{lengths: make([]uint32, 0, docs), df: make([]uint32, 0, len(dterms)), postOff: make([]uint32, 1, 1+len(dterms))}
 	binfmt.MergeAscending(cols, dead, deltaIDs, func(src, row int, id string) {
-		ids.Add(id)
 		var l uint32
 		if src == len(segs) {
 			row = int(order[row])
@@ -132,9 +129,8 @@ func (ix *Index) mergeLocked(segs []*part, delta bool) (*staticSeg, error) {
 		} else {
 			l = loaded[src].lengths.At(row)
 		}
-		remaps[src][row] = int32(len(lengths))
-		lengths = append(lengths, l)
-		totalLen += int64(l)
+		remaps[src][row] = int32(len(c.lengths))
+		c.addDoc(id, l)
 	})
 
 	// termAt returns input i's next term: a segment's from its column,
@@ -150,11 +146,6 @@ func (ix *Index) mergeLocked(segs []*part, delta bool) (*staticSeg, error) {
 		}
 		return "", false
 	}
-	var live []string // terms that keep at least one pair
-	df := make([]uint32, 0, len(dterms))
-	postOff := make([]uint32, 1, 1+len(dterms))
-	pairs := 0
-	var posts []byte
 	var run, in, merged []int32 // one term's pairs so far, one input's, and the two merged
 	var deltaRun []int64        // one term's live delta pairs as doc<<32 | freq
 	for {
@@ -206,33 +197,67 @@ func (ix *Index) mergeLocked(segs []*part, delta bool) (*staticSeg, error) {
 			merged = mergePairs(merged[:0], run, in)
 			run, merged = merged, run
 		}
-		if len(run) > 0 {
-			posts = appendRun(posts, run)
-			live = append(live, t)
-			df = append(df, uint32(len(run)/2))
-			pairs += len(run) / 2
-			postOff = append(postOff, uint32(len(posts)))
-		}
+		c.addRun(t, run)
 	}
+	seg, err := c.build(ix.k1, ix.b, nil)
+	runtime.KeepAlive(loaded) // terms viewed their columns until here
+	return seg, err
+}
+
+// columns are a segment's columns as a seal or Build fills them, documents
+// in ID order and then terms in order (see staticSeg).
+type columns struct {
+	ids      binfmt.FrontCoder
+	lengths  []uint32
+	totalLen int64
+	terms    []string // terms that keep at least one pair
+	df       []uint32
+	postOff  []uint32 // starts as {0}
+	posts    []byte
+	pairs    int
+}
+
+// addDoc appends the next document, of length l.
+func (c *columns) addDoc(id string, l uint32) {
+	c.ids.Add(id)
+	c.lengths = append(c.lengths, l)
+	c.totalLen += int64(l)
+}
+
+// addRun appends the next term with its pairs, unless it has none.
+func (c *columns) addRun(term string, run []int32) {
+	if len(run) == 0 {
+		return
+	}
+	c.posts = appendRun(c.posts, run)
+	c.terms = append(c.terms, term)
+	c.df = append(c.df, uint32(len(run)/2))
+	c.pairs += len(run) / 2
+	c.postOff = append(c.postOff, uint32(len(c.posts)))
+}
+
+// build writes the columns into a container and loads it as a segment
+// scoring with k1 and b; with tr, the load transposes its postings into
+// tr.
+func (c *columns) build(k1, b float64, tr *Transposed) (*staticSeg, error) {
 	bw := binfmt.NewWriter()
 	if err := bw.JSON("meta", staticMeta{
-		Family: "bm25", K1: ix.k1, B: ix.b,
-		Docs: len(lengths), Terms: len(live), Pairs: pairs, TotalLen: totalLen,
+		Family: "bm25", K1: k1, B: b,
+		Docs: len(c.lengths), Terms: len(c.terms), Pairs: c.pairs, TotalLen: c.totalLen,
 	}); err != nil {
 		return nil, err
 	}
-	bw.FrontCoded("ids", &ids)
-	bw.Uints("lengths", lengths)
-	bw.Strings("terms", live)
-	bw.Uints("df", df)
-	bw.Uint32s("postoff", postOff)
-	bw.Section("postings", posts)
+	bw.FrontCoded("ids", &c.ids)
+	bw.Uints("lengths", c.lengths)
+	bw.Strings("terms", c.terms)
+	bw.Uints("df", c.df)
+	bw.Uint32s("postoff", c.postOff)
+	bw.Section("postings", c.posts)
 	fr, err := bw.Build()
-	runtime.KeepAlive(loaded) // terms viewed their columns until here
 	if err != nil {
 		return nil, err
 	}
-	return loadStatic(fr, nil)
+	return loadStatic(fr, tr)
 }
 
 // deltaTerm is one term of the delta with its postings.
@@ -275,6 +300,53 @@ func (z *Frozen) index(d *textutil.Dict) *Index {
 	ix.k1, ix.b, ix.segTotalLen = seg.k1, seg.b, seg.totalLen
 	ix.setSegs([]*part{newPart(z)})
 	return ix
+}
+
+// Build returns the index of the documents ids, ascending: document d
+// has the length lengths[d] and the (term index, frequency) pairs docs[d],
+// in any order, over terms, which ascend. The index is one sealed segment
+// over the dictionary d, byte for byte the segment Freeze folds an index
+// of the same documents into, and is returned with its postings
+// transposed, as OpenFile returns them: for a segment no file holds. A
+// term no document holds is left out.
+func Build(d *textutil.Dict, terms, ids []string, lengths []uint32, docs [][]int32) (*Index, *Transposed, error) {
+	if len(lengths) != len(ids) || len(docs) != len(ids) {
+		return nil, nil, fmt.Errorf("invindex: build of %d IDs, %d lengths and %d documents", len(ids), len(lengths), len(docs))
+	}
+	// Each term's run, laid out by counting its pairs: the documents
+	// ascend, so every run does.
+	start := make([]int, len(terms)+1)
+	for _, pairs := range docs {
+		for j := 0; j < len(pairs); j += 2 {
+			if t := pairs[j]; t < 0 || int(t) >= len(terms) {
+				return nil, nil, fmt.Errorf("invindex: build: term index %d of %d terms", t, len(terms))
+			}
+			start[pairs[j]+1]++
+		}
+	}
+	for t := range terms {
+		start[t+1] += start[t]
+	}
+	next := slices.Clone(start[:len(terms)])
+	runs := make([]int32, 2*start[len(terms)])
+	c := columns{lengths: make([]uint32, 0, len(ids)), df: make([]uint32, 0, len(terms)), postOff: make([]uint32, 1, 1+len(terms))}
+	for doc, pairs := range docs {
+		c.addDoc(ids[doc], lengths[doc])
+		for j := 0; j < len(pairs); j += 2 {
+			at := next[pairs[j]]
+			runs[2*at], runs[2*at+1] = int32(doc), pairs[j+1]
+			next[pairs[j]]++
+		}
+	}
+	for t, term := range terms {
+		c.addRun(term, runs[2*start[t]:2*start[t+1]])
+	}
+	tr := new(Transposed)
+	seg, err := c.build(defaultK1, defaultB, tr)
+	if err != nil {
+		return nil, nil, fmt.Errorf("invindex: build: %w", err)
+	}
+	return newFrozen(seg).index(d), tr, nil
 }
 
 // OpenFile opens a snapshot file Save wrote as an index's one immutable

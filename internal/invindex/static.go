@@ -407,6 +407,9 @@ func (t *Transposed) Len() int { return len(t.end) }
 // pairs, term indexes ascending.
 func (t *Transposed) Doc(d int) []int32 { return t.pairs[2*t.start[d] : 2*t.end[d]] }
 
+// DocLen returns document d's length, its token count.
+func (t *Transposed) DocLen(d int) int { return t.start[d+1] - t.start[d] }
+
 // init lays t out for segment s: its columns, and room for each document
 // to hold as many distinct terms as its length, which no document can
 // exceed, so no counting pass is needed.

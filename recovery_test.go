@@ -549,9 +549,9 @@ func setSnapshotFormat(t *testing.T, dir string, format int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	older := bytes.Replace(meta, []byte(`"format": 6,`), []byte(fmt.Sprintf(`"format": %d,`, format)), 1)
+	older := bytes.Replace(meta, []byte(`"format": 7,`), []byte(fmt.Sprintf(`"format": %d,`, format)), 1)
 	if bytes.Equal(older, meta) {
-		t.Fatalf("%s is not at snapshot format 6: %s", path, meta)
+		t.Fatalf("%s is not at snapshot format 7: %s", path, meta)
 	}
 	if err := os.WriteFile(path, older, 0o644); err != nil {
 		t.Fatal(err)

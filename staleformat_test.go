@@ -25,8 +25,16 @@ func TestFormat4DirectoryReindexes(t *testing.T) { staleDirectoryReindexes(t, "f
 // staleDirectoryReindexes describes.
 func TestFormat5DirectoryReindexes(t *testing.T) { staleDirectoryReindexes(t, "format5") }
 
+// TestFormat6DirectoryReindexes opens testdata/format6/data, a data
+// directory written by the release before snapshot format 7 (a BM25 file
+// for the table kind too, which this build sums from the tuple kind's at
+// open), as staleDirectoryReindexes describes. Its files are this build's
+// BM25 files: the directory is stale by its meta.json alone.
+func TestFormat6DirectoryReindexes(t *testing.T) { staleDirectoryReindexes(t, "format6") }
+
 // staleDirectoryReindexes opens testdata/<fixture>/data, a data directory
-// an older release wrote with its own binaries:
+// an older release wrote with its own binaries (built from a checkout of
+// its commit; cmd/lakegen and cmd/verifai):
 //
 //	lakegen -out L -tables 8 -texts 4
 //	verifai serve -lake L -data-dir D -fsync always
@@ -36,9 +44,11 @@ func TestFormat5DirectoryReindexes(t *testing.T) { staleDirectoryReindexes(t, "f
 //	SIGTERM                                       final checkpoint at 79
 //
 // and testdata/<fixture>/reports.json holds, by name, the JSON of the
-// Reports that release's Open returned on a copy of D. This build must
-// re-index the head at open, re-index the pin on its first pinned read
-// (its files no longer open), return the same Reports byte for byte,
+// Reports that release's Open returned on a copy of D, in the order
+// verifies below makes them. This build must re-index the head at open,
+// re-index the pin on its first pinned read (a format-4 or format-5 file
+// no longer opens; a format-6 one does, but its meta.json names format 6),
+// return the same Reports byte for byte,
 // write this build's format at its next checkpoint, and reopen from that
 // checkpoint's files without re-indexing.
 func staleDirectoryReindexes(t *testing.T, fixture string) {
@@ -54,8 +64,21 @@ func staleDirectoryReindexes(t *testing.T, fixture string) {
 	data := filepath.Join(t.TempDir(), "data")
 	copyTree(t, filepath.Join("testdata", fixture, "data"), data)
 
-	pinFile := filepath.Join(data, "snapshots", "77", "indexes", "bm25-tuple-000.idx")
-	if _, _, err := invindex.OpenFile(pinFile, textutil.NewDict()); err == nil {
+	pinIndexes := filepath.Join(data, "snapshots", "77", "indexes")
+	pinFile := filepath.Join(pinIndexes, "bm25-tuple-000.idx")
+	_, _, err = invindex.OpenFile(pinFile, textutil.NewDict())
+	if fixture == "format6" {
+		if err != nil {
+			t.Fatalf("%s, written at snapshot format 6, does not open as a BM25 file of this build: %v", pinFile, err)
+		}
+		meta, err := os.ReadFile(filepath.Join(pinIndexes, "meta.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(meta, []byte(`"format": 6,`)) {
+			t.Fatalf("the pin's meta.json is %s, want snapshot format 6", meta)
+		}
+	} else if err == nil {
 		t.Fatalf("%s, written by an older release, opens as a BM25 file of this one", pinFile)
 	}
 
@@ -124,8 +147,8 @@ func staleDirectoryReindexes(t *testing.T, fixture string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(meta, []byte(`"format": 6,`)) {
-		t.Fatalf("the checkpoint wrote %s, want snapshot format 6", meta)
+	if !bytes.Contains(meta, []byte(`"format": 7,`)) {
+		t.Fatalf("the checkpoint wrote %s, want snapshot format 7", meta)
 	}
 	sys = open(t, true)
 	defer sys.Close()

@@ -479,7 +479,7 @@ func newSystem(lake *Lake, opts Options, snapshotDir string) (*System, error) {
 	if lake == nil {
 		return nil, fmt.Errorf("verifai: nil lake")
 	}
-	if opts.Indexer.EmbedDim == 0 && len(opts.Indexer.Kinds) == 0 {
+	if opts.Indexer.EmbedDim == 0 {
 		opts.Indexer = core.DefaultIndexerConfig(opts.Seed)
 	}
 	if opts.Pipeline.TopK == 0 {
