@@ -79,6 +79,7 @@ var requiredDurable = []string{
 	"verifai_checkpoint_bytes",
 	"verifai_checkpoint_part_bytes",
 	"verifai_recovery_replayed_records_total",
+	"verifai_snapshot_rebuild_seconds",
 	"verifai_wal_poisoned",
 	"verifai_memory_bytes",
 	`verifai_memory_bytes{class="offheap_catalog"}`,

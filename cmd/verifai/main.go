@@ -373,7 +373,7 @@ func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	f := registerServeFlags(fs, ":8080")
 	lakeDir := fs.String("lake", "", "lake directory from cmd/lakegen (required without -data-dir; seeds an empty -data-dir)")
-	snapshotRetain := fs.Int("snapshot-retain", 0, "retained time-travel snapshots beyond explicit pins; older unpinned snapshots are collected (0 = default 8)")
+	snapshotRetain := fs.Int("snapshot-retain", 0, "checkpoints kept as time-travel snapshots beyond explicit pins, older ones collected (0 = default 8); a checkpoint's snapshot keeps its catalog view, not its indexes, and the first ?version= read at it re-indexes the view")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -98,16 +98,25 @@ var builtBytes atomic.Int64
 // released.
 func BuiltBytes() int64 { return builtBytes.Load() }
 
-// Build serializes the container into memory (one buffer sized to hold
-// it) and opens it: the bytes WriteTo would write, verified like a file.
+// Build serializes the container into memory (one buffer of exactly the
+// bytes WriteTo would write, so BuiltBytes counts what the Readers'
+// Size reports) and opens it, verified like a file.
 // The buffer comes from OffHeap, owned by the Reader, and a mapped one is
 // read-only once written: a sealed segment searched for as long as it
 // lives stays off the Go heap.
 func (w *Writer) Build() (*Reader, error) {
 	w.deflateColumns()
-	size := headerLen + 8
+	toc := 0
+	for _, name := range w.names {
+		toc += 22 + len(name)
+	}
+	size := align8(headerLen + toc)
 	for i, p := range w.payloads {
-		size += 22 + len(w.names[i]) + align8(len(p))
+		if i < len(w.payloads)-1 {
+			size += align8(len(p))
+		} else {
+			size += len(p) // WriteTo pads no final section
+		}
 	}
 	return openOffHeap(size, func(mem []byte) (int, error) {
 		n, err := w.WriteTo(bytes.NewBuffer(mem[:0]))

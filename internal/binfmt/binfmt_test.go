@@ -349,9 +349,11 @@ func FuzzOpenContainerFile(f *testing.F) {
 	})
 }
 
-// TestBuildOffHeap: Build holds exactly the bytes WriteTo writes. Where
-// the platform maps memory, a big container costs the Go heap nothing and its memory goes with the Reader;
-// under NoMmapEnv it is a heap buffer.
+// TestBuildOffHeap: Build holds exactly the bytes WriteTo writes, and
+// where the platform maps memory it maps exactly those (so BuiltBytes
+// sums the Readers' sizes). There a big container costs the Go heap
+// nothing and its memory goes with the Reader; under NoMmapEnv it is a
+// heap buffer.
 func TestBuildOffHeap(t *testing.T) {
 	want := buildTestContainer(t)
 	heapAlloc := func() int64 {
@@ -372,6 +374,9 @@ func TestBuildOffHeap(t *testing.T) {
 			}
 			if !bytes.Equal(r.data, want) {
 				t.Fatalf("Build holds %d bytes, WriteTo wrote %d", len(r.data), len(want))
+			}
+			if mapped := mmapSupported && os.Getenv(NoMmapEnv) == ""; mapped && r.OffHeapBytes() != int64(len(want)) {
+				t.Fatalf("Build mapped %d bytes for a %d-byte container", r.OffHeapBytes(), len(want))
 			}
 			checkTestContainer(t, r)
 

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/binfmt"
 	"repro/internal/datalake"
 	"repro/internal/doc"
 	"repro/internal/faultfs"
@@ -37,7 +38,7 @@ func checkpointInto(t *testing.T, p *Pipeline, dir string) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.RegisterSnapshot(view, fz, false)
+	p.RegisterCheckpoint(view)
 	if err := fz.Save(faultfs.OS, dir, view.Version()); err != nil {
 		t.Fatal(err)
 	}
@@ -311,11 +312,77 @@ func TestSealAdoptPinnedReadOutlivesLaterCheckpoints(t *testing.T) {
 	}
 }
 
+// TestPinAtCheckpointTakesItsCapture: a pin at the version a checkpoint's
+// snapshot retains, with no write between, hands that snapshot the pin's
+// capture. After writes past seals and merges, a read at the pinned
+// version re-indexes nothing and reports what the head reported at that
+// version, while the first read at a checkpoint nobody pinned re-indexes
+// its view once.
+func TestPinAtCheckpointTakesItsCapture(t *testing.T) {
+	p := seededPipeline(t, 60)
+	g := claimAbout("q", "golf open prize money palmer")
+	want, err := p.Verify(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	v := checkpointInto(t, p, filepath.Join(root, "a"))
+	if snap, err := p.PinSnapshot(nil); err != nil || snap.Version() != v {
+		t.Fatalf("pin at the checkpoint's version %d: %v, %v", v, snap, err)
+	}
+	if n := len(p.Snapshots().List()); n != 1 {
+		t.Fatalf("%d snapshots retained, want the checkpoint's alone", n)
+	}
+	// Three times the seeded writes, a fork (so a seal) every ten: the
+	// seals' vector segments merge, and the later checkpoint folds each
+	// BM25 index anew, so the head no longer searches what the pin froze.
+	segments := func() int { return p.indexer.IndexStats().Families[familyVector].Segments }
+	r := rand.New(rand.NewSource(7))
+	seals, before := 0, segments()
+	for step := 0; step < 180; step++ {
+		if err := seededWrite(p.lake, r, 2000+step); err != nil {
+			t.Fatal(err)
+		}
+		if step%10 == 9 {
+			if _, err := p.lake.Fork(nil); err != nil {
+				t.Fatal(err)
+			}
+			seals++
+		}
+	}
+	if n := segments(); n >= before+seals {
+		t.Fatalf("%d seals left %d vector segments: nothing merged", seals, n)
+	}
+	later := checkpointInto(t, p, filepath.Join(root, "b"))
+	got, err := p.VerifyAsOf(g, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.AsOfVersion = v
+	if !sameReport(got, want) {
+		t.Fatalf("the read as of the pinned checkpoint differs from the head's at %d\n got  %+v\n want %+v", v, got, want)
+	}
+	if n := p.SnapshotRebuilds(); n != 0 {
+		t.Fatalf("the read at a pinned checkpoint re-indexed %d snapshots", n)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := p.VerifyAsOf(g, later); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := p.SnapshotRebuilds(); n != 1 {
+		t.Fatalf("two reads at an unpinned checkpoint re-indexed %d snapshots, want 1", n)
+	}
+}
+
 // TestRetainedCheckpointsHoldNoIndexHeap: eight checkpoints of a 5k-document
 // lake, one small write apart so each is retained as a snapshot of its own
-// and the text index is re-sealed every time, add under 1 MB of heap each:
-// a retained checkpoint holds references to the sealed segments, which sit
-// off the Go heap, not a copy.
+// and the text index is re-sealed every time, add under 1 MB of heap each.
+// A retained checkpoint holds its view and trust copy, not its index
+// capture. (It once held the capture: references to sealed segments off
+// the Go heap, which added no heap here but kept every segment the head
+// later folded or merged away mapped until the snapshot left the window;
+// TestRetainedCheckpointsPinNoMergedSegments measures that.)
 func TestRetainedCheckpointsHoldNoIndexHeap(t *testing.T) {
 	p := diffPipeline(t)
 	var items []datalake.BatchItem
@@ -350,6 +417,71 @@ func TestRetainedCheckpointsHoldNoIndexHeap(t *testing.T) {
 	}
 	if n := len(p.Snapshots().List()); n != 9 {
 		t.Fatalf("%d snapshots retained, want 9", n)
+	}
+}
+
+// TestRetainedCheckpointsPinNoMergedSegments: four checkpoints, each after
+// a bit over three SealBytes of documents (so size seals, and merges of
+// the segments they leave, run between them), are all retained, yet once
+// the collector has run the off-heap index bytes are exactly the live
+// indexes' segments: no retained checkpoint keeps a segment the head
+// folded or merged away.
+func TestRetainedCheckpointsPinNoMergedSegments(t *testing.T) {
+	if runtime.GOOS != "linux" || os.Getenv(binfmt.NoMmapEnv) != "" {
+		t.Skip("off-heap bytes are counted only where containers are mapped")
+	}
+	p := diffPipeline(t)
+	root := t.TempDir()
+	offHeapIndexes := func() int64 { return binfmt.BuiltBytes() - datalake.SegmentBytes() }
+	const rounds = 4
+	id := 0
+	for round := 0; round < rounds; round++ {
+		// Documents reach only the text kind's indexes, so a batch that
+		// leaves fewer vector rows in the tail than it added sealed it,
+		// and one that sealed without adding a segment merged too.
+		seals, merges := 0, 0
+		for payload := 0; payload < 3*datalake.SealBytes+1; {
+			var items []datalake.BatchItem
+			for i := 0; i < 200; i++ {
+				d := &doc.Document{ID: fmt.Sprintf("doc%05d", id), Title: seedWords[id%len(seedWords)], SourceID: "s",
+					Text: fmt.Sprintf("%s %s report number %d about %s and %s", seedWords[id%7], seedWords[id%11], id, seedWords[id%13], seedWords[id%5])}
+				payload += len(d.ID) + len(d.Title) + len(d.Text)
+				items = append(items, datalake.BatchItem{Doc: d})
+				id++
+			}
+			before := p.indexer.IndexStats().Families[familyVector]
+			if _, err := p.lake.AddBatch(items); err != nil {
+				t.Fatal(err)
+			}
+			if after := p.indexer.IndexStats().Families[familyVector]; after.DeltaDocs < before.DeltaDocs+len(items) {
+				seals++
+				if after.Segments <= before.Segments {
+					merges++
+				}
+			}
+		}
+		if seals == 0 || merges == 0 {
+			t.Fatalf("round %d: %d size seals, %d of them merging", round, seals, merges)
+		}
+		checkpointInto(t, p, filepath.Join(root, fmt.Sprint(round)))
+		os.RemoveAll(filepath.Join(root, fmt.Sprint(round-1)))
+		fams := p.indexer.IndexStats().Families
+		if fams[familyBM25].DeltaDocs != 0 || fams[familyVector].DeltaDocs != 0 {
+			t.Fatalf("round %d: a checkpoint left a tail: %+v", round, fams)
+		}
+		live := fams[familyBM25].HeapBytes + fams[familyVector].HeapBytes
+		got := offHeapIndexes()
+		for i := 0; i < 200 && got != live; i++ {
+			runtime.GC()
+			time.Sleep(5 * time.Millisecond)
+			got = offHeapIndexes()
+		}
+		if got != live {
+			t.Fatalf("round %d: off-heap index bytes %d, the live indexes hold %d (%d more)", round, got, live, got-live)
+		}
+	}
+	if n := len(p.Snapshots().List()); n != rounds {
+		t.Fatalf("%d snapshots retained, want %d", n, rounds)
 	}
 }
 

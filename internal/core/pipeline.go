@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/datalake"
@@ -75,6 +76,10 @@ type Pipeline struct {
 	// snapshots retains time-travel snapshots (never nil; see snapshot.go).
 	snapshots   *datalake.SnapshotRegistry
 	pinnedReads *obs.Counter
+	// snapshotRebuilds counts the snapshots a read re-indexed, with or
+	// without metrics; snapshotRebuildSec times each.
+	snapshotRebuilds   atomic.Uint64
+	snapshotRebuildSec *obs.Histogram
 	// obs is the metrics registry (nil disables spans and counters; every
 	// handle below is nil-safe, so the hot path never branches on it).
 	obs           *obs.Registry
@@ -130,6 +135,9 @@ func (p *Pipeline) installMetrics(reg *obs.Registry) {
 		"Latency of one verifier agent call over one evidence instance.")
 	p.pinnedReads = reg.Counter("verifai_pinned_reads_total",
 		"Verifications served against a retained snapshot (?version= time-travel reads).")
+	p.snapshotRebuildSec = reg.HistogramBuckets("verifai_snapshot_rebuild_seconds",
+		"Re-indexes of a retained snapshot's view at its first read (a checkpoint's snapshot, or a pin recovered from index files in another format); _count is the number of rebuilds.",
+		obs.CheckpointBuckets)
 	p.snapshots.SetMetrics(reg)
 	if p.prov != nil {
 		p.prov.SetMetrics(reg)

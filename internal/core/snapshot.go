@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"sync"
+	"time"
 
 	"repro/internal/datalake"
 	"repro/internal/faultfs"
@@ -18,29 +19,33 @@ import (
 )
 
 // Time-travel reads. A checkpoint's fork already pins everything a
-// reproducible verdict needs — an immutable catalog View plus a frozen
-// capture of every index at one version. This file generalizes that
-// pair into a retained, queryable snapshot: the pipeline registers the
-// (View, FrozenIndexes, trust copy) triple with a datalake.SnapshotRegistry,
-// and VerifyAsOfCtx runs the full retrieve→rerank→verify flow against it,
-// so a verdict computed at version v recomputes identically long after the
+// reproducible verdict needs: an immutable catalog View at one version.
+// This file makes that View a retained, queryable snapshot: the pipeline
+// registers the (View, trust copy) pair — plus, for an explicit pin, a
+// frozen capture of every index — with a datalake.SnapshotRegistry, and
+// VerifyAsOfCtx runs the full retrieve→rerank→verify flow against it, so a
+// verdict computed at version v recomputes identically long after the
 // lake (and the operator's trust overrides) have moved on.
 
 // PinnedSnapshot is the payload the pipeline hangs on a datalake.Snapshot:
-// the frozen indexes, the trust overrides in force at pin time, and —
-// lazily, on first pinned read — searchable wrappers around the frozen
-// capture (or indexes opened from disk for a pin recovered at restart)
-// plus a knowledge graph rebuilt from the view's triples.
+// the trust overrides in force at registration, the frozen indexes of an
+// explicit pin, and — lazily, on first read — searchable indexes (wrapped
+// around the frozen capture, opened from disk for a pin recovered at
+// restart, or re-indexed from the view) plus a knowledge graph rebuilt
+// from the view's triples.
 type PinnedSnapshot struct {
 	view  *datalake.View
 	trust map[string]float64 // pipeline trust overrides at pin time
 
-	frozen *FrozenIndexes // in-memory capture (pin path); nil when disk-backed
+	// mu guards frozen until the first read has materialized the snapshot.
+	mu   sync.Mutex
+	done bool // materialize has run; matErr is its outcome
+
+	frozen *FrozenIndexes // in-memory capture (pin path); nil for a checkpoint's or a disk-backed snapshot
 	// dir is the persisted index directory (recovery path); empty when its
 	// files are in another snapshot format and the view is re-indexed.
 	dir string
 
-	once   sync.Once
 	matErr error
 	bm25   map[datalake.Kind]*invindex.Index
 	vec    map[datalake.Kind]*vecindex.SQFlat
@@ -53,20 +58,37 @@ type PinnedSnapshot struct {
 // indexes so a recovered pin re-verifies identically.
 func (ps *PinnedSnapshot) Trust() map[string]float64 { return ps.trust }
 
-// materialize makes the snapshot searchable exactly once: a live
-// capture's sealed BM25 segments are wrapped in place and its vector forks
-// searched as they are (nothing is copied — they are the segments the
-// live indexes searched at the fork), a recovered pin's
-// BM25 files are opened, its table kind's BM25 index summed from the
-// view's tables and its tuples, and ix derives its vector indexes (or,
-// written in another snapshot format, the view is re-indexed), and the
-// view's graph resolves entities.
-func (ps *PinnedSnapshot) materialize(ix *Indexer) error {
-	ps.once.Do(func() { ps.matErr = ps.doMaterialize(ix) })
+// materialize makes the snapshot searchable exactly once: a pin's sealed
+// BM25 segments are wrapped in place and its vector forks searched as they
+// are (nothing is copied — they are the segments the live indexes
+// searched at the fork), a recovered pin's BM25 files are opened, its
+// table kind's BM25 index summed from the view's tables and its tuples,
+// and ix derives its vector indexes, and a snapshot with neither — a
+// checkpoint's, or a recovered pin written in another snapshot format —
+// re-indexes its view, seals what it built, and hands rebuilt the time
+// that took. The view's graph resolves entities.
+func (ps *PinnedSnapshot) materialize(ix *Indexer, rebuilt func(time.Duration)) error {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if !ps.done {
+		ps.done = true
+		ps.matErr = ps.doMaterialize(ix, rebuilt)
+	}
 	return ps.matErr
 }
 
-func (ps *PinnedSnapshot) doMaterialize(ix *Indexer) error {
+// adopt hands a fresh capture at the snapshot's version to a snapshot
+// that holds no indexes and has not been read yet, so its first read
+// wraps the capture instead of re-indexing the view.
+func (ps *PinnedSnapshot) adopt(fz *FrozenIndexes) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if !ps.done && ps.frozen == nil && ps.dir == "" {
+		ps.frozen = fz
+	}
+}
+
+func (ps *PinnedSnapshot) doMaterialize(ix *Indexer, rebuilt func(time.Duration)) error {
 	ps.graph = ps.view.Graph()
 	ps.priors = make(map[string]float64, len(ps.view.Sources()))
 	for _, s := range ps.view.Sources() {
@@ -74,12 +96,16 @@ func (ps *PinnedSnapshot) doMaterialize(ix *Indexer) error {
 	}
 	switch {
 	case ps.frozen == nil && ps.dir == "":
-		cfg := ix.cfg
-		rebuilt := newIndexer(nil, &cfg)
-		if err := rebuilt.ingest(ps.view, ps.graph); err != nil {
+		start, cfg := time.Now(), ix.cfg
+		reindexed := newIndexer(nil, &cfg)
+		if err := reindexed.ingest(ps.view, ps.graph); err != nil {
 			return err
 		}
-		ps.bm25, ps.vec = rebuilt.bm25, rebuilt.vec
+		// Sealed, the indexes sit off the Go heap, in about a third of the
+		// memory their deltas take.
+		reindexed.Seal()
+		ps.bm25, ps.vec = reindexed.bm25, reindexed.vec
+		rebuilt(time.Since(start))
 		return nil
 	case ps.frozen == nil:
 		var err error
@@ -144,8 +170,10 @@ func (p *Pipeline) trustSnapshot() map[string]float64 {
 // PinSnapshot forks and freezes at the current version and retains the
 // pair as an explicitly pinned snapshot, excluded from retention GC until
 // unpinned. A version that is already retained (a checkpoint's snapshot,
-// or an earlier pin) keeps its snapshot unchanged, trust overrides
-// included: the pin only promotes it. persist, when non-nil, is called
+// or an earlier pin) keeps its snapshot, trust overrides included, and the
+// pin promotes it; a checkpoint's snapshot, which holds no indexes, takes
+// this pin's capture, so its first pinned read wraps the capture instead
+// of re-indexing the view. persist, when non-nil, is called
 // after the in-memory pin is registered, with everything durability needs:
 // the forked view, a writeIndexes that serializes the frozen indexes into
 // a directory (under dir/indexes, the checkpoint layout), and the trust
@@ -161,17 +189,18 @@ func (p *Pipeline) PinSnapshot(persist func(view *datalake.View, writeIndexes fu
 	if err != nil {
 		return nil, err
 	}
-	snap := p.RegisterSnapshot(view, fz, true)
+	snap := p.snapshots.Add(view, &PinnedSnapshot{view: view, trust: p.trustSnapshot(), frozen: fz}, true)
+	ps, ok := snap.Payload().(*PinnedSnapshot)
+	if !ok {
+		return nil, fmt.Errorf("core: snapshot at version %d collected while pinning", view.Version())
+	}
+	ps.adopt(fz)
 	if persist != nil {
 		writeIndexes := func(fs faultfs.FS, dir string) error {
 			return fz.Save(fs, filepath.Join(dir, "indexes"), view.Version())
 		}
 		// The registry may have kept an earlier snapshot of this version:
 		// persist the trust it serves, so a restart serves the same.
-		ps, ok := snap.Payload().(*PinnedSnapshot)
-		if !ok {
-			return nil, fmt.Errorf("core: snapshot at version %d collected while pinning", view.Version())
-		}
 		if err := persist(view, writeIndexes, ps.trust); err != nil {
 			_ = p.snapshots.Unpin(view.Version())
 			return nil, err
@@ -180,13 +209,16 @@ func (p *Pipeline) PinSnapshot(persist func(view *datalake.View, writeIndexes fu
 	return snap, nil
 }
 
-// RegisterSnapshot retains an already-forked View + frozen capture — the
-// checkpoint path: durable checkpoints fork once, and the freeze callback
-// hands the same pair here, so every checkpoint doubles as a time-travel
-// snapshot at zero extra quiescence.
-func (p *Pipeline) RegisterSnapshot(view *datalake.View, fz *FrozenIndexes, pinned bool) *datalake.Snapshot {
-	ps := &PinnedSnapshot{view: view, trust: p.trustSnapshot(), frozen: fz}
-	return p.snapshots.Add(view, ps, pinned)
+// RegisterCheckpoint retains a checkpoint's forked View as an unpinned
+// snapshot in the keep-last-N window, with the trust overrides in force
+// now: every checkpoint doubles as a time-travel snapshot at zero extra
+// quiescence. The checkpoint's index capture is not retained — held past
+// the head's next merge, it would keep a second copy of every segment the
+// merge replaced — so the first read at the snapshot re-indexes the view
+// (verifai_snapshot_rebuild_seconds), unless a pin at the same version
+// hands it a capture first.
+func (p *Pipeline) RegisterCheckpoint(view *datalake.View) {
+	p.snapshots.Add(view, &PinnedSnapshot{view: view, trust: p.trustSnapshot()}, false)
 }
 
 // RegisterRecoveredSnapshot re-retains a persisted pin at restart: view
@@ -214,6 +246,17 @@ func (p *Pipeline) RegisterRecoveredSnapshot(view *datalake.View, dir string, tr
 	ps := &PinnedSnapshot{view: view, trust: trust, dir: dir}
 	return p.snapshots.Add(view, ps, true), nil
 }
+
+// snapshotRebuilt counts one re-index of a snapshot's view that took d.
+func (p *Pipeline) snapshotRebuilt(d time.Duration) {
+	p.snapshotRebuilds.Add(1)
+	p.snapshotRebuildSec.Observe(d.Seconds())
+}
+
+// SnapshotRebuilds returns how many snapshots a read has re-indexed from
+// their views (checkpoints' snapshots, and recovered pins whose index
+// files are in another snapshot format).
+func (p *Pipeline) SnapshotRebuilds() uint64 { return p.snapshotRebuilds.Load() }
 
 // VerifyAsOf is VerifyAsOfCtx with a background context.
 func (p *Pipeline) VerifyAsOf(g verify.Generated, asOf uint64, kinds ...datalake.Kind) (Report, error) {
@@ -244,7 +287,7 @@ func (p *Pipeline) VerifyAsOfCtx(ctx context.Context, g verify.Generated, asOf u
 	if !ok {
 		return Report{}, fmt.Errorf("core: snapshot at version %d carries no pinned indexes", asOf)
 	}
-	if err := ps.materialize(p.indexer); err != nil {
+	if err := ps.materialize(p.indexer, p.snapshotRebuilt); err != nil {
 		return Report{}, err
 	}
 	kk, src := p.normalizeKinds(kinds), ps.source(p.indexer)

@@ -175,7 +175,7 @@ func tableSumDifferential(t *testing.T, every int) {
 		t.Fatalf("%d checkpoints, pin %v: the test does not exercise a reopened pin", checkpoints, pinView)
 	}
 	ps := &PinnedSnapshot{view: pinView, dir: filepath.Join(pinDir, "indexes")}
-	if err := ps.materialize(p.indexer); err != nil {
+	if err := ps.materialize(p.indexer, p.snapshotRebuilt); err != nil {
 		t.Fatal(err)
 	}
 	if got := saved(ps.bm25[datalake.KindTable].Freeze()); !bytes.Equal(got, pinWant) {

@@ -34,8 +34,8 @@ func (e *BelowFloorError) Error() string {
 
 // Snapshot is one retained, refcounted pin of the lake at a version: the
 // immutable catalog View plus an opaque payload attached by the layer
-// that took the snapshot (the pipeline hangs frozen index shards and a
-// trust-map copy here). Handles are acquired from the registry and must
+// that took the snapshot (the pipeline hangs a trust-map copy here and,
+// for an explicit pin, frozen index shards). Handles are acquired from the registry and must
 // be Released; the payload of a snapshot evicted by retention is dropped
 // only once the last in-flight reader releases it, so a reader can never
 // observe a freed snapshot.

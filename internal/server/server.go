@@ -1042,6 +1042,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"retained": len(s.pipeline.Snapshots().List()),
 			"floor":    s.pipeline.Snapshots().Floor(),
 			"latest":   s.pipeline.Snapshots().Latest(),
+			"rebuilt":  s.pipeline.SnapshotRebuilds(),
 		},
 		"indexes": s.pipeline.Indexer().IndexStats(),
 		"memory":  s.memoryLedger(),

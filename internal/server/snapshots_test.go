@@ -212,3 +212,39 @@ func TestSnapshotsEndpoint(t *testing.T) {
 		t.Fatalf("listing after unpin = %+v", list)
 	}
 }
+
+// TestCheckpointSnapshotRebuildsOnce: a checkpoint's snapshot holds no
+// indexes, so the first ?version= read at it re-indexes its view and
+// /v1/stats counts one rebuild; the second read reuses it.
+func TestCheckpointSnapshotRebuildsOnce(t *testing.T) {
+	ts, p := newSnapshotTestServer(t)
+	view, err := p.Lake().Fork(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.RegisterCheckpoint(view)
+	if err := p.Lake().AddDocument(&doc.Document{ID: "later", Title: "later", Text: "later text"}); err != nil {
+		t.Fatal(err)
+	}
+	claim := ClaimRequest{
+		ID:   "fig4",
+		Text: "In 1954 u.s. open (golf), the cash prize for tommy bolt, fred haas, and ben hogan was 960 in total.",
+	}
+	for i := 0; i < 2; i++ {
+		resp, body := postJSON(t, fmt.Sprintf("%s/v1/verify/claim?version=%d", ts.URL, view.Version()), claim)
+		var vr VerifyResponse
+		if err := json.Unmarshal(body, &vr); err != nil || resp.StatusCode != http.StatusOK || vr.Verdict != "Refuted" || vr.AsOfVersion != view.Version() {
+			t.Fatalf("read %d at the checkpoint: status %d, %s", i, resp.StatusCode, body)
+		}
+	}
+	var stats struct {
+		Snapshots struct {
+			Retained int    `json:"retained"`
+			Rebuilt  uint64 `json:"rebuilt"`
+		} `json:"snapshots"`
+	}
+	getJSON(t, ts.URL+"/v1/stats", &stats)
+	if stats.Snapshots.Retained != 1 || stats.Snapshots.Rebuilt != 1 {
+		t.Fatalf("/v1/stats snapshots = %+v, want one retained, rebuilt once", stats.Snapshots)
+	}
+}

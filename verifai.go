@@ -376,7 +376,12 @@ func recoverPins(sys *System, st *durable.Store) error {
 // their deltas, off the Go heap whenever the payload written since the
 // last seal passes datalake.SealBytes. A checkpoint is still a flush for
 // BM25: each running BM25 index is folded into the one segment its shard
-// file holds, and keeps searching it. A concurrent Checkpoint fails fast with ErrCheckpointInFlight (the
+// file holds, and keeps searching it. Every checkpoint also leaves an
+// unpinned time-travel snapshot in the keep-last-N window: the forked
+// view and the trust overrides, not the index capture, which is dropped
+// once written, so the snapshot pins no segment the head later merges
+// away; the first VerifyAsOf at its version re-indexes the view. A
+// concurrent Checkpoint fails fast with ErrCheckpointInFlight (the
 // in-flight one covers it). Only systems opened with Open can checkpoint.
 func (s *System) Checkpoint() (uint64, error) {
 	if s.durable == nil {
@@ -384,10 +389,7 @@ func (s *System) Checkpoint() (uint64, error) {
 	}
 	return s.durable.Checkpoint(func(view *datalake.View) (durable.WriteFunc, error) {
 		frozen := s.pipeline.Indexer().Freeze()
-		// The fork already pinned everything a time-travel read needs, so
-		// retain it: every checkpoint doubles as an unpinned snapshot in the
-		// keep-last-N window at zero extra quiescence.
-		s.pipeline.RegisterSnapshot(view, frozen, false)
+		s.pipeline.RegisterCheckpoint(view)
 		return func(fs faultfs.FS, dir string) error {
 			return frozen.Save(fs, filepath.Join(dir, "indexes"), view.Version())
 		}, nil
@@ -409,7 +411,10 @@ var ErrSnapshotNotFound = datalake.ErrSnapshotNotFound
 // catalog, index shards, and pin-time trust overrides are persisted under
 // <dir>/snapshots and re-registered by Open. Unpinned snapshots are also
 // retained automatically — every Checkpoint leaves one in a keep-last-N
-// window (Options.Pipeline.SnapshotRetain) — but only pins are durable.
+// window (Options.Pipeline.SnapshotRetain) — but only pins are durable,
+// and only pins hold an index capture: pinning a version a checkpoint's
+// snapshot retains keeps that snapshot's trust overrides and hands it
+// the pin's capture, so its reads do not re-index the view.
 func (s *System) PinSnapshot() (uint64, error) {
 	var persist func(view *datalake.View, writeIndexes func(fs faultfs.FS, dir string) error, trust map[string]float64) error
 	if s.durable != nil {
