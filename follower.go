@@ -114,7 +114,7 @@ func OpenFollower(dir, leader string, opts OpenOptions) (*System, error) {
 		}
 	}
 
-	sys, err := openDurable(dir, opts, true)
+	sys, _, err := openDurable(dir, opts, true) // a follower never checkpoints at open
 	if err != nil {
 		return nil, err
 	}

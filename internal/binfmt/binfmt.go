@@ -235,20 +235,37 @@ func (w *Writer) DeflatedStrings(name string, vals []string) {
 // twice when the container is serialized: once for the lengths and once
 // for the bytes. The strings need to stay valid only until then.
 func (w *Writer) DeflatedStringSeq(name string, vals iter.Seq[string]) {
-	w.deflated = append(w.deflated, deflatedColumn{section: len(w.payloads), vals: vals})
+	w.deflated = append(w.deflated, deflatedColumn{section: len(w.payloads), vals: vals, encode: deflateStrings})
 	w.Section(name, nil)
 }
 
-// deflatedColumn is a section DeflatedStrings added and WriteTo has not
-// yet compressed.
+// DictStringSeq adds a string column compressed for storage as a
+// dictionary, for a column that repeats a few strings many times: one
+// DEFLATE run at flate.BestSpeed, prefixed like DeflatedStrings by its
+// inflated length, of the uvarint value count, the uvarint distinct
+// count, the distinct strings in first-seen order (their uvarint lengths,
+// then their bytes), and then one ID per value, the index of its string,
+// in 1, 2 or 4 little-endian bytes, the narrowest that numbers every
+// distinct string. The reader inflates and materializes the whole column
+// (Reader.DictStrings). vals is read twice when the container is
+// serialized, and its strings need to stay valid only until then.
+func (w *Writer) DictStringSeq(name string, vals iter.Seq[string]) {
+	w.deflated = append(w.deflated, deflatedColumn{section: len(w.payloads), vals: vals, encode: deflateDict})
+	w.Section(name, nil)
+}
+
+// deflatedColumn is a section DeflatedStrings or DictStringSeq added and
+// WriteTo has not yet compressed, with the function that compresses it.
 type deflatedColumn struct {
 	section int
 	vals    iter.Seq[string]
+	encode  func(vals iter.Seq[string], fw *flate.Writer) ([]byte, *flate.Writer)
 }
 
-// deflateColumns compresses the columns DeflatedStrings added into their
-// sections, on at most GOMAXPROCS goroutines that each reuse one
-// compressor from column to column: a compressor costs about a megabyte.
+// deflateColumns compresses the columns DeflatedStrings and DictStringSeq
+// added into their sections, on at most GOMAXPROCS goroutines that each
+// reuse one compressor from column to column: a compressor costs about a
+// megabyte.
 // It is not par.For: a compressor per worker, shared through a sync.Pool
 // instead, would outlive the collection a checkpoint ends with. On two
 // shared cores the second worker buys ≈ 10-20 ms of the default lake's
@@ -264,7 +281,7 @@ func (w *Writer) deflateColumns() {
 			var fw *flate.Writer
 			for i := next.Add(1) - 1; i < int64(len(w.deflated)); i = next.Add(1) - 1 {
 				col := w.deflated[i]
-				w.payloads[col.section], fw = deflateStrings(col.vals, fw)
+				w.payloads[col.section], fw = col.encode(col.vals, fw)
 			}
 		}()
 	}
@@ -287,18 +304,85 @@ func deflateStrings(vals iter.Seq[string], fw *flate.Writer) ([]byte, *flate.Wri
 	}
 	head := binary.AppendUvarint(nil, uint64(count))
 	size += len(head) + len(lens)
+	return deflateRun(size, fw, func(fw *flate.Writer) {
+		_, _ = fw.Write(head)
+		_, _ = fw.Write(lens)
+		for s := range vals {
+			_, _ = fw.Write(unsafe.Slice(unsafe.StringData(s), len(s)))
+		}
+	})
+}
+
+// deflateDict compresses vals into a DictStringSeq payload as
+// deflateStrings does a DeflatedStrings one. The first pass over vals
+// numbers the distinct strings, the second writes each value's ID; only
+// the dictionary is held, never an ID per value.
+func deflateDict(vals iter.Seq[string], fw *flate.Writer) ([]byte, *flate.Writer) {
+	ids := make(map[string]uint32)
+	var distinct []string
+	var lens []byte
+	count, size := 0, 0
+	for s := range vals {
+		count++
+		if _, ok := ids[s]; !ok {
+			ids[s] = uint32(len(distinct))
+			distinct = append(distinct, s)
+			lens = binary.AppendUvarint(lens, uint64(len(s)))
+			size += len(s)
+		}
+	}
+	width := idWidth(uint64(len(distinct)))
+	head := binary.AppendUvarint(binary.AppendUvarint(nil, uint64(count)), uint64(len(distinct)))
+	size += len(head) + len(lens) + count*width
+	return deflateRun(size, fw, func(fw *flate.Writer) {
+		_, _ = fw.Write(head)
+		_, _ = fw.Write(lens)
+		for _, s := range distinct {
+			_, _ = fw.Write(unsafe.Slice(unsafe.StringData(s), len(s)))
+		}
+		le := binary.LittleEndian
+		buf := make([]byte, 0, 4096)
+		for s := range vals {
+			switch id := ids[s]; width {
+			case 1:
+				buf = append(buf, uint8(id))
+			case 2:
+				buf = le.AppendUint16(buf, uint16(id))
+			default:
+				buf = le.AppendUint32(buf, id)
+			}
+			if len(buf) > cap(buf)-4 {
+				_, _ = fw.Write(buf)
+				buf = buf[:0]
+			}
+		}
+		_, _ = fw.Write(buf)
+	})
+}
+
+// idWidth is the bytes a DictStringSeq ID takes in a column of distinct
+// strings: the fewest of 1, 2 or 4 that number them all.
+func idWidth(distinct uint64) int {
+	switch {
+	case distinct <= 1<<8:
+		return 1
+	case distinct <= 1<<16:
+		return 2
+	}
+	return 4
+}
+
+// deflateRun compresses the size bytes write gives fw into a payload
+// prefixed by size's uvarint, with fw (a new compressor when nil), and
+// returns fw for the next column. Writes into a bytes.Buffer do not fail.
+func deflateRun(size int, fw *flate.Writer, write func(fw *flate.Writer)) ([]byte, *flate.Writer) {
 	out := bytes.NewBuffer(binary.AppendUvarint(make([]byte, 0, size/4+binary.MaxVarintLen64), uint64(size)))
 	if fw == nil {
 		fw, _ = flate.NewWriter(out, flate.BestSpeed) // fails only for an invalid level
 	} else {
 		fw.Reset(out)
 	}
-	// Writes into a bytes.Buffer do not fail.
-	_, _ = fw.Write(head)
-	_, _ = fw.Write(lens)
-	for s := range vals {
-		_, _ = fw.Write(unsafe.Slice(unsafe.StringData(s), len(s)))
-	}
+	write(fw)
 	_ = fw.Close()
 	return out.Bytes(), fw
 }
@@ -624,18 +708,6 @@ func (r *Reader) Strings(name string) (StringCol, error) {
 	return StringCol{offs: offs, blob: blob}, nil
 }
 
-// PackedStrings materializes a column stored in the packed form itself,
-// uncompressed — the form containers written before DeflatedStrings hold.
-// The strings share one copy of the column's bytes, so they cost no
-// allocation each but stay alive together.
-func (r *Reader) PackedStrings(name string) ([]string, error) {
-	b, err := r.Bytes(name)
-	if err != nil {
-		return nil, err
-	}
-	return unpackStrings(name, bytes.Clone(b))
-}
-
 // maxInflateRatio is the most DEFLATE can expand its input: a 258-byte
 // match per two bits.
 const maxInflateRatio = 1032
@@ -646,6 +718,86 @@ const maxInflateRatio = 1032
 // error before anything is sized by it, and a stream that ends short of the
 // length, runs past it or leaves bytes behind is an error too.
 func (r *Reader) DeflatedStrings(name string) ([]string, error) {
+	b, err := r.inflate(name)
+	if err != nil {
+		return nil, err
+	}
+	count, n := binary.Uvarint(b)
+	if n <= 0 {
+		return nil, fmt.Errorf("binfmt: packed string column %q has no count", name)
+	}
+	out, rest, err := splitStrings(name, b[n:], count)
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("binfmt: packed string column %q has %d bytes past its strings", name, len(rest))
+	}
+	return out, nil
+}
+
+// DictStrings materializes a column written by Writer.DictStringSeq. It
+// inflates as DeflatedStrings does, into one buffer the distinct strings
+// alias, and every value shares its distinct string. Every count and
+// every ID is checked against the bytes before anything is sized by it:
+// more distinct strings than values, an ID run that is not exactly one ID
+// per value, or an ID past the distinct strings is an error.
+func (r *Reader) DictStrings(name string) ([]string, error) {
+	b, err := r.inflate(name)
+	if err != nil {
+		return nil, err
+	}
+	count, n := binary.Uvarint(b)
+	if n <= 0 {
+		return nil, fmt.Errorf("binfmt: dictionary column %q has no count", name)
+	}
+	b = b[n:]
+	distinct, n := binary.Uvarint(b)
+	if n <= 0 {
+		return nil, fmt.Errorf("binfmt: dictionary column %q has no distinct count", name)
+	}
+	if distinct > count {
+		return nil, fmt.Errorf("binfmt: dictionary column %q declares %d distinct strings among %d values", name, distinct, count)
+	}
+	dict, ids, err := splitStrings(name, b[n:], distinct)
+	if err != nil {
+		return nil, err
+	}
+	width := idWidth(distinct)
+	if count > uint64(len(ids)) || count*uint64(width) != uint64(len(ids)) {
+		return nil, fmt.Errorf("binfmt: dictionary column %q holds %d bytes of IDs for %d values of %d bytes", name, len(ids), count, width)
+	}
+	le := binary.LittleEndian
+	id := func(i int) uint64 {
+		switch width {
+		case 1:
+			return uint64(ids[i])
+		case 2:
+			return uint64(le.Uint16(ids[2*i:]))
+		}
+		return uint64(le.Uint32(ids[4*i:]))
+	}
+	for i := range int(count) {
+		if v := id(i); v >= distinct {
+			return nil, fmt.Errorf("binfmt: dictionary column %q: value %d has ID %d of %d distinct strings", name, i, v, distinct)
+		}
+	}
+	if count == 0 {
+		return nil, nil
+	}
+	out := make([]string, count)
+	for i := range out {
+		out[i] = dict[id(i)]
+	}
+	return out, nil
+}
+
+// inflate inflates the section a DeflatedStrings or DictStringSeq column
+// was written to into one buffer of exactly its declared length, which
+// the caller then owns. A declared length the stream could not produce is
+// an error before anything is sized by it, and a stream that ends short of
+// the length, runs past it or leaves bytes behind is an error too.
+func (r *Reader) inflate(name string) ([]byte, error) {
 	b, err := r.Bytes(name)
 	if err != nil {
 		return nil, err
@@ -662,50 +814,48 @@ func (r *Reader) DeflatedStrings(name string) ([]string, error) {
 	if err := inflateExactly(packed, src); err != nil {
 		return nil, fmt.Errorf("binfmt: deflated string column %q: %w", name, err)
 	}
-	return unpackStrings(name, packed)
+	return packed, nil
 }
 
-// unpackStrings parses a column in the packed form. The strings alias b,
-// which the caller hands over: nothing may write it afterwards. A count or
-// a length b cannot hold is an error before anything is sized by it.
-func unpackStrings(name string, b []byte) ([]string, error) {
-	count, n := binary.Uvarint(b)
-	if n <= 0 {
-		return nil, fmt.Errorf("binfmt: packed string column %q has no count", name)
-	}
-	lens := b[n:]
+// splitStrings parses count strings in the packed form — count uvarint
+// lengths, then the bytes back to back — from the front of b and returns
+// them and the bytes after them. The strings alias b, which the caller
+// hands over: nothing may write it afterwards. A count or a length b
+// cannot hold is an error before anything is sized by it.
+func splitStrings(name string, b []byte, count uint64) (strs []string, rest []byte, err error) {
 	// Every string spends at least one length byte.
-	if count > uint64(len(lens)) {
-		return nil, fmt.Errorf("binfmt: packed string column %q truncated (count %d, %d bytes)", name, count, len(lens))
+	if count > uint64(len(b)) {
+		return nil, nil, fmt.Errorf("binfmt: packed string column %q truncated (count %d, %d bytes)", name, count, len(b))
 	}
-	// First pass: find where the lengths end and check they add up to
-	// exactly the bytes that follow.
+	// First pass: find where the lengths end and check the bytes after
+	// them hold the strings.
 	pos, total := 0, uint64(0)
 	for i := uint64(0); i < count; i++ {
-		l, n := binary.Uvarint(lens[pos:])
-		if n <= 0 || l > uint64(len(lens)) {
-			return nil, fmt.Errorf("binfmt: packed string column %q has a bad length at %d", name, i)
+		l, n := binary.Uvarint(b[pos:])
+		if n <= 0 || l > uint64(len(b)) {
+			return nil, nil, fmt.Errorf("binfmt: packed string column %q has a bad length at %d", name, i)
 		}
 		pos += n
 		total += l
 	}
-	if total != uint64(len(lens)-pos) {
-		return nil, fmt.Errorf("binfmt: packed string column %q blob length mismatch (%d declared vs %d bytes)", name, total, len(lens)-pos)
+	if total > uint64(len(b)-pos) {
+		return nil, nil, fmt.Errorf("binfmt: packed string column %q blob length mismatch (%d declared vs %d bytes)", name, total, len(b)-pos)
 	}
+	rest = b[pos+int(total):]
 	if count == 0 {
-		return nil, nil
+		return nil, rest, nil
 	}
-	out := make([]string, count)
-	if rest := lens[pos:]; len(rest) > 0 { // else every string is empty
-		blob := unsafe.String(&rest[0], len(rest))
+	strs = make([]string, count)
+	if total > 0 { // else every string is empty
+		blob := unsafe.String(&b[pos], int(total))
 		pos = 0
-		for i := range out {
-			l, n := binary.Uvarint(lens[pos:])
+		for i := range strs {
+			l, n := binary.Uvarint(b[pos:])
 			pos += n
-			out[i], blob = blob[:l], blob[l:]
+			strs[i], blob = blob[:l], blob[l:]
 		}
 	}
-	return out, nil
+	return strs, rest, nil
 }
 
 // Len returns the number of strings in the column.

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // testStrings is a string column with the shapes a codec gets wrong.
@@ -128,8 +129,8 @@ func testWriter(t testing.TB) *Writer {
 		ids.Add(id)
 	}
 	w.FrontCoded("ids", &ids)
-	w.Section("packed", packStrings(testStrings))
 	w.DeflatedStrings("deflated", testStrings)
+	w.DictStringSeq("dict", slices.Values(append(slices.Clone(testStrings), testStrings...)))
 	w.DeflatedStrings("deflated-none", nil)
 	w.Section("raw", []byte("payload"))
 	return w
@@ -179,16 +180,16 @@ func checkTestContainer(t *testing.T, r *Reader) {
 	if got := frontCodedStrings(ids); !reflect.DeepEqual(got, testIDs) {
 		t.Fatalf("FrontCoded = %q, want %q", got, testIDs)
 	}
-	packed, err := r.PackedStrings("packed")
-	if err != nil || !reflect.DeepEqual(packed, testStrings) {
-		t.Fatalf("PackedStrings = %q, %v", packed, err)
-	}
 	deflated, err := r.DeflatedStrings("deflated")
 	if err != nil || !reflect.DeepEqual(deflated, testStrings) {
 		t.Fatalf("DeflatedStrings = %q, %v", deflated, err)
 	}
 	if none, err := r.DeflatedStrings("deflated-none"); err != nil || len(none) != 0 {
 		t.Fatalf("DeflatedStrings(empty column) = %q, %v", none, err)
+	}
+	dict, err := r.DictStrings("dict")
+	if err != nil || !reflect.DeepEqual(dict, append(slices.Clone(testStrings), testStrings...)) {
+		t.Fatalf("DictStrings = %q, %v", dict, err)
 	}
 	raw, err := r.Bytes("raw")
 	if err != nil || string(raw) != "payload" {
@@ -490,34 +491,6 @@ func TestMisalignedInputIsCopied(t *testing.T) {
 	checkTestContainer(t, r)
 }
 
-// TestPackedStringsRejectsBadFraming: a packed column whose count or
-// lengths do not fit its bytes is an error, not a short column — and is
-// never trusted to size an allocation.
-func TestPackedStringsRejectsBadFraming(t *testing.T) {
-	for name, payload := range map[string][]byte{
-		"empty section":         {},
-		"count with no lengths": {3},
-		"count past the bytes":  {0xff, 0xff, 0xff, 0xff, 0x0f, 1, 'a'},
-		"length past the blob":  {1, 5, 'a', 'b'},
-		"blob longer than sum":  {1, 1, 'a', 'b'},
-		"overlong varint":       {1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
-	} {
-		w := NewWriter()
-		w.Section("col", payload)
-		var buf bytes.Buffer
-		if _, err := w.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		r, err := NewReader(buf.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, err := r.PackedStrings("col"); err == nil {
-			t.Errorf("%s: PackedStrings = %q, want an error", name, got)
-		}
-	}
-}
-
 // deflatedPayload is a DeflatedStrings payload whose length prefix says
 // declared and whose stream inflates to packed.
 func deflatedPayload(t testing.TB, declared uint64, packed []byte) []byte {
@@ -617,6 +590,149 @@ func TestDeflatedStringsRejectsBadStreams(t *testing.T) {
 	}
 }
 
+// dictColumn is a DictStringSeq payload: count values, distinct strings
+// dict, then the ID bytes ids, all inflating to exactly what the prefix
+// declares.
+func dictColumn(t testing.TB, count uint64, dict []string, ids ...byte) []byte {
+	b := binary.AppendUvarint(nil, count)
+	b = append(b, packStrings(dict)...)
+	b = append(b, ids...)
+	return deflatedPayload(t, uint64(len(b)), b)
+}
+
+// badDictColumns are DictStringSeq payloads a reader must refuse, each
+// behind a valid CRC.
+func badDictColumns(t testing.TB) map[string][]byte {
+	dict := []string{"a", "bc", ""}
+	return map[string][]byte{
+		"no distinct count":                   deflatedPayload(t, 1, []byte{2}),
+		"an ID past the distinct strings":     dictColumn(t, 3, dict, 0, 1, 3),
+		"an ID run a value short":             dictColumn(t, 3, dict, 0, 1),
+		"an ID run a value long":              dictColumn(t, 3, dict, 0, 1, 2, 0),
+		"more distinct strings than values":   dictColumn(t, 2, dict, 0, 1),
+		"values but no distinct strings":      dictColumn(t, 1, nil, 0),
+		"a distinct count past the bytes":     deflatedPayload(t, 7, []byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0x80, 0x01}),
+		"distinct strings past the bytes":     deflatedPayload(t, 6, []byte{2, 2, 5, 1, 'a', 'b'}),
+		"a declared length of 2^40":           deflatedPayload(t, 1<<40, []byte{1, 1, 1, 'a', 0}),
+		"two-byte IDs under 257 distinct":     dictColumn(t, 1, dict, 0, 0),
+		"a count of 2^63 with one ID":         dictColumn(t, 1<<63, dict, 0),
+		"a stream truncated behind its count": deflatedPayload(t, 3, []byte{3, 3}),
+	}
+}
+
+// TestDictStrings: a dictionary column reads back string for string at
+// every ID width and its edges, empty strings and bytes that are not UTF-8
+// included; values share their distinct strings; and the same column
+// written twice gives the same bytes.
+func TestDictStrings(t *testing.T) {
+	distinct := func(n int) []string {
+		vals := make([]string, n)
+		for i := range vals {
+			vals[i] = fmt.Sprint("v", i)
+		}
+		return vals
+	}
+	cycled := func(n, times int) []string {
+		var vals []string
+		for range times {
+			vals = append(vals, distinct(n)...)
+		}
+		return vals
+	}
+	cols := map[string]struct {
+		vals  []string
+		width int
+	}{
+		"zero values":          {nil, 1},
+		"one value repeated":   {slices.Repeat([]string{"same"}, 1000), 1},
+		"all distinct":         {distinct(100), 1},
+		"255 distinct":         {cycled(255, 3), 1},
+		"256 distinct":         {cycled(256, 3), 1},
+		"257 distinct":         {cycled(257, 2), 2},
+		"65535 distinct":       {cycled(65535, 2), 2},
+		"65536 distinct":       {cycled(65536, 2), 2},
+		"65537 distinct":       {distinct(65537), 4},
+		"empty strings":        {[]string{"", "", "x", "", "x"}, 1},
+		"invalid UTF-8":        {[]string{"\xff\xfe", "\x00", "\xff\xfe", "βγ", "\xc3"}, 1},
+		"testStrings repeated": {append(slices.Clone(testStrings), testStrings...), 1},
+	}
+	write := func() []byte {
+		w := NewWriter()
+		for _, name := range slices.Sorted(maps.Keys(cols)) {
+			w.DictStringSeq(name, slices.Values(cols[name].vals))
+		}
+		var buf bytes.Buffer
+		if _, err := w.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	data := write()
+	if again := write(); !bytes.Equal(data, again) {
+		t.Fatal("two writes of the same columns differ")
+	}
+	r, err := NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, col := range cols {
+		got, err := r.DictStrings(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got) != len(col.vals) {
+			t.Fatalf("%s: %d values, want %d", name, len(got), len(col.vals))
+		}
+		// Equal values share one string, and the column stores each once.
+		shared := map[string]*byte{}
+		for i, want := range col.vals {
+			if got[i] != want {
+				t.Fatalf("%s: value %d reads %q, want %q", name, i, got[i], want)
+			}
+			if p, ok := shared[want]; ok && p != unsafe.StringData(got[i]) && want != "" {
+				t.Fatalf("%s: value %d does not share its distinct string", name, i)
+			}
+			shared[want] = unsafe.StringData(got[i])
+		}
+		b, err := r.inflate(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		count, n := binary.Uvarint(b)
+		ndistinct, m := binary.Uvarint(b[n:])
+		if int(ndistinct) != len(shared) {
+			t.Errorf("%s: %d distinct strings stored, want %d", name, ndistinct, len(shared))
+		}
+		if _, ids, err := splitStrings(name, b[n+m:], ndistinct); err != nil || len(ids) != col.width*int(count) {
+			t.Errorf("%s: %d ID bytes for %d values (%v), want %d a value", name, len(ids), count, err, col.width)
+		}
+	}
+}
+
+// TestDictStringsRejects: a dictionary column whose counts or IDs disagree
+// with its bytes is an error, and no allocation is sized by a declared
+// count or length alone.
+func TestDictStringsRejects(t *testing.T) {
+	for name, payload := range badDictColumns(t) {
+		w := NewWriter()
+		w.Section("col", payload)
+		r, err := w.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := r.DictStrings("col")
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: DictStrings = %q, want an error", name, got)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Errorf("%s: refusing the column allocated %d bytes", name, alloc)
+		}
+	}
+}
+
 // FuzzDecodeSnapshot mirrors internal/wal's fuzzing posture: arbitrary
 // bytes must never panic the reader; they either parse (and then every
 // accessor must stay in bounds) or fail with an error.
@@ -666,12 +782,22 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	// A dictionary column broken one way, behind valid checksums.
+	for _, payload := range badDictColumns(f) {
+		w := NewWriter()
+		w.Section("dict", payload)
+		var buf bytes.Buffer
+		if _, err := w.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(data)
 		if err != nil {
 			return
 		}
-		for _, name := range []string{"meta", "u32", "f32", "i8", "strs", "packed", "deflated", "deflated-none", "raw", "ids", "norms", "codes"} {
+		for _, name := range []string{"meta", "u32", "f32", "i8", "strs", "dict", "deflated", "deflated-none", "raw", "ids", "norms", "codes"} {
 			if b, err := r.Bytes(name); err == nil {
 				_ = len(b)
 			}
@@ -697,7 +823,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 					prev = append(prev[:0], b...)
 				}
 			}
-			_, _ = r.PackedStrings(name)
+			_, _ = r.DictStrings(name)
 			_, _ = r.DeflatedStrings(name)
 			_, _ = r.Uint32s(name)
 			_, _ = r.Float32s(name)

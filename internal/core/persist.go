@@ -219,10 +219,10 @@ func saveShard(fs faultfs.FS, path string, z *invindex.Frozen) error {
 // "rebuild instead".
 var ErrSnapshotMismatch = fmt.Errorf("core: index snapshot missing or stale")
 
-// errStaleFormat is the ErrSnapshotMismatch of a snapshot written for this
+// ErrStaleFormat is the ErrSnapshotMismatch of a snapshot written for this
 // configuration in another snapshot format: its index files are not read,
 // but the catalog they were built from rebuilds them.
-var errStaleFormat = fmt.Errorf("%w (written in another snapshot format)", ErrSnapshotMismatch)
+var ErrStaleFormat = fmt.Errorf("%w (written in another snapshot format)", ErrSnapshotMismatch)
 
 // BuildIndexerFromSnapshot is BuildIndexer loading the index contents from
 // a FrozenIndexes.Save directory instead of re-indexing the lake. The snapshot
@@ -557,7 +557,7 @@ func derivedRows(emb *embed.Embedder, tr *invindex.Transposed) func(d int, row e
 // against cfg (which must already be normalized — newIndexer writes the
 // normalized config back). It returns the meta so callers can check the
 // pinned lake version; any format or config-fingerprint drift is an
-// ErrSnapshotMismatch, format drift alone errStaleFormat.
+// ErrSnapshotMismatch, format drift alone ErrStaleFormat.
 func checkSnapshotMeta(cfg IndexerConfig, dir string) (snapshotMeta, error) {
 	var meta snapshotMeta
 	metaBytes, err := os.ReadFile(filepath.Join(dir, "meta.json"))
@@ -581,7 +581,7 @@ func checkSnapshotMeta(cfg IndexerConfig, dir string) (snapshotMeta, error) {
 		return meta, fmt.Errorf("%w (configuration changed)", ErrSnapshotMismatch)
 	}
 	if meta.Format != snapshotFormat {
-		return meta, fmt.Errorf("%w: format %d, this build writes format %d", errStaleFormat, meta.Format, snapshotFormat)
+		return meta, fmt.Errorf("%w: format %d, this build writes format %d", ErrStaleFormat, meta.Format, snapshotFormat)
 	}
 	return meta, nil
 }

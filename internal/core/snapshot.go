@@ -233,7 +233,7 @@ func (p *Pipeline) RegisterCheckpoint(view *datalake.View) {
 func (p *Pipeline) RegisterRecoveredSnapshot(view *datalake.View, dir string, trust map[string]float64) (*datalake.Snapshot, error) {
 	meta, err := checkSnapshotMeta(p.indexer.cfg, dir)
 	switch {
-	case errors.Is(err, errStaleFormat):
+	case errors.Is(err, ErrStaleFormat):
 		dir = ""
 	case err != nil:
 		return nil, err

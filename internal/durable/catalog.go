@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"errors"
 	"fmt"
 	"iter"
 	"os"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/binfmt"
 	"repro/internal/datalake"
 	"repro/internal/kg"
-	"repro/internal/lakeio"
 	"repro/internal/par"
 )
 
@@ -19,23 +17,44 @@ import (
 // format of the index shards beside it: every table, document and triple
 // of the lake as a handful of string and integer columns, each CRC'd, in
 // one file written through the store's filesystem — not a file per object.
-// The catalog is read whole and its string columns are stored deflated
-// column by column (binfmt's DeflatedStrings): they are mostly repeats.
+// The catalog is read whole. Its string columns are stored deflated column
+// by column, and a column that repeats a few strings many times is stored
+// as a dictionary (binfmt's DictStringSeq): its distinct strings once, then
+// one ID per value. Which columns are dictionaries is fixed, not tried per
+// checkpoint: cells, column names, sources and the triples' subjects and
+// predicates repeat (111,109 cells of the default lake hold 14,789
+// distinct strings, 13,744 column names 36, 9,044 predicates 1,102), while
+// IDs, captions, titles, entities and texts are all or nearly all
+// distinct. The triples' objects repeat too little: 2,068 distinct long
+// strings among 9,044 deflate to 21.4 KB plain and 22.5 KB as a
+// dictionary.
 //
-//	format                          JSON 2; absent in format 1, whose
-//	                                string columns are packed, not deflated
+//	format                          JSON 3
 //	sources                         JSON []datalake.Source
-//	table.id/.caption/.source       one string per table
-//	table.ncols/.nrows              one uint32 per table
-//	table.columns                   column names, tables concatenated
-//	table.cells                     cells, row-major, tables concatenated
+//	table.id/.caption               one string per table, deflated
+//	table.source                    one string per table, a dictionary
+//	table.ncols/.nrows              one uint per table (binfmt's Uints)
+//	table.columns                   column names, tables concatenated, a
+//	                                dictionary
+//	table.cells                     cells, row-major, tables concatenated, a
+//	                                dictionary
 //	table.rowwidth                  empty unless some row is not ncols wide:
-//	                                then one uint32 per row, tables concatenated
-//	doc.id/.title/.entity/.source/.text        one string per document
-//	triple.subject/.predicate/.object/.source  one string per triple
+//	                                then one uint per row, tables concatenated
+//	doc.id/.title/.entity/.text     one string per document, deflated
+//	doc.source                      one string per document, a dictionary
+//	triple.subject/.predicate/.source  one string per triple, a dictionary
+//	triple.object                   one string per triple, deflated
 //
 // Order is the catalog's: tables and documents in insertion order, triples
 // in graph order, so a reloaded lake forks to the same View.
+//
+// The window of formats a build reads is the one it writes and the one
+// before: format 3 and format 2, which stored every string column deflated
+// and the integer columns as uint32s. The first open of a data directory
+// whose checkpoint is at format 2 checkpoints it again (verifai.Open), and
+// a pin keeps its format until it is dropped. Format 1 (packed string
+// columns, no format section) and the lakeio tree before it no longer
+// load.
 //
 // The columns are also the in-memory form of every table, document and
 // triple up to the lake's last seal: the lake seals the ones committed
@@ -50,10 +69,15 @@ import (
 // catalogFile is the container's name inside a checkpoint or pin directory.
 const catalogFile = "catalog.vaib"
 
-// catalogFormat is the container layout writeCatalog writes. Format 1 is
-// user data already on disk, so it keeps loading; the next checkpoint or
-// pin rewrites it.
-const catalogFormat = 2
+// catalogFormat is the container layout writeCatalog writes; decodeCatalog
+// reads it and format 2.
+const catalogFormat = 3
+
+// dictColumns are the string columns format 3 stores as dictionaries.
+var dictColumns = map[string]bool{
+	"table.source": true, "table.columns": true, "table.cells": true, "doc.source": true,
+	"triple.subject": true, "triple.predicate": true, "triple.source": true,
+}
 
 // writeCatalog serializes view into dir (created if needed) through the
 // store's filesystem.
@@ -82,18 +106,18 @@ func (s *Store) writeCatalog(view *datalake.View, dir string) error {
 // LoadCatalog loads the catalog a checkpoint or pin directory holds into a
 // fresh lake (versions 1..n in catalog order; the caller fast-forwards to
 // the directory's pinned version), its tables and documents in one sealed
-// segment. A directory written before the container existed holds the
-// lakeio layout instead and loads through it, as Go objects, and a
-// format-1 container loads too; the next checkpoint rewrites either as
-// format 2. A container that is truncated or fails a checksum is an
-// error, never a partial lake.
+// segment. A container that is truncated, fails a checksum or is in a
+// format outside the window is an error, never a partial lake.
 func (s *Store) LoadCatalog(dir string) (*datalake.Lake, error) {
+	lake, _, err := s.loadCatalog(dir)
+	return lake, err
+}
+
+// loadCatalog is LoadCatalog that also returns the container's format.
+func (s *Store) loadCatalog(dir string) (*datalake.Lake, int, error) {
 	data, err := s.fs.ReadFile(filepath.Join(dir, catalogFile))
-	if errors.Is(err, os.ErrNotExist) {
-		return lakeio.Load(dir)
-	}
 	if err != nil {
-		return nil, fmt.Errorf("durable: read catalog: %w", err)
+		return nil, 0, fmt.Errorf("durable: read catalog: %w", err)
 	}
 	return decodeCatalog(data)
 }
@@ -107,9 +131,23 @@ func encodeCatalog(view *datalake.View) (*binfmt.Writer, error) {
 		return nil, fmt.Errorf("durable: encode catalog: %w", err)
 	}
 	for _, name := range catalogStringColumns {
-		w.DeflatedStringSeq(name, view.Column(name))
+		if dictColumns[name] {
+			w.DictStringSeq(name, view.Column(name))
+		} else {
+			w.DeflatedStringSeq(name, view.Column(name))
+		}
 	}
-	ncols, nrows, rowWidth := view.Shape()
+	ncols, nrows, rowWidth := catalogShape(view)
+	w.Uints("table.ncols", ncols)
+	w.Uints("table.nrows", nrows)
+	w.Uints("table.rowwidth", rowWidth)
+	return w, nil
+}
+
+// catalogShape is view's Shape as a catalog stores it: the row widths are
+// nil unless some row is not as wide as its table's header.
+func catalogShape(view *datalake.View) (ncols, nrows, rowWidth []uint32) {
+	ncols, nrows, rowWidth = view.Shape()
 	ragged := false
 	row := 0
 	for i, n := range nrows {
@@ -120,67 +158,94 @@ func encodeCatalog(view *datalake.View) (*binfmt.Writer, error) {
 		}
 		row += int(n)
 	}
-	w.Uint32s("table.ncols", ncols)
-	w.Uint32s("table.nrows", nrows)
 	if !ragged {
 		rowWidth = nil
 	}
-	w.Uint32s("table.rowwidth", rowWidth)
-	return w, nil
+	return ncols, nrows, rowWidth
 }
 
 // catalogStringColumns lists the container's string columns in file order.
 var catalogStringColumns = append(append([]string(nil), datalake.CatalogColumns...), kg.ColumnNames...)
 
-// decodeCatalog loads a lake from container bytes: its tables, documents
-// and triples inflate into one sealed segment (datalake.LoadColumns), which
-// checks every count against the column it indexes before anything is
-// sized by it, so a container whose sections pass their CRCs but disagree
-// with each other (only a bug or a forged file can produce one) is still
-// an error.
-func decodeCatalog(data []byte) (*datalake.Lake, error) {
+// decodeCatalog loads a lake from container bytes and returns it with the
+// container's format: its tables, documents and triples inflate into one
+// sealed segment (datalake.LoadColumns), which checks every count against
+// the column it indexes before anything is sized by it, so a container
+// whose sections pass their CRCs but disagree with each other (only a bug
+// or a forged file can produce one) is still an error.
+func decodeCatalog(data []byte) (_ *datalake.Lake, format int, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("durable: catalog: %w", err)
+		}
+	}()
 	r, err := binfmt.NewReader(data)
 	if err != nil {
-		return nil, fmt.Errorf("durable: catalog: %w", err)
+		return nil, 0, err
 	}
-	column := r.PackedStrings // format 1: no format section
-	if _, err := r.Bytes("format"); err == nil {
-		var format int
-		if err := r.JSON("format", &format); err != nil {
-			return nil, fmt.Errorf("durable: catalog: %w", err)
-		}
-		if format != catalogFormat {
-			return nil, fmt.Errorf("durable: catalog: format %d not supported", format)
-		}
-		column = r.DeflatedStrings
+	if err := r.JSON("format", &format); err != nil {
+		return nil, 0, err
+	}
+	if format != catalogFormat && format != 2 {
+		return nil, 0, fmt.Errorf("format %d not supported", format)
 	}
 	var sources []datalake.Source
 	if err := r.JSON("sources", &sources); err != nil {
-		return nil, fmt.Errorf("durable: catalog: %w", err)
+		return nil, 0, err
 	}
 	// The columns are independent, so they inflate side by side: the load
 	// takes about as long as its largest column.
 	strs := make([][]string, len(catalogStringColumns))
 	errs := make([]error, len(catalogStringColumns))
 	par.For(len(catalogStringColumns), len(catalogStringColumns), func(i int) {
-		strs[i], errs[i] = column(catalogStringColumns[i])
+		if name := catalogStringColumns[i]; format == catalogFormat && dictColumns[name] {
+			strs[i], errs[i] = r.DictStrings(name)
+		} else {
+			strs[i], errs[i] = r.DeflatedStrings(name)
+		}
 	})
 	cols := make(map[string][]string, len(catalogStringColumns))
 	for i, name := range catalogStringColumns {
 		if errs[i] != nil {
-			return nil, fmt.Errorf("durable: catalog: %w", errs[i])
+			return nil, 0, errs[i]
 		}
 		cols[name] = strs[i]
 	}
-	tables := datalake.Columns{Strings: func(name string) iter.Seq[string] { return slices.Values(cols[name]) }}
-	for name, dst := range map[string]*[]uint32{"table.ncols": &tables.NCols, "table.nrows": &tables.NRows, "table.rowwidth": &tables.RowWidth} {
-		if *dst, err = r.Uint32s(name); err != nil {
-			return nil, fmt.Errorf("durable: catalog: %w", err)
+	// The shapes, n values each: uint32s in format 2, and in format 3 at
+	// the width binfmt's Uints chose.
+	shape := func(name string, n int) ([]uint32, error) {
+		if format == 2 {
+			return r.Uint32s(name)
 		}
+		col, err := r.Uints(name, n)
+		if err != nil || col.U32 != nil || n == 0 {
+			return col.U32, err
+		}
+		vals := make([]uint32, n)
+		for i := range vals {
+			vals[i] = col.At(i)
+		}
+		return vals, nil
+	}
+	tables := datalake.Columns{Strings: func(name string) iter.Seq[string] { return slices.Values(cols[name]) }}
+	if tables.NCols, err = shape("table.ncols", len(cols["table.id"])); err != nil {
+		return nil, 0, err
+	}
+	if tables.NRows, err = shape("table.nrows", len(cols["table.id"])); err != nil {
+		return nil, 0, err
+	}
+	rows := 0 // the row widths are empty, or one a row
+	if b, _ := r.Bytes("table.rowwidth"); len(b) > 0 {
+		for _, n := range tables.NRows {
+			rows += int(n)
+		}
+	}
+	if tables.RowWidth, err = shape("table.rowwidth", rows); err != nil {
+		return nil, 0, err
 	}
 	lake, err := datalake.LoadColumns(sources, tables)
 	if err != nil {
-		return nil, fmt.Errorf("durable: catalog: %w", err)
+		return nil, 0, err
 	}
-	return lake, nil
+	return lake, format, nil
 }

@@ -14,9 +14,7 @@ import (
 	"repro/internal/binfmt"
 	"repro/internal/datalake"
 	"repro/internal/doc"
-	"repro/internal/faultfs"
 	"repro/internal/kg"
-	"repro/internal/lakeio"
 	"repro/internal/table"
 	"repro/internal/wal"
 )
@@ -131,7 +129,7 @@ func TestCatalogRoundTrip(t *testing.T) {
 	for name, lake := range map[string]*datalake.Lake{"empty": emptyLake, "awkward": awkwardLake(t)} {
 		t.Run(name, func(t *testing.T) {
 			want := forkOf(t, lake)
-			loaded, err := decodeCatalog(catalogBytes(t, want))
+			loaded, _, err := decodeCatalog(catalogBytes(t, want))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,8 +200,7 @@ func TestCheckpointIsOneCatalogFile(t *testing.T) {
 }
 
 // TestCorruptCatalogFailsOpen: a flipped byte anywhere in the container,
-// or a container cut short, fails Open — never a partial lake. (A missing
-// container is not this case: that is the older layout, below.)
+// or a container cut short, fails Open — never a partial lake.
 func TestCorruptCatalogFailsOpen(t *testing.T) {
 	seed := t.TempDir()
 	st := openStore(t, seed, Options{Sync: wal.SyncNone})
@@ -262,140 +259,63 @@ func TestCorruptCatalogFailsOpen(t *testing.T) {
 	}
 }
 
-// TestParentLayoutCheckpointOpens: a data directory whose checkpoint is
-// the older lakeio tree under a format-1 META.json opens with its
-// contents, and the next checkpoint replaces the tree with a container.
-func TestParentLayoutCheckpointOpens(t *testing.T) {
-	src := datalake.New()
-	defer src.Close()
-	if err := src.AddSource(datalake.Source{ID: "web", Name: "web", TrustPrior: 0.7}); err != nil {
+// format2Bytes encodes view as catalog format 2 did: every string column
+// deflated, the integer columns as uint32s.
+func format2Bytes(t testing.TB, view *datalake.View) []byte {
+	t.Helper()
+	w := binfmt.NewWriter()
+	if err := w.JSON("format", 2); err != nil {
 		t.Fatal(err)
 	}
-	tb := table.New("t1", "caption", []string{"a", "b"})
-	tb.SourceID = "web"
-	tb.MustAppendRow("1", "2")
-	if err := src.AddTable(tb); err != nil {
+	if err := w.JSON("sources", view.Sources()); err != nil {
 		t.Fatal(err)
 	}
-	mustIngest(t, src, 5, "d")
-	if err := src.AddTriple(kg.Triple{Subject: "s", Predicate: "p", Object: "o", SourceID: "web"}); err != nil {
+	for _, name := range catalogStringColumns {
+		w.DeflatedStringSeq(name, view.Column(name))
+	}
+	ncols, nrows, rowWidth := catalogShape(view)
+	w.Uint32s("table.ncols", ncols)
+	w.Uint32s("table.nrows", nrows)
+	w.Uint32s("table.rowwidth", rowWidth)
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	want := forkOf(t, src)
-
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "checkpoint")
-	if err := lakeio.Save(want, ckpt); err != nil {
-		t.Fatal(err)
-	}
-	meta := fmt.Sprintf(`{"format": 1, "version": %d, "created_unix": 1700000000}`, want.Version())
-	if err := os.WriteFile(filepath.Join(ckpt, metaFile), []byte(meta), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	st := openStore(t, dir, Options{Sync: wal.SyncNone})
-	if diff := sameCatalog(forkOf(t, st.Lake()), want); diff != "" {
-		t.Fatal(diff)
-	}
-	if v := st.Lake().Version(); v != want.Version() {
-		t.Fatalf("opened at version %d, want %d", v, want.Version())
-	}
-	mustIngest(t, st.Lake(), 1, "late")
-	want = forkOf(t, st.Lake())
-	if _, err := st.Checkpoint(nil); err != nil {
-		t.Fatal(err)
-	}
-	st.Lake().Close()
-	st.Close()
-
-	for _, gone := range []string{"manifest.json", "tables", "texts"} {
-		if _, err := os.Stat(filepath.Join(ckpt, gone)); !os.IsNotExist(err) {
-			t.Errorf("%s survived the rewrite (stat: %v)", gone, err)
-		}
-	}
-	if m, err := readCheckpointMeta(st.fs, ckpt); err != nil || m == nil || m.Format != checkpointFormat {
-		t.Errorf("rewritten META = %+v, %v; want format %d", m, err, checkpointFormat)
-	}
-	st2 := openStore(t, dir, Options{Sync: wal.SyncNone})
-	defer func() { st2.Lake().Close(); st2.Close() }()
-	if diff := sameCatalog(forkOf(t, st2.Lake()), want); diff != "" {
-		t.Fatal(diff)
-	}
+	return buf.Bytes()
 }
 
-// format1Fixture is awkwardLake's catalog as the release before catalog
-// format 2 wrote it: no format section, string columns packed, not
-// deflated.
-const format1Fixture = "testdata/catalog-format1.vaib"
-
-// TestFormat1CatalogFixture: a format-1 catalog is user data already on
-// disk. It loads to the catalog it was written from, the same as its
-// format-2 rewrite does, and a checkpoint over it opens and its next
-// checkpoint writes format 2.
-func TestFormat1CatalogFixture(t *testing.T) {
-	old, err := os.ReadFile(format1Fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r, err := binfmt.NewReader(old); err != nil {
-		t.Fatal(err)
-	} else if _, err := r.Bytes("format"); err == nil {
-		t.Fatalf("%s has a format section; it is not a format-1 catalog", format1Fixture)
-	}
+// TestFormat2CatalogLoads: a format-2 catalog is user data already on
+// disk, inside the window this build reads. It loads to the catalog it
+// was written from and reports its format, and its format-3 rewrite loads
+// to the same catalog, smaller.
+func TestFormat2CatalogLoads(t *testing.T) {
 	want := forkOf(t, awkwardLake(t))
-	lake, err := decodeCatalog(old)
+	old := format2Bytes(t, want)
+	lake, format, err := decodeCatalog(old)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lake.Close()
-	if diff := sameCatalog(forkOf(t, lake), want); diff != "" {
-		t.Fatalf("format 1: %s", diff)
+	if format != 2 {
+		t.Errorf("format 2 read as format %d", format)
 	}
-	rewritten, err := decodeCatalog(catalogBytes(t, forkOf(t, lake)))
+	if diff := sameCatalog(forkOf(t, lake), want); diff != "" {
+		t.Fatalf("format 2: %s", diff)
+	}
+	rewrite := catalogBytes(t, forkOf(t, lake))
+	rewritten, format, err := decodeCatalog(rewrite)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rewritten.Close()
-	if diff := sameCatalog(forkOf(t, rewritten), forkOf(t, lake)); diff != "" {
-		t.Fatalf("format-2 rewrite: %s", diff)
+	if format != catalogFormat {
+		t.Errorf("the rewrite read as format %d, want %d", format, catalogFormat)
 	}
-
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "checkpoint")
-	if err := os.MkdirAll(ckpt, 0o755); err != nil {
-		t.Fatal(err)
+	if diff := sameCatalog(forkOf(t, rewritten), want); diff != "" {
+		t.Fatalf("format-3 rewrite: %s", diff)
 	}
-	if err := os.WriteFile(filepath.Join(ckpt, catalogFile), old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeCheckpointMeta(faultfs.OS, ckpt, checkpointMeta{Format: checkpointFormat, Version: want.Version()}); err != nil {
-		t.Fatal(err)
-	}
-	st := openStore(t, dir, Options{Sync: wal.SyncNone})
-	if diff := sameCatalog(forkOf(t, st.Lake()), want); diff != "" {
-		t.Fatalf("opened over format 1: %s", diff)
-	}
-	mustIngest(t, st.Lake(), 1, "late")
-	want = forkOf(t, st.Lake())
-	if _, err := st.Checkpoint(nil); err != nil {
-		t.Fatal(err)
-	}
-	st.Lake().Close()
-	st.Close()
-	data, err := os.ReadFile(filepath.Join(ckpt, catalogFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var format int
-	if r, err := binfmt.NewReader(data); err != nil {
-		t.Fatal(err)
-	} else if err := r.JSON("format", &format); err != nil || format != catalogFormat {
-		t.Fatalf("next checkpoint wrote catalog format %d (%v), want %d", format, err, catalogFormat)
-	}
-	st2 := openStore(t, dir, Options{Sync: wal.SyncNone})
-	defer func() { st2.Lake().Close(); st2.Close() }()
-	if diff := sameCatalog(forkOf(t, st2.Lake()), want); diff != "" {
-		t.Fatalf("reopened after the rewrite: %s", diff)
+	if len(rewrite) >= len(old) {
+		t.Errorf("the format-3 rewrite is %d bytes, format 2 %d", len(rewrite), len(old))
 	}
 }
 
@@ -460,19 +380,26 @@ func withSection(t testing.TB, good []byte, name string, payload []byte) []byte 
 	return buf.Bytes()
 }
 
+// dictColumn is a format-3 dictionary column payload (binfmt's
+// DictStringSeq) of count values: the distinct strings dict, then the ID
+// bytes ids, inflating to exactly what its prefix declares.
+func dictColumn(t testing.TB, count int, dict []string, ids ...byte) []byte {
+	b := binary.AppendUvarint(nil, uint64(count))
+	b = append(b, packedColumn(dict...)...)
+	b = append(b, ids...)
+	return deflatedColumn(t, len(b), b)
+}
+
 // FuzzLoadCatalog feeds the catalog decoder arbitrary bytes — what
 // recovery reads after a torn write, a partial restore or meddling under
 // <dir>/checkpoint — both as the whole file and, behind valid checksums,
-// as the payload of one section of an otherwise good container, format 2
-// and format 1 (the first byte picks which section). It must never panic
+// as the payload of one section of an otherwise good container, format 3
+// and format 2 (the first byte picks which section). It must never panic
 // or size an allocation by a forged count or a forged inflated length, and
 // whatever it accepts must be a fixed point: re-encoding the loaded
 // catalog and loading that gives the same catalog.
 func FuzzLoadCatalog(f *testing.F) {
-	old, err := os.ReadFile(format1Fixture)
-	if err != nil {
-		f.Fatal(err)
-	}
+	old := format2Bytes(f, forkOf(f, awkwardLake(f)))
 	emptyLake := datalake.New()
 	defer emptyLake.Close()
 	for _, good := range [][]byte{catalogBytes(f, forkOf(f, emptyLake)), catalogBytes(f, forkOf(f, awkwardLake(f))), old} {
@@ -492,8 +419,8 @@ func FuzzLoadCatalog(f *testing.F) {
 	f.Add([]byte{2, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0}) // nrows: 2G rows, then a ragged length
 	f.Add([]byte{3, 0, 0, 0, 0})                      // rowwidth: too few widths
 	f.Add([]byte{3})                                  // rowwidth: present but empty
-	f.Add([]byte{18, '3'})                            // format: one this build does not know
-	f.Add([]byte{18, '1'})                            // format: 1 over deflated columns
+	f.Add([]byte{18, '4'})                            // format: one this build does not know
+	f.Add([]byte{18, '1'})                            // format: 1, outside the window
 	cells := packedColumn("tommy bolt", "570", "", "\xff\xfe", "a,\"b\"", "{}", "1", "2", "3", "4", "5", "6")
 	for _, col := range [][]byte{
 		packedColumn(),                 // table.cells: no cells at all
@@ -503,8 +430,7 @@ func FuzzLoadCatalog(f *testing.F) {
 		cells[:len(cells)-1],           // a blob a byte short
 		append(cells, 'x'),             // a blob a byte long
 	} {
-		f.Add(append([]byte{8}, deflatedColumn(f, len(col), col)...)) // format 2
-		f.Add(append([]byte{8}, col...))                              // format 1
+		f.Add(append([]byte{8}, deflatedColumn(f, len(col), col)...))
 	}
 	stream := deflatedColumn(f, len(cells), cells)
 	f.Add(append([]byte{8}, stream...))                                                         // table.cells: twelve other cells, as many as it holds
@@ -513,6 +439,17 @@ func FuzzLoadCatalog(f *testing.F) {
 	f.Add(append([]byte{8}, stream[:len(stream)-2]...))                                         // a stream truncated behind a valid CRC
 	f.Add(append([]byte{8}, deflatedColumn(f, 1<<40, cells)...))                                // a declared length of 2^40
 	f.Add(append([]byte{4}, deflatedColumn(f, len(packedColumn("id")), packedColumn("id"))...)) // table.id: one table where four are described
+	// Format-3 dictionary columns: twelve cells of four distinct strings.
+	dict := []string{"tommy bolt", "570", "", "\xff\xfe"}
+	ids := []byte{0, 1, 2, 3, 2, 2, 1, 0, 3, 3, 2, 1}
+	f.Add(append([]byte{8}, dictColumn(f, 12, dict, ids...)...))            // table.cells: twelve other cells
+	f.Add(append([]byte{8}, dictColumn(f, 3, dict, ids[:3]...)...))         // table.cells: a distinct count above the value count
+	f.Add(append([]byte{8}, dictColumn(f, 12, dict[:3], ids...)...))        // table.cells: an ID past the distinct strings
+	f.Add(append([]byte{8}, dictColumn(f, 12, dict, ids[:11]...)...))       // table.cells: an ID run a value short
+	f.Add(append([]byte{8}, dictColumn(f, 12, dict, append(ids, 0)...)...)) // table.cells: an ID run a value long
+	f.Add(append([]byte{7}, dictColumn(f, 1<<40, dict, ids...)...))         // table.columns: a forged value count
+	f.Add(append([]byte{15}, dictColumn(f, 1, []string{"capital"}, 0)...))  // triple.predicate: one triple where four are described
+	f.Add(append([]byte{1}, 2))                                             // ncols: one byte where four tables are described
 
 	good := catalogBytes(f, forkOf(f, awkwardLake(f)))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -522,13 +459,13 @@ func FuzzLoadCatalog(f *testing.F) {
 			inputs = append(inputs, withSection(t, good, name, data[1:]), withSection(t, old, name, data[1:]))
 		}
 		for _, in := range inputs {
-			lake, err := decodeCatalog(in)
+			lake, _, err := decodeCatalog(in)
 			if err != nil {
 				continue
 			}
 			view := forkOf(t, lake)
 			lake.Close()
-			again, err := decodeCatalog(catalogBytes(t, view))
+			again, _, err := decodeCatalog(catalogBytes(t, view))
 			if err != nil {
 				t.Fatalf("re-encoded catalog does not load: %v", err)
 			}

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/binfmt"
 	"repro/internal/core"
 	"repro/internal/datalake"
 	"repro/internal/doc"
@@ -471,4 +473,125 @@ func TestCrashConsistencyRandomized(t *testing.T) {
 		}
 		verifyCrashRecovery(t, dir, kill, muts, acked, srcAcked)
 	}
+}
+
+// upgradeFixture is a data directory a format-6 build wrote: its head
+// checkpoint holds the catalog at catalog format 2 and the BM25 files at
+// snapshot format 6.
+var upgradeFixture = filepath.Join("..", "..", "testdata", "format6", "data")
+
+// runUpgradeAttempt opens dir through ffs and takes the checkpoint that
+// upgrades its stale head, as verifai.Open does: the head re-indexed, then
+// checkpointed. Failures are tolerated only after the injected crash.
+func runUpgradeAttempt(t *testing.T, dir string, ffs *faultfs.Faulty) {
+	t.Helper()
+	st, err := Open(dir, Options{Sync: wal.SyncAlways, FS: ffs})
+	if err != nil {
+		if !ffs.Crashed() {
+			t.Fatalf("Open failed without a crash: %v", err)
+		}
+		return
+	}
+	defer func() {
+		st.Lake().Close()
+		st.Close()
+	}()
+	if !st.StaleCatalog() {
+		t.Fatal("the fixture's head catalog is not stale")
+	}
+	cfg := core.DefaultIndexerConfig(1)
+	if _, err := core.BuildIndexerFromSnapshot(st.Lake(), cfg, st.IndexSnapshotDir()); !errors.Is(err, core.ErrStaleFormat) {
+		t.Fatalf("the fixture's index files open as %v, want a stale format", err)
+	}
+	ix, err := core.BuildIndexer(st.Lake(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if err := st.ReplayTail(); err != nil {
+		if !ffs.Crashed() {
+			t.Fatalf("ReplayTail failed without a crash: %v", err)
+		}
+		return
+	}
+	st.Arm()
+	if _, err := st.Checkpoint(indexFreeze(ix)); err != nil && !ffs.Crashed() {
+		t.Fatalf("Checkpoint failed without a crash: %v", err)
+	}
+}
+
+// checkpointFormats returns the catalog format and the snapshot format of
+// dir's head checkpoint.
+func checkpointFormats(t *testing.T, dir string) (catalog, snapshot int) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "checkpoint", catalogFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := binfmt.NewReader(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.JSON("format", &catalog); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := os.ReadFile(filepath.Join(dir, "checkpoint", "indexes", "meta.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct{ Format int }
+	if err := json.Unmarshal(meta, &m); err != nil {
+		t.Fatal(err)
+	}
+	return catalog, m.Format
+}
+
+// TestUpgradeCheckpointKillPoints sweeps the kill point across every
+// mutating filesystem operation of the open that upgrades a stale head
+// (torn writes every third point): every kill leaves the old checkpoint
+// (catalog format 2, snapshot format 6) or the new one (catalog format 3,
+// snapshot format 7), never neither, and either holds the fixture's
+// catalog at its version.
+func TestUpgradeCheckpointKillPoints(t *testing.T) {
+	want := openStore(t, copyOf(t, upgradeFixture), Options{Sync: wal.SyncNone})
+	wantView := forkOf(t, want.Lake())
+	want.Lake().Close()
+	want.Close()
+	seen := map[[2]int]int{}
+	for kill := int64(1); ; kill++ {
+		dir := copyOf(t, upgradeFixture)
+		ffs := faultfs.New(nil)
+		ffs.CrashAt(kill, kill%3 == 0)
+		runUpgradeAttempt(t, dir, ffs)
+		st := openStore(t, dir, Options{Sync: wal.SyncNone})
+		if diff := sameCatalog(forkOf(t, st.Lake()), wantView); diff != "" || st.Lake().Version() != wantView.Version() {
+			t.Fatalf("kill %d: recovered at version %d (%s), want the fixture's at %d", kill, st.Lake().Version(), diff, wantView.Version())
+		}
+		st.Lake().Close()
+		st.Close()
+		formats := [2]int{}
+		formats[0], formats[1] = checkpointFormats(t, dir)
+		if formats != [2]int{2, 6} && formats != [2]int{catalogFormat, 7} {
+			t.Fatalf("kill %d: the head checkpoint holds catalog format %d beside snapshot format %d", kill, formats[0], formats[1])
+		}
+		seen[formats]++
+		if !ffs.Crashed() {
+			if formats[0] != catalogFormat {
+				t.Fatalf("the open ran to its end and left catalog format %d", formats[0])
+			}
+			break
+		}
+	}
+	if seen[[2]int{2, 6}] < 10 || seen[[2]int{catalogFormat, 7}] < 2 {
+		t.Errorf("kills left the old checkpoint %d times and the new one %d: the sweep does not cross the upgrade", seen[[2]int{2, 6}], seen[[2]int{catalogFormat, 7}])
+	}
+	t.Logf("kill points: %v", seen)
+}
+
+// copyOf copies the directory src into a fresh temporary directory.
+func copyOf(t *testing.T, src string) string {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "data")
+	copyDir(t, src, dir)
+	return dir
 }

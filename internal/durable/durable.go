@@ -96,7 +96,7 @@ const metaFile = "META.json"
 const replayBatchSize = 256
 
 // checkpointFormat is the layout this package writes: 2, the catalog in
-// one container. Format 1 kept it as a lakeio tree; LoadCatalog reads both.
+// one container. Format 1 kept it as a lakeio tree, which no longer loads.
 const checkpointFormat = 2
 
 // checkpointMeta is the checkpoint's pinning metadata.
@@ -178,6 +178,9 @@ type Store struct {
 	replayed int
 	armed    bool
 	closed   bool
+	// staleCatalog is set by Open, when the checkpoint it recovered holds
+	// its catalog in the format before the one this build writes.
+	staleCatalog bool
 
 	m storeMetrics
 }
@@ -246,6 +249,11 @@ func (s *Store) CheckpointVersion() uint64 {
 	return s.ckptVersion
 }
 
+// StaleCatalog reports whether the checkpoint Open recovered holds its
+// catalog in the format before the one this build writes: it loads, and a
+// checkpoint rewrites it (verifai.Open takes one before it returns).
+func (s *Store) StaleCatalog() bool { return s.staleCatalog }
+
 // Open recovers a durable lake from dir, creating the layout on first use.
 // It fails fast with ErrLocked when another process owns the directory.
 // Call ReplayTail after subscribing the indexer, then Arm to begin logging
@@ -276,11 +284,11 @@ func Open(dir string, opts Options) (_ *Store, err error) {
 		return nil, err
 	}
 	if meta != nil {
-		lake, err := s.LoadCatalog(s.checkpointDir())
+		lake, format, err := s.loadCatalog(s.checkpointDir())
 		if err != nil {
 			return nil, fmt.Errorf("durable: load checkpoint: %w", err)
 		}
-		s.lake = lake
+		s.lake, s.staleCatalog = lake, format != catalogFormat
 		s.ckptVersion = meta.Version
 		if s.ckptSize, err = measureTree(s.fs, s.checkpointDir()); err != nil {
 			lake.Close()

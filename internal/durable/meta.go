@@ -118,7 +118,7 @@ func (size *treeSize) add(fs faultfs.FS, dir string, indexes bool) error {
 // checkpointPart names the part a checkpoint file belongs to. Index files
 // are named for their family (bm25-<kind>-000.idx under indexes/), the
 // META.json and indexes/meta.json markers are metadata, and everything else
-// is the catalog: catalog.vaib, or an older checkpoint's lakeio tree.
+// is the catalog: catalog.vaib.
 func checkpointPart(name string, indexes bool) string {
 	switch {
 	case name == metaFile || indexes && name == "meta.json":

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/binfmt"
 	"repro/internal/invindex"
 	"repro/internal/textutil"
 	"repro/internal/workload"
@@ -32,6 +33,9 @@ func TestFormat5DirectoryReindexes(t *testing.T) { staleDirectoryReindexes(t, "f
 // BM25 files: the directory is stale by its meta.json alone.
 func TestFormat6DirectoryReindexes(t *testing.T) { staleDirectoryReindexes(t, "format6") }
 
+// fixturePin is the version the fixtures' directories pin.
+const fixturePin = 77
+
 // staleDirectoryReindexes opens testdata/<fixture>/data, a data directory
 // an older release wrote with its own binaries (built from a checkout of
 // its commit; cmd/lakegen and cmd/verifai):
@@ -52,21 +56,12 @@ func TestFormat6DirectoryReindexes(t *testing.T) { staleDirectoryReindexes(t, "f
 // write this build's format at its next checkpoint, and reopen from that
 // checkpoint's files without re-indexing.
 func staleDirectoryReindexes(t *testing.T, fixture string) {
-	const pin = 77
-	raw, err := os.ReadFile(filepath.Join("testdata", fixture, "reports.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
 	data := filepath.Join(t.TempDir(), "data")
 	copyTree(t, filepath.Join("testdata", fixture, "data"), data)
 
 	pinIndexes := filepath.Join(data, "snapshots", "77", "indexes")
 	pinFile := filepath.Join(pinIndexes, "bm25-tuple-000.idx")
-	_, _, err = invindex.OpenFile(pinFile, textutil.NewDict())
+	_, _, err := invindex.OpenFile(pinFile, textutil.NewDict())
 	if fixture == "format6" {
 		if err != nil {
 			t.Fatalf("%s, written at snapshot format 6, does not open as a BM25 file of this build: %v", pinFile, err)
@@ -82,39 +77,7 @@ func staleDirectoryReindexes(t *testing.T, fixture string) {
 		t.Fatalf("%s, written by an older release, opens as a BM25 file of this one", pinFile)
 	}
 
-	furgol := "In 1954 u.s. open (golf), the money for ed furgol was 9000."
-	verifies := func(t *testing.T, sys *System) {
-		t.Helper()
-		ctx := context.Background()
-		// In the order the Reports were recorded in: each takes the next
-		// lineage sequence number.
-		for _, c := range []struct {
-			name   string
-			verify func() (Report, error)
-		}{
-			{"head golf", func() (Report, error) { return sys.VerifyClaim("golf", workload.GolfClaim()) }},
-			{"head stomp", func() (Report, error) { return sys.VerifyClaim("stomp", workload.StompTheYardClaim()) }},
-			{"head furgol", func() (Report, error) { return sys.VerifyClaimTextAsOfCtx(ctx, "furgol", furgol, 0) }},
-			{"pin golf", func() (Report, error) { return sys.VerifyClaimAsOfCtx(ctx, "golf", workload.GolfClaim(), pin) }},
-			{"pin furgol", func() (Report, error) { return sys.VerifyClaimTextAsOfCtx(ctx, "furgol", furgol, pin) }},
-		} {
-			rep, err := c.verify()
-			if err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
-			got, err := json.Marshal(rep)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var w bytes.Buffer
-			if err := json.Compact(&w, want[c.name]); err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
-			if !bytes.Equal(got, w.Bytes()) {
-				t.Errorf("%s: report differs from the one the %s release returned:\n got %s\nwant %s", c.name, fixture, got, w.Bytes())
-			}
-		}
-	}
+	verifies := fixtureReports(t, fixture)
 	// open opens the directory; opened says whether the head's BM25 files
 	// must have been opened and the vector indexes derived from them (else
 	// re-indexed).
@@ -129,10 +92,10 @@ func staleDirectoryReindexes(t *testing.T, fixture string) {
 		}
 		listed := false
 		for _, snap := range sys.Snapshots() {
-			listed = listed || snap.Version == pin && snap.Pinned
+			listed = listed || snap.Version == fixturePin && snap.Pinned
 		}
 		if !listed {
-			t.Fatalf("pin %d not recovered (snapshots %+v)", pin, sys.Snapshots())
+			t.Fatalf("pin %d not recovered (snapshots %+v)", fixturePin, sys.Snapshots())
 		}
 		return sys
 	}
@@ -153,4 +116,149 @@ func staleDirectoryReindexes(t *testing.T, fixture string) {
 	sys = open(t, true)
 	defer sys.Close()
 	verifies(t, sys)
+}
+
+// fixtureReports returns a check that sys, opened on a copy of
+// testdata/<fixture>/data, returns the Reports of the fixture's
+// reports.json, byte for byte and in the order they were recorded in.
+func fixtureReports(t *testing.T, fixture string) func(t *testing.T, sys *System) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", fixture, "reports.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	furgol := "In 1954 u.s. open (golf), the money for ed furgol was 9000."
+	return func(t *testing.T, sys *System) {
+		t.Helper()
+		ctx := context.Background()
+		// In the order the Reports were recorded in: each takes the next
+		// lineage sequence number.
+		for _, c := range []struct {
+			name   string
+			verify func() (Report, error)
+		}{
+			{"head golf", func() (Report, error) { return sys.VerifyClaim("golf", workload.GolfClaim()) }},
+			{"head stomp", func() (Report, error) { return sys.VerifyClaim("stomp", workload.StompTheYardClaim()) }},
+			{"head furgol", func() (Report, error) { return sys.VerifyClaimTextAsOfCtx(ctx, "furgol", furgol, 0) }},
+			{"pin golf", func() (Report, error) { return sys.VerifyClaimAsOfCtx(ctx, "golf", workload.GolfClaim(), fixturePin) }},
+			{"pin furgol", func() (Report, error) { return sys.VerifyClaimTextAsOfCtx(ctx, "furgol", furgol, fixturePin) }},
+		} {
+			rep, err := c.verify()
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			got, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var w bytes.Buffer
+			if err := json.Compact(&w, want[c.name]); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if !bytes.Equal(got, w.Bytes()) {
+				t.Errorf("%s: report differs from the one the %s release returned:\n got %s\nwant %s", c.name, fixture, got, w.Bytes())
+			}
+		}
+	}
+}
+
+// catalogFormatOf returns the format a data directory's head checkpoint
+// stores its catalog in.
+func catalogFormatOf(t *testing.T, data string) int {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(data, "checkpoint", "catalog.vaib"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := binfmt.NewReader(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var format int
+	if err := r.JSON("format", &format); err != nil {
+		t.Fatal(err)
+	}
+	return format
+}
+
+// TestStaleHeadUpgradedOnceAtOpen: the first Open of a copy of
+// testdata/format6/data, whose head checkpoint holds its catalog at
+// catalog format 2 and its index files at snapshot format 6, checkpoints
+// before it returns: without a Checkpoint call the directory then holds
+// catalog format 3 and snapshot format 7, and it serves the fixture's
+// Reports. A second Open rebuilds nothing and takes no checkpoint. An
+// empty directory takes no checkpoint at open, and a follower over a copy
+// of the stale directory takes none either.
+func TestStaleHeadUpgradedOnceAtOpen(t *testing.T) {
+	fixture := filepath.Join("testdata", "format6", "data")
+	data, follower := filepath.Join(t.TempDir(), "data"), filepath.Join(t.TempDir(), "follower")
+	copyTree(t, fixture, data)
+	copyTree(t, fixture, follower)
+	if f := catalogFormatOf(t, data); f != 2 {
+		t.Fatalf("the fixture's catalog is at format %d, want 2", f)
+	}
+	reports := fixtureReports(t, "format6")
+	// open opens the directory; upgrade says whether it must have
+	// re-indexed the head and checkpointed, else opened the BM25 files and
+	// taken no checkpoint.
+	open := func(t *testing.T, dir string, upgrade bool) *System {
+		t.Helper()
+		sys, err := Open(dir, durableOpts(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, _ := sys.Durability()
+		if took := st.LastCheckpointUnix != 0; took != upgrade {
+			t.Errorf("Open took a checkpoint: %v, want %v", took, upgrade)
+		}
+		if opened := sys.Pipeline().Indexer().IndexStats().DeriveMS != 0; opened == upgrade {
+			t.Errorf("BM25 files opened: %v, want %v", opened, !upgrade)
+		}
+		return sys
+	}
+
+	sys := open(t, data, true)
+	if f := catalogFormatOf(t, data); f != 3 {
+		t.Errorf("after one Open the catalog is at format %d, want 3", f)
+	}
+	meta, err := os.ReadFile(filepath.Join(data, "checkpoint", "indexes", "meta.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(meta, []byte(`"format": 7,`)) {
+		t.Errorf("after one Open the index meta is %s, want snapshot format 7", meta)
+	}
+	reports(t, sys)
+	sys.Close()
+	sys = open(t, data, false)
+	reports(t, sys)
+	sys.Close()
+
+	empty := filepath.Join(t.TempDir(), "empty")
+	sys, err = Open(empty, durableOpts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Close()
+	if _, err := os.Stat(filepath.Join(empty, "checkpoint")); !os.IsNotExist(err) {
+		t.Errorf("Open of an empty directory left a checkpoint (stat: %v)", err)
+	}
+
+	leader, srv := newLeader(t, data)
+	f, err := OpenFollower(follower, srv.URL, OpenOptions{Options: ExactOptions(1), Sync: "none"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	waitReplicated(t, f, leader.LakeVersion())
+	if st, _ := f.Durability(); st.LastCheckpointUnix != 0 {
+		t.Error("a follower over a stale directory took a checkpoint")
+	}
+	if format := catalogFormatOf(t, follower); format != 2 {
+		t.Errorf("the follower's catalog is at format %d, want 2 as it was", format)
+	}
 }

@@ -3,7 +3,6 @@ package verifai
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -131,19 +130,25 @@ func TestPinnedVerdictReproducible(t *testing.T) {
 	}
 }
 
-// catalogStringColumns are a catalog container's string columns, in the
-// order the release before catalog format 2 wrote them.
-var catalogStringColumns = []string{
-	"table.id", "table.caption", "table.source", "table.columns", "table.cells",
-	"doc.id", "doc.title", "doc.entity", "doc.source", "doc.text",
-	"triple.subject", "triple.predicate", "triple.object", "triple.source",
-}
+// catalogStringColumns are a catalog container's string columns, in
+// file order; catalogDictColumns are those catalog format 3 stores as
+// dictionaries.
+var (
+	catalogStringColumns = []string{
+		"table.id", "table.caption", "table.source", "table.columns", "table.cells",
+		"doc.id", "doc.title", "doc.entity", "doc.source", "doc.text",
+		"triple.subject", "triple.predicate", "triple.object", "triple.source",
+	}
+	catalogDictColumns = map[string]bool{
+		"table.source": true, "table.columns": true, "table.cells": true, "doc.source": true,
+		"triple.subject": true, "triple.predicate": true, "triple.source": true,
+	}
+)
 
-// rewriteAsFormat1 rewrites the catalog container at path the way the
-// release before catalog format 2 wrote it: no format section, and each
-// string column packed (uvarint count, uvarint lengths, bytes), not
-// deflated.
-func rewriteAsFormat1(t *testing.T, path string) {
+// rewriteAsCatalogFormat2 rewrites the format-3 catalog container at path
+// the way the release before catalog format 3 wrote it: every string
+// column deflated, none a dictionary, and the integer columns as uint32s.
+func rewriteAsCatalogFormat2(t *testing.T, path string) {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -154,30 +159,51 @@ func rewriteAsFormat1(t *testing.T, path string) {
 		t.Fatal(err)
 	}
 	w := binfmt.NewWriter()
-	copySection := func(name string) {
-		b, err := r.Bytes(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Section(name, b)
+	if err := w.JSON("format", 2); err != nil {
+		t.Fatal(err)
 	}
-	copySection("sources")
+	sources, err := r.Bytes("sources")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Section("sources", sources)
+	tables := 0
 	for _, name := range catalogStringColumns {
-		vals, err := r.DeflatedStrings(name)
+		read := r.DeflatedStrings
+		if catalogDictColumns[name] {
+			read = r.DictStrings
+		}
+		vals, err := read(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		packed := binary.AppendUvarint(nil, uint64(len(vals)))
-		for _, s := range vals {
-			packed = binary.AppendUvarint(packed, uint64(len(s)))
+		if name == "table.id" {
+			tables = len(vals)
 		}
-		for _, s := range vals {
-			packed = append(packed, s...)
-		}
-		w.Section(name, packed)
+		w.DeflatedStrings(name, vals)
 	}
+	rows := 0
 	for _, name := range []string{"table.ncols", "table.nrows", "table.rowwidth"} {
-		copySection(name)
+		n := tables
+		if name == "table.rowwidth" {
+			if b, err := r.Bytes(name); err != nil || len(b) == 0 {
+				n = 0
+			} else {
+				n = rows
+			}
+		}
+		col, err := r.Uints(name, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := make([]uint32, n)
+		for i := range vals {
+			vals[i] = col.At(i)
+			if name == "table.nrows" {
+				rows += int(vals[i])
+			}
+		}
+		w.Uint32s(name, vals)
 	}
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
@@ -188,11 +214,11 @@ func rewriteAsFormat1(t *testing.T, path string) {
 	}
 }
 
-// TestFormat1PinRecovers: a durable pin is user data, so a pin whose
-// catalog is in format 1 (written before catalog format 2) is recovered by
-// Open, and its pinned verify returns the Report a format-2 pin at the
+// TestFormat2PinRecovers: a durable pin is user data, so a pin whose
+// catalog is in format 2 (written before catalog format 3) is recovered by
+// Open, and its pinned verify returns the Report a format-3 pin at the
 // same version returns, byte for byte.
-func TestFormat1PinRecovers(t *testing.T) {
+func TestFormat2PinRecovers(t *testing.T) {
 	data := filepath.Join(t.TempDir(), "data")
 	sys, err := Open(data, durableOpts(1))
 	if err != nil {
@@ -226,7 +252,7 @@ func TestFormat1PinRecovers(t *testing.T) {
 	}
 	old := filepath.Join(t.TempDir(), "old")
 	copyTree(t, data, old)
-	rewriteAsFormat1(t, filepath.Join(old, "snapshots", fmt.Sprint(pin), "catalog.vaib"))
+	rewriteAsCatalogFormat2(t, filepath.Join(old, "snapshots", fmt.Sprint(pin), "catalog.vaib"))
 
 	pinned := func(dir string) []byte {
 		t.Helper()
@@ -255,8 +281,8 @@ func TestFormat1PinRecovers(t *testing.T) {
 		}
 		return b
 	}
-	if format2, format1 := pinned(data), pinned(old); !bytes.Equal(format1, format2) {
-		t.Errorf("pinned reports differ:\n format 1 %s\n format 2 %s", format1, format2)
+	if format3, format2 := pinned(data), pinned(old); !bytes.Equal(format2, format3) {
+		t.Errorf("pinned reports differ:\n format 2 %s\n format 3 %s", format2, format3)
 	}
 }
 

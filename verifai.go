@@ -271,7 +271,10 @@ func DefaultOpenOptions(seed uint64) OpenOptions {
 //     necessarily unacknowledged, is dropped; corruption elsewhere fails
 //     the open);
 //  4. the durability hooks are armed: from here on every acknowledged
-//     write is in the log before it commits.
+//     write is in the log before it commits;
+//  5. a head checkpoint in an older format than this build writes (its
+//     catalog, or its index files, which step 2 re-indexed) is
+//     checkpointed again, so the next Open does no upgrade work.
 //
 // The directory is owned by one process at a time, enforced with a
 // cross-process file lock: a second Open fails fast with ErrDataDirLocked.
@@ -279,13 +282,21 @@ func DefaultOpenOptions(seed uint64) OpenOptions {
 // the kernel); Checkpoint periodically to bound recovery time and log
 // size — checkpoints overlap ingestion, so a tight cadence is safe.
 func Open(dir string, opts OpenOptions) (*System, error) {
-	sys, err := openDurable(dir, opts, false)
+	sys, stale, err := openDurable(dir, opts, false)
 	if err != nil {
 		return nil, err
 	}
 	if err := recoverPins(sys, sys.durable); err != nil {
 		_ = sys.Close()
 		return nil, fmt.Errorf("verifai: recover pinned snapshots: %w", err)
+	}
+	// A head written in an older format is upgraded here, once: the next
+	// open reads this build's catalog and index files and rebuilds nothing.
+	if stale {
+		if _, err := sys.Checkpoint(); err != nil {
+			_ = sys.Close()
+			return nil, fmt.Errorf("verifai: upgrade checkpoint: %w", err)
+		}
 	}
 	return sys, nil
 }
@@ -295,38 +306,40 @@ func Open(dir string, opts OpenOptions) (*System, error) {
 // and arms the durability hooks. readOnly (a follower) marks the lake
 // read-only before anything can write, so replication — ReplayTail
 // included — is the only mutation path. On error everything it opened is
-// closed again.
-func openDurable(dir string, opts OpenOptions, readOnly bool) (*System, error) {
+// closed again. stale reports a head checkpoint in an older format than
+// this build writes: its catalog (durable.Store.StaleCatalog) or its index
+// files, which were re-indexed (core.ErrStaleFormat).
+func openDurable(dir string, opts OpenOptions, readOnly bool) (sys *System, stale bool, err error) {
 	policy, err := wal.ParseSyncPolicy(opts.Sync)
 	if err != nil {
-		return nil, fmt.Errorf("verifai: %w", err)
+		return nil, false, fmt.Errorf("verifai: %w", err)
 	}
 	format, err := wal.ParseFormat(opts.WALFormat)
 	if err != nil {
-		return nil, fmt.Errorf("verifai: %w", err)
+		return nil, false, fmt.Errorf("verifai: %w", err)
 	}
 	st, err := durable.Open(dir, durable.Options{
 		Sync: policy, SyncInterval: opts.SyncInterval, SegmentBytes: opts.SegmentBytes,
 		WALFormat: format,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("verifai: %w", err)
+		return nil, false, fmt.Errorf("verifai: %w", err)
 	}
 	st.Lake().SetReadOnly(readOnly)
-	sys, err := newSystem(st.Lake(), opts.Options, st.IndexSnapshotDir())
+	sys, staleIndexes, err := newSystem(st.Lake(), opts.Options, st.IndexSnapshotDir())
 	if err != nil {
 		_ = st.Lake().Close()
 		_ = st.Close()
-		return nil, err
+		return nil, false, err
 	}
 	sys.durable = st
 	st.SetMetrics(sys.Metrics())
 	if err := st.ReplayTail(); err != nil {
 		_ = sys.Close()
-		return nil, fmt.Errorf("verifai: %w", err)
+		return nil, false, fmt.Errorf("verifai: %w", err)
 	}
 	st.Arm()
-	return sys, nil
+	return sys, st.StaleCatalog() || staleIndexes, nil
 }
 
 // recoverPins re-registers every persisted pinned snapshot with the
@@ -473,16 +486,18 @@ func (s *System) Durability() (DurabilityStats, bool) {
 // through System.AddTable/AddDocument/AddTriple or directly on the lake —
 // is indexed incrementally and becomes retrievable without a rebuild.
 func NewSystem(lake *Lake, opts Options) (*System, error) {
-	return newSystem(lake, opts, "")
+	sys, _, err := newSystem(lake, opts, "")
+	return sys, err
 }
 
 // newSystem is NewSystem with an optional index-snapshot directory: when
 // given (the durable Open path), the indexer loads persisted index shards
 // instead of re-tokenizing and re-embedding the lake — falling back to the
-// bulk rebuild when the snapshot is missing or stale.
-func newSystem(lake *Lake, opts Options, snapshotDir string) (*System, error) {
+// bulk rebuild when the snapshot is missing or stale; staleIndexes reports
+// a rebuild because the snapshot was in another format.
+func newSystem(lake *Lake, opts Options, snapshotDir string) (_ *System, staleIndexes bool, _ error) {
 	if lake == nil {
-		return nil, fmt.Errorf("verifai: nil lake")
+		return nil, false, fmt.Errorf("verifai: nil lake")
 	}
 	if opts.Indexer.EmbedDim == 0 {
 		opts.Indexer = core.DefaultIndexerConfig(opts.Seed)
@@ -510,14 +525,15 @@ func newSystem(lake *Lake, opts Options, snapshotDir string) (*System, error) {
 	if snapshotDir != "" {
 		indexer, err = core.BuildIndexerFromSnapshot(lake, opts.Indexer, snapshotDir)
 		if err != nil && !errors.Is(err, core.ErrSnapshotMismatch) {
-			return nil, fmt.Errorf("verifai: load index snapshot: %w", err)
+			return nil, false, fmt.Errorf("verifai: load index snapshot: %w", err)
 		}
+		staleIndexes = errors.Is(err, core.ErrStaleFormat)
 	}
 	if indexer == nil {
 		indexer, err = core.BuildIndexer(lake, opts.Indexer)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("verifai: build indexer: %w", err)
+		return nil, false, fmt.Errorf("verifai: build indexer: %w", err)
 	}
 	registry := rerank.NewRegistry(rerank.NewColBERT(indexer.Embedder(), 256))
 
@@ -536,10 +552,10 @@ func newSystem(lake *Lake, opts Options, snapshotDir string) (*System, error) {
 	}
 	pipeline, err := core.NewPipeline(lake, indexer, registry, agent, prov, nil, opts.Pipeline)
 	if err != nil {
-		return nil, fmt.Errorf("verifai: assemble pipeline: %w", err)
+		return nil, false, fmt.Errorf("verifai: assemble pipeline: %w", err)
 	}
 	lake.SetMetrics(reg)
-	return &System{pipeline: pipeline, options: opts, obs: reg}, nil
+	return &System{pipeline: pipeline, options: opts, obs: reg}, staleIndexes, nil
 }
 
 // Pipeline exposes the underlying pipeline for advanced use (experiments,
