@@ -1,122 +1,93 @@
 package core
 
 import (
+	"context"
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/claims"
 	"repro/internal/datalake"
+	"repro/internal/par"
 	"repro/internal/table"
 	"repro/internal/verify"
 )
 
+// verifyItem is one object of a concurrent-verify test and the kinds it
+// is verified against.
+type verifyItem struct {
+	g     verify.Generated
+	kinds []datalake.Kind
+}
+
+// verifyConcurrently verifies items from 8 goroutines at once through
+// VerifyCtx, the way a library caller or the server's requests run them,
+// and fails the test on any error.
+func verifyConcurrently(t *testing.T, p *Pipeline, items []verifyItem) []Report {
+	t.Helper()
+	got := make([]Report, len(items))
+	errs := make([]error, len(items))
+	par.For(len(items), 8, func(i int) {
+		got[i], errs[i] = p.VerifyCtx(context.Background(), items[i].g, items[i].kinds...)
+	})
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("object %d: %v", i, err)
+		}
+	}
+	return got
+}
+
+// TestVerifyBatchMatchesSequential: a batch of verifies run from many
+// goroutines at once gives the verdicts and evidence a sequential run
+// gives, and each writes exactly one lineage record.
 func TestVerifyBatchMatchesSequential(t *testing.T) {
 	lake := smallLake(t)
-	p := buildPipeline(t, lake, true)
 	e1, _ := lake.Table("e1")
-
-	var objects []verify.Generated
+	kinds := []datalake.Kind{datalake.KindTuple, datalake.KindTable}
+	var items []verifyItem
 	for row := 0; row < e1.NumRows(); row++ {
 		tp, _ := e1.TupleAt(row)
-		objects = append(objects, verify.NewTupleObject(fmt.Sprintf("b%d", row), tp, "money"))
+		items = append(items, verifyItem{verify.NewTupleObject(fmt.Sprintf("b%d", row), tp, "money"), kinds})
 	}
-	objects = append(objects, golfClaimObject())
+	items = append(items, verifyItem{golfClaimObject(), kinds})
 
-	seq := make([]Report, len(objects))
-	for i, g := range objects {
-		rep, err := p.Verify(g, datalake.KindTuple, datalake.KindTable)
+	seq := buildPipeline(t, lake, true)
+	want := make([]Report, len(items))
+	for i, it := range items {
+		rep, err := seq.Verify(it.g, it.kinds...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq[i] = rep
+		want[i] = rep
 	}
 
-	par, err := p.VerifyBatch(objects, 4, datalake.KindTuple, datalake.KindTable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par) != len(seq) {
-		t.Fatalf("batch returned %d reports", len(par))
-	}
-	for i := range seq {
-		if par[i].Verdict != seq[i].Verdict {
-			t.Errorf("object %d: batch %v vs sequential %v", i, par[i].Verdict, seq[i].Verdict)
-		}
-		if len(par[i].Evidence) != len(seq[i].Evidence) {
-			t.Errorf("object %d: evidence counts differ", i)
-		}
-	}
-}
-
-func TestVerifyBatchEdgeCases(t *testing.T) {
-	lake := smallLake(t)
 	p := buildPipeline(t, lake, true)
-
-	// Empty input.
-	if reps, err := p.VerifyBatch(nil, 4); reps != nil || err != nil {
-		t.Errorf("empty batch = %v, %v", reps, err)
-	}
-	// parallelism < 1 degrades to sequential.
-	reps, err := p.VerifyBatch([]verify.Generated{golfClaimObject()}, 0, datalake.KindTable)
-	if err != nil || len(reps) != 1 || reps[0].Verdict != verify.Refuted {
-		t.Errorf("sequential fallback = %v, %v", reps, err)
-	}
-}
-
-// TestVerifyBatchPropagatesErrors: a verifier error fails the batch, and
-// with two failing objects in flight at once the error names the lower
-// index, as a sequential run would, whichever fails first.
-func TestVerifyBatchPropagatesErrors(t *testing.T) {
-	lake := smallLake(t)
-	p := buildPipeline(t, lake, true)
-	badAgent := verify.NewAgent(failingVerifier{})
-	bp, err := NewPipeline(lake, p.Indexer(), p.rerankers, badAgent, nil, nil, DefaultPipelineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var objects []verify.Generated
-	for i := 0; i < 6; i++ {
-		c := claims.Claim{
-			Context:   "1954 u.s. open (golf)",
-			Entities:  []string{"tommy bolt"},
-			Attribute: "money",
-			Op:        claims.OpLookup,
-			Value:     fmt.Sprintf("%d", 500+i),
+	got := verifyConcurrently(t, p, items)
+	for i := range items {
+		if got[i].Verdict != want[i].Verdict {
+			t.Errorf("object %d: concurrent %v vs sequential %v", i, got[i].Verdict, want[i].Verdict)
 		}
-		c.Render()
-		id := fmt.Sprintf("ok%d", i)
-		if i == 1 || i == 2 {
-			id = fmt.Sprintf("fail%d", i)
+		if len(got[i].Evidence) != len(want[i].Evidence) {
+			t.Fatalf("object %d: %d evidence vs %d", i, len(got[i].Evidence), len(want[i].Evidence))
 		}
-		objects = append(objects, verify.NewClaimObject(id, c))
-	}
-	_, err = bp.VerifyBatch(objects, 4, datalake.KindTable)
-	if err == nil {
-		t.Fatal("batch swallowed verifier error")
-	}
-	if want := "object 1 (fail1)"; !strings.Contains(err.Error(), want) {
-		t.Errorf("batch error %q does not name %s", err, want)
+		for j := range want[i].Evidence {
+			if got[i].Evidence[j].Instance.ID != want[i].Evidence[j].Instance.ID {
+				t.Errorf("object %d evidence %d: %s vs %s", i, j, got[i].Evidence[j].Instance.ID, want[i].Evidence[j].Instance.ID)
+			}
+		}
+		if n := len(p.Provenance().ByObject(items[i].g.ID)); n != 1 {
+			t.Errorf("object %d (%s): %d lineage records, want 1", i, items[i].g.ID, n)
+		}
 	}
 }
 
-// failingVerifier errors for every object whose ID starts with "fail",
-// for error-path tests.
-type failingVerifier struct{}
-
-func (failingVerifier) Name() string                                  { return "failing" }
-func (failingVerifier) Supports(verify.Generated, datalake.Kind) bool { return true }
-func (failingVerifier) Verify(g verify.Generated, _ datalake.Instance) (verify.Result, error) {
-	if strings.HasPrefix(g.ID, "fail") {
-		return verify.Result{}, fmt.Errorf("synthetic failure")
-	}
-	return verify.Result{}, nil
-}
-
+// TestVerifyBatchLargeParallel: 40 claim verifies run from 8 goroutines
+// at once each get their own verdict, and provenance records every run
+// exactly once.
 func TestVerifyBatchLargeParallel(t *testing.T) {
 	lake := smallLake(t)
 	p := buildPipeline(t, lake, true)
-	var objects []verify.Generated
+	var items []verifyItem
 	for i := 0; i < 40; i++ {
 		c := claims.Claim{
 			Context:   "1954 u.s. open (golf)",
@@ -126,12 +97,9 @@ func TestVerifyBatchLargeParallel(t *testing.T) {
 			Value:     fmt.Sprintf("%d", 500+i),
 		}
 		c.Render()
-		objects = append(objects, verify.NewClaimObject(fmt.Sprintf("c%d", i), c))
+		items = append(items, verifyItem{verify.NewClaimObject(fmt.Sprintf("c%d", i), c), []datalake.Kind{datalake.KindTable}})
 	}
-	reps, err := p.VerifyBatch(objects, 8, datalake.KindTable)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reps := verifyConcurrently(t, p, items)
 	for i, rep := range reps {
 		want := verify.Refuted
 		if 500+i == 570 {
@@ -141,9 +109,8 @@ func TestVerifyBatchLargeParallel(t *testing.T) {
 			t.Errorf("claim %d verdict = %v, want %v", i, rep.Verdict, want)
 		}
 	}
-	// Provenance recorded every run exactly once.
-	if got := p.Provenance().Len(); got != len(objects) {
-		t.Errorf("provenance records = %d, want %d", got, len(objects))
+	if got := p.Provenance().Len(); got != len(items) {
+		t.Errorf("provenance records = %d, want %d", got, len(items))
 	}
 }
 

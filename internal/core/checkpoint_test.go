@@ -226,7 +226,7 @@ func sealAdoptDifferential(t *testing.T, steps, every int) {
 		if step%10 == 9 {
 			for v, wants := range pinned {
 				for i, g := range objects {
-					got, err := sut.VerifyAsOf(g, v)
+					got, err := sut.VerifyAsOfCtx(context.Background(), g, v)
 					if err != nil {
 						t.Fatalf("step %d: as of %d: %v", step, v, err)
 					}
@@ -282,7 +282,7 @@ func TestSealAdoptPinnedReadOutlivesLaterCheckpoints(t *testing.T) {
 	root := t.TempDir()
 	v := checkpointInto(t, p, filepath.Join(root, "a"))
 	read := func() []byte {
-		rep, err := p.VerifyAsOf(g, v)
+		rep, err := p.VerifyAsOfCtx(context.Background(), g, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,7 +354,7 @@ func TestPinAtCheckpointTakesItsCapture(t *testing.T) {
 		t.Fatalf("%d seals left %d vector segments: nothing merged", seals, n)
 	}
 	later := checkpointInto(t, p, filepath.Join(root, "b"))
-	got, err := p.VerifyAsOf(g, v)
+	got, err := p.VerifyAsOfCtx(context.Background(), g, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestPinAtCheckpointTakesItsCapture(t *testing.T) {
 		t.Fatalf("the read at a pinned checkpoint re-indexed %d snapshots", n)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := p.VerifyAsOf(g, later); err != nil {
+		if _, err := p.VerifyAsOfCtx(context.Background(), g, later); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -333,8 +333,8 @@ func (p *Pipeline) VerifyCtx(ctx context.Context, g verify.Generated, kinds ...d
 }
 
 // verifyCached is a head verification behind the result-cache lookup/fill —
-// the single serving path behind VerifyCtx and VerifyBatchCtx. kinds must
-// be normalized (non-empty).
+// the single serving path behind VerifyCtx. kinds must be normalized
+// (non-empty).
 func (p *Pipeline) verifyCached(ctx context.Context, g verify.Generated, kinds []datalake.Kind) (Report, error) {
 	run := func() (Report, error) { return p.verifyAgainst(ctx, g, kinds, p.headSource(), 0) }
 	if p.rcache == nil {

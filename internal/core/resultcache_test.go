@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -263,18 +264,18 @@ func TestCachedReportsMatchRecomputed(t *testing.T) {
 			hits := 0
 			check := func(fill, g verify.Generated, asOf uint64) {
 				t.Helper()
-				miss, err := cached.VerifyAsOf(fill, asOf)
+				miss, err := cached.VerifyAsOfCtx(context.Background(), fill, asOf)
 				if err != nil {
 					t.Fatal(err)
 				}
-				hit, err := cached.VerifyAsOf(g, asOf)
+				hit, err := cached.VerifyAsOfCtx(context.Background(), g, asOf)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if hits++; cached.Stats().ResultCacheHits != uint64(hits) {
 					t.Fatalf("%s at %d: no hit: %+v", g.ID, asOf, cached.Stats())
 				}
-				want, err := fresh.VerifyAsOf(g, asOf)
+				want, err := fresh.VerifyAsOfCtx(context.Background(), g, asOf)
 				if err != nil {
 					t.Fatal(err)
 				}

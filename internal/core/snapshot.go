@@ -258,11 +258,6 @@ func (p *Pipeline) snapshotRebuilt(d time.Duration) {
 // files are in another snapshot format).
 func (p *Pipeline) SnapshotRebuilds() uint64 { return p.snapshotRebuilds.Load() }
 
-// VerifyAsOf is VerifyAsOfCtx with a background context.
-func (p *Pipeline) VerifyAsOf(g verify.Generated, asOf uint64, kinds ...datalake.Kind) (Report, error) {
-	return p.VerifyAsOfCtx(context.Background(), g, asOf, kinds...)
-}
-
 // VerifyAsOfCtx verifies g against the retained snapshot at version asOf
 // instead of the live lake: retrieval runs over the snapshot's frozen
 // indexes, evidence resolves from its immutable View, and trust reads the

@@ -224,22 +224,6 @@ func (r *SnapshotRegistry) Acquire(version uint64) (*Snapshot, error) {
 	return s, nil
 }
 
-// Pin marks the retained snapshot at version as explicitly pinned,
-// excluding it from retention GC until Unpin.
-func (r *SnapshotRegistry) Pin(version uint64) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.snaps[version]
-	if !ok {
-		if len(r.order) > 0 && version < r.order[0] {
-			return &BelowFloorError{Version: version, Floor: r.order[0]}
-		}
-		return fmt.Errorf("%w %d", ErrSnapshotNotFound, version)
-	}
-	s.pinned = true
-	return nil
-}
-
 // Unpin clears the explicit pin at version; the snapshot rejoins the
 // keep-last-N window and is evicted immediately when already beyond it.
 // In-flight readers stay valid.

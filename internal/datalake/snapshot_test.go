@@ -25,9 +25,7 @@ func TestSnapshotRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Pin(3); err != nil {
-		t.Fatal(err)
-	}
+	reg.Add(&View{version: 3}, &snapPayload{version: 3}, true)
 	for v := uint64(4); v <= 6; v++ {
 		reg.Add(&View{version: v}, &snapPayload{version: v}, false)
 	}
@@ -69,9 +67,9 @@ func TestSnapshotRetention(t *testing.T) {
 
 // TestSnapshotGCvsReaders hammers retention GC concurrently with pinned
 // reads and new pins (run under -race): an acquired handle must never
-// observe a freed payload, a successful Pin must hold until the matching
-// Unpin, and once every pin is released the unpinned population must
-// shrink back to the retention window.
+// observe a freed payload, a pin must hold until the matching Unpin, and
+// once every pin is released the unpinned population must shrink back to
+// the retention window.
 func TestSnapshotGCvsReaders(t *testing.T) {
 	const (
 		retain  = 4
@@ -140,16 +138,16 @@ func TestSnapshotGCvsReaders(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				if i%2 == 0 {
-					// Pin whatever is newest; losing the race to GC is fine
-					// (miss), but a successful pin must stick.
+					// Pin whatever is newest, as a pipeline pins: by adding
+					// it pinned (GC may have collected it meanwhile, and then
+					// the add registers it afresh). The pin must stick.
 					v := reg.Latest()
 					if v == 0 {
 						continue
 					}
 					pinMu.Lock()
-					if err := reg.Pin(v); err == nil {
-						pinned[v] = true
-					}
+					reg.Add(&View{version: v}, &snapPayload{version: v}, true)
+					pinned[v] = true
 					pinMu.Unlock()
 				} else {
 					pinMu.Lock()

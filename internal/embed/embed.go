@@ -303,15 +303,3 @@ func AddTerm(acc, tv Vector, freq int32) {
 		acc[i] += float32(w * tv[i])
 	}
 }
-
-// EmbedTexts embeds a batch of texts on at most workers goroutines
-// (par.For; workers <= 0 means GOMAXPROCS), returning one vector per text
-// in order.
-func (e *Embedder) EmbedTexts(texts []string, workers int) []Vector {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := make([]Vector, len(texts))
-	par.For(len(texts), workers, func(i int) { out[i] = e.EmbedText(texts[i]) })
-	return out
-}

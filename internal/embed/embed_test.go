@@ -193,33 +193,45 @@ func TestEmbedQuickProperties(t *testing.T) {
 	}
 }
 
-func TestEmbedTextsMatchesEmbedText(t *testing.T) {
-	// The batch entry point must produce bitwise-identical vectors to the
-	// single-text path, in order, at every worker count.
-	e := NewEmbedder(64, 7)
-	texts := make([]string, 17)
-	for i := range texts {
-		texts[i] = "document " + string(rune('a'+i)) + " about golf prize money records"
-	}
-	want := make([]Vector, len(texts))
-	for i, s := range texts {
-		want[i] = e.EmbedText(s)
-	}
-	for _, workers := range []int{0, 1, 4, 32} {
-		got := e.EmbedTexts(texts, workers)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: got %d vectors, want %d", workers, len(got), len(want))
+// TestAddTermVectors: the rows AddTermVectors fills concurrently are, bit
+// for bit, the rows a fresh embedder fills taking the terms one at a time,
+// across several chunks of the table, with duplicate terms, terms the
+// dictionary already holds (one with its row filled), and nil input.
+func TestAddTermVectors(t *testing.T) {
+	const dim, seed = 24, 11
+	e := NewEmbedder(dim, seed)
+	e.Row(e.Dict().Add("t3"))
+	e.Dict().Add("t5")
+	var terms []string
+	for i := range 3*tokenChunk + 17 {
+		terms = append(terms, "t"+strconv.Itoa(i))
+		if i%7 == 0 {
+			terms = append(terms, "t"+strconv.Itoa(i/2))
 		}
-		for i := range want {
-			for d := range want[i] {
-				if got[i][d] != want[i][d] {
-					t.Fatalf("workers=%d: vector %d differs at dim %d", workers, i, d)
-				}
+	}
+	got := e.AddTermVectors(terms)
+	if len(got) != len(terms) {
+		t.Fatalf("got %d vectors for %d terms", len(got), len(terms))
+	}
+	if n := e.Dict().Len(); n != 3*tokenChunk+17 {
+		t.Errorf("dictionary holds %d terms, want %d", n, 3*tokenChunk+17)
+	}
+	ref := NewEmbedder(dim, seed)
+	for i, term := range terms {
+		want := ref.Row(ref.Dict().Add(term))
+		id, ok := e.Dict().Lookup(term)
+		if !ok {
+			t.Fatalf("term %q not in the dictionary", term)
+		}
+		row := e.Row(id)
+		for d := range want {
+			if math.Float32bits(got[i][d]) != math.Float32bits(want[d]) || math.Float32bits(row[d]) != math.Float32bits(want[d]) {
+				t.Fatalf("term %d (%q) differs at dim %d: got %v, row %v, want %v", i, term, d, got[i][d], row[d], want[d])
 			}
 		}
 	}
-	if out := e.EmbedTexts(nil, 4); len(out) != 0 {
-		t.Fatalf("EmbedTexts(nil) = %v, want empty", out)
+	if out := e.AddTermVectors(nil); len(out) != 0 {
+		t.Fatalf("AddTermVectors(nil) = %v, want empty", out)
 	}
 }
 

@@ -37,7 +37,8 @@ func (e *Env) AblateQuantization(k int) (QuantizationPoint, error) {
 	// latencies it leaves in pt are those of its last call.
 	recall := func(ids, texts, queries []string) (float64, error) {
 		sq, exact := vecindex.NewSQFlat(emb.Dim()), vecindex.NewFlat(emb.Dim())
-		for i, v := range emb.EmbedTexts(texts, 0) {
+		for i, text := range texts {
+			v := emb.EmbedText(text)
 			if err := sq.Add(ids[i], v); err != nil {
 				return 0, err
 			}

@@ -187,8 +187,9 @@ func (tr *TraceRing) Snapshot() []Trace {
 //	/debug/traces    the recent-trace ring as JSON, newest first
 //	/metrics         Prometheus text exposition (handy on a side listener)
 //
-// It is deliberately not wired into the main API mux by default — the
-// server's WithDebug option (or the CLI's -debug-addr) opts in.
+// It is deliberately not part of the server's API mux: the CLI's
+// -debug-addr serves it on a side listener, and an embedder that wants it
+// mounts it on a mux of its own.
 func DebugHandler(r *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

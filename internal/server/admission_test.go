@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -20,31 +21,51 @@ import (
 )
 
 // gateVerifier blocks every verification until release is closed, so tests
-// can hold the admission limiter saturated deterministically.
+// can hold the admission limiter saturated deterministically. It records
+// the object of every call, in arrival order, and the most calls it has
+// seen in flight at once.
 type gateVerifier struct {
 	started chan struct{}
 	release chan struct{}
+
+	mu                    sync.Mutex
+	ids                   []string
+	inFlight, maxInFlight int
 }
 
 func (v *gateVerifier) Name() string                                  { return "gate" }
 func (v *gateVerifier) Supports(verify.Generated, datalake.Kind) bool { return true }
 func (v *gateVerifier) Verify(g verify.Generated, ev datalake.Instance) (verify.Result, error) {
+	v.mu.Lock()
+	v.ids = append(v.ids, g.ID)
+	v.inFlight++
+	v.maxInFlight = max(v.maxInFlight, v.inFlight)
+	v.mu.Unlock()
 	select {
 	case v.started <- struct{}{}:
 	default:
 	}
 	<-v.release
+	v.mu.Lock()
+	v.inFlight--
+	v.mu.Unlock()
 	return verify.Result{Verdict: verify.Verified, Verifier: v.Name(), EvidenceID: ev.ID}, nil
 }
 
 // slowVerifier sleeps long enough for a short server-side deadline to
-// expire mid-verification.
-type slowVerifier struct{ delay time.Duration }
+// expire mid-verification, on objects whose ID starts with prefix (every
+// object when prefix is empty).
+type slowVerifier struct {
+	delay  time.Duration
+	prefix string
+}
 
 func (v *slowVerifier) Name() string                                  { return "slow" }
 func (v *slowVerifier) Supports(verify.Generated, datalake.Kind) bool { return true }
 func (v *slowVerifier) Verify(g verify.Generated, ev datalake.Instance) (verify.Result, error) {
-	time.Sleep(v.delay)
+	if strings.HasPrefix(g.ID, v.prefix) {
+		time.Sleep(v.delay)
+	}
 	return verify.Result{Verdict: verify.Verified, Verifier: v.Name(), EvidenceID: ev.ID}, nil
 }
 
@@ -290,5 +311,95 @@ func TestVerifyBatchAmortizesAdmission(t *testing.T) {
 	}
 	if br.Verified != 4 {
 		t.Fatalf("batch response = %+v", br)
+	}
+}
+
+// TestVerifyBatchRunsItemsInTurn: a batch verifies its items one after
+// another, in request order, inside its one admission slot. With
+// concurrency 1 and every verification held at a gate, at most one
+// verifier call is ever in flight, the calls arrive in item order, and a
+// single-claim request that arrives while the batch runs answers 429.
+func TestVerifyBatchRunsItemsInTurn(t *testing.T) {
+	gate := &gateVerifier{started: make(chan struct{}, 1), release: make(chan struct{})}
+	ts := newGatedServer(t, gate, WithVerifyConcurrency(1))
+	items := make([]VerifyBatchItem, 16)
+	ids := make([]string, len(items))
+	for i := range items {
+		ids[i] = fmt.Sprintf("turn-%02d", i)
+		items[i] = VerifyBatchItem{Type: "claim", ID: ids[i], Text: workload.GolfClaim().Text}
+	}
+	batchStatus := make(chan int, 1)
+	go func() {
+		st, _ := postJSONErr(ts.URL+"/v1/verify/batch", VerifyBatchRequest{Items: items})
+		batchStatus <- st
+	}()
+	<-gate.started // the batch holds the slot, inside its first item
+
+	resp, body := postJSON(t, ts.URL+"/v1/verify/claim", golfClaimBody("single"))
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Errorf("single claim during the batch: status %d (%s), want 429", resp.StatusCode, body)
+	}
+	// Give items that ran beside the first one time to reach the gate.
+	time.Sleep(50 * time.Millisecond)
+	close(gate.release)
+	if st := <-batchStatus; st != http.StatusOK {
+		t.Fatalf("batch status = %d", st)
+	}
+
+	gate.mu.Lock()
+	defer gate.mu.Unlock()
+	if gate.maxInFlight != 1 {
+		t.Errorf("%d verifier calls in flight at once, want 1", gate.maxInFlight)
+	}
+	var order []string // the calls' objects, one entry per run of calls
+	for _, id := range gate.ids {
+		if len(order) == 0 || order[len(order)-1] != id {
+			order = append(order, id)
+		}
+	}
+	if !slices.Equal(order, ids) {
+		t.Errorf("verifier calls arrived for %v, want %v", order, ids)
+	}
+}
+
+// TestVerifyBatchDeadline: a batch whose server-side deadline expires
+// partway keeps the reports of the items that finished, and every later
+// item carries the deadline error; a batch cut off in its first item
+// answers 504, as a single verification does.
+func TestVerifyBatchDeadline(t *testing.T) {
+	const timeout = 250 * time.Millisecond
+	ts := newGatedServer(t, &slowVerifier{delay: 2 * timeout, prefix: "slow"}, WithVerifyTimeout(timeout))
+	batch := func(ids ...string) VerifyBatchRequest {
+		var req VerifyBatchRequest
+		for _, id := range ids {
+			req.Items = append(req.Items, VerifyBatchItem{Type: "claim", ID: id, Text: workload.GolfClaim().Text})
+		}
+		return req
+	}
+
+	resp, body := postJSON(t, ts.URL+"/v1/verify/batch", batch("fast-0", "fast-1", "slow-2", "fast-3", "fast-4"))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d (%s)", resp.StatusCode, body)
+	}
+	var br VerifyBatchResponse
+	if err := json.Unmarshal(body, &br); err != nil {
+		t.Fatal(err)
+	}
+	if br.Status != "partial" || br.Verified != 2 || br.Failed != 3 || len(br.Results) != 5 {
+		t.Fatalf("batch response = %+v", br)
+	}
+	for i, res := range br.Results {
+		if i < 2 {
+			if res.Report == nil || res.Error != "" {
+				t.Errorf("item %d finished before the deadline: %+v", i, res)
+			}
+		} else if res.Report != nil || !strings.Contains(res.Error, "deadline exceeded") {
+			t.Errorf("item %d after the deadline: %+v, want the deadline error", i, res)
+		}
+	}
+
+	resp, body = postJSON(t, ts.URL+"/v1/verify/batch", batch("slow-0", "fast-1"))
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("wholly cut-off batch: status %d (%s), want 504", resp.StatusCode, body)
 	}
 }

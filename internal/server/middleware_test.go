@@ -210,24 +210,29 @@ func TestMetricsExpositionLints(t *testing.T) {
 	}
 }
 
-// TestDebugRoutes asserts the opt-in debug surface: absent by default,
-// and serving pprof + the trace ring when enabled.
+// TestDebugRoutes asserts the debug surface stays off the API mux and is
+// served, as the CLI's -debug-addr serves it, by obs.DebugHandler over the
+// server's registry on a listener of its own: pprof answers there, and the
+// trace ring holds the API listener's requests.
 func TestDebugRoutes(t *testing.T) {
-	_, plain := newObsServer(t)
-	resp, err := http.Get(plain.URL + "/debug/traces")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("debug route without WithDebug = %d, want 404", resp.StatusCode)
+	srv, api := newObsServer(t)
+	for _, path := range []string{"/debug/traces", "/debug/pprof/"} {
+		resp, err := http.Get(api.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s on the API mux = %d, want 404", path, resp.StatusCode)
+		}
 	}
 
-	_, dbg := newObsServer(t, WithDebug())
-	if resp, err := http.Get(dbg.URL + "/v1/healthz"); err == nil {
+	dbg := httptest.NewServer(obs.DebugHandler(srv.Metrics()))
+	t.Cleanup(dbg.Close)
+	if resp, err := http.Get(api.URL + "/v1/healthz"); err == nil {
 		resp.Body.Close()
 	}
-	resp, err = http.Get(dbg.URL + "/debug/traces")
+	resp, err := http.Get(dbg.URL + "/debug/traces")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,8 +244,12 @@ func TestDebugRoutes(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&traces); err != nil {
 		t.Fatal(err)
 	}
-	if len(traces) == 0 {
-		t.Error("no traces recorded after a request")
+	found := false
+	for _, tr := range traces {
+		found = found || tr.Route == "/v1/healthz"
+	}
+	if !found {
+		t.Errorf("trace ring holds no /v1/healthz request: %+v", traces)
 	}
 	pp, err := http.Get(dbg.URL + "/debug/pprof/")
 	if err != nil {

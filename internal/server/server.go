@@ -45,9 +45,12 @@
 // -verify-concurrency); a request finding the limiter saturated is
 // rejected immediately with 429 and a Retry-After hint instead of queueing
 // unboundedly. POST /v1/verify/batch amortizes one admission slot across
-// many claims. Each admitted verification runs under the request's context
-// (plus an optional server-side deadline), so a disconnected client stops
-// burning CPU mid-flight.
+// many claims, verified in turn inside it, so the limiter bounds running
+// verifications exactly. No handler starts a goroutine: a request is the
+// unit of parallelism. Each admitted verification runs under the
+// request's context (plus an optional server-side deadline), so a
+// disconnected client stops burning CPU mid-flight; the items of a batch
+// the deadline cuts off carry its error.
 //
 // Replication-aware serving: the verify endpoints accept ?min_version=N —
 // a read-your-writes token carrying an earlier ingest's acknowledged
@@ -77,7 +80,6 @@ import (
 	"repro/internal/durable"
 	"repro/internal/kg"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/table"
 	"repro/internal/verify"
 	"repro/internal/wal"
@@ -132,7 +134,6 @@ type Server struct {
 	// request (default: discard).
 	obs    *obs.Registry
 	logger *slog.Logger
-	debug  bool
 	// Pre-resolved metric handles for the middleware and the change feed.
 	httpReqs   *obs.CounterVec
 	httpDur    *obs.HistogramVec
@@ -191,13 +192,6 @@ func WithLogger(l *slog.Logger) Option {
 	return func(s *Server) { s.logger = l }
 }
 
-// WithDebug mounts /debug/pprof/* and /debug/traces on the API mux. Off by
-// default: profiles and traces can leak operational detail, so deployments
-// opt in (the CLI's -debug-addr serves them on a side listener instead).
-func WithDebug() Option {
-	return func(s *Server) { s.debug = true }
-}
-
 // New returns a server over the given pipeline.
 func New(p *core.Pipeline, opts ...Option) *Server {
 	s := &Server{pipeline: p, mux: http.NewServeMux(), verifyLimit: 4 * runtime.GOMAXPROCS(0)}
@@ -240,9 +234,6 @@ func New(p *core.Pipeline, opts ...Option) *Server {
 	}
 	if s.logger == nil {
 		s.logger = slog.New(slog.DiscardHandler)
-	}
-	if s.debug {
-		s.mux.Handle("/debug/", obs.DebugHandler(s.obs))
 	}
 	s.httpReqs = s.obs.CounterVec("verifai_http_requests_total",
 		"HTTP requests served, by mux route and response status.", "route", "status")
@@ -571,8 +562,13 @@ func (s *Server) serveVerify(w http.ResponseWriter, r *http.Request, g verify.Ge
 }
 
 // verifyObject is the one pipeline call behind every verify endpoint (the
-// batch handler runs it per item), flattened into the wire format.
+// batch handler runs it per item), flattened into the wire format. A
+// context that has already ended fails it before the result cache is
+// asked, so the items a batch's deadline cut off carry the deadline error.
 func (s *Server) verifyObject(ctx context.Context, g verify.Generated, asOf uint64, kinds []datalake.Kind) (VerifyResponse, error) {
+	if err := ctx.Err(); err != nil {
+		return VerifyResponse{}, err
+	}
 	report, err := s.pipeline.VerifyAsOfCtx(ctx, g, asOf, kinds...)
 	if err != nil {
 		return VerifyResponse{}, err
@@ -641,11 +637,6 @@ func buildTupleObject(req TupleRequest) (verify.Generated, []datalake.Kind, *req
 // verification, so the cap bounds the work one admission slot can claim.
 const maxVerifyBatchItems = 256
 
-// verifyBatchParallelism bounds the in-flight verifications within one
-// admitted batch (the batch holds a single admission slot; this is its
-// internal fan-out, kept modest so one batch cannot monopolize the CPU).
-const verifyBatchParallelism = 4
-
 // VerifyBatchItem is one object in POST /v1/verify/batch. Type selects the
 // task ("claim" or "tuple") and which of the remaining fields apply (the
 // same fields as the single-object endpoints).
@@ -686,9 +677,9 @@ type VerifyBatchResponse struct {
 	Results []VerifyBatchItemResult `json:"results"`
 }
 
-// handleVerifyBatch verifies many objects under ONE admission slot — the
-// amortization that lets a bulk consumer coexist with interactive traffic
-// instead of saturating the limiter with per-claim requests. Item
+// handleVerifyBatch verifies many objects in turn under ONE admission slot
+// — the amortization that lets a bulk consumer coexist with interactive
+// traffic instead of saturating the limiter with per-claim requests. Item
 // validation failures reject the whole request (400, first bad item named)
 // before any work runs; verification errors after admission are per-item.
 func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
@@ -754,23 +745,15 @@ func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.verifyContext(r)
 	defer cancel()
 
-	// Fan the items across verifyBatchParallelism workers (order-preserving).
-	// Kinds vary per item, so this drives VerifyCtx directly rather than
-	// VerifyBatchCtx; each item still hits the result cache.
+	// The items run in turn, in request order, so the batch's one slot is
+	// one running verification.
 	resp := VerifyBatchResponse{Results: make([]VerifyBatchItemResult, len(req.Items))}
-	par.For(len(req.Items), verifyBatchParallelism, func(i int) {
-		vr, err := s.verifyObject(ctx, objects[i], asOf, itemKinds[i])
-		if err != nil {
+	for i, g := range objects {
+		if vr, err := s.verifyObject(ctx, g, asOf, itemKinds[i]); err != nil {
 			resp.Results[i].Error = err.Error()
-		} else {
-			resp.Results[i].Report = &vr
-		}
-	})
-
-	for _, res := range resp.Results {
-		if res.Error != "" {
 			resp.Failed++
 		} else {
+			resp.Results[i].Report = &vr
 			resp.Verified++
 		}
 	}

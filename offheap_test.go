@@ -129,7 +129,11 @@ func offHeapReads(t *testing.T, items []datalake.BatchItem) (map[string]any, *em
 	for id := range uint32(emb.Dict().Len()) {
 		rows = append(rows, emb.Row(id)...)
 	}
-	out["token rows"], out["embeddings"] = rows, emb.EmbedTexts(texts, 2)
+	var embeddings []embed.Vector
+	for _, tx := range texts {
+		embeddings = append(embeddings, emb.EmbedText(tx))
+	}
+	out["token rows"], out["embeddings"] = rows, embeddings
 
 	store := provenance.NewStore()
 	for i := range 300 {

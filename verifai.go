@@ -393,7 +393,7 @@ func recoverPins(sys *System, st *durable.Store) error {
 // unpinned time-travel snapshot in the keep-last-N window: the forked
 // view and the trust overrides, not the index capture, which is dropped
 // once written, so the snapshot pins no segment the head later merges
-// away; the first VerifyAsOf at its version re-indexes the view. A
+// away; the first read at its version re-indexes the view. A
 // concurrent Checkpoint fails fast with ErrCheckpointInFlight (the
 // in-flight one covers it). Only systems opened with Open can checkpoint.
 func (s *System) Checkpoint() (uint64, error) {
@@ -417,7 +417,7 @@ type SnapshotInfo = datalake.SnapshotInfo
 var ErrSnapshotNotFound = datalake.ErrSnapshotNotFound
 
 // PinSnapshot freezes the lake and indexes at the current version and
-// retains the pair as an explicitly pinned snapshot: VerifyAsOf at the
+// retains the pair as an explicitly pinned snapshot: a verify as of the
 // returned version reproduces today's verdicts forever (until
 // UnpinSnapshot), no matter what is ingested or how trust is re-weighted
 // in the meantime. On durable systems the pin also survives restarts: its
@@ -444,7 +444,7 @@ func (s *System) PinSnapshot() (uint64, error) {
 // keep-last-N retention window (and may be collected immediately), and on
 // durable systems its persisted copy is removed first — an unpin that
 // cannot durably stick is reported, with the pin intact. In-flight
-// VerifyAsOf readers at the version finish unharmed.
+// readers at the version finish unharmed.
 func (s *System) UnpinSnapshot(version uint64) error {
 	if s.durable != nil {
 		if err := s.durable.DropPin(version); err != nil {
@@ -709,22 +709,6 @@ func (s *System) VerifyClaimTextAsOfCtx(ctx context.Context, id, text string, as
 		return Report{}, fmt.Errorf("verifai: %w", err)
 	}
 	return s.VerifyClaimAsOfCtx(ctx, id, c, asOf, kinds...)
-}
-
-// VerifyBatch verifies many generated objects concurrently (order-preserving;
-// parallelism < 1 means sequential). kinds applies to every object. A
-// failure stops later objects from starting, and the error returned is that
-// of the lowest-indexed object that failed, as a sequential run returns it.
-func (s *System) VerifyBatch(objects []Generated, parallelism int, kinds ...Kind) ([]Report, error) {
-	return s.pipeline.VerifyBatch(objects, parallelism, kinds...)
-}
-
-// VerifyBatchCtx is VerifyBatch honoring a request context: cancellation
-// stops objects not yet started and aborts in-flight verifications at their
-// next stage boundary. It returns the lowest-indexed object's error, as
-// VerifyBatch does, or else the context's error.
-func (s *System) VerifyBatchCtx(ctx context.Context, objects []Generated, parallelism int, kinds ...Kind) ([]Report, error) {
-	return s.pipeline.VerifyBatchCtx(ctx, objects, parallelism, kinds...)
 }
 
 // PipelineStats reports the serving-path counters: verify-result cache

@@ -2,7 +2,6 @@ package verifai
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -264,27 +263,5 @@ func TestNewSystemValidation(t *testing.T) {
 	}
 	if sys.Provenance() != nil {
 		t.Error("zero options enabled provenance")
-	}
-}
-
-func TestVerifyBatchPublicAPI(t *testing.T) {
-	sys, err := NewSystem(caseLake(t), noiseFreeOptions(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ohio := workload.OhioDistrictsTable()
-	var objects []Generated
-	for row := 0; row < ohio.NumRows(); row++ {
-		tp, _ := ohio.TupleAt(row)
-		objects = append(objects, NewTupleObject(fmt.Sprintf("b%d", row), tp, "incumbent"))
-	}
-	reports, err := sys.VerifyBatch(objects, 3, KindTuple)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, rep := range reports {
-		if rep.Verdict != Verified {
-			t.Errorf("tuple %d verdict = %v", i, rep.Verdict)
-		}
 	}
 }
