@@ -359,23 +359,6 @@ func TestPipelineNilProvenance(t *testing.T) {
 	}
 }
 
-func TestCombineRRF(t *testing.T) {
-	hits := []provenance.RetrievalHit{
-		{Index: "bm25", InstanceID: "a", Rank: 0},
-		{Index: "bm25", InstanceID: "b", Rank: 1},
-		{Index: "vector", InstanceID: "b", Rank: 0},
-		{Index: "vector", InstanceID: "c", Rank: 1},
-	}
-	got := combine(hits)
-	// b appears in both lists (1/61 + 1/60) and must beat a (1/60) and c (1/61).
-	if len(got) != 3 || got[0] != "b" || got[1] != "a" || got[2] != "c" {
-		t.Errorf("combine = %v", got)
-	}
-	if combine(nil) != nil {
-		t.Error("combine(nil) != nil")
-	}
-}
-
 // TestPipelineSurfacesLakeDrift: if an instance the index returns can no
 // longer be resolved against the lake (index/lake drift), Verify fails
 // loudly instead of silently skipping evidence.

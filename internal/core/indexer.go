@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -451,7 +450,7 @@ func (ix *Indexer) Retrieve(query string, k int, kinds ...datalake.Kind) ([]prov
 // them.
 func (ix *Indexer) RetrieveCtx(ctx context.Context, query string, k int, kinds ...datalake.Kind) ([]provenance.RetrievalHit, []string) {
 	hits := ix.search(ctx, query, k, kinds, true, true)
-	return hits, combine(hits)
+	return hits, provenance.Combine(hits)
 }
 
 // RetrieveFamily retrieves from a single index family ("bm25" or "vector"),
@@ -459,39 +458,10 @@ func (ix *Indexer) RetrieveCtx(ctx context.Context, query string, k int, kinds .
 func (ix *Indexer) RetrieveFamily(query, family string, k int, kinds ...datalake.Kind) []string {
 	switch family {
 	case familyBM25:
-		return combine(ix.search(context.Background(), query, k, kinds, true, false))
+		return provenance.Combine(ix.search(context.Background(), query, k, kinds, true, false))
 	case familyVector:
-		return combine(ix.search(context.Background(), query, k, kinds, false, true))
+		return provenance.Combine(ix.search(context.Background(), query, k, kinds, false, true))
 	default:
 		return nil
 	}
-}
-
-// combine merges hits from all indexes, deduplicating by instance ID — the
-// Combiner of Section 3.1. Ordering uses reciprocal-rank fusion
-// (score = Σ 1/(60+rank) over the index lists containing the instance), the
-// standard way to merge rankings from incomparable scoring functions:
-// instances both families agree on rise, and one family's noise cannot bury
-// the other's best hits.
-func combine(hits []provenance.RetrievalHit) []string {
-	if len(hits) == 0 {
-		return nil
-	}
-	const rrfK = 60
-	scores := make(map[string]float64, len(hits))
-	order := make([]string, 0, len(hits))
-	for _, h := range hits {
-		if _, seen := scores[h.InstanceID]; !seen {
-			order = append(order, h.InstanceID)
-		}
-		scores[h.InstanceID] += 1 / float64(rrfK+h.Rank)
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		si, sj := scores[order[i]], scores[order[j]]
-		if si != sj {
-			return si > sj
-		}
-		return order[i] < order[j]
-	})
-	return order
 }

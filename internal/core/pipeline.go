@@ -402,7 +402,7 @@ func (p *Pipeline) verifyAgainst(ctx context.Context, g verify.Generated, kinds 
 	query := g.Query()
 	endRetrieve := p.obs.Span(ctx, "retrieve")
 	hits := src.retrieve(ctx, query, p.cfg.TopK, kinds)
-	combined := combine(hits)
+	combined := provenance.Combine(hits)
 	endRetrieve()
 	if err := ctx.Err(); err != nil {
 		return Report{}, err

@@ -98,7 +98,7 @@ func TestRetrieveMatchesFanOutReference(t *testing.T) {
 					t.Fatalf("%s: hit %d = %+v, reference %+v", where, i, g, w)
 				}
 			}
-			if !slices.Equal(ids, combine(want)) {
+			if !slices.Equal(ids, provenance.Combine(want)) {
 				t.Fatalf("%s: combined candidates differ from the reference's", where)
 			}
 		}

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/binfmt"
+	"repro/internal/detrand"
 )
 
 // offHeapExpected reports whether binfmt.OffHeap maps on this run.
@@ -40,11 +41,22 @@ func verifyRecord(i int) Record {
 	for k := 0; k < 5; k++ {
 		r.Decisions = append(r.Decisions, VerifierDecision{
 			InstanceID: inst(k), SourceID: "synthetic-tables", Verifier: "pasta", Verdict: "Verified",
-			Explanation: fmt.Sprintf("row %d of %s matches the claimed value %d under the stated operation; %s", k, inst(k), i, strings.Repeat("evidence ", 40)),
+			Explanation: fmt.Sprintf("row %d of %s matches the claimed value %d under the stated operation; %s", k, inst(k), i, filler(i, k)),
 			SourceTrust: 0.8,
 		})
 	}
 	return r
+}
+
+// filler returns 360 bytes of hex digits that do not repeat, so the
+// explanation coder cannot shrink them to a few copies.
+func filler(i, k int) string {
+	rng := detrand.New(uint64(i), "filler", fmt.Sprint(k))
+	var b strings.Builder
+	for b.Len() < 360 {
+		fmt.Fprintf(&b, "%016x", rng.Uint64())
+	}
+	return b.String()[:360]
 }
 
 // heapAlloc returns the live heap after a full collection.

@@ -23,24 +23,45 @@ import (
 //	resolution  dict
 //	reranked    count, then runs: first rank (zigzag), run length >= 1,
 //	              then per entry: dict<<1|f32, score
-//	decisions   count, then per decision: dict<<1|f32, trust,
-//	              source dict, verifier dict, verdict dict,
-//	              explanation len, bytes
+//	decisions   count, then for a list that is not nil the explanations'
+//	              total length, then per decision: dict<<1|f32, trust,
+//	              source dict, verifier dict, verdict dict, explanation
 //	hits        count, then runs until count hits are covered:
 //	              index dict, first rank (zigzag), run length >= 1,
-//	              then per hit: dict<<1|f32, score
-//	combined    count, then per entry: ref
+//	              then per hit: dict, score delta
+//	combined    0 for nil, 1 for Combine(hits), n+2 for a list of n,
+//	              then per entry: dict
 //
 // The outcome (verdict, rerank order, decisions) comes first, so a read of
 // it stops before the hits, which hold most of a record's bytes. A run is
 // a stretch whose ranks count up by one (and, for hits, whose index family
 // is the same), so the ranks the pipeline produces cost three bytes per
-// index list while any other rank sequence still round-trips. A ref names
-// a fused candidate: hit<<1 when some hit of this record carries the same
-// instance ID (the position of the first such hit), dict<<1|1 otherwise. A
-// score is its float32 bits (4 bytes LE) when f32 is set — chosen only when
-// widening them reproduces the float64 bit for bit — and its float64 bits
-// (8 bytes LE) otherwise. Seq is not stored: it is the record's position.
+// index list while any other rank sequence still round-trips.
+//
+// A score is its float32 bits (4 bytes LE) when f32 is set — chosen only
+// when widening them reproduces the float64 bit for bit — and its float64
+// bits (8 bytes LE) otherwise. A hit's score is coded against the hit
+// before it in its run: the first of a run is its float64 bits (8 bytes
+// LE), a later one the zigzag varint of (previous bits − bits), integer
+// arithmetic mod 2^64 and so lossless for every value. An index lists its
+// hits best first, so the bits fall slowly: over claims, a delta averages
+// about 4 bytes between BM25 scores and 7 between vector scores.
+//
+// The fused list is nearly always the reciprocal-rank fusion of the hits,
+// which the decoder recomputes from them; any other list is written out.
+//
+// An explanation is its length, then tokens until that many bytes are
+// produced: t even is a literal of t>>1 >= 1 bytes, which follow; t odd is
+// a copy of (t>>1)+minCopy <= maxCopy bytes, followed by its distance d >= 1
+// back from the end of the window: the record's query, the explanations
+// before this one and what this one has produced so far. Verifiers quote
+// the claim's context, attribute and entity, which the query holds, and
+// the decisions of a record repeat each other's captions, so most of an
+// explanation is copies. A token of at least two bytes produces at most
+// maxCopy, so the decoder refuses a length past maxExpansion times the
+// bytes left before it allocates.
+//
+// Seq is not stored: it is the record's position.
 
 // dictionary interns the strings that repeat across records — instance,
 // source, verifier and index-family names, verdicts — so a record holds
@@ -100,15 +121,18 @@ type dictSlot struct {
 	head [dictInline]byte
 }
 
-// find returns s's ID. The caller holds mu.
-func (d *dictionary) find(s string) (uint32, bool) {
+// hash is the hash find takes. It needs no lock: the seed never changes.
+func (d *dictionary) hash(s string) uint64 { return maphash.String(d.seed, s) }
+
+// find returns s's ID; h is d.hash(s). The caller holds mu.
+func (d *dictionary) find(s string, h uint64) (uint32, bool) {
 	if d.table == nil {
 		return 0, false
 	}
 	slots := d.table.slots
 	head := s[:min(len(s), dictInline)]
 	mask := uint64(len(slots) - 1)
-	for i := maphash.String(d.seed, s) & mask; ; i = (i + 1) & mask {
+	for i := h & mask; ; i = (i + 1) & mask {
 		slot := &slots[i]
 		if slot.id == 0 {
 			return 0, false
@@ -125,7 +149,7 @@ func (d *dictionary) place(id uint32) {
 	s := d.strs[id]
 	slots := d.table.slots
 	mask := uint64(len(slots) - 1)
-	i := maphash.String(d.seed, s) & mask
+	i := d.hash(s) & mask
 	for slots[i].id != 0 {
 		i = (i + 1) & mask
 	}
@@ -139,7 +163,7 @@ func (d *dictionary) place(id uint32) {
 func (d *dictionary) add(s string) uint32 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if id, ok := d.find(s); ok {
+	if id, ok := d.find(s, d.hash(s)); ok {
 		return id
 	}
 	id := uint32(len(d.strs))
@@ -163,7 +187,7 @@ func (d *dictionary) add(s string) uint32 {
 func (d *dictionary) lookup(s string) (uint32, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.find(s)
+	return d.find(s, d.hash(s))
 }
 
 // snapshot returns the ID → string table as of now. Entries are never
@@ -175,24 +199,42 @@ func (d *dictionary) snapshot() []string {
 	return d.strs
 }
 
+// Explanation copies (see the wire format).
+const (
+	minCopy = 4
+	maxCopy = minCopy + 63 // the longest copy whose token is one byte
+	// maxExpansion bounds the text one coded byte yields: a copy token and
+	// its distance take two bytes or more, a literal one more than it holds.
+	maxExpansion = (maxCopy + 1) / 2
+	winHashBits  = 10 // the encoder's window hash: 4 KB, cleared per record
+)
+
 // encoder is the pooled scratch state of one Append.
 type encoder struct {
 	dict *dictionary
 	buf  []byte
-	// firstHit maps an instance's dictionary ID to the position of the
-	// first hit carrying it, for refs. It is direct-mapped on the ID's low
-	// bits and the first ID to claim a slot keeps it; an instance that
-	// loses its slot is simply written as a dictionary ID, a byte or two
-	// longer.
-	firstHit [1024]hitSlot
 	// evidence lists the dictionary IDs of the decisions' instances, one per
 	// decision, for the store's evidence postings.
 	evidence []uint32
+	// fused sums each hit instance's reciprocal-rank score, in hit order,
+	// to test whether the record's fused list is the hits' fusion: an
+	// open-addressing table, at most half full. distinct counts its
+	// occupied slots.
+	fused    []fuseSlot
+	distinct int
+	// win is the explanations' copy window, the query and the explanations
+	// written so far; head maps a hash of 4 bytes to 1 + the last window
+	// position they start at, 0 for none. Positions inside a copy are not
+	// entered: that costs a few bytes a record and saves hashing most of
+	// the text.
+	win  []byte
+	head [1 << winHashBits]int32
 }
 
-type hitSlot struct {
-	id  uint32 // 1 + dictionary ID; 0 marks an empty slot
-	pos uint32
+type fuseSlot struct {
+	hash  uint64 // the instance's dictionary hash
+	hit   uint32 // 1 + the index of its first hit; 0 marks an empty slot
+	score float64
 }
 
 var encoders = sync.Pool{New: func() any { return new(encoder) }}
@@ -204,7 +246,6 @@ func (e *encoder) encode(d *dictionary, r *Record) {
 	e.dict = d
 	e.buf = e.buf[:0]
 	e.evidence = e.evidence[:0]
-	clear(e.firstHit[:])
 	d.mu.RLock()
 	defer func() {
 		d.mu.RUnlock()
@@ -230,6 +271,14 @@ func (e *encoder) encode(d *dictionary, r *Record) {
 	}
 
 	e.count(len(r.Decisions), r.Decisions == nil)
+	if r.Decisions != nil {
+		total := 0
+		for i := range r.Decisions {
+			total += len(r.Decisions[i].Explanation)
+		}
+		e.uvarint(uint64(total))
+		e.openWindow(r.Query)
+	}
 	for i := range r.Decisions {
 		dec := &r.Decisions[i]
 		id := e.intern(dec.InstanceID)
@@ -238,10 +287,11 @@ func (e *encoder) encode(d *dictionary, r *Record) {
 		e.uvarint(uint64(e.intern(dec.SourceID)))
 		e.uvarint(uint64(e.intern(dec.Verifier)))
 		e.uvarint(uint64(e.intern(dec.Verdict)))
-		e.raw(dec.Explanation)
+		e.text(dec.Explanation)
 	}
 
 	e.count(len(r.Hits), r.Hits == nil)
+	e.openFusion(len(r.Hits))
 	for i := 0; i < len(r.Hits); {
 		run := i + 1
 		for run < len(r.Hits) && r.Hits[run].Index == r.Hits[i].Index && r.Hits[run].Rank == r.Hits[run-1].Rank+1 {
@@ -250,18 +300,37 @@ func (e *encoder) encode(d *dictionary, r *Record) {
 		e.uvarint(uint64(e.intern(r.Hits[i].Index)))
 		e.buf = binary.AppendVarint(e.buf, int64(r.Hits[i].Rank))
 		e.uvarint(uint64(run - i))
-		for ; i < run; i++ {
-			id := e.intern(r.Hits[i].InstanceID)
-			if slot := &e.firstHit[id%uint32(len(e.firstHit))]; slot.id == 0 {
-				*slot = hitSlot{id: id + 1, pos: uint32(i)}
+		var prev uint64
+		for first := i; i < run; i++ {
+			h := &r.Hits[i]
+			hash := e.dict.hash(h.InstanceID)
+			e.uvarint(uint64(e.internHashed(h.InstanceID, hash)))
+			bits := math.Float64bits(h.Score)
+			if i == first {
+				e.buf = binary.LittleEndian.AppendUint64(e.buf, bits)
+			} else {
+				e.buf = binary.AppendVarint(e.buf, int64(prev-bits))
 			}
-			e.scored(uint64(id), r.Hits[i].Score)
+			prev = bits
+			slot, found := e.fuseSlot(r.Hits, h.InstanceID, hash)
+			if !found {
+				*slot = fuseSlot{hash: hash, hit: uint32(i + 1)}
+				e.distinct++
+			}
+			slot.score += rrf(h.Rank)
 		}
 	}
 
-	e.count(len(r.Combined), r.Combined == nil)
-	for _, id := range r.Combined {
-		e.uvarint(e.ref(id))
+	switch {
+	case r.Combined == nil:
+		e.uvarint(0)
+	case e.isFusion(r.Hits, r.Combined):
+		e.uvarint(1)
+	default:
+		e.uvarint(uint64(len(r.Combined)) + 2)
+		for _, id := range r.Combined {
+			e.uvarint(uint64(e.intern(id)))
+		}
 	}
 }
 
@@ -282,24 +351,17 @@ func (e *encoder) count(n int, isNil bool) {
 
 // intern returns s's dictionary ID. It is called with the dictionary's read
 // lock held and returns with it held.
-func (e *encoder) intern(s string) uint32 {
-	if id, ok := e.dict.find(s); ok {
+func (e *encoder) intern(s string) uint32 { return e.internHashed(s, e.dict.hash(s)) }
+
+// internHashed is intern given h = e.dict.hash(s).
+func (e *encoder) internHashed(s string, h uint64) uint32 {
+	if id, ok := e.dict.find(s, h); ok {
 		return id
 	}
 	e.dict.mu.RUnlock()
 	id := e.dict.add(s)
 	e.dict.mu.RLock()
 	return id
-}
-
-// ref names a fused candidate by the first hit that carries it, or by
-// dictionary ID when no hit does.
-func (e *encoder) ref(instanceID string) uint64 {
-	dict := e.intern(instanceID)
-	if slot := e.firstHit[dict%uint32(len(e.firstHit))]; slot.id == dict+1 {
-		return uint64(slot.pos) << 1
-	}
-	return uint64(dict)<<1 | 1
 }
 
 // scored writes v with the score's width in its low bit, then the score.
@@ -314,6 +376,108 @@ func (e *encoder) scored(v uint64, score float64) {
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, bits)
 }
 
+// openFusion empties the fusion table and sizes it for n hits.
+func (e *encoder) openFusion(n int) {
+	size := 16
+	for size < 2*n {
+		size *= 2
+	}
+	if cap(e.fused) < size {
+		e.fused = make([]fuseSlot, size)
+	}
+	e.fused = e.fused[:size]
+	clear(e.fused)
+	e.distinct = 0
+}
+
+// fuseSlot returns the fusion table's slot for hit instance s, whose
+// dictionary hash is h, or false and the empty slot where it goes. The
+// table is keyed by the hash find takes, so a fused list is checked
+// without probing the dictionary's far larger table.
+func (e *encoder) fuseSlot(hits []RetrievalHit, s string, h uint64) (*fuseSlot, bool) {
+	mask := uint64(len(e.fused) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		slot := &e.fused[i]
+		if slot.hit == 0 || slot.hash == h && hits[slot.hit-1].InstanceID == s {
+			return slot, slot.hit != 0
+		}
+	}
+}
+
+// isFusion reports whether combined is Combine(hits), the hits just
+// encoded, without building it: combined must hold as many hit instances
+// as there are distinct ones, each in fusedBefore order after the one
+// before it. That order is strict and total while no score is NaN, so
+// such a list names each instance once, and it is the one list Combine's
+// sort can return. Reciprocal ranks are never NaN; the check keeps the
+// argument from resting on that.
+func (e *encoder) isFusion(hits []RetrievalHit, combined []string) bool {
+	if len(combined) == 0 || len(combined) != e.distinct {
+		return false
+	}
+	var prev *fuseSlot
+	for i, s := range combined {
+		slot, found := e.fuseSlot(hits, s, e.dict.hash(s))
+		if !found || math.IsNaN(slot.score) ||
+			i > 0 && !fusedBefore(prev.score, combined[i-1], slot.score, s) {
+			return false
+		}
+		prev = slot
+	}
+	return true
+}
+
+// openWindow starts a record's copy window with its query.
+func (e *encoder) openWindow(query string) {
+	clear(e.head[:])
+	e.win = append(e.win[:0], query...)
+	for p := 0; p+minCopy <= len(e.win); p++ {
+		e.head[e.winHash(p)] = int32(p + 1)
+	}
+}
+
+// winHash hashes the minCopy bytes at window position p.
+func (e *encoder) winHash(p int) uint32 {
+	return binary.LittleEndian.Uint32(e.win[p:]) * 0x9e3779b1 >> (32 - winHashBits)
+}
+
+// text writes an explanation as literals and copies from the window,
+// greedily taking the last earlier position whose four bytes match, and
+// adds it to the window.
+func (e *encoder) text(s string) {
+	e.uvarint(uint64(len(s)))
+	lit := len(e.win)
+	e.win = append(e.win, s...)
+	win, end := e.win, len(e.win)
+	for p := lit; p+minCopy <= end; {
+		h := e.winHash(p)
+		from := int(e.head[h]) - 1
+		e.head[h] = int32(p + 1)
+		if from < 0 || from >= p || binary.LittleEndian.Uint32(win[from:]) != binary.LittleEndian.Uint32(win[p:]) {
+			p++
+			continue
+		}
+		n := minCopy
+		for n < maxCopy && p+n < end && win[from+n] == win[p+n] {
+			n++
+		}
+		e.literal(win[lit:p])
+		e.uvarint(uint64(n-minCopy)<<1 | 1)
+		e.uvarint(uint64(p - from))
+		p += n
+		lit = p
+	}
+	e.literal(win[lit:end])
+}
+
+// literal writes b as one literal token, or nothing when it is empty.
+func (e *encoder) literal(b []byte) {
+	if len(b) > 0 {
+		e.uvarint(uint64(len(b)) << 1)
+		e.buf = append(e.buf, b...)
+	}
+}
+
 var errCorrupt = errors.New("provenance: corrupt record")
 
 // decoder reads one encoded record. The first failure sticks: every later
@@ -322,8 +486,12 @@ var errCorrupt = errors.New("provenance: corrupt record")
 type decoder struct {
 	b    []byte
 	dict []string
-	hits []RetrievalHit
-	err  error
+	// query and text are the explanations' copy window: the record's query,
+	// still in b's bytes, then the explanations decoded so far, in one
+	// buffer sized to their declared total so it never moves.
+	query []byte
+	text  []byte
+	err   error
 }
 
 // decodeRecord decodes one record against a dictionary snapshot. Every
@@ -342,13 +510,15 @@ func decodeOutcome(b []byte, dict []string) (Outcome, error) {
 }
 
 // decode walks one record, or with full unset its outcome alone, skipping
-// the object ID and query and stopping before the hits.
+// the object ID, keeping the query only as the explanations' window, and
+// stopping before the hits.
 func decode(b []byte, dict []string, full bool) (Record, error) {
 	d := decoder{b: b, dict: dict}
 	var r Record
-	objectID, query := d.raw(), d.raw()
+	objectID := d.raw()
+	d.query = d.raw()
 	if full {
-		r.ObjectID, r.Query = string(objectID), string(query)
+		r.ObjectID, r.Query = string(objectID), string(d.query)
 	}
 	r.FinalVerdict = d.str(d.uvarint())
 	r.Resolution = d.str(d.uvarint())
@@ -371,6 +541,7 @@ func decode(b []byte, dict []string, full bool) (Record, error) {
 	// A decision is an instance, a four-byte trust, three dictionary IDs
 	// and an explanation length.
 	if n, ok := d.count(9); ok {
+		d.openText()
 		r.Decisions = make([]VerifierDecision, 0, n)
 		for i := 0; i < n && d.err == nil; i++ {
 			v, f32 := d.flagged()
@@ -380,8 +551,11 @@ func decode(b []byte, dict []string, full bool) (Record, error) {
 				SourceID:    d.str(d.uvarint()),
 				Verifier:    d.str(d.uvarint()),
 				Verdict:     d.str(d.uvarint()),
-				Explanation: string(d.raw()),
+				Explanation: d.explanation(),
 			})
+		}
+		if d.err == nil && len(d.text) != cap(d.text) {
+			d.fail("explanations of %d bytes, %d declared", len(d.text), cap(d.text))
 		}
 	}
 	if full {
@@ -396,33 +570,107 @@ func decode(b []byte, dict []string, full bool) (Record, error) {
 // rest reads what follows a record's outcome: the hits and the fused
 // list, then checks that nothing trails them.
 func (d *decoder) rest(r *Record) {
-	// A hit is at least an instance byte and four score bytes.
-	if n, ok := d.count(5); ok {
+	// A hit is at least an instance byte and a one-byte score delta.
+	if n, ok := d.count(2); ok {
 		r.Hits = make([]RetrievalHit, 0, n)
 		for len(r.Hits) < n && d.err == nil {
 			index := d.str(d.uvarint())
 			rank := d.varint()
 			run := d.run(n - len(r.Hits))
+			var bits uint64
 			for i := 0; i < run && d.err == nil; i++ {
-				v, f32 := d.flagged()
+				id := d.str(d.uvarint())
+				if i == 0 {
+					if b := d.take(8); b != nil {
+						bits = binary.LittleEndian.Uint64(b)
+					}
+				} else {
+					bits -= uint64(d.varint())
+				}
 				r.Hits = append(r.Hits, RetrievalHit{
-					Index: index, InstanceID: d.str(v), Score: d.score(f32), Rank: int(rank) + i,
+					Index: index, InstanceID: id, Score: math.Float64frombits(bits), Rank: int(rank) + i,
 				})
 			}
 		}
-		d.hits = r.Hits
 	}
 
-	if n, ok := d.count(1); ok {
-		r.Combined = make([]string, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			r.Combined = append(r.Combined, d.instance(d.uvarint()))
+	switch v := d.uvarint(); {
+	case d.err != nil || v == 0:
+	case v == 1:
+		if len(r.Hits) == 0 {
+			d.fail("fused list of no hits")
+			break
+		}
+		r.Combined = Combine(r.Hits)
+	case v-2 > uint64(len(d.b)):
+		d.fail("fused list of %d exceeds the %d bytes left", v-2, len(d.b))
+	default:
+		r.Combined = make([]string, 0, v-2)
+		for i := uint64(0); i < v-2 && d.err == nil; i++ {
+			r.Combined = append(r.Combined, d.str(d.uvarint()))
 		}
 	}
 
 	if d.err == nil && len(d.b) != 0 {
 		d.fail("%d trailing bytes", len(d.b))
 	}
+}
+
+// openText reads the explanations' total length and sets their buffer
+// aside.
+func (d *decoder) openText() {
+	total := d.uvarint()
+	if d.err == nil && total > maxExpansion*uint64(len(d.b)) {
+		d.fail("explanations of %d bytes from the %d left", total, len(d.b))
+	}
+	if d.err == nil && total > 0 {
+		d.text = make([]byte, 0, total)
+	}
+}
+
+// explanation decodes one explanation into the text buffer and returns a
+// view of it: the buffer never moves and the bytes are never rewritten.
+func (d *decoder) explanation() string {
+	n := d.uvarint()
+	if d.err == nil && n > uint64(cap(d.text)-len(d.text)) {
+		d.fail("explanation of %d bytes, %d of the declared total left", n, cap(d.text)-len(d.text))
+	}
+	start := len(d.text)
+	for d.err == nil && uint64(len(d.text)-start) < n {
+		left := n - uint64(len(d.text)-start)
+		t := d.uvarint()
+		if t&1 == 0 {
+			if k := t >> 1; k == 0 || k > left {
+				d.fail("literal of %d bytes with %d left", k, left)
+			} else {
+				d.text = append(d.text, d.take(k)...)
+			}
+			continue
+		}
+		k, dist := t>>1, d.uvarint()
+		window := uint64(len(d.query) + len(d.text))
+		switch {
+		case d.err != nil:
+		case k > maxCopy-minCopy || k+minCopy > left:
+			d.fail("copy of %d bytes with %d left", k+minCopy, left)
+		case dist == 0 || dist > window:
+			d.fail("copy from %d back in a window of %d", dist, window)
+		default:
+			// Byte by byte: a copy may overlap what it produces.
+			from := int(window - dist)
+			for end := from + int(k+minCopy); from < end; from++ {
+				if from < len(d.query) {
+					d.text = append(d.text, d.query[from])
+				} else {
+					d.text = append(d.text, d.text[from-len(d.query)])
+				}
+			}
+		}
+	}
+	if d.err != nil || n == 0 {
+		return ""
+	}
+	return unsafe.String(&d.text[start], n)
 }
 
 // decodeObjectID reads only a record's object ID, its first field.
@@ -535,20 +783,4 @@ func (d *decoder) str(id uint64) string {
 		return ""
 	}
 	return d.dict[id]
-}
-
-// instance resolves a ref against the record's hits or the dictionary.
-func (d *decoder) instance(ref uint64) string {
-	if ref&1 == 1 {
-		return d.str(ref >> 1)
-	}
-	if d.err != nil {
-		return ""
-	}
-	hit := ref >> 1
-	if hit >= uint64(len(d.hits)) {
-		d.fail("hit %d of %d", hit, len(d.hits))
-		return ""
-	}
-	return d.hits[hit].InstanceID
 }

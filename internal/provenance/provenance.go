@@ -6,9 +6,11 @@
 // verification itself errs.
 //
 // The store keeps records encoded (codec.go) in a byte arena of fixed-size
-// segments rather than as Go structs: a record costs a few KB of memory the
-// garbage collector never scans, and every Record handed out is decoded
-// afresh, so callers share nothing with the store or with each other. The
+// segments rather than as Go structs: a claim's record costs about 1.85 KB
+// of memory the garbage collector never scans (its fused list derived from
+// its hits, hit scores delta-coded, explanations copying from the record's
+// own text), and every Record handed out is decoded afresh, so callers
+// share nothing with the store or with each other. The
 // segments, and the slot table of the dictionary that interns the strings
 // records repeat, come from binfmt.OffHeap: where the platform maps memory
 // they sit outside the Go heap, so lineage does not raise the collector's
@@ -89,6 +91,43 @@ type Outcome struct {
 	FinalVerdict string
 	Reranked     []RerankEntry
 	Decisions    []VerifierDecision
+}
+
+// Combine merges hits from all indexes, deduplicating by instance ID — the
+// Combiner of Section 3.1. Ordering uses reciprocal-rank fusion
+// (score = Σ 1/(60+rank) over the index lists containing the instance), the
+// standard way to merge rankings from incomparable scoring functions:
+// instances both families agree on rise, and one family's noise cannot bury
+// the other's best hits. A record's fused list is nearly always Combine of
+// its hits, and the store keeps only that fact.
+func Combine(hits []RetrievalHit) []string {
+	if len(hits) == 0 {
+		return nil
+	}
+	scores := make(map[string]float64, len(hits))
+	order := make([]string, 0, len(hits))
+	for _, h := range hits {
+		if _, seen := scores[h.InstanceID]; !seen {
+			order = append(order, h.InstanceID)
+		}
+		scores[h.InstanceID] += rrf(h.Rank)
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		return fusedBefore(scores[order[i]], order[i], scores[order[j]], order[j])
+	})
+	return order
+}
+
+// rrf is a hit's reciprocal-rank score.
+func rrf(rank int) float64 {
+	const k = 60
+	return 1 / float64(k+rank)
+}
+
+// fusedBefore reports whether an instance with fused score si and ID i
+// comes before one with sj and j: higher scores first, ties by ID.
+func fusedBefore(si float64, i string, sj float64, j string) bool {
+	return si > sj || si == sj && i < j
 }
 
 // segmentSize is the capacity of one arena segment. A record never spans
@@ -373,9 +412,11 @@ func (s *Store) WriteJSON(w io.Writer) error {
 type Stats struct {
 	// Records is Len.
 	Records int `json:"records"`
-	// Bytes is the memory lineage occupies: the encoded records plus the
-	// offset tables and evidence postings, and the dictionary's slot table
-	// (32 bytes a slot, at most half of them used). Not counted: the object
+	// Bytes is the memory lineage occupies: the encoded records (about
+	// 1.85 KB for a claim's over the default lake, 3.3 KB for a tuple's)
+	// plus the offset tables and evidence postings (8 bytes a record and
+	// 8 a decision), and the dictionary's slot table (32 bytes a slot, at
+	// most half of them used). Not counted: the object
 	// and evidence maps (some 30 bytes a record) and the dictionary's
 	// strings, nor the unwritten tail of each segment: a segment reserves
 	// 1 MiB of address space (Segments × 1 MiB in all), but a mapped one is

@@ -433,3 +433,20 @@ func ReadJSON(r io.Reader) (*Store, error) {
 	}
 	return s, nil
 }
+
+func TestCombineRRF(t *testing.T) {
+	hits := []RetrievalHit{
+		{Index: "bm25", InstanceID: "a", Rank: 0},
+		{Index: "bm25", InstanceID: "b", Rank: 1},
+		{Index: "vector", InstanceID: "b", Rank: 0},
+		{Index: "vector", InstanceID: "c", Rank: 1},
+	}
+	got := Combine(hits)
+	// b appears in both lists (1/61 + 1/60) and must beat a (1/60) and c (1/61).
+	if len(got) != 3 || got[0] != "b" || got[1] != "a" || got[2] != "c" {
+		t.Errorf("Combine = %v", got)
+	}
+	if Combine(nil) != nil {
+		t.Error("Combine(nil) != nil")
+	}
+}

@@ -24,10 +24,14 @@ func liveHeap() int64 {
 // TestTrafficGrowthStaysOffHeap is the traffic-growth audit for lineage:
 // once the result and query caches are full, 2,000 more distinct
 // verifications — each a cache miss that appends a lineage record of about
-// 3 KB — move the live Go heap by less than 300 bytes a verification, a
-// tenth of what provenance grows, because the records sit in mapped arena
-// segments. What still grows on the heap per record is its offset-table
-// entry, its evidence postings and its object-ID chain head.
+// 1.5 KB on this 120-table lake — move the live Go heap by less than 300
+// bytes a verification, a tenth of what provenance grows, because the
+// records sit in mapped arena segments. What still grows on the heap per
+// record is its offset-table entry, its evidence postings and its
+// object-ID chain head. Provenance itself must grow between 1 and 2 KB a
+// verification: less means the records lost what the audit measures, more
+// that the codec's compact forms (the derived fused list, delta-coded hit
+// scores, explanations copying from the query) stopped working.
 func TestTrafficGrowthStaysOffHeap(t *testing.T) {
 	if runtime.GOOS != "linux" || os.Getenv(binfmt.NoMmapEnv) != "" {
 		t.Skip("the provenance arena is on the heap on this run")
@@ -73,8 +77,8 @@ func TestTrafficGrowthStaysOffHeap(t *testing.T) {
 	provGrew, heapGrew := prov1.Bytes-prov0.Bytes, heap1-heap0
 	t.Logf("provenance grew %d bytes (%d a verify, %d off the heap); live heap %+d bytes (%+d a verify)",
 		provGrew, provGrew/measured, prov1.OffHeapBytes-prov0.OffHeapBytes, heapGrew, heapGrew/measured)
-	if provGrew/measured < 2<<10 {
-		t.Fatalf("lineage grew %d bytes a verification, want about 3 KB", provGrew/measured)
+	if per := provGrew / measured; per < 1<<10 || per >= 2<<10 {
+		t.Fatalf("lineage grew %d bytes a verification, want 1-2 KB (about 1.5 KB)", per)
 	}
 	if heapGrew > 300*measured || heapGrew*10 > provGrew {
 		t.Errorf("live heap grew %d bytes over %d verifications, provenance %d: want under 300 a verification and a tenth of provenance", heapGrew, measured, provGrew)
