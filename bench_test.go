@@ -354,7 +354,7 @@ func BenchmarkBM25SearchTerms(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	terms := textutil.TokenizeFiltered(corpus.Tables[42].SerializeForIndex())
+	terms := new(textutil.Dict).AppendTerms(nil, corpus.Tables[42].SerializeForIndex())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

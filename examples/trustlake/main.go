@@ -90,7 +90,7 @@ func main() {
 		priors[s.ID] = s.TrustPrior
 	}
 	priors[workload.SourceTables] = 0.8 // curated collection
-	learned := trust.Estimate(votes, trust.Config{Priors: priors})
+	learned := trust.Estimate(votes, priors)
 
 	fmt.Println("learned source trust from cross-source agreement:")
 	srcs := make([]string, 0, len(learned))

@@ -53,7 +53,7 @@ func TestObsAllocationOverhead(t *testing.T) {
 		return out
 	}
 	for _, d := range docs() {
-		textutil.TokenizeFiltered(d.SerializeForIndex())
+		new(textutil.Dict).AppendTerms(nil, d.SerializeForIndex())
 	}
 	allocs := func(instrumented bool) float64 {
 		lake := datalake.New()

@@ -13,7 +13,8 @@ import (
 	"repro/internal/wal"
 )
 
-// FollowOptions configure a Follow loop.
+// FollowOptions configure a Follow loop. Records reach Apply in batches
+// of at most applyBatch.
 type FollowOptions struct {
 	// Leader is the leader's base URL, e.g. "http://10.0.0.1:8080".
 	Leader string
@@ -31,13 +32,13 @@ type FollowOptions struct {
 	// OnHeartbeat, if set, observes the leader's published version from
 	// heartbeat frames (for lag reporting).
 	OnHeartbeat func(leaderVersion uint64)
-	// BatchSize caps one Apply batch (default 256, matching the recovery
-	// replay batch size).
-	BatchSize int
 	// Backoff is the reconnect backoff floor (default 250ms, doubling to a
 	// 4s ceiling; reset by any successful read).
 	Backoff time.Duration
 }
+
+// applyBatch caps one Apply batch, matching the recovery replay batch.
+const applyBatch = 256
 
 // applyError wraps an Apply failure so the retry loop can tell "local
 // apply diverged" (fatal) apart from transport errors (reconnect).
@@ -55,9 +56,6 @@ func Follow(ctx context.Context, opts FollowOptions) error {
 	client := opts.Client
 	if client == nil {
 		client = &http.Client{}
-	}
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = 256
 	}
 	backoff := opts.Backoff
 	if backoff <= 0 {
@@ -125,7 +123,7 @@ func streamOnce(ctx context.Context, client *http.Client, opts FollowOptions) (m
 	}
 
 	dec := NewDecoder(resp.Body)
-	batch := make([]wal.Record, 0, opts.BatchSize)
+	batch := make([]wal.Record, 0, applyBatch)
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
@@ -161,7 +159,7 @@ func streamOnce(ctx context.Context, client *http.Client, opts FollowOptions) (m
 		// Apply when the batch is full or the stream would block: batching
 		// amortizes commits during catch-up without adding latency when the
 		// stream is drip-feeding live writes.
-		if len(batch) >= opts.BatchSize || !dec.Buffered() {
+		if len(batch) >= applyBatch || !dec.Buffered() {
 			if ferr := flush(); ferr != nil {
 				return madeProgress, ferr
 			}

@@ -37,7 +37,7 @@ func (fl *fakeLeader) handler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", ContentTypeFrames)
-		enc := NewEncoder(w)
+		enc := NewEncoderFormat(w, wal.FormatBinary)
 		for _, rec := range recs {
 			if rec.Kind == wal.KindSource || rec.Kind == KindHeartbeat || rec.Version > from {
 				if err := enc.Encode(rec); err != nil {

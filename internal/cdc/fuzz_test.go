@@ -35,7 +35,7 @@ func FuzzDecodeChangeStream(f *testing.F) {
 	// Gapped stream: versions jump 1 -> 3; the applier must stop, not
 	// silently apply out of order.
 	var gapped bytes.Buffer
-	genc := NewEncoder(&gapped)
+	genc := NewEncoderFormat(&gapped, wal.FormatBinary)
 	for _, v := range []uint64{1, 3} {
 		if err := genc.Encode(docRecord(v, "g")); err != nil {
 			f.Fatal(err)
@@ -45,7 +45,7 @@ func FuzzDecodeChangeStream(f *testing.F) {
 
 	// Duplicated version mid-stream (leader re-serving a resumed segment).
 	var dup bytes.Buffer
-	denc := NewEncoder(&dup)
+	denc := NewEncoderFormat(&dup, wal.FormatBinary)
 	for _, v := range []uint64{1, 2, 2, 3} {
 		if err := denc.Encode(docRecord(v, "d")); err != nil {
 			f.Fatal(err)
@@ -55,7 +55,7 @@ func FuzzDecodeChangeStream(f *testing.F) {
 
 	// A heartbeat and a source record interleaved with events.
 	var mixed bytes.Buffer
-	menc := NewEncoder(&mixed)
+	menc := NewEncoderFormat(&mixed, wal.FormatBinary)
 	for _, rec := range []wal.Record{
 		docRecord(1, "m1"),
 		{Version: 1, Kind: KindHeartbeat},

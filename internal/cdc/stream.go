@@ -22,12 +22,6 @@ type Encoder struct {
 	format wal.Format
 }
 
-// NewEncoder returns an Encoder writing frames to w with the default
-// (binary) payload encoding.
-func NewEncoder(w io.Writer) *Encoder {
-	return NewEncoderFormat(w, wal.FormatBinary)
-}
-
 // NewEncoderFormat returns an Encoder with an explicit payload format, so
 // a leader serving -wal-format=json keeps its wire encoding aligned with
 // its log encoding.

@@ -18,7 +18,7 @@ func docRecord(v uint64, id string) wal.Record {
 func encodeAll(t *testing.T, recs ...wal.Record) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
+	enc := NewEncoderFormat(&buf, wal.FormatBinary)
 	for _, rec := range recs {
 		if err := enc.Encode(rec); err != nil {
 			t.Fatal(err)
@@ -144,11 +144,11 @@ func TestEncoderMatchesWALFraming(t *testing.T) {
 	// decode are the same code path.
 	rec := docRecord(42, "same-bytes")
 	var wire bytes.Buffer
-	if err := NewEncoder(&wire).Encode(rec); err != nil {
+	if err := NewEncoderFormat(&wire, wal.FormatBinary).Encode(rec); err != nil {
 		t.Fatal(err)
 	}
 	var disk bytes.Buffer
-	if err := wal.EncodeFrame(&disk, rec); err != nil {
+	if err := wal.EncodeFrameFormat(&disk, rec, wal.FormatBinary); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(wire.Bytes(), disk.Bytes()) {
@@ -175,7 +175,7 @@ func TestDecoderBatchingHint(t *testing.T) {
 
 func fuzzSeedStream(n int) []byte {
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
+	enc := NewEncoderFormat(&buf, wal.FormatBinary)
 	for v := 1; v <= n; v++ {
 		if err := enc.Encode(docRecord(uint64(v), fmt.Sprintf("d%d", v))); err != nil {
 			panic(err)

@@ -74,9 +74,6 @@ type Claim struct {
 	Value string
 }
 
-// IsAggregate reports whether the claim involves a multi-row operation.
-func (c Claim) IsAggregate() bool { return c.Op != OpLookup }
-
 // Render produces the canonical natural-language form of the claim and
 // stores it in Text. The templates are the ones the synthetic TabFact-style
 // workload uses, so Parse∘Render is the identity on structured fields.

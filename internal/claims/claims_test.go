@@ -128,15 +128,6 @@ func TestSplitEntities(t *testing.T) {
 	}
 }
 
-func TestIsAggregate(t *testing.T) {
-	if (Claim{Op: OpLookup}).IsAggregate() {
-		t.Error("lookup reported aggregate")
-	}
-	if !(Claim{Op: OpSum}).IsAggregate() {
-		t.Error("sum not aggregate")
-	}
-}
-
 func TestOpAndOutcomeStrings(t *testing.T) {
 	if OpSum.String() != "sum" || OpLookup.String() != "lookup" || OpCount.String() != "count" {
 		t.Error("AggOp.String wrong")

@@ -65,7 +65,7 @@ func TestPieceBagsMatchSerialization(t *testing.T) {
 // verifies, and an ingest grows both.
 func TestTokenTableGrowsWithLakeNotTraffic(t *testing.T) {
 	lake := smallLake(t)
-	p := buildPipeline(t, lake, true)
+	p := buildPipeline(t, lake)
 	emb := p.Indexer().Embedder()
 	terms, tableBytes := emb.Dict().Len(), emb.TableBytes()
 	for i := 0; i < 50; i++ {

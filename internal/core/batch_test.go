@@ -51,7 +51,7 @@ func TestVerifyBatchMatchesSequential(t *testing.T) {
 	}
 	items = append(items, verifyItem{golfClaimObject(), kinds})
 
-	seq := buildPipeline(t, lake, true)
+	seq := buildPipeline(t, lake)
 	want := make([]Report, len(items))
 	for i, it := range items {
 		rep, err := seq.Verify(it.g, it.kinds...)
@@ -61,7 +61,7 @@ func TestVerifyBatchMatchesSequential(t *testing.T) {
 		want[i] = rep
 	}
 
-	p := buildPipeline(t, lake, true)
+	p := buildPipeline(t, lake)
 	got := verifyConcurrently(t, p, items)
 	for i := range items {
 		if got[i].Verdict != want[i].Verdict {
@@ -86,7 +86,7 @@ func TestVerifyBatchMatchesSequential(t *testing.T) {
 // exactly once.
 func TestVerifyBatchLargeParallel(t *testing.T) {
 	lake := smallLake(t)
-	p := buildPipeline(t, lake, true)
+	p := buildPipeline(t, lake)
 	var items []verifyItem
 	for i := 0; i < 40; i++ {
 		c := claims.Claim{

@@ -58,7 +58,7 @@ func smallLake(t *testing.T) *datalake.Lake {
 	return l
 }
 
-func buildPipeline(t *testing.T, lake *datalake.Lake, useReranker bool) *Pipeline {
+func buildPipeline(t *testing.T, lake *datalake.Lake) *Pipeline {
 	t.Helper()
 	indexer, err := BuildIndexer(lake, DefaultIndexerConfig(1))
 	if err != nil {
@@ -66,9 +66,7 @@ func buildPipeline(t *testing.T, lake *datalake.Lake, useReranker bool) *Pipelin
 	}
 	registry := rerank.NewRegistry(rerank.NewColBERT(indexer.Embedder(), 128))
 	agent := verify.NewAgent(verify.NewExactVerifier())
-	cfg := DefaultPipelineConfig()
-	cfg.UseReranker = useReranker
-	p, err := NewPipeline(lake, indexer, registry, agent, provenance.NewStore(), nil, cfg)
+	p, err := NewPipeline(lake, indexer, registry, agent, provenance.NewStore(), nil, DefaultPipelineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +192,7 @@ func TestVectorHitsKeepInstanceIDs(t *testing.T) {
 
 func TestPipelineVerifyFigure4(t *testing.T) {
 	lake := smallLake(t)
-	p := buildPipeline(t, lake, true)
+	p := buildPipeline(t, lake)
 	rep, err := p.Verify(golfClaimObject(), datalake.KindTable)
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +229,7 @@ func TestPipelineVerifyFigure4(t *testing.T) {
 
 func TestPipelineVerifyTupleObject(t *testing.T) {
 	lake := smallLake(t)
-	p := buildPipeline(t, lake, true)
+	p := buildPipeline(t, lake)
 	e1, _ := lake.Table("e1")
 	tp, _ := e1.TupleAt(1)
 
@@ -259,7 +257,7 @@ func TestPipelineVerifyTupleObject(t *testing.T) {
 
 func TestPipelineVerifyEntityEvidence(t *testing.T) {
 	lake := smallLake(t)
-	p := buildPipeline(t, lake, true)
+	p := buildPipeline(t, lake)
 	e1, _ := lake.Table("e1")
 	tp, _ := e1.TupleAt(1)
 	g := verify.NewTupleObject("g-kg", tp, "money")
@@ -272,21 +270,9 @@ func TestPipelineVerifyEntityEvidence(t *testing.T) {
 	}
 }
 
-func TestPipelineNoRerankerStillWorks(t *testing.T) {
-	lake := smallLake(t)
-	p := buildPipeline(t, lake, false)
-	rep, err := p.Verify(golfClaimObject(), datalake.KindTable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Verdict != verify.Refuted {
-		t.Errorf("no-reranker verdict = %v", rep.Verdict)
-	}
-}
-
 func TestPipelineNoEvidenceIsNotRelated(t *testing.T) {
 	lake := smallLake(t)
-	p := buildPipeline(t, lake, true)
+	p := buildPipeline(t, lake)
 	c := claims.Claim{
 		Context:   "a relation that does not exist anywhere",
 		Entities:  []string{"nobody at all"},
@@ -309,7 +295,7 @@ func TestPipelineNoEvidenceIsNotRelated(t *testing.T) {
 
 func TestPipelineSourceTrust(t *testing.T) {
 	lake := smallLake(t)
-	p := buildPipeline(t, lake, true)
+	p := buildPipeline(t, lake)
 	if got := p.SourceTrust("s1"); got != 0.8 {
 		t.Errorf("lake prior trust = %v", got)
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/datalake"
 	"repro/internal/embed"
 	"repro/internal/faultfs"
+	"repro/internal/table"
 	"repro/internal/textutil"
 	"repro/internal/vecindex"
 	"repro/internal/workload"
@@ -46,10 +47,10 @@ func lakeInstances(lake *datalake.Lake) []instance {
 }
 
 // TestBagMatchesCounts: for every serialized instance of the default
-// workload lake, the bag both index families are fed holds each
-// TokenizeFiltered term once, in strictly ascending order of the terms,
-// with the count a map counts for it, and the counts sum to the token
-// count.
+// workload lake, the bag both index families are fed holds each term of
+// the analysis chain (AppendTerms) once, in strictly ascending order of
+// the terms, with the count a map counts for it, and the counts sum to the
+// token count.
 func TestBagMatchesCounts(t *testing.T) {
 	corpus, err := workload.GenerateLake(workload.DefaultConfig())
 	if err != nil {
@@ -58,7 +59,7 @@ func TestBagMatchesCounts(t *testing.T) {
 	defer corpus.Lake.Close()
 	dict := textutil.NewDict()
 	for _, in := range lakeInstances(corpus.Lake) {
-		tokens := textutil.TokenizeFiltered(in.text)
+		tokens := new(textutil.Dict).AppendTerms(nil, in.text)
 		counts := make(map[string]int32, len(tokens))
 		for _, tok := range tokens {
 			counts[tok]++
@@ -185,7 +186,7 @@ func TestDerivedVectorsMatchIngested(t *testing.T) {
 		queries = append(queries, ct.Claim.Text)
 	}
 	for _, tt := range tuples {
-		queries = append(queries, tt.MaskedTuple().SerializeForIndex())
+		queries = append(queries, tt.Tuple.WithValue(tt.MaskedAttr(), table.Missing).SerializeForIndex())
 	}
 	ctx := context.Background()
 	for _, q := range queries {

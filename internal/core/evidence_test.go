@@ -64,7 +64,7 @@ func (e evidenceError) Error() string { return fmt.Sprintf("refused evidence %s"
 // expires inside the last verification still fails the verify.
 func TestVerifyEvidenceInRankOrder(t *testing.T) {
 	lake := smallLake(t)
-	base := buildPipeline(t, lake, true)
+	base := buildPipeline(t, lake)
 	sv := &scriptedVerifier{}
 	reg := obs.NewRegistry()
 	cfg := DefaultPipelineConfig()

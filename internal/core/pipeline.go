@@ -25,10 +25,6 @@ type PipelineConfig struct {
 	TopK int
 	// TopKPrime is the task-aware depth after reranking (paper: k′ = 5).
 	TopKPrime int
-	// UseReranker toggles the Reranker module; when off, the combined
-	// candidates are truncated to TopKPrime in combiner order (the
-	// ablation's baseline).
-	UseReranker bool
 	// ResultCache is the capacity (entries) of the verify-result cache:
 	// completed verifications keyed by (task, object fingerprint, kind set)
 	// and invalidated exactly when a lake write touches a kind they depend
@@ -56,7 +52,7 @@ type PipelineConfig struct {
 // verify-result cache enabled (the verifiers are deterministic, so a
 // Report rebuilt from the cache equals a recomputed one).
 func DefaultPipelineConfig() PipelineConfig {
-	return PipelineConfig{TopK: 100, TopKPrime: 5, UseReranker: true, ResultCache: 4096}
+	return PipelineConfig{TopK: 100, TopKPrime: 5, ResultCache: 4096}
 }
 
 // Pipeline is the assembled VerifAI system. It is safe for concurrent use:
@@ -451,11 +447,9 @@ func (p *Pipeline) verifyAgainst(ctx context.Context, g verify.Generated, kinds 
 	for i, in := range ordered {
 		res := results[i]
 		st := src.trust(in.SourceID)
-		ev := Evidence{Instance: in, Result: res, SourceTrust: st}
-		if p.cfg.UseReranker {
-			ev.RerankScore = rerankEntries[i].Score
-		}
-		report.Evidence = append(report.Evidence, ev)
+		report.Evidence = append(report.Evidence, Evidence{
+			Instance: in, Result: res, SourceTrust: st, RerankScore: rerankEntries[i].Score,
+		})
 		decisions = append(decisions, provenance.VerifierDecision{
 			InstanceID:  in.ID,
 			SourceID:    in.SourceID,
@@ -501,19 +495,12 @@ func (p *Pipeline) verifyAgainst(ctx context.Context, g verify.Generated, kinds 
 	return report, nil
 }
 
-// rerank orders borrowed candidates task-aware and keeps the top k′ —
-// or, with the reranker off, the first k′ in combiner order — and names
-// them by ID, so nothing it returns holds a candidate.
+// rerank orders borrowed candidates task-aware and keeps the top k′,
+// naming them by ID, so nothing it returns holds a candidate.
 func (p *Pipeline) rerank(g verify.Generated, candidates []datalake.Instance) []provenance.RerankEntry {
 	var entries []provenance.RerankEntry
-	if p.cfg.UseReranker {
-		for rank, s := range p.rerankers.Rerank(toRerankQuery(g), candidates, p.cfg.TopKPrime) {
-			entries = append(entries, provenance.RerankEntry{InstanceID: s.ID, Score: s.Score, Rank: rank})
-		}
-		return entries
-	}
-	for rank, in := range candidates[:min(p.cfg.TopKPrime, len(candidates))] {
-		entries = append(entries, provenance.RerankEntry{InstanceID: in.ID, Rank: rank})
+	for rank, s := range p.rerankers.Rerank(toRerankQuery(g), candidates, p.cfg.TopKPrime) {
+		entries = append(entries, provenance.RerankEntry{InstanceID: s.ID, Score: s.Score, Rank: rank})
 	}
 	return entries
 }

@@ -71,7 +71,7 @@ func claimAbout(id, text string) verify.Generated {
 // contract: repeats hit, writes to untouched kinds leave entries hot, and
 // writes touching a depended-on kind invalidate exactly.
 func TestResultCacheHitAndExactInvalidation(t *testing.T) {
-	p := buildPipeline(t, smallLake(t), true)
+	p := buildPipeline(t, smallLake(t))
 	defer p.Close()
 	g := golfClaimObject()
 
@@ -191,13 +191,13 @@ func TestResultCacheHitAndExactInvalidation(t *testing.T) {
 }
 
 // TestCachedReportsMatchRecomputed: over a generated lake, for claims and
-// imputed tuples, head and pinned reads, reranker on and off, every cache
-// hit equals the Report a pipeline without a result cache computes over
-// the same lake for the same object — down to the caller's own object,
-// which matters when two requests share a key: the fingerprint leaves out a
-// tuple's TableID and SourceID, which no verifier reads. Lineage sequence
-// numbers differ between the two pipelines, so the recomputed Report takes
-// the hit's before the comparison, and the hit's must be its miss's.
+// imputed tuples, head and pinned reads, every cache hit equals the Report
+// a pipeline without a result cache computes over the same lake for the
+// same object — down to the caller's own object, which matters when two
+// requests share a key: the fingerprint leaves out a tuple's TableID and
+// SourceID, which no verifier reads. Lineage sequence numbers differ
+// between the two pipelines, so the recomputed Report takes the hit's
+// before the comparison, and the hit's must be its miss's.
 func TestCachedReportsMatchRecomputed(t *testing.T) {
 	cfg := workload.DefaultConfig()
 	cfg.NumTables, cfg.NumTexts = 80, 30
@@ -227,10 +227,10 @@ func TestCachedReportsMatchRecomputed(t *testing.T) {
 		objects = append(objects, verify.NewClaimObject(fmt.Sprintf("claim-%d", i), ct.Claim))
 	}
 	for i, tt := range tupleTasks {
-		objects = append(objects, verify.NewTupleObject(fmt.Sprintf("tuple-%d", i), tt.MaskedTuple(), tt.MaskedAttr()))
+		objects = append(objects, verify.NewTupleObject(fmt.Sprintf("tuple-%d", i), tt.Tuple.WithValue(tt.MaskedAttr(), table.Missing), tt.MaskedAttr()))
 	}
 	// Two requests one entry serves.
-	shared := tupleTasks[0].MaskedTuple()
+	shared := tupleTasks[0].Tuple.WithValue(tupleTasks[0].MaskedAttr(), table.Missing)
 	shared.TableID, shared.SourceID = "generated-a", "model-a"
 	other := shared
 	other.TableID, other.SourceID = "generated-b", "model-b"
@@ -240,61 +240,60 @@ func TestCachedReportsMatchRecomputed(t *testing.T) {
 		t.Fatal("the two tuples do not share a key")
 	}
 
-	for _, useReranker := range []bool{true, false} {
-		t.Run(fmt.Sprintf("reranker=%v", useReranker), func(t *testing.T) {
-			pcfg := DefaultPipelineConfig()
-			pcfg.UseReranker = useReranker
-			cached, err := NewPipeline(corpus.Lake, ix, registry, agent, provenance.NewStore(), nil, pcfg)
+	// Every pipeline reranks; the subtest keeps the name it has had since
+	// the reranker could be switched off.
+	t.Run("reranker=true", func(t *testing.T) {
+		pcfg := DefaultPipelineConfig()
+		cached, err := NewPipeline(corpus.Lake, ix, registry, agent, provenance.NewStore(), nil, pcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cached.Close()
+		pcfg.ResultCache = 0
+		fresh, err := NewPipeline(corpus.Lake, ix, registry, agent, provenance.NewStore(), nil, pcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pin, err := cached.PinSnapshot(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if freshPin, err := fresh.PinSnapshot(nil); err != nil || freshPin.Version() != pin.Version() {
+			t.Fatalf("pins at %d and %d (%v)", pin.Version(), freshPin.Version(), err)
+		}
+		hits := 0
+		check := func(fill, g verify.Generated, asOf uint64) {
+			t.Helper()
+			miss, err := cached.VerifyAsOfCtx(context.Background(), fill, asOf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer cached.Close()
-			pcfg.ResultCache = 0
-			fresh, err := NewPipeline(corpus.Lake, ix, registry, agent, provenance.NewStore(), nil, pcfg)
+			hit, err := cached.VerifyAsOfCtx(context.Background(), g, asOf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pin, err := cached.PinSnapshot(nil)
+			if hits++; cached.Stats().ResultCacheHits != uint64(hits) {
+				t.Fatalf("%s at %d: no hit: %+v", g.ID, asOf, cached.Stats())
+			}
+			want, err := fresh.VerifyAsOfCtx(context.Background(), g, asOf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if freshPin, err := fresh.PinSnapshot(nil); err != nil || freshPin.Version() != pin.Version() {
-				t.Fatalf("pins at %d and %d (%v)", pin.Version(), freshPin.Version(), err)
+			if hit.ProvenanceSeq != miss.ProvenanceSeq {
+				t.Fatalf("%s at %d: hit names lineage record %d, its miss %d", g.ID, asOf, hit.ProvenanceSeq, miss.ProvenanceSeq)
 			}
-			hits := 0
-			check := func(fill, g verify.Generated, asOf uint64) {
-				t.Helper()
-				miss, err := cached.VerifyAsOfCtx(context.Background(), fill, asOf)
-				if err != nil {
-					t.Fatal(err)
-				}
-				hit, err := cached.VerifyAsOfCtx(context.Background(), g, asOf)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if hits++; cached.Stats().ResultCacheHits != uint64(hits) {
-					t.Fatalf("%s at %d: no hit: %+v", g.ID, asOf, cached.Stats())
-				}
-				want, err := fresh.VerifyAsOfCtx(context.Background(), g, asOf)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if hit.ProvenanceSeq != miss.ProvenanceSeq {
-					t.Fatalf("%s at %d: hit names lineage record %d, its miss %d", g.ID, asOf, hit.ProvenanceSeq, miss.ProvenanceSeq)
-				}
-				want.ProvenanceSeq = hit.ProvenanceSeq
-				if !reflect.DeepEqual(hit, want) {
-					t.Fatalf("%s at %d: cached Report differs from the recomputed one:\n got %+v\nwant %+v", g.ID, asOf, hit, want)
-				}
+			want.ProvenanceSeq = hit.ProvenanceSeq
+			if !reflect.DeepEqual(hit, want) {
+				t.Fatalf("%s at %d: cached Report differs from the recomputed one:\n got %+v\nwant %+v", g.ID, asOf, hit, want)
 			}
-			for _, asOf := range []uint64{0, pin.Version()} {
-				for _, g := range objects {
-					check(g, g, asOf)
-				}
-				check(sharedA, sharedB, asOf)
+		}
+		for _, asOf := range []uint64{0, pin.Version()} {
+			for _, g := range objects {
+				check(g, g, asOf)
 			}
-		})
-	}
+			check(sharedA, sharedB, asOf)
+		}
+	})
 }
 
 // TestCacheKeyStructuredFields guards the fingerprint against aliasing:

@@ -11,6 +11,7 @@ import (
 	"repro/internal/datalake"
 	"repro/internal/par"
 	"repro/internal/provenance"
+	"repro/internal/table"
 	"repro/internal/verify"
 	"repro/internal/workload"
 )
@@ -77,7 +78,7 @@ func TestRetrieveMatchesFanOutReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, tt := range tupleTasks {
-		queries = append(queries, verify.NewTupleObject(fmt.Sprint(i), tt.MaskedTuple(), tt.MaskedAttr()).Query())
+		queries = append(queries, verify.NewTupleObject(fmt.Sprint(i), tt.Tuple.WithValue(tt.MaskedAttr(), table.Missing), tt.MaskedAttr()).Query())
 	}
 	kindSets := [][]datalake.Kind{nil, {datalake.KindText, datalake.KindTable}}
 	for _, kind := range allKinds {

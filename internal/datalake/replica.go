@@ -20,13 +20,6 @@ func (l *Lake) SetReadOnly(ro bool) {
 	l.readOnly = ro
 }
 
-// ReadOnly reports whether the lake is in follower mode.
-func (l *Lake) ReadOnly() bool {
-	l.writeMu.Lock()
-	defer l.writeMu.Unlock()
-	return l.readOnly
-}
-
 // ReplicateBatch applies a batch of replicated mutations through the
 // normal pipelined write path, bypassing the read-only gate. The caller
 // (the replication applier) is responsible for ordering: items must arrive

@@ -22,8 +22,8 @@ func TestReadOnlyRejectsLocalWrites(t *testing.T) {
 	l := New()
 	defer l.Close()
 	l.SetReadOnly(true)
-	if !l.ReadOnly() {
-		t.Fatal("ReadOnly() = false after SetReadOnly(true)")
+	if !l.readOnly {
+		t.Fatal("readOnly = false after SetReadOnly(true)")
 	}
 
 	if err := l.AddDocument(testDoc("d1")); !errors.Is(err, ErrReadOnly) {

@@ -63,9 +63,6 @@ import (
 type Options struct {
 	// Sync is the WAL sync policy (default wal.SyncInterval).
 	Sync wal.SyncPolicy
-	// SyncInterval is the fsync period under wal.SyncInterval; <= 0 means
-	// the wal package default (100ms).
-	SyncInterval time.Duration
 	// WALFormat is the payload encoding for newly appended WAL records
 	// (default wal.FormatBinary). Existing records decode regardless of
 	// this setting — the payload is self-describing.
@@ -311,7 +308,7 @@ func Open(dir string, opts Options) (_ *Store, err error) {
 	// bookkeeping only; the tail is streamed from disk again by
 	// ReplayTail, so it is never buffered whole in memory here).
 	log, err := wal.Open(s.walDir(), wal.Options{
-		Sync: opts.Sync, Interval: opts.SyncInterval, SegmentBytes: opts.SegmentBytes,
+		Sync: opts.Sync, SegmentBytes: opts.SegmentBytes,
 		Format: opts.WALFormat, FS: opts.FS,
 	}, nil)
 	if err != nil {

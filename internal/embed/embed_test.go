@@ -238,7 +238,7 @@ func TestAddTermVectors(t *testing.T) {
 // embedTextReference is EmbedText as it stood before the dictionary
 // analyzed queries: tokenize inside, accumulate in sorted token order.
 func embedTextReference(e *Embedder, s string) Vector {
-	tokens := textutil.TokenizeFiltered(s)
+	tokens := new(textutil.Dict).AppendTerms(nil, s)
 	out := make(Vector, e.Dim())
 	if len(tokens) == 0 {
 		return out

@@ -79,22 +79,22 @@ func (e *Env) AblateCombiner(res *AblationsResult) error {
 			g := e.ClaimObject(i, task)
 			var ids []string
 			if family == "combined" {
-				_, ids = e.Pipeline.Retrieve(g, e.Config.TopKTables, datalake.KindTable)
+				_, ids = e.Pipeline.Retrieve(g, topKTables, datalake.KindTable)
 			} else {
-				ids = e.Pipeline.Indexer().RetrieveFamily(g.Query(), family, e.Config.TopKTables, datalake.KindTable)
+				ids = e.Pipeline.Indexer().RetrieveFamily(g.Query(), family, topKTables, datalake.KindTable)
 			}
-			ct.Observe(trim(ids, e.Config.TopKTables), set(task.RelevantTableID()))
+			ct.Observe(trim(ids, topKTables), set(task.RelevantTableID()))
 		}
 		for _, task := range e.TupleTasks {
 			_, tuple := e.Impute(task)
 			g := e.TupleObject(task, tuple)
 			var ids []string
 			if family == "combined" {
-				_, ids = e.Pipeline.Retrieve(g, e.Config.TopKTuples, datalake.KindTuple)
+				_, ids = e.Pipeline.Retrieve(g, topKTuples, datalake.KindTuple)
 			} else {
-				ids = e.Pipeline.Indexer().RetrieveFamily(g.Query(), family, e.Config.TopKTuples, datalake.KindTuple)
+				ids = e.Pipeline.Indexer().RetrieveFamily(g.Query(), family, topKTuples, datalake.KindTuple)
 			}
-			tt.Observe(trim(ids, e.Config.TopKTuples), set(task.RelevantTupleID))
+			tt.Observe(trim(ids, topKTuples), set(task.RelevantTupleID))
 		}
 		res.CombinerClaimTable[family] = ct.Recall()
 		res.CombinerTupleTuple[family] = tt.Recall()
@@ -261,7 +261,7 @@ func (e *Env) AblateTrust(res *AblationsResult) error {
 	// Trust learned from cross-source agreement, seeded with the lake
 	// priors (knowledge-based trust needs a prior or external signal to
 	// avoid locking onto the corrupted majority).
-	learned := trust.Estimate(votes, trust.Config{Priors: priors})
+	learned := trust.Estimate(votes, priors)
 	accE, _, err := run(learned)
 	if err != nil {
 		return err

@@ -20,7 +20,7 @@ import (
 )
 
 // Config sizes the experiments. The paper's Section 4 settings are 100
-// tuple tasks, 1,300 claims, top-3 tuples, top-3 texts, top-5 tables.
+// tuple tasks and 1,300 claims.
 type Config struct {
 	// Corpus configures the synthetic multi-modal lake.
 	Corpus workload.Config
@@ -28,23 +28,23 @@ type Config struct {
 	NumTupleTasks int
 	// NumClaimTasks is the number of textual claims (paper: 1,300).
 	NumClaimTasks int
-	// TopKTuples / TopKTexts / TopKTables are the retrieval depths of the
-	// paper's evaluation (3 / 3 / 5).
-	TopKTuples int
-	TopKTexts  int
-	TopKTables int
 }
 
+// The retrieval depths of the paper's evaluation: top-3 tuples, top-3
+// texts, top-5 tables.
+const (
+	topKTuples = 3
+	topKTexts  = 3
+	topKTables = 5
+)
+
 // DefaultConfig returns a laptop-scale configuration preserving the paper's
-// task structure and retrieval depths.
+// task structure.
 func DefaultConfig() Config {
 	return Config{
 		Corpus:        workload.DefaultConfig(),
 		NumTupleTasks: 100,
 		NumClaimTasks: 300,
-		TopKTuples:    3,
-		TopKTexts:     3,
-		TopKTables:    5,
 	}
 }
 

@@ -32,17 +32,17 @@ func (e *Env) Table1() (Table1Result, error) {
 		_ = imputed
 		g := e.TupleObject(task, tuple)
 
-		_, tupleIDs := e.Pipeline.Retrieve(g, e.Config.TopKTuples, datalake.KindTuple)
-		tt.Observe(trim(tupleIDs, e.Config.TopKTuples), set(task.RelevantTupleID))
+		_, tupleIDs := e.Pipeline.Retrieve(g, topKTuples, datalake.KindTuple)
+		tt.Observe(trim(tupleIDs, topKTuples), set(task.RelevantTupleID))
 
-		_, textIDs := e.Pipeline.Retrieve(g, e.Config.TopKTexts, datalake.KindText)
-		tx.Observe(trim(textIDs, e.Config.TopKTexts), set(task.RelevantDocIDs...))
+		_, textIDs := e.Pipeline.Retrieve(g, topKTexts, datalake.KindText)
+		tx.Observe(trim(textIDs, topKTexts), set(task.RelevantDocIDs...))
 	}
 
 	for i, task := range e.ClaimTasks {
 		g := e.ClaimObject(i, task)
-		_, tableIDs := e.Pipeline.Retrieve(g, e.Config.TopKTables, datalake.KindTable)
-		ct.Observe(trim(tableIDs, e.Config.TopKTables), set(task.RelevantTableID()))
+		_, tableIDs := e.Pipeline.Retrieve(g, topKTables, datalake.KindTable)
+		ct.Observe(trim(tableIDs, topKTables), set(task.RelevantTableID()))
 	}
 
 	return Table1Result{
@@ -57,16 +57,16 @@ func (e *Env) Table1() (Table1Result, error) {
 // RetrievedEvidence returns the evaluation evidence set for one tuple task:
 // the top-k tuples and top-k texts (paper: 3 + 3), resolved.
 func (e *Env) RetrievedEvidence(g verify.Generated) ([]datalake.Instance, error) {
-	_, tupleIDs := e.Pipeline.Retrieve(g, e.Config.TopKTuples, datalake.KindTuple)
-	_, textIDs := e.Pipeline.Retrieve(g, e.Config.TopKTexts, datalake.KindText)
-	ids := append(trim(tupleIDs, e.Config.TopKTuples), trim(textIDs, e.Config.TopKTexts)...)
+	_, tupleIDs := e.Pipeline.Retrieve(g, topKTuples, datalake.KindTuple)
+	_, textIDs := e.Pipeline.Retrieve(g, topKTexts, datalake.KindText)
+	ids := append(trim(tupleIDs, topKTuples), trim(textIDs, topKTexts)...)
 	return e.ResolveAll(ids)
 }
 
 // RetrievedTables returns the top-k tables for a claim object, resolved.
 func (e *Env) RetrievedTables(g verify.Generated) ([]datalake.Instance, error) {
-	_, ids := e.Pipeline.Retrieve(g, e.Config.TopKTables, datalake.KindTable)
-	return e.ResolveAll(trim(ids, e.Config.TopKTables))
+	_, ids := e.Pipeline.Retrieve(g, topKTables, datalake.KindTable)
+	return e.ResolveAll(trim(ids, topKTables))
 }
 
 // trim bounds a candidate list to k entries.

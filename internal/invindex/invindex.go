@@ -114,15 +114,6 @@ func (ix *Index) Add(id, text string) error {
 	return ix.AddBag(id, ix.dict.Analyze(text))
 }
 
-// AddTerms is AddBag for a bag whose terms are strings.
-func (ix *Index) AddTerms(id string, bag textutil.Bag) error {
-	b := textutil.IDBag{Terms: make([]textutil.TermFreq, len(bag.Terms)), Len: bag.Len}
-	for i, t := range bag.Terms {
-		b.Terms[i] = textutil.TermFreq{ID: ix.dict.Add(t), Freq: bag.Counts[i]}
-	}
-	return ix.AddBag(id, b)
-}
-
 // AddBag indexes a pre-analyzed document under id: its bag of terms of
 // the index's dictionary, which the caller built already — typically on an
 // ingest pipeline's prepare stage, outside the index lock — so the critical

@@ -153,7 +153,7 @@ func TestDeterministicTieBreak(t *testing.T) {
 // in the delta or in a sealed segment.
 func TestScoreSumsTermContributions(t *testing.T) {
 	ix := buildSmall(t)
-	terms := textutil.TokenizeFiltered("golf prize")
+	terms := new(textutil.Dict).AppendTerms(nil, "golf prize")
 	if len(terms) != 2 || terms[0] > terms[1] {
 		t.Fatalf("analyzed terms = %v, want two, sorted", terms)
 	}
@@ -310,6 +310,16 @@ func TestBM25ParamOverride(t *testing.T) {
 	}
 }
 
+// addTerms indexes terms, already analyzed, under id: the bag an ingest
+// pipeline's prepare stage builds, over the index's own dictionary.
+func addTerms(ix *Index, id string, terms []string) error {
+	ids := make([]uint32, len(terms))
+	for i, t := range terms {
+		ids[i] = ix.dict.Add(t)
+	}
+	return ix.AddBag(id, ix.dict.Bag(ids))
+}
+
 func TestAddTermsMatchesAdd(t *testing.T) {
 	// Indexing pre-analyzed terms (the pipelined ingest path) must rank
 	// identically to indexing raw text, and enforce the same dup rule.
@@ -324,12 +334,12 @@ func TestAddTermsMatchesAdd(t *testing.T) {
 		if err := raw.Add(id, text); err != nil {
 			t.Fatal(err)
 		}
-		if err := pre.AddTerms(id, textutil.BagOf(textutil.TokenizeFiltered(text))); err != nil {
+		if err := addTerms(pre, id, new(textutil.Dict).AppendTerms(nil, text)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := pre.AddTerms("d1", textutil.BagOf(textutil.TokenizeFiltered("dup"))); err == nil {
-		t.Fatal("AddTerms accepted a duplicate id")
+	if err := addTerms(pre, "d1", new(textutil.Dict).AppendTerms(nil, "dup")); err == nil {
+		t.Fatal("AddBag accepted a duplicate id")
 	}
 	for _, q := range []string{"tommy bolt money", "prize money records", "ben hogan 287"} {
 		a, b := raw.Search(q, 10), pre.Search(q, 10)

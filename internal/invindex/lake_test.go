@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/datalake"
+	"repro/internal/table"
 	"repro/internal/textutil"
 	"repro/internal/workload"
 )
@@ -34,10 +35,10 @@ var lakeShards = sync.OnceValues(func() (workloadLake, error) {
 	}
 	docs := map[string][]lakeDoc{}
 	for _, tbl := range corpus.Tables {
-		docs["table"] = append(docs["table"], lakeDoc{datalake.TableInstanceID(tbl.ID), textutil.TokenizeFiltered(tbl.SerializeForIndex())})
+		docs["table"] = append(docs["table"], lakeDoc{datalake.TableInstanceID(tbl.ID), new(textutil.Dict).AppendTerms(nil, tbl.SerializeForIndex())})
 		for row := range tbl.Rows {
 			tp, _ := tbl.TupleAt(row)
-			docs["tuple"] = append(docs["tuple"], lakeDoc{datalake.TupleInstanceID(tbl.ID, row), textutil.TokenizeFiltered(tp.SerializeForIndex())})
+			docs["tuple"] = append(docs["tuple"], lakeDoc{datalake.TupleInstanceID(tbl.ID, row), new(textutil.Dict).AppendTerms(nil, tp.SerializeForIndex())})
 		}
 	}
 	claimTasks, err := corpus.ClaimTasks(500)
@@ -53,7 +54,7 @@ var lakeShards = sync.OnceValues(func() (workloadLake, error) {
 		queries = append(queries, ct.Claim.Text)
 	}
 	for _, tt := range tupleTasks {
-		queries = append(queries, tt.MaskedTuple().SerializeForIndex())
+		queries = append(queries, tt.Tuple.WithValue(tt.MaskedAttr(), table.Missing).SerializeForIndex())
 	}
 	return workloadLake{docs, queries}, nil
 })
@@ -62,7 +63,7 @@ func lakeIndex(t *testing.T, docs []lakeDoc) *Index {
 	t.Helper()
 	ix := New()
 	for _, d := range docs {
-		if err := ix.AddTerms(d.id, textutil.BagOf(d.terms)); err != nil {
+		if err := addTerms(ix, d.id, d.terms); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -123,7 +124,7 @@ func TestWorkloadLakeSealDifferential(t *testing.T) {
 		terms := make([][]string, len(queries))
 		want := make([][]Hit, len(queries))
 		for i, q := range queries {
-			terms[i] = textutil.TokenizeFiltered(q)
+			terms[i] = new(textutil.Dict).AppendTerms(nil, q)
 			want[i] = ref.SearchTerms(terms[i], 100)
 		}
 		check := func(stage string, got *Index) {

@@ -93,7 +93,7 @@ func TestOpenFileServesBaseSegment(t *testing.T) {
 		sameHits(t, q, orig.Search(q, 10), ix.Search(q, 10))
 	}
 	// Every term of the opened segment scores as it did where it was built.
-	for _, term := range textutil.TokenizeFiltered("the quick brown fox golf tournament springfield prize election") {
+	for _, term := range new(textutil.Dict).AppendTerms(nil, "the quick brown fox golf tournament springfield prize election") {
 		if got, want := ix.SearchTerms([]string{term}, 10), orig.SearchTerms([]string{term}, 10); !reflect.DeepEqual(got, want) {
 			t.Errorf("term %q: %v, want %v", term, got, want)
 		}
@@ -488,7 +488,7 @@ func TestTranspose(t *testing.T) {
 			ix.Delete(id)
 		}
 		docs[id] = sealDoc(r)
-		if err := ix.AddTerms(id, textutil.BagOf(docs[id])); err != nil {
+		if err := addTerms(ix, id, docs[id]); err != nil {
 			t.Fatal(err)
 		}
 		if i == 150 {
@@ -740,7 +740,7 @@ func TestSearchTermsAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	terms := textutil.TokenizeFiltered("golf prize springfield results")
+	terms := new(textutil.Dict).AppendTerms(nil, "golf prize springfield results")
 	const k = 10
 	for _, tier := range []struct {
 		name string
@@ -821,7 +821,7 @@ func FuzzOpenBM25Segment(f *testing.F) {
 	r := rand.New(rand.NewSource(1))
 	ix := New()
 	for i := 0; i < 200; i++ {
-		if err := ix.AddTerms(fmt.Sprintf("d%03d", i), textutil.BagOf(sealDoc(r))); err != nil {
+		if err := addTerms(ix, fmt.Sprintf("d%03d", i), sealDoc(r)); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -872,7 +872,7 @@ func FuzzOpenBM25Segment(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := loaded.AddTerms("zzz", textutil.BagOf([]string{"t00001"})); err != nil {
+		if err := addTerms(loaded, "zzz", []string{"t00001"}); err != nil {
 			return // "zzz" may be an ID the input holds
 		}
 		want := make([][]Hit, len(p.terms))

@@ -114,8 +114,8 @@ func sealAdoptDifferential(t *testing.T, doc func(*rand.Rand) []string, every in
 			writes++
 		case !live[id]:
 			terms := doc(r)
-			if a, b := ref.AddTerms(id, textutil.BagOf(terms)), ix.AddTerms(id, textutil.BagOf(terms)); (a == nil) != (b == nil) {
-				t.Fatalf("step %d: AddTerms(%s) = %v vs %v", step, id, a, b)
+			if a, b := addTerms(ref, id, terms), addTerms(ix, id, terms); (a == nil) != (b == nil) {
+				t.Fatalf("step %d: addTerms(%s) = %v vs %v", step, id, a, b)
 			}
 			live[id] = true
 			writes++

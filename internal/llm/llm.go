@@ -9,8 +9,8 @@
 // each fact with the configured probability, keyed by a stable hash of the
 // fact's identity, and produces a plausible wrong answer otherwise.
 //
-// It also carries the paper's prompt templates, so the examples and the CLI
-// show the same interaction shape as the original system.
+// It also carries the paper's tuple-completion prompt template, so the
+// examples show the same interaction shape as the original system.
 package llm
 
 import (
@@ -36,30 +36,14 @@ type Generator struct {
 	claimAccuracy float64
 }
 
-// Option configures a Generator.
-type Option func(*Generator)
-
-// WithTupleAccuracy overrides the tuple-imputation accuracy.
-func WithTupleAccuracy(p float64) Option {
-	return func(g *Generator) { g.tupleAccuracy = p }
-}
-
-// WithClaimAccuracy overrides the claim-judgment accuracy.
-func WithClaimAccuracy(p float64) Option {
-	return func(g *Generator) { g.claimAccuracy = p }
-}
-
-// NewGenerator returns a simulated generator seeded by seed.
-func NewGenerator(seed uint64, opts ...Option) *Generator {
-	g := &Generator{
+// NewGenerator returns a simulated generator seeded by seed, with the
+// paper's accuracies.
+func NewGenerator(seed uint64) *Generator {
+	return &Generator{
 		seed:          seed,
 		tupleAccuracy: DefaultTupleAccuracy,
 		claimAccuracy: DefaultClaimAccuracy,
 	}
-	for _, o := range opts {
-		o(g)
-	}
-	return g
 }
 
 // CompleteTuple imputes the value of the masked attribute of a tuple.
@@ -163,18 +147,5 @@ func TupleCompletionPrompt(t *table.Table) string {
 	b.WriteString("Please fill the missing values, annotated by ")
 	b.WriteString(table.Missing)
 	b.WriteString("\n")
-	return b.String()
-}
-
-// VerificationPrompt renders the paper's verification prompt template for a
-// (generated data, evidence) pair.
-func VerificationPrompt(evidence, generated string) string {
-	var b strings.Builder
-	b.WriteString("Please use the evidence below to validate the generative data.\n")
-	b.WriteString("Evidence: ")
-	b.WriteString(evidence)
-	b.WriteString("\nGenerative Data: ")
-	b.WriteString(generated)
-	b.WriteString("\nResult: Verified/Refuted/Not Related + Further explanation\n")
 	return b.String()
 }

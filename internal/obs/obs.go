@@ -172,9 +172,9 @@ func (g *Gauge) Value() float64 {
 
 // Histogram is a fixed-bucket latency histogram. Observations are two
 // atomic adds and a CAS-loop float accumulation — no locks on the hot
-// path. Quantiles are exact bucket upper bounds, which is what the
-// Prometheus histogram_quantile estimator converges to as well. A nil
-// *Histogram ignores all observations.
+// path. It is read as cumulative bucket counts, the Prometheus exposition
+// that histogram_quantile estimates quantiles from. A nil *Histogram
+// ignores all observations.
 type Histogram struct {
 	bounds []float64       // ascending upper bounds; +Inf implicit
 	counts []atomic.Uint64 // len(bounds)+1, last is the +Inf bucket
@@ -236,35 +236,6 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return math.Float64frombits(h.sum.Load())
-}
-
-// Quantile returns the upper bound of the bucket containing the q-th
-// quantile (0 < q <= 1) of the observations so far: the exact statement
-// "q of observations were <= this value". Returns +Inf when the quantile
-// lands in the overflow bucket and 0 when the histogram is empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		if cum >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
 }
 
 // snapshot returns cumulative bucket counts aligned with bounds plus the

@@ -36,7 +36,7 @@ func TestHistogramQuantileKnownDistribution(t *testing.T) {
 		{0.001, 1e-3}, // rank ceil(0.1)=1 -> first bucket with data
 	}
 	for _, c := range cases {
-		if got := h.Quantile(c.q); got != c.want {
+		if got := quantile(h, c.q); got != c.want {
 			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
 		}
 	}
@@ -49,13 +49,31 @@ func TestHistogramQuantileKnownDistribution(t *testing.T) {
 	}
 }
 
+// quantile is the upper bound of the bucket holding the q-th quantile
+// (0 < q <= 1) of h's observations, read from its exposition snapshot:
+// "q of observations were <= this value". It is +Inf when the quantile
+// lands in the overflow bucket and 0 when h is empty.
+func quantile(h *Histogram, q float64) float64 {
+	cum, total, _ := h.snapshot()
+	if total == 0 {
+		return 0
+	}
+	rank := max(uint64(math.Ceil(q*float64(total))), 1)
+	for i, c := range cum {
+		if c >= rank && i < len(h.bounds) {
+			return h.bounds[i]
+		}
+	}
+	return math.Inf(1)
+}
+
 func TestHistogramQuantileEdges(t *testing.T) {
 	h := newHistogram(DefBuckets)
-	if got := h.Quantile(0.5); got != 0 {
+	if got := quantile(h, 0.5); got != 0 {
 		t.Errorf("empty histogram Quantile = %v, want 0", got)
 	}
 	h.Observe(100) // beyond the last bound -> +Inf bucket
-	if got := h.Quantile(0.99); !math.IsInf(got, 1) {
+	if got := quantile(h, 0.99); !math.IsInf(got, 1) {
 		t.Errorf("overflow-bucket Quantile = %v, want +Inf", got)
 	}
 }
@@ -232,7 +250,7 @@ func TestHistogramBucketLadders(t *testing.T) {
 	// Vec variant: every label child shares the family ladder.
 	hv := r.HistogramVecBuckets("verifai_test_stage_seconds", "Stages.", StageBuckets, "stage")
 	hv.With("retrieve").Observe(0.01)
-	if q := hv.With("retrieve").Quantile(0.5); q <= 0 {
+	if q := quantile(hv.With("retrieve"), 0.5); q <= 0 {
 		t.Errorf("vec child quantile = %v, want > 0", q)
 	}
 
@@ -320,9 +338,6 @@ func TestLintCatchesProblems(t *testing.T) {
 func TestSpanAndTraceRing(t *testing.T) {
 	r := NewRegistry()
 	ctx := r.StartTrace(context.Background(), "req-1")
-	if got := TraceID(ctx); got != "req-1" {
-		t.Fatalf("TraceID = %q", got)
-	}
 	done := r.Span(ctx, "retrieve")
 	time.Sleep(time.Millisecond)
 	done()

@@ -78,14 +78,6 @@ func (r *Registry) StartTrace(ctx context.Context, id string) context.Context {
 	return context.WithValue(ctx, traceCtxKey{}, &activeTrace{id: id, start: time.Now()})
 }
 
-// TraceID returns the trace ID carried by ctx, or "".
-func TraceID(ctx context.Context) string {
-	if at, ok := ctx.Value(traceCtxKey{}).(*activeTrace); ok {
-		return at.id
-	}
-	return ""
-}
-
 // FinishTrace completes the trace attached to ctx (if any) and pushes it
 // into the registry's ring, annotated with the HTTP route and status.
 func (r *Registry) FinishTrace(ctx context.Context, route string, status int) {

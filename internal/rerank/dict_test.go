@@ -7,6 +7,7 @@ import (
 	"repro/internal/datalake"
 	"repro/internal/embed"
 	"repro/internal/rerank"
+	"repro/internal/table"
 	"repro/internal/workload"
 )
 
@@ -33,7 +34,7 @@ func TestScoresIndependentOfDictionary(t *testing.T) {
 	defer ix.Close()
 	warm := ix.Embedder()
 	cold := embed.NewEmbedder(warm.Dim(), icfg.Seed)
-	terms, table := warm.Dict().Len(), warm.TableBytes()
+	terms, tableBytes := warm.Dict().Len(), warm.TableBytes()
 
 	type scorerPair struct {
 		name       string
@@ -62,7 +63,7 @@ func TestScoresIndependentOfDictionary(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tt := range tupleTasks {
-		tp := tt.MaskedTuple()
+		tp := tt.Tuple.WithValue(tt.MaskedAttr(), table.Missing)
 		queries = append(queries, rerank.Query{Text: tp.SerializeForIndex(), Tuple: &tp})
 	}
 
@@ -88,9 +89,9 @@ func TestScoresIndependentOfDictionary(t *testing.T) {
 	if scored < 1000 {
 		t.Fatalf("only %d pairs scored", scored)
 	}
-	if warm.Dict().Len() != terms || warm.TableBytes() != table {
+	if warm.Dict().Len() != terms || warm.TableBytes() != tableBytes {
 		t.Errorf("scoring grew the dictionary from %d to %d terms, the token table from %d to %d bytes",
-			terms, warm.Dict().Len(), table, warm.TableBytes())
+			terms, warm.Dict().Len(), tableBytes, warm.TableBytes())
 	}
 	if cold.Dict().Len() != 0 || cold.TableBytes() != 0 {
 		t.Errorf("scoring added %d terms, %d table bytes to an empty dictionary", cold.Dict().Len(), cold.TableBytes())

@@ -225,7 +225,7 @@ func newDiffEnv(t *testing.T) *diffEnv {
 		t.Fatal(err)
 	}
 	for _, tt := range tupleTasks {
-		for _, tp := range []table.Tuple{tt.MaskedTuple(), tt.Tuple} {
+		for _, tp := range []table.Tuple{tt.Tuple.WithValue(tt.MaskedAttr(), table.Missing), tt.Tuple} {
 			if textutil.Fold(tp.Caption) == "" {
 				t.Fatalf("task tuple %v has no caption", tp)
 			}

@@ -74,14 +74,6 @@ func (t *Table) ColumnIndex(name string) int {
 	return -1
 }
 
-// Cell returns the cell at (row, col); ok is false when out of range.
-func (t *Table) Cell(row, col int) (string, bool) {
-	if row < 0 || row >= len(t.Rows) || col < 0 || col >= len(t.Columns) {
-		return "", false
-	}
-	return t.Rows[row][col], true
-}
-
 // Column returns a copy of all values in column col.
 func (t *Table) Column(col int) []string {
 	if col < 0 || col >= len(t.Columns) {
@@ -116,18 +108,6 @@ func (t *Table) IsNumericColumn(col int) bool {
 		return false
 	}
 	return float64(num)/float64(tot) >= 0.8
-}
-
-// FindRow returns the index of the first row whose cell in column col folds
-// equal to value, or -1.
-func (t *Table) FindRow(col int, value string) int {
-	want := textutil.Fold(value)
-	for i, r := range t.Rows {
-		if textutil.Fold(r[col]) == want {
-			return i
-		}
-	}
-	return -1
 }
 
 // Clone returns a deep copy of the table.

@@ -53,14 +53,8 @@ func TestColumnIndex(t *testing.T) {
 
 func TestCellAndColumn(t *testing.T) {
 	tbl := golfTable()
-	if v, ok := tbl.Cell(0, 1); !ok || v != "ed furgol" {
-		t.Errorf("Cell(0,1) = %q, %v", v, ok)
-	}
-	if _, ok := tbl.Cell(99, 0); ok {
-		t.Error("Cell out of range reported ok")
-	}
-	if _, ok := tbl.Cell(0, 99); ok {
-		t.Error("Cell col out of range reported ok")
+	if v := tbl.Rows[0][1]; v != "ed furgol" {
+		t.Errorf("Rows[0][1] = %q", v)
 	}
 	col := tbl.Column(3)
 	if !reflect.DeepEqual(col, []string{"6000", "3600", "960"}) {
@@ -98,16 +92,6 @@ func TestIsNumericColumn(t *testing.T) {
 	empty := New("e", "c", []string{"v"})
 	if empty.IsNumericColumn(0) {
 		t.Error("empty table column reported numeric")
-	}
-}
-
-func TestFindRow(t *testing.T) {
-	tbl := golfTable()
-	if got := tbl.FindRow(1, "Gene_Littler"); got != 1 {
-		t.Errorf("FindRow folded = %d, want 1", got)
-	}
-	if got := tbl.FindRow(1, "nobody"); got != -1 {
-		t.Errorf("FindRow missing = %d, want -1", got)
 	}
 }
 

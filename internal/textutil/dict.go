@@ -127,9 +127,9 @@ func (d *Dict) addToken(tok string) uint32 {
 }
 
 // AppendIDs appends the term ID of every token of s that is not a
-// stopword to dst, in text order, and returns the extended slice: what
-// TokenizeFiltered yields, as IDs, adding new tokens to the dictionary.
-// Analyzing tokens already in it allocates nothing beyond dst's growth.
+// stopword to dst, in text order, and returns the extended slice, adding
+// new tokens to the dictionary. Analyzing tokens already in it allocates
+// nothing beyond dst's growth.
 func (d *Dict) AppendIDs(dst []uint32, s string) []uint32 {
 	var buf [tokenBuf]byte
 	for i := 0; i < len(s); {
@@ -203,8 +203,7 @@ func classify(tok string) (term string, stop bool) {
 
 // IDBag is one analyzed text as both index families read it, without a
 // pointer per term: its distinct terms' IDs in ascending order of the
-// terms' bytes (the order Bag holds its terms in), each with its count,
-// and the number of tokens.
+// terms' bytes, each with its count, and the number of tokens.
 type IDBag struct {
 	Terms []TermFreq
 	Len   int

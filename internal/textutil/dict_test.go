@@ -35,6 +35,31 @@ func referenceTokenize(s string) []string {
 	return tokens
 }
 
+// termBag is one analyzed text as term strings: its distinct terms in
+// ascending byte order (the order an IDBag holds its terms in), each
+// term's count, and the number of tokens.
+type termBag struct {
+	Terms  []string
+	Counts []int32
+	Len    int
+}
+
+// bagOf returns the bag of terms already analyzed; terms is not modified.
+func bagOf(terms []string) termBag {
+	sorted := slices.Clone(terms)
+	slices.Sort(sorted)
+	b := termBag{Terms: sorted[:0], Counts: make([]int32, 0, len(sorted)), Len: len(sorted)}
+	for _, t := range sorted {
+		if n := len(b.Terms); n > 0 && b.Terms[n-1] == t {
+			b.Counts[n-1]++
+			continue
+		}
+		b.Terms = append(b.Terms, t)
+		b.Counts = append(b.Counts, 1)
+	}
+	return b
+}
+
 // referenceChain is the analysis chain as it stood before the kernel and
 // the dictionary: referenceTokenize, then IsStopword, then Porter's
 // algorithm with no memo.
@@ -104,11 +129,11 @@ var novelInputs = []string{
 
 // TestKernelMatchesReferenceChain: for every piece of text of the default
 // lake and the edge inputs, Tokenize is the reference tokenizer,
-// TokenizeFiltered the reference chain, and a dictionary's IDs and bag,
-// cold and then warm, name the reference chain's terms — and BagOf's
-// string bag is the dictionary bag's, term for term. The read-only path
-// yields the reference chain too, over an empty dictionary and over the
-// warm one, novel tokens included, and adds nothing to either.
+// a new dictionary's AppendTerms the reference chain, and a dictionary's
+// IDs and bag, cold and then warm, name the reference chain's terms — and
+// bagOf's string bag is the dictionary bag's, term for term. The read-only
+// path yields the reference chain too, over an empty dictionary and over
+// the warm one, novel tokens included, and adds nothing to either.
 func TestKernelMatchesReferenceChain(t *testing.T) {
 	inputs := append(lakeInputs(t), edgeInputs...)
 	d, empty := textutil.NewDict(), textutil.NewDict()
@@ -118,8 +143,8 @@ func TestKernelMatchesReferenceChain(t *testing.T) {
 			if got := textutil.Tokenize(s); !slices.Equal(got, referenceTokenize(s)) {
 				t.Fatalf("Tokenize(%q) = %q, reference %q", s, got, referenceTokenize(s))
 			}
-			if got := textutil.TokenizeFiltered(s); !slices.Equal(got, want) {
-				t.Fatalf("TokenizeFiltered(%q) = %q, reference %q", s, got, want)
+			if got := new(textutil.Dict).AppendTerms(nil, s); !slices.Equal(got, want) {
+				t.Fatalf("AppendTerms(%q) over a new dictionary = %q, reference %q", s, got, want)
 			}
 			if got := empty.AppendTerms(nil, s); !slices.Equal(got, want) {
 				t.Fatalf("AppendTerms(%q) over an empty dictionary = %q, reference %q", s, got, want)
@@ -132,7 +157,7 @@ func TestKernelMatchesReferenceChain(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("pass %d: dictionary terms of %q = %q, reference %q", pass, s, got, want)
 			}
-			bag, ref := d.Bag(ids), textutil.BagOf(want)
+			bag, ref := d.Bag(ids), bagOf(want)
 			if bag.Len != ref.Len || len(bag.Terms) != len(ref.Terms) {
 				t.Fatalf("bag of %q: %d tokens, %d terms; reference %d, %d", s, bag.Len, len(bag.Terms), ref.Len, len(ref.Terms))
 			}

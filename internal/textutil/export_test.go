@@ -17,3 +17,7 @@ func (d *Dict) HasRaw(tok string) bool {
 	_, ok := d.raw.get(tok)
 	return ok
 }
+
+// IsStopword reports whether the lowercase token t is a stopword: the
+// reference chain's filter.
+func IsStopword(t string) bool { return isStopword(t) }

@@ -136,12 +136,12 @@ func TestStemDeterministic(t *testing.T) {
 
 func TestIsStopword(t *testing.T) {
 	for _, w := range []string{"the", "and", "of", "is", "they"} {
-		if !IsStopword(w) {
+		if !isStopword(w) {
 			t.Errorf("IsStopword(%q) = false, want true", w)
 		}
 	}
 	for _, w := range []string{"golf", "district", "money", ""} {
-		if IsStopword(w) {
+		if isStopword(w) {
 			t.Errorf("IsStopword(%q) = true, want false", w)
 		}
 	}

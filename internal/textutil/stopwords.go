@@ -14,9 +14,7 @@ var stopwords = map[string]struct{}{
 	"who": {}, "whom": {}, "what": {}, "when": {}, "where": {}, "also": {},
 }
 
-// IsStopword reports whether the lowercase token t is an English stopword.
-func IsStopword(t string) bool { return isStopword(t) }
-
+// isStopword reports whether the lowercase token t is an English stopword.
 func isStopword(t string) bool {
 	_, ok := stopwords[t]
 	return ok

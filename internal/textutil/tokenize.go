@@ -7,7 +7,6 @@
 package textutil
 
 import (
-	"slices"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -74,60 +73,9 @@ func Tokenize(s string) []string {
 	return tokens
 }
 
-// TokenizeFiltered tokenizes s, removes stopwords, and stems each remaining
-// token: the analysis chain, as an empty dictionary's AppendTerms runs it.
-func TokenizeFiltered(s string) []string { return new(Dict).AppendTerms(nil, s) }
-
-// Bag is one analyzed text as term strings: its distinct terms in
-// ascending byte order (the order an IDBag holds its terms in), each
-// term's count, and the number of tokens.
-type Bag struct {
-	Terms  []string
-	Counts []int32
-	Len    int
-}
-
-// BagOf returns the bag of terms already analyzed; terms is not modified.
-func BagOf(terms []string) Bag {
-	sorted := slices.Clone(terms)
-	slices.Sort(sorted)
-	b := Bag{Terms: sorted[:0], Counts: make([]int32, 0, len(sorted)), Len: len(sorted)}
-	for _, t := range sorted {
-		if n := len(b.Terms); n > 0 && b.Terms[n-1] == t {
-			b.Counts[n-1]++
-			continue
-		}
-		b.Terms = append(b.Terms, t)
-		b.Counts = append(b.Counts, 1)
-	}
-	return b
-}
-
-// Normalize lowercases s, collapses runs of whitespace to single spaces, and
-// strips leading/trailing space. It is the cheap canonical form used for
-// cell-value equality tests.
-func Normalize(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
-	space := false
-	started := false
-	for _, r := range s {
-		if unicode.IsSpace(r) || r == '_' {
-			space = started
-			continue
-		}
-		if space {
-			b.WriteByte(' ')
-			space = false
-		}
-		b.WriteRune(unicode.ToLower(r))
-		started = true
-	}
-	return b.String()
-}
-
-// Fold returns a fully folded comparison key: normalized, with all
-// punctuation removed. "Steve_Chabot" and "steve chabot." fold equal. A
+// Fold returns a fully folded comparison key: lowercased, with every run
+// of characters other than letters and digits collapsed to one space and
+// trimmed. "Steve_Chabot" and "steve chabot." fold equal. A
 // string that is its own key is returned as is, without allocating.
 func Fold(s string) string {
 	if FoldEqual(s, s) {

@@ -60,26 +60,11 @@ func TestTokenizeLowercasesEverything(t *testing.T) {
 }
 
 func TestTokenizeFiltered(t *testing.T) {
-	got := TokenizeFiltered("The running dogs are in the houses")
+	got := new(Dict).AppendTerms(nil, "The running dogs are in the houses")
 	// "the", "are", "in" are stopwords; remaining tokens are stemmed.
 	want := []string{"run", "dog", "hous"}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("TokenizeFiltered = %v, want %v", got, want)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	tests := []struct{ in, want string }{
-		{"", ""},
-		{"  Hello   World  ", "hello world"},
-		{"Steve_Chabot", "steve chabot"},
-		{"A\tB\nC", "a b c"},
-		{"already normal", "already normal"},
-	}
-	for _, tc := range tests {
-		if got := Normalize(tc.in); got != tc.want {
-			t.Errorf("Normalize(%q) = %q, want %q", tc.in, got, tc.want)
-		}
+		t.Errorf("AppendTerms = %v, want %v", got, want)
 	}
 }
 
@@ -100,13 +85,6 @@ func TestFold(t *testing.T) {
 
 func TestFoldIdempotent(t *testing.T) {
 	f := func(s string) bool { return Fold(Fold(s)) == Fold(s) }
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestNormalizeIdempotent(t *testing.T) {
-	f := func(s string) bool { return Normalize(Normalize(s)) == Normalize(s) }
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}

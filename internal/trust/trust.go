@@ -25,40 +25,26 @@ type Vote struct {
 	Value string
 }
 
-// Config controls the iterative estimation.
-type Config struct {
-	// MaxIter bounds the number of estimation rounds (default 20).
-	MaxIter int
-	// Epsilon is the convergence threshold on the max trust delta
-	// (default 1e-6).
-	Epsilon float64
-	// Damping keeps trust away from the degenerate 0/1 extremes, playing
-	// the role of the Beta prior in KBT (default 0.1).
-	Damping float64
-	// Priors seeds per-source trust; missing sources start at 0.5.
-	Priors map[string]float64
-}
-
-// normalized returns cfg with defaults applied.
-func (c Config) normalized() Config {
-	if c.MaxIter <= 0 {
-		c.MaxIter = 20
-	}
-	if c.Epsilon <= 0 {
-		c.Epsilon = 1e-6
-	}
-	if c.Damping <= 0 {
-		c.Damping = 0.1
-	}
-	return c
-}
+const (
+	// maxRounds bounds the number of estimation rounds.
+	maxRounds = 20
+	// epsilon is the convergence threshold on the max trust delta.
+	epsilon = 1e-6
+	// damping keeps trust away from the degenerate 0/1 extremes, playing
+	// the role of the Beta prior in KBT.
+	damping = 0.1
+)
 
 // Estimate runs the iterative trust estimation over the votes and returns
-// per-source trust in [Damping/2, 1-Damping/2]. Sources with no votes keep
-// their prior (or 0.5).
-func Estimate(votes []Vote, cfg Config) map[string]float64 {
-	cfg = cfg.normalized()
+// per-source trust in [0.05, 0.95] (damping/2 from either extreme). priors
+// seeds per-source trust; sources without a prior start at 0.5, and
+// sources with no votes keep their prior.
+func Estimate(votes []Vote, priors map[string]float64) map[string]float64 {
+	return estimate(votes, priors, maxRounds)
+}
 
+// estimate is Estimate bounded to rounds rounds.
+func estimate(votes []Vote, priors map[string]float64, rounds int) map[string]float64 {
 	trust := make(map[string]float64)
 	bySource := make(map[string][]int)
 	byItem := make(map[string][]int)
@@ -66,15 +52,15 @@ func Estimate(votes []Vote, cfg Config) map[string]float64 {
 		bySource[v.SourceID] = append(bySource[v.SourceID], i)
 		byItem[v.ItemID] = append(byItem[v.ItemID], i)
 		if _, ok := trust[v.SourceID]; !ok {
-			if p, has := cfg.Priors[v.SourceID]; has {
-				trust[v.SourceID] = clamp(p, cfg.Damping)
+			if p, has := priors[v.SourceID]; has {
+				trust[v.SourceID] = clamp(p)
 			} else {
 				trust[v.SourceID] = 0.5
 			}
 		}
 	}
 
-	for iter := 0; iter < cfg.MaxIter; iter++ {
+	for iter := 0; iter < rounds; iter++ {
 		// E-step: per item, the trust-weighted consensus value.
 		consensus := make(map[string]string, len(byItem))
 		for item, idxs := range byItem {
@@ -106,27 +92,27 @@ func Estimate(votes []Vote, cfg Config) map[string]float64 {
 				}
 			}
 			raw := float64(agree) / float64(len(idxs))
-			next := clamp(raw, cfg.Damping)
+			next := clamp(raw)
 			if d := math.Abs(next - trust[src]); d > maxDelta {
 				maxDelta = d
 			}
 			trust[src] = next
 		}
-		if maxDelta < cfg.Epsilon {
+		if maxDelta < epsilon {
 			break
 		}
 	}
 	// Sources from priors that cast no votes keep their prior.
-	for src, p := range cfg.Priors {
+	for src, p := range priors {
 		if _, voted := bySource[src]; !voted {
-			trust[src] = clamp(p, cfg.Damping)
+			trust[src] = clamp(p)
 		}
 	}
 	return trust
 }
 
-// clamp squeezes t into [d/2, 1-d/2].
-func clamp(t, damping float64) float64 {
+// clamp squeezes t into [damping/2, 1-damping/2].
+func clamp(t float64) float64 {
 	lo, hi := damping/2, 1-damping/2
 	if t < lo {
 		return lo

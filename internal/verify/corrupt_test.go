@@ -161,7 +161,7 @@ func TestOneRowTableView(t *testing.T) {
 	if view.Caption != tbl.Caption || view.NumRows() != 1 {
 		t.Errorf("one-row view = %+v", view)
 	}
-	if v, _ := view.Cell(0, 1); v != "tommy bolt" {
+	if v := view.Rows[0][1]; v != "tommy bolt" {
 		t.Errorf("view cell = %q", v)
 	}
 	// Mutating the view must not touch the lake tuple.

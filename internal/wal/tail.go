@@ -6,17 +6,11 @@ import (
 	"fmt"
 )
 
-// EncodeFrame appends rec to buf in the log's frame format (length + CRC +
-// self-describing payload) using the default binary encoding. It is the
-// single encode path shared by the log itself and the CDC change stream,
-// so every consumer speaks exactly the on-disk format.
-func EncodeFrame(buf *bytes.Buffer, rec Record) error {
-	return appendFrame(buf, rec, FormatBinary)
-}
-
-// EncodeFrameFormat is EncodeFrame with an explicit payload format, for
-// streams that must match a configured -wal-format (the change feed keeps
-// its wire encoding aligned with the leader's log encoding).
+// EncodeFrameFormat appends rec to buf in the log's frame format (length +
+// CRC + self-describing payload) with payload format f. It is the single
+// encode path shared by the log itself and the CDC change stream, so every
+// consumer speaks exactly the on-disk format; the change feed keeps its
+// wire encoding aligned with the leader's -wal-format.
 func EncodeFrameFormat(buf *bytes.Buffer, rec Record, f Format) error {
 	return appendFrame(buf, rec, f)
 }

@@ -41,7 +41,7 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncInterval fsyncs on a background timer (the default).
+	// SyncInterval fsyncs on a background timer every 100ms (the default).
 	SyncInterval SyncPolicy = iota
 	// SyncAlways fsyncs after every append.
 	SyncAlways
@@ -82,8 +82,6 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 type Options struct {
 	// Sync is the sync policy (default SyncInterval).
 	Sync SyncPolicy
-	// Interval is the SyncInterval fsync period; <= 0 means 100ms.
-	Interval time.Duration
 	// SegmentBytes rotates the active segment once it exceeds this size;
 	// <= 0 means 16 MiB.
 	SegmentBytes int64
@@ -97,7 +95,7 @@ type Options struct {
 }
 
 const (
-	defaultInterval     = 100 * time.Millisecond
+	syncInterval        = 100 * time.Millisecond
 	defaultSegmentBytes = 16 << 20
 	segmentPrefix       = "wal-"
 	segmentSuffix       = ".log"
@@ -211,9 +209,6 @@ func (l *Log) Poisoned() error {
 // truncated; corruption anywhere else fails loudly. fn returning an error
 // aborts the open. After Open returns, the log is positioned to append.
 func Open(dir string, opts Options, fn func(Record) error) (*Log, error) {
-	if opts.Interval <= 0 {
-		opts.Interval = defaultInterval
-	}
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = defaultSegmentBytes
 	}
@@ -595,7 +590,7 @@ func (l *Log) Stats() Stats {
 // syncLoop is the SyncInterval background fsync.
 func (l *Log) syncLoop() {
 	defer close(l.syncDone)
-	t := time.NewTicker(l.opts.Interval)
+	t := time.NewTicker(syncInterval)
 	defer t.Stop()
 	for {
 		select {

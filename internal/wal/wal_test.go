@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/datalake"
 	"repro/internal/doc"
@@ -257,7 +256,7 @@ func TestSyncPolicies(t *testing.T) {
 	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval, SyncNone} {
 		t.Run(policy.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			l, _ := openReplay(t, dir, Options{Sync: policy, Interval: time.Millisecond})
+			l, _ := openReplay(t, dir, Options{Sync: policy})
 			for v := uint64(1); v <= 5; v++ {
 				if err := l.Append(docRecord(v, "d")); err != nil {
 					t.Fatal(err)

@@ -29,17 +29,6 @@ type Config struct {
 	NumTables int
 	// NumTexts caps the number of entity text pages (paper: 13,796).
 	NumTexts int
-	// EntityReuse is the probability a new table row reuses an existing
-	// person entity, creating cross-table ambiguity.
-	EntityReuse float64
-	// TextContextProb is the probability an entity page includes a sentence
-	// tying the entity to one of its table contexts (attribute + value).
-	// Pages without context sentences are hard to retrieve from a tuple
-	// query, which drives the paper's low tuple→text recall.
-	TextContextProb float64
-	// TextMentions is how many other entities each page name-drops,
-	// mimicking Wikipedia link structure and adding retrieval confusion.
-	TextMentions int
 	// KGTableFraction is the fraction of tables whose tuples are also
 	// exported as knowledge-graph triples (the cross-modal extension).
 	KGTableFraction float64
@@ -51,9 +40,6 @@ func DefaultConfig() Config {
 		Seed:            1,
 		NumTables:       3000,
 		NumTexts:        1500,
-		EntityReuse:     0.4,
-		TextContextProb: 0.88,
-		TextMentions:    8,
 		KGTableFraction: 0.1,
 	}
 }
@@ -111,7 +97,7 @@ func GenerateLake(cfg Config) (*Corpus, error) {
 		return nil, fmt.Errorf("workload: NumTables must be positive, got %d", cfg.NumTables)
 	}
 	r := detrand.New(cfg.Seed, "corpus")
-	pool := newEntityPool(r, cfg.EntityReuse)
+	pool := newEntityPool(r)
 
 	lake := datalake.New()
 	lake.AddSource(datalake.Source{ID: SourceTables, Name: "TabFact-like web tables", TrustPrior: 0.8})
@@ -182,7 +168,7 @@ func GenerateLake(cfg Config) (*Corpus, error) {
 	for i := 0; i < nTexts; i++ {
 		f := obsOrder[i]
 		docID := fmt.Sprintf("doc-%06d", i)
-		d, included := genEntityDoc(r, cfg, f, obs[f], pool)
+		d, included := genEntityDoc(r, f, obs[f], pool)
 		d.ID = docID
 		d.SourceID = SourceTexts
 		if err := lake.AddDocument(d); err != nil {

@@ -8,25 +8,29 @@ import (
 	"repro/internal/table"
 )
 
-// entityPool hands out person names. With probability reuse it returns a
-// previously issued name instead of a fresh one, creating the cross-table
-// entity overlap that makes retrieval genuinely confusable (the same golfer
-// appears in several tournaments, as in the paper's Figure 4 where Tommy
-// Bolt and Ben Hogan appear in both the 1954 and 1959 U.S. Open tables).
+// entityReuse is the probability a new table row reuses an existing person
+// entity, creating cross-table ambiguity.
+const entityReuse = 0.4
+
+// entityPool hands out person names. With probability entityReuse it
+// returns a previously issued name instead of a fresh one, creating the
+// cross-table entity overlap that makes retrieval genuinely confusable (the
+// same golfer appears in several tournaments, as in the paper's Figure 4
+// where Tommy Bolt and Ben Hogan appear in both the 1954 and 1959 U.S.
+// Open tables).
 type entityPool struct {
 	r      *detrand.Rand
-	reuse  float64
 	issued []string
 	seen   map[string]struct{}
 }
 
-func newEntityPool(r *detrand.Rand, reuse float64) *entityPool {
-	return &entityPool{r: r, reuse: reuse, seen: make(map[string]struct{})}
+func newEntityPool(r *detrand.Rand) *entityPool {
+	return &entityPool{r: r, seen: make(map[string]struct{})}
 }
 
 // next returns an entity name, possibly reused.
 func (p *entityPool) next() string {
-	if len(p.issued) > 0 && p.r.Bool(p.reuse) {
+	if len(p.issued) > 0 && p.r.Bool(entityReuse) {
 		return p.issued[p.r.Intn(len(p.issued))]
 	}
 	for tries := 0; tries < 100; tries++ {

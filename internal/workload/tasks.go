@@ -41,12 +41,6 @@ func (t TupleTask) MaskedAttr() string { return t.Tuple.Columns[t.MaskedCol] }
 // Entity returns the tuple's key (entity) value.
 func (t TupleTask) Entity() string { return t.Tuple.Values[t.KeyCol] }
 
-// MaskedTuple returns the tuple with the masked cell replaced by the Missing
-// sentinel, the exact input handed to the generator.
-func (t TupleTask) MaskedTuple() table.Tuple {
-	return t.Tuple.WithValue(t.MaskedAttr(), table.Missing)
-}
-
 // TupleTasks samples n tuple-completion tasks. Tasks are drawn from tables
 // whose rows contain person entities with text pages, so that both the
 // (tuple→tuple) and (tuple→text) retrieval experiments are well defined, as

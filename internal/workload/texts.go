@@ -19,8 +19,18 @@ func titleCase(s string) string {
 	return strings.Join(words, " ")
 }
 
+// textContextProb is the probability an entity page includes a sentence
+// tying the entity to one of its table contexts (attribute + value). Pages
+// without context sentences are hard to retrieve from a tuple query, which
+// drives the paper's low tuple→text recall.
+const textContextProb = 0.88
+
+// textMentions is how many other entities each page name-drops, mimicking
+// Wikipedia link structure and adding retrieval confusion.
+const textMentions = 8
+
 // genEntityDoc writes a Wikipedia-style page for a person entity. The page
-// always states identity facts; with probability cfg.TextContextProb per
+// always states identity facts; with probability textContextProb per
 // observation (capped at two) it also includes a sentence tying the entity
 // to a table context ("In the 1954 springfield open (golf), ... recorded a
 // money of 570."). Pages also name-drop other entities, mimicking link
@@ -29,7 +39,7 @@ func titleCase(s string) string {
 // It returns the page and the observations whose context sentences were
 // actually included, which the task oracles use as ground truth for what the
 // page can support or refute.
-func genEntityDoc(r *detrand.Rand, cfg Config, foldedName string, obs []Observation, pool *entityPool) (*doc.Document, []Observation) {
+func genEntityDoc(r *detrand.Rand, foldedName string, obs []Observation, pool *entityPool) (*doc.Document, []Observation) {
 	name := titleCase(foldedName)
 	prof := professions[r.Intn(len(professions))]
 	nat := countries[r.Intn(len(countries))]
@@ -49,14 +59,14 @@ func genEntityDoc(r *detrand.Rand, cfg Config, foldedName string, obs []Observat
 	b.WriteString(". ")
 
 	// Context sentences: at most two observations, each independently
-	// included with TextContextProb.
+	// included with textContextProb.
 	nCtx := len(obs)
 	if nCtx > 2 {
 		nCtx = 2
 	}
 	var included []Observation
 	for i := 0; i < nCtx; i++ {
-		if !r.Bool(cfg.TextContextProb) {
+		if !r.Bool(textContextProb) {
 			continue
 		}
 		o := obs[i]
@@ -85,7 +95,7 @@ func genEntityDoc(r *detrand.Rand, cfg Config, foldedName string, obs []Observat
 	b.WriteString(". ")
 
 	// Name-drops of other entities.
-	for i := 0; i < cfg.TextMentions && len(pool.issued) > 0; i++ {
+	for i := 0; i < textMentions && len(pool.issued) > 0; i++ {
 		other := pool.issued[r.Intn(len(pool.issued))]
 		switch i % 3 {
 		case 0:

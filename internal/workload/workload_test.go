@@ -1,10 +1,12 @@
 package workload
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/claims"
+	"repro/internal/table"
 	"repro/internal/textutil"
 )
 
@@ -152,9 +154,9 @@ func TestTupleTasks(t *testing.T) {
 		if len(task.RelevantDocIDs) == 0 {
 			t.Error("task without relevant docs")
 		}
-		masked := task.MaskedTuple()
+		masked := task.Tuple.WithValue(task.MaskedAttr(), table.Missing)
 		if v, _ := masked.Value(task.MaskedAttr()); v != "NaN" {
-			t.Errorf("MaskedTuple attr = %q", v)
+			t.Errorf("masked attr = %q", v)
 		}
 		if task.Entity() == "" {
 			t.Error("task without entity")
@@ -224,7 +226,7 @@ func TestCaseData(t *testing.T) {
 		t.Error("Ohio table malformed")
 	}
 	film := FilmographyTable()
-	if row := film.FindRow(1, "stomp the yard"); row != 2 {
+	if row := slices.Index(film.Column(1), "stomp the yard"); row != 2 {
 		t.Errorf("filmography row = %d", row)
 	}
 	e1 := USOpen1954Table()
@@ -275,7 +277,7 @@ func TestAddCaseData(t *testing.T) {
 
 func TestEntityPoolReuse(t *testing.T) {
 	c := buildCorpus(t)
-	// With EntityReuse 0.4 some person entities must appear in multiple
+	// With entityReuse 0.4 some person entities must appear in multiple
 	// tables.
 	counts := make(map[string]int)
 	for _, tbl := range c.Tables {

@@ -56,7 +56,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"time"
 
 	"repro/internal/claims"
 	"repro/internal/core"
@@ -161,8 +160,8 @@ type Options struct {
 	Seed uint64
 	// Indexer overrides index construction; zero value means defaults.
 	Indexer core.IndexerConfig
-	// Pipeline overrides retrieval depths and reranking; zero value means
-	// the paper's defaults (k=100, k′=5, reranker on).
+	// Pipeline overrides retrieval depths and caching; zero value means
+	// the paper's defaults (k=100, k′=5).
 	Pipeline core.PipelineConfig
 	// LLM is the simulated one-size-fits-all verifier profile; zero value
 	// means the calibrated defaults.
@@ -184,8 +183,8 @@ type Options struct {
 }
 
 // DefaultOptions returns the paper-faithful configuration: both index
-// families over all modalities, reranker on, the LLM verifier as the
-// default decision model, provenance recorded.
+// families over all modalities, the LLM verifier as the default decision
+// model, provenance recorded.
 func DefaultOptions(seed uint64) Options {
 	return Options{
 		Seed:             seed,
@@ -241,10 +240,6 @@ type OpenOptions struct {
 	// Sync selects the WAL sync policy: "always" (fsync every commit),
 	// "interval" (background fsync; the default), or "none" (OS-paced).
 	Sync string
-	// SyncInterval is the fsync period under "interval"; 0 means 100ms.
-	SyncInterval time.Duration
-	// SegmentBytes rotates WAL segments past this size; 0 means 16 MiB.
-	SegmentBytes int64
 	// WALFormat selects the payload encoding for newly appended WAL
 	// records: "binary" (compact, the default) or "json" (legacy,
 	// grep-able). Existing logs replay under either setting — record
@@ -319,8 +314,7 @@ func openDurable(dir string, opts OpenOptions, readOnly bool) (sys *System, stal
 		return nil, false, fmt.Errorf("verifai: %w", err)
 	}
 	st, err := durable.Open(dir, durable.Options{
-		Sync: policy, SyncInterval: opts.SyncInterval, SegmentBytes: opts.SegmentBytes,
-		WALFormat: format,
+		Sync: policy, WALFormat: format,
 	})
 	if err != nil {
 		return nil, false, fmt.Errorf("verifai: %w", err)
