@@ -173,16 +173,6 @@ func (p *Pipeline) Provenance() *provenance.Store { return p.prov }
 // Lake returns the underlying data lake.
 func (p *Pipeline) Lake() *datalake.Lake { return p.lake }
 
-// WaitFresh blocks until the lake has applied every mutation through
-// version v, honoring ctx — the freshness barrier behind the HTTP layer's
-// ?min_version= read-your-writes token. On a follower, "applied" means
-// "replicated and applied", so the same barrier covers both roles. The
-// result cache needs no separate wait: its per-kind watermarks advance
-// inside the same application step that this waits on.
-func (p *Pipeline) WaitFresh(ctx context.Context, v uint64) error {
-	return p.lake.WaitApplied(ctx, v)
-}
-
 // Indexer returns the pipeline's indexer.
 func (p *Pipeline) Indexer() *Indexer { return p.indexer }
 

@@ -29,15 +29,16 @@
 // fsync pass costs a dozen fsyncs, and a crash at any write of it leaves
 // checkpoint.tmp without a META.json: ignored, then cleared.
 //
-// Recovery (Open) is the reverse: load the latest valid checkpoint, fast-
-// forward the lake's version counter to the checkpoint version, and
-// stream the WAL tail (records past the checkpoint) through the normal
-// AddBatch path in bounded batches once the indexer is subscribed — so
-// indexes rebuild through exactly the code live ingestion uses, and
-// replay memory is bounded by the batch size plus one WAL segment, not
-// the tail length. A torn final WAL record (a crash mid-append,
-// necessarily unacknowledged) is dropped; corruption anywhere else fails
-// recovery loudly.
+// Recovery (Open, then ReplayTail) is the reverse: load the latest valid
+// checkpoint, fast-forward the lake's version counter to the checkpoint
+// version, and, once the indexer is subscribed, follow the local WAL as a
+// follower follows its leader's: read it through the change feed's
+// TailReader and apply it through ApplyReplicated in bounded batches — so
+// indexes rebuild through exactly the code live ingestion uses, replay
+// memory is bounded by the batch size plus one WAL segment, not the tail
+// length, and a version gap fails with ErrReplicaGap. A torn final WAL
+// record (a crash mid-append, necessarily unacknowledged) is dropped;
+// corruption anywhere else fails recovery loudly.
 //
 // The directory is owned by one process at a time: Open takes an
 // exclusive flock on <dir>/LOCK (released by Close, or by the kernel on
@@ -87,7 +88,7 @@ var ErrCheckpointInFlight = errors.New("durable: checkpoint already in flight")
 // without a readable one is ignored (e.g. a crash mid-write).
 const metaFile = "META.json"
 
-// replayBatchSize bounds one recovery batch through AddBatch: replay
+// replayBatchSize bounds one batch through ApplyReplicated: replay
 // memory is this many decoded records (plus one WAL segment buffer), not
 // the whole tail.
 const replayBatchSize = 256
@@ -141,8 +142,9 @@ type Stats struct {
 
 // Store is an open durable lake: the recovered lake plus its WAL. Create
 // one with Open; the sequence is Open → (build indexer over Lake()) →
-// ReplayTail → Arm → serve. Checkpoint and Close are safe to call
-// concurrently with lake traffic.
+// ReplayTail (the local WAL applied as a follower applies a change feed)
+// → Arm → serve. Checkpoint and Close are safe to call concurrently with
+// lake traffic.
 type Store struct {
 	dir  string
 	opts Options
@@ -251,10 +253,11 @@ func (s *Store) CheckpointVersion() uint64 {
 // checkpoint rewrites it (verifai.Open takes one before it returns).
 func (s *Store) StaleCatalog() bool { return s.staleCatalog }
 
-// Open recovers a durable lake from dir, creating the layout on first use.
-// It fails fast with ErrLocked when another process owns the directory.
-// Call ReplayTail after subscribing the indexer, then Arm to begin logging
-// new writes.
+// Open recovers a durable lake from dir, creating the layout on first use:
+// it loads the checkpoint and opens the WAL, reading it only to repair a
+// torn tail and to size its segments. It fails fast with ErrLocked when
+// another process owns the directory. Call ReplayTail after subscribing
+// the indexer, then Arm to begin logging new writes.
 func Open(dir string, opts Options) (_ *Store, err error) {
 	if opts.FS == nil {
 		opts.FS = faultfs.OS
@@ -304,9 +307,9 @@ func Open(dir string, opts Options) (_ *Store, err error) {
 		}
 	}()
 
-	// Open the WAL (replaying for torn-tail repair and segment
-	// bookkeeping only; the tail is streamed from disk again by
-	// ReplayTail, so it is never buffered whole in memory here).
+	// Open the WAL for torn-tail repair and segment bookkeeping only;
+	// ReplayTail reads the tail from disk again through a TailReader, so
+	// it is never buffered whole in memory here.
 	log, err := wal.Open(s.walDir(), wal.Options{
 		Sync: opts.Sync, SegmentBytes: opts.SegmentBytes,
 		Format: opts.WALFormat, FS: opts.FS,
@@ -351,60 +354,38 @@ func (s *Store) resolveCheckpoint() (*checkpointMeta, error) {
 	return meta, nil
 }
 
-// ReplayTail streams the WAL tail — every record past the checkpoint,
-// plus source registrations, which replay unconditionally because
-// re-registering is an idempotent overwrite — through the lake's
-// replication write path (the normal pipeline, minus the follower
-// read-only gate): ReplicateBatch for event records in bounded batches (so
-// any subscribed indexer maintains itself through the same code as live
-// ingestion, and replay memory stays bounded no matter how long the tail
-// is), ReplicateSource for source records at their position in WAL order.
-// Every replayed mutation is verified to recommit as its original version.
+// ReplayTail recovers the WAL tail the way a follower applies a leader's
+// change feed: it reads the local log through a TailReader at cursor 0 and
+// hands batches of up to replayBatchSize records to ApplyReplicated, which
+// skips the events the checkpoint covers, re-registers every source at its
+// position in WAL order and commits the rest through the lake's
+// replication write path — so any subscribed indexer maintains itself
+// through the same code as live ingestion, every mutation is verified to
+// recommit as its logged version, a version gap fails with ErrReplicaGap,
+// and replay memory stays bounded however long the tail is.
 func (s *Store) ReplayTail() error {
-	s.mu.Lock()
-	ckptVersion := s.ckptVersion
-	s.mu.Unlock()
-
-	var pending []wal.Record
+	r := s.log.Tail(0)
+	batch := make([]wal.Record, 0, replayBatchSize)
 	replayed := 0
-	flush := func() error {
-		if len(pending) == 0 {
-			return nil
+	for {
+		rec, ok, err := r.Next()
+		if err != nil {
+			return fmt.Errorf("durable: replay: %w", err)
 		}
-		if err := s.replicateEvents(pending, "replay"); err != nil {
+		if ok {
+			if batch = append(batch, rec); len(batch) < replayBatchSize {
+				continue
+			}
+		}
+		n, err := s.ApplyReplicated(batch)
+		replayed += n
+		if err != nil {
 			return err
 		}
-		pending = pending[:0]
-		return nil
-	}
-	err := s.log.Replay(func(rec wal.Record) error {
-		if rec.Kind != wal.KindSource && rec.Version <= ckptVersion {
-			return nil // covered by the checkpoint
+		if !ok {
+			break
 		}
-		replayed++
-		if rec.Kind == wal.KindSource {
-			if err := flush(); err != nil {
-				return err
-			}
-			if rec.Source == nil {
-				return fmt.Errorf("durable: source record without source payload")
-			}
-			if err := s.lake.ReplicateSource(*rec.Source); err != nil {
-				return fmt.Errorf("durable: replay source %q: %w", rec.Source.ID, err)
-			}
-			return nil
-		}
-		pending = append(pending, rec)
-		if len(pending) >= replayBatchSize {
-			return flush()
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if err := flush(); err != nil {
-		return err
+		batch = batch[:0]
 	}
 	s.mu.Lock()
 	s.replayed = replayed
@@ -430,10 +411,13 @@ func (s *Store) Arm() {
 		return s.log.Append(recs...)
 	})
 	s.lake.SetSourceHook(func(src datalake.Source) error {
-		// Stamp the source with the current published version so segment
-		// truncation accounting stays uniform; replay applies source
-		// records regardless of the stamp.
-		return s.log.Append(wal.Record{Version: s.lake.Version(), Kind: wal.KindSource, Source: &src})
+		// Stamp the source with the version of the next mutation: a
+		// checkpoint forked at c covers only versions <= c, so a source
+		// registered after the fork must not look covered, neither to
+		// TruncateThrough nor to a TailReader at cursor c. The hook runs
+		// under the lake's write lock, so no commit moves the version
+		// meanwhile. Appliers re-register sources whatever the stamp.
+		return s.log.Append(wal.Record{Version: s.lake.CommittedVersion() + 1, Kind: wal.KindSource, Source: &src})
 	})
 	s.mu.Lock()
 	s.armed = true

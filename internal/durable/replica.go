@@ -16,17 +16,17 @@ import (
 
 // This file is the durable layer's replication surface: the leader side
 // (serving its WAL and shipping its checkpoint for bootstrap) and the
-// follower side (applying a replicated change stream through the same
-// code path crash recovery uses).
+// follower side (applying a replicated change stream, the one apply path
+// crash recovery uses for its own log).
 
 // ErrNoCheckpoint reports a store that has never checkpointed — a
 // bootstrapping follower should stream the leader's WAL from version 0
 // instead.
 var ErrNoCheckpoint = errors.New("durable: no checkpoint")
 
-// ErrReplicaGap reports a replicated stream whose next record skips past
-// the version the follower expects — applying it would silently lose the
-// gap, so the applier must stop (and resume from its cursor).
+// ErrReplicaGap reports a change stream (a leader's, or the local WAL at
+// recovery) whose next record skips past the version the store expects:
+// applying it would silently lose the gap, so the applier stops there.
 var ErrReplicaGap = errors.New("durable: replicated stream has a version gap")
 
 // WAL exposes the store's log for change-feed serving. Consumers use it
@@ -34,40 +34,18 @@ var ErrReplicaGap = errors.New("durable: replicated stream has a version gap")
 // lake's durability hooks.
 func (s *Store) WAL() *wal.Log { return s.log }
 
-// replicateEvents pushes a contiguous run of event records through the
-// lake's replication write path and asserts each recommits as its logged
-// version — the single apply path shared by crash recovery (context
-// "replay") and follower streaming (context "replicate"), so the two can
-// never drift in semantics.
-func (s *Store) replicateEvents(pending []wal.Record, context string) error {
-	items := make([]datalake.BatchItem, len(pending))
-	for i, rec := range pending {
-		items[i] = datalake.BatchItem{Table: rec.Table, Doc: rec.Doc, Triple: rec.Triple}
-	}
-	results, err := s.lake.ReplicateBatch(items)
-	if err != nil {
-		return fmt.Errorf("durable: %s batch: %w", context, err)
-	}
-	for i, res := range results {
-		if res.Err != nil {
-			return fmt.Errorf("durable: %s record (version %d): %w", context, pending[i].Version, res.Err)
-		}
-		if res.Version != pending[i].Version {
-			return fmt.Errorf("durable: %s drift: record logged as version %d recommitted as %d", context, pending[i].Version, res.Version)
-		}
-	}
-	return nil
-}
-
 // ApplyReplicated applies one ordered batch of change-stream records to a
-// follower store. Source records re-register unconditionally (idempotent
-// overwrite); event records commit through the lake's replication write
-// path with their leader-assigned versions asserted. Event versions at or
-// below the lake's committed version are skipped silently — a resumed
-// stream may overlap the cursor — and a version beyond committed+1 is
-// ErrReplicaGap. With the store Armed, every applied record also lands in
-// the follower's own WAL, so a restarted follower recovers its cursor from
-// local disk. Returns the number of records applied (skips excluded).
+// follower store; crash recovery (ReplayTail) applies its own log through
+// it too, so the two can never drift in semantics. Sources re-register
+// unconditionally (idempotent overwrite); each run of events between them
+// commits through the lake's replication write path as one batch (the
+// change feed's client and ReplayTail pass at most 256 records), each
+// asserted to recommit as its logged version. Event versions at or below
+// the lake's committed version are skipped — a resumed stream may overlap
+// the cursor, a recovered log the checkpoint — and one beyond committed+1
+// is ErrReplicaGap. With the store Armed, every applied record also lands
+// in the follower's own WAL, so a restarted follower recovers its cursor
+// from local disk. Returns the number of records applied (skips excluded).
 func (s *Store) ApplyReplicated(recs []wal.Record) (int, error) {
 	applied := 0
 	var pending []wal.Record
@@ -75,8 +53,21 @@ func (s *Store) ApplyReplicated(recs []wal.Record) (int, error) {
 		if len(pending) == 0 {
 			return nil
 		}
-		if err := s.replicateEvents(pending, "replicate"); err != nil {
-			return err
+		items := make([]datalake.BatchItem, len(pending))
+		for i, rec := range pending {
+			items[i] = datalake.BatchItem{Table: rec.Table, Doc: rec.Doc, Triple: rec.Triple}
+		}
+		results, err := s.lake.ReplicateBatch(items)
+		if err != nil {
+			return fmt.Errorf("durable: replicate batch: %w", err)
+		}
+		for i, res := range results {
+			if res.Err != nil {
+				return fmt.Errorf("durable: replicate record (version %d): %w", pending[i].Version, res.Err)
+			}
+			if res.Version != pending[i].Version {
+				return fmt.Errorf("durable: replicate drift: record logged as version %d recommitted as %d", pending[i].Version, res.Version)
+			}
 		}
 		applied += len(pending)
 		pending = pending[:0]
@@ -105,11 +96,6 @@ func (s *Store) ApplyReplicated(recs []wal.Record) (int, error) {
 		}
 		pending = append(pending, rec)
 		next++
-		if len(pending) >= replayBatchSize {
-			if err := flush(); err != nil {
-				return applied, err
-			}
-		}
 	}
 	return applied, flush()
 }

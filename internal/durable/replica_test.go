@@ -212,3 +212,92 @@ func TestChangeStreamRoundTripWAL(t *testing.T) {
 		t.Fatalf("follower has %d docs, leader %d", fd, ld)
 	}
 }
+
+// tailSources drains a TailReader of the store's WAL at cursor after and
+// returns the IDs of the source records it delivers.
+func tailSources(t *testing.T, st *Store, after uint64) []string {
+	t.Helper()
+	r := st.WAL().Tail(after)
+	var ids []string
+	for {
+		rec, ok, err := r.Next()
+		if err != nil {
+			t.Fatalf("tail: %v", err)
+		}
+		if !ok {
+			return ids
+		}
+		if rec.Kind == wal.KindSource {
+			ids = append(ids, rec.Source.ID)
+		}
+	}
+}
+
+// TestSourceAfterForkSurvivesCheckpoint: a source registered after a
+// checkpoint forked at version c is not covered by it, so a second
+// checkpoint at c must neither truncate it away nor hide it from a
+// follower that bootstrapped from the first (cursor c).
+func TestSourceAfterForkSurvivesCheckpoint(t *testing.T) {
+	st := openStore(t, t.TempDir(), Options{Sync: wal.SyncNone})
+	defer func() { st.Lake().Close(); st.Close() }()
+	mustIngest(t, st.Lake(), 2, "d")
+	if _, err := st.Checkpoint(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Lake().AddSource(datalake.Source{ID: "late", Name: "late", TrustPrior: 0.9}); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := st.Checkpoint(nil); err != nil || v != 2 {
+		t.Fatalf("second checkpoint = %d, %v; want version 2", v, err)
+	}
+	if got := tailSources(t, st, 2); len(got) != 1 || got[0] != "late" {
+		t.Fatalf("Tail(2) delivered sources %v, want [late]", got)
+	}
+}
+
+// TestSourceAfterForkSurvivesRotation: the same source, sealed into a
+// segment by a rotation with a later mutation behind it, still reaches a
+// follower at the checkpoint's version.
+func TestSourceAfterForkSurvivesRotation(t *testing.T) {
+	st := openStore(t, t.TempDir(), Options{Sync: wal.SyncNone})
+	defer func() { st.Lake().Close(); st.Close() }()
+	mustIngest(t, st.Lake(), 2, "d")
+	if _, err := st.Checkpoint(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Lake().AddSource(datalake.Source{ID: "late", Name: "late", TrustPrior: 0.9}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.WAL().Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	mustIngest(t, st.Lake(), 1, "e")
+	if got := tailSources(t, st, 2); len(got) != 1 || got[0] != "late" {
+		t.Fatalf("Tail(2) delivered sources %v, want [late]", got)
+	}
+}
+
+// TestReplayTailGapIsReplicaGap: recovery applies its own log as a
+// follower applies a leader's, so a WAL that skips an event version fails
+// with the follower's error rather than recommitting under a new version.
+func TestReplayTailGapIsReplicaGap(t *testing.T) {
+	dir := t.TempDir()
+	l, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{Sync: wal.SyncNone}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(replDoc(1, "d1"), replDoc(2, "d2"), replDoc(4, "d4")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, Options{Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { st.Lake().Close(); st.Close() }()
+	if err := st.ReplayTail(); !errors.Is(err, ErrReplicaGap) {
+		t.Fatalf("ReplayTail over a gapped log = %v, want ErrReplicaGap", err)
+	}
+}

@@ -111,7 +111,7 @@ func (s *Server) waitMinVersion(w http.ResponseWriter, r *http.Request) bool {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), wait)
 	defer cancel()
-	if err := s.pipeline.WaitFresh(ctx, v); err != nil {
+	if err := s.pipeline.Lake().WaitApplied(ctx, v); err != nil {
 		if r.Context().Err() != nil {
 			writeError(w, statusClientClosedRequest, "freshness wait: client closed request")
 		} else {
@@ -233,7 +233,9 @@ func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			s.cdcRecords.Inc()
-			if rec.Version > cursor {
+			if rec.Kind != wal.KindSource && rec.Version > cursor {
+				// A source record carries the version of the mutation
+				// after it, which need not have committed yet.
 				cursor = rec.Version
 			}
 			if !reader.Buffered() {

@@ -324,3 +324,36 @@ func TestChangesLiveTail(t *testing.T) {
 		return
 	}
 }
+
+// TestChangesSourceLeavesCursor: a source record carries the version of
+// the mutation after it, so the feed must not advance its cursor past
+// that mutation before it commits, or a consumer waits out the next
+// heartbeat (here, the whole session) for it.
+func TestChangesSourceLeavesCursor(t *testing.T) {
+	sys, ts := newLeaderServer(t)
+	if err := sys.Pipeline().Lake().AddSource(verifai.Source{ID: "late", Name: "late", TrustPrior: 0.9}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + cdc.ChangesPath + "?from=0&wait=3s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	dec := cdc.NewDecoder(resp.Body)
+	added := false
+	for {
+		rec, err := dec.Next()
+		if err != nil {
+			t.Fatalf("stream ended before the document after the source: %v", err)
+		}
+		switch {
+		case rec.Kind == wal.KindSource && rec.Source.ID == "late" && !added:
+			if err := sys.AddDocument(&verifai.Document{ID: "after", Text: "body"}); err != nil {
+				t.Fatal(err)
+			}
+			added = true
+		case rec.Doc != nil && rec.Doc.ID == "after":
+			return
+		}
+	}
+}

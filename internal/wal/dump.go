@@ -3,7 +3,6 @@ package wal
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/faultfs"
 )
@@ -35,19 +34,9 @@ func DumpSegment(path string, fn func(Record) error) (torn int64, err error) {
 	if err != nil {
 		return 0, fmt.Errorf("wal: dump segment: %w", err)
 	}
-	off := 0
-	for off < len(data) {
-		rec, next, isTorn, err := decodeFrame(data, off)
-		if err != nil {
-			return 0, fmt.Errorf("wal: segment %s: %w", filepath.Base(path), err)
-		}
-		if isTorn {
-			return int64(len(data) - off), nil
-		}
-		if err := fn(rec); err != nil {
-			return 0, err
-		}
-		off = next
+	end, err := walkFrames(path, data, fn)
+	if err != nil {
+		return 0, err
 	}
-	return 0, nil
+	return int64(len(data) - end), nil
 }

@@ -18,7 +18,7 @@ func fuzzSeedFrames(n int) []byte {
 		if v%2 == 0 {
 			f = FormatJSON
 		}
-		if err := appendFrame(&buf, docRecord(uint64(v), fmt.Sprintf("d%d", v)), f); err != nil {
+		if err := EncodeFrameFormat(&buf, docRecord(uint64(v), fmt.Sprintf("d%d", v)), f); err != nil {
 			panic(err)
 		}
 	}
@@ -36,7 +36,7 @@ func FuzzDecodeFrames(f *testing.F) {
 	valid := fuzzSeedFrames(3)
 	f.Add(valid)
 	f.Add(valid[:len(valid)-5])                     // torn final frame
-	f.Add(valid[:frameHeaderSize-2])                // torn header
+	f.Add(valid[:FrameHeaderSize-2])                // torn header
 	f.Add([]byte{})                                 // empty segment
 	f.Add([]byte("not a frame at allated garbage")) // garbage
 	// Corrupt CRC on an otherwise intact frame.
@@ -45,17 +45,17 @@ func FuzzDecodeFrames(f *testing.F) {
 	f.Add(crcFlip)
 	// Corrupt payload byte (CRC mismatch downstream).
 	payloadFlip := append([]byte(nil), valid...)
-	payloadFlip[frameHeaderSize+3] ^= 0x10
+	payloadFlip[FrameHeaderSize+3] ^= 0x10
 	f.Add(payloadFlip)
 	// Absurd declared length (must be rejected, not allocated).
-	huge := make([]byte, frameHeaderSize)
-	binary.LittleEndian.PutUint32(huge[0:4], uint32(maxRecordSize+1))
+	huge := make([]byte, FrameHeaderSize)
+	binary.LittleEndian.PutUint32(huge[0:4], uint32(MaxRecordSize+1))
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		off := 0
 		for off < len(data) {
-			rec, next, torn, err := decodeFrame(data, off)
+			rec, next, torn, err := DecodeFrame(data, off)
 			if torn && err != nil {
 				t.Fatalf("offset %d: both torn and corrupt (%v)", off, err)
 			}
@@ -83,7 +83,7 @@ func FuzzDecodeFrames(f *testing.F) {
 
 // FuzzDecodeBinaryRecord fuzzes the binary payload decoder directly. Each
 // fuzzed byte string is also wrapped in a freshly computed valid frame
-// (length + CRC) and fed through decodeFrame, modeling CRC-valid garbage —
+// (length + CRC) and fed through DecodeFrame, modeling CRC-valid garbage —
 // a buggy writer, not bit rot — which is exactly the input the binReader
 // bounds checks exist for. Invariants: never panic, never allocate from a
 // corrupt count, frame classification stays exclusive (torn XOR corrupt),
@@ -114,11 +114,11 @@ func FuzzDecodeBinaryRecord(f *testing.F) {
 			}
 		}
 
-		// The same payload behind a valid CRC frame: decodeFrame must agree
+		// The same payload behind a valid CRC frame: DecodeFrame must agree
 		// with the payload decoder and classify failures as corruption
 		// (loud), never torn — the frame itself is complete.
 		frame := buildFrame(payload)
-		frec, next, torn, ferr := decodeFrame(frame, 0)
+		frec, next, torn, ferr := DecodeFrame(frame, 0)
 		if torn {
 			t.Fatalf("complete CRC-valid frame classified as torn (payload %x)", payload)
 		}
@@ -138,10 +138,10 @@ func FuzzDecodeBinaryRecord(f *testing.F) {
 	})
 }
 
-// TestReplayStreamsAllRecords checks Log.Replay re-reads everything from
-// disk in append order across rotations — the streaming path recovery
-// uses instead of buffering the tail in memory.
-func TestReplayStreamsAllRecords(t *testing.T) {
+// TestTailStreamsAllRecords checks that a TailReader at cursor 0 re-reads
+// everything from disk in append order across rotations — the streaming
+// path recovery uses instead of buffering the tail in memory.
+func TestTailStreamsAllRecords(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openReplay(t, dir, Options{Sync: SyncNone, SegmentBytes: 256})
 	const n = 40
@@ -153,28 +153,18 @@ func TestReplayStreamsAllRecords(t *testing.T) {
 	if l.Stats().Segments < 3 {
 		t.Fatalf("want >= 3 segments, got %d", l.Stats().Segments)
 	}
-	var got []Record
-	if err := l.Replay(func(r Record) error {
-		got = append(got, r)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	got := drain(t, l.Tail(0))
 	if len(got) != n {
-		t.Fatalf("Replay delivered %d records, want %d", len(got), n)
+		t.Fatalf("Tail(0) delivered %d records, want %d", len(got), n)
 	}
 	for i, r := range got {
 		if r.Version != uint64(i+1) {
 			t.Fatalf("record %d has version %d, want %d (order lost)", i, r.Version, i+1)
 		}
 	}
-	// Replay is repeatable (it reads from disk, consuming nothing).
-	count := 0
-	if err := l.Replay(func(Record) error { count++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if count != n {
-		t.Fatalf("second Replay delivered %d records, want %d", count, n)
+	// A second reader sees the same (reading consumes nothing on disk).
+	if count := len(drain(t, l.Tail(0))); count != n {
+		t.Fatalf("second Tail(0) delivered %d records, want %d", count, n)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

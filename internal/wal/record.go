@@ -60,34 +60,32 @@ func FromEvent(ev datalake.Event) (Record, error) {
 	}
 }
 
-// frame layout: 4-byte little-endian payload length, 4-byte little-endian
-// CRC-32C (Castagnoli) of the payload, then the payload (self-describing:
-// first byte 0x7B = legacy JSON, 0x01 = compact binary; see codec.go). The
-// CRC covers the whole payload including the tag and detects bit rot and
+// FrameHeaderSize is the fixed frame prefix. A frame is a 4-byte
+// little-endian payload length, a 4-byte little-endian CRC-32C
+// (Castagnoli) of the payload, then the payload (self-describing: first
+// byte 0x7B = legacy JSON, 0x01 = compact binary; see codec.go). The CRC
+// covers the whole payload including the tag and detects bit rot and
 // mid-log corruption; a torn (partially written) final frame is detected
 // by the length outrunning the remaining bytes — both classifications are
-// frame-level and therefore identical for either payload encoding.
-const frameHeaderSize = 8
+// frame-level and therefore identical for either payload encoding. The
+// CDC change feed frames its wire protocol with the same codec.
+const FrameHeaderSize = 8
 
-// FrameHeaderSize is the fixed frame prefix: 4-byte little-endian payload
-// length + 4-byte little-endian CRC-32C. Exported for stream consumers
-// (the CDC change feed frames its wire protocol with the same codec).
-const FrameHeaderSize = frameHeaderSize
-
-// maxRecordSize bounds one record's payload. A frame header is written
+// MaxRecordSize bounds one record's payload. A frame header is written
 // atomically ahead of its payload, so a length beyond this bound can only
-// come from corruption, never from a torn append — replay fails loudly on
-// it instead of attempting a giant allocation.
-const maxRecordSize = 1 << 30
-
-// MaxRecordSize is the payload bound, exported so stream decoders can
-// reject corrupt lengths before allocating.
-const MaxRecordSize = maxRecordSize
+// come from corruption, never from a torn append — decoders (the log's
+// and the change stream's) fail loudly on it instead of attempting a
+// giant allocation.
+const MaxRecordSize = 1 << 30
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFrame encodes one record onto buf in the given payload format.
-func appendFrame(buf *bytes.Buffer, rec Record, f Format) error {
+// EncodeFrameFormat appends rec to buf in the log's frame format (length +
+// CRC + self-describing payload) with payload format f. It is the single
+// encode path shared by the log itself and the CDC change stream, so every
+// consumer speaks exactly the on-disk format; the change feed keeps its
+// wire encoding aligned with the leader's -wal-format.
+func EncodeFrameFormat(buf *bytes.Buffer, rec Record, f Format) error {
 	var payload []byte
 	if f == FormatJSON {
 		var err error
@@ -98,10 +96,10 @@ func appendFrame(buf *bytes.Buffer, rec Record, f Format) error {
 	} else {
 		payload = encodeRecordBinary(nil, rec)
 	}
-	if len(payload) > maxRecordSize {
-		return fmt.Errorf("wal: record payload %d bytes exceeds %d", len(payload), maxRecordSize)
+	if len(payload) > MaxRecordSize {
+		return fmt.Errorf("wal: record payload %d bytes exceeds %d", len(payload), MaxRecordSize)
 	}
-	var header [frameHeaderSize]byte
+	var header [FrameHeaderSize]byte
 	binary.LittleEndian.PutUint32(header[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(header[4:8], crc32.Checksum(payload, crcTable))
 	buf.Write(header[:])
@@ -109,22 +107,23 @@ func appendFrame(buf *bytes.Buffer, rec Record, f Format) error {
 	return nil
 }
 
-// decodeFrame decodes the frame starting at data[off]. It returns the
+// DecodeFrame decodes the frame starting at data[off]. It returns the
 // record and the offset just past the frame. torn reports that the frame
-// is incomplete (the tail of a partial append); err reports corruption.
-func decodeFrame(data []byte, off int) (rec Record, next int, torn bool, err error) {
-	if len(data)-off < frameHeaderSize {
+// is incomplete (more bytes needed, e.g. the tail of a partial append);
+// err reports corruption (bad length, CRC mismatch, undecodable payload).
+func DecodeFrame(data []byte, off int) (rec Record, next int, torn bool, err error) {
+	if len(data)-off < FrameHeaderSize {
 		return Record{}, off, true, nil
 	}
 	n := int(binary.LittleEndian.Uint32(data[off : off+4]))
 	sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-	if n > maxRecordSize {
+	if n > MaxRecordSize {
 		return Record{}, off, false, fmt.Errorf("wal: frame at offset %d declares %d payload bytes (corrupt length)", off, n)
 	}
-	if len(data)-off-frameHeaderSize < n {
+	if len(data)-off-FrameHeaderSize < n {
 		return Record{}, off, true, nil
 	}
-	payload := data[off+frameHeaderSize : off+frameHeaderSize+n]
+	payload := data[off+FrameHeaderSize : off+FrameHeaderSize+n]
 	if got := crc32.Checksum(payload, crcTable); got != sum {
 		return Record{}, off, false, fmt.Errorf("wal: frame at offset %d fails CRC (stored %08x, computed %08x)", off, sum, got)
 	}
@@ -144,5 +143,5 @@ func decodeFrame(data []byte, off int) (rec Record, next int, torn bool, err err
 	default:
 		return Record{}, off, false, fmt.Errorf("wal: frame at offset %d has unknown payload format tag 0x%02x", off, payload[0])
 	}
-	return rec, off + frameHeaderSize + n, false, nil
+	return rec, off + FrameHeaderSize + n, false, nil
 }

@@ -1,27 +1,9 @@
 package wal
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 )
-
-// EncodeFrameFormat appends rec to buf in the log's frame format (length +
-// CRC + self-describing payload) with payload format f. It is the single
-// encode path shared by the log itself and the CDC change stream, so every
-// consumer speaks exactly the on-disk format; the change feed keeps its
-// wire encoding aligned with the leader's -wal-format.
-func EncodeFrameFormat(buf *bytes.Buffer, rec Record, f Format) error {
-	return appendFrame(buf, rec, f)
-}
-
-// DecodeFrame decodes the frame starting at data[off]. It returns the
-// record and the offset just past the frame. torn reports an incomplete
-// frame (more bytes needed); err reports corruption (bad length, CRC
-// mismatch, undecodable payload).
-func DecodeFrame(data []byte, off int) (rec Record, next int, torn bool, err error) {
-	return decodeFrame(data, off)
-}
 
 // ErrTailTruncated reports that a TailReader's position was truncated away
 // underneath it (a checkpoint removed the sealed segment it was reading).
@@ -32,7 +14,8 @@ var ErrTailTruncated = errors.New("wal: tail reader overtaken by segment truncat
 
 // TailReader streams a log's records in append order from a version
 // cursor, tolerating concurrent appends, rotations, and truncations. It is
-// the leader-side transport of the change feed.
+// the leader-side transport of the change feed and the reader crash
+// recovery replays the local log through.
 //
 // Safety: every read is bounded by a snapshot of the segment's committed
 // byte count taken under the log's lock. Append advances that bookkeeping
@@ -43,13 +26,13 @@ var ErrTailTruncated = errors.New("wal: tail reader overtaken by segment truncat
 //
 // Cursor contract: the cursor is the highest event version the consumer
 // has applied after consuming the stream in order (or a checkpoint version
-// it bootstrapped from). Sealed segments whose maxVersion is at or below
-// the cursor are skipped entirely — including source-only segments
-// (maxVersion 0): segment order is version order, so an in-order consumer
-// at this cursor has necessarily already seen their contents. Within the
-// remaining segments, source records are delivered unconditionally (they
-// are idempotent re-registrations) and event records only when their
-// version exceeds the cursor.
+// it bootstrapped from). A source record carries the version of the
+// mutation after it, so a sealed segment whose maxVersion is at or below
+// the cursor holds nothing an in-order consumer at this cursor has not
+// seen, and is skipped entirely. Within the remaining segments, source
+// records are delivered unconditionally (they are idempotent
+// re-registrations) and event records only when their version exceeds the
+// cursor. Crash recovery is such a consumer at cursor 0.
 type TailReader struct {
 	l       *Log
 	after   uint64
@@ -72,7 +55,7 @@ func (l *Log) Tail(after uint64) *TailReader {
 func (r *TailReader) Next() (Record, bool, error) {
 	for {
 		for len(r.buf) > 0 {
-			rec, next, torn, err := decodeFrame(r.buf, 0)
+			rec, next, torn, err := DecodeFrame(r.buf, 0)
 			if err != nil {
 				return Record{}, false, err
 			}
@@ -113,7 +96,9 @@ func (r *TailReader) fill() (bool, error) {
 			if int64(len(data)) < seg.bytes {
 				return false, fmt.Errorf("wal: segment %d holds %d bytes, committed bookkeeping says %d", seg.seq, len(data), seg.bytes)
 			}
-			r.buf = append(r.buf[:0], data[r.off:seg.bytes]...)
+			// ReadFile allocates afresh on every call, so the reader keeps
+			// its slice: one segment's bytes, never two.
+			r.buf = data[r.off:seg.bytes]
 			return true, nil
 		}
 		if last {
@@ -135,8 +120,9 @@ func (r *TailReader) locate() (seg segment, last bool, ok bool) {
 	segs := r.l.segs
 	if !r.started {
 		i := 0
-		// after==0 means "everything": source-only segments report
-		// maxVersion 0 and must not be prefix-skipped for a fresh consumer.
+		// after==0 means "everything": a log written before sources
+		// carried the next mutation's version may hold source-only
+		// segments of maxVersion 0, which a fresh consumer must read.
 		for r.after > 0 && i < len(segs)-1 && segs[i].maxVersion <= r.after {
 			i++
 		}

@@ -15,10 +15,12 @@
 // append (each acknowledged write survives power loss), SyncInterval
 // fsyncs on a timer (a crash loses at most the last interval; process
 // crashes alone lose nothing, the OS still has the pages), SyncNone leaves
-// flushing to the OS. Replay tolerates a torn tail — a partial final
+// flushing to the OS. Open tolerates a torn tail — a partial final
 // record is dropped and the file truncated back to the last complete
 // record — but fails loudly on mid-log corruption, which indicates real
-// data loss rather than an interrupted append.
+// data loss rather than an interrupted append. Records are read back in
+// order through a TailReader (see tail.go), by the change feed and by
+// crash recovery alike.
 package wal
 
 import (
@@ -107,8 +109,10 @@ type segment struct {
 	path    string
 	bytes   int64
 	records int
-	// maxVersion is the highest event version in the segment (0 when it
-	// holds no event records), used to decide checkpoint truncation.
+	// maxVersion is the highest version any record in the segment carries
+	// (a source record carries the version of the mutation after it; 0
+	// for an empty segment), used to decide checkpoint truncation and
+	// which sealed segments a TailReader skips.
 	maxVersion uint64
 }
 
@@ -120,7 +124,8 @@ type Stats struct {
 	Bytes int64
 	// Records counts records across all segments.
 	Records int
-	// LastVersion is the highest event version ever appended or replayed.
+	// LastVersion is the highest record version ever appended or read at
+	// open.
 	LastVersion uint64
 	// TornBytes counts bytes dropped from the tail at open (a partial
 	// final record from an interrupted append).
@@ -128,7 +133,7 @@ type Stats struct {
 }
 
 // Log is an open write-ahead log. Append, Sync, Rotate, TruncateThrough,
-// Replay, and Stats are safe for concurrent use.
+// Tail, and Stats are safe for concurrent use.
 type Log struct {
 	dir  string
 	opts Options
@@ -284,40 +289,53 @@ func (l *Log) replaySegment(seq int, last bool, fn func(Record) error) error {
 		return fmt.Errorf("wal: read segment: %w", err)
 	}
 	seg := segment{seq: seq, path: path}
-	off := 0
-	for off < len(data) {
-		rec, next, torn, err := decodeFrame(data, off)
-		if err != nil {
-			return fmt.Errorf("wal: segment %s: %w", filepath.Base(path), err)
-		}
-		if torn {
-			if !last {
-				return fmt.Errorf("wal: segment %s: truncated record at offset %d in sealed segment", filepath.Base(path), off)
-			}
-			dropped := int64(len(data) - off)
-			if err := l.fs.Truncate(path, int64(off)); err != nil {
-				return fmt.Errorf("wal: truncate torn tail: %w", err)
-			}
-			l.tornBytes += dropped
-			break
-		}
+	end, err := walkFrames(path, data, func(rec Record) error {
 		if fn != nil {
 			if err := fn(rec); err != nil {
 				return err
 			}
 		}
 		seg.records++
-		if rec.Version > seg.maxVersion {
-			seg.maxVersion = rec.Version
-		}
-		if rec.Version > l.lastVersion {
-			l.lastVersion = rec.Version
-		}
-		off = next
+		seg.maxVersion = max(seg.maxVersion, rec.Version)
+		l.lastVersion = max(l.lastVersion, rec.Version)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	seg.bytes = int64(off)
+	if end < len(data) {
+		if !last {
+			return fmt.Errorf("wal: segment %s: truncated record at offset %d in sealed segment", filepath.Base(path), end)
+		}
+		if err := l.fs.Truncate(path, int64(end)); err != nil {
+			return fmt.Errorf("wal: truncate torn tail: %w", err)
+		}
+		l.tornBytes += int64(len(data) - end)
+	}
+	seg.bytes = int64(end)
 	l.segs = append(l.segs, seg)
 	return nil
+}
+
+// walkFrames passes each complete frame of one segment's bytes to fn in
+// order and returns the offset where they end: len(data), or the start of
+// a torn final frame. Corruption fails naming the segment; an error from
+// fn is returned as it is.
+func walkFrames(path string, data []byte, fn func(Record) error) (end int, err error) {
+	for end < len(data) {
+		rec, next, torn, err := DecodeFrame(data, end)
+		if err != nil {
+			return end, fmt.Errorf("wal: segment %s: %w", filepath.Base(path), err)
+		}
+		if torn {
+			break
+		}
+		if err := fn(rec); err != nil {
+			return end, err
+		}
+		end = next
+	}
+	return end, nil
 }
 
 // openSegment creates a fresh active segment with the given sequence and
@@ -370,7 +388,7 @@ func (l *Log) Append(recs ...Record) error {
 	start := time.Now()
 	var buf bytes.Buffer
 	for _, rec := range recs {
-		if err := appendFrame(&buf, rec, l.opts.Format); err != nil {
+		if err := EncodeFrameFormat(&buf, rec, l.opts.Format); err != nil {
 			return err
 		}
 	}
@@ -407,12 +425,8 @@ func (l *Log) Append(recs ...Record) error {
 	seg.bytes = prev + int64(buf.Len())
 	seg.records += len(recs)
 	for _, rec := range recs {
-		if rec.Version > seg.maxVersion {
-			seg.maxVersion = rec.Version
-		}
-		if rec.Version > l.lastVersion {
-			l.lastVersion = rec.Version
-		}
+		seg.maxVersion = max(seg.maxVersion, rec.Version)
+		l.lastVersion = max(l.lastVersion, rec.Version)
 	}
 	if seg.bytes >= l.opts.SegmentBytes {
 		// A rotate failure poisons the log (inside rotateLocked); only
@@ -495,11 +509,13 @@ func (l *Log) rotateLocked() (int, error) {
 
 // TruncateThrough deletes sealed segments with sequence <= throughSeq
 // whose every record is covered by a checkpoint at version v (their
-// highest event version is <= v). The sequence bound matters because a
-// checkpoint's write phase overlaps ingestion: a segment sealed after the
-// checkpoint forked may contain a source registration stamped at or below
-// v that the forked snapshot does not hold, so only segments sealed at the
-// fork's rotation point are eligible. The active segment is never deleted.
+// highest record version is <= v). A source registered after the fork
+// carries a version above v, so its segment survives; the sequence bound
+// keeps a segment sealed after the fork's rotation point out of reach
+// all the same, since the checkpoint's write phase overlaps ingestion and
+// a log written before sources carried the next mutation's version may
+// stamp such a registration at or below v. The active segment is never
+// deleted.
 // A segment whose file refuses to unlink stays tracked (retried at the
 // next checkpoint); one already gone counts as removed.
 func (l *Log) TruncateThrough(v uint64, throughSeq int) error {
@@ -521,54 +537,6 @@ func (l *Log) TruncateThrough(v uint64, throughSeq int) error {
 	}
 	l.segs = kept
 	return firstErr
-}
-
-// Replay streams every record currently in the log through fn in append
-// order, re-reading the segment files from disk — memory use is bounded by
-// one segment, not the log size, which is what lets recovery replay an
-// arbitrarily long tail in bounded batches. The segment list and sizes are
-// snapshotted up front, so records appended concurrently (or segments
-// truncated away) after the call starts are not observed; recovery calls
-// it before arming the durability hooks, when the log is quiet. fn
-// returning an error aborts the replay.
-func (l *Log) Replay(fn func(Record) error) error {
-	l.mu.Lock()
-	type span struct {
-		path  string
-		bytes int64
-	}
-	spans := make([]span, len(l.segs))
-	for i, seg := range l.segs {
-		spans[i] = span{path: seg.path, bytes: seg.bytes}
-	}
-	l.mu.Unlock()
-	for _, sp := range spans {
-		data, err := l.fs.ReadFile(sp.path)
-		if err != nil {
-			return fmt.Errorf("wal: replay segment: %w", err)
-		}
-		if int64(len(data)) > sp.bytes {
-			data = data[:sp.bytes]
-		}
-		off := 0
-		for off < len(data) {
-			rec, next, torn, err := decodeFrame(data, off)
-			if err != nil {
-				return fmt.Errorf("wal: replay segment %s: %w", filepath.Base(sp.path), err)
-			}
-			if torn {
-				// Open truncated any torn tail already; a torn frame here
-				// means the file shrank under us, which snapshotting sizes
-				// is supposed to prevent.
-				return fmt.Errorf("wal: replay segment %s: unexpected torn frame at offset %d", filepath.Base(sp.path), off)
-			}
-			if err := fn(rec); err != nil {
-				return err
-			}
-			off = next
-		}
-	}
-	return nil
 }
 
 // Format reports the payload encoding new appends use. Existing records

@@ -50,7 +50,7 @@ func waitReplicated(t testing.TB, sys *System, v uint64) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := sys.Pipeline().WaitFresh(ctx, v); err != nil {
+	if err := sys.Pipeline().Lake().WaitApplied(ctx, v); err != nil {
 		st, _ := sys.Replication()
 		t.Fatalf("follower did not reach version %d: %v (replication: %+v)", v, err, st)
 	}
