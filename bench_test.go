@@ -512,9 +512,7 @@ func BenchmarkIngestThroughput(b *testing.B) {
 		for _, writers := range []int{1, 4, 16} {
 			b.Run(fmt.Sprintf("%s/writers=%d", mode, writers), func(b *testing.B) {
 				lake := datalake.New()
-				icfg := core.DefaultIndexerConfig(1)
-				icfg.QueryCacheSize = 0
-				ix, err := core.BuildIndexer(lake, icfg)
+				ix, err := core.BuildIndexer(lake, core.DefaultIndexerConfig(1))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -571,9 +569,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	for _, mode := range []string{"bare", "instrumented"} {
 		b.Run(mode, func(b *testing.B) {
 			lake := datalake.New()
-			icfg := core.DefaultIndexerConfig(1)
-			icfg.QueryCacheSize = 0
-			ix, err := core.BuildIndexer(lake, icfg)
+			ix, err := core.BuildIndexer(lake, core.DefaultIndexerConfig(1))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -611,9 +607,7 @@ func BenchmarkBatchIngest(b *testing.B) {
 	for _, size := range []int{16, 128} {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
 			lake := datalake.New()
-			icfg := core.DefaultIndexerConfig(1)
-			icfg.QueryCacheSize = 0
-			ix, err := core.BuildIndexer(lake, icfg)
+			ix, err := core.BuildIndexer(lake, core.DefaultIndexerConfig(1))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -661,14 +655,9 @@ func BenchmarkDurableIngest(b *testing.B) {
 			var err error
 			if mode == "inmemory" {
 				lake := datalake.New()
-				icfg := core.DefaultIndexerConfig(1)
-				icfg.QueryCacheSize = 0
-				opts := DefaultOptions(1)
-				opts.Indexer = icfg
-				sys, err = NewSystem(lake, opts)
+				sys, err = NewSystem(lake, DefaultOptions(1))
 			} else {
 				opts := DefaultOpenOptions(1)
-				opts.Indexer.QueryCacheSize = 0
 				opts.Sync = strings.TrimPrefix(mode, "fsync=")
 				sys, err = Open(b.TempDir(), opts)
 			}
@@ -780,7 +769,6 @@ func BenchmarkWALEncode(b *testing.B) {
 // this gate is TestCheckpointDoesNotBlockIngest in internal/durable.
 func BenchmarkCheckpointStall(b *testing.B) {
 	opts := DefaultOpenOptions(1)
-	opts.Indexer.QueryCacheSize = 0
 	opts.Sync = "none" // isolate checkpoint-induced stall from per-commit fsync cost
 	sys, err := Open(b.TempDir(), opts)
 	if err != nil {

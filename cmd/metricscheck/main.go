@@ -55,8 +55,6 @@ var requiredServing = []string{
 	"verifai_result_cache_misses_total",
 	"verifai_result_cache_invalidations_total",
 	"verifai_result_cache_entries",
-	"verifai_query_cache_hits_total",
-	"verifai_query_cache_misses_total",
 	"verifai_provenance_records",
 	"verifai_provenance_bytes",
 	"verifai_provenance_segments",

@@ -58,9 +58,7 @@ func TestObsAllocationOverhead(t *testing.T) {
 	allocs := func(instrumented bool) float64 {
 		lake := datalake.New()
 		defer lake.Close()
-		icfg := core.DefaultIndexerConfig(1)
-		icfg.QueryCacheSize = 0
-		ix, err := core.BuildIndexer(lake, icfg)
+		ix, err := core.BuildIndexer(lake, core.DefaultIndexerConfig(1))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,10 +32,6 @@ type IndexerConfig struct {
 	Seed uint64
 	// EmbedDim is the embedding dimension (default 128).
 	EmbedDim int
-	// QueryCacheSize is the capacity of the query-embedding LRU cache shared
-	// by all retrievals; <= 0 disables the cache. Repeated queries (the
-	// heavy-traffic case) skip the embedding computation entirely.
-	QueryCacheSize int
 }
 
 // defaultEmbedDim is the embedding dimension of a config that leaves
@@ -50,7 +46,7 @@ var allKinds = []datalake.Kind{datalake.KindTable, datalake.KindTuple, datalake.
 
 // DefaultIndexerConfig is the indexer's default configuration.
 func DefaultIndexerConfig(seed uint64) IndexerConfig {
-	return IndexerConfig{Seed: seed, EmbedDim: defaultEmbedDim, QueryCacheSize: 256}
+	return IndexerConfig{Seed: seed, EmbedDim: defaultEmbedDim}
 }
 
 // Indexer is VerifAI's Indexer module: task-agnostic content-based (BM25)
@@ -74,7 +70,6 @@ type Indexer struct {
 	bm25 map[datalake.Kind]*invindex.Index
 	vec  map[datalake.Kind]*vecindex.SQFlat
 
-	qcache      *queryCache
 	unsubscribe func()
 
 	// entityRev maps each entity instance ID to the number of triples its
@@ -187,7 +182,6 @@ func newIndexer(lake *datalake.Lake, cfg *IndexerConfig) *Indexer {
 		cfg:       *cfg,
 		bm25:      make(map[datalake.Kind]*invindex.Index),
 		vec:       make(map[datalake.Kind]*vecindex.SQFlat),
-		qcache:    newQueryCache(cfg.QueryCacheSize),
 		entityRev: make(map[string]int),
 	}
 	for _, kind := range allKinds {
@@ -337,30 +331,6 @@ func (ix *Indexer) reindexEntity(entity string, rev int) error {
 	return nil
 }
 
-// queryVec embeds a query, consulting the LRU cache first.
-func (ix *Indexer) queryVec(query string) embed.Vector {
-	if ix.qcache != nil {
-		if v, ok := ix.qcache.get(query); ok {
-			return v
-		}
-	}
-	v := ix.emb.EmbedText(query)
-	if ix.qcache != nil {
-		ix.qcache.put(query, v)
-	}
-	return v
-}
-
-// QueryCacheStats reports the query-embedding cache's hit/miss counters and
-// current size (all zero when the cache is disabled), for tests and ops
-// dashboards.
-func (ix *Indexer) QueryCacheStats() (hits, misses uint64, size int) {
-	if ix.qcache == nil {
-		return 0, 0, 0
-	}
-	return ix.qcache.stats()
-}
-
 // families selects which index families to search: both for Retrieve, one
 // for RetrieveFamily.
 const (
@@ -380,8 +350,8 @@ func (ix *Indexer) search(ctx context.Context, query string, k int, kinds []data
 
 // searchIndexes is search over explicit index maps: the live indexes for
 // head reads, or a pinned snapshot's materialized indexes for time-travel
-// reads. Everything else — the search order, the query-embedding cache,
-// the per-family latency metrics — is shared, so a pinned retrieval ranks
+// reads. Everything else — the search order, the query embedding, the
+// per-family latency metrics — is shared, so a pinned retrieval ranks
 // exactly as a head retrieval over the same data.
 func (ix *Indexer) searchIndexes(ctx context.Context, query string, k int, kinds []datalake.Kind, wantBM25, wantVector bool, bm25 map[datalake.Kind]*invindex.Index, vec map[datalake.Kind]*vecindex.SQFlat) []provenance.RetrievalHit {
 	if len(kinds) == 0 {
@@ -394,10 +364,8 @@ func (ix *Indexer) searchIndexes(ctx context.Context, query string, k int, kinds
 	if wantBM25 {
 		qterms = ix.emb.Dict().AppendTerms(nil, query)
 	}
-	// The query is embedded at the first vector index searched, so
+	// The query is embedded once, at the first vector index searched, so
 	// BM25-only retrievals (and kinds no index holds) skip the embedding.
-	// It depends only on (query, seed), never on index contents, so head
-	// and pinned retrievals share the same cache entry.
 	var qvec embed.Vector
 	// Each search returns at most k hits: room for all of them up front,
 	// so the slice is never regrown.
@@ -422,7 +390,7 @@ func (ix *Indexer) searchIndexes(ctx context.Context, query string, k int, kinds
 		}
 		if idx := vec[kind]; wantVector && idx != nil {
 			if qvec == nil {
-				qvec = ix.queryVec(query)
+				qvec = ix.emb.EmbedText(query)
 			}
 			start := time.Now()
 			for rank, h := range idx.Search(qvec, k) {

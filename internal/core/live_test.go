@@ -9,6 +9,7 @@ import (
 	"repro/internal/datalake"
 	"repro/internal/doc"
 	"repro/internal/kg"
+	"repro/internal/obs"
 	"repro/internal/provenance"
 	"repro/internal/rerank"
 	"repro/internal/table"
@@ -175,34 +176,30 @@ func TestRetrieveKindFiltered(t *testing.T) {
 	}
 }
 
-// TestQueryEmbeddingSkippedAndCached checks two retrieval-path
-// optimizations: the query embedding is not computed when the retrieval
-// searches no vector index, and repeated queries hit the LRU cache.
-func TestQueryEmbeddingSkippedAndCached(t *testing.T) {
+// TestQueryEmbeddingSkipped checks that the query embedding is not
+// computed when the retrieval searches no vector index. The query is
+// embedded only on the vector-search branch, so the vector family's
+// search histogram staying empty is the probe.
+func TestQueryEmbeddingSkipped(t *testing.T) {
 	lake := smallLake(t)
 	ix, err := BuildIndexer(lake, DefaultIndexerConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix.SetMetrics(obs.NewRegistry())
 	// A kind no index holds has no vector index to search.
 	ix.Retrieve("tommy bolt", 5, datalake.Kind(len(allKinds)))
-	if hits, misses, _ := ix.QueryCacheStats(); hits != 0 || misses != 0 {
-		t.Fatalf("embedding computed for kind with no vector index (hits=%d misses=%d)", hits, misses)
+	if n := ix.m.searchVector.Count(); n != 0 {
+		t.Fatalf("vector searched for a kind with no vector index (%d searches)", n)
 	}
-
+	// A BM25-only family retrieval never reaches the vector branch.
+	ix.RetrieveFamily("fresh query", familyBM25, 5, datalake.KindTable)
+	if n := ix.m.searchVector.Count(); n != 0 {
+		t.Fatalf("bm25-only retrieval searched a vector index (%d searches)", n)
+	}
 	ix.Retrieve("tommy bolt", 5, datalake.KindTable)
-	if _, misses, size := ix.QueryCacheStats(); misses != 1 || size != 1 {
-		t.Fatalf("first vector retrieval: misses=%d size=%d, want 1 and 1", misses, size)
-	}
-	ix.Retrieve("tommy bolt", 5, datalake.KindTable)
-	if hits, misses, _ := ix.QueryCacheStats(); hits != 1 || misses != 1 {
-		t.Fatalf("repeated query: hits=%d misses=%d, want 1 and 1", hits, misses)
-	}
-
-	// BM25-only family retrieval never touches the cache.
-	ix.RetrieveFamily("fresh query", "bm25", 5, datalake.KindTable)
-	if hits, misses, _ := ix.QueryCacheStats(); hits != 1 || misses != 1 {
-		t.Fatalf("bm25-only retrieval embedded the query (hits=%d misses=%d)", hits, misses)
+	if n := ix.m.searchVector.Count(); n != 1 {
+		t.Fatalf("vector retrieval over one kind: %d vector searches, want 1", n)
 	}
 }
 

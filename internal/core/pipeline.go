@@ -148,10 +148,6 @@ func (p *Pipeline) installMetrics(reg *obs.Registry) {
 		reg.GaugeFunc("verifai_result_cache_entries",
 			"Verify-result cache resident entries.", func() float64 { n, _ := rc.size(); return float64(n) })
 	}
-	reg.CounterFunc("verifai_query_cache_hits_total",
-		"Query-embedding cache hits.", func() uint64 { h, _, _ := p.indexer.QueryCacheStats(); return h })
-	reg.CounterFunc("verifai_query_cache_misses_total",
-		"Query-embedding cache misses.", func() uint64 { _, m, _ := p.indexer.QueryCacheStats(); return m })
 	p.indexer.SetMetrics(reg)
 }
 
@@ -204,9 +200,8 @@ func (p *Pipeline) SetSourceTrust(sourceID string, t float64) {
 }
 
 // Stats reports the pipeline's serving-path counters: verify-result cache
-// hits/misses/invalidations and the indexer's query-embedding cache, for
-// ops dashboards (/v1/stats) and tests. All cache fields are zero when the
-// respective cache is disabled.
+// hits/misses/invalidations, for ops dashboards (/v1/stats) and tests. All
+// cache fields are zero when the cache is disabled.
 type Stats struct {
 	// ResultCache* describe the verify-result cache. Invalidations counts
 	// entries evicted because a lake write touched a kind they depended on
@@ -218,10 +213,11 @@ type Stats struct {
 	ResultCacheSize          int    `json:"result_cache_size"`
 	// ResultCacheBytes is the heap the entries hold, keys included.
 	ResultCacheBytes int64 `json:"result_cache_bytes"`
-	// QueryCache* describe the indexer's query-embedding LRU.
-	QueryCacheHits   uint64 `json:"query_cache_hits"`
-	QueryCacheMisses uint64 `json:"query_cache_misses"`
-	QueryCacheSize   int    `json:"query_cache_size"`
+	// QueryCacheHits and QueryCacheMisses are always zero: there is no
+	// query-embedding cache. They stay only because bench/trace.go still
+	// reads them; they go once the benchmark stops reading them.
+	QueryCacheHits   uint64 `json:"-"`
+	QueryCacheMisses uint64 `json:"-"`
 }
 
 // Stats snapshots the pipeline's serving-path counters.
@@ -231,7 +227,6 @@ func (p *Pipeline) Stats() Stats {
 		s.ResultCacheHits, s.ResultCacheMisses, s.ResultCacheInvalidations = p.rcache.hits.Load(), p.rcache.misses.Load(), p.rcache.invalidations.Load()
 		s.ResultCacheSize, s.ResultCacheBytes = p.rcache.size()
 	}
-	s.QueryCacheHits, s.QueryCacheMisses, s.QueryCacheSize = p.indexer.QueryCacheStats()
 	return s
 }
 

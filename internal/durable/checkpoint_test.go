@@ -189,7 +189,7 @@ func TestDataDirLock(t *testing.T) {
 func TestReplayTailStreamsInBatches(t *testing.T) {
 	dir := t.TempDir()
 	// Small segments so the tail spans many segment files too.
-	st := openStore(t, dir, Options{Sync: wal.SyncNone, SegmentBytes: 4096})
+	st := openStore(t, dir, Options{Sync: wal.SyncNone, segmentBytes: 4096})
 	lake := st.Lake()
 	n := 3*replayBatchSize + 17
 	for i := 0; i < n; i++ {

@@ -145,7 +145,7 @@ func runCrashAttempt(t *testing.T, dir string, ffs *faultfs.Faulty, muts []crash
 			t.Fatalf("%s failed without a crash: %v", stage, err)
 		}
 	}
-	st, err := Open(dir, Options{Sync: wal.SyncAlways, SegmentBytes: 2048, FS: ffs})
+	st, err := Open(dir, Options{Sync: wal.SyncAlways, segmentBytes: 2048, FS: ffs})
 	if err != nil {
 		bail("Open", err)
 		return 0, false
@@ -286,7 +286,7 @@ func runPinCrashAttempt(t *testing.T, dir string, ffs *faultfs.Faulty) (ackedDoc
 			t.Fatalf("%s failed without a crash: %v", stage, err)
 		}
 	}
-	st, err := Open(dir, Options{Sync: wal.SyncAlways, SegmentBytes: 2048, FS: ffs})
+	st, err := Open(dir, Options{Sync: wal.SyncAlways, segmentBytes: 2048, FS: ffs})
 	if err != nil {
 		bail("Open", err)
 		return

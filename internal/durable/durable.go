@@ -68,9 +68,10 @@ type Options struct {
 	// (default wal.FormatBinary). Existing records decode regardless of
 	// this setting — the payload is self-describing.
 	WALFormat wal.Format
-	// SegmentBytes is the WAL segment rotation threshold; <= 0 means the
-	// wal package default (16 MiB).
-	SegmentBytes int64
+	// segmentBytes lowers the WAL segment rotation threshold (<= 0: the
+	// wal package default, 16 MiB) so recovery and crash tests span
+	// segments; nothing outside them sets it.
+	segmentBytes int64
 	// FS is the filesystem the store (and its WAL) writes through — catalog
 	// containers, index shards (a WriteFunc is handed it), META, manifests,
 	// renames, fsyncs; nil means the real OS. The crash-consistency suite
@@ -311,7 +312,7 @@ func Open(dir string, opts Options) (_ *Store, err error) {
 	// ReplayTail reads the tail from disk again through a TailReader, so
 	// it is never buffered whole in memory here.
 	log, err := wal.Open(s.walDir(), wal.Options{
-		Sync: opts.Sync, SegmentBytes: opts.SegmentBytes,
+		Sync: opts.Sync, SegmentBytes: opts.segmentBytes,
 		Format: opts.WALFormat, FS: opts.FS,
 	}, nil)
 	if err != nil {

@@ -103,7 +103,7 @@ func TestRecoverWithoutCheckpoint(t *testing.T) {
 func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments so pre-checkpoint records live in sealed segments.
-	st := openStore(t, dir, Options{Sync: wal.SyncNone, SegmentBytes: 256})
+	st := openStore(t, dir, Options{Sync: wal.SyncNone, segmentBytes: 256})
 	lake := st.Lake()
 	if err := lake.AddSource(datalake.Source{ID: "src", Name: "s"}); err != nil {
 		t.Fatal(err)

@@ -43,9 +43,10 @@ func (s *Store) WAL() *wal.Log { return s.log }
 // asserted to recommit as its logged version. Event versions at or below
 // the lake's committed version are skipped — a resumed stream may overlap
 // the cursor, a recovered log the checkpoint — and one beyond committed+1
-// is ErrReplicaGap. With the store Armed, every applied record also lands
-// in the follower's own WAL, so a restarted follower recovers its cursor
-// from local disk. Returns the number of records applied (skips excluded).
+// is ErrReplicaGap, returned once the records before it are applied. With
+// the store Armed, every applied record also lands in the follower's own
+// WAL, so a restarted follower recovers its cursor from local disk.
+// Returns the number of records applied (skips excluded).
 func (s *Store) ApplyReplicated(recs []wal.Record) (int, error) {
 	applied := 0
 	var pending []wal.Record
@@ -92,6 +93,11 @@ func (s *Store) ApplyReplicated(recs []wal.Record) (int, error) {
 		case rec.Version < next:
 			continue // stream overlap: already committed locally
 		case rec.Version > next:
+			// Commit the contiguous run before the gap first: it is applied,
+			// and the count says so.
+			if err := flush(); err != nil {
+				return applied, err
+			}
 			return applied, fmt.Errorf("%w: have %d, stream jumped to %d", ErrReplicaGap, next-1, rec.Version)
 		}
 		pending = append(pending, rec)

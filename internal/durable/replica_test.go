@@ -57,6 +57,23 @@ func TestApplyReplicatedOrderSkipGap(t *testing.T) {
 	}
 }
 
+// TestApplyReplicatedCommitsPrefixBeforeGap: the contiguous run before a
+// gap is applied, and counted, before ErrReplicaGap stops the applier.
+func TestApplyReplicatedCommitsPrefixBeforeGap(t *testing.T) {
+	st := openStore(t, t.TempDir(), Options{Sync: wal.SyncNone})
+	defer st.Close()
+	defer st.Lake().Close()
+	st.Lake().SetReadOnly(true)
+
+	n, err := st.ApplyReplicated([]wal.Record{replDoc(1, "d1"), replDoc(2, "d2"), replDoc(4, "d4")})
+	if !errors.Is(err, ErrReplicaGap) || n != 2 {
+		t.Fatalf("ApplyReplicated over 1, 2, 4 = %d, %v; want 2, ErrReplicaGap", n, err)
+	}
+	if v := st.Lake().CommittedVersion(); v != 2 {
+		t.Fatalf("CommittedVersion after gap = %d, want 2", v)
+	}
+}
+
 // TestApplyReplicatedSurvivesRestart checks the follower's own durability:
 // applied records land in its WAL (the store is Armed), so a killed and
 // reopened follower recovers its exact cursor from local disk.

@@ -42,9 +42,11 @@ const (
 // kill point.
 var ErrCrashed = errors.New("faultfs: simulated crash")
 
-// File is the open-file surface the WAL and checkpoint writers need.
+// File is the open-file surface the WAL, its tail readers and the
+// checkpoint writers need.
 type File interface {
 	io.Writer
+	io.ReaderAt
 	io.Closer
 	Sync() error
 	Truncate(size int64) error
@@ -276,5 +278,8 @@ func (ff *faultyFile) Truncate(size int64) error {
 	}
 	return ff.inner.Truncate(size)
 }
+
+// ReadAt is a read, never a kill point.
+func (ff *faultyFile) ReadAt(p []byte, off int64) (int, error) { return ff.inner.ReadAt(p, off) }
 
 func (ff *faultyFile) Close() error { return ff.inner.Close() }

@@ -71,21 +71,14 @@ const (
 )
 
 // rejectFollowerWrite answers 421 on a follower; reports whether handled.
-// The body carries the same {"error", "request_id"} shape as writeError,
-// plus the leader URL clients should redirect writes to.
+// The error body names the leader URL clients should redirect writes to.
 func (s *Server) rejectFollowerWrite(w http.ResponseWriter) bool {
 	if s.leaderURL == "" {
 		return false
 	}
 	w.Header().Set("Location", s.leaderURL)
-	body := map[string]string{
-		"error":  "this node is a read-only follower; send writes to the leader",
-		"leader": s.leaderURL,
-	}
-	if id := w.Header().Get("X-Request-Id"); id != "" {
-		body["request_id"] = id
-	}
-	writeJSON(w, http.StatusMisdirectedRequest, body)
+	writeErrorBody(w, http.StatusMisdirectedRequest, map[string]any{"leader": s.leaderURL},
+		"this node is a read-only follower; send writes to the leader")
 	return true
 }
 
@@ -131,10 +124,6 @@ func (s *Server) waitMinVersion(w http.ResponseWriter, r *http.Request) bool {
 // cursor. Binary frames by default; ?format=sse (or Accept:
 // text/event-stream) selects Server-Sent Events.
 func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	cf := s.changeFeed
 	if cf == nil {
 		writeError(w, http.StatusNotFound, "this deployment serves no change feed (run serve with -data-dir)")
@@ -155,10 +144,8 @@ func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) {
 			// The WAL below the floor is truncated; the JSON carries the
 			// floor so generic CDC clients can decide between restarting
 			// from the floor (tolerating the gap) and re-bootstrapping.
-			writeJSON(w, http.StatusGone, map[string]any{
-				"error": "cursor below the leader's floor; bootstrap from /v1/replica/checkpoint",
-				"floor": floor,
-			})
+			writeErrorBody(w, http.StatusGone, map[string]any{"floor": floor},
+				"cursor below the leader's floor; bootstrap from /v1/replica/checkpoint")
 			return
 		}
 	}
@@ -270,10 +257,6 @@ func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) {
 // restore validates the archive (META present, paths sane) before
 // promoting anything, so a torn download never becomes a half-checkpoint.
 func (s *Server) handleReplicaCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	cf := s.changeFeed
 	if cf == nil || cf.CheckpointTar == nil {
 		writeError(w, http.StatusNotFound, "this deployment ships no checkpoints (run serve with -data-dir)")

@@ -116,13 +116,19 @@ func TestChangesBelowFloorIs410(t *testing.T) {
 		t.Fatalf("from=0 below floor: status = %d, want 410", resp.StatusCode)
 	}
 	var gone struct {
-		Floor uint64 `json:"floor"`
+		Error     string `json:"error"`
+		Floor     uint64 `json:"floor"`
+		RequestID string `json:"request_id"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&gone); err != nil {
 		t.Fatal(err)
 	}
 	if gone.Floor != ckptVersion {
 		t.Errorf("410 body floor = %d, want %d", gone.Floor, ckptVersion)
+	}
+	// The feed's 410 is an error body like every other: error and request_id.
+	if id := resp.Header.Get("X-Request-Id"); gone.Error == "" || id == "" || gone.RequestID != id {
+		t.Errorf("410 body error=%q request_id=%q, want an error and the response's X-Request-Id %q", gone.Error, gone.RequestID, id)
 	}
 
 	// From the floor itself the stream serves (nothing yet past it).

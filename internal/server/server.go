@@ -34,11 +34,13 @@
 // The lake behind the pipeline is live: the ingest endpoints index new
 // instances incrementally, so the server keeps serving verification reads
 // during writes. Responses are flat JSON documents (no internal types
-// leak); errors use RFC-7807-ish {"error": "..."} bodies with conventional
-// status codes (409 for duplicate ingest IDs, 413 for oversized bodies,
-// 429 when the verify admission limiter is saturated, 503 for writes after
-// the system began shutting down or while the write-ahead log refuses them,
-// 504 for verifications exceeding the per-request deadline).
+// leak). Every error body is {"error": "...", "request_id": "..."}, plus
+// "floor" on a 410 and "leader" on a 421, with conventional status codes
+// (405 for a method the route does not take, 409 for duplicate ingest IDs,
+// 413 for oversized bodies, 429 when the verify admission limiter is
+// saturated, 503 for writes after the system began shutting down or while
+// the write-ahead log refuses them, 504 for verifications exceeding the
+// per-request deadline).
 //
 // The verify endpoints are admission-controlled: at most a configured
 // number of verifications run concurrently (WithVerifyConcurrency /
@@ -68,7 +70,9 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -213,22 +217,33 @@ func New(p *core.Pipeline, opts ...Option) *Server {
 	if s.unpinSnapshot == nil {
 		s.unpinSnapshot = p.Snapshots().Unpin
 	}
-	s.mux.HandleFunc("/v1/verify/claim", s.handleVerifyClaim)
-	s.mux.HandleFunc("/v1/verify/tuple", s.handleVerifyTuple)
-	s.mux.HandleFunc("/v1/verify/batch", s.handleVerifyBatch)
-	s.mux.HandleFunc("/v1/ingest/table", s.handleIngestTable)
-	s.mux.HandleFunc("/v1/ingest/document", s.handleIngestDocument)
-	s.mux.HandleFunc("/v1/ingest/triple", s.handleIngestTriple)
-	s.mux.HandleFunc("/v1/ingest/batch", s.handleIngestBatch)
-	s.mux.HandleFunc("/v1/admin/checkpoint", s.handleCheckpoint)
-	s.mux.HandleFunc("/v1/snapshots", s.handleSnapshots)
-	s.mux.HandleFunc(cdc.ChangesPath, s.handleChanges)
-	s.mux.HandleFunc(cdc.CheckpointPath, s.handleReplicaCheckpoint)
-	s.mux.HandleFunc("/v1/lake/version", s.handleLakeVersion)
-	s.mux.HandleFunc("/v1/stats", s.handleStats)
-	s.mux.HandleFunc("/v1/provenance", s.handleProvenance)
-	s.mux.HandleFunc("/v1/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
+	// The route table: each route's methods, gated in one place (allow).
+	// /v1/healthz names none and answers every method.
+	const get, post = http.MethodGet, http.MethodPost
+	for _, rt := range []struct {
+		pattern string
+		methods []string
+		handle  http.HandlerFunc
+	}{
+		{"/v1/verify/claim", []string{post}, verifyOne(s, buildClaimObject)},
+		{"/v1/verify/tuple", []string{post}, verifyOne(s, buildTupleObject)},
+		{"/v1/verify/batch", []string{post}, s.handleVerifyBatch},
+		{"/v1/ingest/table", []string{post}, s.handleIngestTable},
+		{"/v1/ingest/document", []string{post}, s.handleIngestDocument},
+		{"/v1/ingest/triple", []string{post}, s.handleIngestTriple},
+		{"/v1/ingest/batch", []string{post}, s.handleIngestBatch},
+		{"/v1/admin/checkpoint", []string{post}, s.handleCheckpoint},
+		{"/v1/snapshots", []string{get, post}, s.handleSnapshots},
+		{cdc.ChangesPath, []string{get}, s.handleChanges},
+		{cdc.CheckpointPath, []string{get}, s.handleReplicaCheckpoint},
+		{"/v1/lake/version", []string{get}, s.handleLakeVersion},
+		{"/v1/stats", []string{get}, s.handleStats},
+		{"/v1/provenance", []string{get}, s.handleProvenance},
+		{"/v1/healthz", nil, s.handleHealthz},
+		{"/metrics", []string{get}, s.handleMetrics},
+	} {
+		s.mux.HandleFunc(rt.pattern, allow(rt.methods, rt.handle))
+	}
 	if s.obs == nil {
 		s.obs = obs.NewRegistry()
 	}
@@ -264,12 +279,23 @@ func New(p *core.Pipeline, opts ...Option) *Server {
 // one), for tests and side listeners.
 func (s *Server) Metrics() *obs.Registry { return s.obs }
 
+// allow gates a route on its methods: any other method answers 405 with
+// "<methods> required". No methods lets every method through.
+func allow(methods []string, h http.HandlerFunc) http.HandlerFunc {
+	if len(methods) == 0 {
+		return h
+	}
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !slices.Contains(methods, r.Method) {
+			writeError(w, http.StatusMethodNotAllowed, "%s required", strings.Join(methods, " or "))
+			return
+		}
+		h(w, r)
+	}
+}
+
 // handleMetrics serves the Prometheus text exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	w.Header().Set("Content-Type", obs.ContentTypeExposition)
 	_ = s.obs.WritePrometheus(w)
 }
@@ -427,56 +453,57 @@ func decodeStrict(w http.ResponseWriter, r *http.Request, limit int64, dst any) 
 	r.Body = http.MaxBytesReader(w, r.Body, limit)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
-			return false
+	err := dec.Decode(dst)
+	trailing := err == nil
+	if trailing {
+		// Anything after the document fails it. The cap can also trip here
+		// (a valid document padded past the limit): still a size problem,
+		// not a framing one.
+		if err = dec.Decode(new(json.RawMessage)); err == io.EOF {
+			return true
 		}
-		writeError(w, http.StatusBadRequest, "malformed JSON: %v", err)
-		return false
 	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		// The cap can also trip here (a valid document padded past the
-		// limit) — still a size problem, not a framing one.
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
-			return false
-		}
+	var mbe *http.MaxBytesError
+	switch {
+	case errors.As(err, &mbe):
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
+	case trailing:
 		writeError(w, http.StatusBadRequest, "request body must be a single JSON document")
-		return false
-	}
-	return true
-}
-
-// admit claims one verify admission slot, answering 429 + Retry-After and
-// returning ok=false when the limiter is saturated. The caller must invoke
-// release exactly once after the verification finishes.
-func (s *Server) admit(w http.ResponseWriter) (release func(), ok bool) {
-	if s.verifySem == nil {
-		return func() {}, true
-	}
-	select {
-	case s.verifySem <- struct{}{}:
-		return func() { <-s.verifySem }, true
 	default:
-		s.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests,
-			"verify concurrency limit (%d) saturated; retry shortly", s.verifyLimit)
-		return nil, false
+		writeError(w, http.StatusBadRequest, "malformed JSON: %v", err)
 	}
+	return false
 }
 
-// verifyContext derives the context an admitted verification runs under:
-// the request's own (client disconnect cancels it) plus the server-side
-// deadline when configured.
-func (s *Server) verifyContext(r *http.Request) (context.Context, context.CancelFunc) {
-	if s.verifyTimeout > 0 {
-		return context.WithTimeout(r.Context(), s.verifyTimeout)
+// admitVerify runs a verify request's way in, in order: the ?min_version=
+// freshness barrier (before admission, so a waiting request holds no
+// slot), then one admission slot (429 + Retry-After when the limiter is
+// saturated), then the context the verification runs under: the request's
+// own (client disconnect cancels it) plus the server-side deadline when
+// configured. On ok=false the response is already written; otherwise the
+// caller must invoke done exactly once, after the verification finishes.
+func (s *Server) admitVerify(w http.ResponseWriter, r *http.Request) (ctx context.Context, done func(), ok bool) {
+	if !s.waitMinVersion(w, r) {
+		return nil, nil, false
 	}
-	return r.Context(), func() {}
+	release := func() {}
+	if s.verifySem != nil {
+		select {
+		case s.verifySem <- struct{}{}:
+			release = func() { <-s.verifySem }
+		default:
+			s.rejected.Add(1)
+			w.Header().Set("Retry-After", "1")
+			writeError(w, http.StatusTooManyRequests,
+				"verify concurrency limit (%d) saturated; retry shortly", s.verifyLimit)
+			return nil, nil, false
+		}
+	}
+	ctx, cancel := r.Context(), context.CancelFunc(func() {})
+	if s.verifyTimeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, s.verifyTimeout)
+	}
+	return ctx, func() { cancel(); release() }, true
 }
 
 // writeVerifyError maps a pipeline verification error onto a status: the
@@ -496,68 +523,38 @@ func writeVerifyError(w http.ResponseWriter, r *http.Request, err error) {
 
 // --- handlers ---
 
-func (s *Server) handleVerifyClaim(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req ClaimRequest
-	if !decodeStrict(w, r, maxBodyBytes, &req) {
-		return
-	}
-	g, kinds, err := buildClaimObject(req)
-	if err != nil {
-		writeError(w, err.status, "%v", err)
-		return
-	}
-	s.serveVerify(w, r, g, kinds)
-}
-
-func (s *Server) handleVerifyTuple(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req TupleRequest
-	if !decodeStrict(w, r, maxBodyBytes, &req) {
-		return
-	}
-	g, kinds, err := buildTupleObject(req)
-	if err != nil {
-		writeError(w, err.status, "%v", err)
-		return
-	}
-	s.serveVerify(w, r, g, kinds)
-}
-
-// serveVerify answers a single-object verify request once its body has
-// been validated into g: ?version= parse, ?min_version= barrier, admission,
-// deadline, verification, error mapping.
-func (s *Server) serveVerify(w http.ResponseWriter, r *http.Request, g verify.Generated, kinds []datalake.Kind) {
-	asOf, ok := parseVersionParam(w, r)
-	if !ok {
-		return
-	}
-	// Freshness barrier before admission: a waiting request must not hold a
-	// verify slot.
-	if !s.waitMinVersion(w, r) {
-		return
-	}
-	release, ok := s.admit(w)
-	if !ok {
-		return
-	}
-	defer release()
-	ctx, cancel := s.verifyContext(r)
-	defer cancel()
-	resp, err := s.verifyObject(ctx, g, asOf, kinds)
-	switch {
-	case err == nil:
-		writeJSON(w, http.StatusOK, resp)
-	case snapshotResolveError(err):
-		s.writeSnapshotError(w, asOf, err)
-	default:
-		writeVerifyError(w, r, err)
+// verifyOne is a single-object verify endpoint over request type R: a
+// strict decode, build (R validated into g and its evidence kinds), the
+// ?version= parse, admitVerify, the verification, and its error mapping.
+func verifyOne[R any](s *Server, build func(R) (verify.Generated, []datalake.Kind, *reqError)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req R
+		if !decodeStrict(w, r, maxBodyBytes, &req) {
+			return
+		}
+		g, kinds, rerr := build(req)
+		if rerr != nil {
+			writeError(w, rerr.status, "%v", rerr)
+			return
+		}
+		asOf, ok := parseVersionParam(w, r)
+		if !ok {
+			return
+		}
+		ctx, done, ok := s.admitVerify(w, r)
+		if !ok {
+			return
+		}
+		defer done()
+		resp, err := s.verifyObject(ctx, g, asOf, kinds)
+		switch {
+		case err == nil:
+			writeJSON(w, http.StatusOK, resp)
+		case snapshotResolveError(err):
+			s.writeSnapshotError(w, asOf, err)
+		default:
+			writeVerifyError(w, r, err)
+		}
 	}
 }
 
@@ -683,10 +680,6 @@ type VerifyBatchResponse struct {
 // validation failures reject the whole request (400, first bad item named)
 // before any work runs; verification errors after admission are per-item.
 func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var req VerifyBatchRequest
 	if !decodeStrict(w, r, maxBatchBodyBytes, &req) {
 		return
@@ -734,16 +727,11 @@ func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		snap.Release()
 	}
-	if !s.waitMinVersion(w, r) {
-		return
-	}
-	release, ok := s.admit(w)
+	ctx, done, ok := s.admitVerify(w, r)
 	if !ok {
 		return
 	}
-	defer release()
-	ctx, cancel := s.verifyContext(r)
-	defer cancel()
+	defer done()
 
 	// The items run in turn, in request order, so the batch's one slot is
 	// one running verification.
@@ -836,17 +824,13 @@ func (s *Server) handleIngestTriple(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// ingestOne serves a single-item ingest endpoint: method and follower
-// gates, a strict decode into req, build (req validated into a lake item;
+// ingestOne serves a single-item ingest endpoint: the follower gate, a
+// strict decode into req, build (req validated into a lake item;
 // its error answers 400), then the write. The write waits for the
 // mutation's incremental indexing (the pipelined apply stage) before
 // returning, so a 200 response means the instance is already retrievable.
 // Write errors answer with ingestStatus.
 func (s *Server) ingestOne(w http.ResponseWriter, r *http.Request, req any, build func() (datalake.BatchItem, error)) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	if s.rejectFollowerWrite(w) {
 		return
 	}
@@ -885,10 +869,6 @@ func ingestStatus(err error) int {
 }
 
 func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	if s.rejectFollowerWrite(w) {
 		return
 	}
@@ -971,10 +951,6 @@ type CheckpointResponse struct {
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	if s.checkpoint == nil {
 		writeError(w, http.StatusNotFound, "this deployment has no data directory (run serve with -data-dir)")
 		return
@@ -995,18 +971,10 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleLakeVersion(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	writeJSON(w, http.StatusOK, map[string]uint64{"version": s.pipeline.Lake().Version()})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	stats := s.pipeline.Lake().Stats()
 	body := map[string]any{
 		"tables":   stats.Tables,
@@ -1047,10 +1015,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // generated object, oldest first (?object_id=ID; an unknown object is an
 // empty list). Exactly one of the two must be given.
 func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	store := s.pipeline.Provenance()
 	if store == nil {
 		writeError(w, http.StatusNotFound, "provenance recording is disabled")
@@ -1148,14 +1112,23 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeError writes the API's uniform error body:
-// {"error": ..., "request_id": ...}. The request ID is read back from the
-// response header the middleware set before dispatch, so every handler —
-// and every error path — carries it without threading the request through.
+// writeError writes the API's uniform error body with a formatted message.
 func writeError(w http.ResponseWriter, status int, format string, args ...interface{}) {
-	body := map[string]string{"error": fmt.Sprintf(format, args...)}
-	if id := w.Header().Get("X-Request-Id"); id != "" {
-		body["request_id"] = id
+	writeErrorBody(w, status, nil, fmt.Sprintf(format, args...))
+}
+
+// writeErrorBody is the one writer of error bodies: {"error": msg,
+// "request_id": ...} plus the given fields (the floor on a 410, the leader
+// on a 421). The request ID is read back from the response header the
+// middleware set before dispatch, so every handler — and every error path
+// — carries it without threading the request through.
+func writeErrorBody(w http.ResponseWriter, status int, fields map[string]any, msg string) {
+	if fields == nil {
+		fields = make(map[string]any, 2)
 	}
-	writeJSON(w, status, body)
+	fields["error"] = msg
+	if id := w.Header().Get("X-Request-Id"); id != "" {
+		fields["request_id"] = id
+	}
+	writeJSON(w, status, fields)
 }

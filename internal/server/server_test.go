@@ -180,6 +180,61 @@ func TestStatsAndHealthz(t *testing.T) {
 	}
 }
 
+// TestWrongMethodIs405 walks every route with a method it does not take:
+// each answers 405 with an error body naming the methods it does take and
+// echoing the response's request ID. /v1/healthz takes every method.
+func TestWrongMethodIs405(t *testing.T) {
+	ts := newTestServer(t)
+	for _, tc := range []struct{ method, path, msg string }{
+		{http.MethodGet, "/v1/verify/claim", "POST required"},
+		{http.MethodGet, "/v1/verify/tuple", "POST required"},
+		{http.MethodGet, "/v1/verify/batch", "POST required"},
+		{http.MethodGet, "/v1/ingest/table", "POST required"},
+		{http.MethodGet, "/v1/ingest/document", "POST required"},
+		{http.MethodGet, "/v1/ingest/triple", "POST required"},
+		{http.MethodGet, "/v1/ingest/batch", "POST required"},
+		{http.MethodGet, "/v1/admin/checkpoint", "POST required"},
+		{http.MethodDelete, "/v1/snapshots", "GET or POST required"},
+		{http.MethodPost, "/v1/changes", "GET required"},
+		{http.MethodPost, "/v1/replica/checkpoint", "GET required"},
+		{http.MethodPost, "/v1/lake/version", "GET required"},
+		{http.MethodPost, "/v1/stats", "GET required"},
+		{http.MethodPost, "/v1/provenance", "GET required"},
+		{http.MethodPost, "/metrics", "GET required"},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			Error     string `json:"error"`
+			RequestID string `json:"request_id"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed || err != nil {
+			t.Errorf("%s %s = %d (decode: %v), want 405 with a JSON body", tc.method, tc.path, resp.StatusCode, err)
+			continue
+		}
+		if id := resp.Header.Get("X-Request-Id"); body.Error != tc.msg || id == "" || body.RequestID != id {
+			t.Errorf("%s %s body = %+v, want error %q and request_id %q", tc.method, tc.path, body, tc.msg, id)
+		}
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/healthz", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("DELETE /v1/healthz = %d, want 200", resp.StatusCode)
+	}
+}
+
 func TestEndpointErrors(t *testing.T) {
 	ts := newTestServer(t)
 

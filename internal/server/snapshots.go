@@ -56,14 +56,8 @@ func (s *Server) writeSnapshotError(w http.ResponseWriter, asOf uint64, err erro
 	var bf *datalake.BelowFloorError
 	switch {
 	case errors.As(err, &bf):
-		body := map[string]any{
-			"error": fmt.Sprintf("version %d is below the snapshot retention floor %d; retry at the floor or later", bf.Version, bf.Floor),
-			"floor": bf.Floor,
-		}
-		if id := w.Header().Get("X-Request-Id"); id != "" {
-			body["request_id"] = id
-		}
-		writeJSON(w, http.StatusGone, body)
+		writeErrorBody(w, http.StatusGone, map[string]any{"floor": bf.Floor},
+			fmt.Sprintf("version %d is below the snapshot retention floor %d; retry at the floor or later", bf.Version, bf.Floor))
 	case errors.Is(err, datalake.ErrSnapshotNotFound):
 		if head := s.pipeline.Lake().Version(); asOf > head {
 			writeError(w, http.StatusNotFound, "version %d is ahead of the lake (head is %d)", asOf, head)
@@ -104,53 +98,52 @@ type SnapshotActionResponse struct {
 	Version uint64 `json:"version"`
 }
 
+// handleSnapshots lists the retained set on GET and pins or unpins on
+// POST (the route table admits no other method).
 func (s *Server) handleSnapshots(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
+	if r.Method == http.MethodGet {
 		reg := s.pipeline.Snapshots()
 		writeJSON(w, http.StatusOK, SnapshotsResponse{
 			Snapshots: reg.List(),
 			Floor:     reg.Floor(),
 			Head:      s.pipeline.Lake().Version(),
 		})
-	case http.MethodPost:
-		if s.rejectFollowerWrite(w) {
+		return
+	}
+	if s.rejectFollowerWrite(w) {
+		return
+	}
+	var req SnapshotActionRequest
+	if !decodeStrict(w, r, maxBodyBytes, &req) {
+		return
+	}
+	switch req.Action {
+	case "pin":
+		if req.Version != 0 {
+			writeError(w, http.StatusBadRequest, "pin freezes the current version; omit version (unpin takes one)")
 			return
 		}
-		var req SnapshotActionRequest
-		if !decodeStrict(w, r, maxBodyBytes, &req) {
+		version, err := s.pinSnapshot()
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, "pin snapshot: %v", err)
 			return
 		}
-		switch req.Action {
-		case "pin":
-			if req.Version != 0 {
-				writeError(w, http.StatusBadRequest, "pin freezes the current version; omit version (unpin takes one)")
-				return
-			}
-			version, err := s.pinSnapshot()
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, "pin snapshot: %v", err)
-				return
-			}
-			writeJSON(w, http.StatusOK, SnapshotActionResponse{Status: "pinned", Version: version})
-		case "unpin":
-			if req.Version == 0 {
-				writeError(w, http.StatusBadRequest, "unpin requires the pinned version")
-				return
-			}
-			if err := s.unpinSnapshot(req.Version); err != nil {
-				if errors.Is(err, datalake.ErrSnapshotNotFound) {
-					writeError(w, http.StatusNotFound, "no snapshot retained at version %d", req.Version)
-					return
-				}
-				writeError(w, http.StatusInternalServerError, "unpin snapshot: %v", err)
-				return
-			}
-			writeJSON(w, http.StatusOK, SnapshotActionResponse{Status: "unpinned", Version: req.Version})
-		default:
-			writeError(w, http.StatusBadRequest, "unknown action %q (want pin|unpin)", req.Action)
+		writeJSON(w, http.StatusOK, SnapshotActionResponse{Status: "pinned", Version: version})
+	case "unpin":
+		if req.Version == 0 {
+			writeError(w, http.StatusBadRequest, "unpin requires the pinned version")
+			return
 		}
+		if err := s.unpinSnapshot(req.Version); err != nil {
+			if errors.Is(err, datalake.ErrSnapshotNotFound) {
+				writeError(w, http.StatusNotFound, "no snapshot retained at version %d", req.Version)
+				return
+			}
+			writeError(w, http.StatusInternalServerError, "unpin snapshot: %v", err)
+			return
+		}
+		writeJSON(w, http.StatusOK, SnapshotActionResponse{Status: "unpinned", Version: req.Version})
 	default:
-		writeError(w, http.StatusMethodNotAllowed, "GET or POST required")
+		writeError(w, http.StatusBadRequest, "unknown action %q (want pin|unpin)", req.Action)
 	}
 }

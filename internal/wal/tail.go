@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"io"
 )
 
 // ErrTailTruncated reports that a TailReader's position was truncated away
@@ -89,16 +90,13 @@ func (r *TailReader) fill() (bool, error) {
 			return false, ErrTailTruncated
 		}
 		if r.off < seg.bytes {
-			data, err := r.l.fs.ReadFile(seg.path)
+			// Only the committed bytes past the offset: a live reader woken
+			// per commit reads each byte of the segment once.
+			buf, err := r.readSpan(seg)
 			if err != nil {
-				return false, fmt.Errorf("wal: tail read segment %d: %w", seg.seq, err)
+				return false, err
 			}
-			if int64(len(data)) < seg.bytes {
-				return false, fmt.Errorf("wal: segment %d holds %d bytes, committed bookkeeping says %d", seg.seq, len(data), seg.bytes)
-			}
-			// ReadFile allocates afresh on every call, so the reader keeps
-			// its slice: one segment's bytes, never two.
-			r.buf = data[r.off:seg.bytes]
+			r.buf = buf
 			return true, nil
 		}
 		if last {
@@ -107,6 +105,26 @@ func (r *TailReader) fill() (bool, error) {
 		if !r.advance(seg.seq) {
 			return false, ErrTailTruncated
 		}
+	}
+}
+
+// readSpan reads seg's committed bytes [r.off, seg.bytes), the span the
+// reader has not consumed yet.
+func (r *TailReader) readSpan(seg segment) ([]byte, error) {
+	f, err := r.l.fs.Open(seg.path)
+	if err != nil {
+		return nil, fmt.Errorf("wal: tail read segment %d: %w", seg.seq, err)
+	}
+	defer f.Close()
+	buf := make([]byte, seg.bytes-r.off)
+	n, err := f.ReadAt(buf, r.off)
+	switch {
+	case n == len(buf):
+		return buf, nil
+	case errors.Is(err, io.EOF):
+		return nil, fmt.Errorf("wal: segment %d holds %d bytes, committed bookkeeping says %d", seg.seq, r.off+int64(n), seg.bytes)
+	default:
+		return nil, fmt.Errorf("wal: tail read segment %d: %w", seg.seq, err)
 	}
 }
 

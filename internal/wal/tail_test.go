@@ -1,11 +1,14 @@
 package wal
 
 import (
+	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/datalake"
+	"repro/internal/faultfs"
 )
 
 func srcRecord(v uint64, id string) Record {
@@ -172,4 +175,61 @@ func TestTailReaderConcurrentWithAppends(t *testing.T) {
 		want++
 	}
 	wg.Wait()
+}
+
+// readCountingFS counts the bytes read from files through it.
+type readCountingFS struct {
+	faultfs.FS
+	read atomic.Int64
+}
+
+type readCountingFile struct {
+	faultfs.File
+	read *atomic.Int64
+}
+
+func (f readCountingFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := f.File.ReadAt(p, off)
+	f.read.Add(int64(n))
+	return n, err
+}
+
+func (c *readCountingFS) Open(name string) (faultfs.File, error) {
+	f, err := c.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return readCountingFile{f, &c.read}, nil
+}
+
+func (c *readCountingFS) ReadFile(name string) ([]byte, error) {
+	data, err := c.FS.ReadFile(name)
+	c.read.Add(int64(len(data)))
+	return data, err
+}
+
+// TestTailReaderReadsEachByteOnce: a live reader that drains after each of
+// n appends reads the segment about once in total, not once per fill.
+func TestTailReaderReadsEachByteOnce(t *testing.T) {
+	const n = 64
+	dir := t.TempDir()
+	cfs := &readCountingFS{FS: faultfs.OS}
+	l, _ := openReplay(t, dir, Options{Sync: SyncNone, FS: cfs})
+	defer l.Close()
+	r := l.Tail(0)
+	for i := 1; i <= n; i++ {
+		if err := l.Append(docRecord(uint64(i), "d")); err != nil {
+			t.Fatal(err)
+		}
+		if got := drain(t, r); len(got) != 1 {
+			t.Fatalf("append %d: drained %d records, want 1", i, len(got))
+		}
+	}
+	fi, err := os.Stat(lastSegment(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if read := cfs.read.Load(); read > 2*fi.Size() {
+		t.Fatalf("tail read %d bytes over %d fills of a %d-byte segment, want about the segment once", read, n, fi.Size())
+	}
 }

@@ -45,7 +45,6 @@ func TestTrafficGrowthStaysOffHeap(t *testing.T) {
 	}
 	opts := ExactOptions(1)
 	opts.Pipeline.ResultCache = cacheSize
-	opts.Indexer.QueryCacheSize = cacheSize
 	sys, err := NewSystem(corpus.Lake, opts)
 	if err != nil {
 		t.Fatal(err)

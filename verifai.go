@@ -176,23 +176,18 @@ type Options struct {
 	// accuracy in Table 2), so it belongs in flows where evidence is known
 	// to be relevant or privacy forbids the hosted model.
 	UseLocalVerifiers bool
-	// RecordProvenance enables the lineage store (challenge C4). The result
-	// cache rebuilds its hits from lineage, so with RecordProvenance off
-	// there is no result cache either, whatever Pipeline.ResultCache says.
-	RecordProvenance bool
 }
 
 // DefaultOptions returns the paper-faithful configuration: both index
 // families over all modalities, the LLM verifier as the default decision
-// model, provenance recorded.
+// model. (Every System records provenance.)
 func DefaultOptions(seed uint64) Options {
 	return Options{
-		Seed:             seed,
-		Indexer:          core.DefaultIndexerConfig(seed),
-		Pipeline:         core.DefaultPipelineConfig(),
-		LLM:              verify.DefaultLLMConfig(seed),
-		Pasta:            verify.DefaultPastaConfig(seed),
-		RecordProvenance: true,
+		Seed:     seed,
+		Indexer:  core.DefaultIndexerConfig(seed),
+		Pipeline: core.DefaultPipelineConfig(),
+		LLM:      verify.DefaultLLMConfig(seed),
+		Pasta:    verify.DefaultPastaConfig(seed),
 	}
 }
 
@@ -540,11 +535,7 @@ func newSystem(lake *Lake, opts Options, snapshotDir string) (_ *System, staleIn
 	}
 	agent := verify.NewAgent(verify.NewLLMVerifier(opts.LLM), agentOpts...)
 
-	var prov *provenance.Store
-	if opts.RecordProvenance {
-		prov = provenance.NewStore()
-	}
-	pipeline, err := core.NewPipeline(lake, indexer, registry, agent, prov, nil, opts.Pipeline)
+	pipeline, err := core.NewPipeline(lake, indexer, registry, agent, provenance.NewStore(), nil, opts.Pipeline)
 	if err != nil {
 		return nil, false, fmt.Errorf("verifai: assemble pipeline: %w", err)
 	}
@@ -556,7 +547,8 @@ func newSystem(lake *Lake, opts Options, snapshotDir string) (_ *System, staleIn
 // ablations).
 func (s *System) Pipeline() *core.Pipeline { return s.pipeline }
 
-// Provenance returns the lineage store (nil when disabled).
+// Provenance returns the lineage store (challenge C4): a System always
+// records lineage.
 func (s *System) Provenance() *ProvenanceStore { return s.pipeline.Provenance() }
 
 // SetSourceTrust overrides a source's trust weight, e.g. from

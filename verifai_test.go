@@ -213,18 +213,6 @@ func TestProvenanceRecorded(t *testing.T) {
 	}
 }
 
-func TestNoProvenanceOption(t *testing.T) {
-	o := noiseFreeOptions(1)
-	o.RecordProvenance = false
-	sys, err := NewSystem(caseLake(t), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.Provenance() != nil {
-		t.Error("provenance store exists despite option")
-	}
-}
-
 func TestSetSourceTrustAffectsConfidence(t *testing.T) {
 	sys, err := NewSystem(caseLake(t), noiseFreeOptions(42))
 	if err != nil {
@@ -261,7 +249,7 @@ func TestNewSystemValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Provenance() != nil {
-		t.Error("zero options enabled provenance")
+	if sys.Provenance() == nil {
+		t.Error("zero options left the system without lineage")
 	}
 }
